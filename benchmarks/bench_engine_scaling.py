@@ -277,6 +277,23 @@ def test_fast_engine_identical_and_no_alloc_regression():
     (RESULTS_DIR / "engine_scenario.txt").write_text(
         table + "\n", encoding="utf-8"
     )
+    # JSON twin; the run it replaces stays in the file as "previous"
+    # so the end-to-end trajectory is reviewable across PRs.
+    twin = RESULTS_DIR / "BENCH_engine_scenario.json"
+    record = {
+        "sensors": SENSORS,
+        "reference_wall_s": ref_wall,
+        "fast_wall_s": fast_wall,
+        "reference_peak_alloc_mib": round(ref_peak / 2 ** 20, 1),
+        "fast_peak_alloc_mib": round(fast_peak / 2 ** 20, 1),
+    }
+    if twin.exists():
+        previous = json.loads(twin.read_text(encoding="utf-8"))
+        previous.pop("previous", None)
+        record["previous"] = previous
+    twin.write_text(
+        json.dumps(record, indent=2, sort_keys=True) + "\n", encoding="utf-8"
+    )
     print("\n" + table)
     assert fast_peak <= ref_peak * ALLOC_BUDGET, (
         f"fast engine peak alloc {fast_peak / 2 ** 20:.1f} MiB exceeds "

@@ -300,27 +300,39 @@ class EmbeddingProtocol:
         """
         now = self.network.sim.now
         medium = self.network.medium
-        near_start = [
-            s for s in pool if medium.can_transmit(start_node, s, now)
+        # What each end contributes to a pair's key does not depend on
+        # the other end — its battery and the margin of its link to the
+        # endpoint — so it is asked once per sensor here, not once per
+        # pair below.  No link fault is installed at build time, so no
+        # hook sees the change in question order.
+        start_side = [
+            (
+                s1,
+                medium.node(s1).battery_fraction,
+                medium.link_quality(start_node, s1, now),
+            )
+            for s1 in pool
+            if medium.can_transmit(start_node, s1, now)
         ]
-        near_end = [
-            s for s in pool if medium.can_transmit(end_node, s, now)
+        end_side = [
+            (
+                s2,
+                medium.node(s2).battery_fraction,
+                medium.link_quality(s2, end_node, now),
+            )
+            for s2 in pool
+            if medium.can_transmit(end_node, s2, now)
         ]
         best: Optional[Tuple[float, float, int, int]] = None
-        for s1 in near_start:
-            for s2 in near_end:
+        for s1, battery1, quality1 in start_side:
+            for s2, battery2, quality2 in end_side:
                 if s1 == s2:
                     continue
                 if not medium.can_transmit(s1, s2, now):
                     continue
-                battery = (
-                    medium.node(s1).battery_fraction
-                    + medium.node(s2).battery_fraction
-                )
+                battery = battery1 + battery2
                 quality = min(
-                    medium.link_quality(start_node, s1, now),
-                    medium.link_quality(s1, s2, now),
-                    medium.link_quality(s2, end_node, now),
+                    quality1, medium.link_quality(s1, s2, now), quality2
                 )
                 key = (battery, quality, -s1, -s2)
                 if best is None or key > best:

@@ -468,7 +468,7 @@ class ReferRouter:
         destination KID (the "lowest delay path" rule of Section
         III-C2), then physical proximity.
         """
-        position = self.network.node(node_id).position(now)
+        node = self.network.node(node_id)
         reachable = [
             m
             for m in cell.member_ids
@@ -479,10 +479,7 @@ class ReferRouter:
             remaining = 0
             if dest_kid is not None:
                 remaining = self._kautz_distance(cell.kid_of(member), dest_kid)
-            distance = self.network.node(member).position(now).distance_to(
-                position
-            )
-            return (remaining, distance)
+            return (remaining, node.distance_to(self.network.node(member), now))
 
         return sorted(reachable, key=rank)
 

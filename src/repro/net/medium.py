@@ -41,6 +41,13 @@ class LinkFault(Protocol):
     :meth:`WirelessMedium.link_quality` without touching node liveness.
     Both hooks must be pure functions of ``(src, dst, now)`` given the
     implementation's own deterministic state.
+
+    That state may advance *when a hook is called* (the Gilbert-Elliott
+    chains draw lazily from one shared RNG stream), so the medium's
+    side of the contract is the call order: ``link_up`` is asked only
+    after both endpoints are usable and ``dst`` is within ``src``'s
+    range, ``quality_factor`` only when the distance is strictly inside
+    the shorter of the two ranges, once per query and in query order.
     """
 
     def link_up(self, src_id: int, dst_id: int, now: float) -> bool:
@@ -182,13 +189,13 @@ class WirelessMedium:
         grid = self._grid
         snapshot = self._snapshot
         for node_id in self._pending_ids:
-            point = self._nodes[node_id].position(now)
+            point = self._nodes[node_id].mobility.position(now)
             snapshot[node_id] = point
             if grid is not None and node_id not in grid:
                 grid.insert(node_id, point)
         self._pending_ids = []
         for node_id in self._mobile_ids:
-            point = self._nodes[node_id].position(now)
+            point = self._nodes[node_id].mobility.position(now)
             snapshot[node_id] = point
             if grid is not None:
                 grid.move(node_id, point)
@@ -262,9 +269,17 @@ class WirelessMedium:
         return result
 
     def can_transmit(self, src_id: int, dst_id: int, now: float) -> bool:
-        """Whether a src->dst frame would arrive (range + liveness + link)."""
+        """Whether a src->dst frame would arrive (range + liveness + link).
+
+        The link fault is asked last, and only about frames that pass
+        the liveness and range tests (see :class:`LinkFault`).
+        """
         src, dst = self.node(src_id), self.node(dst_id)
-        ok = src.usable and dst.usable and src.in_range_of(dst, now)
+        ok = (
+            src.usable
+            and dst.usable
+            and src.distance_to(dst, now) <= src.transmission_range
+        )
         if ok and self._link_fault is not None:
             ok = self._link_fault.link_up(src_id, dst_id, now)
         return ok

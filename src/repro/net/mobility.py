@@ -5,6 +5,13 @@ periodic position-update events: a leg stores (origin, target, speed,
 departure time) and ``position(now)`` interpolates.  Legs roll over
 lazily when queried past their arrival time, so idle nodes cost
 nothing.
+
+A position is a value of ``(node, now)``.  Range checks ask for the
+same handful of instants thousands of times (construction runs at one
+``now``, a maintenance round at another), so :class:`RandomWaypoint`
+remembers the last answer it gave and hands the same :class:`Point`
+back while ``now`` does not change.  The memo is exact: one entry,
+keyed on ``now`` itself, never on a time bucket.
 """
 
 from __future__ import annotations
@@ -13,14 +20,20 @@ import math
 import random
 from typing import Protocol
 
-from repro.util.geometry import Point
+from repro.util.geometry import EPSILON, Point
 
 
 class MobilityModel(Protocol):
     """Anything that can report a position at a given time."""
 
     def position(self, now: float) -> Point:
-        """Node position at simulated time ``now`` (must be monotone-safe)."""
+        """Node position at simulated time ``now``.
+
+        Must be monotone-safe: callers query at non-decreasing times,
+        repeat an instant freely, and may look back; every answer lies
+        inside the deployment area and repeating ``now`` repeats the
+        answer.
+        """
         ...
 
 
@@ -47,6 +60,12 @@ class RandomWaypoint:
     uniformly from ``[min_speed, max_speed]`` m/s; on arrival it
     immediately picks the next waypoint (no pause time, matching the
     paper's setup).  ``max_speed == 0`` degenerates to a static node.
+
+    Asking again for the instant just answered returns the identical
+    ``Point`` object without touching the leg or the RNG.  A query
+    earlier than the current leg's departure (legs already rolled past
+    it are not kept) answers the leg's origin rather than extrapolating
+    behind it.
     """
 
     def __init__(
@@ -70,6 +89,13 @@ class RandomWaypoint:
         self._speed = 0.0
         self._depart_time = 0.0
         self._arrive_time = 0.0
+        # Per-leg constants: the displacement and length of the leg.
+        self._dx = 0.0
+        self._dy = 0.0
+        self._length = 0.0
+        # The last (now, position) answered; NaN never equals a query.
+        self._memo_now = math.nan
+        self._memo_point = start
         if max_speed > 0:
             self._next_leg(start, 0.0)
 
@@ -89,20 +115,40 @@ class RandomWaypoint:
         speed = self._rng.uniform(self._min_speed, self._max_speed)
         self._speed = max(speed, 1e-3 * self._max_speed)
         self._depart_time = now
-        distance = origin.distance_to(self._target)
         if self._speed <= 0.0:
             # max_speed so small the redraw floor underflows to 0.0
             # (subnormal): the node cannot make progress — pin it on
-            # this leg forever instead of dividing by zero.
+            # this leg forever instead of dividing by zero.  (A zero
+            # speed travels nowhere, so position() answers the origin
+            # without reading the leg constants.)
             self._target = origin
             self._arrive_time = math.inf
             return
-        self._arrive_time = now + distance / self._speed
+        self._dx = self._target.x - origin.x
+        self._dy = self._target.y - origin.y
+        self._length = origin.distance_to(self._target)
+        self._arrive_time = now + self._length / self._speed
 
     def position(self, now: float) -> Point:
+        if now == self._memo_now:
+            return self._memo_point
         if self._max_speed == 0:
             return self._origin
         while now >= self._arrive_time:
             self._next_leg(self._target, self._arrive_time)
-        elapsed = now - self._depart_time
-        return self._origin.toward(self._target, self._speed * elapsed)
+        travelled = self._speed * (now - self._depart_time)
+        origin = self._origin
+        if travelled <= 0.0:
+            point = origin
+        elif self._length <= max(travelled, EPSILON):
+            point = self._target
+        else:
+            # Point.toward's arithmetic, in its order, on the stored
+            # leg constants: coordinates are bit-identical to it.
+            frac = travelled / self._length
+            point = Point(
+                origin.x + self._dx * frac, origin.y + self._dy * frac
+            )
+        self._memo_now = now
+        self._memo_point = point
+        return point

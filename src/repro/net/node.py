@@ -9,6 +9,7 @@ undead nodes take part in communication.
 from __future__ import annotations
 
 import enum
+import math
 from typing import Optional
 
 from repro.errors import NetworkError
@@ -53,7 +54,17 @@ class Node:
         return self.mobility.position(now)
 
     def distance_to(self, other: "Node", now: float) -> float:
-        return self.position(now).distance_to(other.position(now))
+        """Metres between the two nodes at ``now``.
+
+        The one geometry primitive of the net layer: both positions
+        straight from the mobility models, one ``hypot`` (the value
+        ``Point.distance_to`` returns).  Range tests compare this
+        distance, never its square, so a boundary case cannot flip by
+        an ulp.
+        """
+        here = self.mobility.position(now)
+        there = other.mobility.position(now)
+        return math.hypot(here.x - there.x, here.y - there.y)
 
     def in_range_of(self, other: "Node", now: float) -> bool:
         """Whether this node's transmissions reach ``other``."""

@@ -13,7 +13,7 @@ from typing import Iterable, Tuple
 
 #: Distances below this are treated as "already there": guards the
 #: degenerate self-to-self step without exact float equality.
-_EPSILON = 1e-12
+EPSILON = 1e-12
 
 
 @dataclass(frozen=True)
@@ -43,7 +43,7 @@ class Point:
         overshooting a waypoint.
         """
         remaining = self.distance_to(target)
-        if remaining <= max(distance, _EPSILON):
+        if remaining <= max(distance, EPSILON):
             return target
         frac = distance / remaining
         return Point(

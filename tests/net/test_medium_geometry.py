@@ -1,0 +1,109 @@
+"""Geometry oracle: every range question agrees with ``Point.distance_to``.
+
+``Node.distance_to`` is the net layer's one geometry primitive; the
+medium's ``can_transmit`` / ``link_quality`` and the node's
+``in_range_of`` / ``bidirectional_link`` are all phrased on it.  The
+oracle here is the long way round — two ``Point`` objects and
+``Point.distance_to`` — over random pairs with asymmetric ranges,
+static and moving, with a range drawn *exactly equal* to the distance
+in a third of the cases (``<=`` for reach, ``>=`` for zero margin).
+"""
+
+import random
+
+from hypothesis import given, settings, strategies as st
+
+from repro.net.medium import WirelessMedium
+from repro.net.mobility import RandomWaypoint, StaticMobility
+from repro.net.node import Node, NodeRole
+from repro.util.geometry import Point
+
+PROFILE = settings(max_examples=200, deadline=None, derandomize=True)
+
+coords = st.floats(min_value=0.0, max_value=300.0, allow_nan=False)
+ranges = st.floats(min_value=1.0, max_value=400.0, allow_nan=False)
+#: ``None`` stands for "exactly the distance between the two nodes".
+range_or_exact = st.one_of(ranges, ranges, st.none())
+
+
+class ScaledLinkFault:
+    """Links whose id sum is odd are down and sensed at half margin."""
+
+    def link_up(self, src_id, dst_id, now):
+        return (src_id + dst_id) % 2 == 0
+
+    def quality_factor(self, src_id, dst_id, now):
+        return 1.0 if (src_id + dst_id) % 2 == 0 else 0.5
+
+
+def build_pair(ax, ay, bx, by, range_a, range_b, seed, now):
+    """Node 1 static at (ax, ay); node 2 or 3 a waypoint walker from (bx, by)."""
+    walker = RandomWaypoint(Point(bx, by), 300.0, 4.0, random.Random(seed))
+    distance = Point(ax, ay).distance_to(walker.position(now))
+    if distance == 0.0:
+        distance = 1.0
+    a = Node(
+        1, NodeRole.SENSOR, StaticMobility(Point(ax, ay)),
+        distance if range_a is None else range_a,
+    )
+    b = Node(
+        2 + seed % 2, NodeRole.SENSOR, walker,
+        distance if range_b is None else range_b,
+    )
+    medium = WirelessMedium()
+    medium.add_node(a)
+    medium.add_node(b)
+    return medium, a, b
+
+
+@PROFILE
+@given(
+    coords, coords, coords, coords, range_or_exact, range_or_exact,
+    st.integers(0, 1000), st.sampled_from([0.0, 0.25, 7.5, 60.0]),
+    st.booleans(),
+)
+def test_range_questions_agree_with_point_distance(
+    ax, ay, bx, by, range_a, range_b, seed, now, faulted
+):
+    medium, a, b = build_pair(ax, ay, bx, by, range_a, range_b, seed, now)
+    if faulted:
+        medium.set_link_fault(ScaledLinkFault())
+    up = not faulted or (a.id + b.id) % 2 == 0
+    factor = 1.0 if up else 0.5
+    d = a.position(now).distance_to(b.position(now))
+    reach_a, reach_b = a.transmission_range, b.transmission_range
+
+    assert a.distance_to(b, now) == d == b.distance_to(a, now)
+    assert a.in_range_of(b, now) == (d <= reach_a)
+    assert b.in_range_of(a, now) == (d <= reach_b)
+    both_ways = d <= reach_a and d <= reach_b
+    assert a.bidirectional_link(b, now) == both_ways
+    assert b.bidirectional_link(a, now) == both_ways
+    assert medium.can_transmit(a.id, b.id, now) == (d <= reach_a and up)
+    assert medium.can_transmit(b.id, a.id, now) == (d <= reach_b and up)
+    limit = min(reach_a, reach_b)
+    margin = 0.0 if d >= limit else (1.0 - d / limit) * factor
+    assert medium.link_quality(a.id, b.id, now) == margin
+    assert medium.link_quality(b.id, a.id, now) == margin
+    assert medium.neighbors(a.id, now) == ([b.id] if both_ways else [])
+
+
+def test_exactly_on_the_range_limit():
+    """A 3-4-5 triangle: reachable at 5.0 m, with zero margin."""
+    medium = WirelessMedium()
+    medium.add_node(Node(1, NodeRole.SENSOR, StaticMobility(Point(0, 0)), 5.0))
+    medium.add_node(Node(2, NodeRole.SENSOR, StaticMobility(Point(3, 4)), 9.0))
+    assert medium.node(1).distance_to(medium.node(2), 0.0) == 5.0
+    assert medium.can_transmit(1, 2, 0.0) and medium.can_transmit(2, 1, 0.0)
+    assert medium.node(1).bidirectional_link(medium.node(2), 0.0)
+    assert medium.link_quality(1, 2, 0.0) == 0.0
+
+
+def test_liveness_gates_frames_but_not_the_sensed_margin():
+    medium = WirelessMedium()
+    medium.add_node(Node(1, NodeRole.SENSOR, StaticMobility(Point(0, 0)), 50.0))
+    medium.add_node(Node(2, NodeRole.SENSOR, StaticMobility(Point(20, 0)), 50.0))
+    medium.node(2).asleep = True
+    assert not medium.can_transmit(1, 2, 0.0)
+    assert not medium.can_transmit(2, 1, 0.0)
+    assert medium.link_quality(1, 2, 0.0) == 1.0 - 20.0 / 50.0

@@ -50,6 +50,22 @@ class TestRandomWaypoint:
                 fine.append(p)
         assert coarse == fine
 
+    def test_backward_query_stays_in_area(self):
+        """A look-back past the current leg's departure answers its origin.
+
+        Regression: the interpolation used to run with a negative
+        travelled distance and extrapolate behind the origin, hundreds
+        of metres outside the square.
+        """
+        m = RandomWaypoint(Point(1, 1), 100.0, 5.0, random.Random(3))
+        m.position(500.0)
+        for t in (499.0, 470.0, 400.0, 100.0, 0.0):
+            assert in_square(m.position(t), 100.0)
+        assert m.position(0.0) == m.position(100.0)
+        # Forward queries are unaffected by the look-back.
+        fresh = RandomWaypoint(Point(1, 1), 100.0, 5.0, random.Random(3))
+        assert m.position(500.0) == fresh.position(500.0)
+
     def test_deterministic_per_seed(self):
         a = RandomWaypoint(Point(0, 0), 100.0, 2.0, random.Random(5))
         b = RandomWaypoint(Point(0, 0), 100.0, 2.0, random.Random(5))
