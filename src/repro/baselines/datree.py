@@ -80,20 +80,15 @@ class DaTreeSystem(WsanSystem):
     def _hello_round(self) -> None:
         now = self.network.sim.now
         for sensor_id in self.sensor_ids:
-            node = self.network.node(sensor_id)
-            if not node.usable:
+            if not self.network.node(sensor_id).usable:
                 continue
             parent = self._parent.get(sensor_id)
             # One hello per sensor per round; the parent answers.
-            self.network.energy.charge_tx(sensor_id, kind="probe")
-            node.drain(self.network.energy.model.tx_joules)
+            self.network.charge_tx(sensor_id, "probe")
             if parent is not None and self.network.medium.can_transmit(
                 sensor_id, parent, now
             ):
-                self.network.energy.charge_rx(parent, kind="probe")
-                self.network.node(parent).drain(
-                    self.network.energy.model.rx_joules
-                )
+                self.network.charge_rx(parent, "probe")
                 continue
             # Parent unreachable: broadcast toward the root for a new one.
             if sensor_id in self._repairing:

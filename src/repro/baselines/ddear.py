@@ -71,8 +71,9 @@ class DDearSystem(WsanSystem):
         # 1-hop beacon exchange: every sensor broadcasts once.
         for sensor_id in self.sensor_ids:
             self.network.charge_control_tx(sensor_id)
-            for nb in self.network.neighbors(sensor_id):
-                self.network.charge_control_rx(nb)
+            self.network.charge_rx_each(
+                self.network.neighbors(sensor_id), "control"
+            )
         self._elect_heads(now)
         self._attach_members(now)
         # Head -> actuator paths come from one joint actuator
@@ -168,16 +169,11 @@ class DDearSystem(WsanSystem):
         # Members: one hello to the head's next hop; re-attach locally
         # if the first hop has moved away.
         for member, path in list(self._member_path.items()):
-            node = self.network.node(member)
-            if not node.usable:
+            if not self.network.node(member).usable:
                 continue
-            self.network.energy.charge_tx(member, kind="probe")
-            node.drain(self.network.energy.model.tx_joules)
+            self.network.charge_tx(member, "probe")
             if self.network.medium.can_transmit(member, path[1], now):
-                self.network.energy.charge_rx(path[1], kind="probe")
-                self.network.node(path[1]).drain(
-                    self.network.energy.model.rx_joules
-                )
+                self.network.charge_rx(path[1], "probe")
                 continue
             self._member_path.pop(member, None)
             self._head_of.pop(member, None)
@@ -191,13 +187,9 @@ class DDearSystem(WsanSystem):
             if not self.network.node(head).usable:
                 continue
             path = self._head_path.get(head)
-            self.network.energy.charge_tx(head, kind="probe")
-            self.network.node(head).drain(self.network.energy.model.tx_joules)
+            self.network.charge_tx(head, "probe")
             if path is not None and self._path_alive(path, now):
-                self.network.energy.charge_rx(path[1], kind="probe")
-                self.network.node(path[1]).drain(
-                    self.network.energy.model.rx_joules
-                )
+                self.network.charge_rx(path[1], "probe")
                 continue
             self._head_path.pop(head, None)
             if head in self._repairing:

@@ -144,19 +144,14 @@ class KautzOverlaySystem(WsanSystem):
         """
         now = self.network.sim.now
         for (from_node, to_node), path in list(self._paths.items()):
-            node = self.network.node(from_node)
-            if not node.usable:
+            if not self.network.node(from_node).usable:
                 continue
-            self.network.energy.charge_tx(from_node, kind="probe")
-            node.drain(self.network.energy.model.tx_joules)
+            self.network.charge_tx(from_node, "probe")
             if all(
                 self.network.medium.can_transmit(a, b, now)
                 for a, b in zip(path, path[1:])
             ):
-                self.network.energy.charge_rx(path[1], kind="probe")
-                self.network.node(path[1]).drain(
-                    self.network.energy.model.rx_joules
-                )
+                self.network.charge_rx(path[1], "probe")
             else:
                 self._paths.pop((from_node, to_node), None)
 

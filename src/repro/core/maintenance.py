@@ -163,13 +163,8 @@ class TopologyMaintenance:
             # Probe: one broadcast, heard by each Kautz neighbour.
             node = self.network.node(node_id)
             self.stats.probes += 1
-            self.network.energy.charge_tx(node_id, kind="probe")
-            node.drain(self.network.energy.model.tx_joules)
-            for nb in neighbors:
-                self.network.energy.charge_rx(nb, kind="probe")
-                self.network.node(nb).drain(
-                    self.network.energy.model.rx_joules
-                )
+            self.network.charge_tx(node_id, "probe")
+            self.network.charge_rx_each(neighbors, "probe")
             alive = (
                 node.usable
                 and node.battery_fraction >= self._battery_threshold
@@ -253,11 +248,8 @@ class TopologyMaintenance:
         # Notification messages: the departing node (or, if it is
         # believed gone, the candidate) informs each Kautz neighbour.
         announcer = node_id if self._presumed_live(node_id) else candidate
-        self.network.energy.charge_tx(announcer, kind="control")
-        self.network.node(announcer).drain(self.network.energy.model.tx_joules)
-        for nb in neighbors:
-            self.network.energy.charge_rx(nb, kind="control")
-            self.network.node(nb).drain(self.network.energy.model.rx_joules)
+        self.network.charge_control_tx(announcer)
+        self.network.charge_rx_each(neighbors, "control")
 
     def _note_replacement_latency(
         self, cell: EmbeddedCell, kid: KautzString, node_id: int, now: float

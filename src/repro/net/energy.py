@@ -16,17 +16,23 @@ The joules live in telemetry counter families
 
 Pass ``registry=`` to share a run's registry (the network does); the
 default private registry keeps standalone ledgers dependency-free.
-The accessors below preserve the historical float accumulation order
-exactly, so ledger totals are bit-identical to the pre-registry code.
+
+The ledger resolves each ``(node, phase)``, ``(kind, phase)`` and
+``phase`` child once and holds it, so a charge is a dict lookup and an
+add per counter.  Children are still created at first charge, in
+first-charge order, and receive the same sequence of float adds as a
+``child(...).inc(...)`` per charge (never ``n * joules``): totals and
+exports are bit-identical to it (``tests/net/test_energy_handles.py``).
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict, Optional, Sequence
 
-from repro.telemetry.registry import Registry
+from repro.errors import TelemetryError
+from repro.telemetry.registry import Counter, MetricFamily, Registry
 
 
 class Phase(enum.Enum):
@@ -50,6 +56,23 @@ class EnergyModel:
     def __post_init__(self) -> None:
         if self.tx_joules < 0 or self.rx_joules < 0:
             raise ValueError("energy costs must be non-negative")
+
+
+class _Held(dict):
+    """Held children of one counter family, ``first label -> child``.
+
+    A hit is a plain dict lookup; a miss resolves ``family.child(key,
+    *rest)`` once, which is also what creates the child at its first
+    charge.
+    """
+
+    def __init__(self, family: MetricFamily, *rest: str) -> None:
+        super().__init__()
+        self._family, self._rest = family, rest
+
+    def __missing__(self, key) -> Counter:
+        child = self[key] = self._family.child(key, *self._rest)
+        return child
 
 
 class EnergyLedger:
@@ -81,7 +104,10 @@ class EnergyLedger:
         self._rx_packets = registry.counter(
             "energy_rx_packets", "packets charged in receive mode"
         )
-        self._phase = Phase.CONSTRUCTION
+        self._totals = _Held(self._by_phase)
+        self._nodes = {p: _Held(self._by_node, p.value) for p in Phase}
+        self._kinds = {p: _Held(self._by_kind, p.value) for p in Phase}
+        self.set_phase(Phase.CONSTRUCTION)
 
     # -- phase control ---------------------------------------------------
 
@@ -92,6 +118,9 @@ class EnergyLedger:
     def set_phase(self, phase: Phase) -> None:
         """Switch the active ledger (construction -> communication)."""
         self._phase = phase
+        self._label = phase.value
+        self._node_children = self._nodes[phase]
+        self._kind_children = self._kinds[phase]
 
     # -- charging ----------------------------------------------------------
 
@@ -106,11 +135,12 @@ class EnergyLedger:
         way Section IV-D discusses.
         """
         joules = self.model.tx_joules * packets
-        phase = self._phase.value
-        self._by_phase.child(phase).inc(joules)
-        self._by_node.child(node_id, phase).inc(joules)
-        self._by_kind.child(kind, phase).inc(joules)
-        self._tx_packets.inc(packets)
+        if joules < 0 or packets < 0:
+            raise TelemetryError("counters only increase")
+        self._totals[self._label]._value += joules
+        self._node_children[node_id]._value += joules
+        self._kind_children[kind]._value += joules
+        self._tx_packets.child()._value += packets
         return joules
 
     def charge_rx(
@@ -118,12 +148,30 @@ class EnergyLedger:
     ) -> float:
         """Charge ``packets`` receptions to ``node_id``; returns joules."""
         joules = self.model.rx_joules * packets
-        phase = self._phase.value
-        self._by_phase.child(phase).inc(joules)
-        self._by_node.child(node_id, phase).inc(joules)
-        self._by_kind.child(kind, phase).inc(joules)
-        self._rx_packets.inc(packets)
+        if joules < 0 or packets < 0:
+            raise TelemetryError("counters only increase")
+        self._totals[self._label]._value += joules
+        self._node_children[node_id]._value += joules
+        self._kind_children[kind]._value += joules
+        self._rx_packets.child()._value += packets
         return joules
+
+    def charge_rx_each(self, node_ids: Sequence[int], kind: str = "data") -> None:
+        """Charge one reception to each of ``node_ids``, in order (a
+        broadcast heard by a neighbour list): one add per reception to
+        every counter, never ``n * joules``."""
+        joules = self.model.rx_joules
+        if joules < 0:
+            raise TelemetryError("counters only increase")
+        if not node_ids:
+            return
+        total, by_kind = self._totals[self._label], self._kind_children[kind]
+        by_node = self._node_children
+        for node_id in node_ids:
+            total._value += joules
+            by_node[node_id]._value += joules
+            by_kind._value += joules
+        self._rx_packets.child()._value += len(node_ids)
 
     # -- reporting ----------------------------------------------------------
 

@@ -25,7 +25,8 @@ next bucket boundary.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Protocol, Tuple
+from types import MappingProxyType
+from typing import Dict, List, Mapping, Optional, Protocol, Tuple
 
 from repro.errors import NetworkError
 from repro.net.node import Node
@@ -73,6 +74,9 @@ class WirelessMedium:
         if cell_size is not None and cell_size <= 0:
             raise NetworkError("cell_size must be positive")
         self._nodes: Dict[int, Node] = {}
+        #: Read-only ``id -> Node`` view of the registry, for loops over
+        #: many nodes that cannot afford a :meth:`node` call each.
+        self.node_table: Mapping[int, Node] = MappingProxyType(self._nodes)
         self._cache_resolution = cache_resolution
         self._neighbor_cache: Dict[Tuple[int, int], List[int]] = {}
         self._cache_bucket = -1

@@ -57,6 +57,8 @@ class WirelessNetwork:
         )
         self.flight = telemetry.flight if telemetry is not None else None
         self.medium = WirelessMedium(use_spatial_index=use_spatial_index)
+        #: ``node(node_id) -> Node`` (``NetworkError`` on an unknown id).
+        self.node = self.medium.node
         self.mac = ContentionMac(sim, self.medium, rng, mac_config)
         if telemetry is not None and telemetry.profiler is not None:
             self.mac.profiler = telemetry.profiler
@@ -107,9 +109,6 @@ class WirelessNetwork:
     def add_node(self, node: Node) -> None:
         self.medium.add_node(node)
 
-    def node(self, node_id: int) -> Node:
-        return self.medium.node(node_id)
-
     def nodes(self) -> List[Node]:
         return self.medium.nodes()
 
@@ -130,20 +129,37 @@ class WirelessNetwork:
 
     # -- direct energy accounting ---------------------------------------------
 
-    def charge_control_tx(self, node_id: int) -> None:
-        """Charge one control-message transmission (ledger + battery).
-
-        For protocol bookkeeping messages whose timing is immaterial
-        (construction-phase exchanges, assignment replies) — energy is
-        accounted without scheduling radio events.
-        """
-        self.energy.charge_tx(node_id, kind="control")
+    def charge_tx(self, node_id: int, kind: str) -> None:
+        """Charge one transmission of traffic class ``kind``: energy
+        ledger and battery, no radio event scheduled."""
+        self.energy.charge_tx(node_id, kind=kind)
         self.node(node_id).drain(self.energy.model.tx_joules)
 
-    def charge_control_rx(self, node_id: int) -> None:
-        """Charge one control-message reception (ledger + battery)."""
-        self.energy.charge_rx(node_id, kind="control")
+    def charge_rx(self, node_id: int, kind: str) -> None:
+        """Charge one reception (ledger + battery)."""
+        self.energy.charge_rx(node_id, kind=kind)
         self.node(node_id).drain(self.energy.model.rx_joules)
+
+    def charge_rx_each(self, node_ids: Sequence[int], kind: str) -> None:
+        """Charge one reception to each of ``node_ids``, in order: a
+        broadcast heard by a neighbour list."""
+        self.energy.charge_rx_each(node_ids, kind=kind)
+        joules = self.energy.model.rx_joules
+        table = self.medium.node_table
+        try:
+            for node_id in node_ids:
+                table[node_id].consumed_joules += joules
+        except KeyError as exc:
+            raise NetworkError(f"unknown node id {exc.args[0]}") from None
+
+    def charge_control_tx(self, node_id: int) -> None:
+        """Charge one control-message transmission (bookkeeping
+        exchanges whose timing is immaterial)."""
+        self.charge_tx(node_id, "control")
+
+    def charge_control_rx(self, node_id: int) -> None:
+        """Charge one control-message reception."""
+        self.charge_rx(node_id, "control")
 
     # -- fault API -------------------------------------------------------------
 
@@ -199,8 +215,7 @@ class WirelessNetwork:
                 packet.uid, now, src_id, dst_id,
                 queued=src.radio_busy_until > now,
             )
-        self.energy.charge_tx(src_id, kind=packet.kind.value)
-        src.drain(self.energy.model.tx_joules)
+        self.charge_tx(src_id, packet.kind.value)
         if not self.medium.can_transmit(src_id, dst_id, now):
             self.trace.record(now, "link_break", f"{src_id}->{dst_id}")
             if flight is not None:
@@ -227,8 +242,7 @@ class WirelessNetwork:
                 return
             if flight is not None:
                 flight.hop_rx(packet.uid, at, src_id, dst_id)
-            self.energy.charge_rx(dst_id, kind=packet.kind.value)
-            self.node(dst_id).drain(self.energy.model.rx_joules)
+            self.charge_rx(dst_id, packet.kind.value)
             if on_delivered is not None:
                 on_delivered(packet)
             if deliver_to_handler:
@@ -331,41 +345,20 @@ class WirelessNetwork:
         Energy is charged as real flooding would: every reached node
         rebroadcasts once (tx), every reception over every edge of the
         reachability graph is charged (rx).  The completion callback is
-        delayed by one broadcast airtime per flood level.
+        delayed by one broadcast airtime per flood level; a flood nobody
+        forwards (``ttl=0``, unusable source) completes at ``now``.
+        A negative ``ttl`` raises ``NetworkError``.
 
         The per-duplicate packet events are *not* individually simulated
         — this is the documented shortcut that keeps 400-node broadcast
         storms tractable while preserving their energy and latency cost.
         """
         now = self.sim.now
-        if not self.node(src_id).usable:
-            tree: Dict[int, Tuple[int, Optional[int]]] = {}
+        tree, level_sizes = self._spread([src_id], ttl)
+        if not tree:
             if on_complete is not None:
                 self.sim.schedule(0.0, lambda: on_complete(tree))
             return tree
-        tree = {src_id: (0, None)}
-        frontier = [src_id]
-        depth = 0
-        level_sizes: List[int] = [1]
-        while frontier and depth < ttl:
-            depth += 1
-            next_frontier: List[int] = []
-            for node_id in frontier:
-                for nb in self.neighbors(node_id):
-                    self.energy.charge_rx(nb, kind="flood")
-                    self.node(nb).drain(self.energy.model.rx_joules)
-                    if nb not in tree:
-                        tree[nb] = (depth, node_id)
-                        next_frontier.append(nb)
-            frontier = next_frontier
-            level_sizes.append(len(frontier))
-        # Every node that holds the message rebroadcasts once, except
-        # leaves at the TTL horizon which receive but do not forward.
-        forwarders = [
-            (node_id, hops)
-            for node_id, (hops, _) in tree.items()
-            if hops < ttl
-        ]
         # Broadcast-storm timing: within one flood level every forwarder
         # contends with the others, so a level takes one airtime plus a
         # deferral slot per concurrent transmitter; each forwarder's
@@ -373,14 +366,16 @@ class WirelessNetwork:
         cfg = self.mac.config
         airtime = self.mac.broadcast_airtime(size_bytes)
         level_latency: List[float] = [0.0]
-        for width in level_sizes[:-1] if len(level_sizes) > 1 else [0]:
+        for width in level_sizes[:-1]:
             step = airtime + cfg.processing_delay + cfg.slot_seconds * width
             level_latency.append(level_latency[-1] + step)
-        total_latency = level_latency[-1] if level_latency else 0.0
-        for node_id, hops in forwarders:
-            self.energy.charge_tx(node_id, kind="flood")
+        # Every node that holds the message rebroadcasts once, except
+        # leaves at the TTL horizon which receive but do not forward.
+        for node_id, (hops, _) in tree.items():
+            if hops >= ttl:
+                continue
+            self.charge_tx(node_id, "flood")
             node = self.node(node_id)
-            node.drain(self.energy.model.tx_joules)
             # A forwarder contends for the medium until its whole flood
             # level has drained — the broadcast-storm cost that lets
             # repair floods steal airtime from concurrent data traffic.
@@ -392,7 +387,7 @@ class WirelessNetwork:
             )
         self.trace.record(now, "flood", f"src={src_id} reached={len(tree)}")
         if on_complete is not None:
-            self.sim.schedule(total_latency, lambda: on_complete(tree))
+            self.sim.schedule(level_latency[-1], lambda: on_complete(tree))
         return tree
 
     def flood_multi(
@@ -410,29 +405,43 @@ class WirelessNetwork:
         ``None``; every other node's parent leads back to the source
         whose wave reached it first.
         """
+        tree, _ = self._spread(src_ids, ttl)
+        for node_id, (hops, _) in tree.items():
+            if hops < ttl:
+                self.charge_tx(node_id, "flood")
+        return tree
+
+    def _spread(
+        self, src_ids: Sequence[int], ttl: int
+    ) -> Tuple[Dict[int, Tuple[int, Optional[int]]], List[int]]:
+        """Spread a flood breadth-first from the usable ``src_ids``,
+        charging every reception; returns the tree and the number of
+        new holders per level."""
+        if ttl < 0:
+            raise NetworkError(f"flood ttl must be >= 0, got {ttl}")
         tree: Dict[int, Tuple[int, Optional[int]]] = {}
         frontier: List[int] = []
         for src_id in src_ids:
             if self.node(src_id).usable and src_id not in tree:
                 tree[src_id] = (0, None)
                 frontier.append(src_id)
+        level_sizes = [len(frontier)]
         depth = 0
         while frontier and depth < ttl:
             depth += 1
             next_frontier: List[int] = []
             for node_id in frontier:
-                for nb in self.neighbors(node_id):
-                    self.energy.charge_rx(nb, kind="flood")
-                    self.node(nb).drain(self.energy.model.rx_joules)
+                # One batch per forwarder: its drains land before the
+                # next neighbour list is read.
+                heard = self.neighbors(node_id)
+                self.charge_rx_each(heard, "flood")
+                for nb in heard:
                     if nb not in tree:
                         tree[nb] = (depth, node_id)
                         next_frontier.append(nb)
             frontier = next_frontier
-        for node_id, (hops, _) in tree.items():
-            if hops < ttl:
-                self.energy.charge_tx(node_id, kind="flood")
-                self.node(node_id).drain(self.energy.model.tx_joules)
-        return tree
+            level_sizes.append(len(frontier))
+        return tree, level_sizes
 
     # -- metrics helpers ----------------------------------------------------------------
 

@@ -109,7 +109,8 @@ class Node:
         return max(0.0, remaining / self.battery_joules)
 
     def drain(self, joules: float) -> None:
-        """Deduct battery energy (no-op accounting when unmetered)."""
+        """Deduct battery energy (no-op accounting when unmetered); just
+        this add, which ``WirelessNetwork.charge_rx_each`` inlines."""
         self.consumed_joules += joules
 
     def __repr__(self) -> str:

@@ -211,9 +211,7 @@ class ArqLink:
                 if handler is not None:
                     handler(packet)
         # The ACK frame: receiver pays tx, sender pays rx on arrival.
-        energy = self._network.energy
-        energy.charge_tx(dst_id, kind=PacketKind.ACK.value)
-        self._network.node(dst_id).drain(energy.model.tx_joules)
+        self._network.charge_tx(dst_id, PacketKind.ACK.value)
         mac_cfg = self._network.mac.config
         ack_delay = mac_cfg.airtime(self._ack_bytes) + mac_cfg.processing_delay
         if self._rng.random() < self._ack_loss:
@@ -232,8 +230,7 @@ class ArqLink:
             if hop.done:
                 return
             hop.done = True
-            energy.charge_rx(src_id, kind=PacketKind.ACK.value)
-            self._network.node(src_id).drain(energy.model.rx_joules)
+            self._network.charge_rx(src_id, PacketKind.ACK.value)
 
         self._network.sim.schedule(ack_delay, ack_arrived)
 

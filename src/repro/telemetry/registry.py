@@ -13,9 +13,11 @@ Design constraints, in order:
 * **determinism** — metrics record simulated quantities only; nothing
   in this module reads a wall clock or an RNG, and iteration orders are
   insertion/sorted, never hash-randomised;
-* **cheap hot path** — incrementing a counter is one dict lookup plus a
-  float add, the same cost as the ``defaultdict`` accounting it
-  replaces;
+* **cheap hot path** — a child is a stable handle (``reset()`` zeroes
+  it in place), so hot code resolves ``family.child(labels)`` once and
+  holds it; ``family.child(labels).inc()`` is the convenience form for
+  code that counts rarely.  The energy ledger goes one step further: it
+  validates once per charge call and adds to the held ``_value``;
 * **stdlib only** — the API is a deliberately tiny subset of
   ``prometheus_client`` (families, label children, fixed-bucket
   histograms) with none of its process machinery.

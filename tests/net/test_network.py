@@ -195,6 +195,26 @@ class TestFlood:
         net.flood(0, ttl=5)
         assert net.node(1).radio_busy_until > 0.0
 
+    def test_flood_nobody_forwards_completes_now(self):
+        # ttl=0: the source holds the message and nobody transmits, so
+        # there is no airtime to wait for.
+        sim, net = build_line()
+        times = []
+        tree = net.flood(0, ttl=0, on_complete=lambda t: times.append(sim.now))
+        sim.run_until(1.0)
+        assert tree == {0: (0, None)}
+        assert times == [0.0]
+        assert net.energy.tx_packets == 0 and net.energy.rx_packets == 0
+        assert net.node(0).radio_busy_until == 0.0
+
+    def test_negative_ttl_rejected(self):
+        sim, net = build_line()
+        with pytest.raises(NetworkError):
+            net.flood(0, ttl=-1)
+        with pytest.raises(NetworkError):
+            net.flood_multi([0], ttl=-1)
+        assert net.registry.as_dict()["energy_joules"] == {}
+
 
 class TestFloodMulti:
     def test_each_node_has_one_parent_wave(self):

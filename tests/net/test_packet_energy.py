@@ -2,8 +2,10 @@
 
 import pytest
 
+from repro.errors import TelemetryError
 from repro.net.energy import EnergyLedger, EnergyModel, Phase
 from repro.net.packet import Packet, PacketKind
+from repro.telemetry.registry import Registry
 
 
 def make_packet(**kwargs):
@@ -102,6 +104,23 @@ class TestEnergyLedger:
         ledger.set_phase(Phase.COMMUNICATION)
         ledger.charge_tx(1)                      # 2 J communication
         assert ledger.construction_fraction() == pytest.approx(0.5)
+
+    @pytest.mark.parametrize(
+        "model", [EnergyModel(), EnergyModel(tx_joules=0.0, rx_joules=0.0)]
+    )
+    def test_rejected_charge_mutates_nothing(self, model):
+        # A bad charge must not register children on its way to the
+        # error: exports would grow zero-valued samples.
+        registry = Registry()
+        ledger = EnergyLedger(model, registry=registry)
+        ledger.charge_rx(7, kind="probe")
+        before = registry.as_dict()
+        ledger.set_phase(Phase.COMMUNICATION)
+        for charge in (ledger.charge_tx, ledger.charge_rx):
+            with pytest.raises(TelemetryError):
+                charge(1, packets=-1, kind="flood")
+        assert registry.as_dict() == before
+        assert (ledger.tx_packets, ledger.rx_packets) == (0, 1)
 
     def test_custom_model(self):
         ledger = EnergyLedger(EnergyModel(tx_joules=1.0, rx_joules=0.5))
