@@ -5,11 +5,8 @@ Every bench:
 * reads its effort knobs from the environment —
   ``REFER_BENCH_SEEDS`` (default 2), ``REFER_BENCH_SIM_TIME`` (default
   30 s measured), ``REFER_BENCH_RATE`` (default 12 packets/s/source),
-  ``REFER_BENCH_ENGINE`` (``fast`` by default — the engine goldens pin
-  fast and reference byte-identical, so benches take the speed;
-  ``reference`` opts back out), ``REFER_BENCH_WORKERS`` (default 0 =
-  in-process; >0 routes campaign-shaped benches through the parallel
-  supervisor);
+  ``REFER_BENCH_WORKERS`` (default 0 = in-process; >0 routes
+  campaign-shaped benches through the parallel supervisor);
 * regenerates one evaluation figure via ``repro.experiments.figures``;
 * prints the series table (also saved under ``benchmarks/results/``,
   with a machine-readable ``BENCH_<name>.json`` twin) so the rows the
@@ -31,25 +28,12 @@ import pathlib
 from repro.experiments.config import ScenarioConfig
 from repro.experiments.figures import FigureData
 from repro.experiments.report import format_figure
-from repro.sim.engine import EngineConfig
 
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 
 
 def bench_seeds() -> int:
     return int(os.environ.get("REFER_BENCH_SEEDS", "2"))
-
-
-def bench_engine() -> EngineConfig:
-    """The engine the benches run on (default: every fast path on)."""
-    name = os.environ.get("REFER_BENCH_ENGINE", "fast")
-    if name == "fast":
-        return EngineConfig.fast()
-    if name == "reference":
-        return EngineConfig.reference()
-    raise ValueError(
-        f"REFER_BENCH_ENGINE={name!r}: expected 'fast' or 'reference'"
-    )
 
 
 def bench_workers() -> int:
@@ -64,7 +48,6 @@ def bench_base_config() -> ScenarioConfig:
         sim_time=sim_time,
         warmup=max(2.0, sim_time / 10.0),
         rate_pps=rate,
-        engine=bench_engine(),
     )
 
 

@@ -14,6 +14,11 @@ from repro.kautz.disjoint import successor_table
 from repro.kautz.graph import KautzGraph
 from repro.kautz.routing import route_generation_paths
 
+# The claim is about *computing* the table from the two IDs, so time
+# the undecorated function: the memo would make every pass after the
+# first a dictionary hit.
+compute_table = successor_table.__wrapped__
+
 
 def sample_pairs(degree, diameter, count, seed=7):
     graph = KautzGraph(degree, diameter)
@@ -32,7 +37,7 @@ PAIRS = sample_pairs(4, 4, 64)
 
 def test_theorem_38_lookup(benchmark):
     def lookup_all():
-        return [successor_table(u, v) for u, v in PAIRS]
+        return [compute_table(u, v) for u, v in PAIRS]
 
     tables = benchmark(lookup_all)
     assert all(len(t) == 4 for t in tables)
@@ -54,7 +59,7 @@ def test_lookup_is_much_cheaper():
     start = time.perf_counter()
     for _ in range(10):
         for u, v in PAIRS:
-            successor_table(u, v)
+            compute_table(u, v)
     lookup = time.perf_counter() - start
 
     start = time.perf_counter()

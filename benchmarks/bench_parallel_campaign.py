@@ -32,7 +32,7 @@ from repro.experiments.campaign import run_campaign
 from repro.experiments.config import ScenarioConfig
 from repro.experiments.parallel import parallel_campaign
 
-from _common import RESULTS_DIR, bench_engine
+from _common import RESULTS_DIR
 
 SIM_TIME = float(os.environ.get("REFER_BENCH_PAR_SIM_TIME", "12"))
 POINTS = tuple(
@@ -49,7 +49,6 @@ def _base():
         sim_time=SIM_TIME,
         warmup=max(2.0, SIM_TIME / 10.0),
         rate_pps=8.0,
-        engine=bench_engine(),
     )
 
 

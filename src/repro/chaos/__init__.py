@@ -1,8 +1,9 @@
 """Chaos engineering: composable fault models + recovery instrumentation.
 
-The package generalises ``repro.net.failure.FaultInjector`` (kept
-as-is for figure parity) into a library of deterministic, sim-clock-
-driven fault models sharing one scheduler interface, a coordinator to
+The package generalises the paper's Section IV-B crash rotation
+(:class:`CrashRotationFault`, which the figures' ``config.faults``
+path runs on) into a library of deterministic, sim-clock-driven
+fault models sharing one scheduler interface, a coordinator to
 compose them, a windowed delivery-ratio probe measuring time-to-
 recovery, and a frozen :class:`FaultSpec` so scenarios declare faults
 in :class:`~repro.experiments.config.ScenarioConfig`.

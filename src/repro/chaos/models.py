@@ -9,8 +9,7 @@ their actions as :class:`FaultEvent`\\ s; the
 analysis on that log.
 
 The library generalises the paper's Section IV-B crash rotation
-(:class:`CrashRotationFault`, schedule-compatible with
-``repro.net.failure.FaultInjector``) with the failure modes related
+(:class:`CrashRotationFault`) with the failure modes related
 WSAN work stresses: permanent attrition, actuator outages, regional
 blackouts, battery-depletion attacks, and bursty Gilbert-Elliott link
 loss.
@@ -129,9 +128,10 @@ class CrashRotationFault(ChaosModel):
     """The paper's Section IV-B schedule: rotate a broken-down set.
 
     Every ``period`` seconds the previous round's nodes recover and a
-    fresh sample of ``count()`` eligible nodes fails — schedule-
-    compatible with ``repro.net.failure.FaultInjector`` (kept for
-    figure parity) but with event recording and the shared interface.
+    fresh sample of ``count()`` eligible nodes fails.  The whole
+    previous set recovers *before* sampling, so every round samples
+    from the full eligible population: the RNG draw sequence is the
+    seed fault injector's, which keeps Figs 6-7 bit-exact.
     """
 
     name = "crash-rotation"

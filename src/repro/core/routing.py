@@ -21,7 +21,6 @@ from repro.core.ids import ReferId
 from repro.dht.can import CanOverlay
 from repro.errors import DHTError, KautzError, RoutingError
 from repro.kautz.disjoint import successor_table
-from repro.kautz.interned import InternedKautzSpace
 from repro.kautz.namespace import kautz_distance
 from repro.kautz.strings import KautzString
 from repro.net.network import WirelessNetwork
@@ -63,26 +62,17 @@ class ReferRouter:
         cells: Sequence[EmbeddedCell],
         max_hops: int = 40,
         congestion_threshold: float = 0.05,
-        interned: bool = False,
     ) -> None:
         """``congestion_threshold``: a successor whose radio queue
         would delay the packet by more than this many seconds counts as
         *congested* and the next disjoint path is tried instead —
-        Section III-C2 detours on "congested/failed" successors alike.
-
-        ``interned``: route through the memoized
-        :class:`~repro.kautz.interned.InternedKautzSpace` tables
-        instead of recomputing Theorem 3.8 string math per hop.  Pure
-        performance knob — decisions are byte-identical either way (the
-        engine determinism goldens pin this)."""
+        Section III-C2 detours on "congested/failed" successors alike."""
         self.network = network
         self.plan = plan
         self.cells = {cell.cid: cell for cell in cells}
         self.stats = RoutingStats(registry=network.registry)
         self._max_hops = max_hops
         self._congestion_threshold = congestion_threshold
-        self._interned = interned
-        self._space: Optional[InternedKautzSpace] = None
         # node -> cell lookups happen per packet (twice per send_to),
         # so the linear scan over cells is cached; membership changes
         # invalidate through the cells' observer hook.
@@ -195,32 +185,6 @@ class ReferRouter:
 
     def _fault_active(self) -> bool:
         return self._fault_activity is not None and self._fault_activity()
-
-    # ------------------------------------------------------------------
-    # Kautz math, through the interned tables when enabled
-    # ------------------------------------------------------------------
-
-    def _successor_rows(self, kid: KautzString, dest_kid: KautzString):
-        """Theorem 3.8 rows for kid→dest, memoized when ``interned``."""
-        if self._interned:
-            space = self._space
-            if space is None:
-                space = self._space = InternedKautzSpace.for_params(
-                    kid.degree, kid.k
-                )
-            return space.table(kid, dest_kid)
-        return successor_table(kid, dest_kid)
-
-    def _kautz_distance(self, u: KautzString, v: KautzString) -> int:
-        """Kautz hop distance, memoized when ``interned``."""
-        if self._interned:
-            space = self._space
-            if space is None:
-                space = self._space = InternedKautzSpace.for_params(
-                    u.degree, u.k
-                )
-            return space.distance(u, v)
-        return kautz_distance(u, v)
 
     def _membership_changed(
         self, kid: KautzString, old: Optional[int], new: int
@@ -478,7 +442,7 @@ class ReferRouter:
         def rank(member: int):
             remaining = 0
             if dest_kid is not None:
-                remaining = self._kautz_distance(cell.kid_of(member), dest_kid)
+                remaining = kautz_distance(cell.kid_of(member), dest_kid)
             return (remaining, node.distance_to(self.network.node(member), now))
 
         return sorted(reachable, key=rank)
@@ -582,7 +546,7 @@ class ReferRouter:
             return
         candidates = [
             row.successor
-            for row in self._successor_rows(kid, dest_kid)
+            for row in successor_table(kid, dest_kid)
             if row.successor not in visited and cell.kid_assigned(row.successor)
         ]
         # Congestion avoidance (Section III-C2): a successor whose

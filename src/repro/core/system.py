@@ -34,11 +34,6 @@ class ReferConfig:
     link_threshold: float = 0.15
     battery_threshold: float = 0.05
     max_route_hops: int = 40
-    #: Route through the memoized interned Kautz tables
-    #: (:class:`~repro.kautz.interned.InternedKautzSpace`) instead of
-    #: per-hop string math.  Pure performance knob — routing decisions
-    #: are byte-identical either way.
-    interned_ids: bool = False
 
     def __post_init__(self) -> None:
         if self.degree < 2:
@@ -94,7 +89,6 @@ class ReferSystem(WsanSystem):
             self.plan,
             self.cells,
             max_hops=self.config.max_route_hops,
-            interned=self.config.interned_ids,
         )
         self.maintenance = TopologyMaintenance(
             self.network,

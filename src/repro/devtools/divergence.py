@@ -1,32 +1,27 @@
 """The first-divergence debugger: lockstep-compare two traced runs.
 
 ``python -m repro.devtools.divergence LEFT RIGHT`` runs one scenario
-under two configurations with deterministic tracing enabled
-(:mod:`repro.telemetry.tracing`), compares their checkpoint hashes,
+twice with deterministic tracing enabled
+(:mod:`repro.telemetry.tracing`), compares the checkpoint hashes,
 and — when the traces fork — re-runs both with a capture window over
 the first mismatched checkpoint interval to report the **first
 divergent event** (time, trace seq, kind, label, detail) with a
 ±K-event context dump and a machine-readable JSON verdict.
 
-Configuration specs are ``+``-joined engine tokens::
+Each spec says where that side runs::
 
-    reference            # heap scheduler, string IDs, plain packets
-    fast                 # calendar + interned + pooled
-    calendar+interned    # any subset overrides the reference base
-    worker:fast          # run in a spawned subprocess (own interpreter)
+    inproc               # in this interpreter
+    worker               # in a spawned subprocess (own interpreter)
 
 Examples::
 
-    python -m repro.devtools.divergence reference fast --sim-time 12
-    python -m repro.devtools.divergence reference reference \
+    python -m repro.devtools.divergence inproc worker --sim-time 12
+    python -m repro.devtools.divergence inproc inproc \
         --fixture bug.py --json        # localise a seeded bug
-    python -m repro.devtools.divergence --matrix --chaos rotation --qos
 
 ``--fixture PATH`` loads a python module and calls its ``apply()``
 before the *right* run only (and ``revert()`` after, when defined), so
 a suspected nondeterminism can be reproduced and localised on demand.
-``--matrix`` compares the reference engine against all 8
-{heap,calendar} x {strings,interned} x {plain,pooled} combinations.
 
 Exit codes: 0 — traces identical; 2 — divergence found.
 """
@@ -36,32 +31,18 @@ from __future__ import annotations
 import argparse
 import importlib.util
 import json
-from typing import List, NamedTuple, Optional, Sequence, Tuple
+from typing import NamedTuple, Optional, Sequence, Tuple
 
 from repro.errors import ConfigError
 from repro.telemetry.tracing import Checkpoint, TraceEvent, first_divergence
 
-__all__ = ["RunSpec", "TraceRun", "parse_spec", "traced_run", "localise", "main"]
+__all__ = ["SPECS", "TraceRun", "traced_run", "localise", "main"]
 
-#: The full engine matrix, reference first (doubles as a repeat-
-#: determinism check against the separately-run reference).
-MATRIX_SPECS = tuple(
-    f"{sched}+{ids}+{pkts}"
-    for sched in ("heap", "calendar")
-    for ids in ("strings", "interned")
-    for pkts in ("plain", "pooled")
-)
+#: Where one side of the comparison runs.
+SPECS = ("inproc", "worker")
 
 #: Events far past any real trace; "capture to end of run".
 _NO_LIMIT = 2 ** 62
-
-
-class RunSpec(NamedTuple):
-    """One parsed configuration spec."""
-
-    text: str        # the spec as given on the command line
-    engine: object   # EngineConfig
-    worker: bool     # run in a spawned subprocess
 
 
 class TraceRun(NamedTuple):
@@ -73,41 +54,7 @@ class TraceRun(NamedTuple):
     captured: Tuple[TraceEvent, ...]
 
 
-def parse_spec(text: str) -> RunSpec:
-    """Parse ``[worker:]token[+token...]`` into a :class:`RunSpec`."""
-    from repro.sim.engine import EngineConfig
-
-    worker = text.startswith("worker:")
-    body = text[len("worker:"):] if worker else text
-    scheduler, interned, pooled = "heap", False, False
-    for token in body.split("+"):
-        if token == "reference":
-            scheduler, interned, pooled = "heap", False, False
-        elif token == "fast":
-            scheduler, interned, pooled = "calendar", True, True
-        elif token in ("heap", "calendar"):
-            scheduler = token
-        elif token == "interned":
-            interned = True
-        elif token == "strings":
-            interned = False
-        elif token == "pooled":
-            pooled = True
-        elif token == "plain":
-            pooled = False
-        else:
-            raise ConfigError(
-                f"unknown engine token {token!r} in spec {text!r}; expected "
-                "reference, fast, heap, calendar, strings, interned, "
-                "plain or pooled"
-            )
-    engine = EngineConfig(
-        scheduler=scheduler, interned_ids=interned, pooled_packets=pooled
-    )
-    return RunSpec(text=text, engine=engine, worker=worker)
-
-
-def _build_config(args, engine, capture: Optional[Tuple[int, int]]):
+def _build_config(args, capture: Optional[Tuple[int, int]]):
     """The traced :class:`ScenarioConfig` both sides run under."""
     from repro.chaos.spec import FaultSpec
     from repro.experiments.config import ScenarioConfig
@@ -133,7 +80,6 @@ def _build_config(args, engine, capture: Optional[Tuple[int, int]]):
             BurstyConfig(sources=args.bursty, load_multiplier=args.load)
             if args.bursty > 0 else None
         ),
-        engine=engine,
         telemetry=TelemetryConfig(
             profiler=False,
             tracing=TracingConfig(
@@ -211,20 +157,23 @@ def _run_in_worker(system, config, fixture_path) -> Optional[dict]:
 
 
 def traced_run(
-    spec: RunSpec,
+    spec: str,
     args,
     capture: Optional[Tuple[int, int]] = None,
     fixture: Optional[str] = None,
 ) -> TraceRun:
-    """Run one side and collect its trace evidence."""
+    """Run one side (``spec`` is one of :data:`SPECS`) and collect its
+    trace evidence."""
     from repro.experiments.runner import run_scenario
 
-    config = _build_config(args, spec.engine, capture)
-    if spec.worker:
+    if spec not in SPECS:
+        raise ConfigError(f"unknown spec {spec!r}; expected one of {SPECS}")
+    config = _build_config(args, capture)
+    if spec == "worker":
         data = _run_in_worker(args.system, config, fixture)
         if data is not None:
             return TraceRun(
-                spec=spec.text,
+                spec=spec,
                 fingerprint=data["fingerprint"],
                 checkpoints=tuple(
                     Checkpoint(*c) for c in data["checkpoints"]
@@ -239,7 +188,7 @@ def traced_run(
             module.revert()
     trace = run.telemetry.trace
     return TraceRun(
-        spec=spec.text,
+        spec=spec,
         fingerprint=trace.fingerprint(),
         checkpoints=trace.checkpoints,
         captured=trace.captured(),
@@ -303,8 +252,8 @@ def _event_blob(event: Optional[TraceEvent]) -> Optional[dict]:
 
 
 def localise(
-    left_spec: RunSpec,
-    right_spec: RunSpec,
+    left_spec: str,
+    right_spec: str,
     args,
     fixture: Optional[str] = None,
 ) -> dict:
@@ -406,61 +355,19 @@ def render_verdict(verdict: dict) -> str:
     return "\n".join(lines)
 
 
-def run_matrix(args) -> dict:
-    """Reference vs all 8 engine combos, fingerprints only."""
-    reference = traced_run(parse_spec("reference"), args)
-    rows: List[dict] = []
-    for text in MATRIX_SPECS:
-        combo = traced_run(parse_spec(text), args)
-        rows.append(
-            {
-                "spec": text,
-                "fingerprint": combo.fingerprint,
-                "identical": combo.fingerprint == reference.fingerprint,
-            }
-        )
-    return {
-        "identical": all(row["identical"] for row in rows),
-        "reference_fingerprint": reference.fingerprint,
-        "matrix": rows,
-    }
-
-
-def render_matrix(verdict: dict) -> str:
-    lines = [
-        "engine matrix vs reference "
-        f"(fingerprint {verdict['reference_fingerprint'][:16]})"
-    ]
-    for row in verdict["matrix"]:
-        status = "identical" if row["identical"] else "DIVERGED"
-        lines.append(
-            f"  {row['spec']:<28} {row['fingerprint'][:16]}  {status}"
-        )
-    lines.append(
-        "  all 8 combinations identical"
-        if verdict["identical"]
-        else "  DIVERGENCE FOUND — rerun with the failing spec to localise"
-    )
-    return "\n".join(lines)
-
-
 def main(argv: Optional[Sequence[str]] = None) -> int:
     """CLI entry point: print the verdict, return 0 (identical) or 2."""
     parser = argparse.ArgumentParser(
         prog="python -m repro.devtools.divergence",
         description=(
-            "Run one scenario under two configurations with deterministic "
-            "tracing and report the first divergent event."
+            "Run one scenario twice with deterministic tracing and "
+            "report the first divergent event."
         ),
     )
     parser.add_argument(
-        "specs", nargs="*", metavar="SPEC",
-        help="two engine specs (e.g. 'reference fast', "
-             "'heap+interned worker:calendar+pooled')",
-    )
-    parser.add_argument(
-        "--matrix", action="store_true",
-        help="compare the reference engine against all 8 combinations",
+        "specs", nargs=2, choices=SPECS, metavar="SPEC",
+        help="where the left and the right run execute: "
+             "'inproc' or 'worker' (a spawned subprocess)",
     )
     parser.add_argument("--system", default="REFER")
     parser.add_argument("--seed", type=int, default=11)
@@ -493,24 +400,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument("--json", action="store_true", dest="as_json")
     args = parser.parse_args(argv)
 
-    if args.matrix:
-        if args.specs:
-            parser.error("--matrix takes no positional specs")
-        verdict = run_matrix(args)
-        text = render_matrix(verdict)
-    else:
-        if len(args.specs) != 2:
-            parser.error("expected exactly two specs (or --matrix)")
-        try:
-            left_spec = parse_spec(args.specs[0])
-            right_spec = parse_spec(args.specs[1])
-        except ConfigError as exc:
-            parser.error(str(exc))
-        verdict = localise(left_spec, right_spec, args, fixture=args.fixture)
-        text = render_verdict(verdict)
+    left_spec, right_spec = args.specs
+    verdict = localise(left_spec, right_spec, args, fixture=args.fixture)
     output = (
         json.dumps(verdict, indent=2, sort_keys=True) if args.as_json
-        else text
+        else render_verdict(verdict)
     )
     # This *is* the divergence CLI — the verdict goes to stdout.
     print(output)  # referlint: disable=REF007

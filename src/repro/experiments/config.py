@@ -20,7 +20,6 @@ from repro.chaos.spec import FaultSpec
 from repro.errors import ConfigError
 from repro.qos.config import BurstyConfig, QosConfig
 from repro.recovery.config import RecoveryConfig
-from repro.sim.engine import EngineConfig
 from repro.telemetry.config import TelemetryConfig
 
 
@@ -81,12 +80,6 @@ class ScenarioConfig:
     #: (the default) keeps the CBR workload.
     bursty: Optional[BurstyConfig] = None
     kautz_degree: int = 2            # REFER cell K(d, 3)
-    #: Engine selection (:mod:`repro.sim.engine`): calendar-queue
-    #: scheduler, interned Kautz IDs, pooled packets.  ``None`` (the
-    #: default) runs every reference implementation — bit-exact with
-    #: the seed; any combination yields byte-identical metrics (the
-    #: engine determinism goldens pin all 8).
-    engine: Optional[EngineConfig] = None
     #: Serve neighbour queries from the spatial hash grid
     #: (:mod:`repro.net.spatial`).  Off = brute-force scan; results are
     #: identical either way (the net-layer determinism test pins this),
@@ -123,10 +116,6 @@ class ScenarioConfig:
             self.bursty, BurstyConfig
         ):
             raise ConfigError("bursty must be a BurstyConfig or None")
-        if self.engine is not None and not isinstance(
-            self.engine, EngineConfig
-        ):
-            raise ConfigError("engine must be an EngineConfig or None")
 
     @property
     def end_time(self) -> float:

@@ -29,11 +29,9 @@ from repro.experiments.metrics import ClassStat, MetricsCollector
 from repro.experiments.workload import BurstyWorkload, CbrWorkload
 from repro.net.energy import Phase
 from repro.net.network import WirelessNetwork
-from repro.net.pool import PacketPool
 from repro.qos import QosManager
 from repro.recovery import RecoveryOrchestrator, RecoveryReport
 from repro.sim.core import Simulator
-from repro.sim.engine import EngineConfig
 from repro.telemetry.config import Telemetry
 from repro.util.rng import RngStreams
 from repro.wsan.deployment import plan_deployment
@@ -99,8 +97,7 @@ def run_scenario(system_name: str, config: ScenarioConfig) -> RunResult:
             f"unknown system {system_name!r}; choose from {sorted(SYSTEMS)}"
         ) from None
     streams = RngStreams(config.seed)
-    engine = config.engine if config.engine is not None else EngineConfig()
-    sim = Simulator(queue=engine.scheduler)
+    sim = Simulator()
     telemetry: Optional[Telemetry] = None
     if config.telemetry is not None:
         telemetry = Telemetry.from_config(config.telemetry)
@@ -143,10 +140,7 @@ def run_scenario(system_name: str, config: ScenarioConfig) -> RunResult:
             network,
             plan,
             streams.stream("system"),
-            ReferConfig(
-                degree=config.kautz_degree,
-                interned_ids=engine.interned_ids,
-            ),
+            ReferConfig(degree=config.kautz_degree),
         )
     else:
         system = system_cls(network, plan, streams.stream("system"))
@@ -183,16 +177,6 @@ def run_scenario(system_name: str, config: ScenarioConfig) -> RunResult:
         registry=network.registry,
         flight=network.flight,
     )
-    # Packet pooling: acquire from a free list instead of allocating
-    # per message.  Recycling is only safe when no layer references a
-    # packet past its terminal callback; the ARQ layer retransmits
-    # after a lost ACK, so with a recovery block present the pool still
-    # hands out packets (uid sequences stay identical) but never
-    # recycles them.
-    pool: Optional[PacketPool] = None
-    if engine.pooled_packets:
-        pool = PacketPool()
-    release_packets = config.recovery is None
     if config.bursty is not None:
         workload = BurstyWorkload(
             sim,
@@ -204,8 +188,6 @@ def run_scenario(system_name: str, config: ScenarioConfig) -> RunResult:
             admission=(
                 qos_manager.admission if qos_manager is not None else None
             ),
-            pool=pool,
-            release_packets=release_packets,
         )
     else:
         workload = CbrWorkload(
@@ -218,14 +200,12 @@ def run_scenario(system_name: str, config: ScenarioConfig) -> RunResult:
             qos_deadline=config.qos_deadline,
             sources_per_window=config.sources_per_window,
             source_window=config.source_window,
-            pool=pool,
-            release_packets=release_packets,
         )
     workload.start(0.0, config.end_time)
 
-    # The legacy crash-rotation path (``config.faults``) now runs on
-    # the chaos model the deprecated FaultInjector aliases; the RNG
-    # schedule is draw-for-draw identical, keeping figures bit-exact.
+    # The legacy crash-rotation path (``config.faults``) runs on the
+    # chaos model with the seed injector's draw-for-draw RNG schedule,
+    # keeping figures bit-exact.
     injector: Optional[CrashRotationFault] = None
     if config.faults is not None:
         fault_rng = streams.stream("faults")

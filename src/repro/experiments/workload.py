@@ -20,7 +20,6 @@ from typing import List, Optional, Tuple
 
 from repro.experiments.metrics import MetricsCollector
 from repro.net.packet import Packet, PacketKind
-from repro.net.pool import PacketPool
 from repro.qos.classes import TrafficClass
 from repro.qos.config import BurstyConfig
 from repro.sim.core import Simulator
@@ -41,8 +40,6 @@ class CbrWorkload:
         qos_deadline: float,
         sources_per_window: int = 5,
         source_window: float = 10.0,
-        pool: Optional[PacketPool] = None,
-        release_packets: bool = True,
     ) -> None:
         self._sim = sim
         self._system = system
@@ -55,11 +52,6 @@ class CbrWorkload:
         self._source_window = source_window
         self._end_time = 0.0
         self.windows = 0
-        self._pool = pool
-        # Recycling requires no layer to reference the packet past its
-        # terminal callback; the runner clears this when the ARQ layer
-        # (which retransmits after a lost ACK) is installed.
-        self._release = pool is not None and release_packets
 
     def start(self, begin: float, end: float) -> None:
         """Schedule source windows covering [begin, end)."""
@@ -96,41 +88,21 @@ class CbrWorkload:
                 )
                 t += interval
 
-    def _on_delivered(self, packet: Packet) -> None:
-        self._metrics.on_delivered(packet)
-        if self._release:
-            self._pool.release(packet)
-
-    def _on_dropped(self, packet: Packet) -> None:
-        self._metrics.on_dropped(packet)
-        if self._release:
-            self._pool.release(packet)
-
     def _emit(self, source_id: int) -> None:
-        if self._pool is not None:
-            packet = self._pool.acquire(
-                kind=PacketKind.DATA,
-                size_bytes=self._packet_bytes,
-                source=source_id,
-                destination=None,
-                created_at=self._sim.now,
-                deadline=self._qos_deadline,
-            )
-        else:
-            packet = Packet(
-                kind=PacketKind.DATA,
-                size_bytes=self._packet_bytes,
-                source=source_id,
-                destination=None,
-                created_at=self._sim.now,
-                deadline=self._qos_deadline,
-            )
+        packet = Packet(
+            kind=PacketKind.DATA,
+            size_bytes=self._packet_bytes,
+            source=source_id,
+            destination=None,
+            created_at=self._sim.now,
+            deadline=self._qos_deadline,
+        )
         self._metrics.on_generated(packet)
         self._system.send_event(
             source_id,
             packet,
-            on_delivered=self._on_delivered,
-            on_dropped=self._on_dropped,
+            on_delivered=self._metrics.on_delivered,
+            on_dropped=self._metrics.on_dropped,
         )
 
 
@@ -229,8 +201,6 @@ class BurstyWorkload:
         config: BurstyConfig,
         packet_bytes: int,
         admission=None,
-        pool: Optional[PacketPool] = None,
-        release_packets: bool = True,
     ) -> None:
         self._sim = sim
         self._system = system
@@ -241,10 +211,6 @@ class BurstyWorkload:
         self._admission = admission
         self._end_time = 0.0
         self.epochs = 0
-        self._pool = pool
-        # See CbrWorkload: recycling is off when the ARQ layer may
-        # retransmit a packet after its terminal callback.
-        self._release = pool is not None and release_packets
 
     def start(self, begin: float, end: float) -> None:
         """Schedule source epochs covering [begin, end)."""
@@ -274,52 +240,31 @@ class BurstyWorkload:
                     lambda s=source, c=cls, d=deadline: self._emit(s, c, d),
                 )
 
-    def _on_delivered(self, packet: Packet) -> None:
-        self._metrics.on_delivered(packet)
-        if self._release:
-            self._pool.release(packet)
-
-    def _on_dropped(self, packet: Packet) -> None:
-        self._metrics.on_dropped(packet)
-        if self._release:
-            self._pool.release(packet)
-
     def _emit(
         self,
         source_id: int,
         cls: TrafficClass,
         deadline: Optional[float],
     ) -> None:
-        if self._pool is not None:
-            packet = self._pool.acquire(
-                kind=PacketKind.DATA,
-                size_bytes=self._packet_bytes,
-                source=source_id,
-                destination=None,
-                created_at=self._sim.now,
-                deadline=deadline,
-                traffic_class=cls.value,
-            )
-        else:
-            packet = Packet(
-                kind=PacketKind.DATA,
-                size_bytes=self._packet_bytes,
-                source=source_id,
-                destination=None,
-                created_at=self._sim.now,
-                deadline=deadline,
-                traffic_class=cls.value,
-            )
+        packet = Packet(
+            kind=PacketKind.DATA,
+            size_bytes=self._packet_bytes,
+            source=source_id,
+            destination=None,
+            created_at=self._sim.now,
+            deadline=deadline,
+            traffic_class=cls.value,
+        )
         self._metrics.on_generated(packet)
         if self._admission is not None:
             refusal = self._admission.admit(source_id, packet, self._sim.now)
             if refusal is not None:
                 packet.meta["drop_reason"] = refusal
-                self._on_dropped(packet)
+                self._metrics.on_dropped(packet)
                 return
         self._system.send_event(
             source_id,
             packet,
-            on_delivered=self._on_delivered,
-            on_dropped=self._on_dropped,
+            on_delivered=self._metrics.on_delivered,
+            on_dropped=self._metrics.on_dropped,
         )

@@ -5,8 +5,6 @@ implements Section III-A and III-C1 of the paper:
 
 * :mod:`repro.kautz.strings` — Kautz string labels (Definition 1).
 * :mod:`repro.kautz.graph` — the K(d, k) digraph.
-* :mod:`repro.kautz.interned` — integer node IDs + memoized routing
-  tables (the fast twin of the string math).
 * :mod:`repro.kautz.namespace` — the L(U, V) overlap metric and distance.
 * :mod:`repro.kautz.routing` — the greedy shortest protocol and the
   fault-tolerant hop-by-hop router.
@@ -19,7 +17,6 @@ implements Section III-A and III-C1 of the paper:
 
 from repro.kautz.strings import KautzString
 from repro.kautz.graph import KautzGraph
-from repro.kautz.interned import InternedKautzSpace
 from repro.kautz.namespace import kautz_distance, overlap
 from repro.kautz.routing import (
     FaultTolerantRouter,
@@ -37,7 +34,6 @@ from repro.kautz.disjoint import (
 __all__ = [
     "KautzString",
     "KautzGraph",
-    "InternedKautzSpace",
     "kautz_distance",
     "overlap",
     "FaultTolerantRouter",

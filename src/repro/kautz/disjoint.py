@@ -45,12 +45,13 @@ test-suite quantifies this).
 from __future__ import annotations
 
 import enum
+import functools
 from collections import deque
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from repro.errors import KautzError, RoutingError
-from repro.kautz.namespace import kautz_distance, overlap, shortest_path
+from repro.kautz.namespace import MEMO_SIZE, overlap
 from repro.kautz.strings import KautzString
 
 
@@ -79,13 +80,20 @@ class SuccessorInfo:
         )
 
 
-def successor_table(u: KautzString, v: KautzString) -> List[SuccessorInfo]:
+@functools.lru_cache(maxsize=MEMO_SIZE)
+def successor_table(
+    u: KautzString, v: KautzString
+) -> Tuple[SuccessorInfo, ...]:
     """The Theorem 3.8 table for the U→V pair, sorted by predicted length.
 
     Returns one entry per out-neighbour of U (d entries), each with the
     predicted length of the disjoint U→V path through it.  Raises
     :class:`KautzError` if ``u == v`` (no routing needed) or the labels
     are incompatible.
+
+    The table is a pure function of the two labels and every relay of
+    every packet asks for it, so it is memoised on the pair; the rows
+    come back as an immutable tuple because all callers share them.
     """
     if u.k != v.k or u.degree != v.degree:
         raise KautzError(f"incompatible Kautz strings: {u!r} vs {v!r}")
@@ -110,7 +118,7 @@ def successor_table(u: KautzString, v: KautzString) -> List[SuccessorInfo]:
             SuccessorInfo(u.shift(digit), digit, length, case)
         )
     rows.sort(key=lambda r: (r.predicted_length, r.out_digit))
-    return rows
+    return tuple(rows)
 
 
 def ranked_successors(

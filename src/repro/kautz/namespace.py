@@ -9,10 +9,17 @@ time.
 
 from __future__ import annotations
 
+import functools
 from typing import List
 
 from repro.errors import KautzError
 from repro.kautz.strings import KautzString
+
+#: Label pairs remembered by the memoised pair functions
+#: (:func:`kautz_distance` here, ``disjoint.successor_table``).  A
+#: K(2, 3) cell has 132 ordered pairs; the bound only matters for
+#: analysis sweeps over large K(d, k), where old pairs are evicted.
+MEMO_SIZE = 1 << 16
 
 
 def _check_compatible(u: KautzString, v: KautzString) -> None:
@@ -35,6 +42,7 @@ def overlap(u: KautzString, v: KautzString) -> int:
     return 0
 
 
+@functools.lru_cache(maxsize=MEMO_SIZE)
 def kautz_distance(u: KautzString, v: KautzString) -> int:
     """Length of the unique shortest U→V path: ``k - L(U, V)``."""
     return u.k - overlap(u, v)

@@ -51,23 +51,15 @@ class FaultTolerantRouter:
     accept a message right now (alive, link up, not congested).  The
     router never revisits a node within one message (loop prevention)
     and gives up after ``max_hops`` relays.
-
-    ``use_interned`` consults the memoized
-    :class:`~repro.kautz.interned.InternedKautzSpace` tables instead of
-    recomputing Theorem 3.8 per relay — same decisions, built once per
-    (source, dest) pair.
     """
 
     def __init__(
         self,
         is_available: Callable[[KautzString], bool],
         max_hops: Optional[int] = None,
-        use_interned: bool = False,
     ) -> None:
         self._is_available = is_available
         self._max_hops = max_hops
-        self._use_interned = use_interned
-        self._space = None
 
     def route(self, source: KautzString, dest: KautzString) -> RouteResult:
         """Route one message; raises :class:`RoutingError` on failure.
@@ -92,7 +84,7 @@ class FaultTolerantRouter:
                     f"exceeded {max_hops} hops routing {source} -> {dest}"
                 )
             chosen: Optional[KautzString] = None
-            for rank, row in enumerate(self._rows(current, dest)):
+            for rank, row in enumerate(successor_table(current, dest)):
                 candidate = row.successor
                 if candidate in visited:
                     continue
@@ -111,18 +103,6 @@ class FaultTolerantRouter:
             visited.add(chosen)
             current = chosen
         return RouteResult(path=path, detours=detours, delivered=True)
-
-    def _rows(self, current: KautzString, dest: KautzString):
-        if self._use_interned:
-            space = self._space
-            if space is None:
-                from repro.kautz.interned import InternedKautzSpace
-
-                space = self._space = InternedKautzSpace.for_params(
-                    current.degree, current.k
-                )
-            return space.table(current, dest)
-        return successor_table(current, dest)
 
 
 def route_generation_paths(

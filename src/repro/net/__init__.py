@@ -15,17 +15,6 @@ from repro.net.network import WirelessNetwork
 from repro.net.discovery import FloodDiscovery
 from repro.net.spatial import GridOccupancy, GridStats, SpatialHashGrid
 
-
-def __getattr__(name: str):
-    # FaultInjector now aliases repro.chaos.models.CrashRotationFault,
-    # and chaos imports this package — resolve it lazily (PEP 562) so
-    # neither import order deadlocks the cycle.
-    if name == "FaultInjector":
-        from repro.net.failure import FaultInjector
-
-        return FaultInjector
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
 __all__ = [
     "GridOccupancy",
     "GridStats",
@@ -41,6 +30,5 @@ __all__ = [
     "PacketKind",
     "WirelessMedium",
     "WirelessNetwork",
-    "FaultInjector",
     "FloodDiscovery",
 ]

@@ -6,8 +6,7 @@ deterministic FIFO tie-breaking, cancellable events, timers and
 periodic processes, and a trace facility for debugging.
 """
 
-from repro.sim.calendar import CalendarQueue, SlottedEvent
-from repro.sim.core import QUEUE_BACKENDS, Simulator
+from repro.sim.core import Simulator
 from repro.sim.events import Event, EventQueue
 from repro.sim.process import PeriodicProcess
 from repro.sim.trace import TraceLog
@@ -16,9 +15,6 @@ __all__ = [
     "Simulator",
     "Event",
     "EventQueue",
-    "CalendarQueue",
-    "SlottedEvent",
-    "QUEUE_BACKENDS",
     "PeriodicProcess",
     "TraceLog",
 ]

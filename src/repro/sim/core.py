@@ -12,35 +12,14 @@ from __future__ import annotations
 from typing import Callable, Optional
 
 from repro.errors import SimulationError
-from repro.sim.calendar import CalendarQueue
 from repro.sim.events import Event, EventQueue
-
-#: Selectable event-queue backends.  ``"heap"`` is the seed binary heap
-#: (the reference/oracle); ``"calendar"`` is the O(1)-amortised
-#: calendar queue with identical (time, seq) FIFO semantics.
-QUEUE_BACKENDS = ("heap", "calendar")
 
 
 class Simulator:
-    """A discrete-event simulator with a monotonic clock.
+    """A discrete-event simulator with a monotonic clock."""
 
-    ``queue`` picks the scheduler backend — ``"heap"`` (default, the
-    seed implementation) or ``"calendar"`` (the fast twin; see
-    :mod:`repro.sim.calendar`).  Both produce identical event orderings
-    so the choice is purely a performance knob.
-    """
-
-    def __init__(self, queue: str = "heap") -> None:
-        if queue == "heap":
-            self._queue = EventQueue()
-        elif queue == "calendar":
-            self._queue = CalendarQueue()
-        else:
-            raise SimulationError(
-                f"unknown queue backend {queue!r}; expected one of "
-                f"{QUEUE_BACKENDS}"
-            )
-        self._queue_backend = queue
+    def __init__(self) -> None:
+        self._queue = EventQueue()
         self._now = 0.0
         self._running = False
         self._stopped = False
@@ -62,11 +41,6 @@ class Simulator:
     def now(self) -> float:
         """Current simulation time in seconds."""
         return self._now
-
-    @property
-    def queue_backend(self) -> str:
-        """Which scheduler backend this simulator runs on."""
-        return self._queue_backend
 
     @property
     def processed_events(self) -> int:

@@ -9,35 +9,50 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from dataclasses import dataclass, field
-from typing import Any, Callable, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
 from repro.errors import SimulationError
 
 
-@dataclass(order=True)
 class Event:
     """A scheduled callback.
 
-    Ordered by ``(time, seq)``; ``seq`` is a monotonically increasing
-    scheduling counter so same-time events preserve FIFO order.
+    Fires in ``(time, seq)`` order; ``seq`` is a monotonically
+    increasing scheduling counter so same-time events preserve FIFO
+    order.
     """
 
-    time: float
-    seq: int
-    action: Callable[[], None] = field(compare=False)
-    cancelled: bool = field(default=False, compare=False)
+    __slots__ = ("time", "seq", "action", "cancelled")
+
+    def __init__(
+        self, time: float, seq: int, action: Callable[[], None]
+    ) -> None:
+        self.time = time
+        self.seq = seq
+        self.action = action
+        self.cancelled = False
 
     def cancel(self) -> None:
         """Mark the event so the queue skips it when popped."""
         self.cancelled = True
 
+    def __repr__(self) -> str:
+        return (
+            f"Event(time={self.time}, seq={self.seq}, "
+            f"cancelled={self.cancelled})"
+        )
+
 
 class EventQueue:
-    """A binary-heap priority queue of :class:`Event` objects."""
+    """A binary-heap priority queue of :class:`Event` objects.
+
+    The heap holds ``(time, seq, event)`` tuples, so every sift
+    compares floats and ints in C; ``seq`` is unique, so the event
+    itself is never compared.
+    """
 
     def __init__(self) -> None:
-        self._heap: list = []
+        self._heap: List[Tuple[float, int, Event]] = []
         self._counter = itertools.count()
         self._live = 0
 
@@ -49,10 +64,11 @@ class EventQueue:
 
     def push(self, time: float, action: Callable[[], None]) -> Event:
         """Schedule ``action`` at absolute ``time``; returns a handle."""
-        if time != time:  # NaN guard
-            raise SimulationError("event time is NaN")
-        event = Event(time=time, seq=next(self._counter), action=action)
-        heapq.heappush(self._heap, event)
+        if time - time != 0:  # NaN or +-inf
+            raise SimulationError(f"event time is not finite: {time}")
+        seq = next(self._counter)
+        event = Event(time, seq, action)
+        heapq.heappush(self._heap, (time, seq, event))
         self._live += 1
         return event
 
@@ -62,8 +78,9 @@ class EventQueue:
         Cancelled events are dropped lazily here, so cancellation is
         O(1) and the heap never needs re-sifting.
         """
-        while self._heap:
-            event = heapq.heappop(self._heap)
+        heap = self._heap
+        while heap:
+            event = heapq.heappop(heap)[2]
             if event.cancelled:
                 continue
             self._live -= 1
@@ -73,9 +90,10 @@ class EventQueue:
 
     def peek_time(self) -> Optional[float]:
         """Timestamp of the next live event without removing it."""
-        while self._heap and self._heap[0].cancelled:
-            heapq.heappop(self._heap)
-        return self._heap[0].time if self._heap else None
+        heap = self._heap
+        while heap and heap[0][2].cancelled:
+            heapq.heappop(heap)
+        return heap[0][0] if heap else None
 
     def note_cancelled(self) -> None:
         """Bookkeeping hook: a live event was cancelled externally."""

@@ -8,15 +8,12 @@ tracing stays cheap in benchmark runs.
 The per-category counters live in a telemetry registry
 (:mod:`repro.telemetry.registry`) as the labelled counter family
 ``trace_events{category}``; pass ``registry=`` to share the run's
-registry, or omit it for a private one.  Direct access to the old
-``_counts`` mapping is deprecated — use :meth:`count` /
-:meth:`categories`.
+registry, or omit it for a private one.
 """
 
 from __future__ import annotations
 
-import warnings
-from collections import Counter, deque
+from collections import deque
 from typing import Deque, List, NamedTuple, Optional
 
 from repro.telemetry.registry import MetricFamily, Registry
@@ -74,24 +71,3 @@ class TraceLog:
         """Drop retained entries and zero the counters."""
         self._entries.clear()
         self._family.reset()
-
-    @property
-    def _counts(self) -> Counter:
-        """Deprecated: a snapshot of the per-category counters.
-
-        Kept for callers that reached into the pre-registry internals;
-        mutations to the returned mapping are NOT written back.
-        """
-        warnings.warn(
-            "TraceLog._counts is deprecated; use count()/categories() "
-            "(counters now live in the telemetry registry)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return Counter(
-            {
-                labels[0]: metric.value
-                for labels, metric in self._family.items()
-                if metric.value
-            }
-        )

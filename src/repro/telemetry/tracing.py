@@ -1,6 +1,6 @@
 """Deterministic trace capture: rolling-hash event streams.
 
-Every correctness claim in this repo — fast engine vs reference,
+Every correctness claim in this repo — refactor vs pinned digests,
 parallel vs serial campaigns, kill-and-resume — rests on byte-identical
 determinism, but a broken golden only says "snapshots differ" with no
 pointer to *where* two runs forked.  A :class:`TraceStream` records a
@@ -156,8 +156,7 @@ class TraceStream:
         # absolute values differ between two runs in one process even
         # when the runs are semantically identical.  The trace maps
         # each uid to a dense run-local id in first-seen order, which
-        # IS deterministic (and engine-invariant: the packet pool draws
-        # uids in the same sequence as plain construction).
+        # IS deterministic.
         self._uid_map: dict = {}
 
     # -- wiring ------------------------------------------------------------

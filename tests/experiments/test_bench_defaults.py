@@ -1,21 +1,10 @@
-"""The benchmark harness defaults to the fast engine — safely.
-
-PR 8's engine goldens pin ``EngineConfig.fast()`` byte-identical to
-``EngineConfig.reference()``, so the figure benchmarks take the speed
-by default.  This suite checks the knob plumbing and re-asserts the
-identity on one traced point, so a future engine change that breaks
-it fails here (in tier 1) and not in a nightly bench run.
-"""
+"""The benchmark harness reads its effort knobs from the environment."""
 
 import importlib.util
 import pathlib
 import sys
 
 import pytest
-
-from repro.experiments.config import ScenarioConfig
-from repro.experiments.runner import run_scenario
-from repro.sim.engine import EngineConfig
 
 BENCH_COMMON = (
     pathlib.Path(__file__).resolve().parents[2] / "benchmarks" / "_common.py"
@@ -33,50 +22,9 @@ def bench_common():
     sys.modules.pop("bench_common_under_test", None)
 
 
-class TestEngineDefault:
-    def test_default_is_fast_engine(self, bench_common, monkeypatch):
-        monkeypatch.delenv("REFER_BENCH_ENGINE", raising=False)
-        assert bench_common.bench_engine() == EngineConfig.fast()
-        assert bench_common.bench_base_config().engine == EngineConfig.fast()
-
-    def test_reference_opt_out(self, bench_common, monkeypatch):
-        monkeypatch.setenv("REFER_BENCH_ENGINE", "reference")
-        assert bench_common.bench_engine() == EngineConfig.reference()
-
-    def test_unknown_engine_rejected(self, bench_common, monkeypatch):
-        monkeypatch.setenv("REFER_BENCH_ENGINE", "turbo")
-        with pytest.raises(ValueError):
-            bench_common.bench_engine()
-
+class TestBenchKnobs:
     def test_workers_knob(self, bench_common, monkeypatch):
         monkeypatch.delenv("REFER_BENCH_WORKERS", raising=False)
         assert bench_common.bench_workers() == 0
         monkeypatch.setenv("REFER_BENCH_WORKERS", "4")
         assert bench_common.bench_workers() == 4
-
-
-class TestFastEngineIdentity:
-    def test_traced_point_matches_reference(self):
-        """One real sweep point, both engines, every metric repr-equal."""
-        base = ScenarioConfig(
-            sim_time=6.0, warmup=1.0, rate_pps=4.0, seed=3
-        )
-        fast = run_scenario("REFER", base.with_(engine=EngineConfig.fast()))
-        reference = run_scenario(
-            "REFER", base.with_(engine=EngineConfig.reference())
-        )
-        for field in (
-            "throughput_bps",
-            "mean_delay_s",
-            "comm_energy_j",
-            "construction_energy_j",
-            "generated",
-            "delivered_qos",
-            "delivered_total",
-            "dropped",
-            "flood_comm_energy_j",
-        ):
-            assert repr(getattr(fast, field)) == repr(
-                getattr(reference, field)
-            ), f"fast engine perturbed {field}"
-        assert fast.class_stats == reference.class_stats

@@ -1,11 +1,9 @@
-"""Tests for fault injection and flood discovery."""
+"""Tests for the crash-rotation fault schedule and flood discovery."""
 
 import random
 
-import pytest
-
+from repro.chaos.models import CrashRotationFault
 from repro.net.discovery import FloodDiscovery
-from repro.net.failure import FaultInjector
 from repro.net.mobility import StaticMobility
 from repro.net.network import WirelessNetwork
 from repro.net.node import Node, NodeRole
@@ -36,10 +34,10 @@ def build_grid(side=4, spacing=70.0, seed=1):
     return sim, net
 
 
-class TestFaultInjector:
+class TestCrashRotation:
     def test_rotation(self):
         sim, net = build_grid()
-        injector = FaultInjector(
+        injector = CrashRotationFault(
             net,
             random.Random(5),
             count=lambda: 3,
@@ -58,74 +56,33 @@ class TestFaultInjector:
         for n in first - second:
             assert net.node(n).usable
 
-    def test_construction_emits_deprecation_warning(self):
-        sim, net = build_grid()
-        with pytest.warns(DeprecationWarning, match="CrashRotationFault"):
-            FaultInjector(
-                net,
-                random.Random(5),
-                count=lambda: 2,
-                eligible=lambda: net.medium.node_ids(),
-            )
+    def test_schedule_draws_the_seed_rng_sequence(self):
+        """Every round is one ``sample`` from the *full* population.
 
-    def test_alias_schedule_identical_to_crash_rotation(self):
-        """The alias and the chaos model draw the same fault schedule.
-
-        Same seed, same population, same period: every round's failed
-        set must match node-for-node (the rotation recovers the whole
-        previous set before sampling, so the chaos model's currently-
-        failed filter never changes the sample population).
+        The rotation recovers the whole previous set before sampling,
+        so the currently-failed filter never shrinks the population:
+        the draws are those of the seed's fault injector, which is
+        what keeps the ``config.faults`` figures bit-exact.
         """
-        from repro.chaos.models import CrashRotationFault
-
-        schedules = []
-        for cls in (FaultInjector, CrashRotationFault):
-            sim, net = build_grid()
-            if cls is FaultInjector:
-                with pytest.warns(DeprecationWarning):
-                    model = cls(
-                        net,
-                        random.Random(99),
-                        count=lambda: 4,
-                        eligible=lambda: net.medium.node_ids(),
-                        period=10.0,
-                    )
-            else:
-                model = cls(
-                    net,
-                    random.Random(99),
-                    count=lambda: 4,
-                    eligible=lambda: net.medium.node_ids(),
-                    period=10.0,
-                )
-            model.start()
-            rounds = []
-            for horizon in (5.0, 15.0, 25.0, 35.0):
-                sim.run_until(horizon)
-                rounds.append(sorted(model.faulty_nodes))
-            model.stop()
-            schedules.append(rounds)
-        assert schedules[0] == schedules[1]
-
-    def test_alias_records_fault_events(self):
-        """The alias inherits the chaos event log (new capability)."""
         sim, net = build_grid()
-        with pytest.warns(DeprecationWarning):
-            injector = FaultInjector(
-                net,
-                random.Random(5),
-                count=lambda: 3,
-                eligible=lambda: net.medium.node_ids(),
-                period=10.0,
-            )
-        injector.start()
-        sim.run_until(15.0)
-        kinds = [e.kind for e in injector.events]
-        assert "inject" in kinds and "recover" in kinds
+        model = CrashRotationFault(
+            net,
+            random.Random(99),
+            count=lambda: 4,
+            eligible=lambda: net.medium.node_ids(),
+            period=10.0,
+        )
+        model.start()
+        oracle = random.Random(99)
+        for horizon in (5.0, 15.0, 25.0, 35.0):
+            sim.run_until(horizon)
+            expected = oracle.sample(list(net.medium.node_ids()), 4)
+            assert sorted(model.faulty_nodes) == sorted(expected)
+        model.stop()
 
     def test_stop_recovers(self):
         sim, net = build_grid()
-        injector = FaultInjector(
+        injector = CrashRotationFault(
             net, random.Random(1),
             count=lambda: 2,
             eligible=lambda: net.medium.node_ids(),
@@ -139,7 +96,7 @@ class TestFaultInjector:
 
     def test_stop_without_recover_leaves_nodes_failed(self):
         sim, net = build_grid()
-        injector = FaultInjector(
+        injector = CrashRotationFault(
             net, random.Random(1),
             count=lambda: 2,
             eligible=lambda: net.medium.node_ids(),
@@ -156,7 +113,7 @@ class TestFaultInjector:
 
     def test_count_capped_by_population(self):
         sim, net = build_grid(side=2)
-        injector = FaultInjector(
+        injector = CrashRotationFault(
             net, random.Random(1),
             count=lambda: 100,
             eligible=lambda: net.medium.node_ids(),
@@ -167,7 +124,7 @@ class TestFaultInjector:
 
     def test_rounds_counter(self):
         sim, net = build_grid()
-        injector = FaultInjector(
+        injector = CrashRotationFault(
             net, random.Random(1),
             count=lambda: 1,
             eligible=lambda: net.medium.node_ids(),

@@ -1,40 +1,14 @@
-"""Engine determinism goldens: all 8 engine combinations, one result.
+"""Construction-scale determinism: a same-seed repeat at n=2000.
 
-The engine overhaul (calendar-queue scheduler, interned Kautz IDs,
-pooled packets — :class:`~repro.sim.engine.EngineConfig`) is purely a
-host-performance knob: every combination of the three toggles must
-produce **byte-identical** run metrics.  This suite pins that on a
-full-stack scenario (chaos fault injection + recovery + QoS bursty
-workload + telemetry), comparing exact ``RunResult`` metrics, per-class
-funnels and the complete registry snapshot across:
-
-* all 8 {heap, calendar} x {string, interned} x {plain, pooled}
-  combinations, against the all-reference run;
-* ``engine=None`` (the legacy default) against the explicit reference;
-* a pooled run with recycling *active* (no recovery installed — the
-  ARQ layer is what forbids recycling) against the plain run;
-* a same-seed repeat at n=2000 sensors on the all-fast engine, pinning
-  construction-scale determinism;
-* the same 8 combinations with the deterministic trace enabled,
-  comparing *trace fingerprints* — event-by-event equality, far
-  stricter than end-of-run metrics — with
-  :func:`repro.telemetry.tracing.diagnose` in the assertion message so
-  a golden failure names the first divergent event instead of two
-  opaque hashes.
+Two runs of one configuration in one process must produce **byte-
+identical** outcomes — exact ``RunResult`` metrics and per-class
+funnels.  2000 sensors makes construction
+(embedding, floods, the spatial index) the bulk of the run, which is
+where a stray unordered iteration or leaked global would show.
 """
 
-import itertools
-
-import pytest
-
-from repro.chaos.spec import FaultSpec
 from repro.experiments.config import ScenarioConfig
 from repro.experiments.runner import run_scenario
-from repro.qos.config import BurstyConfig, QosConfig
-from repro.recovery.config import RecoveryConfig
-from repro.sim.engine import EngineConfig
-from repro.telemetry.config import TelemetryConfig
-from repro.telemetry.tracing import TracingConfig, diagnose
 
 #: Every numeric field a run produces; compared with == (exact floats).
 METRIC_FIELDS = (
@@ -49,137 +23,16 @@ METRIC_FIELDS = (
     "flood_comm_energy_j",
 )
 
-#: Chaos + recovery + QoS + telemetry, small enough for 9 runs.
-FULL_STACK = ScenarioConfig(
-    seed=11,
-    sensor_count=40,
-    area_side=220.0,
-    sim_time=12.0,
-    warmup=2.0,
-    rate_pps=5.0,
-    fault_spec=(FaultSpec(kind="rotation", start=3.0),),
-    recovery=RecoveryConfig(),
-    telemetry=TelemetryConfig(),
-    qos=QosConfig(),
-    bursty=BurstyConfig(sources=4),
-)
-
-ALL_ENGINES = [
-    EngineConfig(scheduler=sched, interned_ids=interned, pooled_packets=pooled)
-    for sched, interned, pooled in itertools.product(
-        ("heap", "calendar"), (False, True), (False, True)
-    )
-]
-
 
 def _signature(result) -> str:
     """The full observable outcome of a run, as one comparable string."""
     base = {field: getattr(result, field) for field in METRIC_FIELDS}
     base["class_stats"] = result.class_stats
-    if result.telemetry is not None:
-        base["registry"] = sorted(
-            repr((
-                sample.name,
-                sample.labels,
-                getattr(sample.metric, "value", None),
-                tuple(sample.metric.bucket_counts())
-                if hasattr(sample.metric, "bucket_counts")
-                else None,
-            ))
-            for sample in result.telemetry.registry.collect()
-        )
     return repr(base)
 
 
-@pytest.fixture(scope="module")
-def reference_signature():
-    return _signature(
-        run_scenario("REFER", FULL_STACK.with_(engine=EngineConfig.reference()))
-    )
-
-
-@pytest.mark.parametrize(
-    "engine", ALL_ENGINES, ids=lambda e: (
-        f"{e.scheduler}-"
-        f"{'interned' if e.interned_ids else 'strings'}-"
-        f"{'pooled' if e.pooled_packets else 'plain'}"
-    )
-)
-def test_all_engine_combinations_byte_identical(engine, reference_signature):
-    result = run_scenario("REFER", FULL_STACK.with_(engine=engine))
-    assert _signature(result) == reference_signature
-
-
-def test_engine_none_is_the_reference(reference_signature):
-    result = run_scenario("REFER", FULL_STACK)
-    assert _signature(result) == reference_signature
-
-
-def test_pooled_recycling_active_is_byte_identical():
-    """Without recovery the pool actually recycles; results must hold.
-
-    The FULL_STACK combos above run with the ARQ layer installed, which
-    disables recycling (uid parity only); this pins the recycling path
-    itself, through the QoS scheduler and the plain MAC alike.
-    """
-    base = ScenarioConfig(
-        seed=7,
-        sensor_count=40,
-        area_side=220.0,
-        sim_time=12.0,
-        warmup=2.0,
-        rate_pps=6.0,
-        telemetry=TelemetryConfig(),
-        qos=QosConfig(),
-        bursty=BurstyConfig(sources=4),
-    )
-    plain = run_scenario("REFER", base)
-    pooled = run_scenario("REFER", base.with_(engine=EngineConfig.fast()))
-    assert _signature(pooled) == _signature(plain)
-
-
-#: FULL_STACK with the deterministic trace on, shortened so the traced
-#: 9-run sweep stays cheap; profiler off keeps the trace the only
-#: telemetry delta under test.
-TRACED_STACK = FULL_STACK.with_(
-    sim_time=8.0,
-    telemetry=TelemetryConfig(profiler=False, tracing=TracingConfig()),
-)
-
-
-@pytest.fixture(scope="module")
-def reference_trace():
-    result = run_scenario(
-        "REFER", TRACED_STACK.with_(engine=EngineConfig.reference())
-    )
-    return result.telemetry.trace
-
-
-@pytest.mark.parametrize(
-    "engine", ALL_ENGINES, ids=lambda e: (
-        f"{e.scheduler}-"
-        f"{'interned' if e.interned_ids else 'strings'}-"
-        f"{'pooled' if e.pooled_packets else 'plain'}"
-    )
-)
-def test_all_engine_combinations_trace_identical(engine, reference_trace):
-    """Every combo's event stream is identical, not just its metrics.
-
-    On mismatch the assertion message carries the diagnose() report —
-    first mismatched checkpoint and the first divergent ring event —
-    so the golden self-diagnoses instead of printing two hashes.
-    """
-    result = run_scenario("REFER", TRACED_STACK.with_(engine=engine))
-    trace = result.telemetry.trace
-    assert trace.fingerprint() == reference_trace.fingerprint(), (
-        diagnose(reference_trace, trace)
-    )
-    assert trace.events_seen == reference_trace.events_seen
-    assert trace.checkpoints == reference_trace.checkpoints
-
-
 def test_same_seed_repeat_at_n2000():
-    """Construction-scale determinism: two n=2000 fast runs agree."""
+    """Two n=2000 runs of one seed agree to the last digit."""
     config = ScenarioConfig(
         seed=3,
         sensor_count=2000,
@@ -187,7 +40,6 @@ def test_same_seed_repeat_at_n2000():
         sim_time=6.0,
         warmup=1.0,
         rate_pps=2.0,
-        engine=EngineConfig.fast(),
     )
     first = run_scenario("REFER", config)
     second = run_scenario("REFER", config)

@@ -1,14 +1,15 @@
-"""Oracle-equivalence property suite for the calendar queue.
+"""Model-based property suite for the event queue.
 
-:class:`~repro.sim.calendar.CalendarQueue` is the fast twin of the
-seed binary heap (:class:`~repro.sim.events.EventQueue`); the engine
-overhaul is gated on the two being *indistinguishable* through the
-queue API.  These properties hammer randomized interleavings of
-``push``/``pop``/``cancel``/``peek_time`` — including same-timestamp
-bursts, huge and tiny time scales, and rescheduling from inside
-running callbacks via the Simulator — and assert the calendar's
-observable trace is element-for-element identical to the heap oracle:
-same ``(time, seq)`` pop sequence, same peeks, same lengths.
+:class:`~repro.sim.events.EventQueue` is a heap of ``(time, seq,
+event)`` tuples; everything above it relies on one contract — events
+come out in ``(time, seq)`` order, FIFO among equal timestamps, with
+cancelled events skipped and uncounted.  These properties hammer
+randomized interleavings of ``push``/``pop``/``cancel``/``peek_time``
+— including same-timestamp bursts, huge and tiny time scales, and
+rescheduling from inside running callbacks via the Simulator — and
+assert the queue's observable trace is element-for-element that of
+:class:`SortedListModel`, a list re-sorted on every push: same
+``(time, seq)`` pop sequence, same peeks, same lengths.
 
 All properties run derandomized (fixed seed profile) so CI failures
 reproduce locally.
@@ -21,11 +22,40 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import SimulationError
-from repro.sim.calendar import CalendarQueue
-from repro.sim.core import QUEUE_BACKENDS, Simulator
-from repro.sim.events import EventQueue
+from repro.sim.core import Simulator
+from repro.sim.events import Event, EventQueue
 
 PROFILE = settings(max_examples=120, deadline=None, derandomize=True)
+
+
+class SortedListModel:
+    """The queue contract at its most literal: a sorted list.
+
+    Cancelled events leave the list the moment they are cancelled, so
+    nothing here is lazy and nothing depends on heap order.
+    """
+
+    def __init__(self):
+        self._events = []
+        self._counter = itertools.count()
+
+    def __len__(self):
+        return len(self._events)
+
+    def push(self, time, action):
+        event = Event(time, next(self._counter), action)
+        self._events.append(event)
+        self._events.sort(key=lambda e: (e.time, e.seq))
+        return event
+
+    def pop(self):
+        return self._events.pop(0) if self._events else None
+
+    def peek_time(self):
+        return self._events[0].time if self._events else None
+
+    def note_cancelled(self):
+        self._events = [e for e in self._events if not e.cancelled]
 
 
 # ----------------------------------------------------------------------
@@ -38,7 +68,7 @@ def op_scripts(draw):
 
     Pushed times mix fresh draws with *reuses* of earlier timestamps
     (same-time bursts are where FIFO tie-breaking can go wrong) across
-    several magnitudes (sub-millisecond to 1e12 — bucket-width stress).
+    several magnitudes (sub-millisecond to 1e12).
     """
     seed = draw(st.integers(min_value=0, max_value=10 ** 6))
     length = draw(st.integers(min_value=20, max_value=250))
@@ -69,7 +99,7 @@ def _apply(queue, ops):
 
     ``pending`` tracks handles that have not been popped or cancelled,
     keyed by seq, so cancels only ever target live events (cancelling a
-    popped event is a caller bug on both backends alike).
+    popped event is a caller bug).
     """
     trace = []
     pending = {}
@@ -106,23 +136,24 @@ def _apply(queue, ops):
 
 @PROFILE
 @given(op_scripts())
-def test_trace_matches_heap_oracle(ops):
+def test_trace_matches_sorted_list_model(ops):
     """Identical op scripts yield identical observable traces."""
-    assert _apply(CalendarQueue(), ops) == _apply(EventQueue(), ops)
+    assert _apply(EventQueue(), ops) == _apply(SortedListModel(), ops)
 
 
 # ----------------------------------------------------------------------
 # Simulator-level: rescheduling and cancelling from inside callbacks
 # ----------------------------------------------------------------------
 
-def _dynamic_trace(backend, seed, spawn_cap=300):
+def _dynamic_trace(queue, seed, spawn_cap=300):
     """Run a self-rescheduling workload; returns the (time, tag) log.
 
     Every callback may schedule more events (zero-delay bursts
     included) and cancel a pending one — all driven by one RNG, so two
-    backends diverge iff they dispatch events in different orders.
+    queues diverge iff they dispatch events in different orders.
     """
-    sim = Simulator(queue=backend)
+    sim = Simulator()
+    sim._queue = queue   # the model needs the same loop around it
     rng = random.Random(seed)
     log = []
     pending = {}
@@ -156,9 +187,11 @@ def _dynamic_trace(backend, seed, spawn_cap=300):
 
 @PROFILE
 @given(st.integers(min_value=0, max_value=10 ** 6))
-def test_reschedule_from_callbacks_matches_heap(seed):
+def test_reschedule_from_callbacks_matches_model(seed):
     """Dispatch order is identical even when callbacks reschedule."""
-    assert _dynamic_trace("calendar", seed) == _dynamic_trace("heap", seed)
+    assert _dynamic_trace(EventQueue(), seed) == _dynamic_trace(
+        SortedListModel(), seed
+    )
 
 
 # ----------------------------------------------------------------------
@@ -166,7 +199,7 @@ def test_reschedule_from_callbacks_matches_heap(seed):
 # ----------------------------------------------------------------------
 
 def test_same_time_burst_pops_fifo():
-    queue = CalendarQueue()
+    queue = EventQueue()
     events = [queue.push(1.5, lambda: None) for _ in range(64)]
     queue.push(0.5, lambda: None)
     assert queue.pop().time == 0.5
@@ -176,18 +209,8 @@ def test_same_time_burst_pops_fifo():
     assert queue.pop() is None
 
 
-def test_push_earlier_after_pops_rewinds_cursor():
-    """A late push far before the cursor must still pop first."""
-    queue = CalendarQueue()
-    queue.push(6766.99, lambda: None)
-    assert queue.peek_time() == 6766.99
-    queue.push(0.25, lambda: None)
-    assert queue.pop().time == 0.25
-    assert queue.pop().time == 6766.99
-
-
 def test_cancelled_events_are_skipped_and_uncounted():
-    queue = CalendarQueue()
+    queue = EventQueue()
     keep = queue.push(2.0, lambda: None)
     drop = queue.push(1.0, lambda: None)
     drop.cancel()
@@ -199,35 +222,11 @@ def test_cancelled_events_are_skipped_and_uncounted():
     assert queue.pop() is None
 
 
-def test_resize_preserves_order_across_growth():
-    queue = CalendarQueue()
-    oracle = EventQueue()
-    rng = random.Random(99)
-    for _ in range(4000):   # far past every resize trigger
-        t = rng.uniform(0, 1e4)
-        queue.push(t, lambda: None)
-        oracle.push(t, lambda: None)
-    while True:
-        a, b = queue.pop(), oracle.pop()
-        assert (a is None) == (b is None)
-        if a is None:
-            break
-        assert (a.time, a.seq) == (b.time, b.seq)
-
-
 def test_non_finite_times_rejected():
-    queue = CalendarQueue()
-    with pytest.raises(SimulationError):
-        queue.push(float("nan"), lambda: None)
-    # The calendar is stricter than the heap here: infinite times have
-    # no bucket year, so they are rejected up front instead of
-    # saturating the clock.
-    with pytest.raises(SimulationError):
-        queue.push(float("inf"), lambda: None)
-
-
-def test_simulator_rejects_unknown_backend():
-    with pytest.raises(SimulationError):
-        Simulator(queue="bogus")
-    for name in QUEUE_BACKENDS:
-        assert Simulator(queue=name).queue_backend == name
+    """NaN has no place in the order and an infinite time would
+    saturate the clock: both are refused up front."""
+    queue = EventQueue()
+    for bad in (float("nan"), float("inf"), float("-inf")):
+        with pytest.raises(SimulationError):
+            queue.push(bad, lambda: None)
+    assert len(queue) == 0 and queue.pop() is None

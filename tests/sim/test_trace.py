@@ -71,12 +71,3 @@ class TestRegistryBridge:
         log.record(1.0, "send")
         log.clear()
         assert registry.get("trace_events").value_at("send", default=0) == 0
-
-    def test_counts_property_deprecated_snapshot(self):
-        log = TraceLog()
-        log.record(1.0, "send")
-        with pytest.warns(DeprecationWarning):
-            snapshot = log._counts
-        assert snapshot == {"send": 1}
-        snapshot["send"] = 99  # a snapshot: not written back
-        assert log.count("send") == 1
