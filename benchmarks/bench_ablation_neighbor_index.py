@@ -4,10 +4,11 @@ Every hop, probe and maintenance tick goes through
 ``WirelessMedium.neighbors``; the brute-force scan makes each cache
 miss O(n), so a full bucket of queries costs O(n^2) — the
 neighbour-discovery cost that caps the Figs 8-9 size-scaling runs.
-This bench measures both paths on identical deployments at constant
-node density (the paper's ~1 node / 1225 m^2), asserts the results are
-*identical*, and records the speedup table under
-``benchmarks/results/ablation_neighbor_index.txt``.
+This bench times the medium's grid-backed query against the same
+query answered by ``brute_force_within_range`` over the medium's own
+snapshot, at constant node density (the paper's ~1 node / 1225 m^2),
+asserts the results are *identical*, and records the speedup table
+under ``benchmarks/results/ablation_neighbor_index.txt``.
 
 Reading the table: brute-force per-query cost grows linearly with n
 (per-bucket cost quadratically); the grid's stays flat because a query
@@ -22,6 +23,7 @@ import time
 from repro.net.medium import WirelessMedium
 from repro.net.mobility import StaticMobility
 from repro.net.node import Node, NodeRole
+from repro.net.spatial import brute_force_within_range
 from repro.util.geometry import Point
 from repro.util.rng import RngStreams
 
@@ -40,10 +42,10 @@ def sizes():
     return [int(x) for x in raw.split(",") if x]
 
 
-def build_medium(n, use_spatial_index):
+def build_medium(n):
     rng = RngStreams(17).stream("bench.index")
     area = SPACING * (n ** 0.5)
-    medium = WirelessMedium(use_spatial_index=use_spatial_index)
+    medium = WirelessMedium()
     for node_id in range(n):
         pos = Point(rng.uniform(0, area), rng.uniform(0, area))
         medium.add_node(
@@ -58,21 +60,27 @@ def sample_queries(n):
     return rng.sample(range(n), count)
 
 
-def timed_queries(medium, node_ids):
-    """Best-of-REPEATS time for one cache-missing sweep over node_ids.
+def brute_neighbors(medium, snapshot, node_id):
+    """``medium.neighbors(node_id, now)`` by an O(n) scan of ``snapshot``."""
+    nodes = medium.node_table
+    found = []
+    for other_id, distance in brute_force_within_range(
+        snapshot, snapshot[node_id], nodes[node_id].transmission_range
+    ):
+        other = nodes[other_id]
+        if other_id == node_id or not other.usable:
+            continue
+        if distance <= other.transmission_range:
+            found.append(other_id)
+    return tuple(found)
 
-    Each repeat queries in a fresh 0.25 s bucket so every query is a
-    cache miss (the per-bucket result cache would otherwise hide the
-    compute being measured); the bucket-roll snapshot refresh is free
-    here because the deployment is static.
-    """
-    medium.neighbors(node_ids[0], 0.0)   # build snapshot + index once
+
+def best_sweep(sweep):
+    """Best-of-REPEATS time for ``sweep(repeat)``."""
     best = None
     for repeat in range(1, REPEATS + 1):
-        now = repeat * 0.25
         start = time.perf_counter()
-        for node_id in node_ids:
-            medium.neighbors(node_id, now)
+        sweep(repeat)
         elapsed = time.perf_counter() - start
         best = elapsed if best is None else min(best, elapsed)
     return best
@@ -81,16 +89,32 @@ def timed_queries(medium, node_ids):
 def run_ablation():
     rows = []
     for n in sizes():
-        grid_medium = build_medium(n, True)
-        brute_medium = build_medium(n, False)
+        medium = build_medium(n)
         node_ids = sample_queries(n)
-        # Identical query results first — the fast path must be exact.
+        medium.neighbors(node_ids[0], 0.0)   # build snapshot + index once
+        grid = medium.spatial_grid
+        snapshot = {item: grid.position_of(item) for item in grid.items()}
+        # Identical query results first — the index must be exact.
         for node_id in node_ids:
-            assert grid_medium.neighbors(node_id, 0.0) == \
-                brute_medium.neighbors(node_id, 0.0)
-        grid_s = timed_queries(grid_medium, node_ids)
-        brute_s = timed_queries(brute_medium, node_ids)
-        stats = grid_medium.index_stats()
+            assert medium.neighbors(node_id, 0.0) == \
+                brute_neighbors(medium, snapshot, node_id)
+
+        def grid_sweep(repeat):
+            # A fresh 0.25 s bucket per repeat, so every query is a
+            # cache miss (the per-bucket result cache would otherwise
+            # hide the compute being measured); the bucket-roll refresh
+            # is free here because the deployment is static.
+            now = repeat * 0.25
+            for node_id in node_ids:
+                medium.neighbors(node_id, now)
+
+        def brute_sweep(repeat):
+            for node_id in node_ids:
+                brute_neighbors(medium, snapshot, node_id)
+
+        grid_s = best_sweep(grid_sweep)
+        brute_s = best_sweep(brute_sweep)
+        stats = medium.index_stats()
         queries = stats["queries"]
         rows.append(
             {

@@ -311,25 +311,20 @@ class EmbeddingProtocol:
                 medium.node(s1).battery_fraction,
                 medium.link_quality(start_node, s1, now),
             )
-            for s1 in pool
-            if medium.can_transmit(start_node, s1, now)
+            for s1, _ in medium.reachable(start_node, pool, now)
         ]
-        end_side = [
-            (
-                s2,
+        end_side = {
+            s2: (
                 medium.node(s2).battery_fraction,
                 medium.link_quality(s2, end_node, now),
             )
-            for s2 in pool
-            if medium.can_transmit(end_node, s2, now)
-        ]
+            for s2, _ in medium.reachable(end_node, pool, now)
+        }
         best: Optional[Tuple[float, float, int, int]] = None
         for s1, battery1, quality1 in start_side:
-            for s2, battery2, quality2 in end_side:
-                if s1 == s2:
-                    continue
-                if not medium.can_transmit(s1, s2, now):
-                    continue
+            others = [s2 for s2 in end_side if s2 != s1]
+            for s2, _ in medium.reachable(s1, others, now):
+                battery2, quality2 = end_side[s2]
                 battery = battery1 + battery2
                 quality = min(
                     quality1, medium.link_quality(s1, s2, now), quality2
@@ -399,12 +394,8 @@ class EmbeddingProtocol:
         medium = self.network.medium
         n1 = cell.node_of(bridge[1])
         n2 = cell.node_of(bridge[2])
-        candidates = [
-            s
-            for s in pool
-            if medium.can_transmit(n1, s, now)
-            and medium.can_transmit(n2, s, now)
-        ]
+        near_n1 = [s for s, _ in medium.reachable(n1, pool, now)]
+        candidates = [s for s, _ in medium.reachable(n2, near_n1, now)]
         if candidates:
             chosen = max(
                 candidates,
@@ -450,14 +441,9 @@ class EmbeddingProtocol:
         if not pool:
             raise EmbeddingError(f"no sensors left to assign {kid}")
         if assigned_neighbors:
-            in_range = [
-                s
-                for s in pool
-                if all(
-                    medium.can_transmit(nb, s, now)
-                    for nb in assigned_neighbors
-                )
-            ]
+            in_range = pool
+            for nb in assigned_neighbors:
+                in_range = [s for s, _ in medium.reachable(nb, in_range, now)]
             candidates = in_range or pool
             anchor = self.network.node(assigned_neighbors[0]).position(now)
         else:

@@ -293,17 +293,9 @@ class TopologyMaintenance:
                 node = medium.node(s)
                 if not node.is_sensor or self._is_member(s):
                     continue
-                covered = sum(
-                    1
-                    for nb in neighbors
-                    if medium.can_transmit(nb, s, now)
-                    and medium.can_transmit(s, nb, now)
-                )
+                covered, qualities = medium.link_margins(s, neighbors, now)
                 if covered == 0:
                     continue
-                qualities = [
-                    medium.link_quality(s, nb, now) for nb in neighbors
-                ]
                 key = (covered, min(qualities), node.battery_fraction, -s)
                 if best_key is None or key > best_key:
                     best, best_key = s, key

@@ -432,20 +432,18 @@ class ReferRouter:
         destination KID (the "lowest delay path" rule of Section
         III-C2), then physical proximity.
         """
-        node = self.network.node(node_id)
-        reachable = [
-            m
-            for m in cell.member_ids
-            if self.network.medium.can_transmit(node_id, m, now)
-        ]
 
-        def rank(member: int):
+        def rank(entry: Tuple[int, float]):
+            member, distance = entry
             remaining = 0
             if dest_kid is not None:
                 remaining = kautz_distance(cell.kid_of(member), dest_kid)
-            return (remaining, node.distance_to(self.network.node(member), now))
+            return (remaining, distance)
 
-        return sorted(reachable, key=rank)
+        reachable = self.network.medium.reachable(
+            node_id, cell.member_ids, now
+        )
+        return [member for member, _ in sorted(reachable, key=rank)]
 
     def _enter_via_members(
         self,

@@ -80,11 +80,6 @@ class ScenarioConfig:
     #: (the default) keeps the CBR workload.
     bursty: Optional[BurstyConfig] = None
     kautz_degree: int = 2            # REFER cell K(d, 3)
-    #: Serve neighbour queries from the spatial hash grid
-    #: (:mod:`repro.net.spatial`).  Off = brute-force scan; results are
-    #: identical either way (the net-layer determinism test pins this),
-    #: so the flag exists for ablations, not correctness.
-    spatial_index: bool = True
 
     def __post_init__(self) -> None:
         if isinstance(self.fault_spec, FaultSpec):

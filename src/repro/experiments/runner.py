@@ -117,7 +117,6 @@ def run_scenario(system_name: str, config: ScenarioConfig) -> RunResult:
     network = WirelessNetwork(
         sim,
         streams.stream("mac"),
-        use_spatial_index=config.spatial_index,
         telemetry=telemetry,
     )
     plan = plan_deployment(

@@ -8,14 +8,18 @@ query in the bucket from it; mobility invalidates the snapshot
 naturally as time advances.
 
 Query cost is where networks stop scaling: a brute-force scan is O(n)
-per query and O(n^2) per bucket.  By default the snapshot is indexed
-by a :class:`~repro.net.spatial.SpatialHashGrid` (cell side = the
-largest transmission range among registered nodes), which prunes each
-query to the cells overlapping the query disk; ``use_spatial_index=
-False`` keeps the brute-force scan for ablations and as the
-equivalence oracle.  Both paths evaluate the identical predicate over
-the identical snapshot, so they return byte-identical neighbour lists
-(ascending node id) — the index is a pure fast path.
+per query and O(n^2) per bucket.  The snapshot therefore lives in a
+:class:`~repro.net.spatial.SpatialHashGrid` (cell side = the median
+transmission range among registered nodes, the range most queries
+use), which prunes each query to the cells overlapping the query disk.
+The grid evaluates the brute-force predicate over the same positions,
+so any cell size gives the same neighbours (ascending node id);
+:func:`~repro.net.spatial.brute_force_within_range` is the oracle the
+tests hold it to.
+
+Link questions (``can_transmit``, ``link_quality`` and their batched
+forms ``reachable`` and ``link_margins``) are answered from exact
+positions at ``now``, one ``hypot`` per pair (:meth:`Node.distance_to`).
 
 Registry mutations (``add_node``) invalidate the neighbour cache
 immediately: a node added mid-bucket (e.g. by vertex replacement in
@@ -25,13 +29,14 @@ next bucket boundary.
 
 from __future__ import annotations
 
+import statistics
+from math import hypot
 from types import MappingProxyType
-from typing import Dict, List, Mapping, Optional, Protocol, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Protocol, Tuple
 
 from repro.errors import NetworkError
 from repro.net.node import Node
-from repro.net.spatial import SpatialHashGrid, brute_force_within_range
-from repro.util.geometry import Point
+from repro.net.spatial import SpatialHashGrid
 
 
 class LinkFault(Protocol):
@@ -49,6 +54,11 @@ class LinkFault(Protocol):
     after both endpoints are usable and ``dst`` is within ``src``'s
     range, ``quality_factor`` only when the distance is strictly inside
     the shorter of the two ranges, once per query and in query order.
+    The batched forms keep it: ``reachable`` asks ``link_up(src, dst)``
+    per destination in the order given; ``link_margins`` asks, peer by
+    peer, ``link_up(peer, node)`` and — only if that held —
+    ``link_up(node, peer)``, and after the last peer every
+    ``quality_factor(node, peer)``, none when no peer is covered.
     """
 
     def link_up(self, src_id: int, dst_id: int, now: float) -> bool:
@@ -66,7 +76,6 @@ class WirelessMedium:
     def __init__(
         self,
         cache_resolution: float = 0.25,
-        use_spatial_index: bool = True,
         cell_size: Optional[float] = None,
     ) -> None:
         if cache_resolution <= 0:
@@ -78,28 +87,21 @@ class WirelessMedium:
         #: many nodes that cannot afford a :meth:`node` call each.
         self.node_table: Mapping[int, Node] = MappingProxyType(self._nodes)
         self._cache_resolution = cache_resolution
-        self._neighbor_cache: Dict[Tuple[int, int], List[int]] = {}
+        self._neighbor_cache: Dict[Tuple[int, bool], Tuple[int, ...]] = {}
         self._cache_bucket = -1
-        self._link_fault: Optional[LinkFault] = None
-        # -- position snapshot + spatial index --------------------------
-        self._use_spatial_index = use_spatial_index
+        #: The installed fault model (see :meth:`set_link_fault`).
+        self.link_fault: Optional[LinkFault] = None
         self._explicit_cell_size = cell_size
-        self._grid: Optional[SpatialHashGrid] = None
-        #: Positions all queries in the current bucket are served from.
-        self._snapshot: Dict[int, Point] = {}
-        #: Node ids registered but not yet in the snapshot/grid.
+        #: The live index, holding the positions every neighbour query
+        #: in the current bucket is served from; built at the first one.
+        self.spatial_grid: Optional[SpatialHashGrid] = None
+        #: Node ids registered but not yet in the grid.
         self._pending_ids: List[int] = []
         #: Node ids whose mobility can change their position.
         self._mobile_ids: List[int] = []
-        # -- instrumentation --------------------------------------------
         #: Snapshot refreshes performed (one per bucket plus one per
         #: mid-bucket registry mutation).
         self.refreshes = 0
-        #: Grid (re)builds — one lazy build, plus one per registered
-        #: node whose range exceeds the current auto-derived cell size.
-        self.grid_rebuilds = 0
-        #: Points examined by brute-force scans (index disabled).
-        self.brute_candidates = 0
 
     # -- fault hooks ---------------------------------------------------------
 
@@ -112,11 +114,7 @@ class WirelessMedium:
         matching how a bursty channel hides from slow-timescale
         neighbour discovery but not from per-frame delivery.
         """
-        self._link_fault = fault
-
-    @property
-    def link_fault(self) -> Optional[LinkFault]:
-        return self._link_fault
+        self.link_fault = fault
 
     # -- registry ------------------------------------------------------------
 
@@ -124,27 +122,22 @@ class WirelessMedium:
         if node.id in self._nodes:
             raise NetworkError(f"duplicate node id {node.id}")
         self._nodes[node.id] = node
-        # Registry mutation invalidates cached neighbour lists: a node
-        # added mid-bucket must be visible to the next query, not to
-        # the next 0.25 s bucket.
-        self._neighbor_cache.clear()
+        self._neighbor_cache.clear()  # visible to the very next query
         self._pending_ids.append(node.id)
         if not getattr(node.mobility, "is_static", False):
             self._mobile_ids.append(node.id)
-        if (
-            self._grid is not None
-            and self._explicit_cell_size is None
-            and node.transmission_range > self._grid.cell_size
-        ):
-            # The auto cell size tracks the largest range; a bigger
-            # radio forces a rebuild (lazy, at the next refresh).
-            self._grid = None
 
     def node(self, node_id: int) -> Node:
         try:
             return self._nodes[node_id]
         except KeyError:
             raise NetworkError(f"unknown node id {node_id}") from None
+
+    def _resolve(self, node_ids: Iterable[int]) -> List[Node]:
+        try:
+            return [self._nodes[node_id] for node_id in node_ids]
+        except KeyError as missing:
+            raise NetworkError(f"unknown node id {missing.args[0]}") from None
 
     def nodes(self) -> List[Node]:
         return list(self._nodes.values())
@@ -160,133 +153,121 @@ class WirelessMedium:
 
     # -- position snapshot ---------------------------------------------------
 
-    @property
-    def spatial_index_enabled(self) -> bool:
-        return self._use_spatial_index
-
-    @property
-    def spatial_grid(self) -> Optional[SpatialHashGrid]:
-        """The live index (``None`` until first query, or when disabled)."""
-        return self._grid
-
     def _auto_cell_size(self) -> float:
-        limit = max(
-            (node.transmission_range for node in self._nodes.values()),
-            default=0.0,
-        )
-        return limit if limit > 0 else 1.0
+        """The median registered range, the radius most queries use
+        (at the largest, the actuators' 250 m, a 500 m field is 4 cells)."""
+        ranges = [node.transmission_range for node in self._nodes.values()]
+        return statistics.median(ranges) if ranges else 1.0
 
     def _refresh_positions(self, now: float) -> None:
-        """Bring the snapshot (and grid) to the positions at ``now``.
+        """Bring the grid to the positions at ``now``.
 
         Static nodes are bucketed once; mobile nodes re-bucket lazily —
         :meth:`SpatialHashGrid.move` only re-hashes when the node
         crossed a cell boundary.
         """
         self.refreshes += 1
-        if self._use_spatial_index and self._grid is None:
-            cell = self._explicit_cell_size or self._auto_cell_size()
-            self._grid = SpatialHashGrid(cell)
-            self.grid_rebuilds += 1
-            self._snapshot.clear()
-            self._pending_ids = list(self._nodes)
-        grid = self._grid
-        snapshot = self._snapshot
+        grid = self.spatial_grid
+        if grid is None:
+            grid = self.spatial_grid = SpatialHashGrid(
+                self._explicit_cell_size or self._auto_cell_size()
+            )
+        nodes = self._nodes
         for node_id in self._pending_ids:
-            point = self._nodes[node_id].mobility.position(now)
-            snapshot[node_id] = point
-            if grid is not None and node_id not in grid:
-                grid.insert(node_id, point)
+            grid.insert(node_id, nodes[node_id].mobility.position(now))
         self._pending_ids = []
         for node_id in self._mobile_ids:
-            point = self._nodes[node_id].mobility.position(now)
-            snapshot[node_id] = point
-            if grid is not None:
-                grid.move(node_id, point)
+            grid.move(node_id, nodes[node_id].mobility.position(now))
 
     def index_stats(self) -> Dict[str, int]:
-        """Merged instrumentation: snapshot, grid and scan counters."""
-        stats: Dict[str, int] = {
-            "refreshes": self.refreshes,
-            "grid_rebuilds": self.grid_rebuilds,
-            "brute_candidates": self.brute_candidates,
-        }
-        if self._grid is not None:
-            stats.update(self._grid.stats.as_dict())
-            occupancy = self._grid.occupancy()
+        """Merged instrumentation: refreshes, grid counters, occupancy."""
+        stats: Dict[str, int] = {"refreshes": self.refreshes}
+        grid = self.spatial_grid
+        if grid is not None:
+            stats.update(grid.stats.as_dict())
+            occupancy = grid.occupancy()
             stats["occupied_cells"] = occupancy.occupied_cells
             stats["max_per_cell"] = occupancy.max_per_cell
         return stats
 
     # -- connectivity -------------------------------------------------------
 
-    def _bucket(self, now: float) -> int:
-        return int(now / self._cache_resolution)
-
     def neighbors(
         self, node_id: int, now: float, require_usable: bool = True
-    ) -> List[int]:
+    ) -> Tuple[int, ...]:
         """IDs of nodes with a bidirectional link to ``node_id``.
 
         ``require_usable`` filters out failed/asleep/dead nodes — pass
         False for topology analysis that should see the whole graph.
-        Lists are in ascending id order, computed against the bucket's
-        position snapshot, and cached until the bucket rolls over or
-        the registry changes.
+        The tuple is in ascending id order, computed against the
+        bucket's position snapshot, and is the cached object itself
+        until the bucket rolls over or the registry changes.
         """
-        bucket = self._bucket(now)
+        bucket = int(now / self._cache_resolution)
         if bucket != self._cache_bucket:
             self._neighbor_cache.clear()
             self._cache_bucket = bucket
             self._refresh_positions(now)
         elif self._pending_ids:
             self._refresh_positions(now)
-        key = (node_id, 1 if require_usable else 0)
+        key = (node_id, require_usable)
         cached = self._neighbor_cache.get(key)
         if cached is None:
             cached = self._compute_neighbors(node_id, require_usable)
             self._neighbor_cache[key] = cached
-        return list(cached)
+        return cached
 
     def _compute_neighbors(
         self, node_id: int, require_usable: bool
-    ) -> List[int]:
+    ) -> Tuple[int, ...]:
         origin = self.node(node_id)
-        origin_pos = self._snapshot[node_id]
-        radius = origin.transmission_range
-        if self._grid is not None:
-            pairs = self._grid.within_range(origin_pos, radius)
-        else:
-            pairs = brute_force_within_range(
-                self._snapshot, origin_pos, radius
-            )
-            self.brute_candidates += len(self._snapshot)
+        grid = self.spatial_grid
+        nodes = self._nodes
         result: List[int] = []
-        for other_id, distance in pairs:
+        for other_id, distance in grid.within_range(
+            grid.position_of(node_id), origin.transmission_range
+        ):
             if other_id == node_id:
                 continue
-            other = self._nodes[other_id]
+            other = nodes[other_id]
             if require_usable and not other.usable:
                 continue
             if distance <= other.transmission_range:
                 result.append(other_id)
-        return result
+        return tuple(result)
 
-    def can_transmit(self, src_id: int, dst_id: int, now: float) -> bool:
-        """Whether a src->dst frame would arrive (range + liveness + link).
+    def reachable(
+        self, src_id: int, dst_ids: Iterable[int], now: float
+    ) -> List[Tuple[int, float]]:
+        """``(dst_id, distance)`` for each ``dst`` a src->dst frame
+        would reach (liveness + range + link), in the order given.
 
         The link fault is asked last, and only about frames that pass
         the liveness and range tests (see :class:`LinkFault`).
         """
-        src, dst = self.node(src_id), self.node(dst_id)
-        ok = (
-            src.usable
-            and dst.usable
-            and src.distance_to(dst, now) <= src.transmission_range
-        )
-        if ok and self._link_fault is not None:
-            ok = self._link_fault.link_up(src_id, dst_id, now)
-        return ok
+        src = self.node(src_id)
+        dsts = self._resolve(dst_ids)
+        out: List[Tuple[int, float]] = []
+        if not src.usable:
+            return out
+        reach = src.transmission_range
+        fault = self.link_fault
+        here = None
+        for dst in dsts:
+            if dst.usable:
+                if here is None:
+                    here = src.mobility.position(now)
+                there = dst.mobility.position(now)
+                distance = hypot(here.x - there.x, here.y - there.y)
+                if distance <= reach and (
+                    fault is None or fault.link_up(src_id, dst.id, now)
+                ):
+                    out.append((dst.id, distance))
+        return out
+
+    def can_transmit(self, src_id: int, dst_id: int, now: float) -> bool:
+        """:meth:`reachable` asked about one destination."""
+        return bool(self.reachable(src_id, (dst_id,), now))
 
     def link_quality(self, src_id: int, dst_id: int, now: float) -> float:
         """Distance-based margin in [0, 1]: 1 adjacent, 0 at range edge.
@@ -295,14 +276,64 @@ class WirelessMedium:
         breakage (Section III-B4); this margin is that signal.
         """
         src, dst = self.node(src_id), self.node(dst_id)
-        distance = src.distance_to(dst, now)
-        limit = min(src.transmission_range, dst.transmission_range)
-        if distance >= limit:
-            return 0.0
-        quality = 1.0 - distance / limit
-        if self._link_fault is not None:
-            quality *= self._link_fault.quality_factor(src_id, dst_id, now)
-        return quality
+        return self._margins(src, (dst,), (None,), now)[0]
+
+    def _margins(self, node, peers, distances, now: float) -> List[float]:
+        """The margin of ``node``'s link to each peer; a distance given
+        as ``None`` is measured here."""
+        reach = node.transmission_range
+        fault = self.link_fault
+        margins = []
+        for peer, distance in zip(peers, distances):
+            if distance is None:
+                distance = node.distance_to(peer, now)
+            limit = min(reach, peer.transmission_range)
+            if distance >= limit:
+                margins.append(0.0)
+            else:
+                quality = 1.0 - distance / limit
+                if fault is not None:
+                    quality *= fault.quality_factor(node.id, peer.id, now)
+                margins.append(quality)
+        return margins
+
+    def link_margins(
+        self, node_id: int, peer_ids: Iterable[int], now: float
+    ) -> Tuple[int, List[float]]:
+        """``node_id`` against each peer, from one distance per pair.
+
+        Returns how many peers are *covered* — ``can_transmit(peer,
+        node)`` and ``can_transmit(node, peer)`` both hold — and the
+        ``link_quality(node, peer)`` of every peer in the order given.
+        The margins are what a caller ranks covered candidates by, so
+        when nothing is covered none is computed and the list is empty.
+        """
+        node = self.node(node_id)
+        peers = self._resolve(peer_ids)
+        node_usable = node.usable
+        reach = node.transmission_range
+        fault = self.link_fault
+        covered = 0
+        here = None
+        distances: List[Optional[float]] = []
+        for peer in peers:
+            distance = None
+            if node_usable and peer.usable:
+                there = peer.mobility.position(now)
+                if here is None:
+                    here = node.mobility.position(now)
+                distance = hypot(there.x - here.x, there.y - here.y)
+                if (
+                    distance <= peer.transmission_range
+                    and (fault is None or fault.link_up(peer.id, node_id, now))
+                    and distance <= reach
+                    and (fault is None or fault.link_up(node_id, peer.id, now))
+                ):
+                    covered += 1
+            distances.append(distance)
+        if not covered:
+            return 0, []
+        return covered, self._margins(node, peers, distances, now)
 
     def contention_at(self, node_id: int, now: float) -> int:
         """How many neighbouring radios are currently busy.
@@ -310,8 +341,9 @@ class WirelessMedium:
         Drives the CSMA backoff model: each busy neighbour adds an
         expected deferral slot.
         """
+        nodes = self._nodes
         return sum(
             1
             for other_id in self.neighbors(node_id, now)
-            if self.node(other_id).radio_busy_until > now
+            if nodes[other_id].radio_busy_until > now
         )

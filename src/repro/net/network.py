@@ -42,7 +42,6 @@ class WirelessNetwork:
         mac_config: MacConfig = MacConfig(),
         energy_model: EnergyModel = EnergyModel(),
         trace_capacity: int = 2_000,
-        use_spatial_index: bool = True,
         telemetry: Optional[Telemetry] = None,
     ) -> None:
         self.sim = sim
@@ -56,7 +55,7 @@ class WirelessNetwork:
             telemetry.registry if telemetry is not None else Registry()
         )
         self.flight = telemetry.flight if telemetry is not None else None
-        self.medium = WirelessMedium(use_spatial_index=use_spatial_index)
+        self.medium = WirelessMedium()
         #: ``node(node_id) -> Node`` (``NetworkError`` on an unknown id).
         self.node = self.medium.node
         self.mac = ContentionMac(sim, self.medium, rng, mac_config)
@@ -112,7 +111,9 @@ class WirelessNetwork:
     def nodes(self) -> List[Node]:
         return self.medium.nodes()
 
-    def neighbors(self, node_id: int, require_usable: bool = True) -> List[int]:
+    def neighbors(
+        self, node_id: int, require_usable: bool = True
+    ) -> Tuple[int, ...]:
         return self.medium.neighbors(node_id, self.sim.now, require_usable)
 
     def set_receive_handler(self, node_id: int, handler: ReceiveHandler) -> None:

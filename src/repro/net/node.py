@@ -56,7 +56,7 @@ class Node:
     def distance_to(self, other: "Node", now: float) -> float:
         """Metres between the two nodes at ``now``.
 
-        The one geometry primitive of the net layer: both positions
+        The net layer's geometry, for one pair: both positions
         straight from the mobility models, one ``hypot`` (the value
         ``Point.distance_to`` returns).  Range tests compare this
         distance, never its square, so a boundary case cannot flip by
@@ -98,7 +98,10 @@ class Node:
     @property
     def usable(self) -> bool:
         """Can this node transmit/receive right now?"""
-        return not self.failed and not self.asleep and not self.battery_exhausted
+        if self.failed or self.asleep:
+            return False
+        battery = self.battery_joules
+        return battery is None or self.consumed_joules < battery
 
     @property
     def battery_fraction(self) -> float:

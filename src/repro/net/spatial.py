@@ -5,9 +5,9 @@ range of X right now" — a brute-force scan makes that O(n) per query
 and O(n^2) per cache bucket, which is exactly the neighbour-discovery
 cost the QoS literature identifies as the scaling limiter for
 real-time WSANs.  This module replaces the scan with a uniform grid
-hash: points are bucketed into square cells whose side defaults to the
-maximum transmission range, so a ``within_range`` query only examines
-the cells overlapping the query disk.
+hash: points are bucketed into square cells (the medium sizes them to
+the median transmission range), so a ``within_range`` query only
+examines the cells overlapping the query disk.
 
 Exactness contract: :meth:`SpatialHashGrid.within_range` returns
 *precisely* the points whose Euclidean distance to the query point is
@@ -21,15 +21,16 @@ of bucketing internals.  The property suite in
 limit) against the brute-force oracle.
 
 Mobility integration is left to the caller (the
-:class:`~repro.net.medium.WirelessMedium` refreshes mobile items once
-per cache bucket via :meth:`move`, which re-buckets lazily — a point
-that stays inside its cell costs a dictionary write, not a re-hash).
+:class:`~repro.net.medium.WirelessMedium` keeps its position snapshot
+here and refreshes mobile items once per cache bucket via :meth:`move`,
+which re-buckets lazily — a point that stays inside its cell costs a
+dictionary write, not a re-hash).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Dict, List, Set, Tuple
 
 from repro.errors import NetworkError
@@ -62,15 +63,7 @@ class GridStats:
     in_cell_moves: int = 0
 
     def as_dict(self) -> Dict[str, int]:
-        return {
-            "queries": self.queries,
-            "candidates": self.candidates,
-            "matches": self.matches,
-            "inserts": self.inserts,
-            "removes": self.removes,
-            "rebuckets": self.rebuckets,
-            "in_cell_moves": self.in_cell_moves,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -91,9 +84,9 @@ class GridOccupancy:
 class SpatialHashGrid:
     """A uniform grid hash over 2-D points keyed by integer item ids.
 
-    ``cell_size`` trades memory for pruning power; with cell size equal
-    to the maximum query radius a ``within_range`` query touches at
-    most a 3x3 block of cells.  Any positive cell size is *correct*
+    ``cell_size`` trades memory for pruning power; a ``within_range``
+    query whose radius is at most the cell size touches at most a 3x3
+    block of cells.  Any positive cell size is *correct*
     (the query derives its cell span from the radius), smaller or
     larger sizes only shift the candidate count.
     """
@@ -232,8 +225,9 @@ def brute_force_within_range(
 ) -> List[Tuple[int, float]]:
     """The O(n) oracle :meth:`SpatialHashGrid.within_range` must match.
 
-    Kept in the library (not the tests) so benchmarks, the ablation
-    bench and the property suite all compare against the same scan.
+    Kept in the library (not the tests) so the ablation bench and the
+    test suites all compare against the same scan; nothing under
+    ``src/`` calls it.
     """
     out: List[Tuple[int, float]] = []
     for item_id, p in positions.items():

@@ -8,7 +8,9 @@ pass, ``quality_factor`` only when ``distance < limit``.  This test
 replays ``_find_candidate`` and ``_check_node`` on a hand-placed
 topology with a recording fault installed and compares the
 ``(hook, src, dst)`` sequence with the one recorded on the commit
-before the geometry primitive was introduced.
+before the geometry primitive was introduced.  The router's entry
+ranking (``_ranked_members``) is pinned the same way, against the
+commit before the medium's batched forms.
 
 Layout (metres; range 100 unless noted).  Node 0 holds KID 012; its
 Kautz neighbours 120, 121, 101 are nodes 1, 2, 3::
@@ -31,6 +33,7 @@ import random
 
 from repro.core.cell import EmbeddedCell
 from repro.core.maintenance import TopologyMaintenance
+from repro.core.routing import ReferRouter
 from repro.kautz.graph import KautzGraph
 from repro.kautz.strings import KautzString
 from repro.net.mobility import StaticMobility
@@ -38,6 +41,7 @@ from repro.net.network import WirelessNetwork
 from repro.net.node import Node, NodeRole
 from repro.sim.core import Simulator
 from repro.util.geometry import Point
+from repro.wsan.deployment import DeploymentPlan
 from repro.wsan.duty_cycle import DutyCycleManager
 
 PLACEMENT = {
@@ -169,3 +173,37 @@ def test_check_node_hook_sequence_weak_then_broken():
     assert cell.node_of(kid) == 0
     assert fault.calls == CHECK_BROKEN_AT_T2
 
+
+
+def test_ranked_members_hook_sequence():
+    """One ``link_up`` per in-range usable member, in ``member_ids``
+    order (0, 1, 2, 3); the ranking itself asks nothing."""
+    network, cell, kid, maintenance, fault = build_world()
+    router = ReferRouter(network, DeploymentPlan(300.0, [], [], []), [cell])
+    # Node 4 reaches all four; 1 and 2 tie at 36.06 m and keep their order.
+    assert router._ranked_members(4, cell, 1.0) == [3, 1, 2, 0]
+    assert fault.calls == [
+        ("link_up", 4, 0), ("link_up", 4, 1), ("link_up", 4, 2),
+        ("link_up", 4, 3),
+    ]
+    # Ranked by Kautz hops to 121 (node 2) first: still one hook each.
+    del fault.calls[:]
+    dest = KautzString.parse("121", 2)
+    assert router._ranked_members(4, cell, 1.0, dest) == [2, 0, 3, 1]
+    assert fault.calls == [
+        ("link_up", 4, 0), ("link_up", 4, 1), ("link_up", 4, 2),
+        ("link_up", 4, 3),
+    ]
+    # Node 5 (range 45) reaches 1 and 2 only; a failed member is never
+    # asked about, and node 10 is asked at exactly 100 m.
+    del fault.calls[:]
+    network.node(2).failed = True
+    assert router._ranked_members(5, cell, 1.0) == [1]
+    assert router._ranked_members(10, cell, 1.0) == [1]
+    assert fault.calls == [("link_up", 5, 1), ("link_up", 10, 1)]
+    # From t = 2 the 4<->1 fade hides member 1 from node 4.
+    del fault.calls[:]
+    assert router._ranked_members(4, cell, 2.0) == [3, 0]
+    assert fault.calls == [
+        ("link_up", 4, 0), ("link_up", 4, 1), ("link_up", 4, 3),
+    ]

@@ -7,12 +7,20 @@ oracle here is the long way round — two ``Point`` objects and
 ``Point.distance_to`` — over random pairs with asymmetric ranges,
 static and moving, with a range drawn *exactly equal* to the distance
 in a third of the cases (``<=`` for reach, ``>=`` for zero margin).
+
+The batched forms ``reachable`` and ``link_margins`` are held to the
+single-pair questions they replace: same answers, the same ``LinkFault``
+hook sequence, and — the walkers of a world share one RNG, as a
+deployment's do — the same leg roll-over draws, i.e. the same positions
+read first in the same order.
 """
 
 import random
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.errors import NetworkError
 from repro.net.medium import WirelessMedium
 from repro.net.mobility import RandomWaypoint, StaticMobility
 from repro.net.node import Node, NodeRole
@@ -85,7 +93,7 @@ def test_range_questions_agree_with_point_distance(
     margin = 0.0 if d >= limit else (1.0 - d / limit) * factor
     assert medium.link_quality(a.id, b.id, now) == margin
     assert medium.link_quality(b.id, a.id, now) == margin
-    assert medium.neighbors(a.id, now) == ([b.id] if both_ways else [])
+    assert medium.neighbors(a.id, now) == ((b.id,) if both_ways else ())
 
 
 def test_exactly_on_the_range_limit():
@@ -107,3 +115,132 @@ def test_liveness_gates_frames_but_not_the_sensed_margin():
     assert not medium.can_transmit(1, 2, 0.0)
     assert not medium.can_transmit(2, 1, 0.0)
     assert medium.link_quality(1, 2, 0.0) == 1.0 - 20.0 / 50.0
+
+
+class RecordingLinkFault:
+    """A pure fault that logs every hook call: a link whose id sum is
+    divisible by three is down and sensed at half margin."""
+
+    def __init__(self):
+        self.calls = []
+
+    def link_up(self, src_id, dst_id, now):
+        self.calls.append(("link_up", src_id, dst_id))
+        return (src_id + dst_id) % 3 != 0
+
+    def quality_factor(self, src_id, dst_id, now):
+        self.calls.append(("quality_factor", src_id, dst_id))
+        return 0.5 if (src_id + dst_id) % 3 == 0 else 1.0
+
+
+#: One node of a world: where it starts, whether it walks, its range
+#: (``None`` = exactly its distance to node 0) and how it is unusable.
+node_specs = st.tuples(
+    coords, coords, st.booleans(), range_or_exact,
+    st.sampled_from([None, None, None, "failed", "asleep", "battery"]),
+)
+
+
+def build_world(specs, seed, now, faulted):
+    """Node 0 and its peers 1..n, exactly as drawn; called twice per
+    example so both formulations start from identical memos and RNG."""
+    rng = random.Random(seed)
+    mobilities = [
+        RandomWaypoint(Point(x, y), 300.0, 30.0, rng)
+        if walks else StaticMobility(Point(x, y))
+        for x, y, walks, _, _ in specs
+    ]
+    # Distances for the "range == distance" draws come from a scratch
+    # copy of the world, so the real one is untouched until queried.
+    scratch = random.Random(seed)
+    at_now = [
+        (RandomWaypoint(Point(x, y), 300.0, 30.0, scratch)
+         if walks else StaticMobility(Point(x, y)))
+        for x, y, walks, _, _ in specs
+    ]
+    at_now = [m.position(now) for m in at_now]
+    medium = WirelessMedium()
+    for node_id, (_, _, _, reach, state) in enumerate(specs):
+        if reach is None:
+            reach = at_now[0].distance_to(at_now[node_id or 1]) or 1.0
+        node = Node(
+            node_id, NodeRole.SENSOR, mobilities[node_id], reach,
+            battery_joules=1.0 if state == "battery" else None,
+        )
+        node.failed = state == "failed"
+        node.asleep = state == "asleep"
+        if state == "battery":
+            node.drain(1.0)
+        medium.add_node(node)
+    fault = RecordingLinkFault() if faulted else None
+    medium.set_link_fault(fault)
+    return medium, rng, fault
+
+
+worlds = st.tuples(
+    st.lists(node_specs, min_size=2, max_size=6),
+    st.integers(0, 1000),
+    st.sampled_from([0.0, 0.25, 7.5, 60.0]),
+    st.booleans(),
+)
+
+
+@PROFILE
+@given(worlds)
+def test_link_margins_is_the_composition_it_replaces(world):
+    specs, seed, now, faulted = world
+    peers = list(range(1, len(specs)))
+
+    medium, rng, fault = build_world(specs, seed, now, faulted)
+    covered = sum(
+        1
+        for peer in peers
+        if medium.can_transmit(peer, 0, now)
+        and medium.can_transmit(0, peer, now)
+    )
+    margins = (
+        [medium.link_quality(0, peer, now) for peer in peers]
+        if covered else []
+    )
+
+    batched, batched_rng, batched_fault = build_world(specs, seed, now, faulted)
+    assert batched.link_margins(0, peers, now) == (covered, margins)
+    assert batched_rng.getstate() == rng.getstate()
+    if faulted:
+        assert batched_fault.calls == fault.calls
+
+
+@PROFILE
+@given(worlds)
+def test_reachable_is_the_filter_it_replaces(world):
+    specs, seed, now, faulted = world
+    peers = list(range(1, len(specs)))
+
+    medium, rng, fault = build_world(specs, seed, now, faulted)
+    origin = medium.node(0)
+    expected = [
+        (peer, origin.distance_to(medium.node(peer), now))
+        for peer in peers
+        if medium.can_transmit(0, peer, now)
+    ]
+
+    batched, batched_rng, batched_fault = build_world(specs, seed, now, faulted)
+    assert batched.reachable(0, peers, now) == expected
+    assert batched_rng.getstate() == rng.getstate()
+    if faulted:
+        assert batched_fault.calls == fault.calls
+    assert batched.can_transmit(0, 1, now) == bool(
+        expected and expected[0][0] == 1
+    )
+
+
+def test_batched_forms_reject_unknown_ids():
+    medium, _, _ = build_world(
+        [(0.0, 0.0, False, 50.0, None), (10.0, 0.0, False, 50.0, None)],
+        seed=0, now=0.0, faulted=False,
+    )
+    for ask in (medium.reachable, medium.link_margins):
+        with pytest.raises(NetworkError, match="unknown node id 9"):
+            ask(0, [1, 9], 0.0)
+        with pytest.raises(NetworkError, match="unknown node id 9"):
+            ask(9, [1], 0.0)

@@ -76,7 +76,7 @@ class TestMedium:
     def test_neighbors(self):
         medium = self.build()
         assert set(medium.neighbors(1, 0.0)) == {0, 2}
-        assert medium.neighbors(3, 0.0) == []
+        assert medium.neighbors(3, 0.0) == ()
 
     def test_duplicate_id_rejected(self):
         medium = self.build()
@@ -90,7 +90,7 @@ class TestMedium:
     def test_neighbors_exclude_unusable(self):
         medium = self.build()
         medium.node(0).failed = True
-        assert medium.neighbors(1, 0.0) == [2]
+        assert medium.neighbors(1, 0.0) == (2,)
         assert set(medium.neighbors(1, 0.0, require_usable=False)) == {0, 2}
 
     def test_cache_invalidation_across_buckets(self):
@@ -100,7 +100,7 @@ class TestMedium:
         # Same bucket: cached (stale by design)...
         assert set(medium.neighbors(1, 0.01)) == {0, 2}
         # ...next bucket sees the change.
-        assert medium.neighbors(1, 1.0) == [0]
+        assert medium.neighbors(1, 1.0) == (0,)
 
     def test_can_transmit(self):
         medium = self.build()

@@ -10,6 +10,7 @@ from repro.net.mobility import RandomWaypoint, StaticMobility
 from repro.net.node import Node, NodeRole
 from repro.net.spatial import SpatialHashGrid, brute_force_within_range
 from repro.util.geometry import Point
+from tests.net.oracle import brute_neighbors
 
 
 def make_node(node_id, x, y, rng=100.0, role=NodeRole.SENSOR):
@@ -166,7 +167,7 @@ class TestMediumIndexIntegration:
         assert medium.spatial_grid is None
         medium.neighbors(0, 0.0)
         assert medium.spatial_grid is not None
-        # Auto cell size = largest transmission range.
+        # Auto cell size = the median transmission range.
         assert medium.spatial_grid.cell_size == 100.0
 
     def test_explicit_cell_size(self):
@@ -174,28 +175,44 @@ class TestMediumIndexIntegration:
         medium.neighbors(0, 0.0)
         assert medium.spatial_grid.cell_size == 40.0
 
-    def test_disabled_index_uses_brute_scan(self):
-        medium = build_medium(use_spatial_index=False)
-        assert set(medium.neighbors(1, 0.0)) == {0, 2}
-        assert medium.spatial_grid is None
-        assert medium.index_stats()["brute_candidates"] == 4
-
-    def test_grid_and_brute_agree(self):
-        grid_m = build_medium()
-        brute_m = build_medium(use_spatial_index=False)
-        for node_id in range(4):
-            assert grid_m.neighbors(node_id, 0.0) == brute_m.neighbors(
-                node_id, 0.0
-            )
-
-    def test_bigger_radio_triggers_rebuild(self):
+    def test_auto_cell_is_the_median_range_not_the_largest(self):
         medium = build_medium()
+        medium.add_node(make_node(4, 80, 60, rng=250.0))
+        medium.add_node(make_node(5, 500, 500, rng=30.0))
         medium.neighbors(0, 0.0)
         assert medium.spatial_grid.cell_size == 100.0
+        assert WirelessMedium().index_stats() == {"refreshes": 0}
+
+    def test_grid_and_brute_agree(self):
+        for cell_size in (None, 7.0, 40.0, 250.0, 5000.0):
+            medium = build_medium(cell_size=cell_size)
+            medium.add_node(make_node(4, 80, 60, rng=250.0))
+            medium.node(2).asleep = True
+            for node_id in range(5):
+                for require_usable in (True, False):
+                    found = medium.neighbors(node_id, 0.0, require_usable)
+                    assert found == brute_neighbors(
+                        medium, node_id, require_usable
+                    )
+            assert medium.neighbors(4, 0.0) == (0, 1)
+            assert medium.neighbors(4, 0.0, require_usable=False) == (0, 1, 2)
+
+    def test_bigger_radio_keeps_the_one_grid(self):
+        """One build, cell = median range: a 250 m actuator added
+        mid-run joins the grid it finds and changes no other node's
+        neighbours beyond appearing in them."""
+        medium = build_medium()
+        before = {i: medium.neighbors(i, 0.0) for i in range(4)}
+        grid = medium.spatial_grid
+        assert grid.cell_size == 100.0
         medium.add_node(make_node(4, 80, 60, rng=250.0))
-        assert set(medium.neighbors(4, 0.0)) == {0, 1, 2}
-        assert medium.spatial_grid.cell_size == 250.0
-        assert medium.index_stats()["grid_rebuilds"] == 2
+        assert medium.neighbors(4, 0.0) == (0, 1, 2)
+        assert medium.spatial_grid is grid and grid.cell_size == 100.0
+        assert medium.index_stats()["inserts"] == 5
+        for i in range(4):
+            found = medium.neighbors(i, 0.0)
+            assert found == brute_neighbors(medium, i)
+            assert tuple(n for n in found if n != 4) == before[i]
 
     def test_mobile_nodes_rebucket_lazily(self):
         medium = WirelessMedium()
@@ -212,7 +229,8 @@ class TestMediumIndexIntegration:
                 100.0,
             )
         )
-        assert medium.neighbors(0, 0.0) == [1]
+        assert medium.neighbors(0, 0.0) == (1,)
+        grid = medium.spatial_grid
         stats_before = medium.index_stats()
         # Many buckets later the walker has been refreshed every bucket
         # but re-hashed only when it crossed a 100 m cell boundary.
@@ -223,6 +241,8 @@ class TestMediumIndexIntegration:
         rebucketed = stats_after["rebuckets"] - stats_before["rebuckets"]
         assert refreshed == 39
         assert rebucketed < refreshed
+        assert medium.spatial_grid is grid
+        assert stats_after["inserts"] == 2
 
     def test_index_stats_report_occupancy(self):
         medium = build_medium()
@@ -242,18 +262,43 @@ class TestAddNodeInvalidation:
     queries until the next 0.25 s bucket.
     """
 
-    @pytest.mark.parametrize("use_index", [True, False])
-    def test_added_node_visible_same_bucket(self, use_index):
-        medium = build_medium(use_spatial_index=use_index)
+    @pytest.mark.parametrize("auto_cell", [True, False])
+    def test_added_node_visible_same_bucket(self, auto_cell):
+        medium = build_medium(cell_size=None if auto_cell else 40.0)
         assert set(medium.neighbors(1, 0.0)) == {0, 2}
         medium.add_node(make_node(4, 80, 60))
         # Same 0.25 s bucket, later instant: the new node must appear.
         assert set(medium.neighbors(1, 0.01)) == {0, 2, 4}
         assert set(medium.neighbors(4, 0.01)) == {0, 1, 2}
 
-    @pytest.mark.parametrize("use_index", [True, False])
-    def test_added_node_visible_at_same_instant(self, use_index):
-        medium = build_medium(use_spatial_index=use_index)
+    @pytest.mark.parametrize("auto_cell", [True, False])
+    def test_added_node_visible_at_same_instant(self, auto_cell):
+        medium = build_medium(cell_size=None if auto_cell else 40.0)
         assert set(medium.neighbors(1, 0.0)) == {0, 2}
         medium.add_node(make_node(4, 80, 60))
         assert set(medium.neighbors(1, 0.0)) == {0, 2, 4}
+
+
+class TestNeighborTuplesAreReadOnly:
+    """Regression: ``neighbors`` hands out its cached sequence itself,
+    so it must be one a caller cannot corrupt the cache through."""
+
+    def test_same_immutable_object_within_a_bucket(self):
+        medium = build_medium()
+        first = medium.neighbors(1, 0.0)
+        assert first == (0, 2) and isinstance(first, tuple)
+        with pytest.raises((TypeError, AttributeError)):
+            first.append(3)
+        with pytest.raises(TypeError):
+            first[0] = 3
+        assert medium.neighbors(1, 0.2) is first
+        assert medium.neighbors(1, 0.2, require_usable=False) is not first
+
+    def test_new_bucket_and_new_node_recompute(self):
+        medium = build_medium()
+        first = medium.neighbors(1, 0.0)
+        medium.node(0).failed = True
+        assert medium.neighbors(1, 0.2) is first      # stale by design
+        assert medium.neighbors(1, 0.25) == (2,)      # next bucket
+        medium.add_node(make_node(4, 80, 60))
+        assert medium.neighbors(1, 0.3) == (2, 4)     # registry change

@@ -17,6 +17,7 @@ from repro.net.mobility import RandomWaypoint, StaticMobility
 from repro.net.node import Node, NodeRole
 from repro.net.spatial import SpatialHashGrid, brute_force_within_range
 from repro.util.geometry import Point
+from tests.net.oracle import brute_neighbors
 
 PROFILE = settings(max_examples=200, deadline=None, derandomize=True)
 
@@ -152,10 +153,10 @@ def mobile_worlds(draw):
     return seed, n_static, n_mobile, max_speed, times
 
 
-def _build_world(seed, n_static, n_mobile, max_speed, use_index):
+def _build_world(seed, n_static, n_mobile, max_speed):
     area = 300.0
     placer = random.Random(seed)
-    medium = WirelessMedium(use_spatial_index=use_index)
+    medium = WirelessMedium()
     node_id = 0
     for _ in range(n_static):
         pos = Point(placer.uniform(0, area), placer.uniform(0, area))
@@ -177,16 +178,18 @@ def _build_world(seed, n_static, n_mobile, max_speed, use_index):
 @PROFILE
 @given(mobile_worlds())
 def test_mobile_neighbor_queries_match_brute_medium(world):
-    """Grid-backed and brute-force media agree at every waypoint time.
+    """The medium's neighbour tuples equal a brute-force scan of its own
+    snapshot at every waypoint time.
 
-    Both media see identical deterministic mobility (same seeds), so
-    any divergence is an index bug, not model noise.
+    The oracle reads the positions the grid holds, so any divergence is
+    an index bug (a missed re-bucket, a cell left out of a query), not
+    model noise.
     """
     seed, n_static, n_mobile, max_speed, times = world
-    grid_medium = _build_world(seed, n_static, n_mobile, max_speed, True)
-    brute_medium = _build_world(seed, n_static, n_mobile, max_speed, False)
+    medium = _build_world(seed, n_static, n_mobile, max_speed)
     n = n_static + n_mobile
     for now in times:
         for node_id in range(n):
-            assert grid_medium.neighbors(node_id, now) == \
-                brute_medium.neighbors(node_id, now)
+            assert medium.neighbors(node_id, now) == brute_neighbors(
+                medium, node_id
+            )
