@@ -282,23 +282,28 @@ class TopologyMaintenance:
             return None
         # Scan the neighbourhoods of the Kautz neighbours — candidates
         # must be locally reachable, exactly like wait-state probing.
+        nodes = medium.node_table
         seen: set = set()
-        best = None
-        best_key = None
+        candidates: List[int] = []
         for anchor in neighbors:
             for s in medium.neighbors(anchor, now):
                 if s in seen:
                     continue
                 seen.add(s)
-                node = medium.node(s)
-                if not node.is_sensor or self._is_member(s):
-                    continue
-                covered, qualities = medium.link_margins(s, neighbors, now)
-                if covered == 0:
-                    continue
-                key = (covered, min(qualities), node.battery_fraction, -s)
-                if best_key is None or key > best_key:
-                    best, best_key = s, key
+                if nodes[s].is_sensor and not self._is_member(s):
+                    candidates.append(s)
+        # One question for the whole scan, answered candidate by
+        # candidate in scan order (the LinkFault hook order is pinned).
+        best = None
+        best_key = None
+        for s, (covered, qualities) in zip(
+            candidates, medium.link_margins_each(candidates, neighbors, now)
+        ):
+            if covered == 0:
+                continue
+            key = (covered, min(qualities), nodes[s].battery_fraction, -s)
+            if best_key is None or key > best_key:
+                best, best_key = s, key
         if best is None:
             return None
         full_coverage = best_key[0] == len(neighbors)

@@ -71,13 +71,6 @@ class ContentionMac:
         # and bounded per-class depth before reaching the radio.
         self.qos = None
 
-    def _loss_probability(self, src_id: int, now: float) -> float:
-        contention = self._medium.contention_at(src_id, now)
-        extra = min(
-            self.config.contention_loss * contention, self.config.max_loss
-        )
-        return min(self.config.base_loss + extra, 1.0)
-
     def transmit(
         self,
         src_id: int,
@@ -129,8 +122,8 @@ class ContentionMac:
         airtime = self._airtime_cache.get(size)
         if airtime is None:
             airtime = self._airtime_cache[size] = cfg.airtime(size)
-        # _loss_probability, inlined so contention_at runs once per
-        # frame; same float operations in the same order.
+        # Per-attempt loss: the floor plus a capped contention share.
+        # It shares the frame's one contention_at with the backoff.
         extra = min(cfg.contention_loss * contention, cfg.max_loss)
         loss_p = min(cfg.base_loss + extra, 1.0)
 

@@ -18,8 +18,33 @@ so any cell size gives the same neighbours (ascending node id);
 tests hold it to.
 
 Link questions (``can_transmit``, ``link_quality`` and their batched
-forms ``reachable`` and ``link_margins``) are answered from exact
-positions at ``now``, one ``hypot`` per pair (:meth:`Node.distance_to`).
+forms ``reachable`` and ``link_margins`` / ``link_margins_each``) are
+answered from exact positions at ``now``, one ``hypot`` per pair
+(:meth:`Node.distance_to`).
+
+A bucket starts at its first snapshot query — ``neighbors`` or
+``contention_at``, through one shared step — and that instant is the
+snapshot's.  The roll only *writes* the mobile positions; the grid
+re-hashes cells the first time something in the bucket needs them,
+which a bucket that only counts contention never does.  The order and
+instants of those position reads are behaviour (every walker draws its
+legs lazily from one shared RNG stream), so both readers roll alike.
+
+``contention_at`` runs on every frame and is almost always 0, so it
+never computes a neighbour tuple to find that out: the medium keeps
+the set of radios that may be busy (a node files itself when its
+``radio_busy_until`` is assigned; a roll drops the expired) and tests
+those against the snapshot with the tuple's own predicate — unless
+``neighbors`` has already cached the node's tuple in this bucket, in
+which case it counts over that.  Time must not run backwards between
+snapshot queries: expired radios are gone for good.
+
+Liveness is the one thing the two readers see at different instants.
+A cached tuple holds ``usable`` as it was when ``neighbors`` first
+computed it in the bucket; the busy walk reads ``usable`` at the call.
+``contention_at`` never fills the cache, so a tuple freezes at the
+first ``neighbors`` call for that node, not at the node's first frame.
+The two can differ only when a node fails or recovers inside a bucket.
 
 Registry mutations (``add_node``) invalidate the neighbour cache
 immediately: a node added mid-bucket (e.g. by vertex replacement in
@@ -37,6 +62,7 @@ from typing import Dict, Iterable, List, Mapping, Optional, Protocol, Tuple
 from repro.errors import NetworkError
 from repro.net.node import Node
 from repro.net.spatial import SpatialHashGrid
+from repro.util.geometry import Point
 
 
 class LinkFault(Protocol):
@@ -58,7 +84,9 @@ class LinkFault(Protocol):
     per destination in the order given; ``link_margins`` asks, peer by
     peer, ``link_up(peer, node)`` and — only if that held —
     ``link_up(node, peer)``, and after the last peer every
-    ``quality_factor(node, peer)``, none when no peer is covered.
+    ``quality_factor(node, peer)``, none when no peer is covered;
+    ``link_margins_each`` does that node by node, finishing one node's
+    questions before the next node's first.
     """
 
     def link_up(self, src_id: int, dst_id: int, now: float) -> bool:
@@ -102,6 +130,11 @@ class WirelessMedium:
         #: Snapshot refreshes performed (one per bucket plus one per
         #: mid-bucket registry mutation).
         self.refreshes = 0
+        #: Nodes whose ``radio_busy_until`` may still lie ahead, by id:
+        #: each files itself when its radio is occupied
+        #: (:attr:`Node.radio_busy_until`), a bucket roll drops the
+        #: expired, so it holds at most one entry per node.
+        self._busy: Dict[int, Node] = {}
 
     # -- fault hooks ---------------------------------------------------------
 
@@ -121,9 +154,19 @@ class WirelessMedium:
     def add_node(self, node: Node) -> None:
         if node.id in self._nodes:
             raise NetworkError(f"duplicate node id {node.id}")
+        if node._busy_radios is not None and node._busy_radios is not self._busy:
+            # Its radio can file itself with one medium only.
+            raise NetworkError(
+                f"node {node.id} is registered with another medium"
+            )
         self._nodes[node.id] = node
         self._neighbor_cache.clear()  # visible to the very next query
         self._pending_ids.append(node.id)
+        # From here on an occupied radio files itself; one occupied
+        # before it registered is filed now.
+        node._busy_radios = self._busy
+        if node.radio_busy_until > 0.0:
+            self._busy[node.id] = node
         if not getattr(node.mobility, "is_static", False):
             self._mobile_ids.append(node.id)
 
@@ -159,12 +202,35 @@ class WirelessMedium:
         ranges = [node.transmission_range for node in self._nodes.values()]
         return statistics.median(ranges) if ranges else 1.0
 
-    def _refresh_positions(self, now: float) -> None:
-        """Bring the grid to the positions at ``now``.
+    def _roll(self, bucket: int, now: float) -> None:
+        """Start bucket ``bucket`` at ``now``, its first query — or,
+        mid-bucket, take in newly registered nodes.
 
-        Static nodes are bucketed once; mobile nodes re-bucket lazily —
-        :meth:`SpatialHashGrid.move` only re-hashes when the node
-        crossed a cell boundary.
+        The one step both snapshot readers (:meth:`neighbors`,
+        :meth:`contention_at`) take, so the snapshot instant and the
+        mobility RNG's reads (one per mobile node, in registration
+        order) do not depend on which of them asks first.  Expired
+        busy radios leave here — ``now`` never decreases, so they stay
+        expired — in one pass over at most the nodes the refresh visits.
+        """
+        if bucket != self._cache_bucket:
+            self._neighbor_cache.clear()
+            self._cache_bucket = bucket
+            busy = self._busy
+            for node_id in [
+                i for i, node in busy.items() if node.radio_busy_until <= now
+            ]:
+                del busy[node_id]
+        self._refresh_positions(now)
+
+    def _refresh_positions(self, now: float) -> None:
+        """Bring the grid's positions to ``now``.
+
+        Static nodes are written once.  Mobile nodes get their new
+        position only; the grid re-hashes cells the first time
+        something in this bucket needs them
+        (:meth:`SpatialHashGrid.move_all`), and a bucket that only
+        counts busy radios never does.
         """
         self.refreshes += 1
         grid = self.spatial_grid
@@ -176,16 +242,18 @@ class WirelessMedium:
         for node_id in self._pending_ids:
             grid.insert(node_id, nodes[node_id].mobility.position(now))
         self._pending_ids = []
-        for node_id in self._mobile_ids:
-            grid.move(node_id, nodes[node_id].mobility.position(now))
+        grid.move_all(
+            (node_id, nodes[node_id].mobility.position(now))
+            for node_id in self._mobile_ids
+        )
 
     def index_stats(self) -> Dict[str, int]:
         """Merged instrumentation: refreshes, grid counters, occupancy."""
         stats: Dict[str, int] = {"refreshes": self.refreshes}
         grid = self.spatial_grid
         if grid is not None:
+            occupancy = grid.occupancy()  # re-hashes: before the counters
             stats.update(grid.stats.as_dict())
-            occupancy = grid.occupancy()
             stats["occupied_cells"] = occupancy.occupied_cells
             stats["max_per_cell"] = occupancy.max_per_cell
         return stats
@@ -204,12 +272,8 @@ class WirelessMedium:
         until the bucket rolls over or the registry changes.
         """
         bucket = int(now / self._cache_resolution)
-        if bucket != self._cache_bucket:
-            self._neighbor_cache.clear()
-            self._cache_bucket = bucket
-            self._refresh_positions(now)
-        elif self._pending_ids:
-            self._refresh_positions(now)
+        if bucket != self._cache_bucket or self._pending_ids:
+            self._roll(bucket, now)
         key = (node_id, require_usable)
         cached = self._neighbor_cache.get(key)
         if cached is None:
@@ -308,42 +372,111 @@ class WirelessMedium:
         The margins are what a caller ranks covered candidates by, so
         when nothing is covered none is computed and the list is empty.
         """
-        node = self.node(node_id)
+        return self.link_margins_each((node_id,), peer_ids, now)[0]
+
+    def link_margins_each(
+        self, node_ids: Iterable[int], peer_ids: Iterable[int], now: float
+    ) -> List[Tuple[int, List[float]]]:
+        """:meth:`link_margins` of each node against the same peers,
+        node by node in the order given.
+
+        The peers are resolved once and their liveness and range read
+        once; each peer's position is read where the first node that
+        measures it would read it, and kept.  Every ``LinkFault`` hook
+        and every position's first read at this ``now`` therefore
+        falls exactly where one :meth:`link_margins` call per node
+        puts it.
+        """
+        nodes = self._resolve(node_ids)
         peers = self._resolve(peer_ids)
-        node_usable = node.usable
-        reach = node.transmission_range
+        peer_usable = [peer.usable for peer in peers]
+        peer_reach = [peer.transmission_range for peer in peers]
+        peer_at: List[Optional[Point]] = [None] * len(peers)
         fault = self.link_fault
-        covered = 0
-        here = None
-        distances: List[Optional[float]] = []
-        for peer in peers:
-            distance = None
-            if node_usable and peer.usable:
-                there = peer.mobility.position(now)
-                if here is None:
-                    here = node.mobility.position(now)
-                distance = hypot(there.x - here.x, there.y - here.y)
-                if (
-                    distance <= peer.transmission_range
-                    and (fault is None or fault.link_up(peer.id, node_id, now))
-                    and distance <= reach
-                    and (fault is None or fault.link_up(node_id, peer.id, now))
-                ):
-                    covered += 1
-            distances.append(distance)
-        if not covered:
-            return 0, []
-        return covered, self._margins(node, peers, distances, now)
+        out: List[Tuple[int, List[float]]] = []
+        for node in nodes:
+            covered = 0
+            distances: List[Optional[float]] = [None] * len(peers)
+            if node.usable:
+                node_id = node.id
+                reach = node.transmission_range
+                here = None
+                for i, peer in enumerate(peers):
+                    if not peer_usable[i]:
+                        continue
+                    there = peer_at[i]
+                    if there is None:
+                        there = peer_at[i] = peer.mobility.position(now)
+                    if here is None:
+                        here = node.mobility.position(now)
+                    distance = hypot(there.x - here.x, there.y - here.y)
+                    distances[i] = distance
+                    if (
+                        distance <= peer_reach[i]
+                        and (fault is None or fault.link_up(peer.id, node_id, now))
+                        and distance <= reach
+                        and (fault is None or fault.link_up(node_id, peer.id, now))
+                    ):
+                        covered += 1
+            out.append(
+                (covered, self._margins(node, peers, distances, now))
+                if covered
+                else (0, [])
+            )
+        return out
 
     def contention_at(self, node_id: int, now: float) -> int:
         """How many neighbouring radios are currently busy.
 
         Drives the CSMA backoff model: each busy neighbour adds an
-        expected deferral slot.
+        expected deferral slot.  The count is over :meth:`neighbors`
+        — usable nodes with a bidirectional link in the bucket's
+        position snapshot, which this call rolls exactly as
+        ``neighbors`` would — whose ``radio_busy_until`` is strictly
+        after ``now``.  ``now`` must not decrease from one call to the
+        next (simulation time does not): expired radios are dropped
+        for good.
+
+        Most frames find no radio busy, so the neighbour tuple is
+        never computed for this: a tuple ``neighbors`` already cached
+        in this bucket is counted over (liveness as of that call),
+        otherwise the busy radios themselves are tested with the
+        tuple's own predicate over the same snapshot (liveness read at
+        ``now``), and nothing is cached.
         """
+        bucket = int(now / self._cache_resolution)
+        if bucket != self._cache_bucket or self._pending_ids:
+            self._roll(bucket, now)
+        neighbors = self._neighbor_cache.get((node_id, True))
+        if neighbors is None:
+            return self._count_busy_in_range(node_id, now)
         nodes = self._nodes
         return sum(
             1
-            for other_id in self.neighbors(node_id, now)
+            for other_id in neighbors
             if nodes[other_id].radio_busy_until > now
         )
+
+    def _count_busy_in_range(self, node_id: int, now: float) -> int:
+        """:meth:`contention_at` without the tuple: the filed radios
+        still busy, other than the node, usable and in mutual range in
+        the snapshot — ``_compute_neighbors``' test, operand for
+        operand."""
+        node = self.node(node_id)
+        reach = node.transmission_range
+        position_of = self.spatial_grid.position_of
+        here = None
+        count = 0
+        for other in self._busy.values():
+            if (
+                other.radio_busy_until > now
+                and other is not node
+                and other.usable
+            ):
+                if here is None:
+                    here = position_of(node_id)
+                there = position_of(other.id)
+                distance = hypot(here.x - there.x, here.y - there.y)
+                if distance <= reach and distance <= other.transmission_range:
+                    count += 1
+        return count

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import enum
 import math
-from typing import Optional
+from typing import Dict, Optional
 
 from repro.errors import NetworkError
 from repro.net.mobility import MobilityModel
@@ -45,7 +45,9 @@ class Node:
         self.consumed_joules = 0.0
         self.failed = False
         self.asleep = False
-        # MAC state: the time until which this node's radio is busy.
+        #: Where an occupied radio files itself: the busy set of the
+        #: medium this node is registered with (``add_node`` sets it).
+        self._busy_radios: Optional[Dict[int, "Node"]] = None
         self.radio_busy_until = 0.0
 
     # -- position -----------------------------------------------------------
@@ -77,6 +79,25 @@ class Node:
             distance <= self.transmission_range
             and distance <= other.transmission_range
         )
+
+    # -- radio ------------------------------------------------------------------
+
+    @property
+    def radio_busy_until(self) -> float:
+        """MAC state: the time until which this node's radio is busy.
+
+        Assigning it *is* occupying the radio: the write also files the
+        node in its medium's busy set, which is all
+        :meth:`WirelessMedium.contention_at` walks — so the MAC, a
+        flood and a test that fakes a busy neighbour cannot forget to.
+        """
+        return self._radio_busy_until
+
+    @radio_busy_until.setter
+    def radio_busy_until(self, until: float) -> None:
+        self._radio_busy_until = until
+        if self._busy_radios is not None:
+            self._busy_radios[self.id] = self
 
     # -- liveness --------------------------------------------------------------
 

@@ -10,6 +10,11 @@ Two contracts:
   medium's own snapshot — the index may only change how neighbours
   are *found*, never which neighbours (or in which order) protocols
   see them — and checking that perturbs no metric;
+* ``contention_at`` counts without a neighbour tuple: every answer a
+  whole scenario gets equals the count over ``neighbors()`` asked
+  right after it, and over the brute-force scan; the check fills the
+  neighbour cache the lazy count leaves empty, so unchanged metrics
+  also show that filling it is unobservable;
 * the recovery stack (:mod:`repro.recovery`) is deterministic and
   strictly opt-in: same seed + ARQ on is byte-identical run-to-run,
   and a fully disabled ``RecoveryConfig`` reproduces the
@@ -21,7 +26,7 @@ Two contracts:
 
 import pytest
 
-from repro.experiments.config import ScenarioConfig
+from repro.experiments.config import FaultConfig, ScenarioConfig
 from repro.experiments.runner import run_scenario
 from repro.net.medium import WirelessMedium
 from repro.recovery import RecoveryConfig
@@ -69,42 +74,78 @@ class TestNetDeterminism:
 
 
 def run_checked_against_brute_scan(system, config, monkeypatch):
-    """``run_scenario`` with every computed neighbour tuple compared to
-    the brute-force oracle; returns the result and the tuples checked."""
+    """``run_scenario`` with every computed neighbour tuple and every
+    contention count compared to the brute-force oracle; returns the
+    result, the tuples the run computed and the counts it was given."""
     compute = WirelessMedium._compute_neighbors
-    checked = []
+    contention = WirelessMedium.contention_at
+    tuples = []
+    counts = []
 
     def compute_and_check(medium, node_id, require_usable):
         found = compute(medium, node_id, require_usable)
         assert found == brute_neighbors(medium, node_id, require_usable)
-        checked.append(found)
+        tuples.append(found)
         return found
+
+    def contention_and_check(medium, node_id, now):
+        count = contention(medium, node_id, now)
+        computed = len(tuples)
+        neighbors = medium.neighbors(node_id, now)
+        del tuples[computed:]  # computed for this check, not by the run
+        nodes = medium.node_table
+        for formulation in (neighbors, brute_neighbors(medium, node_id)):
+            assert count == sum(
+                1 for o in formulation if nodes[o].radio_busy_until > now
+            )
+        counts.append(count)
+        return count
 
     with monkeypatch.context() as patch:
         patch.setattr(WirelessMedium, "_compute_neighbors", compute_and_check)
-        return run_scenario(system, config), checked
+        patch.setattr(WirelessMedium, "contention_at", contention_and_check)
+        return run_scenario(system, config), tuples, counts
+
+
+#: The oracle runs at a load that keeps radios busy (thousands of
+#: counts, hundreds non-zero, where ``SMALL`` has two).
+BUSY = SMALL.with_(rate_pps=30.0)
+
+
+def assert_run_checked_and_unperturbed(system, config, monkeypatch):
+    indexed, tuples, counts = run_checked_against_brute_scan(
+        system, config, monkeypatch
+    )
+    assert len(tuples) > 40 and any(tuples)
+    assert len(counts) > 1000 and sum(1 for c in counts if c) > 100
+    plain = run_scenario(system, config)
+    assert repr(metrics_of(indexed)) == repr(metrics_of(plain))
 
 
 class TestSpatialIndexTransparency:
-    """The grid must be invisible: brute-force neighbours, every query."""
+    """The grid and the busy-radio count must be invisible: brute-force
+    neighbours, every query."""
 
-    @pytest.mark.parametrize("system", ["REFER", "DaTree"])
+    #: The baselines run with their faults: nodes fail and recover
+    #: mid-run, and Kautz-overlay's repair floods occupy every radio
+    #: at once (the busy walk at its longest).
+    FAULTS = FaultConfig(count=4, period=4.0)
+    CONFIGS = {
+        "REFER": BUSY,
+        "DaTree": BUSY.with_(faults=FAULTS),
+        "Kautz-overlay": BUSY.with_(faults=FAULTS),
+    }
+
+    @pytest.mark.parametrize("system", ["REFER", "DaTree", "Kautz-overlay"])
     def test_grid_and_brute_media_byte_identical(self, system, monkeypatch):
-        indexed, checked = run_checked_against_brute_scan(
-            system, SMALL, monkeypatch
+        assert_run_checked_and_unperturbed(
+            system, self.CONFIGS[system], monkeypatch
         )
-        assert len(checked) > 100 and any(checked)
-        plain = run_scenario(system, SMALL)
-        assert repr(metrics_of(indexed)) == repr(metrics_of(plain))
 
     def test_grid_on_mobile_scenario_byte_identical(self, monkeypatch):
-        config = SMALL.with_(sensor_max_speed=8.0)
-        indexed, checked = run_checked_against_brute_scan(
-            "REFER", config, monkeypatch
+        assert_run_checked_and_unperturbed(
+            "REFER", BUSY.with_(sensor_max_speed=8.0), monkeypatch
         )
-        assert len(checked) > 100 and any(checked)
-        plain = run_scenario("REFER", config)
-        assert repr(metrics_of(indexed)) == repr(metrics_of(plain))
 
 
 class TestRecoveryDeterminism:

@@ -8,11 +8,11 @@ oracle here is the long way round — two ``Point`` objects and
 static and moving, with a range drawn *exactly equal* to the distance
 in a third of the cases (``<=`` for reach, ``>=`` for zero margin).
 
-The batched forms ``reachable`` and ``link_margins`` are held to the
-single-pair questions they replace: same answers, the same ``LinkFault``
-hook sequence, and — the walkers of a world share one RNG, as a
-deployment's do — the same leg roll-over draws, i.e. the same positions
-read first in the same order.
+The batched forms ``reachable`` and ``link_margins`` /
+``link_margins_each`` are held to the single-pair questions they
+replace: same answers, the same ``LinkFault`` hook sequence, and — the
+walkers of a world share one RNG, as a deployment's do — the same leg
+roll-over draws, i.e. the same positions read first in the same order.
 """
 
 import random
@@ -185,29 +185,45 @@ worlds = st.tuples(
 )
 
 
+#: The node axis of ``link_margins_each``: which nodes (index modulo
+#: the world's size) are asked about, in order; repeats and nodes that
+#: are also peers included.  ``[0]`` is the one-node ``link_margins``.
+node_axes = st.lists(st.integers(0, 7), max_size=5)
+
+
 @PROFILE
-@given(worlds)
-def test_link_margins_is_the_composition_it_replaces(world):
+@given(worlds, node_axes)
+def test_link_margins_is_the_composition_it_replaces(world, axis):
     specs, seed, now, faulted = world
     peers = list(range(1, len(specs)))
+    nodes = [index % len(specs) for index in axis]
 
     medium, rng, fault = build_world(specs, seed, now, faulted)
-    covered = sum(
-        1
-        for peer in peers
-        if medium.can_transmit(peer, 0, now)
-        and medium.can_transmit(0, peer, now)
-    )
-    margins = (
-        [medium.link_quality(0, peer, now) for peer in peers]
-        if covered else []
-    )
+    expected = []
+    for node in nodes:
+        covered = sum(
+            1
+            for peer in peers
+            if medium.can_transmit(peer, node, now)
+            and medium.can_transmit(node, peer, now)
+        )
+        margins = (
+            [medium.link_quality(node, peer, now) for peer in peers]
+            if covered else []
+        )
+        expected.append((covered, margins))
 
     batched, batched_rng, batched_fault = build_world(specs, seed, now, faulted)
-    assert batched.link_margins(0, peers, now) == (covered, margins)
+    assert batched.link_margins_each(nodes, peers, now) == expected
     assert batched_rng.getstate() == rng.getstate()
     if faulted:
         assert batched_fault.calls == fault.calls
+
+    single, single_rng, single_fault = build_world(specs, seed, now, faulted)
+    assert [single.link_margins(n, peers, now) for n in nodes] == expected
+    assert single_rng.getstate() == rng.getstate()
+    if faulted:
+        assert single_fault.calls == fault.calls
 
 
 @PROFILE
@@ -244,3 +260,7 @@ def test_batched_forms_reject_unknown_ids():
             ask(0, [1, 9], 0.0)
         with pytest.raises(NetworkError, match="unknown node id 9"):
             ask(9, [1], 0.0)
+    with pytest.raises(NetworkError, match="unknown node id 9"):
+        medium.link_margins_each([0, 9], [1], 0.0)
+    with pytest.raises(NetworkError, match="unknown node id 9"):
+        medium.link_margins_each([0], [1, 9], 0.0)

@@ -134,6 +134,66 @@ class TestGridMove:
         assert occ.mean_per_cell == 0.0
 
 
+class TestDeferredRehash:
+    """``move_all`` writes positions at once and re-hashes cells at the
+    first query that needs them — which no answer may reveal."""
+
+    def build(self):
+        grid = SpatialHashGrid(10.0)
+        for item_id, x in enumerate((1.0, 2.0, 55.0)):
+            grid.insert(item_id, Point(x, 1.0))
+        return grid
+
+    def test_positions_move_at_once_cells_on_demand(self):
+        grid = self.build()
+        grid.move_all([(0, Point(3.0, 1.0)), (1, Point(58.0, 1.0))])
+        assert grid.position_of(1) == Point(58.0, 1.0)
+        assert grid.stats.rebuckets == grid.stats.in_cell_moves == 0
+        assert [i for i, _ in grid.within_range(Point(56.0, 1.0), 5.0)] == [
+            1, 2,
+        ]
+        assert grid.stats.rebuckets == 1 and grid.stats.in_cell_moves == 1
+        assert grid.occupancy().max_per_cell == 2
+
+    def test_superseded_moves_are_never_rehashed(self):
+        grid = self.build()
+        grid.move_all([(1, Point(58.0, 1.0))])
+        grid.move_all(iter([(1, Point(2.5, 1.0))]))
+        occupancy = grid.occupancy()
+        assert (occupancy.occupied_cells, occupancy.max_per_cell) == (2, 2)
+        assert grid.stats.rebuckets == 0 and grid.stats.in_cell_moves == 1
+
+    def test_remove_and_move_of_an_item_in_a_stale_cell(self):
+        grid = self.build()
+        grid.move_all([(0, Point(57.0, 1.0)), (1, Point(58.0, 1.0))])
+        grid.remove(0)
+        grid.move(1, Point(91.0, 1.0))
+        assert grid.within_range(Point(56.0, 1.0), 5.0) == [(2, 1.0)]
+        assert [i for i, _ in grid.within_range(Point(90.0, 1.0), 5.0)] == [1]
+        assert grid.occupancy() == rebuilt(grid).occupancy()
+        assert grid.stats.rebuckets == 1 and grid.stats.in_cell_moves == 0
+
+    def test_unknown_item_rejected_like_a_move(self):
+        grid = self.build()
+        with pytest.raises(NetworkError, match="unknown grid item 7"):
+            grid.move_all(
+                [(0, Point(57.0, 1.0)), (7, Point(0.0, 0.0)), (1, Point(9, 9))]
+            )
+        assert grid.position_of(0) == Point(57.0, 1.0)
+        assert grid.position_of(1) == Point(2.0, 1.0)
+        assert [i for i, _ in grid.within_range(Point(56.0, 1.0), 5.0)] == [
+            0, 2,
+        ]
+
+
+def rebuilt(grid):
+    """A fresh grid holding every ``position_of`` of ``grid``."""
+    fresh = SpatialHashGrid(grid.cell_size)
+    for item_id in grid.items():
+        fresh.insert(item_id, grid.position_of(item_id))
+    return fresh
+
+
 class TestBruteForceOracle:
     def test_matches_grid_on_random_points(self):
         rng = random.Random(7)
@@ -243,6 +303,73 @@ class TestMediumIndexIntegration:
         assert rebucketed < refreshed
         assert medium.spatial_grid is grid
         assert stats_after["inserts"] == 2
+
+    def test_buckets_served_only_by_contention_leave_the_grid_consistent(self):
+        """``contention_at`` rolls buckets without re-hashing a cell;
+        whatever is asked next must see the grid a fresh build gives."""
+        medium = WirelessMedium(cell_size=25.0)
+        rng = random.Random(5)
+        for node_id in range(12):
+            medium.add_node(
+                Node(
+                    node_id,
+                    NodeRole.SENSOR,
+                    RandomWaypoint(
+                        start=Point(20.0 * node_id, 100.0), area_side=240.0,
+                        max_speed=30.0, rng=rng,
+                    ),
+                    80.0,
+                )
+            )
+        medium.neighbors(0, 0.0)
+        settled = medium.index_stats()
+        medium.node(3).radio_busy_until = 60.0
+        for step in range(1, 81):
+            medium.contention_at(step % 12, step * 0.25)
+        grid = medium.spatial_grid
+        assert grid.stats.in_cell_moves + grid.stats.rebuckets == (
+            settled["in_cell_moves"] + settled["rebuckets"]
+        )
+        fresh = rebuilt(grid)
+        for node_id in range(12):
+            here = grid.position_of(node_id)
+            assert grid.within_range(here, 80.0) == fresh.within_range(
+                here, 80.0
+            )
+            assert medium.neighbors(node_id, 20.0) == brute_neighbors(
+                medium, node_id
+            )
+        stats = medium.index_stats()
+        assert stats["refreshes"] == settled["refreshes"] + 80
+        assert stats["in_cell_moves"] + stats["rebuckets"] == (
+            settled["in_cell_moves"] + settled["rebuckets"] + 12
+        )
+        occupancy = fresh.occupancy()
+        assert stats["occupied_cells"] == occupancy.occupied_cells
+        assert stats["max_per_cell"] == occupancy.max_per_cell
+        assert grid.occupancy() == occupancy
+
+    def test_index_stats_count_the_rehash_they_cause(self):
+        medium = WirelessMedium(cell_size=25.0)
+        medium.add_node(
+            Node(
+                0,
+                NodeRole.SENSOR,
+                RandomWaypoint(
+                    start=Point(100, 100), area_side=200.0,
+                    max_speed=30.0, rng=random.Random(3),
+                ),
+                100.0,
+            )
+        )
+        medium.neighbors(0, 0.0)
+        before = medium.index_stats()
+        medium.contention_at(0, 30.0)
+        stats = medium.index_stats()
+        assert stats["in_cell_moves"] + stats["rebuckets"] == (
+            before["in_cell_moves"] + before["rebuckets"] + 1
+        )
+        assert stats == medium.index_stats()
 
     def test_index_stats_report_occupancy(self):
         medium = build_medium()

@@ -89,13 +89,16 @@ def test_exact_range_limit_is_inclusive(deployment, pick_seed):
 
 @st.composite
 def churn_ops(draw):
-    """Interleaved insert/move/remove/query traffic."""
+    """Interleaved insert/move/remove/query traffic; ``drift`` moves
+    the item and its successor with the deferred ``move_all``."""
     return draw(
         st.lists(
             st.one_of(
                 st.tuples(st.just("insert"), st.integers(0, 30),
                           finite, finite),
                 st.tuples(st.just("move"), st.integers(0, 30),
+                          finite, finite),
+                st.tuples(st.just("drift"), st.integers(0, 30),
                           finite, finite),
                 st.tuples(st.just("remove"), st.integers(0, 30),
                           finite, finite),
@@ -121,6 +124,13 @@ def test_churn_keeps_grid_and_oracle_in_lockstep(cell, ops):
         elif op == "move" and item_id in oracle:
             grid.move(item_id, Point(x, y))
             oracle[item_id] = Point(x, y)
+        elif op == "drift":
+            moved = {
+                i: Point(x + i, y)
+                for i in (item_id, item_id + 1) if i in oracle
+            }
+            grid.move_all(iter(moved.items()))
+            oracle.update(moved)
         elif op == "remove" and item_id in oracle:
             grid.remove(item_id)
             del oracle[item_id]
@@ -133,6 +143,10 @@ def test_churn_keeps_grid_and_oracle_in_lockstep(cell, ops):
     assert grid.within_range(q, 600.0) == \
         brute_force_within_range(oracle, q, 600.0)
     assert len(grid) == len(oracle)
+    fresh = SpatialHashGrid(cell)
+    for item_id, point in oracle.items():
+        fresh.insert(item_id, point)
+    assert grid.occupancy() == fresh.occupancy()
 
 
 @st.composite
