@@ -28,6 +28,7 @@ energy ledger through the network's flood and charge primitives.
 from __future__ import annotations
 
 import random
+from bisect import bisect_left, bisect_right
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import EmbeddingError
@@ -296,40 +297,86 @@ class EmbeddingProtocol:
         Primary criterion is the paper's: highest accumulated battery
         energy along the path; ties (fresh deployments have full
         batteries) break toward the strongest weakest-link so the
-        embedded edges survive mobility longest.
+        embedded edges survive mobility longest.  The answer is the
+        reachable pair with the greatest key
+
+            (battery1 + battery2, min(quality1, quality12, quality2),
+             -s1, -s2)
+
+        found without asking about every pair: whatever ``quality12``
+        turns out to be, the key is at most its *bound*, the same tuple
+        with ``min(quality1, quality2)`` in second place, and the bound
+        needs nothing but what each end contributes alone.  The medium
+        is asked only about pairs whose bound can still reach the best
+        key found so far.
         """
         now = self.network.sim.now
         medium = self.network.medium
-        # What each end contributes to a pair's key does not depend on
-        # the other end — its battery and the margin of its link to the
-        # endpoint — so it is asked once per sensor here, not once per
-        # pair below.  No link fault is installed at build time, so no
-        # hook sees the change in question order.
-        start_side = [
+        # What each end contributes — its battery and the margin of its
+        # link to the endpoint — is asked once per sensor.  These two
+        # scans read every pool position at ``now``, so the pair walk
+        # below moves no first read (the mobility RNG order is the
+        # exhaustive scan's), and no ``LinkFault`` exists before
+        # ``system.build()`` returns, so no hook sees which pairs are
+        # asked about or in what order.
+        start_side = sorted(
             (
-                s1,
-                medium.node(s1).battery_fraction,
-                medium.link_quality(start_node, s1, now),
-            )
-            for s1, _ in medium.reachable(start_node, pool, now)
-        ]
-        end_side = {
-            s2: (
-                medium.node(s2).battery_fraction,
-                medium.link_quality(s2, end_node, now),
-            )
-            for s2, _ in medium.reachable(end_node, pool, now)
-        }
-        best: Optional[Tuple[float, float, int, int]] = None
-        for s1, battery1, quality1 in start_side:
-            others = [s2 for s2 in end_side if s2 != s1]
-            for s2, _ in medium.reachable(s1, others, now):
-                battery2, quality2 = end_side[s2]
-                battery = battery1 + battery2
-                quality = min(
-                    quality1, medium.link_quality(s1, s2, now), quality2
+                (
+                    medium.node(s1).battery_fraction,
+                    medium.link_quality(start_node, s1, now),
+                    -s1,
                 )
-                key = (battery, quality, -s1, -s2)
+                for s1, _ in medium.reachable(start_node, pool, now)
+            ),
+            reverse=True,
+        )
+        end_side: Dict[int, Tuple[float, float]] = {}
+        by_battery: Dict[float, List[Tuple[float, int]]] = {}
+        for s2, _ in medium.reachable(end_node, pool, now):
+            battery2 = medium.node(s2).battery_fraction
+            quality2 = medium.link_quality(s2, end_node, now)
+            end_side[s2] = (battery2, quality2)
+            by_battery.setdefault(battery2, []).append((-quality2, s2))
+        # The end side in runs of equal battery, fullest first; inside
+        # a run the bound falls with quality2 and then with rising id,
+        # so what can still win is always a prefix.
+        runs: List[Tuple[float, Tuple[float, ...], Tuple[int, ...]]] = []
+        for battery2 in sorted(by_battery, reverse=True):
+            falling, ids = zip(*sorted(by_battery[battery2]))
+            runs.append((battery2, falling, ids))
+        best: Optional[Tuple[float, float, int, int]] = None
+        for battery1, quality1, minus_s1 in start_side:
+            candidates: List[int] = []
+            for battery2, falling, ids in runs:
+                cut = len(ids)
+                if best is not None:
+                    battery = battery1 + battery2
+                    if battery < best[0]:
+                        break   # and every later run holds less still
+                    if battery == best[0]:
+                        # best[2] came from an earlier s1, never this
+                        # one, so the id decides who takes a tie on
+                        # quality for the whole run at once.
+                        if minus_s1 > best[2] and quality1 >= best[1]:
+                            cut = bisect_right(falling, -best[1])
+                        elif quality1 > best[1]:
+                            cut = bisect_left(falling, -best[1])
+                        else:
+                            cut = 0
+                candidates += ids[:cut]
+            s1 = -minus_s1
+            if s1 in end_side and s1 in candidates:
+                candidates.remove(s1)
+            if not candidates:
+                continue
+            for s2, _ in medium.reachable(s1, candidates, now):
+                battery2, quality2 = end_side[s2]
+                key = (
+                    battery1 + battery2,
+                    min(quality1, medium.link_quality(s1, s2, now), quality2),
+                    minus_s1,
+                    -s2,
+                )
                 if best is None or key > best:
                     best = key
         if best is not None:

@@ -455,17 +455,26 @@ class ReferRouter:
         on_delivered: Optional[DeliveredCallback],
         on_dropped: Optional[DroppedCallback],
     ) -> None:
-        """Hand off to the first entry member that accepts the packet."""
-        member, rest = candidates[0], candidates[1:]
+        """Hand off to the first entry member that accepts the packet.
+
+        The candidates were ranked before an earlier one's hop failed;
+        maintenance may have replaced some since, and those are
+        stepped over.  None left (or none to begin with) is an
+        ``entry-failed`` drop.
+        """
+        for tried, member in enumerate(candidates, 1):
+            if cell.holds(member):
+                break
+        else:
+            self._drop(packet, on_dropped, "entry-failed")
+            return
+        rest = candidates[tried:]
 
         def entry_failed(pkt: Packet, at: int) -> None:
-            if rest:
-                self._enter_via_members(
-                    from_id, rest, cell, dest_kid, pkt,
-                    on_delivered, on_dropped,
-                )
-            else:
-                self._drop(pkt, on_dropped, "entry-failed")
+            self._enter_via_members(
+                from_id, rest, cell, dest_kid, pkt,
+                on_delivered, on_dropped,
+            )
 
         self._hop_then_route(
             from_id, member, cell, dest_kid, packet,

@@ -18,9 +18,8 @@ so any cell size gives the same neighbours (ascending node id);
 tests hold it to.
 
 Link questions (``can_transmit``, ``link_quality`` and their batched
-forms ``reachable`` and ``link_margins`` / ``link_margins_each``) are
-answered from exact positions at ``now``, one ``hypot`` per pair
-(:meth:`Node.distance_to`).
+forms ``reachable`` and ``link_margins_each``) are answered from exact
+positions at ``now``, one ``hypot`` per pair (:meth:`Node.distance_to`).
 
 A bucket starts at its first snapshot query — ``neighbors`` or
 ``contention_at``, through one shared step — and that instant is the
@@ -81,12 +80,11 @@ class LinkFault(Protocol):
     range, ``quality_factor`` only when the distance is strictly inside
     the shorter of the two ranges, once per query and in query order.
     The batched forms keep it: ``reachable`` asks ``link_up(src, dst)``
-    per destination in the order given; ``link_margins`` asks, peer by
-    peer, ``link_up(peer, node)`` and — only if that held —
-    ``link_up(node, peer)``, and after the last peer every
-    ``quality_factor(node, peer)``, none when no peer is covered;
-    ``link_margins_each`` does that node by node, finishing one node's
-    questions before the next node's first.
+    per destination in the order given; ``link_margins_each`` asks, for
+    one node, peer by peer, ``link_up(peer, node)`` and — only if that
+    held — ``link_up(node, peer)``, and after the last peer every
+    ``quality_factor(node, peer)``, none when no peer is covered,
+    finishing one node's questions before the next node's first.
     """
 
     def link_up(self, src_id: int, dst_id: int, now: float) -> bool:
@@ -361,31 +359,24 @@ class WirelessMedium:
                 margins.append(quality)
         return margins
 
-    def link_margins(
-        self, node_id: int, peer_ids: Iterable[int], now: float
-    ) -> Tuple[int, List[float]]:
-        """``node_id`` against each peer, from one distance per pair.
-
-        Returns how many peers are *covered* — ``can_transmit(peer,
-        node)`` and ``can_transmit(node, peer)`` both hold — and the
-        ``link_quality(node, peer)`` of every peer in the order given.
-        The margins are what a caller ranks covered candidates by, so
-        when nothing is covered none is computed and the list is empty.
-        """
-        return self.link_margins_each((node_id,), peer_ids, now)[0]
-
     def link_margins_each(
         self, node_ids: Iterable[int], peer_ids: Iterable[int], now: float
     ) -> List[Tuple[int, List[float]]]:
-        """:meth:`link_margins` of each node against the same peers,
-        node by node in the order given.
+        """Each node against the same peers, from one distance per
+        pair: a ``(covered, margins)`` per node, in the order given.
+
+        ``covered`` is how many peers have ``can_transmit(peer, node)``
+        and ``can_transmit(node, peer)`` both hold; ``margins`` is the
+        ``link_quality(node, peer)`` of every peer in the order given.
+        The margins are what a caller ranks covered candidates by, so
+        when nothing is covered none is computed and the list is empty.
 
         The peers are resolved once and their liveness and range read
         once; each peer's position is read where the first node that
         measures it would read it, and kept.  Every ``LinkFault`` hook
         and every position's first read at this ``now`` therefore
-        falls exactly where one :meth:`link_margins` call per node
-        puts it.
+        falls exactly where asking node by node, one call each, puts
+        it.
         """
         nodes = self._resolve(node_ids)
         peers = self._resolve(peer_ids)

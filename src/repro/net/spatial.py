@@ -139,11 +139,6 @@ class SpatialHashGrid:
             del self._cells[key]
         self.stats.removes += 1
 
-    def move(self, item_id: int, point: Point) -> None:
-        """:meth:`move_all` of one item, its cell re-hashed now."""
-        self.move_all(((item_id, point),))
-        self._settle()
-
     def move_all(self, moves: Iterable[Tuple[int, Point]]) -> None:
         """Update many positions now and their cells on demand.
 

@@ -8,6 +8,8 @@ from repro.core.embedding import EmbeddingProtocol
 from repro.core.ids import ReferId
 from repro.core.routing import ReferRouter
 from repro.errors import RoutingError
+from repro.experiments.config import ScenarioConfig
+from repro.experiments.runner import run_scenario
 from repro.kautz.strings import KautzString
 from repro.net.energy import Phase
 from repro.net.network import WirelessNetwork
@@ -236,3 +238,55 @@ class TestFaultAttribution:
         sim.run_until(5.0)
         assert router.stats.fault_detours == 0
         assert router.stats.fault_drops == 0
+
+
+class TestReplacedEntryCandidate:
+    """Entry candidates are ranked once; by the time a later one is
+    tried (an earlier hop failed) maintenance may have replaced it."""
+
+    def test_a_replaced_candidate_is_stepped_over(self):
+        sim, network, plan, cells, router, rng = build_world()
+        cell = cells[0]
+        members = {m for c in cells for m in c.member_ids}
+        outsiders = [s for s in range(5, 205) if s not in members]
+        source, candidates = next(
+            (s, ranked)
+            for s in outsiders
+            for ranked in [router._ranked_members(s, cell, sim.now)]
+            if len(ranked) >= 2 and network.node(ranked[0]).is_sensor
+        )
+        stale = candidates[0]
+        cell.reassign(
+            cell.kid_of(stale), next(s for s in outsiders if s != source)
+        )
+        done, dropped = [], []
+        router._enter_via_members(
+            source, candidates, cell, cell.actuator_kids[0],
+            packet(sim, source), done.append, dropped.append,
+        )
+        sim.run_until(2.0)
+        assert len(done) == 1 and not dropped
+        assert stale not in done[0].hops
+
+    def test_no_candidate_left_is_an_entry_failure(self):
+        sim, network, plan, cells, router, rng = build_world()
+        cell = cells[0]
+        dropped = []
+        router._enter_via_members(
+            150, [-1], cell, cell.actuator_kids[0],
+            packet(sim, 150), None, dropped.append,
+        )
+        assert [p.meta["drop_reason"] for p in dropped] == ["entry-failed"]
+
+    def test_refer_build_scenario_seed_1005_completes(self):
+        """The run that found it: before the fix it died with a bare
+        ``EmbeddingError: node 68 not a member of cell 4``."""
+        result = run_scenario(
+            "REFER",
+            ScenarioConfig(
+                seed=1005, sensor_count=800, sim_time=20.0, warmup=2.0,
+                rate_pps=12.0, packet_bytes=1000,
+            ),
+        )
+        assert result.generated == 1200
+        assert result.delivered_total + result.dropped == result.generated

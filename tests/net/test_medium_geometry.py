@@ -8,9 +8,8 @@ oracle here is the long way round — two ``Point`` objects and
 static and moving, with a range drawn *exactly equal* to the distance
 in a third of the cases (``<=`` for reach, ``>=`` for zero margin).
 
-The batched forms ``reachable`` and ``link_margins`` /
-``link_margins_each`` are held to the single-pair questions they
-replace: same answers, the same ``LinkFault`` hook sequence, and — the
+The batched forms ``reachable`` and ``link_margins_each`` are held to
+the single-pair questions they replace: same answers, the same ``LinkFault`` hook sequence, and — the
 walkers of a world share one RNG, as a deployment's do — the same leg
 roll-over draws, i.e. the same positions read first in the same order.
 """
@@ -187,7 +186,7 @@ worlds = st.tuples(
 
 #: The node axis of ``link_margins_each``: which nodes (index modulo
 #: the world's size) are asked about, in order; repeats and nodes that
-#: are also peers included.  ``[0]`` is the one-node ``link_margins``.
+#: are also peers included.
 node_axes = st.lists(st.integers(0, 7), max_size=5)
 
 
@@ -220,7 +219,9 @@ def test_link_margins_is_the_composition_it_replaces(world, axis):
         assert batched_fault.calls == fault.calls
 
     single, single_rng, single_fault = build_world(specs, seed, now, faulted)
-    assert [single.link_margins(n, peers, now) for n in nodes] == expected
+    assert [
+        single.link_margins_each((n,), peers, now)[0] for n in nodes
+    ] == expected
     assert single_rng.getstate() == rng.getstate()
     if faulted:
         assert single_fault.calls == fault.calls
@@ -255,11 +256,12 @@ def test_batched_forms_reject_unknown_ids():
         [(0.0, 0.0, False, 50.0, None), (10.0, 0.0, False, 50.0, None)],
         seed=0, now=0.0, faulted=False,
     )
-    for ask in (medium.reachable, medium.link_margins):
-        with pytest.raises(NetworkError, match="unknown node id 9"):
-            ask(0, [1, 9], 0.0)
-        with pytest.raises(NetworkError, match="unknown node id 9"):
-            ask(9, [1], 0.0)
+    with pytest.raises(NetworkError, match="unknown node id 9"):
+        medium.reachable(0, [1, 9], 0.0)
+    with pytest.raises(NetworkError, match="unknown node id 9"):
+        medium.reachable(9, [1], 0.0)
+    with pytest.raises(NetworkError, match="unknown node id 9"):
+        medium.link_margins_each([9], [1], 0.0)
     with pytest.raises(NetworkError, match="unknown node id 9"):
         medium.link_margins_each([0, 9], [1], 0.0)
     with pytest.raises(NetworkError, match="unknown node id 9"):

@@ -45,7 +45,7 @@ class TestGridBasics:
         with pytest.raises(NetworkError):
             grid.remove(7)
         with pytest.raises(NetworkError):
-            grid.move(7, Point(0, 0))
+            grid.move_all(((7, Point(0, 0)),))
 
     def test_negative_radius_rejected(self):
         grid = SpatialHashGrid(1.0)
@@ -103,7 +103,8 @@ class TestGridMove:
     def test_move_within_cell_does_not_rebucket(self):
         grid = SpatialHashGrid(10.0)
         grid.insert(1, Point(1.0, 1.0))
-        grid.move(1, Point(2.0, 2.0))
+        grid.move_all(((1, Point(2.0, 2.0)),))
+        assert grid.within_range(Point(2.0, 2.0), 1.0) == [(1, 0.0)]
         assert grid.stats.rebuckets == 0
         assert grid.stats.in_cell_moves == 1
         assert grid.position_of(1) == Point(2.0, 2.0)
@@ -111,10 +112,10 @@ class TestGridMove:
     def test_move_across_cells_rebuckets(self):
         grid = SpatialHashGrid(10.0)
         grid.insert(1, Point(1.0, 1.0))
-        grid.move(1, Point(25.0, 1.0))
-        assert grid.stats.rebuckets == 1
+        grid.move_all(((1, Point(25.0, 1.0)),))
         assert [i for i, _ in grid.within_range(Point(25.0, 0.0), 5.0)] == [1]
         assert grid.within_range(Point(0.0, 0.0), 5.0) == []
+        assert grid.stats.rebuckets == 1
 
     def test_occupancy_snapshot(self):
         grid = SpatialHashGrid(10.0)
@@ -167,7 +168,7 @@ class TestDeferredRehash:
         grid = self.build()
         grid.move_all([(0, Point(57.0, 1.0)), (1, Point(58.0, 1.0))])
         grid.remove(0)
-        grid.move(1, Point(91.0, 1.0))
+        grid.move_all(((1, Point(91.0, 1.0)),))
         assert grid.within_range(Point(56.0, 1.0), 5.0) == [(2, 1.0)]
         assert [i for i, _ in grid.within_range(Point(90.0, 1.0), 5.0)] == [1]
         assert grid.occupancy() == rebuilt(grid).occupancy()

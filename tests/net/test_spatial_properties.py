@@ -122,7 +122,7 @@ def test_churn_keeps_grid_and_oracle_in_lockstep(cell, ops):
             grid.insert(item_id, Point(x, y))
             oracle[item_id] = Point(x, y)
         elif op == "move" and item_id in oracle:
-            grid.move(item_id, Point(x, y))
+            grid.move_all(((item_id, Point(x, y)),))
             oracle[item_id] = Point(x, y)
         elif op == "drift":
             moved = {
