@@ -2,12 +2,17 @@
 
 Every bench:
 
-* reads its effort knobs from the environment —
-  ``REFER_BENCH_SEEDS`` (default 2), ``REFER_BENCH_SIM_TIME`` (default
-  30 s measured), ``REFER_BENCH_RATE`` (default 12 packets/s/source),
-  ``REFER_BENCH_WORKERS`` (default 0 = in-process; >0 routes
-  campaign-shaped benches through the parallel supervisor);
-* regenerates one evaluation figure via ``repro.experiments.figures``;
+* reads its effort knobs from the environment — the whole list, five
+  variables: ``REFER_BENCH_SEEDS`` (default 2),
+  ``REFER_BENCH_SIM_TIME`` (default 30 s measured),
+  ``REFER_BENCH_RATE`` (default 12 packets/s/source),
+  ``REFER_BENCH_WORKERS`` (default 0 = the jobs run in this process;
+  >0 = that many spawned workers, same numbers) and
+  ``REFER_BENCH_FULL=1`` (unlocks the 10k-sensor point of
+  ``bench_engine_scaling.py``); everything else a bench needs is a
+  constant in its file;
+* regenerates one evaluation figure via :func:`bench_figure`
+  (``repro.experiments.campaign.run_figure`` at those knobs);
 * prints the series table (also saved under ``benchmarks/results/``,
   with a machine-readable ``BENCH_<name>.json`` twin) so the rows the
   paper plots can be read off the bench output or scraped by tooling;
@@ -25,6 +30,7 @@ import json
 import os
 import pathlib
 
+from repro.experiments.campaign import run_figure
 from repro.experiments.config import ScenarioConfig
 from repro.experiments.figures import FigureData
 from repro.experiments.report import format_figure
@@ -37,7 +43,7 @@ def bench_seeds() -> int:
 
 
 def bench_workers() -> int:
-    """Worker processes for campaign-shaped benches (0 = in-process)."""
+    """Worker processes the benches' grids run in (0 = in-process)."""
     return int(os.environ.get("REFER_BENCH_WORKERS", "0"))
 
 
@@ -48,6 +54,18 @@ def bench_base_config() -> ScenarioConfig:
         sim_time=sim_time,
         warmup=max(2.0, sim_time / 10.0),
         rate_pps=rate,
+    )
+
+
+def bench_figure(name: str, xs, seeds=None) -> FigureData:
+    """Regenerate figure ``name`` over ``xs`` at the bench's knobs
+    (``seeds=None``: :func:`bench_seeds`)."""
+    return run_figure(
+        name,
+        bench_base_config(),
+        xs,
+        seeds=bench_seeds() if seeds is None else seeds,
+        workers=bench_workers(),
     )
 
 

@@ -13,11 +13,9 @@ under ``benchmarks/results/ablation_neighbor_index.txt``.
 Reading the table: brute-force per-query cost grows linearly with n
 (per-bucket cost quadratically); the grid's stays flat because a query
 only examines the cells overlapping its disk — so the per-bucket cost
-is O(n) and the speedup grows with n.  ``REFER_BENCH_INDEX_SIZES``
-overrides the swept sizes.
+is O(n) and the speedup grows with n.
 """
 
-import os
 import time
 
 from repro.net.medium import WirelessMedium
@@ -35,11 +33,7 @@ SPACING = 35.0
 RANGE_M = 100.0
 QUERIES = 200
 REPEATS = 3
-
-
-def sizes():
-    raw = os.environ.get("REFER_BENCH_INDEX_SIZES", "100,400,1600,6400")
-    return [int(x) for x in raw.split(",") if x]
+SIZES = (100, 400, 1600, 6400)
 
 
 def build_medium(n):
@@ -88,7 +82,7 @@ def best_sweep(sweep):
 
 def run_ablation():
     rows = []
-    for n in sizes():
+    for n in SIZES:
         medium = build_medium(n)
         node_ids = sample_queries(n)
         medium.neighbors(node_ids[0], 0.0)   # build snapshot + index once

@@ -5,18 +5,14 @@ REFER, moderate decreases in DaTree and D-DEAR, and a *sharp* decrease
 in Kautz-overlay.
 """
 
-from repro.experiments.figures import fig4_throughput_vs_mobility
-
-from _common import bench_base_config, bench_seeds, emit, series_values
+from _common import bench_figure, emit, series_values
 
 SPEEDS = (0.5, 2.0, 3.5, 5.0)
 
 
 def test_fig4(benchmark):
     data = benchmark.pedantic(
-        lambda: fig4_throughput_vs_mobility(
-            base=bench_base_config(), speeds=SPEEDS, seeds=bench_seeds()
-        ),
+        lambda: bench_figure("fig4", SPEEDS),
         rounds=1,
         iterations=1,
     )

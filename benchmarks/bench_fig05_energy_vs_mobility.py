@@ -5,18 +5,14 @@ significantly less than the rest with only a slight increase; DaTree's
 broadcast repairs make it grow rapidly; D-DEAR sits between.
 """
 
-from repro.experiments.figures import fig5_energy_vs_mobility
-
-from _common import bench_base_config, bench_seeds, emit, series_values
+from _common import bench_figure, emit, series_values
 
 SPEEDS = (0.5, 2.0, 3.5, 5.0)
 
 
 def test_fig5(benchmark):
     data = benchmark.pedantic(
-        lambda: fig5_energy_vs_mobility(
-            base=bench_base_config(), speeds=SPEEDS, seeds=bench_seeds()
-        ),
+        lambda: bench_figure("fig5", SPEEDS),
         rounds=1,
         iterations=1,
     )

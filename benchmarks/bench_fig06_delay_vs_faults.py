@@ -6,18 +6,14 @@ retransmission); Kautz-overlay's multi-hop overlay segments give it by
 far the highest delay.
 """
 
-from repro.experiments.figures import fig6_delay_vs_faults
-
-from _common import bench_base_config, bench_seeds, emit, series_values
+from _common import bench_figure, emit, series_values
 
 FAULTS = (2, 6, 10)
 
 
 def test_fig6(benchmark):
     data = benchmark.pedantic(
-        lambda: fig6_delay_vs_faults(
-            base=bench_base_config(), fault_counts=FAULTS, seeds=bench_seeds()
-        ),
+        lambda: bench_figure("fig6", FAULTS),
         rounds=1,
         iterations=1,
     )

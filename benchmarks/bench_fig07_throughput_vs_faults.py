@@ -5,18 +5,14 @@ decline is slight; Kautz-overlay delivers the least in absolute terms
 (its long paths cross the 0.6 s QoS bound first).
 """
 
-from repro.experiments.figures import fig7_throughput_vs_faults
-
-from _common import bench_base_config, bench_seeds, emit, series_values
+from _common import bench_figure, emit, series_values
 
 FAULTS = (2, 6, 10)
 
 
 def test_fig7(benchmark):
     data = benchmark.pedantic(
-        lambda: fig7_throughput_vs_faults(
-            base=bench_base_config(), fault_counts=FAULTS, seeds=bench_seeds()
-        ),
+        lambda: bench_figure("fig7", FAULTS),
         rounds=1,
         iterations=1,
     )

@@ -5,18 +5,14 @@ Paper shape: REFER's delay stays nearly constant as the network grows
 DaTree and Kautz-overlay increase sharply, with the overlay far worst.
 """
 
-from repro.experiments.figures import fig8_delay_vs_size
-
-from _common import bench_base_config, bench_seeds, emit, series_values
+from _common import bench_figure, emit, series_values
 
 SIZES = (100, 200, 300, 400)
 
 
 def test_fig8(benchmark):
     data = benchmark.pedantic(
-        lambda: fig8_delay_vs_size(
-            base=bench_base_config(), sizes=SIZES, seeds=bench_seeds()
-        ),
+        lambda: bench_figure("fig8", SIZES),
         rounds=1,
         iterations=1,
     )

@@ -6,18 +6,14 @@ sensors maintain links, not just heads) and above Kautz-overlay (the
 overlay needs no source retransmissions).
 """
 
-from repro.experiments.figures import fig9_energy_vs_size
-
-from _common import bench_base_config, bench_seeds, emit, series_values
+from _common import bench_figure, emit, series_values
 
 SIZES = (100, 200, 300, 400)
 
 
 def test_fig9(benchmark):
     data = benchmark.pedantic(
-        lambda: fig9_energy_vs_size(
-            base=bench_base_config(), sizes=SIZES, seeds=bench_seeds()
-        ),
+        lambda: bench_figure("fig9", SIZES),
         rounds=1,
         iterations=1,
     )

@@ -7,9 +7,7 @@ per-sensor beacons; REFER adds the actuator exchange plus per-cell
 path queries; Kautz-overlay floods once per overlay member.
 """
 
-from repro.experiments.figures import fig10_construction_energy_vs_size
-
-from _common import bench_base_config, emit, series_values
+from _common import bench_figure, emit, series_values
 
 SIZES = (100, 200, 300, 400)
 
@@ -17,9 +15,7 @@ SIZES = (100, 200, 300, 400)
 def test_fig10(benchmark):
     # Construction is deterministic given the deployment: 1 seed suffices.
     data = benchmark.pedantic(
-        lambda: fig10_construction_energy_vs_size(
-            base=bench_base_config(), sizes=SIZES, seeds=1
-        ),
+        lambda: bench_figure("fig10", SIZES, seeds=1),
         rounds=1,
         iterations=1,
     )

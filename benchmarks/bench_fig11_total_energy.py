@@ -7,13 +7,7 @@ and additionally reports REFER's construction share both as measured
 at bench scale and extrapolated to the paper's traffic scale.
 """
 
-from repro.experiments.figures import (
-    fig9_energy_vs_size,
-    fig10_construction_energy_vs_size,
-    fig11_total_energy_vs_size,
-)
-
-from _common import bench_base_config, bench_seeds, emit, series_values
+from _common import bench_base_config, bench_figure, emit, series_values
 
 SIZES = (100, 200, 300, 400)
 
@@ -26,18 +20,12 @@ PAPER_SIM_TIME = 1000.0
 def test_fig11(benchmark):
     base = bench_base_config()
     data = benchmark.pedantic(
-        lambda: fig11_total_energy_vs_size(
-            base=base, sizes=SIZES, seeds=bench_seeds()
-        ),
-        rounds=1,
-        iterations=1,
+        lambda: bench_figure("fig11", SIZES), rounds=1, iterations=1
     )
     emit(data, "fig11_total_energy.txt")
 
-    comm = fig9_energy_vs_size(base=base, sizes=SIZES, seeds=bench_seeds())
-    constr = fig10_construction_energy_vs_size(
-        base=base, sizes=SIZES, seeds=1
-    )
+    comm = bench_figure("fig9", SIZES)
+    constr = bench_figure("fig10", SIZES, seeds=1)
     scale = (PAPER_RATE_PPS * PAPER_SIM_TIME) / (
         base.rate_pps * base.sim_time
     )

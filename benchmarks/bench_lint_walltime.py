@@ -5,10 +5,9 @@ summary fixpoint) multiplied the work the linter does per file; this
 bench keeps that honest.  It lints ``src`` and ``tests`` with the
 complete rule pack — the exact workload of the CI lint step and of the
 package-quality test — ``REPEATS`` times, takes the best pass (best-of
-discards scheduler noise), and gates it at
-``REFER_BENCH_LINT_BUDGET`` seconds of wall time (default 20 s, an
-order of magnitude above today's cost so only a complexity regression,
-not machine jitter, can trip it).
+discards scheduler noise), and gates it at ``BUDGET`` seconds of wall
+time (20 s, an order of magnitude above today's cost so only a
+complexity regression, not machine jitter, can trip it).
 
 Alongside the human table, a machine-readable
 ``results/BENCH_lint_walltime.json`` twin records the timings, the
@@ -18,7 +17,6 @@ diffed across PRs.
 
 import gc
 import json
-import os
 import pathlib
 import time
 
@@ -31,8 +29,8 @@ from _common import RESULTS_DIR
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 LINT_PATHS = [str(REPO_ROOT / "src"), str(REPO_ROOT / "tests")]
 
-REPEATS = int(os.environ.get("REFER_BENCH_LINT_REPEATS", "3"))
-BUDGET = float(os.environ.get("REFER_BENCH_LINT_BUDGET", "20.0"))
+REPEATS = 3
+BUDGET = 20.0
 
 
 def timed_lint():

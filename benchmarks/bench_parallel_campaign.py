@@ -1,25 +1,16 @@
-"""Parallel-campaign gate: the supervisor must earn its processes.
+"""Parallel-campaign gate: the worker pool must earn its processes.
 
-One fig4 campaign grid (4 systems x sweep points x seeds), run twice:
-once through the classic in-process serial loop and once through the
-supervised worker pool (:mod:`repro.experiments.parallel`) at
-``REFER_BENCH_PAR_WORKERS`` workers.  The gate is twofold:
+One fig4 campaign grid (4 systems x sweep points x seeds), run twice
+through the one campaign path (:func:`repro.experiments.campaign.run_campaign`):
+once with the jobs in this process (``workers=0``) and once in
+``WORKERS`` spawned workers.  The gate is twofold:
 
-* **identical output** — the merged parallel figure must equal the
-  serial figure exactly (the merge is keyed on job identity, so
-  process scheduling cannot leak into the numbers);
-* **speed** — wall-clock speedup must be at least
-  ``REFER_BENCH_PAR_GATE`` (default 1.8x) at 4 workers.  Skipped on
-  hosts with fewer than 4 CPUs, where the pool cannot physically win.
-
-Knobs:
-
-* ``REFER_BENCH_PAR_SIM_TIME`` measured seconds per scenario (default
-  12; long enough that one job amortises its worker spawn + import)
-* ``REFER_BENCH_PAR_POINTS``   fig4 sweep points (default ``2,6``)
-* ``REFER_BENCH_PAR_SEEDS``    seeds per point (default 1)
-* ``REFER_BENCH_PAR_WORKERS``  pool size (default 4)
-* ``REFER_BENCH_PAR_GATE``     speedup floor (default 1.8)
+* **identical output** — the pooled figure must equal the in-process
+  figure exactly (the merge is keyed on job identity, so process
+  scheduling cannot leak into the numbers);
+* **speed** — wall-clock speedup must be at least ``GATE`` at
+  ``WORKERS`` workers.  Skipped on hosts with fewer CPUs than workers,
+  where the pool cannot physically win.
 """
 
 import json
@@ -30,18 +21,16 @@ import pytest
 
 from repro.experiments.campaign import run_campaign
 from repro.experiments.config import ScenarioConfig
-from repro.experiments.parallel import parallel_campaign
 
 from _common import RESULTS_DIR
 
-SIM_TIME = float(os.environ.get("REFER_BENCH_PAR_SIM_TIME", "12"))
-POINTS = tuple(
-    float(p)
-    for p in os.environ.get("REFER_BENCH_PAR_POINTS", "2,6").split(",")
-)
-SEEDS = int(os.environ.get("REFER_BENCH_PAR_SEEDS", "1"))
-WORKERS = int(os.environ.get("REFER_BENCH_PAR_WORKERS", "4"))
-GATE = float(os.environ.get("REFER_BENCH_PAR_GATE", "1.8"))
+#: Measured seconds per scenario: long enough that one job amortises
+#: its worker spawn + import.
+SIM_TIME = 12.0
+POINTS = (2.0, 6.0)      # fig4 sweep points
+SEEDS = 1
+WORKERS = 4
+GATE = 1.8               # speedup floor
 
 
 def _base():
@@ -56,16 +45,16 @@ def _base():
     (os.cpu_count() or 1) < WORKERS,
     reason=f"parallel speedup gate needs >= {WORKERS} CPUs",
 )
-def test_parallel_campaign_speedup_gate():
+def test_pool_speedup_gate():
     base = _base()
     kwargs = dict(seeds=SEEDS, figures=["fig4"], sweeps={"fig4": POINTS})
 
     start = time.perf_counter()
-    serial = run_campaign(base, **kwargs)
+    serial = run_campaign(base, workers=0, **kwargs)
     serial_s = time.perf_counter() - start
 
     start = time.perf_counter()
-    parallel = parallel_campaign(base, workers=WORKERS, **kwargs)
+    parallel = run_campaign(base, workers=WORKERS, **kwargs)
     parallel_s = time.perf_counter() - start
 
     assert parallel.failed_jobs == ()
@@ -87,10 +76,10 @@ def test_parallel_campaign_speedup_gate():
         ]
     )
     RESULTS_DIR.mkdir(exist_ok=True)
-    (RESULTS_DIR / "parallel_campaign.txt").write_text(
+    (RESULTS_DIR / "campaign_pool.txt").write_text(
         table + "\n", encoding="utf-8"
     )
-    (RESULTS_DIR / "BENCH_parallel_campaign.json").write_text(
+    (RESULTS_DIR / "BENCH_campaign_pool.json").write_text(
         json.dumps(
             {
                 "gate": GATE,

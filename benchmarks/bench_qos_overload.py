@@ -14,13 +14,10 @@ The headline claims under test:
 * alarm deadline misses stay <= 5% at 10x with QoS on;
 * the shaped overload run is byte-identical across repeats.
 
-Effort knobs: ``REFER_BENCH_SEEDS`` (default 2) seeds per point and
-``REFER_BENCH_QOS_SIM_TIME`` (default 8 s measured; the 100x point
-routes ~50k packets unshaped, so this bench keeps its own knob rather
-than inheriting the 30 s figure default).
+Effort knob: ``REFER_BENCH_SEEDS`` (default 2) seeds per point.  The
+measured time is ``SIM_TIME`` below, not the 30 s figure default: the
+100x point routes ~50k packets unshaped.
 """
-
-import os
 
 from repro.experiments.config import ScenarioConfig
 from repro.experiments.figures import FigureData, SeriesPoint
@@ -28,20 +25,20 @@ from repro.experiments.runner import run_scenario
 from repro.qos import BurstyConfig, QosConfig
 from repro.util.stats import confidence_interval_95
 
-from _common import emit
+from _common import bench_seeds, emit
 
 LOAD_MULTIPLIERS = (1.0, 10.0, 100.0)
 SERIES_ON = "REFER (QoS on)"
 SERIES_OFF = "REFER (QoS off)"
+SIM_TIME = 8.0
 
 
 def _base_config(seed: int) -> ScenarioConfig:
-    sim_time = float(os.environ.get("REFER_BENCH_QOS_SIM_TIME", "8"))
     return ScenarioConfig(
         seed=seed,
         sensor_count=40,
         area_side=220.0,
-        sim_time=sim_time,
+        sim_time=SIM_TIME,
         warmup=2.0,
     )
 
@@ -77,7 +74,7 @@ def _fingerprint(result):
 
 
 def test_qos_overload(benchmark):
-    seeds = int(os.environ.get("REFER_BENCH_SEEDS", "2"))
+    seeds = bench_seeds()
 
     def sweep():
         results = {}

@@ -15,12 +15,10 @@ baseline's time-to-recovery (modulo the probe-window floor) while
 reporting real detection latency per fault class.
 
 Effort knobs are the shared bench environment variables
-(``REFER_BENCH_SEEDS``, ``REFER_BENCH_SIM_TIME``, ``REFER_BENCH_RATE``)
-plus ``REFER_BENCH_FAULT_CLASSES`` (comma-separated subset of the
-default rotation/permanent/blackout/battery).
+(``REFER_BENCH_SEEDS``, ``REFER_BENCH_SIM_TIME``, ``REFER_BENCH_RATE``,
+``REFER_BENCH_WORKERS``); the fault classes are the campaign's default
+rotation/permanent/blackout/battery.
 """
-
-import os
 
 from repro.experiments.resilience import (
     DEFAULT_FAULT_CLASSES,
@@ -29,36 +27,26 @@ from repro.experiments.resilience import (
 )
 from repro.recovery import RecoveryConfig
 
-from _common import RESULTS_DIR, bench_base_config, bench_seeds
+from _common import (
+    RESULTS_DIR,
+    bench_base_config,
+    bench_seeds,
+    bench_workers,
+)
 
 FLOODING_SYSTEMS = ("DaTree", "D-DEAR", "Kautz-overlay")
 
 
-def _fault_classes():
-    raw = os.environ.get("REFER_BENCH_FAULT_CLASSES", "")
-    if not raw:
-        return DEFAULT_FAULT_CLASSES
-    return tuple(part.strip() for part in raw.split(",") if part.strip())
-
-
 def test_resilience_recovery(benchmark):
     base = bench_base_config()
-    classes = _fault_classes()
+    grid = dict(
+        intensities=(2, 6), seeds=bench_seeds(), workers=bench_workers()
+    )
 
     def sweep():
-        omniscient = resilience_campaign(
-            base,
-            fault_classes=classes,
-            intensities=(2, 6),
-            seeds=bench_seeds(),
-        )
+        omniscient = resilience_campaign(base, **grid)
         healed = resilience_campaign(
-            base,
-            systems=("REFER",),
-            fault_classes=classes,
-            intensities=(2, 6),
-            seeds=bench_seeds(),
-            recovery=RecoveryConfig(),
+            base, systems=("REFER",), recovery=RecoveryConfig(), **grid
         )
         return omniscient, healed
 
@@ -74,9 +62,10 @@ def test_resilience_recovery(benchmark):
     )
     print("\n" + table)
 
+    assert not result.failed_jobs and not healed.failed_jobs
     refer = [c for c in result.cells if c.system == "REFER"]
     assert refer, "campaign must cover REFER"
-    assert len(result.fault_classes()) >= 4 or len(classes) < 4
+    assert result.fault_classes() == list(DEFAULT_FAULT_CLASSES)
 
     # REFER repairs locally: no route-discovery floods, ever — flood
     # energy is exactly 0.0 by construction, not approximately.

@@ -35,7 +35,6 @@ meaningless if observation or tracing perturbs the simulation.
 
 import gc
 import json
-import os
 import statistics
 import time
 
@@ -46,7 +45,8 @@ from repro.telemetry.tracing import TracingConfig
 
 from _common import RESULTS_DIR
 
-REPEATS = int(os.environ.get("REFER_BENCH_TELEMETRY_REPEATS", "10"))
+REPEATS = 10
+SIM_TIME = 20.0
 #: Microseconds of CPU one flight-recorder / trace event may cost.
 FLIGHT_EVENT_BUDGET_US = 3.0
 TRACE_EVENT_BUDGET_US = 3.0
@@ -66,12 +66,11 @@ METRIC_FIELDS = (
 
 
 def bench_config():
-    sim_time = float(os.environ.get("REFER_BENCH_TELEMETRY_SIM_TIME", "20"))
     return ScenarioConfig(
         seed=11,
         sensor_count=100,
-        sim_time=sim_time,
-        warmup=max(2.0, sim_time / 10.0),
+        sim_time=SIM_TIME,
+        warmup=max(2.0, SIM_TIME / 10.0),
         rate_pps=12.0,
     )
 

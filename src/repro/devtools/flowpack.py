@@ -60,8 +60,8 @@ def in_sim_scope(ctx: RuleContext) -> bool:
     are host-side code, but they sit one import away from the runner
     (the debugger replays whole sim runs in-process), so they are held
     to the same wall-clock discipline: every deliberate host-clock
-    read (worker deadlines, retry backoff) carries an individually
-    justified suppression instead of being waved through by scope.
+    read (worker deadlines) carries an individually justified
+    suppression instead of being waved through by scope.
     """
     return (
         ctx.in_directory(*SIM_SCOPED_DIRS)

@@ -49,5 +49,5 @@ class TelemetryError(ReproError):
 
 
 class CampaignError(ReproError):
-    """The parallel campaign supervisor hit unrecoverable state
-    (corrupt journal, malformed worker payload, broken worker pool)."""
+    """The campaign supervisor hit unrecoverable state (corrupt
+    journal, malformed payload) or a figure's jobs were quarantined."""

@@ -4,37 +4,21 @@ from repro.experiments.config import FaultConfig, ScenarioConfig
 from repro.experiments.metrics import MetricsCollector
 from repro.experiments.runner import SYSTEMS, RunResult, run_scenario
 from repro.experiments.workload import CbrWorkload
-from repro.experiments.figures import (
-    FigureData,
-    SeriesPoint,
-    fig4_throughput_vs_mobility,
-    fig5_energy_vs_mobility,
-    fig6_delay_vs_faults,
-    fig7_throughput_vs_faults,
-    fig8_delay_vs_size,
-    fig9_energy_vs_size,
-    fig10_construction_energy_vs_size,
-    fig11_total_energy_vs_size,
-)
+from repro.experiments.figures import FIGURE_SPECS, FigureData, SeriesPoint
 from repro.experiments.report import format_figure
 from repro.experiments.journal import CampaignJournal, spec_fingerprint
 from repro.experiments.parallel import (
     CampaignSupervisor,
     FailedJob,
     RetryPolicy,
-    WorkerFaultInjector,
-    parallel_campaign,
-    parallel_resilience_campaign,
 )
+from repro.experiments.campaign import run_campaign, run_figure
 
 __all__ = [
     "CampaignJournal",
     "CampaignSupervisor",
     "FailedJob",
     "RetryPolicy",
-    "WorkerFaultInjector",
-    "parallel_campaign",
-    "parallel_resilience_campaign",
     "spec_fingerprint",
     "FaultConfig",
     "ScenarioConfig",
@@ -43,15 +27,10 @@ __all__ = [
     "RunResult",
     "run_scenario",
     "CbrWorkload",
+    "FIGURE_SPECS",
     "FigureData",
     "SeriesPoint",
-    "fig4_throughput_vs_mobility",
-    "fig5_energy_vs_mobility",
-    "fig6_delay_vs_faults",
-    "fig7_throughput_vs_faults",
-    "fig8_delay_vs_size",
-    "fig9_energy_vs_size",
-    "fig10_construction_energy_vs_size",
-    "fig11_total_energy_vs_size",
+    "run_campaign",
+    "run_figure",
     "format_figure",
 ]

@@ -7,7 +7,9 @@ Examples::
     python -m repro.experiments run REFER --sensors 300 --speed 4
 
 ``fig4`` .. ``fig11`` regenerate one evaluation figure and print the
-series table; ``run`` executes a single scenario for one system and
+series table; ``campaign`` regenerates all eight as a markdown report
+(both take ``--workers/--journal/--resume``; exit code 3 = jobs were
+quarantined); ``run`` executes a single scenario for one system and
 prints its metrics.
 """
 
@@ -15,34 +17,18 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import Callable, Dict
 
+from repro.errors import CampaignError, ConfigError
 from repro.experiments import (
+    FIGURE_SPECS,
     ScenarioConfig,
-    fig4_throughput_vs_mobility,
-    fig5_energy_vs_mobility,
-    fig6_delay_vs_faults,
-    fig7_throughput_vs_faults,
-    fig8_delay_vs_size,
-    fig9_energy_vs_size,
-    fig10_construction_energy_vs_size,
-    fig11_total_energy_vs_size,
     format_figure,
+    run_figure,
     run_scenario,
 )
+from repro.experiments.campaign import campaign_report, run_campaign
 from repro.experiments.config import FaultConfig
 from repro.experiments.runner import SYSTEMS
-
-FIGURES: Dict[str, Callable] = {
-    "fig4": fig4_throughput_vs_mobility,
-    "fig5": fig5_energy_vs_mobility,
-    "fig6": fig6_delay_vs_faults,
-    "fig7": fig7_throughput_vs_faults,
-    "fig8": fig8_delay_vs_size,
-    "fig9": fig9_energy_vs_size,
-    "fig10": fig10_construction_energy_vs_size,
-    "fig11": fig11_total_energy_vs_size,
-}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -52,7 +38,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "command",
-        choices=sorted(FIGURES) + ["run", "campaign"],
+        choices=sorted(FIGURE_SPECS) + ["run", "campaign"],
         help="figure to regenerate, 'run' for a single scenario, or "
         "'campaign' for the full evaluation as a markdown report",
     )
@@ -80,33 +66,21 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers",
         type=int,
         default=0,
-        help="campaign only: worker processes for the supervised "
-        "parallel runner (0 = classic in-process serial loop)",
+        help="figures and campaign: worker processes the jobs run in "
+        "(0 = in this process)",
     )
     parser.add_argument(
         "--journal",
-        help="campaign only: JSONL checkpoint journal path; completed "
-        "jobs are recorded as they finish",
+        help="figures and campaign: JSONL checkpoint journal path; "
+        "completed jobs are recorded as they finish",
     )
     parser.add_argument(
         "--resume",
         action="store_true",
-        help="campaign only: replay the journal before running and "
-        "re-execute only the jobs it is missing",
+        help="figures and campaign: replay the journal before running "
+        "and re-execute only the jobs it is missing",
     )
     return parser
-
-
-_SWEEP_KEYWORD = {
-    "fig4": "speeds",
-    "fig5": "speeds",
-    "fig6": "fault_counts",
-    "fig7": "fault_counts",
-    "fig8": "sizes",
-    "fig9": "sizes",
-    "fig10": "sizes",
-    "fig11": "sizes",
-}
 
 
 def base_config(args: argparse.Namespace) -> ScenarioConfig:
@@ -123,21 +97,6 @@ def base_config(args: argparse.Namespace) -> ScenarioConfig:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if args.resume and not args.journal:
-        print("error: --resume needs --journal", file=sys.stderr)
-        return 2
-    if args.command == "campaign":
-        from repro.experiments.campaign import campaign_report, run_campaign
-
-        result = run_campaign(
-            base_config(args),
-            seeds=args.seeds,
-            workers=args.workers,
-            journal=args.journal,
-            resume=args.resume,
-        )
-        print(campaign_report(result))
-        return 0 if not result.failed_jobs else 3
     if args.command == "run":
         if args.system is None:
             print("error: 'run' needs a system name", file=sys.stderr)
@@ -153,17 +112,28 @@ def main(argv=None) -> int:
             f"  (dropped {result.dropped})"
         )
         return 0
-    kwargs = {}
-    if args.points:
-        keyword = _SWEEP_KEYWORD[args.command]
-        values = [
-            int(p) if keyword in ("sizes", "fault_counts") else p
-            for p in args.points
-        ]
-        kwargs[keyword] = tuple(values)
-    data = FIGURES[args.command](
-        base_config(args), seeds=args.seeds, **kwargs
+    supervision = dict(
+        workers=args.workers, journal=args.journal, resume=args.resume
     )
+    try:
+        if args.command == "campaign":
+            result = run_campaign(
+                base_config(args), seeds=args.seeds, **supervision
+            )
+            print(campaign_report(result))
+            return 0 if not result.failed_jobs else 3
+        xs = None
+        if args.points:
+            # An axis of sensor or fault counts is typed by its spec.
+            number = type(FIGURE_SPECS[args.command].default_xs[0])
+            xs = tuple(number(p) for p in args.points)
+        data = run_figure(
+            args.command, base_config(args), xs, seeds=args.seeds,
+            **supervision,
+        )
+    except (ConfigError, CampaignError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2 if isinstance(exc, ConfigError) else 3
     print(format_figure(data))
     return 0
 

@@ -1,23 +1,19 @@
 """Full-evaluation campaigns: regenerate every figure in one call.
 
 :func:`run_campaign` sweeps all eight evaluation figures (optionally a
-subset) and returns a :class:`CampaignResult`;
-:func:`campaign_report` renders it as a self-contained markdown
-document — the machinery behind ``EXPERIMENTS.md``-style write-ups::
+subset) and returns a :class:`CampaignResult`; :func:`run_figure` is
+the one-figure campaign; :func:`campaign_report` renders a result as a
+self-contained markdown document — the machinery behind
+``EXPERIMENTS.md``-style write-ups::
 
     from repro.experiments.campaign import run_campaign, campaign_report
     result = run_campaign(ScenarioConfig(sim_time=30), seeds=2)
     pathlib.Path("report.md").write_text(campaign_report(result))
 
-Thanks to the runner's memoisation, figures that share sweep points
-(Figs 8-11 all sweep network size) are computed once.
-
-Passing ``workers``/``journal``/``resume`` routes the same grid
-through the supervised multiprocess runner
-(:mod:`repro.experiments.parallel`): jobs fan out across worker
-processes, completions checkpoint to a JSONL journal, and the merge is
-keyed on stable job identities — so the parallel result (and a
-killed-and-resumed one) is byte-identical to this serial loop.
+Every grid runs through :func:`repro.experiments.parallel.supervise`:
+each distinct ``(system, config)`` point once (Figs 8-11 share their
+size sweep), in this process or in ``workers`` spawned ones, with
+``journal``/``resume`` checkpointing — none of which changes a number.
 """
 
 from __future__ import annotations
@@ -25,34 +21,18 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence
 
-from repro.errors import ConfigError
+from repro.errors import CampaignError, ConfigError
 from repro.experiments.config import ScenarioConfig
 from repro.experiments.figures import (
     ALL_SYSTEMS,
     FIGURE_SPECS,
     FigureData,
-    fig4_throughput_vs_mobility,
-    fig5_energy_vs_mobility,
-    fig6_delay_vs_faults,
-    fig7_throughput_vs_faults,
-    fig8_delay_vs_size,
-    fig9_energy_vs_size,
-    fig10_construction_energy_vs_size,
-    fig11_total_energy_vs_size,
     sweep_figure,
 )
+from repro.experiments.journal import spec_fingerprint
+from repro.experiments.parallel import supervise
+from repro.experiments.payload import merge_registry_snapshots
 from repro.experiments.report import format_figure
-
-FIGURE_FUNCTIONS: Dict[str, object] = {
-    "fig4": fig4_throughput_vs_mobility,
-    "fig5": fig5_energy_vs_mobility,
-    "fig6": fig6_delay_vs_faults,
-    "fig7": fig7_throughput_vs_faults,
-    "fig8": fig8_delay_vs_size,
-    "fig9": fig9_energy_vs_size,
-    "fig10": fig10_construction_energy_vs_size,
-    "fig11": fig11_total_energy_vs_size,
-}
 
 
 @dataclass
@@ -62,12 +42,12 @@ class CampaignResult:
     base: ScenarioConfig
     seeds: int
     figures: Dict[str, FigureData] = field(default_factory=dict)
-    #: Quarantined jobs of a parallel campaign
-    #: (:class:`repro.experiments.parallel.FailedJob`); empty for
-    #: serial campaigns and all-healthy parallel ones.
+    #: Quarantined jobs
+    #: (:class:`repro.experiments.parallel.FailedJob`); empty when
+    #: every job completed.
     failed_jobs: tuple = ()
     #: Deterministic merge of the per-job telemetry registry snapshots
-    #: (parallel campaigns over a telemetry-enabled base config only).
+    #: (telemetry-enabled base configs only).
     merged_registry: Optional[dict] = None
 
     def __getitem__(self, name: str) -> FigureData:
@@ -77,20 +57,19 @@ class CampaignResult:
         return list(self.figures)
 
 
-def select_figures(figures: Optional[Sequence[str]]) -> List[str]:
-    """Validate a figure subset (None = all, in canonical order)."""
+def campaign_axes(
+    figures: Optional[Sequence[str]] = None,
+    sweeps: Optional[Mapping[str, Sequence[float]]] = None,
+) -> Dict[str, tuple]:
+    """The x-axis per selected figure, in selection order.
+
+    ``figures`` None selects all eight in canonical order; ``sweeps``
+    overrides a selected figure's default axis.
+    """
     selected = list(figures) if figures is not None else list(FIGURE_SPECS)
     unknown = [name for name in selected if name not in FIGURE_SPECS]
     if unknown:
         raise ConfigError(f"unknown figures: {unknown}")
-    return selected
-
-
-def campaign_axes(
-    selected: Sequence[str],
-    sweeps: Optional[Mapping[str, Sequence[float]]] = None,
-) -> Dict[str, tuple]:
-    """The x-axis per selected figure (``sweeps`` overrides defaults)."""
     sweeps = dict(sweeps) if sweeps else {}
     unknown = [name for name in sweeps if name not in selected]
     if unknown:
@@ -107,40 +86,70 @@ def run_campaign(
     figures: Optional[Sequence[str]] = None,
     systems: Sequence[str] = ALL_SYSTEMS,
     sweeps: Optional[Mapping[str, Sequence[float]]] = None,
-    workers: int = 0,
-    journal: Optional[str] = None,
-    resume: bool = False,
+    **supervision,
 ) -> CampaignResult:
     """Regenerate the selected figures (default: all of Figs 4-11).
 
-    ``workers > 0`` (or a ``journal``/``resume`` request) hands the
-    grid to :func:`repro.experiments.parallel.parallel_campaign`; the
-    default keeps the memoised in-process loop, byte-identical to every
-    release since the seed.
+    ``supervision`` is passed to
+    :func:`repro.experiments.parallel.supervise` (``workers``,
+    ``journal``, ``resume``, ``retry``, ``work``).  A job that keeps
+    failing is quarantined into ``failed_jobs`` and its points average
+    the seeds that did complete; the campaign itself finishes.
     """
     if seeds < 1:
         raise ConfigError("seeds must be >= 1")
-    selected = select_figures(figures)
-    axes = campaign_axes(selected, sweeps)
-    if workers or journal is not None or resume:
-        from repro.experiments.parallel import parallel_campaign
-
-        return parallel_campaign(
-            base,
-            seeds=seeds,
-            figures=selected,
-            systems=systems,
-            sweeps=axes,
-            workers=workers,
-            journal=journal,
-            resume=resume,
-        )
-    result = CampaignResult(base=base, seeds=seeds)
-    for name in selected:
+    axes = campaign_axes(figures, sweeps)
+    outcome = supervise(
+        (
+            (system, FIGURE_SPECS[name].config_for(base, x, seed))
+            for name, xs in axes.items()
+            for system in systems
+            for x in xs
+            for seed in range(1, seeds + 1)
+        ),
+        spec_fingerprint(
+            "figures", base, seeds, tuple(axes), tuple(systems),
+            tuple(sorted(axes.items())),
+        ),
+        **supervision,
+    )
+    result = CampaignResult(
+        base=base,
+        seeds=seeds,
+        failed_jobs=outcome.failed,
+        merged_registry=merge_registry_snapshots(outcome.payloads),
+    )
+    for name, xs in axes.items():
         result.figures[name] = sweep_figure(
-            FIGURE_SPECS[name], base, axes[name], systems, seeds
+            FIGURE_SPECS[name], base, xs, systems, seeds, outcome.result_for
         )
     return result
+
+
+def run_figure(
+    name: str,
+    base: ScenarioConfig = ScenarioConfig(),
+    xs: Optional[Sequence[float]] = None,
+    systems: Sequence[str] = ALL_SYSTEMS,
+    seeds: int = 2,
+    **supervision,
+) -> FigureData:
+    """Regenerate one figure of :data:`FIGURE_SPECS`: the one-figure
+    campaign (``xs`` overrides the spec's default axis).
+
+    Raises :class:`CampaignError` naming the quarantined jobs rather
+    than return a table silently short of samples.
+    """
+    result = run_campaign(
+        base, seeds, [name], systems, None if xs is None else {name: xs},
+        **supervision,
+    )
+    if result.failed_jobs:
+        raise CampaignError(
+            f"{name}: {len(result.failed_jobs)} job(s) quarantined: "
+            + "; ".join(map(str, result.failed_jobs))
+        )
+    return result.figures[name]
 
 
 def campaign_report(result: CampaignResult) -> str:
@@ -165,10 +174,6 @@ def campaign_report(result: CampaignResult) -> str:
     if result.failed_jobs:
         lines.append("## Failed jobs")
         lines.append("")
-        for job in result.failed_jobs:
-            lines.append(
-                f"- `{job.key}` — {job.reason} after {job.attempts} "
-                f"attempt(s): {job.detail}"
-            )
+        lines.extend(f"- {job}" for job in result.failed_jobs)
         lines.append("")
     return "\n".join(lines)

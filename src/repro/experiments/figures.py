@@ -1,17 +1,18 @@
-"""Figure regeneration: one function per evaluation figure (Figs 4-11).
+"""Figure regeneration: one spec per evaluation figure (Figs 4-11).
 
-Each function sweeps the paper's x-axis, runs every system ``seeds``
-times per point, and returns a :class:`FigureData` with per-point mean
-and 95% confidence half-width — the same series the paper plots.
+A figure sweeps the paper's x-axis, runs every system ``seeds`` times
+per point, and is returned as a :class:`FigureData` with per-point
+mean and 95% confidence half-width — the same series the paper plots.
 
 Every figure is described declaratively by a :class:`FigureSpec` in
 :data:`FIGURE_SPECS`: the sweep axis, how one ``(x, seed)`` point maps
 to a :class:`~repro.experiments.config.ScenarioConfig`, and which
 :class:`~repro.experiments.runner.RunResult` metric the y-axis reads.
-The serial sweeps (:func:`sweep_figure`) and the parallel campaign
-runner (:mod:`repro.experiments.parallel`) both consume the same spec,
-which is what makes the parallel merge byte-identical to the serial
-loop: decomposition and aggregation cannot drift apart.
+The campaign (:mod:`repro.experiments.campaign`) decomposes its grid
+through ``config_for`` and :func:`sweep_figure` aggregates through the
+same call, so decomposition and aggregation cannot drift apart.
+Nothing here runs a scenario — that is
+:func:`repro.experiments.campaign.run_figure`.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.experiments.config import FaultConfig, ScenarioConfig
-from repro.experiments.runner import RunResult, run_scenario_cached
+from repro.experiments.runner import RunResult
 from repro.util.stats import confidence_interval_95
 
 ALL_SYSTEMS = ("REFER", "DaTree", "D-DEAR", "Kautz-overlay")
@@ -102,8 +103,7 @@ class FigureSpec:
 
     ``config_for(base, x, seed)`` maps a sweep point to the scenario it
     runs; ``metric(run)`` reads the y value off the finished run.  Both
-    are module-level functions so specs stay picklable and the parallel
-    job decomposition can reuse them verbatim.
+    are module-level functions so specs stay picklable.
     """
 
     name: str          # registry key, e.g. "fig8"
@@ -111,7 +111,6 @@ class FigureSpec:
     title: str
     xlabel: str
     ylabel: str
-    sweep_param: str   # keyword the figure function exposes for the axis
     default_xs: Tuple[float, ...]
     config_for: Callable[[ScenarioConfig, float, int], ScenarioConfig]
     metric: Callable[[RunResult], float]
@@ -126,7 +125,6 @@ FIGURE_SPECS: Dict[str, FigureSpec] = {
             title="Throughput vs node mobility",
             xlabel="max speed (m/s); paper plots avg = x/2",
             ylabel="QoS throughput (bit/s)",
-            sweep_param="speeds",
             default_xs=DEFAULT_MOBILITY_SPEEDS,
             config_for=_mobility_config,
             metric=_metric_throughput,
@@ -137,7 +135,6 @@ FIGURE_SPECS: Dict[str, FigureSpec] = {
             title="Communication energy vs node mobility",
             xlabel="max speed (m/s); paper plots avg = x/2",
             ylabel="energy (J)",
-            sweep_param="speeds",
             default_xs=DEFAULT_MOBILITY_SPEEDS,
             config_for=_mobility_config,
             metric=_metric_comm_energy,
@@ -148,7 +145,6 @@ FIGURE_SPECS: Dict[str, FigureSpec] = {
             title="Delay vs number of faulty nodes",
             xlabel="faulty nodes",
             ylabel="mean delay (s)",
-            sweep_param="fault_counts",
             default_xs=DEFAULT_FAULT_COUNTS,
             config_for=_faults_config,
             metric=_metric_delay,
@@ -159,7 +155,6 @@ FIGURE_SPECS: Dict[str, FigureSpec] = {
             title="Throughput vs number of faulty nodes",
             xlabel="faulty nodes",
             ylabel="QoS throughput (bit/s)",
-            sweep_param="fault_counts",
             default_xs=DEFAULT_FAULT_COUNTS,
             config_for=_faults_config,
             metric=_metric_throughput,
@@ -170,7 +165,6 @@ FIGURE_SPECS: Dict[str, FigureSpec] = {
             title="Delay vs network size",
             xlabel="sensors",
             ylabel="mean delay (s)",
-            sweep_param="sizes",
             default_xs=DEFAULT_NETWORK_SIZES,
             config_for=_size_config,
             metric=_metric_delay,
@@ -181,7 +175,6 @@ FIGURE_SPECS: Dict[str, FigureSpec] = {
             title="Communication energy vs network size",
             xlabel="sensors",
             ylabel="energy (J)",
-            sweep_param="sizes",
             default_xs=DEFAULT_NETWORK_SIZES,
             config_for=_size_config,
             metric=_metric_comm_energy,
@@ -192,7 +185,6 @@ FIGURE_SPECS: Dict[str, FigureSpec] = {
             title="Topology-construction energy vs network size",
             xlabel="sensors",
             ylabel="energy (J)",
-            sweep_param="sizes",
             default_xs=DEFAULT_NETWORK_SIZES,
             config_for=_size_config,
             metric=_metric_construction_energy,
@@ -203,7 +195,6 @@ FIGURE_SPECS: Dict[str, FigureSpec] = {
             title="Total energy vs network size",
             xlabel="sensors",
             ylabel="energy (J)",
-            sweep_param="sizes",
             default_xs=DEFAULT_NETWORK_SIZES,
             config_for=_size_config,
             metric=_metric_total_energy,
@@ -211,11 +202,10 @@ FIGURE_SPECS: Dict[str, FigureSpec] = {
     )
 }
 
-#: How a run is obtained for one (system, config) point.  The serial
-#: sweeps use the memoised runner; the parallel merge substitutes a
-#: lookup into the supervisor's payload map, which may return ``None``
-#: for a quarantined job (the point then averages the seeds that did
-#: complete and records the reduced sample count).
+#: How a run is obtained for one (system, config) point: the campaign
+#: passes a lookup into the supervisor's payload map, which returns
+#: ``None`` for a quarantined job (the point then averages the seeds
+#: that did complete and records the reduced sample count).
 RunProvider = Callable[[str, ScenarioConfig], Optional[RunResult]]
 
 
@@ -225,7 +215,7 @@ def sweep_figure(
     x_values: Sequence[float],
     systems: Sequence[str],
     seeds: int,
-    run: RunProvider = run_scenario_cached,
+    run: RunProvider,
 ) -> FigureData:
     """Sweep one figure's grid and aggregate it into a :class:`FigureData`.
 
@@ -258,92 +248,3 @@ def sweep_figure(
             )
         data.series[system] = points
     return data
-
-
-# The public per-figure functions keep their historical signatures
-# (the sweep keyword is the spec's ``sweep_param``); each is a thin
-# shim over :func:`sweep_figure` on the shared spec.
-
-
-def fig4_throughput_vs_mobility(
-    base: ScenarioConfig = ScenarioConfig(),
-    speeds: Sequence[float] = DEFAULT_MOBILITY_SPEEDS,
-    systems: Sequence[str] = ALL_SYSTEMS,
-    seeds: int = 3,
-) -> FigureData:
-    """Fig 4: throughput vs average node mobility (x/2 m/s)."""
-    return sweep_figure(FIGURE_SPECS["fig4"], base, speeds, systems, seeds)
-
-
-def fig5_energy_vs_mobility(
-    base: ScenarioConfig = ScenarioConfig(),
-    speeds: Sequence[float] = DEFAULT_MOBILITY_SPEEDS,
-    systems: Sequence[str] = ALL_SYSTEMS,
-    seeds: int = 3,
-) -> FigureData:
-    """Fig 5: energy consumed in communication vs node mobility."""
-    return sweep_figure(FIGURE_SPECS["fig5"], base, speeds, systems, seeds)
-
-
-def fig6_delay_vs_faults(
-    base: ScenarioConfig = ScenarioConfig(),
-    fault_counts: Sequence[int] = DEFAULT_FAULT_COUNTS,
-    systems: Sequence[str] = ALL_SYSTEMS,
-    seeds: int = 3,
-) -> FigureData:
-    """Fig 6: average transmission delay vs number of faulty nodes."""
-    return sweep_figure(
-        FIGURE_SPECS["fig6"], base, fault_counts, systems, seeds
-    )
-
-
-def fig7_throughput_vs_faults(
-    base: ScenarioConfig = ScenarioConfig(),
-    fault_counts: Sequence[int] = DEFAULT_FAULT_COUNTS,
-    systems: Sequence[str] = ALL_SYSTEMS,
-    seeds: int = 3,
-) -> FigureData:
-    """Fig 7: throughput vs number of faulty nodes."""
-    return sweep_figure(
-        FIGURE_SPECS["fig7"], base, fault_counts, systems, seeds
-    )
-
-
-def fig8_delay_vs_size(
-    base: ScenarioConfig = ScenarioConfig(),
-    sizes: Sequence[int] = DEFAULT_NETWORK_SIZES,
-    systems: Sequence[str] = ALL_SYSTEMS,
-    seeds: int = 3,
-) -> FigureData:
-    """Fig 8: delay vs network size (number of sensors)."""
-    return sweep_figure(FIGURE_SPECS["fig8"], base, sizes, systems, seeds)
-
-
-def fig9_energy_vs_size(
-    base: ScenarioConfig = ScenarioConfig(),
-    sizes: Sequence[int] = DEFAULT_NETWORK_SIZES,
-    systems: Sequence[str] = ALL_SYSTEMS,
-    seeds: int = 3,
-) -> FigureData:
-    """Fig 9: energy consumed in communication vs network size."""
-    return sweep_figure(FIGURE_SPECS["fig9"], base, sizes, systems, seeds)
-
-
-def fig10_construction_energy_vs_size(
-    base: ScenarioConfig = ScenarioConfig(),
-    sizes: Sequence[int] = DEFAULT_NETWORK_SIZES,
-    systems: Sequence[str] = ALL_SYSTEMS,
-    seeds: int = 3,
-) -> FigureData:
-    """Fig 10: energy consumed in topology construction vs network size."""
-    return sweep_figure(FIGURE_SPECS["fig10"], base, sizes, systems, seeds)
-
-
-def fig11_total_energy_vs_size(
-    base: ScenarioConfig = ScenarioConfig(),
-    sizes: Sequence[int] = DEFAULT_NETWORK_SIZES,
-    systems: Sequence[str] = ALL_SYSTEMS,
-    seeds: int = 3,
-) -> FigureData:
-    """Fig 11: total energy (communication + construction) vs size."""
-    return sweep_figure(FIGURE_SPECS["fig11"], base, sizes, systems, seeds)

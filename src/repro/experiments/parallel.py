@@ -1,11 +1,12 @@
-"""Supervised multiprocess campaign runner.
+"""The campaign supervisor: the one way a grid of runs is executed.
 
 The experiment grids (:mod:`repro.experiments.campaign`,
-:mod:`repro.experiments.resilience`) decompose into independent
-``(system, scenario)`` jobs with stable content-addressed keys.  A
-:class:`CampaignSupervisor` executes those jobs on a spawn-based
-worker pool and treats worker failure the way :mod:`repro.recovery`
-treats node failure — detect, retry, re-home, degrade gracefully:
+:mod:`repro.experiments.resilience`) hand :func:`supervise` their
+``(system, scenario)`` points; it folds them into independent jobs
+with stable content-addressed keys and a :class:`CampaignSupervisor`
+runs every job, treating a failed attempt the way
+:mod:`repro.recovery` treats a failed node — detect, retry,
+quarantine, continue:
 
 * **hang detection** — a supervisor-side wall-clock deadline per job
   attempt; an overrunning worker is killed, never waited on
@@ -13,10 +14,9 @@ treats node failure — detect, retry, re-home, degrade gracefully:
 * **crash detection** — a worker that dies (non-zero exit, OOM kill,
   broken result pipe) before delivering a payload is detected from the
   parent side;
-* **bounded retries** — failed attempts rerun with exponential backoff
-  and deterministic jitter drawn from the ``parallel.retry`` RNG
-  stream (forked per job key, so jitter is reproducible regardless of
-  completion order);
+* **bounded retries** — a failed attempt reruns at once, up to
+  ``max_attempts`` per job (a retry waits on no shared service, so
+  there is nothing to pace);
 * **poison-job quarantine** — a job that keeps failing is quarantined
   after ``max_attempts``; the campaign completes and reports it in
   ``failed_jobs`` instead of dying;
@@ -24,452 +24,62 @@ treats node failure — detect, retry, re-home, degrade gracefully:
   :class:`~repro.experiments.journal.CampaignJournal`; a killed
   campaign resumes from the journal and produces byte-identical output
   (the merge is keyed on job identity, never completion order);
-* **schema-validated payloads** — workers return JSON-safe result
-  blobs; a corrupt payload is rejected (and retried) instead of being
-  merged.
+* **schema-validated payloads** — every attempt ends in a JSON-safe
+  blob (:mod:`repro.experiments.payload`); a corrupt one is rejected
+  (and retried) instead of being merged.
 
-``workers=0`` — or any environment where ``multiprocessing`` cannot
-spawn — degrades to in-process serial execution through the same
-journal/retry machinery, byte-identical to the classic serial loops.
-:class:`WorkerFaultInjector` is the test harness: it makes workers
-crash, hang or return corrupt payloads on cue, in the spirit of
-:mod:`repro.chaos`.
+Where an attempt runs is the only thing ``workers`` changes: in this
+process when it is 0 or ``multiprocessing`` cannot spawn (the path
+that works on every host), else in one spawned worker per attempt.
+Either way the attempt is booked by the same
+:meth:`CampaignSupervisor._settle`.  The fault-handling suites
+substitute the ``work`` callable (``tests/experiments/sabotage.py``)
+to make attempts really exit, hang, raise or return garbage.
 """
 
 from __future__ import annotations
 
-import heapq
-import os
 from collections import deque
-from dataclasses import dataclass, field
+from contextlib import nullcontext
+from dataclasses import dataclass
 from typing import (
     Callable,
+    Deque,
     Dict,
+    Iterable,
     List,
-    Mapping,
     Optional,
     Sequence,
     Tuple,
 )
 
 # Wall-clock time is the supervisor's problem domain: deadlines for
-# *host* processes, backoff between *host* retries.  Nothing here ever
-# enters simulated time — the suppressions below each justify one read.
+# *host* processes.  Nothing here ever enters simulated time — the
+# suppressions below each justify one read.
 import time
 
-from repro.chaos.models import FaultEvent
-from repro.chaos.probe import FaultRecovery, ResilienceSummary
 from repro.errors import CampaignError, ConfigError
 from repro.experiments.config import ScenarioConfig
-from repro.experiments.figures import (
-    ALL_SYSTEMS,
-    FIGURE_SPECS,
-    sweep_figure,
-)
 from repro.experiments.journal import CampaignJournal, spec_fingerprint
-from repro.experiments.metrics import ClassStat
-from repro.experiments.runner import RunResult, run_scenario, run_scenario_cached
-from repro.recovery.config import RecoveryConfig
-from repro.recovery.orchestrator import RecoveryReport
-from repro.util.rng import RngStreams
+from repro.experiments.payload import (
+    PAYLOAD_VERSION,
+    payload_from_result,
+    result_from_payload,
+    validate_payload,
+)
+from repro.experiments.runner import RunResult, run_scenario_cached
 
 __all__ = [
-    "PAYLOAD_VERSION",
     "CampaignJob",
     "CampaignSupervisor",
     "FailedJob",
     "RetryPolicy",
     "SupervisorOutcome",
     "SupervisorStats",
-    "WorkerFaultInjector",
-    "figure_jobs",
     "job_for",
-    "merge_registry_snapshots",
-    "parallel_campaign",
-    "parallel_resilience_campaign",
-    "payload_from_result",
-    "result_from_payload",
-    "resilience_jobs",
-    "validate_payload",
+    "run_job",
+    "supervise",
 ]
-
-PAYLOAD_VERSION = 1
-
-#: Exit code an injected worker crash uses (distinguishable from the
-#: interpreter's own failure exits in test assertions).
-CRASH_EXIT_CODE = 17
-
-#: ``WorkerFaultInjector`` attempt count meaning "every attempt".
-ALWAYS = 10 ** 9
-
-_INT_METRICS = (
-    "generated",
-    "delivered_qos",
-    "delivered_total",
-    "dropped",
-)
-
-_FLOAT_METRICS = (
-    "throughput_bps",
-    "mean_delay_s",
-    "comm_energy_j",
-    "construction_energy_j",
-    "flood_comm_energy_j",
-)
-
-_RECOVERY_INT_FIELDS = (
-    "probes_sent",
-    "replies",
-    "misses",
-    "condemnations",
-    "absolutions",
-    "false_positives",
-    "missed_faults",
-    "arq_attempts",
-    "arq_retransmissions",
-    "arq_recovered",
-    "arq_duplicates_suppressed",
-    "arq_exhausted",
-    "can_takeovers",
-    "can_rejoins",
-    "can_rehomed_keys",
-)
-
-_RECOVERY_FLOAT_FIELDS = (
-    "mean_time_to_detect_s",
-    "mean_time_to_repair_s",
-)
-
-
-# ---------------------------------------------------------------------------
-# Result payloads: RunResult <-> JSON-safe blob
-# ---------------------------------------------------------------------------
-
-
-def _encode_event(event: FaultEvent) -> list:
-    return [event.time, event.model, event.kind, list(event.nodes)]
-
-
-def _decode_event(blob: Sequence[object]) -> FaultEvent:
-    # Validated values pass through raw: JSON round-trips ints as ints
-    # and floats exactly, so the rebuilt event equals the live one.
-    time_, model, kind, nodes = blob
-    return FaultEvent(
-        time=time_, model=model, kind=kind, nodes=tuple(nodes)
-    )
-
-
-def payload_from_result(run: RunResult) -> dict:
-    """The JSON-safe blob one worker returns (and the journal stores).
-
-    Everything the campaign merges travels here — scalar metrics,
-    per-class funnels, the resilience/recovery summaries and (for
-    telemetry-enabled runs) the registry snapshot.  JSON round-trips
-    Python floats exactly, so a merge over payloads is byte-identical
-    to a merge over live :class:`RunResult` objects.
-    """
-    resilience = None
-    if run.resilience is not None:
-        resilience = {
-            "window": run.resilience.window,
-            "detection_latency_s": run.resilience.detection_latency_s,
-            "repair_latency_s": run.resilience.repair_latency_s,
-            "records": [
-                {
-                    "event": _encode_event(record.event),
-                    "baseline": record.baseline,
-                    "trough": record.trough,
-                    "recovery_windows": record.recovery_windows,
-                    "recovery_time_s": record.recovery_time_s,
-                }
-                for record in run.resilience.records
-            ],
-        }
-    recovery = None
-    if run.recovery is not None:
-        recovery = {
-            name: getattr(run.recovery, name)
-            for name in _RECOVERY_INT_FIELDS + _RECOVERY_FLOAT_FIELDS
-        }
-    registry = None
-    trace_hash = None
-    if run.telemetry is not None:
-        registry = [
-            [name, [[list(labels), value] for labels, value in children.items()]]
-            for name, children in run.telemetry.registry.as_dict().items()
-        ]
-        if run.telemetry.trace is not None:
-            trace_hash = run.telemetry.trace.fingerprint()
-    return {
-        "version": PAYLOAD_VERSION,
-        "system": run.system,
-        "metrics": {
-            **{name: getattr(run, name) for name in _INT_METRICS},
-            **{name: getattr(run, name) for name in _FLOAT_METRICS},
-        },
-        "class_stats": [
-            [
-                stat.traffic_class,
-                stat.generated,
-                stat.delivered,
-                stat.deadline_missed,
-                stat.dropped,
-            ]
-            for stat in run.class_stats
-        ],
-        "fault_events": [_encode_event(e) for e in run.fault_events],
-        "resilience": resilience,
-        "recovery": recovery,
-        "registry": registry,
-        "trace_hash": trace_hash,
-    }
-
-
-def _require(condition: bool, detail: str) -> None:
-    if not condition:
-        raise CampaignError(f"corrupt worker payload: {detail}")
-
-
-def _is_int(value: object) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _is_number(value: object) -> bool:
-    return _is_int(value) or isinstance(value, float)
-
-
-def _check_event(blob: object) -> None:
-    _require(
-        isinstance(blob, (list, tuple)) and len(blob) == 4,
-        "fault event is not a 4-element row",
-    )
-    time_, model, kind, nodes = blob  # type: ignore[misc]
-    _require(_is_number(time_), "fault event time is not a number")
-    _require(isinstance(model, str), "fault event model is not a string")
-    _require(isinstance(kind, str), "fault event kind is not a string")
-    _require(
-        isinstance(nodes, (list, tuple)) and all(_is_int(n) for n in nodes),
-        "fault event nodes are not integers",
-    )
-
-
-def validate_payload(payload: object) -> dict:
-    """Schema-check one worker blob; raises :class:`CampaignError`.
-
-    The supervisor refuses to merge (or journal) anything that fails
-    this gate — a worker with corrupted memory returning half a result
-    must count as a failed attempt, not poison the campaign.
-    """
-    _require(isinstance(payload, dict), "payload is not an object")
-    assert isinstance(payload, dict)
-    if "worker_error" in payload:
-        raise CampaignError(
-            f"worker reported an error: {payload['worker_error']}"
-        )
-    _require(
-        payload.get("version") == PAYLOAD_VERSION,
-        f"unknown payload version {payload.get('version')!r}",
-    )
-    _require(isinstance(payload.get("system"), str), "system is not a string")
-    metrics = payload.get("metrics")
-    _require(isinstance(metrics, dict), "metrics is not an object")
-    assert isinstance(metrics, dict)
-    for name in _INT_METRICS:
-        _require(_is_int(metrics.get(name)), f"metric {name!r} is not an int")
-    for name in _FLOAT_METRICS:
-        _require(
-            _is_number(metrics.get(name)), f"metric {name!r} is not a number"
-        )
-    class_stats = payload.get("class_stats")
-    _require(isinstance(class_stats, list), "class_stats is not a list")
-    assert isinstance(class_stats, list)
-    for row in class_stats:
-        _require(
-            isinstance(row, (list, tuple)) and len(row) == 5,
-            "class_stats row is not a 5-element row",
-        )
-        _require(isinstance(row[0], str), "traffic class is not a string")
-        _require(
-            all(_is_int(v) for v in row[1:]),
-            "class_stats counts are not integers",
-        )
-    events = payload.get("fault_events")
-    _require(isinstance(events, list), "fault_events is not a list")
-    assert isinstance(events, list)
-    for blob in events:
-        _check_event(blob)
-    resilience = payload.get("resilience")
-    if resilience is not None:
-        _require(isinstance(resilience, dict), "resilience is not an object")
-        for name in ("window", "detection_latency_s", "repair_latency_s"):
-            _require(
-                _is_number(resilience.get(name)),
-                f"resilience.{name} is not a number",
-            )
-        records = resilience.get("records")
-        _require(isinstance(records, list), "resilience.records is not a list")
-        for record in records:
-            _require(
-                isinstance(record, dict), "resilience record is not an object"
-            )
-            _check_event(record.get("event"))
-            for name in ("baseline", "trough"):
-                _require(
-                    _is_number(record.get(name)),
-                    f"resilience record {name} is not a number",
-                )
-            windows = record.get("recovery_windows")
-            _require(
-                windows is None or _is_int(windows),
-                "recovery_windows is neither null nor an int",
-            )
-            seconds = record.get("recovery_time_s")
-            _require(
-                seconds is None or _is_number(seconds),
-                "recovery_time_s is neither null nor a number",
-            )
-    recovery = payload.get("recovery")
-    if recovery is not None:
-        _require(isinstance(recovery, dict), "recovery is not an object")
-        for name in _RECOVERY_INT_FIELDS:
-            _require(
-                _is_int(recovery.get(name)), f"recovery.{name} is not an int"
-            )
-        for name in _RECOVERY_FLOAT_FIELDS:
-            _require(
-                _is_number(recovery.get(name)),
-                f"recovery.{name} is not a number",
-            )
-    registry = payload.get("registry")
-    if registry is not None:
-        _require(isinstance(registry, list), "registry is not a list")
-        for family in registry:
-            _require(
-                isinstance(family, (list, tuple)) and len(family) == 2,
-                "registry family is not a (name, children) pair",
-            )
-            name, children = family
-            _require(isinstance(name, str), "registry name is not a string")
-            _require(
-                isinstance(children, list), "registry children is not a list"
-            )
-            for child in children:
-                _require(
-                    isinstance(child, (list, tuple)) and len(child) == 2,
-                    "registry child is not a (labels, value) pair",
-                )
-                labels, value = child
-                _require(
-                    isinstance(labels, (list, tuple)),
-                    "registry labels is not a list",
-                )
-                _require(_is_number(value), "registry value is not a number")
-    trace_hash = payload.get("trace_hash")
-    _require(
-        trace_hash is None or isinstance(trace_hash, str),
-        "trace_hash is neither null nor a string",
-    )
-    return payload
-
-
-def result_from_payload(
-    system: str, config: ScenarioConfig, payload: dict
-) -> RunResult:
-    """Reconstitute a :class:`RunResult` from a validated payload.
-
-    The config is *not* read from the payload: the supervisor rebuilds
-    it from the grid spec (the journal's fingerprint guards against a
-    grid change), so the blob stays small and a tampered blob cannot
-    smuggle a different scenario into the merge.
-
-    Validated values pass through uncoerced — JSON round-trips ints as
-    ints and floats exactly (``repr``-based), which is what makes a
-    merge over payloads byte-identical to a merge over live results.
-    """
-    metrics = payload["metrics"]
-    resilience: Optional[ResilienceSummary] = None
-    blob = payload.get("resilience")
-    if blob is not None:
-        resilience = ResilienceSummary(
-            window=blob["window"],
-            records=tuple(
-                FaultRecovery(
-                    event=_decode_event(record["event"]),
-                    baseline=record["baseline"],
-                    trough=record["trough"],
-                    recovery_windows=record["recovery_windows"],
-                    recovery_time_s=record["recovery_time_s"],
-                )
-                for record in blob["records"]
-            ),
-            detection_latency_s=blob["detection_latency_s"],
-            repair_latency_s=blob["repair_latency_s"],
-        )
-    recovery: Optional[RecoveryReport] = None
-    blob = payload.get("recovery")
-    if blob is not None:
-        recovery = RecoveryReport(
-            **{
-                name: blob[name]
-                for name in _RECOVERY_INT_FIELDS + _RECOVERY_FLOAT_FIELDS
-            }
-        )
-    return RunResult(
-        system=payload["system"],
-        config=config,
-        throughput_bps=metrics["throughput_bps"],
-        mean_delay_s=metrics["mean_delay_s"],
-        comm_energy_j=metrics["comm_energy_j"],
-        construction_energy_j=metrics["construction_energy_j"],
-        generated=metrics["generated"],
-        delivered_qos=metrics["delivered_qos"],
-        delivered_total=metrics["delivered_total"],
-        dropped=metrics["dropped"],
-        flood_comm_energy_j=metrics["flood_comm_energy_j"],
-        resilience=resilience,
-        fault_events=tuple(
-            _decode_event(e) for e in payload["fault_events"]
-        ),
-        recovery=recovery,
-        telemetry=None,
-        class_stats=tuple(
-            ClassStat(
-                traffic_class=row[0],
-                generated=row[1],
-                delivered=row[2],
-                deadline_missed=row[3],
-                dropped=row[4],
-            )
-            for row in payload["class_stats"]
-        ),
-    )
-
-
-def merge_registry_snapshots(
-    payloads: Mapping[str, dict]
-) -> Optional[dict]:
-    """Deterministically merge per-job registry snapshots.
-
-    Jobs are folded in sorted-key order (never completion order);
-    counter, gauge and histogram-count values sum per
-    ``(family, label values)``.  ``None`` when no job carried a
-    snapshot (the campaign ran without telemetry).
-    """
-    merged: Dict[str, Dict[Tuple[object, ...], object]] = {}
-    seen_any = False
-    for key in sorted(payloads):
-        registry = payloads[key].get("registry")
-        if registry is None:
-            continue
-        seen_any = True
-        for name, children in registry:
-            target = merged.setdefault(name, {})
-            for labels, value in children:
-                label_values = tuple(labels)
-                target[label_values] = target.get(label_values, 0) + value
-    if not seen_any:
-        return None
-    return {name: merged[name] for name in sorted(merged)}
 
 
 # ---------------------------------------------------------------------------
@@ -504,59 +114,20 @@ def job_for(system: str, config: ScenarioConfig) -> CampaignJob:
     )
 
 
-def figure_jobs(
-    base: ScenarioConfig,
-    seeds: int,
-    axes: Mapping[str, Sequence[float]],
-    systems: Sequence[str] = ALL_SYSTEMS,
-) -> List[CampaignJob]:
-    """Decompose a figure campaign grid into deduplicated jobs."""
-    jobs: List[CampaignJob] = []
-    seen: set = set()
-    for name in axes:
-        spec = FIGURE_SPECS[name]
-        for system in systems:
-            for x in axes[name]:
-                for seed in range(1, seeds + 1):
-                    job = job_for(system, spec.config_for(base, x, seed))
-                    if job.key not in seen:
-                        seen.add(job.key)
-                        jobs.append(job)
-    return jobs
+#: What one attempt executes: ``(system, config) -> payload``.  Must
+#: pickle by import path (a module-level function, or an instance of a
+#: module-level class) — a spawned worker receives it as an argument.
+#: This is the seam a test substitutes a saboteur through.
+Work = Callable[[str, ScenarioConfig], object]
 
 
-def resilience_jobs(
-    base: ScenarioConfig,
-    systems: Sequence[str],
-    fault_classes: Sequence[str],
-    intensities: Sequence[int],
-    seeds: int,
-    recovery: Optional[RecoveryConfig] = None,
-) -> List[CampaignJob]:
-    """Decompose a resilience campaign grid into deduplicated jobs."""
-    from repro.experiments.resilience import resilience_config
+def run_job(system: str, config: ScenarioConfig) -> dict:
+    """The default :data:`Work`: run the scenario, encode the result.
 
-    jobs: List[CampaignJob] = []
-    seen: set = set()
-    for system in systems:
-        for fault_class in fault_classes:
-            for intensity in intensities:
-                for seed in range(1, seeds + 1):
-                    job = job_for(
-                        system,
-                        resilience_config(
-                            base, fault_class, intensity, seed, recovery
-                        ),
-                    )
-                    if job.key not in seen:
-                        seen.add(job.key)
-                        jobs.append(job)
-    return jobs
-
-
-# ---------------------------------------------------------------------------
-# Retry policy, failure manifest, fault injection
-# ---------------------------------------------------------------------------
+    Memoised per process like every figure sweep, so in-process
+    campaigns that share points pay for each run once.
+    """
+    return payload_from_result(run_scenario_cached(system, config))
 
 
 @dataclass(frozen=True)
@@ -565,28 +136,16 @@ class RetryPolicy:
 
     #: Total attempts per job before quarantine (>= 1).
     max_attempts: int = 3
-    #: Wall-clock seconds one attempt may run before it is declared
-    #: hung and killed (supervisor-side timer).
+    #: Wall-clock seconds one spawned attempt may run before it is
+    #: declared hung and killed (supervisor-side timer; an in-process
+    #: attempt cannot be interrupted and has no deadline).
     deadline_s: float = 300.0
-    #: First retry delay; grows by ``backoff_factor`` per failure.
-    backoff_base_s: float = 0.5
-    backoff_factor: float = 2.0
-    backoff_max_s: float = 30.0
-    #: Relative jitter applied to each delay (drawn from the
-    #: ``parallel.retry`` stream, forked per job key).
-    jitter_frac: float = 0.25
 
     def __post_init__(self) -> None:
         if self.max_attempts < 1:
             raise ConfigError("max_attempts must be >= 1")
         if self.deadline_s <= 0:
             raise ConfigError("deadline_s must be positive")
-        if self.backoff_base_s < 0 or self.backoff_max_s < 0:
-            raise ConfigError("backoff delays must be >= 0")
-        if self.backoff_factor < 1.0:
-            raise ConfigError("backoff_factor must be >= 1")
-        if not 0.0 <= self.jitter_frac < 1.0:
-            raise ConfigError("jitter_frac must be in [0, 1)")
 
 
 @dataclass(frozen=True)
@@ -599,96 +158,43 @@ class FailedJob:
     reason: str          # "crash" | "hang" | "corrupt" | "error"
     detail: str
 
-
-@dataclass(frozen=True)
-class WorkerFaultInjector:
-    """Deterministic worker sabotage for the fault-handling suites.
-
-    Each table maps a job key to the number of leading attempts to
-    sabotage (``ALWAYS`` = permanent): ``crash`` makes the worker exit
-    hard (``os._exit``), ``hang`` makes it block past any deadline,
-    ``corrupt`` makes it return a schema-violating payload.  The
-    supervisor evaluates the tables (workers just obey an action
-    string), so injection also works in serial degraded mode, where
-    crash/hang become simulated failures.
-    """
-
-    crash: Tuple[Tuple[str, int], ...] = ()
-    hang: Tuple[Tuple[str, int], ...] = ()
-    corrupt: Tuple[Tuple[str, int], ...] = ()
-
-    @classmethod
-    def of(
-        cls,
-        crash: Optional[Mapping[str, int]] = None,
-        hang: Optional[Mapping[str, int]] = None,
-        corrupt: Optional[Mapping[str, int]] = None,
-    ) -> "WorkerFaultInjector":
-        """Build from plain ``{job key: attempts}`` mappings."""
-
-        def norm(table: Optional[Mapping[str, int]]) -> Tuple[Tuple[str, int], ...]:
-            return tuple(sorted((table or {}).items()))
-
-        return cls(crash=norm(crash), hang=norm(hang), corrupt=norm(corrupt))
-
-    def action_for(self, key: str, attempt: int) -> Optional[str]:
-        """The sabotage for this attempt (None = behave)."""
-        for action, table in (
-            ("crash", self.crash),
-            ("hang", self.hang),
-            ("corrupt", self.corrupt),
-        ):
-            for job_key, attempts in table:
-                if job_key == key and attempt <= attempts:
-                    return action
-        return None
+    def __str__(self) -> str:
+        return (
+            f"`{self.key}` — {self.reason} after {self.attempts} "
+            f"attempt(s): {self.detail}"
+        )
 
 
 # ---------------------------------------------------------------------------
-# The worker process
+# One attempt, wherever it runs
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class _JobEnvelope:
-    """What one worker attempt receives (picklable for spawn)."""
+def _attempt(work: Work, job: CampaignJob) -> object:
+    """Run one attempt where it stands and return its reply.
 
-    key: str
-    system: str
-    config: ScenarioConfig
-    action: Optional[str] = None   # injected sabotage for this attempt
-
-
-def _worker_main(conn, envelope: _JobEnvelope) -> None:
-    """Worker entry point: run one scenario, send one payload, exit.
-
-    Runs in a freshly spawned interpreter; the parent owns deadlines
-    and crash detection, so this function never retries and never
-    catches its way around a real failure — an exception is reported
-    as a payload-level error, a kill is the parent's verdict.
+    Never retries and never catches its way around a real failure: an
+    exception becomes a typed ``worker_error`` reply for the supervisor
+    to book, a kill is the supervisor's verdict.
     """
-    if envelope.action == "crash":
-        os._exit(CRASH_EXIT_CODE)
-    if envelope.action == "hang":
-        while True:
-            # Injected hang: block until the supervisor's deadline
-            # kills this process.
-            time.sleep(3600)  # referlint: disable=REF002
-    if envelope.action == "corrupt":
-        conn.send((envelope.key, {"version": PAYLOAD_VERSION, "corrupt": True}))
-        conn.close()
-        return
     try:
-        result = run_scenario(envelope.system, envelope.config)
-        payload = payload_from_result(result)
-    except Exception as exc:  # pragma: no cover - exercised via subprocess
+        return work(job.system, job.config)
+    except Exception as exc:
         # Deliberately broad: whatever killed the run, the supervisor
         # must hear a typed error instead of diagnosing a bare exit.
-        payload = {
+        return {
             "version": PAYLOAD_VERSION,
             "worker_error": f"{type(exc).__name__}: {exc}",
         }
-    conn.send((envelope.key, payload))
+
+
+def _worker_main(conn, work: Work, job: CampaignJob) -> None:
+    """Worker entry point: one attempt, one reply, exit.
+
+    Runs in a freshly spawned interpreter; the parent owns deadlines
+    and crash detection.
+    """
+    conn.send((job.key, _attempt(work, job)))
     conn.close()
 
 
@@ -702,7 +208,6 @@ class SupervisorStats:
     """Bookkeeping of one supervised campaign execution."""
 
     jobs: int = 0
-    workers: int = 0
     executed: int = 0          # jobs computed this run
     reused: int = 0            # jobs replayed from the journal
     retries: int = 0           # failed attempts that were retried
@@ -722,21 +227,20 @@ class SupervisorOutcome:
     failed: Tuple[FailedJob, ...]
     stats: SupervisorStats
 
-    def lookup(self) -> Callable[[str, ScenarioConfig], Optional[RunResult]]:
-        """A run provider over the payload map (for the merge sweeps)."""
-
-        def run(system: str, config: ScenarioConfig) -> Optional[RunResult]:
-            payload = self.payloads.get(job_for(system, config).key)
-            if payload is None:
-                return None
-            return result_from_payload(system, config, payload)
-
-        return run
+    def result_for(
+        self, system: str, config: ScenarioConfig
+    ) -> Optional[RunResult]:
+        """The run of one grid point (None when its job was
+        quarantined): the run provider of the merge sweeps."""
+        payload = self.payloads.get(job_for(system, config).key)
+        if payload is None:
+            return None
+        return result_from_payload(system, config, payload)
 
 
 @dataclass
 class _Running:
-    """One in-flight worker attempt (parallel mode)."""
+    """One in-flight spawned attempt."""
 
     job: CampaignJob
     attempt: int
@@ -749,9 +253,7 @@ class CampaignSupervisor:
     """Executes a job list with failure supervision and checkpointing.
 
     One instance runs one campaign: construct with the decomposed job
-    list, call :meth:`run` once, read the outcome.  ``workers=0`` (or
-    an environment without working multiprocessing) executes in
-    process, through the same retry/quarantine/journal path.
+    list, call :meth:`run` once, read the outcome.
     """
 
     def __init__(
@@ -761,8 +263,7 @@ class CampaignSupervisor:
         workers: int = 0,
         retry: Optional[RetryPolicy] = None,
         journal: Optional[CampaignJournal] = None,
-        fault_injector: Optional[WorkerFaultInjector] = None,
-        seed: int = 0,
+        work: Work = run_job,
     ) -> None:
         self.jobs = list(jobs)
         keys = [job.key for job in self.jobs]
@@ -773,127 +274,64 @@ class CampaignSupervisor:
         self.workers = workers
         self.retry = retry if retry is not None else RetryPolicy()
         self.journal = journal
-        self.injector = fault_injector
-        self._streams = RngStreams(seed)
-        self._retry_rngs: Dict[str, object] = {}
-        self._sequence = 0
+        self.work = work
+        self._queue: Deque[Tuple[CampaignJob, int]] = deque()
+        self._payloads: Dict[str, dict] = {}
+        self._failed: List[FailedJob] = []
+        self._stats = SupervisorStats(jobs=len(self.jobs))
 
-    # -- shared plumbing -----------------------------------------------------
-
-    def _backoff_delay(self, key: str, attempt: int) -> float:
-        """Exponential backoff with deterministic per-job jitter."""
-        policy = self.retry
-        rng = self._retry_rngs.get(key)
-        if rng is None:
-            rng = self._streams.fork(key).stream("parallel.retry")
-            self._retry_rngs[key] = rng
-        delay = policy.backoff_base_s * (
-            policy.backoff_factor ** (attempt - 1)
-        )
-        delay = min(delay, policy.backoff_max_s)
-        jitter = 1.0 + policy.jitter_frac * (2.0 * rng.random() - 1.0)
-        return max(0.0, delay * jitter)
-
-    def _accept(
+    def _settle(
         self,
         job: CampaignJob,
         attempt: int,
-        payload: dict,
-        payloads: Dict[str, dict],
-        stats: SupervisorStats,
+        reply: object = None,
+        failure: Optional[Tuple[str, str]] = None,
     ) -> None:
-        payloads[job.key] = payload
-        stats.executed += 1
-        if self.journal is not None:
-            self.journal.record_done(
-                job.key, job.spec_hash, attempt, payload
-            )
+        """Book one finished attempt — the only place that does.
 
-    def _count_failure(self, kind: str, stats: SupervisorStats) -> None:
-        if kind == "crash":
-            stats.crashes += 1
-        elif kind == "hang":
-            stats.hangs += 1
-        elif kind == "corrupt":
-            stats.corrupt += 1
+        A reply is validated, then accepted and journalled; a rejected
+        reply or a ``failure`` (the ``(reason, detail)`` of an attempt
+        that left no reply: crash, hang) is counted and the job
+        requeued, or quarantined and journalled once its attempts are
+        spent.
+        """
+        if failure is None:
+            try:
+                payload = validate_payload(reply)
+            except CampaignError as exc:
+                rejected = "worker reported an error" not in str(exc)
+                failure = ("corrupt" if rejected else "error", str(exc))
+        if failure is None:
+            self._payloads[job.key] = payload
+            self._stats.executed += 1
+            if self.journal is not None:
+                self.journal.record_done(
+                    job.key, job.spec_hash, attempt, payload
+                )
+            return
+        reason, detail = failure
+        if reason == "crash":
+            self._stats.crashes += 1
+        elif reason == "hang":
+            self._stats.hangs += 1
+        elif reason == "corrupt":
+            self._stats.corrupt += 1
         else:
-            stats.errors += 1
-
-    def _quarantine(
-        self,
-        job: CampaignJob,
-        attempts: int,
-        kind: str,
-        detail: str,
-        failed: List[FailedJob],
-        stats: SupervisorStats,
-    ) -> None:
-        stats.quarantined += 1
-        failed.append(
-            FailedJob(
-                key=job.key,
-                system=job.system,
-                attempts=attempts,
-                reason=kind,
-                detail=detail,
-            )
+            self._stats.errors += 1
+        if attempt < self.retry.max_attempts:
+            self._stats.retries += 1
+            self._queue.append((job, attempt + 1))
+            return
+        self._stats.quarantined += 1
+        self._failed.append(
+            FailedJob(job.key, job.system, attempt, reason, detail)
         )
         if self.journal is not None:
             self.journal.record_failed(
-                job.key, job.spec_hash, attempts, kind, detail
+                job.key, job.spec_hash, attempt, reason, detail
             )
 
-    # -- serial (degraded / workers=0) mode ----------------------------------
-
-    def _run_serial(
-        self,
-        pending: Sequence[CampaignJob],
-        payloads: Dict[str, dict],
-        failed: List[FailedJob],
-        stats: SupervisorStats,
-    ) -> None:
-        queue = deque((job, 1) for job in pending)
-        while queue:
-            job, attempt = queue.popleft()
-            action = (
-                self.injector.action_for(job.key, attempt)
-                if self.injector is not None
-                else None
-            )
-            kind = detail = None
-            if action in ("crash", "hang"):
-                kind, detail = action, f"injected {action} (serial mode)"
-            else:
-                try:
-                    if action == "corrupt":
-                        payload: dict = {
-                            "version": PAYLOAD_VERSION, "corrupt": True,
-                        }
-                    else:
-                        payload = payload_from_result(
-                            run_scenario_cached(job.system, job.config)
-                        )
-                    validate_payload(payload)
-                except CampaignError as exc:
-                    kind, detail = "corrupt", str(exc)
-                except Exception as exc:  # deliberate: quarantine, not die
-                    kind, detail = "error", f"{type(exc).__name__}: {exc}"
-            if kind is None:
-                self._accept(job, attempt, payload, payloads, stats)
-                continue
-            self._count_failure(kind, stats)
-            if attempt >= self.retry.max_attempts:
-                self._quarantine(job, attempt, kind, detail, failed, stats)
-            else:
-                stats.retries += 1
-                delay = self._backoff_delay(job.key, attempt)
-                if delay > 0:
-                    # Backoff between retries of host work; sim code
-                    # never sleeps on the wall clock.
-                    time.sleep(delay)  # referlint: disable=REF002
-                queue.append((job, attempt + 1))
-
-    # -- parallel (spawned worker pool) mode ---------------------------------
+    # -- attempts in spawned workers -----------------------------------------
 
     @staticmethod
     def _spawn_context():
@@ -911,42 +349,17 @@ class CampaignSupervisor:
         except (ImportError, OSError, ValueError):
             return None
 
-    def _launch(
-        self,
-        ctx,
-        job: CampaignJob,
-        attempt: int,
-        running: Dict[object, _Running],
-    ) -> None:
-        action = (
-            self.injector.action_for(job.key, attempt)
-            if self.injector is not None
-            else None
-        )
+    def _launch(self, ctx, job: CampaignJob, attempt: int) -> _Running:
         recv_end, send_end = ctx.Pipe(duplex=False)
         proc = ctx.Process(
             target=_worker_main,
-            args=(
-                send_end,
-                _JobEnvelope(
-                    key=job.key,
-                    system=job.system,
-                    config=job.config,
-                    action=action,
-                ),
-            ),
+            args=(send_end, self.work, job),
             daemon=True,
         )
         proc.start()
         send_end.close()
         deadline = time.monotonic() + self.retry.deadline_s  # referlint: disable=REF002
-        running[recv_end] = _Running(
-            job=job,
-            attempt=attempt,
-            proc=proc,
-            conn=recv_end,
-            deadline_at=deadline,
-        )
+        return _Running(job, attempt, proc, recv_end, deadline)
 
     @staticmethod
     def _kill(entry: _Running) -> None:
@@ -958,17 +371,18 @@ class CampaignSupervisor:
             proc.join(1.0)
         entry.conn.close()
 
-    def _harvest(self, entry: _Running) -> Tuple[Optional[dict], str, str]:
-        """Collect one finished worker: (payload, kind, detail)."""
+    @staticmethod
+    def _harvest(entry: _Running) -> Tuple[object, Optional[Tuple[str, str]]]:
+        """Collect one finished worker: ``_settle``'s (reply, failure)."""
         try:
             message = entry.conn.recv()
         except (EOFError, OSError):
             entry.conn.close()
             entry.proc.join(5.0)
             code = entry.proc.exitcode
-            return None, "crash", (
+            return None, ("crash", (
                 f"worker died before delivering a result (exit code {code})"
-            )
+            ))
         entry.conn.close()
         entry.proc.join(5.0)
         if (
@@ -976,77 +390,30 @@ class CampaignSupervisor:
             or len(message) != 2
             or message[0] != entry.job.key
         ):
-            return None, "corrupt", "worker reply was not (job key, payload)"
-        try:
-            payload = validate_payload(message[1])
-        except CampaignError as exc:
-            detail = str(exc)
-            kind = "error" if "worker reported an error" in detail else "corrupt"
-            return None, kind, detail
-        return payload, "", ""
+            return None, (
+                "corrupt", "worker reply was not (job key, payload)"
+            )
+        return message[1], None
 
-    def _run_pool(
-        self,
-        ctx,
-        pending: Sequence[CampaignJob],
-        payloads: Dict[str, dict],
-        failed: List[FailedJob],
-        stats: SupervisorStats,
-    ) -> None:
+    def _run_pool(self, ctx) -> None:
         from multiprocessing.connection import wait as connection_wait
 
-        queue = deque((job, 1) for job in pending)
-        retry_heap: List[Tuple[float, int, CampaignJob, int]] = []
         running: Dict[object, _Running] = {}
-
-        def handle_failure(
-            job: CampaignJob, attempt: int, kind: str, detail: str
-        ) -> None:
-            self._count_failure(kind, stats)
-            if attempt >= self.retry.max_attempts:
-                self._quarantine(job, attempt, kind, detail, failed, stats)
-                return
-            stats.retries += 1
-            ready_at = (
-                time.monotonic()  # referlint: disable=REF002
-                + self._backoff_delay(job.key, attempt)
-            )
-            self._sequence += 1
-            heapq.heappush(
-                retry_heap, (ready_at, self._sequence, job, attempt + 1)
-            )
-
         try:
-            while queue or retry_heap or running:
-                now = time.monotonic()  # referlint: disable=REF002
-                while retry_heap and retry_heap[0][0] <= now:
-                    _, _, job, attempt = heapq.heappop(retry_heap)
-                    queue.append((job, attempt))
-                while queue and len(running) < self.workers:
-                    job, attempt = queue.popleft()
-                    self._launch(ctx, job, attempt, running)
-                if not running:
-                    if retry_heap:
-                        pause = retry_heap[0][0] - now
-                        if pause > 0:
-                            # Waiting out a backoff window with no
-                            # in-flight work to watch.
-                            time.sleep(pause)  # referlint: disable=REF002
-                    continue
+            while self._queue or running:
+                while self._queue and len(running) < self.workers:
+                    entry = self._launch(ctx, *self._queue.popleft())
+                    running[entry.conn] = entry
                 horizon = min(r.deadline_at for r in running.values())
-                if retry_heap:
-                    horizon = min(horizon, retry_heap[0][0])
-                timeout = max(0.0, horizon - now)
-                ready = connection_wait(list(running), timeout=timeout)
+                now = time.monotonic()  # referlint: disable=REF002
+                ready = connection_wait(
+                    list(running), timeout=max(0.0, horizon - now)
+                )
                 for conn in ready:
                     entry = running.pop(conn)
-                    payload, kind, detail = self._harvest(entry)
-                    if payload is not None:
-                        self._accept(
-                            entry.job, entry.attempt, payload, payloads, stats
-                        )
-                    else:
-                        handle_failure(entry.job, entry.attempt, kind, detail)
+                    self._settle(
+                        entry.job, entry.attempt, *self._harvest(entry)
+                    )
                 now = time.monotonic()  # referlint: disable=REF002
                 for conn in list(running):
                     entry = running[conn]
@@ -1054,12 +421,14 @@ class CampaignSupervisor:
                         continue
                     del running[conn]
                     self._kill(entry)
-                    handle_failure(
+                    self._settle(
                         entry.job,
                         entry.attempt,
-                        "hang",
-                        f"exceeded the {self.retry.deadline_s:g}s "
-                        "per-attempt deadline and was killed",
+                        failure=(
+                            "hang",
+                            f"exceeded the {self.retry.deadline_s:g}s "
+                            "per-attempt deadline and was killed",
+                        ),
                     )
         finally:
             for entry in running.values():
@@ -1070,10 +439,6 @@ class CampaignSupervisor:
     def run(self) -> SupervisorOutcome:
         """Execute every job; always returns (quarantine, never raise,
         for job-level failures — only journal/config damage raises)."""
-        stats = SupervisorStats(jobs=len(self.jobs), workers=self.workers)
-        payloads: Dict[str, dict] = {}
-        failed: List[FailedJob] = []
-        pending: List[CampaignJob] = []
         for job in self.jobs:
             reused = (
                 self.journal.completed(job.key, job.spec_hash)
@@ -1083,192 +448,54 @@ class CampaignSupervisor:
             if reused is not None:
                 # Journal blobs pass the same schema gate as live ones;
                 # a hand-edited journal cannot poison the merge.
-                payloads[job.key] = validate_payload(reused)
-                stats.reused += 1
+                self._payloads[job.key] = validate_payload(reused)
+                self._stats.reused += 1
             else:
-                pending.append(job)
+                self._queue.append((job, 1))
         ctx = self._spawn_context() if self.workers > 0 else None
-        if self.workers > 0 and ctx is None:
-            stats.degraded_serial = True
-        if ctx is None:
-            self._run_serial(pending, payloads, failed, stats)
+        if ctx is not None:
+            self._run_pool(ctx)
         else:
-            self._run_pool(ctx, pending, payloads, failed, stats)
-        failed.sort(key=lambda f: f.key)
+            self._stats.degraded_serial = self.workers > 0
+            while self._queue:
+                job, attempt = self._queue.popleft()
+                self._settle(job, attempt, _attempt(self.work, job))
         return SupervisorOutcome(
-            payloads=payloads, failed=tuple(failed), stats=stats
+            payloads=self._payloads,
+            failed=tuple(sorted(self._failed, key=lambda f: f.key)),
+            stats=self._stats,
         )
 
 
-# ---------------------------------------------------------------------------
-# Campaign-level entry points
-# ---------------------------------------------------------------------------
-
-
-def _supervise(
-    jobs: Sequence[CampaignJob],
+def supervise(
+    points: Iterable[Tuple[str, ScenarioConfig]],
     fingerprint: str,
     *,
-    workers: int,
-    journal: Optional[str],
-    resume: bool,
-    retry: Optional[RetryPolicy],
-    fault_injector: Optional[WorkerFaultInjector],
-    seed: int,
+    workers: int = 0,
+    journal: Optional[str] = None,
+    resume: bool = False,
+    retry: Optional[RetryPolicy] = None,
+    work: Work = run_job,
 ) -> SupervisorOutcome:
-    journal_obj = (
+    """Run a grid's ``(system, config)`` points, each distinct one once.
+
+    ``fingerprint`` identifies the grid to the checkpoint ``journal``
+    (a JSONL path): ``resume=True`` replays it first and executes only
+    the jobs it is missing, and refuses one written for another grid.
+    """
+    if resume and journal is None:
+        raise ConfigError("resume needs a journal")
+    # Keyed by content, so a repeated point lands on its first job.
+    jobs = {job.key: job for job in (job_for(*point) for point in points)}
+    with (
         CampaignJournal(journal, fingerprint, resume=resume)
         if journal is not None
-        else None
-    )
-    try:
-        supervisor = CampaignSupervisor(
-            jobs,
+        else nullcontext()
+    ) as ledger:
+        return CampaignSupervisor(
+            list(jobs.values()),
             workers=workers,
             retry=retry,
-            journal=journal_obj,
-            fault_injector=fault_injector,
-            seed=seed,
-        )
-        return supervisor.run()
-    finally:
-        if journal_obj is not None:
-            journal_obj.close()
-
-
-def parallel_campaign(
-    base: ScenarioConfig = ScenarioConfig(),
-    seeds: int = 2,
-    figures: Optional[Sequence[str]] = None,
-    systems: Sequence[str] = ALL_SYSTEMS,
-    sweeps: Optional[Mapping[str, Sequence[float]]] = None,
-    *,
-    workers: int = 0,
-    journal: Optional[str] = None,
-    resume: bool = False,
-    retry: Optional[RetryPolicy] = None,
-    fault_injector: Optional[WorkerFaultInjector] = None,
-    supervisor_seed: int = 0,
-):
-    """The figure campaign, supervised (see the module docstring).
-
-    Returns the same :class:`~repro.experiments.campaign.CampaignResult`
-    as the serial :func:`~repro.experiments.campaign.run_campaign` —
-    byte-identical figures when every job completes — plus the
-    ``failed_jobs`` manifest and, for telemetry-enabled bases, the
-    deterministically merged registry snapshot.
-    """
-    from repro.experiments.campaign import (
-        CampaignResult,
-        campaign_axes,
-        select_figures,
-    )
-
-    if seeds < 1:
-        raise ConfigError("seeds must be >= 1")
-    selected = select_figures(figures)
-    axes = campaign_axes(selected, sweeps)
-    jobs = figure_jobs(base, seeds, axes, systems)
-    fingerprint = spec_fingerprint(
-        "figures", base, seeds, tuple(selected), tuple(systems),
-        tuple(sorted(axes.items())),
-    )
-    outcome = _supervise(
-        jobs,
-        fingerprint,
-        workers=workers,
-        journal=journal,
-        resume=resume,
-        retry=retry,
-        fault_injector=fault_injector,
-        seed=supervisor_seed,
-    )
-    lookup = outcome.lookup()
-    result = CampaignResult(
-        base=base,
-        seeds=seeds,
-        failed_jobs=outcome.failed,
-        merged_registry=merge_registry_snapshots(outcome.payloads),
-    )
-    for name in selected:
-        result.figures[name] = sweep_figure(
-            FIGURE_SPECS[name], base, axes[name], systems, seeds, run=lookup
-        )
-    return result
-
-
-def parallel_resilience_campaign(
-    base: ScenarioConfig = ScenarioConfig(),
-    systems: Sequence[str] = ALL_SYSTEMS,
-    fault_classes: Optional[Sequence[str]] = None,
-    intensities: Optional[Sequence[int]] = None,
-    seeds: int = 2,
-    recovery: Optional[RecoveryConfig] = None,
-    *,
-    workers: int = 0,
-    journal: Optional[str] = None,
-    resume: bool = False,
-    retry: Optional[RetryPolicy] = None,
-    fault_injector: Optional[WorkerFaultInjector] = None,
-    supervisor_seed: int = 0,
-):
-    """The resilience campaign, supervised (see the module docstring)."""
-    from repro.experiments.resilience import (
-        DEFAULT_FAULT_CLASSES,
-        DEFAULT_INTENSITIES,
-        ResilienceResult,
-        aggregate_resilience_cell,
-        resilience_config,
-    )
-
-    if seeds < 1:
-        raise ConfigError("seeds must be >= 1")
-    fault_classes = tuple(
-        fault_classes if fault_classes is not None else DEFAULT_FAULT_CLASSES
-    )
-    intensities = tuple(
-        intensities if intensities is not None else DEFAULT_INTENSITIES
-    )
-    systems = tuple(systems)
-    jobs = resilience_jobs(
-        base, systems, fault_classes, intensities, seeds, recovery
-    )
-    fingerprint = spec_fingerprint(
-        "resilience", base, seeds, systems, fault_classes, intensities,
-        recovery,
-    )
-    outcome = _supervise(
-        jobs,
-        fingerprint,
-        workers=workers,
-        journal=journal,
-        resume=resume,
-        retry=retry,
-        fault_injector=fault_injector,
-        seed=supervisor_seed,
-    )
-    lookup = outcome.lookup()
-    result = ResilienceResult(
-        base=base,
-        seeds=seeds,
-        failed_jobs=outcome.failed,
-        merged_registry=merge_registry_snapshots(outcome.payloads),
-    )
-    for system in systems:
-        for fault_class in fault_classes:
-            for intensity in intensities:
-                runs = [
-                    lookup(
-                        system,
-                        resilience_config(
-                            base, fault_class, intensity, seed, recovery
-                        ),
-                    )
-                    for seed in range(1, seeds + 1)
-                ]
-                result.cells.append(
-                    aggregate_resilience_cell(
-                        system, fault_class, intensity, runs
-                    )
-                )
-    return result
+            journal=ledger,
+            work=work,
+        ).run()

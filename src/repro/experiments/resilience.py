@@ -27,7 +27,10 @@ from repro.chaos import FaultSpec
 from repro.errors import ConfigError
 from repro.experiments.config import ScenarioConfig
 from repro.experiments.figures import ALL_SYSTEMS
-from repro.experiments.runner import RunResult, run_scenario_cached
+from repro.experiments.journal import spec_fingerprint
+from repro.experiments.parallel import supervise
+from repro.experiments.payload import merge_registry_snapshots
+from repro.experiments.runner import RunResult
 from repro.recovery import RecoveryConfig
 from repro.util.stats import confidence_interval_95
 
@@ -117,12 +120,12 @@ class ResilienceResult:
     base: ScenarioConfig
     seeds: int
     cells: List[ResilienceCell] = field(default_factory=list)
-    #: Quarantined jobs of a parallel campaign
-    #: (:class:`repro.experiments.parallel.FailedJob`); empty for
-    #: serial campaigns and all-healthy parallel ones.
+    #: Quarantined jobs
+    #: (:class:`repro.experiments.parallel.FailedJob`); empty when
+    #: every job completed.
     failed_jobs: tuple = ()
     #: Deterministic merge of the per-job telemetry registry snapshots
-    #: (parallel campaigns over a telemetry-enabled base config only).
+    #: (telemetry-enabled base configs only).
     merged_registry: Optional[dict] = None
 
     def cell(
@@ -153,9 +156,8 @@ def resilience_config(
 ) -> ScenarioConfig:
     """The scenario one (fault class, intensity, seed) point runs.
 
-    Shared by the serial loop below and the parallel job decomposition
-    (:mod:`repro.experiments.parallel`), so both execute literally the
-    same configurations.
+    The campaign below decomposes its grid and merges its cells
+    through this one mapping, so both name the same configurations.
     """
     return base.with_(
         seed=seed,
@@ -172,10 +174,8 @@ def aggregate_resilience_cell(
 ) -> ResilienceCell:
     """Fold one point's seed runs (in seed order) into its cell.
 
-    ``None`` entries are quarantined parallel jobs: the cell averages
-    the seeds that completed.  With every run present this is exactly
-    the serial aggregation, so parallel and serial campaigns produce
-    byte-identical cells.
+    ``None`` entries are quarantined jobs: the cell averages the seeds
+    that completed.
     """
     ratios: List[float] = []
     troughs: List[float] = []
@@ -224,61 +224,69 @@ def resilience_campaign(
     intensities: Sequence[int] = DEFAULT_INTENSITIES,
     seeds: int = 2,
     recovery: Optional[RecoveryConfig] = None,
-    workers: int = 0,
-    journal: Optional[str] = None,
-    resume: bool = False,
+    **supervision,
 ) -> ResilienceResult:
     """Sweep fault class x intensity for every system.
 
     Deterministic in ``(base, seeds)``: each point derives its config
     from ``base`` plus the class's :func:`specs_for` and a seed index,
     and every run draws all chaos randomness from the run's
-    ``RngStreams``.  Memoised per process like the figure sweeps.
+    ``RngStreams``.
 
     Passing ``recovery`` runs the campaign with the self-healing stack
     (:mod:`repro.recovery`) enabled — REFER then detects faults from
     heartbeat evidence instead of omnisciently, and the cells report
     detection latency and false-positive rate per fault class.
 
-    ``workers``/``journal``/``resume`` route the grid through the
-    supervised multiprocess runner
-    (:func:`repro.experiments.parallel.parallel_resilience_campaign`);
-    the default (0, None, False) keeps the in-process serial loop.
+    ``supervision`` (``workers``, ``journal``, ``resume``, ``retry``,
+    ``work``) goes to :func:`repro.experiments.parallel.supervise`; a
+    quarantined job lands in ``failed_jobs`` and its cell averages the
+    seeds that completed.
     """
     if seeds < 1:
         raise ConfigError("seeds must be >= 1")
-    if workers or journal is not None or resume:
-        from repro.experiments.parallel import parallel_resilience_campaign
+    systems = tuple(systems)
+    fault_classes = tuple(fault_classes)
+    intensities = tuple(intensities)
+    grid = [
+        (system, fault_class, intensity)
+        for system in systems
+        for fault_class in fault_classes
+        for intensity in intensities
+    ]
 
-        return parallel_resilience_campaign(
-            base,
-            systems=systems,
-            fault_classes=fault_classes,
-            intensities=intensities,
-            seeds=seeds,
-            recovery=recovery,
-            workers=workers,
-            journal=journal,
-            resume=resume,
+    def configs(fault_class: str, intensity: int) -> List[ScenarioConfig]:
+        return [
+            resilience_config(base, fault_class, intensity, seed, recovery)
+            for seed in range(1, seeds + 1)
+        ]
+
+    outcome = supervise(
+        (
+            (system, config)
+            for system, fault_class, intensity in grid
+            for config in configs(fault_class, intensity)
+        ),
+        spec_fingerprint(
+            "resilience", base, seeds, systems, fault_classes, intensities,
+            recovery,
+        ),
+        **supervision,
+    )
+    result = ResilienceResult(
+        base=base,
+        seeds=seeds,
+        failed_jobs=outcome.failed,
+        merged_registry=merge_registry_snapshots(outcome.payloads),
+    )
+    for system, fault_class, intensity in grid:
+        runs = [
+            outcome.result_for(system, config)
+            for config in configs(fault_class, intensity)
+        ]
+        result.cells.append(
+            aggregate_resilience_cell(system, fault_class, intensity, runs)
         )
-    result = ResilienceResult(base=base, seeds=seeds)
-    for system in systems:
-        for fault_class in fault_classes:
-            for intensity in intensities:
-                runs = [
-                    run_scenario_cached(
-                        system,
-                        resilience_config(
-                            base, fault_class, intensity, seed, recovery
-                        ),
-                    )
-                    for seed in range(1, seeds + 1)
-                ]
-                result.cells.append(
-                    aggregate_resilience_cell(
-                        system, fault_class, intensity, runs
-                    )
-                )
     return result
 
 

@@ -37,7 +37,6 @@ KNOWN_STREAM_NAMES = frozenset(
         "recovery.detector",
         "recovery.arq",
         "qos.*",  # QoS subsystem family: "qos.workload" (bursty driver)
-        "parallel.*",  # campaign supervisor family: "parallel.retry"
     }
 )
 

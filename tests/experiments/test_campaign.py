@@ -3,12 +3,9 @@
 import pytest
 
 from repro.errors import ConfigError
-from repro.experiments.campaign import (
-    FIGURE_FUNCTIONS,
-    campaign_report,
-    run_campaign,
-)
+from repro.experiments.campaign import campaign_report, run_campaign
 from repro.experiments.config import ScenarioConfig
+from repro.experiments.figures import FIGURE_SPECS
 
 TINY = ScenarioConfig(sim_time=6.0, warmup=1.0, rate_pps=4.0)
 
@@ -28,9 +25,8 @@ class TestRunCampaign:
             run_campaign(TINY, seeds=0)
 
     def test_all_names_registered(self):
-        assert set(FIGURE_FUNCTIONS) == {
-            f"fig{i}" for i in range(4, 12)
-        }
+        assert list(FIGURE_SPECS) == [f"fig{i}" for i in range(4, 12)]
+        assert all(spec.name == name for name, spec in FIGURE_SPECS.items())
 
     def test_shared_sweeps_are_memoised(self):
         """Figs 9 & 10 share their size sweep: the second is ~free."""

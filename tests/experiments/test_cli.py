@@ -63,6 +63,23 @@ class TestMain:
         assert code == 0
         assert "Fig 4" in capsys.readouterr().out
 
+    def test_resume_without_journal_is_a_usage_error(self, capsys):
+        assert main(["fig4", "--resume"]) == 2
+        assert main(["campaign", "--resume"]) == 2
+        assert "resume needs a journal" in capsys.readouterr().err
+
+    def test_figure_takes_the_supervision_flags(self, capsys, tmp_path):
+        journal = tmp_path / "fig10.jsonl"
+        argv = [
+            "fig10", "--sim-time", "6", "--rate", "4", "--seeds", "1",
+            "--points", "100", "--journal", str(journal),
+        ]
+        assert main(argv) == 0
+        first = capsys.readouterr().out
+        assert journal.read_text(encoding="utf-8").count('"done"') == 4
+        assert main(argv + ["--resume"]) == 0
+        assert capsys.readouterr().out == first
+
     def test_run_with_faults(self, capsys):
         code = main(
             [

@@ -2,13 +2,9 @@
 
 import pytest
 
+from repro.experiments.campaign import run_figure
 from repro.experiments.config import ScenarioConfig
-from repro.experiments.figures import (
-    FigureData,
-    SeriesPoint,
-    fig4_throughput_vs_mobility,
-    fig10_construction_energy_vs_size,
-)
+from repro.experiments.figures import FigureData, SeriesPoint
 from repro.experiments.report import format_figure
 
 TINY = ScenarioConfig(sim_time=6.0, warmup=1.0, rate_pps=4.0)
@@ -16,11 +12,8 @@ TINY = ScenarioConfig(sim_time=6.0, warmup=1.0, rate_pps=4.0)
 
 class TestSweep:
     def test_fig4_structure(self):
-        data = fig4_throughput_vs_mobility(
-            base=TINY,
-            speeds=(1.0, 3.0),
-            systems=("REFER", "DaTree"),
-            seeds=2,
+        data = run_figure(
+            "fig4", TINY, (1.0, 3.0), systems=("REFER", "DaTree"), seeds=2
         )
         assert data.figure == "Fig 4"
         assert set(data.series) == {"REFER", "DaTree"}
@@ -30,19 +23,14 @@ class TestSweep:
             assert all(p.ci95 >= 0 for p in points)
 
     def test_value_at(self):
-        data = fig4_throughput_vs_mobility(
-            base=TINY, speeds=(1.0,), systems=("REFER",), seeds=1
-        )
+        data = run_figure("fig4", TINY, (1.0,), systems=("REFER",), seeds=1)
         assert data.value_at("REFER", 1.0) > 0
         with pytest.raises(KeyError):
             data.value_at("REFER", 9.9)
 
     def test_fig10_construction_grows_for_overlay(self):
-        data = fig10_construction_energy_vs_size(
-            base=TINY,
-            sizes=(100, 200),
-            systems=("Kautz-overlay",),
-            seeds=1,
+        data = run_figure(
+            "fig10", TINY, (100, 200), systems=("Kautz-overlay",), seeds=1
         )
         series = data.series["Kautz-overlay"]
         assert series[1].mean > series[0].mean

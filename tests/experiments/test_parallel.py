@@ -1,45 +1,58 @@
-"""Tests for the supervised parallel campaign runner.
+"""Tests for the campaign supervisor — the one way a grid runs.
 
-The fault-handling suites run the supervisor in serial degraded mode
-(``workers=0``) where injection is simulated in-process — fast and
-deterministic; one suite spawns real worker processes to exercise
-crash detection from exit codes and hang detection from deadlines.
-Every merged result is compared against an all-healthy oracle.
+The retry/quarantine suites run the supervisor in process
+(``workers=0``) against a saboteur ``work`` callable
+(:mod:`tests.experiments.sabotage`) that raises or returns garbage on
+cue; one suite spawns real worker processes to exercise crash
+detection from exit codes and hang detection from deadlines.  What
+"supervised = plain" means is written here: the oracle is
+``sweep_figure`` / ``aggregate_resilience_cell`` over direct runs.
 """
 
 import pytest
 
 from repro.errors import CampaignError, ConfigError
-from repro.experiments.campaign import run_campaign
+from repro.experiments.campaign import (
+    campaign_report,
+    run_campaign,
+    run_figure,
+)
 from repro.experiments.config import ScenarioConfig
+from repro.experiments.figures import ALL_SYSTEMS, FIGURE_SPECS, sweep_figure
+from repro.experiments.journal import CampaignJournal
 from repro.experiments.parallel import (
     CampaignSupervisor,
     RetryPolicy,
-    WorkerFaultInjector,
-    figure_jobs,
     job_for,
+    supervise,
+)
+from repro.experiments.payload import (
     merge_registry_snapshots,
-    parallel_campaign,
-    parallel_resilience_campaign,
     payload_from_result,
     result_from_payload,
     validate_payload,
 )
 from repro.experiments.resilience import (
+    aggregate_resilience_cell,
     resilience_campaign,
     resilience_config,
 )
 from repro.experiments.runner import run_scenario_cached
 from repro.telemetry.config import TelemetryConfig
+from tests.experiments.sabotage import ALWAYS, Saboteur
 
 TINY = ScenarioConfig(sim_time=6.0, warmup=1.0, rate_pps=4.0)
 
-#: No-sleep retry policy: the suites assert retry *logic*, not pacing.
-FAST_RETRY = RetryPolicy(
-    max_attempts=3, deadline_s=60.0, backoff_base_s=0.0, backoff_max_s=0.0
-)
+FAST_RETRY = RetryPolicy(max_attempts=3, deadline_s=60.0)
 
 CAMPAIGN_KW = dict(seeds=1, figures=["fig4"], sweeps={"fig4": (5.0,)})
+
+RESILIENCE_KW = dict(
+    systems=("REFER",),
+    fault_classes=("rotation",),
+    intensities=(2,),
+    seeds=1,
+)
 
 METRIC_FIELDS = (
     "throughput_bps",
@@ -54,8 +67,14 @@ METRIC_FIELDS = (
 )
 
 
-def _tiny_jobs():
-    return figure_jobs(TINY, 1, {"fig4": (5.0,)}, systems=("REFER",))
+def _fig4_jobs(xs=(5.0,), systems=("REFER",)):
+    """The jobs of a one-seed fig4 grid, in grid order."""
+    config_for = FIGURE_SPECS["fig4"].config_for
+    return [
+        job_for(system, config_for(TINY, x, 1))
+        for system in systems
+        for x in xs
+    ]
 
 
 class TestPayloadCodec:
@@ -161,10 +180,15 @@ class TestRegistryMerge:
 class TestJobs:
     def test_shared_sweep_points_dedupe(self):
         # Figs 9 and 10 sweep the same sizes: one job per point, not two.
-        axes = {"fig9": (100, 150), "fig10": (100, 150)}
-        jobs = figure_jobs(TINY, 1, axes, systems=("REFER",))
-        assert len(jobs) == 2
-        assert len({j.key for j in jobs}) == 2
+        points = [
+            ("REFER", FIGURE_SPECS[name].config_for(TINY, x, 1))
+            for name in ("fig9", "fig10")
+            for x in (100, 150)
+        ]
+        outcome = supervise(points, "fp")
+        assert outcome.stats.jobs == 2
+        assert outcome.stats.executed == 2
+        assert len(outcome.payloads) == 2
 
     def test_key_is_content_addressed(self):
         a = job_for("REFER", TINY)
@@ -179,7 +203,7 @@ class TestJobs:
 
     def test_negative_workers_rejected(self):
         with pytest.raises(ConfigError):
-            CampaignSupervisor(_tiny_jobs(), workers=-1)
+            CampaignSupervisor(_fig4_jobs(), workers=-1)
 
 
 class TestRetryPolicy:
@@ -188,115 +212,105 @@ class TestRetryPolicy:
         [
             {"max_attempts": 0},
             {"deadline_s": 0.0},
-            {"backoff_base_s": -1.0},
-            {"backoff_factor": 0.5},
-            {"jitter_frac": 1.5},
         ],
     )
     def test_invalid_policies_rejected(self, kwargs):
         with pytest.raises(ConfigError):
             RetryPolicy(**kwargs)
 
-    def test_backoff_jitter_is_deterministic_per_job(self):
-        jobs = _tiny_jobs()
-        a = CampaignSupervisor(jobs, seed=0)._backoff_delay(jobs[0].key, 1)
-        b = CampaignSupervisor(jobs, seed=0)._backoff_delay(jobs[0].key, 1)
-        assert a == b
-        other = CampaignSupervisor(jobs, seed=1)._backoff_delay(
-            jobs[0].key, 1
-        )
-        assert a != other
-
 
 class TestSerialDegradedMode:
     def test_workers0_campaign_equals_legacy_serial(self):
-        serial = run_campaign(TINY, **CAMPAIGN_KW)
-        supervised = parallel_campaign(TINY, workers=0, **CAMPAIGN_KW)
-        assert supervised.figures["fig4"] == serial.figures["fig4"]
+        oracle = sweep_figure(
+            FIGURE_SPECS["fig4"], TINY, (5.0,), ALL_SYSTEMS, 1,
+            run=run_scenario_cached,
+        )
+        supervised = run_campaign(TINY, workers=0, **CAMPAIGN_KW)
+        assert supervised.figures["fig4"] == oracle
         assert supervised.failed_jobs == ()
 
     def test_workers0_resilience_equals_legacy_serial(self):
-        kw = dict(
-            systems=("REFER",),
-            fault_classes=("rotation",),
-            intensities=(2,),
-            seeds=1,
+        oracle = aggregate_resilience_cell(
+            "REFER",
+            "rotation",
+            2,
+            [
+                run_scenario_cached(
+                    "REFER", resilience_config(TINY, "rotation", 2, 1)
+                )
+            ],
         )
-        serial = resilience_campaign(TINY, **kw)
-        supervised = parallel_resilience_campaign(TINY, workers=0, **kw)
-        assert supervised.cells == serial.cells
+        supervised = resilience_campaign(TINY, workers=0, **RESILIENCE_KW)
+        assert supervised.cells == [oracle]
         assert supervised.failed_jobs == ()
 
-    def test_crash_once_then_succeed_matches_oracle(self):
-        oracle = CampaignSupervisor(_tiny_jobs(), retry=FAST_RETRY).run()
-        jobs = _tiny_jobs()
-        injected = CampaignSupervisor(
+    def test_error_once_then_succeed_matches_oracle(self, tmp_path):
+        oracle = CampaignSupervisor(_fig4_jobs(), retry=FAST_RETRY).run()
+        jobs = _fig4_jobs()
+        sabotaged = CampaignSupervisor(
             jobs,
             retry=FAST_RETRY,
-            fault_injector=WorkerFaultInjector.of(crash={jobs[0].key: 1}),
+            work=Saboteur.of(tmp_path, error={jobs[0].key: 1}),
         ).run()
-        assert injected.payloads == oracle.payloads
-        assert injected.failed == ()
-        assert injected.stats.crashes == 1
-        assert injected.stats.retries == 1
+        assert sabotaged.payloads == oracle.payloads
+        assert sabotaged.failed == ()
+        assert sabotaged.stats.errors == 1
+        assert sabotaged.stats.retries == 1
 
-    def test_permanent_crash_quarantines_with_manifest(self):
-        from repro.experiments.parallel import ALWAYS
-
-        jobs = _tiny_jobs()
+    def test_permanent_error_quarantined_in_manifest(self, tmp_path):
+        jobs = _fig4_jobs()
         outcome = CampaignSupervisor(
             jobs,
             retry=FAST_RETRY,
-            fault_injector=WorkerFaultInjector.of(
-                crash={jobs[0].key: ALWAYS}
-            ),
+            work=Saboteur.of(tmp_path, error={jobs[0].key: ALWAYS}),
         ).run()
         assert outcome.payloads == {}
         assert len(outcome.failed) == 1
         failed = outcome.failed[0]
         assert failed.key == jobs[0].key
-        assert failed.reason == "crash"
+        assert failed.reason == "error"
+        assert "RuntimeError" in failed.detail
         assert failed.attempts == FAST_RETRY.max_attempts
         assert outcome.stats.quarantined == 1
 
-    def test_corrupt_payload_rejected_then_retried(self):
-        oracle = CampaignSupervisor(_tiny_jobs(), retry=FAST_RETRY).run()
-        jobs = _tiny_jobs()
-        injected = CampaignSupervisor(
+    def test_raising_scenario_quarantined_as_error(self):
+        outcome = supervise(
+            [("NoSuchSystem", TINY)], "fp", retry=RetryPolicy(max_attempts=2)
+        )
+        assert outcome.stats.errors == 2
+        (failed,) = outcome.failed
+        assert failed.reason == "error"
+        assert "ConfigError: unknown system" in failed.detail
+
+    def test_corrupt_payload_rejected_then_retried(self, tmp_path):
+        oracle = CampaignSupervisor(_fig4_jobs(), retry=FAST_RETRY).run()
+        jobs = _fig4_jobs()
+        sabotaged = CampaignSupervisor(
             jobs,
             retry=FAST_RETRY,
-            fault_injector=WorkerFaultInjector.of(
-                corrupt={jobs[0].key: 2}
-            ),
+            work=Saboteur.of(tmp_path, corrupt={jobs[0].key: 2}),
         ).run()
-        assert injected.payloads == oracle.payloads
-        assert injected.stats.corrupt == 2
-        assert injected.failed == ()
+        assert sabotaged.payloads == oracle.payloads
+        assert sabotaged.stats.corrupt == 2
+        assert sabotaged.failed == ()
 
-    def test_campaign_completes_around_poisoned_job(self):
+    def test_campaign_completes_around_poisoned_job(self, tmp_path):
         """A permanently failing job costs its own samples, nothing else."""
-        from repro.experiments.parallel import ALWAYS
-
         kw = dict(
             seeds=1,
             figures=["fig4"],
             sweeps={"fig4": (5.0, 10.0)},
         )
-        serial = run_campaign(TINY, **kw)
-        poisoned_key = figure_jobs(
-            TINY, 1, {"fig4": (5.0, 10.0)}, systems=("REFER",)
-        )[0].key
-        result = parallel_campaign(
+        healthy = run_campaign(TINY, **kw).figures["fig4"].series
+        poisoned_key = _fig4_jobs((5.0, 10.0))[0].key
+        result = run_campaign(
             TINY,
             workers=0,
             retry=FAST_RETRY,
-            fault_injector=WorkerFaultInjector.of(
-                crash={poisoned_key: ALWAYS}
-            ),
+            work=Saboteur.of(tmp_path, error={poisoned_key: ALWAYS}),
             **kw,
         )
         assert [f.key for f in result.failed_jobs] == [poisoned_key]
-        healthy = serial.figures["fig4"].series
         merged = result.figures["fig4"].series
         assert set(merged) == set(healthy)
         for system, points in healthy.items():
@@ -308,23 +322,30 @@ class TestSerialDegradedMode:
                     assert got.samples == 0
                     assert got.mean != got.mean
 
-    def test_failed_jobs_render_in_report(self):
-        from repro.experiments.campaign import campaign_report
-        from repro.experiments.parallel import ALWAYS
-
-        key = figure_jobs(TINY, 1, {"fig4": (5.0,)}, systems=("REFER",))[
-            0
-        ].key
-        result = parallel_campaign(
+    def test_failed_jobs_render_in_report(self, tmp_path):
+        key = _fig4_jobs()[0].key
+        result = run_campaign(
             TINY,
             workers=0,
             retry=FAST_RETRY,
-            fault_injector=WorkerFaultInjector.of(crash={key: ALWAYS}),
+            work=Saboteur.of(tmp_path, error={key: ALWAYS}),
             **CAMPAIGN_KW,
         )
         report = campaign_report(result)
         assert "## Failed jobs" in report
         assert key in report
+
+    def test_run_figure_raises_on_quarantined_job(self, tmp_path):
+        key = _fig4_jobs()[0].key
+        with pytest.raises(CampaignError, match=key):
+            run_figure(
+                "fig4",
+                TINY,
+                (5.0,),
+                seeds=1,
+                retry=RetryPolicy(max_attempts=1),
+                work=Saboteur.of(tmp_path, corrupt={key: ALWAYS}),
+            )
 
 
 class TestJournalResume:
@@ -333,7 +354,7 @@ class TestJournalResume:
         kw = dict(
             seeds=1, figures=["fig4"], sweeps={"fig4": (5.0, 10.0)}
         )
-        full = parallel_campaign(TINY, journal=str(journal), **kw)
+        full = run_campaign(TINY, journal=str(journal), **kw)
         assert full.failed_jobs == ()
         # Kill the coordinator after some completions: drop the last
         # two job lines plus half of another (a torn tail write).
@@ -343,7 +364,7 @@ class TestJournalResume:
         journal.write_text(
             "\n".join(truncated) + "\n", encoding="utf-8"
         )
-        resumed = parallel_campaign(
+        resumed = run_campaign(
             TINY, journal=str(journal), resume=True, **kw
         )
         assert resumed.figures["fig4"] == full.figures["fig4"]
@@ -351,61 +372,83 @@ class TestJournalResume:
 
     def test_resume_reuses_journalled_payloads(self, tmp_path):
         journal = tmp_path / "campaign.jsonl"
-        jobs = _tiny_jobs()
-        from repro.experiments.journal import CampaignJournal
-
+        jobs = _fig4_jobs()
         first = CampaignJournal(str(journal), "fp")
         CampaignSupervisor(jobs, journal=first).run()
         first.close()
         second = CampaignJournal(str(journal), "fp", resume=True)
-        outcome = CampaignSupervisor(_tiny_jobs(), journal=second).run()
+        outcome = CampaignSupervisor(_fig4_jobs(), journal=second).run()
         second.close()
         assert outcome.stats.reused == len(jobs)
         assert outcome.stats.executed == 0
 
     def test_changed_grid_rejected_on_resume(self, tmp_path):
         journal = tmp_path / "campaign.jsonl"
-        parallel_campaign(TINY, journal=str(journal), **CAMPAIGN_KW)
+        run_campaign(TINY, journal=str(journal), **CAMPAIGN_KW)
         with pytest.raises(ConfigError):
-            parallel_campaign(
+            run_campaign(
                 TINY.with_(seed=2),
                 journal=str(journal),
                 resume=True,
                 **CAMPAIGN_KW,
             )
 
+    def test_resume_without_journal_rejected(self):
+        with pytest.raises(ConfigError, match="resume needs a journal"):
+            run_campaign(TINY, resume=True, **CAMPAIGN_KW)
+        with pytest.raises(ConfigError, match="resume needs a journal"):
+            resilience_campaign(TINY, resume=True, **RESILIENCE_KW)
+
 
 class TestRealWorkerPool:
     """Spawned-process suite: real crashes, real hangs, real deadlines."""
 
-    def test_crash_and_hang_detection_with_retries(self):
-        jobs = figure_jobs(
-            TINY, 1, {"fig4": (5.0, 10.0)}, systems=("REFER",)
-        )
+    def test_crash_and_hang_detection_with_retries(self, tmp_path):
+        jobs = _fig4_jobs((5.0, 10.0))
         assert len(jobs) == 2
         oracle = CampaignSupervisor(jobs, retry=FAST_RETRY).run()
-        injector = WorkerFaultInjector.of(
-            crash={jobs[0].key: 1}, hang={jobs[1].key: 1}
-        )
         outcome = CampaignSupervisor(
-            figure_jobs(
-                TINY, 1, {"fig4": (5.0, 10.0)}, systems=("REFER",)
-            ),
+            _fig4_jobs((5.0, 10.0)),
             workers=2,
             # A healthy spawned attempt is ~1.5 s (interpreter + import
             # + a 0.3 s scenario); 8 s leaves a wide margin while
-            # bounding how long the injected hang is allowed to sit
+            # bounding how long the sabotaged hang is allowed to sit
             # before the deadline kills it.
-            retry=RetryPolicy(
-                max_attempts=2,
-                deadline_s=8.0,
-                backoff_base_s=0.0,
-                backoff_max_s=0.0,
+            retry=RetryPolicy(max_attempts=2, deadline_s=8.0),
+            work=Saboteur.of(
+                tmp_path, crash={jobs[0].key: 1}, hang={jobs[1].key: 1}
             ),
-            fault_injector=injector,
         ).run()
         assert outcome.failed == ()
         assert outcome.payloads == oracle.payloads
         assert outcome.stats.crashes == 1
         assert outcome.stats.hangs == 1
         assert outcome.stats.retries == 2
+
+    def test_permanent_crash_reports_the_exit_code(self, tmp_path):
+        (job,) = _fig4_jobs()
+        outcome = CampaignSupervisor(
+            [job],
+            workers=1,
+            retry=RetryPolicy(max_attempts=1, deadline_s=60.0),
+            work=Saboteur.of(tmp_path, crash={job.key: ALWAYS}),
+        ).run()
+        (failed,) = outcome.failed
+        assert failed.reason == "crash"
+        assert "exit code 17" in failed.detail
+
+    def test_workers2_equals_workers0(self):
+        kw = dict(
+            seeds=1,
+            figures=["fig4"],
+            systems=("REFER", "DaTree"),
+            sweeps={"fig4": (5.0,)},
+        )
+        pooled = run_campaign(TINY, workers=2, **kw)
+        assert pooled.failed_jobs == ()
+        assert pooled.figures == run_campaign(TINY, workers=0, **kw).figures
+        pooled_cells = resilience_campaign(TINY, workers=2, **RESILIENCE_KW)
+        assert pooled_cells.failed_jobs == ()
+        assert pooled_cells.cells == resilience_campaign(
+            TINY, workers=0, **RESILIENCE_KW
+        ).cells
