@@ -6,8 +6,11 @@ simulations must be bit-reproducible (all randomness through
 typed (``repro.errors``) rather than being silently swallowed.  This
 package is the static-analysis pass that keeps every PR honest about
 them: a tiny, stdlib-only lint framework (single-parse multi-rule
-driver, inline suppressions, committed baselines) plus the REFER rule
-pack (REF001–REF006, see :mod:`repro.devtools.rulepack`).
+driver, inline suppressions) plus the REFER rule pack — ten rules that
+each match one expression of one file (see
+:mod:`repro.devtools.rulepack`).  What a run *does* is guarded
+dynamically: the pinned digests, their hash-seed twin and the
+first-divergence debugger (:mod:`repro.devtools.divergence`).
 
 Run it as a CLI::
 
@@ -19,13 +22,11 @@ or from code::
     findings = lint_paths(["src"])
 """
 
-from repro.devtools.baseline import Baseline
 from repro.devtools.driver import lint_file, lint_paths, lint_source
 from repro.devtools.findings import ERROR, WARNING, Finding
 from repro.devtools.rules import REGISTRY, Rule, RuleContext, all_rules, register
 
 __all__ = [
-    "Baseline",
     "ERROR",
     "Finding",
     "REGISTRY",

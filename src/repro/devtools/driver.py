@@ -2,13 +2,9 @@
 
 Each file is read and parsed **once**; every AST node is dispatched to
 every registered rule that declared interest in its type, then each
-rule gets a whole-module ``finish`` pass.  When whole directories are
-linted, the driver first runs the *project pass*: all parsed modules
-are handed to :class:`repro.devtools.callgraph.Project`, which
-flow-analyses them and converges cross-module function summaries, so
-scope- and dataflow-aware rules (REF008–REF012) see taint that crosses
-file boundaries.  Single-file entry points still work — the flow rules
-simply degrade to intraprocedural precision.
+rule gets a whole-module ``finish`` pass.  Files are linted one at a
+time and share nothing: a finding depends on the file it is in and on
+that file's path, so linting a tree is linting each of its files.
 
 The driver also implements inline suppressions::
 
@@ -38,9 +34,8 @@ import re
 import tokenize
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple, Type
 
-from repro.devtools.callgraph import Project
 from repro.devtools.findings import Finding
-from repro.devtools.rules import Rule, RuleContext, all_rules, is_test_path
+from repro.devtools.rules import Rule, RuleContext, all_rules
 
 #: Pseudo-rule id for files the driver could not parse.
 PARSE_ERROR = "REF000"
@@ -153,7 +148,6 @@ def _lint_tree(
     rules: Sequence[Rule],
 ) -> List[Finding]:
     """Run ``rules`` over an already-parsed module."""
-    ctx.tree = tree
     active = [rule for rule in rules if rule.applies_to(ctx)]
     dispatch: Dict[Type[ast.AST], List[Rule]] = {}
     for rule in active:
@@ -173,10 +167,9 @@ def lint_source(
     source: str,
     path: str,
     rules: Optional[Sequence[Rule]] = None,
-    project: Optional[Project] = None,
 ) -> List[Finding]:
     """Lint one in-memory module; ``path`` scopes path-sensitive rules."""
-    ctx = RuleContext(path, source, project=project)
+    ctx = RuleContext(path, source)
     if rules is None:
         rules = all_rules()
     try:
@@ -189,7 +182,6 @@ def lint_source(
 def lint_file(
     path: str,
     rules: Optional[Sequence[Rule]] = None,
-    project: Optional[Project] = None,
 ) -> List[Finding]:
     """Lint one file on disk (read errors become findings, not crashes)."""
     display = os.path.relpath(path) if not os.path.isabs(path) else path
@@ -206,7 +198,7 @@ def lint_file(
                 message=f"file is unreadable: {exc}",
             )
         ]
-    return lint_source(source, display, rules, project=project)
+    return lint_source(source, display, rules)
 
 
 def lint_paths(
@@ -215,11 +207,6 @@ def lint_paths(
 ) -> List[Finding]:
     """Lint every ``.py`` file under ``paths``; findings sorted for output.
 
-    Each file is read and parsed exactly once: the parsed library
-    modules feed the interprocedural project pass (test files do not
-    contribute summaries — they are linted under relaxed rules and may
-    deliberately contain violations, e.g. the analyzer's own fixture
-    corpus), then every tree is linted against the converged project.
     Rule instances are shared across files (rules are stateless between
     files by construction — all per-file state lives in the context),
     so the registry is consulted once per run, not once per file.
@@ -227,38 +214,6 @@ def lint_paths(
     if rules is None:
         rules = all_rules()
     findings: List[Finding] = []
-    loaded: List[Tuple[str, str, ast.Module]] = []
     for path in iter_python_files(list(paths)):
-        display = os.path.relpath(path) if not os.path.isabs(path) else path
-        display = RuleContext(display, "").path
-        try:
-            with open(path, "r", encoding="utf-8") as handle:
-                source = handle.read()
-        except (OSError, UnicodeDecodeError) as exc:
-            findings.append(
-                Finding(
-                    path=display,
-                    line=1,
-                    col=1,
-                    rule_id=PARSE_ERROR,
-                    message=f"file is unreadable: {exc}",
-                )
-            )
-            continue
-        try:
-            tree = ast.parse(source)
-        except SyntaxError as exc:
-            findings.append(_parse_error_finding(display, exc))
-            continue
-        loaded.append((display, source, tree))
-    project = Project.build(
-        [
-            (display, tree)
-            for display, _, tree in loaded
-            if not is_test_path(display)
-        ]
-    )
-    for display, source, tree in loaded:
-        ctx = RuleContext(display, source, project=project)
-        findings.extend(_lint_tree(tree, ctx, rules))
+        findings.extend(lint_file(path, rules))
     return sorted(findings)

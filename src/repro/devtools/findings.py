@@ -1,16 +1,13 @@
 """The :class:`Finding` value type produced by every referlint rule.
 
 A finding is one rule violation at one source location.  Findings are
-immutable, orderable (by path, then line, then column, then rule id —
-the order the CLI prints them in) and serialisable both to the JSON
-output format and to the line-independent *baseline key* used to
-grandfather pre-existing violations.
+immutable and orderable (by path, then line, then column, then rule id
+— the order the CLI prints them in).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict
 
 #: Severity levels, mirroring the usual compiler vocabulary.  Errors
 #: fail the build; warnings are reported but (by themselves) keep the
@@ -35,25 +32,6 @@ class Finding:
     def __post_init__(self) -> None:
         if self.severity not in SEVERITIES:
             raise ValueError(f"unknown severity {self.severity!r}")
-
-    def baseline_key(self) -> str:
-        """A line-independent identity for baseline matching.
-
-        Deliberately excludes the line and column so that unrelated
-        edits to a file do not invalidate grandfathered findings.
-        """
-        return f"{self.rule_id}::{self.path}::{self.message}"
-
-    def to_dict(self) -> Dict[str, Any]:
-        """JSON-ready representation (the ``--format json`` row)."""
-        return {
-            "path": self.path,
-            "line": self.line,
-            "col": self.col,
-            "rule": self.rule_id,
-            "message": self.message,
-            "severity": self.severity,
-        }
 
     def format_text(self) -> str:
         """The one-line human form: ``path:line:col: RULE severity: msg``."""

@@ -2,36 +2,29 @@
 
 Usage::
 
-    python -m repro.devtools.lint [--format text|json] [paths...]
+    python -m repro.devtools.lint [--select IDS] [--list-rules] [paths...]
 
 Lints every ``.py`` file under the given paths (default: the current
 directory) with the full REFER rule pack and prints findings.  Exit
 codes are CI-oriented:
 
-* ``0`` — no non-baselined findings,
-* ``1`` — at least one new finding (or a file that does not parse),
+* ``0`` — no findings,
+* ``1`` — at least one finding (or a file that does not parse),
 * ``2`` — the linter itself was misused (bad arguments, missing files).
 
-A ``referlint-baseline.json`` in the working directory is picked up
-automatically; ``--baseline`` points elsewhere, ``--no-baseline``
-ignores it, and ``--write-baseline`` (re)grandfathers the current
-findings so a new rule can land before its backlog is fixed.
-``--prune-baseline`` is the burn-down ratchet: it rewrites the
-baseline without entries the tree no longer needs and exits 1 if any
-were stale, so CI forces the grandfather list to only ever shrink.
+A finding is fixed or carries an inline ``# referlint: disable=ID``
+with its reason (see :mod:`repro.devtools.driver`); there is no other
+way to hide one.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from typing import List, Optional, Sequence
 
-from repro.devtools.baseline import DEFAULT_BASELINE_NAME, Baseline
 from repro.devtools.driver import lint_paths
-from repro.devtools.findings import Finding
 from repro.devtools.rules import Rule, all_rules
 
 
@@ -45,36 +38,6 @@ def _build_parser() -> argparse.ArgumentParser:
         nargs="*",
         default=None,
         help="files or directories to lint (default: current directory)",
-    )
-    parser.add_argument(
-        "--format",
-        choices=("text", "json"),
-        default="text",
-        help="output format (default: text)",
-    )
-    parser.add_argument(
-        "--baseline",
-        default=None,
-        metavar="FILE",
-        help=f"baseline file (default: ./{DEFAULT_BASELINE_NAME} if present)",
-    )
-    parser.add_argument(
-        "--no-baseline",
-        action="store_true",
-        help="ignore any baseline file",
-    )
-    parser.add_argument(
-        "--write-baseline",
-        action="store_true",
-        help="write current findings to the baseline file and exit 0",
-    )
-    parser.add_argument(
-        "--prune-baseline",
-        action="store_true",
-        help=(
-            "rewrite the baseline file without entries the current "
-            "findings no longer consume; exit 1 if any were stale"
-        ),
     )
     parser.add_argument(
         "--select",
@@ -110,31 +73,6 @@ def _print_rule_table(rules: Sequence[Rule]) -> None:
         print(f"{rule.rule_id}  {rule.title.ljust(width)}  {rule.rationale}")
 
 
-def _emit(
-    fmt: str,
-    new: Sequence[Finding],
-    baselined: Sequence[Finding],
-) -> None:
-    if fmt == "json":
-        print(
-            json.dumps(
-                {
-                    "findings": [f.to_dict() for f in new],
-                    "baselined": len(baselined),
-                    "count": len(new),
-                },
-                indent=2,
-            )
-        )
-        return
-    for finding in new:
-        print(finding.format_text())
-    summary = f"{len(new)} finding(s)"
-    if baselined:
-        summary += f" ({len(baselined)} baselined and hidden)"
-    print(summary)
-
-
 def main(argv: Optional[Sequence[str]] = None) -> int:
     """Entry point; returns the process exit code."""
     parser = _build_parser()
@@ -161,50 +99,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 2
 
     findings = lint_paths(paths, rules)
-
-    baseline_path = args.baseline
-    if baseline_path is None and os.path.exists(DEFAULT_BASELINE_NAME):
-        baseline_path = DEFAULT_BASELINE_NAME
-
-    if args.write_baseline:
-        target = baseline_path or DEFAULT_BASELINE_NAME
-        Baseline.from_findings(findings).save(target)
-        print(f"referlint: wrote {len(findings)} finding(s) to {target}")
-        return 0
-
-    baseline = Baseline()
-    if not args.no_baseline and baseline_path is not None:
-        try:
-            baseline = Baseline.load(baseline_path)
-        except (OSError, ValueError, KeyError) as exc:
-            print(f"referlint: cannot read baseline: {exc}", file=sys.stderr)
-            return 2
-
-    if args.prune_baseline:
-        if args.no_baseline or baseline_path is None:
-            print(
-                "referlint: --prune-baseline needs a baseline file",
-                file=sys.stderr,
-            )
-            return 2
-        pruned, stale = baseline.prune(findings)
-        if not stale:
-            print("referlint: baseline is tight (nothing to prune)")
-            return 0
-        pruned.save(baseline_path)
-        for key, count in sorted(stale.items()):
-            suffix = f" (x{count})" if count > 1 else ""
-            print(f"referlint: pruned stale baseline entry {key}{suffix}")
-        print(
-            f"referlint: {sum(stale.values())} stale entr"
-            f"{'y' if sum(stale.values()) == 1 else 'ies'} removed from "
-            f"{baseline_path}; commit the updated file"
-        )
-        return 1
-
-    new, baselined = baseline.split(findings)
-    _emit(args.format, new, baselined)
-    return 1 if new else 0
+    for finding in findings:
+        print(finding.format_text())
+    print(f"{len(findings)} finding(s)")
+    return 1 if findings else 0
 
 
 if __name__ == "__main__":

@@ -1,15 +1,27 @@
 """The REFER rule pack: the invariants the type system cannot see.
 
-Importing this module registers every built-in rule (REF001–REF007)
-with :mod:`repro.devtools.rules`.  The ids are stable — suppression
-comments and baseline files reference them — so rules are never
-renumbered, only retired.
+Importing this module registers every built-in rule (REF000–REF007,
+REF009, REF010) with :mod:`repro.devtools.rules`.  The ids are stable
+— suppression comments reference them — so rules are never renumbered,
+only retired: REF008, REF011 and REF012 (hash-order flow into
+scheduling, float sums over sets, wall-clock through helpers) needed a
+taint engine that caught nothing the pinned digests did not, and are
+gone (DESIGN.md, "What guards determinism").
+
+Every rule matches one expression of one file.  Where the thing to
+forbid is a *flow* — a clock value reaching sim code through a helper
+— the rule's scope is widened until no flow needs tracking: the clock
+may not be read anywhere under ``repro/``, so the helper itself is the
+finding.
 
 Scope conventions:
 
-* *Library rules* (REF001, REF002, REF004, REF007) skip test files —
-  tests legitimately assert exact floats of deterministic runs, may
-  drive ``random.Random`` instances directly, and may print.
+* *Library rules* (REF001, REF004, REF007) skip test files — tests
+  legitimately assert exact floats of deterministic runs, may drive
+  ``random.Random`` instances directly, and may print.  REF002, REF009
+  and REF010 narrow that to library code under ``repro/``: standalone
+  drivers (``benchmarks/``, ``examples/``) time themselves and seed
+  their own synthetic workloads.
 * *Universal rules* (REF003, REF005, REF006) run everywhere: silently
   swallowed exceptions and mutable defaults are as harmful in a test
   as in the library.
@@ -18,9 +30,29 @@ Scope conventions:
 from __future__ import annotations
 
 import ast
-from typing import Set
+from typing import List, Set
 
 from repro.devtools.rules import Rule, RuleContext, dotted_name, register
+
+
+def _is_library(ctx: RuleContext) -> bool:
+    """Non-test code under ``repro/`` — the scope of REF002/REF009/REF010."""
+    return not ctx.is_test_file and ctx.in_directory("repro")
+
+
+@register
+class FileParses(Rule):
+    """REF000 — the file parses.
+
+    Matches nothing itself: the driver reports REF000 for a file it
+    cannot read or parse, so that a broken file fails CI instead of
+    crashing the linter.  Registered so the id has its row in
+    ``--list-rules`` like every other.
+    """
+
+    rule_id = "REF000"
+    title = "file parses"
+    rationale = "a broken file must fail CI, not crash the linter"
 
 
 @register
@@ -99,40 +131,63 @@ _WALL_CLOCK_CALLS = frozenset(
 )
 
 
+#: The clock-reading names of :mod:`time`, refused as ``from time
+#: import`` targets (``sleep`` and friends stay importable).
+_TIME_CLOCK_NAMES = frozenset(
+    name.split(".", 1)[1]
+    for name in _WALL_CLOCK_CALLS
+    if name.startswith("time.")
+)
+
+
 @register
 class NoWallClock(Rule):
-    """REF002 — simulation subsystems read time from the sim clock only.
+    """REF002 — library code reads time from the sim clock only.
 
-    Inside ``sim/``, ``net/``, ``core/``, ``wsan/``, ``chaos/``,
-    ``recovery/``, ``telemetry/`` and the runtime tracer every
-    timestamp must come from ``Simulator.now``: a single
-    ``time.time()`` makes latency, deadlines and event ordering depend
-    on the host machine and silently kills run-to-run reproducibility.
-    (Deliberate wall-clock observability — e.g. the profiler measuring
-    *host* cost of sim work — carries an inline suppression with a
-    justification comment.)
+    Every timestamp under ``repro/`` must come from ``Simulator.now``:
+    a single ``time.time()`` makes latency, deadlines and event
+    ordering depend on the host machine and silently kills run-to-run
+    reproducibility.  The scope is the whole library, not only the
+    simulation packages, so a ``util/`` helper that returns the host
+    clock is flagged where it is written rather than where simulation
+    code calls it; ``from time import perf_counter`` is refused the way
+    REF001 refuses ``from random import``, because the bare name would
+    escape the call pattern.  (Deliberate host-clock reads — the
+    profiler measuring *host* cost of sim work, the supervisor's worker
+    deadline — carry an inline suppression with their justification.)
     """
 
     rule_id = "REF002"
-    title = "no wall-clock time in simulation code"
+    title = "no wall-clock time in library code"
     rationale = (
-        "sim/net/core/wsan/chaos/recovery/telemetry must use the "
-        "simulation clock (sim.now)"
+        "everything under repro/ must use the simulation clock "
+        "(sim.now); host-clock reads are suppressed one by one"
     )
-    node_types = (ast.Call,)
+    node_types = (ast.Call, ast.ImportFrom)
 
     def applies_to(self, ctx: RuleContext) -> bool:
-        from repro.devtools.flowpack import in_sim_scope
-
-        return not ctx.is_test_file and in_sim_scope(ctx)
+        return _is_library(ctx)
 
     def visit(self, node: ast.AST, ctx: RuleContext) -> None:
+        if isinstance(node, ast.ImportFrom):
+            if node.module != "time" or node.level:
+                return
+            for alias in node.names:
+                if alias.name in _TIME_CLOCK_NAMES:
+                    ctx.report(
+                        self,
+                        node,
+                        f"'from time import {alias.name}' hides a "
+                        "wall-clock read behind a bare name; library "
+                        "code must use the sim clock (Simulator.now)",
+                    )
+            return
         name = dotted_name(node.func)  # type: ignore[attr-defined]
         if name in _WALL_CLOCK_CALLS:
             ctx.report(
                 self,
                 node,
-                f"wall-clock call {name}(); simulation code must use the "
+                f"wall-clock call {name}(); library code must use the "
                 "sim clock (Simulator.now)",
             )
 
@@ -320,6 +375,119 @@ class NoPrintInProtocolCode(Rule):
                 "print() in protocol code; record through the telemetry "
                 "registry / flight recorder / TraceLog instead",
             )
+
+
+#: File allowed to construct ``random.Random`` directly: the stream
+#: factory itself.
+_RNG_FACTORY_SUFFIX = "util/rng.py"
+
+
+@register
+class RngConstructedInFactoryOnly(Rule):
+    """REF009 — ``random.Random`` is constructed in ``util/rng.py`` only.
+
+    ``RngStreams`` only isolates subsystems if everybody goes through
+    it: a ``random.Random(seed)`` constructed ad hoc is an unnamed
+    stream no fork can reproduce and no trace can see.  ``from random
+    import Random`` is refused with it — the bare name would escape the
+    call pattern.  (Stream *names* are not checked: every
+    ``streams.stream(...)`` call lives in ``run_scenario``, and a
+    mistyped name is a different seed, which moves every pinned
+    digest.)
+    """
+
+    rule_id = "REF009"
+    title = "random.Random is constructed in util/rng.py only"
+    rationale = (
+        "an ad-hoc random.Random is a stream no fork reproduces and "
+        "no trace sees; take one from RngStreams.stream(name)"
+    )
+    node_types = (ast.Call, ast.ImportFrom)
+
+    def applies_to(self, ctx: RuleContext) -> bool:
+        return _is_library(ctx) and not ctx.path.endswith(_RNG_FACTORY_SUFFIX)
+
+    def visit(self, node: ast.AST, ctx: RuleContext) -> None:
+        if isinstance(node, ast.ImportFrom):
+            hit = (
+                node.module == "random"
+                and not node.level
+                and any(alias.name == "Random" for alias in node.names)
+            )
+        else:
+            func = node.func  # type: ignore[attr-defined]
+            hit = dotted_name(func) == "random.Random"
+        if hit:
+            ctx.report(
+                self,
+                node,
+                "random.Random constructed outside RngStreams; every "
+                "generator must come from RngStreams.stream(name)",
+            )
+
+
+_IDENTITY_BUILTINS = ("id", "hash")
+
+
+@register
+class NoIdentityOrHash(Rule):
+    """REF010 — no ``id()``/``hash()`` outside a ``__hash__`` body.
+
+    ``id(obj)`` is the allocator's output and ``hash()`` of a ``str``
+    is salted per process: stable within one interpreter, different in
+    the next.  As a sort key, container key or comparison operand they
+    make tie-breaks — and therefore event order, routing choices,
+    anything downstream — irreproducible across processes, so the
+    library does not call them at all; ``key=id`` / ``key=hash``
+    (the builtin passed, not called) is refused with them.  The one
+    legitimate use, combining fields inside ``__hash__``, stays legal.
+    Key on the object's stable identity (``node.id``, ``cell.cid``) or
+    use ``repro.util.hashing`` for content hashes.
+    """
+
+    rule_id = "REF010"
+    title = "no id()/hash() outside __hash__, no key=id/key=hash"
+    rationale = (
+        "addresses and salted hashes differ per process; key and "
+        "order objects by their stable ids (or util.hashing)"
+    )
+
+    def applies_to(self, ctx: RuleContext) -> bool:
+        return _is_library(ctx)
+
+    def finish(self, tree: ast.Module, ctx: RuleContext) -> None:
+        # Own walk, not the driver's dispatch: the driver hands rules
+        # nodes without their ancestry, and this one must not descend
+        # into ``__hash__``.
+        stack: List[ast.AST] = [tree]
+        while stack:
+            node = stack.pop()
+            if isinstance(node, ast.FunctionDef) and node.name == "__hash__":
+                continue
+            stack.extend(ast.iter_child_nodes(node))
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            if isinstance(func, ast.Name) and func.id in _IDENTITY_BUILTINS:
+                ctx.report(
+                    self,
+                    node,
+                    f"{func.id}() outside __hash__; its value differs "
+                    "per process — use the object's stable id",
+                )
+            for keyword in node.keywords:
+                value = keyword.value
+                if (
+                    keyword.arg == "key"
+                    and isinstance(value, ast.Name)
+                    and value.id in _IDENTITY_BUILTINS
+                ):
+                    ctx.report(
+                        self,
+                        value,
+                        f"key={value.id} orders by a per-process value; "
+                        "use the object's stable id",
+                    )
 
 
 @register

@@ -24,18 +24,13 @@ from __future__ import annotations
 
 import ast
 from pathlib import PurePosixPath
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple, Type
+from typing import Dict, List, Optional, Tuple, Type
 
 from repro.devtools.findings import ERROR, Finding
 
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard for hints only
-    from repro.devtools.callgraph import Project
-    from repro.devtools.dataflow import ModuleFlow
-    from repro.devtools.scopes import ModuleScopes
-
 
 def is_test_path(path: str) -> bool:
-    """Whether ``path`` is a test file (relaxed rule scope, no summaries)."""
+    """Whether ``path`` is a test file (relaxed rule scope)."""
     parts = PurePosixPath(path.replace("\\", "/")).parts
     name = parts[-1] if parts else ""
     return (
@@ -63,9 +58,9 @@ def register(rule_class: Type["Rule"]) -> Type["Rule"]:
 
 def all_rules() -> List["Rule"]:
     """Fresh instances of every registered rule, sorted by id."""
-    # Importing the packs here (not at module import) keeps the registry
+    # Importing the pack here (not at module import) keeps the registry
     # mechanism independent of the built-in rules.
-    from repro.devtools import flowpack, rulepack  # noqa: F401  (registers)
+    from repro.devtools import rulepack  # noqa: F401  (registers)
 
     return [REGISTRY[rule_id]() for rule_id in sorted(REGISTRY)]
 
@@ -73,25 +68,12 @@ def all_rules() -> List["Rule"]:
 class RuleContext:
     """Per-file state shared by every rule during one driver pass."""
 
-    def __init__(
-        self,
-        path: str,
-        source: str,
-        project: Optional["Project"] = None,
-    ) -> None:
+    def __init__(self, path: str, source: str) -> None:
         #: Normalised (posix-separator) path of the file under lint.
         self.path = str(PurePosixPath(*PurePosixPath(path.replace("\\", "/")).parts))
         self.source = source
         self.lines = source.splitlines()
         self.findings: List[Finding] = []
-        #: The cross-module analysis of this lint run, when whole
-        #: directories were linted; ``None`` for single-file entry
-        #: points (flow rules degrade to intraprocedural precision).
-        self.project = project
-        #: The parsed module, attached by the driver before rules run.
-        self.tree: Optional[ast.Module] = None
-        self._scopes: Optional["ModuleScopes"] = None
-        self._flow: Optional["ModuleFlow"] = None
         parts = PurePosixPath(self.path).parts
         self._parts = frozenset(parts)
         #: Test files opt out of the library-only rules (tests assert
@@ -102,52 +84,13 @@ class RuleContext:
         """Whether any path component matches one of ``names``."""
         return any(name in self._parts for name in names)
 
-    @property
-    def scopes(self) -> Optional["ModuleScopes"]:
-        """This file's symbol table (built on first use)."""
-        if self._scopes is None and self.tree is not None:
-            from repro.devtools.scopes import build_scopes
-
-            self._scopes = build_scopes(self.tree, self.path)
-        return self._scopes
-
-    def module_flow(self) -> Optional["ModuleFlow"]:
-        """This file's dataflow analysis, shared by every flow rule.
-
-        Prefers the converged project-pass result (interprocedural
-        summaries included); falls back to a local analysis for
-        single-file lints and test files.
-        """
-        if self._flow is None:
-            if self.project is not None:
-                self._flow = self.project.flow_for(self.path)
-            if self._flow is None and self.tree is not None:
-                from repro.devtools.dataflow import analyse_module
-
-                summaries = (
-                    self.project.summaries if self.project is not None else None
-                )
-                self._flow = analyse_module(
-                    self.tree, self.path, summaries, self.scopes
-                )
-        return self._flow
-
-    def report(
-        self,
-        rule: "Rule",
-        node: Optional[ast.AST],
-        message: str,
-        line: Optional[int] = None,
-    ) -> None:
-        """Record a finding for ``rule`` anchored at ``node`` (or ``line``)."""
-        if line is None:
-            line = getattr(node, "lineno", 1) if node is not None else 1
-        col = getattr(node, "col_offset", 0) + 1 if node is not None else 1
+    def report(self, rule: "Rule", node: ast.AST, message: str) -> None:
+        """Record a finding for ``rule`` anchored at ``node``."""
         self.findings.append(
             Finding(
                 path=self.path,
-                line=line,
-                col=col,
+                line=getattr(node, "lineno", 1),
+                col=getattr(node, "col_offset", 0) + 1,
                 rule_id=rule.rule_id,
                 message=message,
                 severity=rule.severity,

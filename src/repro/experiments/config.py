@@ -13,6 +13,7 @@ from environment variables.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from typing import Optional, Tuple
 
@@ -92,6 +93,13 @@ class ScenarioConfig:
             raise ConfigError("invalid time configuration")
         if self.rate_pps <= 0 or self.packet_bytes <= 0:
             raise ConfigError("invalid traffic configuration")
+        for name in ("source_window", "sensor_range", "actuator_range"):
+            if not getattr(self, name) > 0:  # NaN compares false: refused
+                raise ConfigError(f"{name} must be positive")
+        if not 0 <= self.sensor_max_speed < math.inf:
+            raise ConfigError(
+                "sensor_max_speed must be finite and non-negative"
+            )
         if self.probe_window <= 0:
             raise ConfigError("probe_window must be positive")
         for spec in self.fault_spec:

@@ -14,12 +14,14 @@ quarantine, continue:
 * **crash detection** — a worker that dies (non-zero exit, OOM kill,
   broken result pipe) before delivering a payload is detected from the
   parent side;
-* **bounded retries** — a failed attempt reruns at once, up to
-  ``max_attempts`` per job (a retry waits on no shared service, so
-  there is nothing to pace);
+* **bounded retries** — an attempt lost to the host (crash, hang,
+  corrupt reply) reruns at once, up to ``max_attempts`` per job (a
+  retry waits on no shared service, so there is nothing to pace);
 * **poison-job quarantine** — a job that keeps failing is quarantined
-  after ``max_attempts``; the campaign completes and reports it in
-  ``failed_jobs`` instead of dying;
+  after ``max_attempts``, and one whose run *reported* an error on its
+  first: a run is a pure function of ``(system, config)``, so a second
+  attempt would raise the same exception.  The campaign completes and
+  reports it in ``failed_jobs`` instead of dying;
 * **checkpoint/resume** — completions append to a
   :class:`~repro.experiments.journal.CampaignJournal`; a killed
   campaign resumes from the journal and produces byte-identical output
@@ -293,7 +295,8 @@ class CampaignSupervisor:
         reply or a ``failure`` (the ``(reason, detail)`` of an attempt
         that left no reply: crash, hang) is counted and the job
         requeued, or quarantined and journalled once its attempts are
-        spent.
+        spent — at once for a reported error, which a rerun of the
+        same ``(system, config)`` can only repeat.
         """
         if failure is None:
             try:
@@ -318,7 +321,7 @@ class CampaignSupervisor:
             self._stats.corrupt += 1
         else:
             self._stats.errors += 1
-        if attempt < self.retry.max_attempts:
+        if reason != "error" and attempt < self.retry.max_attempts:
             self._stats.retries += 1
             self._queue.append((job, attempt + 1))
             return

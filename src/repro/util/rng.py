@@ -16,30 +16,6 @@ from typing import Dict
 
 from repro.errors import TelemetryError
 
-#: The checked registry of stream names (enforced by referlint REF009).
-#: Every ``RngStreams.stream(name)`` call in the library must pass a
-#: string literal listed here; an entry ending in ``.*`` declares a
-#: dynamic family whose call sites spell the prefix as the literal head
-#: of an f-string (``streams.stream(f"chaos.{i}.{kind}")``).  Keeping
-#: the names in one reviewed place is what makes "one stream per
-#: subsystem" an invariant rather than a convention: adding a stream
-#: means adding a line here, and REF009 flags registry entries nothing
-#: draws from any more.
-KNOWN_STREAM_NAMES = frozenset(
-    {
-        "deployment",
-        "mac",
-        "mobility",
-        "system",
-        "workload",
-        "faults",
-        "chaos.*",  # per-fault-injector family: "chaos.<index>.<kind>"
-        "recovery.detector",
-        "recovery.arq",
-        "qos.*",  # QoS subsystem family: "qos.workload" (bursty driver)
-    }
-)
-
 
 class _TracedRandom(random.Random):
     """A ``random.Random`` that reports every underlying draw.

@@ -1,10 +1,9 @@
-"""CLI semantics: exit codes, formats, baselines, planted violations.
+"""CLI semantics: exit codes, output format, rule selection, planted violations.
 
 Runs :func:`repro.devtools.lint.main` in-process (capturing stdout) —
 the same code path ``python -m repro.devtools.lint`` executes.
 """
 
-import json
 import os
 
 import pytest
@@ -54,17 +53,6 @@ class TestExitCodes:
 
 
 class TestFormats:
-    def test_json_format(self, tree, capsys):
-        plant_violation(tree)
-        assert main(["--format", "json", "src"]) == 1
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["count"] == 1
-        (finding,) = payload["findings"]
-        assert finding["rule"] == "REF001"
-        assert finding["path"].endswith("bad.py")
-        assert finding["line"] == 2
-        assert finding["severity"] == "error"
-
     def test_text_format_is_path_line_col(self, tree, capsys):
         plant_violation(tree)
         main(["src"])
@@ -75,8 +63,10 @@ class TestFormats:
     def test_list_rules_prints_the_pack(self, tree, capsys):
         assert main(["--list-rules"]) == 0
         out = capsys.readouterr().out
-        for rule_id in ("REF001", "REF002", "REF003", "REF004", "REF005", "REF006"):
-            assert rule_id in out
+        assert [line.split()[0] for line in out.splitlines()] == [
+            "REF000", "REF001", "REF002", "REF003", "REF004", "REF005",
+            "REF006", "REF007", "REF009", "REF010",
+        ]
 
 
 class TestSelect:
@@ -84,96 +74,6 @@ class TestSelect:
         plant_violation(tree)
         assert main(["--select", "REF002", "src"]) == 0
         assert main(["--select", "REF001", "src"]) == 1
-
-
-class TestBaselineFlow:
-    def test_write_then_lint_exits_zero(self, tree, capsys):
-        plant_violation(tree)
-        assert main(["--write-baseline", "src"]) == 0
-        assert os.path.exists("referlint-baseline.json")
-        # The grandfathered finding is hidden...
-        assert main(["src"]) == 0
-        assert "baselined" in capsys.readouterr().out
-        # ...but a second, new violation still fails.
-        (tree / "src" / "repro" / "net" / "worse.py").write_text(
-            "import random\nrandom.seed(1)\n"
-        )
-        assert main(["src"]) == 1
-
-    def test_no_baseline_flag_ignores_the_file(self, tree):
-        plant_violation(tree)
-        main(["--write-baseline", "src"])
-        assert main(["--no-baseline", "src"]) == 1
-
-    def test_explicit_baseline_path(self, tree, tmp_path_factory):
-        plant_violation(tree)
-        target = tmp_path_factory.mktemp("bl") / "custom.json"
-        assert main(["--write-baseline", "--baseline", str(target), "src"]) == 0
-        assert main(["--baseline", str(target), "src"]) == 0
-        assert not os.path.exists("referlint-baseline.json")
-
-    def test_corrupt_baseline_is_usage_error(self, tree):
-        plant_violation(tree)
-        with open("referlint-baseline.json", "w") as handle:
-            handle.write("{not json")
-        assert main(["src"]) == 2
-
-
-class TestPruneBaseline:
-    def test_tight_baseline_exits_zero(self, tree, capsys):
-        plant_violation(tree)
-        main(["--write-baseline", "src"])
-        assert main(["--prune-baseline", "src"]) == 0
-        assert "tight" in capsys.readouterr().out
-
-    def test_stale_entry_is_pruned_and_fails(self, tree, capsys):
-        plant_violation(tree)
-        main(["--write-baseline", "src"])
-        # Fix the violation without touching the baseline: stale.
-        (tree / "src" / "repro" / "net" / "bad.py").write_text(
-            '"""Fixed."""\n'
-        )
-        assert main(["--prune-baseline", "src"]) == 1
-        out = capsys.readouterr().out
-        assert "pruned stale baseline entry" in out
-        assert "REF001" in out
-        # The rewrite is durable: a second prune finds nothing stale,
-        # and a plain lint still passes.
-        assert main(["--prune-baseline", "src"]) == 0
-        assert main(["src"]) == 0
-
-    def test_prune_keeps_still_live_entries(self, tree, capsys):
-        plant_violation(tree)
-        (tree / "src" / "repro" / "net" / "worse.py").write_text(
-            "import random\nrandom.seed(1)\n"
-        )
-        main(["--write-baseline", "src"])
-        (tree / "src" / "repro" / "net" / "worse.py").write_text(
-            '"""Fixed."""\n'
-        )
-        assert main(["--prune-baseline", "src"]) == 1
-        # bad.py's entry survived the prune: still grandfathered.
-        assert main(["src"]) == 0
-
-    def test_prune_without_baseline_is_usage_error(self, tree, capsys):
-        assert main(["--prune-baseline", "src"]) == 2
-        assert "needs a baseline" in capsys.readouterr().err
-
-    def test_prune_respects_multiset_counts(self, tree, capsys):
-        (tree / "src" / "repro" / "net" / "two.py").write_text(
-            "import random\nx = random.random()\ny = random.random()\n"
-        )
-        main(["--write-baseline", "src"])
-        (tree / "src" / "repro" / "net" / "two.py").write_text(
-            "import random\nx = random.random()\n"
-        )
-        assert main(["--prune-baseline", "src"]) == 1
-        assert main(["src"]) == 0
-        # Re-introducing the second copy is a *new* finding again.
-        (tree / "src" / "repro" / "net" / "two.py").write_text(
-            "import random\nx = random.random()\ny = random.random()\n"
-        )
-        assert main(["src"]) == 1
 
 
 class TestModuleInvocation:

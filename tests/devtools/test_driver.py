@@ -1,11 +1,8 @@
-"""Framework semantics: suppressions, baselines, ordering, bad files."""
+"""Framework semantics: suppressions, ordering, bad files."""
 
 import ast
 
-import pytest
-
 from repro.devtools import (
-    Baseline,
     Finding,
     Rule,
     RuleContext,
@@ -55,48 +52,6 @@ class TestSuppressions:
         )
         findings = lint_source(source, LIB)
         assert [(f.rule_id, f.line) for f in findings] == [("REF001", 3)]
-
-
-class TestBaseline:
-    def finding(self, message="m", line=1, path="p.py", rule="REF001"):
-        return Finding(
-            path=path, line=line, col=1, rule_id=rule, message=message
-        )
-
-    def test_split_partitions_new_and_baselined(self):
-        old, fresh = self.finding("old"), self.finding("fresh")
-        baseline = Baseline.from_findings([old])
-        new, baselined = baseline.split([old, fresh])
-        assert new == [fresh]
-        assert baselined == [old]
-
-    def test_matching_ignores_line_numbers(self):
-        baseline = Baseline.from_findings([self.finding(line=10)])
-        new, baselined = baseline.split([self.finding(line=99)])
-        assert new == [] and len(baselined) == 1
-
-    def test_multiset_semantics(self):
-        # One grandfathered copy absorbs exactly one occurrence.
-        baseline = Baseline.from_findings([self.finding()])
-        new, baselined = baseline.split([self.finding(), self.finding(line=2)])
-        assert len(new) == 1 and len(baselined) == 1
-
-    def test_round_trip_through_disk(self, tmp_path):
-        baseline = Baseline.from_findings(
-            [self.finding("a"), self.finding("a"), self.finding("b")]
-        )
-        target = tmp_path / "baseline.json"
-        baseline.save(str(target))
-        loaded = Baseline.load(str(target))
-        assert len(loaded) == 3
-        new, _ = loaded.split([self.finding("a"), self.finding("b")])
-        assert new == []
-
-    def test_unknown_version_rejected(self, tmp_path):
-        target = tmp_path / "baseline.json"
-        target.write_text('{"version": 99, "findings": []}')
-        with pytest.raises(ValueError):
-            Baseline.load(str(target))
 
 
 class TestDriver:

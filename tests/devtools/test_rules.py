@@ -9,8 +9,9 @@ import pytest
 
 from repro.devtools import lint_source
 
-LIB = "src/repro/net/example.py"      # library file, sim-scoped dir
-UTIL = "src/repro/util/example.py"    # library file, not sim-scoped
+LIB = "src/repro/net/example.py"      # library file, protocol dir
+UTIL = "src/repro/util/example.py"    # library file, not a protocol dir
+BENCH = "benchmarks/bench_example.py"  # standalone driver, not under repro/
 TEST = "tests/net/test_example.py"    # test file
 
 
@@ -65,6 +66,26 @@ class TestRef002WallClock:
         findings = lint("import time\nnow = time.time()\n")
         assert ids(findings) == ["REF002"]
 
+    def test_flags_util_helper_reading_the_clock(self):
+        # The helper a sim module would launder the clock through is
+        # the finding; no call graph needed to follow it.
+        source = (
+            "import time\n"
+            "def read_clock():\n"
+            "    return time.perf_counter()\n"
+        )
+        findings = lint(source, path=UTIL)
+        assert ids(findings) == ["REF002"]
+        assert findings[0].line == 3
+
+    def test_flags_from_time_import_of_a_clock(self):
+        findings = lint("from time import perf_counter, sleep\n", path=UTIL)
+        assert ids(findings) == ["REF002"]
+        assert "perf_counter" in findings[0].message
+
+    def test_allows_from_time_import_sleep(self):
+        assert lint("from time import sleep\n") == []
+
     def test_flags_datetime_now(self):
         source = "from datetime import datetime\nt = datetime.now()\n"
         assert ids(lint(source)) == ["REF002"]
@@ -75,9 +96,9 @@ class TestRef002WallClock:
     def test_allows_sim_clock(self):
         assert lint("def f(sim):\n    return sim.now\n") == []
 
-    def test_allows_wall_clock_outside_sim_dirs(self):
-        # experiments/ and util/ may timestamp reports with real time.
-        assert lint("import time\nt = time.time()\n", path=UTIL) == []
+    def test_allows_wall_clock_outside_the_library(self):
+        # Benchmarks and examples time themselves; they are not repro/.
+        assert lint("import time\nt = time.time()\n", path=BENCH) == []
 
     def test_skips_test_files(self):
         assert lint("import time\nt = time.time()\n", path=TEST) == []
@@ -265,6 +286,101 @@ class TestRef007PrintInProtocolCode:
     def test_allows_shadowed_print_method(self):
         # Only the builtin name is flagged, not attribute calls.
         assert lint("logger.print('x')\n") == []
+
+
+class TestRef009RngFactory:
+    @pytest.mark.parametrize(
+        "source",
+        [
+            pytest.param("import random\nad_hoc = random.Random(7)\n", id="seeded"),
+            pytest.param("import random\nunseeded = random.Random()\n", id="unseeded"),
+            pytest.param("from random import Random\n", id="from-import"),
+        ],
+    )
+    def test_flags_generator_built_outside_the_factory(self, source):
+        path = "src/repro/baselines/example.py"
+        assert ids(lint(source, path=path)) == ["REF009"]
+
+    @pytest.mark.parametrize(
+        "source,path",
+        [
+            # Taking a stream by any name is RngStreams' business.
+            pytest.param("mac = streams.stream('mac')\n", LIB, id="stream-literal"),
+            pytest.param(
+                "fault = streams.stream(f'chaos.{i}.{kind}')\n", LIB,
+                id="stream-fstring",
+            ),
+            pytest.param(
+                "import random\nstream = random.Random(seed)\n",
+                "src/repro/util/rng.py",
+                id="the-factory",
+            ),
+            # Standalone drivers seed their own synthetic workloads.
+            pytest.param(
+                "import random\nrng = random.Random(3)\n", BENCH, id="benchmark"
+            ),
+            pytest.param(
+                "import random\nrng = random.Random(3)\n", TEST, id="test-file"
+            ),
+        ],
+    )
+    def test_allows(self, source, path):
+        assert lint(source, path=path) == []
+
+
+class TestRef010IdentityAndHash:
+    @pytest.mark.parametrize(
+        "source",
+        [
+            pytest.param("ordered = sorted(nodes, key=id)\n", id="key-id"),
+            pytest.param("nodes.sort(key=hash)\n", id="key-hash"),
+            pytest.param("by_addr = {id(n): n for n in nodes}\n", id="dict-key"),
+            pytest.param("first = a if id(a) < id(b) else b\n", id="compare"),
+            pytest.param("table[hash(obj)] = obj\n", id="subscript"),
+            pytest.param("seen.add(id(node))\n", id="set-add"),
+            # str hashes are salted per process.
+            pytest.param("bucket = hash('refer') % 8\n", id="str-hash"),
+        ],
+    )
+    def test_flags_identity_and_hash_values(self, source):
+        findings = lint(source, path=UTIL)
+        assert findings and set(ids(findings)) == {"REF010"}
+
+    def test_one_finding_per_call(self):
+        findings = lint("first = a if id(a) < id(b) else b\n")
+        assert ids(findings) == ["REF010", "REF010"]
+
+    @pytest.mark.parametrize(
+        "source,path",
+        [
+            pytest.param(
+                "class K:\n"
+                "    def __hash__(self):\n"
+                "        return hash(('K', self.degree, self.diameter))\n",
+                "src/repro/kautz/example.py",
+                id="inside-__hash__",
+            ),
+            pytest.param(
+                "ordered = sorted(nodes, key=lambda n: n.node_id)\n", LIB,
+                id="key-lambda",
+            ),
+            pytest.param(
+                "by_id = {n.node_id: n for n in nodes}\n", LIB, id="stable-id"
+            ),
+            pytest.param(
+                "digest = hashing.consistent_hash(name)\n", LIB, id="util-hashing"
+            ),
+            pytest.param("cell = self.id\nh = obj.hash()\n", LIB, id="attributes"),
+            pytest.param(
+                "by_addr = {id(n): n for n in nodes}\n", TEST, id="test-file"
+            ),
+            pytest.param(
+                "by_addr = {id(n): n for n in nodes}\n", BENCH, id="benchmark"
+            ),
+        ],
+    )
+    def test_allows(self, source, path):
+        assert lint(source, path=path) == []
 
 
 class TestScopeClassification:

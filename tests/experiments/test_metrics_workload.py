@@ -47,6 +47,27 @@ class TestScenarioConfig:
         with pytest.raises(ConfigError):
             FaultConfig(count=-1)
 
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("source_window", 0.0),       # CbrWorkload.start never returned
+            ("source_window", float("nan")),
+            ("sensor_range", 0.0),        # NetworkError from construction
+            ("sensor_range", float("nan")),
+            ("actuator_range", -5.0),
+            ("sensor_max_speed", -1.0),   # bare ValueError: invalid speed range
+            ("sensor_max_speed", float("nan")),
+            ("sensor_max_speed", float("inf")),
+        ],
+    )
+    def test_refuses_values_no_run_survives(self, field, value):
+        with pytest.raises(ConfigError, match=field):
+            ScenarioConfig(**{field: value})
+
+    def test_boundary_values_stay_legal(self):
+        assert ScenarioConfig(source_window=float("inf")).source_window > 0
+        assert ScenarioConfig(sensor_max_speed=0.0).sensor_max_speed == 0.0
+
 
 class TestMetrics:
     def test_warmup_packets_ignored(self):

@@ -244,25 +244,15 @@ class TestSerialDegradedMode:
         assert supervised.cells == [oracle]
         assert supervised.failed_jobs == ()
 
-    def test_error_once_then_succeed_matches_oracle(self, tmp_path):
-        oracle = CampaignSupervisor(_fig4_jobs(), retry=FAST_RETRY).run()
-        jobs = _fig4_jobs()
-        sabotaged = CampaignSupervisor(
-            jobs,
-            retry=FAST_RETRY,
-            work=Saboteur.of(tmp_path, error={jobs[0].key: 1}),
-        ).run()
-        assert sabotaged.payloads == oracle.payloads
-        assert sabotaged.failed == ()
-        assert sabotaged.stats.errors == 1
-        assert sabotaged.stats.retries == 1
-
     def test_permanent_error_quarantined_in_manifest(self, tmp_path):
+        # A reported error is not retried: the real work is a pure
+        # function of (system, config), so a rerun could only repeat
+        # it.  (The saboteur's second attempt would have succeeded.)
         jobs = _fig4_jobs()
         outcome = CampaignSupervisor(
             jobs,
             retry=FAST_RETRY,
-            work=Saboteur.of(tmp_path, error={jobs[0].key: ALWAYS}),
+            work=Saboteur.of(tmp_path, error={jobs[0].key: 1}),
         ).run()
         assert outcome.payloads == {}
         assert len(outcome.failed) == 1
@@ -270,15 +260,19 @@ class TestSerialDegradedMode:
         assert failed.key == jobs[0].key
         assert failed.reason == "error"
         assert "RuntimeError" in failed.detail
-        assert failed.attempts == FAST_RETRY.max_attempts
+        assert failed.attempts == 1
+        assert outcome.stats.errors == 1
+        assert outcome.stats.retries == 0
         assert outcome.stats.quarantined == 1
 
     def test_raising_scenario_quarantined_as_error(self):
         outcome = supervise(
-            [("NoSuchSystem", TINY)], "fp", retry=RetryPolicy(max_attempts=2)
+            [("NoSuchSystem", TINY)], "fp", retry=RetryPolicy(max_attempts=3)
         )
-        assert outcome.stats.errors == 2
+        assert outcome.stats.errors == 1
+        assert outcome.stats.retries == 0
         (failed,) = outcome.failed
+        assert failed.attempts == 1
         assert failed.reason == "error"
         assert "ConfigError: unknown system" in failed.detail
 

@@ -12,11 +12,29 @@ file, before any ``src/`` edit, and are identical under CPython 3.9,
 3.11 and 3.12.  A refactor that claims "no behaviour change" passes
 without touching them; a change that means to move them says so and
 re-records both from the values the failing assertions print.
+
+The hash-seed twin reruns both scenarios in a child interpreter under
+two fixed, different ``PYTHONHASHSEED`` values: ``str`` hashes — and
+with them the iteration order of every set or dict keyed by strings —
+differ per process, so a run whose bytes depend on that order cannot
+print the recorded literals under both.  The pair is chosen, not
+arbitrary: under CPython >= 3.11 seeds 1 and 5 iterate
+``set(TrafficClass)`` — enum members hash by name, the one
+``str``-hashed key family on the packet path — in exactly opposite
+orders, so whichever of two classes a hash-ordered loop serves first,
+one of the two children serves the other.  (Small-int keys hash to
+themselves under every seed; a set of node ids iterated into an
+ordered effect moves the in-process digests instead.)
 """
 
 import hashlib
+import os
+import subprocess
+import sys
 
 import pytest
+
+import repro
 
 from repro.chaos.spec import FaultSpec
 from repro.experiments.config import ScenarioConfig
@@ -100,3 +118,31 @@ def test_run_matches_the_recorded_bytes(name):
     }
     assert result.telemetry.trace.fingerprint() == trace_fingerprint
 
+
+@pytest.mark.parametrize("hash_seed", ["1", "5"])
+def test_recorded_bytes_hold_under_a_fixed_hash_seed(hash_seed):
+    src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+    env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=src)
+    child = subprocess.run(
+        [sys.executable, os.path.abspath(__file__)],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert child.returncode == 0, child.stderr
+    assert child.stdout.splitlines() == [
+        f"{name} {PINNED[name][1]} {PINNED[name][2]}"
+        for name in sorted(PINNED)
+    ]
+
+
+def _print_observed() -> None:
+    """The child of the hash-seed twin: one line per pinned scenario."""
+    for name in sorted(PINNED):
+        result = run_scenario("REFER", PINNED[name][0])
+        print(name, result_digest(result), result.telemetry.trace.fingerprint())
+
+
+if __name__ == "__main__":
+    _print_observed()

@@ -6,7 +6,6 @@ the package imports cleanly without side effects, and the whole tree
 passes the referlint invariant checks (``repro.devtools``).
 """
 
-import dataclasses
 import importlib
 import pathlib
 import pkgutil
@@ -81,30 +80,15 @@ def test_referlint_reports_zero_new_findings():
     """The repo-cleanliness gate: the tree passes its own linter.
 
     Lints ``src`` and ``tests`` with the full REFER rule pack and fails
-    on any finding not grandfathered by the committed baseline — so a
-    planted violation (say, a raw ``random.random()`` call in
-    ``src/repro/net/``) fails the suite, not just the CLI.
+    on any finding — so a planted violation (say, a raw
+    ``random.random()`` call in ``src/repro/net/``) fails the suite,
+    not just the CLI.
     """
-    from repro.devtools import Baseline, lint_paths
+    from repro.devtools import lint_paths
 
     findings = lint_paths([str(REPO_ROOT / "src"), str(REPO_ROOT / "tests")])
-    # Baseline keys are repo-root-relative; normalise the absolute
-    # paths this test lints with.
-    findings = [
-        dataclasses.replace(
-            f, path=str(pathlib.PurePosixPath(f.path).relative_to(REPO_ROOT))
-        )
-        for f in findings
-    ]
-    baseline_file = REPO_ROOT / "referlint-baseline.json"
-    baseline = (
-        Baseline.load(str(baseline_file))
-        if baseline_file.exists()
-        else Baseline()
-    )
-    new, _ = baseline.split(findings)
-    assert not new, "referlint findings:\n" + "\n".join(
-        f.format_text() for f in new
+    assert findings == [], "referlint findings:\n" + "\n".join(
+        f.format_text() for f in findings
     )
 
 
