@@ -9,7 +9,7 @@ reads it on every hop.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, List, Optional
+from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro.errors import EmbeddingError
 from repro.kautz.graph import KautzGraph
@@ -30,6 +30,7 @@ class EmbeddedCell:
         self._node_to_kid: Dict[int, KautzString] = {}
         self._actuator_kids: Dict[KautzString, int] = {}
         self._observers: List[MembershipObserver] = []
+        self._kautz_neighbors: Dict[KautzString, Tuple[KautzString, ...]] = {}
 
     def add_observer(self, observer: MembershipObserver) -> None:
         """Register a callback fired on every assign/reassign.
@@ -141,8 +142,14 @@ class EmbeddedCell:
             kid for kid in self.graph.nodes() if kid not in self._kid_to_node
         ]
 
-    def kautz_neighbors_of(self, kid: KautzString) -> List[KautzString]:
-        """The undirected Kautz neighbourhood (physical link set) of a KID."""
-        return kid.successors() + [
-            p for p in kid.predecessors() if p not in kid.successors()
-        ]
+    def kautz_neighbors_of(self, kid: KautzString) -> Tuple[KautzString, ...]:
+        """The undirected Kautz neighbourhood (physical link set) of a
+        KID: a property of the graph alone, so computed once per KID."""
+        neighbors = self._kautz_neighbors.get(kid)
+        if neighbors is None:
+            successors = kid.successors()
+            neighbors = self._kautz_neighbors[kid] = tuple(
+                successors
+                + [p for p in kid.predecessors() if p not in successors]
+            )
+        return neighbors

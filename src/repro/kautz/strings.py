@@ -40,6 +40,16 @@ class KautzString:
                     f"consecutive repeated letter in {self.letters}"
                 )
 
+    def __hash__(self) -> int:
+        # KIDs key every cell and routing table; the hash of the two
+        # fields is computed at the first lookup and kept.
+        try:
+            return self._hash
+        except AttributeError:
+            value = hash((self.letters, self.degree))
+            object.__setattr__(self, "_hash", value)
+            return value
+
     # -- constructors ----------------------------------------------------
 
     @classmethod

@@ -8,16 +8,14 @@ mutating existing ones, which keeps position snapshots safe to share.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Iterable, Tuple
+from typing import Iterable, NamedTuple, Tuple
 
 #: Distances below this are treated as "already there": guards the
 #: degenerate self-to-self step without exact float equality.
 EPSILON = 1e-12
 
 
-@dataclass(frozen=True)
-class Point:
+class Point(NamedTuple):
     """An immutable 2-D point (metres)."""
 
     x: float
