@@ -2,8 +2,10 @@
 
 Every model shares one scheduler interface — :class:`ChaosModel` —
 driven exclusively by the simulation clock and an injected
-``random.Random`` (one ``RngStreams`` stream per model), so a master
-seed reproduces the exact fault schedule bit-for-bit.  Models record
+``random.Random`` (one ``RngStreams`` stream per model; the link
+fades, which advance when queried rather than on a schedule, draw from
+it by key), so a master seed reproduces the exact fault schedule
+bit-for-bit.  Models record
 their actions as :class:`FaultEvent`\\ s; the
 :class:`~repro.chaos.probe.ResilienceProbe` keys its recovery-time
 analysis on that log.
@@ -18,6 +20,7 @@ loss.
 from __future__ import annotations
 
 import abc
+import math
 import random
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
@@ -26,6 +29,7 @@ from repro.errors import ConfigError
 from repro.net.network import WirelessNetwork
 from repro.sim.process import PeriodicProcess
 from repro.util.geometry import Point
+from repro.util.rng import KeyedStream
 
 #: ``count`` callables draw the number of targets per round; ``eligible``
 #: callables return the ids a model may touch (evaluated per round so
@@ -439,8 +443,11 @@ class GilbertElliottLinkFault(ChaosModel):
     a link is BAD, frames on it are lost (``can_transmit`` gates shut)
     and the sensed signal margin is scaled by ``bad_quality`` — so
     REFER's maintenance sees exactly the "link about to break" signal
-    a deep fade produces.  Chains advance lazily at query time; the
-    sim's deterministic event order makes the draws reproducible.
+    a deep fade produces.  Sojourn ``k`` of link ``(a, b)`` is draw
+    ``((a, b), k)`` of the model's keyed stream, so a link's state is
+    a function of ``(seed, link, now)``: chains are walked lazily, but
+    which links are asked about, when and in what order moves nothing
+    (a look-back re-walks the chain from the epoch).
 
     ``eligible`` (a set of node ids) restricts the process to links
     whose *both* endpoints are in the set; None degrades every link.
@@ -462,14 +469,14 @@ class GilbertElliottLinkFault(ChaosModel):
         if not 0.0 <= bad_quality <= 1.0:
             raise ConfigError("bad_quality must be in [0, 1]")
         super().__init__(network)
-        self._rng = rng
+        self._draws = KeyedStream(rng)
         self._mean_good = mean_good
         self._mean_bad = mean_bad
         self._bad_quality = bad_quality
         self._eligible = frozenset(eligible) if eligible is not None else None
         self._installed = False
         self._epoch = 0.0
-        # link key -> [in_good_state, state_end_time]
+        # link key -> [in_good_state, state_start, state_end, sojourn k]
         self._chains: Dict[Tuple[int, int], List] = {}
 
     def active(self) -> bool:
@@ -515,14 +522,14 @@ class GilbertElliottLinkFault(ChaosModel):
             (src_id, dst_id) if src_id < dst_id else (dst_id, src_id)
         )
         chain = self._chains.get(key)
-        if chain is None:
-            chain = [
-                True,
-                self._epoch + self._rng.expovariate(1.0 / self._mean_good),
-            ]
-            self._chains[key] = chain
-        while chain[1] <= now:
+        if chain is None or now < chain[1]:
+            # Every link starts GOOD at the epoch, on sojourn 0.
+            chain = self._chains[key] = [False, self._epoch, self._epoch, -1]
+        while chain[2] <= now:
             chain[0] = not chain[0]
+            chain[3] += 1
             mean = self._mean_good if chain[0] else self._mean_bad
-            chain[1] += self._rng.expovariate(1.0 / mean)
+            # An exponential sojourn, by inversion of the keyed draw.
+            chain[1] = chain[2]
+            chain[2] -= mean * math.log(1.0 - self._draws.draw(key, chain[3]))
         return chain[0]

@@ -282,11 +282,13 @@ class TopologyMaintenance:
             return None
         # Scan the neighbourhoods of the Kautz neighbours — candidates
         # must be locally reachable, exactly like wait-state probing.
+        # The tuples are the whole graph's: liveness is the coverage
+        # test's to read, at ``now``, not the tuple's to have frozen.
         nodes = medium.node_table
         seen: set = set()
         candidates: List[int] = []
         for anchor in neighbors:
-            for s in medium.neighbors(anchor, now):
+            for s in medium.neighbors(anchor, now, require_usable=False):
                 if s in seen:
                     continue
                 seen.add(s)

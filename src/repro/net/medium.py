@@ -21,29 +21,21 @@ Link questions (``can_transmit``, ``link_quality`` and their batched
 forms ``reachable`` and ``link_margins_each``) are answered from exact
 positions at ``now``, one ``hypot`` per pair (:meth:`Node.distance_to`).
 
-A bucket starts at its first snapshot query — ``neighbors`` or
-``contention_at``, through one shared step — and that instant is the
-snapshot's.  The roll only *writes* the mobile positions; the grid
-re-hashes cells the first time something in the bucket needs them,
-which a bucket that only counts contention never does.  The order and
-instants of those position reads are behaviour (every walker draws its
-legs lazily from one shared RNG stream), so both readers roll alike.
+``neighbors`` is the discovery-timescale view: who was in mutual range
+when the bucket's snapshot was taken (its first neighbour query), with
+``usable`` as it was when the node's tuple was first computed in the
+bucket.  Floods and candidate gathering share it.  The roll only
+*writes* the mobile positions; the grid re-hashes cells the first time
+a query in the bucket needs them.
 
-``contention_at`` runs on every frame and is almost always 0, so it
-never computes a neighbour tuple to find that out: the medium keeps
-the set of radios that may be busy (a node files itself when its
-``radio_busy_until`` is assigned; a roll drops the expired) and tests
-those against the snapshot with the tuple's own predicate — unless
-``neighbors`` has already cached the node's tuple in this bucket, in
-which case it counts over that.  Time must not run backwards between
-snapshot queries: expired radios are gone for good.
-
-Liveness is the one thing the two readers see at different instants.
-A cached tuple holds ``usable`` as it was when ``neighbors`` first
-computed it in the bucket; the busy walk reads ``usable`` at the call.
-``contention_at`` never fills the cache, so a tuple freezes at the
-first ``neighbors`` call for that node, not at the node's first frame.
-The two can differ only when a node fails or recovers inside a bucket.
+``contention_at`` is a packet-time question, like the frame's own
+``reachable``: it runs on every frame and is almost always 0, so the
+medium keeps the set of radios that may be busy (a node files itself
+when its ``radio_busy_until`` is assigned) and tests those at exact
+positions at ``now`` — no snapshot, no neighbour tuple, and no bucket
+roll, so the all-walkers refresh runs only in buckets where somebody
+asks for a neighbour tuple.  Expired radios leave during the walk, so
+time must not run backwards between calls.
 
 Registry mutations (``add_node``) invalidate the neighbour cache
 immediately: a node added mid-bucket (e.g. by vertex replacement in
@@ -130,8 +122,8 @@ class WirelessMedium:
         self.refreshes = 0
         #: Nodes whose ``radio_busy_until`` may still lie ahead, by id:
         #: each files itself when its radio is occupied
-        #: (:attr:`Node.radio_busy_until`), a bucket roll drops the
-        #: expired, so it holds at most one entry per node.
+        #: (:attr:`Node.radio_busy_until`), :meth:`contention_at` drops
+        #: the expired, so it holds at most one entry per node.
         self._busy: Dict[int, Node] = {}
 
     # -- fault hooks ---------------------------------------------------------
@@ -201,34 +193,19 @@ class WirelessMedium:
         return statistics.median(ranges) if ranges else 1.0
 
     def _roll(self, bucket: int, now: float) -> None:
-        """Start bucket ``bucket`` at ``now``, its first query — or,
-        mid-bucket, take in newly registered nodes.
-
-        The one step both snapshot readers (:meth:`neighbors`,
-        :meth:`contention_at`) take, so the snapshot instant and the
-        mobility RNG's reads (one per mobile node, in registration
-        order) do not depend on which of them asks first.  Expired
-        busy radios leave here — ``now`` never decreases, so they stay
-        expired — in one pass over at most the nodes the refresh visits.
-        """
+        """Start bucket ``bucket`` at ``now``, its first neighbour
+        query — or, mid-bucket, take in newly registered nodes."""
         if bucket != self._cache_bucket:
             self._neighbor_cache.clear()
             self._cache_bucket = bucket
-            busy = self._busy
-            for node_id in [
-                i for i, node in busy.items() if node.radio_busy_until <= now
-            ]:
-                del busy[node_id]
         self._refresh_positions(now)
 
     def _refresh_positions(self, now: float) -> None:
         """Bring the grid's positions to ``now``.
 
         Static nodes are written once.  Mobile nodes get their new
-        position only; the grid re-hashes cells the first time
-        something in this bucket needs them
-        (:meth:`SpatialHashGrid.move_all`), and a bucket that only
-        counts busy radios never does.
+        position only; the grid re-hashes cells the first time a query
+        in this bucket needs them (:meth:`SpatialHashGrid.move_all`).
         """
         self.refreshes += 1
         grid = self.spatial_grid
@@ -417,57 +394,35 @@ class WirelessMedium:
         return out
 
     def contention_at(self, node_id: int, now: float) -> int:
-        """How many neighbouring radios are currently busy.
+        """How many radios within mutual range are busy right now.
 
         Drives the CSMA backoff model: each busy neighbour adds an
-        expected deferral slot.  The count is over :meth:`neighbors`
-        — usable nodes with a bidirectional link in the bucket's
-        position snapshot, which this call rolls exactly as
-        ``neighbors`` would — whose ``radio_busy_until`` is strictly
-        after ``now``.  ``now`` must not decrease from one call to the
-        next (simulation time does not): expired radios are dropped
-        for good.
+        expected deferral slot.  The count is over the usable nodes,
+        other than ``node_id``, whose ``radio_busy_until`` is strictly
+        after ``now`` and whose distance at ``now`` — exact positions,
+        the instant :meth:`reachable` tests the frame itself at — is
+        within both transmission ranges.
 
-        Most frames find no radio busy, so the neighbour tuple is
-        never computed for this: a tuple ``neighbors`` already cached
-        in this bucket is counted over (liveness as of that call),
-        otherwise the busy radios themselves are tested with the
-        tuple's own predicate over the same snapshot (liveness read at
-        ``now``), and nothing is cached.
+        Only the filed radios are walked, and those found expired are
+        dropped for good: ``now`` must not decrease from one call to
+        the next (simulation time does not).
         """
-        bucket = int(now / self._cache_resolution)
-        if bucket != self._cache_bucket or self._pending_ids:
-            self._roll(bucket, now)
-        neighbors = self._neighbor_cache.get((node_id, True))
-        if neighbors is None:
-            return self._count_busy_in_range(node_id, now)
-        nodes = self._nodes
-        return sum(
-            1
-            for other_id in neighbors
-            if nodes[other_id].radio_busy_until > now
-        )
-
-    def _count_busy_in_range(self, node_id: int, now: float) -> int:
-        """:meth:`contention_at` without the tuple: the filed radios
-        still busy, other than the node, usable and in mutual range in
-        the snapshot — ``_compute_neighbors``' test, operand for
-        operand."""
         node = self.node(node_id)
         reach = node.transmission_range
-        position_of = self.spatial_grid.position_of
+        busy = self._busy
         here = None
         count = 0
-        for other in self._busy.values():
-            if (
-                other.radio_busy_until > now
-                and other is not node
-                and other.usable
-            ):
+        expired = []
+        for other in busy.values():
+            if other.radio_busy_until <= now:
+                expired.append(other.id)
+            elif other is not node and other.usable:
                 if here is None:
-                    here = position_of(node_id)
-                there = position_of(other.id)
+                    here = node.mobility.position(now)
+                there = other.mobility.position(now)
                 distance = hypot(here.x - there.x, here.y - there.y)
                 if distance <= reach and distance <= other.transmission_range:
                     count += 1
+        for other_id in expired:
+            del busy[other_id]
         return count

@@ -6,6 +6,14 @@ departure time) and ``position(now)`` interpolates.  Legs roll over
 lazily when queried past their arrival time, so idle nodes cost
 nothing.
 
+A trajectory is a function of the model's own draws alone: a
+deployment hands each walker its node's draws of the keyed mobility
+stream (:class:`repro.util.rng.KeyedStream`), so where a node is does
+not depend on which other nodes were read, when, or in what order.
+Models also declare a speed bound (``max_speed``, m/s): two reads
+``dt`` apart are at most ``max_speed * dt`` apart, which lets callers
+rule out a range test without reading the position.
+
 A position is a value of ``(node, now)``.  Range checks ask for the
 same handful of instants thousands of times (construction runs at one
 ``now``, a maintenance round at another), so :class:`RandomWaypoint`
@@ -18,9 +26,10 @@ from __future__ import annotations
 
 import math
 import random
-from typing import Protocol
+from typing import Protocol, Union
 
 from repro.util.geometry import EPSILON, Point
+from repro.util.rng import KeyedDraws
 
 
 class MobilityModel(Protocol):
@@ -33,6 +42,9 @@ class MobilityModel(Protocol):
         repeat an instant freely, and may look back; every answer lies
         inside the deployment area and repeating ``now`` repeats the
         answer.
+
+        A model may also carry ``max_speed`` (m/s), a bound on how fast
+        its answers move; one without it is treated as unbounded.
         """
         ...
 
@@ -44,6 +56,7 @@ class StaticMobility:
     #: static (see :mod:`repro.net.spatial`); models without the
     #: attribute are treated as mobile.
     is_static = True
+    max_speed = 0.0
 
     def __init__(self, position: Point) -> None:
         self._position = position
@@ -73,16 +86,19 @@ class RandomWaypoint:
         start: Point,
         area_side: float,
         max_speed: float,
-        rng: random.Random,
+        rng: Union[random.Random, KeyedDraws],
         min_speed: float = 0.0,
     ) -> None:
+        """``rng`` gives the leg draws through ``uniform(a, b)``, three
+        a leg (target x, target y, speed)."""
         if area_side <= 0:
             raise ValueError("area_side must be positive")
         if max_speed < 0 or min_speed < 0 or min_speed > max_speed:
             raise ValueError("invalid speed range")
         self._area_side = area_side
         self._min_speed = min_speed
-        self._max_speed = max_speed
+        #: The speed bound: no leg is walked faster.
+        self.max_speed = max_speed
         self._rng = rng
         self._origin = start
         self._target = start
@@ -102,7 +118,7 @@ class RandomWaypoint:
     @property
     def is_static(self) -> bool:
         """``max_speed == 0`` degenerates to a static node."""
-        return self._max_speed == 0
+        return self.max_speed == 0
 
     def _next_leg(self, origin: Point, now: float) -> None:
         self._origin = origin
@@ -112,8 +128,8 @@ class RandomWaypoint:
         )
         # Redraw near-zero speeds: a [0, max] draw of exactly 0 would
         # strand the node forever on this leg.
-        speed = self._rng.uniform(self._min_speed, self._max_speed)
-        self._speed = max(speed, 1e-3 * self._max_speed)
+        speed = self._rng.uniform(self._min_speed, self.max_speed)
+        self._speed = max(speed, 1e-3 * self.max_speed)
         self._depart_time = now
         if self._speed <= 0.0:
             # max_speed so small the redraw floor underflows to 0.0
@@ -132,7 +148,7 @@ class RandomWaypoint:
     def position(self, now: float) -> Point:
         if now == self._memo_now:
             return self._memo_point
-        if self._max_speed == 0:
+        if self.max_speed == 0:
             return self._origin
         while now >= self._arrive_time:
             self._next_leg(self._target, self._arrive_time)

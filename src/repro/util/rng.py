@@ -6,6 +6,15 @@ component changes its consumption of randomness.  A single shared
 mobility model would perturb the workload.  :class:`RngStreams` derives
 an independent ``random.Random`` per named component from a master seed,
 so each subsystem owns its own stream.
+
+A stream still couples the *entities* that share it: when every sensor
+takes its next waypoint from the one mobility stream at the first read
+past a leg's end, a node's trajectory depends on the order in which all
+nodes are read.  Processes that advance lazily, per entity, take
+:class:`KeyedStream` draws instead: the ``k``-th draw of entity ``e`` of
+a stream is a hash of ``(master_seed, name, e, k)`` and of nothing else,
+so a read can be skipped, repeated or reordered without moving any
+other draw.
 """
 
 from __future__ import annotations
@@ -43,6 +52,64 @@ class _TracedRandom(random.Random):
         value = super().getrandbits(k)
         self._trace_sink.rng_draw(self._trace_name, "getrandbits", value)
         return value
+
+
+class KeyedStream:
+    """Draws addressed by ``(entity, k)``, not by arrival order.
+
+    A keyed view of a sequential stream: it takes one 64-bit draw from
+    ``rng`` as its key, when it is built, and nothing from it
+    afterwards — :meth:`draw` hashes ``(key, entity, k)``.  There is no
+    generator state per entity, so the view costs a few dozen bytes
+    however many entities draw from it, and the key draw is traced
+    like any other; the keyed draws are functions of it, and *when*
+    one is evaluated is by construction not an ordered occurrence.
+
+    ``entity`` is an int or a tuple of ints (anything whose ``str`` is
+    the same in every process).
+    """
+
+    __slots__ = ("_prefix",)
+
+    def __init__(self, rng: random.Random) -> None:
+        self._prefix = f"{rng.getrandbits(64)}:"
+
+    def draw(self, entity: object, k: int) -> float:
+        """The ``k``-th draw of ``entity``: uniform in ``[0, 1)``."""
+        digest = hashlib.sha256(
+            f"{self._prefix}{entity}:{k}".encode("utf-8")
+        ).digest()
+        # 53 bits, like ``random.random()``.
+        return (int.from_bytes(digest[:8], "big") >> 11) * 2.0 ** -53
+
+    def of(self, entity: object) -> "KeyedDraws":
+        """``entity``'s draws taken in order, behind the call shape of
+        a ``random.Random``."""
+        return KeyedDraws(self, entity)
+
+
+class KeyedDraws:
+    """One entity's draws of a :class:`KeyedStream`, ``k = 0, 1, ...``.
+
+    For a model written against ``rng.uniform(a, b)``
+    (:class:`~repro.net.mobility.RandomWaypoint`): all it holds is the
+    count of draws taken.
+    """
+
+    __slots__ = ("_stream", "_entity", "_taken")
+
+    def __init__(self, stream: KeyedStream, entity: object) -> None:
+        self._stream = stream
+        self._entity = entity
+        self._taken = 0
+
+    def random(self) -> float:
+        k = self._taken
+        self._taken = k + 1
+        return self._stream.draw(self._entity, k)
+
+    def uniform(self, a: float, b: float) -> float:
+        return a + (b - a) * self.random()
 
 
 class RngStreams:

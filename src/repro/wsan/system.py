@@ -17,6 +17,7 @@ from repro.net.mobility import RandomWaypoint, StaticMobility
 from repro.net.network import WirelessNetwork
 from repro.net.node import Node, NodeRole
 from repro.net.packet import Packet
+from repro.util.rng import KeyedStream
 from repro.wsan.deployment import DeploymentPlan
 
 DeliveredCallback = Callable[[Packet], None]
@@ -36,8 +37,11 @@ def build_nodes(
 
     Node-id convention used across the whole repository: actuators are
     ``0 .. A-1`` (static), sensors are ``A .. A+n-1`` (random waypoint
-    at up to ``sensor_max_speed`` m/s).
+    at up to ``sensor_max_speed`` m/s).  ``rng`` gives one key; each
+    sensor's legs are the draws that key holds for its node id, so a
+    trajectory is a function of (seed, node) alone.
     """
+    leg_draws = KeyedStream(rng)
     for i, pos in enumerate(plan.actuator_positions):
         network.add_node(
             Node(i, NodeRole.ACTUATOR, StaticMobility(pos), actuator_range)
@@ -48,7 +52,7 @@ def build_nodes(
             start=pos,
             area_side=plan.area_side,
             max_speed=sensor_max_speed,
-            rng=rng,
+            rng=leg_draws.of(base + j),
         )
         network.add_node(
             Node(

@@ -7,11 +7,13 @@ nine ``RunResult`` metric fields (``repr`` of each, so every float is
 compared to its last digit) and the ``TraceStream`` fingerprint (every
 scheduler dispatch, RNG draw and packet transition, in order).
 
-The literals were recorded on the parent of the commit that added this
-file, before any ``src/`` edit, and are identical under CPython 3.9,
-3.11 and 3.12.  A refactor that claims "no behaviour change" passes
-without touching them; a change that means to move them says so and
-re-records both from the values the failing assertions print.
+The literals were recorded on the one commit that meant to move them
+(PR 22's re-pin: leg and fade draws keyed by entity, contention counted
+at exact positions; the PR 12-21 refactors ran against the previous
+set) and are identical under CPython 3.9, 3.11 and 3.12.  A refactor
+that claims "no behaviour change" passes without touching them; a
+change that means to move them says so and re-records both from the
+values the failing assertions print.
 
 The hash-seed twin reruns both scenarios in a child interpreter under
 two fixed, different ``PYTHONHASHSEED`` values: ``str`` hashes — and
@@ -71,8 +73,7 @@ PLAIN = ScenarioConfig(
 )
 
 #: The branches a geometry or engine refactor can disturb: crash
-#: rotation and Gilbert-Elliott link bursts (whose lazy RNG draws make
-#: the order of ``LinkFault`` hook calls observable), recovery/ARQ, QoS.
+#: rotation and Gilbert-Elliott link bursts, recovery/ARQ, QoS.
 FAULTED = ScenarioConfig(
     seed=9,
     sensor_count=48,
@@ -92,13 +93,13 @@ FAULTED = ScenarioConfig(
 PINNED = {
     "plain": (
         PLAIN,
-        "208253210a596ed36e2f5181bed8cdb8cc29613ce5435bb4ed012667aa6a76a8",
-        "f63af1530b3adc9d28e69b9fe2b47e9733b49fd44a3d80cd56339dd21103ce3b",
+        "ca25edf57a96067de7d4902d91c0f2a8c45f197388f1f5a7aca4de2a4343e587",
+        "7fbdce53aa9c8d3a55da283c6e94c68ae81652a87ee4580112ac1b24a6cdaa35",
     ),
     "faulted": (
         FAULTED,
-        "49a99826519b43e5eb62c0304c869e19e9883a2fae1c00b71a330e989aaae769",
-        "6812924b5e49d92b6da145a3c6e7cf07b051f89968edf7e99ef80275a4a42f13",
+        "aee5aaa59b3a2ce53230f917c5b9a0b67f4ffcd033144a98d499d3d65cbf5497",
+        "781012e44d69e3c56e0f91a46b24dc3e96e618b236474cdfe75cd95282ff4647",
     ),
 }
 

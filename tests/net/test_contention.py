@@ -1,27 +1,24 @@
-"""``contention_at`` against the formulation it replaced.
+"""``contention_at`` against the count it stands for.
 
-The count used to be taken over the neighbour tuple::
-
-    sum(1 for o in medium.neighbors(node, now) if busy_until(o) > now)
-
-and is now taken over the radios that may be busy, never computing
-the tuple (a tuple ``neighbors()`` has cached is used).  Both must
-agree on every answer, and — because every walker of a world draws its legs
-from one shared RNG, so a trajectory depends on the order positions
-are read — on *when* the bucket's snapshot is taken: two worlds built
-from the same draw are driven by the same sequence of questions, one
-asked the new way and its twin the old way, and after every step the
-RNG states and every node's snapshot position must be identical.
+The count is a packet-time question: how many *other usable* nodes
+whose radio is busy strictly after ``now`` are, at their exact
+positions at ``now``, within both transmission ranges.  The oracle
+takes that sentence literally — every node, ``Point.distance_to`` —
+where the medium walks only the radios that filed themselves busy and
+drops the ones it finds expired.
 
 The worlds are built as in ``test_medium_geometry`` (asymmetric
-ranges, a range exactly equal to a distance, shared-RNG walkers at
-30 m/s, failed / asleep / flat-battery nodes), only denser and mostly
-alive, so that a busy radio is usually somebody's neighbour.  The steps advance time by
-zero, within a bucket and across buckets, occupy radios until before,
-exactly at and after ``now`` (the test is strict ``>``), interleave
-``neighbors()`` calls (which fill the cache the count then uses) and
-register one more node mid-run.
+ranges, a range exactly equal to a distance, keyed walkers at 30 m/s,
+failed / asleep / flat-battery nodes), only denser and mostly alive,
+so that a busy radio is usually somebody's neighbour.  The steps
+advance time by zero, within a snapshot bucket and across buckets,
+occupy radios until before, exactly at and after ``now`` (the test is
+strict ``>``), interleave ``neighbors()`` calls (whose snapshot and
+cached tuples the count must not see) and register one more node
+mid-run.
 """
+
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -31,6 +28,7 @@ from repro.net.medium import WirelessMedium
 from repro.net.mobility import RandomWaypoint, StaticMobility
 from repro.net.node import Node, NodeRole
 from repro.util.geometry import Point
+from repro.util.rng import KeyedStream
 from tests.net.test_medium_geometry import build_world, range_or_exact
 
 PROFILE = settings(max_examples=300, deadline=None, derandomize=True)
@@ -57,24 +55,32 @@ steps = st.lists(
 )
 
 
-def contention_over_neighbor_tuple(medium, node_id, now):
-    """``contention_at`` as it was before the busy set."""
-    return sum(
-        1
-        for other_id in medium.neighbors(node_id, now)
-        if medium.node(other_id).radio_busy_until > now
-    )
+def brute_contention(medium, node_id, now):
+    """The docstring of ``contention_at``, over every registered node."""
+    node = medium.node(node_id)
+    here = node.position(now)
+    count = 0
+    for other in medium.nodes():
+        if other is node or not other.usable:
+            continue
+        if not other.radio_busy_until > now:
+            continue
+        distance = here.distance_to(other.position(now))
+        if (
+            distance <= node.transmission_range
+            and distance <= other.transmission_range
+        ):
+            count += 1
+    return count
 
 
-def snapshot(medium):
-    grid = medium.spatial_grid
-    return {item: grid.position_of(item) for item in grid.items()}
-
-
-def register(medium, rng, node_id, spec):
+def register(medium, seed, node_id, spec):
     x, y, walks, reach, state = spec
     mobility = (
-        RandomWaypoint(Point(x, y), 300.0, 30.0, rng)
+        RandomWaypoint(
+            Point(x, y), 300.0, 30.0,
+            KeyedStream(random.Random(seed)).of(node_id),
+        )
         if walks else StaticMobility(Point(x, y))
     )
     node = Node(node_id, NodeRole.SENSOR, mobility, reach or 120.0)
@@ -89,37 +95,32 @@ def register(medium, rng, node_id, spec):
     node_specs,
     steps,
 )
-def test_contention_is_the_count_over_the_neighbor_tuple(
+def test_contention_is_the_brute_count_at_exact_positions(
     specs, seed, late_spec, script
 ):
-    lazy, lazy_rng, _ = build_world(specs, seed, 0.0, False)
-    twin, twin_rng, _ = build_world(specs, seed, 0.0, False)
+    medium, _ = build_world(specs, seed, 0.0, False)
     size = len(specs)
     now = 0.0
     for advance, action, index, busy_for, asked in script:
         now += advance
         node_id = index % size
         if action == "occupy":
-            lazy.node(node_id).radio_busy_until = now + busy_for
-            twin.node(node_id).radio_busy_until = now + busy_for
+            medium.node(node_id).radio_busy_until = now + busy_for
         elif action == "add":
             if size == len(specs):  # once per world
-                register(lazy, lazy_rng, size, late_spec)
-                register(twin, twin_rng, size, late_spec)
+                register(medium, seed, size, late_spec)
                 size += 1
         else:
-            usable_only = action == "neighbors"
-            assert lazy.neighbors(node_id, now, usable_only) == (
-                twin.neighbors(node_id, now, usable_only)
-            )
+            medium.neighbors(node_id, now, action == "neighbors")
         if asked:
             for asked_id in range(size):
-                assert lazy.contention_at(asked_id, now) == (
-                    contention_over_neighbor_tuple(twin, asked_id, now)
+                assert medium.contention_at(asked_id, now) == (
+                    brute_contention(medium, asked_id, now)
                 )
-        assert lazy_rng.getstate() == twin_rng.getstate()
-        if lazy.spatial_grid is not None or twin.spatial_grid is not None:
-            assert snapshot(lazy) == snapshot(twin)
+            # The walk dropped every radio it found expired.
+            assert all(
+                node.radio_busy_until > now for node in medium._busy.values()
+            )
 
 
 def static_world(*xs):
@@ -132,25 +133,42 @@ def static_world(*xs):
 
 
 def test_liveness_flip_inside_a_bucket():
-    """The one place the walk and the tuple part ways, pinned.
-
-    A cached tuple holds ``usable`` as of the first ``neighbors()``
-    call for that node in the bucket; the walk reads it at the call
-    and caches nothing, so a frame no longer freezes what a later
-    ``neighbors()`` in the bucket sees.
-    """
+    """A neighbour tuple freezes ``usable`` as of its first computation
+    in the bucket; the count reads it at the call and never looks at
+    the tuple."""
     medium = static_world(0.0, 10.0, 20.0)
     busy = medium.node(1)
     busy.radio_busy_until = 10.0
-    assert medium.contention_at(0, 1.0) == 1  # walked; nothing cached
+    assert medium.contention_at(0, 1.0) == 1
     busy.failed = True
-    assert medium.neighbors(0, 1.1) == (2,)  # liveness as of this call
+    assert medium.neighbors(0, 1.1) == (2,)
     assert medium.contention_at(0, 1.1) == 0
     busy.failed = False
-    assert medium.neighbors(0, 1.2) == (2,)  # stale by design
-    assert medium.contention_at(0, 1.2) == 0  # over the cached tuple
-    assert medium.contention_at(2, 1.2) == 1  # no tuple: liveness now
-    assert medium.contention_at(0, 1.25) == 1  # next bucket
+    assert medium.neighbors(0, 1.2) == (2,)  # the tuple is stale by design
+    assert medium.contention_at(0, 1.2) == 1  # the count is not
+
+
+def test_a_walker_is_counted_where_it_is_not_where_the_snapshot_left_it():
+    """A busy walker that leaves range inside a snapshot bucket stops
+    counting at once; ``neighbors`` keeps it until the bucket rolls."""
+
+    class Receding:
+        max_speed = 100.0
+
+        def position(self, now):
+            return Point(40.0 + 100.0 * now, 0.0)
+
+    medium = static_world(0.0)
+    medium.add_node(Node(1, NodeRole.SENSOR, Receding(), 50.0))
+    medium.node(1).radio_busy_until = 10.0
+    assert medium.neighbors(0, 0.0) == (1,)
+    assert medium.contention_at(0, 0.0) == 1
+    assert medium.contention_at(0, 0.1) == 1  # exactly 50 m away
+    assert medium.neighbors(0, 0.2) == (1,)  # same bucket, same snapshot
+    assert medium.contention_at(0, 0.2) == 0  # 60 m away
+    refreshes = medium.refreshes
+    assert medium.contention_at(0, 5.0) == 0
+    assert medium.refreshes == refreshes  # the count rolls no bucket
 
 
 def test_a_node_files_with_one_medium_only():

@@ -10,11 +10,11 @@ Two contracts:
   medium's own snapshot — the index may only change how neighbours
   are *found*, never which neighbours (or in which order) protocols
   see them — and checking that perturbs no metric;
-* ``contention_at`` counts without a neighbour tuple: every answer a
-  whole scenario gets equals the count over ``neighbors()`` asked
-  right after it, and over the brute-force scan; the check fills the
-  neighbour cache the lazy count leaves empty, so unchanged metrics
-  also show that filling it is unobservable;
+* ``contention_at`` walks only the radios filed busy: every answer a
+  whole scenario gets equals the count over *every* node at its exact
+  position at that instant; the check reads positions the walk never
+  asked for, so unchanged metrics also show that reading them is
+  unobservable;
 * the recovery stack (:mod:`repro.recovery`) is deterministic and
   strictly opt-in: same seed + ARQ on is byte-identical run-to-run,
   and a fully disabled ``RecoveryConfig`` reproduces the
@@ -32,6 +32,7 @@ from repro.net.medium import WirelessMedium
 from repro.recovery import RecoveryConfig
 from repro.telemetry import TelemetryConfig
 from tests.net.oracle import brute_neighbors
+from tests.net.test_contention import brute_contention
 
 SMALL = ScenarioConfig(
     seed=11,
@@ -90,14 +91,7 @@ def run_checked_against_brute_scan(system, config, monkeypatch):
 
     def contention_and_check(medium, node_id, now):
         count = contention(medium, node_id, now)
-        computed = len(tuples)
-        neighbors = medium.neighbors(node_id, now)
-        del tuples[computed:]  # computed for this check, not by the run
-        nodes = medium.node_table
-        for formulation in (neighbors, brute_neighbors(medium, node_id)):
-            assert count == sum(
-                1 for o in formulation if nodes[o].radio_busy_until > now
-            )
+        assert count == brute_contention(medium, node_id, now)
         counts.append(count)
         return count
 
@@ -123,8 +117,8 @@ def assert_run_checked_and_unperturbed(system, config, monkeypatch):
 
 
 class TestSpatialIndexTransparency:
-    """The grid and the busy-radio count must be invisible: brute-force
-    neighbours, every query."""
+    """The grid and the busy-radio walk must be invisible: brute-force
+    neighbours and brute-force counts, every query."""
 
     #: The baselines run with their faults: nodes fail and recover
     #: mid-run, and Kautz-overlay's repair floods occupy every radio
