@@ -210,35 +210,32 @@ class TopologyMaintenance:
         must_replace: bool,
         current_quality: float = 0.0,
     ) -> None:
-        found = self._find_candidate(neighbors, now, must_replace)
-        if found is None:
-            self.stats.failed_replacements += 1
-            return
-        candidate, candidate_covered = found
-        if must_replace and self._presumed_live(node_id):
-            # Replacing a live-but-degraded vertex only makes sense if
-            # the candidate restores strictly more Kautz edges.
-            medium = self.network.medium
-            current_covered = sum(
-                1
-                for nb in neighbors
-                if medium.can_transmit(node_id, nb, now)
-                and medium.can_transmit(nb, node_id, now)
-            )
-            if candidate_covered <= current_covered:
-                self.stats.failed_replacements += 1
-                return
-        if not must_replace:
+        if must_replace:
+            candidate = self._find_candidate(neighbors, now)
+            if candidate is not None and self._presumed_live(node_id):
+                # Replacing a live-but-degraded vertex only makes sense
+                # if the candidate restores strictly more Kautz edges.
+                medium = self.network.medium
+                current_covered = sum(
+                    1
+                    for nb in neighbors
+                    if medium.can_transmit(node_id, nb, now)
+                    and medium.can_transmit(nb, node_id, now)
+                )
+                if candidate[1] <= current_covered:
+                    candidate = None
+            if candidate is not None:
+                candidate = candidate[0]
+        else:
             # A weak-link replacement must actually improve matters:
             # the candidate has to clear the breakage threshold, not
             # merely match the incumbent — otherwise the cell churns.
-            candidate_quality = min(
-                self.network.medium.link_quality(candidate, nb, now)
-                for nb in neighbors
+            candidate = self._find_stronger(
+                neighbors, now, max(current_quality, self._link_threshold)
             )
-            if candidate_quality <= max(current_quality, self._link_threshold):
-                self.stats.failed_replacements += 1
-                return
+        if candidate is None:
+            self.stats.failed_replacements += 1
+            return
         old = cell.reassign(kid, candidate)
         self._release(old)
         self._claim(candidate)
@@ -266,36 +263,38 @@ class TopologyMaintenance:
         if break_time is not None:
             self.stats.replacement_latency.add(max(0.0, now - break_time))
 
-    def _find_candidate(
-        self, neighbors: List[int], now: float, must_replace: bool
-    ) -> Optional[tuple]:
-        """Best usable non-member sensor near the node's Kautz links.
-
-        Prefers candidates covering every Kautz neighbour; when the
-        cell geometry has degraded (or the node is outright broken and
-        ``must_replace`` is set) a partial-coverage candidate is
-        accepted — a weak link now beats a dead vertex, and the next
-        maintenance round keeps improving it.
-        """
+    def _wait_state_near(self, anchors: List[int], now: float) -> List[int]:
+        """Usable-or-not non-member sensors in the neighbourhood of any
+        anchor, each once, in scan order — candidates must be locally
+        reachable, exactly like wait-state probing.  The tuples are the
+        whole graph's: liveness is the link test's to read, at ``now``,
+        not the tuple's to have frozen."""
         medium = self.network.medium
-        if not neighbors:
-            return None
-        # Scan the neighbourhoods of the Kautz neighbours — candidates
-        # must be locally reachable, exactly like wait-state probing.
-        # The tuples are the whole graph's: liveness is the coverage
-        # test's to read, at ``now``, not the tuple's to have frozen.
         nodes = medium.node_table
         seen: set = set()
-        candidates: List[int] = []
-        for anchor in neighbors:
+        found: List[int] = []
+        for anchor in anchors:
             for s in medium.neighbors(anchor, now, require_usable=False):
                 if s in seen:
                     continue
                 seen.add(s)
                 if nodes[s].is_sensor and not self._is_member(s):
-                    candidates.append(s)
-        # One question for the whole scan, answered candidate by
-        # candidate in scan order (the LinkFault hook order is pinned).
+                    found.append(s)
+        return found
+
+    def _find_candidate(
+        self, neighbors: List[int], now: float
+    ) -> Optional[Tuple[int, int]]:
+        """Best usable non-member sensor near a broken node's Kautz
+        links, with how many of them it covers.
+
+        Prefers candidates covering every Kautz neighbour; a partial-
+        coverage candidate is accepted too — a weak link now beats a
+        dead vertex, and the next maintenance round keeps improving it.
+        """
+        medium = self.network.medium
+        nodes = medium.node_table
+        candidates = self._wait_state_near(neighbors, now)
         best = None
         best_key = None
         for s, (covered, qualities) in zip(
@@ -308,7 +307,36 @@ class TopologyMaintenance:
                 best, best_key = s, key
         if best is None:
             return None
-        full_coverage = best_key[0] == len(neighbors)
-        if full_coverage or must_replace:
-            return (best, best_key[0])
-        return None
+        return (best, best_key[0])
+
+    def _find_stronger(
+        self, neighbors: List[int], now: float, floor: float
+    ) -> Optional[int]:
+        """The candidate a weak (not broken) vertex may be handed to.
+
+        That is :meth:`_find_candidate`'s pick, *if* it covers every
+        Kautz neighbour with every margin above ``floor`` — which it
+        does exactly when some candidate does, full coverage and then
+        the weakest margin leading its ranking.  Most weak vertices
+        have no such candidate, so this scan only looks for one: it
+        drops a candidate at its first link that fails
+        (:meth:`WirelessMedium.links_above`) and, since a winner is
+        well inside *every* anchor's range, gathers from the first
+        anchor's neighbourhood alone whenever the bucket's snapshot
+        cannot have missed it (:meth:`WirelessMedium.snapshot_covers`).
+        """
+        if not neighbors:
+            return None
+        medium = self.network.medium
+        anchors = neighbors[:1] if medium.snapshot_covers(floor) else neighbors
+        nodes = medium.node_table
+        best = max(
+            (
+                (weakest, nodes[s].battery_fraction, -s)
+                for s, weakest in medium.links_above(
+                    self._wait_state_near(anchors, now), neighbors, now, floor
+                )
+            ),
+            default=None,
+        )
+        return None if best is None else -best[2]

@@ -77,8 +77,18 @@ class ReferRouter:
         # so the linear scan over cells is cached; membership changes
         # invalidate through the cells' observer hook.
         self._holding_cache: Dict[int, Optional[EmbeddedCell]] = {}
+        # Entry ranking asks which of a cell's ~39 members a source can
+        # reach, per packet, to find ~5: per cell and source, the
+        # members near enough to matter for a while, as
+        # ``WirelessMedium.near`` gave them: ``(good until, ids)``.  A
+        # membership change drops its cell's lists; simulation time
+        # does not run backwards, so a list is never asked about an
+        # instant before it was made.
+        self._near_members: Dict[int, Dict[int, Tuple[float, List[int]]]] = {}
         for cell in cells:
             cell.add_observer(self._membership_changed)
+            near = self._near_members[cell.cid] = {}
+            cell.add_observer(lambda kid, old, new, near=near: near.clear())
         # When the chaos subsystem is active the runner installs a
         # zero-argument probe here so detours/drops can be attributed
         # to live fault activity (RoutingStats.fault_*).
@@ -440,9 +450,12 @@ class ReferRouter:
                 remaining = kautz_distance(cell.kid_of(member), dest_kid)
             return (remaining, distance)
 
-        reachable = self.network.medium.reachable(
-            node_id, cell.member_ids, now
-        )
+        medium = self.network.medium
+        near = self._near_members[cell.cid]
+        entry = near.get(node_id)
+        if entry is None or now >= entry[0]:
+            entry = near[node_id] = medium.near(node_id, cell.member_ids, now)
+        reachable = medium.reachable(node_id, entry[1], now)
         return [member for member, _ in sorted(reachable, key=rank)]
 
     def _enter_via_members(

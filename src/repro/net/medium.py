@@ -46,7 +46,7 @@ next bucket boundary.
 from __future__ import annotations
 
 import statistics
-from math import hypot
+from math import hypot, inf
 from types import MappingProxyType
 from typing import Dict, Iterable, List, Mapping, Optional, Protocol, Tuple
 
@@ -56,27 +56,27 @@ from repro.net.spatial import SpatialHashGrid
 from repro.util.geometry import Point
 
 
+#: How far past its range a source's :meth:`WirelessMedium.near` list
+#: reaches, as a fraction of the range.  A list holds about ``(1 + m)^2``
+#: times the destinations in range and lasts ``m * range / (v_src +
+#: v_dst)`` seconds: 1.44 times and 3.3 s at 0.2, 100 m and 3 m/s each.
+#: The optimum is flat — a ``refer_steady`` repetition makes 743, 274
+#: and 214 lists for its 7 920 packets at 0.05, 0.2 and 0.5, and its
+#: total call count moves by under 3 % across that range — because a
+#: membership change of the cell usually ends a list first.
+NEAR_MARGIN = 0.2
+
+
 class LinkFault(Protocol):
     """A link-level fault process layered onto the medium.
 
     Implementations (e.g. the Gilbert-Elliott burst model in
     ``repro.chaos``) gate :meth:`WirelessMedium.can_transmit` and scale
     :meth:`WirelessMedium.link_quality` without touching node liveness.
-    Both hooks must be pure functions of ``(src, dst, now)`` given the
-    implementation's own deterministic state.
-
-    That state may advance *when a hook is called* (the Gilbert-Elliott
-    chains draw lazily from one shared RNG stream), so the medium's
-    side of the contract is the call order: ``link_up`` is asked only
-    after both endpoints are usable and ``dst`` is within ``src``'s
-    range, ``quality_factor`` only when the distance is strictly inside
-    the shorter of the two ranges, once per query and in query order.
-    The batched forms keep it: ``reachable`` asks ``link_up(src, dst)``
-    per destination in the order given; ``link_margins_each`` asks, for
-    one node, peer by peer, ``link_up(peer, node)`` and — only if that
-    held — ``link_up(node, peer)``, and after the last peer every
-    ``quality_factor(node, peer)``, none when no peer is covered,
-    finishing one node's questions before the next node's first.
+    Both hooks must be pure in ``(src, dst, now)``: the medium asks
+    them whenever, as often and in whatever order its callers' questions
+    need, skips a question another test already settled, and promises
+    no call order.
     """
 
     def link_up(self, src_id: int, dst_id: int, now: float) -> bool:
@@ -125,6 +125,11 @@ class WirelessMedium:
         #: (:attr:`Node.radio_busy_until`), :meth:`contention_at` drops
         #: the expired, so it holds at most one entry per node.
         self._busy: Dict[int, Node] = {}
+        #: What motion between two instants is bounded by: the fastest
+        #: registered mobility model (``inf`` once one declares no
+        #: ``max_speed``) and the shortest registered range.
+        self._speed_bound = 0.0
+        self._min_range = inf
 
     # -- fault hooks ---------------------------------------------------------
 
@@ -159,6 +164,10 @@ class WirelessMedium:
             self._busy[node.id] = node
         if not getattr(node.mobility, "is_static", False):
             self._mobile_ids.append(node.id)
+        self._speed_bound = max(
+            self._speed_bound, getattr(node.mobility, "max_speed", inf)
+        )
+        self._min_range = min(self._min_range, node.transmission_range)
 
     def node(self, node_id: int) -> Node:
         try:
@@ -240,7 +249,7 @@ class WirelessMedium:
     ) -> Tuple[int, ...]:
         """IDs of nodes with a bidirectional link to ``node_id``.
 
-        ``require_usable`` filters out failed/asleep/dead nodes — pass
+        ``require_usable`` filters out failed/dead nodes — pass
         False for topology analysis that should see the whole graph.
         The tuple is in ascending id order, computed against the
         bucket's position snapshot, and is the cached object itself
@@ -255,6 +264,24 @@ class WirelessMedium:
             cached = self._compute_neighbors(node_id, require_usable)
             self._neighbor_cache[key] = cached
         return cached
+
+    def snapshot_covers(self, margin: float) -> bool:
+        """Whether every pair whose ``link_quality`` at an instant
+        exceeds ``margin`` is a pair of that instant's bucket's
+        :meth:`neighbors` tuples (liveness aside).
+
+        Such a pair is within ``(1 - margin) * limit`` of each other,
+        ``limit`` being the shorter of its two ranges.  The snapshot is
+        less than one ``cache_resolution`` old, and in that time two
+        nodes close or open their distance by less than
+        ``2 * v_max * cache_resolution``; the pair was within ``limit``
+        at the snapshot if that drift is below ``margin * limit`` —
+        for any pair, if it is below ``margin`` times the shortest
+        registered range (1.5 m against 15 m at the paper's 3 m/s,
+        100 m and a 0.15 margin).
+        """
+        drift = 2.0 * self._speed_bound * self._cache_resolution
+        return drift < margin * self._min_range
 
     def _compute_neighbors(
         self, node_id: int, require_usable: bool
@@ -280,9 +307,6 @@ class WirelessMedium:
     ) -> List[Tuple[int, float]]:
         """``(dst_id, distance)`` for each ``dst`` a src->dst frame
         would reach (liveness + range + link), in the order given.
-
-        The link fault is asked last, and only about frames that pass
-        the liveness and range tests (see :class:`LinkFault`).
         """
         src = self.node(src_id)
         dsts = self._resolve(dst_ids)
@@ -291,11 +315,9 @@ class WirelessMedium:
             return out
         reach = src.transmission_range
         fault = self.link_fault
-        here = None
+        here = src.mobility.position(now)
         for dst in dsts:
             if dst.usable:
-                if here is None:
-                    here = src.mobility.position(now)
                 there = dst.mobility.position(now)
                 distance = hypot(here.x - there.x, here.y - there.y)
                 if distance <= reach and (
@@ -303,6 +325,41 @@ class WirelessMedium:
                 ):
                     out.append((dst.id, distance))
         return out
+
+    def near(
+        self, src_id: int, dst_ids: Iterable[int], now: float
+    ) -> Tuple[float, List[int]]:
+        """The destinations worth asking :meth:`reachable` about for a
+        while: ``(until, ids)`` such that at any ``t`` with ``now <= t
+        < until``, ``reachable(src_id, dst_ids, t)`` equals
+        ``reachable(src_id, ids, t)``.
+
+        ``ids`` are the ``dst_ids`` within ``(1 + NEAR_MARGIN)`` ranges
+        of the source at ``now``, in the order given; ``until`` is when
+        the fastest of the others, heading straight for a source
+        heading straight for it, could first be in range.  Liveness and
+        link faults are not looked at — they are ``reachable``'s to
+        read at ``t``.  A mobility model that declares no speed bound
+        makes ``until == now``: nothing to keep.
+        """
+        src = self.node(src_id)
+        reach = src.transmission_range
+        margin = NEAR_MARGIN * reach
+        here = src.mobility.position(now)
+        ids: List[int] = []
+        fastest_left_out = None
+        for dst in self._resolve(dst_ids):
+            there = dst.mobility.position(now)
+            if hypot(here.x - there.x, here.y - there.y) <= reach + margin:
+                ids.append(dst.id)
+            else:
+                speed = getattr(dst.mobility, "max_speed", inf)
+                if fastest_left_out is None or speed > fastest_left_out:
+                    fastest_left_out = speed
+        if fastest_left_out is None:
+            return inf, ids
+        closing = fastest_left_out + getattr(src.mobility, "max_speed", inf)
+        return (now + margin / closing if closing > 0.0 else inf), ids
 
     def can_transmit(self, src_id: int, dst_id: int, now: float) -> bool:
         """:meth:`reachable` asked about one destination."""
@@ -348,18 +405,17 @@ class WirelessMedium:
         The margins are what a caller ranks covered candidates by, so
         when nothing is covered none is computed and the list is empty.
 
-        The peers are resolved once and their liveness and range read
-        once; each peer's position is read where the first node that
-        measures it would read it, and kept.  Every ``LinkFault`` hook
-        and every position's first read at this ``now`` therefore
-        falls exactly where asking node by node, one call each, puts
-        it.
+        The peers are resolved once and their liveness, range and
+        position read once.
         """
         nodes = self._resolve(node_ids)
         peers = self._resolve(peer_ids)
-        peer_usable = [peer.usable for peer in peers]
         peer_reach = [peer.transmission_range for peer in peers]
-        peer_at: List[Optional[Point]] = [None] * len(peers)
+        #: Where each usable peer is (``None``: it carries no frames).
+        peer_at: List[Optional[Point]] = [
+            peer.mobility.position(now) if peer.usable else None
+            for peer in peers
+        ]
         fault = self.link_fault
         out: List[Tuple[int, List[float]]] = []
         for node in nodes:
@@ -368,15 +424,11 @@ class WirelessMedium:
             if node.usable:
                 node_id = node.id
                 reach = node.transmission_range
-                here = None
+                here = node.mobility.position(now)
                 for i, peer in enumerate(peers):
-                    if not peer_usable[i]:
-                        continue
                     there = peer_at[i]
                     if there is None:
-                        there = peer_at[i] = peer.mobility.position(now)
-                    if here is None:
-                        here = node.mobility.position(now)
+                        continue
                     distance = hypot(there.x - here.x, there.y - here.y)
                     distances[i] = distance
                     if (
@@ -391,6 +443,61 @@ class WirelessMedium:
                 if covered
                 else (0, [])
             )
+        return out
+
+    def links_above(
+        self,
+        node_ids: Iterable[int],
+        peer_ids: Iterable[int],
+        now: float,
+        floor: float,
+    ) -> List[Tuple[int, float]]:
+        """The nodes that hold *every* peer above ``floor``.
+
+        ``(node_id, weakest margin)``, in the order given, for each
+        node of which :meth:`link_margins_each` would say: every peer
+        covered, every margin ``> floor``.  The floats are those; but a
+        node is dropped at its first peer that fails, nothing is asked
+        about the peers after it, and no table of margins is built.
+        No peers, no nodes.
+        """
+        nodes = self._resolve(node_ids)
+        peers = self._resolve(peer_ids)
+        out: List[Tuple[int, float]] = []
+        if not peers or not all(peer.usable for peer in peers):
+            return out
+        rows = [
+            (peer.id, peer.mobility.position(now), peer.transmission_range)
+            for peer in peers
+        ]
+        fault = self.link_fault
+        for node in nodes:
+            if not node.usable:
+                continue
+            node_id = node.id
+            reach = node.transmission_range
+            here = node.mobility.position(now)
+            weakest = inf
+            for peer_id, there, peer_reach in rows:
+                distance = hypot(there.x - here.x, there.y - here.y)
+                limit = min(reach, peer_reach)
+                if distance >= limit:
+                    break
+                quality = 1.0 - distance / limit
+                if fault is not None:
+                    quality *= fault.quality_factor(node_id, peer_id, now)
+                if quality <= floor or (
+                    fault is not None
+                    and not (
+                        fault.link_up(peer_id, node_id, now)
+                        and fault.link_up(node_id, peer_id, now)
+                    )
+                ):
+                    break
+                if quality < weakest:
+                    weakest = quality
+            else:
+                out.append((node_id, weakest))
         return out
 
     def contention_at(self, node_id: int, now: float) -> int:
