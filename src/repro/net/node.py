@@ -1,9 +1,10 @@
 """Network node model: identity, role, radio state, liveness.
 
-A node is *failed* when the fault injector has broken it, *dead* when
-its battery is exhausted (optional in most experiments), and *asleep*
-when the WSAN duty-cycle scheme has parked it.  Only awake, unfailed,
-undead nodes take part in communication.
+A node is *failed* when the fault injector has broken it and *dead*
+when its battery is exhausted (optional in most experiments); only
+unfailed, undead nodes take part in communication.  (The WSAN duty
+cycle is bookkeeping in :mod:`repro.wsan.duty_cycle`: a sensor it has
+parked still hears and is charged for every frame in range.)
 """
 
 from __future__ import annotations
@@ -44,7 +45,6 @@ class Node:
         self.battery_joules = battery_joules
         self.consumed_joules = 0.0
         self.failed = False
-        self.asleep = False
         #: Where an occupied radio files itself: the busy set of the
         #: medium this node is registered with (``add_node`` sets it).
         self._busy_radios: Optional[Dict[int, "Node"]] = None
@@ -119,7 +119,7 @@ class Node:
     @property
     def usable(self) -> bool:
         """Can this node transmit/receive right now?"""
-        if self.failed or self.asleep:
+        if self.failed:
             return False
         battery = self.battery_joules
         return battery is None or self.consumed_joules < battery

@@ -9,7 +9,7 @@ drops the ones it finds expired.
 
 The worlds are built as in ``test_medium_geometry`` (asymmetric
 ranges, a range exactly equal to a distance, keyed walkers at 30 m/s,
-failed / asleep / flat-battery nodes), only denser and mostly alive,
+failed / flat-battery nodes), only denser and mostly alive,
 so that a busy radio is usually somebody's neighbour.  The steps
 advance time by zero, within a snapshot bucket and across buckets,
 occupy radios until before, exactly at and after ``now`` (the test is
@@ -36,7 +36,7 @@ PROFILE = settings(max_examples=300, deadline=None, derandomize=True)
 nearby = st.floats(min_value=0.0, max_value=120.0, allow_nan=False)
 node_specs = st.tuples(
     nearby, nearby, st.booleans(), range_or_exact,
-    st.sampled_from([None, None, None, None, "failed", "asleep", "battery"]),
+    st.sampled_from([None, None, None, None, "failed", "battery"]),
 )
 
 #: One step: how far time advances first (never backwards), what is

@@ -113,7 +113,7 @@ def test_liveness_gates_frames_but_not_the_sensed_margin():
     medium = WirelessMedium()
     medium.add_node(Node(1, NodeRole.SENSOR, StaticMobility(Point(0, 0)), 50.0))
     medium.add_node(Node(2, NodeRole.SENSOR, StaticMobility(Point(20, 0)), 50.0))
-    medium.node(2).asleep = True
+    medium.node(2).failed = True
     assert not medium.can_transmit(1, 2, 0.0)
     assert not medium.can_transmit(2, 1, 0.0)
     assert medium.link_quality(1, 2, 0.0) == 1.0 - 20.0 / 50.0
@@ -134,7 +134,7 @@ class ThirdsLinkFault:
 #: (``None`` = exactly its distance to node 0) and how it is unusable.
 node_specs = st.tuples(
     coords, coords, st.booleans(), range_or_exact,
-    st.sampled_from([None, None, None, "failed", "asleep", "battery"]),
+    st.sampled_from([None, None, None, "failed", "battery"]),
 )
 
 
@@ -167,7 +167,6 @@ def build_world(specs, seed, now, faulted, max_speed=30.0, medium=None):
             battery_joules=1.0 if state == "battery" else None,
         )
         node.failed = state == "failed"
-        node.asleep = state == "asleep"
         if state == "battery":
             node.drain(1.0)
         medium.add_node(node)

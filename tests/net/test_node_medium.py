@@ -59,8 +59,7 @@ class TestNode:
         n.failed = True
         assert not n.usable
         n.failed = False
-        n.asleep = True
-        assert not n.usable
+        assert n.usable
 
 
 class TestMedium:

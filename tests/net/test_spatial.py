@@ -248,7 +248,7 @@ class TestMediumIndexIntegration:
         for cell_size in (None, 7.0, 40.0, 250.0, 5000.0):
             medium = build_medium(cell_size=cell_size)
             medium.add_node(make_node(4, 80, 60, rng=250.0))
-            medium.node(2).asleep = True
+            medium.node(2).failed = True
             for node_id in range(5):
                 for require_usable in (True, False):
                     found = medium.neighbors(node_id, 0.0, require_usable)
