@@ -177,22 +177,15 @@ class KautzOverlaySystem(WsanSystem):
                 visited=set(), hops_left=self.max_route_hops,
             )
             return
-        # Non-member source: reach the physically nearest member first.
-        position = self.network.node(source_id).position(now)
-        entry = min(
-            (
-                m
-                for m in self._node_to_kid
-                if self.network.medium.can_transmit(source_id, m, now)
-            ),
-            key=lambda m: self.network.node(m)
-            .position(now)
-            .distance_to(position),
-            default=None,
+        # Non-member source: reach the physically nearest member first
+        # (the first of the nearest, in membership order).
+        in_reach = self.network.medium.reachable(
+            source_id, self._node_to_kid, now
         )
-        if entry is None:
+        if not in_reach:
             self._drop(packet, on_dropped)
             return
+        entry, _ = min(in_reach, key=lambda found: found[1])
 
         self.network.send(
             source_id,

@@ -154,14 +154,15 @@ class RandomWaypoint:
             self._next_leg(self._target, self._arrive_time)
         travelled = self._speed * (now - self._depart_time)
         origin = self._origin
+        length = self._length
         if travelled <= 0.0:
             point = origin
-        elif self._length <= max(travelled, EPSILON):
+        elif length <= travelled or length <= EPSILON:
             point = self._target
         else:
             # Point.toward's arithmetic, in its order, on the stored
             # leg constants: coordinates are bit-identical to it.
-            frac = travelled / self._length
+            frac = travelled / length
             point = Point(
                 origin.x + self._dx * frac, origin.y + self._dy * frac
             )
