@@ -211,8 +211,8 @@ class TopologyMaintenance:
         current_quality: float = 0.0,
     ) -> None:
         if must_replace:
-            candidate = self._find_candidate(neighbors, now)
-            if candidate is not None and self._presumed_live(node_id):
+            found = self._find_candidate(neighbors, now)
+            if found is not None and self._presumed_live(node_id):
                 # Replacing a live-but-degraded vertex only makes sense
                 # if the candidate restores strictly more Kautz edges.
                 medium = self.network.medium
@@ -222,10 +222,9 @@ class TopologyMaintenance:
                     if medium.can_transmit(node_id, nb, now)
                     and medium.can_transmit(nb, node_id, now)
                 )
-                if candidate[1] <= current_covered:
-                    candidate = None
-            if candidate is not None:
-                candidate = candidate[0]
+                if found[1] <= current_covered:
+                    found = None
+            candidate = None if found is None else found[0]
         else:
             # A weak-link replacement must actually improve matters:
             # the candidate has to clear the breakage threshold, not
@@ -325,8 +324,6 @@ class TopologyMaintenance:
         anchor's neighbourhood alone whenever the bucket's snapshot
         cannot have missed it (:meth:`WirelessMedium.snapshot_covers`).
         """
-        if not neighbors:
-            return None
         medium = self.network.medium
         anchors = neighbors[:1] if medium.snapshot_covers(floor) else neighbors
         nodes = medium.node_table

@@ -42,7 +42,8 @@ class KautzString:
 
     def __hash__(self) -> int:
         # KIDs key every cell and routing table; the hash of the two
-        # fields is computed at the first lookup and kept.
+        # fields is computed at the first lookup and kept (here, not in
+        # ``__post_init__``: REF010 keeps ``hash()`` inside ``__hash__``).
         try:
             return self._hash
         except AttributeError:

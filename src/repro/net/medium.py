@@ -201,14 +201,6 @@ class WirelessMedium:
         ranges = [node.transmission_range for node in self._nodes.values()]
         return statistics.median(ranges) if ranges else 1.0
 
-    def _roll(self, bucket: int, now: float) -> None:
-        """Start bucket ``bucket`` at ``now``, its first neighbour
-        query — or, mid-bucket, take in newly registered nodes."""
-        if bucket != self._cache_bucket:
-            self._neighbor_cache.clear()
-            self._cache_bucket = bucket
-        self._refresh_positions(now)
-
     def _refresh_positions(self, now: float) -> None:
         """Bring the grid's positions to ``now``.
 
@@ -256,8 +248,13 @@ class WirelessMedium:
         until the bucket rolls over or the registry changes.
         """
         bucket = int(now / self._cache_resolution)
-        if bucket != self._cache_bucket or self._pending_ids:
-            self._roll(bucket, now)
+        if bucket != self._cache_bucket:
+            # The bucket's first neighbour query: its snapshot instant.
+            self._neighbor_cache.clear()
+            self._cache_bucket = bucket
+            self._refresh_positions(now)
+        elif self._pending_ids:
+            self._refresh_positions(now)  # registered mid-bucket
         key = (node_id, require_usable)
         cached = self._neighbor_cache.get(key)
         if cached is None:
@@ -347,18 +344,16 @@ class WirelessMedium:
         margin = NEAR_MARGIN * reach
         here = src.mobility.position(now)
         ids: List[int] = []
-        fastest_left_out = None
+        left_out: List[float] = []  # the speed bounds of the others
         for dst in self._resolve(dst_ids):
             there = dst.mobility.position(now)
             if hypot(here.x - there.x, here.y - there.y) <= reach + margin:
                 ids.append(dst.id)
             else:
-                speed = getattr(dst.mobility, "max_speed", inf)
-                if fastest_left_out is None or speed > fastest_left_out:
-                    fastest_left_out = speed
-        if fastest_left_out is None:
+                left_out.append(getattr(dst.mobility, "max_speed", inf))
+        if not left_out:
             return inf, ids
-        closing = fastest_left_out + getattr(src.mobility, "max_speed", inf)
+        closing = max(left_out) + getattr(src.mobility, "max_speed", inf)
         return (now + margin / closing if closing > 0.0 else inf), ids
 
     def can_transmit(self, src_id: int, dst_id: int, now: float) -> bool:

@@ -103,13 +103,10 @@ class KeyedDraws:
         self._entity = entity
         self._taken = 0
 
-    def random(self) -> float:
+    def uniform(self, a: float, b: float) -> float:
         k = self._taken
         self._taken = k + 1
-        return self._stream.draw(self._entity, k)
-
-    def uniform(self, a: float, b: float) -> float:
-        return a + (b - a) * self.random()
+        return a + (b - a) * self._stream.draw(self._entity, k)
 
 
 class RngStreams:
