@@ -313,12 +313,7 @@ class EmbeddingProtocol:
         now = self.network.sim.now
         medium = self.network.medium
         # What each end contributes — its battery and the margin of its
-        # link to the endpoint — is asked once per sensor.  These two
-        # scans read every pool position at ``now``, so the pair walk
-        # below moves no first read (the mobility RNG order is the
-        # exhaustive scan's), and no ``LinkFault`` exists before
-        # ``system.build()`` returns, so no hook sees which pairs are
-        # asked about or in what order.
+        # link to the endpoint — is asked once per sensor.
         start_side = sorted(
             (
                 (

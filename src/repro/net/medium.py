@@ -313,10 +313,11 @@ class WirelessMedium:
         reach = src.transmission_range
         fault = self.link_fault
         here = src.mobility.position(now)
+        x, y = here.x, here.y
         for dst in dsts:
             if dst.usable:
                 there = dst.mobility.position(now)
-                distance = hypot(here.x - there.x, here.y - there.y)
+                distance = hypot(x - there.x, y - there.y)
                 if distance <= reach and (
                     fault is None or fault.link_up(src_id, dst.id, now)
                 ):
@@ -343,11 +344,12 @@ class WirelessMedium:
         reach = src.transmission_range
         margin = NEAR_MARGIN * reach
         here = src.mobility.position(now)
+        x, y = here.x, here.y
         ids: List[int] = []
         left_out: List[float] = []  # the speed bounds of the others
         for dst in self._resolve(dst_ids):
             there = dst.mobility.position(now)
-            if hypot(here.x - there.x, here.y - there.y) <= reach + margin:
+            if hypot(x - there.x, y - there.y) <= reach + margin:
                 ids.append(dst.id)
             else:
                 left_out.append(getattr(dst.mobility, "max_speed", inf))
@@ -420,11 +422,12 @@ class WirelessMedium:
                 node_id = node.id
                 reach = node.transmission_range
                 here = node.mobility.position(now)
+                x, y = here.x, here.y
                 for i, peer in enumerate(peers):
                     there = peer_at[i]
                     if there is None:
                         continue
-                    distance = hypot(there.x - here.x, there.y - here.y)
+                    distance = hypot(there.x - x, there.y - y)
                     distances[i] = distance
                     if (
                         distance <= peer_reach[i]
@@ -461,10 +464,10 @@ class WirelessMedium:
         out: List[Tuple[int, float]] = []
         if not peers or not all(peer.usable for peer in peers):
             return out
-        rows = [
-            (peer.id, peer.mobility.position(now), peer.transmission_range)
-            for peer in peers
-        ]
+        rows = []
+        for peer in peers:
+            there = peer.mobility.position(now)
+            rows.append((peer.id, there.x, there.y, peer.transmission_range))
         fault = self.link_fault
         for node in nodes:
             if not node.usable:
@@ -472,9 +475,10 @@ class WirelessMedium:
             node_id = node.id
             reach = node.transmission_range
             here = node.mobility.position(now)
+            x, y = here.x, here.y
             weakest = inf
-            for peer_id, there, peer_reach in rows:
-                distance = hypot(there.x - here.x, there.y - here.y)
+            for peer_id, peer_x, peer_y, peer_reach in rows:
+                distance = hypot(peer_x - x, peer_y - y)
                 limit = min(reach, peer_reach)
                 if distance >= limit:
                     break
@@ -512,7 +516,7 @@ class WirelessMedium:
         node = self.node(node_id)
         reach = node.transmission_range
         busy = self._busy
-        here = None
+        x = y = None  # the node's own position, read if a radio is busy
         count = 0
         expired = []
         for other in busy.values():
@@ -521,10 +525,11 @@ class WirelessMedium:
             if other._radio_busy_until <= now:
                 expired.append(other.id)
             elif other is not node and other.usable:
-                if here is None:
+                if x is None:
                     here = node.mobility.position(now)
+                    x, y = here.x, here.y
                 there = other.mobility.position(now)
-                distance = hypot(here.x - there.x, here.y - there.y)
+                distance = hypot(x - there.x, y - there.y)
                 if distance <= reach and distance <= other.transmission_range:
                     count += 1
         for other_id in expired:

@@ -219,10 +219,11 @@ class SpatialHashGrid:
         if self._unhashed:
             self._settle()
         size = self.cell_size
-        cx_lo = math.floor((point.x - radius) / size)
-        cx_hi = math.floor((point.x + radius) / size)
-        cy_lo = math.floor((point.y - radius) / size)
-        cy_hi = math.floor((point.y + radius) / size)
+        x, y = point.x, point.y
+        cx_lo = math.floor((x - radius) / size)
+        cx_hi = math.floor((x + radius) / size)
+        cy_lo = math.floor((y - radius) / size)
+        cy_hi = math.floor((y + radius) / size)
         out: List[Tuple[int, float]] = []
         cells = self._cells
         positions = self._positions
@@ -235,7 +236,7 @@ class SpatialHashGrid:
                 candidates += len(bucket)
                 for item_id in bucket:
                     p = positions[item_id]
-                    distance = math.hypot(point.x - p.x, point.y - p.y)
+                    distance = math.hypot(x - p.x, y - p.y)
                     if distance <= radius:
                         out.append((item_id, distance))
         self.stats.queries += 1

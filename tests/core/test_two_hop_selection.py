@@ -4,7 +4,7 @@ The protocol picks the two-hop pair with the greatest key best-first,
 asking the medium only about pairs whose bound can still win.  The
 scan it replaced — every (s1, s2) pair asked, as the code stood before
 the bound — lives on here as the oracle: same pair, same number of
-``fallback_selections``, same mobility RNG state afterwards, over
+``fallback_selections``, same state of the world's RNG afterwards, over
 seeded random deployments that cover each regime the bound has to
 handle (counted by ``test_the_draws_cover_every_regime``).  A last
 test bounds the work, so an edit that quietly restores the scan fails
