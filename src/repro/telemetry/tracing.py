@@ -11,7 +11,9 @@ compact digest of every semantically ordered occurrence of a run:
 * **RNG draws** — stream name plus the primitive drawn
   (``random``/``getrandbits`` — every public ``random.Random`` method
   funnels through those two), hooked by
-  :meth:`repro.util.rng.RngStreams.set_trace`;
+  :meth:`repro.util.rng.RngStreams.set_trace`; of a
+  :class:`~repro.util.rng.KeyedStream` that is the one draw of its
+  key — *when* a keyed draw is evaluated is not an ordered occurrence;
 * **packet lifecycle transitions** — generate/tx/rx/hop-fail/detour/
   deliver/drop, forwarded from the flight recorder
   (:meth:`repro.telemetry.flight.FlightRecorder.set_tap`);
