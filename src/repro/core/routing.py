@@ -14,6 +14,7 @@ delivers within the destination cell.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.core.cell import EmbeddedCell
@@ -84,11 +85,11 @@ class ReferRouter:
         # membership change drops its cell's lists; simulation time
         # does not run backwards, so a list is never asked about an
         # instant before it was made.
-        self._near_members: Dict[int, Dict[int, Tuple[float, List[int]]]] = {}
+        self._near_members: Dict[int, Dict[int, Tuple[float, List[int]]]] = {
+            cell.cid: {} for cell in cells
+        }
         for cell in cells:
-            cell.add_observer(self._membership_changed)
-            near = self._near_members[cell.cid] = {}
-            cell.add_observer(lambda kid, old, new, near=near: near.clear())
+            cell.add_observer(partial(self._membership_changed, cell.cid))
         # When the chaos subsystem is active the runner installs a
         # zero-argument probe here so detours/drops can be attributed
         # to live fault activity (RoutingStats.fault_*).
@@ -197,11 +198,12 @@ class ReferRouter:
         return self._fault_activity is not None and self._fault_activity()
 
     def _membership_changed(
-        self, kid: KautzString, old: Optional[int], new: int
+        self, cid: int, kid: KautzString, old: Optional[int], new: int
     ) -> None:
         if old is not None:
             self._holding_cache.pop(old, None)
         self._holding_cache.pop(new, None)
+        self._near_members[cid].clear()
 
     def cell_holding(self, node_id: int) -> Optional[EmbeddedCell]:
         """The cell (if any) in which ``node_id`` currently holds a KID.

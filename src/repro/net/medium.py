@@ -520,9 +520,7 @@ class WirelessMedium:
         count = 0
         expired = []
         for other in busy.values():
-            # The stored float, not the property: one call less per
-            # filed radio, and a flood files every radio it reaches.
-            if other._radio_busy_until <= now:
+            if other.radio_busy_until <= now:
                 expired.append(other.id)
             elif other is not node and other.usable:
                 if x is None:
