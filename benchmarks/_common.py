@@ -3,7 +3,8 @@
 Every bench:
 
 * reads its effort knobs from the environment — the whole list, five
-  variables: ``REFER_BENCH_SEEDS`` (default 2),
+  variables: ``REFER_BENCH_SEEDS`` (default 2; a bench whose asserted
+  means two seeds do not resolve sets a floor in its file),
   ``REFER_BENCH_SIM_TIME`` (default 30 s measured),
   ``REFER_BENCH_RATE`` (default 12 packets/s/source),
   ``REFER_BENCH_WORKERS`` (default 0 = the jobs run in this process;

@@ -5,14 +5,23 @@ Paper shape: REFER's delay stays nearly constant as the network grows
 DaTree and Kautz-overlay increase sharply, with the overlay far worst.
 """
 
-from _common import bench_figure, emit, series_values
+from _common import bench_figure, bench_seeds, emit, series_values
 
 SIZES = (100, 200, 300, 400)
+# The 100-sensor point is the sparsest of the sweep (twelve sensors a
+# cell) and the seed-noisiest: one run's mean REFER delay spans
+# 8-24 ms there against 7-9 ms at 400, so a mean of two seeds does not
+# resolve "nearly constant" (1.55x on one pair of walks, 2.08x on
+# another; EXPERIMENTS.md).  Six do: 1.78x, and 1.82x / 1.81x at four
+# and eight.
+MIN_SEEDS = 6
 
 
 def test_fig8(benchmark):
     data = benchmark.pedantic(
-        lambda: bench_figure("fig8", SIZES),
+        lambda: bench_figure(
+            "fig8", SIZES, seeds=max(bench_seeds(), MIN_SEEDS)
+        ),
         rounds=1,
         iterations=1,
     )
@@ -21,12 +30,8 @@ def test_fig8(benchmark):
     refer = series_values(data, "REFER")
     datree = series_values(data, "DaTree")
     overlay = series_values(data, "Kautz-overlay")
-    # REFER: nearly constant across a 4x size range.  The 100-sensor
-    # point is the sparsest and, at two seeds, the noisiest (over six
-    # seeds a run's mean delay spans 8-24 ms against 7-9 ms at 400):
-    # the factor leaves room for two seeds from the top of that range
-    # (1.55 before PR 22's re-pin, 2.08 after; EXPERIMENTS.md).
-    assert max(refer) < 2.5 * min(refer)
+    # REFER: nearly constant across a 4x size range.
+    assert max(refer) < 2.0 * min(refer)
     # DaTree and the overlay grow with size.
     assert datree[-1] > 1.5 * datree[0]
     assert overlay[-1] > 2.0 * overlay[0]
