@@ -1,100 +1,45 @@
 #!/usr/bin/env python3
-"""Chemical-attack detection with a trace-driven workload + SVG output.
+"""Chemical-attack detection: bursty alarm traffic and the run report.
 
-Exercises two library extensions beyond the paper's evaluation:
-
-* a reproducible *event trace* (clustered release bursts at two sites,
-  saved to disk in the text trace format and reloaded — the machinery
-  one would use to replay real testbed traces);
-* the dependency-free SVG renderer, producing ``chemical_attack.svg``
-  with the embedded cells, the Kautz links, and the route of the last
-  delivered report.
+A release makes the sensors around it report in bursts: short, dense
+on-periods separated by quiet gaps, with a share of the readings marked
+as alarms that must reach an actuator within 250 ms.  The scenario runs
+REFER with the QoS stack on and the heavy-tailed
+:class:`~repro.qos.BurstyConfig` workload at ten times its nominal
+load, then prints the telemetry report — the per-class delivery and
+deadline funnel (bulk is shed, alarms are not), the drop reasons and
+the energy breakdown.
 
 Run:  python examples/chemical_attack.py
 """
 
-import pathlib
-import random
-import tempfile
-
-from repro.core.system import ReferSystem
-from repro.experiments.metrics import MetricsCollector
-from repro.experiments.traces import EventTrace, TraceWorkload, burst_trace
-from repro.net.energy import Phase
-from repro.net.network import WirelessNetwork
-from repro.sim.core import Simulator
-from repro.util.geometry import Point
-from repro.viz import render_refer_snapshot
-from repro.wsan.deployment import plan_deployment
-from repro.wsan.system import build_nodes
+from repro.experiments import ScenarioConfig, run_scenario
+from repro.qos import BurstyConfig, QosConfig
+from repro.telemetry import TelemetryConfig
+from repro.telemetry.report import render
 
 
 def main(seed: int = 13) -> None:
-    rng = random.Random(seed)
-    sim = Simulator()
-    network = WirelessNetwork(sim, rng)
-    plan = plan_deployment(220, 500.0, rng)
-    build_nodes(network, plan, rng, sensor_max_speed=0.5)
-
-    system = ReferSystem(network, plan, rng)
-    network.set_phase(Phase.CONSTRUCTION)
-    system.build()
-    network.set_phase(Phase.COMMUNICATION)
-    system.start()
-
-    # Two release sites; bursts of readings as the plumes disperse.
-    trace = burst_trace(
-        centers=[Point(130, 360), Point(390, 140)],
-        start=5.0,
-        burst_duration=12.0,
-        events_per_burst=60,
-        spread=35.0,
-        rng=rng,
+    config = ScenarioConfig(
+        seed=seed,
+        sensor_count=220,
+        sensor_max_speed=0.5,
+        sim_time=20.0,
+        warmup=5.0,
+        qos=QosConfig(),
+        bursty=BurstyConfig(
+            sources=12, load_multiplier=10.0, alarm_fraction=0.3,
+        ),
+        telemetry=TelemetryConfig(),
     )
-    # Round-trip the trace through the on-disk format, as a replayed
-    # testbed trace would arrive.
-    with tempfile.TemporaryDirectory() as tmp:
-        trace_path = pathlib.Path(tmp) / "attack.trace"
-        trace.save(trace_path)
-        trace = EventTrace.load(trace_path)
-
-    metrics = MetricsCollector(sim, qos_deadline=0.6, warmup_end=0.0)
-    last_route = []
-    workload = TraceWorkload(sim, system, metrics, trace,
-                             sensing_range=50.0, max_detectors=2)
-
-    original = metrics.on_delivered
-
-    def remember_route(packet):
-        original(packet)
-        last_route.clear()
-        last_route.extend(packet.hops + [packet.destination])
-
-    metrics.on_delivered = remember_route
-    workload.start()
-    sim.run_until(trace.duration + 3.0)
-    system.stop()
-
-    print("Chemical-attack detection (trace-driven)")
-    print(f"  trace events        : {len(trace)} over {trace.duration:.1f} s")
+    result = run_scenario("REFER", config)
+    print("Chemical-attack detection (bursty alarms, QoS on)")
+    print(render(result), end="")
+    alarm = next(s for s in result.class_stats if s.traffic_class == "alarm")
     print(
-        f"  coverage            : {100 * workload.coverage():.1f}% of"
-        " events sensed"
+        f"alarms within deadline: {alarm.delivered_in_deadline}"
+        f"/{alarm.generated} ({100 * alarm.delivery_ratio:.1f}%)"
     )
-    print(
-        f"  reports delivered   : {metrics.delivered_qos}/{metrics.generated}"
-        f" within {600:.0f} ms"
-    )
-    print(f"  mean report latency : {1000 * metrics.mean_delay:.1f} ms")
-    print(
-        f"  energy              : "
-        f"{network.energy.total(Phase.COMMUNICATION):.0f} J"
-    )
-
-    svg = render_refer_snapshot(system, route=last_route or None)
-    out = pathlib.Path(__file__).parent / "chemical_attack.svg"
-    out.write_text(svg, encoding="utf-8")
-    print(f"  snapshot written    : {out}")
 
 
 if __name__ == "__main__":

@@ -24,6 +24,16 @@ from repro.wsan.deployment import DeploymentPlan
 from repro.wsan.system import DeliveredCallback, DroppedCallback, WsanSystem
 
 
+#: Source retransmissions allowed per packet.
+MAX_RETRANSMISSIONS = 2
+#: TTL of the construction flood and of every repair flood.
+FLOOD_TTL = 24
+#: Seconds between parent-link hello rounds.
+HELLO_PERIOD = 5.0
+#: Seconds a source waits for a repair before it retransmits.
+RETRANSMIT_TIMEOUT = 0.5
+
+
 class DaTreeSystem(WsanSystem):
     """Per-actuator trees with broadcast repair and source retransmit."""
 
@@ -34,24 +44,17 @@ class DaTreeSystem(WsanSystem):
         network: WirelessNetwork,
         plan: DeploymentPlan,
         rng: random.Random,
-        max_retransmissions: int = 2,
-        flood_ttl: int = 24,
-        hello_period: float = 5.0,
-        retransmit_timeout: float = 0.5,
     ) -> None:
         super().__init__(network, plan, rng)
         self._parent: Dict[int, int] = {}
-        self._max_retransmissions = max_retransmissions
-        self._flood_ttl = flood_ttl
         self._repairing: set = set()
-        self._retransmit_timeout = retransmit_timeout
         self.repairs = 0
         self.retransmissions = 0
         self._maintenance = PeriodicProcess(
             network.sim,
-            period=hello_period,
+            period=HELLO_PERIOD,
             action=self._hello_round,
-            jitter=hello_period / 10.0,
+            jitter=HELLO_PERIOD / 10.0,
             rng=rng,
         )
 
@@ -59,7 +62,7 @@ class DaTreeSystem(WsanSystem):
 
     def build(self) -> None:
         tree = self.network.flood_multi(
-            self.actuator_ids, ttl=self._flood_ttl, size_bytes=32
+            self.actuator_ids, ttl=FLOOD_TTL, size_bytes=32
         )
         for node_id, (_, parent) in tree.items():
             if parent is not None:
@@ -97,7 +100,7 @@ class DaTreeSystem(WsanSystem):
             self.repairs += 1
             self.network.flood(
                 sensor_id,
-                ttl=self._flood_ttl,
+                ttl=FLOOD_TTL,
                 size_bytes=48,
                 on_complete=lambda tree, s=sensor_id: self._adopt_new_parents(
                     s, tree
@@ -118,8 +121,8 @@ class DaTreeSystem(WsanSystem):
     ) -> None:
         self._forward(
             source_id, source_id, packet,
-            self._max_retransmissions, on_delivered, on_dropped,
-            hops_left=4 * self._flood_ttl,
+            MAX_RETRANSMISSIONS, on_delivered, on_dropped,
+            hops_left=4 * FLOOD_TTL,
         )
 
     def _forward(
@@ -211,7 +214,7 @@ class DaTreeSystem(WsanSystem):
             self.repairs += 1
             self.network.flood(
                 broken_at,
-                ttl=self._flood_ttl,
+                ttl=FLOOD_TTL,
                 size_bytes=48,
                 on_complete=lambda tree: self._confirm_repair(
                     broken_at, tree
@@ -227,10 +230,10 @@ class DaTreeSystem(WsanSystem):
             self._forward(
                 source_id, source_id, retry,
                 retransmissions_left - 1, on_delivered, on_dropped,
-                hops_left=4 * self._flood_ttl,
+                hops_left=4 * FLOOD_TTL,
             )
 
-        self.network.sim.schedule(self._retransmit_timeout, resend)
+        self.network.sim.schedule(RETRANSMIT_TIMEOUT, resend)
 
     def _adopt_new_parents(self, origin: int, tree: Dict) -> None:
         self._repairing.discard(origin)

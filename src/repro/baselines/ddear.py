@@ -28,6 +28,16 @@ from repro.wsan.deployment import DeploymentPlan
 from repro.wsan.system import DeliveredCallback, DroppedCallback, WsanSystem
 
 
+#: Source (or head) retransmissions allowed per packet.
+MAX_RETRANSMISSIONS = 2
+#: TTL of a head's actuator-path discovery flood.
+DISCOVERY_TTL = 16
+#: Seconds between cluster maintenance rounds.
+HELLO_PERIOD = 5.0
+#: Seconds a sender waits for a repair before it retransmits.
+RETRANSMIT_TIMEOUT = 0.5
+
+
 class DDearSystem(WsanSystem):
     """Two-hop clusters with head-maintained actuator paths."""
 
@@ -38,29 +48,22 @@ class DDearSystem(WsanSystem):
         network: WirelessNetwork,
         plan: DeploymentPlan,
         rng: random.Random,
-        max_retransmissions: int = 2,
-        discovery_ttl: int = 16,
-        hello_period: float = 5.0,
-        retransmit_timeout: float = 0.5,
     ) -> None:
         super().__init__(network, plan, rng)
         self._discovery = FloodDiscovery(network)
-        self._discovery_ttl = discovery_ttl
-        self._max_retransmissions = max_retransmissions
         self._head_of: Dict[int, int] = {}        # member -> head
         self._member_path: Dict[int, List[int]] = {}  # member -> [m, (relay,) head]
         self._head_path: Dict[int, List[int]] = {}    # head -> [head, ..., actuator]
         self.heads: List[int] = []
         self._repairing: set = set()
-        self._retransmit_timeout = retransmit_timeout
         self.repairs = 0
         self.reattachments = 0
         self.retransmissions = 0
         self._maintenance = PeriodicProcess(
             network.sim,
-            period=hello_period,
+            period=HELLO_PERIOD,
             action=self._maintenance_round,
-            jitter=hello_period / 10.0,
+            jitter=HELLO_PERIOD / 10.0,
             rng=rng,
         )
 
@@ -80,7 +83,7 @@ class DDearSystem(WsanSystem):
         # advertisement flood: each head records the reverse path of the
         # first advertisement wave that reaches it.
         tree = self.network.flood_multi(
-            self.actuator_ids, ttl=self._discovery_ttl, size_bytes=32
+            self.actuator_ids, ttl=DISCOVERY_TTL, size_bytes=32
         )
         for head in self.heads:
             path = self._tree_path_to_actuator(head, tree)
@@ -199,7 +202,7 @@ class DDearSystem(WsanSystem):
             self._discovery.discover_nearest(
                 head,
                 self.actuator_ids,
-                ttl=self._discovery_ttl,
+                ttl=DISCOVERY_TTL,
                 on_path=lambda p, h=head: self._install_head_path(h, p),
             )
 
@@ -224,7 +227,7 @@ class DDearSystem(WsanSystem):
         on_dropped: Optional[DroppedCallback] = None,
     ) -> None:
         self._send_from_source(
-            source_id, packet, self._max_retransmissions,
+            source_id, packet, MAX_RETRANSMISSIONS,
             on_delivered, on_dropped,
         )
 
@@ -277,7 +280,7 @@ class DDearSystem(WsanSystem):
                     on_delivered, on_dropped,
                 )
 
-            self.network.sim.schedule(self._retransmit_timeout, resend)
+            self.network.sim.schedule(RETRANSMIT_TIMEOUT, resend)
 
         self.network.send_along_path(
             member_path,
@@ -357,10 +360,10 @@ class DDearSystem(WsanSystem):
 
             # The head is the reliability point for its leg: it learns
             # of the loss faster than an end-to-end source would.
-            self.network.sim.schedule(self._retransmit_timeout / 2, resend)
+            self.network.sim.schedule(RETRANSMIT_TIMEOUT / 2, resend)
 
         self._discovery.discover_nearest(
-            head, self.actuator_ids, ttl=self._discovery_ttl, on_path=rebuilt
+            head, self.actuator_ids, ttl=DISCOVERY_TTL, on_path=rebuilt
         )
 
     def _drop(

@@ -49,6 +49,14 @@ def overlay_dimensions(population: int, degree: int = 2) -> int:
     return k
 
 
+#: TTL of a member's successor-path discovery flood.
+DISCOVERY_TTL = 16
+#: Path re-discoveries allowed per overlay segment.
+MAX_SEGMENT_RECOVERIES = 1
+#: Seconds between overlay maintenance rounds.
+HELLO_PERIOD = 5.0
+
+
 class KautzOverlaySystem(WsanSystem):
     """An application-layer Kautz overlay without topology consistency."""
 
@@ -60,15 +68,10 @@ class KautzOverlaySystem(WsanSystem):
         plan: DeploymentPlan,
         rng: random.Random,
         degree: int = 3,
-        discovery_ttl: int = 16,
-        max_segment_recoveries: int = 1,
-        hello_period: float = 5.0,
     ) -> None:
         super().__init__(network, plan, rng)
         self._degree = degree
         self._discovery = FloodDiscovery(network)
-        self._discovery_ttl = discovery_ttl
-        self._max_segment_recoveries = max_segment_recoveries
         self._kid_to_node: Dict[KautzString, int] = {}
         self._node_to_kid: Dict[int, KautzString] = {}
         self._paths: Dict[Tuple[int, int], List[int]] = {}
@@ -78,9 +81,9 @@ class KautzOverlaySystem(WsanSystem):
         self.max_route_hops = 0
         self._maintenance = PeriodicProcess(
             network.sim,
-            period=hello_period,
+            period=HELLO_PERIOD,
             action=self._maintenance_round,
-            jitter=hello_period / 10.0,
+            jitter=HELLO_PERIOD / 10.0,
             rng=rng,
         )
 
@@ -114,7 +117,7 @@ class KautzOverlaySystem(WsanSystem):
         """Each member floods once and learns paths to its successors."""
         for node_id, kid in self._node_to_kid.items():
             tree = self.network.flood(
-                node_id, ttl=self._discovery_ttl, size_bytes=48
+                node_id, ttl=DISCOVERY_TTL, size_bytes=48
             )
             for succ in kid.successors():
                 succ_node = self._kid_to_node.get(succ)
@@ -268,7 +271,7 @@ class KautzOverlaySystem(WsanSystem):
 
         self._send_segment(
             at_node, succ_node, packet,
-            self._max_segment_recoveries, segment_done,
+            MAX_SEGMENT_RECOVERIES, segment_done,
         )
 
     def _send_segment(
@@ -361,7 +364,7 @@ class KautzOverlaySystem(WsanSystem):
             )
 
         self._discovery.discover_path(
-            from_node, to_node, ttl=self._discovery_ttl, on_path=rediscovered
+            from_node, to_node, ttl=DISCOVERY_TTL, on_path=rediscovered
         )
 
     def _drop(

@@ -361,6 +361,10 @@ class RegionalBlackoutFault(ChaosModel):
             self._process.stop()
 
 
+#: Joules of meter a battery-depletion attack gives an unmetered node.
+DEFAULT_CAPACITY = 1_000.0
+
+
 class BatteryDepletionFault(ChaosModel):
     """Battery-depletion attack: drain nodes below the maintenance bar.
 
@@ -368,7 +372,7 @@ class BatteryDepletionFault(ChaosModel):
     ``target_fraction`` of capacity — below REFER's maintenance
     battery threshold, forcing replacements without ever marking the
     node failed.  Unmetered nodes (``battery_joules is None``) are
-    given ``default_capacity`` joules of meter first, so the attack
+    given :data:`DEFAULT_CAPACITY` joules of meter first, so the attack
     works in the (default) unmetered experiments too.
     """
 
@@ -383,18 +387,14 @@ class BatteryDepletionFault(ChaosModel):
         period: float = 20.0,
         rounds: int = 1,
         target_fraction: float = 0.02,
-        default_capacity: float = 1_000.0,
     ) -> None:
         if not 0.0 <= target_fraction < 1.0:
             raise ConfigError("target_fraction must be in [0, 1)")
-        if default_capacity <= 0:
-            raise ConfigError("default_capacity must be positive")
         super().__init__(network)
         self._rng = rng
         self._count = count
         self._eligible = eligible
         self._target_fraction = target_fraction
-        self._default_capacity = default_capacity
         self._max_rounds = rounds
         self.rounds = 0
         self.drained: Set[int] = set()
@@ -423,7 +423,7 @@ class BatteryDepletionFault(ChaosModel):
         for node_id in chosen:
             node = self.network.node(node_id)
             if node.battery_joules is None:
-                node.battery_joules = self._default_capacity
+                node.battery_joules = DEFAULT_CAPACITY
             floor = node.battery_joules * (1.0 - self._target_fraction)
             node.consumed_joules = max(node.consumed_joules, floor)
             self.drained.add(node_id)

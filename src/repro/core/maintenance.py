@@ -34,6 +34,11 @@ from repro.telemetry.views import StatsView, counter_field
 from repro.util.stats import RunningStat
 from repro.wsan.duty_cycle import DutyCycleManager, SensorState
 
+#: A Kautz edge whose link quality falls below this is replaced.
+LINK_THRESHOLD = 0.15
+#: A member whose battery fraction falls below this is replaced.
+BATTERY_THRESHOLD = 0.05
+
 
 class MaintenanceStats(StatsView):
     """Maintenance counters, as ``maintenance_*`` registry metrics."""
@@ -71,8 +76,6 @@ class TopologyMaintenance:
         claim: Callable[[int], None],
         release: Callable[[int], None],
         period: float = 2.0,
-        link_threshold: float = 0.15,
-        battery_threshold: float = 0.05,
     ) -> None:
         self.network = network
         self.cells = list(cells)
@@ -82,8 +85,6 @@ class TopologyMaintenance:
         self._is_member = is_member
         self._claim = claim
         self._release = release
-        self._link_threshold = link_threshold
-        self._battery_threshold = battery_threshold
         # (cid, kid) -> sim time the vertex was first seen broken;
         # feeds MaintenanceStats.replacement_latency.
         self._first_broken: Dict[Tuple[int, KautzString], float] = {}
@@ -167,7 +168,7 @@ class TopologyMaintenance:
             self.network.charge_rx_each(neighbors, "probe")
             alive = (
                 node.usable
-                and node.battery_fraction >= self._battery_threshold
+                and node.battery_fraction >= BATTERY_THRESHOLD
             )
         else:
             # Detector mode: the heartbeat traffic (already charged to
@@ -176,7 +177,7 @@ class TopologyMaintenance:
             alive = (
                 not self._detector.condemned(node_id)
                 and self._detector.reported_battery(node_id)
-                >= self._battery_threshold
+                >= BATTERY_THRESHOLD
             )
         current_quality = min(
             (
@@ -195,7 +196,7 @@ class TopologyMaintenance:
             # The vertex healed on its own (fault recovered, link came
             # back) — a later break starts a fresh latency window.
             self._first_broken.pop(break_key, None)
-        if broken or current_quality < self._link_threshold:
+        if broken or current_quality < LINK_THRESHOLD:
             self._replace(
                 cell, kid, node_id, neighbors, now, broken, current_quality
             )
@@ -230,7 +231,7 @@ class TopologyMaintenance:
             # the candidate has to clear the breakage threshold, not
             # merely match the incumbent — otherwise the cell churns.
             candidate = self._find_stronger(
-                neighbors, now, max(current_quality, self._link_threshold)
+                neighbors, now, max(current_quality, LINK_THRESHOLD)
             )
         if candidate is None:
             self.stats.failed_replacements += 1

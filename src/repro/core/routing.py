@@ -33,6 +33,9 @@ from repro.wsan.deployment import Cell, DeploymentPlan
 DeliveredCallback = Callable[[Packet], None]
 DroppedCallback = Callable[[Packet], None]
 
+#: Hop budget of one intra-cell route.
+MAX_HOPS = 40
+
 
 class RoutingStats(StatsView):
     """Router counters, as ``routing_*`` registry metrics."""
@@ -61,7 +64,6 @@ class ReferRouter:
         network: WirelessNetwork,
         plan: DeploymentPlan,
         cells: Sequence[EmbeddedCell],
-        max_hops: int = 40,
         congestion_threshold: float = 0.05,
     ) -> None:
         """``congestion_threshold``: a successor whose radio queue
@@ -72,7 +74,6 @@ class ReferRouter:
         self.plan = plan
         self.cells = {cell.cid: cell for cell in cells}
         self.stats = RoutingStats(registry=network.registry)
-        self._max_hops = max_hops
         self._congestion_threshold = congestion_threshold
         # node -> cell lookups happen per packet (twice per send_to),
         # so the linear scan over cells is cached; membership changes
@@ -558,7 +559,7 @@ class ReferRouter:
         if visited is None:
             visited = {kid}
         if hops_left is None:
-            hops_left = self._max_hops
+            hops_left = MAX_HOPS
         if kid == dest_kid:
             if on_delivered is not None:
                 on_delivered(packet)

@@ -31,9 +31,6 @@ class ReferConfig:
     degree: int = 2
     diameter: int = 3
     maintenance_period: float = 2.0
-    link_threshold: float = 0.15
-    battery_threshold: float = 0.05
-    max_route_hops: int = 40
 
     def __post_init__(self) -> None:
         if self.degree < 2:
@@ -84,12 +81,7 @@ class ReferSystem(WsanSystem):
         self.duty = DutyCycleManager(self.sensor_ids)
         for sensor_id in self._member_sensors:
             self.duty.activate(sensor_id)
-        self.router = ReferRouter(
-            self.network,
-            self.plan,
-            self.cells,
-            max_hops=self.config.max_route_hops,
-        )
+        self.router = ReferRouter(self.network, self.plan, self.cells)
         self.maintenance = TopologyMaintenance(
             self.network,
             self.cells,
@@ -99,8 +91,6 @@ class ReferSystem(WsanSystem):
             claim=self._member_sensors.add,
             release=self._member_sensors.discard,
             period=self.config.maintenance_period,
-            link_threshold=self.config.link_threshold,
-            battery_threshold=self.config.battery_threshold,
         )
 
     def start(self) -> None:

@@ -56,31 +56,13 @@ class TraceRun(NamedTuple):
 
 def _build_config(args, capture: Optional[Tuple[int, int]]):
     """The traced :class:`ScenarioConfig` both sides run under."""
-    from repro.chaos.spec import FaultSpec
-    from repro.experiments.config import ScenarioConfig
-    from repro.qos.config import BurstyConfig, QosConfig
-    from repro.recovery.config import RecoveryConfig
+    from repro.experiments.config import scenario_from_args
     from repro.telemetry.config import TelemetryConfig
     from repro.telemetry.tracing import TracingConfig
 
-    return ScenarioConfig(
-        seed=args.seed,
-        sensor_count=args.sensors,
-        area_side=args.area,
-        sim_time=args.sim_time,
-        warmup=args.warmup,
-        rate_pps=args.rate,
-        fault_spec=(
-            (FaultSpec(kind=args.chaos, start=args.warmup),)
-            if args.chaos else ()
-        ),
-        recovery=RecoveryConfig() if args.recovery else None,
-        qos=QosConfig() if args.qos else None,
-        bursty=(
-            BurstyConfig(sources=args.bursty, load_multiplier=args.load)
-            if args.bursty > 0 else None
-        ),
-        telemetry=TelemetryConfig(
+    return scenario_from_args(
+        args,
+        TelemetryConfig(
             profiler=False,
             tracing=TracingConfig(
                 checkpoint_interval=args.checkpoint,
@@ -357,6 +339,8 @@ def render_verdict(verdict: dict) -> str:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     """CLI entry point: print the verdict, return 0 (identical) or 2."""
+    from repro.experiments.config import add_scenario_arguments
+
     parser = argparse.ArgumentParser(
         prog="python -m repro.devtools.divergence",
         description=(
@@ -369,21 +353,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         help="where the left and the right run execute: "
              "'inproc' or 'worker' (a spawned subprocess)",
     )
-    parser.add_argument("--system", default="REFER")
-    parser.add_argument("--seed", type=int, default=11)
-    parser.add_argument("--sensors", type=int, default=40)
-    parser.add_argument("--area", type=float, default=220.0)
-    parser.add_argument("--sim-time", type=float, default=12.0)
-    parser.add_argument("--warmup", type=float, default=2.0)
-    parser.add_argument("--rate", type=float, default=5.0)
-    parser.add_argument(
-        "--chaos", default=None, metavar="KIND",
-        help="inject a fault model (rotation, permanent, actuator, ...)",
+    add_scenario_arguments(
+        parser, seed=11, sensors=40, area=220.0, sim_time=12.0, warmup=2.0,
+        rate=5.0,
     )
-    parser.add_argument("--recovery", action="store_true")
-    parser.add_argument("--qos", action="store_true")
-    parser.add_argument("--bursty", type=int, default=0, metavar="SOURCES")
-    parser.add_argument("--load", type=float, default=1.0, metavar="MULT")
     parser.add_argument(
         "--checkpoint", type=float, default=1.0, metavar="SECONDS",
         help="sim seconds between trace checkpoints (default 1.0)",

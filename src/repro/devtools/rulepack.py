@@ -336,15 +336,15 @@ class NoPrintInProtocolCode(Rule):
     stdout: it interleaves with sweep progress output, cannot be
     filtered or capped, and tempts callers into parsing text that was
     never a contract.  Protocol code records what happened through the
-    telemetry registry (counters, histograms), the flight recorder or
-    ``TraceLog``; rendering is the job of the report/figure CLIs.
+    telemetry registry (counters, histograms) or the flight recorder;
+    rendering is the job of the report/figure CLIs.
     """
 
     rule_id = "REF007"
     title = "no print() in protocol modules"
     rationale = (
         "protocol code must report through telemetry (registry, "
-        "flight recorder, TraceLog), not stdout"
+        "flight recorder), not stdout"
     )
     node_types = (ast.Call,)
 
@@ -373,7 +373,7 @@ class NoPrintInProtocolCode(Rule):
                 self,
                 node,
                 "print() in protocol code; record through the telemetry "
-                "registry / flight recorder / TraceLog instead",
+                "registry / flight recorder instead",
             )
 
 

@@ -19,6 +19,7 @@ from typing import Optional, Tuple
 
 from repro.chaos.spec import FaultSpec
 from repro.errors import ConfigError
+from repro.kautz.graph import kautz_node_count
 from repro.qos.config import BurstyConfig, QosConfig
 from repro.recovery.config import RecoveryConfig
 from repro.telemetry.config import TelemetryConfig
@@ -87,21 +88,32 @@ class ScenarioConfig:
             object.__setattr__(self, "fault_spec", (self.fault_spec,))
         elif not isinstance(self.fault_spec, tuple):
             object.__setattr__(self, "fault_spec", tuple(self.fault_spec))
-        if self.sensor_count < 12:
-            raise ConfigError("need at least 12 sensors to embed K(2,3)")
-        if self.sim_time <= 0 or self.warmup < 0:
-            raise ConfigError("invalid time configuration")
-        if self.rate_pps <= 0 or self.packet_bytes <= 0:
-            raise ConfigError("invalid traffic configuration")
-        for name in ("source_window", "sensor_range", "actuator_range"):
-            if not getattr(self, name) > 0:  # NaN compares false: refused
-                raise ConfigError(f"{name} must be positive")
-        if not 0 <= self.sensor_max_speed < math.inf:
+        if self.kautz_degree < 2:
+            raise ConfigError("kautz_degree must be >= 2")
+        floor = kautz_node_count(self.kautz_degree, 3)
+        if self.sensor_count < floor:
             raise ConfigError(
-                "sensor_max_speed must be finite and non-negative"
+                f"need at least {floor} sensors to embed "
+                f"K({self.kautz_degree},3)"
             )
-        if self.probe_window <= 0:
-            raise ConfigError("probe_window must be positive")
+        if self.packet_bytes <= 0:
+            raise ConfigError("packet_bytes must be positive")
+        if self.sources_per_window < 1:
+            raise ConfigError("sources_per_window must be >= 1")
+        # NaN fails every comparison, so each loop refuses it.
+        for name in (
+            "area_side", "sensor_range", "actuator_range", "sim_time",
+            "rate_pps", "probe_window",
+        ):
+            if not 0 < getattr(self, name) < math.inf:
+                raise ConfigError(f"{name} must be positive and finite")
+        # inf: sources never re-drawn / no deadline.
+        for name in ("source_window", "qos_deadline"):
+            if not getattr(self, name) > 0:
+                raise ConfigError(f"{name} must be positive")
+        for name in ("warmup", "sensor_max_speed"):
+            if not 0 <= getattr(self, name) < math.inf:
+                raise ConfigError(f"{name} must be finite and non-negative")
         for spec in self.fault_spec:
             if not isinstance(spec, FaultSpec):
                 raise ConfigError("fault_spec entries must be FaultSpec")
@@ -128,3 +140,68 @@ class ScenarioConfig:
     def with_(self, **overrides) -> "ScenarioConfig":
         """A modified copy (sweep helper)."""
         return replace(self, **overrides)
+
+
+def add_scenario_arguments(
+    parser,
+    *,
+    seed: int,
+    sensors: int,
+    area: float,
+    sim_time: float,
+    warmup: float,
+    rate: float,
+) -> None:
+    """Declare the scenario flags the report and divergence CLIs share
+    on an ``argparse`` parser; each CLI brings its own defaults."""
+    parser.add_argument("--system", default="REFER")
+    parser.add_argument("--seed", type=int, default=seed)
+    parser.add_argument("--sensors", type=int, default=sensors)
+    parser.add_argument("--area", type=float, default=area)
+    parser.add_argument("--sim-time", type=float, default=sim_time)
+    parser.add_argument("--warmup", type=float, default=warmup)
+    parser.add_argument("--rate", type=float, default=rate)
+    parser.add_argument(
+        "--chaos", default=None, metavar="KIND",
+        help="inject a fault model (rotation, permanent, actuator, ...)",
+    )
+    parser.add_argument(
+        "--recovery", action="store_true",
+        help="enable the self-healing recovery stack (REFER only)",
+    )
+    parser.add_argument(
+        "--qos", action="store_true",
+        help="enable the QoS stack (priority MAC, admission, backpressure)",
+    )
+    parser.add_argument(
+        "--bursty", type=int, default=0, metavar="SOURCES",
+        help="use the bursty heavy-tailed workload with SOURCES sources",
+    )
+    parser.add_argument(
+        "--load", type=float, default=1.0, metavar="MULT",
+        help="offered-load multiplier for the bursty workload",
+    )
+
+
+def scenario_from_args(args, telemetry: TelemetryConfig) -> ScenarioConfig:
+    """The scenario :func:`add_scenario_arguments`' flags describe
+    (``--system`` is the caller's to pass to ``run_scenario``)."""
+    return ScenarioConfig(
+        seed=args.seed,
+        sensor_count=args.sensors,
+        area_side=args.area,
+        sim_time=args.sim_time,
+        warmup=args.warmup,
+        rate_pps=args.rate,
+        fault_spec=(
+            (FaultSpec(kind=args.chaos, start=args.warmup),)
+            if args.chaos else ()
+        ),
+        recovery=RecoveryConfig() if args.recovery else None,
+        telemetry=telemetry,
+        qos=QosConfig() if args.qos else None,
+        bursty=(
+            BurstyConfig(sources=args.bursty, load_multiplier=args.load)
+            if args.bursty > 0 else None
+        ),
+    )

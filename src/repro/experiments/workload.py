@@ -110,6 +110,15 @@ class CbrWorkload:
 # bursty heavy-tailed workload (QoS overload driver)
 # ----------------------------------------------------------------------
 
+#: Seconds between source re-draws.
+EPOCH = 2.0
+#: Pareto scale (= minimum duration) of on- and of off-periods, seconds.
+ON_SCALE = 0.2
+OFF_SCALE = 0.1
+#: Truncation cap applied to every drawn duration, seconds.
+MAX_PERIOD = 5.0
+
+
 def pareto_duration(
     rng: random.Random, shape: float, scale: float, cap: float
 ) -> float:
@@ -166,24 +175,20 @@ def emission_schedule(
     schedule: List[Tuple[float, TrafficClass, Optional[float]]] = []
     t = begin + rng.uniform(0, interval)
     while t < end:
-        burst = pareto_duration(
-            rng, config.on_shape, config.on_scale, config.max_period
-        )
+        burst = pareto_duration(rng, config.on_shape, ON_SCALE, MAX_PERIOD)
         on_end = min(t + burst, end)
         while t < on_end:
             cls, deadline = draw_class(rng, config)
             schedule.append((t, cls, deadline))
             t += interval
-        t += pareto_duration(
-            rng, config.off_shape, config.off_scale, config.max_period
-        )
+        t += pareto_duration(rng, config.off_shape, OFF_SCALE, MAX_PERIOD)
     return schedule
 
 
 class BurstyWorkload:
     """Heavy-tailed on/off traffic with per-class QoS marks.
 
-    Each ``config.epoch`` seconds a fresh set of ``config.sources``
+    Each :data:`EPOCH` seconds a fresh set of ``config.sources``
     usable sensors is drawn; every source then follows its own
     :func:`emission_schedule`.  When an
     :class:`~repro.qos.admission.AdmissionController` is installed,
@@ -218,7 +223,7 @@ class BurstyWorkload:
         t = begin
         while t < end:
             self._sim.schedule_at(t, self._open_epoch)
-            t += self._config.epoch
+            t += EPOCH
 
     def _open_epoch(self) -> None:
         self.epochs += 1
@@ -229,7 +234,7 @@ class BurstyWorkload:
         ]
         count = min(self._config.sources, len(sensors))
         sources = self._rng.sample(sensors, count)
-        epoch_end = min(self._sim.now + self._config.epoch, self._end_time)
+        epoch_end = min(self._sim.now + EPOCH, self._end_time)
         for source in sources:
             schedule = emission_schedule(
                 self._rng, self._config, self._sim.now, epoch_end

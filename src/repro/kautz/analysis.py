@@ -1,9 +1,8 @@
 """Graph-theoretic checks behind Section III-A.
 
-Implements the quantities in Lemma 3.1 and Propositions 3.1–3.2: the
-degree/diameter tradeoff of the Kautz graph (Moore bound proximity),
-the Euler degree-sum equality, and the transmission-range precondition
-for Hamiltonian embedding.
+Implements the quantities in Proposition 3.1: the degree/diameter
+tradeoff of the Kautz graph against the de Bruijn graph and the
+hypercube, and its proximity to the Moore bound.
 """
 
 from __future__ import annotations
@@ -11,11 +10,7 @@ from __future__ import annotations
 import math
 from typing import Dict, List
 
-from repro.kautz.graph import (
-    KautzGraph,
-    kautz_edge_count,
-    kautz_node_count,
-)
+from repro.kautz.graph import kautz_node_count
 
 
 def moore_bound(degree: int, diameter: int) -> int:
@@ -33,11 +28,6 @@ def moore_bound(degree: int, diameter: int) -> int:
 def moore_bound_ratio(degree: int, diameter: int) -> float:
     """``N_kautz / M(d, k)`` — density relative to the Moore bound."""
     return kautz_node_count(degree, diameter) / moore_bound(degree, diameter)
-
-
-def satisfies_euler_degree_sum(graph: KautzGraph) -> bool:
-    """Lemma 3.1's equality ``|E(G)| = N(G) * d_min`` for the Kautz graph."""
-    return graph.edge_count == graph.node_count * graph.degree
 
 
 def debruijn_node_count(degree: int, diameter: int) -> int:
@@ -63,34 +53,6 @@ def kautz_diameter_for(node_count: int, degree: int) -> int:
     while kautz_node_count(degree, k) < node_count:
         k += 1
     return k
-
-
-def min_transmission_range(side: float) -> float:
-    """Proposition 3.2: minimum range r for a Hamiltonian-embeddable cell.
-
-    From Dirac's condition applied to the worst-case corner node:
-    ``(pi r^2 / 4 b^2) n >= n / 2``  ⟹  ``r >= b * sqrt(2 / pi)``
-    (≈ 0.7979 b, which the paper rounds to 0.8 b).
-    """
-    if side <= 0:
-        raise ValueError("side must be positive")
-    return side * math.sqrt(2.0 / math.pi)
-
-
-def max_cell_side(transmission_range: float) -> float:
-    """Inverse of :func:`min_transmission_range`."""
-    if transmission_range <= 0:
-        raise ValueError("transmission_range must be positive")
-    return transmission_range * math.sqrt(math.pi / 2.0)
-
-
-def cell_coverage_bound(transmission_range: float) -> float:
-    """Upper bound on the side of the area one Kautz cell can cover.
-
-    The paper bounds a cell's coverage by ``(2r + b)^2`` with
-    ``b = max_cell_side(r)``; returns that side length ``2r + b``.
-    """
-    return 2.0 * transmission_range + max_cell_side(transmission_range)
 
 
 def degree_diameter_table(

@@ -17,19 +17,16 @@ from repro.net.packet import Packet, PacketKind
 
 PathCallback = Callable[[Optional[List[int]]], None]
 
+#: Frame size of a flooded query and of each unicast reply hop.
+QUERY_BYTES = 64
+REPLY_BYTES = 64
+
 
 class FloodDiscovery:
     """Discovers physical hop paths by TTL-bounded flooding."""
 
-    def __init__(
-        self,
-        network: WirelessNetwork,
-        query_bytes: int = 64,
-        reply_bytes: int = 64,
-    ) -> None:
+    def __init__(self, network: WirelessNetwork) -> None:
         self._network = network
-        self._query_bytes = query_bytes
-        self._reply_bytes = reply_bytes
         self.queries = 0
 
     @staticmethod
@@ -73,7 +70,7 @@ class FloodDiscovery:
         self._network.flood(
             src_id,
             ttl=ttl,
-            size_bytes=self._query_bytes,
+            size_bytes=QUERY_BYTES,
             kind=PacketKind.QUERY,
             on_complete=flooded,
         )
@@ -105,7 +102,7 @@ class FloodDiscovery:
         self._network.flood(
             src_id,
             ttl=ttl,
-            size_bytes=self._query_bytes,
+            size_bytes=QUERY_BYTES,
             kind=PacketKind.QUERY,
             on_complete=flooded,
         )
@@ -119,7 +116,7 @@ class FloodDiscovery:
         """Unicast the reply back along the flood tree's reverse path."""
         reply = Packet(
             kind=PacketKind.CONTROL,
-            size_bytes=self._reply_bytes,
+            size_bytes=REPLY_BYTES,
             source=reverse_path[0],
             destination=reverse_path[-1],
             created_at=self._network.sim.now,

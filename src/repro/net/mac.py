@@ -20,27 +20,26 @@ from repro.net.packet import Packet
 from repro.sim.core import Simulator
 
 
+#: Expected deferral per busy neighbouring radio, seconds.
+SLOT_SECONDS = 0.0005
+#: Per-hop forwarding latency, seconds.
+PROCESSING_DELAY = 0.001
+#: Cap on the contention-driven part of the per-attempt loss.
+MAX_LOSS = 0.3
+
+
 @dataclass(frozen=True)
 class MacConfig:
     """Tunables for the contention model."""
 
     bitrate_bps: float = 2_000_000.0     # 802.11 basic rate
-    slot_seconds: float = 0.0005         # expected deferral per busy neighbour
-    processing_delay: float = 0.001      # per-hop forwarding latency
     base_loss: float = 0.01              # floor frame-loss probability
     contention_loss: float = 0.01        # extra loss per busy neighbour
-    max_loss: float = 0.3                # cap on the contention-driven part
     retry_limit: int = 3                 # link-layer retransmissions
-    failure_timeout: float = 0.02        # time burned learning a hop failed
-    ack_bytes: int = 14                  # network-layer ACK frame size (ARQ)
 
     def airtime(self, size_bytes: int) -> float:
         """Seconds the radio is busy sending one frame."""
         return (size_bytes * 8.0) / self.bitrate_bps
-
-    def ack_airtime(self) -> float:
-        """Occupancy of one network-layer ACK frame (repro.recovery)."""
-        return self.airtime(self.ack_bytes)
 
 
 class ContentionMac:
@@ -124,16 +123,16 @@ class ContentionMac:
             airtime = self._airtime_cache[size] = cfg.airtime(size)
         # Per-attempt loss: the floor plus a capped contention share.
         # It shares the frame's one contention_at with the backoff.
-        extra = min(cfg.contention_loss * contention, cfg.max_loss)
+        extra = min(cfg.contention_loss * contention, MAX_LOSS)
         loss_p = min(cfg.base_loss + extra, 1.0)
 
         elapsed = start - now
         success = False
         attempts = 0
-        # slot_seconds * contention is loop-invariant; multiplying the
+        # SLOT_SECONDS * contention is loop-invariant; multiplying the
         # uniform draw afterwards evaluates left-to-right exactly like
         # the original expression, so timings are bit-identical.
-        slot_contention = cfg.slot_seconds * contention
+        slot_contention = SLOT_SECONDS * contention
         uniform = self._rng.uniform
         rand = self._rng.random
         for _ in range(cfg.retry_limit + 1):
@@ -145,7 +144,7 @@ class ContentionMac:
         if self.profiler is not None:
             self.profiler.on_air(packet.size_bytes, attempts)
         src.radio_busy_until = now + elapsed
-        completion = now + elapsed + cfg.processing_delay
+        completion = now + elapsed + PROCESSING_DELAY
         self._sim.schedule(
             completion - now, lambda: on_result(success, completion)
         )

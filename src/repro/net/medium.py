@@ -204,9 +204,7 @@ class WirelessMedium:
     def _refresh_positions(self, now: float) -> None:
         """Bring the grid's positions to ``now``.
 
-        Static nodes are written once.  Mobile nodes get their new
-        position only; the grid re-hashes cells the first time a query
-        in this bucket needs them (:meth:`SpatialHashGrid.move_all`).
+        Static nodes are written once; mobile nodes are moved.
         """
         self.refreshes += 1
         grid = self.spatial_grid
@@ -218,17 +216,15 @@ class WirelessMedium:
         for node_id in self._pending_ids:
             grid.insert(node_id, nodes[node_id].mobility.position(now))
         self._pending_ids = []
-        grid.move_all(
-            (node_id, nodes[node_id].mobility.position(now))
-            for node_id in self._mobile_ids
-        )
+        for node_id in self._mobile_ids:
+            grid.move(node_id, nodes[node_id].mobility.position(now))
 
     def index_stats(self) -> Dict[str, int]:
         """Merged instrumentation: refreshes, grid counters, occupancy."""
         stats: Dict[str, int] = {"refreshes": self.refreshes}
         grid = self.spatial_grid
         if grid is not None:
-            occupancy = grid.occupancy()  # re-hashes: before the counters
+            occupancy = grid.occupancy()
             stats.update(grid.stats.as_dict())
             stats["occupied_cells"] = occupancy.occupied_cells
             stats["max_per_cell"] = occupancy.max_per_cell

@@ -1,8 +1,8 @@
 """The network facade protocols program against.
 
-:class:`WirelessNetwork` wires together the simulator, medium, MAC,
-energy ledger and trace log, and offers the three primitives every
-protocol in this repository is built from:
+:class:`WirelessNetwork` wires together the simulator, medium, MAC and
+energy ledger, and offers the three primitives every protocol in this
+repository is built from:
 
 * :meth:`send` — one-hop unicast with success/failure callbacks,
 * :meth:`send_along_path` — hop-by-hop relay over a node-id path,
@@ -18,18 +18,25 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import NetworkError
 from repro.net.energy import EnergyLedger, EnergyModel, Phase
-from repro.net.mac import ContentionMac, MacConfig
+from repro.net.mac import (
+    PROCESSING_DELAY,
+    SLOT_SECONDS,
+    ContentionMac,
+    MacConfig,
+)
 from repro.net.medium import WirelessMedium
 from repro.net.node import Node
 from repro.net.packet import Packet, PacketKind
 from repro.sim.core import Simulator
-from repro.sim.trace import TraceLog
 from repro.telemetry.config import Telemetry
 from repro.telemetry.registry import Registry
 
 ReceiveHandler = Callable[[Packet], None]
 DeliveryCallback = Callable[[Packet], None]
 FailureCallback = Callable[[Packet, int], None]   # (packet, failed_at_node)
+
+#: Seconds a sender burns learning that a hop is out of range.
+FAILURE_TIMEOUT = 0.02
 
 
 class WirelessNetwork:
@@ -41,7 +48,6 @@ class WirelessNetwork:
         rng: random.Random,
         mac_config: MacConfig = MacConfig(),
         energy_model: EnergyModel = EnergyModel(),
-        trace_capacity: int = 2_000,
         telemetry: Optional[Telemetry] = None,
     ) -> None:
         self.sim = sim
@@ -62,8 +68,8 @@ class WirelessNetwork:
         if telemetry is not None and telemetry.profiler is not None:
             self.mac.profiler = telemetry.profiler
         self.energy = EnergyLedger(energy_model, registry=self.registry)
-        self.trace = TraceLog(
-            capacity=trace_capacity, enabled=False, registry=self.registry
+        self._trace_events = self.registry.counter(
+            "trace_events", "trace records by category", labels=("category",)
         )
         self._rng = rng
         self._handlers: Dict[int, ReceiveHandler] = {}
@@ -185,7 +191,7 @@ class WirelessNetwork:
         it whether or not the frame arrives), rx charged on success.
 
         Failure paths: source unusable (immediate), destination out of
-        range or unusable (discovered after ``failure_timeout`` — the
+        range or unusable (discovered after ``FAILURE_TIMEOUT`` — the
         sender burns its retries before concluding the link is gone),
         MAC loss after retries.
         """
@@ -218,12 +224,12 @@ class WirelessNetwork:
             )
         self.charge_tx(src_id, packet.kind.value)
         if not self.medium.can_transmit(src_id, dst_id, now):
-            self.trace.record(now, "link_break", f"{src_id}->{dst_id}")
+            self._trace_events.child("link_break").inc()
             if flight is not None:
                 flight.hop_fail(packet.uid, now, src_id, dst_id, "link-break")
             self._fail(
                 packet, src_id, on_failed,
-                delay=self.mac.config.failure_timeout,
+                delay=FAILURE_TIMEOUT,
                 cause="link-break",
             )
             return
@@ -236,7 +242,7 @@ class WirelessNetwork:
                 terminal = packet.meta.get("qos_terminal")
                 if terminal is not None:
                     cause = terminal
-                self.trace.record(at, "mac_drop", f"{src_id}->{dst_id}")
+                self._trace_events.child("mac_drop").inc()
                 if flight is not None:
                     flight.hop_fail(packet.uid, at, src_id, dst_id, cause)
                 self._fail(packet, src_id, on_failed, delay=0.0, cause=cause)
@@ -364,11 +370,10 @@ class WirelessNetwork:
         # contends with the others, so a level takes one airtime plus a
         # deferral slot per concurrent transmitter; each forwarder's
         # radio is occupied while its level drains.
-        cfg = self.mac.config
         airtime = self.mac.broadcast_airtime(size_bytes)
         level_latency: List[float] = [0.0]
         for width in level_sizes[:-1]:
-            step = airtime + cfg.processing_delay + cfg.slot_seconds * width
+            step = airtime + PROCESSING_DELAY + SLOT_SECONDS * width
             level_latency.append(level_latency[-1] + step)
         # Every node that holds the message rebroadcasts once, except
         # leaves at the TTL horizon which receive but do not forward.
@@ -386,7 +391,7 @@ class WirelessNetwork:
             node.radio_busy_until = max(
                 node.radio_busy_until, now + max(level_end, airtime)
             )
-        self.trace.record(now, "flood", f"src={src_id} reached={len(tree)}")
+        self._trace_events.child("flood").inc()
         if on_complete is not None:
             self.sim.schedule(level_latency[-1], lambda: on_complete(tree))
         return tree

@@ -22,10 +22,8 @@ limit) against the brute-force oracle.
 
 Mobility integration is left to the caller (the
 :class:`~repro.net.medium.WirelessMedium` keeps its position snapshot
-here and refreshes mobile items once per cache bucket via
-:meth:`move_all`: positions are written at once, cells re-hashed by the
-first query that follows — never, if none does before the next refresh
-— and a point that stayed inside its cell costs a comparison, not a
+here and :meth:`~SpatialHashGrid.move`-s mobile items once per cache
+bucket; a point that stayed inside its cell costs a comparison, not a
 re-hash).
 """
 
@@ -33,7 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
-from typing import Dict, Iterable, List, Set, Tuple
+from typing import Dict, List, Set, Tuple
 
 from repro.errors import NetworkError
 from repro.util.geometry import Point
@@ -100,9 +98,6 @@ class SpatialHashGrid:
         self._cells: Dict[CellKey, Set[int]] = {}
         self._positions: Dict[int, Point] = {}
         self._keys: Dict[int, CellKey] = {}
-        #: Items :meth:`move_all` moved whose cell is not yet re-hashed;
-        #: ``_keys`` names the cell each still sits in.
-        self._unhashed: Set[int] = set()
         self.stats = GridStats()
 
     # -- bucketing ----------------------------------------------------------
@@ -132,58 +127,30 @@ class SpatialHashGrid:
         except KeyError:
             raise NetworkError(f"unknown grid item {item_id}") from None
         del self._positions[item_id]
-        self._unhashed.discard(item_id)
         bucket = self._cells[key]
         bucket.discard(item_id)
         if not bucket:
             del self._cells[key]
         self.stats.removes += 1
 
-    def move_all(self, moves: Iterable[Tuple[int, Point]]) -> None:
-        """Update many positions now and their cells on demand.
-
-        :meth:`position_of` answers from the new positions at once;
-        the cells are re-hashed (a comparison for an item that stayed
-        in its cell, counted either way) by the first
-        :meth:`within_range` or :meth:`occupancy` that follows.  If
-        none does before the next ``move_all``, those re-hashes never
-        happen — which no query can tell, because matching depends on
-        positions alone.
-
-        ``moves`` is consumed one ``(item_id, point)`` at a time, so a
-        caller that passes a generator never holds two snapshots: each
-        superseded point is released before the next one is made.
-        """
-        keys = self._keys
-        positions = self._positions
-        unhashed = self._unhashed
-        for item_id, point in moves:
-            if item_id not in keys:
-                raise NetworkError(f"unknown grid item {item_id}")
-            positions[item_id] = point
-            unhashed.add(item_id)
-
-    def _settle(self) -> None:
-        """Put every item :meth:`move_all` left in its old cell where
-        its position is."""
-        keys = self._keys
-        cells = self._cells
-        positions = self._positions
-        stats = self.stats
-        for item_id in self._unhashed:
-            old_key = keys[item_id]
-            new_key = self._key(positions[item_id])
-            if new_key == old_key:
-                stats.in_cell_moves += 1
-                continue
-            bucket = cells[old_key]
-            bucket.discard(item_id)
-            if not bucket:
-                del cells[old_key]
-            cells.setdefault(new_key, set()).add(item_id)
-            keys[item_id] = new_key
-            stats.rebuckets += 1
-        self._unhashed.clear()
+    def move(self, item_id: int, point: Point) -> None:
+        """Update one position; re-hashes only on a cell crossing."""
+        try:
+            old_key = self._keys[item_id]
+        except KeyError:
+            raise NetworkError(f"unknown grid item {item_id}") from None
+        self._positions[item_id] = point
+        new_key = self._key(point)
+        if new_key == old_key:
+            self.stats.in_cell_moves += 1
+            return
+        bucket = self._cells[old_key]
+        bucket.discard(item_id)
+        if not bucket:
+            del self._cells[old_key]
+        self._cells.setdefault(new_key, set()).add(item_id)
+        self._keys[item_id] = new_key
+        self.stats.rebuckets += 1
 
     # -- lookup -------------------------------------------------------------
 
@@ -216,8 +183,6 @@ class SpatialHashGrid:
         """
         if radius < 0:
             raise NetworkError("radius must be non-negative")
-        if self._unhashed:
-            self._settle()
         size = self.cell_size
         x, y = point.x, point.y
         cx_lo = math.floor((x - radius) / size)
@@ -247,8 +212,6 @@ class SpatialHashGrid:
 
     def occupancy(self) -> GridOccupancy:
         """Distribution snapshot (for benchmarks and capacity checks)."""
-        if self._unhashed:
-            self._settle()
         return GridOccupancy(
             items=len(self._positions),
             occupied_cells=len(self._cells),

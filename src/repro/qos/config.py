@@ -38,10 +38,6 @@ class QosConfig:
     #: Enable the per-node priority queue + deadline-drop in front of
     #: the MAC.
     priority_mac: bool = True
-    #: Bounded queue depth for alarm frames (per node).
-    alarm_queue_depth: int = 16
-    #: Bounded queue depth for control frames (per node).
-    control_queue_depth: int = 16
     #: Bounded queue depth for bulk frames (per node).  Deliberately
     #: shallow: under overload bulk is shed at the hop, not buffered
     #: into uselessness.
@@ -70,12 +66,8 @@ class QosConfig:
     throttle_factor: float = 0.25
 
     def __post_init__(self) -> None:
-        if min(
-            self.alarm_queue_depth,
-            self.control_queue_depth,
-            self.bulk_queue_depth,
-        ) < 1:
-            raise ConfigError("per-class queue depths must be >= 1")
+        if self.bulk_queue_depth < 1:
+            raise ConfigError("bulk_queue_depth must be >= 1")
         if self.bulk_bucket_rate <= 0 or self.bulk_bucket_burst < 1.0:
             raise ConfigError(
                 "bulk bucket needs positive rate and burst >= 1"
@@ -104,9 +96,8 @@ class BurstyConfig:
 
     Each epoch a fresh set of ``sources`` sensors alternates Pareto
     on-periods (emitting at ``peak_rate_pps * load_multiplier``) with
-    Pareto off-periods.  Durations are truncated at ``max_period`` so
-    the empirical mean converges (and matches the closed-form
-    truncated-Pareto mean the property tests check against).
+    Pareto off-periods.  Epoch length, Pareto scales and the truncation
+    cap are constants of :mod:`repro.experiments.workload`.
     """
 
     #: Concurrent bursting sources per epoch.
@@ -117,19 +108,11 @@ class BurstyConfig:
     #: Per-source emission rate during an on-period, before the
     #: multiplier (packets/second).
     peak_rate_pps: float = 4.0
-    #: Seconds between source re-draws.
-    epoch: float = 2.0
     #: Pareto shape of on-period durations (must exceed 1 for a
     #: finite mean).
     on_shape: float = 1.5
-    #: Pareto scale (= minimum duration) of on-periods, seconds.
-    on_scale: float = 0.2
     #: Pareto shape of off-period durations.
     off_shape: float = 1.5
-    #: Pareto scale of off-periods, seconds.
-    off_scale: float = 0.1
-    #: Truncation cap applied to every drawn duration, seconds.
-    max_period: float = 5.0
     #: Fraction of emissions marked alarm class.
     alarm_fraction: float = 0.1
     #: Fraction of emissions marked control class (the remainder is
@@ -148,16 +131,10 @@ class BurstyConfig:
             raise ConfigError("sources must be >= 1")
         if self.load_multiplier <= 0 or self.peak_rate_pps <= 0:
             raise ConfigError("offered load must be positive")
-        if self.epoch <= 0:
-            raise ConfigError("epoch must be positive")
         if min(self.on_shape, self.off_shape) <= 1.0:
             raise ConfigError(
                 "Pareto shapes must exceed 1 (finite mean)"
             )
-        if min(self.on_scale, self.off_scale) <= 0:
-            raise ConfigError("Pareto scales must be positive")
-        if self.max_period < max(self.on_scale, self.off_scale):
-            raise ConfigError("max_period must cover the Pareto scales")
         if not (
             0.0 <= self.alarm_fraction
             and 0.0 <= self.control_fraction

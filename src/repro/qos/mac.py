@@ -39,6 +39,11 @@ from repro.sim.core import Simulator
 
 __all__ = ["MacQosScheduler"]
 
+#: Bounded per-node queue depth for alarm and for control frames
+#: (bulk's is ``QosConfig.bulk_queue_depth``).
+ALARM_QUEUE_DEPTH = 16
+CONTROL_QUEUE_DEPTH = 16
+
 
 class MacQosScheduler:
     """Per-node strict-priority frame queues feeding the MAC."""
@@ -57,8 +62,8 @@ class MacQosScheduler:
         self._state = state
         self._stats = stats
         self._depths = {
-            TrafficClass.ALARM: config.alarm_queue_depth,
-            TrafficClass.CONTROL: config.control_queue_depth,
+            TrafficClass.ALARM: ALARM_QUEUE_DEPTH,
+            TrafficClass.CONTROL: CONTROL_QUEUE_DEPTH,
             TrafficClass.BULK: config.bulk_queue_depth,
         }
         self._queues: Dict[int, PriorityFrameQueue] = {}

@@ -30,6 +30,7 @@ import random
 from collections import OrderedDict
 from typing import Callable, Dict, Optional, Tuple
 
+from repro.net.mac import PROCESSING_DELAY
 from repro.net.network import (
     DeliveryCallback,
     FailureCallback,
@@ -39,6 +40,9 @@ from repro.net.packet import Packet, PacketKind
 from repro.telemetry.views import StatsView, counter_field
 
 __all__ = ["ArqLink", "ArqStats"]
+
+#: Network-layer ACK frame size.
+ACK_BYTES = 14
 
 
 class ArqStats(StatsView):
@@ -77,7 +81,6 @@ class ArqLink:
         backoff_factor: float = 2.0,
         jitter: float = 0.5,
         ack_loss: float = 0.01,
-        ack_bytes: Optional[int] = None,
         cache_size: int = 512,
         on_recovered: Optional[Callable[[], None]] = None,
     ) -> None:
@@ -91,10 +94,6 @@ class ArqLink:
         self._backoff_factor = backoff_factor
         self._jitter = jitter
         self._ack_loss = ack_loss
-        self._ack_bytes = (
-            ack_bytes if ack_bytes is not None
-            else network.mac.config.ack_bytes
-        )
         self._cache_size = cache_size
         self._on_recovered = on_recovered
         self.stats = ArqStats(registry=network.registry)
@@ -212,8 +211,9 @@ class ArqLink:
                     handler(packet)
         # The ACK frame: receiver pays tx, sender pays rx on arrival.
         self._network.charge_tx(dst_id, PacketKind.ACK.value)
-        mac_cfg = self._network.mac.config
-        ack_delay = mac_cfg.airtime(self._ack_bytes) + mac_cfg.processing_delay
+        ack_delay = (
+            self._network.mac.config.airtime(ACK_BYTES) + PROCESSING_DELAY
+        )
         if self._rng.random() < self._ack_loss:
             self.stats.ack_losses += 1
             # No ACK will come: the sender times out and retransmits.

@@ -5,9 +5,9 @@
 ``recovery`` field.  It covers the three recovery layers:
 
 * the message-grounded failure detector (heartbeat period, adaptive
-  timeout parameters, suspicion threshold),
-* the per-hop ARQ layer (retransmission budget, backoff, ACK loss,
-  duplicate cache), and
+  or fixed timeout, suspicion threshold),
+* the per-hop ARQ layer (on/off and ACK loss; budget, backoff and
+  duplicate cache are constants of :mod:`repro.recovery.arq`), and
 * the CAN self-healing switch.
 
 All three layers default to *on* when a ``RecoveryConfig`` is present;
@@ -40,10 +40,6 @@ class RecoveryConfig:
     detector_period: float = 1.0
     #: Consecutive probe misses before a target is condemned.
     suspicion_threshold: int = 3
-    #: Floor for the adaptive timeout (absorbs scheduling noise).
-    min_timeout: float = 0.05
-    #: Timeout = srtt + ``timeout_margin`` * rttvar (Jacobson-style).
-    timeout_margin: float = 4.0
     #: When False, every probe uses ``fixed_timeout`` (the strawman).
     adaptive_timeout: bool = True
     #: Fixed probe timeout; also the adaptive initial value before the
@@ -55,19 +51,8 @@ class RecoveryConfig:
     # -- per-hop ARQ ------------------------------------------------------
     #: Enable the ARQ layer between the router and the MAC.
     arq: bool = True
-    #: Retransmissions allowed beyond the first attempt.
-    arq_budget: int = 2
-    #: Base retransmission backoff (seconds).
-    arq_backoff: float = 0.01
-    #: Exponential backoff growth per retransmission.
-    arq_backoff_factor: float = 2.0
-    #: Deterministic jitter: each backoff is scaled by a uniform factor
-    #: in [1 - jitter, 1 + jitter] drawn from the ARQ RNG stream.
-    arq_jitter: float = 0.5
     #: Probability an ACK frame is lost (exercises the duplicate path).
     ack_loss: float = 0.01
-    #: Per-receiver duplicate-suppression cache capacity.
-    dup_cache_size: int = 512
 
     # -- CAN self-healing -------------------------------------------------
     #: Hand a condemned actuator's CAN zones to its heir and route
@@ -79,22 +64,12 @@ class RecoveryConfig:
             raise ConfigError("detector_period must be positive")
         if self.suspicion_threshold < 1:
             raise ConfigError("suspicion_threshold must be >= 1")
-        if self.min_timeout <= 0 or self.fixed_timeout <= 0:
-            raise ConfigError("detector timeouts must be positive")
-        if self.timeout_margin < 0:
-            raise ConfigError("timeout_margin must be >= 0")
+        if self.fixed_timeout <= 0:
+            raise ConfigError("fixed_timeout must be positive")
         if self.probe_bytes <= 0:
             raise ConfigError("probe_bytes must be positive")
-        if self.arq_budget < 0:
-            raise ConfigError("arq_budget must be >= 0")
-        if self.arq_backoff <= 0 or self.arq_backoff_factor < 1.0:
-            raise ConfigError("invalid ARQ backoff configuration")
-        if not 0.0 <= self.arq_jitter < 1.0:
-            raise ConfigError("arq_jitter must be in [0, 1)")
         if not 0.0 <= self.ack_loss < 1.0:
             raise ConfigError("ack_loss must be in [0, 1)")
-        if self.dup_cache_size < 1:
-            raise ConfigError("dup_cache_size must be >= 1")
 
     @property
     def any_enabled(self) -> bool:

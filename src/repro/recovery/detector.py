@@ -56,6 +56,10 @@ _PENDING, _REPLIED, _MISSED = 0, 1, 2
 # Jacobson/Karels RTT estimator gains (TCP's classic values).
 _SRTT_GAIN = 0.125
 _RTTVAR_GAIN = 0.25
+#: Floor for the adaptive timeout (absorbs scheduling noise), seconds.
+MIN_TIMEOUT = 0.05
+#: Adaptive timeout = srtt + ``TIMEOUT_MARGIN`` * rttvar.
+TIMEOUT_MARGIN = 4.0
 
 
 @dataclass(frozen=True)
@@ -214,11 +218,8 @@ class FailureDetector:
             return cfg.fixed_timeout
         if state is None or state.srtt is None:
             # No sample yet: start conservative, adapt downward later.
-            return max(cfg.min_timeout, cfg.fixed_timeout)
-        return max(
-            cfg.min_timeout,
-            state.srtt + cfg.timeout_margin * state.rttvar,
-        )
+            return max(MIN_TIMEOUT, cfg.fixed_timeout)
+        return max(MIN_TIMEOUT, state.srtt + TIMEOUT_MARGIN * state.rttvar)
 
     def _probe(self, monitor: int, target: int) -> None:
         sim = self._network.sim

@@ -129,12 +129,7 @@ class RecoveryOrchestrator:
             self.arq = ArqLink(
                 network,
                 arq_rng,
-                budget=config.arq_budget,
-                backoff=config.arq_backoff,
-                backoff_factor=config.arq_backoff_factor,
-                jitter=config.arq_jitter,
                 ack_loss=config.ack_loss,
-                cache_size=config.dup_cache_size,
                 on_recovered=router.note_retransmit_recovered,
             )
             router.set_reliable_link(self.arq)

@@ -3,18 +3,16 @@
 Stands in for ns-2 as the substrate of the evaluation.  The engine is
 deliberately small: a monotonic clock, a binary-heap event queue with
 deterministic FIFO tie-breaking, cancellable events, timers and
-periodic processes, and a trace facility for debugging.
+periodic processes.
 """
 
 from repro.sim.core import Simulator
 from repro.sim.events import Event, EventQueue
 from repro.sim.process import PeriodicProcess
-from repro.sim.trace import TraceLog
 
 __all__ = [
     "Simulator",
     "Event",
     "EventQueue",
     "PeriodicProcess",
-    "TraceLog",
 ]

@@ -6,10 +6,9 @@ sequence of :class:`FlightEvent`\\ s keyed by the packet ``uid``.  All
 timestamps are **sim time**; nothing here reads a wall clock, so a
 recorded flight is byte-reproducible across runs of the same seed.
 
-Memory is ring-bounded like :class:`~repro.sim.trace.TraceLog`: at
-most ``capacity`` packets are retained and the oldest journey is
-evicted first, while aggregate counters (events recorded, journeys
-evicted) survive eviction.
+Memory is ring-bounded: at most ``capacity`` packets are retained and
+the oldest journey is evicted first, while aggregate counters (events
+recorded, journeys evicted) survive eviction.
 
 The recorder is queryable (:meth:`events`, :meth:`journey`) and
 exportable as JSONL (one line per packet, via

@@ -302,36 +302,27 @@ def render(result) -> str:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     """Run a telemetry-enabled scenario and print its report."""
+    from repro.experiments.config import (
+        add_scenario_arguments,
+        scenario_from_args,
+    )
+    from repro.experiments.runner import run_scenario
+    from repro.telemetry.config import TelemetryConfig
+    from repro.telemetry.export import (
+        flight_to_jsonl_lines,
+        registry_to_jsonl_lines,
+        registry_to_prometheus,
+        trace_to_jsonl_lines,
+    )
+    from repro.telemetry.tracing import TracingConfig
+
     parser = argparse.ArgumentParser(
         prog="python -m repro.telemetry.report",
         description="Run one scenario with telemetry and render a report.",
     )
-    parser.add_argument("--system", default="REFER")
-    parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--sensors", type=int, default=60)
-    parser.add_argument("--area", type=float, default=260.0)
-    parser.add_argument("--sim-time", type=float, default=20.0)
-    parser.add_argument("--warmup", type=float, default=4.0)
-    parser.add_argument("--rate", type=float, default=6.0)
-    parser.add_argument(
-        "--chaos", default=None, metavar="KIND",
-        help="inject a fault model (rotation, permanent, actuator, ...)",
-    )
-    parser.add_argument(
-        "--recovery", action="store_true",
-        help="enable the self-healing recovery stack (REFER only)",
-    )
-    parser.add_argument(
-        "--qos", action="store_true",
-        help="enable the QoS stack (priority MAC, admission, backpressure)",
-    )
-    parser.add_argument(
-        "--bursty", type=int, default=0, metavar="SOURCES",
-        help="use the bursty heavy-tailed workload with SOURCES sources",
-    )
-    parser.add_argument(
-        "--load", type=float, default=1.0, metavar="MULT",
-        help="offered-load multiplier for the bursty workload",
+    add_scenario_arguments(
+        parser, seed=1, sensors=60, area=260.0, sim_time=20.0, warmup=4.0,
+        rate=6.0,
     )
     parser.add_argument(
         "--wall", action="store_true",
@@ -349,44 +340,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         help="write the trace fingerprint + checkpoints (implies --trace)",
     )
     args = parser.parse_args(argv)
-
-    from repro.chaos.spec import FaultSpec
-    from repro.experiments.config import ScenarioConfig
-    from repro.experiments.runner import run_scenario
-    from repro.qos.config import BurstyConfig, QosConfig
-    from repro.recovery.config import RecoveryConfig
-    from repro.telemetry.config import TelemetryConfig
-    from repro.telemetry.export import (
-        flight_to_jsonl_lines,
-        registry_to_jsonl_lines,
-        registry_to_prometheus,
-        trace_to_jsonl_lines,
-    )
-    from repro.telemetry.tracing import TracingConfig
-
-    config = ScenarioConfig(
-        seed=args.seed,
-        sensor_count=args.sensors,
-        area_side=args.area,
-        sim_time=args.sim_time,
-        warmup=args.warmup,
-        rate_pps=args.rate,
-        fault_spec=(
-            (FaultSpec(kind=args.chaos, start=args.warmup),)
-            if args.chaos else ()
-        ),
-        recovery=RecoveryConfig() if args.recovery else None,
-        telemetry=TelemetryConfig(
+    config = scenario_from_args(
+        args,
+        TelemetryConfig(
             wall_clock=args.wall,
             tracing=(
                 TracingConfig()
                 if args.trace or args.trace_jsonl else None
             ),
-        ),
-        qos=QosConfig() if args.qos else None,
-        bursty=(
-            BurstyConfig(sources=args.bursty, load_multiplier=args.load)
-            if args.bursty > 0 else None
         ),
     )
     result = run_scenario(args.system, config)

@@ -1,11 +1,13 @@
 """Tests for metrics collection and the CBR workload."""
 
 import random
+import signal
 
 import pytest
 
 from repro.experiments.config import FaultConfig, ScenarioConfig
 from repro.experiments.metrics import MetricsCollector
+from repro.experiments.runner import run_scenario
 from repro.experiments.workload import CbrWorkload
 from repro.errors import ConfigError
 from repro.net.packet import Packet, PacketKind
@@ -63,6 +65,47 @@ class TestScenarioConfig:
     def test_refuses_values_no_run_survives(self, field, value):
         with pytest.raises(ConfigError, match=field):
             ScenarioConfig(**{field: value})
+
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("sim_time", float("nan")),   # never returned
+            ("warmup", float("inf")),     # never returned
+            ("rate_pps", float("inf")),   # never returned
+            ("rate_pps", float("nan")),   # ran, generated 0 packets
+            ("area_side", float("nan")),  # bare ValueError
+            ("area_side", float("inf")),  # bare OverflowError
+            ("sources_per_window", -1),   # bare ValueError from sample()
+        ],
+    )
+    def test_one_field_inputs_are_refused_before_a_deadline(
+        self, field, value
+    ):
+        """Each input hung or leaked a bare error from ``run_scenario``
+        (60 sensors, 2 s); the alarm makes a hang a failure."""
+
+        def expired(signum, frame):
+            raise TimeoutError(f"{field}={value} still running after 15 s")
+
+        small = dict(sensor_count=60, area_side=260.0, sim_time=2.0)
+        previous = signal.signal(signal.SIGALRM, expired)
+        signal.alarm(15)
+        try:
+            with pytest.raises(ConfigError, match=field):
+                run_scenario(
+                    "REFER", ScenarioConfig(**{**small, field: value})
+                )
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+
+    @pytest.mark.parametrize("degree,floor", [(2, 12), (3, 36)])
+    def test_sensor_floor_is_the_order_of_the_cell_graph(self, degree, floor):
+        with pytest.raises(ConfigError, match=f"at least {floor} sensors"):
+            ScenarioConfig(kautz_degree=degree, sensor_count=floor - 1)
+        assert ScenarioConfig(
+            kautz_degree=degree, sensor_count=floor
+        ).sensor_count == floor
 
     def test_boundary_values_stay_legal(self):
         assert ScenarioConfig(source_window=float("inf")).source_window > 0

@@ -1,22 +1,13 @@
 """Tests for the Section III-A analysis helpers."""
 
-import math
-
-import pytest
-
 from repro.kautz.analysis import (
-    cell_coverage_bound,
     debruijn_node_count,
     degree_diameter_table,
     hypercube_diameter,
     kautz_diameter_for,
-    max_cell_side,
-    min_transmission_range,
     moore_bound,
     moore_bound_ratio,
-    satisfies_euler_degree_sum,
 )
-from repro.kautz.graph import KautzGraph
 
 
 class TestMooreBound:
@@ -34,12 +25,6 @@ class TestMooreBound:
         for d in (2, 3, 4):
             for k in (2, 3, 4):
                 assert 0 < moore_bound_ratio(d, k) < 1
-
-
-class TestLemma31:
-    @pytest.mark.parametrize("d,k", [(2, 3), (3, 2), (4, 4), (1, 3)])
-    def test_euler_degree_sum_equality(self, d, k):
-        assert satisfies_euler_degree_sum(KautzGraph(d, k))
 
 
 class TestProposition31:
@@ -71,28 +56,3 @@ class TestProposition31:
         assert kautz_node_count(2, k) >= 200
         assert k == 1 or kautz_node_count(2, k - 1) < 200
 
-
-class TestProposition32:
-    def test_constant_is_approximately_08(self):
-        # r >= b * sqrt(2/pi) ≈ 0.7979 b, rounded to 0.8 in the paper.
-        assert min_transmission_range(1.0) == pytest.approx(0.7979, abs=1e-3)
-
-    def test_range_scales_linearly(self):
-        assert min_transmission_range(500.0) == pytest.approx(
-            500.0 * math.sqrt(2.0 / math.pi)
-        )
-
-    def test_inverse_relationship(self):
-        r = 100.0
-        b = max_cell_side(r)
-        assert min_transmission_range(b) == pytest.approx(r)
-
-    def test_coverage_bound(self):
-        # (2r + b) with b = r*sqrt(pi/2) ≈ 3.25 r (the paper's 13r/4).
-        assert cell_coverage_bound(100.0) == pytest.approx(325.0, rel=0.01)
-
-    def test_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            min_transmission_range(0.0)
-        with pytest.raises(ValueError):
-            max_cell_side(-1.0)

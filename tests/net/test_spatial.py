@@ -45,7 +45,7 @@ class TestGridBasics:
         with pytest.raises(NetworkError):
             grid.remove(7)
         with pytest.raises(NetworkError):
-            grid.move_all(((7, Point(0, 0)),))
+            grid.move(7, Point(0, 0))
 
     def test_negative_radius_rejected(self):
         grid = SpatialHashGrid(1.0)
@@ -103,7 +103,7 @@ class TestGridMove:
     def test_move_within_cell_does_not_rebucket(self):
         grid = SpatialHashGrid(10.0)
         grid.insert(1, Point(1.0, 1.0))
-        grid.move_all(((1, Point(2.0, 2.0)),))
+        grid.move(1, Point(2.0, 2.0))
         assert grid.within_range(Point(2.0, 2.0), 1.0) == [(1, 0.0)]
         assert grid.stats.rebuckets == 0
         assert grid.stats.in_cell_moves == 1
@@ -112,7 +112,7 @@ class TestGridMove:
     def test_move_across_cells_rebuckets(self):
         grid = SpatialHashGrid(10.0)
         grid.insert(1, Point(1.0, 1.0))
-        grid.move_all(((1, Point(25.0, 1.0)),))
+        grid.move(1, Point(25.0, 1.0))
         assert [i for i, _ in grid.within_range(Point(25.0, 0.0), 5.0)] == [1]
         assert grid.within_range(Point(0.0, 0.0), 5.0) == []
         assert grid.stats.rebuckets == 1
@@ -133,58 +133,6 @@ class TestGridMove:
         assert occ.items == 0
         assert occ.max_per_cell == 0
         assert occ.mean_per_cell == 0.0
-
-
-class TestDeferredRehash:
-    """``move_all`` writes positions at once and re-hashes cells at the
-    first query that needs them — which no answer may reveal."""
-
-    def build(self):
-        grid = SpatialHashGrid(10.0)
-        for item_id, x in enumerate((1.0, 2.0, 55.0)):
-            grid.insert(item_id, Point(x, 1.0))
-        return grid
-
-    def test_positions_move_at_once_cells_on_demand(self):
-        grid = self.build()
-        grid.move_all([(0, Point(3.0, 1.0)), (1, Point(58.0, 1.0))])
-        assert grid.position_of(1) == Point(58.0, 1.0)
-        assert grid.stats.rebuckets == grid.stats.in_cell_moves == 0
-        assert [i for i, _ in grid.within_range(Point(56.0, 1.0), 5.0)] == [
-            1, 2,
-        ]
-        assert grid.stats.rebuckets == 1 and grid.stats.in_cell_moves == 1
-        assert grid.occupancy().max_per_cell == 2
-
-    def test_superseded_moves_are_never_rehashed(self):
-        grid = self.build()
-        grid.move_all([(1, Point(58.0, 1.0))])
-        grid.move_all(iter([(1, Point(2.5, 1.0))]))
-        occupancy = grid.occupancy()
-        assert (occupancy.occupied_cells, occupancy.max_per_cell) == (2, 2)
-        assert grid.stats.rebuckets == 0 and grid.stats.in_cell_moves == 1
-
-    def test_remove_and_move_of_an_item_in_a_stale_cell(self):
-        grid = self.build()
-        grid.move_all([(0, Point(57.0, 1.0)), (1, Point(58.0, 1.0))])
-        grid.remove(0)
-        grid.move_all(((1, Point(91.0, 1.0)),))
-        assert grid.within_range(Point(56.0, 1.0), 5.0) == [(2, 1.0)]
-        assert [i for i, _ in grid.within_range(Point(90.0, 1.0), 5.0)] == [1]
-        assert grid.occupancy() == rebuilt(grid).occupancy()
-        assert grid.stats.rebuckets == 1 and grid.stats.in_cell_moves == 0
-
-    def test_unknown_item_rejected_like_a_move(self):
-        grid = self.build()
-        with pytest.raises(NetworkError, match="unknown grid item 7"):
-            grid.move_all(
-                [(0, Point(57.0, 1.0)), (7, Point(0.0, 0.0)), (1, Point(9, 9))]
-            )
-        assert grid.position_of(0) == Point(57.0, 1.0)
-        assert grid.position_of(1) == Point(2.0, 1.0)
-        assert [i for i, _ in grid.within_range(Point(56.0, 1.0), 5.0)] == [
-            0, 2,
-        ]
 
 
 def rebuilt(grid):
@@ -366,7 +314,7 @@ class TestMediumIndexIntegration:
         )
         medium.neighbors(0, 0.0)
         before = medium.index_stats()
-        medium.spatial_grid.move_all([(0, medium.node(0).position(30.0))])
+        medium.spatial_grid.move(0, medium.node(0).position(30.0))
         stats = medium.index_stats()
         assert stats["in_cell_moves"] + stats["rebuckets"] == (
             before["in_cell_moves"] + before["rebuckets"] + 1

@@ -89,16 +89,13 @@ def test_exact_range_limit_is_inclusive(deployment, pick_seed):
 
 @st.composite
 def churn_ops(draw):
-    """Interleaved insert/move/remove/query traffic; ``drift`` moves
-    the item and its successor with the deferred ``move_all``."""
+    """Interleaved insert/move/remove/query traffic."""
     return draw(
         st.lists(
             st.one_of(
                 st.tuples(st.just("insert"), st.integers(0, 30),
                           finite, finite),
                 st.tuples(st.just("move"), st.integers(0, 30),
-                          finite, finite),
-                st.tuples(st.just("drift"), st.integers(0, 30),
                           finite, finite),
                 st.tuples(st.just("remove"), st.integers(0, 30),
                           finite, finite),
@@ -122,15 +119,8 @@ def test_churn_keeps_grid_and_oracle_in_lockstep(cell, ops):
             grid.insert(item_id, Point(x, y))
             oracle[item_id] = Point(x, y)
         elif op == "move" and item_id in oracle:
-            grid.move_all(((item_id, Point(x, y)),))
+            grid.move(item_id, Point(x, y))
             oracle[item_id] = Point(x, y)
-        elif op == "drift":
-            moved = {
-                i: Point(x + i, y)
-                for i in (item_id, item_id + 1) if i in oracle
-            }
-            grid.move_all(iter(moved.items()))
-            oracle.update(moved)
         elif op == "remove" and item_id in oracle:
             grid.remove(item_id)
             del oracle[item_id]

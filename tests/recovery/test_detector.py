@@ -7,6 +7,7 @@ from repro.net.mobility import StaticMobility
 from repro.net.network import WirelessNetwork
 from repro.net.node import Node, NodeRole
 from repro.recovery import FailureDetector, RecoveryConfig
+from repro.recovery.detector import MIN_TIMEOUT
 from repro.sim.core import Simulator
 from repro.util.geometry import Point
 
@@ -103,7 +104,7 @@ class TestHeartbeat:
         # The probe RTT on an idle link is a few ms; the adaptive
         # timeout collapses from the conservative prior to the floor.
         assert learned < initial
-        assert learned == RecoveryConfig().min_timeout
+        assert learned == MIN_TIMEOUT
 
     def test_fixed_timeout_mode_never_adapts(self):
         sim, net = build_net()

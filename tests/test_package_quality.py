@@ -2,10 +2,13 @@
 
 Cheap meta-tests that keep the library presentable: every public
 module documents itself, every ``__init__`` export actually resolves,
-the package imports cleanly without side effects, and the whole tree
-passes the referlint invariant checks (``repro.devtools``).
+the package imports cleanly without side effects, the whole tree
+passes the referlint invariant checks (``repro.devtools``), every
+module is reached by a run, a CLI or a bench, and every config field is
+set by somebody.
 """
 
+import ast
 import importlib
 import pathlib
 import pkgutil
@@ -46,7 +49,6 @@ def test_every_module_has_a_docstring(module_name):
         "repro.core",
         "repro.baselines",
         "repro.experiments",
-        "repro.viz",
         "repro.devtools",
         "repro.chaos",
         "repro.recovery",
@@ -105,3 +107,99 @@ def test_public_classes_have_docstrings():
                 if not (obj.__doc__ or "").strip():
                     undocumented.append(f"{module_name}.{name}")
     assert not undocumented, f"undocumented classes: {undocumented}"
+
+
+SRC = REPO_ROOT / "src"
+
+
+def _module_file(dotted):
+    """The file ``import <dotted>`` runs, or None outside ``src/repro``."""
+    base = SRC.joinpath(*dotted.split("."))
+    for path in (base / "__init__.py", base.with_suffix(".py")):
+        if path.is_file():
+            return path
+    return None
+
+
+def _imported_files(path):
+    """Files the ``import`` statements of ``path`` run (AST only).
+
+    Importing ``a.b.c`` runs ``a``, ``a.b`` and ``a.b.c``;
+    ``from a.b import c`` also runs ``a.b.c`` when that is a module.
+    The tree has no relative imports (asserted, so one cannot hide).
+    """
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            targets = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            assert node.level == 0, f"relative import in {path}"
+            targets = [f"{node.module}.{alias.name}" for alias in node.names]
+        else:
+            continue
+        for dotted in targets:
+            parts = dotted.split(".")
+            for depth in range(1, len(parts) + 1):
+                found.add(_module_file(".".join(parts[:depth])))
+    found.discard(None)
+    return found
+
+
+def test_every_module_is_reached_by_a_run_a_cli_or_a_bench():
+    """The keep rule of ``src/repro``: a module stays only if
+    ``run_scenario``, a CLI (``repro.experiments``,
+    ``repro.telemetry.report``, ``repro.devtools.*``) or a
+    ``benchmarks/*.py`` imports it, directly or through what it imports.
+    """
+    package = SRC / "repro"
+    pending = [
+        package / "experiments" / "runner.py",
+        package / "experiments" / "__main__.py",
+        package / "telemetry" / "report.py",
+        *sorted((package / "devtools").glob("*.py")),
+        *sorted((REPO_ROOT / "benchmarks").glob("*.py")),
+    ]
+    reached = set()
+    while pending:
+        path = pending.pop()
+        if path not in reached:
+            reached.add(path)
+            pending.extend(_imported_files(path))
+    unreached = sorted(
+        str(path.relative_to(REPO_ROOT))
+        for path in package.rglob("*.py")
+        if path not in reached
+    )
+    assert not unreached, (
+        "no run, CLI or bench reaches:\n" + "\n".join(unreached)
+    )
+
+
+def test_every_config_field_is_set_by_some_caller():
+    """A value stays settable only if some file sets it: every field of
+    every ``*Config`` dataclass is passed by keyword somewhere outside
+    the file that defines it (``src``, ``tests``, ``benchmarks``,
+    ``examples``).  A field nobody sets is a module constant."""
+    fields = {}
+    keywords = {}
+    for top in ("src", "tests", "benchmarks", "examples"):
+        for path in (REPO_ROOT / top).rglob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.Call):
+                    for keyword in node.keywords:
+                        keywords.setdefault(keyword.arg, set()).add(path)
+                elif (
+                    top == "src"
+                    and isinstance(node, ast.ClassDef)
+                    and node.name.endswith("Config")
+                ):
+                    for item in node.body:
+                        if isinstance(item, ast.AnnAssign):
+                            fields[node.name, item.target.id] = path
+    assert len(fields) > 50, "the scan lost the config classes"
+    unset = sorted(
+        f"{owner}.{field}"
+        for (owner, field), home in fields.items()
+        if not keywords.get(field, set()) - {home}
+    )
+    assert not unset, "fields no file sets:\n" + "\n".join(unset)
