@@ -11,6 +11,7 @@ implements Section III-A and III-C1 of the paper:
 * :mod:`repro.kautz.disjoint` — Theorem 3.8: the d node-disjoint paths,
   their successors and lengths, computed from node IDs alone.
 * :mod:`repro.kautz.analysis` — Proposition 3.1's degree/diameter tables.
+* :mod:`repro.kautz.hamiltonian` — Hamiltonian cycles via Euler circuits.
 * :mod:`repro.kautz.coloring` — sequential vertex colouring.
 """
 

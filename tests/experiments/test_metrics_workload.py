@@ -66,6 +66,9 @@ class TestScenarioConfig:
         with pytest.raises(ConfigError, match=field):
             ScenarioConfig(**{field: value})
 
+    @pytest.mark.skipif(
+        not hasattr(signal, "SIGALRM"), reason="the deadline is a POSIX alarm"
+    )
     @pytest.mark.parametrize(
         "field,value",
         [
@@ -82,7 +85,9 @@ class TestScenarioConfig:
         self, field, value
     ):
         """Each input hung or leaked a bare error from ``run_scenario``
-        (60 sensors, 2 s); the alarm makes a hang a failure."""
+        (60 sensors, 2 s).  ``ScenarioConfig`` refuses all seven today, so
+        the alarm only matters the day a check is lost: the suite then
+        fails here after 15 s and does not hang."""
 
         def expired(signum, frame):
             raise TimeoutError(f"{field}={value} still running after 15 s")

@@ -49,6 +49,7 @@ def test_every_module_has_a_docstring(module_name):
         "repro.core",
         "repro.baselines",
         "repro.experiments",
+        "repro.viz",
         "repro.devtools",
         "repro.chaos",
         "repro.recovery",
@@ -145,6 +146,19 @@ def _imported_files(path):
     return found
 
 
+# Unreached and known: ``benchmarks/e2e``'s self-test asserts more than
+# 100 files under ``src/repro`` and a PR that deletes modules may not
+# edit that directory.  These go once that floor is lowered (ROADMAP 5c);
+# the list is compared exactly, so it can only shrink.
+AWAITING_DELETION = [
+    "src/repro/kautz/debruijn.py",
+    "src/repro/kautz/hamiltonian.py",
+    "src/repro/kautz/paths.py",
+    "src/repro/viz/__init__.py",
+    "src/repro/viz/svg.py",
+]
+
+
 def test_every_module_is_reached_by_a_run_a_cli_or_a_bench():
     """The keep rule of ``src/repro``: a module stays only if
     ``run_scenario``, a CLI (``repro.experiments``,
@@ -166,11 +180,11 @@ def test_every_module_is_reached_by_a_run_a_cli_or_a_bench():
             reached.add(path)
             pending.extend(_imported_files(path))
     unreached = sorted(
-        str(path.relative_to(REPO_ROOT))
+        path.relative_to(REPO_ROOT).as_posix()
         for path in package.rglob("*.py")
         if path not in reached
     )
-    assert not unreached, (
+    assert unreached == AWAITING_DELETION, (
         "no run, CLI or bench reaches:\n" + "\n".join(unreached)
     )
 
@@ -179,7 +193,14 @@ def test_every_config_field_is_set_by_some_caller():
     """A value stays settable only if some file sets it: every field of
     every ``*Config`` dataclass is passed by keyword somewhere outside
     the file that defines it (``src``, ``tests``, ``benchmarks``,
-    ``examples``).  A field nobody sets is a module constant."""
+    ``examples``).  A field nobody sets is a module constant.
+
+    The match is on the keyword's name alone, whatever the callee:
+    ``PeriodicProcess(period=...)`` satisfies ``FaultConfig.period``, so
+    a never-set field with a common name passes.  Matching on the callee
+    instead would miss the setters that hide it
+    (``ScenarioConfig(**{field: value})``, ``with_(**overrides)``, a test
+    helper forwarding ``**kwargs``) and name fields that are set."""
     fields = {}
     keywords = {}
     for top in ("src", "tests", "benchmarks", "examples"):
