@@ -140,7 +140,7 @@ class DaTreeSystem(WsanSystem):
                 on_delivered(packet)
             return
         if hops_left <= 0:
-            self._drop(packet, on_dropped)
+            self._drop(packet, on_dropped, "hop-limit")
             return
         parent = self._parent.get(node_id)
         if parent is None:
@@ -221,7 +221,7 @@ class DaTreeSystem(WsanSystem):
                 ),
             )
         if retransmissions_left <= 0:
-            self._drop(packet, on_dropped)
+            self._drop(packet, on_dropped, "retries-exhausted")
             return
 
         def resend() -> None:
@@ -294,9 +294,3 @@ class DaTreeSystem(WsanSystem):
         for child, new_parent in zip(chain[::-1], chain[::-1][1:]):
             if not self.network.node(child).is_actuator:
                 self._parent[child] = new_parent
-
-    def _drop(
-        self, packet: Packet, on_dropped: Optional[DroppedCallback]
-    ) -> None:
-        if on_dropped is not None:
-            on_dropped(packet)

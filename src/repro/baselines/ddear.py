@@ -249,7 +249,7 @@ class DDearSystem(WsanSystem):
         if member_path is None:
             member_path = self._local_head_path(source_id)
             if member_path is None:
-                self._drop(packet, on_dropped)
+                self._drop(packet, on_dropped, "no-route")
                 return
             self.reattachments += 1
             self._head_of[source_id] = member_path[-1]
@@ -269,7 +269,7 @@ class DDearSystem(WsanSystem):
             self._head_of.pop(source_id, None)
             self.reattachments += 1
             if retransmissions_left <= 0:
-                self._drop(pkt, on_dropped)
+                self._drop(pkt, on_dropped, "retries-exhausted")
                 return
 
             def resend() -> None:
@@ -343,8 +343,11 @@ class DDearSystem(WsanSystem):
         self.repairs += 1
 
         def rebuilt(path: Optional[List[int]]) -> None:
-            if path is None or retransmissions_left <= 0:
-                self._drop(packet, on_dropped)
+            if path is None:
+                self._drop(packet, on_dropped, "no-route")
+                return
+            if retransmissions_left <= 0:
+                self._drop(packet, on_dropped, "retries-exhausted")
                 return
             self._head_path[head] = path
 
@@ -355,7 +358,9 @@ class DDearSystem(WsanSystem):
                     path,
                     retry,
                     on_delivered=on_delivered,
-                    on_failed=lambda pkt, at: self._drop(pkt, on_dropped),
+                    on_failed=lambda pkt, at: self._drop(
+                        pkt, on_dropped, "path-hop-failed"
+                    ),
                 )
 
             # The head is the reliability point for its leg: it learns
@@ -365,9 +370,3 @@ class DDearSystem(WsanSystem):
         self._discovery.discover_nearest(
             head, self.actuator_ids, ttl=DISCOVERY_TTL, on_path=rebuilt
         )
-
-    def _drop(
-        self, packet: Packet, on_dropped: Optional[DroppedCallback]
-    ) -> None:
-        if on_dropped is not None:
-            on_dropped(packet)

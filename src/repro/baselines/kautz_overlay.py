@@ -186,7 +186,7 @@ class KautzOverlaySystem(WsanSystem):
             source_id, self._node_to_kid, now
         )
         if not in_reach:
-            self._drop(packet, on_dropped)
+            self._drop(packet, on_dropped, "no-route")
             return
         entry, _ = min(in_reach, key=lambda found: found[1])
 
@@ -198,7 +198,9 @@ class KautzOverlaySystem(WsanSystem):
                 entry, dest_kid, pkt, on_delivered, on_dropped,
                 visited=set(), hops_left=self.max_route_hops,
             ),
-            on_failed=lambda pkt, at: self._drop(pkt, on_dropped),
+            on_failed=lambda pkt, at: self._drop(
+                pkt, on_dropped, "entry-failed"
+            ),
             deliver_to_handler=False,
         )
 
@@ -220,7 +222,7 @@ class KautzOverlaySystem(WsanSystem):
                 on_delivered(packet)
             return
         if hops_left <= 0:
-            self._drop(packet, on_dropped)
+            self._drop(packet, on_dropped, "hop-limit")
             return
         visited = visited | {kid}
         ranked = [
@@ -253,7 +255,7 @@ class KautzOverlaySystem(WsanSystem):
         hops_left: int,
     ) -> None:
         if index >= len(ranked):
-            self._drop(packet, on_dropped)
+            self._drop(packet, on_dropped, "no-successor")
             return
         succ_node = self._kid_to_node[ranked[index]]
 
@@ -366,9 +368,3 @@ class KautzOverlaySystem(WsanSystem):
         self._discovery.discover_path(
             from_node, to_node, ttl=DISCOVERY_TTL, on_path=rediscovered
         )
-
-    def _drop(
-        self, packet: Packet, on_dropped: Optional[DroppedCallback]
-    ) -> None:
-        if on_dropped is not None:
-            on_dropped(packet)

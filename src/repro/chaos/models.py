@@ -501,22 +501,12 @@ class GilbertElliottLinkFault(ChaosModel):
     # -- medium LinkFault hooks ---------------------------------------------
 
     def link_up(self, src_id: int, dst_id: int, now: float) -> bool:
-        return self._in_good_state(src_id, dst_id, now)
-
-    def quality_factor(self, src_id: int, dst_id: int, now: float) -> float:
-        if self._in_good_state(src_id, dst_id, now):
-            return 1.0
-        return self._bad_quality
-
-    # -- chain machinery -----------------------------------------------------
-
-    def _subject(self, src_id: int, dst_id: int) -> bool:
-        if self._eligible is None:
-            return True
-        return src_id in self._eligible and dst_id in self._eligible
-
-    def _in_good_state(self, src_id: int, dst_id: int, now: float) -> bool:
-        if now < self._epoch or not self._subject(src_id, dst_id):
+        """Whether the link's chain is in its GOOD state at ``now``."""
+        eligible = self._eligible
+        if now < self._epoch or (
+            eligible is not None
+            and (src_id not in eligible or dst_id not in eligible)
+        ):
             return True
         key = (
             (src_id, dst_id) if src_id < dst_id else (dst_id, src_id)
@@ -533,3 +523,8 @@ class GilbertElliottLinkFault(ChaosModel):
             chain[1] = chain[2]
             chain[2] -= mean * math.log(1.0 - self._draws.draw(key, chain[3]))
         return chain[0]
+
+    def quality_factor(self, src_id: int, dst_id: int, now: float) -> float:
+        if self.link_up(src_id, dst_id, now):
+            return 1.0
+        return self._bad_quality

@@ -98,6 +98,9 @@ class MetricsCollector:
         self.qos_bytes = 0
         self.delay = RunningStat()
         self.all_delay = RunningStat()
+        # Held children (``MetricFamily.held``): a child still appears
+        # at its first use, so a run that never drops exports no
+        # ``packets_dropped`` sample.
         self._generated_ctr = None
         self._delivered_ctr = None
         self._dropped_family = None
@@ -109,25 +112,25 @@ class MetricsCollector:
         # always did.
         self._registry = registry
         self._class_counts: Dict[str, List[int]] = {}
-        self._class_families: Dict[str, object] = {}
+        self._class_families: Dict[str, dict] = {}
         self._class_latency_hist = None
         if registry is not None:
             self._generated_ctr = registry.counter(
                 "packets_generated", "workload packets created (all, incl. warm-up)"
-            )
+            ).held()
             self._delivered_ctr = registry.counter(
                 "packets_delivered", "packets that reached an actuator (all)"
-            )
+            ).held()
             self._dropped_family = registry.counter(
                 "packets_dropped",
                 "packets dropped, by routing drop reason (all)",
                 labels=("reason",),
-            )
+            ).held()
             self._latency_hist = registry.histogram(
                 "delivery_latency_seconds",
                 "end-to-end latency of delivered packets (all)",
                 buckets=_LATENCY_BUCKETS,
-            )
+            ).held()
 
     def _measured(self, packet: Packet) -> bool:
         return packet.created_at >= self._warmup_end
@@ -140,33 +143,34 @@ class MetricsCollector:
             slot = self._class_counts[traffic_class] = [0, 0, 0, 0]
         return slot
 
-    def _class_family(self, which: str):
-        family = self._class_families.get(which)
-        if family is None:
+    def _class_family(self, which: str) -> dict:
+        """The held children of ``qos_class_<which>``, keyed by class
+        (``dropped``: by ``(class, reason)``)."""
+        held = self._class_families.get(which)
+        if held is None:
             labels = ("class", "reason") if which == "dropped" else ("class",)
-            family = self._registry.counter(
+            held = self._class_families[which] = self._registry.counter(
                 f"qos_class_{which}",
                 f"QoS-marked packets {which}, by traffic class (all)",
                 labels=labels,
-            )
-            self._class_families[which] = family
-        return family
+            ).held()
+        return held
 
-    def _class_latency(self):
-        """The ``qos_class_latency_seconds`` family, created lazily on
-        the first marked delivery (like the ``qos_class_*`` counters,
-        so unmarked runs export exactly the metrics they always did)."""
-        family = self._class_latency_hist
-        if family is None:
-            family = self._registry.histogram(
+    def _class_latency(self) -> dict:
+        """The held children of ``qos_class_latency_seconds``; the
+        family is created lazily on the first marked delivery (like the
+        ``qos_class_*`` counters, so unmarked runs export exactly the
+        metrics they always did)."""
+        held = self._class_latency_hist
+        if held is None:
+            held = self._class_latency_hist = self._registry.histogram(
                 "qos_class_latency_seconds",
                 "end-to-end latency of delivered QoS-marked packets, "
                 "by traffic class (all)",
                 labels=("class",),
                 buckets=_LATENCY_BUCKETS,
-            )
-            self._class_latency_hist = family
-        return family
+            ).held()
+        return held
 
     def class_stats(self) -> Tuple[ClassStat, ...]:
         """Measured-window per-class funnels, in class priority order.
@@ -183,7 +187,7 @@ class MetricsCollector:
         if self._probe is not None:
             self._probe.on_generated(packet)
         if self._generated_ctr is not None:
-            self._generated_ctr.inc()
+            self._generated_ctr[()].inc()
         if self._flight is not None:
             self._flight.generated(
                 packet.uid, packet.created_at, packet.source,
@@ -194,7 +198,7 @@ class MetricsCollector:
         cls = packet.traffic_class
         if cls is not None:
             if self._registry is not None:
-                self._class_family("generated").child(cls).inc()
+                self._class_family("generated")[cls].inc()
             if self._measured(packet):
                 self._class_slot(cls)[0] += 1
 
@@ -203,8 +207,8 @@ class MetricsCollector:
             self._probe.on_delivered(packet)
         latency = packet.latency(self._sim.now)
         if self._delivered_ctr is not None:
-            self._delivered_ctr.inc()
-            self._latency_hist.observe(latency)
+            self._delivered_ctr[()].inc()
+            self._latency_hist[()].observe(latency)
         if self._flight is not None:
             self._flight.delivered(
                 packet.uid, self._sim.now, packet.destination,
@@ -216,10 +220,10 @@ class MetricsCollector:
                 packet.deadline is not None and latency > packet.deadline
             )
             if self._registry is not None:
-                self._class_family("delivered").child(cls).inc()
-                self._class_latency().child(cls).observe(latency)
+                self._class_family("delivered")[cls].inc()
+                self._class_latency()[cls].observe(latency)
                 if missed:
-                    self._class_family("deadline_missed").child(cls).inc()
+                    self._class_family("deadline_missed")[cls].inc()
             if self._measured(packet):
                 slot = self._class_slot(cls)
                 slot[1] += 1
@@ -239,7 +243,7 @@ class MetricsCollector:
             self._probe.on_dropped(packet)
         reason = packet.meta.get("drop_reason") or "unknown"
         if self._dropped_family is not None:
-            self._dropped_family.child(reason).inc()
+            self._dropped_family[reason].inc()
         if self._flight is not None:
             self._flight.dropped(packet.uid, self._sim.now, reason)
         if self._measured(packet):
@@ -247,7 +251,7 @@ class MetricsCollector:
         cls = packet.traffic_class
         if cls is not None:
             if self._registry is not None:
-                self._class_family("dropped").child(cls, reason).inc()
+                self._class_family("dropped")[cls, reason].inc()
             if self._measured(packet):
                 self._class_slot(cls)[3] += 1
 

@@ -18,9 +18,11 @@ Pass ``registry=`` to share a run's registry (the network does); the
 default private registry keeps standalone ledgers dependency-free.
 
 The ledger resolves each ``(node, phase)``, ``(kind, phase)`` and
-``phase`` child once and holds it, so a charge is a dict lookup and an
-add per counter.  Children are still created at first charge, in
-first-charge order, and receive the same sequence of float adds as a
+``phase`` child and the two packet counters once and holds them
+(:meth:`~repro.telemetry.registry.MetricFamily.held`), so a charge is a
+dict lookup and an add per counter.  Children are still created at
+first charge, in first-charge order, and receive the same sequence of
+float adds as a
 ``child(...).inc(...)`` per charge (never ``n * joules``): totals and
 exports are bit-identical to it (``tests/net/test_energy_handles.py``).
 """
@@ -32,7 +34,7 @@ from dataclasses import dataclass
 from typing import Dict, Optional, Sequence
 
 from repro.errors import TelemetryError
-from repro.telemetry.registry import Counter, MetricFamily, Registry
+from repro.telemetry.registry import Registry
 
 
 class Phase(enum.Enum):
@@ -56,23 +58,6 @@ class EnergyModel:
     def __post_init__(self) -> None:
         if self.tx_joules < 0 or self.rx_joules < 0:
             raise ValueError("energy costs must be non-negative")
-
-
-class _Held(dict):
-    """Held children of one counter family, ``first label -> child``.
-
-    A hit is a plain dict lookup; a miss resolves ``family.child(key,
-    *rest)`` once, which is also what creates the child at its first
-    charge.
-    """
-
-    def __init__(self, family: MetricFamily, *rest: str) -> None:
-        super().__init__()
-        self._family, self._rest = family, rest
-
-    def __missing__(self, key) -> Counter:
-        child = self[key] = self._family.child(key, *self._rest)
-        return child
 
 
 class EnergyLedger:
@@ -104,9 +89,11 @@ class EnergyLedger:
         self._rx_packets = registry.counter(
             "energy_rx_packets", "packets charged in receive mode"
         )
-        self._totals = _Held(self._by_phase)
-        self._nodes = {p: _Held(self._by_node, p.value) for p in Phase}
-        self._kinds = {p: _Held(self._by_kind, p.value) for p in Phase}
+        self._totals = self._by_phase.held()
+        self._nodes = {p: self._by_node.held(p.value) for p in Phase}
+        self._kinds = {p: self._by_kind.held(p.value) for p in Phase}
+        self._tx_held = self._tx_packets.held()
+        self._rx_held = self._rx_packets.held()
         self.set_phase(Phase.CONSTRUCTION)
 
     # -- phase control ---------------------------------------------------
@@ -140,7 +127,7 @@ class EnergyLedger:
         self._totals[self._label]._value += joules
         self._node_children[node_id]._value += joules
         self._kind_children[kind]._value += joules
-        self._tx_packets.child()._value += packets
+        self._tx_held[()]._value += packets
         return joules
 
     def charge_rx(
@@ -153,7 +140,7 @@ class EnergyLedger:
         self._totals[self._label]._value += joules
         self._node_children[node_id]._value += joules
         self._kind_children[kind]._value += joules
-        self._rx_packets.child()._value += packets
+        self._rx_held[()]._value += packets
         return joules
 
     def charge_rx_each(self, node_ids: Sequence[int], kind: str = "data") -> None:
@@ -171,7 +158,7 @@ class EnergyLedger:
             total._value += joules
             by_node[node_id]._value += joules
             by_kind._value += joules
-        self._rx_packets.child()._value += len(node_ids)
+        self._rx_held[()]._value += len(node_ids)
 
     # -- reporting ----------------------------------------------------------
 

@@ -70,7 +70,7 @@ class WirelessNetwork:
         self.energy = EnergyLedger(energy_model, registry=self.registry)
         self._trace_events = self.registry.counter(
             "trace_events", "trace records by category", labels=("category",)
-        )
+        ).held()
         self._rng = rng
         self._handlers: Dict[int, ReceiveHandler] = {}
         # Path-level outcomes of :meth:`send_along_path` plus the hop
@@ -86,6 +86,7 @@ class WirelessNetwork:
             "net_hop_failures", "failed hop attempts by cause",
             labels=("cause",),
         )
+        self._hop_fails = self._hop_fail_ctr.held()
 
     @property
     def delivered_packets(self) -> int:
@@ -222,9 +223,12 @@ class WirelessNetwork:
                 packet.uid, now, src_id, dst_id,
                 queued=src.radio_busy_until > now,
             )
-        self.charge_tx(src_id, packet.kind.value)
+        kind = packet.kind.label
+        energy = self.energy
+        energy.charge_tx(src_id, kind=kind)
+        src.drain(energy.model.tx_joules)
         if not self.medium.can_transmit(src_id, dst_id, now):
-            self._trace_events.child("link_break").inc()
+            self._trace_events["link_break"].inc()
             if flight is not None:
                 flight.hop_fail(packet.uid, now, src_id, dst_id, "link-break")
             self._fail(
@@ -235,21 +239,23 @@ class WirelessNetwork:
             return
 
         def complete(success: bool, at: float) -> None:
-            if not success or not self.medium.node(dst_id).usable:
+            dst = self.medium.node(dst_id)
+            if not success or not dst.usable:
                 cause = "mac-loss" if not success else "dst-unusable"
                 # A frame the QoS scheduler condemned (expired while
                 # queued) surfaces as a MAC failure; keep its reason.
                 terminal = packet.meta.get("qos_terminal")
                 if terminal is not None:
                     cause = terminal
-                self._trace_events.child("mac_drop").inc()
+                self._trace_events["mac_drop"].inc()
                 if flight is not None:
                     flight.hop_fail(packet.uid, at, src_id, dst_id, cause)
                 self._fail(packet, src_id, on_failed, delay=0.0, cause=cause)
                 return
             if flight is not None:
                 flight.hop_rx(packet.uid, at, src_id, dst_id)
-            self.charge_rx(dst_id, packet.kind.value)
+            energy.charge_rx(dst_id, kind=kind)
+            dst.drain(energy.model.rx_joules)
             if on_delivered is not None:
                 on_delivered(packet)
             if deliver_to_handler:
@@ -267,7 +273,7 @@ class WirelessNetwork:
         delay: float,
         cause: str = "mac-loss",
     ) -> None:
-        self._hop_fail_ctr.child(cause).inc()
+        self._hop_fails[cause].inc()
         if on_failed is None:
             return
         if delay > 0:
@@ -391,7 +397,7 @@ class WirelessNetwork:
             node.radio_busy_until = max(
                 node.radio_busy_until, now + max(level_end, airtime)
             )
-        self._trace_events.child("flood").inc()
+        self._trace_events["flood"].inc()
         if on_complete is not None:
             self.sim.schedule(level_latency[-1], lambda: on_complete(tree))
         return tree

@@ -38,6 +38,11 @@ class PacketKind(enum.Enum):
     ASSIGN = "assign"        # ID-assignment messages (embedding protocol)
     ACK = "ack"              # per-hop ARQ acknowledgements (repro.recovery)
 
+    def __init__(self, label: str) -> None:
+        #: ``value`` as a plain attribute, for the per-hop energy charge:
+        #: ``Enum.value`` is a descriptor that runs two Python frames.
+        self.label = label
+
 
 class Packet:
     """One message travelling through the network."""

@@ -19,7 +19,7 @@ from typing import Dict, Optional, Tuple
 
 from repro.net.packet import Packet
 from repro.qos.backpressure import BackpressureState
-from repro.qos.classes import TrafficClass, class_of
+from repro.qos.classes import ALARM_LANE, BULK_LANE, CONTROL_LANE, lane_of
 from repro.qos.config import QosConfig
 from repro.qos.stats import QosStats
 
@@ -66,15 +66,16 @@ class AdmissionController:
         self._config = config
         self._state = state
         self._stats = stats
-        self._buckets: Dict[Tuple[int, TrafficClass], TokenBucket] = {}
+        # (source, lane) -> bucket; a lane is the class's priority index.
+        self._buckets: Dict[Tuple[int, int], TokenBucket] = {}
 
-    def _bucket(self, source: int, cls: TrafficClass) -> TokenBucket:
-        key = (source, cls)
+    def _bucket(self, source: int, lane: int) -> TokenBucket:
+        key = (source, lane)
         bucket = self._buckets.get(key)
         if bucket is None:
             rate = self._config.bulk_bucket_rate
             burst = self._config.bulk_bucket_burst
-            if cls is TrafficClass.CONTROL:
+            if lane == CONTROL_LANE:
                 rate *= self._config.control_bucket_scale
                 burst *= self._config.control_bucket_scale
             bucket = TokenBucket(rate, burst)
@@ -83,18 +84,18 @@ class AdmissionController:
 
     def admit(self, source: int, packet: Packet, now: float) -> Optional[str]:
         """Pass ``packet`` or return the drop reason refusing it."""
-        cls = class_of(packet)
-        if cls is TrafficClass.ALARM:
+        lane = lane_of(packet)
+        if lane == ALARM_LANE:
             self._stats.admitted += 1
             return None
         scale = 1.0
         if (
-            cls is TrafficClass.BULK
+            lane == BULK_LANE
             and self._state is not None
             and self._state.any_congested()
         ):
             scale = self._config.throttle_factor
-        if self._bucket(source, cls).try_take(now, scale):
+        if self._bucket(source, lane).try_take(now, scale):
             self._stats.admitted += 1
             return None
         self._stats.admission_rejected += 1

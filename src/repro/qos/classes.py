@@ -20,13 +20,17 @@ control traffic).
 from __future__ import annotations
 
 import enum
-from typing import Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from repro.net.packet import Packet, PacketKind
 
 __all__ = [
     "TrafficClass",
     "PRIORITY_ORDER",
+    "ALARM_LANE",
+    "CONTROL_LANE",
+    "BULK_LANE",
+    "lane_of",
     "class_of",
     "expiry_of",
 ]
@@ -49,8 +53,19 @@ PRIORITY_ORDER: Tuple[TrafficClass, ...] = (
 )
 
 
-def class_of(packet: Packet) -> TrafficClass:
-    """The traffic class of ``packet``.
+#: A class's *lane* is its index in :data:`PRIORITY_ORDER`.  The
+#: per-frame path works in lanes: an int indexes a tuple and a mark
+#: (a ``str``) hashes in C, where an ``Enum`` member hashes in Python.
+_LANE_OF_MARK: Dict[str, int] = {
+    cls.value: lane for lane, cls in enumerate(PRIORITY_ORDER)
+}
+ALARM_LANE = PRIORITY_ORDER.index(TrafficClass.ALARM)
+CONTROL_LANE = PRIORITY_ORDER.index(TrafficClass.CONTROL)
+BULK_LANE = PRIORITY_ORDER.index(TrafficClass.BULK)
+
+
+def lane_of(packet: Packet) -> int:
+    """The lane (index in :data:`PRIORITY_ORDER`) ``packet`` travels in.
 
     Marked packets are believed; unmarked application payload (DATA)
     is bulk, and every unmarked protocol frame (probes, ACKs, control,
@@ -58,11 +73,17 @@ def class_of(packet: Packet) -> TrafficClass:
     layer can never starve the machinery that keeps the network alive.
     """
     marked = packet.traffic_class
-    if marked is not None:
-        return TrafficClass(marked)
-    if packet.kind is PacketKind.DATA:
-        return TrafficClass.BULK
-    return TrafficClass.CONTROL
+    if marked is None:
+        return BULK_LANE if packet.kind is PacketKind.DATA else CONTROL_LANE
+    lane = _LANE_OF_MARK.get(marked)
+    if lane is None:
+        raise ValueError(f"{marked!r} is not a valid TrafficClass")
+    return lane
+
+
+def class_of(packet: Packet) -> TrafficClass:
+    """The traffic class of ``packet`` (see :func:`lane_of`)."""
+    return PRIORITY_ORDER[lane_of(packet)]
 
 
 def expiry_of(packet: Packet) -> Optional[float]:

@@ -17,7 +17,9 @@ Two drop mechanisms keep the queue honest under overload:
 
 Refusals happen in :meth:`refusal`, called by the network layer
 *before* energy accounting; accepted frames are owned by the
-scheduler until the MAC reports their completion.  Refused and
+scheduler until the MAC reports their completion.  A hop's lane and
+expiry are resolved once, there: ``refusal`` leaves them for the
+``submit`` of the same packet that follows it.  Refused and
 expired frames fail through the normal ``on_result`` / ``on_failed``
 paths with ``packet.meta["qos_terminal"]`` stamped, which tells the
 router not to burn the remaining disjoint paths on a packet QoS has
@@ -31,7 +33,13 @@ from typing import Callable, Dict, List, Optional, Set
 from repro.net.mac import ContentionMac
 from repro.net.packet import Packet
 from repro.qos.backpressure import BackpressureState
-from repro.qos.classes import TrafficClass, class_of, expiry_of
+from repro.qos.classes import (
+    BULK_LANE,
+    PRIORITY_ORDER,
+    TrafficClass,
+    expiry_of,
+    lane_of,
+)
 from repro.qos.config import QosConfig
 from repro.qos.queue import PriorityFrameQueue, QueuedFrame
 from repro.qos.stats import QosStats
@@ -73,13 +81,8 @@ class MacQosScheduler:
         # frames are recycled instead of churning an allocation per
         # queued transmission.
         self._free_frames: List[QueuedFrame] = []
-
-    def _queue_for(self, node_id: int) -> PriorityFrameQueue:
-        queue = self._queues.get(node_id)
-        if queue is None:
-            queue = PriorityFrameQueue(self._depths)
-            self._queues[node_id] = queue
-        return queue
+        # (packet, lane, expiry) of the hop refusal() last accepted.
+        self._accepted: tuple = (None, 0, None)
 
     def queue_depth(self, node_id: int) -> int:
         """Frames currently queued at a node (0 if it never queued)."""
@@ -94,22 +97,23 @@ class MacQosScheduler:
         Runs at the network layer before any energy is charged, so a
         refused frame costs its sender nothing.
         """
-        cls = class_of(packet)
+        lane = lane_of(packet)
         expiry = expiry_of(packet)
         if expiry is not None and now > expiry:
             self._stats.deadline_drops += 1
             return "deadline_expired"
         if (
-            cls is TrafficClass.BULK
+            lane == BULK_LANE
             and self._state is not None
             and self._state.is_congested(dst_id)
         ):
             self._stats.backpressure_sheds += 1
             return "backpressure_shed"
         queue = self._queues.get(src_id)
-        if queue is not None and queue.lane_full(cls):
+        if queue is not None and queue.full(lane):
             self._stats.backpressure_sheds += 1
             return "backpressure_shed"
+        self._accepted = (packet, lane, expiry)
         return None
 
     def submit(
@@ -120,10 +124,16 @@ class MacQosScheduler:
         on_result: Callable[[bool, float], None],
     ) -> None:
         """Queue one accepted frame and serve the node if it is idle."""
+        accepted, lane, expiry = self._accepted
+        if accepted is not packet:
+            # A direct caller: no refusal() resolved this packet.
+            lane, expiry = lane_of(packet), expiry_of(packet)
         frame = self._acquire_frame(
-            src_id, dst_id, packet, on_result, class_of(packet), expiry_of(packet)
+            src_id, dst_id, packet, on_result, lane, expiry
         )
-        queue = self._queue_for(src_id)
+        queue = self._queues.get(src_id)
+        if queue is None:
+            queue = self._queues[src_id] = PriorityFrameQueue(self._depths)
         if not queue.offer(frame):
             # The network layer's refusal() check makes this unreachable
             # in-sim (nothing runs between the check and this call), but
@@ -131,19 +141,23 @@ class MacQosScheduler:
             self._shed(frame)
             return
         self._stats.frames_queued += 1
-        self._signal_depth(src_id, queue)
+        if self._state is not None:
+            self._state.note_depth(src_id, queue.depth)
         if src_id not in self._serving:
             self._serve(src_id)
 
     def _serve(self, node_id: int) -> None:
         """Serve the node's next live frame; reschedules itself."""
         queue = self._queues.get(node_id)
-        if queue is None:
+        if queue is None or not queue.depth:
+            # A wake-up that finds nothing queued changed no depth: the
+            # 0 this node reported after its last service still stands.
             self._serving.discard(node_id)
             return
         # Mark the node busy before running expiry callbacks: those may
         # synchronously re-enter submit() for this same node.
         self._serving.add(node_id)
+        state = self._state
         while True:
             frame, expired = queue.pop_live(self._sim.now)
             for stale in expired:
@@ -152,22 +166,20 @@ class MacQosScheduler:
                 break
             if queue.depth == 0:
                 self._serving.discard(node_id)
-                self._signal_depth(node_id, queue)
+                if state is not None:
+                    state.note_depth(node_id, 0)
                 return
         self._stats.frames_served += 1
         radio_free = self._mac.service_frame(
             frame.src, frame.dst, frame.packet, frame.on_result
         )
         self._release_frame(frame)
-        self._signal_depth(node_id, queue)
+        if state is not None:
+            state.note_depth(node_id, queue.depth)
         self._sim.schedule(
             max(0.0, radio_free - self._sim.now),
             lambda: self._serve(node_id),
         )
-
-    def _signal_depth(self, node_id: int, queue: PriorityFrameQueue) -> None:
-        if self._state is not None:
-            self._state.note_depth(node_id, queue.depth)
 
     def _expire(self, frame: QueuedFrame) -> None:
         """Drop a frame whose deadline passed while it was queued."""
@@ -194,7 +206,7 @@ class MacQosScheduler:
         dst: int,
         packet: Packet,
         on_result: Callable[[bool, float], None],
-        traffic_class: TrafficClass,
+        lane: int,
         expiry: Optional[float],
     ) -> QueuedFrame:
         free = self._free_frames
@@ -204,10 +216,12 @@ class MacQosScheduler:
             frame.dst = dst
             frame.packet = packet
             frame.on_result = on_result
-            frame.traffic_class = traffic_class
+            frame.lane = lane
             frame.expiry = expiry
             return frame
-        return QueuedFrame(src, dst, packet, on_result, traffic_class, expiry)
+        return QueuedFrame(
+            src, dst, packet, on_result, PRIORITY_ORDER[lane], expiry
+        )
 
     def _release_frame(self, frame: QueuedFrame) -> None:
         frame.packet = None  # drop references; the frame is inert

@@ -210,7 +210,7 @@ class ArqLink:
                 if handler is not None:
                     handler(packet)
         # The ACK frame: receiver pays tx, sender pays rx on arrival.
-        self._network.charge_tx(dst_id, PacketKind.ACK.value)
+        self._network.charge_tx(dst_id, PacketKind.ACK.label)
         ack_delay = (
             self._network.mac.config.airtime(ACK_BYTES) + PROCESSING_DELAY
         )
@@ -230,7 +230,7 @@ class ArqLink:
             if hop.done:
                 return
             hop.done = True
-            self._network.charge_rx(src_id, PacketKind.ACK.value)
+            self._network.charge_rx(src_id, PacketKind.ACK.label)
 
         self._network.sim.schedule(ack_delay, ack_arrived)
 

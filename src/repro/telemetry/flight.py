@@ -38,6 +38,8 @@ DROP_REASONS: Tuple[str, ...] = (
     "tier-stall",          # no reachable next actuator on the CAN tier
     "tier-hop-failed",     # an inter-cell actuator hop failed
     "path-hop-failed",     # a fixed-path relay hop failed (baselines)
+    "retries-exhausted",   # end-to-end retransmission budget spent (baselines)
+    "no-route",            # no path or member toward an actuator (baselines)
     "deadline_expired",    # QoS: frame outlived its class deadline
     "admission_rejected",  # QoS: source token bucket refused the packet
     "backpressure_shed",   # QoS: full lane / congested next hop
@@ -142,15 +144,15 @@ class FlightRecorder:
 
     # -- recording ---------------------------------------------------------
 
-    def _events_for(self, uid: int) -> List[object]:
+    def _start(self, uid: int) -> List[object]:
+        """Open ``uid``'s journey (the recording methods look a journey
+        up themselves and come here on its first event only)."""
         journeys = self._journeys
-        events = journeys.get(uid)
-        if events is None:
-            events = journeys[uid] = []
-            self.journeys_started += 1
-            while len(journeys) > self._capacity:
-                journeys.popitem(last=False)
-                self.journeys_evicted += 1
+        events = journeys[uid] = []
+        self.journeys_started += 1
+        while len(journeys) > self._capacity:
+            journeys.popitem(last=False)
+            self.journeys_evicted += 1
         return events
 
     def record(
@@ -163,7 +165,10 @@ class FlightRecorder:
         info: str = "",
     ) -> None:
         """Append one event to ``uid``'s journey."""
-        self._events_for(uid).extend((time, kind, src, dst, info))
+        events = self._journeys.get(uid)
+        if events is None:
+            events = self._start(uid)
+        events += (time, kind, src, dst, info)
         self.events_recorded += 1
         if self._tap is not None:
             self._tap(uid, time, kind, src, dst, info)
@@ -188,7 +193,9 @@ class FlightRecorder:
         This and :meth:`hop_rx` run once per hop of every packet — the
         recorder's hot path — so they inline :meth:`record`.
         """
-        events = self._events_for(uid)
+        events = self._journeys.get(uid)
+        if events is None:
+            events = self._start(uid)
         if queued:
             events += (time, "enqueue", src, dst, "")
             self.events_recorded += 2
@@ -203,7 +210,10 @@ class FlightRecorder:
 
     def hop_rx(self, uid: int, time: float, src: int, dst: int) -> None:
         """The hop's frame arrived and was charged at the receiver."""
-        self._events_for(uid).extend((time, "rx", src, dst, ""))
+        events = self._journeys.get(uid)
+        if events is None:
+            events = self._start(uid)
+        events += (time, "rx", src, dst, "")
         self.events_recorded += 1
         if self._tap is not None:
             self._tap(uid, time, "rx", src, dst, "")

@@ -58,16 +58,19 @@ class SimProfiler:
 
     def dispatch(self, action: Callable[[], None]) -> None:
         """Execute one simulator event, attributing it to its callback."""
-        func = getattr(action, "__func__", action)
-        key = getattr(func, "__code__", None)
-        if key is None:
+        try:
+            # A function or closure has it; a bound method answers with
+            # its function's.
+            key = action.__code__
+        except AttributeError:
             # Builtin or callable object: its type is a stable,
             # bounded stand-in for the missing code object.
-            key = type(func)
+            key = type(getattr(action, "__func__", action))
         events = self._events
         count = events.get(key)
         if count is None:
             events[key] = 1
+            func = getattr(action, "__func__", action)
             self._names[key] = (
                 getattr(func, "__module__", "?") or "?",
                 getattr(func, "__qualname__", type(func).__qualname__),

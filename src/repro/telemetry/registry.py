@@ -16,8 +16,11 @@ Design constraints, in order:
 * **cheap hot path** — a child is a stable handle (``reset()`` zeroes
   it in place), so hot code resolves ``family.child(labels)`` once and
   holds it; ``family.child(labels).inc()`` is the convenience form for
-  code that counts rarely.  The energy ledger goes one step further: it
-  validates once per charge call and adds to the held ``_value``;
+  code that counts rarely.  :meth:`MetricFamily.held` is the holder for
+  children that must still appear at their first use: a dict that
+  resolves a miss through ``child(...)`` once.  Code that has validated
+  the amount itself (the energy ledger, the stats views) adds to the
+  held child's ``_value``;
 * **stdlib only** — the API is a deliberately tiny subset of
   ``prometheus_client`` (families, label children, fixed-bucket
   histograms) with none of its process machinery.
@@ -222,6 +225,14 @@ class MetricFamily:
             self._children[label_values] = existing
         return existing
 
+    def held(self, *rest) -> "_Held":
+        """A holder of this family's children with the trailing labels
+        fixed to ``rest``: ``held[key]`` is ``child(key, *rest)``,
+        resolved (and so created) at its first use and a plain dict hit
+        after it.  ``key`` is the leading label, a tuple when several
+        are left open, ``()`` when none is."""
+        return _Held(self, rest)
+
     def value_at(self, *label_values, default=0):
         """Read a child's value without creating it."""
         child = self._children.get(label_values)
@@ -255,6 +266,21 @@ class MetricFamily:
 
     def observe(self, value: float) -> None:
         self.child().observe(value)
+
+
+class _Held(dict):
+    """Held children of one family (:meth:`MetricFamily.held`): a miss
+    makes the ``child(...)`` call a per-use lookup would make, at the
+    same moment, so children keep their first-use order."""
+
+    def __init__(self, family: MetricFamily, rest: LabelValues) -> None:
+        super().__init__()
+        self._family, self._rest = family, rest
+
+    def __missing__(self, key):
+        lead = key if isinstance(key, tuple) else (key,)
+        child = self[key] = self._family.child(*lead, *self._rest)
+        return child
 
 
 class Sample(NamedTuple):

@@ -32,7 +32,14 @@ __all__ = ["StatsView", "counter_field", "gauge_field"]
 
 
 class _MetricField:
-    """Descriptor mapping an attribute onto a registry metric child."""
+    """Descriptor mapping an attribute onto a registry metric child.
+
+    A read returns the held child's ``_value`` and an assignment stores
+    it, whatever the field's kind — ``stats.x += 1`` is this ``__get__``
+    and this ``__set__`` and nothing below them.  The view is a
+    write-through facade, so a counter field takes any value assigned
+    (``Counter.inc`` is where "counters only increase" is enforced).
+    """
 
     kind = "counter"
 
@@ -47,10 +54,10 @@ class _MetricField:
     def __get__(self, obj, objtype=None):
         if obj is None:
             return self
-        return obj._metric_handles[self.name].value
+        return obj._metric_handles[self.name]._value
 
     def __set__(self, obj, value) -> None:
-        obj._metric_handles[self.name]._set(value)
+        obj._metric_handles[self.name]._value = value
 
 
 class counter_field(_MetricField):

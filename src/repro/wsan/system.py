@@ -102,6 +102,17 @@ class WsanSystem(abc.ABC):
             ),
         )
 
+    @staticmethod
+    def _drop(
+        packet: Packet, on_dropped: Optional[DroppedCallback], reason: str
+    ) -> None:
+        """Abandon the packet under ``reason``, an entry of
+        :data:`repro.telemetry.flight.DROP_REASONS` naming what gave up
+        (a QoS verdict on the packet stands: it is why the hop failed)."""
+        packet.meta["drop_reason"] = packet.meta.get("qos_terminal") or reason
+        if on_dropped is not None:
+            on_dropped(packet)
+
     # -- lifecycle ----------------------------------------------------------
 
     @abc.abstractmethod

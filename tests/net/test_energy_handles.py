@@ -11,18 +11,30 @@ for bit*: ``Registry.as_dict()`` compared ``==`` (no tolerance)
 including the insertion order of every energy family's children, every
 battery's ``consumed_joules``, the flood trees, and the packet counts —
 for the dyadic paper model and for one whose joules do not sum exactly.
+
+The second half holds the two other kinds of held site to the same
+standard, exports included: ``MetricFamily.held`` (the holder the
+ledger, the network, and the metrics collector share) and ``StatsView``
+fields, each against a ``family.child(...)`` per use.
 """
 
 import random
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.errors import TelemetryError
 from repro.net.energy import EnergyLedger, EnergyModel, Phase
 from repro.net.mobility import StaticMobility
 from repro.net.network import WirelessNetwork
 from repro.net.node import Node, NodeRole
 from repro.sim.core import Simulator
+from repro.telemetry.export import (
+    registry_to_jsonl_lines,
+    registry_to_prometheus,
+)
 from repro.telemetry.registry import Registry
+from repro.telemetry.views import StatsView, counter_field, gauge_field
 from repro.util.geometry import Point
 
 PROFILE = settings(max_examples=150, deadline=None, derandomize=True)
@@ -233,3 +245,179 @@ def test_batteries_run_out_inside_one_flood():
     unmetered.flood(0, ttl=5)
     assert any(not node.usable for node in net.nodes())
     assert 0 < net.energy.rx_packets < unmetered.energy.rx_packets
+
+
+# -- the shared holder and the stats views, exports included ----------------
+
+
+def everything_exported(registry):
+    """What a reader of the registry can see: the snapshot with every
+    family's children in insertion order, and both export formats."""
+    return (
+        [(name, list(kids.items())) for name, kids in registry.as_dict().items()],
+        list(registry_to_jsonl_lines(registry)),
+        registry_to_prometheus(registry),
+    )
+
+
+def declare(registry):
+    """One family of each shape a held site uses."""
+    return {
+        "plain": registry.counter("t_plain", "no labels"),
+        "one": registry.counter("t_one", "one label", labels=("a",)),
+        "fixed": registry.counter("t_two", "two labels", labels=("a", "b")),
+        "open": registry.counter("t_open", "two open", labels=("a", "b")),
+        "hist": registry.histogram("t_hist", "latency", labels=("a",)),
+    }
+
+
+LABELS = st.sampled_from(["x", "y", 3])
+AMOUNTS = st.one_of(
+    st.integers(min_value=0, max_value=5), st.sampled_from([0.1, 0.3, 2.75])
+)
+HELD_OPS = st.one_of(
+    st.tuples(st.just("plain"), st.just(()), AMOUNTS),
+    st.tuples(st.just("one"), LABELS, AMOUNTS),
+    st.tuples(st.just("fixed"), LABELS, AMOUNTS),
+    st.tuples(st.just("open"), st.tuples(LABELS, LABELS), AMOUNTS),
+    st.tuples(st.just("hist"), LABELS, AMOUNTS),
+    st.tuples(st.just("reset")),
+)
+
+
+def run_held_script(ops, held):
+    """``held``: through ``family.held(...)``; else ``family.child(...)``
+    per use.  Everything exported, after every step."""
+    registry = Registry()
+    families = declare(registry)
+    rest = {"fixed": ("tail",)}
+    holders = {
+        name: family.held(*rest.get(name, ()))
+        for name, family in families.items()
+    }
+    observed = []
+    for op in ops:
+        if op[0] == "reset":
+            for family in registry.families():
+                family.reset()
+        else:
+            name, key, amount = op
+            if held:
+                child = holders[name][key]
+            else:
+                lead = key if isinstance(key, tuple) else (key,)
+                child = families[name].child(*lead, *rest.get(name, ()))
+            if name == "hist":
+                child.observe(amount)
+            else:
+                child.inc(amount)
+        observed.append(everything_exported(registry))
+    return observed
+
+
+@PROFILE
+@given(ops=st.lists(HELD_OPS, max_size=40))
+def test_held_children_export_what_per_use_children_export(ops):
+    assert run_held_script(ops, held=True) == run_held_script(ops, held=False)
+
+
+class DemoStats(StatsView):
+    _group = "demo"
+
+    hits = counter_field("things counted")
+    joules = counter_field("a float total")
+    level = gauge_field("moves both ways", default=7)
+
+
+FIELDS = {"hits": "counter", "joules": "counter", "level": "gauge"}
+VIEW = st.integers(min_value=0, max_value=1)
+VIEW_OPS = st.one_of(
+    st.tuples(st.just("add"), VIEW, st.sampled_from(["hits", "joules"]), AMOUNTS),
+    st.tuples(st.just("set"), VIEW, st.sampled_from(sorted(FIELDS)), AMOUNTS),
+    st.tuples(st.just("gauge"), VIEW, st.integers(min_value=-3, max_value=3)),
+)
+
+
+def run_view_script(ops, through_views):
+    """Two views on one registry, or the same writes as a ``child()``
+    per use on the families a view registers."""
+    registry = Registry()
+    views = []
+    for _ in range(2):
+        if through_views:
+            views.append(DemoStats(registry=registry))
+        else:
+            for name, kind in FIELDS.items():
+                family = getattr(registry, kind)(
+                    f"demo_{name}", getattr(DemoStats, name).help
+                )
+                fresh = family.value_at(default=None) is None
+                child = family.child()
+                if fresh and name == "level":
+                    child.set(7)
+    observed = []
+    for op in ops:
+        if through_views:
+            view = views[op[1]]
+            if op[0] == "add":
+                setattr(view, op[2], getattr(view, op[2]) + op[3])
+            elif op[0] == "set":
+                setattr(view, op[2], op[3])
+            else:
+                view.level -= op[2]
+            read = (view.as_dict(), view.hits, view.joules, view.level)
+        else:
+            child = {
+                name: registry.get(f"demo_{name}").child() for name in FIELDS
+            }
+            if op[0] == "add":
+                child[op[2]].inc(op[3])
+            elif op[0] == "set":
+                child[op[2]]._set(op[3])
+            else:
+                child["level"].dec(op[2])
+            values = {name: child[name].value for name in sorted(FIELDS)}
+            read = (values, values["hits"], values["joules"], values["level"])
+        observed.append((read, everything_exported(registry)))
+    return observed
+
+
+@PROFILE
+@given(ops=st.lists(VIEW_OPS, max_size=40))
+def test_stats_view_fields_export_what_per_use_children_export(ops):
+    assert run_view_script(ops, True) == run_view_script(ops, False)
+
+
+def test_two_views_on_one_registry_share_every_field():
+    registry = Registry()
+    first, second = DemoStats(registry=registry), DemoStats(registry=registry)
+    first.hits += 2
+    second.hits += 3
+    second.level = -1
+    assert (first.hits, first.level) == (5, -1)
+    assert first == second
+    assert registry.get("demo_hits").value == 5
+
+
+@pytest.mark.parametrize("model", [EnergyModel(), EnergyModel(0.0, 0.0)])
+def test_a_rejected_charge_and_an_idle_family_export_no_sample(model):
+    # Held children are created at first use, so what was never charged
+    # -- or was refused -- leaves its family without a sample line.
+    sim = Simulator()
+    net = WirelessNetwork(sim, random.Random(1), energy_model=model)
+    for charge in (net.energy.charge_tx, net.energy.charge_rx):
+        with pytest.raises(TelemetryError):
+            charge(1, packets=-1)
+    snapshot = net.registry.as_dict()
+    for name in ENERGY_FAMILIES + ("trace_events", "net_hop_failures"):
+        assert snapshot[name] == {}, name
+    assert not [
+        line
+        for line in registry_to_prometheus(net.registry).splitlines()
+        if line.startswith(("energy_", "trace_events", "net_hop_failures"))
+    ]
+    net.energy.charge_rx_each([], kind="flood")
+    assert net.registry.as_dict() == snapshot
+    net.energy.charge_tx(4)
+    assert list(net.registry.as_dict()["energy_tx_packets"].items()) == [((), 1)]
+    assert net.registry.as_dict()["energy_rx_packets"] == {}

@@ -5,7 +5,9 @@ up in ``packet.meta["drop_reason"]``:
 
 * direct stamps — ``meta["drop_reason"] = "..."`` and the QoS twin
   ``meta["qos_terminal"] = "..."``;
-* router drops — the reason argument of ``self._drop(...)`` calls;
+* router and baseline drops — the reason argument of
+  ``self._drop(...)`` calls (``baselines/`` has no other way to drop,
+  and every call there must name a literal reason);
 * QoS verdicts — string returns of the ``refusal``/``admit``
   gatekeepers, which the network layer stamps verbatim.
 
@@ -23,8 +25,10 @@ the trace the divergence debugger compares never under-reports drops.
 import ast
 import pathlib
 
+import pytest
+
 from repro.chaos.spec import FaultSpec
-from repro.experiments.config import ScenarioConfig
+from repro.experiments.config import FaultConfig, ScenarioConfig
 from repro.experiments.runner import run_scenario
 from repro.qos.config import BurstyConfig, QosConfig
 from repro.telemetry.config import TelemetryConfig
@@ -52,6 +56,7 @@ class _ReasonCollector(ast.NodeVisitor):
     def __init__(self, path):
         self.path = path
         self.found = []
+        self.drop_calls = []
         self._in_reason_fn = 0
 
     def _note(self, value, node):
@@ -70,6 +75,7 @@ class _ReasonCollector(ast.NodeVisitor):
     def visit_Call(self, node):
         func = node.func
         if isinstance(func, ast.Attribute) and func.attr == "_drop":
+            self.drop_calls.append(node.lineno)
             if len(node.args) >= 3:
                 self._note(_const_str(node.args[2]), node)
             for keyword in node.keywords:
@@ -89,14 +95,19 @@ class _ReasonCollector(ast.NodeVisitor):
         self.generic_visit(node)
 
 
-def _collect_stamped_reasons():
-    found = []
-    for path in sorted(SRC_ROOT.rglob("*.py")):
+def _collect(root=SRC_ROOT):
+    """One visited collector per python file under ``root``."""
+    collectors = []
+    for path in sorted(root.rglob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
         collector = _ReasonCollector(path.relative_to(SRC_ROOT))
         collector.visit(tree)
-        found.extend(collector.found)
-    return found
+        collectors.append(collector)
+    return collectors
+
+
+def _collect_stamped_reasons():
+    return [found for collector in _collect() for found in collector.found]
 
 
 class TestDropTaxonomy:
@@ -123,6 +134,24 @@ class TestDropTaxonomy:
         reasons = {reason for reason, _, _ in _collect_stamped_reasons()}
         assert {"hop-limit", "no-successor"} <= reasons
 
+    def test_every_baseline_drop_names_a_literal_reason(self):
+        """``baselines/`` drops through ``_drop`` only, and a reason
+        passed in a variable would escape the scan above."""
+        collectors = _collect(SRC_ROOT / "baselines")
+        calls = sum(len(c.drop_calls) for c in collectors)
+        assert calls >= 10, "the scan lost the baselines' drop sites"
+        unnamed = [
+            f"{c.path}:{line}"
+            for c in collectors
+            for line in c.drop_calls
+            if line not in {found_line for _, _, found_line in c.found}
+        ]
+        assert not unnamed, "_drop without a literal reason:\n" + "\n".join(
+            unnamed
+        )
+        reasons = {r for c in collectors for r, _, _ in c.found}
+        assert {"retries-exhausted", "no-route", "hop-limit"} <= reasons
+
     def test_taxonomy_has_no_duplicates(self):
         assert len(DROP_REASONS) == len(set(DROP_REASONS))
         assert len(HOP_FAIL_CAUSES) == len(set(HOP_FAIL_CAUSES))
@@ -131,6 +160,25 @@ class TestDropTaxonomy:
         """QoS refusals surface as hop failures with the same name."""
         assert "deadline_expired" in HOP_FAIL_CAUSES
         assert "backpressure_shed" in HOP_FAIL_CAUSES
+
+
+@pytest.mark.parametrize("system", ["DaTree", "D-DEAR", "Kautz-overlay"])
+def test_a_baseline_under_faults_drops_nothing_as_unknown(system):
+    """Every drop of a faulted baseline run carries the reason its
+    router gave up for (``benchmarks/e2e``'s ``baselines_flood``, cut
+    to 10 s)."""
+    result = run_scenario(
+        system,
+        ScenarioConfig(
+            seed=1000, sensor_count=200, faults=FaultConfig(count=10),
+            sim_time=10.0, warmup=2.0, rate_pps=12.0, packet_bytes=1000,
+            telemetry=TelemetryConfig(),
+        ),
+    )
+    dropped = result.telemetry.registry.as_dict()["packets_dropped"]
+    assert sum(dropped.values()) > 0, "no drops: the scenario lost its bite"
+    assert ("unknown",) not in dropped
+    assert {reason for (reason,) in dropped} <= set(DROP_REASONS)
 
 
 class TestTraceClosure:
