@@ -43,11 +43,10 @@ def run_split(system_cls, config: ScenarioConfig):
     construction_kinds = dict(network.energy.kinds())
     network.set_phase(Phase.COMMUNICATION)
     system.start()
-    metrics = MetricsCollector(sim, config.qos_deadline, config.warmup)
+    metrics = MetricsCollector(sim, config.warmup)
     workload = CbrWorkload(
         sim, system, metrics, streams.stream("workload"),
         rate_pps=config.rate_pps, packet_bytes=config.packet_bytes,
-        qos_deadline=config.qos_deadline,
     )
     workload.start(0.0, config.end_time)
     sim.run_until(config.end_time + 2.0)

@@ -20,6 +20,7 @@ Effort knobs are the shared bench environment variables
 rotation/permanent/blackout/battery.
 """
 
+from repro.chaos.probe import PROBE_WINDOW
 from repro.experiments.resilience import (
     DEFAULT_FAULT_CLASSES,
     format_resilience,
@@ -89,9 +90,8 @@ def test_resilience_recovery(benchmark):
     # omniscient recovery is quantised to zero probe windows.
     for cell in healed.cells:
         omni = result.cell(cell.system, cell.fault_class, cell.intensity)
-        floor = base.probe_window
         assert cell.recovery_time_s <= 2.0 * max(
-            omni.recovery_time_s, floor
+            omni.recovery_time_s, PROBE_WINDOW
         ), (
             f"{cell.fault_class}/{cell.intensity}: healed "
             f"{cell.recovery_time_s:.2f}s vs omniscient "

@@ -27,9 +27,7 @@ def main(seed: int = 13) -> None:
         sim_time=20.0,
         warmup=5.0,
         qos=QosConfig(),
-        bursty=BurstyConfig(
-            sources=12, load_multiplier=10.0, alarm_fraction=0.3,
-        ),
+        bursty=BurstyConfig(sources=12, load_multiplier=10.0),
         telemetry=TelemetryConfig(),
     )
     result = run_scenario("REFER", config)

@@ -285,10 +285,10 @@ class RegionalBlackoutFault(ChaosModel):
     """Regional failure: every node inside a disc fails for a window.
 
     Models the correlated outages of self-recovery WSAN work (fire,
-    flood, jamming): at each round a disc of ``radius`` metres — at
-    ``center``, or drawn uniformly in the area when ``center`` is None
-    — takes down every node currently inside it for ``duration``
-    seconds.  Partition stress for cells and the CAN tier at once.
+    flood, jamming): at each round a disc of ``radius`` metres,
+    centred uniformly in the area, takes down every node currently
+    inside it for ``duration`` seconds.  Partition stress for cells and
+    the CAN tier at once.
     """
 
     name = "regional-blackout"
@@ -302,7 +302,6 @@ class RegionalBlackoutFault(ChaosModel):
         duration: float = 8.0,
         period: float = 20.0,
         rounds: int = 1,
-        center: Optional[Point] = None,
         eligible: Optional[EligibleDraw] = None,
     ) -> None:
         if radius <= 0:
@@ -314,7 +313,6 @@ class RegionalBlackoutFault(ChaosModel):
         self._area_side = area_side
         self._radius = radius
         self._duration = duration
-        self._center = center
         self._eligible = eligible
         self._max_rounds = rounds
         self.rounds = 0
@@ -332,13 +330,10 @@ class RegionalBlackoutFault(ChaosModel):
 
     def _blackout(self) -> None:
         now = self.network.sim.now
-        if self._center is not None:
-            center = self._center
-        else:
-            center = Point(
-                self._rng.uniform(0.0, self._area_side),
-                self._rng.uniform(0.0, self._area_side),
-            )
+        center = Point(
+            self._rng.uniform(0.0, self._area_side),
+            self._rng.uniform(0.0, self._area_side),
+        )
         self.last_center = center
         if self._eligible is not None:
             population = list(self._eligible())
@@ -363,13 +358,15 @@ class RegionalBlackoutFault(ChaosModel):
 
 #: Joules of meter a battery-depletion attack gives an unmetered node.
 DEFAULT_CAPACITY = 1_000.0
+#: Fraction of capacity a battery-depletion attack leaves a node.
+TARGET_FRACTION = 0.02
 
 
 class BatteryDepletionFault(ChaosModel):
     """Battery-depletion attack: drain nodes below the maintenance bar.
 
     Each round drains ``count()`` eligible nodes down to
-    ``target_fraction`` of capacity — below REFER's maintenance
+    :data:`TARGET_FRACTION` of capacity — below REFER's maintenance
     battery threshold, forcing replacements without ever marking the
     node failed.  Unmetered nodes (``battery_joules is None``) are
     given :data:`DEFAULT_CAPACITY` joules of meter first, so the attack
@@ -386,15 +383,11 @@ class BatteryDepletionFault(ChaosModel):
         eligible: EligibleDraw,
         period: float = 20.0,
         rounds: int = 1,
-        target_fraction: float = 0.02,
     ) -> None:
-        if not 0.0 <= target_fraction < 1.0:
-            raise ConfigError("target_fraction must be in [0, 1)")
         super().__init__(network)
         self._rng = rng
         self._count = count
         self._eligible = eligible
-        self._target_fraction = target_fraction
         self._max_rounds = rounds
         self.rounds = 0
         self.drained: Set[int] = set()
@@ -424,7 +417,7 @@ class BatteryDepletionFault(ChaosModel):
             node = self.network.node(node_id)
             if node.battery_joules is None:
                 node.battery_joules = DEFAULT_CAPACITY
-            floor = node.battery_joules * (1.0 - self._target_fraction)
+            floor = node.battery_joules * (1.0 - TARGET_FRACTION)
             node.consumed_joules = max(node.consumed_joules, floor)
             self.drained.add(node_id)
         if chosen:
@@ -434,6 +427,10 @@ class BatteryDepletionFault(ChaosModel):
             self._process.stop()
 
 
+#: Factor a BAD link's sensed signal margin is scaled by (a deep fade).
+BAD_QUALITY = 0.0
+
+
 class GilbertElliottLinkFault(ChaosModel):
     """Bursty link loss: a two-state Gilbert-Elliott process per link.
 
@@ -441,7 +438,7 @@ class GilbertElliottLinkFault(ChaosModel):
     holds one GOOD/BAD chain per undirected link with exponential
     sojourn times (means ``mean_good`` / ``mean_bad`` seconds).  While
     a link is BAD, frames on it are lost (``can_transmit`` gates shut)
-    and the sensed signal margin is scaled by ``bad_quality`` — so
+    and the sensed signal margin is scaled by :data:`BAD_QUALITY` — so
     REFER's maintenance sees exactly the "link about to break" signal
     a deep fade produces.  Sojourn ``k`` of link ``(a, b)`` is draw
     ``((a, b), k)`` of the model's keyed stream, so a link's state is
@@ -461,18 +458,14 @@ class GilbertElliottLinkFault(ChaosModel):
         rng: random.Random,
         mean_good: float = 8.0,
         mean_bad: float = 1.5,
-        bad_quality: float = 0.0,
         eligible: Optional[Sequence[int]] = None,
     ) -> None:
         if mean_good <= 0 or mean_bad <= 0:
             raise ConfigError("Gilbert-Elliott sojourn means must be positive")
-        if not 0.0 <= bad_quality <= 1.0:
-            raise ConfigError("bad_quality must be in [0, 1]")
         super().__init__(network)
         self._draws = KeyedStream(rng)
         self._mean_good = mean_good
         self._mean_bad = mean_bad
-        self._bad_quality = bad_quality
         self._eligible = frozenset(eligible) if eligible is not None else None
         self._installed = False
         self._epoch = 0.0
@@ -527,4 +520,4 @@ class GilbertElliottLinkFault(ChaosModel):
     def quality_factor(self, src_id: int, dst_id: int, now: float) -> float:
         if self.link_up(src_id, dst_id, now):
             return 1.0
-        return self._bad_quality
+        return BAD_QUALITY

@@ -1,12 +1,13 @@
 """Recovery-time instrumentation.
 
 :class:`ResilienceProbe` buckets the workload's generated/delivered
-packets into fixed sim-time windows (a packet is attributed to the
-window it was *created* in, so each window's delivery ratio is well
-defined even with in-flight tails).  Against a chaos event log it
-reports, per fault injection, the pre-fault baseline ratio, the trough
-during the fault, and the **time to recovery** — how many windows pass
-before the ratio re-enters a band around the baseline.
+packets into :data:`PROBE_WINDOW`-second sim-time windows (a packet
+is attributed to the window it was *created* in, so each window's
+delivery ratio is well defined even with in-flight tails).  Against a
+chaos event log it reports, per fault injection, the pre-fault
+baseline ratio, the trough during the fault, and the **time to
+recovery** — how many windows pass before the ratio re-enters a band
+around the baseline.
 """
 
 from __future__ import annotations
@@ -21,6 +22,9 @@ from repro.net.packet import Packet
 from repro.sim.core import Simulator
 from repro.telemetry.registry import Registry
 from repro.util.stats import RunningStat
+
+#: Width of one delivery-ratio window, sim seconds.
+PROBE_WINDOW = 1.0
 
 #: Latency buckets for detection/repair histograms: sub-second through
 #: multi-round detector horizons (seconds, ascending).
@@ -117,15 +121,9 @@ class ResilienceProbe:
     """
 
     def __init__(
-        self,
-        sim: Simulator,
-        window: float = 1.0,
-        registry: Optional[Registry] = None,
+        self, sim: Simulator, registry: Optional[Registry] = None
     ) -> None:
-        if window <= 0:
-            raise ConfigError("probe window must be positive")
         self._sim = sim
-        self.window = window
         self._generated: Dict[int, int] = defaultdict(int)
         self._delivered: Dict[int, int] = defaultdict(int)
         self._detection = RunningStat()
@@ -174,7 +172,7 @@ class ResilienceProbe:
             self._repair_hist.observe(latency)
 
     def _index(self, when: float) -> int:
-        return int(when / self.window)
+        return int(when / PROBE_WINDOW)
 
     # -- sampling ------------------------------------------------------------
 
@@ -182,7 +180,7 @@ class ResilienceProbe:
         """Every window that saw traffic, in time order."""
         return [
             WindowSample(
-                start=index * self.window,
+                start=index * PROBE_WINDOW,
                 generated=self._generated[index],
                 delivered=self._delivered.get(index, 0),
             )
@@ -193,7 +191,7 @@ class ResilienceProbe:
         """Aggregate delivery ratio of packets created in [begin, end)."""
         generated = delivered = 0
         for index, count in self._generated.items():
-            start = index * self.window
+            start = index * PROBE_WINDOW
             if begin <= start < end:
                 generated += count
                 delivered += self._delivered.get(index, 0)
@@ -256,14 +254,14 @@ class ResilienceProbe:
                     trough=trough,
                     recovery_windows=recovery_windows,
                     recovery_time_s=(
-                        recovery_windows * self.window
+                        recovery_windows * PROBE_WINDOW
                         if recovery_windows is not None
                         else None
                     ),
                 )
             )
         return ResilienceSummary(
-            window=self.window,
+            window=PROBE_WINDOW,
             records=tuple(records),
             detection_latency_s=self._detection.mean,
             repair_latency_s=self._repair.mean,

@@ -9,9 +9,10 @@ run's network, system and RNG stream.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Tuple
 
 from repro.chaos.models import (
     ActuatorOutageFault,
@@ -24,7 +25,6 @@ from repro.chaos.models import (
 )
 from repro.errors import ConfigError
 from repro.net.network import WirelessNetwork
-from repro.util.geometry import Point
 
 #: The fault classes `FaultSpec.kind` accepts.
 FAULT_KINDS: Tuple[str, ...] = (
@@ -45,9 +45,10 @@ class FaultSpec:
     from run start); ``rounds`` bounds repeating models (0 =
     unbounded).  ``count`` is nodes per event; ``period`` the event
     spacing; ``duration`` the outage window for actuator/blackout;
-    ``radius``/``center`` the blackout disc; ``target_fraction`` the
-    battery level a depletion attack leaves; ``mean_good``/
-    ``mean_bad``/``bad_quality`` the Gilbert-Elliott parameters.
+    ``radius`` the blackout disc (centred at random each round);
+    ``mean_good``/``mean_bad`` the Gilbert-Elliott sojourn means.  The
+    battery level a depletion attack leaves and a faded link's signal
+    factor are constants of :mod:`repro.chaos.models`.
     """
 
     kind: str
@@ -57,11 +58,8 @@ class FaultSpec:
     rounds: int = 0
     duration: float = 8.0
     radius: float = 120.0
-    center: Optional[Tuple[float, float]] = None
-    target_fraction: float = 0.02
     mean_good: float = 8.0
     mean_bad: float = 1.5
-    bad_quality: float = 0.0
 
     def __post_init__(self) -> None:
         if self.kind not in FAULT_KINDS:
@@ -70,8 +68,12 @@ class FaultSpec:
             )
         if self.count < 0 or self.rounds < 0:
             raise ConfigError("count and rounds must be non-negative")
-        if self.period <= 0 or self.duration <= 0 or self.start < 0:
-            raise ConfigError("invalid fault timing")
+        # NaN fails every comparison, so each check refuses it.
+        for name in ("period", "duration", "radius", "mean_good", "mean_bad"):
+            if not 0 < getattr(self, name) < math.inf:
+                raise ConfigError(f"{name} must be positive and finite")
+        if not 0 <= self.start < math.inf:
+            raise ConfigError("start must be finite and non-negative")
         if self.kind in ("actuator", "blackout") and self.duration >= self.period:
             raise ConfigError("outage duration must be below the period")
 
@@ -123,7 +125,6 @@ def build_chaos_model(
             rounds=spec.rounds,
         )
     if spec.kind == "blackout":
-        center = Point(*spec.center) if spec.center is not None else None
         return RegionalBlackoutFault(
             network,
             rng,
@@ -132,7 +133,6 @@ def build_chaos_model(
             duration=spec.duration,
             period=spec.period,
             rounds=spec.rounds,
-            center=center,
         )
     if spec.kind == "battery":
         # Prefer current cell members (REFER exposes them): draining a
@@ -152,7 +152,6 @@ def build_chaos_model(
             eligible=battery_targets,
             period=spec.period,
             rounds=spec.rounds,
-            target_fraction=spec.target_fraction,
         )
     if spec.kind == "links":
         return GilbertElliottLinkFault(
@@ -160,6 +159,5 @@ def build_chaos_model(
             rng,
             mean_good=spec.mean_good,
             mean_bad=spec.mean_bad,
-            bad_quality=spec.bad_quality,
         )
     raise ConfigError(f"unhandled fault kind {spec.kind!r}")

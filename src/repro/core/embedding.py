@@ -138,16 +138,12 @@ class EmbeddingProtocol:
         plan: DeploymentPlan,
         rng: random.Random,
         degree: int = 2,
-        diameter: int = 3,
     ) -> None:
-        if diameter != 3:
-            raise EmbeddingError(
-                "the paper's embedding protocol targets K(d, 3) cells"
-            )
         self.network = network
         self.plan = plan
         self.rng = rng
-        self.graph = KautzGraph(degree, diameter)
+        # The paper's embedding protocol targets K(d, 3) cells.
+        self.graph = KautzGraph(degree, 3)
         self.stats = EmbeddingStats(registry=network.registry)
         self._claimed: set = set()   # sensors already embedded somewhere
 

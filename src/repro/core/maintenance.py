@@ -38,6 +38,8 @@ from repro.wsan.duty_cycle import DutyCycleManager, SensorState
 LINK_THRESHOLD = 0.15
 #: A member whose battery fraction falls below this is replaced.
 BATTERY_THRESHOLD = 0.05
+#: Seconds between maintenance rounds.
+MAINTENANCE_PERIOD = 2.0
 
 
 class MaintenanceStats(StatsView):
@@ -75,7 +77,6 @@ class TopologyMaintenance:
         is_member: Callable[[int], bool],
         claim: Callable[[int], None],
         release: Callable[[int], None],
-        period: float = 2.0,
     ) -> None:
         self.network = network
         self.cells = list(cells)
@@ -94,8 +95,8 @@ class TopologyMaintenance:
         # liveness/battery judgements come from its verdicts.
         self._detector = None
         self._process = PeriodicProcess(
-            network.sim, period=period, action=self._round,
-            jitter=period / 10.0, rng=rng,
+            network.sim, period=MAINTENANCE_PERIOD, action=self._round,
+            jitter=MAINTENANCE_PERIOD / 10.0, rng=rng,
         )
 
     def start(self, initial_delay: float = 0.0) -> None:

@@ -8,13 +8,12 @@ router (data plane).
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from typing import List, Optional, Set
 
 from repro.core.cell import EmbeddedCell
 from repro.core.embedding import EmbeddingProtocol
 from repro.core.ids import ReferId
-from repro.core.maintenance import TopologyMaintenance
+from repro.core.maintenance import MAINTENANCE_PERIOD, TopologyMaintenance
 from repro.core.routing import ReferRouter
 from repro.errors import ConfigError
 from repro.net.network import WirelessNetwork
@@ -24,23 +23,11 @@ from repro.wsan.duty_cycle import DutyCycleManager
 from repro.wsan.system import DeliveredCallback, DroppedCallback, WsanSystem
 
 
-@dataclass(frozen=True)
-class ReferConfig:
-    """Tunables of the REFER stack."""
-
-    degree: int = 2
-    diameter: int = 3
-    maintenance_period: float = 2.0
-
-    def __post_init__(self) -> None:
-        if self.degree < 2:
-            raise ConfigError("REFER cells need degree >= 2")
-        if self.maintenance_period <= 0:
-            raise ConfigError("maintenance_period must be positive")
-
-
 class ReferSystem(WsanSystem):
-    """The paper's system: embedded Kautz cells + DHT actuator tier."""
+    """The paper's system: embedded Kautz cells + DHT actuator tier.
+
+    ``degree`` is the ``d`` of every cell's K(d, 3).
+    """
 
     name = "REFER"
 
@@ -49,10 +36,10 @@ class ReferSystem(WsanSystem):
         network: WirelessNetwork,
         plan: DeploymentPlan,
         rng: random.Random,
-        config: ReferConfig = ReferConfig(),
+        degree: int = 2,
     ) -> None:
         super().__init__(network, plan, rng)
-        self.config = config
+        self.degree = degree
         self.cells: List[EmbeddedCell] = []
         self.router: Optional[ReferRouter] = None
         self.maintenance: Optional[TopologyMaintenance] = None
@@ -66,8 +53,7 @@ class ReferSystem(WsanSystem):
             self.network,
             self.plan,
             self.rng,
-            degree=self.config.degree,
-            diameter=self.config.diameter,
+            degree=self.degree,
         )
         self.cells = protocol.run()
         self.embedding_stats = protocol.stats
@@ -90,14 +76,13 @@ class ReferSystem(WsanSystem):
             is_member=self._member_sensors.__contains__,
             claim=self._member_sensors.add,
             release=self._member_sensors.discard,
-            period=self.config.maintenance_period,
         )
 
     def start(self) -> None:
         if self.maintenance is None:
             raise ConfigError("build() must run before start()")
         self.maintenance.start(
-            initial_delay=self.rng.uniform(0, self.config.maintenance_period)
+            initial_delay=self.rng.uniform(0, MAINTENANCE_PERIOD)
         )
 
     def stop(self) -> None:

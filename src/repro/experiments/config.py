@@ -8,13 +8,17 @@ at 1 Mbps, 100 s warm-up + 1000 s of simulation, QoS deadline 0.6 s.
 The default data rate here is expressed in packets/second of 1 KB
 packets and scaled down so a full 4-system sweep runs on a laptop;
 EXPERIMENTS.md documents the scaling.  Benches override the knobs
-from environment variables.
+from environment variables.  What the evaluation holds fixed is a
+constant of the module that reads it: the ranges
+(:mod:`repro.wsan.system`), the source rotation
+(:mod:`repro.experiments.workload`) and the QoS deadline
+(:mod:`repro.experiments.metrics`).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Optional, Tuple
 
 from repro.chaos.spec import FaultSpec
@@ -27,13 +31,13 @@ from repro.telemetry.config import TelemetryConfig
 
 @dataclass(frozen=True)
 class FaultConfig:
-    """Fault injection: ``count`` nodes break every ``period`` seconds."""
+    """Fault injection: ``count`` nodes break every
+    :data:`~repro.experiments.runner.FAULT_PERIOD` seconds."""
 
     count: int
-    period: float = 10.0
 
     def __post_init__(self) -> None:
-        if self.count < 0 or self.period <= 0:
+        if self.count < 0:
             raise ConfigError("invalid fault configuration")
 
 
@@ -44,24 +48,17 @@ class ScenarioConfig:
     seed: int = 1
     sensor_count: int = 200
     area_side: float = 500.0
-    sensor_range: float = 100.0
-    actuator_range: float = 250.0
     sensor_max_speed: float = 3.0
     sim_time: float = 120.0          # measured seconds (paper: 1000)
     warmup: float = 12.0             # paper: 100
     rate_pps: float = 12.0           # packets/s per source (paper: ~125)
     packet_bytes: int = 1000
-    sources_per_window: int = 5
-    source_window: float = 10.0
-    qos_deadline: float = 0.6
     faults: Optional[FaultConfig] = None
     #: Chaos models for this run (see :mod:`repro.chaos`); a bare
     #: :class:`FaultSpec` is normalised to a one-element tuple.  Kept
     #: separate from ``faults`` so the legacy crash-rotation figures
     #: stay bit-identical to the seed.
     fault_spec: Tuple[FaultSpec, ...] = ()
-    #: ResilienceProbe window (seconds); only used with ``fault_spec``.
-    probe_window: float = 1.0
     #: Self-healing stack (:mod:`repro.recovery`): message-grounded
     #: failure detection, per-hop ARQ and CAN zone takeover.  ``None``
     #: (the default) keeps the seed's omniscient behaviour bit-exact;
@@ -98,19 +95,10 @@ class ScenarioConfig:
             )
         if self.packet_bytes <= 0:
             raise ConfigError("packet_bytes must be positive")
-        if self.sources_per_window < 1:
-            raise ConfigError("sources_per_window must be >= 1")
         # NaN fails every comparison, so each loop refuses it.
-        for name in (
-            "area_side", "sensor_range", "actuator_range", "sim_time",
-            "rate_pps", "probe_window",
-        ):
+        for name in ("area_side", "sim_time", "rate_pps"):
             if not 0 < getattr(self, name) < math.inf:
                 raise ConfigError(f"{name} must be positive and finite")
-        # inf: sources never re-drawn / no deadline.
-        for name in ("source_window", "qos_deadline"):
-            if not getattr(self, name) > 0:
-                raise ConfigError(f"{name} must be positive")
         for name in ("warmup", "sensor_max_speed"):
             if not 0 <= getattr(self, name) < math.inf:
                 raise ConfigError(f"{name} must be finite and non-negative")

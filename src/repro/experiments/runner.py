@@ -45,6 +45,8 @@ SYSTEMS: Dict[str, Type[WsanSystem]] = {
 }
 
 DRAIN_MARGIN = 2.0   # seconds past generation end for in-flight packets
+#: Seconds between the crash rounds of ``ScenarioConfig.faults``.
+FAULT_PERIOD = 10.0
 
 
 @dataclass(frozen=True)
@@ -112,8 +114,7 @@ def run_scenario(system_name: str, config: ScenarioConfig) -> RunResult:
             trace.bind_registry(telemetry.registry)
             sim.set_trace(trace)
             streams.set_trace(trace)
-            if telemetry.flight is not None:
-                telemetry.flight.set_tap(trace.lifecycle)
+            telemetry.flight.set_tap(trace.lifecycle)
     network = WirelessNetwork(
         sim,
         streams.stream("mac"),
@@ -128,18 +129,14 @@ def run_scenario(system_name: str, config: ScenarioConfig) -> RunResult:
         network,
         plan,
         streams.stream("mobility"),
-        sensor_range=config.sensor_range,
-        actuator_range=config.actuator_range,
         sensor_max_speed=config.sensor_max_speed,
     )
     if system_cls is ReferSystem:
-        from repro.core.system import ReferConfig
-
         system = ReferSystem(
             network,
             plan,
             streams.stream("system"),
-            ReferConfig(degree=config.kautz_degree),
+            degree=config.kautz_degree,
         )
     else:
         system = system_cls(network, plan, streams.stream("system"))
@@ -152,25 +149,18 @@ def run_scenario(system_name: str, config: ScenarioConfig) -> RunResult:
     system.start()
 
     qos_manager: Optional[QosManager] = None
-    if config.qos is not None and config.qos.any_enabled:
-        qos_manager = QosManager(sim, network, config.qos)
+    if config.qos is not None:
+        qos_manager = QosManager(sim, network)
         qos_manager.install(network)
         qos_router = getattr(system, "router", None)
-        if (
-            qos_manager.state is not None
-            and qos_router is not None
-            and hasattr(qos_router, "set_qos_state")
-        ):
+        if qos_router is not None and hasattr(qos_router, "set_qos_state"):
             qos_router.set_qos_state(qos_manager.state)
 
     probe: Optional[ResilienceProbe] = None
     if config.fault_spec:
-        probe = ResilienceProbe(
-            sim, window=config.probe_window, registry=network.registry
-        )
+        probe = ResilienceProbe(sim, registry=network.registry)
     metrics = MetricsCollector(
         sim,
-        qos_deadline=config.qos_deadline,
         warmup_end=config.warmup,
         probe=probe,
         registry=network.registry,
@@ -196,9 +186,6 @@ def run_scenario(system_name: str, config: ScenarioConfig) -> RunResult:
             streams.stream("workload"),
             rate_pps=config.rate_pps,
             packet_bytes=config.packet_bytes,
-            qos_deadline=config.qos_deadline,
-            sources_per_window=config.sources_per_window,
-            source_window=config.source_window,
         )
     workload.start(0.0, config.end_time)
 
@@ -214,9 +201,9 @@ def run_scenario(system_name: str, config: ScenarioConfig) -> RunResult:
             fault_rng,
             count=lambda: count,
             eligible=lambda: system.sensor_ids,
-            period=config.faults.period,
+            period=FAULT_PERIOD,
         )
-        injector.start(initial_delay=config.faults.period / 2.0)
+        injector.start(initial_delay=FAULT_PERIOD / 2.0)
 
     chaos: Optional[ChaosCoordinator] = None
     if config.fault_spec:
@@ -241,15 +228,10 @@ def run_scenario(system_name: str, config: ScenarioConfig) -> RunResult:
         chaos.start([spec.start for spec in config.fault_spec])
 
     orchestrator: Optional[RecoveryOrchestrator] = None
-    if (
-        config.recovery is not None
-        and config.recovery.any_enabled
-        and isinstance(system, ReferSystem)
-    ):
+    if config.recovery is not None and isinstance(system, ReferSystem):
         orchestrator = RecoveryOrchestrator(
             network,
             system,
-            config.recovery,
             detector_rng=streams.stream("recovery.detector"),
             arq_rng=streams.stream("recovery.arq"),
             audit_clock=chaos.fail_time_of if chaos is not None else None,

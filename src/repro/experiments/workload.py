@@ -1,9 +1,9 @@
 """Traffic workloads: the paper's CBR events and a bursty stressor.
 
-:class:`CbrWorkload` (Section IV): every ``source_window`` seconds a
-fresh set of source sensors is drawn uniformly; each source emits
-constant-bit-rate DATA packets toward its nearby actuator for the
-duration of the window.
+:class:`CbrWorkload` (Section IV): every :data:`SOURCE_WINDOW` seconds
+a fresh set of :data:`SOURCES_PER_WINDOW` source sensors is drawn
+uniformly; each source emits constant-bit-rate DATA packets toward its
+nearby actuator for the duration of the window.
 
 :class:`BurstyWorkload` (the QoS overload driver): many concurrent
 sources alternating heavy-tailed Pareto on/off periods, emitting a
@@ -18,12 +18,17 @@ from __future__ import annotations
 import random
 from typing import List, Optional, Tuple
 
-from repro.experiments.metrics import MetricsCollector
+from repro.experiments.metrics import QOS_DEADLINE, MetricsCollector
 from repro.net.packet import Packet, PacketKind
 from repro.qos.classes import TrafficClass
 from repro.qos.config import BurstyConfig
 from repro.sim.core import Simulator
 from repro.wsan.system import WsanSystem
+
+#: Sources drawn per window (the paper's five).
+SOURCES_PER_WINDOW = 5
+#: Seconds between source re-draws.
+SOURCE_WINDOW = 10.0
 
 
 class CbrWorkload:
@@ -37,9 +42,6 @@ class CbrWorkload:
         rng: random.Random,
         rate_pps: float,
         packet_bytes: int,
-        qos_deadline: float,
-        sources_per_window: int = 5,
-        source_window: float = 10.0,
     ) -> None:
         self._sim = sim
         self._system = system
@@ -47,9 +49,6 @@ class CbrWorkload:
         self._rng = rng
         self._rate_pps = rate_pps
         self._packet_bytes = packet_bytes
-        self._qos_deadline = qos_deadline
-        self._sources_per_window = sources_per_window
-        self._source_window = source_window
         self._end_time = 0.0
         self.windows = 0
 
@@ -59,7 +58,7 @@ class CbrWorkload:
         t = begin
         while t < end:
             self._sim.schedule_at(t, self._open_window)
-            t += self._source_window
+            t += SOURCE_WINDOW
 
     def _open_window(self) -> None:
         self.windows += 1
@@ -71,10 +70,10 @@ class CbrWorkload:
             for s in self._system.sensor_ids
             if self._system.network.node(s).usable
         ]
-        count = min(self._sources_per_window, len(sensors))
+        count = min(SOURCES_PER_WINDOW, len(sensors))
         sources = self._rng.sample(sensors, count)
         window_end = min(
-            self._sim.now + self._source_window, self._end_time
+            self._sim.now + SOURCE_WINDOW, self._end_time
         )
         interval = 1.0 / self._rate_pps
         for source in sources:
@@ -95,7 +94,7 @@ class CbrWorkload:
             source=source_id,
             destination=None,
             created_at=self._sim.now,
-            deadline=self._qos_deadline,
+            deadline=QOS_DEADLINE,
         )
         self._metrics.on_generated(packet)
         self._system.send_event(
@@ -117,6 +116,18 @@ ON_SCALE = 0.2
 OFF_SCALE = 0.1
 #: Truncation cap applied to every drawn duration, seconds.
 MAX_PERIOD = 5.0
+#: Pareto shape of on- and of off-period durations (above 1: a finite
+#: mean).
+ON_SHAPE = 1.5
+OFF_SHAPE = 1.5
+#: Fractions of emissions marked alarm and control class (the rest is
+#: bulk).
+ALARM_FRACTION = 0.1
+CONTROL_FRACTION = 0.2
+#: Relative delivery deadline stamped on alarm and on control packets,
+#: seconds; bulk is elastic (no deadline, never deadline-dropped).
+ALARM_DEADLINE = 0.25
+CONTROL_DEADLINE = 0.6
 
 
 def pareto_duration(
@@ -146,16 +157,14 @@ def expected_pareto_duration(shape: float, scale: float, cap: float) -> float:
     return scale * (shape / (shape - 1.0) * (1.0 - tail) + tail)
 
 
-def draw_class(
-    rng: random.Random, config: BurstyConfig
-) -> Tuple[TrafficClass, Optional[float]]:
+def draw_class(rng: random.Random) -> Tuple[TrafficClass, Optional[float]]:
     """Draw one emission's (traffic class, relative deadline)."""
     roll = rng.random()
-    if roll < config.alarm_fraction:
-        return TrafficClass.ALARM, config.alarm_deadline
-    if roll < config.alarm_fraction + config.control_fraction:
-        return TrafficClass.CONTROL, config.control_deadline
-    return TrafficClass.BULK, config.bulk_deadline
+    if roll < ALARM_FRACTION:
+        return TrafficClass.ALARM, ALARM_DEADLINE
+    if roll < ALARM_FRACTION + CONTROL_FRACTION:
+        return TrafficClass.CONTROL, CONTROL_DEADLINE
+    return TrafficClass.BULK, None
 
 
 def emission_schedule(
@@ -175,13 +184,13 @@ def emission_schedule(
     schedule: List[Tuple[float, TrafficClass, Optional[float]]] = []
     t = begin + rng.uniform(0, interval)
     while t < end:
-        burst = pareto_duration(rng, config.on_shape, ON_SCALE, MAX_PERIOD)
+        burst = pareto_duration(rng, ON_SHAPE, ON_SCALE, MAX_PERIOD)
         on_end = min(t + burst, end)
         while t < on_end:
-            cls, deadline = draw_class(rng, config)
+            cls, deadline = draw_class(rng)
             schedule.append((t, cls, deadline))
             t += interval
-        t += pareto_duration(rng, config.off_shape, OFF_SCALE, MAX_PERIOD)
+        t += pareto_duration(rng, OFF_SHAPE, OFF_SCALE, MAX_PERIOD)
     return schedule
 
 

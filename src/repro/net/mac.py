@@ -11,7 +11,6 @@ and loss under congestion — without per-bit symbol simulation.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from typing import Callable
 
 from repro.errors import NetworkError
@@ -26,20 +25,19 @@ SLOT_SECONDS = 0.0005
 PROCESSING_DELAY = 0.001
 #: Cap on the contention-driven part of the per-attempt loss.
 MAX_LOSS = 0.3
+#: Radio bit rate (802.11 basic rate), bits/second.
+BITRATE_BPS = 2_000_000.0
+#: Floor frame-loss probability per attempt.
+BASE_LOSS = 0.01
+#: Extra per-attempt loss per busy neighbouring radio.
+CONTENTION_LOSS = 0.01
+#: Link-layer retransmissions after the first attempt.
+RETRY_LIMIT = 3
 
 
-@dataclass(frozen=True)
-class MacConfig:
-    """Tunables for the contention model."""
-
-    bitrate_bps: float = 2_000_000.0     # 802.11 basic rate
-    base_loss: float = 0.01              # floor frame-loss probability
-    contention_loss: float = 0.01        # extra loss per busy neighbour
-    retry_limit: int = 3                 # link-layer retransmissions
-
-    def airtime(self, size_bytes: int) -> float:
-        """Seconds the radio is busy sending one frame."""
-        return (size_bytes * 8.0) / self.bitrate_bps
+def airtime(size_bytes: int) -> float:
+    """Seconds the radio is busy sending one frame."""
+    return (size_bytes * 8.0) / BITRATE_BPS
 
 
 class ContentionMac:
@@ -50,17 +48,13 @@ class ContentionMac:
         sim: Simulator,
         medium: WirelessMedium,
         rng: random.Random,
-        config: MacConfig = MacConfig(),
     ) -> None:
         self._sim = sim
         self._medium = medium
         self._rng = rng
-        self.config = config
         # Frames come in a handful of sizes (payload, ACK, probes), so
-        # the per-size airtime division is memoized.  Keyed per config
-        # instance: swapping ``self.config`` resets the cache.
+        # the per-size airtime division is memoized.
         self._airtime_cache: dict = {}
-        self._airtime_config = config
         # Telemetry hook (repro.telemetry.profiler): when set, every
         # transmission reports its frame attempts as bytes on air.
         # Observation only — it must never touch the RNG or timing.
@@ -80,7 +74,7 @@ class ContentionMac:
         """Send one frame src -> dst; reports (success, completion_time).
 
         The frame waits for the sender's radio, defers for contention,
-        and is retried up to ``retry_limit`` times on loss.  Whether the
+        and is retried up to :data:`RETRY_LIMIT` times on loss.  Whether the
         destination is *reachable* is the caller's concern (checked at
         the network layer at the moment of transmission); this layer
         models only timing and stochastic loss.
@@ -109,22 +103,18 @@ class ContentionMac:
         ``radio_busy_until``) lets the QoS scheduler serve its queue
         frame-by-frame.
         """
-        cfg = self.config
         src = self._medium.node(src_id)
         now = self._sim.now
         start = max(now, src.radio_busy_until)
         contention = self._medium.contention_at(src_id, now)
         size = packet.size_bytes
-        if cfg is not self._airtime_config:
-            self._airtime_cache = {}
-            self._airtime_config = cfg
-        airtime = self._airtime_cache.get(size)
-        if airtime is None:
-            airtime = self._airtime_cache[size] = cfg.airtime(size)
+        frame_airtime = self._airtime_cache.get(size)
+        if frame_airtime is None:
+            frame_airtime = self._airtime_cache[size] = airtime(size)
         # Per-attempt loss: the floor plus a capped contention share.
         # It shares the frame's one contention_at with the backoff.
-        extra = min(cfg.contention_loss * contention, MAX_LOSS)
-        loss_p = min(cfg.base_loss + extra, 1.0)
+        extra = min(CONTENTION_LOSS * contention, MAX_LOSS)
+        loss_p = min(BASE_LOSS + extra, 1.0)
 
         elapsed = start - now
         success = False
@@ -135,8 +125,8 @@ class ContentionMac:
         slot_contention = SLOT_SECONDS * contention
         uniform = self._rng.uniform
         rand = self._rng.random
-        for _ in range(cfg.retry_limit + 1):
-            elapsed += slot_contention * uniform(0.5, 1.5) + airtime
+        for _ in range(RETRY_LIMIT + 1):
+            elapsed += slot_contention * uniform(0.5, 1.5) + frame_airtime
             attempts += 1
             if rand() >= loss_p:
                 success = True
@@ -152,4 +142,4 @@ class ContentionMac:
 
     def broadcast_airtime(self, size_bytes: int) -> float:
         """Occupancy of a single broadcast frame (no retries, no ACK)."""
-        return self.config.airtime(size_bytes)
+        return airtime(size_bytes)

@@ -18,12 +18,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import NetworkError
 from repro.net.energy import EnergyLedger, EnergyModel, Phase
-from repro.net.mac import (
-    PROCESSING_DELAY,
-    SLOT_SECONDS,
-    ContentionMac,
-    MacConfig,
-)
+from repro.net.mac import PROCESSING_DELAY, SLOT_SECONDS, ContentionMac
 from repro.net.medium import WirelessMedium
 from repro.net.node import Node
 from repro.net.packet import Packet, PacketKind
@@ -46,7 +41,6 @@ class WirelessNetwork:
         self,
         sim: Simulator,
         rng: random.Random,
-        mac_config: MacConfig = MacConfig(),
         energy_model: EnergyModel = EnergyModel(),
         telemetry: Optional[Telemetry] = None,
     ) -> None:
@@ -64,7 +58,7 @@ class WirelessNetwork:
         self.medium = WirelessMedium()
         #: ``node(node_id) -> Node`` (``NetworkError`` on an unknown id).
         self.node = self.medium.node
-        self.mac = ContentionMac(sim, self.medium, rng, mac_config)
+        self.mac = ContentionMac(sim, self.medium, rng)
         if telemetry is not None and telemetry.profiler is not None:
             self.mac.profiler = telemetry.profiler
         self.energy = EnergyLedger(energy_model, registry=self.registry)

@@ -5,7 +5,7 @@ any routing or energy is spent.  Alarm traffic always passes (the
 whole point of the subsystem is that alarms survive overload); control
 traffic gets a generously scaled bucket; bulk traffic is policed at
 the configured sustained rate and, while backpressure is active
-anywhere, its buckets refill at ``throttle_factor`` times that rate —
+anywhere, its buckets refill at :data:`THROTTLE_FACTOR` times that rate —
 the source-level response to the hop-level congestion signal.
 
 Refused emissions are counted but never transmitted: the workload
@@ -20,10 +20,20 @@ from typing import Dict, Optional, Tuple
 from repro.net.packet import Packet
 from repro.qos.backpressure import BackpressureState
 from repro.qos.classes import ALARM_LANE, BULK_LANE, CONTROL_LANE, lane_of
-from repro.qos.config import QosConfig
 from repro.qos.stats import QosStats
 
 __all__ = ["TokenBucket", "AdmissionController"]
+
+#: Sustained bulk admission rate per source (packets/second).
+BULK_BUCKET_RATE = 6.0
+#: Bulk bucket capacity (burst allowance, packets).
+BULK_BUCKET_BURST = 10.0
+#: Control-class bucket rate and burst as a multiple of the bulk
+#: bucket (control is policed loosely; alarm is never policed).
+CONTROL_BUCKET_SCALE = 4.0
+#: While any node is congested, source bulk buckets refill at this
+#: fraction of their rate.
+THROTTLE_FACTOR = 0.25
 
 
 class TokenBucket:
@@ -57,13 +67,7 @@ class TokenBucket:
 class AdmissionController:
     """Token-bucket policing of traffic sources, per (source, class)."""
 
-    def __init__(
-        self,
-        config: QosConfig,
-        state: Optional[BackpressureState],
-        stats: QosStats,
-    ) -> None:
-        self._config = config
+    def __init__(self, state: BackpressureState, stats: QosStats) -> None:
         self._state = state
         self._stats = stats
         # (source, lane) -> bucket; a lane is the class's priority index.
@@ -73,11 +77,11 @@ class AdmissionController:
         key = (source, lane)
         bucket = self._buckets.get(key)
         if bucket is None:
-            rate = self._config.bulk_bucket_rate
-            burst = self._config.bulk_bucket_burst
+            rate = BULK_BUCKET_RATE
+            burst = BULK_BUCKET_BURST
             if lane == CONTROL_LANE:
-                rate *= self._config.control_bucket_scale
-                burst *= self._config.control_bucket_scale
+                rate *= CONTROL_BUCKET_SCALE
+                burst *= CONTROL_BUCKET_SCALE
             bucket = TokenBucket(rate, burst)
             self._buckets[key] = bucket
         return bucket
@@ -89,12 +93,8 @@ class AdmissionController:
             self._stats.admitted += 1
             return None
         scale = 1.0
-        if (
-            lane == BULK_LANE
-            and self._state is not None
-            and self._state.any_congested()
-        ):
-            scale = self._config.throttle_factor
+        if lane == BULK_LANE and self._state.any_congested():
+            scale = THROTTLE_FACTOR
         if self._bucket(source, lane).try_take(now, scale):
             self._stats.admitted += 1
             return None

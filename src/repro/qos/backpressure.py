@@ -12,38 +12,34 @@ token buckets while any mark is raised.
 
 from __future__ import annotations
 
-from typing import Optional, Set
+from typing import Set
 
 from repro.qos.stats import QosStats
 
 __all__ = ["BackpressureState"]
 
+#: Queue depth at which a node is marked congested.
+HIGH_WATER = 6
+#: Queue depth at which the congestion mark clears (hysteresis).
+LOW_WATER = 2
+
 
 class BackpressureState:
     """Congested-node marks, maintained by the MAC queue scheduler."""
 
-    def __init__(
-        self,
-        high_water: int,
-        low_water: int,
-        stats: Optional[QosStats] = None,
-    ) -> None:
-        self._high = high_water
-        self._low = low_water
+    def __init__(self, stats: QosStats) -> None:
         self._stats = stats
         self._congested: Set[int] = set()
 
     def note_depth(self, node_id: int, depth: int) -> None:
         """Record a node's current queue depth (drives the marks)."""
-        if depth >= self._high:
+        if depth >= HIGH_WATER:
             if node_id not in self._congested:
                 self._congested.add(node_id)
-                if self._stats is not None:
-                    self._stats.congestion_onsets += 1
-        elif depth <= self._low and node_id in self._congested:
+                self._stats.congestion_onsets += 1
+        elif depth <= LOW_WATER and node_id in self._congested:
             self._congested.discard(node_id)
-            if self._stats is not None:
-                self._stats.congestion_clears += 1
+            self._stats.congestion_clears += 1
 
     def is_congested(self, node_id: int) -> bool:
         """Whether the node currently signals congestion upstream."""

@@ -40,17 +40,19 @@ from repro.qos.classes import (
     expiry_of,
     lane_of,
 )
-from repro.qos.config import QosConfig
 from repro.qos.queue import PriorityFrameQueue, QueuedFrame
 from repro.qos.stats import QosStats
 from repro.sim.core import Simulator
 
 __all__ = ["MacQosScheduler"]
 
-#: Bounded per-node queue depth for alarm and for control frames
-#: (bulk's is ``QosConfig.bulk_queue_depth``).
+#: Bounded per-node queue depth for alarm and for control frames.
 ALARM_QUEUE_DEPTH = 16
 CONTROL_QUEUE_DEPTH = 16
+#: Bounded per-node queue depth for bulk frames.  Deliberately
+#: shallow: under overload bulk is shed at the hop, not buffered into
+#: uselessness.
+BULK_QUEUE_DEPTH = 8
 
 
 class MacQosScheduler:
@@ -60,19 +62,17 @@ class MacQosScheduler:
         self,
         sim: Simulator,
         mac: ContentionMac,
-        config: QosConfig,
-        state: Optional[BackpressureState],
+        state: BackpressureState,
         stats: QosStats,
     ) -> None:
         self._sim = sim
         self._mac = mac
-        self._config = config
         self._state = state
         self._stats = stats
         self._depths = {
             TrafficClass.ALARM: ALARM_QUEUE_DEPTH,
             TrafficClass.CONTROL: CONTROL_QUEUE_DEPTH,
-            TrafficClass.BULK: config.bulk_queue_depth,
+            TrafficClass.BULK: BULK_QUEUE_DEPTH,
         }
         self._queues: Dict[int, PriorityFrameQueue] = {}
         self._serving: Set[int] = set()
@@ -102,11 +102,7 @@ class MacQosScheduler:
         if expiry is not None and now > expiry:
             self._stats.deadline_drops += 1
             return "deadline_expired"
-        if (
-            lane == BULK_LANE
-            and self._state is not None
-            and self._state.is_congested(dst_id)
-        ):
+        if lane == BULK_LANE and self._state.is_congested(dst_id):
             self._stats.backpressure_sheds += 1
             return "backpressure_shed"
         queue = self._queues.get(src_id)
@@ -141,8 +137,7 @@ class MacQosScheduler:
             self._shed(frame)
             return
         self._stats.frames_queued += 1
-        if self._state is not None:
-            self._state.note_depth(src_id, queue.depth)
+        self._state.note_depth(src_id, queue.depth)
         if src_id not in self._serving:
             self._serve(src_id)
 
@@ -166,16 +161,14 @@ class MacQosScheduler:
                 break
             if queue.depth == 0:
                 self._serving.discard(node_id)
-                if state is not None:
-                    state.note_depth(node_id, 0)
+                state.note_depth(node_id, 0)
                 return
         self._stats.frames_served += 1
         radio_free = self._mac.service_frame(
             frame.src, frame.dst, frame.packet, frame.on_result
         )
         self._release_frame(frame)
-        if state is not None:
-            state.note_depth(node_id, queue.depth)
+        state.note_depth(node_id, queue.depth)
         self._sim.schedule(
             max(0.0, radio_free - self._sim.now),
             lambda: self._serve(node_id),

@@ -1,4 +1,4 @@
-"""QoS orchestration: builds and owns the enabled mechanisms.
+"""QoS orchestration: builds and owns the three mechanisms.
 
 :func:`~repro.experiments.runner.run_scenario` constructs one
 :class:`QosManager` per run when ``ScenarioConfig.qos`` is present,
@@ -10,12 +10,9 @@ choice), and the admission controller into the workload.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro.net.network import WirelessNetwork
 from repro.qos.admission import AdmissionController
 from repro.qos.backpressure import BackpressureState
-from repro.qos.config import QosConfig
 from repro.qos.mac import MacQosScheduler
 from repro.qos.stats import QosStats
 from repro.sim.core import Simulator
@@ -26,29 +23,14 @@ __all__ = ["QosManager"]
 class QosManager:
     """One scenario's QoS stack (scheduler + backpressure + admission)."""
 
-    def __init__(
-        self,
-        sim: Simulator,
-        network: WirelessNetwork,
-        config: QosConfig,
-    ) -> None:
-        self.config = config
+    def __init__(self, sim: Simulator, network: WirelessNetwork) -> None:
         self.stats = QosStats(registry=network.registry)
-        self.state: Optional[BackpressureState] = None
-        if config.backpressure:
-            self.state = BackpressureState(
-                config.high_water, config.low_water, self.stats
-            )
-        self.scheduler: Optional[MacQosScheduler] = None
-        if config.priority_mac:
-            self.scheduler = MacQosScheduler(
-                sim, network.mac, config, self.state, self.stats
-            )
-        self.admission: Optional[AdmissionController] = None
-        if config.admission:
-            self.admission = AdmissionController(config, self.state, self.stats)
+        self.state = BackpressureState(self.stats)
+        self.scheduler = MacQosScheduler(
+            sim, network.mac, self.state, self.stats
+        )
+        self.admission = AdmissionController(self.state, self.stats)
 
     def install(self, network: WirelessNetwork) -> None:
-        """Attach the scheduler to the network's MAC (if enabled)."""
-        if self.scheduler is not None:
-            network.mac.qos = self.scheduler
+        """Attach the scheduler to the network's MAC."""
+        network.mac.qos = self.scheduler

@@ -30,7 +30,7 @@ import random
 from collections import OrderedDict
 from typing import Callable, Dict, Optional, Tuple
 
-from repro.net.mac import PROCESSING_DELAY
+from repro.net.mac import PROCESSING_DELAY, airtime
 from repro.net.network import (
     DeliveryCallback,
     FailureCallback,
@@ -43,6 +43,10 @@ __all__ = ["ArqLink", "ArqStats"]
 
 #: Network-layer ACK frame size.
 ACK_BYTES = 14
+#: Seconds from a data frame's arrival to its ACK's.
+ACK_DELAY = airtime(ACK_BYTES) + PROCESSING_DELAY
+#: Probability an ACK frame is lost (exercises the duplicate path).
+ACK_LOSS = 0.01
 
 
 class ArqStats(StatsView):
@@ -80,7 +84,6 @@ class ArqLink:
         backoff: float = 0.01,
         backoff_factor: float = 2.0,
         jitter: float = 0.5,
-        ack_loss: float = 0.01,
         cache_size: int = 512,
         on_recovered: Optional[Callable[[], None]] = None,
     ) -> None:
@@ -93,7 +96,6 @@ class ArqLink:
         self._backoff = backoff
         self._backoff_factor = backoff_factor
         self._jitter = jitter
-        self._ack_loss = ack_loss
         self._cache_size = cache_size
         self._on_recovered = on_recovered
         self.stats = ArqStats(registry=network.registry)
@@ -211,14 +213,11 @@ class ArqLink:
                     handler(packet)
         # The ACK frame: receiver pays tx, sender pays rx on arrival.
         self._network.charge_tx(dst_id, PacketKind.ACK.label)
-        ack_delay = (
-            self._network.mac.config.airtime(ACK_BYTES) + PROCESSING_DELAY
-        )
-        if self._rng.random() < self._ack_loss:
+        if self._rng.random() < ACK_LOSS:
             self.stats.ack_losses += 1
             # No ACK will come: the sender times out and retransmits.
             self._network.sim.schedule(
-                ack_delay,
+                ACK_DELAY,
                 lambda: self._retry_or_fail(
                     src_id, dst_id, packet, tag, attempt, hop,
                     on_delivered, on_failed, deliver_to_handler,
@@ -232,7 +231,7 @@ class ArqLink:
             hop.done = True
             self._network.charge_rx(src_id, PacketKind.ACK.label)
 
-        self._network.sim.schedule(ack_delay, ack_arrived)
+        self._network.sim.schedule(ACK_DELAY, ack_arrived)
 
     def _retry_or_fail(
         self,

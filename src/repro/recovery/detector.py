@@ -13,13 +13,12 @@ Liveness judgement is purely message-grounded:
   counter (and absolves a previously condemned target);
 * a miss — the data frame failed at the MAC, the reply frame failed,
   or no reply arrived before the timeout — increments the counter;
-* ``suspicion_threshold`` consecutive misses condemn the target.
+* :data:`SUSPICION_THRESHOLD` consecutive misses condemn the target.
 
 Timeouts are adaptive per target (Jacobson-style: EWMA of observed
-probe RTT plus a variance margin), with a fixed-timeout strawman mode
-(``adaptive_timeout=False``) for fidelity experiments.  Probe and
-reply energy is charged to the ``probe`` ledger kind — the same
-topology-maintenance budget line the seed's maintenance probes used.
+probe RTT plus a variance margin).  Probe and reply energy is charged
+to the ``probe`` ledger kind — the same topology-maintenance budget
+line the seed's maintenance probes used.
 
 Ground truth (``node.usable``, chaos fail times) is consulted **only**
 for instrumentation, through the injectable audit hooks: condemning a
@@ -38,7 +37,6 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.net.network import WirelessNetwork
 from repro.net.packet import Packet, PacketKind
-from repro.recovery.config import RecoveryConfig
 from repro.sim.process import PeriodicProcess
 from repro.telemetry.registry import Registry
 from repro.telemetry.views import StatsView, counter_field
@@ -60,6 +58,14 @@ _RTTVAR_GAIN = 0.25
 MIN_TIMEOUT = 0.05
 #: Adaptive timeout = srtt + ``TIMEOUT_MARGIN`` * rttvar.
 TIMEOUT_MARGIN = 4.0
+#: Probe timeout before a target's first RTT sample, seconds.
+INITIAL_TIMEOUT = 0.25
+#: Seconds between heartbeat rounds.
+DETECTOR_PERIOD = 1.0
+#: Consecutive probe misses before a target is condemned.
+SUSPICION_THRESHOLD = 3
+#: Heartbeat frame size (probe and reply), bytes.
+PROBE_BYTES = 32
 
 
 @dataclass(frozen=True)
@@ -123,7 +129,6 @@ class FailureDetector:
         self,
         network: WirelessNetwork,
         rng: random.Random,
-        config: RecoveryConfig,
         pairs: PairsProvider,
         audit_usable: Optional[Callable[[int], bool]] = None,
         audit_clock: Optional[Callable[[int], Optional[float]]] = None,
@@ -133,7 +138,6 @@ class FailureDetector:
         (ground truth for FP counting and time-to-detect, never used in
         verdicts)."""
         self._network = network
-        self._config = config
         self._pairs = pairs
         self._audit_usable = audit_usable
         self._audit_clock = audit_clock
@@ -144,9 +148,9 @@ class FailureDetector:
         self._listeners: List[VerdictListener] = []
         self._process = PeriodicProcess(
             network.sim,
-            period=config.detector_period,
+            period=DETECTOR_PERIOD,
             action=self._round,
-            jitter=config.detector_period / 10.0,
+            jitter=DETECTOR_PERIOD / 10.0,
             rng=rng,
         )
 
@@ -213,12 +217,9 @@ class FailureDetector:
         return state
 
     def _timeout(self, state: Optional[_TargetState]) -> float:
-        cfg = self._config
-        if not cfg.adaptive_timeout:
-            return cfg.fixed_timeout
         if state is None or state.srtt is None:
             # No sample yet: start conservative, adapt downward later.
-            return max(MIN_TIMEOUT, cfg.fixed_timeout)
+            return INITIAL_TIMEOUT
         return max(MIN_TIMEOUT, state.srtt + TIMEOUT_MARGIN * state.rttvar)
 
     def _probe(self, monitor: int, target: int) -> None:
@@ -231,7 +232,7 @@ class FailureDetector:
         outcome = [_PENDING]
         probe = Packet(
             kind=PacketKind.PROBE,
-            size_bytes=self._config.probe_bytes,
+            size_bytes=PROBE_BYTES,
             source=monitor,
             destination=target,
             created_at=sent_at,
@@ -248,7 +249,7 @@ class FailureDetector:
             battery = self._network.node(target).battery_fraction
             reply = Packet(
                 kind=PacketKind.PROBE,
-                size_bytes=self._config.probe_bytes,
+                size_bytes=PROBE_BYTES,
                 source=target,
                 destination=monitor,
                 created_at=sim.now,
@@ -297,10 +298,7 @@ class FailureDetector:
         state = self._state(target)
         state.misses += 1
         self.stats.misses += 1
-        if (
-            state.misses >= self._config.suspicion_threshold
-            and not state.condemned
-        ):
+        if state.misses >= SUSPICION_THRESHOLD and not state.condemned:
             self._condemn(target, state)
 
     def _reply(
@@ -333,8 +331,8 @@ class FailureDetector:
             # A late reply proves liveness (absolve below) and trains
             # the RTT estimate, but the round already failed its
             # deadline: the consecutive-miss counter stands.  This is
-            # what makes a too-short fixed timeout visibly bad — it
-            # flaps condemn/absolve instead of silently self-curing.
+            # what makes a too-short timeout visibly bad — it flaps
+            # condemn/absolve instead of silently self-curing.
             self.stats.late_replies += 1
         else:
             state.misses = 0

@@ -34,7 +34,6 @@ from repro.chaos.models import FaultEvent
 from repro.chaos.probe import ResilienceProbe
 from repro.net.network import WirelessNetwork
 from repro.recovery.arq import ArqLink
-from repro.recovery.config import RecoveryConfig
 from repro.recovery.detector import FailureDetector, VerdictEvent
 from repro.recovery.healer import CanHealer
 from repro.util.stats import RunningStat
@@ -91,7 +90,6 @@ class RecoveryOrchestrator:
         self,
         network: WirelessNetwork,
         system,
-        config: RecoveryConfig,
         detector_rng: random.Random,
         arq_rng: random.Random,
         audit_clock: Optional[Callable[[int], Optional[float]]] = None,
@@ -103,7 +101,6 @@ class RecoveryOrchestrator:
         instrumentation."""
         self._network = network
         self._system = system
-        self._config = config
         self._audit_clock = audit_clock
         self._probe = probe
         self._round = 0
@@ -116,39 +113,31 @@ class RecoveryOrchestrator:
         self.detector = FailureDetector(
             network,
             detector_rng,
-            config,
             pairs=self._watch_pairs,
             audit_usable=self._ground_truth_usable,
             audit_clock=audit_clock,
         )
         self.detector.add_listener(self._on_verdict)
 
-        self.arq: Optional[ArqLink] = None
-        if config.arq:
-            router = system.router
-            self.arq = ArqLink(
-                network,
-                arq_rng,
-                ack_loss=config.ack_loss,
-                on_recovered=router.note_retransmit_recovered,
-            )
-            router.set_reliable_link(self.arq)
+        router = system.router
+        self.arq = ArqLink(
+            network,
+            arq_rng,
+            on_recovered=router.note_retransmit_recovered,
+        )
+        router.set_reliable_link(self.arq)
 
-        self.healer: Optional[CanHealer] = None
-        if config.heal_can:
-            self.healer = CanHealer(system.plan, registry=network.registry)
-            system.router.set_can_healer(self.healer)
+        self.healer = CanHealer(system.plan, registry=network.registry)
+        router.set_can_healer(self.healer)
 
-        if config.detector:
-            system.maintenance.set_detector(self.detector)
-            for cell in system.cells:
-                cell.add_observer(self._membership_changed)
+        system.maintenance.set_detector(self.detector)
+        for cell in system.cells:
+            cell.add_observer(self._membership_changed)
 
     # -- lifecycle ---------------------------------------------------------
 
     def start(self, initial_delay: float = 0.0) -> None:
-        if self._config.detector:
-            self.detector.start(initial_delay)
+        self.detector.start(initial_delay)
 
     def stop(self) -> None:
         self.detector.stop()
@@ -215,19 +204,17 @@ class RecoveryOrchestrator:
                             max(0.0, event.time - failed_at)
                         )
             if node_id in self._actuators:
-                if self.healer is not None:
-                    self.healer.condemn(node_id)
-                    # The takeover itself is immediate: zones and keys
-                    # re-home synchronously with the verdict.
-                    self._note_repaired(event.time - reference)
+                self.healer.condemn(node_id)
+                # The takeover itself is immediate: zones and keys
+                # re-home synchronously with the verdict.
+                self._note_repaired(event.time - reference)
             else:
                 # Sensors are repaired by the next maintenance round;
                 # the membership observer closes this window.
                 self._pending_repairs[node_id] = reference
         else:
             if node_id in self._actuators:
-                if self.healer is not None:
-                    self.healer.absolve(node_id)
+                self.healer.absolve(node_id)
             else:
                 # The node came back before maintenance replaced it.
                 self._pending_repairs.pop(node_id, None)
@@ -257,8 +244,8 @@ class RecoveryOrchestrator:
     ) -> RecoveryReport:
         """Condense the run's recovery behaviour into one record."""
         stats = self.detector.stats
-        arq = self.arq.stats if self.arq is not None else None
-        healer = self.healer.stats if self.healer is not None else None
+        arq = self.arq.stats
+        healer = self.healer.stats
         return RecoveryReport(
             probes_sent=stats.probes_sent,
             replies=stats.replies,
@@ -269,16 +256,14 @@ class RecoveryOrchestrator:
             missed_faults=self._missed_faults(fault_events),
             mean_time_to_detect_s=stats.detection_latency.mean,
             mean_time_to_repair_s=self.repair_latency.mean,
-            arq_attempts=arq.attempts if arq else 0,
-            arq_retransmissions=arq.retransmissions if arq else 0,
-            arq_recovered=arq.recovered_by_retransmit if arq else 0,
-            arq_duplicates_suppressed=(
-                arq.duplicates_suppressed if arq else 0
-            ),
-            arq_exhausted=arq.exhausted if arq else 0,
-            can_takeovers=healer.takeovers if healer else 0,
-            can_rejoins=healer.rejoins if healer else 0,
-            can_rehomed_keys=healer.rehomed_keys if healer else 0,
+            arq_attempts=arq.attempts,
+            arq_retransmissions=arq.retransmissions,
+            arq_recovered=arq.recovered_by_retransmit,
+            arq_duplicates_suppressed=arq.duplicates_suppressed,
+            arq_exhausted=arq.exhausted,
+            can_takeovers=healer.takeovers,
+            can_rejoins=healer.rejoins,
+            can_rehomed_keys=healer.rehomed_keys,
         )
 
     def _missed_faults(self, events: Sequence[FaultEvent]) -> int:

@@ -9,8 +9,8 @@ no flight recorder and no profiler, and ``RunResult.telemetry`` stays
 ``None`` so results are byte-identical to pre-telemetry goldens.
 
 :class:`Telemetry` is the live bundle the runner hands back on
-``RunResult.telemetry``: the registry plus whichever optional
-components the config enabled.
+``RunResult.telemetry``: the registry and the flight recorder, plus
+whichever optional components the config enabled.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
-from repro.errors import ConfigError
 from repro.telemetry.flight import FlightRecorder
 from repro.telemetry.profiler import SimProfiler
 from repro.telemetry.registry import Registry
@@ -29,12 +28,12 @@ __all__ = ["TelemetryConfig", "Telemetry"]
 
 @dataclass(frozen=True)
 class TelemetryConfig:
-    """What to record during a run (hashable; part of the memo key)."""
+    """What to record during a run (hashable; part of the memo key).
 
-    #: Record per-packet journeys (:mod:`repro.telemetry.flight`).
-    flight: bool = True
-    #: Packets retained by the flight recorder's ring buffer.
-    flight_capacity: int = 4096
+    Per-packet journeys (:mod:`repro.telemetry.flight`) are always
+    recorded.
+    """
+
     #: Attribute simulated work per event kind
     #: (:mod:`repro.telemetry.profiler`).
     profiler: bool = True
@@ -46,17 +45,13 @@ class TelemetryConfig:
     #: attribute check.
     tracing: Optional[TracingConfig] = None
 
-    def __post_init__(self) -> None:
-        if self.flight_capacity <= 0:
-            raise ConfigError("flight_capacity must be positive")
-
 
 @dataclass
 class Telemetry:
     """The live telemetry of one run (``RunResult.telemetry``)."""
 
     registry: Registry = field(default_factory=Registry)
-    flight: Optional[FlightRecorder] = None
+    flight: FlightRecorder = field(default_factory=FlightRecorder)
     profiler: Optional[SimProfiler] = None
     trace: Optional[TraceStream] = None
     #: Detector verdict timeline ``(time, subject, verdict, detail)``,
@@ -67,11 +62,6 @@ class Telemetry:
     def from_config(cls, config: TelemetryConfig) -> "Telemetry":
         """Build the bundle an enabled run records into."""
         return cls(
-            registry=Registry(),
-            flight=(
-                FlightRecorder(config.flight_capacity)
-                if config.flight else None
-            ),
             profiler=(
                 SimProfiler(wall_clock=config.wall_clock)
                 if config.profiler else None

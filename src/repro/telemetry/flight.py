@@ -6,9 +6,9 @@ sequence of :class:`FlightEvent`\\ s keyed by the packet ``uid``.  All
 timestamps are **sim time**; nothing here reads a wall clock, so a
 recorded flight is byte-reproducible across runs of the same seed.
 
-Memory is ring-bounded: at most ``capacity`` packets are retained and
-the oldest journey is evicted first, while aggregate counters (events
-recorded, journeys evicted) survive eviction.
+Memory is ring-bounded: at most :data:`FLIGHT_CAPACITY` packets are
+retained and the oldest journey is evicted first, while aggregate
+counters (events recorded, journeys evicted) survive eviction.
 
 The recorder is queryable (:meth:`events`, :meth:`journey`) and
 exportable as JSONL (one line per packet, via
@@ -20,9 +20,10 @@ from __future__ import annotations
 from collections import OrderedDict
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
-from repro.errors import TelemetryError
-
 __all__ = ["FlightRecorder", "FlightEvent", "Journey", "DROP_REASONS"]
+
+#: Packets the recorder retains (the oldest journey is evicted first).
+FLIGHT_CAPACITY = 4096
 
 #: The drop-reason taxonomy.  Routers stamp one of these into
 #: ``packet.meta["drop_reason"]`` at the moment they give up on a
@@ -110,14 +111,12 @@ class Journey(NamedTuple):
 class FlightRecorder:
     """Ring-buffered per-packet event recorder.
 
-    ``capacity`` bounds the number of *packets* retained (each with its
-    full event list); the counters below are lifetime totals.
+    :data:`FLIGHT_CAPACITY` bounds the number of *packets* retained
+    (each with its full event list); the counters below are lifetime
+    totals.
     """
 
-    def __init__(self, capacity: int = 4096) -> None:
-        if capacity <= 0:
-            raise TelemetryError("flight capacity must be positive")
-        self._capacity = capacity
+    def __init__(self) -> None:
         # Each journey is a FLAT list of scalars, 5 slots per event
         # (time, kind, src, dst, info).  Scalars are GC-untracked, so
         # the recorder's retained state adds only the journey lists
@@ -150,7 +149,7 @@ class FlightRecorder:
         journeys = self._journeys
         events = journeys[uid] = []
         self.journeys_started += 1
-        while len(journeys) > self._capacity:
+        while len(journeys) > FLIGHT_CAPACITY:
             journeys.popitem(last=False)
             self.journeys_evicted += 1
         return events

@@ -24,6 +24,8 @@ from __future__ import annotations
 import argparse
 from typing import List, Optional, Sequence
 
+from repro.experiments.metrics import QOS_DEADLINE
+
 __all__ = ["render", "main"]
 
 _RULE = "-" * 64
@@ -44,7 +46,7 @@ def _funnel_section(result) -> List[str]:
     stages = [
         ("generated", generated),
         ("delivered (any latency)", result.delivered_total),
-        (f"delivered within {result.config.qos_deadline:.2f}s",
+        (f"delivered within {QOS_DEADLINE:.2f}s",
          result.delivered_qos),
     ]
     for label, count in stages:
@@ -156,7 +158,7 @@ def _drop_section(result) -> List[str]:
                 for labels, metric in family.items()
                 if metric.value
             }
-        if not reasons and telemetry.flight is not None:
+        if not reasons:
             reasons = telemetry.flight.drop_reasons()
     if not reasons:
         lines.append("  (no drops recorded)")
@@ -360,7 +362,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             with open(args.metrics_jsonl, "w", encoding="utf-8") as fh:
                 for line in registry_to_jsonl_lines(telemetry.registry):
                     fh.write(line + "\n")
-        if args.flight_jsonl and telemetry.flight is not None:
+        if args.flight_jsonl:
             with open(args.flight_jsonl, "w", encoding="utf-8") as fh:
                 for line in flight_to_jsonl_lines(telemetry.flight):
                     fh.write(line + "\n")

@@ -23,13 +23,16 @@ from repro.wsan.deployment import DeploymentPlan
 DeliveredCallback = Callable[[Packet], None]
 DroppedCallback = Callable[[Packet], None]
 
+#: Transmission range of a sensor and of an actuator, metres (the
+#: paper's 100 m / 250 m).
+SENSOR_RANGE = 100.0
+ACTUATOR_RANGE = 250.0
+
 
 def build_nodes(
     network: WirelessNetwork,
     plan: DeploymentPlan,
     rng: random.Random,
-    sensor_range: float = 100.0,
-    actuator_range: float = 250.0,
     sensor_max_speed: float = 3.0,
     battery_joules: Optional[float] = None,
 ) -> None:
@@ -44,7 +47,7 @@ def build_nodes(
     leg_draws = KeyedStream(rng)
     for i, pos in enumerate(plan.actuator_positions):
         network.add_node(
-            Node(i, NodeRole.ACTUATOR, StaticMobility(pos), actuator_range)
+            Node(i, NodeRole.ACTUATOR, StaticMobility(pos), ACTUATOR_RANGE)
         )
     base = plan.actuator_count
     for j, pos in enumerate(plan.sensor_positions):
@@ -59,7 +62,7 @@ def build_nodes(
                 base + j,
                 NodeRole.SENSOR,
                 mobility,
-                sensor_range,
+                SENSOR_RANGE,
                 battery_joules=battery_joules,
             )
         )

@@ -13,8 +13,8 @@ from repro.chaos import (
     PermanentCrashFault,
     RegionalBlackoutFault,
 )
+from repro.chaos.models import BAD_QUALITY, TARGET_FRACTION
 from repro.errors import ConfigError
-from repro.net.mac import MacConfig
 from repro.net.mobility import StaticMobility
 from repro.net.network import WirelessNetwork
 from repro.net.node import Node, NodeRole
@@ -25,11 +25,7 @@ from repro.util.geometry import Point
 def build_grid(side=4, spacing=70.0, seed=1, actuators=0):
     """A side x side grid; the first ``actuators`` nodes are actuators."""
     sim = Simulator()
-    net = WirelessNetwork(
-        sim,
-        random.Random(seed),
-        mac_config=MacConfig(base_loss=0.0, contention_loss=0.0),
-    )
+    net = WirelessNetwork(sim, random.Random(seed))
     for i in range(side):
         for j in range(side):
             node_id = i * side + j
@@ -154,22 +150,21 @@ class TestActuatorOutage:
 class TestRegionalBlackout:
     def test_disc_fails_and_recovers(self):
         sim, net = build_grid(spacing=70.0)
-        center = Point(0.0, 0.0)
         fault = RegionalBlackoutFault(
             net, random.Random(4),
             area_side=210.0, radius=80.0, duration=5.0, period=20.0,
-            center=center,
         )
         fault.start()
         sim.run_until(1.0)
         now = sim.now
+        center = fault.last_center
         inside = {
             n for n in all_ids(net)
             if net.node(n).position(now).distance_to(center) <= 80.0
         }
         assert fault.faulty_nodes == inside
-        assert inside                       # the corner nodes
-        assert fault.last_center == center
+        # Every point of the area is within 50 m of a grid node.
+        assert inside
         sim.run_until(6.0)
         assert not fault.faulty_nodes
 
@@ -192,7 +187,6 @@ class TestBatteryDepletion:
         fault = BatteryDepletionFault(
             net, random.Random(6),
             count=lambda: 3, eligible=lambda: all_ids(net),
-            target_fraction=0.02,
         )
         fault.start()
         sim.run_until(1.0)
@@ -203,7 +197,7 @@ class TestBatteryDepletion:
             # below any maintenance threshold, but still usable.
             assert node.battery_joules is not None
             assert node.usable
-            assert node.battery_fraction <= 0.02 + 1e-9
+            assert node.battery_fraction <= TARGET_FRACTION + 1e-9
         assert fault.active()
 
     def test_stop_does_not_restore_energy(self):
@@ -217,7 +211,7 @@ class TestBatteryDepletion:
         drained = set(fault.drained)
         fault.stop()
         for n in drained:
-            assert net.node(n).battery_fraction <= 0.02 + 1e-9
+            assert net.node(n).battery_fraction <= TARGET_FRACTION + 1e-9
         assert fault.active()   # damage persists
 
     def test_respects_existing_meter(self):
@@ -283,18 +277,18 @@ class TestGilbertElliottLinks:
         # Links with an endpoint outside the eligible set are untouched.
         assert net.medium.can_transmit(4, 5, now)
 
-    def test_quality_scaled_not_cut(self):
+    def test_bad_link_margin_is_scaled_by_bad_quality(self):
         sim, net = build_grid()
+        healthy = net.medium.link_quality(0, 1, 0.0)
         fault = GilbertElliottLinkFault(
             net, random.Random(7), mean_good=0.01, mean_bad=100.0,
-            bad_quality=0.5,
         )
         fault.start()
         sim.run_until(5.0)
         now = sim.now
-        healthy = net.medium.link_quality(0, 1, now)
-        if not fault.link_up(0, 1, now):
-            assert 0.0 < healthy < 1.0 or healthy == 0.0
+        assert 0.0 < healthy < 1.0
+        assert not fault.link_up(0, 1, now)
+        assert net.medium.link_quality(0, 1, now) == healthy * BAD_QUALITY
 
 
 class TestCoordinator:

@@ -29,7 +29,7 @@ def inject(time, model="crash-rotation"):
 
 class TestWindowing:
     def test_bucketing_by_creation_time(self):
-        probe = ResilienceProbe(Simulator(), window=1.0)
+        probe = ResilienceProbe(Simulator())
         feed(probe, 0.5, generated=4, delivered=4)
         feed(probe, 1.5, generated=4, delivered=2)
         samples = probe.samples()
@@ -38,21 +38,17 @@ class TestWindowing:
         assert samples[1].ratio == 0.5
 
     def test_ratio_between(self):
-        probe = ResilienceProbe(Simulator(), window=1.0)
+        probe = ResilienceProbe(Simulator())
         feed(probe, 0.5, 4, 4)
         feed(probe, 1.5, 4, 0)
         assert probe.ratio_between(0.0, 2.0) == 0.5
         assert probe.ratio_between(0.0, 1.0) == 1.0
         assert probe.ratio_between(5.0, 9.0) == 0.0
 
-    def test_invalid_window_rejected(self):
-        with pytest.raises(ConfigError):
-            ResilienceProbe(Simulator(), window=0.0)
-
 
 class TestRecoveryReport:
     def test_dip_and_recovery(self):
-        probe = ResilienceProbe(Simulator(), window=1.0)
+        probe = ResilienceProbe(Simulator())
         for t in (0.5, 1.5, 2.5):
             feed(probe, t, 10, 10)     # healthy baseline
         feed(probe, 3.5, 10, 2)        # fault hits at t=3
@@ -69,7 +65,7 @@ class TestRecoveryReport:
         assert record.degradation == pytest.approx(0.8)
 
     def test_no_dip_recovers_immediately(self):
-        probe = ResilienceProbe(Simulator(), window=1.0)
+        probe = ResilienceProbe(Simulator())
         for t in (0.5, 1.5, 2.5, 3.5):
             feed(probe, t, 10, 10)
         summary = probe.recovery_report([inject(3.0)])
@@ -78,7 +74,7 @@ class TestRecoveryReport:
         assert record.trough == 1.0
 
     def test_never_recovers(self):
-        probe = ResilienceProbe(Simulator(), window=1.0)
+        probe = ResilienceProbe(Simulator())
         feed(probe, 0.5, 10, 10)
         feed(probe, 1.5, 10, 0)
         feed(probe, 2.5, 10, 0)
@@ -91,7 +87,7 @@ class TestRecoveryReport:
         assert summary.mean_recovery_s == 0.0
 
     def test_no_traffic_after_fault(self):
-        probe = ResilienceProbe(Simulator(), window=1.0)
+        probe = ResilienceProbe(Simulator())
         feed(probe, 0.5, 10, 9)
         summary = probe.recovery_report([inject(5.0)])
         record = summary.records[0]
@@ -99,7 +95,7 @@ class TestRecoveryReport:
         assert record.trough == record.baseline
 
     def test_baseline_from_preceding_windows_only(self):
-        probe = ResilienceProbe(Simulator(), window=1.0)
+        probe = ResilienceProbe(Simulator())
         feed(probe, 0.5, 10, 0)        # ancient outage, outside baseline
         for t in (2.5, 3.5, 4.5):
             feed(probe, t, 10, 8)
@@ -109,7 +105,7 @@ class TestRecoveryReport:
         assert summary.records[0].recovery_windows == 0
 
     def test_recover_events_ignored(self):
-        probe = ResilienceProbe(Simulator(), window=1.0)
+        probe = ResilienceProbe(Simulator())
         feed(probe, 0.5, 10, 10)
         recover = FaultEvent(time=0.2, model="m", kind="recover", nodes=(1,))
         summary = probe.recovery_report([recover])
@@ -118,7 +114,7 @@ class TestRecoveryReport:
         assert summary.worst_trough == 1.0
 
     def test_multiple_faults_aggregate(self):
-        probe = ResilienceProbe(Simulator(), window=1.0)
+        probe = ResilienceProbe(Simulator())
         for t in (0.5, 1.5):
             feed(probe, t, 10, 10)
         feed(probe, 2.5, 10, 5)        # fault 1 at t=2, recovers next window
@@ -133,6 +129,6 @@ class TestRecoveryReport:
         assert summary.mean_recovery_s == pytest.approx(1.0)
 
     def test_invalid_baseline_windows(self):
-        probe = ResilienceProbe(Simulator(), window=1.0)
+        probe = ResilienceProbe(Simulator())
         with pytest.raises(ConfigError):
             probe.recovery_report([], baseline_windows=0)

@@ -42,6 +42,32 @@ class TestFaultSpecValidation:
         with pytest.raises(ConfigError):
             FaultSpec(kind="rotation", start=-1.0)
 
+    @pytest.mark.parametrize(
+        "kind, field, value",
+        [
+            # Each was accepted; the comment says what a 3 s run of 60
+            # sensors then did.
+            ("rotation", "start", float("nan")),     # SimulationError
+            ("rotation", "start", float("inf")),     # SimulationError
+            ("rotation", "period", float("inf")),    # SimulationError
+            ("rotation", "period", float("nan")),    # SimulationError
+            ("rotation", "duration", float("nan")),
+            ("rotation", "duration", float("inf")),
+            ("blackout", "radius", float("nan")),    # blacked out nothing
+            ("blackout", "radius", 0.0),             # refused by run_scenario
+            ("blackout", "radius", float("inf")),    # blacked out everyone
+            ("links", "mean_good", float("nan")),    # ran, no fade
+            ("links", "mean_good", float("inf")),
+            ("links", "mean_bad", 0.0),              # refused by run_scenario
+            ("links", "mean_bad", float("nan")),     # ran, no fade
+        ],
+    )
+    def test_non_finite_or_non_positive_values_rejected(
+        self, kind, field, value
+    ):
+        with pytest.raises(ConfigError):
+            FaultSpec(kind=kind, **{field: value})
+
     def test_outage_duration_must_fit_period(self):
         with pytest.raises(ConfigError):
             FaultSpec(kind="actuator", period=5.0, duration=5.0)
@@ -72,10 +98,6 @@ class TestScenarioConfigIntegration:
     def test_non_spec_entries_rejected(self):
         with pytest.raises(ConfigError):
             ScenarioConfig(fault_spec=("rotation",))
-
-    def test_invalid_probe_window_rejected(self):
-        with pytest.raises(ConfigError):
-            ScenarioConfig(probe_window=0.0)
 
 
 class TestBuildChaosModel:

@@ -137,11 +137,6 @@ class TestEmbeddingProtocol:
         assert protocol.stats.starting_server in range(5)
         assert len(protocol.stats.actuator_colors) == 5
 
-    def test_rejects_non_k3_diameter(self, world):
-        sim, network, plan, rng = world
-        with pytest.raises(EmbeddingError):
-            EmbeddingProtocol(network, plan, rng, diameter=4)
-
     def test_generic_fill_for_higher_degree(self, world):
         """Extension: K(3, 3) cells (36 vertices) also embed."""
         sim, network, plan, rng = world

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from repro.core.embedding import EmbeddingProtocol
-from repro.core.maintenance import TopologyMaintenance
+from repro.core.maintenance import MAINTENANCE_PERIOD, TopologyMaintenance
 from repro.net.energy import Phase
 from repro.net.network import WirelessNetwork
 from repro.sim.core import Simulator
@@ -38,7 +38,6 @@ def build_world(seed=42, speed=0.0):
         is_member=members.__contains__,
         claim=members.add,
         release=members.discard,
-        period=1.0,
     )
     return sim, network, cells, duty, maintenance, members
 
@@ -47,7 +46,7 @@ class TestProbing:
     def test_probes_charged_every_round(self):
         sim, network, cells, duty, maintenance, members = build_world()
         maintenance.start()
-        sim.run_until(3.5)
+        sim.run_until(3.5 * MAINTENANCE_PERIOD)
         # 36 sensor-held KIDs probed per round, several rounds.
         assert maintenance.stats.probes >= 36 * 3
         assert network.energy.total(Phase.COMMUNICATION) > 0
@@ -62,18 +61,18 @@ class TestProbing:
         """
         sim, network, cells, duty, maintenance, members = build_world()
         maintenance.start()
-        sim.run_until(10.0)
+        sim.run_until(10 * MAINTENANCE_PERIOD)
         settled = maintenance.stats.replacements
-        sim.run_until(30.0)
+        sim.run_until(30 * MAINTENANCE_PERIOD)
         assert maintenance.stats.replacements == settled
 
     def test_stop_halts_probing(self):
         sim, network, cells, duty, maintenance, members = build_world()
         maintenance.start()
-        sim.run_until(2.0)
+        sim.run_until(2 * MAINTENANCE_PERIOD)
         maintenance.stop()
         count = maintenance.stats.probes
-        sim.run_until(10.0)
+        sim.run_until(10 * MAINTENANCE_PERIOD)
         assert maintenance.stats.probes == count
 
 
@@ -83,7 +82,7 @@ class TestReplacement:
         victim = next(iter(cells[0].sensor_member_ids))
         network.fail_node(victim)
         maintenance.start()
-        sim.run_until(2.5)
+        sim.run_until(2.5 * MAINTENANCE_PERIOD)
         assert maintenance.stats.replacements >= 1
         assert not cells[0].holds(victim)
         assert victim not in members
@@ -94,7 +93,7 @@ class TestReplacement:
         kid = cells[0].kid_of(victim)
         network.fail_node(victim)
         maintenance.start()
-        sim.run_until(2.5)
+        sim.run_until(2.5 * MAINTENANCE_PERIOD)
         newcomer = cells[0].node_of(kid)
         assert newcomer != victim
         assert duty.is_active(newcomer)
@@ -106,7 +105,7 @@ class TestReplacement:
         kid = cells[0].kid_of(victim)
         network.fail_node(victim)
         maintenance.start()
-        sim.run_until(2.5)
+        sim.run_until(2.5 * MAINTENANCE_PERIOD)
         newcomer = cells[0].node_of(kid)
         assert network.node(newcomer).usable
         assert newcomer in members
@@ -115,7 +114,7 @@ class TestReplacement:
         sim, network, cells, duty, maintenance, members = build_world()
         network.fail_node(0)   # the centre actuator
         maintenance.start()
-        sim.run_until(3.0)
+        sim.run_until(3 * MAINTENANCE_PERIOD)
         for cell in cells:
             assert cell.holds(0)
 
@@ -142,7 +141,7 @@ class TestReplacementLatency:
         victim = next(iter(cells[0].sensor_member_ids))
         network.fail_node(victim)
         maintenance.start()
-        sim.run_until(2.5)
+        sim.run_until(2.5 * MAINTENANCE_PERIOD)
         assert maintenance.stats.replacements >= 1
         assert maintenance.stats.replacement_latency.count >= 1
         assert maintenance.stats.replacement_latency.mean >= 0.0
@@ -158,7 +157,7 @@ class TestReplacementLatency:
             lambda nid: 0.0 if nid == victim else None
         )
         maintenance.start()
-        sim.run_until(2.5)
+        sim.run_until(2.5 * MAINTENANCE_PERIOD)
         assert not cells[0].holds(victim)
         assert cells[0].kid_assigned(kid)
         assert maintenance.stats.fault_replacements >= 1
@@ -174,7 +173,7 @@ class TestReplacementLatency:
         # Recover before any candidate replaces it... if replacement
         # already happened this test still holds vacuously.
         network.recover_node(victim)
-        sim.run_until(5.0)
+        sim.run_until(5 * MAINTENANCE_PERIOD)
         settled = maintenance.stats.replacements
-        sim.run_until(10.0)
+        sim.run_until(10 * MAINTENANCE_PERIOD)
         assert maintenance.stats.replacements == settled

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from repro.core.ids import ReferId
-from repro.core.system import ReferConfig, ReferSystem
+from repro.core.system import ReferSystem
 from repro.errors import ConfigError
 from repro.net.energy import Phase
 from repro.net.network import WirelessNetwork
@@ -15,13 +15,13 @@ from repro.wsan.deployment import plan_deployment
 from repro.wsan.system import build_nodes
 
 
-def build_system(seed=42, speed=1.0, sensors=200, config=ReferConfig()):
+def build_system(seed=42, speed=1.0, sensors=200):
     rng = random.Random(seed)
     sim = Simulator()
     network = WirelessNetwork(sim, rng)
     plan = plan_deployment(sensors, 500.0, rng)
     build_nodes(network, plan, rng, sensor_max_speed=speed)
-    system = ReferSystem(network, plan, rng, config)
+    system = ReferSystem(network, plan, rng)
     return sim, network, system
 
 
@@ -67,12 +67,6 @@ class TestLifecycle:
             if s not in system.member_sensor_ids
         )
         assert system.id_of(outsider) is None
-
-    def test_invalid_config(self):
-        with pytest.raises(ConfigError):
-            ReferConfig(degree=1)
-        with pytest.raises(ConfigError):
-            ReferConfig(maintenance_period=0)
 
 
 class TestEndToEnd:

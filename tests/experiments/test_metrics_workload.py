@@ -6,12 +6,17 @@ import signal
 import pytest
 
 from repro.experiments.config import FaultConfig, ScenarioConfig
-from repro.experiments.metrics import MetricsCollector
+from repro.experiments.metrics import QOS_DEADLINE, MetricsCollector
 from repro.experiments.runner import run_scenario
-from repro.experiments.workload import CbrWorkload
+from repro.experiments.workload import (
+    SOURCE_WINDOW,
+    SOURCES_PER_WINDOW,
+    CbrWorkload,
+)
 from repro.errors import ConfigError
 from repro.net.packet import Packet, PacketKind
 from repro.sim.core import Simulator
+from repro.wsan.system import ACTUATOR_RANGE, SENSOR_RANGE
 
 
 def packet(created_at, deadline=0.6):
@@ -22,12 +27,12 @@ class TestScenarioConfig:
     def test_defaults_match_paper_geometry(self):
         cfg = ScenarioConfig()
         assert cfg.area_side == 500.0
-        assert cfg.sensor_range == 100.0
-        assert cfg.actuator_range == 250.0
+        assert SENSOR_RANGE == 100.0
+        assert ACTUATOR_RANGE == 250.0
         assert cfg.sensor_count == 200
-        assert cfg.qos_deadline == 0.6
-        assert cfg.sources_per_window == 5
-        assert cfg.source_window == 10.0
+        assert QOS_DEADLINE == 0.6
+        assert SOURCES_PER_WINDOW == 5
+        assert SOURCE_WINDOW == 10.0
 
     def test_with_override(self):
         cfg = ScenarioConfig().with_(sensor_count=300, seed=9)
@@ -52,11 +57,6 @@ class TestScenarioConfig:
     @pytest.mark.parametrize(
         "field,value",
         [
-            ("source_window", 0.0),       # CbrWorkload.start never returned
-            ("source_window", float("nan")),
-            ("sensor_range", 0.0),        # NetworkError from construction
-            ("sensor_range", float("nan")),
-            ("actuator_range", -5.0),
             ("sensor_max_speed", -1.0),   # bare ValueError: invalid speed range
             ("sensor_max_speed", float("nan")),
             ("sensor_max_speed", float("inf")),
@@ -78,14 +78,13 @@ class TestScenarioConfig:
             ("rate_pps", float("nan")),   # ran, generated 0 packets
             ("area_side", float("nan")),  # bare ValueError
             ("area_side", float("inf")),  # bare OverflowError
-            ("sources_per_window", -1),   # bare ValueError from sample()
         ],
     )
     def test_one_field_inputs_are_refused_before_a_deadline(
         self, field, value
     ):
         """Each input hung or leaked a bare error from ``run_scenario``
-        (60 sensors, 2 s).  ``ScenarioConfig`` refuses all seven today, so
+        (60 sensors, 2 s).  ``ScenarioConfig`` refuses all six today, so
         the alarm only matters the day a check is lost: the suite then
         fails here after 15 s and does not hang."""
 
@@ -113,14 +112,13 @@ class TestScenarioConfig:
         ).sensor_count == floor
 
     def test_boundary_values_stay_legal(self):
-        assert ScenarioConfig(source_window=float("inf")).source_window > 0
         assert ScenarioConfig(sensor_max_speed=0.0).sensor_max_speed == 0.0
 
 
 class TestMetrics:
     def test_warmup_packets_ignored(self):
         sim = Simulator()
-        metrics = MetricsCollector(sim, 0.6, warmup_end=10.0)
+        metrics = MetricsCollector(sim, warmup_end=10.0)
         metrics.on_generated(packet(5.0))
         metrics.on_delivered(packet(5.0))
         metrics.on_dropped(packet(5.0))
@@ -130,7 +128,7 @@ class TestMetrics:
 
     def test_qos_window(self):
         sim = Simulator()
-        metrics = MetricsCollector(sim, 0.6, warmup_end=0.0)
+        metrics = MetricsCollector(sim, warmup_end=0.0)
         sim.schedule(0.5, lambda: metrics.on_delivered(packet(0.0)))
         sim.schedule(1.0, lambda: metrics.on_delivered(packet(0.1)))
         sim.run()
@@ -140,19 +138,19 @@ class TestMetrics:
 
     def test_throughput(self):
         sim = Simulator()
-        metrics = MetricsCollector(sim, 0.6, warmup_end=0.0)
+        metrics = MetricsCollector(sim, warmup_end=0.0)
         sim.schedule(0.1, lambda: metrics.on_delivered(packet(0.0)))
         sim.run()
         assert metrics.throughput_bps(10.0) == 1000 * 8 / 10.0
 
     def test_throughput_invalid_window(self):
-        metrics = MetricsCollector(Simulator(), 0.6, 0.0)
+        metrics = MetricsCollector(Simulator(), 0.0)
         with pytest.raises(ValueError):
             metrics.throughput_bps(0.0)
 
     def test_delay_only_counts_qos_packets(self):
         sim = Simulator()
-        metrics = MetricsCollector(sim, 0.6, warmup_end=0.0)
+        metrics = MetricsCollector(sim, warmup_end=0.0)
         sim.schedule(0.2, lambda: metrics.on_delivered(packet(0.0)))
         sim.schedule(5.0, lambda: metrics.on_delivered(packet(0.1)))
         sim.run()
@@ -161,7 +159,7 @@ class TestMetrics:
 
     def test_delivery_ratio(self):
         sim = Simulator()
-        metrics = MetricsCollector(sim, 0.6, warmup_end=0.0)
+        metrics = MetricsCollector(sim, warmup_end=0.0)
         assert metrics.delivery_ratio == 0.0
         metrics.on_generated(packet(0.0))
         metrics.on_generated(packet(0.0))
@@ -194,32 +192,34 @@ class _StubNetwork:
 
 
 class TestWorkload:
-    def build(self, rate=10.0, window=10.0, sources=3):
+    def build(self, rate=10.0):
         sim = Simulator()
-        metrics = MetricsCollector(sim, 0.6, warmup_end=0.0)
+        metrics = MetricsCollector(sim, warmup_end=0.0)
         system = _StubSystem(sim, range(100, 160), _StubNetwork())
         workload = CbrWorkload(
             sim, system, metrics, random.Random(1),
-            rate_pps=rate, packet_bytes=500, qos_deadline=0.6,
-            sources_per_window=sources, source_window=window,
+            rate_pps=rate, packet_bytes=500,
         )
         return sim, metrics, system, workload
 
     def test_packet_count_matches_rate(self):
-        sim, metrics, system, workload = self.build(rate=10.0, sources=3)
-        workload.start(0.0, 10.0)
-        sim.run_until(11.0)
-        expected = 3 * 10 * 10   # sources x rate x duration
-        assert abs(len(system.sent) - expected) <= 3
+        sim, metrics, system, workload = self.build(rate=10.0)
+        workload.start(0.0, SOURCE_WINDOW)
+        sim.run_until(SOURCE_WINDOW + 1.0)
+        # sources x rate x duration
+        expected = SOURCES_PER_WINDOW * 10 * SOURCE_WINDOW
+        assert abs(len(system.sent) - expected) <= SOURCES_PER_WINDOW
 
     def test_sources_rotate_each_window(self):
         sim, metrics, system, workload = self.build(rate=2.0)
-        workload.start(0.0, 30.0)
-        sim.run_until(31.0)
+        workload.start(0.0, 3 * SOURCE_WINDOW)
+        sim.run_until(3 * SOURCE_WINDOW + 1.0)
         assert workload.windows == 3
         by_window = {}
         for src, pkt in system.sent:
-            by_window.setdefault(int(pkt.created_at // 10), set()).add(src)
+            by_window.setdefault(
+                int(pkt.created_at // SOURCE_WINDOW), set()
+            ).add(src)
         assert len(set(map(frozenset, by_window.values()))) > 1
 
     def test_metrics_fed(self):
@@ -240,6 +240,6 @@ class TestWorkload:
         workload.start(0.0, 10.0)
         sim.run_until(11.0)
         for _, pkt in system.sent:
-            assert pkt.deadline == 0.6
+            assert pkt.deadline == QOS_DEADLINE
             assert pkt.kind is PacketKind.DATA
             assert pkt.size_bytes == 500

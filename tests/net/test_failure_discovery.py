@@ -13,14 +13,8 @@ from repro.util.geometry import Point
 
 def build_grid(side=4, spacing=70.0, seed=1):
     """A side x side grid of sensors with 100 m range."""
-    from repro.net.mac import MacConfig
-
     sim = Simulator()
-    net = WirelessNetwork(
-        sim,
-        random.Random(seed),
-        mac_config=MacConfig(base_loss=0.0, contention_loss=0.0),
-    )
+    net = WirelessNetwork(sim, random.Random(seed))
     for i in range(side):
         for j in range(side):
             net.add_node(

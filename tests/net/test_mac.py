@@ -4,7 +4,8 @@ import random
 
 import pytest
 
-from repro.net.mac import ContentionMac, MacConfig
+import repro.net.mac as mac_module
+from repro.net.mac import ContentionMac, airtime
 from repro.net.medium import WirelessMedium
 from repro.net.mobility import StaticMobility
 from repro.net.node import Node, NodeRole
@@ -13,15 +14,17 @@ from repro.sim.core import Simulator
 from repro.util.geometry import Point
 
 
-def setup(loss=0.0, contention_loss=0.0):
+def setup(monkeypatch, loss=0.0, contention_loss=0.0):
+    """Three sensors in a line; the MAC's loss constants patched."""
+    monkeypatch.setattr(mac_module, "BASE_LOSS", loss)
+    monkeypatch.setattr(mac_module, "CONTENTION_LOSS", contention_loss)
     sim = Simulator()
     medium = WirelessMedium()
     for i in range(3):
         medium.add_node(
             Node(i, NodeRole.SENSOR, StaticMobility(Point(i * 50.0, 0)), 100.0)
         )
-    cfg = MacConfig(base_loss=loss, contention_loss=contention_loss)
-    mac = ContentionMac(sim, medium, random.Random(1), cfg)
+    mac = ContentionMac(sim, medium, random.Random(1))
     return sim, medium, mac
 
 
@@ -30,18 +33,19 @@ def packet(size=1000):
 
 
 class TestConfig:
-    def test_airtime(self):
-        cfg = MacConfig(bitrate_bps=2_000_000)
-        assert cfg.airtime(1000) == pytest.approx(0.004)
+    """The contention model's constants."""
 
-    def test_broadcast_airtime(self):
-        sim, medium, mac = setup()
-        assert mac.broadcast_airtime(500) == MacConfig().airtime(500)
+    def test_airtime(self):
+        assert airtime(1000) == pytest.approx(0.004)
+
+    def test_broadcast_airtime(self, monkeypatch):
+        sim, medium, mac = setup(monkeypatch)
+        assert mac.broadcast_airtime(500) == airtime(500)
 
 
 class TestTransmit:
-    def test_success_without_loss(self):
-        sim, medium, mac = setup()
+    def test_success_without_loss(self, monkeypatch):
+        sim, medium, mac = setup(monkeypatch)
         results = []
         mac.transmit(0, 1, packet(), lambda ok, t: results.append((ok, t)))
         sim.run()
@@ -49,52 +53,52 @@ class TestTransmit:
         # Completion includes airtime + processing delay.
         assert results[0][1] >= 0.004
 
-    def test_loss_exhausts_retries(self):
-        sim, medium, mac = setup(loss=1.0)
+    def test_loss_exhausts_retries(self, monkeypatch):
+        sim, medium, mac = setup(monkeypatch, loss=1.0)
         results = []
         mac.transmit(0, 1, packet(), lambda ok, t: results.append(ok))
         sim.run()
         assert results == [False]
 
-    def test_retries_add_delay(self):
-        sim, medium, mac = setup(loss=0.0)
+    def test_retries_add_delay(self, monkeypatch):
+        sim, medium, mac = setup(monkeypatch, loss=0.0)
         clean = []
         mac.transmit(0, 1, packet(), lambda ok, t: clean.append(t))
         sim.run()
 
-        sim2, medium2, mac2 = setup(loss=1.0)
+        sim2, medium2, mac2 = setup(monkeypatch, loss=1.0)
         lossy = []
         mac2.transmit(0, 1, packet(), lambda ok, t: lossy.append(t))
         sim2.run()
         assert lossy[0] > clean[0]
 
-    def test_sender_queue_serialises(self):
+    def test_sender_queue_serialises(self, monkeypatch):
         """Back-to-back frames from one radio are serialised."""
-        sim, medium, mac = setup()
+        sim, medium, mac = setup(monkeypatch)
         completions = []
         mac.transmit(0, 1, packet(), lambda ok, t: completions.append(t))
         mac.transmit(0, 1, packet(), lambda ok, t: completions.append(t))
         sim.run()
-        assert completions[1] >= completions[0] + MacConfig().airtime(1000)
+        assert completions[1] >= completions[0] + airtime(1000)
 
-    def test_busy_neighbors_add_backoff(self):
-        sim, medium, mac = setup()
+    def test_busy_neighbors_add_backoff(self, monkeypatch):
+        sim, medium, mac = setup(monkeypatch)
         medium.node(1).radio_busy_until = 100.0   # busy neighbour of 0
         slow = []
         mac.transmit(0, 2, packet(), lambda ok, t: slow.append(t))
         sim.run()
 
-        sim2, medium2, mac2 = setup()
+        sim2, medium2, mac2 = setup(monkeypatch)
         fast = []
         mac2.transmit(0, 2, packet(), lambda ok, t: fast.append(t))
         sim2.run()
         assert slow[0] > fast[0]
 
-    def test_loss_probability_capped(self):
-        sim, medium, mac = setup(loss=0.2, contention_loss=1.0)
+    def test_loss_probability_capped(self, monkeypatch):
+        sim, medium, mac = setup(monkeypatch, loss=0.2, contention_loss=1.0)
         for i in (1, 2):
             medium.node(i).radio_busy_until = 100.0
-        # With cap at MacConfig().max_loss the success probability over
+        # With the cap at MAX_LOSS the success probability over
         # retries stays meaningfully positive.
         successes = 0
         for _ in range(50):

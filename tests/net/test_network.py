@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+import repro.net.mac as mac_module
 from repro.errors import NetworkError
 from repro.net.energy import Phase
 from repro.net.mobility import StaticMobility
@@ -14,16 +15,10 @@ from repro.sim.core import Simulator
 from repro.util.geometry import Point
 
 
-def build_line(count=4, spacing=80.0, seed=1, loss=0.0):
+def build_line(count=4, spacing=80.0, seed=1):
     """A chain of sensors ``spacing`` apart, 100 m range."""
-    from repro.net.mac import MacConfig
-
     sim = Simulator()
-    net = WirelessNetwork(
-        sim,
-        random.Random(seed),
-        mac_config=MacConfig(base_loss=loss, contention_loss=0.0),
-    )
+    net = WirelessNetwork(sim, random.Random(seed))
     for i in range(count):
         net.add_node(
             Node(
@@ -98,8 +93,9 @@ class TestUnicast:
         sim.run_until(1.0)
         assert pkt.hops == [0]
 
-    def test_mac_loss_exhausts_retries(self):
-        sim, net = build_line(loss=1.0)   # every frame lost
+    def test_mac_loss_exhausts_retries(self, monkeypatch):
+        monkeypatch.setattr(mac_module, "BASE_LOSS", 1.0)  # every frame lost
+        sim, net = build_line()
         failures = []
         net.send(0, 1, data_packet(sim), on_failed=lambda p, a: failures.append(a))
         sim.run_until(1.0)

@@ -59,7 +59,7 @@ def build(starts, seed):
         network.add_node(Node(node_id, NodeRole.SENSOR, walker, 150.0))
     fault = GilbertElliottLinkFault(
         network, random.Random(seed + 1),
-        mean_good=2.0, mean_bad=0.5, bad_quality=0.5,
+        mean_good=2.0, mean_bad=0.5,
     )
     fault.start()
     return network, fault

@@ -4,11 +4,17 @@ from repro.net.packet import Packet, PacketKind
 from repro.qos import (
     AdmissionController,
     BackpressureState,
-    QosConfig,
     QosStats,
     TokenBucket,
     TrafficClass,
 )
+from repro.qos.admission import (
+    BULK_BUCKET_BURST,
+    BULK_BUCKET_RATE,
+    CONTROL_BUCKET_SCALE,
+    THROTTLE_FACTOR,
+)
+from repro.qos.backpressure import HIGH_WATER, LOW_WATER
 
 
 def _packet(cls):
@@ -52,24 +58,24 @@ class TestTokenBucket:
 
 class TestBackpressureState:
     def test_hysteresis_marks_and_clears(self):
-        state = BackpressureState(high_water=4, low_water=1)
-        state.note_depth(7, 3)
+        state = BackpressureState(QosStats())
+        state.note_depth(7, HIGH_WATER - 1)
         assert not state.is_congested(7)
-        state.note_depth(7, 4)
+        state.note_depth(7, HIGH_WATER)
         assert state.is_congested(7)
         assert state.any_congested()
         # Between the marks: stays congested (hysteresis).
-        state.note_depth(7, 2)
+        state.note_depth(7, LOW_WATER + 1)
         assert state.is_congested(7)
-        state.note_depth(7, 1)
+        state.note_depth(7, LOW_WATER)
         assert not state.is_congested(7)
         assert not state.any_congested()
 
     def test_onsets_and_clears_are_counted_once(self):
         stats = QosStats()
-        state = BackpressureState(high_water=2, low_water=0, stats=stats)
-        state.note_depth(1, 5)
-        state.note_depth(1, 6)   # still congested: no second onset
+        state = BackpressureState(stats)
+        state.note_depth(1, HIGH_WATER)
+        state.note_depth(1, HIGH_WATER + 1)   # no second onset
         state.note_depth(1, 0)
         assert stats.congestion_onsets == 1
         assert stats.congestion_clears == 1
@@ -77,12 +83,18 @@ class TestBackpressureState:
 
 
 class TestAdmissionController:
-    def _controller(self, state=None, **overrides):
-        config = QosConfig(
-            bulk_bucket_rate=2.0, bulk_bucket_burst=2.0, **overrides
-        )
+    def _controller(self, state=None):
         stats = QosStats()
-        return AdmissionController(config, state, stats), stats
+        if state is None:
+            state = BackpressureState(stats)
+        return AdmissionController(state, stats), stats
+
+    def _burst(self, controller, cls, source=1, now=0.0):
+        """How many ``cls`` packets one source gets admitted at once."""
+        admitted = 0
+        while controller.admit(source, _packet(cls), now) is None:
+            admitted += 1
+        return admitted
 
     def test_alarm_is_never_policed(self):
         controller, stats = self._controller()
@@ -93,38 +105,43 @@ class TestAdmissionController:
 
     def test_bulk_is_policed_at_the_bucket(self):
         controller, stats = self._controller()
-        verdicts = [
-            controller.admit(1, _packet(TrafficClass.BULK), 0.0)
-            for _ in range(3)
-        ]
-        assert verdicts == [None, None, "admission_rejected"]
+        assert self._burst(controller, TrafficClass.BULK) == BULK_BUCKET_BURST
         assert stats.admission_rejected == 1
+        assert (
+            controller.admit(1, _packet(TrafficClass.BULK), 0.0)
+            == "admission_rejected"
+        )
 
     def test_buckets_are_per_source(self):
         controller, _ = self._controller()
-        for _ in range(2):
-            assert controller.admit(1, _packet(TrafficClass.BULK), 0.0) is None
+        self._burst(controller, TrafficClass.BULK, source=1)
         # Source 1 exhausted; source 2's bucket is untouched.
         assert controller.admit(1, _packet(TrafficClass.BULK), 0.0) is not None
         assert controller.admit(2, _packet(TrafficClass.BULK), 0.0) is None
 
     def test_control_bucket_is_scaled_up(self):
-        controller, _ = self._controller(control_bucket_scale=4.0)
-        admitted = sum(
-            controller.admit(1, _packet(TrafficClass.CONTROL), 0.0) is None
-            for _ in range(20)
+        controller, _ = self._controller()
+        assert (
+            self._burst(controller, TrafficClass.CONTROL)
+            == BULK_BUCKET_BURST * CONTROL_BUCKET_SCALE
         )
-        assert admitted == 8   # burst 2.0 * scale 4.0
 
     def test_congestion_throttles_bulk_refill(self):
-        state = BackpressureState(high_water=2, low_water=0)
-        controller, _ = self._controller(state=state, throttle_factor=0.25)
-        for _ in range(2):
-            assert controller.admit(1, _packet(TrafficClass.BULK), 0.0) is None
-        state.note_depth(9, 5)   # congestion anywhere throttles sources
-        # 0.5s at rate 2/s would refill a token; at 0.25x it does not.
+        stats = QosStats()
+        state = BackpressureState(stats)
+        controller, _ = self._controller(state=state)
+        self._burst(controller, TrafficClass.BULK)
+        # Congestion anywhere throttles the sources.
+        state.note_depth(9, HIGH_WATER)
+        # One token's refill time at the full rate is not one at the
+        # throttled rate.
+        refill = 1.0 / BULK_BUCKET_RATE
+        assert THROTTLE_FACTOR < 1.0
         assert (
-            controller.admit(1, _packet(TrafficClass.BULK), 0.5) is not None
+            controller.admit(1, _packet(TrafficClass.BULK), refill) is not None
         )
         state.note_depth(9, 0)
-        assert controller.admit(1, _packet(TrafficClass.BULK), 2.5) is None
+        assert (
+            controller.admit(1, _packet(TrafficClass.BULK), 2 * refill)
+            is None
+        )

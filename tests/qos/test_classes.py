@@ -7,7 +7,6 @@ from repro.net.packet import Packet, PacketKind
 from repro.qos import (
     PRIORITY_ORDER,
     BurstyConfig,
-    QosConfig,
     TrafficClass,
     class_of,
     expiry_of,
@@ -60,39 +59,20 @@ class TestExpiryOf:
 
 
 class TestConfigValidation:
-    def test_defaults_are_valid_and_enabled(self):
-        config = QosConfig()
-        assert config.any_enabled
-
-    def test_all_off_is_not_enabled(self):
-        config = QosConfig(
-            priority_mac=False, admission=False, backpressure=False
-        )
-        assert not config.any_enabled
-
-    def test_backpressure_requires_priority_mac(self):
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"load_multiplier": float("nan")},  # ran, 0 packets generated
+            {"load_multiplier": float("inf")},  # never returned
+            {"peak_rate_pps": float("inf")},    # never returned
+            {"peak_rate_pps": float("nan")},    # ran, 0 packets generated
+            {"load_multiplier": 1e200, "peak_rate_pps": 1e200},
+        ],
+        ids=["load-nan", "load-inf", "peak-inf", "peak-nan", "product-inf"],
+    )
+    def test_bursty_offered_load_must_be_finite(self, overrides):
         with pytest.raises(ConfigError):
-            QosConfig(priority_mac=False, backpressure=True)
-
-    def test_water_marks_must_be_ordered(self):
-        with pytest.raises(ConfigError):
-            QosConfig(high_water=2, low_water=4)
-
-    def test_throttle_factor_bounds(self):
-        with pytest.raises(ConfigError):
-            QosConfig(throttle_factor=0.0)
-        with pytest.raises(ConfigError):
-            QosConfig(throttle_factor=1.5)
-
-    def test_bursty_shapes_must_have_finite_mean(self):
-        with pytest.raises(ConfigError):
-            BurstyConfig(on_shape=1.0)
-        with pytest.raises(ConfigError):
-            BurstyConfig(off_shape=0.9)
-
-    def test_bursty_fractions_must_fit(self):
-        with pytest.raises(ConfigError):
-            BurstyConfig(alarm_fraction=0.7, control_fraction=0.5)
+            BurstyConfig(**overrides)
 
     def test_scenario_config_rejects_wrong_types(self):
         from repro.experiments.config import ScenarioConfig

@@ -4,10 +4,11 @@ from repro.net.packet import Packet, PacketKind
 from repro.qos import (
     BackpressureState,
     MacQosScheduler,
-    QosConfig,
     QosStats,
     TrafficClass,
 )
+from repro.qos.backpressure import HIGH_WATER
+from repro.qos.mac import BULK_QUEUE_DEPTH
 from repro.sim.core import Simulator
 
 
@@ -26,11 +27,12 @@ class RecordingMac:
         return done
 
 
-def _scheduler(sim, mac=None, state=None, **overrides):
-    config = QosConfig(**overrides)
+def _scheduler(sim, state=None):
     stats = QosStats()
-    mac = mac if mac is not None else RecordingMac(sim)
-    return MacQosScheduler(sim, mac, config, state, stats), mac, stats
+    if state is None:
+        state = BackpressureState(stats)
+    mac = RecordingMac(sim)
+    return MacQosScheduler(sim, mac, state, stats), mac, stats
 
 
 def _packet(cls, deadline=None, created_at=0.0):
@@ -141,9 +143,9 @@ class TestRefusal:
 
     def test_bulk_into_congested_hop_is_shed(self):
         sim = Simulator()
-        state = BackpressureState(high_water=2, low_water=0)
+        state = BackpressureState(QosStats())
         scheduler, _, stats = _scheduler(sim, state=state)
-        state.note_depth(2, 5)
+        state.note_depth(2, HIGH_WATER)
         bulk = _packet(TrafficClass.BULK)
         alarm = _packet(TrafficClass.ALARM)
         assert scheduler.refusal(1, 2, bulk, 0.0) == "backpressure_shed"
@@ -153,10 +155,10 @@ class TestRefusal:
 
     def test_full_lane_is_shed(self):
         sim = Simulator()
-        scheduler, _, _ = _scheduler(sim, bulk_queue_depth=1)
-        # Head occupies the radio; the next fills the depth-1 lane.
-        scheduler.submit(1, 2, _packet(TrafficClass.BULK), lambda *a: None)
-        scheduler.submit(1, 2, _packet(TrafficClass.BULK), lambda *a: None)
+        scheduler, _, _ = _scheduler(sim)
+        # Head occupies the radio; the next ones fill the bulk lane.
+        for _ in range(1 + BULK_QUEUE_DEPTH):
+            scheduler.submit(1, 2, _packet(TrafficClass.BULK), lambda *a: None)
         assert (
             scheduler.refusal(1, 2, _packet(TrafficClass.BULK), 0.0)
             == "backpressure_shed"
@@ -172,17 +174,17 @@ class TestRefusal:
 class TestBackpressureSignal:
     def test_queue_depth_drives_the_congestion_mark(self):
         sim = Simulator()
-        state = BackpressureState(high_water=2, low_water=0)
-        scheduler, _, _ = _scheduler(sim, state=state, high_water=2, low_water=0)
+        state = BackpressureState(QosStats())
+        scheduler, _, _ = _scheduler(sim, state=state)
 
         def emit():
-            for _ in range(3):
+            for _ in range(1 + HIGH_WATER):
                 scheduler.submit(
                     1, 2, _packet(TrafficClass.BULK), lambda *a: None
                 )
 
         sim.schedule(0.0, emit)
-        sim.run_until(0.15)   # one served, two queued -> mark raised
+        sim.run_until(0.15)   # one served, HIGH_WATER queued -> mark raised
         assert state.is_congested(1)
         sim.run_until(5.0)    # drained -> mark cleared
         assert not state.is_congested(1)

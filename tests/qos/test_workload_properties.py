@@ -20,6 +20,8 @@ import random
 from hypothesis import given, settings, strategies as st
 
 from repro.experiments.workload import (
+    ALARM_DEADLINE,
+    CONTROL_DEADLINE,
     emission_schedule,
     expected_pareto_duration,
     pareto_duration,
@@ -37,10 +39,7 @@ def configs():
     return st.builds(
         BurstyConfig,
         load_multiplier=st.sampled_from([1.0, 5.0, 20.0]),
-        on_shape=shapes,
-        off_shape=shapes,
-        alarm_fraction=st.floats(min_value=0.0, max_value=0.3),
-        control_fraction=st.floats(min_value=0.0, max_value=0.3),
+        peak_rate_pps=st.sampled_from([1.0, 4.0, 12.0]),
     )
 
 
@@ -70,11 +69,11 @@ class TestScheduleDeterminism:
         assert all(begin <= t < end for t in times)
         for _, cls, deadline in schedule:
             if cls is TrafficClass.ALARM:
-                assert deadline == config.alarm_deadline
+                assert deadline == ALARM_DEADLINE
             elif cls is TrafficClass.CONTROL:
-                assert deadline == config.control_deadline
+                assert deadline == CONTROL_DEADLINE
             else:
-                assert deadline == config.bulk_deadline
+                assert deadline is None
 
     @PROFILE
     @given(seeds)

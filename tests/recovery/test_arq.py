@@ -4,7 +4,8 @@ import random
 
 import pytest
 
-from repro.net.mac import MacConfig
+import repro.net.mac as mac_module
+import repro.recovery.arq as arq_module
 from repro.net.mobility import StaticMobility
 from repro.net.network import WirelessNetwork
 from repro.net.node import Node, NodeRole
@@ -14,11 +15,19 @@ from repro.sim.core import Simulator
 from repro.util.geometry import Point
 
 
-def build_pair(range_m=200.0, spacing=60.0, seed=3, **mac_kwargs):
+@pytest.fixture
+def clean_links(monkeypatch):
+    """No MAC frame loss and no ACK loss: what a hop does is up to the
+    test (which patches further through the returned ``monkeypatch``)."""
+    monkeypatch.setattr(mac_module, "BASE_LOSS", 0.0)
+    monkeypatch.setattr(mac_module, "CONTENTION_LOSS", 0.0)
+    monkeypatch.setattr(arq_module, "ACK_LOSS", 0.0)
+    return monkeypatch
+
+
+def build_pair(range_m=200.0, spacing=60.0, seed=3):
     sim = Simulator()
-    net = WirelessNetwork(
-        sim, random.Random(seed), mac_config=MacConfig(**mac_kwargs)
-    )
+    net = WirelessNetwork(sim, random.Random(seed))
     for i in range(2):
         net.add_node(
             Node(
@@ -42,9 +51,9 @@ def packet(src=0, dst=1, now=0.0):
 
 
 class TestArqLink:
-    def test_clean_hop_delivers_once(self):
-        sim, net = build_pair(base_loss=0.0, contention_loss=0.0)
-        link = ArqLink(net, random.Random(5), ack_loss=0.0)
+    def test_clean_hop_delivers_once(self, clean_links):
+        sim, net = build_pair()
+        link = ArqLink(net, random.Random(5))
         delivered, failed = [], []
         link.send(
             0, 1, packet(),
@@ -57,24 +66,24 @@ class TestArqLink:
         assert link.stats.attempts == 1
         assert link.stats.retransmissions == 0
 
-    def test_handler_invoked_exactly_once(self):
-        sim, net = build_pair(base_loss=0.0, contention_loss=0.0)
-        link = ArqLink(net, random.Random(5), ack_loss=0.0)
+    def test_handler_invoked_exactly_once(self, clean_links):
+        sim, net = build_pair()
+        link = ArqLink(net, random.Random(5))
         received = []
         net.set_receive_handler(1, received.append)
         link.send(0, 1, packet())
         sim.run_until(1.0)
         assert len(received) == 1
 
-    def test_retransmission_recovers_lossy_hop(self):
+    def test_retransmission_recovers_lossy_hop(self, clean_links):
         # MAC with no link-layer retries and heavy loss: only the ARQ
         # stands between a lost frame and a hop failure.
-        sim, net = build_pair(
-            base_loss=0.5, contention_loss=0.0, retry_limit=0
-        )
+        clean_links.setattr(mac_module, "BASE_LOSS", 0.5)
+        clean_links.setattr(mac_module, "RETRY_LIMIT", 0)
+        sim, net = build_pair()
         recovered = []
         link = ArqLink(
-            net, random.Random(5), budget=4, ack_loss=0.0,
+            net, random.Random(5), budget=4,
             on_recovered=lambda: recovered.append(1),
         )
         delivered = []
@@ -87,11 +96,12 @@ class TestArqLink:
         # The ARQ lifts per-hop reliability well above the raw 50%.
         assert len(delivered) >= 35
 
-    def test_lost_acks_never_cause_duplicate_delivery(self):
+    def test_lost_acks_never_cause_duplicate_delivery(self, clean_links):
         # Every ACK is lost: the sender burns its whole budget on
         # retransmissions of a frame the receiver already forwarded.
-        sim, net = build_pair(base_loss=0.0, contention_loss=0.0)
-        link = ArqLink(net, random.Random(5), budget=2, ack_loss=1.0)
+        clean_links.setattr(arq_module, "ACK_LOSS", 1.0)
+        sim, net = build_pair()
+        link = ArqLink(net, random.Random(5), budget=2)
         delivered, failed = [], []
         received = []
         net.set_receive_handler(1, received.append)
@@ -108,11 +118,11 @@ class TestArqLink:
         assert link.stats.exhausted == 1
         assert link.stats.ack_losses == 3
 
-    def test_budget_exhaustion_reports_failure_once(self):
+    def test_budget_exhaustion_reports_failure_once(self, clean_links):
         # Destination out of range: every attempt fails at the network
         # layer, and after the budget the hop failure propagates.
         sim, net = build_pair(range_m=40.0, spacing=60.0)
-        link = ArqLink(net, random.Random(5), budget=2, ack_loss=0.0)
+        link = ArqLink(net, random.Random(5), budget=2)
         delivered, failed = [], []
         link.send(
             0, 1, packet(),
@@ -125,16 +135,16 @@ class TestArqLink:
         assert link.stats.attempts == 3        # original + 2 retransmits
         assert link.stats.exhausted == 1
 
-    def test_ack_energy_charged_to_ack_ledger(self):
-        sim, net = build_pair(base_loss=0.0, contention_loss=0.0)
-        link = ArqLink(net, random.Random(5), ack_loss=0.0)
+    def test_ack_energy_charged_to_ack_ledger(self, clean_links):
+        sim, net = build_pair()
+        link = ArqLink(net, random.Random(5))
         link.send(0, 1, packet())
         sim.run_until(1.0)
         assert net.energy.total_by_kind("ack") > 0.0
 
-    def test_dup_cache_is_bounded(self):
-        sim, net = build_pair(base_loss=0.0, contention_loss=0.0)
-        link = ArqLink(net, random.Random(5), ack_loss=0.0, cache_size=4)
+    def test_dup_cache_is_bounded(self, clean_links):
+        sim, net = build_pair()
+        link = ArqLink(net, random.Random(5), cache_size=4)
         for i in range(20):
             link.send(0, 1, packet(now=i * 0.05))
         sim.run_until(5.0)

@@ -2,22 +2,23 @@
 
 import random
 
-from repro.net.mac import MacConfig
 from repro.net.mobility import StaticMobility
 from repro.net.network import WirelessNetwork
 from repro.net.node import Node, NodeRole
-from repro.recovery import FailureDetector, RecoveryConfig
-from repro.recovery.detector import MIN_TIMEOUT
+from repro.recovery import FailureDetector
+from repro.recovery.detector import (
+    DETECTOR_PERIOD,
+    MIN_TIMEOUT,
+    SUSPICION_THRESHOLD,
+)
 from repro.sim.core import Simulator
 from repro.util.geometry import Point
 
 
-def build_net(count=4, spacing=60.0, seed=3, **mac_kwargs):
+def build_net(count=4, spacing=60.0, seed=3):
     """A line of sensors, each within range of every other."""
     sim = Simulator()
-    net = WirelessNetwork(
-        sim, random.Random(seed), mac_config=MacConfig(**mac_kwargs)
-    )
+    net = WirelessNetwork(sim, random.Random(seed))
     for i in range(count):
         net.add_node(
             Node(
@@ -30,12 +31,10 @@ def build_net(count=4, spacing=60.0, seed=3, **mac_kwargs):
     return sim, net
 
 
-def build_detector(net, pairs, seed=7, **overrides):
-    config = RecoveryConfig(**overrides)
+def build_detector(net, pairs, seed=7):
     return FailureDetector(
         net,
         random.Random(seed),
-        config,
         pairs=lambda: pairs,
         audit_usable=lambda n: net.node(n).usable,
     )
@@ -44,7 +43,7 @@ def build_detector(net, pairs, seed=7, **overrides):
 class TestHeartbeat:
     def test_live_target_never_condemned(self):
         sim, net = build_net()
-        det = build_detector(net, [(0, 1)], detector_period=0.5)
+        det = build_detector(net, [(0, 1)])
         det.start()
         sim.run_until(20.0)
         assert det.stats.condemnations == 0
@@ -54,13 +53,11 @@ class TestHeartbeat:
 
     def test_dead_target_condemned_within_threshold_rounds(self):
         sim, net = build_net()
-        det = build_detector(
-            net, [(0, 1)], detector_period=0.5, suspicion_threshold=3
-        )
+        det = build_detector(net, [(0, 1)])
         det.start()
         sim.run_until(5.0)
         net.fail_node(1)
-        sim.run_until(5.0 + 0.5 * 8)
+        sim.run_until(5.0 + DETECTOR_PERIOD * (SUSPICION_THRESHOLD + 5))
         assert det.condemned(1)
         assert det.stats.condemnations == 1
         # Ground truth agrees: the condemned node really was down.
@@ -68,7 +65,7 @@ class TestHeartbeat:
 
     def test_recovered_target_absolved(self):
         sim, net = build_net()
-        det = build_detector(net, [(0, 1)], detector_period=0.5)
+        det = build_detector(net, [(0, 1)])
         det.start()
         sim.run_until(2.0)
         net.fail_node(1)
@@ -81,7 +78,7 @@ class TestHeartbeat:
 
     def test_verdict_listener_sees_both_kinds(self):
         sim, net = build_net()
-        det = build_detector(net, [(0, 1)], detector_period=0.5)
+        det = build_detector(net, [(0, 1)])
         events = []
         det.add_listener(events.append)
         det.start()
@@ -96,7 +93,7 @@ class TestHeartbeat:
 
     def test_adaptive_timeout_learns_the_rtt(self):
         sim, net = build_net()
-        det = build_detector(net, [(0, 1)], detector_period=0.5)
+        det = build_detector(net, [(0, 1)])
         initial = det.timeout_of(1)
         det.start()
         sim.run_until(10.0)
@@ -106,21 +103,11 @@ class TestHeartbeat:
         assert learned < initial
         assert learned == MIN_TIMEOUT
 
-    def test_fixed_timeout_mode_never_adapts(self):
-        sim, net = build_net()
-        det = build_detector(
-            net, [(0, 1)], detector_period=0.5,
-            adaptive_timeout=False, fixed_timeout=0.2,
-        )
-        det.start()
-        sim.run_until(10.0)
-        assert det.timeout_of(1) == 0.2
-
     def test_battery_is_self_reported(self):
         sim, net = build_net()
         node = net.node(1)
         node.battery_joules = 100.0
-        det = build_detector(net, [(0, 1)], detector_period=0.5)
+        det = build_detector(net, [(0, 1)])
         det.start()
         sim.run_until(3.0)
         first = det.reported_battery(1)
@@ -138,7 +125,7 @@ class TestHeartbeat:
 
     def test_forget_clears_suspicion_history(self):
         sim, net = build_net()
-        det = build_detector(net, [(0, 1)], detector_period=0.5)
+        det = build_detector(net, [(0, 1)])
         det.start()
         sim.run_until(2.0)
         net.fail_node(1)
@@ -149,7 +136,7 @@ class TestHeartbeat:
 
     def test_dead_monitor_records_nothing(self):
         sim, net = build_net()
-        det = build_detector(net, [(0, 1)], detector_period=0.5)
+        det = build_detector(net, [(0, 1)])
         det.start()
         sim.run_until(2.0)
         misses_before = det.stats.misses
@@ -163,7 +150,7 @@ class TestHeartbeat:
 
     def test_probe_energy_charged_to_probe_ledger(self):
         sim, net = build_net()
-        det = build_detector(net, [(0, 1)], detector_period=0.5)
+        det = build_detector(net, [(0, 1)])
         det.start()
         sim.run_until(5.0)
         assert net.energy.total_by_kind("probe") > 0.0
@@ -172,7 +159,7 @@ class TestHeartbeat:
         timelines = []
         for _ in range(2):
             sim, net = build_net()
-            det = build_detector(net, [(0, 1)], detector_period=0.5)
+            det = build_detector(net, [(0, 1)])
             det.start()
             sim.run_until(2.0)
             net.fail_node(1)

@@ -1,11 +1,12 @@
 """Detector fidelity under bursty (Gilbert-Elliott) link loss.
 
-The satellite experiment behind ``adaptive_timeout``: on links that
+The experiment behind the detector's adaptive timeout: on links that
 fade in bursts, a detector whose timeout tracks the observed RTT keeps
 its false-positive rate bounded, while a fixed timeout pinned below
-the real round-trip time condemns live nodes constantly.  Both runs
-are fully derandomized (fixed seeds, static nodes), so the asserted
-bounds are exact regression pins, not statistical hopes.
+the real round-trip time (:class:`FixedTimeoutDetector`, the strawman
+kept here) condemns live nodes constantly.  Both runs are fully
+derandomized (fixed seeds, static nodes), so the asserted bounds are
+exact regression pins, not statistical hopes.
 """
 
 import random
@@ -14,7 +15,7 @@ from repro.chaos.models import GilbertElliottLinkFault
 from repro.net.mobility import StaticMobility
 from repro.net.network import WirelessNetwork
 from repro.net.node import Node, NodeRole
-from repro.recovery import FailureDetector, RecoveryConfig
+from repro.recovery import FailureDetector
 from repro.sim.core import Simulator
 from repro.util.geometry import Point
 
@@ -22,6 +23,15 @@ from repro.util.geometry import Point
 #: nodes stay alive, so every condemnation is false): the adaptive
 #: detector stays below it, the fixed strawman lands far above it.
 FP_PER_PROBE_BOUND = 0.05
+
+
+class FixedTimeoutDetector(FailureDetector):
+    """The strawman: every probe is judged against one fixed timeout,
+    pinned below the ~2.3 ms round trip of a probe and its reply, so
+    every healthy reply arrives late."""
+
+    def _timeout(self, state):
+        return 0.002
 
 
 def fp_per_probe(stats):
@@ -45,20 +55,11 @@ def run_detector(adaptive: bool, sim_time: float = 60.0):
         net, random.Random(21), mean_good=6.0, mean_bad=0.5
     )
     burst.start()
-    config = RecoveryConfig(
-        detector_period=0.5,
-        suspicion_threshold=3,
-        probe_bytes=128,
-        adaptive_timeout=adaptive,
-        # Pinned below the ~3 ms probe RTT of 128-byte frames: the
-        # strawman judges every healthy reply late.
-        fixed_timeout=0.002,
-    )
     pairs = [(0, 1), (1, 2), (2, 3), (3, 0)]
-    detector = FailureDetector(
+    detector_cls = FailureDetector if adaptive else FixedTimeoutDetector
+    detector = detector_cls(
         net,
         random.Random(7),
-        config,
         pairs=lambda: pairs,
         audit_usable=lambda n: net.node(n).usable,
     )

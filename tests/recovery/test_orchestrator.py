@@ -7,6 +7,7 @@ from repro.chaos.spec import FaultSpec
 from repro.experiments.config import ScenarioConfig
 from repro.experiments.runner import run_scenario
 from repro.recovery import RecoveryConfig
+from repro.recovery.detector import DETECTOR_PERIOD, SUSPICION_THRESHOLD
 
 BASE = ScenarioConfig(
     seed=7,
@@ -53,10 +54,12 @@ class TestActuatorTakeover:
         # Message-grounded detection needs threshold consecutive
         # missed heartbeats: the latency must exceed one period and
         # stay inside a handful of them.
-        period = RecoveryConfig().detector_period
-        threshold = RecoveryConfig().suspicion_threshold
+        period = DETECTOR_PERIOD
         assert report.mean_time_to_detect_s >= period
-        assert report.mean_time_to_detect_s <= 3.0 * period * threshold
+        assert (
+            report.mean_time_to_detect_s
+            <= 3.0 * period * SUSPICION_THRESHOLD
+        )
 
     def test_resilience_summary_carries_detection_latency(self):
         config = BASE.with_(
@@ -90,17 +93,6 @@ class TestReportShape:
         config = BASE.with_(recovery=RecoveryConfig())
         run = run_scenario("DaTree", config)
         assert run.recovery is None
-
-    def test_arq_only_config_reports_arq_counters(self):
-        config = BASE.with_(
-            recovery=RecoveryConfig(detector=False, heal_can=False)
-        )
-        run = run_scenario("REFER", config)
-        report = run.recovery
-        assert report is not None
-        assert report.arq_attempts > 0
-        assert report.probes_sent == 0         # detector never started
-        assert report.can_takeovers == 0
 
 
 class TestNoGroundTruthReads:

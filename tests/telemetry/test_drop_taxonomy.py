@@ -184,9 +184,12 @@ def test_a_baseline_under_faults_drops_nothing_as_unknown(system):
 class TestTraceClosure:
     """Every drop a traced run emits is visible in its trace stream."""
 
-    #: Chaos + QoS + bursty overload with tight deadlines: the config
-    #: is chosen to exercise multiple taxonomy entries (token-bucket
-    #: admission rejections *and* deadline expiries), not just one.
+    #: Chaos + QoS + bursty overload in 16 KB frames: each hop's
+    #: airtime (64 ms) queues alarm frames past their deadline, so the
+    #: config exercises several taxonomy entries (token-bucket
+    #: admission rejections, full-lane sheds *and* deadline expiries),
+    #: not just one.  It generates fewer packets than the flight
+    #: recorder retains.
     SCENARIO = ScenarioConfig(
         seed=11,
         sensor_count=40,
@@ -194,18 +197,12 @@ class TestTraceClosure:
         sim_time=10.0,
         warmup=2.0,
         rate_pps=12.0,
+        packet_bytes=16000,
         fault_spec=(FaultSpec(kind="rotation", start=3.0),),
         qos=QosConfig(),
-        bursty=BurstyConfig(
-            sources=4,
-            load_multiplier=8.0,
-            alarm_deadline=0.02,
-            control_deadline=0.03,
-            bulk_deadline=0.05,
-        ),
+        bursty=BurstyConfig(sources=4, load_multiplier=8.0),
         telemetry=TelemetryConfig(
             profiler=False,
-            flight_capacity=1 << 16,
             # Full capture so no drop event is evicted from the ring.
             tracing=TracingConfig(capture=(0, 2 ** 62)),
         ),
@@ -230,4 +227,4 @@ class TestTraceClosure:
         # And the trace never invents reasons outside the taxonomy.
         assert traced_reasons <= set(DROP_REASONS)
         # The run exercised more than one taxonomy entry.
-        assert len(traced_reasons) >= 2
+        assert {"admission_rejected", "deadline_expired"} <= traced_reasons

@@ -8,26 +8,27 @@ generate→deliver envelope, tx_nodes == the delivered hop list).
 
 import pytest
 
-from repro.errors import TelemetryError
 from repro.experiments.config import ScenarioConfig
 from repro.experiments.runner import run_scenario
 from repro.telemetry import TelemetryConfig
-from repro.telemetry.flight import DROP_REASONS, FlightRecorder
+from repro.telemetry.flight import (
+    DROP_REASONS,
+    FLIGHT_CAPACITY,
+    FlightRecorder,
+)
 
 
 class TestRecorderUnit:
-    def test_capacity_must_be_positive(self):
-        with pytest.raises(TelemetryError):
-            FlightRecorder(capacity=0)
-
     def test_ring_evicts_oldest_journey(self):
-        rec = FlightRecorder(capacity=2)
-        for uid in (1, 2, 3):
+        rec = FlightRecorder()
+        uids = range(1, FLIGHT_CAPACITY + 2)
+        for uid in uids:
             rec.generated(uid, 0.5, source=uid)
-        assert rec.packets() == [2, 3]
-        assert rec.journeys_started == 3
+        assert rec.packets() == list(uids[1:])
+        assert rec.journeys_started == FLIGHT_CAPACITY + 1
         assert rec.journeys_evicted == 1
-        assert rec.events_recorded == 3  # lifetime, survives eviction
+        # lifetime, survives eviction
+        assert rec.events_recorded == FLIGHT_CAPACITY + 1
         assert rec.journey(1) is None
         assert rec.events(1) == []
 
@@ -121,4 +122,4 @@ class TestSpanCausality:
             assert reason in DROP_REASONS
 
     def test_ring_respects_capacity(self, flight):
-        assert len(flight.packets()) <= SCENARIO.telemetry.flight_capacity
+        assert len(flight.packets()) <= FLIGHT_CAPACITY

@@ -5,7 +5,7 @@ module documents itself, every ``__init__`` export actually resolves,
 the package imports cleanly without side effects, the whole tree
 passes the referlint invariant checks (``repro.devtools``), every
 module is reached by a run, a CLI or a bench, and every config field is
-set by somebody.
+set by one of them.
 """
 
 import ast
@@ -189,38 +189,66 @@ def test_every_module_is_reached_by_a_run_a_cli_or_a_bench():
     )
 
 
+def _passes_through(keyword):
+    """``x=obj.x``: a keyword that forwards a value somebody else set."""
+    value = keyword.value
+    return isinstance(value, ast.Attribute) and value.attr == keyword.arg
+
+
 def test_every_config_field_is_set_by_some_caller():
-    """A value stays settable only if some file sets it: every field of
-    every ``*Config`` dataclass is passed by keyword somewhere outside
-    the file that defines it (``src``, ``tests``, ``benchmarks``,
-    ``examples``).  A field nobody sets is a module constant.
+    """A value stays settable only if a run, a CLI or a bench sets it:
+    every field of every ``*Config`` dataclass and of ``FaultSpec`` is
+    set somewhere in ``src`` or ``benchmarks`` outside the file that
+    defines it.  Tests and examples do not count as callers, and
+    neither does a pass-through keyword (``x=obj.x``).  A setter is a
+    call keyword or a string key of a dict literal (``workloads.py``
+    passes ``packet_bytes`` through such a dict).  A field nobody sets
+    is a module constant.
 
     The match is on the keyword's name alone, whatever the callee:
-    ``PeriodicProcess(period=...)`` satisfies ``FaultConfig.period``, so
-    a never-set field with a common name passes.  Matching on the callee
-    instead would miss the setters that hide it
-    (``ScenarioConfig(**{field: value})``, ``with_(**overrides)``, a test
-    helper forwarding ``**kwargs``) and name fields that are set."""
+    ``PeriodicProcess(period=...)`` would satisfy ``FaultConfig.period``
+    and ``QosManager``'s ``admission=`` a ``QosConfig.admission``, so a
+    never-set field with a common name passes (those two were removed
+    by hand).  Matching on the callee instead would miss the setters
+    that hide it (``ScenarioConfig(**{field: value})``,
+    ``with_(**overrides)``) and name fields that are set."""
     fields = {}
-    keywords = {}
-    for top in ("src", "tests", "benchmarks", "examples"):
+    setters = {}
+    for top in ("src", "benchmarks"):
         for path in (REPO_ROOT / top).rglob("*.py"):
             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
                 if isinstance(node, ast.Call):
-                    for keyword in node.keywords:
-                        keywords.setdefault(keyword.arg, set()).add(path)
+                    names = [
+                        keyword.arg
+                        for keyword in node.keywords
+                        if not _passes_through(keyword)
+                    ]
+                elif isinstance(node, ast.Dict):
+                    names = [
+                        key.value
+                        for key in node.keys
+                        if isinstance(key, ast.Constant)
+                    ]
                 elif (
                     top == "src"
                     and isinstance(node, ast.ClassDef)
-                    and node.name.endswith("Config")
+                    and (
+                        node.name.endswith("Config")
+                        or node.name == "FaultSpec"
+                    )
                 ):
                     for item in node.body:
                         if isinstance(item, ast.AnnAssign):
                             fields[node.name, item.target.id] = path
-    assert len(fields) > 50, "the scan lost the config classes"
+                    continue
+                else:
+                    continue
+                for name in names:
+                    setters.setdefault(name, set()).add(path)
+    assert len(fields) > 30, "the scan lost the config classes"
     unset = sorted(
         f"{owner}.{field}"
         for (owner, field), home in fields.items()
-        if not keywords.get(field, set()) - {home}
+        if not setters.get(field, set()) - {home}
     )
-    assert not unset, "fields no file sets:\n" + "\n".join(unset)
+    assert not unset, "fields no run, CLI or bench sets:\n" + "\n".join(unset)
