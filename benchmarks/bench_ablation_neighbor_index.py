@@ -57,15 +57,11 @@ def sample_queries(n):
 def brute_neighbors(medium, snapshot, node_id):
     """``medium.neighbors(node_id, now)`` by an O(n) scan of ``snapshot``."""
     nodes = medium.node_table
-    found = []
-    for other_id, distance in brute_force_within_range(
-        snapshot, snapshot[node_id], nodes[node_id].transmission_range
-    ):
-        other = nodes[other_id]
-        if other_id == node_id or not other.usable:
-            continue
-        if distance <= other.transmission_range:
-            found.append(other_id)
+    found = brute_force_within_range(
+        snapshot, snapshot[node_id], nodes[node_id].transmission_range,
+        nodes, usable_only=True,
+    )
+    found.remove(node_id)
     return tuple(found)
 
 

@@ -6,7 +6,7 @@ mobility, per-packet energy accounting (the paper's 2 J tx / 0.75 J rx
 constants) and fault injection.
 """
 
-from repro.net.energy import EnergyLedger, EnergyModel, Phase
+from repro.net.energy import EnergyLedger, Phase
 from repro.net.mobility import RandomWaypoint, StaticMobility
 from repro.net.node import Node, NodeRole
 from repro.net.packet import Packet, PacketKind
@@ -20,7 +20,6 @@ __all__ = [
     "GridStats",
     "SpatialHashGrid",
     "EnergyLedger",
-    "EnergyModel",
     "Phase",
     "RandomWaypoint",
     "StaticMobility",

@@ -21,17 +21,22 @@ The ledger resolves each ``(node, phase)``, ``(kind, phase)`` and
 ``phase`` child and the two packet counters once and holds them
 (:meth:`~repro.telemetry.registry.MetricFamily.held`), so a charge is a
 dict lookup and an add per counter.  Children are still created at
-first charge, in first-charge order, and receive the same sequence of
-float adds as a
-``child(...).inc(...)`` per charge (never ``n * joules``): totals and
-exports are bit-identical to it (``tests/net/test_energy_handles.py``).
+first charge, in first-charge order.
+
+A batch (:meth:`EnergyLedger.charge_rx_counts` and the ``*_each``
+forms) adds ``k * joules`` to a node charged ``k`` times and ``n *
+joules`` to its phase and kind, where ``k`` and ``n`` single charges
+would add ``joules`` each.  The two are the same float: the joules are
+the constants :data:`TX_JOULES` and :data:`RX_JOULES`, both multiples
+of 2**-2, so every child holds a multiple of 2**-2 and every partial
+sum below 2**51 is exact (``tests/net/test_energy_handles.py`` holds
+the batched flood to a per-reception one, bit for bit).
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
-from typing import Dict, Optional, Sequence
+from typing import Dict, Mapping, Optional, Sequence
 
 from repro.errors import TelemetryError
 from repro.telemetry.registry import Registry
@@ -44,31 +49,18 @@ class Phase(enum.Enum):
     COMMUNICATION = "communication"
 
 
-@dataclass(frozen=True)
-class EnergyModel:
-    """Joules per packet, in transmit and receive modes.
-
-    Defaults are the paper's constants (Section IV, citing the
-    LinkQuest UWM1000 figures).
-    """
-
-    tx_joules: float = 2.0
-    rx_joules: float = 0.75
-
-    def __post_init__(self) -> None:
-        if self.tx_joules < 0 or self.rx_joules < 0:
-            raise ValueError("energy costs must be non-negative")
+#: Joules per transmitted and per received packet: the paper's
+#: constants (Section IV, citing the LinkQuest UWM1000 figures).  Both
+#: must stay multiples of 2**-2 for batched charges to stay exact (see
+#: the module docstring).
+TX_JOULES = 2.0
+RX_JOULES = 0.75
 
 
 class EnergyLedger:
     """Accumulates per-node, per-phase, per-traffic-class energy."""
 
-    def __init__(
-        self,
-        model: EnergyModel = EnergyModel(),
-        registry: Optional[Registry] = None,
-    ) -> None:
-        self.model = model
+    def __init__(self, registry: Optional[Registry] = None) -> None:
         if registry is None:
             registry = Registry()
         self._by_phase = registry.counter(
@@ -121,7 +113,7 @@ class EnergyLedger:
         message-transmission energy from topology-update energy the
         way Section IV-D discusses.
         """
-        joules = self.model.tx_joules * packets
+        joules = TX_JOULES * packets
         if joules < 0 or packets < 0:
             raise TelemetryError("counters only increase")
         self._totals[self._label]._value += joules
@@ -134,7 +126,7 @@ class EnergyLedger:
         self, node_id: int, packets: int = 1, kind: str = "data"
     ) -> float:
         """Charge ``packets`` receptions to ``node_id``; returns joules."""
-        joules = self.model.rx_joules * packets
+        joules = RX_JOULES * packets
         if joules < 0 or packets < 0:
             raise TelemetryError("counters only increase")
         self._totals[self._label]._value += joules
@@ -143,22 +135,36 @@ class EnergyLedger:
         self._rx_held[()]._value += packets
         return joules
 
+    def charge_tx_each(self, node_ids: Sequence[int], kind: str = "data") -> None:
+        """Charge one transmission to each of ``node_ids`` (a flood's
+        forwarders), children first created in that order."""
+        self._charge_each(node_ids, TX_JOULES, self._tx_held, kind)
+
     def charge_rx_each(self, node_ids: Sequence[int], kind: str = "data") -> None:
-        """Charge one reception to each of ``node_ids``, in order (a
-        broadcast heard by a neighbour list): one add per reception to
-        every counter, never ``n * joules``."""
-        joules = self.model.rx_joules
-        if joules < 0:
-            raise TelemetryError("counters only increase")
-        if not node_ids:
-            return
-        total, by_kind = self._totals[self._label], self._kind_children[kind]
+        """Charge one reception to each of ``node_ids`` (a broadcast
+        heard by a neighbour list), children first created in that order."""
+        self._charge_each(node_ids, RX_JOULES, self._rx_held, kind)
+
+    def charge_rx_counts(self, counts: Mapping[int, int], kind: str = "data") -> None:
+        """Charge ``counts[node]`` receptions to each node, in the
+        mapping's order: one add per node, one for the phase and kind."""
+        by_node = self._node_children
+        for node_id, packets in counts.items():
+            by_node[node_id]._value += packets * RX_JOULES
+        self._charge_totals(sum(counts.values()), RX_JOULES, self._rx_held, kind)
+
+    def _charge_each(self, node_ids, joules, packets_held, kind) -> None:
         by_node = self._node_children
         for node_id in node_ids:
-            total._value += joules
             by_node[node_id]._value += joules
-            by_kind._value += joules
-        self._rx_held[()]._value += len(node_ids)
+        self._charge_totals(len(node_ids), joules, packets_held, kind)
+
+    def _charge_totals(self, packets, joules, packets_held, kind) -> None:
+        """``packets`` charges of ``joules`` to the phase and ``kind``."""
+        if packets:
+            self._totals[self._label]._value += packets * joules
+            self._kind_children[kind]._value += packets * joules
+            packets_held[()]._value += packets
 
     # -- reporting ----------------------------------------------------------
 

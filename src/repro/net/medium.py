@@ -175,7 +175,9 @@ class WirelessMedium:
         except KeyError:
             raise NetworkError(f"unknown node id {node_id}") from None
 
-    def _resolve(self, node_ids: Iterable[int]) -> List[Node]:
+    def resolve(self, node_ids: Iterable[int]) -> List[Node]:
+        """The nodes of ``node_ids``, in order (``NetworkError`` on an
+        unknown id, before the caller has acted on any of them)."""
         try:
             return [self._nodes[node_id] for node_id in node_ids]
         except KeyError as missing:
@@ -281,19 +283,16 @@ class WirelessMedium:
     ) -> Tuple[int, ...]:
         origin = self.node(node_id)
         grid = self.spatial_grid
-        nodes = self._nodes
-        result: List[int] = []
-        for other_id, distance in grid.within_range(
-            grid.position_of(node_id), origin.transmission_range
-        ):
-            if other_id == node_id:
-                continue
-            other = nodes[other_id]
-            if require_usable and not other.usable:
-                continue
-            if distance <= other.transmission_range:
-                result.append(other_id)
-        return tuple(result)
+        found = grid.within_range(
+            grid.position_of(node_id),
+            origin.transmission_range,
+            self._nodes,
+            require_usable,
+        )
+        # The origin is 0 m from itself: listed unless liveness dropped it.
+        if origin.usable or not require_usable:
+            found.remove(node_id)
+        return tuple(found)
 
     def reachable(
         self, src_id: int, dst_ids: Iterable[int], now: float
@@ -302,7 +301,7 @@ class WirelessMedium:
         would reach (liveness + range + link), in the order given.
         """
         src = self.node(src_id)
-        dsts = self._resolve(dst_ids)
+        dsts = self.resolve(dst_ids)
         out: List[Tuple[int, float]] = []
         if not src.usable:
             return out
@@ -343,7 +342,7 @@ class WirelessMedium:
         x, y = here.x, here.y
         ids: List[int] = []
         left_out: List[float] = []  # the speed bounds of the others
-        for dst in self._resolve(dst_ids):
+        for dst in self.resolve(dst_ids):
             there = dst.mobility.position(now)
             if hypot(x - there.x, y - there.y) <= reach + margin:
                 ids.append(dst.id)
@@ -401,8 +400,8 @@ class WirelessMedium:
         The peers are resolved once and their liveness, range and
         position read once.
         """
-        nodes = self._resolve(node_ids)
-        peers = self._resolve(peer_ids)
+        nodes = self.resolve(node_ids)
+        peers = self.resolve(peer_ids)
         peer_reach = [peer.transmission_range for peer in peers]
         #: Where each usable peer is (``None``: it carries no frames).
         peer_at: List[Optional[Point]] = [
@@ -455,8 +454,8 @@ class WirelessMedium:
         about the peers after it, and no table of margins is built.
         No peers, no nodes.
         """
-        nodes = self._resolve(node_ids)
-        peers = self._resolve(peer_ids)
+        nodes = self.resolve(node_ids)
+        peers = self.resolve(peer_ids)
         out: List[Tuple[int, float]] = []
         if not peers or not all(peer.usable for peer in peers):
             return out

@@ -14,10 +14,11 @@ repository is built from:
 from __future__ import annotations
 
 import random
+from collections import Counter
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import NetworkError
-from repro.net.energy import EnergyLedger, EnergyModel, Phase
+from repro.net.energy import RX_JOULES, TX_JOULES, EnergyLedger, Phase
 from repro.net.mac import PROCESSING_DELAY, SLOT_SECONDS, ContentionMac
 from repro.net.medium import WirelessMedium
 from repro.net.node import Node
@@ -41,7 +42,6 @@ class WirelessNetwork:
         self,
         sim: Simulator,
         rng: random.Random,
-        energy_model: EnergyModel = EnergyModel(),
         telemetry: Optional[Telemetry] = None,
     ) -> None:
         self.sim = sim
@@ -61,7 +61,7 @@ class WirelessNetwork:
         self.mac = ContentionMac(sim, self.medium, rng)
         if telemetry is not None and telemetry.profiler is not None:
             self.mac.profiler = telemetry.profiler
-        self.energy = EnergyLedger(energy_model, registry=self.registry)
+        self.energy = EnergyLedger(registry=self.registry)
         self._trace_events = self.registry.counter(
             "trace_events", "trace records by category", labels=("category",)
         ).held()
@@ -134,25 +134,24 @@ class WirelessNetwork:
     def charge_tx(self, node_id: int, kind: str) -> None:
         """Charge one transmission of traffic class ``kind``: energy
         ledger and battery, no radio event scheduled."""
+        node = self.node(node_id)
         self.energy.charge_tx(node_id, kind=kind)
-        self.node(node_id).drain(self.energy.model.tx_joules)
+        node.drain(TX_JOULES)
 
     def charge_rx(self, node_id: int, kind: str) -> None:
         """Charge one reception (ledger + battery)."""
+        node = self.node(node_id)
         self.energy.charge_rx(node_id, kind=kind)
-        self.node(node_id).drain(self.energy.model.rx_joules)
+        node.drain(RX_JOULES)
 
     def charge_rx_each(self, node_ids: Sequence[int], kind: str) -> None:
         """Charge one reception to each of ``node_ids``, in order: a
-        broadcast heard by a neighbour list."""
+        broadcast heard by a neighbour list.  Every id is resolved
+        before anything is charged."""
+        nodes = self.medium.resolve(node_ids)
         self.energy.charge_rx_each(node_ids, kind=kind)
-        joules = self.energy.model.rx_joules
-        table = self.medium.node_table
-        try:
-            for node_id in node_ids:
-                table[node_id].consumed_joules += joules
-        except KeyError as exc:
-            raise NetworkError(f"unknown node id {exc.args[0]}") from None
+        for node in nodes:
+            node.consumed_joules += RX_JOULES
 
     def charge_control_tx(self, node_id: int) -> None:
         """Charge one control-message transmission (bookkeeping
@@ -220,7 +219,7 @@ class WirelessNetwork:
         kind = packet.kind.label
         energy = self.energy
         energy.charge_tx(src_id, kind=kind)
-        src.drain(energy.model.tx_joules)
+        src.drain(TX_JOULES)
         if not self.medium.can_transmit(src_id, dst_id, now):
             self._trace_events["link_break"].inc()
             if flight is not None:
@@ -249,7 +248,7 @@ class WirelessNetwork:
             if flight is not None:
                 flight.hop_rx(packet.uid, at, src_id, dst_id)
             energy.charge_rx(dst_id, kind=kind)
-            dst.drain(energy.model.rx_joules)
+            dst.drain(RX_JOULES)
             if on_delivered is not None:
                 on_delivered(packet)
             if deliver_to_handler:
@@ -377,11 +376,11 @@ class WirelessNetwork:
             level_latency.append(level_latency[-1] + step)
         # Every node that holds the message rebroadcasts once, except
         # leaves at the TTL horizon which receive but do not forward.
-        for node_id, (hops, _) in tree.items():
-            if hops >= ttl:
-                continue
-            self.charge_tx(node_id, "flood")
-            node = self.node(node_id)
+        forwarders = self._charge_forwarders(tree, ttl)
+        table = self.medium.node_table
+        for node_id in forwarders:
+            hops = tree[node_id][0]
+            node = table[node_id]
             # A forwarder contends for the medium until its whole flood
             # level has drained — the broadcast-storm cost that lets
             # repair floods steal airtime from concurrent data traffic.
@@ -412,17 +411,35 @@ class WirelessNetwork:
         whose wave reached it first.
         """
         tree, _ = self._spread(src_ids, ttl)
-        for node_id, (hops, _) in tree.items():
-            if hops < ttl:
-                self.charge_tx(node_id, "flood")
+        self._charge_forwarders(tree, ttl)
         return tree
+
+    def _charge_forwarders(
+        self, tree: Dict[int, Tuple[int, Optional[int]]], ttl: int
+    ) -> List[int]:
+        """Charge one flood transmission to every tree node short of the
+        TTL horizon, in tree order; returns those forwarders."""
+        forwarders = [
+            node_id for node_id, (hops, _) in tree.items() if hops < ttl
+        ]
+        self.energy.charge_tx_each(forwarders, "flood")
+        table = self.medium.node_table
+        for node_id in forwarders:
+            table[node_id].consumed_joules += TX_JOULES
+        return forwarders
 
     def _spread(
         self, src_ids: Sequence[int], ttl: int
     ) -> Tuple[Dict[int, Tuple[int, Optional[int]]], List[int]]:
         """Spread a flood breadth-first from the usable ``src_ids``,
         charging every reception; returns the tree and the number of
-        new holders per level."""
+        new holders per level.
+
+        A reception drains its battery at once, so a node the flood
+        exhausts is gone from the next neighbour list computed; the
+        ledger is charged once at the end, by count, in first-heard
+        order (exact: see :mod:`repro.net.energy`).
+        """
         if ttl < 0:
             raise NetworkError(f"flood ttl must be >= 0, got {ttl}")
         tree: Dict[int, Tuple[int, Optional[int]]] = {}
@@ -432,21 +449,23 @@ class WirelessNetwork:
                 tree[src_id] = (0, None)
                 frontier.append(src_id)
         level_sizes = [len(frontier)]
+        received: Counter = Counter()
+        table = self.medium.node_table
         depth = 0
         while frontier and depth < ttl:
             depth += 1
             next_frontier: List[int] = []
             for node_id in frontier:
-                # One batch per forwarder: its drains land before the
-                # next neighbour list is read.
                 heard = self.neighbors(node_id)
-                self.charge_rx_each(heard, "flood")
+                received.update(heard)
                 for nb in heard:
+                    table[nb].consumed_joules += RX_JOULES
                     if nb not in tree:
                         tree[nb] = (depth, node_id)
                         next_frontier.append(nb)
             frontier = next_frontier
             level_sizes.append(len(frontier))
+        self.energy.charge_rx_counts(received, "flood")
         return tree, level_sizes
 
     # -- metrics helpers ----------------------------------------------------------------

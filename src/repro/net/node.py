@@ -134,7 +134,7 @@ class Node:
 
     def drain(self, joules: float) -> None:
         """Deduct battery energy (no-op accounting when unmetered); just
-        this add, which ``WirelessNetwork.charge_rx_each`` inlines."""
+        this add, which ``WirelessNetwork``'s charges and floods inline."""
         self.consumed_joules += joules
 
     def __repr__(self) -> str:

@@ -10,13 +10,16 @@ the median transmission range), so a ``within_range`` query only
 examines the cells overlapping the query disk.
 
 Exactness contract: :meth:`SpatialHashGrid.within_range` returns
-*precisely* the points whose Euclidean distance to the query point is
-``<= radius``, computed with the same ``math.hypot`` arithmetic as
-:meth:`repro.util.geometry.Point.distance_to` — the grid only prunes
-candidates, it never changes the predicate.  Results are sorted by
-item id so downstream iteration order is deterministic and independent
-of bucketing internals.  The property suite in
-``tests/net/test_spatial_properties.py`` pins this equivalence
+*precisely* the ids of the points whose Euclidean distance to the query
+point is ``<= radius``, computed with the same ``math.hypot`` arithmetic
+as :meth:`repro.util.geometry.Point.distance_to` — the grid only prunes
+candidates, it never changes the predicate.  Given ``peers`` (the
+medium's node table), a point must also lie within its own item's
+``transmission_range`` of the query point and, with ``usable_only``,
+its item must be ``usable``: a neighbour list in the same pass over the
+cells.  Results are sorted by item id so downstream iteration order is
+deterministic and independent of bucketing internals.  The property
+suite in ``tests/net/test_spatial_properties.py`` pins this equivalence
 (including points sitting exactly on cell boundaries and on the range
 limit) against the brute-force oracle.
 
@@ -31,9 +34,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
-from typing import Dict, List, Set, Tuple
+from typing import Dict, List, Mapping, Optional, Set, Tuple
 
 from repro.errors import NetworkError
+from repro.net.node import Node
 from repro.util.geometry import Point
 
 CellKey = Tuple[int, int]
@@ -172,14 +176,21 @@ class SpatialHashGrid:
     # -- queries ------------------------------------------------------------
 
     def within_range(
-        self, point: Point, radius: float
-    ) -> List[Tuple[int, float]]:
-        """All ``(item_id, distance)`` with distance ``<= radius``.
+        self,
+        point: Point,
+        radius: float,
+        peers: Optional[Mapping[int, Node]] = None,
+        usable_only: bool = False,
+    ) -> List[int]:
+        """The ids of the items within ``radius`` of ``point``, sorted.
 
-        Sorted by item id.  The distance predicate and arithmetic are
-        identical to a brute-force scan over the stored points — the
-        grid never changes which items match, only how many are
-        examined.
+        Given ``peers``, an item must also have ``point`` within its
+        own ``peers[item].transmission_range`` and, with
+        ``usable_only``, be ``usable``.  The distance predicate and
+        arithmetic are identical to a brute-force scan over the stored
+        points — the grid never changes which items match, only how
+        many are examined.  ``stats.matches`` counts the items within
+        ``radius``, before the ``peers`` tests.
         """
         if radius < 0:
             raise NetworkError("radius must be non-negative")
@@ -189,10 +200,11 @@ class SpatialHashGrid:
         cx_hi = math.floor((x + radius) / size)
         cy_lo = math.floor((y - radius) / size)
         cy_hi = math.floor((y + radius) / size)
-        out: List[Tuple[int, float]] = []
+        out: List[int] = []
         cells = self._cells
         positions = self._positions
-        candidates = 0
+        hypot = math.hypot
+        candidates = matches = 0
         for cx in range(cx_lo, cx_hi + 1):
             for cy in range(cy_lo, cy_hi + 1):
                 bucket = cells.get((cx, cy))
@@ -201,12 +213,19 @@ class SpatialHashGrid:
                 candidates += len(bucket)
                 for item_id in bucket:
                     p = positions[item_id]
-                    distance = math.hypot(x - p.x, y - p.y)
+                    distance = hypot(x - p.x, y - p.y)
                     if distance <= radius:
-                        out.append((item_id, distance))
+                        matches += 1
+                        if peers is not None:
+                            peer = peers[item_id]
+                            if distance > peer.transmission_range or (
+                                usable_only and not peer.usable
+                            ):
+                                continue
+                        out.append(item_id)
         self.stats.queries += 1
         self.stats.candidates += candidates
-        self.stats.matches += len(out)
+        self.stats.matches += matches
         out.sort()
         return out
 
@@ -222,19 +241,30 @@ class SpatialHashGrid:
 
 
 def brute_force_within_range(
-    positions: Dict[int, Point], point: Point, radius: float
-) -> List[Tuple[int, float]]:
+    positions: Dict[int, Point],
+    point: Point,
+    radius: float,
+    peers: Optional[Mapping[int, Node]] = None,
+    usable_only: bool = False,
+) -> List[int]:
     """The O(n) oracle :meth:`SpatialHashGrid.within_range` must match.
 
     Kept in the library (not the tests) so the ablation bench and the
     test suites all compare against the same scan; nothing under
     ``src/`` calls it.
     """
-    out: List[Tuple[int, float]] = []
+    out: List[int] = []
     for item_id, p in positions.items():
         distance = math.hypot(point.x - p.x, point.y - p.y)
-        if distance <= radius:
-            out.append((item_id, distance))
+        if distance > radius:
+            continue
+        if peers is not None:
+            peer = peers[item_id]
+            if distance > peer.transmission_range:
+                continue
+            if usable_only and not peer.usable:
+                continue
+        out.append(item_id)
     out.sort()
     return out
 

@@ -6,6 +6,8 @@ spatial grid holds; the oracle re-derives the same tuple with
 so a difference is an index bug, never a difference in positions.
 """
 
+import math
+
 from repro.net.spatial import brute_force_within_range
 
 
@@ -17,14 +19,15 @@ def brute_neighbors(medium, node_id, require_usable=True):
     """
     grid = medium.spatial_grid
     snapshot = {item: grid.position_of(item) for item in grid.items()}
+    here = snapshot[node_id]
     reach = medium.node(node_id).transmission_range
     found = []
-    for other_id, distance in brute_force_within_range(
-        snapshot, snapshot[node_id], reach
-    ):
+    for other_id in brute_force_within_range(snapshot, here, reach):
         other = medium.node(other_id)
         if other_id == node_id or (require_usable and not other.usable):
             continue
-        if distance <= other.transmission_range:
+        there = snapshot[other_id]
+        if math.hypot(here.x - there.x, here.y - there.y) <= \
+                other.transmission_range:
             found.append(other_id)
     return tuple(found)

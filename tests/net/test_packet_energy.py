@@ -3,7 +3,8 @@
 import pytest
 
 from repro.errors import TelemetryError
-from repro.net.energy import EnergyLedger, EnergyModel, Phase
+from repro.net import energy
+from repro.net.energy import EnergyLedger, Phase
 from repro.net.packet import Packet, PacketKind
 from repro.telemetry.registry import Registry
 
@@ -62,13 +63,8 @@ class TestPacket:
 
 class TestEnergyModel:
     def test_paper_defaults(self):
-        model = EnergyModel()
-        assert model.tx_joules == 2.0
-        assert model.rx_joules == 0.75
-
-    def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            EnergyModel(tx_joules=-1)
+        assert energy.TX_JOULES == 2.0
+        assert energy.RX_JOULES == 0.75
 
 
 class TestEnergyLedger:
@@ -105,14 +101,14 @@ class TestEnergyLedger:
         ledger.charge_tx(1)                      # 2 J communication
         assert ledger.construction_fraction() == pytest.approx(0.5)
 
-    @pytest.mark.parametrize(
-        "model", [EnergyModel(), EnergyModel(tx_joules=0.0, rx_joules=0.0)]
-    )
-    def test_rejected_charge_mutates_nothing(self, model):
+    @pytest.mark.parametrize("model", [(2.0, 0.75), (0.0, 0.0)])
+    def test_rejected_charge_mutates_nothing(self, model, monkeypatch):
         # A bad charge must not register children on its way to the
         # error: exports would grow zero-valued samples.
+        monkeypatch.setattr(energy, "TX_JOULES", model[0])
+        monkeypatch.setattr(energy, "RX_JOULES", model[1])
         registry = Registry()
-        ledger = EnergyLedger(model, registry=registry)
+        ledger = EnergyLedger(registry=registry)
         ledger.charge_rx(7, kind="probe")
         before = registry.as_dict()
         ledger.set_phase(Phase.COMMUNICATION)
@@ -122,8 +118,11 @@ class TestEnergyLedger:
         assert registry.as_dict() == before
         assert (ledger.tx_packets, ledger.rx_packets) == (0, 1)
 
-    def test_custom_model(self):
-        ledger = EnergyLedger(EnergyModel(tx_joules=1.0, rx_joules=0.5))
+    def test_custom_model(self, monkeypatch):
+        # The ledger reads the module constants at each charge.
+        monkeypatch.setattr(energy, "TX_JOULES", 1.0)
+        monkeypatch.setattr(energy, "RX_JOULES", 0.5)
+        ledger = EnergyLedger()
         assert ledger.charge_tx(1) == 1.0
         assert ledger.charge_rx(1) == 0.5
 

@@ -25,10 +25,9 @@ class TestGridBasics:
         grid.insert(3, Point(100, 100))
         assert len(grid) == 3
         assert 2 in grid and 99 not in grid
-        hits = grid.within_range(Point(0, 0), 10.0)
-        assert [i for i, _ in hits] == [1, 2]
+        assert grid.within_range(Point(0, 0), 10.0) == [1, 2]
         grid.remove(2)
-        assert [i for i, _ in grid.within_range(Point(0, 0), 10.0)] == [1]
+        assert grid.within_range(Point(0, 0), 10.0) == [1]
 
     def test_invalid_cell_size(self):
         with pytest.raises(NetworkError):
@@ -56,15 +55,24 @@ class TestGridBasics:
         grid = SpatialHashGrid(50.0)
         for item_id in (9, 3, 7, 1):
             grid.insert(item_id, Point(item_id, 0))
-        assert [i for i, _ in grid.within_range(Point(0, 0), 50.0)] == [
+        assert grid.within_range(Point(0, 0), 50.0) == [
             1, 3, 7, 9,
         ]
 
-    def test_distances_returned(self):
+    def test_peers_filter_by_their_own_range_and_liveness(self):
         grid = SpatialHashGrid(10.0)
-        grid.insert(1, Point(3, 4))
-        ((_, distance),) = grid.within_range(Point(0, 0), 10.0)
-        assert distance == pytest.approx(5.0)
+        peers = {
+            1: make_node(1, 3, 4, rng=5.0),        # 5 m: its range reaches
+            2: make_node(2, 6, 8, rng=9.99),       # 10 m: its range falls short
+            3: make_node(3, 0, 6, rng=50.0),
+        }
+        peers[3].failed = True
+        for item_id, node in peers.items():
+            grid.insert(item_id, node.position(0.0))
+        assert grid.within_range(Point(0, 0), 10.0) == [1, 2, 3]
+        assert grid.within_range(Point(0, 0), 10.0, peers) == [1, 3]
+        assert grid.within_range(Point(0, 0), 10.0, peers, True) == [1]
+        assert grid.stats.matches == 9     # within radius, before the peers tests
 
 
 class TestGridBoundaries:
@@ -72,21 +80,21 @@ class TestGridBoundaries:
         grid = SpatialHashGrid(10.0)
         grid.insert(1, Point(10.0, 0.0))   # exactly on the cell seam
         grid.insert(2, Point(10.0, 10.0))  # exactly on a cell corner
-        assert [i for i, _ in grid.within_range(Point(9.0, 1.0), 15.0)] == [
+        assert grid.within_range(Point(9.0, 1.0), 15.0) == [
             1, 2,
         ]
 
     def test_point_exactly_on_range_limit_included(self):
         grid = SpatialHashGrid(5.0)
         grid.insert(1, Point(30.0, 0.0))
-        assert grid.within_range(Point(0, 0), 30.0) == [(1, 30.0)]
+        assert grid.within_range(Point(0, 0), 30.0) == [1]
         assert grid.within_range(Point(0, 0), 29.999999) == []
 
     def test_negative_coordinates(self):
         grid = SpatialHashGrid(10.0)
         grid.insert(1, Point(-25.0, -25.0))
         grid.insert(2, Point(25.0, 25.0))
-        assert [i for i, _ in grid.within_range(Point(-20.0, -20.0), 10.0)] \
+        assert grid.within_range(Point(-20.0, -20.0), 10.0) \
             == [1]
 
     def test_query_disk_larger_than_cell(self):
@@ -94,7 +102,7 @@ class TestGridBoundaries:
         grid = SpatialHashGrid(3.0)
         for i in range(10):
             grid.insert(i, Point(10.0 * i, 0.0))
-        assert [i for i, _ in grid.within_range(Point(0, 0), 45.0)] == [
+        assert grid.within_range(Point(0, 0), 45.0) == [
             0, 1, 2, 3, 4,
         ]
 
@@ -104,7 +112,7 @@ class TestGridMove:
         grid = SpatialHashGrid(10.0)
         grid.insert(1, Point(1.0, 1.0))
         grid.move(1, Point(2.0, 2.0))
-        assert grid.within_range(Point(2.0, 2.0), 1.0) == [(1, 0.0)]
+        assert grid.within_range(Point(2.0, 2.0), 1.0) == [1]
         assert grid.stats.rebuckets == 0
         assert grid.stats.in_cell_moves == 1
         assert grid.position_of(1) == Point(2.0, 2.0)
@@ -113,7 +121,7 @@ class TestGridMove:
         grid = SpatialHashGrid(10.0)
         grid.insert(1, Point(1.0, 1.0))
         grid.move(1, Point(25.0, 1.0))
-        assert [i for i, _ in grid.within_range(Point(25.0, 0.0), 5.0)] == [1]
+        assert grid.within_range(Point(25.0, 0.0), 5.0) == [1]
         assert grid.within_range(Point(0.0, 0.0), 5.0) == []
         assert grid.stats.rebuckets == 1
 

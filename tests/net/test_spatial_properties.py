@@ -60,6 +60,38 @@ def test_within_range_matches_brute_force(deployment, query, radius):
     )
 
 
+class FakePeer:
+    def __init__(self, transmission_range, usable):
+        self.transmission_range = transmission_range
+        self.usable = usable
+
+
+@PROFILE
+@given(deployments(), st.tuples(finite, finite),
+       st.floats(min_value=0.0, max_value=700.0,
+                 allow_nan=False, allow_infinity=False),
+       st.integers(min_value=0, max_value=10 ** 6), st.booleans())
+def test_peer_filtered_query_matches_brute_force(
+    deployment, query, radius, peer_seed, usable_only
+):
+    """The neighbour-list form: each item's own range (sometimes the
+    exact float distance, to hit the limit) and liveness, tested in the
+    same pass."""
+    cell, positions = deployment
+    grid = SpatialHashGrid(cell)
+    for item_id, point in positions.items():
+        grid.insert(item_id, point)
+    q = Point(*query)
+    rng = random.Random(peer_seed)
+    peers = {}
+    for item_id, p in positions.items():
+        exact = math.hypot(q.x - p.x, q.y - p.y)
+        reach = rng.choice([exact, rng.uniform(0.0, 700.0)])
+        peers[item_id] = FakePeer(reach, rng.random() < 0.7)
+    assert grid.within_range(q, radius, peers, usable_only) == \
+        brute_force_within_range(positions, q, radius, peers, usable_only)
+
+
 @PROFILE
 @given(deployments(), st.integers(min_value=0, max_value=10 ** 6))
 def test_exact_range_limit_is_inclusive(deployment, pick_seed):
@@ -83,7 +115,7 @@ def test_exact_range_limit_is_inclusive(deployment, pick_seed):
     grid_hits = grid.within_range(q, radius)
     assert grid_hits == brute_force_within_range(positions, q, radius)
     assert any(
-        positions[item_id] == target for item_id, _ in grid_hits
+        positions[item_id] == target for item_id in grid_hits
     )
 
 
