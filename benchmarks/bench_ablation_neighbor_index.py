@@ -57,12 +57,17 @@ def sample_queries(n):
 def brute_neighbors(medium, snapshot, node_id):
     """``medium.neighbors(node_id, now)`` by an O(n) scan of ``snapshot``."""
     nodes = medium.node_table
-    found = brute_force_within_range(
-        snapshot, snapshot[node_id], nodes[node_id].transmission_range,
-        nodes, usable_only=True,
+    here = snapshot[node_id]
+    return tuple(
+        other_id
+        for other_id in brute_force_within_range(
+            snapshot, here, nodes[node_id].transmission_range
+        )
+        if other_id != node_id
+        and nodes[other_id].usable
+        and here.distance_to(snapshot[other_id])
+        <= nodes[other_id].transmission_range
     )
-    found.remove(node_id)
-    return tuple(found)
 
 
 def best_sweep(sweep):

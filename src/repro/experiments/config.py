@@ -27,6 +27,11 @@ from repro.kautz.graph import kautz_node_count
 from repro.qos.config import BurstyConfig, QosConfig
 from repro.recovery.config import RecoveryConfig
 from repro.telemetry.config import TelemetryConfig
+from repro.wsan.deployment import quadrant_actuator_positions, quadrant_cells
+
+#: The cells every run lays out: the quadrant layout's, whose count and
+#: actuators per cell do not depend on the area.
+_CELLS = quadrant_cells(quadrant_actuator_positions(1.0))
 
 
 @dataclass(frozen=True)
@@ -87,11 +92,13 @@ class ScenarioConfig:
             object.__setattr__(self, "fault_spec", tuple(self.fault_spec))
         if self.kautz_degree < 2:
             raise ConfigError("kautz_degree must be >= 2")
-        floor = kautz_node_count(self.kautz_degree, 3)
+        # Each cell embeds K(d, 3) on its own actuators plus sensors.
+        order = kautz_node_count(self.kautz_degree, 3)
+        floor = sum(order - len(cell.actuator_indices) for cell in _CELLS)
         if self.sensor_count < floor:
             raise ConfigError(
                 f"need at least {floor} sensors to embed "
-                f"K({self.kautz_degree},3)"
+                f"K({self.kautz_degree},3) in {len(_CELLS)} cells"
             )
         if self.packet_bytes <= 0:
             raise ConfigError("packet_bytes must be positive")

@@ -11,11 +11,16 @@ Query cost is where networks stop scaling: a brute-force scan is O(n)
 per query and O(n^2) per bucket.  The snapshot therefore lives in a
 :class:`~repro.net.spatial.SpatialHashGrid` (cell side = the median
 transmission range among registered nodes, the range most queries
-use), which prunes each query to the cells overlapping the query disk.
-The grid evaluates the brute-force predicate over the same positions,
-so any cell size gives the same neighbours (ascending node id);
-:func:`~repro.net.spatial.brute_force_within_range` is the oracle the
-tests hold it to.
+use, stretched by :data:`~repro.net.spatial.CELL_SLACK`), and the
+medium keeps one *geometry* per snapshot: each node's mutual-range
+peers at the snapshot positions, ascending.
+:meth:`~repro.net.spatial.SpatialHashGrid.mutual_neighbours` builds it
+for a set of ids in one pass over the cells, each pair's distance
+computed once; a flood asks for the whole registry with
+:meth:`WirelessMedium.survey`, a miss outside any flood for its one id.
+The pass evaluates the brute-force predicate over the same positions,
+so any cell size gives the same neighbours (``tests/net/oracle.py``
+holds it to :func:`~repro.net.spatial.brute_force_within_range`).
 
 Link questions (``can_transmit``, ``link_quality`` and their batched
 forms ``reachable`` and ``link_margins_each``) are answered from exact
@@ -24,9 +29,11 @@ positions at ``now``, one ``hypot`` per pair (:meth:`Node.distance_to`).
 ``neighbors`` is the discovery-timescale view: who was in mutual range
 when the bucket's snapshot was taken (its first neighbour query), with
 ``usable`` as it was when the node's tuple was first computed in the
-bucket.  Floods and candidate gathering share it.  The roll only
+bucket — the geometry carries no liveness, a tuple filters it at that
+first use.  Floods and candidate gathering share it.  The roll only
 *writes* the mobile positions; the grid re-hashes cells the first time
-a query in the bucket needs them.
+a query in the bucket needs them.  The cost boundary: a TTL-limited
+flood in a fresh bucket pays for the whole field's geometry.
 
 ``contention_at`` is a packet-time question, like the frame's own
 ``reachable``: it runs on every frame and is almost always 0, so the
@@ -38,9 +45,9 @@ asks for a neighbour tuple.  Expired radios leave during the walk, so
 time must not run backwards between calls.
 
 Registry mutations (``add_node``) invalidate the neighbour cache
-immediately: a node added mid-bucket (e.g. by vertex replacement in
-``core/maintenance``) is visible to the very next query, not at the
-next bucket boundary.
+immediately and the geometry with the positions: a node added
+mid-bucket (e.g. by vertex replacement in ``core/maintenance``) is
+visible to the very next query, not at the next bucket boundary.
 """
 
 from __future__ import annotations
@@ -52,7 +59,7 @@ from typing import Dict, Iterable, List, Mapping, Optional, Protocol, Tuple
 
 from repro.errors import NetworkError
 from repro.net.node import Node
-from repro.net.spatial import SpatialHashGrid
+from repro.net.spatial import CELL_SLACK, SpatialHashGrid
 from repro.util.geometry import Point
 
 
@@ -117,6 +124,12 @@ class WirelessMedium:
         self._pending_ids: List[int] = []
         #: Node ids whose mobility can change their position.
         self._mobile_ids: List[int] = []
+        #: Node ids whose range, stretched by ``CELL_SLACK``, exceeds
+        #: the grid's cell side (``mutual_neighbours``' ``wide``).
+        self._wide_ids: List[int] = []
+        #: Each node's mutual-range peers at the snapshot, ascending,
+        #: for the nodes a pass has covered since the last refresh.
+        self._geometry: Dict[int, List[int]] = {}
         #: Snapshot refreshes performed (one per bucket plus one per
         #: mid-bucket registry mutation).
         self.refreshes = 0
@@ -199,16 +212,22 @@ class WirelessMedium:
 
     def _auto_cell_size(self) -> float:
         """The median registered range, the radius most queries use
-        (at the largest, the actuators' 250 m, a 500 m field is 4 cells)."""
+        (at the largest, the actuators' 250 m, a 500 m field is 4 cells),
+        stretched by :data:`~repro.net.spatial.CELL_SLACK` so that a
+        node of the median range is not wide."""
         ranges = [node.transmission_range for node in self._nodes.values()]
-        return statistics.median(ranges) if ranges else 1.0
+        if not ranges:
+            return 1.0
+        return statistics.median(ranges) * (1.0 + CELL_SLACK)
 
     def _refresh_positions(self, now: float) -> None:
-        """Bring the grid's positions to ``now``.
+        """Bring the grid's positions to ``now``, dropping the geometry
+        of the old ones.
 
         Static nodes are written once; mobile nodes are moved.
         """
         self.refreshes += 1
+        self._geometry = {}
         grid = self.spatial_grid
         if grid is None:
             grid = self.spatial_grid = SpatialHashGrid(
@@ -216,7 +235,11 @@ class WirelessMedium:
             )
         nodes = self._nodes
         for node_id in self._pending_ids:
-            grid.insert(node_id, nodes[node_id].mobility.position(now))
+            node = nodes[node_id]
+            grid.insert(node_id, node.mobility.position(now))
+            reach = node.transmission_range * (1.0 + CELL_SLACK)
+            if reach > grid.cell_size:
+                self._wide_ids.append(node_id)
         self._pending_ids = []
         for node_id in self._mobile_ids:
             grid.move(node_id, nodes[node_id].mobility.position(now))
@@ -246,19 +269,40 @@ class WirelessMedium:
         until the bucket rolls over or the registry changes.
         """
         bucket = int(now / self._cache_resolution)
-        if bucket != self._cache_bucket:
-            # The bucket's first neighbour query: its snapshot instant.
-            self._neighbor_cache.clear()
-            self._cache_bucket = bucket
-            self._refresh_positions(now)
-        elif self._pending_ids:
-            self._refresh_positions(now)  # registered mid-bucket
+        if bucket != self._cache_bucket or self._pending_ids:
+            self._roll(bucket, now)
         key = (node_id, require_usable)
         cached = self._neighbor_cache.get(key)
         if cached is None:
             cached = self._compute_neighbors(node_id, require_usable)
             self._neighbor_cache[key] = cached
         return cached
+
+    def survey(self, now: float) -> None:
+        """Compute the geometry of every registered node in ``now``'s
+        bucket, in one pass over the grid (once per bucket: a flood
+        about to ask for many neighbour tuples calls it first).
+
+        Liveness is not read here: each tuple still filters by
+        ``usable`` at its first :meth:`neighbors` call.
+        """
+        bucket = int(now / self._cache_resolution)
+        if bucket != self._cache_bucket or self._pending_ids:
+            self._roll(bucket, now)
+        geometry = self._geometry
+        if len(geometry) < len(self._nodes):
+            missing = [i for i in self._nodes if i not in geometry]
+            geometry.update(self.spatial_grid.mutual_neighbours(
+                missing, self._nodes, self._wide_ids
+            ))
+
+    def _roll(self, bucket: int, now: float) -> None:
+        """Refresh the snapshot for ``now`` (in ``bucket``)."""
+        if bucket != self._cache_bucket:
+            # The bucket's first neighbour query: its snapshot instant.
+            self._neighbor_cache.clear()
+            self._cache_bucket = bucket
+        self._refresh_positions(now)  # the roll, or registered mid-bucket
 
     def snapshot_covers(self, margin: float) -> bool:
         """Whether every pair whose ``link_quality`` at an instant
@@ -281,18 +325,17 @@ class WirelessMedium:
     def _compute_neighbors(
         self, node_id: int, require_usable: bool
     ) -> Tuple[int, ...]:
-        origin = self.node(node_id)
-        grid = self.spatial_grid
-        found = grid.within_range(
-            grid.position_of(node_id),
-            origin.transmission_range,
-            self._nodes,
-            require_usable,
-        )
-        # The origin is 0 m from itself: listed unless liveness dropped it.
-        if origin.usable or not require_usable:
-            found.remove(node_id)
-        return tuple(found)
+        peers = self._geometry.get(node_id)
+        if peers is None:
+            self.node(node_id)  # NetworkError on an unknown id
+            peers = self.spatial_grid.mutual_neighbours(
+                (node_id,), self._nodes, self._wide_ids
+            )[node_id]
+            self._geometry[node_id] = peers
+        if require_usable:
+            nodes = self._nodes
+            return tuple([peer for peer in peers if nodes[peer].usable])
+        return tuple(peers)
 
     def reachable(
         self, src_id: int, dst_ids: Iterable[int], now: float

@@ -435,10 +435,14 @@ class WirelessNetwork:
         charging every reception; returns the tree and the number of
         new holders per level.
 
-        A reception drains its battery at once, so a node the flood
-        exhausts is gone from the next neighbour list computed; the
-        ledger is charged once at the end, by count, in first-heard
-        order (exact: see :mod:`repro.net.energy`).
+        The medium's geometry for the bucket is surveyed first: one
+        grid pass over the whole registry, each pair's distance once
+        (a TTL-limited flood in a fresh bucket pays for the whole
+        field).  Liveness is each neighbour list's, read when the
+        forwarder's list is first asked for: a reception drains its
+        battery at once, so a node the flood exhausts is gone from the
+        next list computed; the ledger is charged once at the end, by
+        count, in first-heard order (exact: see :mod:`repro.net.energy`).
         """
         if ttl < 0:
             raise NetworkError(f"flood ttl must be >= 0, got {ttl}")
@@ -449,6 +453,8 @@ class WirelessNetwork:
                 tree[src_id] = (0, None)
                 frontier.append(src_id)
         level_sizes = [len(frontier)]
+        if frontier and ttl:
+            self.medium.survey(self.sim.now)
         received: Counter = Counter()
         table = self.medium.node_table
         depth = 0

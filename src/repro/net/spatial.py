@@ -7,21 +7,25 @@ cost the QoS literature identifies as the scaling limiter for
 real-time WSANs.  This module replaces the scan with a uniform grid
 hash: points are bucketed into square cells (the medium sizes them to
 the median transmission range), so a ``within_range`` query only
-examines the cells overlapping the query disk.
+examines the cells overlapping the query disk, and
+``mutual_neighbours`` — the medium's neighbour lists, for any set of
+ids in one pass — pairs each cell holding one of them with itself and
+its eight neighbours and computes each pair's distance once.
 
 Exactness contract: :meth:`SpatialHashGrid.within_range` returns
 *precisely* the ids of the points whose Euclidean distance to the query
 point is ``<= radius``, computed with the same ``math.hypot`` arithmetic
 as :meth:`repro.util.geometry.Point.distance_to` — the grid only prunes
-candidates, it never changes the predicate.  Given ``peers`` (the
-medium's node table), a point must also lie within its own item's
-``transmission_range`` of the query point and, with ``usable_only``,
-its item must be ``usable``: a neighbour list in the same pass over the
-cells.  Results are sorted by item id so downstream iteration order is
-deterministic and independent of bucketing internals.  The property
-suite in ``tests/net/test_spatial_properties.py`` pins this equivalence
-(including points sitting exactly on cell boundaries and on the range
-limit) against the brute-force oracle.
+candidates, it never changes the predicate.
+:meth:`SpatialHashGrid.mutual_neighbours` lists for an item every item
+whose distance, the same ``hypot``, is ``<=`` both their
+``transmission_range``s, and reads no liveness (the medium filters by
+``usable`` when a list is first used).  Results are sorted by item id so
+downstream iteration order is deterministic and independent of
+bucketing internals.  The property suite in
+``tests/net/test_spatial_properties.py`` pins both against the
+brute-force oracle, including points sitting exactly on cell
+boundaries and on the range limit.
 
 Mobility integration is left to the caller (the
 :class:`~repro.net.medium.WirelessMedium` keeps its position snapshot
@@ -34,13 +38,29 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
-from typing import Dict, List, Mapping, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Mapping, Sequence, Set, Tuple
 
 from repro.errors import NetworkError
 from repro.net.node import Node
 from repro.util.geometry import Point
 
 CellKey = Tuple[int, int]
+
+#: How much longer than the range it is sized for a cell side is kept
+#: (relative): a pair two cells apart is then out of that range however
+#: ``floor`` and ``hypot`` round, where a side exactly equal to it lets
+#: one rounding pair a point just below a seam with one a cell past it.
+CELL_SLACK = 2.0 ** -24
+
+#: The eight neighbour offsets of a cell, each flagged forward or not:
+#: of two cells that both need a pass, the pair is taken from the one
+#: it is forward of.
+_STENCIL = tuple(
+    (dx, dy, (dx, dy) > (0, 0))
+    for dx in (-1, 0, 1)
+    for dy in (-1, 0, 1)
+    if dx or dy
+)
 
 
 @dataclass
@@ -50,14 +70,16 @@ class GridStats:
     ``candidates`` vs ``matches`` quantifies query cost: the grid
     examines ``candidates`` stored points per query (the occupancy of
     the cells overlapping the query disk) where a brute-force scan
-    would examine every stored point.
+    would examine every stored point.  A ``mutual_neighbours`` pass
+    counts a query per id, a candidate per pair and a match per id
+    listed.
     """
 
     queries: int = 0
-    #: Points examined across all queries (the grid's analogue of the
-    #: brute-force n-per-query scan cost).
+    #: Points (pairs, in a pass) examined across all queries: the
+    #: grid's analogue of the brute-force n-per-query scan cost.
     candidates: int = 0
-    #: Points actually within range across all queries.
+    #: Points within range (ids listed, in a pass) across all queries.
     matches: int = 0
     inserts: int = 0
     removes: int = 0
@@ -175,22 +197,12 @@ class SpatialHashGrid:
 
     # -- queries ------------------------------------------------------------
 
-    def within_range(
-        self,
-        point: Point,
-        radius: float,
-        peers: Optional[Mapping[int, Node]] = None,
-        usable_only: bool = False,
-    ) -> List[int]:
+    def within_range(self, point: Point, radius: float) -> List[int]:
         """The ids of the items within ``radius`` of ``point``, sorted.
 
-        Given ``peers``, an item must also have ``point`` within its
-        own ``peers[item].transmission_range`` and, with
-        ``usable_only``, be ``usable``.  The distance predicate and
-        arithmetic are identical to a brute-force scan over the stored
-        points — the grid never changes which items match, only how
-        many are examined.  ``stats.matches`` counts the items within
-        ``radius``, before the ``peers`` tests.
+        The distance predicate and arithmetic are identical to a
+        brute-force scan over the stored points — the grid never
+        changes which items match, only how many are examined.
         """
         if radius < 0:
             raise NetworkError("radius must be non-negative")
@@ -204,7 +216,7 @@ class SpatialHashGrid:
         cells = self._cells
         positions = self._positions
         hypot = math.hypot
-        candidates = matches = 0
+        candidates = 0
         for cx in range(cx_lo, cx_hi + 1):
             for cy in range(cy_lo, cy_hi + 1):
                 bucket = cells.get((cx, cy))
@@ -213,21 +225,119 @@ class SpatialHashGrid:
                 candidates += len(bucket)
                 for item_id in bucket:
                     p = positions[item_id]
-                    distance = hypot(x - p.x, y - p.y)
-                    if distance <= radius:
-                        matches += 1
-                        if peers is not None:
-                            peer = peers[item_id]
-                            if distance > peer.transmission_range or (
-                                usable_only and not peer.usable
-                            ):
-                                continue
+                    if hypot(x - p.x, y - p.y) <= radius:
                         out.append(item_id)
         self.stats.queries += 1
         self.stats.candidates += candidates
-        self.stats.matches += matches
+        self.stats.matches += len(out)
         out.sort()
         return out
+
+    def mutual_neighbours(
+        self,
+        item_ids: Iterable[int],
+        peers: Mapping[int, Node],
+        wide: Sequence[int],
+    ) -> Dict[int, List[int]]:
+        """Each of ``item_ids``' mutual-range items, in ascending id.
+
+        ``b`` is listed for ``a`` iff ``hypot(xa - xb, ya - yb)`` is
+        ``<=`` both ``peers[a].transmission_range`` and ``peers[b]``'s:
+        the arithmetic of a query from either end, since the two
+        differences only change sign.  Liveness is not read.
+
+        Each pair's distance is computed once, in one pass: every cell
+        holding one of ``item_ids`` is paired with itself and with each
+        of its eight neighbours, two such cells once (from the one the
+        other is forward of).  That covers every pair in which one
+        item's range, stretched by :data:`CELL_SLACK`, is at most the
+        cell side: two cells apart, such a pair is out of range however
+        ``floor`` and ``hypot`` round, for coordinates within 2**27
+        cells of the origin.  ``wide`` must hold every other item; pairs
+        of two of them two or more cells apart are tested directly.
+
+        ``stats`` counts one query per id, the pairs examined and the
+        ids listed.
+        """
+        lists: Dict[int, List[int]] = {item_id: [] for item_id in item_ids}
+        keys = self._keys
+        cells = self._cells
+        positions = self._positions
+        hypot = math.hypot
+        wanted_at: Dict[CellKey, List[int]] = {}
+        for item_id in lists:
+            wanted_at.setdefault(keys[item_id], []).append(item_id)
+        # The items of those cells that are not wanted.
+        rest_at = {
+            key: [item_id for item_id in cells[key] if item_id not in lists]
+            for key in wanted_at
+        }
+
+        candidates = 0
+        for (cx, cy), wanted in wanted_at.items():
+            # What a wanted item here is tested against, each group
+            # flagged when its items are wanted too (listed both ways):
+            # the rest of this cell and of each neighbour, and a
+            # neighbour's wanted items only when it is forward of here
+            # (otherwise that cell tests this one's).
+            jobs = [(rest_at[cx, cy], False)]
+            for dx, dy, forward in _STENCIL:
+                key = (cx + dx, cy + dy)
+                there = cells.get(key)
+                if not there:
+                    continue
+                wanted_there = wanted_at.get(key)
+                if wanted_there is None:
+                    jobs.append((there, False))
+                else:
+                    if forward:
+                        jobs.append((wanted_there, True))
+                    jobs.append((rest_at[key], False))
+            for i, a in enumerate(wanted):
+                la = lists[a]
+                xa, ya = positions[a]
+                ra = peers[a].transmission_range
+                # Wanted cell-mates pair once, by position.
+                for partners, listed in [(wanted[i + 1:], True)] + jobs:
+                    candidates += len(partners)
+                    for b in partners:
+                        xb, yb = positions[b]
+                        distance = hypot(xa - xb, ya - yb)
+                        if distance <= ra and (
+                            distance <= peers[b].transmission_range
+                        ):
+                            la.append(b)
+                            if listed:
+                                lists[b].append(a)
+        for a in wide:
+            la = lists.get(a)
+            if la is None:
+                continue
+            ax, ay = keys[a]
+            xa, ya = positions[a]
+            ra = peers[a].transmission_range
+            for b in wide:
+                lb = lists.get(b)
+                if lb is not None and b <= a:
+                    continue  # a wanted pair is taken from its lower id
+                bx, by = keys[b]
+                if abs(bx - ax) < 2 and abs(by - ay) < 2:
+                    continue  # the cell pass had it
+                candidates += 1
+                xb, yb = positions[b]
+                distance = hypot(xa - xb, ya - yb)
+                if distance <= ra and distance <= peers[b].transmission_range:
+                    la.append(b)
+                    if lb is not None:
+                        lb.append(a)
+        matches = 0
+        for found in lists.values():
+            found.sort()
+            matches += len(found)
+        self.stats.queries += len(lists)
+        self.stats.candidates += candidates
+        self.stats.matches += matches
+        return lists
 
     def occupancy(self) -> GridOccupancy:
         """Distribution snapshot (for benchmarks and capacity checks)."""
@@ -241,11 +351,7 @@ class SpatialHashGrid:
 
 
 def brute_force_within_range(
-    positions: Dict[int, Point],
-    point: Point,
-    radius: float,
-    peers: Optional[Mapping[int, Node]] = None,
-    usable_only: bool = False,
+    positions: Dict[int, Point], point: Point, radius: float
 ) -> List[int]:
     """The O(n) oracle :meth:`SpatialHashGrid.within_range` must match.
 
@@ -253,18 +359,11 @@ def brute_force_within_range(
     test suites all compare against the same scan; nothing under
     ``src/`` calls it.
     """
-    out: List[int] = []
-    for item_id, p in positions.items():
-        distance = math.hypot(point.x - p.x, point.y - p.y)
-        if distance > radius:
-            continue
-        if peers is not None:
-            peer = peers[item_id]
-            if distance > peer.transmission_range:
-                continue
-            if usable_only and not peer.usable:
-                continue
-        out.append(item_id)
+    out = [
+        item_id
+        for item_id, p in positions.items()
+        if math.hypot(point.x - p.x, point.y - p.y) <= radius
+    ]
     out.sort()
     return out
 

@@ -47,6 +47,20 @@ class TestScenarioConfig:
     def test_validation(self):
         with pytest.raises(ConfigError):
             ScenarioConfig(sensor_count=5)
+        # The floor is every cell's sensor vertices: 4 cells x (|K(d,3)|
+        # less the cell's 3 actuators).  Below it embedding died in
+        # EmbeddingError (seeds 1-6); at it REFER runs, at 220, 500 and
+        # 2000 m sides alike.
+        for degree, floor in ((2, 36), (3, 132)):
+            with pytest.raises(ConfigError, match=f"at least {floor} sensors"):
+                ScenarioConfig(kautz_degree=degree, sensor_count=floor - 1)
+            assert ScenarioConfig(
+                kautz_degree=degree, sensor_count=floor
+            ).sensor_count == floor
+        sparse = ScenarioConfig(
+            sensor_count=36, area_side=2000.0, sim_time=2.0, warmup=0.5
+        )
+        assert run_scenario("REFER", sparse).generated > 0
         with pytest.raises(ConfigError):
             ScenarioConfig(sim_time=0)
         with pytest.raises(ConfigError):
@@ -102,14 +116,6 @@ class TestScenarioConfig:
         finally:
             signal.alarm(0)
             signal.signal(signal.SIGALRM, previous)
-
-    @pytest.mark.parametrize("degree,floor", [(2, 12), (3, 36)])
-    def test_sensor_floor_is_the_order_of_the_cell_graph(self, degree, floor):
-        with pytest.raises(ConfigError, match=f"at least {floor} sensors"):
-            ScenarioConfig(kautz_degree=degree, sensor_count=floor - 1)
-        assert ScenarioConfig(
-            kautz_degree=degree, sensor_count=floor
-        ).sensor_count == floor
 
     def test_boundary_values_stay_legal(self):
         assert ScenarioConfig(sensor_max_speed=0.0).sensor_max_speed == 0.0

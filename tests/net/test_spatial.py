@@ -1,16 +1,28 @@
 """Unit tests for the spatial hash grid and its medium integration."""
 
+import math
 import random
+from types import SimpleNamespace
 
 import pytest
 
 from repro.errors import NetworkError
+from repro.net import spatial
 from repro.net.medium import WirelessMedium
 from repro.net.mobility import RandomWaypoint, StaticMobility
+from repro.net.network import WirelessNetwork
 from repro.net.node import Node, NodeRole
-from repro.net.spatial import SpatialHashGrid, brute_force_within_range
+from repro.net.spatial import (
+    CELL_SLACK,
+    SpatialHashGrid,
+    brute_force_within_range,
+)
+from repro.sim.core import Simulator
 from repro.util.geometry import Point
 from tests.net.oracle import brute_neighbors
+
+#: The auto cell side of a medium whose median range is 100 m.
+MEDIAN_CELL = 100.0 * (1.0 + CELL_SLACK)
 
 
 def make_node(node_id, x, y, rng=100.0, role=NodeRole.SENSOR):
@@ -58,21 +70,6 @@ class TestGridBasics:
         assert grid.within_range(Point(0, 0), 50.0) == [
             1, 3, 7, 9,
         ]
-
-    def test_peers_filter_by_their_own_range_and_liveness(self):
-        grid = SpatialHashGrid(10.0)
-        peers = {
-            1: make_node(1, 3, 4, rng=5.0),        # 5 m: its range reaches
-            2: make_node(2, 6, 8, rng=9.99),       # 10 m: its range falls short
-            3: make_node(3, 0, 6, rng=50.0),
-        }
-        peers[3].failed = True
-        for item_id, node in peers.items():
-            grid.insert(item_id, node.position(0.0))
-        assert grid.within_range(Point(0, 0), 10.0) == [1, 2, 3]
-        assert grid.within_range(Point(0, 0), 10.0, peers) == [1, 3]
-        assert grid.within_range(Point(0, 0), 10.0, peers, True) == [1]
-        assert grid.stats.matches == 9     # within radius, before the peers tests
 
 
 class TestGridBoundaries:
@@ -143,6 +140,86 @@ class TestGridMove:
         assert occ.mean_per_cell == 0.0
 
 
+def grid_of(cell, nodes):
+    """A grid of ``nodes`` at their positions, with the node table and
+    the wide ids a medium with that cell side would hand its pass."""
+    grid = SpatialHashGrid(cell)
+    for node in nodes:
+        grid.insert(node.id, node.position(0.0))
+    table = {node.id: node for node in nodes}
+    wide = [
+        node.id for node in nodes
+        if node.transmission_range * (1.0 + CELL_SLACK) > cell
+    ]
+    return grid, table, wide
+
+
+class TestMutualNeighbours:
+    def test_both_ranges_decide_and_liveness_is_not_read(self):
+        nodes = [
+            make_node(0, 0, 0, rng=10.0),
+            make_node(1, 3, 4, rng=5.0),       # 5 m: exactly its range
+            make_node(2, 6, 8, rng=9.99),      # 10 m: its range falls short
+            make_node(3, 0, 6, rng=50.0),
+        ]
+        nodes[3].failed = True
+        grid, table, wide = grid_of(10.0, nodes)
+        assert grid.mutual_neighbours(range(4), table, wide) == {
+            0: [1, 3], 1: [0, 2, 3], 2: [1, 3], 3: [0, 1, 2],
+        }
+        assert grid.stats.queries == 4
+        assert grid.stats.matches == 10    # listed, both ends counted
+
+    def test_a_pass_over_some_ids_lists_what_the_whole_pass_does(self):
+        rng = random.Random(5)
+        nodes = [
+            make_node(i, rng.uniform(0, 300), rng.uniform(0, 300),
+                      rng=rng.choice([60.0, 100.0, 250.0]))
+            for i in range(80)
+        ]
+        grid, table, wide = grid_of(100.0, nodes)
+        whole = grid.mutual_neighbours(range(80), table, wide)
+        assert grid.stats.candidates <= 80 * 79 // 2
+        for node_id in range(80):
+            assert grid.mutual_neighbours([node_id], table, wide) == {
+                node_id: whole[node_id]
+            }
+        some = list(range(0, 80, 3))
+        assert grid.mutual_neighbours(some, table, wide) == {
+            node_id: whole[node_id] for node_id in some
+        }
+
+    def test_wide_pairs_beyond_the_cell_block(self):
+        """250 m radios in 100 m cells: two and three cells apart."""
+        nodes = [
+            make_node(0, 50, 50, rng=250.0),
+            make_node(1, 290, 50, rng=250.0),    # two cells on, 240 m
+            make_node(2, 99, 300, rng=250.0),
+            make_node(3, 340, 300, rng=250.0),   # three cells on, 241 m
+            make_node(4, 290, 140, rng=100.0),   # the wide 1's only peer
+        ]
+        grid, table, wide = grid_of(MEDIAN_CELL, nodes)
+        assert wide == [0, 1, 2, 3]
+        assert grid.mutual_neighbours(range(5), table, wide) == {
+            0: [1], 1: [0, 4], 2: [3], 3: [2], 4: [1],
+        }
+
+    def test_a_pair_two_cells_apart_at_a_rounded_range(self):
+        """3.9999999999999996 sits in cell 0 and 8.0 in cell 2, yet
+        their distance rounds to 4.0: the range, which the cell side
+        equals.  The slack makes such radios wide, so it is found."""
+        below = math.nextafter(4.0, 0.0)
+        nodes = [make_node(0, below, 0, rng=4.0), make_node(1, 8, 0, rng=4.0)]
+        grid, table, wide = grid_of(4.0, nodes)
+        assert math.hypot(below - 8.0, 0.0) == 4.0
+        assert wide == [0, 1]
+        assert grid.mutual_neighbours([0, 1], table, wide) == {0: [1], 1: [0]}
+        medium = WirelessMedium(cell_size=4.0)
+        for node in nodes:
+            medium.add_node(node)
+        assert medium.neighbors(0, 0.0) == (1,) == brute_neighbors(medium, 0)
+
+
 def rebuilt(grid):
     """A fresh grid holding every ``position_of`` of ``grid``."""
     fresh = SpatialHashGrid(grid.cell_size)
@@ -184,8 +261,8 @@ class TestMediumIndexIntegration:
         assert medium.spatial_grid is None
         medium.neighbors(0, 0.0)
         assert medium.spatial_grid is not None
-        # Auto cell size = the median transmission range.
-        assert medium.spatial_grid.cell_size == 100.0
+        # Auto cell size = the median transmission range, stretched.
+        assert medium.spatial_grid.cell_size == MEDIAN_CELL
 
     def test_explicit_cell_size(self):
         medium = build_medium(cell_size=40.0)
@@ -197,7 +274,7 @@ class TestMediumIndexIntegration:
         medium.add_node(make_node(4, 80, 60, rng=250.0))
         medium.add_node(make_node(5, 500, 500, rng=30.0))
         medium.neighbors(0, 0.0)
-        assert medium.spatial_grid.cell_size == 100.0
+        assert medium.spatial_grid.cell_size == MEDIAN_CELL
         assert WirelessMedium().index_stats() == {"refreshes": 0}
 
     def test_grid_and_brute_agree(self):
@@ -221,10 +298,10 @@ class TestMediumIndexIntegration:
         medium = build_medium()
         before = {i: medium.neighbors(i, 0.0) for i in range(4)}
         grid = medium.spatial_grid
-        assert grid.cell_size == 100.0
+        assert grid.cell_size == MEDIAN_CELL
         medium.add_node(make_node(4, 80, 60, rng=250.0))
         assert medium.neighbors(4, 0.0) == (0, 1, 2)
-        assert medium.spatial_grid is grid and grid.cell_size == 100.0
+        assert medium.spatial_grid is grid and grid.cell_size == MEDIAN_CELL
         assert medium.index_stats()["inserts"] == 5
         for i in range(4):
             found = medium.neighbors(i, 0.0)
@@ -336,6 +413,87 @@ class TestMediumIndexIntegration:
         assert stats["occupied_cells"] >= 2
         assert stats["max_per_cell"] >= 1
         assert stats["queries"] == 1
+
+
+class Line:
+    """A node moving along the x axis at ``speed`` m/s."""
+
+    is_static = False
+
+    def __init__(self, x0, speed):
+        self.x0 = x0
+        self.max_speed = speed
+
+    def position(self, now):
+        return Point(self.x0 + self.max_speed * now, 0.0)
+
+
+class TestGeometryPerSnapshot:
+    """A flood's pass computes every node's peers once per snapshot;
+    liveness is still each tuple's, read when it is first asked for."""
+
+    def test_liveness_is_read_at_first_use_not_at_the_pass(self):
+        medium = build_medium()        # 0 -80m- 1 -80m- 2, 3 far away
+        medium.node(2).failed = True
+        medium.survey(0.0)
+        medium.node(0).failed = True   # after the pass, before 1 asks
+        medium.node(2).failed = False
+        assert medium.neighbors(1, 0.0) == (2,)
+        assert medium.neighbors(1, 0.0, require_usable=False) == (0, 2)
+        medium.node(2).failed = True   # after 1 asked: its tuple holds
+        assert medium.neighbors(1, 0.1) == (2,)
+
+    def test_a_refresh_drops_the_geometry(self):
+        medium = build_medium()
+        medium.add_node(Node(4, NodeRole.SENSOR, Line(265.0, -100.0), 100.0))
+        medium.survey(0.0)
+        assert medium.neighbors(2, 0.0) == (1,)        # 4 is 105 m off
+        # A node joining mid-bucket re-reads every position at once.
+        medium.add_node(make_node(5, 80, 60))
+        assert medium.neighbors(1, 0.2) == (0, 2, 5)
+        assert medium.neighbors(2, 0.2) == (1, 4, 5)   # 4 is 85 m off now
+        medium.survey(0.2)
+        assert medium.neighbors(4, 0.2) == (2,)
+        # So does a bucket roll.
+        medium.survey(2.0)
+        assert medium.neighbors(4, 2.0) == (0, 1, 2, 5)
+
+    def test_a_flood_in_a_fresh_bucket_computes_each_pair_once(
+        self, monkeypatch
+    ):
+        rng = random.Random(2)
+        net = WirelessNetwork(Simulator(), random.Random(2))
+        points = {}
+        for node_id in range(120):
+            point = Point(rng.uniform(0, 400), rng.uniform(0, 400))
+            reach = 250.0 if node_id < 4 else 100.0
+            net.add_node(
+                Node(node_id, NodeRole.SENSOR, StaticMobility(point), reach)
+            )
+            points[node_id] = point
+        # The pair each operand couple of a distance belongs to.
+        pair_of = {
+            (a.x - b.x, a.y - b.y): frozenset((i, j))
+            for i, a in points.items()
+            for j, b in points.items()
+            if i != j
+        }
+        computed = []
+
+        def hypot(dx, dy):
+            computed.append(pair_of[dx, dy])
+            return math.hypot(dx, dy)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(
+                spatial, "math", SimpleNamespace(hypot=hypot, floor=math.floor)
+            )
+            tree = net.flood(0, ttl=64)
+            found = {node_id: net.neighbors(node_id) for node_id in points}
+        assert len(tree) == 120
+        assert len(computed) == len(set(computed))
+        for node_id in points:
+            assert found[node_id] == brute_neighbors(net.medium, node_id)
 
 
 class TestAddNodeInvalidation:

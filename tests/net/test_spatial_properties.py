@@ -1,9 +1,11 @@
-"""Property-based equivalence: grid ``within_range`` == brute-force scan.
+"""Property-based equivalence: the grid's answers == brute-force scans.
 
 The spatial index is only allowed to *prune* — for every deployment,
-query point and radius it must return exactly the unit-disk result the
-O(n) scan returns, including items sitting exactly on a cell boundary
-and exactly on the range limit.  All properties run derandomized
+query point and radius ``within_range`` must return exactly the
+unit-disk result the O(n) scan returns, and every neighbour tuple the
+medium builds from ``mutual_neighbours`` must equal the oracle's,
+including items sitting exactly on a cell boundary and exactly on the
+range limit.  All properties run derandomized
 (fixed seed profile) with >= 200 examples so CI failures reproduce.
 """
 
@@ -60,36 +62,73 @@ def test_within_range_matches_brute_force(deployment, query, radius):
     )
 
 
-class FakePeer:
-    def __init__(self, transmission_range, usable):
-        self.transmission_range = transmission_range
-        self.usable = usable
+@st.composite
+def worlds(draw):
+    """Nodes for a medium: a cell side (sometimes the auto one, often
+    smaller than the ranges), positions biased to cell seams, ranges
+    mixing the cell side, the paper's 100/250 m and exact pair
+    distances, and some nodes failed or with a flat battery."""
+    cell = draw(st.one_of(
+        st.none(),
+        st.floats(min_value=0.5, max_value=300.0,
+                  allow_nan=False, allow_infinity=False),
+    ))
+    side = cell if cell is not None else 100.0
+    aligned = st.integers(min_value=-4, max_value=4).map(lambda i: i * side)
+    coord = st.one_of(st.floats(min_value=-300.0, max_value=300.0,
+                                allow_nan=False, allow_infinity=False),
+                      aligned)
+    points = draw(st.lists(st.tuples(coord, coord), min_size=1, max_size=40))
+    rng = random.Random(draw(st.integers(min_value=0, max_value=10 ** 6)))
+    nodes = []
+    for node_id, (x, y) in enumerate(points):
+        other = points[rng.randrange(len(points))]
+        exact = math.hypot(x - other[0], y - other[1])
+        reach = rng.choice([
+            side, 2.5 * side, 100.0, 250.0, rng.uniform(1.0, 400.0), exact,
+        ])
+        node = Node(
+            node_id, NodeRole.SENSOR, StaticMobility(Point(x, y)),
+            max(reach, 1e-3),
+        )
+        fault = rng.random()
+        if fault < 0.15:
+            node.failed = True
+        elif fault < 0.3:
+            node.battery_joules = node.consumed_joules = 1.0
+        nodes.append(node)
+    late = draw(st.integers(min_value=0, max_value=len(nodes) - 1))
+    survey_first = draw(st.booleans())
+    return cell, nodes[:late + 1], nodes[late + 1:], survey_first
 
 
 @PROFILE
-@given(deployments(), st.tuples(finite, finite),
-       st.floats(min_value=0.0, max_value=700.0,
-                 allow_nan=False, allow_infinity=False),
-       st.integers(min_value=0, max_value=10 ** 6), st.booleans())
-def test_peer_filtered_query_matches_brute_force(
-    deployment, query, radius, peer_seed, usable_only
-):
-    """The neighbour-list form: each item's own range (sometimes the
-    exact float distance, to hit the limit) and liveness, tested in the
-    same pass."""
-    cell, positions = deployment
-    grid = SpatialHashGrid(cell)
-    for item_id, point in positions.items():
-        grid.insert(item_id, point)
-    q = Point(*query)
-    rng = random.Random(peer_seed)
-    peers = {}
-    for item_id, p in positions.items():
-        exact = math.hypot(q.x - p.x, q.y - p.y)
-        reach = rng.choice([exact, rng.uniform(0.0, 700.0)])
-        peers[item_id] = FakePeer(reach, rng.random() < 0.7)
-    assert grid.within_range(q, radius, peers, usable_only) == \
-        brute_force_within_range(positions, q, radius, peers, usable_only)
+@given(worlds())
+def test_geometry_pass_matches_brute_force_in_random_worlds(world):
+    """Every neighbour tuple equals the oracle's, both liveness modes,
+    whether a flood's pass or single-node misses built the geometry,
+    before and after nodes join mid-bucket."""
+    cell, first, late, survey_first = world
+    medium = WirelessMedium(cell_size=cell)
+    for node in first:
+        medium.add_node(node)
+
+    def check(now):
+        node_ids = medium.node_ids()
+        if survey_first:
+            medium.survey(now)
+        for node_id in node_ids[::2]:
+            medium.neighbors(node_id, now)  # misses: passes of one id
+        medium.survey(now)  # a pass over the ids still missing
+        for node_id in node_ids:
+            for require_usable in (True, False):
+                assert medium.neighbors(node_id, now, require_usable) == \
+                    brute_neighbors(medium, node_id, require_usable)
+
+    check(0.0)
+    for node in late:
+        medium.add_node(node)
+    check(0.1)
 
 
 @PROFILE
