@@ -14,6 +14,7 @@ from repro.experiments.workload import (
     CbrWorkload,
 )
 from repro.errors import ConfigError
+from repro.kautz.graph import kautz_node_count
 from repro.net.packet import Packet, PacketKind
 from repro.sim.core import Simulator
 from repro.wsan.system import ACTUATOR_RANGE, SENSOR_RANGE
@@ -116,6 +117,18 @@ class TestScenarioConfig:
         finally:
             signal.alarm(0)
             signal.signal(signal.SIGALRM, previous)
+
+    @pytest.mark.parametrize("degree", [2, 3])
+    def test_sensor_floor_is_the_order_of_the_cell_graph(self, degree):
+        """The floor follows the order of the cell graph K(d,3): each of
+        the quadrant layout's 4 cells needs that many vertices less its 3
+        actuators, all of them sensors."""
+        floor = 4 * (kautz_node_count(degree, 3) - 3)
+        with pytest.raises(ConfigError, match=f"at least {floor} sensors"):
+            ScenarioConfig(kautz_degree=degree, sensor_count=floor - 1)
+        assert ScenarioConfig(
+            kautz_degree=degree, sensor_count=floor
+        ).sensor_count == floor
 
     def test_boundary_values_stay_legal(self):
         assert ScenarioConfig(sensor_max_speed=0.0).sensor_max_speed == 0.0
