@@ -109,9 +109,6 @@ class DaTreeSystem(WsanSystem):
 
     # -- data plane -----------------------------------------------------------
 
-    def parent_of(self, node_id: int) -> Optional[int]:
-        return self._parent.get(node_id)
-
     def send_event(
         self,
         source_id: int,

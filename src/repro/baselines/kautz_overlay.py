@@ -55,6 +55,8 @@ DISCOVERY_TTL = 16
 MAX_SEGMENT_RECOVERIES = 1
 #: Seconds between overlay maintenance rounds.
 HELLO_PERIOD = 5.0
+#: Degree of the overlay's Kautz graph.
+DEGREE = 3
 
 
 class KautzOverlaySystem(WsanSystem):
@@ -67,10 +69,8 @@ class KautzOverlaySystem(WsanSystem):
         network: WirelessNetwork,
         plan: DeploymentPlan,
         rng: random.Random,
-        degree: int = 3,
     ) -> None:
         super().__init__(network, plan, rng)
-        self._degree = degree
         self._discovery = FloodDiscovery(network)
         self._kid_to_node: Dict[KautzString, int] = {}
         self._node_to_kid: Dict[int, KautzString] = {}
@@ -91,8 +91,8 @@ class KautzOverlaySystem(WsanSystem):
 
     def build(self) -> None:
         population = self.plan.actuator_count + self.plan.sensor_count
-        k = overlay_dimensions(population, self._degree)
-        self.graph = KautzGraph(self._degree, k)
+        k = overlay_dimensions(population, DEGREE)
+        self.graph = KautzGraph(DEGREE, k)
         self.max_route_hops = 4 * k + 8
         self._assign_kids()
         self._discover_neighbor_paths()

@@ -68,11 +68,6 @@ class ChaosModel(abc.ABC):
 
     # -- queries -------------------------------------------------------------
 
-    @property
-    def faulty_nodes(self) -> Set[int]:
-        """Nodes this model currently holds in the failed state."""
-        return set(self._fail_times)
-
     def fail_time_of(self, node_id: int) -> Optional[float]:
         """When this model failed ``node_id`` (None if it did not)."""
         return self._fail_times.get(node_id)
@@ -302,7 +297,6 @@ class RegionalBlackoutFault(ChaosModel):
         duration: float = 8.0,
         period: float = 20.0,
         rounds: int = 1,
-        eligible: Optional[EligibleDraw] = None,
     ) -> None:
         if radius <= 0:
             raise ConfigError("blackout radius must be positive")
@@ -313,7 +307,6 @@ class RegionalBlackoutFault(ChaosModel):
         self._area_side = area_side
         self._radius = radius
         self._duration = duration
-        self._eligible = eligible
         self._max_rounds = rounds
         self.rounds = 0
         self.last_center: Optional[Point] = None
@@ -335,13 +328,9 @@ class RegionalBlackoutFault(ChaosModel):
             self._rng.uniform(0.0, self._area_side),
         )
         self.last_center = center
-        if self._eligible is not None:
-            population = list(self._eligible())
-        else:
-            population = self.network.medium.node_ids()
         victims = [
             node_id
-            for node_id in population
+            for node_id in self.network.medium.node_ids()
             if node_id not in self._fail_times
             and self.network.node(node_id).position(now).distance_to(center)
             <= self._radius
@@ -444,10 +433,8 @@ class GilbertElliottLinkFault(ChaosModel):
     ``((a, b), k)`` of the model's keyed stream, so a link's state is
     a function of ``(seed, link, now)``: chains are walked lazily, but
     which links are asked about, when and in what order moves nothing
-    (a look-back re-walks the chain from the epoch).
-
-    ``eligible`` (a set of node ids) restricts the process to links
-    whose *both* endpoints are in the set; None degrades every link.
+    (a look-back re-walks the chain from the epoch).  Every link is
+    degraded.
     """
 
     name = "link-burst"
@@ -458,7 +445,6 @@ class GilbertElliottLinkFault(ChaosModel):
         rng: random.Random,
         mean_good: float = 8.0,
         mean_bad: float = 1.5,
-        eligible: Optional[Sequence[int]] = None,
     ) -> None:
         if mean_good <= 0 or mean_bad <= 0:
             raise ConfigError("Gilbert-Elliott sojourn means must be positive")
@@ -466,7 +452,6 @@ class GilbertElliottLinkFault(ChaosModel):
         self._draws = KeyedStream(rng)
         self._mean_good = mean_good
         self._mean_bad = mean_bad
-        self._eligible = frozenset(eligible) if eligible is not None else None
         self._installed = False
         self._epoch = 0.0
         # link key -> [in_good_state, state_start, state_end, sojourn k]
@@ -495,11 +480,7 @@ class GilbertElliottLinkFault(ChaosModel):
 
     def link_up(self, src_id: int, dst_id: int, now: float) -> bool:
         """Whether the link's chain is in its GOOD state at ``now``."""
-        eligible = self._eligible
-        if now < self._epoch or (
-            eligible is not None
-            and (src_id not in eligible or dst_id not in eligible)
-        ):
+        if now < self._epoch:
             return True
         key = (
             (src_id, dst_id) if src_id < dst_id else (dst_id, src_id)

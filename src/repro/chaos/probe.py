@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.chaos.models import FaultEvent
-from repro.errors import ConfigError
 from repro.net.packet import Packet
 from repro.sim.core import Simulator
 from repro.telemetry.registry import Registry
@@ -25,6 +24,13 @@ from repro.util.stats import RunningStat
 
 #: Width of one delivery-ratio window, sim seconds.
 PROBE_WINDOW = 1.0
+
+#: Windows before a fault whose aggregate ratio is its baseline.
+BASELINE_WINDOWS = 3
+
+#: How far below its baseline a window's ratio may sit and still count
+#: as recovered.
+RECOVERY_BAND = 0.1
 
 #: Latency buckets for detection/repair histograms: sub-second through
 #: multi-round detector horizons (seconds, ascending).
@@ -60,11 +66,6 @@ class FaultRecovery:
     def recovered(self) -> bool:
         return self.recovery_windows is not None
 
-    @property
-    def degradation(self) -> float:
-        """How far below baseline the trough dipped (>= 0)."""
-        return max(0.0, self.baseline - self.trough)
-
 
 @dataclass(frozen=True)
 class ResilienceSummary:
@@ -97,13 +98,6 @@ class ResilienceSummary:
             r.recovery_time_s for r in self.records if r.recovery_time_s is not None
         ]
         return sum(times) / len(times) if times else 0.0
-
-    @property
-    def worst_trough(self) -> float:
-        """The deepest windowed delivery ratio seen across faults."""
-        if not self.records:
-            return 1.0
-        return min(r.trough for r in self.records)
 
     @property
     def mean_trough(self) -> float:
@@ -187,35 +181,21 @@ class ResilienceProbe:
             for index in sorted(self._generated)
         ]
 
-    def ratio_between(self, begin: float, end: float) -> float:
-        """Aggregate delivery ratio of packets created in [begin, end)."""
-        generated = delivered = 0
-        for index, count in self._generated.items():
-            start = index * PROBE_WINDOW
-            if begin <= start < end:
-                generated += count
-                delivered += self._delivered.get(index, 0)
-        return delivered / generated if generated else 0.0
-
     # -- recovery analysis ---------------------------------------------------
 
     def recovery_report(
-        self,
-        events: Sequence[FaultEvent],
-        baseline_windows: int = 3,
-        band: float = 0.1,
+        self, events: Sequence[FaultEvent]
     ) -> ResilienceSummary:
         """Time-to-recovery for every injection in ``events``.
 
         For each ``inject`` event: the baseline is the aggregate ratio
-        of the ``baseline_windows`` windows preceding it (1.0 when no
-        prior traffic exists); recovery is the first window at or after
-        the event whose ratio climbs back above ``baseline - band``.
-        The trough is the worst windowed ratio from the event until
-        recovery (or until traffic ends, if recovery never comes).
+        of the :data:`BASELINE_WINDOWS` windows preceding it (1.0 when
+        no prior traffic exists); recovery is the first window at or
+        after the event whose ratio climbs back above ``baseline -``
+        :data:`RECOVERY_BAND`.  The trough is the worst windowed ratio
+        from the event until recovery (or until traffic ends, if
+        recovery never comes).
         """
-        if baseline_windows < 1:
-            raise ConfigError("baseline_windows must be >= 1")
         indices = sorted(self._generated)
         records: List[FaultRecovery] = []
         for event in events:
@@ -223,7 +203,7 @@ class ResilienceProbe:
                 continue
             at = self._index(event.time)
             before = [
-                i for i in indices if at - baseline_windows <= i < at
+                i for i in indices if at - BASELINE_WINDOWS <= i < at
             ]
             if before:
                 gen = sum(self._generated[i] for i in before)
@@ -231,7 +211,7 @@ class ResilienceProbe:
                 baseline = dlv / gen if gen else 1.0
             else:
                 baseline = 1.0
-            target = max(0.0, baseline - band)
+            target = max(0.0, baseline - RECOVERY_BAND)
             after = [i for i in indices if i >= at]
             recovery_windows: Optional[int] = None
             trough = 1.0

@@ -21,6 +21,3 @@ class ReferId:
 
     def __str__(self) -> str:
         return f"({self.cid},{self.kid})"
-
-    def same_cell(self, other: "ReferId") -> bool:
-        return self.cid == other.cid

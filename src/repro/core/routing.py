@@ -35,6 +35,10 @@ DroppedCallback = Callable[[Packet], None]
 
 #: Hop budget of one intra-cell route.
 MAX_HOPS = 40
+#: Seconds of radio backlog past which a successor counts as
+#: *congested*: the next disjoint path is tried instead — Section
+#: III-C2 detours on "congested/failed" successors alike.
+CONGESTION_THRESHOLD = 0.05
 
 
 class RoutingStats(StatsView):
@@ -64,17 +68,12 @@ class ReferRouter:
         network: WirelessNetwork,
         plan: DeploymentPlan,
         cells: Sequence[EmbeddedCell],
-        congestion_threshold: float = 0.05,
     ) -> None:
-        """``congestion_threshold``: a successor whose radio queue
-        would delay the packet by more than this many seconds counts as
-        *congested* and the next disjoint path is tried instead —
-        Section III-C2 detours on "congested/failed" successors alike."""
         self.network = network
         self.plan = plan
         self.cells = {cell.cid: cell for cell in cells}
         self.stats = RoutingStats(registry=network.registry)
-        self._congestion_threshold = congestion_threshold
+        self._congestion_threshold = CONGESTION_THRESHOLD
         # node -> cell lookups happen per packet (twice per send_to),
         # so the linear scan over cells is cached; membership changes
         # invalidate through the cells' observer hook.

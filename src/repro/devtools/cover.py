@@ -182,12 +182,16 @@ class LineCoverage:
         return CoverageReport(files=files)
 
 
+#: Top-level packages the coverage gate does not measure.
+EXCLUDED_PARTS = ("devtools",)
+
+
 def build_universe(
     package_root: pathlib.Path,
-    exclude_parts: Tuple[str, ...] = ("devtools",),
     already_imported: Optional[Iterable[str]] = None,
 ) -> Dict[str, Set[int]]:
-    """Executable-line map for every measurable file under the package.
+    """Executable-line map for every measurable file under the package
+    (outside :data:`EXCLUDED_PARTS`).
 
     ``already_imported`` names files whose module body ran before the
     tracer existed; they are excluded rather than reported as
@@ -197,7 +201,7 @@ def build_universe(
     universe: Dict[str, Set[int]] = {}
     for path in sorted(package_root.rglob("*.py")):
         relative = path.relative_to(package_root)
-        if relative.parts and relative.parts[0] in exclude_parts:
+        if relative.parts and relative.parts[0] in EXCLUDED_PARTS:
             continue
         resolved = str(path.resolve())
         if resolved in skip:

@@ -1,7 +1,6 @@
 """DHT substrates: a CAN overlay (Ratnasamy et al.) used by REFER's
-upper tier, plus the consistent-hash ring re-exported from util."""
+upper tier."""
 
 from repro.dht.can import CanOverlay, Zone
-from repro.util.hashing import HashRing, consistent_hash
 
-__all__ = ["CanOverlay", "Zone", "HashRing", "consistent_hash"]
+__all__ = ["CanOverlay", "Zone"]

@@ -92,7 +92,7 @@ def run_campaign(
 
     ``supervision`` is passed to
     :func:`repro.experiments.parallel.supervise` (``workers``,
-    ``journal``, ``resume``, ``retry``, ``work``).  A job that keeps
+    ``journal``, ``resume``, ``work``).  A job that keeps
     failing is quarantined into ``failed_jobs`` and its points average
     the seeds that did complete; the campaign itself finishes.
     """

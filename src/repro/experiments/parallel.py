@@ -15,10 +15,10 @@ quarantine, continue:
   broken result pipe) before delivering a payload is detected from the
   parent side;
 * **bounded retries** — an attempt lost to the host (crash, hang,
-  corrupt reply) reruns at once, up to ``max_attempts`` per job (a
+  corrupt reply) reruns at once, up to :data:`MAX_ATTEMPTS` per job (a
   retry waits on no shared service, so there is nothing to pace);
 * **poison-job quarantine** — a job that keeps failing is quarantined
-  after ``max_attempts``, and one whose run *reported* an error on its
+  after :data:`MAX_ATTEMPTS`, and one whose run *reported* an error on its
   first: a run is a pure function of ``(system, config)``, so a second
   attempt would raise the same exception.  The campaign completes and
   reports it in ``failed_jobs`` instead of dying;
@@ -75,7 +75,6 @@ __all__ = [
     "CampaignJob",
     "CampaignSupervisor",
     "FailedJob",
-    "RetryPolicy",
     "SupervisorOutcome",
     "SupervisorStats",
     "job_for",
@@ -132,22 +131,13 @@ def run_job(system: str, config: ScenarioConfig) -> dict:
     return payload_from_result(run_scenario_cached(system, config))
 
 
-@dataclass(frozen=True)
-class RetryPolicy:
-    """How hard the supervisor fights for each job."""
+#: Total attempts per job before quarantine.
+MAX_ATTEMPTS = 3
 
-    #: Total attempts per job before quarantine (>= 1).
-    max_attempts: int = 3
-    #: Wall-clock seconds one spawned attempt may run before it is
-    #: declared hung and killed (supervisor-side timer; an in-process
-    #: attempt cannot be interrupted and has no deadline).
-    deadline_s: float = 300.0
-
-    def __post_init__(self) -> None:
-        if self.max_attempts < 1:
-            raise ConfigError("max_attempts must be >= 1")
-        if self.deadline_s <= 0:
-            raise ConfigError("deadline_s must be positive")
+#: Wall-clock seconds one spawned attempt may run before it is declared
+#: hung and killed (supervisor-side timer; an in-process attempt cannot
+#: be interrupted and has no deadline).
+DEADLINE_S = 300.0
 
 
 @dataclass(frozen=True)
@@ -263,7 +253,6 @@ class CampaignSupervisor:
         jobs: Sequence[CampaignJob],
         *,
         workers: int = 0,
-        retry: Optional[RetryPolicy] = None,
         journal: Optional[CampaignJournal] = None,
         work: Work = run_job,
     ) -> None:
@@ -274,7 +263,6 @@ class CampaignSupervisor:
         if workers < 0:
             raise ConfigError("workers must be >= 0")
         self.workers = workers
-        self.retry = retry if retry is not None else RetryPolicy()
         self.journal = journal
         self.work = work
         self._queue: Deque[Tuple[CampaignJob, int]] = deque()
@@ -321,7 +309,7 @@ class CampaignSupervisor:
             self._stats.corrupt += 1
         else:
             self._stats.errors += 1
-        if reason != "error" and attempt < self.retry.max_attempts:
+        if reason != "error" and attempt < MAX_ATTEMPTS:
             self._stats.retries += 1
             self._queue.append((job, attempt + 1))
             return
@@ -361,7 +349,7 @@ class CampaignSupervisor:
         )
         proc.start()
         send_end.close()
-        deadline = time.monotonic() + self.retry.deadline_s  # referlint: disable=REF002
+        deadline = time.monotonic() + DEADLINE_S  # referlint: disable=REF002
         return _Running(job, attempt, proc, recv_end, deadline)
 
     @staticmethod
@@ -429,7 +417,7 @@ class CampaignSupervisor:
                         entry.attempt,
                         failure=(
                             "hang",
-                            f"exceeded the {self.retry.deadline_s:g}s "
+                            f"exceeded the {DEADLINE_S:g}s "
                             "per-attempt deadline and was killed",
                         ),
                     )
@@ -477,7 +465,6 @@ def supervise(
     workers: int = 0,
     journal: Optional[str] = None,
     resume: bool = False,
-    retry: Optional[RetryPolicy] = None,
     work: Work = run_job,
 ) -> SupervisorOutcome:
     """Run a grid's ``(system, config)`` points, each distinct one once.
@@ -498,7 +485,6 @@ def supervise(
         return CampaignSupervisor(
             list(jobs.values()),
             workers=workers,
-            retry=retry,
             journal=ledger,
             work=work,
         ).run()

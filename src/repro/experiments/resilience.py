@@ -238,8 +238,8 @@ def resilience_campaign(
     heartbeat evidence instead of omnisciently, and the cells report
     detection latency and false-positive rate per fault class.
 
-    ``supervision`` (``workers``, ``journal``, ``resume``, ``retry``,
-    ``work``) goes to :func:`repro.experiments.parallel.supervise`; a
+    ``supervision`` (``workers``, ``journal``, ``resume``, ``work``)
+    goes to :func:`repro.experiments.parallel.supervise`; a
     quarantined job lands in ``failed_jobs`` and its cell averages the
     seeds that completed.
     """

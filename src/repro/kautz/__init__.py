@@ -6,8 +6,7 @@ implements Section III-A and III-C1 of the paper:
 * :mod:`repro.kautz.strings` — Kautz string labels (Definition 1).
 * :mod:`repro.kautz.graph` — the K(d, k) digraph.
 * :mod:`repro.kautz.namespace` — the L(U, V) overlap metric and distance.
-* :mod:`repro.kautz.routing` — the greedy shortest protocol and the
-  fault-tolerant hop-by-hop router.
+* :mod:`repro.kautz.routing` — the fault-tolerant hop-by-hop router.
 * :mod:`repro.kautz.disjoint` — Theorem 3.8: the d node-disjoint paths,
   their successors and lengths, computed from node IDs alone.
 * :mod:`repro.kautz.analysis` — Proposition 3.1's degree/diameter tables.
@@ -18,11 +17,7 @@ implements Section III-A and III-C1 of the paper:
 from repro.kautz.strings import KautzString
 from repro.kautz.graph import KautzGraph
 from repro.kautz.namespace import kautz_distance, overlap
-from repro.kautz.routing import (
-    FaultTolerantRouter,
-    greedy_next_hop,
-    greedy_path,
-)
+from repro.kautz.routing import FaultTolerantRouter
 from repro.kautz.disjoint import (
     PathCase,
     SuccessorInfo,
@@ -37,8 +32,6 @@ __all__ = [
     "kautz_distance",
     "overlap",
     "FaultTolerantRouter",
-    "greedy_next_hop",
-    "greedy_path",
     "PathCase",
     "SuccessorInfo",
     "disjoint_paths",

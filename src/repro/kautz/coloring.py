@@ -9,7 +9,7 @@ three rotation-related KIDs 012, 120, 201.
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, Iterable, List, Mapping, Sequence, TypeVar
+from typing import Dict, Hashable, Iterable, Mapping, Sequence, TypeVar
 
 Node = TypeVar("Node", bound=Hashable)
 
@@ -41,20 +41,3 @@ def sequential_coloring(
         colors[node] = color
     return colors
 
-
-def color_count(colors: Mapping[Node, int]) -> int:
-    """Number of distinct colours used."""
-    return len(set(colors.values())) if colors else 0
-
-
-def is_proper_coloring(
-    adjacency: Mapping[Node, Iterable[Node]], colors: Mapping[Node, int]
-) -> bool:
-    """Whether no edge joins two same-coloured vertices."""
-    for node, neighbors in adjacency.items():
-        for other in neighbors:
-            if node == other:
-                continue
-            if colors.get(node) == colors.get(other):
-                return False
-    return True

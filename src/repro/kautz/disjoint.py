@@ -48,7 +48,7 @@ import enum
 import functools
 from collections import deque
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.errors import KautzError, RoutingError
 from repro.kautz.namespace import MEMO_SIZE, overlap
@@ -119,24 +119,6 @@ def successor_table(
         )
     rows.sort(key=lambda r: (r.predicted_length, r.out_digit))
     return tuple(rows)
-
-
-def ranked_successors(
-    u: KautzString,
-    v: KautzString,
-    exclude: FrozenSet[KautzString] = frozenset(),
-) -> List[KautzString]:
-    """Successors of U ordered by disjoint-path length, minus ``exclude``.
-
-    This is the routing primitive: when the best successor fails, the
-    relay moves to the next entry — no route discovery, no notification
-    of the source (Section III-C2).
-    """
-    return [
-        row.successor
-        for row in successor_table(u, v)
-        if row.successor not in exclude
-    ]
 
 
 # ---------------------------------------------------------------------------

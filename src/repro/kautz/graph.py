@@ -113,20 +113,6 @@ class KautzGraph:
             letters.append(letter)
         return KautzString(tuple(letters), d)
 
-    def index_of(self, node: KautzString) -> int:
-        """Inverse of :meth:`node_at`."""
-        self._require(node)
-        d = self._degree
-        choices: List[int] = []
-        prev = node.letters[0]
-        for letter in node.letters[1:]:
-            choices.append(letter if letter < prev else letter - 1)
-            prev = letter
-        index = node.letters[0]
-        for choice in choices:
-            index = index * d + choice
-        return index
-
     def random_node(self, rng: random.Random) -> KautzString:
         """A uniformly random node."""
         return KautzString.random(self._degree, self._diameter, rng)
@@ -145,27 +131,6 @@ class KautzGraph:
         self._require(u)
         self._require(v)
         return u.letters[1:] == v.letters[:-1] and u.last != v.letters[-1]
-
-    def edges(self) -> Iterator[Tuple[KautzString, KautzString]]:
-        """All directed edges."""
-        for node in self.nodes():
-            for succ in node.successors():
-                yield (node, succ)
-
-    def undirected_neighbors(self, node: KautzString) -> List[KautzString]:
-        """Successors plus predecessors, deduplicated.
-
-        The paper treats WSAN links as bidirectional even though the
-        Kautz digraph is directed (Section III-B): this is the physical
-        neighbour set of an embedded Kautz node.
-        """
-        seen = {node}
-        result = []
-        for other in node.successors() + node.predecessors():
-            if other not in seen:
-                seen.add(other)
-                result.append(other)
-        return result
 
     # -- global measures --------------------------------------------------------
 

@@ -1,7 +1,7 @@
-"""Greedy shortest routing and REFER's fault-tolerant hop-by-hop router.
+"""REFER's fault-tolerant hop-by-hop router and its route-generation foil.
 
-The *greedy shortest protocol* (Section III-C1) forwards to the
-successor whose suffix shares the most digits with the destination.
+The *greedy shortest protocol* (Section III-C1) is
+:func:`repro.kautz.namespace.shortest_path`.
 :class:`FaultTolerantRouter` is the pure-algorithm form of REFER's
 intra-cell protocol (Section III-C2): at each relay, rank successors by
 Theorem 3.8 predicted length and take the best one that is alive —
@@ -10,25 +10,16 @@ locally, with no source notification and no route discovery.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, List, Optional, Set
 
 from repro.errors import RoutingError
 from repro.kautz.disjoint import successor_table
-from repro.kautz.namespace import kautz_distance, shortest_path
 from repro.kautz.strings import KautzString
 
-
-def greedy_next_hop(u: KautzString, v: KautzString) -> KautzString:
-    """The successor on the unique shortest U→V path."""
-    if u == v:
-        raise RoutingError("already at destination")
-    return shortest_path(u, v)[1]
-
-
-def greedy_path(u: KautzString, v: KautzString) -> List[KautzString]:
-    """The full shortest path U→V (alias of namespace.shortest_path)."""
-    return shortest_path(u, v)
+#: Relays a message may take beyond ``4 * k`` (``k`` its label length)
+#: before :class:`FaultTolerantRouter` gives up on it.
+MAX_HOPS_SLACK = 8
 
 
 @dataclass
@@ -50,16 +41,11 @@ class FaultTolerantRouter:
     ``is_available`` decides, per candidate hop, whether the node can
     accept a message right now (alive, link up, not congested).  The
     router never revisits a node within one message (loop prevention)
-    and gives up after ``max_hops`` relays.
+    and gives up after ``4 * k + MAX_HOPS_SLACK`` relays.
     """
 
-    def __init__(
-        self,
-        is_available: Callable[[KautzString], bool],
-        max_hops: Optional[int] = None,
-    ) -> None:
+    def __init__(self, is_available: Callable[[KautzString], bool]) -> None:
         self._is_available = is_available
-        self._max_hops = max_hops
 
     def route(self, source: KautzString, dest: KautzString) -> RouteResult:
         """Route one message; raises :class:`RoutingError` on failure.
@@ -71,9 +57,7 @@ class FaultTolerantRouter:
         """
         if source == dest:
             return RouteResult(path=[source], detours=0, delivered=True)
-        max_hops = self._max_hops
-        if max_hops is None:
-            max_hops = 4 * source.k + 8
+        max_hops = 4 * source.k + MAX_HOPS_SLACK
         path = [source]
         visited: Set[KautzString] = {source}
         detours = 0

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Iterator, List, Sequence, Tuple
+from typing import Iterator, List, Tuple
 
 from repro.errors import InvalidKautzString
 
@@ -52,13 +52,6 @@ class KautzString:
             return value
 
     # -- constructors ----------------------------------------------------
-
-    @classmethod
-    def from_iterable(
-        cls, letters: Sequence[int], degree: int
-    ) -> "KautzString":
-        """Build from any integer sequence."""
-        return cls(tuple(int(x) for x in letters), degree)
 
     @classmethod
     def parse(cls, text: str, degree: int) -> "KautzString":
@@ -159,11 +152,3 @@ class KautzString:
         """
         return self.shift(self.letters[0])
 
-    def is_rotation_of(self, other: "KautzString") -> bool:
-        """Whether ``other`` is a cyclic rotation of this string."""
-        if self.k != other.k or self.degree != other.degree:
-            return False
-        doubled = self.letters + self.letters
-        return any(
-            doubled[i : i + self.k] == other.letters for i in range(self.k)
-        )

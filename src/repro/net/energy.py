@@ -168,14 +168,6 @@ class EnergyLedger:
 
     # -- reporting ----------------------------------------------------------
 
-    @property
-    def tx_packets(self) -> int:
-        return self._tx_packets.value
-
-    @property
-    def rx_packets(self) -> int:
-        return self._rx_packets.value
-
     def total(self, phase: Phase) -> float:
         """Total joules charged in ``phase`` across all nodes."""
         return self._by_phase.value_at(phase.value, default=0.0)
@@ -183,14 +175,6 @@ class EnergyLedger:
     def grand_total(self) -> float:
         return sum(
             metric.value for _, metric in self._by_phase.items()
-        )
-
-    def node_total(self, node_id: int) -> float:
-        """Total joules consumed by one node across phases."""
-        return sum(
-            metric.value
-            for (nid, _), metric in self._by_node.items()
-            if nid == node_id
         )
 
     def total_by_kind(self, kind: str, phase: Optional[Phase] = None) -> float:
@@ -207,17 +191,9 @@ class EnergyLedger:
             if k == kind and (phase is None or p == phase.value)
         )
 
-    def kinds(self, phase: Optional[Phase] = None) -> Dict[str, float]:
-        """Traffic classes and totals, optionally filtered to one phase."""
+    def kinds(self) -> Dict[str, float]:
+        """Traffic classes and their totals across phases."""
         totals: Dict[str, float] = {}
-        for (kind, p), metric in self._by_kind.items():
-            if phase is None or p == phase.value:
-                totals[kind] = totals.get(kind, 0.0) + metric.value
+        for (kind, _), metric in self._by_kind.items():
+            totals[kind] = totals.get(kind, 0.0) + metric.value
         return totals
-
-    def construction_fraction(self) -> float:
-        """Construction share of total energy (the paper's ~0.1% claim)."""
-        total = self.grand_total()
-        if total == 0:
-            return 0.0
-        return self.total(Phase.CONSTRUCTION) / total

@@ -73,6 +73,15 @@ from repro.util.geometry import Point
 #: membership change of the cell usually ends a list first.
 NEAR_MARGIN = 0.2
 
+#: Seconds one position snapshot serves: the neighbour cache's time
+#: bucket.
+CACHE_RESOLUTION = 0.25
+
+#: Side of the spatial grid's cells, metres; ``None`` sizes them to the
+#: median registered range (:meth:`WirelessMedium._auto_cell_size`).
+#: Any positive side gives the same neighbours.
+CELL_SIZE: Optional[float] = None
+
 
 class LinkFault(Protocol):
     """A link-level fault process layered onto the medium.
@@ -98,25 +107,17 @@ class LinkFault(Protocol):
 class WirelessMedium:
     """Registry of nodes plus range queries with time-bucketed caching."""
 
-    def __init__(
-        self,
-        cache_resolution: float = 0.25,
-        cell_size: Optional[float] = None,
-    ) -> None:
-        if cache_resolution <= 0:
-            raise NetworkError("cache_resolution must be positive")
-        if cell_size is not None and cell_size <= 0:
-            raise NetworkError("cell_size must be positive")
+    def __init__(self) -> None:
         self._nodes: Dict[int, Node] = {}
         #: Read-only ``id -> Node`` view of the registry, for loops over
         #: many nodes that cannot afford a :meth:`node` call each.
         self.node_table: Mapping[int, Node] = MappingProxyType(self._nodes)
-        self._cache_resolution = cache_resolution
+        self._cache_resolution = CACHE_RESOLUTION
         self._neighbor_cache: Dict[Tuple[int, bool], Tuple[int, ...]] = {}
         self._cache_bucket = -1
         #: The installed fault model (see :meth:`set_link_fault`).
         self.link_fault: Optional[LinkFault] = None
-        self._explicit_cell_size = cell_size
+        self._explicit_cell_size = CELL_SIZE
         #: The live index, holding the positions every neighbour query
         #: in the current bucket is served from; built at the first one.
         self.spatial_grid: Optional[SpatialHashGrid] = None
@@ -311,9 +312,9 @@ class WirelessMedium:
 
         Such a pair is within ``(1 - margin) * limit`` of each other,
         ``limit`` being the shorter of its two ranges.  The snapshot is
-        less than one ``cache_resolution`` old, and in that time two
-        nodes close or open their distance by less than
-        ``2 * v_max * cache_resolution``; the pair was within ``limit``
+        less than one :data:`CACHE_RESOLUTION` old, and in that time
+        two nodes close or open their distance by less than
+        ``2 * v_max * CACHE_RESOLUTION``; the pair was within ``limit``
         at the snapshot if that drift is below ``margin * limit`` —
         for any pair, if it is below ``margin`` times the shortest
         registered range (1.5 m against 15 m at the paper's 3 m/s,

@@ -31,6 +31,10 @@ from typing import Protocol, Union
 from repro.util.geometry import EPSILON, Point
 from repro.util.rng import KeyedDraws
 
+#: Slowest speed a random-waypoint leg is drawn at (m/s): the paper's
+#: speeds are uniform from standstill up to the scenario's maximum.
+MIN_SPEED = 0.0
+
 
 class MobilityModel(Protocol):
     """Anything that can report a position at a given time."""
@@ -70,7 +74,7 @@ class RandomWaypoint:
 
     Each node repeatedly selects a uniform destination point in the
     square deployment area and moves toward it at a speed drawn
-    uniformly from ``[min_speed, max_speed]`` m/s; on arrival it
+    uniformly from ``[MIN_SPEED, max_speed]`` m/s; on arrival it
     immediately picks the next waypoint (no pause time, matching the
     paper's setup).  ``max_speed == 0`` degenerates to a static node.
 
@@ -87,16 +91,14 @@ class RandomWaypoint:
         area_side: float,
         max_speed: float,
         rng: Union[random.Random, KeyedDraws],
-        min_speed: float = 0.0,
     ) -> None:
         """``rng`` gives the leg draws through ``uniform(a, b)``, three
         a leg (target x, target y, speed)."""
         if area_side <= 0:
             raise ValueError("area_side must be positive")
-        if max_speed < 0 or min_speed < 0 or min_speed > max_speed:
+        if max_speed < 0:
             raise ValueError("invalid speed range")
         self._area_side = area_side
-        self._min_speed = min_speed
         #: The speed bound: no leg is walked faster.
         self.max_speed = max_speed
         self._rng = rng
@@ -128,7 +130,7 @@ class RandomWaypoint:
         )
         # Redraw near-zero speeds: a [0, max] draw of exactly 0 would
         # strand the node forever on this leg.
-        speed = self._rng.uniform(self._min_speed, self.max_speed)
+        speed = self._rng.uniform(MIN_SPEED, self.max_speed)
         self._speed = max(speed, 1e-3 * self.max_speed)
         self._depart_time = now
         if self._speed <= 0.0:

@@ -67,42 +67,20 @@ class WirelessNetwork:
         ).held()
         self._rng = rng
         self._handlers: Dict[int, ReceiveHandler] = {}
-        # Path-level outcomes of :meth:`send_along_path` plus the hop
-        # failure tally, as registry counters (see the properties below
-        # for the semantics the old plain-int attributes had).
+        # Path-level outcomes of :meth:`send_along_path` (a relay that
+        # reaches the end of its path is delivered, one whose hop fails
+        # is dropped; protocols that drive :meth:`send` directly count
+        # their own) and every failed hop attempt, recovered or not.
         self._delivered_ctr = self.registry.counter(
             "net_delivered_packets", "send_along_path relays completed"
         )
         self._dropped_ctr = self.registry.counter(
             "net_dropped_packets", "send_along_path relays abandoned"
         )
-        self._hop_fail_ctr = self.registry.counter(
+        self._hop_fails = self.registry.counter(
             "net_hop_failures", "failed hop attempts by cause",
             labels=("cause",),
-        )
-        self._hop_fails = self._hop_fail_ctr.held()
-
-    @property
-    def delivered_packets(self) -> int:
-        """Path-level outcomes of :meth:`send_along_path`: a relay that
-        reaches the end of its path counts as delivered, a relay whose
-        hop fails counts as dropped.  Protocols that drive :meth:`send`
-        directly (and recover locally) are accounted by their own
-        stats, not here."""
-        return self._delivered_ctr.value
-
-    @property
-    def dropped_packets(self) -> int:
-        return self._dropped_ctr.value
-
-    @property
-    def hop_failures(self) -> int:
-        """Every failed hop *attempt* anywhere — including hops whose
-        packet the protocol then recovers over another path, so this is
-        always >= the end-to-end drop counts."""
-        return sum(
-            metric.value for _, metric in self._hop_fail_ctr.items()
-        )
+        ).held()
 
     # -- topology -----------------------------------------------------------
 
@@ -290,8 +268,8 @@ class WirelessNetwork:
         forward — protocols use that to trigger their repair logic.
 
         Accounting: a hop failure ends this relay attempt, so it bumps
-        both :attr:`hop_failures` (via the hop machinery) and
-        :attr:`dropped_packets` (the end-to-end outcome of the attempt);
+        both ``net_hop_failures`` (via the hop machinery) and
+        ``net_dropped_packets`` (the end-to-end outcome of the attempt);
         a retransmission after repair is a fresh attempt.
         """
         if len(path) < 1:

@@ -68,18 +68,6 @@ class Node:
         there = other.mobility.position(now)
         return math.hypot(here.x - there.x, here.y - there.y)
 
-    def in_range_of(self, other: "Node", now: float) -> bool:
-        """Whether this node's transmissions reach ``other``."""
-        return self.distance_to(other, now) <= self.transmission_range
-
-    def bidirectional_link(self, other: "Node", now: float) -> bool:
-        """Whether both directions are in range (usable for a protocol link)."""
-        distance = self.distance_to(other, now)
-        return (
-            distance <= self.transmission_range
-            and distance <= other.transmission_range
-        )
-
     # -- radio ------------------------------------------------------------------
 
     @property

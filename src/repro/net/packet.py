@@ -7,9 +7,9 @@ and metrics can refer to packets after delivery.
 
 ``Packet`` is a ``__slots__`` class (it used to be a dataclass): at
 10k-node scale packets are the dominant allocation, and slots halve
-the per-instance footprint and construction cost.  The constructor
-signature, field defaults, equality semantics (field-by-field, like
-``dataclass(eq=True)``) and unhashability are unchanged.
+the per-instance footprint and construction cost.  Equality is
+field-by-field, like ``dataclass(eq=True)``, and packets are
+unhashable.
 """
 
 from __future__ import annotations
@@ -23,9 +23,6 @@ _uid_counter = itertools.count(1)
 #: Meta keys that describe one transmission attempt's fate, not the
 #: application payload — a retransmit clone must not inherit them.
 _TRANSIENT_META = frozenset({"drop_reason", "qos_terminal"})
-
-#: Sentinel distinguishing "uid not supplied" from an explicit uid.
-_AUTO = object()
 
 
 class PacketKind(enum.Enum):
@@ -67,9 +64,7 @@ class Packet:
         source: int,
         destination: Optional[int],
         created_at: float,
-        uid: int = _AUTO,  # type: ignore[assignment]
         deadline: Optional[float] = None,
-        hops: Optional[List[int]] = None,
         meta: Optional[Dict[str, Any]] = None,
         traffic_class: Optional[str] = None,
     ) -> None:
@@ -78,9 +73,9 @@ class Packet:
         self.source = source
         self.destination = destination
         self.created_at = created_at
-        self.uid = next(_uid_counter) if uid is _AUTO else uid
+        self.uid = next(_uid_counter)
         self.deadline = deadline
-        self.hops = [] if hops is None else hops
+        self.hops: List[int] = []
         self.meta = {} if meta is None else meta
         #: QoS traffic-class mark (a :class:`repro.qos.TrafficClass`
         #: value string — "alarm" / "control" / "bulk").  None means
@@ -116,18 +111,9 @@ class Packet:
             f"meta={self.meta!r}, traffic_class={self.traffic_class!r})"
         )
 
-    @property
-    def hop_count(self) -> int:
-        """Number of transmissions the packet has undergone."""
-        return len(self.hops)
-
     def latency(self, now: float) -> float:
         """Time in flight since creation."""
         return now - self.created_at
-
-    def within_deadline(self, now: float) -> bool:
-        """Whether delivery at ``now`` meets the QoS deadline (if any)."""
-        return self.deadline is None or self.latency(now) <= self.deadline
 
     def record_hop(self, node_id: int) -> None:
         self.hops.append(node_id)

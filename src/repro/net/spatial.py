@@ -6,24 +6,21 @@ and O(n^2) per cache bucket, which is exactly the neighbour-discovery
 cost the QoS literature identifies as the scaling limiter for
 real-time WSANs.  This module replaces the scan with a uniform grid
 hash: points are bucketed into square cells (the medium sizes them to
-the median transmission range), so a ``within_range`` query only
-examines the cells overlapping the query disk, and
-``mutual_neighbours`` — the medium's neighbour lists, for any set of
-ids in one pass — pairs each cell holding one of them with itself and
-its eight neighbours and computes each pair's distance once.
+the median transmission range), and ``mutual_neighbours`` — the
+medium's neighbour lists, for any set of ids in one pass — pairs each
+cell holding one of them with itself and its eight neighbours and
+computes each pair's distance once.
 
-Exactness contract: :meth:`SpatialHashGrid.within_range` returns
-*precisely* the ids of the points whose Euclidean distance to the query
-point is ``<= radius``, computed with the same ``math.hypot`` arithmetic
-as :meth:`repro.util.geometry.Point.distance_to` — the grid only prunes
-candidates, it never changes the predicate.
-:meth:`SpatialHashGrid.mutual_neighbours` lists for an item every item
-whose distance, the same ``hypot``, is ``<=`` both their
-``transmission_range``s, and reads no liveness (the medium filters by
+Exactness contract: :meth:`SpatialHashGrid.mutual_neighbours` lists
+for an item every item whose distance, computed with the same
+``math.hypot`` arithmetic as
+:meth:`repro.util.geometry.Point.distance_to`, is ``<=`` both their
+``transmission_range``s — the grid only prunes candidates, it never
+changes the predicate — and reads no liveness (the medium filters by
 ``usable`` when a list is first used).  Results are sorted by item id so
 downstream iteration order is deterministic and independent of
 bucketing internals.  The property suite in
-``tests/net/test_spatial_properties.py`` pins both against the
+``tests/net/test_spatial_properties.py`` pins it against the
 brute-force oracle, including points sitting exactly on cell
 boundaries and on the range limit.
 
@@ -67,19 +64,17 @@ _STENCIL = tuple(
 class GridStats:
     """Operation counters exposed for benchmarks and ablations.
 
-    ``candidates`` vs ``matches`` quantifies query cost: the grid
-    examines ``candidates`` stored points per query (the occupancy of
-    the cells overlapping the query disk) where a brute-force scan
-    would examine every stored point.  A ``mutual_neighbours`` pass
-    counts a query per id, a candidate per pair and a match per id
-    listed.
+    ``candidates`` vs ``matches`` quantifies query cost: a
+    ``mutual_neighbours`` pass counts a query per id, a candidate per
+    pair examined (where a brute-force scan would examine every stored
+    point per id) and a match per id listed.
     """
 
     queries: int = 0
-    #: Points (pairs, in a pass) examined across all queries: the
-    #: grid's analogue of the brute-force n-per-query scan cost.
+    #: Pairs examined across all passes: the grid's analogue of the
+    #: brute-force n-per-query scan cost.
     candidates: int = 0
-    #: Points within range (ids listed, in a pass) across all queries.
+    #: Ids listed across all passes.
     matches: int = 0
     inserts: int = 0
     removes: int = 0
@@ -100,21 +95,14 @@ class GridOccupancy:
     occupied_cells: int
     max_per_cell: int
 
-    @property
-    def mean_per_cell(self) -> float:
-        if self.occupied_cells == 0:
-            return 0.0
-        return self.items / self.occupied_cells
-
 
 class SpatialHashGrid:
     """A uniform grid hash over 2-D points keyed by integer item ids.
 
-    ``cell_size`` trades memory for pruning power; a ``within_range``
-    query whose radius is at most the cell size touches at most a 3x3
-    block of cells.  Any positive cell size is *correct*
-    (the query derives its cell span from the radius), smaller or
-    larger sizes only shift the candidate count.
+    ``cell_size`` trades memory for pruning power: a pass pairs a cell
+    with its 3x3 block, and tests the pairs of items whose range
+    exceeds the side (``wide``) directly.  Any positive cell size is
+    *correct*; smaller or larger sizes only shift the candidate count.
     """
 
     def __init__(self, cell_size: float) -> None:
@@ -196,42 +184,6 @@ class SpatialHashGrid:
         return list(self._positions)
 
     # -- queries ------------------------------------------------------------
-
-    def within_range(self, point: Point, radius: float) -> List[int]:
-        """The ids of the items within ``radius`` of ``point``, sorted.
-
-        The distance predicate and arithmetic are identical to a
-        brute-force scan over the stored points — the grid never
-        changes which items match, only how many are examined.
-        """
-        if radius < 0:
-            raise NetworkError("radius must be non-negative")
-        size = self.cell_size
-        x, y = point.x, point.y
-        cx_lo = math.floor((x - radius) / size)
-        cx_hi = math.floor((x + radius) / size)
-        cy_lo = math.floor((y - radius) / size)
-        cy_hi = math.floor((y + radius) / size)
-        out: List[int] = []
-        cells = self._cells
-        positions = self._positions
-        hypot = math.hypot
-        candidates = 0
-        for cx in range(cx_lo, cx_hi + 1):
-            for cy in range(cy_lo, cy_hi + 1):
-                bucket = cells.get((cx, cy))
-                if not bucket:
-                    continue
-                candidates += len(bucket)
-                for item_id in bucket:
-                    p = positions[item_id]
-                    if hypot(x - p.x, y - p.y) <= radius:
-                        out.append(item_id)
-        self.stats.queries += 1
-        self.stats.candidates += candidates
-        self.stats.matches += len(out)
-        out.sort()
-        return out
 
     def mutual_neighbours(
         self,
@@ -353,11 +305,11 @@ class SpatialHashGrid:
 def brute_force_within_range(
     positions: Dict[int, Point], point: Point, radius: float
 ) -> List[int]:
-    """The O(n) oracle :meth:`SpatialHashGrid.within_range` must match.
+    """The ids within ``radius`` of ``point``, sorted, by O(n) scan.
 
-    Kept in the library (not the tests) so the ablation bench and the
-    test suites all compare against the same scan; nothing under
-    ``src/`` calls it.
+    The oracle the grid's neighbour lists are held to, kept in the
+    library (not the tests) so the ablation bench and the test suites
+    all compare against the same scan; nothing under ``src/`` calls it.
     """
     out = [
         item_id

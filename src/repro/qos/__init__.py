@@ -25,7 +25,7 @@ byte-identical.
 
 from repro.qos.admission import AdmissionController, TokenBucket
 from repro.qos.backpressure import BackpressureState
-from repro.qos.classes import PRIORITY_ORDER, TrafficClass, class_of, expiry_of
+from repro.qos.classes import PRIORITY_ORDER, TrafficClass, expiry_of
 from repro.qos.config import BurstyConfig, QosConfig
 from repro.qos.mac import MacQosScheduler
 from repro.qos.manager import QosManager
@@ -45,6 +45,5 @@ __all__ = [
     "QueuedFrame",
     "TokenBucket",
     "TrafficClass",
-    "class_of",
     "expiry_of",
 ]

@@ -48,8 +48,3 @@ class BackpressureState:
     def any_congested(self) -> bool:
         """Whether any node in the network signals congestion."""
         return bool(self._congested)
-
-    @property
-    def congested_count(self) -> int:
-        """Number of nodes currently marked congested."""
-        return len(self._congested)

@@ -31,7 +31,6 @@ __all__ = [
     "CONTROL_LANE",
     "BULK_LANE",
     "lane_of",
-    "class_of",
     "expiry_of",
 ]
 
@@ -79,11 +78,6 @@ def lane_of(packet: Packet) -> int:
     if lane is None:
         raise ValueError(f"{marked!r} is not a valid TrafficClass")
     return lane
-
-
-def class_of(packet: Packet) -> TrafficClass:
-    """The traffic class of ``packet`` (see :func:`lane_of`)."""
-    return PRIORITY_ORDER[lane_of(packet)]
 
 
 def expiry_of(packet: Packet) -> Optional[float]:

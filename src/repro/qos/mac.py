@@ -84,11 +84,6 @@ class MacQosScheduler:
         # (packet, lane, expiry) of the hop refusal() last accepted.
         self._accepted: tuple = (None, 0, None)
 
-    def queue_depth(self, node_id: int) -> int:
-        """Frames currently queued at a node (0 if it never queued)."""
-        queue = self._queues.get(node_id)
-        return 0 if queue is None else queue.depth
-
     def refusal(
         self, src_id: int, dst_id: int, packet: Packet, now: float
     ) -> Optional[str]:

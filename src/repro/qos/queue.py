@@ -65,16 +65,9 @@ class PriorityFrameQueue:
         #: :meth:`offer` and :meth:`pop_live`; read it, do not set it).
         self.depth = 0
 
-    def lane_depth(self, traffic_class: TrafficClass) -> int:
-        """Frames waiting in one class lane."""
-        return len(self._lanes[PRIORITY_ORDER.index(traffic_class)])
-
-    def lane_full(self, traffic_class: TrafficClass) -> bool:
-        """Whether the class lane is at its bounded depth."""
-        return self.full(PRIORITY_ORDER.index(traffic_class))
-
     def full(self, lane: int) -> bool:
-        """:meth:`lane_full` by lane index."""
+        """Whether lane ``lane`` (an index into ``PRIORITY_ORDER``) is at
+        its bounded depth."""
         return len(self._lanes[lane]) >= self._limits[lane]
 
     def offer(self, frame: QueuedFrame) -> bool:

@@ -47,6 +47,17 @@ ACK_BYTES = 14
 ACK_DELAY = airtime(ACK_BYTES) + PROCESSING_DELAY
 #: Probability an ACK frame is lost (exercises the duplicate path).
 ACK_LOSS = 0.01
+#: Retransmissions allowed beyond a hop's first attempt.
+BUDGET = 2
+#: Seconds before the first retransmission; each later one waits
+#: ``BACKOFF_FACTOR`` times longer.
+BACKOFF = 0.01
+BACKOFF_FACTOR = 2.0
+#: Relative half-width of the uniform jitter on each backoff (0: none).
+JITTER = 0.5
+#: Recently accepted ``(sender, seq)`` tags each receiver remembers to
+#: suppress duplicates.
+CACHE_SIZE = 512
 
 
 class ArqStats(StatsView):
@@ -80,23 +91,12 @@ class ArqLink:
         self,
         network: WirelessNetwork,
         rng: random.Random,
-        budget: int = 2,
-        backoff: float = 0.01,
-        backoff_factor: float = 2.0,
-        jitter: float = 0.5,
-        cache_size: int = 512,
         on_recovered: Optional[Callable[[], None]] = None,
     ) -> None:
-        """``budget`` counts retransmissions beyond the first attempt;
-        ``on_recovered`` fires once per hop saved by a retransmission
+        """``on_recovered`` fires once per hop saved by a retransmission
         (the router hooks its ``retransmit_recovered`` stat here)."""
         self._network = network
         self._rng = rng
-        self._budget = budget
-        self._backoff = backoff
-        self._backoff_factor = backoff_factor
-        self._jitter = jitter
-        self._cache_size = cache_size
         self._on_recovered = on_recovered
         self.stats = ArqStats(registry=network.registry)
         self._seq: Dict[Tuple[int, int], int] = {}
@@ -194,7 +194,7 @@ class ArqLink:
             cache.move_to_end(tag)
         else:
             cache[tag] = None
-            while len(cache) > self._cache_size:
+            while len(cache) > CACHE_SIZE:
                 cache.popitem(last=False)
         first_delivery = not duplicate and not hop.delivered
         if first_delivery:
@@ -255,7 +255,7 @@ class ArqLink:
             if not hop.delivered and on_failed is not None:
                 on_failed(packet, src_id)
             return
-        if attempt >= self._budget:
+        if attempt >= BUDGET:
             hop.done = True
             self.stats.exhausted += 1
             if not hop.delivered and on_failed is not None:
@@ -271,9 +271,7 @@ class ArqLink:
         )
 
     def _backoff_delay(self, attempt: int) -> float:
-        base = self._backoff * (self._backoff_factor ** attempt)
-        if self._jitter > 0:
-            base *= self._rng.uniform(
-                1.0 - self._jitter, 1.0 + self._jitter
-            )
+        base = BACKOFF * (BACKOFF_FACTOR ** attempt)
+        if JITTER > 0:
+            base *= self._rng.uniform(1.0 - JITTER, 1.0 + JITTER)
         return base

@@ -185,10 +185,6 @@ class FailureDetector:
         """Whether ``node_id`` has ever been a probe target."""
         return node_id in self._watched
 
-    def timeout_of(self, node_id: int) -> float:
-        """The probe timeout currently applied to ``node_id``."""
-        return self._timeout(self._states.get(node_id))
-
     def forget(self, node_id: int) -> None:
         """Drop all state for a node that left the monitored set.
 

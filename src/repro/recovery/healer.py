@@ -93,10 +93,6 @@ class CanHealer:
 
     # -- lookups the router consults ---------------------------------------
 
-    def home_of(self, cid: int) -> Optional[int]:
-        """The actuator currently owning the cell's CID key."""
-        return self._homes.get(cid)
-
     def next_hop(self, actuator_id: int, cid: int) -> Optional[int]:
         """The next actuator on the CAN route toward ``cid``'s key.
 

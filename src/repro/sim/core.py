@@ -23,7 +23,6 @@ class Simulator:
         self._now = 0.0
         self._running = False
         self._stopped = False
-        self._processed = 0
         # Optional telemetry hook (repro.telemetry.profiler): when set,
         # events are executed through profiler.dispatch(action) so work
         # can be attributed per callback.  None keeps the hot path at a
@@ -41,15 +40,6 @@ class Simulator:
     def now(self) -> float:
         """Current simulation time in seconds."""
         return self._now
-
-    @property
-    def processed_events(self) -> int:
-        """Total events executed so far (diagnostics)."""
-        return self._processed
-
-    @property
-    def pending_events(self) -> int:
-        return len(self._queue)
 
     def set_profiler(self, profiler) -> None:
         """Install (or with ``None`` remove) an event-dispatch profiler.
@@ -100,7 +90,6 @@ class Simulator:
         if event.time < self._now:
             raise SimulationError("event queue returned a past event")
         self._now = event.time
-        self._processed += 1
         if self._trace is not None:
             self._trace.dispatch(event.time, event.seq, event.action)
         if self._profiler is None:

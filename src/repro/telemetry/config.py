@@ -37,9 +37,6 @@ class TelemetryConfig:
     #: Attribute simulated work per event kind
     #: (:mod:`repro.telemetry.profiler`).
     profiler: bool = True
-    #: Also time callbacks with the host clock (report-only; the wall
-    #: data never enters the registry or deterministic exports).
-    wall_clock: bool = False
     #: Deterministic trace capture (:mod:`repro.telemetry.tracing`);
     #: ``None`` records no trace and leaves every hot path at a single
     #: attribute check.
@@ -62,10 +59,7 @@ class Telemetry:
     def from_config(cls, config: TelemetryConfig) -> "Telemetry":
         """Build the bundle an enabled run records into."""
         return cls(
-            profiler=(
-                SimProfiler(wall_clock=config.wall_clock)
-                if config.profiler else None
-            ),
+            profiler=SimProfiler() if config.profiler else None,
             trace=(
                 TraceStream(config.tracing)
                 if config.tracing is not None else None

@@ -1,16 +1,12 @@
 """The sim-time profiler: who is doing the simulated work?
 
-Attributes the run's activity to subsystems along two axes:
-
-* **simulated work** — events dispatched per callback (collapsed to
-  ``module:function``), bytes put on the air, and (via the registry's
-  energy families) joules by kind/phase.  These are pure functions of
-  the event stream, so they are deterministic and safe to export.
-* **wall-clock hotspots** — cumulative host-CPU seconds per callback
-  for the scheduler hot path.  Wall readings are inherently
-  nondeterministic, so they are kept in a side table that never enters
-  the registry or any deterministic export; they only surface in the
-  human-facing report (and only when ``wall_clock`` is requested).
+Attributes the run's simulated work to subsystems: events dispatched
+per callback (collapsed to ``module:function``), bytes put on the air,
+and (via the registry's energy families) joules by kind/phase.  These
+are pure functions of the event stream, so they are deterministic and
+safe to export.  Host time is not measured here: ``python -m
+repro.telemetry.report --wall`` profiles the whole run with
+:mod:`cProfile`, construction included.
 
 The profiler plugs into :meth:`repro.sim.core.Simulator.set_profiler`;
 the dispatch wrapper is the hot path, so it does the minimum — one
@@ -22,8 +18,7 @@ name resolution and the pretty label collapse to snapshot time.
 
 from __future__ import annotations
 
-import time
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, Tuple
 
 from repro.telemetry.registry import Registry
 
@@ -42,15 +37,13 @@ def _label(raw: _RawName) -> str:
 
 
 class SimProfiler:
-    """Per-event-kind attribution of simulated and wall-clock work."""
+    """Per-event-kind attribution of simulated work."""
 
-    def __init__(self, wall_clock: bool = False) -> None:
-        self.wall_clock = wall_clock
+    def __init__(self) -> None:
         #: code object (or callable type) -> events dispatched.
         self._events: Dict[object, int] = {}
         #: same keys -> (module, qualname), filled on first sight.
         self._names: Dict[object, _RawName] = {}
-        self._wall: Dict[object, float] = {}
         self._bytes_on_air = 0
         self._frames_on_air = 0
 
@@ -77,21 +70,7 @@ class SimProfiler:
             )
         else:
             events[key] = count + 1
-        if self.wall_clock:
-            # The profiler's whole purpose is measuring *host* cost of
-            # sim work; the reading never feeds back into sim behaviour
-            # (it is reported, not scheduled on).
-            started = time.perf_counter()  # referlint: disable=REF002
-            try:
-                action()
-            finally:
-                self._wall[key] = (
-                    self._wall.get(key, 0.0)
-                    + time.perf_counter()  # referlint: disable=REF002
-                    - started
-                )
-        else:
-            action()
+        action()
 
     def on_air(self, nbytes: int, frames: int = 1) -> None:
         """``frames`` frames of ``nbytes`` each were put on the air (the
@@ -117,27 +96,8 @@ class SimProfiler:
             merged[label] = merged.get(label, 0) + count
         return dict(sorted(merged.items()))
 
-    def wall_hotspots(self, top: int = 10) -> List[Tuple[str, float, int]]:
-        """Top callbacks by cumulative host seconds as
-        ``(label, seconds, events)``.  Empty unless ``wall_clock`` was
-        enabled.  NONDETERMINISTIC — report-only, never exported."""
-        merged: Dict[str, float] = {}
-        for key, seconds in self._wall.items():
-            label = _label(self._names[key])
-            merged[label] = merged.get(label, 0.0) + seconds
-        counts = self.event_counts()
-        ranked = sorted(merged.items(), key=lambda kv: (-kv[1], kv[0]))
-        return [
-            (label, seconds, counts.get(label, 0))
-            for label, seconds in ranked[:top]
-        ]
-
     def finalize(self, registry: Registry) -> None:
-        """Fold the deterministic counters into ``registry``.
-
-        Called once at end of run; wall-clock data is deliberately NOT
-        written (it would poison deterministic exports).
-        """
+        """Fold the counters into ``registry`` (once, at end of run)."""
         events = registry.counter(
             "sim_events_dispatched",
             "simulator events executed, by callback",

@@ -13,9 +13,8 @@ Design constraints, in order:
 * **determinism** — metrics record simulated quantities only; nothing
   in this module reads a wall clock or an RNG, and iteration orders are
   insertion/sorted, never hash-randomised;
-* **cheap hot path** — a child is a stable handle (``reset()`` zeroes
-  it in place), so hot code resolves ``family.child(labels)`` once and
-  holds it; ``family.child(labels).inc()`` is the convenience form for
+* **cheap hot path** — a child is a stable handle, so hot code
+  resolves ``family.child(labels)`` once and holds it; ``family.child(labels).inc()`` is the convenience form for
   code that counts rarely.  :meth:`MetricFamily.held` is the holder for
   children that must still appear at their first use: a dict that
   resolves a miss through ``child(...)`` once.  Code that has validated
@@ -83,9 +82,6 @@ class Gauge:
 
     def inc(self, amount=1) -> None:
         self._value += amount
-
-    def dec(self, amount=1) -> None:
-        self._value -= amount
 
     _set = set
 
@@ -244,14 +240,6 @@ class MetricFamily:
         """``(label_values, child)`` pairs in insertion order."""
         return list(self._children.items())
 
-    def reset(self) -> None:
-        """Zero every child (keeps the children registered)."""
-        for child in self._children.values():
-            if isinstance(child, Histogram):
-                child.__init__(self._buckets)
-            else:
-                child._set(0)  # type: ignore[union-attr]
-
     # -- unlabelled conveniences -------------------------------------------
 
     @property
@@ -331,11 +319,9 @@ class Registry:
         """Get or create a counter family."""
         return self._family(name, "counter", help, labels)
 
-    def gauge(
-        self, name: str, help: str = "", labels: Sequence[str] = ()
-    ) -> MetricFamily:
-        """Get or create a gauge family."""
-        return self._family(name, "gauge", help, labels)
+    def gauge(self, name: str, help: str = "") -> MetricFamily:
+        """Get or create an unlabelled gauge family."""
+        return self._family(name, "gauge", help, ())
 
     def histogram(
         self,

@@ -12,32 +12,44 @@ scenario with telemetry enabled and renders:
 * the **energy breakdown** — joules by phase and by traffic kind;
 * the **detection/repair timeline** — chaos injections interleaved
   with detector verdicts, plus the recovery report's aggregates;
-* the **profiler view** — busiest simulator callbacks, bytes on air,
-  and (with ``--wall``) wall-clock hotspots.
+* the **profiler view** — busiest simulator callbacks and bytes on air.
 
-:func:`render` is pure (``RunResult`` in, ``str`` out) so tests and CI
-can assert on the output without capturing stdout.
+With ``--wall`` the whole ``run_scenario`` call runs under
+:mod:`cProfile`, and :func:`wall_profile` adds where its host time
+went: construction (``system.build()``) against the rest of the run,
+and the functions with the most self time.
+
+:func:`render` and :func:`wall_profile` are pure (results in, ``str``
+out) so tests and CI can assert on the output without capturing stdout.
 """
 
 from __future__ import annotations
 
 import argparse
+import cProfile
+import pstats
 from typing import List, Optional, Sequence
 
 from repro.experiments.metrics import QOS_DEADLINE
 
-__all__ = ["render", "main"]
+__all__ = ["render", "wall_profile", "main"]
 
 _RULE = "-" * 64
+
+#: Characters in a report bar.
+BAR_WIDTH = 20
+
+#: Functions :func:`wall_profile` lists, by self time.
+WALL_TOP = 10
 
 
 def _fmt_row(label: str, value: str) -> str:
     return f"  {label:<34} {value:>24}"
 
 
-def _bar(fraction: float, width: int = 20) -> str:
-    filled = int(round(max(0.0, min(1.0, fraction)) * width))
-    return "#" * filled + "." * (width - filled)
+def _bar(fraction: float) -> str:
+    filled = int(round(max(0.0, min(1.0, fraction)) * BAR_WIDTH))
+    return "#" * filled + "." * (BAR_WIDTH - filled)
 
 
 def _funnel_section(result) -> List[str]:
@@ -259,11 +271,6 @@ def _profiler_section(result) -> List[str]:
         counts.items(), key=lambda kv: (-kv[1], kv[0])
     )[:8]:
         lines.append(f"  {label:<44} {count:>10,}")
-    hotspots = profiler.wall_hotspots()
-    if hotspots:
-        lines.append("  wall-clock hotspots (host seconds; NOT deterministic)")
-        for label, seconds, events in hotspots[:8]:
-            lines.append(f"  {label:<44} {seconds:>8.3f}s  {events:>8,} ev")
     return lines
 
 
@@ -302,6 +309,49 @@ def render(result) -> str:
     return "\n\n".join("\n".join(block) for block in sections) + "\n"
 
 
+def _where(func) -> str:
+    """A pstats function key as ``path:line(name)``, the path from its
+    ``repro/`` component on (whole for code outside the package)."""
+    path, line, name = func
+    path = path.replace("\\", "/")
+    cut = path.rfind("/repro/")
+    return f"{path[cut + 1:] if cut >= 0 else path}:{line}({name})"
+
+
+def wall_profile(stats: pstats.Stats) -> str:
+    """Where the host time of one profiled ``run_scenario`` went.
+
+    ``build`` is the time in every ``build`` function
+    ``run_scenario`` called (the system's construction), ``run`` the
+    rest of ``run_scenario``; then the :data:`WALL_TOP` functions with
+    the most self time.  Host seconds under the profiler: neither
+    deterministic nor the speed of an unprofiled run.
+    """
+    table = stats.stats  # func -> (calls, ncalls, self_s, cum_s, callers)
+    total = build = 0.0
+    for func, (_, _, _, cumulative, callers) in table.items():
+        if func[2] == "run_scenario":
+            total += cumulative
+        elif func[2] == "build":
+            build += sum(
+                edge[3]
+                for caller, edge in callers.items()
+                if caller[2] == "run_scenario"
+            )
+    lines = [
+        "wall-clock profile (cProfile, host seconds; not deterministic)",
+        _RULE,
+        _fmt_row("run_scenario", f"{total:.3f} s"),
+        _fmt_row("build (system.build)", f"{build:.3f} s"),
+        _fmt_row("run (the rest)", f"{total - build:.3f} s"),
+        f"  top {WALL_TOP} functions by self time",
+    ]
+    ranked = sorted(table.items(), key=lambda kv: (-kv[1][2], kv[0]))
+    for func, (_, calls, self_s, _, _) in ranked[:WALL_TOP]:
+        lines.append(f"  {_where(func):<44} {self_s:>8.3f}s {calls:>10,}")
+    return "\n".join(lines) + "\n"
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     """Run a telemetry-enabled scenario and print its report."""
     from repro.experiments.config import (
@@ -328,7 +378,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     )
     parser.add_argument(
         "--wall", action="store_true",
-        help="collect wall-clock hotspots (report-only, nondeterministic)",
+        help="profile the run with cProfile and add its host-time split "
+        "(report-only, nondeterministic)",
     )
     parser.add_argument(
         "--trace", action="store_true",
@@ -345,16 +396,23 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     config = scenario_from_args(
         args,
         TelemetryConfig(
-            wall_clock=args.wall,
             tracing=(
                 TracingConfig()
                 if args.trace or args.trace_jsonl else None
             ),
         ),
     )
-    result = run_scenario(args.system, config)
+    if args.wall:
+        profile = cProfile.Profile()
+        result = profile.runcall(run_scenario, args.system, config)
+    else:
+        result = run_scenario(args.system, config)
     # This *is* the report CLI — rendering to stdout is its contract.
     print(render(result), end="")  # referlint: disable=REF007
+    if args.wall:
+        print(  # referlint: disable=REF007
+            "\n" + wall_profile(pstats.Stats(profile)), end=""
+        )
 
     telemetry = result.telemetry
     if telemetry is not None:

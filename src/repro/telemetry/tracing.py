@@ -44,6 +44,7 @@ metrics are byte-identical to an untraced one of the same seed.
 from __future__ import annotations
 
 import hashlib
+import math
 import struct
 from collections import deque
 from dataclasses import dataclass
@@ -81,8 +82,8 @@ class TracingConfig:
     capture: Optional[Tuple[int, int]] = None
 
     def __post_init__(self) -> None:
-        if self.checkpoint_interval <= 0:
-            raise ConfigError("checkpoint_interval must be positive")
+        if not 0 < self.checkpoint_interval < math.inf:
+            raise ConfigError("checkpoint_interval must be positive and finite")
         if self.ring_capacity <= 0:
             raise ConfigError("ring_capacity must be positive")
         if self.capture is not None:
@@ -168,8 +169,8 @@ class TraceStream:
         return self._config
 
     def bind_clock(self, clock: Callable[[], float]) -> None:
-        """End-of-run timestamp source (:meth:`close` with no explicit
-        time); the runner binds the simulator clock."""
+        """End-of-run timestamp source (:meth:`close`); the runner
+        binds the simulator clock."""
         self._clock = clock
 
     def bind_registry(self, registry) -> None:
@@ -251,16 +252,16 @@ class TraceStream:
             time, "flight", kind, f"uid={local} src={src} dst={dst} {info}"
         )
 
-    def close(self, time: Optional[float] = None) -> None:
-        """Emit the trailing checkpoint at end-of-run (idempotent)."""
+    def close(self) -> None:
+        """Emit the trailing checkpoint at end-of-run (idempotent), at
+        the bound clock's time (without one, the last event's)."""
         if self._closed:
             return
         self._closed = True
-        if time is None:
-            clock = self._clock
-            time = clock() if clock is not None else (
-                self._ring[-1][1] if self._ring else 0.0
-            )
+        clock = self._clock
+        time = clock() if clock is not None else (
+            self._ring[-1][1] if self._ring else 0.0
+        )
         while time >= self._next_boundary:
             self._emit_checkpoint(self._next_boundary)
             self._next_boundary += self._interval

@@ -8,7 +8,7 @@ mutating existing ones, which keeps position snapshots safe to share.
 from __future__ import annotations
 
 import math
-from typing import Iterable, NamedTuple, Tuple
+from typing import Iterable, NamedTuple
 
 #: Distances below this are treated as "already there": guards the
 #: degenerate self-to-self step without exact float equality.
@@ -49,22 +49,6 @@ class Point(NamedTuple):
             self.y + (target.y - self.y) * frac,
         )
 
-    def as_tuple(self) -> Tuple[float, float]:
-        """``(x, y)`` tuple form (handy for numpy and plotting)."""
-        return (self.x, self.y)
-
-
-def euclidean(a: Point, b: Point) -> float:
-    """Euclidean distance between two points."""
-    return a.distance_to(b)
-
-
-def clamp(value: float, lo: float, hi: float) -> float:
-    """Clamp ``value`` into the closed interval ``[lo, hi]``."""
-    if lo > hi:
-        raise ValueError(f"empty interval: [{lo}, {hi}]")
-    return max(lo, min(hi, value))
-
 
 def centroid(points: Iterable[Point]) -> Point:
     """Arithmetic mean of a non-empty collection of points."""
@@ -75,8 +59,3 @@ def centroid(points: Iterable[Point]) -> Point:
         sum(p.x for p in pts) / len(pts),
         sum(p.y for p in pts) / len(pts),
     )
-
-
-def in_square(point: Point, side: float) -> bool:
-    """Whether ``point`` lies inside the axis-aligned square [0, side]^2."""
-    return 0.0 <= point.x <= side and 0.0 <= point.y <= side

@@ -2,104 +2,23 @@
 
 The REFER actuator-ID-assignment step elects the actuator with the
 minimum consistent-hash value of its address as the *starting server*
-(Section III-B1).  :func:`consistent_hash` provides the stable hash and
-:class:`HashRing` the classic ring with virtual nodes, which the library
-also exposes as a general substrate.
+(Section III-B1); :func:`consistent_hash` provides the stable hash.
 """
 
 from __future__ import annotations
 
-import bisect
 import hashlib
-from typing import Dict, Iterable, List, Optional
 
-from repro.errors import DHTError
+#: Width of the hash space: values lie in ``[0, 2**SPACE_BITS)``.
+SPACE_BITS = 64
 
 
-def consistent_hash(key: str, space_bits: int = 64) -> int:
-    """A stable hash of ``key`` into ``[0, 2**space_bits)``.
+def consistent_hash(key: str) -> int:
+    """A stable hash of ``key`` into ``[0, 2**SPACE_BITS)``.
 
     Stability across processes and Python versions matters because node
     IDs derived from the hash must be reproducible; the built-in
     ``hash()`` is salted per process and therefore unsuitable.
     """
-    if space_bits <= 0 or space_bits > 256:
-        raise ValueError("space_bits must be in (0, 256]")
     digest = hashlib.sha256(key.encode("utf-8")).digest()
-    return int.from_bytes(digest, "big") >> (256 - space_bits)
-
-
-class HashRing:
-    """A consistent-hash ring with virtual nodes.
-
-    Keys map to the first node clockwise from the key's hash.  Adding or
-    removing a node only remaps the keys in that node's arcs.
-    """
-
-    def __init__(self, nodes: Iterable[str] = (), replicas: int = 32) -> None:
-        if replicas < 1:
-            raise ValueError("replicas must be >= 1")
-        self._replicas = replicas
-        self._ring: Dict[int, str] = {}
-        self._sorted_hashes: List[int] = []
-        for node in nodes:
-            self.add(node)
-
-    def __len__(self) -> int:
-        return len(set(self._ring.values()))
-
-    def __contains__(self, node: str) -> bool:
-        return any(owner == node for owner in self._ring.values())
-
-    def _vnode_hashes(self, node: str) -> List[int]:
-        return [
-            consistent_hash(f"{node}#{i}") for i in range(self._replicas)
-        ]
-
-    def add(self, node: str) -> None:
-        """Add ``node`` (idempotent)."""
-        for h in self._vnode_hashes(node):
-            if h not in self._ring:
-                bisect.insort(self._sorted_hashes, h)
-            self._ring[h] = node
-
-    def remove(self, node: str) -> None:
-        """Remove ``node``; raises :class:`DHTError` if absent."""
-        if node not in self:
-            raise DHTError(f"node not on ring: {node!r}")
-        for h in self._vnode_hashes(node):
-            if self._ring.get(h) == node:
-                del self._ring[h]
-                index = bisect.bisect_left(self._sorted_hashes, h)
-                del self._sorted_hashes[index]
-
-    def lookup(self, key: str) -> str:
-        """The node owning ``key``."""
-        if not self._ring:
-            raise DHTError("lookup on empty ring")
-        h = consistent_hash(key)
-        index = bisect.bisect_right(self._sorted_hashes, h)
-        if index == len(self._sorted_hashes):
-            index = 0
-        return self._ring[self._sorted_hashes[index]]
-
-    def nodes(self) -> List[str]:
-        """All distinct nodes currently on the ring, sorted."""
-        return sorted(set(self._ring.values()))
-
-
-def elect_minimum_hash(candidates: Iterable[str]) -> str:
-    """The candidate with the smallest consistent hash (ties by name).
-
-    This is the starting-server election of Section III-B1: every
-    actuator computes H(A) of its address and the minimum wins.
-    """
-    best: Optional[str] = None
-    best_hash: Optional[int] = None
-    for candidate in candidates:
-        h = consistent_hash(candidate)
-        if best_hash is None or (h, candidate) < (best_hash, best):
-            best, best_hash = candidate, h
-    if best is None:
-        raise DHTError("election over empty candidate set")
-    return best
+    return int.from_bytes(digest, "big") >> (256 - SPACE_BITS)

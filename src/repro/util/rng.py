@@ -153,14 +153,3 @@ class RngStreams:
         self._streams[name] = stream
         return stream
 
-    def fork(self, name: str) -> "RngStreams":
-        """A child family, deterministic in (master_seed, name).
-
-        Used to give each simulation run in a sweep its own independent
-        universe of streams.  The child starts untraced — each run
-        installs its own trace stream (or none).
-        """
-        digest = hashlib.sha256(
-            f"fork:{self._master_seed}:{name}".encode("utf-8")
-        ).digest()
-        return RngStreams(int.from_bytes(digest[:8], "big"))

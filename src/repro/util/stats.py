@@ -67,8 +67,6 @@ class RunningStat:
         self._count = 0
         self._mean = 0.0
         self._m2 = 0.0
-        self._min = math.inf
-        self._max = -math.inf
 
     def add(self, value: float) -> None:
         """Fold one sample into the accumulator."""
@@ -76,8 +74,6 @@ class RunningStat:
         delta = value - self._mean
         self._mean += delta / self._count
         self._m2 += delta * (value - self._mean)
-        self._min = min(self._min, value)
-        self._max = max(self._max, value)
 
     @property
     def count(self) -> int:
@@ -99,32 +95,3 @@ class RunningStat:
     def stdev(self) -> float:
         return math.sqrt(self.variance)
 
-    @property
-    def minimum(self) -> float:
-        if not self._count:
-            raise ValueError("no samples")
-        return self._min
-
-    @property
-    def maximum(self) -> float:
-        if not self._count:
-            raise ValueError("no samples")
-        return self._max
-
-    def merge(self, other: "RunningStat") -> "RunningStat":
-        """A new accumulator equivalent to seeing both sample sets."""
-        merged = RunningStat()
-        total = self._count + other._count
-        if total == 0:
-            return merged
-        delta = other._mean - self._mean
-        merged._count = total
-        merged._mean = self._mean + delta * other._count / total
-        merged._m2 = (
-            self._m2
-            + other._m2
-            + delta * delta * self._count * other._count / total
-        )
-        merged._min = min(self._min, other._min)
-        merged._max = max(self._max, other._max)
-        return merged

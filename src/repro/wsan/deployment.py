@@ -10,16 +10,14 @@ actuator range, so the three actuators of every cell can communicate
 directly as the embedding requires.
 
 Cell IDs are assigned going around the centre so that *closer cells
-have closer CIDs* (Section III-B1).  A custom actuator layout can be
-supplied for non-default scenarios; cells are then built from an
-explicit triangle list.
+have closer CIDs* (Section III-B1).
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import List, Sequence, Tuple
 
 from repro.errors import ConfigError
 from repro.util.geometry import Point, centroid
@@ -67,16 +65,6 @@ class DeploymentPlan:
             self.cells, key=lambda c: c.centroid.distance_to(point)
         )
 
-    def sensors_near_cell(
-        self, cell: Cell, positions_now: Sequence[Point]
-    ) -> List[int]:
-        """Sensor indices whose current position maps to ``cell``."""
-        return [
-            i
-            for i, pos in enumerate(positions_now)
-            if self.cell_of_point(pos).cid == cell.cid
-        ]
-
 
 def quadrant_actuator_positions(area_side: float) -> List[Point]:
     """The 5-actuator layout: area centre + four quadrant centres."""
@@ -112,44 +100,17 @@ def quadrant_cells(actuator_positions: Sequence[Point]) -> List[Cell]:
 
 
 def plan_deployment(
-    sensor_count: int,
-    area_side: float,
-    rng: random.Random,
-    actuator_positions: Optional[Sequence[Point]] = None,
-    triangles: Optional[Sequence[Tuple[int, int, int]]] = None,
+    sensor_count: int, area_side: float, rng: random.Random
 ) -> DeploymentPlan:
-    """Build a deployment plan.
-
-    Default (no explicit layout): the paper's quadrant layout with 5
-    actuators and 4 cells.  With a custom ``actuator_positions`` a
-    matching ``triangles`` list (index triples) must be given.
-    """
+    """Build a deployment plan: the paper's quadrant layout (5
+    actuators, 4 cells) with ``sensor_count`` sensors scattered
+    uniformly over the area."""
     if sensor_count < 0:
         raise ConfigError("sensor_count must be >= 0")
     if area_side <= 0:
         raise ConfigError("area_side must be positive")
-    if actuator_positions is None:
-        positions = quadrant_actuator_positions(area_side)
-        cells = quadrant_cells(positions)
-    else:
-        positions = list(actuator_positions)
-        if triangles is None:
-            raise ConfigError(
-                "custom actuator layout requires explicit triangles"
-            )
-        cells = []
-        for i, tri in enumerate(triangles):
-            if len(tri) != 3 or any(
-                not 0 <= j < len(positions) for j in tri
-            ):
-                raise ConfigError(f"bad triangle {tri}")
-            cells.append(
-                Cell(
-                    cid=i + 1,
-                    actuator_indices=tuple(tri),
-                    centroid=centroid([positions[j] for j in tri]),
-                )
-            )
+    positions = quadrant_actuator_positions(area_side)
+    cells = quadrant_cells(positions)
     sensors = [
         Point(rng.uniform(0, area_side), rng.uniform(0, area_side))
         for _ in range(sensor_count)

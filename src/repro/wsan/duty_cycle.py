@@ -3,16 +3,16 @@
 REFER keeps three functional states for sensors: *active* nodes form
 the Kautz graph, *wait* nodes are candidates ready to replace an active
 node, and *sleep* nodes conserve energy, waking periodically to probe
-whether they qualify as candidates.  This module tracks the states and
-the candidate relation; the energy cost of probing is charged by the
-maintenance protocol that drives it.
+whether they qualify as candidates.  This module tracks the states;
+the maintenance protocol that drives it picks replacements by probing,
+promotes them straight from SLEEP (nothing enters WAIT yet) and charges
+the energy cost of probing.
 """
 
 from __future__ import annotations
 
 import enum
-from collections import defaultdict
-from typing import Dict, Iterable, List, Optional, Set
+from typing import Dict, Iterable, List
 
 from repro.errors import ConfigError
 
@@ -26,14 +26,12 @@ class SensorState(enum.Enum):
 
 
 class DutyCycleManager:
-    """Tracks sensor functional states and candidate registrations."""
+    """Tracks sensor functional states."""
 
     def __init__(self, sensor_ids: Iterable[int]) -> None:
         self._state: Dict[int, SensorState] = {
             sid: SensorState.SLEEP for sid in sensor_ids
         }
-        # candidate -> the active nodes it can stand in for
-        self._candidate_for: Dict[int, Set[int]] = defaultdict(set)
 
     # -- queries ------------------------------------------------------------
 
@@ -46,41 +44,12 @@ class DutyCycleManager:
     def sensors(self, state: SensorState) -> List[int]:
         return [sid for sid, s in self._state.items() if s is state]
 
-    def is_active(self, sensor_id: int) -> bool:
-        return self.state(sensor_id) is SensorState.ACTIVE
-
-    def candidates_of(self, active_id: int) -> List[int]:
-        """Wait-state sensors registered as able to replace ``active_id``."""
-        return [
-            sid
-            for sid, actives in self._candidate_for.items()
-            if active_id in actives
-            and self._state.get(sid) is SensorState.WAIT
-        ]
-
     # -- transitions -----------------------------------------------------------
 
     def activate(self, sensor_id: int) -> None:
         """Promote to ACTIVE (becomes a Kautz node)."""
         self.state(sensor_id)  # existence check
         self._state[sensor_id] = SensorState.ACTIVE
-        self._candidate_for.pop(sensor_id, None)
-
-    def register_candidate(self, sensor_id: int, active_id: int) -> None:
-        """A sleeping/waiting sensor probed successfully: mark as WAIT."""
-        if self.state(sensor_id) is SensorState.ACTIVE:
-            raise ConfigError(f"active sensor {sensor_id} cannot be a candidate")
-        self._state[sensor_id] = SensorState.WAIT
-        self._candidate_for[sensor_id].add(active_id)
-
-    def unregister_candidate(self, sensor_id: int, active_id: int) -> None:
-        """Drop one candidacy; falls back to SLEEP when none remain."""
-        actives = self._candidate_for.get(sensor_id)
-        if actives is None:
-            return
-        actives.discard(active_id)
-        if not actives and self._state.get(sensor_id) is SensorState.WAIT:
-            self._state[sensor_id] = SensorState.SLEEP
 
     def deactivate(self, sensor_id: int) -> None:
         """Demote an ACTIVE sensor back to SLEEP (it was replaced)."""

@@ -11,6 +11,7 @@ from repro.net.packet import Packet, PacketKind
 from repro.sim.core import Simulator
 from repro.wsan.deployment import plan_deployment
 from repro.wsan.system import build_nodes
+from tests.net.test_network import counted
 
 
 def build(seed=42, speed=0.0, sensors=200):
@@ -32,7 +33,7 @@ class TestConstruction:
         sim, network, system = build()
         system.build()
         for sensor in system.sensor_ids:
-            assert system.parent_of(sensor) is not None
+            assert system._parent.get(sensor) is not None
 
     def test_parent_chain_reaches_actuator(self):
         sim, network, system = build()
@@ -40,7 +41,7 @@ class TestConstruction:
         for sensor in system.sensor_ids[:50]:
             current, hops = sensor, 0
             while not network.node(current).is_actuator:
-                current = system.parent_of(current)
+                current = system._parent[current]
                 hops += 1
                 assert hops < 50
             assert network.node(current).is_actuator
@@ -50,7 +51,7 @@ class TestConstruction:
         network.set_phase(Phase.CONSTRUCTION)
         system.build()
         # One joint flood: exactly one tx per reached node.
-        assert network.energy.tx_packets == 205
+        assert counted(network.registry, "energy_tx_packets") == 205
 
 
 class TestDataPlane:
@@ -78,9 +79,9 @@ class TestDataPlane:
         network.set_phase(Phase.COMMUNICATION)
         src = next(
             s for s in system.sensor_ids
-            if not network.node(system.parent_of(s)).is_actuator
+            if not network.node(system._parent[s]).is_actuator
         )
-        network.fail_node(system.parent_of(src))
+        network.fail_node(system._parent[src])
         done, dropped = [], []
         system.send_event(src, packet(sim, src), done.append, dropped.append)
         sim.run_until(5.0)

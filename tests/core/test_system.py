@@ -12,6 +12,7 @@ from repro.net.network import WirelessNetwork
 from repro.net.packet import Packet, PacketKind
 from repro.sim.core import Simulator
 from repro.wsan.deployment import plan_deployment
+from repro.wsan.duty_cycle import SensorState
 from repro.wsan.system import build_nodes
 
 
@@ -40,7 +41,7 @@ class TestLifecycle:
         sim, network, system = build_system()
         system.build()
         for member in system.member_sensor_ids:
-            assert system.duty.is_active(member)
+            assert system.duty.state(member) is SensorState.ACTIVE
 
     def test_member_count(self):
         sim, network, system = build_system()

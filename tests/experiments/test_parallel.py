@@ -20,12 +20,8 @@ from repro.experiments.campaign import (
 from repro.experiments.config import ScenarioConfig
 from repro.experiments.figures import ALL_SYSTEMS, FIGURE_SPECS, sweep_figure
 from repro.experiments.journal import CampaignJournal
-from repro.experiments.parallel import (
-    CampaignSupervisor,
-    RetryPolicy,
-    job_for,
-    supervise,
-)
+from repro.experiments import parallel
+from repro.experiments.parallel import CampaignSupervisor, job_for, supervise
 from repro.experiments.payload import (
     merge_registry_snapshots,
     payload_from_result,
@@ -42,8 +38,6 @@ from repro.telemetry.config import TelemetryConfig
 from tests.experiments.sabotage import ALWAYS, Saboteur
 
 TINY = ScenarioConfig(sim_time=6.0, warmup=1.0, rate_pps=4.0)
-
-FAST_RETRY = RetryPolicy(max_attempts=3, deadline_s=60.0)
 
 CAMPAIGN_KW = dict(seeds=1, figures=["fig4"], sweeps={"fig4": (5.0,)})
 
@@ -206,19 +200,6 @@ class TestJobs:
             CampaignSupervisor(_fig4_jobs(), workers=-1)
 
 
-class TestRetryPolicy:
-    @pytest.mark.parametrize(
-        "kwargs",
-        [
-            {"max_attempts": 0},
-            {"deadline_s": 0.0},
-        ],
-    )
-    def test_invalid_policies_rejected(self, kwargs):
-        with pytest.raises(ConfigError):
-            RetryPolicy(**kwargs)
-
-
 class TestSerialDegradedMode:
     def test_workers0_campaign_equals_legacy_serial(self):
         oracle = sweep_figure(
@@ -251,7 +232,6 @@ class TestSerialDegradedMode:
         jobs = _fig4_jobs()
         outcome = CampaignSupervisor(
             jobs,
-            retry=FAST_RETRY,
             work=Saboteur.of(tmp_path, error={jobs[0].key: 1}),
         ).run()
         assert outcome.payloads == {}
@@ -266,9 +246,7 @@ class TestSerialDegradedMode:
         assert outcome.stats.quarantined == 1
 
     def test_raising_scenario_quarantined_as_error(self):
-        outcome = supervise(
-            [("NoSuchSystem", TINY)], "fp", retry=RetryPolicy(max_attempts=3)
-        )
+        outcome = supervise([("NoSuchSystem", TINY)], "fp")
         assert outcome.stats.errors == 1
         assert outcome.stats.retries == 0
         (failed,) = outcome.failed
@@ -277,11 +255,10 @@ class TestSerialDegradedMode:
         assert "ConfigError: unknown system" in failed.detail
 
     def test_corrupt_payload_rejected_then_retried(self, tmp_path):
-        oracle = CampaignSupervisor(_fig4_jobs(), retry=FAST_RETRY).run()
+        oracle = CampaignSupervisor(_fig4_jobs()).run()
         jobs = _fig4_jobs()
         sabotaged = CampaignSupervisor(
             jobs,
-            retry=FAST_RETRY,
             work=Saboteur.of(tmp_path, corrupt={jobs[0].key: 2}),
         ).run()
         assert sabotaged.payloads == oracle.payloads
@@ -300,7 +277,6 @@ class TestSerialDegradedMode:
         result = run_campaign(
             TINY,
             workers=0,
-            retry=FAST_RETRY,
             work=Saboteur.of(tmp_path, error={poisoned_key: ALWAYS}),
             **kw,
         )
@@ -321,7 +297,6 @@ class TestSerialDegradedMode:
         result = run_campaign(
             TINY,
             workers=0,
-            retry=FAST_RETRY,
             work=Saboteur.of(tmp_path, error={key: ALWAYS}),
             **CAMPAIGN_KW,
         )
@@ -329,7 +304,8 @@ class TestSerialDegradedMode:
         assert "## Failed jobs" in report
         assert key in report
 
-    def test_run_figure_raises_on_quarantined_job(self, tmp_path):
+    def test_run_figure_raises_on_quarantined_job(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(parallel, "MAX_ATTEMPTS", 1)
         key = _fig4_jobs()[0].key
         with pytest.raises(CampaignError, match=key):
             run_figure(
@@ -337,7 +313,6 @@ class TestSerialDegradedMode:
                 TINY,
                 (5.0,),
                 seeds=1,
-                retry=RetryPolicy(max_attempts=1),
                 work=Saboteur.of(tmp_path, corrupt={key: ALWAYS}),
             )
 
@@ -397,18 +372,19 @@ class TestJournalResume:
 class TestRealWorkerPool:
     """Spawned-process suite: real crashes, real hangs, real deadlines."""
 
-    def test_crash_and_hang_detection_with_retries(self, tmp_path):
+    def test_crash_and_hang_detection_with_retries(self, tmp_path, monkeypatch):
         jobs = _fig4_jobs((5.0, 10.0))
         assert len(jobs) == 2
-        oracle = CampaignSupervisor(jobs, retry=FAST_RETRY).run()
+        oracle = CampaignSupervisor(jobs).run()
+        monkeypatch.setattr(parallel, "MAX_ATTEMPTS", 2)
+        # A healthy spawned attempt is ~1.5 s (interpreter + import + a
+        # 0.3 s scenario); 8 s leaves a wide margin while bounding how
+        # long the sabotaged hang is allowed to sit before the deadline
+        # kills it.
+        monkeypatch.setattr(parallel, "DEADLINE_S", 8.0)
         outcome = CampaignSupervisor(
             _fig4_jobs((5.0, 10.0)),
             workers=2,
-            # A healthy spawned attempt is ~1.5 s (interpreter + import
-            # + a 0.3 s scenario); 8 s leaves a wide margin while
-            # bounding how long the sabotaged hang is allowed to sit
-            # before the deadline kills it.
-            retry=RetryPolicy(max_attempts=2, deadline_s=8.0),
             work=Saboteur.of(
                 tmp_path, crash={jobs[0].key: 1}, hang={jobs[1].key: 1}
             ),
@@ -419,12 +395,13 @@ class TestRealWorkerPool:
         assert outcome.stats.hangs == 1
         assert outcome.stats.retries == 2
 
-    def test_permanent_crash_reports_the_exit_code(self, tmp_path):
+    def test_permanent_crash_reports_the_exit_code(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(parallel, "MAX_ATTEMPTS", 1)
+        monkeypatch.setattr(parallel, "DEADLINE_S", 60.0)
         (job,) = _fig4_jobs()
         outcome = CampaignSupervisor(
             [job],
             workers=1,
-            retry=RetryPolicy(max_attempts=1, deadline_s=60.0),
             work=Saboteur.of(tmp_path, crash={job.key: ALWAYS}),
         ).run()
         (failed,) = outcome.failed

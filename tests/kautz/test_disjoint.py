@@ -15,7 +15,6 @@ from repro.kautz.disjoint import (
     _canonical_completion,
     disjoint_paths,
     predicted_length_accuracy,
-    ranked_successors,
     successor_table,
     verify_node_disjoint,
 )
@@ -105,7 +104,11 @@ class TestFigure1Example:
 
     def test_alternative_next_hop_is_021(self):
         u, v = K("102", 2), K("201", 2)
-        ranked = ranked_successors(u, v, exclude=frozenset({K("020", 2)}))
+        ranked = [
+            row.successor
+            for row in successor_table(u, v)
+            if row.successor != K("020", 2)
+        ]
         assert str(ranked[0]) == "021"
 
 
@@ -327,18 +330,3 @@ class TestDegenerateLabels:
         assert verify_node_disjoint(paths)
         via = {str(p[1]) for p in paths}
         assert via == {str(r.successor) for r in successor_table(u, v)}
-
-
-class TestRankedSuccessors:
-    def test_exclusion(self):
-        u, v = K("0123", 4), K("2301", 4)
-        best = ranked_successors(u, v)[0]
-        rest = ranked_successors(u, v, exclude=frozenset({best}))
-        assert best not in rest
-        assert len(rest) == 3
-
-    def test_order_is_by_predicted_length(self):
-        u, v = K("0123", 4), K("2301", 4)
-        ranked = ranked_successors(u, v)
-        table = successor_table(u, v)
-        assert ranked == [r.successor for r in table]

@@ -40,12 +40,22 @@ class TestCounts:
             KautzGraph(2, 0)
 
 
+def index_of(node):
+    """The inverse of ``KautzGraph.node_at``: a label's rank among the
+    labels of its graph, in lexicographic order."""
+    index, prev = node.letters[0], node.letters[0]
+    for letter in node.letters[1:]:
+        index = index * node.degree + (letter if letter < prev else letter - 1)
+        prev = letter
+    return index
+
+
 class TestIndexing:
     @pytest.mark.parametrize("d,k", [(2, 3), (3, 2), (4, 3), (1, 5)])
     def test_node_at_index_of_roundtrip(self, d, k):
         g = KautzGraph(d, k)
         for i in range(g.node_count):
-            assert g.index_of(g.node_at(i)) == i
+            assert index_of(g.node_at(i)) == i
 
     def test_node_at_out_of_range(self):
         g = KautzGraph(2, 3)
@@ -53,11 +63,6 @@ class TestIndexing:
             g.node_at(12)
         with pytest.raises(KautzError):
             g.node_at(-1)
-
-    def test_index_of_foreign_node(self):
-        g = KautzGraph(2, 3)
-        with pytest.raises(KautzError):
-            g.index_of(KautzString((0, 1), 2))
 
 
 class TestAdjacency:
@@ -87,19 +92,12 @@ class TestAdjacency:
 
     def test_total_edges(self):
         g = KautzGraph(2, 3)
-        assert sum(1 for _ in g.edges()) == g.edge_count
+        assert sum(len(g.successors(u)) for u in g.nodes()) == g.edge_count
 
     def test_no_self_loops(self):
         g = KautzGraph(2, 2)
-        for u, v in g.edges():
-            assert u != v
-
-    def test_undirected_neighbors_dedup(self):
-        g = KautzGraph(2, 3)
-        for node in g.nodes():
-            nbrs = g.undirected_neighbors(node)
-            assert node not in nbrs
-            assert len(set(nbrs)) == len(nbrs)
+        for u in g.nodes():
+            assert u not in g.successors(u)
 
     def test_membership(self):
         g = KautzGraph(2, 3)

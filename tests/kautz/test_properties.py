@@ -16,7 +16,7 @@ from repro.kautz.disjoint import (
 )
 from repro.kautz.graph import KautzGraph
 from repro.kautz.namespace import kautz_distance, overlap, shortest_path
-from repro.kautz.routing import FaultTolerantRouter, greedy_next_hop
+from repro.kautz.routing import FaultTolerantRouter
 from repro.kautz.strings import KautzString
 
 
@@ -53,7 +53,7 @@ def test_exactly_one_shortest_row_with_correct_length(pair):
     ]
     assert len(shortest) == 1
     assert shortest[0].predicted_length == kautz_distance(u, v)
-    assert shortest[0].successor == greedy_next_hop(u, v)
+    assert shortest[0].successor == shortest_path(u, v)[1]
 
 
 @settings(max_examples=120, deadline=None)
@@ -85,7 +85,7 @@ def test_shortest_path_is_the_greedy_path(pair):
     assert len(path) - 1 == kautz_distance(u, v)
     current = u
     for nxt in path[1:]:
-        assert nxt == greedy_next_hop(current, v)
+        assert nxt == shortest_path(current, v)[1]
         current = nxt
 
 

@@ -9,12 +9,11 @@ from hypothesis import given, settings, strategies as st
 from repro.errors import RoutingError
 from repro.kautz.disjoint import successor_table
 from repro.kautz.graph import KautzGraph
-from repro.kautz.namespace import kautz_distance
+from repro.kautz import routing
+from repro.kautz.namespace import kautz_distance, shortest_path
 from repro.kautz.routing import (
     FaultTolerantRouter,
     RouteResult,
-    greedy_next_hop,
-    greedy_path,
     route_generation_paths,
 )
 from repro.kautz.strings import KautzString
@@ -31,15 +30,11 @@ class TestGreedy:
             for v in g.nodes():
                 if u == v:
                     continue
-                nxt = greedy_next_hop(u, v)
+                nxt = shortest_path(u, v)[1]
                 assert kautz_distance(nxt, v) == kautz_distance(u, v) - 1
 
-    def test_next_hop_at_destination_raises(self):
-        with pytest.raises(RoutingError):
-            greedy_next_hop(K("012"), K("012"))
-
     def test_greedy_path_terminates_at_destination(self):
-        path = greedy_path(K("010"), K("201"))
+        path = shortest_path(K("010"), K("201"))
         assert path[-1] == K("201")
 
 
@@ -119,10 +114,10 @@ class TestFaultTolerantRouterWithFailures:
         with pytest.raises(RoutingError):
             router.route(u, K("201"))
 
-    def test_max_hops_enforced(self):
-        router = FaultTolerantRouter(
-            is_available=lambda n: True, max_hops=1
-        )
+    def test_max_hops_enforced(self, monkeypatch):
+        # A 3-digit label gets 4 * 3 + MAX_HOPS_SLACK relays: here, one.
+        monkeypatch.setattr(routing, "MAX_HOPS_SLACK", 1 - 4 * 3)
+        router = FaultTolerantRouter(is_available=lambda n: True)
         with pytest.raises(RoutingError):
             router.route(K("010"), K("121"))  # distance 3 > 1
 

@@ -60,10 +60,6 @@ class TestConstruction:
         with pytest.raises(InvalidKautzString):
             KautzString.parse("1!0", 2)
 
-    def test_from_iterable(self):
-        s = KautzString.from_iterable([2, 0, 1], 2)
-        assert s == KautzString((2, 0, 1), 2)
-
     def test_nonadjacent_repeats_allowed(self):
         s = KautzString((0, 1, 0, 1), 1)
         assert s.k == 4
@@ -141,16 +137,6 @@ class TestRotation:
         s = KautzString((0, 1, 0), 2)
         with pytest.raises(InvalidKautzString):
             s.left_rotated()
-
-    def test_is_rotation_of(self):
-        a = KautzString((0, 1, 2), 2)
-        assert a.is_rotation_of(KautzString((1, 2, 0), 2))
-        assert a.is_rotation_of(a)
-        assert not a.is_rotation_of(KautzString((0, 2, 1), 2))
-
-    def test_rotation_of_different_size_is_false(self):
-        a = KautzString((0, 1, 2), 2)
-        assert not a.is_rotation_of(KautzString((0, 1), 2))
 
 
 class TestRandom:

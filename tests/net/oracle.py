@@ -4,11 +4,40 @@
 spatial grid holds; the oracle re-derives the same tuple with
 ``brute_force_within_range`` — an O(n) scan — over that very snapshot,
 so a difference is an index bug, never a difference in positions.
+
+:func:`grid_within` asks a bare grid the scan's question through its
+own cells, for the grid's unit tests.
 """
 
 import math
+from types import SimpleNamespace
 
 from repro.net.spatial import brute_force_within_range
+
+#: A grid item id no test uses: :func:`grid_within`'s probe.
+PROBE = -1
+
+
+def grid_within(grid, point, radius):
+    """The items of ``grid`` within ``radius`` of ``point``, sorted, as
+    the grid's own pass finds them.
+
+    A probe of reach ``radius`` is inserted at ``point`` among items of
+    unbounded reach and removed again.  All are ``wide``, so the pass
+    pairs the probe with its 3x3 block of cells and tests everything
+    further out directly, by cell key: a stale cell or key shows up as
+    a difference from ``brute_force_within_range``.
+    """
+    grid.insert(PROBE, point)
+    try:
+        reach = {
+            item: SimpleNamespace(transmission_range=math.inf)
+            for item in grid.items()
+        }
+        reach[PROBE] = SimpleNamespace(transmission_range=radius)
+        return grid.mutual_neighbours([PROBE], reach, list(reach))[PROBE]
+    finally:
+        grid.remove(PROBE)
 
 
 def brute_neighbors(medium, node_id, require_usable=True):

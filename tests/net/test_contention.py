@@ -124,7 +124,7 @@ def test_contention_is_the_brute_count_at_exact_positions(
 
 
 def static_world(*xs):
-    medium = WirelessMedium(cache_resolution=0.25)
+    medium = WirelessMedium()
     for node_id, x in enumerate(xs):
         medium.add_node(
             Node(node_id, NodeRole.SENSOR, StaticMobility(Point(x, 0.0)), 50.0)

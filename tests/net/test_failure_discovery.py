@@ -40,11 +40,11 @@ class TestCrashRotation:
         )
         injector.start()
         sim.run_until(5.0)
-        first = injector.faulty_nodes
+        first = set(injector._fail_times)
         assert len(first) == 3
         assert all(not net.node(n).usable for n in first)
         sim.run_until(15.0)
-        second = injector.faulty_nodes
+        second = set(injector._fail_times)
         assert len(second) == 3
         # The previous round was recovered.
         for n in first - second:
@@ -71,7 +71,7 @@ class TestCrashRotation:
         for horizon in (5.0, 15.0, 25.0, 35.0):
             sim.run_until(horizon)
             expected = oracle.sample(list(net.medium.node_ids()), 4)
-            assert sorted(model.faulty_nodes) == sorted(expected)
+            assert sorted(set(model._fail_times)) == sorted(expected)
         model.stop()
 
     def test_stop_recovers(self):
@@ -83,9 +83,9 @@ class TestCrashRotation:
         )
         injector.start()
         sim.run_until(1.0)
-        assert injector.faulty_nodes
+        assert set(injector._fail_times)
         injector.stop()
-        assert not injector.faulty_nodes
+        assert not set(injector._fail_times)
         assert all(net.node(n).usable for n in net.medium.node_ids())
 
     def test_stop_without_recover_leaves_nodes_failed(self):
@@ -97,10 +97,10 @@ class TestCrashRotation:
         )
         injector.start()
         sim.run_until(1.0)
-        broken = injector.faulty_nodes
+        broken = set(injector._fail_times)
         assert broken
         injector.stop(recover=False)
-        assert injector.faulty_nodes == broken
+        assert set(injector._fail_times) == broken
         assert all(not net.node(n).usable for n in broken)
         sim.run_until(20.0)   # and no later round resurrects them
         assert all(not net.node(n).usable for n in broken)
@@ -114,7 +114,7 @@ class TestCrashRotation:
         )
         injector.start()
         sim.run_until(1.0)
-        assert len(injector.faulty_nodes) == 4
+        assert len(set(injector._fail_times)) == 4
 
     def test_rounds_counter(self):
         sim, net = build_grid()

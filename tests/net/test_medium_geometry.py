@@ -1,8 +1,8 @@
 """Geometry oracle: every range question agrees with ``Point.distance_to``.
 
 ``Node.distance_to`` is the net layer's one geometry primitive; the
-medium's ``can_transmit`` / ``link_quality`` and the node's
-``in_range_of`` / ``bidirectional_link`` are all phrased on it.  The
+medium's ``can_transmit`` / ``link_quality`` / ``neighbors`` are all
+phrased on it.  The
 oracle here is the long way round — two ``Point`` objects and
 ``Point.distance_to`` — over random pairs with asymmetric ranges,
 static and moving, with a range drawn *exactly equal* to the distance
@@ -84,11 +84,7 @@ def test_range_questions_agree_with_point_distance(
     reach_a, reach_b = a.transmission_range, b.transmission_range
 
     assert a.distance_to(b, now) == d == b.distance_to(a, now)
-    assert a.in_range_of(b, now) == (d <= reach_a)
-    assert b.in_range_of(a, now) == (d <= reach_b)
     both_ways = d <= reach_a and d <= reach_b
-    assert a.bidirectional_link(b, now) == both_ways
-    assert b.bidirectional_link(a, now) == both_ways
     assert medium.can_transmit(a.id, b.id, now) == (d <= reach_a and up)
     assert medium.can_transmit(b.id, a.id, now) == (d <= reach_b and up)
     limit = min(reach_a, reach_b)
@@ -105,7 +101,7 @@ def test_exactly_on_the_range_limit():
     medium.add_node(Node(2, NodeRole.SENSOR, StaticMobility(Point(3, 4)), 9.0))
     assert medium.node(1).distance_to(medium.node(2), 0.0) == 5.0
     assert medium.can_transmit(1, 2, 0.0) and medium.can_transmit(2, 1, 0.0)
-    assert medium.node(1).bidirectional_link(medium.node(2), 0.0)
+    assert medium.neighbors(1, 0.0) == (2,)
     assert medium.link_quality(1, 2, 0.0) == 0.0
 
 

@@ -10,11 +10,14 @@ tolerance), the RNG left in the same state, and a repeated instant
 answered with the identical object.
 """
 
+import contextlib
 import math
 import random
+from unittest import mock
 
 from hypothesis import given, settings, strategies as st
 
+from repro.net import mobility
 from repro.net.mobility import RandomWaypoint
 from repro.util.geometry import Point
 
@@ -70,7 +73,7 @@ steps = st.one_of(
     st.floats(min_value=20.0, max_value=400.0, allow_nan=False),
 )
 
-#: (min_speed, max_speed): the evaluation's [0, v], a positive floor,
+#: (MIN_SPEED, max_speed): the evaluation's [0, v], a positive floor,
 #: the static degenerate case, and the subnormal ceiling whose redraw
 #: floor ``1e-3 * max_speed`` underflows to 0.0 (the pinned leg).
 speed_ranges = st.one_of(
@@ -83,12 +86,16 @@ speed_ranges = st.one_of(
 )
 
 
+@contextlib.contextmanager
 def both(seed, speeds, start=Point(25.0, 40.0), side=100.0):
+    """Both models, with ``mobility.MIN_SPEED`` at the range's floor
+    while the block runs (legs are drawn lazily, inside queries)."""
     low, high = speeds
     rng_new, rng_old = random.Random(seed), random.Random(seed)
-    new = RandomWaypoint(start, side, high, rng_new, min_speed=low)
-    old = ReferenceWaypoint(start, side, high, rng_old, min_speed=low)
-    return new, old, rng_new, rng_old
+    with mock.patch.object(mobility, "MIN_SPEED", low):
+        new = RandomWaypoint(start, side, high, rng_new)
+        old = ReferenceWaypoint(start, side, high, rng_old, min_speed=low)
+        yield new, old, rng_new, rng_old
 
 
 @PROFILE
@@ -98,33 +105,33 @@ def both(seed, speeds, start=Point(25.0, 40.0), side=100.0):
     st.lists(steps, min_size=1, max_size=40),
 )
 def test_memoised_model_is_bit_identical_to_the_reference(seed, speeds, script):
-    new, old, rng_new, rng_old = both(seed, speeds)
-    now = 0.0
-    previous_now, previous_point = None, None
-    for step in script:
-        now += step
-        got, want = new.position(now), old.position(now)
-        assert (got.x, got.y) == (want.x, want.y)
-        if now == previous_now:
-            assert got is previous_point
-        previous_now, previous_point = now, got
-        # The memo never changes when the RNG is drawn from.
-        assert rng_new.getstate() == rng_old.getstate()
+    with both(seed, speeds) as (new, old, rng_new, rng_old):
+        now = 0.0
+        previous_now, previous_point = None, None
+        for step in script:
+            now += step
+            got, want = new.position(now), old.position(now)
+            assert (got.x, got.y) == (want.x, want.y)
+            if now == previous_now:
+                assert got is previous_point
+            previous_now, previous_point = now, got
+            # The memo never changes when the RNG is drawn from.
+            assert rng_new.getstate() == rng_old.getstate()
 
 
 def test_script_crosses_several_legs():
     """The property above is not vacuous: its long steps roll legs over."""
-    new, old, rng_new, _ = both(7, (0.0, 5.0))
-    before = rng_new.getstate()
-    for now in (0.0, 150.0, 150.0, 300.0, 450.0):
-        assert new.position(now) == old.position(now)
-    assert rng_new.getstate() != before
-    assert new.position(450.0) is new.position(450.0)
+    with both(7, (0.0, 5.0)) as (new, old, rng_new, _):
+        before = rng_new.getstate()
+        for now in (0.0, 150.0, 150.0, 300.0, 450.0):
+            assert new.position(now) == old.position(now)
+        assert rng_new.getstate() != before
+        assert new.position(450.0) is new.position(450.0)
 
 
 def test_subnormal_ceiling_can_pin_the_leg():
     """Seed 8's first speed draw rounds to 0.0: pinned at the start."""
-    new, old, _, _ = both(8, (0.0, 5e-324))
-    assert new._speed == 0.0 and new._arrive_time == math.inf
-    for now in (0.0, 1.0, 1e9):
-        assert new.position(now) == old.position(now) == Point(25.0, 40.0)
+    with both(8, (0.0, 5e-324)) as (new, old, _, _):
+        assert new._speed == 0.0 and new._arrive_time == math.inf
+        for now in (0.0, 1.0, 1e9):
+            assert new.position(now) == old.position(now) == Point(25.0, 40.0)

@@ -31,6 +31,11 @@ def build_line(count=4, spacing=80.0, seed=1):
     return sim, net
 
 
+def counted(registry, name):
+    """The sum of registry family ``name`` over its labels (0 unused)."""
+    return sum(child.value for _, child in registry.get(name).items())
+
+
 def data_packet(sim, src=0, dst=None, size=1000):
     return Packet(PacketKind.DATA, size, src, dst, sim.now)
 
@@ -42,8 +47,8 @@ class TestUnicast:
         net.send(0, 1, data_packet(sim), on_delivered=done.append)
         sim.run_until(1.0)
         assert len(done) == 1
-        assert net.energy.tx_packets == 1
-        assert net.energy.rx_packets == 1
+        assert counted(net.registry, "energy_tx_packets") == 1
+        assert counted(net.registry, "energy_rx_packets") == 1
         assert net.energy.grand_total() == 2.75
 
     def test_out_of_range_fails_after_timeout(self):
@@ -58,8 +63,8 @@ class TestUnicast:
         at, when = failures[0]
         assert at == 0
         assert when > 0.0                    # sender burned its timeout
-        assert net.energy.tx_packets == 1    # tx charged even on failure
-        assert net.energy.rx_packets == 0
+        assert counted(net.registry, "energy_tx_packets") == 1    # tx charged even on failure
+        assert counted(net.registry, "energy_rx_packets") == 0
 
     def test_failed_source_fails_immediately(self):
         sim, net = build_line()
@@ -68,7 +73,7 @@ class TestUnicast:
         net.send(0, 1, data_packet(sim), on_failed=lambda p, a: failures.append(a))
         sim.run_until(1.0)
         assert failures == [0]
-        assert net.energy.tx_packets == 0
+        assert counted(net.registry, "energy_tx_packets") == 0
 
     def test_receive_handler_fires(self):
         sim, net = build_line()
@@ -109,7 +114,7 @@ class TestSendAlongPath:
         net.send_along_path([0, 1, 2, 3], data_packet(sim), on_delivered=done.append)
         sim.run_until(1.0)
         assert len(done) == 1
-        assert net.delivered_packets == 1
+        assert counted(net.registry, "net_delivered_packets") == 1
         # 3 transmissions + 3 receptions
         assert net.energy.grand_total() == 3 * 2.75
 
@@ -168,8 +173,8 @@ class TestFlood:
         # All 3 hold the message and forward within ttl: 3 tx.
         # Receptions: every tx heard by each neighbour of the sender:
         # node0 ->1; node1 ->0,2; node2 ->1  == 4 rx.
-        assert net.energy.tx_packets == 3
-        assert net.energy.rx_packets == 4
+        assert counted(net.registry, "energy_tx_packets") == 3
+        assert counted(net.registry, "energy_rx_packets") == 4
 
     def test_completion_callback_delayed(self):
         sim, net = build_line()
@@ -200,7 +205,7 @@ class TestFlood:
         sim.run_until(1.0)
         assert tree == {0: (0, None)}
         assert times == [0.0]
-        assert net.energy.tx_packets == 0 and net.energy.rx_packets == 0
+        assert counted(net.registry, "energy_tx_packets") == 0 and counted(net.registry, "energy_rx_packets") == 0
         assert net.node(0).radio_busy_until == 0.0
 
     def test_negative_ttl_rejected(self):
@@ -226,7 +231,7 @@ class TestFloodMulti:
     def test_tx_count_is_one_per_reached_node(self):
         sim, net = build_line(count=6)
         net.flood_multi([0, 5], ttl=10)
-        assert net.energy.tx_packets == 6
+        assert counted(net.registry, "energy_tx_packets") == 6
 
     def test_unusable_source_skipped(self):
         sim, net = build_line(count=3)
@@ -242,9 +247,9 @@ class TestDropAccounting:
         net.node(2).failed = True
         net.send_along_path([0, 1, 2, 3], data_packet(sim))
         sim.run_until(2.0)
-        assert net.dropped_packets == 1
-        assert net.hop_failures >= 1
-        assert net.delivered_packets == 0
+        assert counted(net.registry, "net_dropped_packets") == 1
+        assert counted(net.registry, "net_hop_failures") >= 1
+        assert counted(net.registry, "net_delivered_packets") == 0
 
     def test_hop_failure_alone_is_not_a_drop(self):
         # A protocol driving send() directly may recover the packet over
@@ -254,16 +259,16 @@ class TestDropAccounting:
         net.send(0, 2, data_packet(sim), on_failed=lambda p, a: failures.append(a))
         sim.run_until(1.0)
         assert failures
-        assert net.hop_failures == 1
-        assert net.dropped_packets == 0
+        assert counted(net.registry, "net_hop_failures") == 1
+        assert counted(net.registry, "net_dropped_packets") == 0
 
     def test_delivered_path_counts_no_drops(self):
         sim, net = build_line()
         net.send_along_path([0, 1, 2, 3], data_packet(sim))
         sim.run_until(2.0)
-        assert net.delivered_packets == 1
-        assert net.dropped_packets == 0
-        assert net.hop_failures == 0
+        assert counted(net.registry, "net_delivered_packets") == 1
+        assert counted(net.registry, "net_dropped_packets") == 0
+        assert counted(net.registry, "net_hop_failures") == 0
 
     def test_counters_symmetric_over_mixed_outcomes(self):
         sim, net = build_line()
@@ -271,8 +276,8 @@ class TestDropAccounting:
         net.node(3).failed = True
         net.send_along_path([1, 2, 3], data_packet(sim, src=1))
         sim.run_until(3.0)
-        assert net.delivered_packets == 1
-        assert net.dropped_packets == 1
+        assert counted(net.registry, "net_delivered_packets") == 1
+        assert counted(net.registry, "net_dropped_packets") == 1
 
 
 class TestFloodEnergyKind:

@@ -22,16 +22,18 @@ class TestNode:
         assert make_node(2, 0, 0, role=NodeRole.ACTUATOR).is_actuator
 
     def test_range_checks(self):
-        a = make_node(1, 0, 0, rng=100)
-        b = make_node(2, 80, 0, rng=50)
-        assert a.in_range_of(b, 0.0)        # a's range covers 80m
-        assert not b.in_range_of(a, 0.0)    # b's doesn't
-        assert not a.bidirectional_link(b, 0.0)
+        medium = WirelessMedium()
+        medium.add_node(make_node(1, 0, 0, rng=100))
+        medium.add_node(make_node(2, 80, 0, rng=50))
+        assert medium.can_transmit(1, 2, 0.0)       # 1's range covers 80m
+        assert not medium.can_transmit(2, 1, 0.0)   # 2's doesn't
+        assert medium.neighbors(1, 0.0) == ()       # not a two-way link
 
     def test_bidirectional_link(self):
-        a = make_node(1, 0, 0, rng=100)
-        b = make_node(2, 80, 0, rng=100)
-        assert a.bidirectional_link(b, 0.0)
+        medium = WirelessMedium()
+        medium.add_node(make_node(1, 0, 0, rng=100))
+        medium.add_node(make_node(2, 80, 0, rng=100))
+        assert medium.neighbors(1, 0.0) == (2,)
 
     def test_invalid_range(self):
         with pytest.raises(NetworkError):

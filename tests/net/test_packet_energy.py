@@ -7,6 +7,7 @@ from repro.net import energy
 from repro.net.energy import EnergyLedger, Phase
 from repro.net.packet import Packet, PacketKind
 from repro.telemetry.registry import Registry
+from tests.net.test_network import counted
 
 
 def make_packet(**kwargs):
@@ -29,20 +30,11 @@ class TestPacket:
         p = make_packet(created_at=1.0)
         assert p.latency(3.5) == 2.5
 
-    def test_deadline(self):
-        p = make_packet(created_at=0.0, deadline=0.6)
-        assert p.within_deadline(0.5)
-        assert not p.within_deadline(0.7)
-
-    def test_no_deadline_always_ok(self):
-        assert make_packet().within_deadline(1e9)
-
     def test_hops(self):
         p = make_packet()
         p.record_hop(1)
         p.record_hop(5)
         assert p.hops == [1, 5]
-        assert p.hop_count == 2
 
     def test_clone_keeps_created_at(self):
         p = make_packet(created_at=1.0, deadline=0.6)
@@ -79,27 +71,23 @@ class TestEnergyLedger:
         assert ledger.grand_total() == 4.75
 
     def test_node_totals(self):
-        ledger = EnergyLedger()
+        registry = Registry()
+        ledger = EnergyLedger(registry=registry)
         ledger.charge_tx(1)
         ledger.set_phase(Phase.COMMUNICATION)
         ledger.charge_rx(1)
-        assert ledger.node_total(1) == 2.75
-        assert ledger.node_total(99) == 0.0
+        assert registry.as_dict()["energy_node_joules"] == {
+            (1, "construction"): 2.0,
+            (1, "communication"): 0.75,
+        }
 
     def test_packet_counters(self):
-        ledger = EnergyLedger()
+        registry = Registry()
+        ledger = EnergyLedger(registry=registry)
         ledger.charge_tx(1, packets=3)
         ledger.charge_rx(2, packets=2)
-        assert ledger.tx_packets == 3
-        assert ledger.rx_packets == 2
-
-    def test_construction_fraction(self):
-        ledger = EnergyLedger()
-        assert ledger.construction_fraction() == 0.0
-        ledger.charge_tx(1)                      # 2 J construction
-        ledger.set_phase(Phase.COMMUNICATION)
-        ledger.charge_tx(1)                      # 2 J communication
-        assert ledger.construction_fraction() == pytest.approx(0.5)
+        assert counted(registry, "energy_tx_packets") == 3
+        assert counted(registry, "energy_rx_packets") == 2
 
     @pytest.mark.parametrize("model", [(2.0, 0.75), (0.0, 0.0)])
     def test_rejected_charge_mutates_nothing(self, model, monkeypatch):
@@ -116,7 +104,8 @@ class TestEnergyLedger:
             with pytest.raises(TelemetryError):
                 charge(1, packets=-1, kind="flood")
         assert registry.as_dict() == before
-        assert (ledger.tx_packets, ledger.rx_packets) == (0, 1)
+        assert counted(registry, "energy_tx_packets") == 0
+        assert counted(registry, "energy_rx_packets") == 1
 
     def test_custom_model(self, monkeypatch):
         # The ledger reads the module constants at each charge.

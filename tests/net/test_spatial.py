@@ -3,10 +3,12 @@
 import math
 import random
 from types import SimpleNamespace
+from unittest import mock
 
 import pytest
 
 from repro.errors import NetworkError
+from repro.net import medium as medium_module
 from repro.net import spatial
 from repro.net.medium import WirelessMedium
 from repro.net.mobility import RandomWaypoint, StaticMobility
@@ -19,7 +21,7 @@ from repro.net.spatial import (
 )
 from repro.sim.core import Simulator
 from repro.util.geometry import Point
-from tests.net.oracle import brute_neighbors
+from tests.net.oracle import brute_neighbors, grid_within
 
 #: The auto cell side of a medium whose median range is 100 m.
 MEDIAN_CELL = 100.0 * (1.0 + CELL_SLACK)
@@ -27,6 +29,12 @@ MEDIAN_CELL = 100.0 * (1.0 + CELL_SLACK)
 
 def make_node(node_id, x, y, rng=100.0, role=NodeRole.SENSOR):
     return Node(node_id, role, StaticMobility(Point(x, y)), rng)
+
+
+def medium_of(cell_size=None):
+    """A medium whose grid cells have side ``cell_size`` (None: auto)."""
+    with mock.patch.object(medium_module, "CELL_SIZE", cell_size):
+        return WirelessMedium()
 
 
 class TestGridBasics:
@@ -37,9 +45,9 @@ class TestGridBasics:
         grid.insert(3, Point(100, 100))
         assert len(grid) == 3
         assert 2 in grid and 99 not in grid
-        assert grid.within_range(Point(0, 0), 10.0) == [1, 2]
+        assert grid_within(grid, Point(0, 0), 10.0) == [1, 2]
         grid.remove(2)
-        assert grid.within_range(Point(0, 0), 10.0) == [1]
+        assert grid_within(grid, Point(0, 0), 10.0) == [1]
 
     def test_invalid_cell_size(self):
         with pytest.raises(NetworkError):
@@ -58,16 +66,11 @@ class TestGridBasics:
         with pytest.raises(NetworkError):
             grid.move(7, Point(0, 0))
 
-    def test_negative_radius_rejected(self):
-        grid = SpatialHashGrid(1.0)
-        with pytest.raises(NetworkError):
-            grid.within_range(Point(0, 0), -1.0)
-
     def test_results_sorted_by_id(self):
         grid = SpatialHashGrid(50.0)
         for item_id in (9, 3, 7, 1):
             grid.insert(item_id, Point(item_id, 0))
-        assert grid.within_range(Point(0, 0), 50.0) == [
+        assert grid_within(grid, Point(0, 0), 50.0) == [
             1, 3, 7, 9,
         ]
 
@@ -77,21 +80,21 @@ class TestGridBoundaries:
         grid = SpatialHashGrid(10.0)
         grid.insert(1, Point(10.0, 0.0))   # exactly on the cell seam
         grid.insert(2, Point(10.0, 10.0))  # exactly on a cell corner
-        assert grid.within_range(Point(9.0, 1.0), 15.0) == [
+        assert grid_within(grid, Point(9.0, 1.0), 15.0) == [
             1, 2,
         ]
 
     def test_point_exactly_on_range_limit_included(self):
         grid = SpatialHashGrid(5.0)
         grid.insert(1, Point(30.0, 0.0))
-        assert grid.within_range(Point(0, 0), 30.0) == [1]
-        assert grid.within_range(Point(0, 0), 29.999999) == []
+        assert grid_within(grid, Point(0, 0), 30.0) == [1]
+        assert grid_within(grid, Point(0, 0), 29.999999) == []
 
     def test_negative_coordinates(self):
         grid = SpatialHashGrid(10.0)
         grid.insert(1, Point(-25.0, -25.0))
         grid.insert(2, Point(25.0, 25.0))
-        assert grid.within_range(Point(-20.0, -20.0), 10.0) \
+        assert grid_within(grid, Point(-20.0, -20.0), 10.0) \
             == [1]
 
     def test_query_disk_larger_than_cell(self):
@@ -99,7 +102,7 @@ class TestGridBoundaries:
         grid = SpatialHashGrid(3.0)
         for i in range(10):
             grid.insert(i, Point(10.0 * i, 0.0))
-        assert grid.within_range(Point(0, 0), 45.0) == [
+        assert grid_within(grid, Point(0, 0), 45.0) == [
             0, 1, 2, 3, 4,
         ]
 
@@ -109,7 +112,7 @@ class TestGridMove:
         grid = SpatialHashGrid(10.0)
         grid.insert(1, Point(1.0, 1.0))
         grid.move(1, Point(2.0, 2.0))
-        assert grid.within_range(Point(2.0, 2.0), 1.0) == [1]
+        assert grid_within(grid, Point(2.0, 2.0), 1.0) == [1]
         assert grid.stats.rebuckets == 0
         assert grid.stats.in_cell_moves == 1
         assert grid.position_of(1) == Point(2.0, 2.0)
@@ -118,8 +121,8 @@ class TestGridMove:
         grid = SpatialHashGrid(10.0)
         grid.insert(1, Point(1.0, 1.0))
         grid.move(1, Point(25.0, 1.0))
-        assert grid.within_range(Point(25.0, 0.0), 5.0) == [1]
-        assert grid.within_range(Point(0.0, 0.0), 5.0) == []
+        assert grid_within(grid, Point(25.0, 0.0), 5.0) == [1]
+        assert grid_within(grid, Point(0.0, 0.0), 5.0) == []
         assert grid.stats.rebuckets == 1
 
     def test_occupancy_snapshot(self):
@@ -131,13 +134,11 @@ class TestGridMove:
         assert occ.items == 3
         assert occ.occupied_cells == 2
         assert occ.max_per_cell == 2
-        assert occ.mean_per_cell == pytest.approx(1.5)
 
     def test_empty_occupancy(self):
         occ = SpatialHashGrid(1.0).occupancy()
         assert occ.items == 0
         assert occ.max_per_cell == 0
-        assert occ.mean_per_cell == 0.0
 
 
 def grid_of(cell, nodes):
@@ -214,7 +215,7 @@ class TestMutualNeighbours:
         assert math.hypot(below - 8.0, 0.0) == 4.0
         assert wide == [0, 1]
         assert grid.mutual_neighbours([0, 1], table, wide) == {0: [1], 1: [0]}
-        medium = WirelessMedium(cell_size=4.0)
+        medium = medium_of(4.0)
         for node in nodes:
             medium.add_node(node)
         assert medium.neighbors(0, 0.0) == (1,) == brute_neighbors(medium, 0)
@@ -240,13 +241,13 @@ class TestBruteForceOracle:
         for _ in range(50):
             q = Point(rng.uniform(0, 200), rng.uniform(0, 200))
             r = rng.uniform(0, 60)
-            assert grid.within_range(q, r) == brute_force_within_range(
+            assert grid_within(grid, q, r) == brute_force_within_range(
                 positions, q, r
             )
 
 
-def build_medium(**kwargs):
-    medium = WirelessMedium(**kwargs)
+def build_medium(cell_size=None):
+    medium = medium_of(cell_size)
     # line: 0 -(80m)- 1 -(80m)- 2, plus far node 3
     medium.add_node(make_node(0, 0, 0))
     medium.add_node(make_node(1, 80, 0))
@@ -343,7 +344,7 @@ class TestMediumIndexIntegration:
         snapshot alone for as many buckets as nobody asks for a
         neighbour tuple; whatever is asked next must see the grid a
         fresh build gives."""
-        medium = WirelessMedium(cell_size=25.0)
+        medium = medium_of(25.0)
         rng = random.Random(5)
         for node_id in range(12):
             medium.add_node(
@@ -368,8 +369,8 @@ class TestMediumIndexIntegration:
         fresh = rebuilt(grid)
         for node_id in range(12):
             here = grid.position_of(node_id)
-            assert grid.within_range(here, 80.0) == fresh.within_range(
-                here, 80.0
+            assert grid_within(grid, here, 80.0) == grid_within(
+                fresh, here, 80.0
             )
             assert medium.neighbors(node_id, 20.0) == brute_neighbors(
                 medium, node_id
@@ -385,7 +386,7 @@ class TestMediumIndexIntegration:
         assert grid.occupancy() == occupancy
 
     def test_index_stats_count_the_rehash_they_cause(self):
-        medium = WirelessMedium(cell_size=25.0)
+        medium = medium_of(25.0)
         medium.add_node(
             Node(
                 0,

@@ -1,8 +1,8 @@
 """Property-based equivalence: the grid's answers == brute-force scans.
 
 The spatial index is only allowed to *prune* — for every deployment,
-query point and radius ``within_range`` must return exactly the
-unit-disk result the O(n) scan returns, and every neighbour tuple the
+query point and radius a grid pass must find exactly the unit-disk
+result the O(n) scan returns, and every neighbour tuple the
 medium builds from ``mutual_neighbours`` must equal the oracle's,
 including items sitting exactly on a cell boundary and exactly on the
 range limit.  All properties run derandomized
@@ -19,7 +19,8 @@ from repro.net.mobility import RandomWaypoint, StaticMobility
 from repro.net.node import Node, NodeRole
 from repro.net.spatial import SpatialHashGrid, brute_force_within_range
 from repro.util.geometry import Point
-from tests.net.oracle import brute_neighbors
+from tests.net.oracle import brute_neighbors, grid_within
+from tests.net.test_spatial import medium_of
 
 PROFILE = settings(max_examples=200, deadline=None, derandomize=True)
 
@@ -57,7 +58,7 @@ def test_within_range_matches_brute_force(deployment, query, radius):
     for item_id, point in positions.items():
         grid.insert(item_id, point)
     q = Point(*query)
-    assert grid.within_range(q, radius) == brute_force_within_range(
+    assert grid_within(grid, q, radius) == brute_force_within_range(
         positions, q, radius
     )
 
@@ -109,7 +110,7 @@ def test_geometry_pass_matches_brute_force_in_random_worlds(world):
     whether a flood's pass or single-node misses built the geometry,
     before and after nodes join mid-bucket."""
     cell, first, late, survey_first = world
-    medium = WirelessMedium(cell_size=cell)
+    medium = medium_of(cell)
     for node in first:
         medium.add_node(node)
 
@@ -151,7 +152,7 @@ def test_exact_range_limit_is_inclusive(deployment, pick_seed):
         rng.uniform(-500.0, 500.0), rng.uniform(-500.0, 500.0)
     )
     radius = math.hypot(q.x - target.x, q.y - target.y)
-    grid_hits = grid.within_range(q, radius)
+    grid_hits = grid_within(grid, q, radius)
     assert grid_hits == brute_force_within_range(positions, q, radius)
     assert any(
         positions[item_id] == target for item_id in grid_hits
@@ -198,10 +199,10 @@ def test_churn_keeps_grid_and_oracle_in_lockstep(cell, ops):
         elif op == "query":
             q = Point(x, y)
             radius = abs(x) / 2.0 + 1.0
-            assert grid.within_range(q, radius) == \
+            assert grid_within(grid, q, radius) == \
                 brute_force_within_range(oracle, q, radius)
     q = Point(0.0, 0.0)
-    assert grid.within_range(q, 600.0) == \
+    assert grid_within(grid, q, 600.0) == \
         brute_force_within_range(oracle, q, 600.0)
     assert len(grid) == len(oracle)
     fresh = SpatialHashGrid(cell)

@@ -24,12 +24,9 @@ class ReferenceFrameQueue:
     def depth(self):
         return sum(len(lane) for lane in self._lanes.values())
 
-    def lane_depth(self, traffic_class):
-        return len(self._lanes[traffic_class])
-
-    def lane_full(self, traffic_class):
-        lane = self._lanes[traffic_class]
-        return len(lane) >= self._depths[traffic_class]
+    def full(self, lane):
+        traffic_class = PRIORITY_ORDER[lane]
+        return len(self._lanes[traffic_class]) >= self._depths[traffic_class]
 
     def offer(self, frame):
         lane = self._lanes[frame.traffic_class]

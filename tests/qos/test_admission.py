@@ -79,7 +79,7 @@ class TestBackpressureState:
         state.note_depth(1, 0)
         assert stats.congestion_onsets == 1
         assert stats.congestion_clears == 1
-        assert state.congested_count == 0
+        assert not state.any_congested()
 
 
 class TestAdmissionController:

@@ -8,9 +8,13 @@ from repro.qos import (
     PRIORITY_ORDER,
     BurstyConfig,
     TrafficClass,
-    class_of,
     expiry_of,
 )
+from repro.qos.classes import lane_of
+
+
+def class_of(packet):
+    return PRIORITY_ORDER[lane_of(packet)]
 
 
 def _packet(kind=PacketKind.DATA, traffic_class=None, deadline=None,

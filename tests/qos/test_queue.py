@@ -1,7 +1,7 @@
 """Unit tests for the bounded per-class priority frame queue."""
 
 from repro.net.packet import Packet, PacketKind
-from repro.qos import PriorityFrameQueue, QueuedFrame, TrafficClass
+from repro.qos import PRIORITY_ORDER, PriorityFrameQueue, QueuedFrame, TrafficClass
 
 DEPTHS = {
     TrafficClass.ALARM: 4,
@@ -50,10 +50,10 @@ class TestPriorityFrameQueue:
         queue = PriorityFrameQueue(DEPTHS)
         assert queue.offer(_frame(TrafficClass.BULK))
         assert queue.offer(_frame(TrafficClass.BULK))
-        assert queue.lane_full(TrafficClass.BULK)
+        assert queue.full(PRIORITY_ORDER.index(TrafficClass.BULK))
         assert not queue.offer(_frame(TrafficClass.BULK))
         # Other lanes are unaffected by a full bulk lane.
-        assert not queue.lane_full(TrafficClass.ALARM)
+        assert not queue.full(PRIORITY_ORDER.index(TrafficClass.ALARM))
         assert queue.offer(_frame(TrafficClass.ALARM))
 
     def test_expired_frames_are_drained_not_served(self):
@@ -94,5 +94,3 @@ class TestPriorityFrameQueue:
         queue.offer(_frame(TrafficClass.ALARM))
         queue.offer(_frame(TrafficClass.BULK))
         assert queue.depth == 2
-        assert queue.lane_depth(TrafficClass.ALARM) == 1
-        assert queue.lane_depth(TrafficClass.CONTROL) == 0

@@ -1,11 +1,11 @@
 """Differential test: tuple-of-lanes queue == dict-of-deques queue.
 
-Random scripts of ``offer`` / ``pop_live(now)`` / ``lane_full`` over
-mixed classes, ``None`` and finite expiries and lanes shallow enough to
-fill go through ``PriorityFrameQueue`` and ``ReferenceFrameQueue`` (the
+Random scripts of ``offer`` / ``pop_live(now)`` / ``full`` over mixed
+classes, ``None`` and finite expiries and lanes shallow enough to fill
+go through ``PriorityFrameQueue`` and ``ReferenceFrameQueue`` (the
 formulation it replaced): the same frame must come out, with the same
-``expired`` list in the same order, and ``depth`` and every
-``lane_depth`` must agree after each step.
+``expired`` list in the same order, and ``depth`` and every lane's
+length must agree after each step.
 """
 
 from hypothesis import given, settings, strategies as st
@@ -19,46 +19,51 @@ TIMES = st.floats(min_value=0.0, max_value=10.0, allow_nan=False)
 OPS = st.one_of(
     st.tuples(st.just("offer"), CLASSES, st.one_of(st.none(), TIMES)),
     st.tuples(st.just("pop"), TIMES),
-    st.tuples(st.just("full"), CLASSES),
+    st.tuples(st.just("full"), st.integers(0, len(PRIORITY_ORDER) - 1)),
 )
 DEPTHS = st.fixed_dictionaries(
     {cls: st.integers(min_value=1, max_value=4) for cls in PRIORITY_ORDER}
 )
 
 
-def _frame(uid, cls, expiry):
+def _frame(step, cls, expiry):
     packet = Packet(
         kind=PacketKind.DATA, size_bytes=100, source=1, destination=2,
-        created_at=0.0, uid=uid, traffic_class=cls.value,
+        created_at=0.0, meta={"step": step}, traffic_class=cls.value,
     )
     return QueuedFrame(1, 2, packet, lambda ok, now: None, cls, expiry)
 
 
-def _uids(frames):
-    return [frame.packet.uid for frame in frames]
+def _steps(frames):
+    return [frame.packet.meta["step"] for frame in frames]
+
+
+def _lane_lengths(queue):
+    lanes = queue._lanes
+    if isinstance(lanes, dict):  # the reference keys its lanes by class
+        lanes = [lanes[cls] for cls in PRIORITY_ORDER]
+    return [len(lane) for lane in lanes]
 
 
 def run_script(queue_type, depths, ops):
-    """Everything observable after every step, frames by packet uid."""
+    """Everything observable after every step, frames by the step that
+    offered them."""
     queue = queue_type(depths)
     observed = []
-    for uid, op in enumerate(ops):
+    for step, op in enumerate(ops):
         if op[0] == "offer":
-            frame = _frame(uid, op[1], op[2])
+            frame = _frame(step, op[1], op[2])
             assert frame.traffic_class is op[1]
             result = queue.offer(frame)
         elif op[0] == "pop":
             frame, expired = queue.pop_live(op[1])
             result = (
-                None if frame is None else frame.packet.uid, _uids(expired)
+                None if frame is None else frame.packet.meta["step"],
+                _steps(expired),
             )
         else:
-            result = queue.lane_full(op[1])
-        observed.append((
-            result,
-            queue.depth,
-            [queue.lane_depth(cls) for cls in PRIORITY_ORDER],
-        ))
+            result = queue.full(op[1])
+        observed.append((result, queue.depth, _lane_lengths(queue)))
     return observed
 
 
@@ -76,7 +81,8 @@ def test_scripts_fill_lanes_and_expire_frames():
     depths = {cls: 1 for cls in PRIORITY_ORDER}
     alarm, _, bulk = PRIORITY_ORDER
     ops = [
-        ("offer", bulk, 1.0), ("offer", bulk, None), ("full", bulk),
+        ("offer", bulk, 1.0), ("offer", bulk, None),
+        ("full", PRIORITY_ORDER.index(bulk)),
         ("offer", alarm, 0.5), ("pop", 2.0), ("pop", 2.0),
     ]
     observed = run_script(PriorityFrameQueue, depths, ops)

@@ -188,4 +188,4 @@ class TestBackpressureSignal:
         assert state.is_congested(1)
         sim.run_until(5.0)    # drained -> mark cleared
         assert not state.is_congested(1)
-        assert scheduler.queue_depth(1) == 0
+        assert scheduler._queues[1].depth == 0

@@ -80,11 +80,11 @@ class TestArqLink:
         # stands between a lost frame and a hop failure.
         clean_links.setattr(mac_module, "BASE_LOSS", 0.5)
         clean_links.setattr(mac_module, "RETRY_LIMIT", 0)
+        clean_links.setattr(arq_module, "BUDGET", 4)
         sim, net = build_pair()
         recovered = []
         link = ArqLink(
-            net, random.Random(5), budget=4,
-            on_recovered=lambda: recovered.append(1),
+            net, random.Random(5), on_recovered=lambda: recovered.append(1),
         )
         delivered = []
         for i in range(40):
@@ -97,11 +97,12 @@ class TestArqLink:
         assert len(delivered) >= 35
 
     def test_lost_acks_never_cause_duplicate_delivery(self, clean_links):
-        # Every ACK is lost: the sender burns its whole budget on
-        # retransmissions of a frame the receiver already forwarded.
+        # Every ACK is lost: the sender burns its whole budget (two
+        # retransmissions) on a frame the receiver already forwarded.
         clean_links.setattr(arq_module, "ACK_LOSS", 1.0)
+        clean_links.setattr(arq_module, "BUDGET", 2)
         sim, net = build_pair()
-        link = ArqLink(net, random.Random(5), budget=2)
+        link = ArqLink(net, random.Random(5))
         delivered, failed = [], []
         received = []
         net.set_receive_handler(1, received.append)
@@ -121,8 +122,9 @@ class TestArqLink:
     def test_budget_exhaustion_reports_failure_once(self, clean_links):
         # Destination out of range: every attempt fails at the network
         # layer, and after the budget the hop failure propagates.
+        clean_links.setattr(arq_module, "BUDGET", 2)
         sim, net = build_pair(range_m=40.0, spacing=60.0)
-        link = ArqLink(net, random.Random(5), budget=2)
+        link = ArqLink(net, random.Random(5))
         delivered, failed = [], []
         link.send(
             0, 1, packet(),
@@ -143,18 +145,19 @@ class TestArqLink:
         assert net.energy.total_by_kind("ack") > 0.0
 
     def test_dup_cache_is_bounded(self, clean_links):
+        clean_links.setattr(arq_module, "CACHE_SIZE", 4)
         sim, net = build_pair()
-        link = ArqLink(net, random.Random(5), cache_size=4)
+        link = ArqLink(net, random.Random(5))
         for i in range(20):
             link.send(0, 1, packet(now=i * 0.05))
         sim.run_until(5.0)
         assert len(link._seen[1]) <= 4
 
-    def test_backoff_grows_with_attempt(self):
+    def test_backoff_grows_with_attempt(self, monkeypatch):
+        monkeypatch.setattr(arq_module, "BACKOFF", 0.01)
+        monkeypatch.setattr(arq_module, "BACKOFF_FACTOR", 2.0)
+        monkeypatch.setattr(arq_module, "JITTER", 0.0)
         sim, net = build_pair()
-        link = ArqLink(
-            net, random.Random(5), backoff=0.01, backoff_factor=2.0,
-            jitter=0.0,
-        )
+        link = ArqLink(net, random.Random(5))
         assert link._backoff_delay(0) == pytest.approx(0.01)
         assert link._backoff_delay(2) == pytest.approx(0.04)

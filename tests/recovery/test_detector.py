@@ -94,10 +94,10 @@ class TestHeartbeat:
     def test_adaptive_timeout_learns_the_rtt(self):
         sim, net = build_net()
         det = build_detector(net, [(0, 1)])
-        initial = det.timeout_of(1)
+        initial = det._timeout(det._states.get(1))
         det.start()
         sim.run_until(10.0)
-        learned = det.timeout_of(1)
+        learned = det._timeout(det._states.get(1))
         # The probe RTT on an idle link is a few ms; the adaptive
         # timeout collapses from the conservative prior to the floor.
         assert learned < initial

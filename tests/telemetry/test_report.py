@@ -21,7 +21,7 @@ from repro.telemetry.export import (
     trace_to_jsonl_lines,
 )
 from repro.telemetry.registry import Registry
-from repro.telemetry.report import render
+from repro.telemetry.report import main, render
 
 SCENARIO = ScenarioConfig(
     seed=7,
@@ -111,6 +111,32 @@ class TestTelemetryNotice:
 
     def test_untraced_run_renders_no_trace_section(self, observed):
         assert "deterministic trace" not in render(observed)
+
+
+class TestWallProfile:
+    def test_wall_splits_construction_from_the_rest_of_the_run(self, capsys):
+        assert main([
+            "--sensors", "40", "--area", "220", "--sim-time", "4",
+            "--warmup", "1", "--rate", "5", "--wall",
+        ]) == 0
+        text = capsys.readouterr().out
+        report, _, profile = text.partition("wall-clock profile (cProfile")
+        assert "simulated-work profile" in report and profile
+        seconds = {}
+        for line in profile.splitlines():
+            for label in ("run_scenario", "build (system.build)", "run (the rest)"):
+                if line.strip().startswith(label):
+                    seconds[label] = float(line.split()[-2])
+        assert seconds["build (system.build)"] > 0.0
+        assert seconds["run (the rest)"] > 0.0
+        assert seconds["run_scenario"] == pytest.approx(
+            seconds["build (system.build)"] + seconds["run (the rest)"],
+            abs=2e-3,
+        )
+        assert "top 10 functions by self time" in profile
+
+    def test_render_has_no_host_time(self, observed):
+        assert "wall-clock" not in render(observed)
 
 
 class TestRegistryJsonl:

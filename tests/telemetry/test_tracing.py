@@ -58,7 +58,9 @@ class TestTracingConfig:
         assert config.ring_capacity == 4096
         assert config.capture is None
 
-    @pytest.mark.parametrize("interval", [0.0, -1.0])
+    @pytest.mark.parametrize(
+        "interval", [0.0, -1.0, float("nan"), float("inf")]
+    )
     def test_rejects_nonpositive_interval(self, interval):
         with pytest.raises(ConfigError):
             TracingConfig(checkpoint_interval=interval)
@@ -79,7 +81,8 @@ class TestTraceStream:
         for stream in (left, right):
             stream.record(0.1, "dispatch", "A._fire", "0")
             stream.record(0.2, "rng", "workload.cbr", "random=0.5")
-            stream.close(1.5)
+            stream.bind_clock(lambda: 1.5)
+            stream.close()
         assert left.fingerprint() == right.fingerprint()
         assert left.checkpoints == right.checkpoints
 
@@ -149,10 +152,12 @@ class TestTraceStream:
     def test_close_emits_trailing_checkpoint_and_is_idempotent(self):
         stream = TraceStream(TracingConfig(checkpoint_interval=1.0))
         stream.record(0.5, "dispatch", "A._fire", "0")
-        stream.close(2.5)
+        stream.bind_clock(lambda: 2.5)
+        stream.close()
         times = [c.time for c in stream.checkpoints]
         assert times == [1.0, 2.0, 2.5]
-        stream.close(9.0)
+        stream.bind_clock(lambda: 9.0)
+        stream.close()
         assert [c.time for c in stream.checkpoints] == times
 
     def test_rng_draws_timestamp_at_the_latest_dispatch(self):
@@ -227,7 +232,8 @@ class TestDiagnose:
         left.record(0.2, "dispatch", "B._fire", "1")
         right.record(0.2, "dispatch", "C._fire", "1")
         for stream in (left, right):
-            stream.close(1.5)
+            stream.bind_clock(lambda: 1.5)
+            stream.close()
         report = diagnose(left, right)
         assert "fingerprints differ" in report
         assert "first mismatched checkpoint: #0 at t=1" in report

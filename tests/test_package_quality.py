@@ -4,8 +4,9 @@ Cheap meta-tests that keep the library presentable: every public
 module documents itself, every ``__init__`` export actually resolves,
 the package imports cleanly without side effects, the whole tree
 passes the referlint invariant checks (``repro.devtools``), every
-module is reached by a run, a CLI or a bench, and every config field is
-set by one of them.
+module is reached by a run, a CLI or a bench, every config field and
+every parameter default is set by one of them, and every definition is
+used by name.
 """
 
 import ast
@@ -252,3 +253,309 @@ def test_every_config_field_is_set_by_some_caller():
         if not setters.get(field, set()) - {home}
     )
     assert not unset, "fields no run, CLI or bench sets:\n" + "\n".join(unset)
+
+
+def _python_files(*tops):
+    for top in tops:
+        yield from sorted((REPO_ROOT / top).rglob("*.py"))
+
+
+def _dunder(name):
+    return name.startswith("__") and name.endswith("__")
+
+
+class _NameScan(ast.NodeVisitor):
+    """The definitions in a set of files and the names their code uses.
+
+    A use is a name, an attribute or a string constant, recorded with
+    the definitions around it, so a recursive call or a docstring does
+    not reach its own definition.  An ``__all__`` list records nothing,
+    and neither does an import (its aliases are not names).  A
+    decorator belongs to the scope around its definition.
+    """
+
+    def __init__(self):
+        #: (path from the repo root, dotted name, node), in file order.
+        self.definitions = []
+        #: name -> the definitions around each of its uses.
+        self.uses = {}
+        self._path = ""
+        self._enclosing = []
+
+    def scan(self, path):
+        self._path = path.relative_to(REPO_ROOT).as_posix()
+        self.visit(ast.parse(path.read_text(encoding="utf-8")))
+
+    def _define(self, node):
+        for decorator in node.decorator_list:
+            self.visit(decorator)
+        dotted = ".".join([d.name for d in self._enclosing] + [node.name])
+        self.definitions.append((self._path, dotted, node))
+        self._enclosing.append(node)
+        for child in ast.iter_child_nodes(node):
+            if child not in node.decorator_list:
+                self.visit(child)
+        self._enclosing.pop()
+
+    visit_FunctionDef = visit_AsyncFunctionDef = visit_ClassDef = _define
+
+    def _use(self, name, node):
+        self.uses.setdefault(name, []).append(tuple(self._enclosing))
+        self.generic_visit(node)
+
+    def visit_Name(self, node):
+        self._use(node.id, node)
+
+    def visit_Attribute(self, node):
+        self._use(node.attr, node)
+
+    def visit_Constant(self, node):
+        if isinstance(node.value, str):
+            self._use(node.value, node)
+
+    def visit_Assign(self, node):
+        if not any(
+            isinstance(target, ast.Name) and target.id == "__all__"
+            for target in node.targets
+        ):
+            self.generic_visit(node)
+
+    def reached(self, node):
+        """Whether ``node``'s name is used outside ``node`` itself."""
+        return any(
+            node not in enclosing for enclosing in self.uses.get(node.name, ())
+        )
+
+
+def _registered(node):
+    """Whether a decorator files ``node`` somewhere (referlint's
+    ``@register``): the registry is its caller."""
+    for decorator in node.decorator_list:
+        if isinstance(decorator, ast.Call):
+            decorator = decorator.func
+        if isinstance(decorator, ast.Name) and decorator.id == "register":
+            return True
+    return False
+
+
+def _library_definitions(scan):
+    """``(key, node)`` of every definition under ``src/repro`` the keep
+    rules apply to: those outside the ``AWAITING_DELETION`` files."""
+    for path, dotted, node in scan.definitions:
+        if path.startswith("src/repro/") and path not in AWAITING_DELETION:
+            yield f"{path}::{dotted}", node
+
+
+# Unreached and kept: each definition here is used only by the test
+# named beside it (an oracle, a debugging aid, or a checker the
+# invariant checker of ROADMAP item 2a is to call).  The list is
+# compared exactly, so it can only shrink; a definition the tests need
+# no more is deleted, not left here.
+KEPT_FOR_TESTS = {
+    "src/repro/core/cell.py::EmbeddedCell.is_complete":
+        "tests/core/test_embedding.py::TestEmbeddingProtocol",
+    "src/repro/experiments/workload.py::expected_pareto_duration":
+        "tests/qos/test_workload_properties.py::TestParetoCalibration",
+    "src/repro/kautz/disjoint.py::predicted_length_accuracy":
+        "tests/kautz/test_disjoint_properties.py"
+        "::test_realised_lengths_follow_closed_forms",
+    "src/repro/kautz/graph.py::KautzGraph.bfs_distance":
+        "tests/kautz/test_namespace.py::TestDistanceAgainstBfs",
+    "src/repro/kautz/namespace.py::shortest_path":
+        "tests/kautz/test_properties.py"
+        "::test_shortest_path_is_the_greedy_path",
+    "src/repro/net/energy.py::EnergyLedger.grand_total":
+        "tests/net/test_energy_handles.py"
+        "::test_held_handles_match_per_call_lookup",
+    "src/repro/net/network.py::WirelessNetwork.set_receive_handler":
+        "tests/recovery/test_arq.py::TestArqLink",
+    "src/repro/telemetry/flight.py::Journey.hop_spans":
+        "tests/telemetry/test_flight.py::TestSpanCausality",
+    "src/repro/telemetry/flight.py::Journey.tx_nodes":
+        "tests/telemetry/test_flight.py::TestSpanCausality",
+    "src/repro/telemetry/tracing.py::diagnose":
+        "tests/telemetry/test_tracing.py::TestDiagnose",
+}
+
+
+def test_every_definition_is_reached_by_name():
+    """The keep rule of ``src/repro``, down to definitions: a function,
+    method, property or class stays only if its name is used, outside
+    its own definition, as a name, an attribute or a string constant in
+    ``src``, ``benchmarks`` or ``examples`` (CI runs the examples).
+    ``__all__`` entries and imports do not count; a definition a
+    decorator registers does, and dunders are exempt.
+
+    The match is on the name alone, whatever the owner: a ``reset``
+    method is reached by any ``.reset`` anywhere.  So an unreached
+    method whose name another class shares passes; the rule finds
+    names nothing calls, not every dead method."""
+    scan = _NameScan()
+    for path in _python_files("src", "benchmarks", "examples"):
+        scan.scan(path)
+    unreached = sorted(
+        key
+        for key, node in _library_definitions(scan)
+        if not _dunder(node.name)
+        and not _registered(node)
+        and not scan.reached(node)
+    )
+    assert len(scan.definitions) > 500, "the scan lost the definitions"
+    assert unreached == sorted(KEPT_FOR_TESTS), (
+        "unreached, not kept: "
+        + ", ".join(sorted(set(unreached) - set(KEPT_FOR_TESTS)))
+        + "\nkept, but reached or gone: "
+        + ", ".join(sorted(set(KEPT_FOR_TESTS) - set(unreached)))
+    )
+
+
+class _CallScan(ast.NodeVisitor):
+    """Every call in a set of files, by the name of its callee.
+
+    ``f(...)`` and ``obj.f(...)`` call ``f``; inside class ``C``,
+    ``cls(...)`` calls ``C`` and ``super().__init__(...)`` calls each
+    of ``C``'s bases.  Also records every class's bases and whether it
+    defines ``__init__``, to resolve inherited constructors."""
+
+    def __init__(self):
+        self.calls = {}
+        #: class name -> (base names, defines ``__init__``).
+        self.classes = {}
+        self._class = None
+
+    def scan(self, path):
+        self.visit(ast.parse(path.read_text(encoding="utf-8")))
+
+    def visit_ClassDef(self, node):
+        bases = [
+            base.id if isinstance(base, ast.Name) else base.attr
+            for base in node.bases
+            if isinstance(base, (ast.Name, ast.Attribute))
+        ]
+        defines_init = any(
+            isinstance(item, ast.FunctionDef) and item.name == "__init__"
+            for item in node.body
+        )
+        self.classes[node.name] = (bases, defines_init)
+        outer, self._class = self._class, node
+        self.generic_visit(node)
+        self._class = outer
+
+    def visit_Call(self, node):
+        func = node.func
+        names = []
+        if isinstance(func, ast.Name):
+            if func.id == "cls" and self._class is not None:
+                names = [self._class.name]
+            else:
+                names = [func.id]
+        elif isinstance(func, ast.Attribute):
+            names = [func.attr]
+            inner = func.value
+            if (
+                func.attr == "__init__"
+                and self._class is not None
+                and isinstance(inner, ast.Call)
+                and isinstance(inner.func, ast.Name)
+                and inner.func.id == "super"
+            ):
+                names = self.classes[self._class.name][0]
+        for name in names:
+            self.calls.setdefault(name, []).append(node)
+        self.generic_visit(node)
+
+    def constructors(self, class_name):
+        """The names that run ``class_name.__init__``: the class and
+        every subclass that inherits its constructor."""
+        names, pending = set(), [class_name]
+        while pending:
+            name = pending.pop()
+            names.add(name)
+            pending.extend(
+                sub
+                for sub, (bases, defines_init) in self.classes.items()
+                if name in bases and not defines_init and sub not in names
+            )
+        return names
+
+
+def _defaulted(function, method):
+    """``(name, position)`` of each defaulted parameter of ``function``;
+    keyword-only ones have no position, and a method's ``self`` or
+    ``cls`` takes none."""
+    args = function.args
+    positional = args.posonlyargs + args.args
+    static = any(
+        isinstance(d, ast.Name) and d.id == "staticmethod"
+        for d in function.decorator_list
+    )
+    if method and not static:
+        positional = positional[1:]
+    first = len(positional) - len(args.defaults)
+    defaulted = [
+        (arg.arg, index)
+        for index, arg in enumerate(positional)
+        if index >= first
+    ]
+    defaulted += [
+        (arg.arg, None)
+        for arg, default in zip(args.kwonlyargs, args.kw_defaults)
+        if default is not None
+    ]
+    return defaulted
+
+
+def _passes(call, name, position):
+    """Whether ``call`` sets parameter ``name`` (at ``position``)."""
+    if any(kw.arg is None or kw.arg == name for kw in call.keywords):
+        return True
+    for index, arg in enumerate(call.args):
+        if isinstance(arg, ast.Starred):
+            return position is not None and position >= index
+        if index == position:
+            return True
+    return False
+
+
+def test_every_parameter_default_is_overridden_by_some_caller():
+    """The field rule of PR 25, down to parameters: a defaulted
+    parameter of a function, method or constructor under ``src/repro``
+    stays only if some call of that callee in ``src`` or ``benchmarks``
+    passes it — by keyword (a pass-through ``x=obj.x`` counts), by
+    position, or through ``*`` / ``**``.  A value only a test varies is
+    a module constant the test monkeypatches.
+
+    Callees are matched by name, like the field rule: a call of any
+    ``f`` or ``obj.f`` counts for every ``f``.  Exempt: dunders other
+    than ``__init__`` (the interpreter calls them) and the definitions
+    on ``KEPT_FOR_TESTS``, whose only callers are tests.  The seams a
+    test substitutes a fake through (``work=``, ``registry=``) need no
+    exemption: runs pass them too."""
+    definitions, calls = _NameScan(), _CallScan()
+    for path in _python_files("src", "benchmarks"):
+        definitions.scan(path)
+        calls.scan(path)
+    owners = {}
+    for _, _, node in definitions.definitions:
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                owners[item] = node
+    unset = []
+    for key, node in _library_definitions(definitions):
+        if not isinstance(node, ast.FunctionDef) or key in KEPT_FOR_TESTS:
+            continue
+        owner = owners.get(node)
+        if _dunder(node.name) and not (owner and node.name == "__init__"):
+            continue
+        if node.name == "__init__":
+            callees = calls.constructors(owner.name)
+        else:
+            callees = {node.name}
+        callers = [call for name in callees for call in calls.calls.get(name, ())]
+        for name, position in _defaulted(node, owner is not None):
+            if not any(_passes(call, name, position) for call in callers):
+                unset.append(f"{key}({name})")
+    assert len(definitions.definitions) > 500, "the scan lost the definitions"
+    assert not unset, "defaults no run, CLI or bench overrides:\n" + "\n".join(
+        unset
+    )

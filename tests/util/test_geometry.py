@@ -5,13 +5,7 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.util.geometry import (
-    Point,
-    centroid,
-    clamp,
-    euclidean,
-    in_square,
-)
+from repro.util.geometry import Point, centroid
 
 finite = st.floats(
     min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False
@@ -43,9 +37,6 @@ class TestPoint:
         p = Point(5, 5)
         assert p.toward(p, 3) == p
 
-    def test_as_tuple(self):
-        assert Point(1.5, 2.5).as_tuple() == (1.5, 2.5)
-
     def test_immutability(self):
         p = Point(0, 0)
         with pytest.raises(AttributeError):
@@ -67,18 +58,6 @@ class TestPoint:
 
 
 class TestHelpers:
-    def test_euclidean_alias(self):
-        assert euclidean(Point(0, 0), Point(0, 2)) == 2.0
-
-    def test_clamp(self):
-        assert clamp(5, 0, 10) == 5
-        assert clamp(-1, 0, 10) == 0
-        assert clamp(11, 0, 10) == 10
-
-    def test_clamp_empty_interval(self):
-        with pytest.raises(ValueError):
-            clamp(1, 2, 0)
-
     def test_centroid(self):
         c = centroid([Point(0, 0), Point(2, 0), Point(1, 3)])
         assert c == Point(1, 1)
@@ -86,8 +65,3 @@ class TestHelpers:
     def test_centroid_empty(self):
         with pytest.raises(ValueError):
             centroid([])
-
-    def test_in_square(self):
-        assert in_square(Point(1, 1), 2)
-        assert not in_square(Point(3, 1), 2)
-        assert in_square(Point(0, 0), 2)

@@ -1,14 +1,9 @@
-"""Tests for consistent hashing and the hash ring."""
+"""Tests for consistent hashing."""
 
-import pytest
 from hypothesis import given, strategies as st
 
-from repro.errors import DHTError
-from repro.util.hashing import (
-    HashRing,
-    consistent_hash,
-    elect_minimum_hash,
-)
+from repro.util import hashing
+from repro.util.hashing import consistent_hash
 
 
 class TestConsistentHash:
@@ -18,87 +13,11 @@ class TestConsistentHash:
     def test_distinct_keys_differ(self):
         assert consistent_hash("abc") != consistent_hash("abd")
 
-    def test_range(self):
+    def test_range(self, monkeypatch):
         for bits in (8, 16, 64):
-            h = consistent_hash("key", space_bits=bits)
-            assert 0 <= h < 2**bits
-
-    def test_invalid_bits(self):
-        with pytest.raises(ValueError):
-            consistent_hash("x", space_bits=0)
-        with pytest.raises(ValueError):
-            consistent_hash("x", space_bits=300)
+            monkeypatch.setattr(hashing, "SPACE_BITS", bits)
+            assert 0 <= consistent_hash("key") < 2**bits
 
     @given(st.text(max_size=50))
     def test_deterministic_for_any_text(self, key):
         assert consistent_hash(key) == consistent_hash(key)
-
-
-class TestHashRing:
-    def test_lookup_returns_member(self):
-        ring = HashRing(["a", "b", "c"])
-        for key in ("x", "y", "z", "w"):
-            assert ring.lookup(key) in ("a", "b", "c")
-
-    def test_empty_ring_raises(self):
-        with pytest.raises(DHTError):
-            HashRing().lookup("x")
-
-    def test_add_idempotent(self):
-        ring = HashRing(["a"])
-        ring.add("a")
-        assert len(ring) == 1
-
-    def test_remove(self):
-        ring = HashRing(["a", "b"])
-        ring.remove("a")
-        assert "a" not in ring
-        assert ring.lookup("anything") == "b"
-
-    def test_remove_absent_raises(self):
-        with pytest.raises(DHTError):
-            HashRing(["a"]).remove("b")
-
-    def test_consistency_on_removal(self):
-        """Removing a node only remaps keys that it owned."""
-        ring = HashRing(["a", "b", "c"], replicas=64)
-        keys = [f"key-{i}" for i in range(200)]
-        before = {k: ring.lookup(k) for k in keys}
-        ring.remove("c")
-        for k in keys:
-            if before[k] != "c":
-                assert ring.lookup(k) == before[k]
-
-    def test_distribution_roughly_even(self):
-        ring = HashRing(["a", "b", "c", "d"], replicas=128)
-        counts = {"a": 0, "b": 0, "c": 0, "d": 0}
-        for i in range(2000):
-            counts[ring.lookup(f"key-{i}")] += 1
-        for owner, count in counts.items():
-            assert count > 200, f"{owner} owns too few keys: {count}"
-
-    def test_nodes_listing(self):
-        ring = HashRing(["b", "a"])
-        assert ring.nodes() == ["a", "b"]
-
-
-class TestElection:
-    def test_deterministic(self):
-        candidates = [f"actuator-{i}" for i in range(5)]
-        assert elect_minimum_hash(candidates) == elect_minimum_hash(
-            reversed(candidates)
-        )
-
-    def test_single_candidate(self):
-        assert elect_minimum_hash(["only"]) == "only"
-
-    def test_empty_raises(self):
-        with pytest.raises(DHTError):
-            elect_minimum_hash([])
-
-    def test_winner_has_minimum_hash(self):
-        candidates = [f"node-{i}" for i in range(10)]
-        winner = elect_minimum_hash(candidates)
-        assert consistent_hash(winner) == min(
-            consistent_hash(c) for c in candidates
-        )

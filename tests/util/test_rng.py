@@ -40,24 +40,6 @@ class TestStreams:
         assert a != b
 
 
-class TestFork:
-    def test_fork_is_deterministic(self):
-        a = RngStreams(5).fork("run-1").stream("x").random()
-        b = RngStreams(5).fork("run-1").stream("x").random()
-        assert a == b
-
-    def test_fork_differs_from_parent(self):
-        parent = RngStreams(5)
-        child = parent.fork("run-1")
-        assert parent.master_seed != child.master_seed
-
-    def test_fork_names_differ(self):
-        base = RngStreams(5)
-        assert (
-            base.fork("run-1").master_seed != base.fork("run-2").master_seed
-        )
-
-
 class TestKeyedStream:
     def test_a_draw_is_a_function_of_seed_stream_entity_and_index(self):
         one = KeyedStream(RngStreams(5).stream("mobility"))

@@ -81,39 +81,12 @@ class TestRunningStat:
         assert stat.count == len(data)
         assert stat.mean == pytest.approx(statistics.mean(data))
         assert stat.stdev == pytest.approx(statistics.stdev(data))
-        assert stat.minimum == 2.0
-        assert stat.maximum == 9.0
 
     def test_empty(self):
         stat = RunningStat()
         assert stat.count == 0
         assert stat.mean == 0.0
         assert stat.variance == 0.0
-        with pytest.raises(ValueError):
-            _ = stat.minimum
-
-    def test_merge(self):
-        a, b, whole = RunningStat(), RunningStat(), RunningStat()
-        data1, data2 = [1.0, 2.0, 3.0], [10.0, 20.0]
-        for v in data1:
-            a.add(v)
-            whole.add(v)
-        for v in data2:
-            b.add(v)
-            whole.add(v)
-        merged = a.merge(b)
-        assert merged.count == whole.count
-        assert merged.mean == pytest.approx(whole.mean)
-        assert merged.variance == pytest.approx(whole.variance)
-        assert merged.minimum == whole.minimum
-        assert merged.maximum == whole.maximum
-
-    def test_merge_with_empty(self):
-        a = RunningStat()
-        a.add(1.0)
-        merged = a.merge(RunningStat())
-        assert merged.count == 1
-        assert merged.mean == 1.0
 
     @given(samples)
     def test_online_equals_offline(self, data):

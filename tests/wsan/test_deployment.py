@@ -83,31 +83,6 @@ class TestPlanDeployment:
             x, y = cell.can_point(plan.area_side)
             assert 0 <= x < 1 and 0 <= y < 1
 
-    def test_custom_layout(self):
-        positions = [Point(0, 0), Point(100, 0), Point(50, 90)]
-        plan = plan_deployment(
-            20, 200.0, random.Random(1),
-            actuator_positions=positions,
-            triangles=[(0, 1, 2)],
-        )
-        assert plan.actuator_count == 3
-        assert len(plan.cells) == 1
-
-    def test_custom_layout_requires_triangles(self):
-        with pytest.raises(ConfigError):
-            plan_deployment(
-                20, 200.0, random.Random(1),
-                actuator_positions=[Point(0, 0)],
-            )
-
-    def test_bad_triangle_rejected(self):
-        with pytest.raises(ConfigError):
-            plan_deployment(
-                20, 200.0, random.Random(1),
-                actuator_positions=[Point(0, 0), Point(1, 1)],
-                triangles=[(0, 1, 7)],
-            )
-
     def test_invalid_sizes(self):
         with pytest.raises(ConfigError):
             plan_deployment(-1, 500.0, random.Random(1))

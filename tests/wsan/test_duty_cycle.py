@@ -14,7 +14,7 @@ class TestStates:
     def test_activate(self):
         duty = DutyCycleManager([1, 2])
         duty.activate(1)
-        assert duty.is_active(1)
+        assert duty.state(1) is SensorState.ACTIVE
         assert duty.state(2) is SensorState.SLEEP
 
     def test_unknown_sensor(self):
@@ -22,59 +22,13 @@ class TestStates:
             DutyCycleManager([1]).state(9)
 
 
-class TestCandidates:
-    def test_register_moves_to_wait(self):
-        duty = DutyCycleManager([1, 2])
-        duty.activate(1)
-        duty.register_candidate(2, active_id=1)
-        assert duty.state(2) is SensorState.WAIT
-        assert duty.candidates_of(1) == [2]
-
-    def test_active_cannot_be_candidate(self):
-        duty = DutyCycleManager([1, 2])
-        duty.activate(1)
-        duty.activate(2)
-        with pytest.raises(ConfigError):
-            duty.register_candidate(2, active_id=1)
-
-    def test_unregister_falls_back_to_sleep(self):
-        duty = DutyCycleManager([1, 2])
-        duty.activate(1)
-        duty.register_candidate(2, 1)
-        duty.unregister_candidate(2, 1)
-        assert duty.state(2) is SensorState.SLEEP
-
-    def test_unregister_keeps_wait_with_other_candidacies(self):
-        duty = DutyCycleManager([1, 2, 3])
-        duty.activate(1)
-        duty.activate(3)
-        duty.register_candidate(2, 1)
-        duty.register_candidate(2, 3)
-        duty.unregister_candidate(2, 1)
-        assert duty.state(2) is SensorState.WAIT
-        assert duty.candidates_of(3) == [2]
-
-    def test_unregister_unknown_is_noop(self):
-        duty = DutyCycleManager([1])
-        duty.unregister_candidate(1, 99)
-        assert duty.state(1) is SensorState.SLEEP
-
-
 class TestReplacement:
     def test_replace_swaps_states(self):
         duty = DutyCycleManager([1, 2])
         duty.activate(1)
-        duty.register_candidate(2, 1)
         duty.replace(1, 2)
         assert duty.state(1) is SensorState.SLEEP
-        assert duty.is_active(2)
-
-    def test_replace_clears_candidacies_of_promoted(self):
-        duty = DutyCycleManager([1, 2, 3])
-        duty.activate(1)
-        duty.register_candidate(2, 1)
-        duty.replace(1, 2)
-        assert duty.candidates_of(1) == []
+        assert duty.state(2) is SensorState.ACTIVE
 
     def test_replace_with_active_rejected(self):
         duty = DutyCycleManager([1, 2])
@@ -87,7 +41,6 @@ class TestReplacement:
         duty = DutyCycleManager([1, 2])
         duty.activate(1)
         duty.replace(1, 2)
-        duty.register_candidate(1, 2)
         duty.replace(2, 1)
-        assert duty.is_active(1)
+        assert duty.state(1) is SensorState.ACTIVE
         assert duty.state(2) is SensorState.SLEEP
