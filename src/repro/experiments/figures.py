@@ -203,7 +203,7 @@ FIGURE_SPECS: Dict[str, FigureSpec] = {
 }
 
 #: How a run is obtained for one (system, config) point: the campaign
-#: passes a lookup into the supervisor's payload map, which returns
+#: passes a lookup into the supervisor's decoded results, which returns
 #: ``None`` for a quarantined job (the point then averages the seeds
 #: that did complete and records the reduced sample count).
 RunProvider = Callable[[str, ScenarioConfig], Optional[RunResult]]

@@ -1,65 +1,48 @@
-"""The campaign checkpoint journal: crash-safe JSONL job ledger.
+"""The campaign checkpoint journal: crash-safe JSONL ledger of completions.
 
-A :class:`CampaignJournal` records every finished campaign job — key,
-spec hash, attempt count and the merged-from payload blob — as one
-JSON line appended (and flushed) the moment the supervisor accepts the
-result.  Killing the coordinator therefore loses at most the job that
-was being written; resuming replays the journal, reuses every recorded
-payload, and re-executes only the remainder.  Because the campaign
-merge is keyed on job keys (never on completion order), a resumed
-campaign is byte-identical to an uninterrupted one.
+A :class:`CampaignJournal` records every job the supervisor accepted —
+key, spec hash and payload blob — as one JSON line, appended and
+flushed the moment the result is accepted.  Killing the coordinator
+therefore loses at most the line being written; resuming replays the
+journal, reuses every recorded payload, and re-executes only the
+remainder.  Only completions are recorded: a quarantined job is
+reported in the campaign's ``failed_jobs`` and simply runs again on
+resume.  Because the campaign merge is keyed on job keys (never on
+completion order), a resumed campaign is byte-identical to an
+uninterrupted one.
 
 Robustness rules, in order:
 
-* **config fingerprint** — the header line carries a hash of the
-  campaign grid (kind, base scenario, seeds, axes); resuming against a
-  journal written for a different grid raises a typed
+* **version** — the header carries :data:`JOURNAL_VERSION`, which also
+  covers the payload layout; a journal of another version raises
+  :class:`~repro.errors.CampaignError` and must be re-run;
+* **config fingerprint** — the header carries a hash of the campaign
+  grid (kind, base scenario, seeds, axes); resuming against a journal
+  written for a different grid raises a typed
   :class:`~repro.errors.ConfigError` instead of silently merging stale
   results, and each job line additionally carries its own spec hash;
-* **truncated tail tolerated** — a coordinator killed mid-write leaves
-  a partial last line; replay drops exactly that line (a corrupt line
-  anywhere *else* is real damage and raises
-  :class:`~repro.errors.CampaignError`);
-* **no wall clock** — entries are content-addressed, not timestamped,
+* **torn tail cut off** — every line ends in a newline, so bytes after
+  the last one are a write the coordinator died in; replay cuts the
+  file back to the end of the last intact line before appending (a
+  file without an intact header starts afresh), so a resumed journal
+  survives any number of further kills.  A malformed intact line is
+  real damage and raises :class:`~repro.errors.CampaignError`;
+* **no wall clock** — lines are content-addressed, not timestamped,
   so journals of identical campaigns are byte-comparable.
 """
 
 from __future__ import annotations
 
 import hashlib
-import io
 import json
 import os
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from repro.errors import CampaignError, ConfigError
 
-JOURNAL_VERSION = 1
+JOURNAL_VERSION = 2
 
-
-def _verify_trace_hash(
-    path: str, key: str, old_payload: Optional[dict],
-    new_payload: Optional[dict],
-) -> None:
-    """Two completions of one job must agree on their trace fingerprint.
-
-    Payloads carry an optional ``trace_hash`` (the deterministic trace
-    fingerprint of the run — :mod:`repro.telemetry.tracing`).  When a
-    job is executed twice (a resume re-ran work the journal already
-    recorded, or a journal was concatenated by hand), differing
-    fingerprints mean the two executions diverged — merging either
-    silently would hide a determinism bug, so this is a typed error.
-    """
-    old = (old_payload or {}).get("trace_hash")
-    new = (new_payload or {}).get("trace_hash")
-    if old and new and old != new:
-        raise CampaignError(
-            f"journal {path!r} records two completions of job {key!r} "
-            f"with different trace fingerprints ({old[:12]}... vs "
-            f"{new[:12]}...): the runs diverged; localise the fork with "
-            "python -m repro.devtools.divergence"
-        )
+_JOB_KEYS = {"type", "key", "spec_hash", "payload"}
 
 
 def spec_fingerprint(*parts: object) -> str:
@@ -70,19 +53,6 @@ def spec_fingerprint(*parts: object) -> str:
     """
     text = repr(tuple(parts))
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
-
-
-@dataclass(frozen=True)
-class JournalEntry:
-    """One replayed job line."""
-
-    key: str
-    spec_hash: str
-    status: str              # "done" | "failed"
-    attempts: int
-    payload: Optional[dict]  # result blob for "done", None for "failed"
-    reason: str = ""         # failure kind for "failed" entries
-    detail: str = ""
 
 
 class CampaignJournal:
@@ -100,12 +70,10 @@ class CampaignJournal:
     ) -> None:
         self.path = str(path)
         self.fingerprint = fingerprint
-        self.entries: Dict[str, JournalEntry] = {}
-        if resume and os.path.exists(self.path):
-            self._replay()
-            self._handle: io.TextIOWrapper = open(
-                self.path, "a", encoding="utf-8"
-            )
+        #: ``key -> (spec hash, payload)`` of every replayed completion.
+        self.entries: Dict[str, Tuple[str, dict]] = {}
+        if resume and os.path.exists(self.path) and self._replay():
+            self._handle = open(self.path, "a", encoding="utf-8")
         else:
             self._handle = open(self.path, "w", encoding="utf-8")
             self._write_line(
@@ -118,42 +86,36 @@ class CampaignJournal:
 
     # -- replay --------------------------------------------------------------
 
-    def _replay(self) -> None:
-        with open(self.path, "r", encoding="utf-8") as handle:
-            raw_lines = handle.read().split("\n")
-        # Trailing newline yields one empty tail element; drop it so the
-        # "last line" below is the last *written* line.
-        while raw_lines and raw_lines[-1] == "":
-            raw_lines.pop()
-        records: List[dict] = []
-        for index, line in enumerate(raw_lines):
+    def _corrupt(self, number: int, detail: str) -> CampaignError:
+        return CampaignError(
+            f"journal {self.path!r} is corrupt at line {number}: {detail}"
+        )
+
+    def _replay(self) -> bool:
+        """Load every intact line and cut the torn tail off the file;
+        False when there is no intact header to resume from."""
+        with open(self.path, "rb") as handle:
+            data = handle.read()
+        intact = data[: data.rfind(b"\n") + 1]
+        records = []
+        for number, line in enumerate(intact.splitlines(), 1):
             try:
                 record = json.loads(line)
-            except json.JSONDecodeError:
-                if index == len(raw_lines) - 1:
-                    # The coordinator died mid-append; the job it was
-                    # recording reruns, everything before it is intact.
-                    break
-                raise CampaignError(
-                    f"journal {self.path!r} is corrupt at line {index + 1} "
-                    "(not the final line, so this is not a torn tail write)"
-                )
+            except ValueError:
+                raise self._corrupt(number, "not JSON") from None
             if not isinstance(record, dict):
-                raise CampaignError(
-                    f"journal {self.path!r} line {index + 1} is not an object"
-                )
+                raise self._corrupt(number, "not an object")
             records.append(record)
         if not records:
-            return
+            return False
         header = records[0]
         if header.get("type") != "campaign":
-            raise CampaignError(
-                f"journal {self.path!r} does not start with a campaign header"
-            )
+            raise self._corrupt(1, "not a campaign header")
         if header.get("version") != JOURNAL_VERSION:
             raise CampaignError(
                 f"journal {self.path!r} has version "
-                f"{header.get('version')!r}, expected {JOURNAL_VERSION}"
+                f"{header.get('version')!r}, expected {JOURNAL_VERSION}: "
+                "older journals cannot be resumed, re-run the campaign"
             )
         if header.get("fingerprint") != self.fingerprint:
             raise ConfigError(
@@ -162,41 +124,38 @@ class CampaignJournal:
                 "or axes changed); refusing to merge stale results from "
                 f"{self.path!r}"
             )
-        for record in records[1:]:
-            if record.get("type") != "job":
-                raise CampaignError(
-                    f"journal {self.path!r} contains an unknown record "
-                    f"type {record.get('type')!r}"
+        for number, record in enumerate(records[1:], 2):
+            if record.get("type") != "job" or set(record) != _JOB_KEYS:
+                raise self._corrupt(
+                    number, f"not a job line: {sorted(record)}"
                 )
-            entry = JournalEntry(
-                key=str(record.get("key", "")),
-                spec_hash=str(record.get("spec_hash", "")),
-                status=str(record.get("status", "")),
-                attempts=int(record.get("attempts", 0)),
-                payload=record.get("payload"),
-                reason=str(record.get("reason", "")),
-                detail=str(record.get("detail", "")),
+            key, spec_hash, payload = (
+                record["key"], record["spec_hash"], record["payload"]
             )
-            if entry.status not in ("done", "failed"):
-                raise CampaignError(
-                    f"journal {self.path!r} job {entry.key!r} has unknown "
-                    f"status {entry.status!r}"
-                )
-            # Later lines win: a job retried after a recorded failure
-            # overwrites the failure with its eventual success.  Two
-            # *successful* completions, though, must agree on their
-            # trace fingerprint — a silent overwrite would hide a
-            # determinism bug.
-            previous = self.entries.get(entry.key)
-            if (
-                previous is not None
-                and previous.status == "done"
-                and entry.status == "done"
+            if not (
+                isinstance(key, str)
+                and isinstance(spec_hash, str)
+                and isinstance(payload, dict)
             ):
-                _verify_trace_hash(
-                    self.path, entry.key, previous.payload, entry.payload
+                raise self._corrupt(
+                    number,
+                    "key and spec hash must be strings, payload an object",
                 )
-            self.entries[entry.key] = entry
+            # A hand-concatenated journal can hold two completions of
+            # one job: the first is kept, and the second must agree on
+            # its trace fingerprint (repro.telemetry.tracing), or the
+            # two runs diverged and merging either would hide it.
+            _, first = self.entries.setdefault(key, (spec_hash, payload))
+            old, new = first.get("trace_hash"), payload.get("trace_hash")
+            if old and new and old != new:
+                raise CampaignError(
+                    f"journal {self.path!r} records two completions of job "
+                    f"{key!r} with different trace fingerprints ({old!s:.12}"
+                    f"... vs {new!s:.12}...): the runs diverged; localise "
+                    "the fork with python -m repro.devtools.divergence"
+                )
+        os.truncate(self.path, len(intact))
+        return True
 
     # -- append --------------------------------------------------------------
 
@@ -204,89 +163,29 @@ class CampaignJournal:
         self._handle.write(json.dumps(record, sort_keys=True) + "\n")
         self._handle.flush()
 
-    def record_done(
-        self, key: str, spec_hash: str, attempts: int, payload: dict
-    ) -> None:
-        """Checkpoint one successfully merged job result.
-
-        Re-recording a job the replay already holds as done verifies
-        the trace fingerprints agree (see :func:`_verify_trace_hash`)
-        before the new line is appended.
-        """
-        previous = self.entries.get(key)
-        if previous is not None and previous.status == "done":
-            _verify_trace_hash(self.path, key, previous.payload, payload)
-        entry = JournalEntry(
-            key=key,
-            spec_hash=spec_hash,
-            status="done",
-            attempts=attempts,
-            payload=payload,
-        )
-        self.entries[key] = entry
+    def record_done(self, key: str, spec_hash: str, payload: dict) -> None:
+        """Checkpoint one accepted job result."""
         self._write_line(
-            {
-                "type": "job",
-                "key": key,
-                "spec_hash": spec_hash,
-                "status": "done",
-                "attempts": attempts,
-                "payload": payload,
-            }
-        )
-
-    def record_failed(
-        self, key: str, spec_hash: str, attempts: int, reason: str,
-        detail: str,
-    ) -> None:
-        """Checkpoint one quarantined (permanently failed) job."""
-        entry = JournalEntry(
-            key=key,
-            spec_hash=spec_hash,
-            status="failed",
-            attempts=attempts,
-            payload=None,
-            reason=reason,
-            detail=detail,
-        )
-        self.entries[key] = entry
-        self._write_line(
-            {
-                "type": "job",
-                "key": key,
-                "spec_hash": spec_hash,
-                "status": "failed",
-                "attempts": attempts,
-                "reason": reason,
-                "detail": detail,
-            }
+            dict(type="job", key=key, spec_hash=spec_hash, payload=payload)
         )
 
     def completed(self, key: str, spec_hash: str) -> Optional[dict]:
-        """The recorded payload for ``key`` (None unless done).
+        """The recorded payload for ``key`` (None when not recorded).
 
         A recorded entry whose spec hash disagrees with the current
         job's is stale — the grid fingerprint should have caught a grid
         change, so a mismatch here means key collision or hand-edited
         journal; refuse rather than merge the wrong run.
         """
-        entry = self.entries.get(key)
-        if entry is None or entry.status != "done":
+        if key not in self.entries:
             return None
-        if entry.spec_hash != spec_hash:
+        recorded_spec, payload = self.entries[key]
+        if recorded_spec != spec_hash:
             raise ConfigError(
                 f"journal entry for job {key!r} was recorded for a "
                 "different job spec; refusing to reuse it"
             )
-        return entry.payload
-
-    def failures(self) -> Tuple[JournalEntry, ...]:
-        """Replayed permanently-failed entries (key-sorted)."""
-        return tuple(
-            self.entries[key]
-            for key in sorted(self.entries)
-            if self.entries[key].status == "failed"
-        )
+        return payload
 
     def close(self) -> None:
         """Flush and close the append handle (idempotent)."""

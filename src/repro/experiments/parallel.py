@@ -26,9 +26,11 @@ quarantine, continue:
   :class:`~repro.experiments.journal.CampaignJournal`; a killed
   campaign resumes from the journal and produces byte-identical output
   (the merge is keyed on job identity, never completion order);
-* **schema-validated payloads** — every attempt ends in a JSON-safe
-  blob (:mod:`repro.experiments.payload`); a corrupt one is rejected
-  (and retried) instead of being merged.
+* **decoding is the gate** — every attempt ends in a JSON-safe blob
+  (:mod:`repro.experiments.payload`) that is decoded into the job's
+  :class:`~repro.experiments.runner.RunResult` once, live or replayed;
+  a blob that does not decode is rejected (and retried) instead of
+  being merged.
 
 Where an attempt runs is the only thing ``workers`` changes: in this
 process when it is 0 or ``multiprocessing`` cannot spawn (the path
@@ -63,12 +65,7 @@ import time
 from repro.errors import CampaignError, ConfigError
 from repro.experiments.config import ScenarioConfig
 from repro.experiments.journal import CampaignJournal, spec_fingerprint
-from repro.experiments.payload import (
-    PAYLOAD_VERSION,
-    payload_from_result,
-    result_from_payload,
-    validate_payload,
-)
+from repro.experiments.payload import payload_from_result, result_from_payload
 from repro.experiments.runner import RunResult, run_scenario_cached
 
 __all__ = [
@@ -174,10 +171,7 @@ def _attempt(work: Work, job: CampaignJob) -> object:
     except Exception as exc:
         # Deliberately broad: whatever killed the run, the supervisor
         # must hear a typed error instead of diagnosing a bare exit.
-        return {
-            "version": PAYLOAD_VERSION,
-            "worker_error": f"{type(exc).__name__}: {exc}",
-        }
+        return {"worker_error": f"{type(exc).__name__}: {exc}"}
 
 
 def _worker_main(conn, work: Work, job: CampaignJob) -> None:
@@ -216,6 +210,8 @@ class SupervisorOutcome:
     """Everything a supervised execution produced."""
 
     payloads: Dict[str, dict]
+    #: Each accepted payload, decoded once.
+    results: Dict[str, RunResult]
     failed: Tuple[FailedJob, ...]
     stats: SupervisorStats
 
@@ -224,10 +220,7 @@ class SupervisorOutcome:
     ) -> Optional[RunResult]:
         """The run of one grid point (None when its job was
         quarantined): the run provider of the merge sweeps."""
-        payload = self.payloads.get(job_for(system, config).key)
-        if payload is None:
-            return None
-        return result_from_payload(system, config, payload)
+        return self.results.get(job_for(system, config).key)
 
 
 @dataclass
@@ -267,6 +260,7 @@ class CampaignSupervisor:
         self.work = work
         self._queue: Deque[Tuple[CampaignJob, int]] = deque()
         self._payloads: Dict[str, dict] = {}
+        self._results: Dict[str, RunResult] = {}
         self._failed: List[FailedJob] = []
         self._stats = SupervisorStats(jobs=len(self.jobs))
 
@@ -279,26 +273,32 @@ class CampaignSupervisor:
     ) -> None:
         """Book one finished attempt — the only place that does.
 
-        A reply is validated, then accepted and journalled; a rejected
-        reply or a ``failure`` (the ``(reason, detail)`` of an attempt
-        that left no reply: crash, hang) is counted and the job
-        requeued, or quarantined and journalled once its attempts are
-        spent — at once for a reported error, which a rerun of the
-        same ``(system, config)`` can only repeat.
+        A reply is decoded, then accepted and journalled; a reply that
+        does not decode, a ``worker_error`` reply or a ``failure`` (the
+        ``(reason, detail)`` of an attempt that left no reply: crash,
+        hang) is counted and the job requeued, or quarantined once its
+        attempts are spent — at once for a reported error, which a
+        rerun of the same ``(system, config)`` can only repeat.
         """
         if failure is None:
-            try:
-                payload = validate_payload(reply)
-            except CampaignError as exc:
-                rejected = "worker reported an error" not in str(exc)
-                failure = ("corrupt" if rejected else "error", str(exc))
+            if isinstance(reply, dict) and "worker_error" in reply:
+                failure = (
+                    "error",
+                    f"worker reported an error: {reply['worker_error']}",
+                )
+            else:
+                try:
+                    result = result_from_payload(
+                        job.system, job.config, reply
+                    )
+                except CampaignError as exc:
+                    failure = ("corrupt", str(exc))
         if failure is None:
-            self._payloads[job.key] = payload
+            self._payloads[job.key] = reply
+            self._results[job.key] = result
             self._stats.executed += 1
             if self.journal is not None:
-                self.journal.record_done(
-                    job.key, job.spec_hash, attempt, payload
-                )
+                self.journal.record_done(job.key, job.spec_hash, reply)
             return
         reason, detail = failure
         if reason == "crash":
@@ -317,10 +317,6 @@ class CampaignSupervisor:
         self._failed.append(
             FailedJob(job.key, job.system, attempt, reason, detail)
         )
-        if self.journal is not None:
-            self.journal.record_failed(
-                job.key, job.spec_hash, attempt, reason, detail
-            )
 
     # -- attempts in spawned workers -----------------------------------------
 
@@ -437,9 +433,12 @@ class CampaignSupervisor:
                 else None
             )
             if reused is not None:
-                # Journal blobs pass the same schema gate as live ones;
-                # a hand-edited journal cannot poison the merge.
-                self._payloads[job.key] = validate_payload(reused)
+                # Journal blobs pass the same decoding gate as live
+                # ones; a hand-edited journal cannot poison the merge.
+                self._results[job.key] = result_from_payload(
+                    job.system, job.config, reused
+                )
+                self._payloads[job.key] = reused
                 self._stats.reused += 1
             else:
                 self._queue.append((job, 1))
@@ -453,6 +452,7 @@ class CampaignSupervisor:
                 self._settle(job, attempt, _attempt(self.work, job))
         return SupervisorOutcome(
             payloads=self._payloads,
+            results=self._results,
             failed=tuple(sorted(self._failed, key=lambda f: f.key)),
             stats=self._stats,
         )

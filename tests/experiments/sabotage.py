@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from typing import Mapping, Optional, Tuple
 
 from repro.experiments.parallel import job_for, run_job
-from repro.experiments.payload import PAYLOAD_VERSION
 
 #: Exit code of a sabotaged crash (distinguishable from the
 #: interpreter's own failure exits in test assertions).
@@ -78,5 +77,6 @@ class Saboteur:
             if action == "error":
                 raise RuntimeError(f"sabotaged attempt {attempt}")
             assert action == "corrupt", action
-            return {"version": PAYLOAD_VERSION, "corrupt": True}
+            return {"run": {"corrupt": True}, "registry": None,
+                    "trace_hash": None}
         return run_job(system, config)

@@ -76,7 +76,7 @@ class TestMain:
         ]
         assert main(argv) == 0
         first = capsys.readouterr().out
-        assert journal.read_text(encoding="utf-8").count('"done"') == 4
+        assert journal.read_text(encoding="utf-8").count('"type": "job"') == 4
         assert main(argv + ["--resume"]) == 0
         assert capsys.readouterr().out == first
 

@@ -9,6 +9,9 @@ detection from exit codes and hang detection from deadlines.  What
 ``sweep_figure`` / ``aggregate_resilience_cell`` over direct runs.
 """
 
+import json
+from dataclasses import replace
+
 import pytest
 
 from repro.errors import CampaignError, ConfigError
@@ -26,7 +29,6 @@ from repro.experiments.payload import (
     merge_registry_snapshots,
     payload_from_result,
     result_from_payload,
-    validate_payload,
 )
 from repro.experiments.resilience import (
     aggregate_resilience_cell,
@@ -74,7 +76,7 @@ def _fig4_jobs(xs=(5.0,), systems=("REFER",)):
 class TestPayloadCodec:
     def test_round_trip_plain_run(self):
         run = run_scenario_cached("REFER", TINY)
-        payload = validate_payload(payload_from_result(run))
+        payload = payload_from_result(run)
         rebuilt = result_from_payload("REFER", TINY, payload)
         for field in METRIC_FIELDS:
             assert repr(getattr(rebuilt, field)) == repr(
@@ -92,16 +94,39 @@ class TestPayloadCodec:
         run = run_scenario_cached("REFER", config)
         assert run.fault_events and run.resilience is not None
         assert run.recovery is not None
-        payload = validate_payload(payload_from_result(run))
+        payload = payload_from_result(run)
         rebuilt = result_from_payload("REFER", config, payload)
         assert rebuilt.fault_events == run.fault_events
         assert rebuilt.resilience == run.resilience
         assert rebuilt.recovery == run.recovery
 
+    def test_round_trip_through_json_with_everything_on(self):
+        """Chaos, recovery, QoS, bursty load and tracing all on: every
+        field of the run survives real JSON, telemetry aside."""
+        from repro.qos import BurstyConfig, QosConfig
+        from repro.recovery import RecoveryConfig
+        from repro.telemetry.tracing import TracingConfig
+
+        config = resilience_config(
+            TINY, "rotation", 2, 1, RecoveryConfig()
+        ).with_(
+            qos=QosConfig(),
+            bursty=BurstyConfig(sources=10, load_multiplier=3.0),
+            telemetry=TelemetryConfig(tracing=TracingConfig()),
+        )
+        run = run_scenario_cached("REFER", config)
+        assert run.class_stats and run.fault_events
+        assert run.resilience.records and run.recovery is not None
+        blob = json.loads(json.dumps(payload_from_result(run)))
+        assert result_from_payload("REFER", config, blob) == replace(
+            run, telemetry=None
+        )
+        assert blob["trace_hash"] == run.telemetry.trace.fingerprint()
+
     def test_telemetry_run_carries_registry_snapshot(self):
         config = TINY.with_(telemetry=TelemetryConfig())
         run = run_scenario_cached("REFER", config)
-        payload = validate_payload(payload_from_result(run))
+        payload = payload_from_result(run)
         assert payload["registry"] is not None
         merged = merge_registry_snapshots({"k": payload})
         assert merged == run.telemetry.registry.as_dict()
@@ -120,33 +145,52 @@ class TestPayloadCodec:
             telemetry=TelemetryConfig(tracing=TracingConfig())
         )
         run = run_scenario_cached("REFER", config)
-        payload = validate_payload(payload_from_result(run))
+        payload = payload_from_result(run)
         assert payload["trace_hash"] == run.telemetry.trace.fingerprint()
 
     @pytest.mark.parametrize(
         "mutate",
         [
-            lambda p: p.pop("metrics"),
-            lambda p: p.update(version=99),
-            lambda p: p["metrics"].update(generated="12"),
-            lambda p: p["metrics"].update(throughput_bps=None),
-            lambda p: p.update(class_stats=[["bulk", 1, 2, 3]]),
-            lambda p: p.update(fault_events=[[0.0, "m", "kind"]]),
+            lambda p: p.pop("run"),
+            lambda p: p.update(version=2),
+            lambda p: p["run"].update(generated="12"),
+            lambda p: p["run"].update(throughput_bps=None),
+            lambda p: p["run"].update(class_stats=[{
+                "traffic_class": "bulk", "generated": 1, "delivered": 2,
+                "deadline_missed": 3,
+            }]),
+            lambda p: p["run"].update(fault_events=[
+                {"time": 0.0, "model": "m", "kind": "inject", "nodes": [1.5]}
+            ]),
             lambda p: p.update(registry=[["name", [[["a"], "NaN"]]]]),
             lambda p: p.update(trace_hash=123),
+            # An int field refuses a bool.
+            lambda p: p["run"].update(generated=True),
+            # A required field of a nested dataclass is null.
+            lambda p: p["run"].update(fault_events=[
+                {"time": 0.0, "model": None, "kind": "inject", "nodes": []}
+            ]),
+            lambda p: p["run"].update(unknown_field=0),
         ],
     )
     def test_corrupt_payloads_rejected(self, mutate):
         payload = payload_from_result(run_scenario_cached("REFER", TINY))
         mutate(payload)
-        with pytest.raises(CampaignError):
-            validate_payload(payload)
+        with pytest.raises(CampaignError, match="corrupt result payload"):
+            result_from_payload("REFER", TINY, payload)
 
     def test_worker_error_payload_rejected_with_detail(self):
-        with pytest.raises(CampaignError, match="EmbeddingError"):
-            validate_payload(
-                {"version": 1, "worker_error": "EmbeddingError: too few"}
-            )
+        """A ``worker_error`` reply is booked as an error, not corrupt."""
+        outcome = CampaignSupervisor(
+            _fig4_jobs(),
+            work=lambda system, config: {
+                "worker_error": "EmbeddingError: too few"
+            },
+        ).run()
+        (failed,) = outcome.failed
+        assert failed.reason == "error"
+        assert "EmbeddingError: too few" in failed.detail
+        assert outcome.stats.corrupt == 0
 
 
 class TestRegistryMerge:
@@ -330,9 +374,7 @@ class TestJournalResume:
         lines = journal.read_text(encoding="utf-8").splitlines()
         assert len(lines) > 4
         truncated = lines[:-2] + [lines[-2][: len(lines[-2]) // 2]]
-        journal.write_text(
-            "\n".join(truncated) + "\n", encoding="utf-8"
-        )
+        journal.write_text("\n".join(truncated), encoding="utf-8")
         resumed = run_campaign(
             TINY, journal=str(journal), resume=True, **kw
         )
@@ -361,6 +403,41 @@ class TestJournalResume:
                 resume=True,
                 **CAMPAIGN_KW,
             )
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda line: line["payload"]["registry"][0][1][0][0].append(
+                ["a", "list"]
+            ),
+            lambda line: line.update(key=5),
+            lambda line: line.update(payload=[1, 2]),
+            lambda line: line["payload"]["run"]["fault_events"][0].pop(
+                "nodes"
+            ),
+            lambda line: line.update(attempts="x"),
+        ],
+        ids=[
+            "label-list",
+            "key-not-a-string",
+            "payload-not-an-object",
+            "nested-field-missing",
+            "unknown-field",
+        ],
+    )
+    def test_hand_edited_journal_raises_campaign_error(self, tmp_path, edit):
+        """A journal is outside input: whatever is malformed in it raises
+        ``CampaignError``, never a bare ``TypeError`` or ``ValueError``."""
+        journal = tmp_path / "resilience.jsonl"
+        base = TINY.with_(telemetry=TelemetryConfig())
+        kw = dict(journal=str(journal), **RESILIENCE_KW)
+        resilience_campaign(base, **kw)
+        header, line = journal.read_text(encoding="utf-8").splitlines()
+        job = json.loads(line)
+        edit(job)
+        journal.write_text(f"{header}\n{json.dumps(job)}\n", encoding="utf-8")
+        with pytest.raises(CampaignError):
+            resilience_campaign(base, resume=True, **kw)
 
     def test_resume_without_journal_rejected(self):
         with pytest.raises(ConfigError, match="resume needs a journal"):
