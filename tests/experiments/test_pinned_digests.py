@@ -2,10 +2,13 @@
 
 Every other determinism golden compares two runs of the *same*
 checkout, which cannot tell "still deterministic" from "still the same
-answer".  These two scenarios pin literals instead: the SHA-256 of the
+answer".  These scenarios pin literals instead: the SHA-256 of the
 nine ``RunResult`` metric fields (``repr`` of each, so every float is
 compared to its last digit) and the ``TraceStream`` fingerprint (every
-scheduler dispatch, RNG draw and packet transition, in order).
+scheduler dispatch, RNG draw and packet transition, in order).  A third,
+``COMPOSED``, pins every fault kind's schedule through its fault-event
+log in place of the fingerprint; it was recorded before the chaos
+library's round loop was shared and has held since.
 
 The literals were recorded on the one commit that meant to move them
 (PR 22's re-pin: leg and fade draws keyed by entity, contention counted
@@ -38,7 +41,7 @@ import pytest
 
 import repro
 
-from repro.chaos.spec import FaultSpec
+from repro.chaos.spec import FAULT_KINDS, FaultSpec
 from repro.experiments.config import ScenarioConfig
 from repro.experiments.runner import run_scenario
 from repro.qos.config import QosConfig
@@ -103,6 +106,36 @@ PINNED = {
     ),
 }
 
+#: Every fault kind at once, in ``FAULT_KINDS`` order, with recovery
+#: on: the attrition, actuator, blackout and battery schedules no
+#: literal above covers.  Pinned by its metric digest and the SHA-256
+#: of ``repr(result.fault_events)``, not by a trace fingerprint: the
+#: fingerprint names the callback each dispatch runs, and a refactor of
+#: the chaos library may rename a recovery callback without moving a
+#: single fault.
+COMPOSED = ScenarioConfig(
+    seed=3,
+    sensor_count=40,
+    area_side=220.0,
+    sim_time=16.0,
+    warmup=2.0,
+    rate_pps=5.0,
+    fault_spec=(
+        FaultSpec(kind="rotation", count=2, period=4.0, start=2.0),
+        FaultSpec(kind="permanent", count=1, period=5.0, start=3.0, rounds=2),
+        FaultSpec(kind="actuator", count=1, period=6.0, duration=3.0, start=4.0),
+        FaultSpec(kind="blackout", radius=60.0, period=7.0, duration=3.0, start=5.0),
+        FaultSpec(kind="battery", count=3, period=5.0, start=2.0, rounds=2),
+        FaultSpec(kind="links", mean_good=6.0, mean_bad=1.0, start=3.0),
+    ),
+    recovery=RecoveryConfig(),
+)
+
+COMPOSED_PINNED = (
+    "a8b1d3b32cbbbd38fde2b9ee2647f1d40fc392c14152dcfb42929072873ede25",
+    "4c6f012b3cc52cba64197a8781256171463feac0ebc82137b482a883a0b96c48",
+)
+
 
 def result_digest(result) -> str:
     fields = [repr(getattr(result, name)) for name in METRIC_FIELDS]
@@ -118,6 +151,21 @@ def test_run_matches_the_recorded_bytes(name):
         field: getattr(result, field) for field in METRIC_FIELDS
     }
     assert result.telemetry.trace.fingerprint() == trace_fingerprint
+
+
+def test_every_fault_kind_composed_matches_the_recorded_bytes():
+    assert tuple(spec.kind for spec in COMPOSED.fault_spec) == FAULT_KINDS
+    result = run_scenario("REFER", COMPOSED)
+    assert {event.model for event in result.fault_events} == {
+        "crash-rotation", "permanent-crash", "actuator-outage",
+        "regional-blackout", "battery-depletion", "link-burst",
+    }
+    events_digest = hashlib.sha256(
+        repr(result.fault_events).encode()
+    ).hexdigest()
+    assert (result_digest(result), events_digest) == COMPOSED_PINNED, {
+        field: getattr(result, field) for field in METRIC_FIELDS
+    }
 
 
 @pytest.mark.parametrize("hash_seed", ["1", "5"])
