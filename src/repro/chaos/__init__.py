@@ -3,10 +3,12 @@
 The package generalises the paper's Section IV-B crash rotation
 (:class:`CrashRotationFault`, which the figures' ``config.faults``
 path runs on) into a library of deterministic, sim-clock-driven
-fault models sharing one scheduler interface, a coordinator to
-compose them, a windowed delivery-ratio probe measuring time-to-
-recovery, and a frozen :class:`FaultSpec` so scenarios declare faults
-in :class:`~repro.experiments.config.ScenarioConfig`.
+fault models on one round loop (:class:`ChaosModel`; a kind is only
+whom it picks and how the damage ends), a coordinator to compose
+them, a windowed delivery-ratio probe measuring time-to-recovery, and
+a frozen :class:`FaultSpec` that is every model's parameters, so
+scenarios declare faults in
+:class:`~repro.experiments.config.ScenarioConfig`.
 """
 
 from repro.chaos.coordinator import ChaosCoordinator

@@ -9,7 +9,7 @@ this node broken?* (maintenance replacement latency).
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import List, Optional
 
 from repro.chaos.models import ChaosModel, FaultEvent
 from repro.net.network import WirelessNetwork
@@ -29,13 +29,10 @@ class ChaosCoordinator:
 
     # -- lifecycle -----------------------------------------------------------
 
-    def start(self, initial_delays: Optional[Sequence[float]] = None) -> None:
-        """Start every model; ``initial_delays`` aligns per model."""
-        for i, model in enumerate(self.models):
-            delay = 0.0
-            if initial_delays is not None and i < len(initial_delays):
-                delay = initial_delays[i]
-            model.start(initial_delay=delay)
+    def start(self) -> None:
+        """Start every model; each first acts at its own ``spec.start``."""
+        for model in self.models:
+            model.start()
 
     def stop(self, recover: bool = True) -> None:
         for model in self.models:

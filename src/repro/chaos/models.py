@@ -1,14 +1,15 @@
 """Composable, deterministic fault models (the chaos library).
 
-Every model shares one scheduler interface — :class:`ChaosModel` —
-driven exclusively by the simulation clock and an injected
-``random.Random`` (one ``RngStreams`` stream per model; the link
-fades, which advance when queried rather than on a schedule, draw from
-it by key), so a master seed reproduces the exact fault schedule
-bit-for-bit.  Models record
-their actions as :class:`FaultEvent`\\ s; the
-:class:`~repro.chaos.probe.ResilienceProbe` keys its recovery-time
-analysis on that log.
+Every scheduled kind runs on :class:`ChaosModel`'s one round loop and
+is only its ``_round``: whom it picks and how the damage ends.  Every
+model takes its validated :class:`~repro.chaos.spec.FaultSpec` as its
+parameters.  Timing flows through the simulation clock and randomness
+through an injected ``random.Random`` (one ``RngStreams`` stream per
+model; the link fades, which advance when queried rather than on a
+schedule, draw from it by key), so a master seed reproduces the exact
+fault schedule bit-for-bit.  Models record their actions as
+:class:`FaultEvent`\\ s; the :class:`~repro.chaos.probe.ResilienceProbe`
+keys its recovery-time analysis on that log.
 
 The library generalises the paper's Section IV-B crash rotation
 (:class:`CrashRotationFault`) with the failure modes related
@@ -19,23 +20,22 @@ loss.
 
 from __future__ import annotations
 
-import abc
 import math
 import random
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import (
+    TYPE_CHECKING, Callable, Container, Dict, List, Optional, Sequence,
+    Set, Tuple,
+)
 
-from repro.errors import ConfigError
 from repro.net.network import WirelessNetwork
+from repro.sim.events import Event
 from repro.sim.process import PeriodicProcess
 from repro.util.geometry import Point
 from repro.util.rng import KeyedStream
 
-#: ``count`` callables draw the number of targets per round; ``eligible``
-#: callables return the ids a model may touch (evaluated per round so
-#: populations may shift under other models).
-CountDraw = Callable[[], int]
-EligibleDraw = Callable[[], Sequence[int]]
+if TYPE_CHECKING:
+    from repro.chaos.spec import FaultSpec
 
 
 @dataclass(frozen=True)
@@ -48,23 +48,39 @@ class FaultEvent:
     nodes: Tuple[int, ...] = ()
 
 
-class ChaosModel(abc.ABC):
-    """Base scheduler interface every fault model implements.
+class ChaosModel:
+    """The round loop and liveness bookkeeping every fault model shares.
 
-    Subclasses schedule their behaviour with :class:`PeriodicProcess`
-    or ``sim.schedule`` and mutate liveness only through the
-    :meth:`_fail_nodes` / :meth:`_recover_nodes` helpers, which keep
-    the event log and per-node fail times coherent.  Compose models
-    over disjoint node populations; two models breaking the same node
-    would race each other's recovery.
+    :meth:`start` arms one :class:`PeriodicProcess` whose first round
+    fires ``spec.start`` seconds later and then every ``spec.period``;
+    each firing runs the kind's ``_round`` and stops the loop after
+    ``spec.rounds`` rounds (0 = unbounded).  ``population`` returns the
+    ids :meth:`_sample` picks ``spec.count`` of, read each round so it
+    may shift under maintenance.  Liveness changes only through
+    :meth:`_fail_nodes` / :meth:`_recover_nodes`, which keep the event
+    log and per-node fail times coherent.  Compose models over disjoint
+    node populations; two models breaking the same node would race each
+    other's recovery.
     """
 
     name: str = "chaos"
 
-    def __init__(self, network: WirelessNetwork) -> None:
+    def __init__(
+        self,
+        network: WirelessNetwork,
+        rng: random.Random,
+        spec: FaultSpec,
+        population: Optional[Callable[[], Sequence[int]]] = None,
+    ) -> None:
         self.network = network
+        self.spec = spec
         self.events: List[FaultEvent] = []
+        self.rounds = 0
+        self._rng = rng
+        self._population = population
         self._fail_times: Dict[int, float] = {}
+        self._outages: List[Event] = []
+        self._process: Optional[PeriodicProcess] = None
 
     # -- queries -------------------------------------------------------------
 
@@ -78,16 +94,56 @@ class ChaosModel(abc.ABC):
 
     # -- lifecycle -----------------------------------------------------------
 
-    @abc.abstractmethod
-    def start(self, initial_delay: float = 0.0) -> None:
-        """Arm the model; first action after ``initial_delay`` seconds."""
+    def start(self) -> None:
+        """Arm the model; its first round fires ``spec.start`` from now."""
+        if self._process is None:
+            self._process = PeriodicProcess(
+                self.network.sim, period=self.spec.period, action=self._tick
+            )
+            self._process.start(self.spec.start)
 
     def stop(self, recover: bool = True) -> None:
         """Disarm the model; ``recover=False`` leaves damage in place."""
+        if self._process is not None:
+            self._process.stop()
+        for outage in self._outages:
+            self.network.sim.cancel(outage)
+        self._outages.clear()
         if recover:
             self._recover_nodes(sorted(self._fail_times))
 
+    def _tick(self) -> None:
+        self._round()
+        self.rounds += 1
+        if self.spec.rounds and self.rounds >= self.spec.rounds:
+            self._process.stop()
+
+    def _round(self) -> None:
+        """One round: whom the kind picks and how their damage ends."""
+        raise NotImplementedError
+
     # -- helpers -------------------------------------------------------------
+
+    def _sample(self, taken: Container[int]) -> List[int]:
+        """``spec.count`` ids of the population outside ``taken``
+        (all of them, if fewer remain), drawn from the model's stream."""
+        pool = [n for n in self._population() if n not in taken]
+        want = min(self.spec.count, len(pool))
+        return self._rng.sample(pool, want) if want else []
+
+    def _fail_for_duration(self, node_ids: Sequence[int]) -> None:
+        """Fail ``node_ids`` and recover them ``spec.duration`` later,
+        unless :meth:`stop` cancels the recovery first."""
+        injected = self._fail_nodes(node_ids)
+        if not injected:
+            return
+
+        def end() -> None:
+            self._outages.remove(outage)
+            self._recover_nodes(injected)
+
+        outage = self.network.sim.schedule(self.spec.duration, end)
+        self._outages.append(outage)
 
     def _record(self, kind: str, nodes: Sequence[int]) -> None:
         self.events.append(
@@ -126,164 +182,57 @@ class ChaosModel(abc.ABC):
 class CrashRotationFault(ChaosModel):
     """The paper's Section IV-B schedule: rotate a broken-down set.
 
-    Every ``period`` seconds the previous round's nodes recover and a
-    fresh sample of ``count()`` eligible nodes fails.  The whole
-    previous set recovers *before* sampling, so every round samples
-    from the full eligible population: the RNG draw sequence is the
-    seed fault injector's, which keeps Figs 6-7 bit-exact.
+    Every round the previous round's nodes recover and a fresh sample
+    of ``spec.count`` eligible nodes fails.  The whole previous set
+    recovers *before* sampling, so every round samples from the full
+    eligible population: the RNG draw sequence is the seed fault
+    injector's, which keeps Figs 6-7 bit-exact.  After the last of
+    ``spec.rounds`` rounds the final set stays down until teardown.
     """
 
     name = "crash-rotation"
 
-    def __init__(
-        self,
-        network: WirelessNetwork,
-        rng: random.Random,
-        count: CountDraw,
-        eligible: EligibleDraw,
-        period: float = 10.0,
-    ) -> None:
-        super().__init__(network)
-        self._rng = rng
-        self._count = count
-        self._eligible = eligible
-        self.rounds = 0
-        self._process = PeriodicProcess(
-            network.sim, period=period, action=self._rotate
-        )
-
-    def start(self, initial_delay: float = 0.0) -> None:
-        self._process.start(initial_delay)
-
-    def stop(self, recover: bool = True) -> None:
-        self._process.stop()
-        super().stop(recover)
-
-    def _rotate(self) -> None:
+    def _round(self) -> None:
         self._recover_nodes(sorted(self._fail_times))
-        population = [
-            n for n in self._eligible() if n not in self._fail_times
-        ]
-        want = min(self._count(), len(population))
-        chosen = self._rng.sample(population, want) if want else []
-        self._fail_nodes(chosen)
-        self.rounds += 1
+        self._fail_nodes(self._sample(self._fail_times))
 
 
 class PermanentCrashFault(ChaosModel):
     """Crash-without-recovery: cumulative attrition of the population.
 
-    Each round fails ``count()`` fresh eligible nodes and never
+    Each round fails ``spec.count`` fresh eligible nodes and never
     recovers them (until ``stop(recover=True)`` at teardown), modelling
-    hardware death rather than transient outage.  ``rounds`` bounds the
-    number of bursts (0 = unbounded).
+    hardware death rather than transient outage.
     """
 
     name = "permanent-crash"
 
-    def __init__(
-        self,
-        network: WirelessNetwork,
-        rng: random.Random,
-        count: CountDraw,
-        eligible: EligibleDraw,
-        period: float = 10.0,
-        rounds: int = 0,
-    ) -> None:
-        super().__init__(network)
-        self._rng = rng
-        self._count = count
-        self._eligible = eligible
-        self._max_rounds = rounds
-        self.rounds = 0
-        self._process = PeriodicProcess(
-            network.sim, period=period, action=self._burst
-        )
-
-    def start(self, initial_delay: float = 0.0) -> None:
-        self._process.start(initial_delay)
-
-    def stop(self, recover: bool = True) -> None:
-        self._process.stop()
-        super().stop(recover)
-
-    def _burst(self) -> None:
-        population = [
-            n for n in self._eligible() if n not in self._fail_times
-        ]
-        want = min(self._count(), len(population))
-        chosen = self._rng.sample(population, want) if want else []
-        self._fail_nodes(chosen)
-        self.rounds += 1
-        if self._max_rounds and self.rounds >= self._max_rounds:
-            self._process.stop()
+    def _round(self) -> None:
+        self._fail_nodes(self._sample(self._fail_times))
 
 
 class ActuatorOutageFault(ChaosModel):
     """Actuator-targeted failures: break the resource-rich tier.
 
-    Each round fails ``count()`` actuators for ``duration`` seconds,
-    then recovers them — stressing the CAN tier's detours and every
-    baseline's collection point.  ``rounds`` bounds bursts (0 =
-    unbounded).
+    Each round fails ``spec.count`` actuators for ``spec.duration``
+    seconds, then recovers them — stressing the CAN tier's detours and
+    every baseline's collection point.
     """
 
     name = "actuator-outage"
 
-    def __init__(
-        self,
-        network: WirelessNetwork,
-        rng: random.Random,
-        count: CountDraw,
-        actuators: EligibleDraw,
-        period: float = 20.0,
-        duration: float = 8.0,
-        rounds: int = 0,
-    ) -> None:
-        if duration >= period:
-            raise ConfigError("outage duration must be below the period")
-        super().__init__(network)
-        self._rng = rng
-        self._count = count
-        self._actuators = actuators
-        self._duration = duration
-        self._max_rounds = rounds
-        self.rounds = 0
-        self._process = PeriodicProcess(
-            network.sim, period=period, action=self._burst
-        )
-
-    def start(self, initial_delay: float = 0.0) -> None:
-        self._process.start(initial_delay)
-
-    def stop(self, recover: bool = True) -> None:
-        self._process.stop()
-        super().stop(recover)
-
-    def _burst(self) -> None:
-        population = [
-            a for a in self._actuators() if a not in self._fail_times
-        ]
-        want = min(self._count(), len(population))
-        chosen = self._rng.sample(population, want) if want else []
-        injected = self._fail_nodes(chosen)
-        if injected:
-            self.network.sim.schedule(
-                self._duration, lambda: self._recover_nodes(injected)
-            )
-        self.rounds += 1
-        if self._max_rounds and self.rounds >= self._max_rounds:
-            self._process.stop()
+    def _round(self) -> None:
+        self._fail_for_duration(self._sample(self._fail_times))
 
 
 class RegionalBlackoutFault(ChaosModel):
     """Regional failure: every node inside a disc fails for a window.
 
     Models the correlated outages of self-recovery WSAN work (fire,
-    flood, jamming): at each round a disc of ``radius`` metres,
-    centred uniformly in the area, takes down every node currently
-    inside it for ``duration`` seconds.  Partition stress for cells and
-    the CAN tier at once.
+    flood, jamming): at each round a disc of ``spec.radius`` metres,
+    centred uniformly in the ``area_side`` square, takes down every
+    node currently inside it for ``spec.duration`` seconds.  Partition
+    stress for cells and the CAN tier at once.
     """
 
     name = "regional-blackout"
@@ -292,57 +241,26 @@ class RegionalBlackoutFault(ChaosModel):
         self,
         network: WirelessNetwork,
         rng: random.Random,
+        spec: FaultSpec,
         area_side: float,
-        radius: float,
-        duration: float = 8.0,
-        period: float = 20.0,
-        rounds: int = 1,
     ) -> None:
-        if radius <= 0:
-            raise ConfigError("blackout radius must be positive")
-        if duration >= period:
-            raise ConfigError("blackout duration must be below the period")
-        super().__init__(network)
-        self._rng = rng
+        super().__init__(network, rng, spec, network.medium.node_ids)
         self._area_side = area_side
-        self._radius = radius
-        self._duration = duration
-        self._max_rounds = rounds
-        self.rounds = 0
         self.last_center: Optional[Point] = None
-        self._process = PeriodicProcess(
-            network.sim, period=period, action=self._blackout
-        )
 
-    def start(self, initial_delay: float = 0.0) -> None:
-        self._process.start(initial_delay)
-
-    def stop(self, recover: bool = True) -> None:
-        self._process.stop()
-        super().stop(recover)
-
-    def _blackout(self) -> None:
+    def _round(self) -> None:
         now = self.network.sim.now
         center = Point(
             self._rng.uniform(0.0, self._area_side),
             self._rng.uniform(0.0, self._area_side),
         )
         self.last_center = center
-        victims = [
+        self._fail_for_duration([
             node_id
-            for node_id in self.network.medium.node_ids()
-            if node_id not in self._fail_times
-            and self.network.node(node_id).position(now).distance_to(center)
-            <= self._radius
-        ]
-        injected = self._fail_nodes(victims)
-        if injected:
-            self.network.sim.schedule(
-                self._duration, lambda: self._recover_nodes(injected)
-            )
-        self.rounds += 1
-        if self._max_rounds and self.rounds >= self._max_rounds:
-            self._process.stop()
+            for node_id in self._population()
+            if self.network.node(node_id).position(now).distance_to(center)
+            <= self.spec.radius
+        ])
 
 
 #: Joules of meter a battery-depletion attack gives an unmetered node.
@@ -354,12 +272,13 @@ TARGET_FRACTION = 0.02
 class BatteryDepletionFault(ChaosModel):
     """Battery-depletion attack: drain nodes below the maintenance bar.
 
-    Each round drains ``count()`` eligible nodes down to
+    Each round drains ``spec.count`` eligible nodes down to
     :data:`TARGET_FRACTION` of capacity — below REFER's maintenance
     battery threshold, forcing replacements without ever marking the
     node failed.  Unmetered nodes (``battery_joules is None``) are
     given :data:`DEFAULT_CAPACITY` joules of meter first, so the attack
-    works in the (default) unmetered experiments too.
+    works in the (default) unmetered experiments too.  ``stop`` does
+    not undo the damage: energy does not come back.
     """
 
     name = "battery-depletion"
@@ -368,40 +287,18 @@ class BatteryDepletionFault(ChaosModel):
         self,
         network: WirelessNetwork,
         rng: random.Random,
-        count: CountDraw,
-        eligible: EligibleDraw,
-        period: float = 20.0,
-        rounds: int = 1,
+        spec: FaultSpec,
+        population: Callable[[], Sequence[int]],
     ) -> None:
-        super().__init__(network)
-        self._rng = rng
-        self._count = count
-        self._eligible = eligible
-        self._max_rounds = rounds
-        self.rounds = 0
+        super().__init__(network, rng, spec, population)
         self.drained: Set[int] = set()
-        self._process = PeriodicProcess(
-            network.sim, period=period, action=self._drain_round
-        )
 
     def active(self) -> bool:
         # The attack's damage persists: drained batteries stay drained.
         return bool(self.drained)
 
-    def start(self, initial_delay: float = 0.0) -> None:
-        self._process.start(initial_delay)
-
-    def stop(self, recover: bool = True) -> None:
-        # Battery damage is not undone on stop — energy does not come
-        # back; only the scheduling stops.
-        self._process.stop()
-
-    def _drain_round(self) -> None:
-        population = [
-            n for n in self._eligible() if n not in self.drained
-        ]
-        want = min(self._count(), len(population))
-        chosen = self._rng.sample(population, want) if want else []
+    def _round(self) -> None:
+        chosen = self._sample(self.drained)
         for node_id in chosen:
             node = self.network.node(node_id)
             if node.battery_joules is None:
@@ -411,9 +308,6 @@ class BatteryDepletionFault(ChaosModel):
             self.drained.add(node_id)
         if chosen:
             self._record("inject", chosen)
-        self.rounds += 1
-        if self._max_rounds and self.rounds >= self._max_rounds:
-            self._process.stop()
 
 
 #: Factor a BAD link's sensed signal margin is scaled by (a deep fade).
@@ -423,13 +317,14 @@ BAD_QUALITY = 0.0
 class GilbertElliottLinkFault(ChaosModel):
     """Bursty link loss: a two-state Gilbert-Elliott process per link.
 
-    Installed into :meth:`WirelessMedium.set_link_fault`, the model
-    holds one GOOD/BAD chain per undirected link with exponential
-    sojourn times (means ``mean_good`` / ``mean_bad`` seconds).  While
-    a link is BAD, frames on it are lost (``can_transmit`` gates shut)
-    and the sensed signal margin is scaled by :data:`BAD_QUALITY` — so
-    REFER's maintenance sees exactly the "link about to break" signal
-    a deep fade produces.  Sojourn ``k`` of link ``(a, b)`` is draw
+    Installed into :meth:`WirelessMedium.set_link_fault` at
+    ``spec.start``, the model holds one GOOD/BAD chain per undirected
+    link with exponential sojourn times (means ``spec.mean_good`` /
+    ``spec.mean_bad`` seconds).  It runs no rounds.  While a link is
+    BAD, frames on it are lost (``can_transmit`` gates shut) and the
+    sensed signal margin is scaled by :data:`BAD_QUALITY` — so REFER's
+    maintenance sees exactly the "link about to break" signal a deep
+    fade produces.  Sojourn ``k`` of link ``(a, b)`` is draw
     ``((a, b), k)`` of the model's keyed stream, so a link's state is
     a function of ``(seed, link, now)``: chains are walked lazily, but
     which links are asked about, when and in what order moves nothing
@@ -440,18 +335,13 @@ class GilbertElliottLinkFault(ChaosModel):
     name = "link-burst"
 
     def __init__(
-        self,
-        network: WirelessNetwork,
-        rng: random.Random,
-        mean_good: float = 8.0,
-        mean_bad: float = 1.5,
+        self, network: WirelessNetwork, rng: random.Random, spec: FaultSpec
     ) -> None:
-        if mean_good <= 0 or mean_bad <= 0:
-            raise ConfigError("Gilbert-Elliott sojourn means must be positive")
-        super().__init__(network)
+        super().__init__(network, rng, spec)
         self._draws = KeyedStream(rng)
-        self._mean_good = mean_good
-        self._mean_bad = mean_bad
+        # Read off the spec once: ``link_up`` is on the medium's hot path.
+        self._mean_good = spec.mean_good
+        self._mean_bad = spec.mean_bad
         self._installed = False
         self._epoch = 0.0
         # link key -> [in_good_state, state_start, state_end, sojourn k]
@@ -460,10 +350,10 @@ class GilbertElliottLinkFault(ChaosModel):
     def active(self) -> bool:
         return self._installed
 
-    def start(self, initial_delay: float = 0.0) -> None:
+    def start(self) -> None:
         if self._installed:
             return
-        self._epoch = self.network.sim.now + initial_delay
+        self._epoch = self.network.sim.now + self.spec.start
         self.network.medium.set_link_fault(self)
         self._installed = True
         self._record("inject", [])

@@ -144,9 +144,6 @@ class ResilienceProbe:
     def on_delivered(self, packet: Packet) -> None:
         self._delivered[self._index(packet.created_at)] += 1
 
-    def on_dropped(self, packet: Packet) -> None:
-        """Drops are implied by generated - delivered; nothing to do."""
-
     # -- recovery-stack hooks ------------------------------------------------
 
     def on_detected(self, latency: float) -> None:

@@ -4,7 +4,8 @@
 model that :class:`~repro.experiments.config.ScenarioConfig` carries
 (``fault_spec`` accepts a tuple of them, so fault classes compose);
 :func:`build_chaos_model` turns a spec into a live model wired to a
-run's network, system and RNG stream.
+run's network, system and RNG stream.  The spec is the model's
+parameters and this module is their one validator.
 """
 
 from __future__ import annotations
@@ -39,14 +40,27 @@ FAULT_KINDS: Tuple[str, ...] = (
 
 @dataclass(frozen=True)
 class FaultSpec:
-    """One declarative chaos model; unused knobs are ignored per kind.
+    """One declarative chaos model; fields a kind does not read are ignored.
 
-    ``start`` delays the model's first action (absolute sim seconds
-    from run start); ``rounds`` bounds repeating models (0 =
-    unbounded).  ``count`` is nodes per event; ``period`` the event
-    spacing; ``duration`` the outage window for actuator/blackout;
-    ``radius`` the blackout disc (centred at random each round);
-    ``mean_good``/``mean_bad`` the Gilbert-Elliott sojourn means.  The
+    Every kind reads ``start``: its first action comes that many sim
+    seconds after the run arms its faults.  The five scheduled kinds
+    (all but ``links``) then run one round every ``period`` seconds, at
+    most ``rounds`` of them (0 = unbounded); damage a round leaves
+    stays until teardown, so a capped rotation's last set stays down,
+    as ``permanent``'s crashes do.  Per kind:
+
+    - ``rotation``: the previous round's sensors recover, then
+      ``count`` sensors fail;
+    - ``permanent``: ``count`` more sensors fail, for good;
+    - ``actuator``: ``count`` actuators fail for ``duration`` seconds;
+    - ``blackout``: every node within ``radius`` metres of a centre
+      drawn uniformly in the area fails for ``duration`` seconds;
+    - ``battery``: ``count`` cell members (sensors, where the system
+      has no cells) are drained, for good;
+    - ``links``: every link fades in bursts, with Gilbert-Elliott
+      sojourn means ``mean_good`` / ``mean_bad`` seconds.
+
+    The two outage kinds need ``duration`` below ``period``.  The
     battery level a depletion attack leaves and a faded link's signal
     factor are constants of :mod:`repro.chaos.models`.
     """
@@ -88,76 +102,27 @@ def build_chaos_model(
     """Instantiate the model ``spec`` describes for one run.
 
     ``system`` is the run's :class:`~repro.wsan.system.WsanSystem`;
-    eligible populations come from it so chaos targets stay valid as
-    maintenance shuffles membership.  ``rng`` must be a dedicated
-    ``RngStreams`` stream — the model owns its draws.
+    populations are read from it each round, so chaos targets stay
+    valid as maintenance shuffles membership.  ``rng`` must be a
+    dedicated ``RngStreams`` stream — the model owns its draws.
     """
-    count = spec.count
-
-    def sensors():
-        return system.sensor_ids
-
-    if spec.kind == "rotation":
-        return CrashRotationFault(
-            network,
-            rng,
-            count=lambda: count,
-            eligible=sensors,
-            period=spec.period,
-        )
-    if spec.kind == "permanent":
-        return PermanentCrashFault(
-            network,
-            rng,
-            count=lambda: count,
-            eligible=sensors,
-            period=spec.period,
-            rounds=spec.rounds,
-        )
+    if spec.kind == "blackout":
+        return RegionalBlackoutFault(network, rng, spec, area_side)
+    if spec.kind == "links":
+        return GilbertElliottLinkFault(network, rng, spec)
     if spec.kind == "actuator":
         return ActuatorOutageFault(
-            network,
-            rng,
-            count=lambda: count,
-            actuators=lambda: system.actuator_ids,
-            period=spec.period,
-            duration=spec.duration,
-            rounds=spec.rounds,
-        )
-    if spec.kind == "blackout":
-        return RegionalBlackoutFault(
-            network,
-            rng,
-            area_side=area_side,
-            radius=spec.radius,
-            duration=spec.duration,
-            period=spec.period,
-            rounds=spec.rounds,
+            network, rng, spec, lambda: system.actuator_ids
         )
     if spec.kind == "battery":
         # Prefer current cell members (REFER exposes them): draining a
         # KID holder forces a maintenance replacement, which is the
         # point of the attack.  Systems without the notion fall back to
         # all sensors.
-        def battery_targets():
-            members = getattr(system, "member_sensor_ids", None)
-            if members:
-                return sorted(members)
-            return system.sensor_ids
+        def members():
+            held = getattr(system, "member_sensor_ids", None)
+            return sorted(held) if held else system.sensor_ids
 
-        return BatteryDepletionFault(
-            network,
-            rng,
-            count=lambda: count,
-            eligible=battery_targets,
-            period=spec.period,
-            rounds=spec.rounds,
-        )
-    if spec.kind == "links":
-        return GilbertElliottLinkFault(
-            network,
-            rng,
-            mean_good=spec.mean_good,
-            mean_bad=spec.mean_bad,
-        )
-    raise ConfigError(f"unhandled fault kind {spec.kind!r}")
+        return BatteryDepletionFault(network, rng, spec, members)
+    model = CrashRotationFault if spec.kind == "rotation" else PermanentCrashFault
+    return model(network, rng, spec, lambda: system.sensor_ids)

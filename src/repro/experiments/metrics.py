@@ -99,7 +99,6 @@ class MetricsCollector:
         self.dropped = 0
         self.qos_bytes = 0
         self.delay = RunningStat()
-        self.all_delay = RunningStat()
         # Held children (``MetricFamily.held``): a child still appears
         # at its first use, so a run that never drops exports no
         # ``packets_dropped`` sample.
@@ -234,15 +233,12 @@ class MetricsCollector:
         if not self._measured(packet):
             return
         self.delivered_total += 1
-        self.all_delay.add(latency)
         if latency <= QOS_DEADLINE:
             self.delivered_qos += 1
             self.qos_bytes += packet.size_bytes
             self.delay.add(latency)
 
     def on_dropped(self, packet: Packet) -> None:
-        if self._probe is not None:
-            self._probe.on_dropped(packet)
         reason = packet.meta.get("drop_reason") or "unknown"
         if self._dropped_family is not None:
             self._dropped_family[reason].inc()

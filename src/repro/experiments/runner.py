@@ -16,8 +16,9 @@ from typing import Callable, Dict, Optional, Tuple, Type
 from repro.baselines import DaTreeSystem, DDearSystem, KautzOverlaySystem
 from repro.chaos import (
     ChaosCoordinator,
-    CrashRotationFault,
+    ChaosModel,
     FaultEvent,
+    FaultSpec,
     ResilienceProbe,
     ResilienceSummary,
     build_chaos_model,
@@ -189,21 +190,24 @@ def run_scenario(system_name: str, config: ScenarioConfig) -> RunResult:
         )
     workload.start(0.0, config.end_time)
 
-    # The legacy crash-rotation path (``config.faults``) runs on the
-    # chaos model with the seed injector's draw-for-draw RNG schedule,
-    # keeping figures bit-exact.
-    injector: Optional[CrashRotationFault] = None
+    # The legacy crash-rotation path (``config.faults``) is one rotation
+    # spec on its own "faults" stream, outside the coordinator: the seed
+    # injector's draw-for-draw RNG schedule, keeping figures bit-exact.
+    injector: Optional[ChaosModel] = None
     if config.faults is not None:
-        fault_rng = streams.stream("faults")
-        count = config.faults.count
-        injector = CrashRotationFault(
+        injector = build_chaos_model(
+            FaultSpec(
+                kind="rotation",
+                count=config.faults.count,
+                period=FAULT_PERIOD,
+                start=FAULT_PERIOD / 2.0,
+            ),
             network,
-            fault_rng,
-            count=lambda: count,
-            eligible=lambda: system.sensor_ids,
-            period=FAULT_PERIOD,
+            system,
+            streams.stream("faults"),
+            area_side=config.area_side,
         )
-        injector.start(initial_delay=FAULT_PERIOD / 2.0)
+        injector.start()
 
     chaos: Optional[ChaosCoordinator] = None
     if config.fault_spec:
@@ -225,7 +229,7 @@ def run_scenario(system_name: str, config: ScenarioConfig) -> RunResult:
         maintenance = getattr(system, "maintenance", None)
         if maintenance is not None and hasattr(maintenance, "set_fault_clock"):
             maintenance.set_fault_clock(chaos.fail_time_of)
-        chaos.start([spec.start for spec in config.fault_spec])
+        chaos.start()
 
     orchestrator: Optional[RecoveryOrchestrator] = None
     if config.recovery is not None and isinstance(system, ReferSystem):

@@ -2,19 +2,17 @@
 
 import random
 
-import pytest
-
 from repro.chaos import (
     ActuatorOutageFault,
     BatteryDepletionFault,
     ChaosCoordinator,
     CrashRotationFault,
+    FaultSpec,
     GilbertElliottLinkFault,
     PermanentCrashFault,
     RegionalBlackoutFault,
 )
 from repro.chaos.models import BAD_QUALITY, TARGET_FRACTION
-from repro.errors import ConfigError
 from repro.net.mobility import StaticMobility
 from repro.net.network import WirelessNetwork
 from repro.net.node import Node, NodeRole
@@ -50,7 +48,7 @@ class TestCrashRotation:
         sim, net = build_grid()
         fault = CrashRotationFault(
             net, random.Random(5),
-            count=lambda: 3, eligible=lambda: all_ids(net), period=10.0,
+            FaultSpec(kind="rotation", count=3, period=10.0), net.medium.node_ids,
         )
         fault.start()
         sim.run_until(5.0)
@@ -71,7 +69,7 @@ class TestCrashRotation:
         sim, net = build_grid()
         fault = CrashRotationFault(
             net, random.Random(5),
-            count=lambda: 2, eligible=lambda: all_ids(net),
+            FaultSpec(kind="rotation", count=2), net.medium.node_ids,
         )
         fault.start()
         sim.run_until(1.0)
@@ -84,12 +82,32 @@ class TestCrashRotation:
         sim, net = build_grid()
         fault = CrashRotationFault(
             net, random.Random(5),
-            count=lambda: 2, eligible=lambda: all_ids(net),
+            FaultSpec(kind="rotation", count=2), net.medium.node_ids,
         )
         fault.start()
         sim.run_until(1.0)
         fault.stop()
         assert not set(fault._fail_times)
+        assert all(net.node(n).usable for n in all_ids(net))
+
+    def test_rounds_cap_leaves_the_last_set_down(self):
+        """``rounds`` binds the rotation like every scheduled kind: two
+        rounds and no more, and the second round's set stays down until
+        teardown, as a permanent crash does."""
+        sim, net = build_grid()
+        fault = CrashRotationFault(
+            net, random.Random(5),
+            FaultSpec(kind="rotation", count=2, period=5.0, rounds=2),
+            net.medium.node_ids,
+        )
+        fault.start()
+        sim.run_until(30.0)
+        assert fault.rounds == 2
+        assert [e.kind for e in fault.events] == ["inject", "recover", "inject"]
+        last = set(fault.events[-1].nodes)
+        assert set(fault._fail_times) == last
+        assert all(not net.node(n).usable for n in last)
+        fault.stop()
         assert all(net.node(n).usable for n in all_ids(net))
 
 
@@ -98,7 +116,7 @@ class TestPermanentCrash:
         sim, net = build_grid()
         fault = PermanentCrashFault(
             net, random.Random(2),
-            count=lambda: 2, eligible=lambda: all_ids(net), period=5.0,
+            FaultSpec(kind="permanent", count=2, period=5.0), net.medium.node_ids,
         )
         fault.start()
         sim.run_until(11.0)
@@ -110,8 +128,8 @@ class TestPermanentCrash:
         sim, net = build_grid()
         fault = PermanentCrashFault(
             net, random.Random(2),
-            count=lambda: 2, eligible=lambda: all_ids(net),
-            period=5.0, rounds=2,
+            FaultSpec(kind="permanent", count=2, period=5.0, rounds=2),
+            net.medium.node_ids,
         )
         fault.start()
         sim.run_until(30.0)
@@ -125,8 +143,8 @@ class TestActuatorOutage:
         actuator_ids = [0, 1, 2]
         fault = ActuatorOutageFault(
             net, random.Random(3),
-            count=lambda: 2, actuators=lambda: actuator_ids,
-            period=20.0, duration=5.0,
+            FaultSpec(kind="actuator", count=2, period=20.0, duration=5.0),
+            lambda: actuator_ids,
         )
         fault.start()
         sim.run_until(1.0)
@@ -137,14 +155,22 @@ class TestActuatorOutage:
         assert not set(fault._fail_times)
         assert all(net.node(a).usable for a in actuator_ids)
 
-    def test_duration_must_fit_period(self):
-        sim, net = build_grid(actuators=2)
-        with pytest.raises(ConfigError):
-            ActuatorOutageFault(
-                net, random.Random(1),
-                count=lambda: 1, actuators=lambda: [0],
-                period=5.0, duration=5.0,
-            )
+    def test_stop_without_recover_leaves_the_outage_in_place(self):
+        sim, net = build_grid(actuators=3)
+        fault = ActuatorOutageFault(
+            net, random.Random(3),
+            FaultSpec(kind="actuator", count=2, period=20.0, duration=8.0),
+            lambda: [0, 1, 2],
+        )
+        fault.start()
+        sim.run_until(1.0)
+        down = set(fault._fail_times)
+        assert len(down) == 2
+        fault.stop(recover=False)
+        sim.run_until(10.0)   # past the outage duration
+        assert set(fault._fail_times) == down
+        assert all(not net.node(a).usable for a in down)
+        assert [e.kind for e in fault.events] == ["inject"]
 
 
 class TestRegionalBlackout:
@@ -152,7 +178,8 @@ class TestRegionalBlackout:
         sim, net = build_grid(spacing=70.0)
         fault = RegionalBlackoutFault(
             net, random.Random(4),
-            area_side=210.0, radius=80.0, duration=5.0, period=20.0,
+            FaultSpec(kind="blackout", radius=80.0, duration=5.0, period=20.0),
+            area_side=210.0,
         )
         fault.start()
         sim.run_until(1.0)
@@ -172,7 +199,8 @@ class TestRegionalBlackout:
         sim, net = build_grid()
         fault = RegionalBlackoutFault(
             net, random.Random(4),
-            area_side=210.0, radius=60.0, duration=5.0, period=20.0,
+            FaultSpec(kind="blackout", radius=60.0, duration=5.0, period=20.0),
+            area_side=210.0,
         )
         fault.start()
         sim.run_until(1.0)
@@ -180,13 +208,30 @@ class TestRegionalBlackout:
         assert 0.0 <= fault.last_center.x <= 210.0
         assert 0.0 <= fault.last_center.y <= 210.0
 
+    def test_stop_without_recover_leaves_the_outage_in_place(self):
+        sim, net = build_grid(spacing=70.0)
+        fault = RegionalBlackoutFault(
+            net, random.Random(4),
+            FaultSpec(kind="blackout", radius=80.0, duration=5.0, period=20.0),
+            area_side=210.0,
+        )
+        fault.start()
+        sim.run_until(1.0)
+        down = set(fault._fail_times)
+        assert down
+        fault.stop(recover=False)
+        sim.run_until(10.0)   # past the outage duration
+        assert set(fault._fail_times) == down
+        assert all(not net.node(n).usable for n in down)
+        assert [e.kind for e in fault.events] == ["inject"]
+
 
 class TestBatteryDepletion:
     def test_drains_below_threshold_not_dead(self):
         sim, net = build_grid()
         fault = BatteryDepletionFault(
             net, random.Random(6),
-            count=lambda: 3, eligible=lambda: all_ids(net),
+            FaultSpec(kind="battery", count=3), net.medium.node_ids,
         )
         fault.start()
         sim.run_until(1.0)
@@ -204,7 +249,7 @@ class TestBatteryDepletion:
         sim, net = build_grid()
         fault = BatteryDepletionFault(
             net, random.Random(6),
-            count=lambda: 2, eligible=lambda: all_ids(net),
+            FaultSpec(kind="battery", count=2), net.medium.node_ids,
         )
         fault.start()
         sim.run_until(1.0)
@@ -219,20 +264,21 @@ class TestBatteryDepletion:
         net.node(0).battery_joules = 500.0
         fault = BatteryDepletionFault(
             net, random.Random(6),
-            count=lambda: 16, eligible=lambda: all_ids(net),
+            FaultSpec(kind="battery", count=16), net.medium.node_ids,
         )
         fault.start()
         sim.run_until(1.0)
         assert net.node(0).battery_joules == 500.0
 
 
+#: Pathological sojourns: links are almost always BAD.
+MOSTLY_BAD = FaultSpec(kind="links", mean_good=0.01, mean_bad=100.0)
+
+
 class TestGilbertElliottLinks:
     def test_bad_state_gates_transmission(self):
         sim, net = build_grid()
-        # Pathological sojourns: links are almost always BAD.
-        fault = GilbertElliottLinkFault(
-            net, random.Random(7), mean_good=0.01, mean_bad=100.0,
-        )
+        fault = GilbertElliottLinkFault(net, random.Random(7), MOSTLY_BAD)
         fault.start()
         assert fault.active()
         sim.run_until(5.0)
@@ -256,9 +302,7 @@ class TestGilbertElliottLinks:
 
     def test_stop_uninstalls(self):
         sim, net = build_grid()
-        fault = GilbertElliottLinkFault(
-            net, random.Random(7), mean_good=0.01, mean_bad=100.0,
-        )
+        fault = GilbertElliottLinkFault(net, random.Random(7), MOSTLY_BAD)
         fault.start()
         sim.run_until(5.0)
         fault.stop()
@@ -270,9 +314,7 @@ class TestGilbertElliottLinks:
     def test_bad_link_margin_is_scaled_by_bad_quality(self):
         sim, net = build_grid()
         healthy = net.medium.link_quality(0, 1, 0.0)
-        fault = GilbertElliottLinkFault(
-            net, random.Random(7), mean_good=0.01, mean_bad=100.0,
-        )
+        fault = GilbertElliottLinkFault(net, random.Random(7), MOSTLY_BAD)
         fault.start()
         sim.run_until(5.0)
         now = sim.now
@@ -287,19 +329,22 @@ class TestCoordinator:
         chaos = ChaosCoordinator(net)
         rotation = chaos.add(CrashRotationFault(
             net, random.Random(1),
-            count=lambda: 2, eligible=lambda: [0, 1, 2, 3], period=10.0,
+            FaultSpec(kind="rotation", count=2, period=10.0),
+            lambda: [0, 1, 2, 3],
         ))
         attrition = chaos.add(PermanentCrashFault(
             net, random.Random(2),
-            count=lambda: 1, eligible=lambda: [8, 9, 10, 11],
-            period=7.0, rounds=1,
+            FaultSpec(kind="permanent", count=1, period=7.0, rounds=1, start=3.0),
+            lambda: [8, 9, 10, 11],
         ))
-        chaos.start([0.0, 3.0])
+        chaos.start()
         sim.run_until(5.0)
         assert chaos.any_active()
         events = chaos.events()
         assert [e.time for e in events] == sorted(e.time for e in events)
-        assert {e.model for e in events} == {"crash-rotation", "permanent-crash"}
+        assert [(e.time, e.model) for e in events] == [
+            (0.0, "crash-rotation"), (3.0, "permanent-crash"),
+        ]
         broken = set(rotation._fail_times) | set(attrition._fail_times)
         for n in broken:
             assert chaos.fail_time_of(n) is not None

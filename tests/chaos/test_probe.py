@@ -18,8 +18,6 @@ def feed(probe, created_at, generated, delivered):
         probe.on_generated(p)
         if i < delivered:
             probe.on_delivered(p)
-        else:
-            probe.on_dropped(p)
 
 
 def inject(time, model="crash-rotation"):

@@ -174,7 +174,7 @@ class TestMetrics:
         sim.schedule(5.0, lambda: metrics.on_delivered(packet(0.1)))
         sim.run()
         assert metrics.mean_delay == pytest.approx(0.2)
-        assert metrics.all_delay.count == 2
+        assert metrics.delivered_total == 2
 
     def test_delivery_ratio(self):
         sim = Simulator()

@@ -2,7 +2,7 @@
 
 import random
 
-from repro.chaos.models import CrashRotationFault
+from repro.chaos import CrashRotationFault, FaultSpec
 from repro.net.discovery import FloodDiscovery
 from repro.net.mobility import StaticMobility
 from repro.net.network import WirelessNetwork
@@ -34,9 +34,8 @@ class TestCrashRotation:
         injector = CrashRotationFault(
             net,
             random.Random(5),
-            count=lambda: 3,
-            eligible=lambda: net.medium.node_ids(),
-            period=10.0,
+            FaultSpec(kind="rotation", count=3, period=10.0),
+            net.medium.node_ids,
         )
         injector.start()
         sim.run_until(5.0)
@@ -62,9 +61,8 @@ class TestCrashRotation:
         model = CrashRotationFault(
             net,
             random.Random(99),
-            count=lambda: 4,
-            eligible=lambda: net.medium.node_ids(),
-            period=10.0,
+            FaultSpec(kind="rotation", count=4, period=10.0),
+            net.medium.node_ids,
         )
         model.start()
         oracle = random.Random(99)
@@ -77,9 +75,10 @@ class TestCrashRotation:
     def test_stop_recovers(self):
         sim, net = build_grid()
         injector = CrashRotationFault(
-            net, random.Random(1),
-            count=lambda: 2,
-            eligible=lambda: net.medium.node_ids(),
+            net,
+            random.Random(1),
+            FaultSpec(kind="rotation", count=2),
+            net.medium.node_ids,
         )
         injector.start()
         sim.run_until(1.0)
@@ -91,9 +90,10 @@ class TestCrashRotation:
     def test_stop_without_recover_leaves_nodes_failed(self):
         sim, net = build_grid()
         injector = CrashRotationFault(
-            net, random.Random(1),
-            count=lambda: 2,
-            eligible=lambda: net.medium.node_ids(),
+            net,
+            random.Random(1),
+            FaultSpec(kind="rotation", count=2),
+            net.medium.node_ids,
         )
         injector.start()
         sim.run_until(1.0)
@@ -108,9 +108,10 @@ class TestCrashRotation:
     def test_count_capped_by_population(self):
         sim, net = build_grid(side=2)
         injector = CrashRotationFault(
-            net, random.Random(1),
-            count=lambda: 100,
-            eligible=lambda: net.medium.node_ids(),
+            net,
+            random.Random(1),
+            FaultSpec(kind="rotation", count=100),
+            net.medium.node_ids,
         )
         injector.start()
         sim.run_until(1.0)
@@ -119,10 +120,10 @@ class TestCrashRotation:
     def test_rounds_counter(self):
         sim, net = build_grid()
         injector = CrashRotationFault(
-            net, random.Random(1),
-            count=lambda: 1,
-            eligible=lambda: net.medium.node_ids(),
-            period=5.0,
+            net,
+            random.Random(1),
+            FaultSpec(kind="rotation", count=1, period=5.0),
+            net.medium.node_ids,
         )
         injector.start()
         sim.run_until(16.0)

@@ -17,7 +17,7 @@ import random
 
 from hypothesis import given, settings, strategies as st
 
-from repro.chaos.models import GilbertElliottLinkFault
+from repro.chaos import FaultSpec, GilbertElliottLinkFault
 from repro.net.mobility import RandomWaypoint
 from repro.net.network import WirelessNetwork
 from repro.net.node import Node, NodeRole
@@ -59,7 +59,7 @@ def build(starts, seed):
         network.add_node(Node(node_id, NodeRole.SENSOR, walker, 150.0))
     fault = GilbertElliottLinkFault(
         network, random.Random(seed + 1),
-        mean_good=2.0, mean_bad=0.5,
+        FaultSpec(kind="links", mean_good=2.0, mean_bad=0.5),
     )
     fault.start()
     return network, fault

@@ -11,7 +11,7 @@ exact regression pins, not statistical hopes.
 
 import random
 
-from repro.chaos.models import GilbertElliottLinkFault
+from repro.chaos import FaultSpec, GilbertElliottLinkFault
 from repro.net.mobility import StaticMobility
 from repro.net.network import WirelessNetwork
 from repro.net.node import Node, NodeRole
@@ -52,7 +52,8 @@ def run_detector(adaptive: bool, sim_time: float = 60.0):
             )
         )
     burst = GilbertElliottLinkFault(
-        net, random.Random(21), mean_good=6.0, mean_bad=0.5
+        net, random.Random(21),
+        FaultSpec(kind="links", mean_good=6.0, mean_bad=0.5),
     )
     burst.start()
     pairs = [(0, 1), (1, 2), (2, 3), (3, 0)]
