@@ -304,6 +304,22 @@ class DDearSystem(WsanSystem):
                 on_delivered, on_dropped,
             )
             return
+        self._send_on_head_path(
+            head, path, packet, retransmissions_left, on_delivered, on_dropped
+        )
+
+    def _send_on_head_path(
+        self,
+        head: int,
+        path: List[int],
+        packet: Packet,
+        retransmissions_left: int,
+        on_delivered: Optional[DeliveredCallback],
+        on_dropped: Optional[DroppedCallback],
+    ) -> None:
+        """Relay over ``head``'s cached actuator path; a retry in place
+        is a fresh call, so the failure callback never refers to
+        itself (no reference cycle per packet)."""
 
         def failed(pkt: Packet, at: int) -> None:
             # Congestion loss on an intact path: retry in place.
@@ -312,11 +328,9 @@ class DDearSystem(WsanSystem):
                 retries = pkt.meta.get(key, 0)
                 if retries < 2:
                     pkt.meta[key] = retries + 1
-                    self.network.send_along_path(
-                        path,
-                        pkt,
-                        on_delivered=on_delivered,
-                        on_failed=failed,
+                    self._send_on_head_path(
+                        head, path, pkt, retransmissions_left,
+                        on_delivered, on_dropped,
                     )
                     return
             self._head_path.pop(head, None)

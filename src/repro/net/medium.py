@@ -26,14 +26,30 @@ Link questions (``can_transmit``, ``link_quality`` and their batched
 forms ``reachable`` and ``link_margins_each``) are answered from exact
 positions at ``now``, one ``hypot`` per pair (:meth:`Node.distance_to`).
 
+``reachable`` and ``contention_at`` first try to settle a range test
+without a read.  A model that declares ``max_speed`` and keeps its last
+answer readable (``last_point`` at ``last_now``: the random-waypoint
+memo, a static node's fixed point; resolved once, in ``add_node``) is
+within ``max_speed * |now - last_now|`` of that answer at ``now``, so
+a node farther than ``range + max_speed * |now - last_now| +``
+:data:`RANGE_SLACK` from it cannot be in range: it is passed over with
+no ``position()`` call and no ``usable`` read.  That is exact — the
+full test would have said "out of range" too — and the slack absorbs
+the float rounding between the bound and the test.  A model without
+either attribute, or never asked (``last_now`` NaN), is always read.
+The Kautz overlay's entry scan (one source against 100+ members, about
+8 in range) and its floods' long-busy forwarders are what this skips.
+
 ``neighbors`` is the discovery-timescale view: who was in mutual range
 when the bucket's snapshot was taken (its first neighbour query), with
 ``usable`` as it was when the node's tuple was first computed in the
 bucket — the geometry carries no liveness, a tuple filters it at that
-first use.  Floods and candidate gathering share it.  The roll only
-*writes* the mobile positions; the grid re-hashes cells the first time
-a query in the bucket needs them.  The cost boundary: a TTL-limited
-flood in a fresh bucket pays for the whole field's geometry.
+first use.  Floods and candidate gathering share it; a flood reads
+the bucket's tuples straight from the mapping ``survey`` returns.  The
+roll only *writes* the mobile positions; the grid re-hashes cells the
+first time a query in the bucket needs them.  The cost boundary: a
+TTL-limited flood in a fresh bucket pays for the whole field's
+geometry.
 
 ``contention_at`` is a packet-time question, like the frame's own
 ``reachable``: it runs on every frame and is almost always 0, so the
@@ -41,8 +57,9 @@ medium keeps the set of radios that may be busy (a node files itself
 when its ``radio_busy_until`` is assigned) and tests those at exact
 positions at ``now`` — no snapshot, no neighbour tuple, and no bucket
 roll, so the all-walkers refresh runs only in buckets where somebody
-asks for a neighbour tuple.  Expired radios leave during the walk, so
-time must not run backwards between calls.
+asks for a neighbour tuple.  Expired radios leave during the walk,
+before the bound is tried, so time must not run backwards between
+calls.
 
 Registry mutations (``add_node``) invalidate the neighbour cache
 immediately and the geometry with the positions: a node added
@@ -55,7 +72,9 @@ from __future__ import annotations
 import statistics
 from math import hypot, inf
 from types import MappingProxyType
-from typing import Dict, Iterable, List, Mapping, Optional, Protocol, Tuple
+from typing import (
+    Any, Dict, Iterable, List, Mapping, Optional, Protocol, Tuple,
+)
 
 from repro.errors import NetworkError
 from repro.net.node import Node
@@ -72,6 +91,16 @@ from repro.util.geometry import Point
 #: total call count moves by under 3 % across that range — because a
 #: membership change of the cell usually ends a list first.
 NEAR_MARGIN = 0.2
+
+#: Metres a range test's bound is widened by before it rules a node
+#: out unread (``contention_at``, ``reachable``).  The bound adds
+#: ``max_speed * |now - last_now|`` to a range, and each float step
+#: between it and the exact test misses by a few ulps of a coordinate,
+#: a distance or the bound: the waypoint interpolation (``origin + d *
+#: frac``, at most 3 ulps per coordinate), the subtractions and
+#: ``hypot`` (1 ulp each) and the bound's own sum.  At 10 km that is
+#: about 1e-11 m; 1e-6 m covers fields up to about 10^8 m.
+RANGE_SLACK = 1e-6
 
 #: Seconds one position snapshot serves: the neighbour cache's time
 #: bucket.
@@ -113,7 +142,10 @@ class WirelessMedium:
         #: many nodes that cannot afford a :meth:`node` call each.
         self.node_table: Mapping[int, Node] = MappingProxyType(self._nodes)
         self._cache_resolution = CACHE_RESOLUTION
-        self._neighbor_cache: Dict[Tuple[int, bool], Tuple[int, ...]] = {}
+        #: The bucket's neighbour tuples by node id, each computed at
+        #: its first query: filtered by ``usable``, and the whole graph.
+        self._usable_tuples: Dict[int, Tuple[int, ...]] = {}
+        self._all_tuples: Dict[int, Tuple[int, ...]] = {}
         self._cache_bucket = -1
         #: The installed fault model (see :meth:`set_link_fault`).
         self.link_fault: Optional[LinkFault] = None
@@ -134,6 +166,11 @@ class WirelessMedium:
         #: Snapshot refreshes performed (one per bucket plus one per
         #: mid-bucket registry mutation).
         self.refreshes = 0
+        #: The mobility models that bound where their node is without a
+        #: read, by node id: a ``max_speed`` and a readable last answer
+        #: (``last_now``, ``last_point``; see
+        #: :class:`~repro.net.mobility.MobilityModel`).
+        self._recall: Dict[int, Any] = {}
         #: Nodes whose ``radio_busy_until`` may still lie ahead, by id:
         #: each files itself when its radio is occupied
         #: (:attr:`Node.radio_busy_until`), :meth:`contention_at` drops
@@ -169,18 +206,21 @@ class WirelessMedium:
                 f"node {node.id} is registered with another medium"
             )
         self._nodes[node.id] = node
-        self._neighbor_cache.clear()  # visible to the very next query
+        self._clear_tuples()  # visible to the very next query
         self._pending_ids.append(node.id)
         # From here on an occupied radio files itself; one occupied
         # before it registered is filed now.
         node._busy_radios = self._busy
         if node.radio_busy_until > 0.0:
             self._busy[node.id] = node
-        if not getattr(node.mobility, "is_static", False):
+        mobility = node.mobility
+        if not getattr(mobility, "is_static", False):
             self._mobile_ids.append(node.id)
         self._speed_bound = max(
-            self._speed_bound, getattr(node.mobility, "max_speed", inf)
+            self._speed_bound, getattr(mobility, "max_speed", inf)
         )
+        if hasattr(mobility, "max_speed") and hasattr(mobility, "last_now"):
+            self._recall[node.id] = mobility
         self._min_range = min(self._min_range, node.transmission_range)
 
     def node(self, node_id: int) -> Node:
@@ -272,20 +312,25 @@ class WirelessMedium:
         bucket = int(now / self._cache_resolution)
         if bucket != self._cache_bucket or self._pending_ids:
             self._roll(bucket, now)
-        key = (node_id, require_usable)
-        cached = self._neighbor_cache.get(key)
+        cache = self._usable_tuples if require_usable else self._all_tuples
+        cached = cache.get(node_id)
         if cached is None:
-            cached = self._compute_neighbors(node_id, require_usable)
-            self._neighbor_cache[key] = cached
+            cached = cache[node_id] = self._compute_neighbors(
+                node_id, require_usable
+            )
         return cached
 
-    def survey(self, now: float) -> None:
+    def survey(self, now: float) -> Mapping[int, Tuple[int, ...]]:
         """Compute the geometry of every registered node in ``now``'s
         bucket, in one pass over the grid (once per bucket: a flood
         about to ask for many neighbour tuples calls it first).
 
         Liveness is not read here: each tuple still filters by
-        ``usable`` at its first :meth:`neighbors` call.
+        ``usable`` at its first :meth:`neighbors` call.  Returned: the
+        bucket's ``usable``-filtered tuples by node id, those asked for
+        so far — what ``neighbors(node_id, now)`` answers for an id it
+        holds, until time or the registry moves.  A flood reads its
+        forwarders' tuples there and asks :meth:`neighbors` on a miss.
         """
         bucket = int(now / self._cache_resolution)
         if bucket != self._cache_bucket or self._pending_ids:
@@ -296,12 +341,17 @@ class WirelessMedium:
             geometry.update(self.spatial_grid.mutual_neighbours(
                 missing, self._nodes, self._wide_ids
             ))
+        return self._usable_tuples
+
+    def _clear_tuples(self) -> None:
+        self._usable_tuples.clear()
+        self._all_tuples.clear()
 
     def _roll(self, bucket: int, now: float) -> None:
         """Refresh the snapshot for ``now`` (in ``bucket``)."""
         if bucket != self._cache_bucket:
             # The bucket's first neighbour query: its snapshot instant.
-            self._neighbor_cache.clear()
+            self._clear_tuples()
             self._cache_bucket = bucket
         self._refresh_positions(now)  # the roll, or registered mid-bucket
 
@@ -343,6 +393,10 @@ class WirelessMedium:
     ) -> List[Tuple[int, float]]:
         """``(dst_id, distance)`` for each ``dst`` a src->dst frame
         would reach (liveness + range + link), in the order given.
+
+        A destination whose model's last answer and speed bound already
+        place it out of range is passed over unread (see the module
+        docstring).
         """
         src = self.node(src_id)
         dsts = self.resolve(dst_ids)
@@ -350,10 +404,21 @@ class WirelessMedium:
         if not src.usable:
             return out
         reach = src.transmission_range
+        limit = reach + RANGE_SLACK
+        recall = self._recall
         fault = self.link_fault
-        here = src.mobility.position(now)
-        x, y = here.x, here.y
+        x, y = src.mobility.position(now)
         for dst in dsts:
+            model = recall.get(dst.id)
+            if model is not None:
+                last_x, last_y = model.last_point
+                elapsed = now - model.last_now
+                if elapsed < 0.0:
+                    elapsed = -elapsed
+                if hypot(x - last_x, y - last_y) > (
+                    limit + model.max_speed * elapsed
+                ):
+                    continue  # even at full speed it is out of range
             if dst.usable:
                 there = dst.mobility.position(now)
                 distance = hypot(x - there.x, y - there.y)
@@ -550,21 +615,37 @@ class WirelessMedium:
 
         Only the filed radios are walked, and those found expired are
         dropped for good: ``now`` must not decrease from one call to
-        the next (simulation time does not).
+        the next (simulation time does not).  A live radio whose model's
+        last answer and speed bound already place it out of range is
+        passed over unread (see the module docstring).
         """
         node = self.node(node_id)
         reach = node.transmission_range
+        limit = reach + RANGE_SLACK
         busy = self._busy
+        recall = self._recall
         x = y = None  # the node's own position, read if a radio is busy
         count = 0
         expired = []
-        for other in busy.values():
-            if other.radio_busy_until <= now:
-                expired.append(other.id)
-            elif other is not node and other.usable:
-                if x is None:
-                    here = node.mobility.position(now)
-                    x, y = here.x, here.y
+        for other_id, other in busy.items():
+            if other._radio_busy_until <= now:
+                expired.append(other_id)
+                continue
+            if other is node:
+                continue
+            if x is None:
+                x, y = node.mobility.position(now)
+            model = recall.get(other_id)
+            if model is not None:
+                last_x, last_y = model.last_point
+                elapsed = now - model.last_now
+                if elapsed < 0.0:
+                    elapsed = -elapsed
+                if hypot(x - last_x, y - last_y) > (
+                    limit + model.max_speed * elapsed
+                ):
+                    continue  # even at full speed it is out of range
+            if other.usable:
                 there = other.mobility.position(now)
                 distance = hypot(x - there.x, y - there.y)
                 if distance <= reach and distance <= other.transmission_range:

@@ -19,7 +19,10 @@ same handful of instants thousands of times (construction runs at one
 ``now``, a maintenance round at another), so :class:`RandomWaypoint`
 remembers the last answer it gave and hands the same :class:`Point`
 back while ``now`` does not change.  The memo is exact: one entry,
-keyed on ``now`` itself, never on a time bucket.
+keyed on ``now`` itself, never on a time bucket.  It is readable
+(``last_now``, ``last_point``), and with the speed bound it places a
+node without a read: at ``now`` it is within ``max_speed * |now -
+last_now|`` of ``last_point``.
 """
 
 from __future__ import annotations
@@ -35,6 +38,10 @@ from repro.util.rng import KeyedDraws
 #: speeds are uniform from standstill up to the scenario's maximum.
 MIN_SPEED = 0.0
 
+#: ``Point``'s own constructor, less the Python frame of the
+#: ``NamedTuple``'s ``__new__``: the same value, at half the cost.
+_new_tuple = tuple.__new__
+
 
 class MobilityModel(Protocol):
     """Anything that can report a position at a given time."""
@@ -48,7 +55,12 @@ class MobilityModel(Protocol):
         answer.
 
         A model may also carry ``max_speed`` (m/s), a bound on how fast
-        its answers move; one without it is treated as unbounded.
+        its answers move; one without it is treated as unbounded.  And
+        it may keep its last answer readable, as ``last_point`` answered
+        at ``last_now`` (NaN before the first); the medium then rules
+        the node out of a range test when even ``max_speed`` cannot
+        bring it in (:meth:`WirelessMedium.contention_at`).  One with
+        either missing is always asked.
         """
         ...
 
@@ -61,12 +73,15 @@ class StaticMobility:
     #: attribute are treated as mobile.
     is_static = True
     max_speed = 0.0
+    #: Any instant: a model that never moves answered ``last_point``
+    #: at all of them.
+    last_now = 0.0
 
     def __init__(self, position: Point) -> None:
-        self._position = position
+        self.last_point = position
 
     def position(self, now: float) -> Point:
-        return self._position
+        return self.last_point
 
 
 class RandomWaypoint:
@@ -111,9 +126,10 @@ class RandomWaypoint:
         self._dx = 0.0
         self._dy = 0.0
         self._length = 0.0
-        # The last (now, position) answered; NaN never equals a query.
-        self._memo_now = math.nan
-        self._memo_point = start
+        #: The last ``now`` answered and the answer; NaN never equals
+        #: a query, and bounds no distance.
+        self.last_now = math.nan
+        self.last_point = start
         if max_speed > 0:
             self._next_leg(start, 0.0)
 
@@ -148,8 +164,8 @@ class RandomWaypoint:
         self._arrive_time = now + self._length / self._speed
 
     def position(self, now: float) -> Point:
-        if now == self._memo_now:
-            return self._memo_point
+        if now == self.last_now:
+            return self.last_point
         if self.max_speed == 0:
             return self._origin
         while now >= self._arrive_time:
@@ -163,11 +179,12 @@ class RandomWaypoint:
             point = self._target
         else:
             # Point.toward's arithmetic, in its order, on the stored
-            # leg constants: coordinates are bit-identical to it.
+            # leg constants: coordinates are bit-identical to it.  The
+            # Point is built without its Python-level ``__new__``.
             frac = travelled / length
-            point = Point(
-                origin.x + self._dx * frac, origin.y + self._dy * frac
+            point = _new_tuple(
+                Point, (origin.x + self._dx * frac, origin.y + self._dy * frac)
             )
-        self._memo_now = now
-        self._memo_point = point
+        self.last_now = now
+        self.last_point = point
         return point

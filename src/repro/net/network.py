@@ -290,27 +290,40 @@ class WirelessNetwork:
             if on_failed is not None:
                 on_failed(pkt, at_node)
 
-        def hop(index: int) -> None:
-            last = index + 1 == len(path) - 1
+        self._relay(path, 0, packet, on_delivered, path_failed)
 
-            def delivered(pkt: Packet) -> None:
-                if last:
-                    self._delivered_ctr.inc()
-                    if on_delivered is not None:
-                        on_delivered(pkt)
-                else:
-                    hop(index + 1)
+    def _relay(
+        self,
+        path: Sequence[int],
+        index: int,
+        packet: Packet,
+        on_delivered: Optional[DeliveryCallback],
+        path_failed: FailureCallback,
+    ) -> None:
+        """Send hop ``index`` of a :meth:`send_along_path` relay.
 
-            self.send(
-                path[index],
-                path[index + 1],
-                packet,
-                on_delivered=delivered,
-                on_failed=path_failed,
-                deliver_to_handler=last,
-            )
+        A delivery sends the next hop through a fresh call, so no
+        callback refers to itself and a finished relay is freed by
+        reference counting alone: no cycle is left for the collector.
+        """
+        last = index + 1 == len(path) - 1
 
-        hop(0)
+        def delivered(pkt: Packet) -> None:
+            if last:
+                self._delivered_ctr.inc()
+                if on_delivered is not None:
+                    on_delivered(pkt)
+            else:
+                self._relay(path, index + 1, packet, on_delivered, path_failed)
+
+        self.send(
+            path[index],
+            path[index + 1],
+            packet,
+            on_delivered=delivered,
+            on_failed=path_failed,
+            deliver_to_handler=last,
+        )
 
     # -- flooding -------------------------------------------------------------------
 
@@ -416,7 +429,9 @@ class WirelessNetwork:
         The medium's geometry for the bucket is surveyed first: one
         grid pass over the whole registry, each pair's distance once
         (a TTL-limited flood in a fresh bucket pays for the whole
-        field).  Liveness is each neighbour list's, read when the
+        field).  A forwarder's list is read straight from the bucket's
+        tuples the survey returns, and computed by ``neighbors`` the
+        first time.  Liveness is each neighbour list's, read when the
         forwarder's list is first asked for: a reception drains its
         battery at once, so a node the flood exhausts is gone from the
         next list computed; the ledger is charged once at the end, by
@@ -431,16 +446,19 @@ class WirelessNetwork:
                 tree[src_id] = (0, None)
                 frontier.append(src_id)
         level_sizes = [len(frontier)]
-        if frontier and ttl:
-            self.medium.survey(self.sim.now)
+        now = self.sim.now
+        medium = self.medium
+        tuples = medium.survey(now) if frontier and ttl else {}
         received: Counter = Counter()
-        table = self.medium.node_table
+        table = medium.node_table
         depth = 0
         while frontier and depth < ttl:
             depth += 1
             next_frontier: List[int] = []
             for node_id in frontier:
-                heard = self.neighbors(node_id)
+                heard = tuples.get(node_id)
+                if heard is None:
+                    heard = medium.neighbors(node_id, now)
                 received.update(heard)
                 for nb in heard:
                     table[nb].consumed_joules += RX_JOULES

@@ -112,6 +112,11 @@ def test_memoised_model_is_bit_identical_to_the_reference(seed, speeds, script):
             now += step
             got, want = new.position(now), old.position(now)
             assert (got.x, got.y) == (want.x, want.y)
+            assert type(got) is Point
+            # The memo is readable: the medium bounds a node with it
+            # (the static degenerate answers its origin, memo unread).
+            if new.max_speed:
+                assert new.last_now == now and new.last_point is got
             if now == previous_now:
                 assert got is previous_point
             previous_now, previous_point = now, got

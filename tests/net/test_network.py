@@ -1,5 +1,6 @@
 """Tests for the network facade: unicast, multi-hop relay, flooding."""
 
+import gc
 import random
 
 import pytest
@@ -150,6 +151,31 @@ class TestSendAlongPath:
         sim, net = build_line()
         with pytest.raises(NetworkError):
             net.send_along_path([], data_packet(sim))
+
+    def test_a_finished_relay_leaves_no_cycle(self):
+        """Reference counting alone frees a relay: with the collector
+        off, a delivered and a failed multi-hop relay leave nothing for
+        ``gc.collect()`` to find (a callback that refers to itself
+        would leave one cycle per relay)."""
+        sim, net = build_line(count=5)
+        net.node(3).failed = True
+        outcomes = []
+        gc.collect()
+        gc.disable()
+        try:
+            net.send_along_path(
+                [0, 1, 2], data_packet(sim),
+                on_delivered=lambda pkt: outcomes.append("delivered"),
+            )
+            net.send_along_path(
+                [0, 1, 2, 3, 4], data_packet(sim),
+                on_failed=lambda pkt, at: outcomes.append(at),
+            )
+            sim.run_until(1.0)
+            assert sorted(outcomes, key=str) == [2, "delivered"]
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 class TestFlood:

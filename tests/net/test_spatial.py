@@ -500,8 +500,8 @@ class TestGeometryPerSnapshot:
 class TestAddNodeInvalidation:
     """Regression: a node added mid-bucket must be immediately visible.
 
-    Before the spatial-index PR, ``add_node`` did not invalidate
-    ``_neighbor_cache``, so a node added mid-bucket (e.g. vertex
+    Before the spatial-index PR, ``add_node`` did not invalidate the
+    neighbour cache, so a node added mid-bucket (e.g. vertex
     replacement in ``core/maintenance``) was invisible to neighbour
     queries until the next 0.25 s bucket.
     """
