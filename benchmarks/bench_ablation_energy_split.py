@@ -88,7 +88,6 @@ def test_energy_split(benchmark):
 
     # REFER: data transmission dominates; floods are zero by design —
     # exactly 0.0 (no flood events at all), not approximately.
-    # referlint: disable-next-line=REF004
     assert table["REFER"].get("flood", 0.0) == 0.0
     assert share("REFER", "data") > 0.5
     # DaTree under mobility: repair flooding dominates its budget.

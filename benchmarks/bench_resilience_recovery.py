@@ -70,7 +70,6 @@ def test_resilience_recovery(benchmark):
 
     # REFER repairs locally: no route-discovery floods, ever — flood
     # energy is exactly 0.0 by construction, not approximately.
-    # referlint: disable-next-line=REF004
     assert all(c.flood_comm_energy_j == 0.0 for c in refer)
     # Every flooding baseline pays comm-phase flood energy under at
     # least one fault class; trees pay under all of them.

@@ -5,37 +5,25 @@ simulations must be bit-reproducible (all randomness through
 ``RngStreams``, all time through the sim clock) and failures must stay
 typed (``repro.errors``) rather than being silently swallowed.  This
 package is the static-analysis pass that keeps every PR honest about
-them: a tiny, stdlib-only lint framework (single-parse multi-rule
-driver, inline suppressions) plus the REFER rule pack — ten rules that
-each match one expression of one file (see
-:mod:`repro.devtools.rulepack`).  What a run *does* is guarded
-dynamically: the pinned digests, their hash-seed twin and the
+them, stdlib only: nine rules, each a function matching one expression
+of one file (:data:`RULES`, in :mod:`repro.devtools.rulepack`), a
+driver that walks each file once, and one exact allow-list for the
+findings kept on purpose (:data:`ALLOWED`).  What a run *does* is
+guarded dynamically: the pinned digests, their hash-seed twin and the
 first-divergence debugger (:mod:`repro.devtools.divergence`).
 
 Run it as a CLI::
 
-    python -m repro.devtools.lint src tests
+    python -m repro.devtools.lint
 
 or from code::
 
     from repro.devtools import lint_paths
-    findings = lint_paths(["src"])
+    problems = lint_paths(["src"])
 """
 
-from repro.devtools.driver import lint_file, lint_paths, lint_source
-from repro.devtools.findings import ERROR, WARNING, Finding
-from repro.devtools.rules import REGISTRY, Rule, RuleContext, all_rules, register
+from repro.devtools.driver import ALLOWED, lint_paths, lint_source
+from repro.devtools.findings import Finding
+from repro.devtools.rulepack import RULES
 
-__all__ = [
-    "ERROR",
-    "Finding",
-    "REGISTRY",
-    "Rule",
-    "RuleContext",
-    "WARNING",
-    "all_rules",
-    "lint_file",
-    "lint_paths",
-    "lint_source",
-    "register",
-]
+__all__ = ["ALLOWED", "Finding", "RULES", "lint_paths", "lint_source"]

@@ -290,13 +290,12 @@ def main(argv: Optional[List[str]] = None) -> int:
         tracer.stop()
     report = tracer.report()
     # Developer CLI: the coverage report goes to the terminal by design.
-    print(  # referlint: disable=REF007
+    print(
         format_report(report, package_root, verbose=args.report)
     )
     if exit_code != 0:
         return exit_code
     if report.percent < args.fail_under:
-        # referlint: disable-next-line=REF007  (CLI gate message)
         print(
             f"coverage gate: {report.percent:.1f}% "
             f"< --fail-under {args.fail_under:.1f}%"

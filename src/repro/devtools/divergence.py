@@ -380,7 +380,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         else render_verdict(verdict)
     )
     # This *is* the divergence CLI — the verdict goes to stdout.
-    print(output)  # referlint: disable=REF007
+    print(output)
     return 0 if verdict["identical"] else 2
 
 

@@ -1,57 +1,51 @@
-"""The single-parse, multi-rule lint driver.
+"""The referlint driver: one parse and one walk per file, one allow-list.
 
-Each file is read and parsed **once**; every AST node is dispatched to
-every registered rule that declared interest in its type, then each
-rule gets a whole-module ``finish`` pass.  Files are linted one at a
-time and share nothing: a finding depends on the file it is in and on
-that file's path, so linting a tree is linting each of its files.
+Each file is parsed once and walked once; its nodes are bucketed by
+type, and every rule of :data:`repro.devtools.rulepack.RULES` whose
+scope admits the file's path reads the buckets it needs.  Files are
+linted one at a time and share nothing: a finding depends on the file
+it is in and on that file's path, so linting a tree is linting each of
+its files.  A file that does not parse raises ``SyntaxError`` naming
+the file and line.
 
-The driver also implements inline suppressions::
-
-    risky_call()  # referlint: disable=REF001
-    # referlint: disable-next-line=REF002,REF004
-    t = wall_clock()
-    anything_at_all()  # referlint: disable
-
-A bare ``disable`` (no ``=RULES``) suppresses every rule on that line.
-Directives are read from real comment tokens only (a ``# referlint:``
-inside an f-string or other literal is data, not a directive), and
-``disable-next-line`` covers the whole statement that starts on the
-next line — findings anchored to the later physical lines of a
-multi-line call are suppressed too.
-
-Files that fail to parse produce a single :data:`PARSE_ERROR` finding
-instead of crashing the run — a broken file must fail CI, not the
-linter.
+There is no suppression syntax.  The findings the tree keeps on
+purpose are :data:`ALLOWED`, counted per file and rule and compared
+exactly, the way the package's keep lists are: a new finding fails,
+and so does an entry whose site went away.
 """
 
-from __future__ import annotations
-
 import ast
-import io
 import os
-import re
-import tokenize
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple, Type
+from collections import Counter, defaultdict
+from pathlib import PurePosixPath
+from typing import Iterable, Iterator, List
 
 from repro.devtools.findings import Finding
-from repro.devtools.rules import Rule, RuleContext, all_rules
+from repro.devtools.rulepack import RULES
 
-#: Pseudo-rule id for files the driver could not parse.
-PARSE_ERROR = "REF000"
+#: What the CLI and the tier-1 gate lint: every tree the package's keep
+#: rules scan.
+DEFAULT_PATHS = ("src", "tests", "benchmarks", "examples")
+
+#: The findings kept on purpose: ``(path suffix, rule id) -> count``.
+ALLOWED = {
+    # The campaign supervisor's worker deadlines are host-process time:
+    # one read arms a deadline, two read the clock the pool waits
+    # against.  None of them enters simulated time.
+    ("repro/experiments/parallel.py", "REF002"): 3,
+    # The report CLI: the report and its --wall profile go to stdout.
+    ("repro/telemetry/report.py", "REF007"): 2,
+    # The coverage CLI: the table and the gate message go to stdout.
+    ("repro/devtools/cover.py", "REF007"): 2,
+    # The divergence CLI: the verdict goes to stdout.
+    ("repro/devtools/divergence.py", "REF007"): 1,
+}
 
 #: Directories never descended into when expanding path arguments.
-_SKIP_DIRS = {"__pycache__", ".git", ".hg", ".tox", ".venv", "node_modules"}
-
-_SUPPRESS_RE = re.compile(
-    r"#\s*referlint:\s*(disable(?:-next-line)?)\s*(?:=\s*([A-Za-z0-9_,\s]+))?"
-)
-
-#: Sentinel meaning "every rule" in the suppression map.
-_ALL = "*"
+_SKIP_DIRS = {"__pycache__", "node_modules"}
 
 
-def iter_python_files(paths: Sequence[str]) -> Iterator[str]:
+def iter_python_files(paths: Iterable[str]) -> Iterator[str]:
     """Expand files/directories into a sorted stream of ``.py`` paths."""
     for path in paths:
         if os.path.isdir(path):
@@ -67,153 +61,50 @@ def iter_python_files(paths: Sequence[str]) -> Iterator[str]:
             yield path
 
 
-def _comment_lines(source: str) -> List[Tuple[int, str]]:
-    """``(line, text)`` for every real comment token in ``source``.
-
-    Tokenising (rather than regex-scanning raw lines) is what keeps a
-    ``# referlint:`` spelled inside an f-string or docstring from being
-    honoured as a directive.  Sources that cannot be tokenised fall
-    back to raw lines — they produce a parse-error finding anyway.
-    """
-    try:
-        return [
-            (token.start[0], token.string)
-            for token in tokenize.generate_tokens(
-                io.StringIO(source).readline
-            )
-            if token.type == tokenize.COMMENT
-        ]
-    except (tokenize.TokenError, IndentationError, SyntaxError):
-        return list(enumerate(source.splitlines(), start=1))
-
-
-def suppressions_by_line(
-    source: str, tree: Optional[ast.Module] = None
-) -> Dict[int, Set[str]]:
-    """Map 1-based line number → set of suppressed rule ids (or ``*``).
-
-    With ``tree`` provided, ``disable-next-line`` directives expand
-    over the whole statement beginning on the following line, so a
-    finding anchored inside a multi-line call is still suppressed.
-    """
-    table: Dict[int, Set[str]] = {}
-    next_line: Dict[int, Set[str]] = {}
-    for lineno, text in _comment_lines(source):
-        for match in _SUPPRESS_RE.finditer(text):
-            directive, rule_list = match.groups()
-            rules = (
-                {r.strip().upper() for r in rule_list.split(",") if r.strip()}
-                if rule_list
-                else {_ALL}
-            )
-            if directive.endswith("next-line"):
-                next_line.setdefault(lineno + 1, set()).update(rules)
-            else:
-                table.setdefault(lineno, set()).update(rules)
-    if next_line:
-        spans: Dict[int, int] = {}
-        if tree is not None:
-            for node in ast.walk(tree):
-                if isinstance(node, ast.stmt):
-                    end = getattr(node, "end_lineno", None) or node.lineno
-                    spans[node.lineno] = max(
-                        spans.get(node.lineno, node.lineno), end
-                    )
-        for target, rules in next_line.items():
-            for line in range(target, spans.get(target, target) + 1):
-                table.setdefault(line, set()).update(rules)
-    return table
-
-
-def _is_suppressed(finding: Finding, table: Dict[int, Set[str]]) -> bool:
-    suppressed = table.get(finding.line)
-    if not suppressed:
-        return False
-    return _ALL in suppressed or finding.rule_id in suppressed
-
-
-def _parse_error_finding(path: str, exc: SyntaxError) -> Finding:
-    return Finding(
-        path=path,
-        line=exc.lineno or 1,
-        col=(exc.offset or 1),
-        rule_id=PARSE_ERROR,
-        message=f"file does not parse: {exc.msg}",
+def lint_source(source: str, path: str) -> List[Finding]:
+    """Every finding in one module, sorted; ``path`` picks the rules."""
+    path = PurePosixPath(path.replace("\\", "/")).as_posix()
+    nodes = defaultdict(list)
+    for node in ast.walk(ast.parse(source, filename=path)):
+        nodes[type(node)].append(node)
+    return sorted(
+        Finding(path, node.lineno, node.col_offset + 1, rule_id, message)
+        for rule_id, applies, check in RULES
+        if applies(path)
+        for node, message in check(nodes)
     )
 
 
-def _lint_tree(
-    tree: ast.Module,
-    ctx: RuleContext,
-    rules: Sequence[Rule],
-) -> List[Finding]:
-    """Run ``rules`` over an already-parsed module."""
-    active = [rule for rule in rules if rule.applies_to(ctx)]
-    dispatch: Dict[Type[ast.AST], List[Rule]] = {}
-    for rule in active:
-        for node_type in rule.node_types:
-            dispatch.setdefault(node_type, []).append(rule)
-    if dispatch:
-        for node in ast.walk(tree):
-            for rule in dispatch.get(type(node), ()):
-                rule.visit(node, ctx)
-    for rule in active:
-        rule.finish(tree, ctx)
-    table = suppressions_by_line(ctx.source, tree)
-    return sorted(f for f in ctx.findings if not _is_suppressed(f, table))
+def lint_paths(paths: Iterable[str]) -> List[str]:
+    """Lint every ``.py`` file under ``paths`` against :data:`ALLOWED`.
 
-
-def lint_source(
-    source: str,
-    path: str,
-    rules: Optional[Sequence[Rule]] = None,
-) -> List[Finding]:
-    """Lint one in-memory module; ``path`` scopes path-sensitive rules."""
-    ctx = RuleContext(path, source)
-    if rules is None:
-        rules = all_rules()
-    try:
-        tree = ast.parse(source)
-    except SyntaxError as exc:
-        return [_parse_error_finding(ctx.path, exc)]
-    return _lint_tree(tree, ctx, rules)
-
-
-def lint_file(
-    path: str,
-    rules: Optional[Sequence[Rule]] = None,
-) -> List[Finding]:
-    """Lint one file on disk (read errors become findings, not crashes)."""
-    display = os.path.relpath(path) if not os.path.isabs(path) else path
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            source = handle.read()
-    except (OSError, UnicodeDecodeError) as exc:
-        return [
-            Finding(
-                path=RuleContext(display, "").path,
-                line=1,
-                col=1,
-                rule_id=PARSE_ERROR,
-                message=f"file is unreadable: {exc}",
-            )
-        ]
-    return lint_source(source, display, rules)
-
-
-def lint_paths(
-    paths: Iterable[str],
-    rules: Optional[Sequence[Rule]] = None,
-) -> List[Finding]:
-    """Lint every ``.py`` file under ``paths``; findings sorted for output.
-
-    Rule instances are shared across files (rules are stateless between
-    files by construction — all per-file state lives in the context),
-    so the registry is consulted once per run, not once per file.
+    Returns the problems, one line each; empty means clean.  For every
+    file and rule whose count of findings is not the allowed count (0
+    when unlisted) the lines are those findings, plus, for a listed
+    pair, one naming both counts — so a stale entry fails too.
     """
-    if rules is None:
-        rules = all_rules()
-    findings: List[Finding] = []
-    for path in iter_python_files(list(paths)):
-        findings.extend(lint_file(path, rules))
-    return sorted(findings)
+    problems: List[str] = []
+    for path in iter_python_files(paths):
+        with open(path, encoding="utf-8") as handle:
+            findings = lint_source(handle.read(), path)
+        key = "/" + path.replace("\\", "/")
+        allowed = {
+            rule_id: count
+            for (suffix, rule_id), count in ALLOWED.items()
+            if key.endswith("/" + suffix)
+        }
+        found = Counter(finding.rule_id for finding in findings)
+        for rule_id in sorted(set(found) | set(allowed)):
+            if found[rule_id] == allowed.get(rule_id, 0):
+                continue
+            problems.extend(
+                finding.format_text()
+                for finding in findings
+                if finding.rule_id == rule_id
+            )
+            if rule_id in allowed:
+                problems.append(
+                    f"{path}: {rule_id} allowed {allowed[rule_id]} "
+                    f"time(s), found {found[rule_id]}"
+                )
+    return problems

@@ -408,9 +408,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     else:
         result = run_scenario(args.system, config)
     # This *is* the report CLI — rendering to stdout is its contract.
-    print(render(result), end="")  # referlint: disable=REF007
+    print(render(result), end="")
     if args.wall:
-        print(  # referlint: disable=REF007
+        print(
             "\n" + wall_profile(pstats.Stats(profile)), end=""
         )
 

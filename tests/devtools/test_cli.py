@@ -1,4 +1,4 @@
-"""CLI semantics: exit codes, output format, rule selection, planted violations.
+"""CLI semantics: exit codes, output format, default paths, planted violations.
 
 Runs :func:`repro.devtools.lint.main` in-process (capturing stdout) —
 the same code path ``python -m repro.devtools.lint`` executes.
@@ -32,7 +32,7 @@ def plant_violation(tree):
 class TestExitCodes:
     def test_clean_tree_exits_zero(self, tree, capsys):
         assert main(["src"]) == 0
-        assert "0 finding(s)" in capsys.readouterr().out
+        assert "0 problem(s)" in capsys.readouterr().out
 
     def test_planted_ref001_violation_fails_cli(self, tree, capsys):
         plant_violation(tree)
@@ -45,11 +45,23 @@ class TestExitCodes:
         assert main(["no/such/dir"]) == 2
 
     def test_unknown_rule_id_is_usage_error(self, tree, capsys):
+        # The CLI takes paths only: the old --select flag is no path.
         assert main(["--select", "REF999", "src"]) == 2
 
     def test_syntax_error_fails_the_run(self, tree):
         (tree / "src" / "repro" / "net" / "broken.py").write_text("def (:\n")
-        assert main(["src"]) == 1
+        with pytest.raises(SyntaxError, match="broken.py"):
+            main(["src"])
+
+    def test_default_paths_are_the_four_trees(self, tree, capsys):
+        for top in ("tests", "benchmarks", "examples"):
+            (tree / top).mkdir()
+        assert main([]) == 0
+        (tree / "examples" / "demo.py").write_text(
+            "import random\nrandom.seed(1)\n"
+        )
+        assert main([]) == 1
+        assert "examples/demo.py:2:1: REF001" in capsys.readouterr().out
 
 
 class TestFormats:
@@ -58,27 +70,12 @@ class TestFormats:
         main(["src"])
         first = capsys.readouterr().out.splitlines()[0]
         assert first.startswith("src/repro/net/bad.py:2:")
-        assert "REF001 error:" in first
-
-    def test_list_rules_prints_the_pack(self, tree, capsys):
-        assert main(["--list-rules"]) == 0
-        out = capsys.readouterr().out
-        assert [line.split()[0] for line in out.splitlines()] == [
-            "REF000", "REF001", "REF002", "REF003", "REF004", "REF005",
-            "REF006", "REF007", "REF009", "REF010",
-        ]
-
-
-class TestSelect:
-    def test_select_runs_only_named_rules(self, tree, capsys):
-        plant_violation(tree)
-        assert main(["--select", "REF002", "src"]) == 0
-        assert main(["--select", "REF001", "src"]) == 1
+        assert "REF001 call to global random.random()" in first
 
 
 class TestModuleInvocation:
     def test_python_dash_m_entry_point(self, tree):
-        # The real subprocess invocation CI uses.
+        # The real subprocess invocation.
         import subprocess
         import sys
 

@@ -1,64 +1,15 @@
-"""Framework semantics: suppressions, ordering, bad files."""
+"""Driver semantics: file discovery, ordering, bad files, the allow-list."""
 
-import ast
+import pytest
 
-from repro.devtools import (
-    Finding,
-    Rule,
-    RuleContext,
-    lint_file,
-    lint_paths,
-    lint_source,
-)
-from repro.devtools.driver import PARSE_ERROR, iter_python_files
+from repro.devtools import lint_paths, lint_source
+from repro.devtools.driver import iter_python_files
+from repro.devtools.rules import protocol_code
 
 LIB = "src/repro/net/example.py"
 
 
-class TestSuppressions:
-    def test_same_line_disable_specific_rule(self):
-        source = "import random\nx = random.random()  # referlint: disable=REF001\n"
-        assert lint_source(source, LIB) == []
-
-    def test_disable_is_rule_specific(self):
-        source = "import random\nx = random.random()  # referlint: disable=REF002\n"
-        assert [f.rule_id for f in lint_source(source, LIB)] == ["REF001"]
-
-    def test_bare_disable_suppresses_all_rules(self):
-        source = "import time\nt = time.time()  # referlint: disable\n"
-        assert lint_source(source, LIB) == []
-
-    def test_disable_next_line(self):
-        source = (
-            "import random\n"
-            "# referlint: disable-next-line=REF001\n"
-            "x = random.random()\n"
-        )
-        assert lint_source(source, LIB) == []
-
-    def test_disable_several_rules_in_one_comment(self):
-        source = (
-            "import random, time\n"
-            "x = random.random() + time.time()"
-            "  # referlint: disable=REF001, REF002\n"
-        )
-        assert lint_source(source, LIB) == []
-
-    def test_suppression_only_covers_its_line(self):
-        source = (
-            "import random\n"
-            "a = random.random()  # referlint: disable=REF001\n"
-            "b = random.random()\n"
-        )
-        findings = lint_source(source, LIB)
-        assert [(f.rule_id, f.line) for f in findings] == [("REF001", 3)]
-
-
 class TestDriver:
-    def test_syntax_error_becomes_parse_finding(self):
-        findings = lint_source("def broken(:\n", LIB)
-        assert [f.rule_id for f in findings] == [PARSE_ERROR]
-
     def test_findings_sorted_by_location(self, tmp_path):
         pkg = tmp_path / "src" / "repro" / "net"
         pkg.mkdir(parents=True)
@@ -66,10 +17,10 @@ class TestDriver:
         (pkg / "a.py").write_text(
             "import time\nt = time.time()\nu = time.time()\n"
         )
-        findings = lint_paths([str(tmp_path)])
-        keys = [(f.path, f.line) for f in findings]
-        assert keys == sorted(keys)
-        assert len(findings) == 3
+        problems = lint_paths([str(tmp_path)])
+        keys = [line.split(":")[:2] for line in problems]
+        assert keys == sorted(keys, key=lambda k: (k[0], int(k[1])))
+        assert len(problems) == 3
 
     def test_iter_python_files_skips_pycache(self, tmp_path):
         good = tmp_path / "m.py"
@@ -83,34 +34,57 @@ class TestDriver:
         target = tmp_path / "src" / "repro" / "net" / "m.py"
         target.parent.mkdir(parents=True)
         target.write_text("import random\nrandom.seed(0)\n")
-        findings = lint_file(str(target))
-        assert [f.rule_id for f in findings] == ["REF001"]
+        problems = lint_paths([str(target)])
+        assert [line.split()[1] for line in problems] == ["REF001"]
 
-    def test_unreadable_file_becomes_finding(self, tmp_path):
-        findings = lint_file(str(tmp_path / "missing.py"))
-        assert [f.rule_id for f in findings] == [PARSE_ERROR]
-
-    def test_custom_rule_and_finish_hook(self):
-        class CountCalls(Rule):
-            rule_id = "TST001"
-            title = "test rule"
-            node_types = (ast.Call,)
-
-            def __init__(self):
-                self.calls = 0
-
-            def visit(self, node, ctx):
-                self.calls += 1
-
-            def finish(self, tree, ctx):
-                ctx.report(self, tree.body[0], f"saw {self.calls} calls")
-
-        findings = lint_source("f()\ng()\n", "m.py", rules=[CountCalls()])
-        assert len(findings) == 1
-        assert findings[0].message == "saw 2 calls"
+    def test_a_file_that_does_not_parse_raises_naming_it(self):
+        with pytest.raises(SyntaxError) as error:
+            lint_source("x = 1\ndef broken(:\n", LIB)
+        assert error.value.filename == LIB
+        assert error.value.lineno == 2
 
     def test_rule_scoping_uses_context(self):
-        ctx = RuleContext("src/repro/wsan/x.py", "")
-        assert ctx.in_directory("wsan")
-        assert not ctx.in_directory("sim", "net", "core")
-        assert not ctx.is_test_file
+        assert protocol_code("src/repro/wsan/x.py")
+        assert not protocol_code("src/repro/experiments/figures.py")
+        assert not protocol_code("tests/wsan/x.py")
+
+
+class TestAllowList:
+    """The allow-list is compared exactly, per file and rule: the
+    divergence CLI may print its verdict once."""
+
+    SITE = "src/repro/devtools/divergence.py"
+
+    def lint_site(self, tmp_path, source):
+        target = tmp_path / self.SITE
+        target.parent.mkdir(parents=True)
+        target.write_text(source)
+        return str(target), lint_paths([str(tmp_path)])
+
+    def test_the_allowed_findings_pass(self, tmp_path):
+        _, problems = self.lint_site(tmp_path, "print(verdict)\n")
+        assert problems == []
+
+    def test_a_planted_violation_fails(self, tmp_path):
+        path, problems = self.lint_site(
+            tmp_path, "print(verdict)\nprint(progress)\n"
+        )
+        message = (
+            "REF007 print() in protocol code; record through the "
+            "telemetry registry / flight recorder instead"
+        )
+        assert problems == [
+            f"{path}:1:1: {message}",
+            f"{path}:2:1: {message}",
+            f"{path}: REF007 allowed 1 time(s), found 2",
+        ]
+
+    def test_a_planted_violation_of_another_rule_fails(self, tmp_path):
+        _, problems = self.lint_site(
+            tmp_path, "import random\nprint(verdict)\nrandom.seed(1)\n"
+        )
+        assert [line.split()[1] for line in problems] == ["REF001"]
+
+    def test_a_removed_allowed_site_fails(self, tmp_path):
+        path, problems = self.lint_site(tmp_path, "verdict = 1\n")
+        assert problems == [f"{path}: REF007 allowed 1 time(s), found 0"]

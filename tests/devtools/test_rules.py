@@ -2,7 +2,8 @@
 
 Each rule gets at least one snippet it must flag and one it must not.
 Snippets are linted as in-memory sources with a path chosen to land in
-(or out of) the rule's scope.
+(or out of) the rule's scope.  ``TestDesignSeededBugs`` holds the three
+bugs of DESIGN.md's seeded-bug table the rules catch.
 """
 
 import pytest
@@ -82,6 +83,23 @@ class TestRef002WallClock:
         findings = lint("from time import perf_counter, sleep\n", path=UTIL)
         assert ids(findings) == ["REF002"]
         assert "perf_counter" in findings[0].message
+
+    @pytest.mark.parametrize(
+        "name",
+        [
+            "process_time_ns", "thread_time", "thread_time_ns",
+            "clock_gettime", "clock_gettime_ns",
+        ],
+    )
+    @pytest.mark.parametrize(
+        "form",
+        ["import time\nt = time.{}(0)\n", "from time import {}\n"],
+        ids=["call", "from-import"],
+    )
+    def test_flags_every_host_clock(self, name, form):
+        findings = lint(form.format(name))
+        assert ids(findings) == ["REF002"]
+        assert name in findings[0].message
 
     def test_allows_from_time_import_sleep(self):
         assert lint("from time import sleep\n") == []
@@ -275,6 +293,18 @@ class TestRef007PrintInProtocolCode:
         path = "src/repro/devtools/cover.py"
         assert ids(lint("print(1)\n", path=path)) == ["REF007"]
 
+    @pytest.mark.parametrize(
+        "path",
+        [
+            "src/repro/qos/example.py",
+            "src/repro/devtools/divergence.py",
+            "src/repro/experiments/parallel.py",
+            "src/repro/experiments/journal.py",
+        ],
+    )
+    def test_flags_print_in_the_other_stdout_free_files(self, path):
+        assert ids(lint("print(1)\n", path=path)) == ["REF007"]
+
     def test_allows_print_outside_protocol_dirs(self):
         # The experiments/figures/report CLIs render to stdout by design.
         assert lint("print('table')\n", path="src/repro/experiments/figures.py") == []
@@ -386,7 +416,12 @@ class TestRef010IdentityAndHash:
 class TestScopeClassification:
     @pytest.mark.parametrize(
         "path",
-        ["tests/net/x.py", "src/repro/net/test_thing.py", "conftest.py"],
+        [
+            "tests/net/x.py",
+            "src/repro/net/test_thing.py",
+            "conftest.py",
+            "benchmarks/bench_thing.py",
+        ],
     )
     def test_test_paths_skip_library_rules(self, path):
         assert lint_source("x = 1.0 == y\n", path) == []
@@ -395,3 +430,38 @@ class TestScopeClassification:
         findings = lint_source("x = y == 0.0\n", "src\\repro\\net\\m.py")
         assert ids(findings) == ["REF004"]
         assert findings[0].path == "src/repro/net/m.py"
+
+
+class TestDesignSeededBugs:
+    """Rows 9–11 of DESIGN.md's table "What guards determinism", each
+    at the file it was seeded into."""
+
+    @pytest.mark.parametrize(
+        "source,path,rule_id",
+        [
+            pytest.param(
+                "import time\n"
+                "def host_jitter():\n"
+                "    return time.perf_counter() % 1\n",
+                "src/repro/util/hostclock.py",
+                "REF002",
+                id="row9-host-clock-helper",
+            ),
+            pytest.param(
+                "def order(reachable):\n"
+                "    return sorted(reachable, key=id)\n",
+                "src/repro/core/routing.py",
+                "REF010",
+                id="row10-key-id",
+            ),
+            pytest.param(
+                "import random\n"
+                "hello_jitter = random.Random(7)\n",
+                "src/repro/baselines/datree.py",
+                "REF009",
+                id="row11-ad-hoc-generator",
+            ),
+        ],
+    )
+    def test_flags(self, source, path, rule_id):
+        assert ids(lint(source, path=path)) == [rule_id]

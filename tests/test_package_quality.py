@@ -83,17 +83,19 @@ def test_no_module_requires_third_party_runtime_deps():
 def test_referlint_reports_zero_new_findings():
     """The repo-cleanliness gate: the tree passes its own linter.
 
-    Lints ``src`` and ``tests`` with the full REFER rule pack and fails
-    on any finding — so a planted violation (say, a raw
-    ``random.random()`` call in ``src/repro/net/``) fails the suite,
-    not just the CLI.
+    Lints the four trees the keep rules below scan with every rule and
+    fails unless the findings are exactly the allow-list's
+    (``repro.devtools.driver.ALLOWED``, compared per file and rule) —
+    so a planted violation (say, a raw ``random.random()`` call in
+    ``src/repro/net/``) fails the suite, and so does an allowed site
+    that went away, even with its whole file.
     """
-    from repro.devtools import lint_paths
+    from repro.devtools.driver import ALLOWED, DEFAULT_PATHS, lint_paths
 
-    findings = lint_paths([str(REPO_ROOT / "src"), str(REPO_ROOT / "tests")])
-    assert findings == [], "referlint findings:\n" + "\n".join(
-        f.format_text() for f in findings
-    )
+    problems = lint_paths([str(REPO_ROOT / top) for top in DEFAULT_PATHS])
+    assert problems == [], "referlint:\n" + "\n".join(problems)
+    gone = [suffix for suffix, _ in ALLOWED if not (SRC / suffix).is_file()]
+    assert not gone, f"allow-list names files that are gone: {gone}"
 
 
 def test_public_classes_have_docstrings():
@@ -327,17 +329,6 @@ class _NameScan(ast.NodeVisitor):
         )
 
 
-def _registered(node):
-    """Whether a decorator files ``node`` somewhere (referlint's
-    ``@register``): the registry is its caller."""
-    for decorator in node.decorator_list:
-        if isinstance(decorator, ast.Call):
-            decorator = decorator.func
-        if isinstance(decorator, ast.Name) and decorator.id == "register":
-            return True
-    return False
-
-
 def _library_definitions(scan):
     """``(key, node)`` of every definition under ``src/repro`` the keep
     rules apply to: those outside the ``AWAITING_DELETION`` files."""
@@ -383,8 +374,8 @@ def test_every_definition_is_reached_by_name():
     method, property or class stays only if its name is used, outside
     its own definition, as a name, an attribute or a string constant in
     ``src``, ``benchmarks`` or ``examples`` (CI runs the examples).
-    ``__all__`` entries and imports do not count; a definition a
-    decorator registers does, and dunders are exempt.
+    ``__all__`` entries and imports do not count, and dunders are
+    exempt.
 
     The match is on the name alone, whatever the owner: a ``reset``
     method is reached by any ``.reset`` anywhere.  So an unreached
@@ -396,9 +387,7 @@ def test_every_definition_is_reached_by_name():
     unreached = sorted(
         key
         for key, node in _library_definitions(scan)
-        if not _dunder(node.name)
-        and not _registered(node)
-        and not scan.reached(node)
+        if not _dunder(node.name) and not scan.reached(node)
     )
     assert len(scan.definitions) > 500, "the scan lost the definitions"
     assert unreached == sorted(KEPT_FOR_TESTS), (

@@ -1,0 +1,115 @@
+"""Removed surface stays removed: names a simplification deleted do not
+come back.
+
+One row per removed surface: a regular expression, whether it must
+match whole words only (grep's ``-w``), and the roots searched.  A
+directory is searched recursively, every file but ``__pycache__``; a
+file is searched as itself; ``benchmarks/*.py`` is that directory's top
+level only (``benchmarks/e2e`` belongs to the benchmark, and its
+``workloads.py`` still names ``EngineConfig``).  This file spells every
+name, so it is skipped.
+"""
+
+import pathlib
+import re
+
+import pytest
+
+REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
+THIS_FILE = pathlib.Path(__file__).resolve()
+
+ROWS = [
+    pytest.param(
+        r"EngineConfig|PacketPool|CalendarQueue|InternedKautzSpace"
+        r"|use_spatial_index|spatial_index=",
+        False,
+        ("src", "benchmarks/*.py", "tests"),
+        id="one-engine",
+    ),
+    pytest.param(
+        r"parallel_campaign|parallel_resilience_campaign|WorkerFaultInjector"
+        r"|FIGURE_FUNCTIONS|backoff_base_s|jitter_frac|supervisor_seed"
+        r"|fig[0-9]+_[a-z_]+_vs_[a-z]+\(",
+        False,
+        ("src", "benchmarks/*.py", "tests", "examples"),
+        id="one-way-to-run-a-grid",
+    ),
+    pytest.param(
+        r"KNOWN_STREAM_NAMES|module_flow|_FlowRule|prune-baseline"
+        r"|referlint-baseline"
+        r"|devtools\.(dataflow|scopes|callgraph|flowpack|baseline)",
+        False,
+        ("src", "tests", "benchmarks/*.py", "CONTRIBUTING.md", "docs"),
+        id="one-kind-of-rule",
+    ),
+    pytest.param(
+        r"\.asleep\b",
+        False,
+        ("src", "tests", "docs"),
+        id="sleep-is-bookkeeping",
+    ),
+    pytest.param(
+        r"MacConfig|ReferConfig|adaptive_timeout|fixed_timeout|priority_mac"
+        r"|heal_can|flight_capacity|probe_window|sources_per_window"
+        r"|EnergyModel|energy_model",
+        True,
+        ("src", "tests", "benchmarks/*.py", "examples", "docs"),
+        id="held-fixed-stays-constant",
+    ),
+    pytest.param(
+        r"usable_only",
+        False,
+        ("src",),
+        id="one-neighbour-geometry",
+    ),
+    pytest.param(
+        r"wall_hotspots|wall_clock=|RetryPolicy|HashRing|\.within_range\("
+        r"|validate_payload|PAYLOAD_VERSION|record_failed|JournalEntry"
+        r"|_RECOVERY_INT_FIELDS|CountDraw|EligibleDraw|initial_delays"
+        r"|all_delay|count=lambda",
+        False,
+        ("src", "tests", "benchmarks/*.py", "examples", "docs"),
+        id="no-removed-surface",
+    ),
+    pytest.param(
+        r"referlint: disable|REGISTRY|all_rules|list-rules|PARSE_ERROR"
+        r"|SEVERITIES",
+        True,
+        (
+            "src", "tests", "benchmarks/*.py", "examples", "docs",
+            "CONTRIBUTING.md", ".claude",
+        ),
+        id="one-static-guard",
+    ),
+]
+
+
+def _files(root):
+    if "*" in root:
+        return sorted(REPO_ROOT.glob(root))
+    path = REPO_ROOT / root
+    if path.is_dir():
+        return sorted(
+            p for p in path.rglob("*")
+            if p.is_file() and "__pycache__" not in p.parts
+        )
+    return [path] if path.is_file() else []
+
+
+@pytest.mark.parametrize("pattern,whole_words,roots", ROWS)
+def test_removed_names_stay_removed(pattern, whole_words, roots):
+    if whole_words:
+        pattern = rf"(?<!\w)(?:{pattern})(?!\w)"
+    regex = re.compile(pattern)
+    hits = [
+        f"{path.relative_to(REPO_ROOT)}:{number}: {line.strip()}"
+        for root in roots
+        for path in _files(root)
+        if path != THIS_FILE
+        for number, line in enumerate(
+            path.read_text(encoding="utf-8", errors="replace").splitlines(),
+            start=1,
+        )
+        if regex.search(line)
+    ]
+    assert not hits, "removed surface is back:\n" + "\n".join(hits)
