@@ -181,10 +181,7 @@ class TopologyMaintenance:
                 >= BATTERY_THRESHOLD
             )
         current_quality = min(
-            (
-                self.network.medium.link_quality(node_id, nb, now)
-                for nb in neighbors
-            ),
+            self.network.medium.link_margins(node_id, neighbors, now),
             default=1.0,
         )
         # A vertex is *broken* when the node itself is gone or a Kautz

@@ -15,6 +15,7 @@ delivers within the destination cell.
 from __future__ import annotations
 
 from functools import partial
+from math import hypot, inf
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.core.cell import EmbeddedCell
@@ -242,7 +243,8 @@ class ReferRouter:
         With a healer installed, actuators the failure detector has
         condemned are skipped so traffic re-aims at a live collection
         point; if every actuator of the cell is suspected the full set
-        is used (best effort beats a guaranteed drop).
+        is used (best effort beats a guaranteed drop).  Of equally
+        near actuators the first in ``actuator_kids`` order wins.
         """
         actuators = [cell.node_of(kid) for kid in cell.actuator_kids]
         if self._healer is not None:
@@ -251,12 +253,15 @@ class ReferRouter:
             ]
             if live:
                 actuators = live
-        return min(
-            actuators,
-            key=lambda a: self.network.node(a).position(now).distance_to(
-                position
-            ),
-        )
+        nodes = self.network.medium.node_table
+        x, y = position
+        best, best_distance = None, inf
+        for actuator in actuators:
+            here = nodes[actuator].mobility.position(now)
+            distance = hypot(here.x - x, here.y - y)  # as Point.distance_to
+            if best is None or distance < best_distance:
+                best, best_distance = actuator, distance
+        return best
 
     # ------------------------------------------------------------------
     # public API
@@ -349,7 +354,6 @@ class ReferRouter:
             )
             return
         now = self.network.sim.now
-        position = self.network.node(source_id).position(now)
         candidates = self._ranked_members(source_id, cell, now, dest_kid)
         if candidates:
             self._enter_via_members(
@@ -357,32 +361,33 @@ class ReferRouter:
                 on_delivered, on_dropped,
             )
             return
-        # One wake-on-demand relay toward the nearest member.
-        nearest_member = min(
-            cell.member_ids,
-            key=lambda m: self.network.node(m).position(now).distance_to(
-                position
-            ),
-            default=None,
-        )
-        if nearest_member is None:
+        # One wake-on-demand relay toward the nearest member.  Distances
+        # are Point.distance_to's, and (distance, index) ranks settle
+        # ties in input order, as a keyed min/sort does.
+        nodes = self.network.medium.node_table
+        x, y = nodes[source_id].mobility.position(now)
+        members = []
+        for index, member in enumerate(cell.member_ids):
+            there = nodes[member].mobility.position(now)
+            members.append((hypot(there.x - x, there.y - y), index, member))
+        if not members:
             self._drop(packet, on_dropped, "no-cell-member")
             return
-        target_pos = self.network.node(nearest_member).position(now)
-        relays = [
-            nb
-            for nb in self.network.neighbors(source_id)
-            if self.network.node(nb).is_sensor and not cell.holds(nb)
-        ]
+        target = nodes[min(members)[2]].mobility.position(now)
+        relays = []
+        for nb in self.network.neighbors(source_id):
+            node = nodes[nb]
+            if node.is_sensor and not cell.holds(nb):
+                there = node.mobility.position(now)
+                relays.append((
+                    hypot(there.x - target.x, there.y - target.y),
+                    len(relays), nb,
+                ))
         if not relays:
             self._drop(packet, on_dropped, "no-entry-relay")
             return
-        ordered = sorted(
-            relays,
-            key=lambda r: self.network.node(r).position(now).distance_to(
-                target_pos
-            ),
-        )[:3]
+        relays.sort()
+        ordered = [relay for _, _, relay in relays[:3]]
         self.stats.entry_relays += 1
         self._try_relays(
             source_id, ordered, cell, dest_kid, packet,
@@ -442,23 +447,25 @@ class ReferRouter:
 
         Preference order: fewest remaining Kautz hops to the
         destination KID (the "lowest delay path" rule of Section
-        III-C2), then physical proximity.
+        III-C2), then physical proximity, then ``reachable``'s order.
         """
-
-        def rank(entry: Tuple[int, float]):
-            member, distance = entry
-            remaining = 0
-            if dest_kid is not None:
-                remaining = kautz_distance(cell.kid_of(member), dest_kid)
-            return (remaining, distance)
-
         medium = self.network.medium
         near = self._near_members[cell.cid]
         entry = near.get(node_id)
         if entry is None or now >= entry[0]:
             entry = near[node_id] = medium.near(node_id, cell.member_ids, now)
-        reachable = medium.reachable(node_id, entry[1], now)
-        return [member for member, _ in sorted(reachable, key=rank)]
+        kid_of = cell.kid_of
+        ranked = sorted([
+            (
+                0 if dest_kid is None
+                else kautz_distance(kid_of(member), dest_kid),
+                distance, index, member,
+            )
+            for index, (member, distance) in enumerate(
+                medium.reachable(node_id, entry[1], now)
+            )
+        ])
+        return [member for _, _, _, member in ranked]
 
     def _enter_via_members(
         self,

@@ -4,46 +4,104 @@ A Kautz string for K(d, k) is a word ``u_1 ... u_k`` over the alphabet
 ``{0, 1, ..., d}`` (d + 1 letters) in which no two consecutive letters
 are equal.  Strings are immutable value types; the shift operation that
 defines Kautz-graph edges produces new strings.
+
+There is one object per label: ``KautzString(letters, degree)`` returns
+the instance already built for an equal label, whichever way it is
+asked for (direct, :meth:`~KautzString.parse`, :meth:`~KautzString.
+random`, :meth:`~KautzString.shift`, ``dataclasses.replace``, copy or
+pickle).  Labels key every cell table, ``visited`` set and memoised
+pair function, and a lookup with the identical object never reaches
+``__eq__``.  Equality stays value equality — nothing relies on ``is``
+— and the hash stays ``hash((letters, degree))``.  The table holds
+every distinct label the process has built: a few hundred for a
+simulation, the label space itself for an analysis sweep.
 """
 
 from __future__ import annotations
 
+import operator
 import random
 from dataclasses import dataclass
-from typing import Iterator, List, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro.errors import InvalidKautzString
 
 _DIGITS = "0123456789abcdefghijklmnopqrstuvwxyz"
 
 
-@dataclass(frozen=True)
+def _validated(
+    letters: Iterable[int], degree: int
+) -> Tuple[Tuple[int, ...], int]:
+    """The ``(letters, degree)`` key of a valid label, letters as a
+    tuple of ints; :class:`InvalidKautzString` for anything else."""
+    try:
+        letters = tuple(map(operator.index, letters))
+        degree = operator.index(degree)
+    except TypeError as exc:
+        raise InvalidKautzString(
+            f"letters and degree must be integers: {exc}"
+        ) from None
+    if degree < 1:
+        raise InvalidKautzString(f"degree must be >= 1, got {degree}")
+    if not letters:
+        raise InvalidKautzString("empty Kautz string")
+    for letter in letters:
+        if not 0 <= letter <= degree:
+            raise InvalidKautzString(
+                f"letter {letter} outside alphabet [0, {degree}]"
+            )
+    for a, b in zip(letters, letters[1:]):
+        if a == b:
+            raise InvalidKautzString(
+                f"consecutive repeated letter in {letters}"
+            )
+    return letters, degree
+
+
+#: Every label built so far, by ``(letters, degree)``.
+_LABELS: Dict[Tuple[Tuple[int, ...], int], "KautzString"] = {}
+
+
+@dataclass(frozen=True, init=False)
 class KautzString:
     """An immutable Kautz label for the graph K(``degree``, ``len(letters)``)."""
 
     letters: Tuple[int, ...]
     degree: int
 
-    def __post_init__(self) -> None:
-        if self.degree < 1:
-            raise InvalidKautzString(f"degree must be >= 1, got {self.degree}")
-        if not self.letters:
-            raise InvalidKautzString("empty Kautz string")
-        for letter in self.letters:
-            if not 0 <= letter <= self.degree:
-                raise InvalidKautzString(
-                    f"letter {letter} outside alphabet [0, {self.degree}]"
-                )
-        for a, b in zip(self.letters, self.letters[1:]):
-            if a == b:
-                raise InvalidKautzString(
-                    f"consecutive repeated letter in {self.letters}"
-                )
+    def __new__(
+        cls,
+        letters: Optional[Iterable[int]] = None,
+        degree: Optional[int] = None,
+    ) -> "KautzString":
+        if letters is None and degree is None:
+            # ``copyreg.__newobj__`` unpickling a label pickled without
+            # ``__reduce__``: its fields follow as state.  A plain
+            # ``KautzString()`` fails in ``__init__``.
+            return object.__new__(cls)
+        key = _validated(letters, degree)  # an invalid label is not kept
+        try:
+            return _LABELS[key]
+        except KeyError:
+            pass
+        label = object.__new__(cls)
+        object.__setattr__(label, "letters", key[0])
+        object.__setattr__(label, "degree", key[1])
+        _LABELS[key] = label
+        return label
+
+    def __init__(self, letters: Iterable[int], degree: int) -> None:
+        """Nothing to set: ``__new__`` returned the finished label."""
+
+    def __reduce__(self):
+        # Copy and pickle rebuild through ``__new__``: the copy is the
+        # label itself, and an unpickled one is this process's.
+        return (KautzString, (self.letters, self.degree))
 
     def __hash__(self) -> int:
         # KIDs key every cell and routing table; the hash of the two
         # fields is computed at the first lookup and kept (here, not in
-        # ``__post_init__``: REF010 keeps ``hash()`` inside ``__hash__``).
+        # ``__new__``: REF010 keeps ``hash()`` inside ``__hash__``).
         try:
             return self._hash
         except AttributeError:

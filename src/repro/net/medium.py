@@ -22,9 +22,14 @@ The pass evaluates the brute-force predicate over the same positions,
 so any cell size gives the same neighbours (``tests/net/oracle.py``
 holds it to :func:`~repro.net.spatial.brute_force_within_range`).
 
-Link questions (``can_transmit``, ``link_quality`` and their batched
-forms ``reachable`` and ``link_margins_each``) are answered from exact
-positions at ``now``, one ``hypot`` per pair (:meth:`Node.distance_to`).
+Link questions are answered from exact positions at ``now``, one
+``hypot`` per pair (the value :meth:`Node.distance_to` returns).
+``can_transmit`` asks about one pair and ``reachable`` about many, with
+the same tests in the same order; ``link_quality`` is ``link_margins``
+asked about one peer, and ``link_margins_each`` is the same margins
+for many nodes against one peer list, with coverage counted — so each
+question has one formulation, and its batched form is held to it
+(``tests/net/test_medium_geometry.py``).
 
 ``reachable`` and ``contention_at`` first try to settle a range test
 without a read.  A model that declares ``max_speed`` and keeps its last
@@ -463,21 +468,48 @@ class WirelessMedium:
         return (now + margin / closing if closing > 0.0 else inf), ids
 
     def can_transmit(self, src_id: int, dst_id: int, now: float) -> bool:
-        """:meth:`reachable` asked about one destination."""
-        return bool(self.reachable(src_id, (dst_id,), now))
+        """:meth:`reachable` asked about one destination: its tests in
+        its order (both ids known, both ends usable, the distance within
+        the source's range, the link up), for the one pair."""
+        src, dst = self.node(src_id), self.node(dst_id)
+        if not (src.usable and dst.usable):
+            return False
+        here = src.mobility.position(now)
+        there = dst.mobility.position(now)
+        fault = self.link_fault
+        return hypot(
+            here.x - there.x, here.y - there.y
+        ) <= src.transmission_range and (
+            fault is None or fault.link_up(src_id, dst_id, now)
+        )
 
     def link_quality(self, src_id: int, dst_id: int, now: float) -> float:
         """Distance-based margin in [0, 1]: 1 adjacent, 0 at range edge.
 
         REFER's maintenance uses sensed signal strength to predict link
-        breakage (Section III-B4); this margin is that signal.
+        breakage (Section III-B4); this margin is that signal.  It is
+        :meth:`link_margins` asked about one peer.
         """
-        src, dst = self.node(src_id), self.node(dst_id)
-        return self._margins(src, (dst,), (None,), now)[0]
+        return self.link_margins(src_id, (dst_id,), now)[0]
+
+    def link_margins(
+        self, src_id: int, peer_ids: Iterable[int], now: float
+    ) -> List[float]:
+        """``link_quality(src_id, peer, now)`` for each peer, in the
+        order given: the source resolved and placed once."""
+        src = self.node(src_id)
+        peers = self.resolve(peer_ids)
+        here = src.mobility.position(now)
+        x, y = here.x, here.y
+        distances = []
+        for peer in peers:
+            there = peer.mobility.position(now)
+            distances.append(hypot(x - there.x, y - there.y))
+        return self._margins(src, peers, distances, now)
 
     def _margins(self, node, peers, distances, now: float) -> List[float]:
-        """The margin of ``node``'s link to each peer; a distance given
-        as ``None`` is measured here."""
+        """The margin of ``node``'s link to each peer, at the distance
+        given for it; ``None`` is measured here."""
         reach = node.transmission_range
         fault = self.link_fault
         margins = []

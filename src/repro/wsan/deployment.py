@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from math import hypot, inf
 from typing import List, Sequence, Tuple
 
 from repro.errors import ConfigError
@@ -58,12 +59,18 @@ class DeploymentPlan:
         return len(self.sensor_positions)
 
     def cell_of_point(self, point: Point) -> Cell:
-        """The cell whose centroid is nearest to ``point``."""
+        """The cell whose centroid is nearest to ``point``; the first
+        in ``cells`` order of equally near ones."""
         if not self.cells:
             raise ConfigError("deployment has no cells")
-        return min(
-            self.cells, key=lambda c: c.centroid.distance_to(point)
-        )
+        x, y = point
+        best, best_distance = None, inf
+        for cell in self.cells:
+            c = cell.centroid  # Point.distance_to's operands
+            distance = hypot(c.x - x, c.y - y)
+            if best is None or distance < best_distance:
+                best, best_distance = cell, distance
+        return best
 
 
 def quadrant_actuator_positions(area_side: float) -> List[Point]:

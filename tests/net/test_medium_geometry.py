@@ -8,8 +8,10 @@ oracle here is the long way round — two ``Point`` objects and
 static and moving, with a range drawn *exactly equal* to the distance
 in a third of the cases (``<=`` for reach, ``>=`` for zero margin).
 
-The batched forms ``reachable`` and ``link_margins_each`` are held to
-the single-pair questions they replace: same answers, on worlds whose
+The batched forms ``reachable``, ``link_margins`` and
+``link_margins_each`` are held to the single-pair questions they
+replace, and ``can_transmit`` to ``reachable`` over one pair: same
+answers and the same ``NetworkError`` for an unknown id, on worlds whose
 walkers take keyed leg draws, as a deployment's do — in which order,
 or whether, a formulation reads a position or asks a ``LinkFault`` hook
 is not behaviour (``test_order_independence`` holds that), so answers
@@ -237,6 +239,46 @@ def test_reachable_is_the_filter_it_replaces(world):
     )
 
 
+#: An id a world is asked about: one of its nodes, or (past its size)
+#: one it does not hold.
+asked_ids = st.integers(0, 7)
+
+
+def answer_or_error(question, *args):
+    """``question(*args)``, or the ``NetworkError`` message it raised."""
+    try:
+        return question(*args)
+    except NetworkError as exc:
+        return ("NetworkError", str(exc))
+
+
+@PROFILE
+@given(worlds, asked_ids, asked_ids)
+def test_can_transmit_is_reachable_asked_about_one_pair(world, src, dst):
+    specs, seed, now, faulted = world
+    medium, _ = build_world(specs, seed, now, faulted)
+    oracle, _ = build_world(specs, seed, now, faulted)
+    expected = answer_or_error(
+        lambda: bool(oracle.reachable(src, [dst], now))
+    )
+    assert answer_or_error(medium.can_transmit, src, dst, now) == expected
+
+
+@PROFILE
+@given(worlds, asked_ids, st.lists(asked_ids, max_size=5))
+def test_link_margins_is_link_quality_per_peer(world, src, peers):
+    specs, seed, now, faulted = world
+    medium, _ = build_world(specs, seed, now, faulted)
+    oracle, _ = build_world(specs, seed, now, faulted)
+
+    def per_peer():
+        oracle.node(src)  # resolved even when there are no peers
+        return [oracle.link_quality(src, peer, now) for peer in peers]
+
+    expected = answer_or_error(per_peer)
+    assert answer_or_error(medium.link_margins, src, peers, now) == expected
+
+
 def test_batched_forms_reject_unknown_ids():
     medium, _ = build_world(
         [(0.0, 0.0, False, 50.0, None), (10.0, 0.0, False, 50.0, None)],
@@ -252,3 +294,11 @@ def test_batched_forms_reject_unknown_ids():
         medium.link_margins_each([0, 9], [1], 0.0)
     with pytest.raises(NetworkError, match="unknown node id 9"):
         medium.link_margins_each([0], [1, 9], 0.0)
+    with pytest.raises(NetworkError, match="unknown node id 9"):
+        medium.link_margins(9, [], 0.0)
+    with pytest.raises(NetworkError, match="unknown node id 9"):
+        medium.link_margins(0, [1, 9], 0.0)
+    with pytest.raises(NetworkError, match="unknown node id 9"):
+        medium.can_transmit(9, 1, 0.0)
+    with pytest.raises(NetworkError, match="unknown node id 9"):
+        medium.can_transmit(0, 9, 0.0)
