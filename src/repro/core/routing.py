@@ -55,10 +55,6 @@ class RoutingStats(StatsView):
     entry_relays = counter_field("hops spent reaching a cell member")
     fault_detours = counter_field("detours while chaos faults were active")
     fault_drops = counter_field("drops while chaos faults were active")
-    #: Hops saved by an ARQ retransmission (recovery layer installed);
-    #: ``detours`` counts the hops that needed Theorem 3.8 switching
-    #: instead — together they split recovery between the two layers.
-    retransmit_recovered = counter_field("hops saved by an ARQ retransmit")
 
 
 class ReferRouter:
@@ -95,10 +91,11 @@ class ReferRouter:
         # zero-argument probe here so detours/drops can be attributed
         # to live fault activity (RoutingStats.fault_*).
         self._fault_activity: Optional[Callable[[], bool]] = None
-        # Recovery hooks (repro.recovery): an ARQ link layer replacing
-        # network.send for every hop, and a CAN healer whose suspected
-        # set the actuator tier routes around.
-        self._reliable_link = None
+        # The link every hop goes out on: the MAC, or an ARQ layer
+        # (repro.recovery) once one is installed.
+        self._send = network.send
+        # Recovery hook: a CAN healer whose suspected set the actuator
+        # tier routes around.
         self._healer = None
         # QoS hook (repro.qos): hop-level backpressure state; congested
         # successors are deprioritised like radio-backlogged ones.
@@ -124,11 +121,10 @@ class ReferRouter:
         self._fault_activity = probe
 
     def set_reliable_link(self, link) -> None:
-        """Route every hop through an ARQ layer (``None`` restores raw
-        ``network.send``).  ``link`` must expose the ``send`` signature
-        of :meth:`WirelessNetwork.send` —
+        """Route every hop through an ARQ layer.  ``link`` must expose
+        the ``send`` signature of :meth:`WirelessNetwork.send` —
         :class:`~repro.recovery.arq.ArqLink` does."""
-        self._reliable_link = link
+        self._send = link.send
 
     def set_can_healer(self, healer) -> None:
         """Install a :class:`~repro.recovery.healer.CanHealer`: the
@@ -142,58 +138,6 @@ class ReferRouter:
         the next Theorem 3.8 disjoint path — the upstream half of
         hop-level backpressure."""
         self._qos_state = state
-
-    def note_retransmit_recovered(self) -> None:
-        """ARQ callback: one hop was saved by a retransmission."""
-        self.stats.retransmit_recovered += 1
-
-    def _qos_guard(self, on_dropped, retry):
-        """Wrap a hop-failure continuation to honour QoS verdicts.
-
-        A frame the QoS layer condemned (deadline expired, shed under
-        backpressure) fails its hop with ``meta["qos_terminal"]``
-        stamped; retrying it over the remaining disjoint paths would
-        only re-refuse it at every attempt, so the packet is dropped
-        terminally under its QoS reason instead.  Without a QoS
-        scheduler installed the continuation passes through untouched.
-        """
-        if self.network.mac.qos is None:
-            return retry
-
-        def guarded(pkt: Packet, at: int) -> None:
-            terminal = pkt.meta.get("qos_terminal")
-            if terminal is not None:
-                self._drop(pkt, on_dropped, terminal)
-                return
-            retry(pkt, at)
-
-        return guarded
-
-    def _unicast(
-        self,
-        src_id: int,
-        dst_id: int,
-        packet: Packet,
-        on_delivered=None,
-        on_failed=None,
-        deliver_to_handler: bool = True,
-    ) -> None:
-        """One hop through the ARQ layer when installed, else the MAC."""
-        link = self._reliable_link
-        if link is not None:
-            link.send(
-                src_id, dst_id, packet,
-                on_delivered=on_delivered,
-                on_failed=on_failed,
-                deliver_to_handler=deliver_to_handler,
-            )
-        else:
-            self.network.send(
-                src_id, dst_id, packet,
-                on_delivered=on_delivered,
-                on_failed=on_failed,
-                deliver_to_handler=deliver_to_handler,
-            )
 
     def _fault_active(self) -> bool:
         return self._fault_activity is not None and self._fault_activity()
@@ -335,6 +279,71 @@ class ReferRouter:
         )
 
     # ------------------------------------------------------------------
+    # forwarding: every hop the router sends goes through _hop
+    # ------------------------------------------------------------------
+
+    def _hop(
+        self,
+        src_id: int,
+        dst_id: int,
+        packet: Packet,
+        arrived: Optional[DeliveredCallback],
+        failed: Callable[[Packet], None],
+        on_dropped: Optional[DroppedCallback],
+        final: bool = False,
+    ) -> None:
+        """Send ``packet`` one hop: the one place the router transmits.
+
+        ``arrived`` runs when the frame reaches ``dst_id`` (and, on a
+        ``final`` hop, the destination's receive handler after it); a
+        failed hop goes to ``failed``.  A frame the QoS layer condemned
+        (deadline expired, shed under backpressure) fails with
+        ``meta["qos_terminal"]`` stamped; every other path would only
+        refuse it again, so it is dropped under that verdict instead.
+        """
+
+        def hop_failed(pkt: Packet, at: int) -> None:
+            terminal = pkt.meta.get("qos_terminal")
+            if terminal is not None:
+                self._drop(pkt, on_dropped, terminal)
+            else:
+                failed(pkt)
+
+        self._send(src_id, dst_id, packet, arrived, hop_failed, final)
+
+    def _forward(
+        self,
+        at_node: int,
+        member: int,
+        member_kid: KautzString,
+        cell: EmbeddedCell,
+        dest_kid: KautzString,
+        packet: Packet,
+        on_delivered: Optional[DeliveredCallback],
+        on_dropped: Optional[DroppedCallback],
+        visited: Set[KautzString],
+        hops_left: int,
+        failed: Callable[[Packet], None],
+    ) -> None:
+        """Hop to the cell member holding ``member_kid``: delivered
+        there if it is ``dest_kid``, else routed on intra-cell from it
+        with ``member_kid`` visited and one hop fewer left."""
+        if member_kid == dest_kid:
+            self._hop(
+                at_node, member, packet, on_delivered, failed, on_dropped,
+                final=True,
+            )
+            return
+
+        def arrived(pkt: Packet) -> None:
+            self._route_intra(
+                member, cell, dest_kid, pkt, on_delivered, on_dropped,
+                visited | {member_kid}, hops_left - 1,
+            )
+
+        self._hop(at_node, member, packet, arrived, failed, on_dropped)
+
+    # ------------------------------------------------------------------
     # entry: reaching a cell member from an arbitrary sensor
     # ------------------------------------------------------------------
 
@@ -404,36 +413,32 @@ class ReferRouter:
         on_delivered: Optional[DeliveredCallback],
         on_dropped: Optional[DroppedCallback],
     ) -> None:
-        relay, rest = relays[0], relays[1:]
+        """Hop to the first relay; a failed hop tries the next one, and
+        none left is an ``entry-failed`` drop."""
+        if not relays:
+            self._drop(packet, on_dropped, "entry-failed")
+            return
+        relay = relays[0]
 
         def relay_arrived(pkt: Packet) -> None:
-            candidates2 = self._ranked_members(
+            candidates = self._ranked_members(
                 relay, cell, self.network.sim.now, dest_kid
             )
-            if not candidates2:
+            if not candidates:
                 self._drop(pkt, on_dropped, "no-cell-member")
                 return
             self._enter_via_members(
-                relay, candidates2, cell, dest_kid, pkt,
+                relay, candidates, cell, dest_kid, pkt,
                 on_delivered, on_dropped,
             )
 
-        def relay_failed(pkt: Packet, at: int) -> None:
-            if rest:
-                self._try_relays(
-                    source_id, rest, cell, dest_kid, pkt,
-                    on_delivered, on_dropped,
-                )
-            else:
-                self._drop(pkt, on_dropped, "entry-failed")
-
-        self._unicast(
-            source_id,
-            relay,
-            packet,
-            on_delivered=relay_arrived,
-            on_failed=self._qos_guard(on_dropped, relay_failed),
-            deliver_to_handler=False,
+        self._hop(
+            source_id, relay, packet, relay_arrived,
+            lambda pkt: self._try_relays(
+                source_id, relays[1:], cell, dest_kid, pkt,
+                on_delivered, on_dropped,
+            ),
+            on_dropped,
         )
 
     def _ranked_members(
@@ -491,52 +496,14 @@ class ReferRouter:
             self._drop(packet, on_dropped, "entry-failed")
             return
         rest = candidates[tried:]
-
-        def entry_failed(pkt: Packet, at: int) -> None:
-            self._enter_via_members(
-                from_id, rest, cell, dest_kid, pkt,
-                on_delivered, on_dropped,
-            )
-
-        self._hop_then_route(
-            from_id, member, cell, dest_kid, packet,
-            on_delivered, on_dropped, on_entry_failed=entry_failed,
-        )
-
-    def _hop_then_route(
-        self,
-        from_id: int,
-        member_id: int,
-        cell: EmbeddedCell,
-        dest_kid: KautzString,
-        packet: Packet,
-        on_delivered: Optional[DeliveredCallback],
-        on_dropped: Optional[DroppedCallback],
-        on_entry_failed=None,
-    ) -> None:
-        is_final = cell.kid_of(member_id) == dest_kid
-
-        def arrived(pkt: Packet) -> None:
-            if is_final:
-                if on_delivered is not None:
-                    on_delivered(pkt)
-            else:
-                self._route_intra(
-                    member_id, cell, dest_kid, pkt,
-                    on_delivered, on_dropped,
-                )
-
-        if on_entry_failed is None:
-            def on_entry_failed(pkt, at):
-                self._drop(pkt, on_dropped, "entry-failed")
-
-        self._unicast(
-            from_id,
-            member_id,
-            packet,
-            on_delivered=arrived,
-            on_failed=self._qos_guard(on_dropped, on_entry_failed),
-            deliver_to_handler=is_final,
+        # The member starts its own route: its KID visited, the whole
+        # hop budget left.
+        self._forward(
+            from_id, member, cell.kid_of(member), cell, dest_kid, packet,
+            on_delivered, on_dropped, set(), MAX_HOPS + 1,
+            lambda pkt: self._enter_via_members(
+                from_id, rest, cell, dest_kid, pkt, on_delivered, on_dropped,
+            ),
         )
 
     # ------------------------------------------------------------------
@@ -631,32 +598,10 @@ class ReferRouter:
                 self._drop(packet, on_dropped, "no-successor")
                 return
             member = fallback[0]
-            member_kid = cell.kid_of(member)
-            is_dest = member_kid == dest_kid
-
-            def fb_arrived(pkt: Packet) -> None:
-                if is_dest:
-                    if on_delivered is not None:
-                        on_delivered(pkt)
-                else:
-                    self._route_intra(
-                        member, cell, dest_kid, pkt,
-                        on_delivered, on_dropped,
-                        visited | {member_kid}, hops_left - 1,
-                    )
-
-            self._unicast(
-                at_node,
-                member,
-                packet,
-                on_delivered=fb_arrived,
-                on_failed=self._qos_guard(
-                    on_dropped,
-                    lambda pkt, at: self._drop(
-                        pkt, on_dropped, "fallback-hop-failed"
-                    ),
-                ),
-                deliver_to_handler=is_dest,
+            self._forward(
+                at_node, member, cell.kid_of(member), cell, dest_kid, packet,
+                on_delivered, on_dropped, visited, hops_left,
+                lambda pkt: self._drop(pkt, on_dropped, "fallback-hop-failed"),
             )
             return
         succ_kid = ranked[index]
@@ -671,33 +616,15 @@ class ReferRouter:
                     packet.uid, self.network.sim.now, at_node,
                     str(succ_kid), index,
                 )
-        is_final = succ_kid == dest_kid
-
-        def arrived(pkt: Packet) -> None:
-            if is_final:
-                if on_delivered is not None:
-                    on_delivered(pkt)
-                return
-            self._route_intra(
-                succ_node, cell, dest_kid, pkt,
-                on_delivered, on_dropped,
-                visited | {succ_kid}, hops_left - 1,
-            )
-
-        def failed(pkt: Packet, at: int) -> None:
-            # Local recovery: same relay, next-shortest disjoint path.
-            self._try_successors(
+        # Local recovery on failure: same relay, next-shortest disjoint
+        # path.
+        self._forward(
+            at_node, succ_node, succ_kid, cell, dest_kid, packet,
+            on_delivered, on_dropped, visited, hops_left,
+            lambda pkt: self._try_successors(
                 at_node, cell, dest_kid, ranked, index + 1, pkt,
                 on_delivered, on_dropped, visited, hops_left,
-            )
-
-        self._unicast(
-            at_node,
-            succ_node,
-            packet,
-            on_delivered=arrived,
-            on_failed=self._qos_guard(on_dropped, failed),
-            deliver_to_handler=is_final,
+            ),
         )
 
     # ------------------------------------------------------------------
@@ -728,23 +655,13 @@ class ReferRouter:
         if nxt is None:
             self._drop(packet, on_dropped, "tier-stall")
             return
-
-        def arrived(pkt: Packet) -> None:
-            self._route_tier(
-                nxt, dest, pkt, on_delivered, on_dropped,
-                visited | {nxt},
-            )
-
-        self._unicast(
-            actuator_id,
-            nxt,
-            packet,
-            on_delivered=arrived,
-            on_failed=self._qos_guard(
-                on_dropped,
-                lambda pkt, at: self._drop(pkt, on_dropped, "tier-hop-failed"),
+        self._hop(
+            actuator_id, nxt, packet,
+            lambda pkt: self._route_tier(
+                nxt, dest, pkt, on_delivered, on_dropped, visited | {nxt},
             ),
-            deliver_to_handler=False,
+            lambda pkt: self._drop(pkt, on_dropped, "tier-hop-failed"),
+            on_dropped,
         )
 
     def _next_tier_actuator(
@@ -826,7 +743,7 @@ class ReferRouter:
         self,
         packet: Packet,
         on_dropped: Optional[DroppedCallback],
-        reason: str = "unknown",
+        reason: str,
     ) -> None:
         """Abandon the packet, stamping the drop-reason taxonomy entry
         (:data:`repro.telemetry.flight.DROP_REASONS`) into the packet

@@ -153,9 +153,8 @@ def run_scenario(system_name: str, config: ScenarioConfig) -> RunResult:
     if config.qos is not None:
         qos_manager = QosManager(sim, network)
         qos_manager.install(network)
-        qos_router = getattr(system, "router", None)
-        if qos_router is not None and hasattr(qos_router, "set_qos_state"):
-            qos_router.set_qos_state(qos_manager.state)
+        if isinstance(system, ReferSystem):
+            system.router.set_qos_state(qos_manager.state)
 
     probe: Optional[ResilienceProbe] = None
     if config.fault_spec:
@@ -222,13 +221,10 @@ def run_scenario(system_name: str, config: ScenarioConfig) -> RunResult:
                     area_side=config.area_side,
                 )
             )
-        # Fault-attribution hooks, where the system exposes them.
-        router = getattr(system, "router", None)
-        if router is not None and hasattr(router, "set_fault_activity"):
-            router.set_fault_activity(chaos.any_active)
-        maintenance = getattr(system, "maintenance", None)
-        if maintenance is not None and hasattr(maintenance, "set_fault_clock"):
-            maintenance.set_fault_clock(chaos.fail_time_of)
+        # REFER's fault-attribution hooks.
+        if isinstance(system, ReferSystem):
+            system.router.set_fault_activity(chaos.any_active)
+            system.maintenance.set_fault_clock(chaos.fail_time_of)
         chaos.start()
 
     orchestrator: Optional[RecoveryOrchestrator] = None

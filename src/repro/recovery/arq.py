@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import random
 from collections import OrderedDict
-from typing import Callable, Dict, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from repro.net.mac import PROCESSING_DELAY, airtime
 from repro.net.network import (
@@ -58,6 +58,9 @@ JITTER = 0.5
 #: Recently accepted ``(sender, seq)`` tags each receiver remembers to
 #: suppress duplicates.
 CACHE_SIZE = 512
+#: The meta keys in which a refused or condemned frame carries its
+#: verdict (``WirelessNetwork.send``, ``MacQosScheduler``).
+_VERDICT = ("drop_reason", "qos_terminal")
 
 
 class ArqStats(StatsView):
@@ -74,12 +77,31 @@ class ArqStats(StatsView):
     ack_losses = counter_field("ACK frames lost")
 
 
-class _HopState:
-    """Sender-side progress of one logical hop."""
+class _Hop:
+    """One logical hop: what was asked of it and how far it has got."""
 
-    __slots__ = ("delivered", "done")
+    __slots__ = (
+        "src", "dst", "packet", "tag", "on_delivered", "on_failed",
+        "deliver_to_handler", "delivered", "done",
+    )
 
-    def __init__(self) -> None:
+    def __init__(
+        self,
+        src: int,
+        dst: int,
+        packet: Packet,
+        tag: Tuple[int, int],
+        on_delivered: Optional[DeliveryCallback],
+        on_failed: Optional[FailureCallback],
+        deliver_to_handler: bool,
+    ) -> None:
+        self.src = src
+        self.dst = dst
+        self.packet = packet
+        self.tag = tag
+        self.on_delivered = on_delivered
+        self.on_failed = on_failed
+        self.deliver_to_handler = deliver_to_handler
         self.delivered = False
         self.done = False
 
@@ -87,17 +109,9 @@ class _HopState:
 class ArqLink:
     """Stop-and-wait ARQ presenting the ``WirelessNetwork.send`` API."""
 
-    def __init__(
-        self,
-        network: WirelessNetwork,
-        rng: random.Random,
-        on_recovered: Optional[Callable[[], None]] = None,
-    ) -> None:
-        """``on_recovered`` fires once per hop saved by a retransmission
-        (the router hooks its ``retransmit_recovered`` stat here)."""
+    def __init__(self, network: WirelessNetwork, rng: random.Random) -> None:
         self._network = network
         self._rng = rng
-        self._on_recovered = on_recovered
         self.stats = ArqStats(registry=network.registry)
         self._seq: Dict[Tuple[int, int], int] = {}
         # receiver -> (sender, seq) LRU of recently accepted frames
@@ -121,24 +135,16 @@ class ArqLink:
         self._seq[key] = seq
         self.stats.sends += 1
         self._attempt(
-            src_id, dst_id, packet, (src_id, seq), 0, _HopState(),
-            on_delivered, on_failed, deliver_to_handler,
+            _Hop(
+                src_id, dst_id, packet, (src_id, seq),
+                on_delivered, on_failed, deliver_to_handler,
+            ),
+            0,
         )
 
     # -- attempt machinery -------------------------------------------------
 
-    def _attempt(
-        self,
-        src_id: int,
-        dst_id: int,
-        packet: Packet,
-        tag: Tuple[int, int],
-        attempt: int,
-        hop: _HopState,
-        on_delivered: Optional[DeliveryCallback],
-        on_failed: Optional[FailureCallback],
-        deliver_to_handler: bool,
-    ) -> None:
+    def _attempt(self, hop: _Hop, attempt: int) -> None:
         if hop.done:
             return
         self.stats.attempts += 1
@@ -147,43 +153,37 @@ class ArqLink:
             flight = self._network.flight
             if flight is not None:
                 flight.arq_retry(
-                    packet.uid, self._network.sim.now, src_id, dst_id,
+                    hop.packet.uid, self._network.sim.now, hop.src, hop.dst,
                     attempt,
                 )
-
-        def data_arrived(pkt: Packet) -> None:
-            self._data_arrived(
-                src_id, dst_id, pkt, tag, attempt, hop,
-                on_delivered, on_failed, deliver_to_handler,
-            )
+        meta = hop.packet.meta
+        # After the data arrived (only its ACK was lost) the packet has
+        # moved on: a verdict on this redundant frame must not stay on it.
+        found = (
+            (meta.get("drop_reason"), meta.get("qos_terminal"))
+            if hop.delivered else None
+        )
 
         def data_failed(pkt: Packet, at: int) -> None:
-            self._retry_or_fail(
-                src_id, dst_id, pkt, tag, attempt, hop,
-                on_delivered, on_failed, deliver_to_handler,
-            )
+            self._retry_or_fail(hop, attempt)
+            if found is not None:
+                for key, value in zip(_VERDICT, found):
+                    if value is None:
+                        meta.pop(key, None)
+                    else:
+                        meta[key] = value
 
         self._network.send(
-            src_id,
-            dst_id,
-            packet,
-            on_delivered=data_arrived,
+            hop.src,
+            hop.dst,
+            hop.packet,
+            on_delivered=lambda pkt: self._data_arrived(hop, attempt),
             on_failed=data_failed,
             deliver_to_handler=False,
         )
 
-    def _data_arrived(
-        self,
-        src_id: int,
-        dst_id: int,
-        packet: Packet,
-        tag: Tuple[int, int],
-        attempt: int,
-        hop: _HopState,
-        on_delivered: Optional[DeliveryCallback],
-        on_failed: Optional[FailureCallback],
-        deliver_to_handler: bool,
-    ) -> None:
+    def _data_arrived(self, hop: _Hop, attempt: int) -> None:
+        dst_id, tag = hop.dst, hop.tag
         cache = self._seen.get(dst_id)
         if cache is None:
             cache = OrderedDict()
@@ -196,32 +196,25 @@ class ArqLink:
             cache[tag] = None
             while len(cache) > CACHE_SIZE:
                 cache.popitem(last=False)
-        first_delivery = not duplicate and not hop.delivered
-        if first_delivery:
+        if not duplicate and not hop.delivered:
             hop.delivered = True
             if attempt > 0:
                 self.stats.recovered_by_retransmit += 1
-                if self._on_recovered is not None:
-                    self._on_recovered()
             # Forward on first arrival: the receiver does not wait to
             # learn whether its ACK survives.
-            if on_delivered is not None:
-                on_delivered(packet)
-            if deliver_to_handler:
+            if hop.on_delivered is not None:
+                hop.on_delivered(hop.packet)
+            if hop.deliver_to_handler:
                 handler = self._network.handler_of(dst_id)
                 if handler is not None:
-                    handler(packet)
+                    handler(hop.packet)
         # The ACK frame: receiver pays tx, sender pays rx on arrival.
         self._network.charge_tx(dst_id, PacketKind.ACK.label)
         if self._rng.random() < ACK_LOSS:
             self.stats.ack_losses += 1
             # No ACK will come: the sender times out and retransmits.
             self._network.sim.schedule(
-                ACK_DELAY,
-                lambda: self._retry_or_fail(
-                    src_id, dst_id, packet, tag, attempt, hop,
-                    on_delivered, on_failed, deliver_to_handler,
-                ),
+                ACK_DELAY, lambda: self._retry_or_fail(hop, attempt)
             )
             return
 
@@ -229,45 +222,27 @@ class ArqLink:
             if hop.done:
                 return
             hop.done = True
-            self._network.charge_rx(src_id, PacketKind.ACK.label)
+            self._network.charge_rx(hop.src, PacketKind.ACK.label)
 
         self._network.sim.schedule(ACK_DELAY, ack_arrived)
 
-    def _retry_or_fail(
-        self,
-        src_id: int,
-        dst_id: int,
-        packet: Packet,
-        tag: Tuple[int, int],
-        attempt: int,
-        hop: _HopState,
-        on_delivered: Optional[DeliveryCallback],
-        on_failed: Optional[FailureCallback],
-        deliver_to_handler: bool,
-    ) -> None:
+    def _retry_or_fail(self, hop: _Hop, attempt: int) -> None:
         if hop.done:
             return
-        if packet.meta.get("qos_terminal") is not None:
-            # The QoS layer condemned this frame (deadline expired or
-            # shed under backpressure): every retransmission would be
-            # refused the same way, so surface the failure immediately.
+        # A frame the QoS layer condemned (deadline expired or shed
+        # under backpressure) would be refused the same way at every
+        # retransmission, so its failure surfaces at once.
+        condemned = hop.packet.meta.get("qos_terminal") is not None
+        if condemned or attempt >= BUDGET:
             hop.done = True
-            if not hop.delivered and on_failed is not None:
-                on_failed(packet, src_id)
+            if not condemned:
+                self.stats.exhausted += 1
+            if not hop.delivered and hop.on_failed is not None:
+                hop.on_failed(hop.packet, hop.src)
             return
-        if attempt >= BUDGET:
-            hop.done = True
-            self.stats.exhausted += 1
-            if not hop.delivered and on_failed is not None:
-                on_failed(packet, src_id)
-            return
-        delay = self._backoff_delay(attempt)
         self._network.sim.schedule(
-            delay,
-            lambda: self._attempt(
-                src_id, dst_id, packet, tag, attempt + 1, hop,
-                on_delivered, on_failed, deliver_to_handler,
-            ),
+            self._backoff_delay(attempt),
+            lambda: self._attempt(hop, attempt + 1),
         )
 
     def _backoff_delay(self, attempt: int) -> float:

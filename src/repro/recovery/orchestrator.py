@@ -120,11 +120,7 @@ class RecoveryOrchestrator:
         self.detector.add_listener(self._on_verdict)
 
         router = system.router
-        self.arq = ArqLink(
-            network,
-            arq_rng,
-            on_recovered=router.note_retransmit_recovered,
-        )
+        self.arq = ArqLink(network, arq_rng)
         router.set_reliable_link(self.arq)
 
         self.healer = CanHealer(system.plan, registry=network.registry)

@@ -6,14 +6,16 @@ import pytest
 
 from repro.core.embedding import EmbeddingProtocol
 from repro.core.ids import ReferId
-from repro.core.routing import ReferRouter
+from repro.core.routing import MAX_HOPS, ReferRouter
 from repro.errors import RoutingError
 from repro.experiments.config import ScenarioConfig
 from repro.experiments.runner import run_scenario
+from repro.kautz.disjoint import successor_table
 from repro.kautz.strings import KautzString
 from repro.net.energy import Phase
 from repro.net.network import WirelessNetwork
 from repro.net.packet import Packet, PacketKind
+from repro.qos.manager import QosManager
 from repro.sim.core import Simulator
 from repro.wsan.deployment import plan_deployment
 from repro.wsan.system import build_nodes
@@ -290,3 +292,135 @@ class TestReplacedEntryCandidate:
         )
         assert result.generated == 1200
         assert result.delivered_total + result.dropped == result.generated
+
+
+class FailFirstLink:
+    """A reliable link that fails the first hop it is given — with a
+    QoS verdict stamped, when it has one — and swallows every later hop,
+    so a site's continuation shows as the second send or as a drop."""
+
+    def __init__(self, verdict=None):
+        self.verdict = verdict
+        self.sends = []
+
+    def send(self, src, dst, packet, on_delivered=None, on_failed=None,
+             deliver_to_handler=True):
+        self.sends.append((src, dst))
+        if len(self.sends) == 1:
+            if self.verdict is not None:
+                packet.meta["drop_reason"] = self.verdict
+                packet.meta["qos_terminal"] = self.verdict
+            on_failed(packet, src)
+
+
+def _entry_relay(router, cells, on_dropped):
+    """An outsider's relay hop; a plain failure tries the next relay."""
+    cell = cells[0]
+    members = {m for c in cells for m in c.member_ids}
+    source, first, second = [s for s in range(5, 205) if s not in members][:3]
+    router._try_relays(
+        source, [first, second], cell, cell.actuator_kids[0],
+        packet(router.network.sim, source), None, on_dropped,
+    )
+    return {(source, second)}
+
+
+def _entry_member(router, cells, on_dropped):
+    """An outsider's hop to an entry member; a plain failure tries the
+    next candidate."""
+    cell = cells[0]
+    members = {m for c in cells for m in c.member_ids}
+    source = next(s for s in range(5, 205) if s not in members)
+    first, second = cell.sensor_member_ids[:2]
+    router._enter_via_members(
+        source, [first, second], cell, cell.actuator_kids[0],
+        packet(router.network.sim, source), None, on_dropped,
+    )
+    return {(source, second)}
+
+
+def _successor(router, cells, on_dropped):
+    """A Theorem 3.8 successor hop; a plain failure takes another
+    disjoint path's successor."""
+    cell = cells[0]
+    dest_kid = cell.actuator_kids[0]
+    for at in cell.sensor_member_ids:
+        successors = [
+            row.successor
+            for row in successor_table(cell.kid_of(at), dest_kid)
+            if cell.kid_assigned(row.successor)
+        ]
+        if len(successors) >= 2:
+            break
+    router._route_intra(
+        at, cell, dest_kid, packet(router.network.sim, at), None, on_dropped,
+    )
+    return {(at, cell.node_of(kid)) for kid in successors}
+
+
+def _fallback(router, cells, on_dropped):
+    """The hop to an in-range member once no successor is left."""
+    cell = cells[0]
+    at = cell.sensor_member_ids[0]
+    router._try_successors(
+        at, cell, cell.actuator_kids[0], [], 0,
+        packet(router.network.sim, at), None, on_dropped,
+        {cell.kid_of(at)}, MAX_HOPS,
+    )
+    return "fallback-hop-failed"
+
+
+def _tier(router, cells, on_dropped):
+    """An actuator-tier hop toward another cell."""
+    now = router.network.sim.now
+    actuator, dest = next(
+        (a, ReferId(cell.cid, cell.actuator_kids[0]))
+        for a in range(router.plan.actuator_count)
+        for cell in cells
+        if not cell.holds(a)
+        and router._next_tier_actuator(
+            a, ReferId(cell.cid, cell.actuator_kids[0]), {a}, now
+        ) is not None
+    )
+    router._route_tier(
+        actuator, dest, packet(router.network.sim, actuator), None,
+        on_dropped,
+    )
+    return "tier-hop-failed"
+
+
+class TestHopContract:
+    """Every forwarding site hands a failed hop to its own continuation,
+    and a hop the QoS layer condemned is dropped under that verdict
+    with nothing further tried."""
+
+    SITES = {
+        "entry-relay": _entry_relay,
+        "entry-member": _entry_member,
+        "successor": _successor,
+        "fallback": _fallback,
+        "tier": _tier,
+    }
+
+    @pytest.mark.parametrize("verdict", [None, "backpressure_shed"])
+    @pytest.mark.parametrize("site", sorted(SITES))
+    def test_a_failed_hop_takes_the_sites_continuation(self, site, verdict):
+        sim, network, plan, cells, router, rng = build_world()
+        QosManager(sim, network).install(network)
+        link = FailFirstLink(verdict)
+        router.set_reliable_link(link)
+        dropped = []
+        expected = self.SITES[site](router, cells, dropped.append)
+        reasons = [p.meta["drop_reason"] for p in dropped]
+        if verdict is not None:
+            assert reasons == [verdict]
+            assert len(link.sends) == 1
+            assert router.stats.detours == 0
+        elif isinstance(expected, str):
+            assert reasons == [expected]
+            assert len(link.sends) == 1
+        else:
+            assert not reasons
+            assert len(link.sends) == 2
+            assert link.sends[1] in expected - {link.sends[0]}
+            assert router.stats.detours == (1 if site == "successor" else 0)

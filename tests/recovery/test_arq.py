@@ -10,6 +10,8 @@ from repro.net.mobility import StaticMobility
 from repro.net.network import WirelessNetwork
 from repro.net.node import Node, NodeRole
 from repro.net.packet import Packet, PacketKind
+from repro.qos.backpressure import HIGH_WATER
+from repro.qos.manager import QosManager
 from repro.recovery import ArqLink
 from repro.sim.core import Simulator
 from repro.util.geometry import Point
@@ -82,17 +84,13 @@ class TestArqLink:
         clean_links.setattr(mac_module, "RETRY_LIMIT", 0)
         clean_links.setattr(arq_module, "BUDGET", 4)
         sim, net = build_pair()
-        recovered = []
-        link = ArqLink(
-            net, random.Random(5), on_recovered=lambda: recovered.append(1),
-        )
+        link = ArqLink(net, random.Random(5))
         delivered = []
         for i in range(40):
             link.send(0, 1, packet(now=i * 0.1), on_delivered=delivered.append)
         sim.run_until(60.0)
         assert link.stats.retransmissions > 0
         assert link.stats.recovered_by_retransmit > 0
-        assert len(recovered) == link.stats.recovered_by_retransmit
         # The ARQ lifts per-hop reliability well above the raw 50%.
         assert len(delivered) >= 35
 
@@ -118,6 +116,33 @@ class TestArqLink:
         assert link.stats.duplicates_suppressed == 2
         assert link.stats.exhausted == 1
         assert link.stats.ack_losses == 3
+
+    def test_a_refused_redundant_attempt_leaves_no_verdict(self, clean_links):
+        # The data arrives and its ACK is lost; by the retransmission the
+        # receiver is congested, so QoS refuses the redundant frame.  The
+        # packet has moved on: the refusal must not stay on it, or the
+        # router would drop its next failed hop under that verdict.
+        clean_links.setattr(arq_module, "ACK_LOSS", 1.0)
+        sim, net = build_pair()
+        qos = QosManager(sim, net)
+        qos.install(net)
+        link = ArqLink(net, random.Random(5))
+        delivered, failed = [], []
+
+        def arrived(pkt):
+            delivered.append(pkt)
+            qos.state.note_depth(1, HIGH_WATER)
+
+        pkt = packet()
+        link.send(
+            0, 1, pkt,
+            on_delivered=arrived,
+            on_failed=lambda p, at: failed.append(p),
+        )
+        sim.run_until(5.0)
+        assert delivered == [pkt] and not failed
+        assert qos.stats.backpressure_sheds == 1
+        assert pkt.meta == {}
 
     def test_budget_exhaustion_reports_failure_once(self, clean_links):
         # Destination out of range: every attempt fails at the network

@@ -81,6 +81,13 @@ ROWS = [
         ),
         id="one-static-guard",
     ),
+    pytest.param(
+        r"_unicast|_qos_guard|_hop_then_route|_HopState"
+        r"|note_retransmit_recovered|on_recovered|retransmit_recovered",
+        True,
+        ("src", "tests", "benchmarks/*.py", "examples", "docs"),
+        id="one-hop-primitive",
+    ),
 ]
 
 
