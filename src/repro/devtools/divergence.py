@@ -110,8 +110,7 @@ def _worker_entry(conn, system, config, fixture_path) -> None:
 
 def _run_in_worker(system, config, fixture_path) -> Optional[dict]:
     """One traced run in a spawned subprocess; None when spawn is
-    unavailable (the caller degrades to in-process, like the campaign
-    supervisor does)."""
+    unavailable (the caller then compares in process)."""
     try:
         import multiprocessing
 

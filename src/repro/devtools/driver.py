@@ -29,10 +29,6 @@ DEFAULT_PATHS = ("src", "tests", "benchmarks", "examples")
 
 #: The findings kept on purpose: ``(path suffix, rule id) -> count``.
 ALLOWED = {
-    # The campaign supervisor's worker deadlines are host-process time:
-    # one read arms a deadline, two read the clock the pool waits
-    # against.  None of them enters simulated time.
-    ("repro/experiments/parallel.py", "REF002"): 3,
     # The report CLI: the report and its --wall profile go to stdout.
     ("repro/telemetry/report.py", "REF007"): 2,
     # The coverage CLI: the table and the gate message go to stdout.

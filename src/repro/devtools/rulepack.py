@@ -120,8 +120,8 @@ def no_wall_clock(nodes: Nodes) -> Hits:
     clock is flagged where it is written rather than where simulation
     code calls it; ``from time import perf_counter`` is refused the way
     REF001 refuses ``from random import``, because the bare name would
-    escape the call pattern.  (Deliberate host-clock reads — the
-    supervisor's worker deadlines — are on the driver's allow-list.)
+    escape the call pattern.  (A deliberate host-clock read would be an
+    entry of the driver's allow-list; there is none.)
     """
     for node, name in _imported_from(nodes, "time"):
         if name in _TIME_CLOCK_NAMES:

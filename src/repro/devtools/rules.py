@@ -59,8 +59,8 @@ _PROTOCOL_FILES = (
     # verdict (allowed); any other print() in its replay machinery is
     # a bug.
     "devtools/divergence.py",
-    # The campaign supervisor runs under sweep CLIs whose stdout is the
-    # report; worker/journal progress goes through SupervisorStats.
+    # The campaign runner runs under sweep CLIs whose stdout is the
+    # report; it reports nothing but its outcome or its CampaignError.
     "experiments/parallel.py",
     "experiments/journal.py",
 )

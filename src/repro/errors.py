@@ -49,5 +49,6 @@ class TelemetryError(ReproError):
 
 
 class CampaignError(ReproError):
-    """The campaign supervisor hit unrecoverable state (corrupt
-    journal, malformed payload) or a figure's jobs were quarantined."""
+    """A campaign cannot go on: its journal is damaged, or a job
+    raised, returned a payload that does not decode or lost its
+    worker (the message names the job)."""

@@ -7,13 +7,10 @@ from repro.experiments.workload import CbrWorkload
 from repro.experiments.figures import FIGURE_SPECS, FigureData, SeriesPoint
 from repro.experiments.report import format_figure
 from repro.experiments.journal import CampaignJournal, spec_fingerprint
-from repro.experiments.parallel import CampaignSupervisor, FailedJob
 from repro.experiments.campaign import run_campaign, run_figure
 
 __all__ = [
     "CampaignJournal",
-    "CampaignSupervisor",
-    "FailedJob",
     "spec_fingerprint",
     "FaultConfig",
     "ScenarioConfig",

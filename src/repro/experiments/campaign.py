@@ -12,8 +12,9 @@ self-contained markdown document — the machinery behind
 
 Every grid runs through :func:`repro.experiments.parallel.supervise`:
 each distinct ``(system, config)`` point once (Figs 8-11 share their
-size sweep), in this process or in ``workers`` spawned ones, with
-``journal``/``resume`` checkpointing — none of which changes a number.
+size sweep), in this process or on a pool of ``workers`` spawned ones,
+with ``journal``/``resume`` checkpointing — none of which changes a
+number.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence
 
-from repro.errors import CampaignError, ConfigError
+from repro.errors import ConfigError
 from repro.experiments.config import ScenarioConfig
 from repro.experiments.figures import (
     ALL_SYSTEMS,
@@ -42,10 +43,6 @@ class CampaignResult:
     base: ScenarioConfig
     seeds: int
     figures: Dict[str, FigureData] = field(default_factory=dict)
-    #: Quarantined jobs
-    #: (:class:`repro.experiments.parallel.FailedJob`); empty when
-    #: every job completed.
-    failed_jobs: tuple = ()
     #: Deterministic merge of the per-job telemetry registry snapshots
     #: (telemetry-enabled base configs only).
     merged_registry: Optional[dict] = None
@@ -92,9 +89,8 @@ def run_campaign(
 
     ``supervision`` is passed to
     :func:`repro.experiments.parallel.supervise` (``workers``,
-    ``journal``, ``resume``, ``work``).  A job that keeps
-    failing is quarantined into ``failed_jobs`` and its points average
-    the seeds that did complete; the campaign itself finishes.
+    ``journal``, ``resume``); a job that fails raises
+    :class:`~repro.errors.CampaignError` naming it.
     """
     if seeds < 1:
         raise ConfigError("seeds must be >= 1")
@@ -116,7 +112,6 @@ def run_campaign(
     result = CampaignResult(
         base=base,
         seeds=seeds,
-        failed_jobs=outcome.failed,
         merged_registry=merge_registry_snapshots(outcome.payloads),
     )
     for name, xs in axes.items():
@@ -135,21 +130,11 @@ def run_figure(
     **supervision,
 ) -> FigureData:
     """Regenerate one figure of :data:`FIGURE_SPECS`: the one-figure
-    campaign (``xs`` overrides the spec's default axis).
-
-    Raises :class:`CampaignError` naming the quarantined jobs rather
-    than return a table silently short of samples.
-    """
-    result = run_campaign(
+    campaign (``xs`` overrides the spec's default axis)."""
+    return run_campaign(
         base, seeds, [name], systems, None if xs is None else {name: xs},
         **supervision,
-    )
-    if result.failed_jobs:
-        raise CampaignError(
-            f"{name}: {len(result.failed_jobs)} job(s) quarantined: "
-            + "; ".join(map(str, result.failed_jobs))
-        )
-    return result.figures[name]
+    ).figures[name]
 
 
 def campaign_report(result: CampaignResult) -> str:
@@ -170,10 +155,5 @@ def campaign_report(result: CampaignResult) -> str:
         lines.append("```")
         lines.append(format_figure(data))
         lines.append("```")
-        lines.append("")
-    if result.failed_jobs:
-        lines.append("## Failed jobs")
-        lines.append("")
-        lines.extend(f"- {job}" for job in result.failed_jobs)
         lines.append("")
     return "\n".join(lines)

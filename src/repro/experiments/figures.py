@@ -18,7 +18,7 @@ Nothing here runs a scenario — that is
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Sequence, Tuple
 
 from repro.experiments.config import FaultConfig, ScenarioConfig
 from repro.experiments.runner import RunResult
@@ -203,10 +203,8 @@ FIGURE_SPECS: Dict[str, FigureSpec] = {
 }
 
 #: How a run is obtained for one (system, config) point: the campaign
-#: passes a lookup into the supervisor's decoded results, which returns
-#: ``None`` for a quarantined job (the point then averages the seeds
-#: that did complete and records the reduced sample count).
-RunProvider = Callable[[str, ScenarioConfig], Optional[RunResult]]
+#: passes a lookup into its decoded results.
+RunProvider = Callable[[str, ScenarioConfig], RunResult]
 
 
 def sweep_figure(
@@ -233,16 +231,11 @@ def sweep_figure(
     for system in systems:
         points: List[SeriesPoint] = []
         for x in x_values:
-            values: List[float] = []
-            for seed in range(1, seeds + 1):
-                result = run(system, spec.config_for(base, x, seed))
-                if result is None:
-                    continue
-                values.append(spec.metric(result))
-            if values:
-                mean, ci = confidence_interval_95(values)
-            else:
-                mean, ci = float("nan"), 0.0
+            values = [
+                spec.metric(run(system, spec.config_for(base, x, seed)))
+                for seed in range(1, seeds + 1)
+            ]
+            mean, ci = confidence_interval_95(values)
             points.append(
                 SeriesPoint(x=x, mean=mean, ci95=ci, samples=len(values))
             )

@@ -1,15 +1,14 @@
 """The campaign checkpoint journal: crash-safe JSONL ledger of completions.
 
-A :class:`CampaignJournal` records every job the supervisor accepted —
-key, spec hash and payload blob — as one JSON line, appended and
-flushed the moment the result is accepted.  Killing the coordinator
+A :class:`CampaignJournal` records every job the campaign runner
+accepted — key, spec hash and payload blob — as one JSON line, appended
+and flushed the moment the result is accepted.  Killing the coordinator
 therefore loses at most the line being written; resuming replays the
 journal, reuses every recorded payload, and re-executes only the
-remainder.  Only completions are recorded: a quarantined job is
-reported in the campaign's ``failed_jobs`` and simply runs again on
-resume.  Because the campaign merge is keyed on job keys (never on
-completion order), a resumed campaign is byte-identical to an
-uninterrupted one.
+remainder.  Only completions are recorded: a job that failed the
+campaign simply runs again on resume.  Because the campaign merge is
+keyed on job keys (never on completion order), a resumed campaign is
+byte-identical to an uninterrupted one.
 
 Robustness rules, in order:
 

@@ -120,10 +120,6 @@ class ResilienceResult:
     base: ScenarioConfig
     seeds: int
     cells: List[ResilienceCell] = field(default_factory=list)
-    #: Quarantined jobs
-    #: (:class:`repro.experiments.parallel.FailedJob`); empty when
-    #: every job completed.
-    failed_jobs: tuple = ()
     #: Deterministic merge of the per-job telemetry registry snapshots
     #: (telemetry-enabled base configs only).
     merged_registry: Optional[dict] = None
@@ -170,13 +166,9 @@ def aggregate_resilience_cell(
     system: str,
     fault_class: str,
     intensity: int,
-    runs: Sequence[Optional[RunResult]],
+    runs: Sequence[RunResult],
 ) -> ResilienceCell:
-    """Fold one point's seed runs (in seed order) into its cell.
-
-    ``None`` entries are quarantined jobs: the cell averages the seeds
-    that completed.
-    """
+    """Fold one point's seed runs (in seed order) into its cell."""
     ratios: List[float] = []
     troughs: List[float] = []
     recovery_s: List[float] = []
@@ -185,8 +177,6 @@ def aggregate_resilience_cell(
     detect: List[float] = []
     fp_rates: List[float] = []
     for run in runs:
-        if run is None:
-            continue
         ratios.append(run.delivery_ratio)
         flood.append(run.flood_comm_energy_j)
         summary = run.resilience
@@ -198,10 +188,7 @@ def aggregate_resilience_cell(
         if report is not None:
             detect.append(report.mean_time_to_detect_s)
             fp_rates.append(report.false_positive_rate)
-    if ratios:
-        mean_ratio, ci = confidence_interval_95(ratios)
-    else:
-        mean_ratio, ci = float("nan"), 0.0
+    mean_ratio, ci = confidence_interval_95(ratios)
     return ResilienceCell(
         system=system,
         fault_class=fault_class,
@@ -238,10 +225,9 @@ def resilience_campaign(
     heartbeat evidence instead of omnisciently, and the cells report
     detection latency and false-positive rate per fault class.
 
-    ``supervision`` (``workers``, ``journal``, ``resume``, ``work``)
-    goes to :func:`repro.experiments.parallel.supervise`; a
-    quarantined job lands in ``failed_jobs`` and its cell averages the
-    seeds that completed.
+    ``supervision`` (``workers``, ``journal``, ``resume``) goes to
+    :func:`repro.experiments.parallel.supervise`; a job that fails
+    raises :class:`~repro.errors.CampaignError` naming it.
     """
     if seeds < 1:
         raise ConfigError("seeds must be >= 1")
@@ -276,7 +262,6 @@ def resilience_campaign(
     result = ResilienceResult(
         base=base,
         seeds=seeds,
-        failed_jobs=outcome.failed,
         merged_registry=merge_registry_snapshots(outcome.payloads),
     )
     for system, fault_class, intensity in grid:

@@ -47,10 +47,6 @@ class PeriodicProcess:
         self._running = False
         self.fired = 0
 
-    @property
-    def running(self) -> bool:
-        return self._running
-
     def start(self, initial_delay: float = 0.0) -> None:
         """Begin firing; first firing after ``initial_delay`` (+ jitter)."""
         if self._running:

@@ -1,30 +1,29 @@
-"""Tests for the campaign supervisor — the one way a grid runs.
+"""Tests for the campaign runner — the one way a grid runs.
 
-The retry/quarantine suites run the supervisor in process
-(``workers=0``) against a saboteur ``work`` callable
-(:mod:`tests.experiments.sabotage`) that raises or returns garbage on
-cue; one suite spawns real worker processes to exercise crash
-detection from exit codes and hang detection from deadlines.  What
-"supervised = plain" means is written here: the oracle is
-``sweep_figure`` / ``aggregate_resilience_cell`` over direct runs.
+What "supervised = plain" means is written here: the oracle is
+``sweep_figure`` / ``aggregate_resilience_cell`` over direct runs, and
+the pool (``workers=2``) must equal the in-process path
+(``workers=0``).  A job that raises, a payload that does not decode
+and a worker that dies must each fail the campaign naming the job,
+in process and on a real spawned pool.
 """
 
 import json
+import multiprocessing
+import os
+import signal
+import threading
+import time
 from dataclasses import replace
 
 import pytest
 
 from repro.errors import CampaignError, ConfigError
-from repro.experiments.campaign import (
-    campaign_report,
-    run_campaign,
-    run_figure,
-)
+from repro.experiments.campaign import run_campaign
 from repro.experiments.config import ScenarioConfig
 from repro.experiments.figures import ALL_SYSTEMS, FIGURE_SPECS, sweep_figure
-from repro.experiments.journal import CampaignJournal
 from repro.experiments import parallel
-from repro.experiments.parallel import CampaignSupervisor, job_for, supervise
+from repro.experiments.parallel import job_for, supervise
 from repro.experiments.payload import (
     merge_registry_snapshots,
     payload_from_result,
@@ -37,7 +36,6 @@ from repro.experiments.resilience import (
 )
 from repro.experiments.runner import run_scenario_cached
 from repro.telemetry.config import TelemetryConfig
-from tests.experiments.sabotage import ALWAYS, Saboteur
 
 TINY = ScenarioConfig(sim_time=6.0, warmup=1.0, rate_pps=4.0)
 
@@ -63,13 +61,11 @@ METRIC_FIELDS = (
 )
 
 
-def _fig4_jobs(xs=(5.0,), systems=("REFER",)):
-    """The jobs of a one-seed fig4 grid, in grid order."""
+def _fig4_points(xs=(5.0,), systems=("REFER",)):
+    """The points of a one-seed fig4 grid, in grid order."""
     config_for = FIGURE_SPECS["fig4"].config_for
     return [
-        job_for(system, config_for(TINY, x, 1))
-        for system in systems
-        for x in xs
+        (system, config_for(TINY, x, 1)) for system in systems for x in xs
     ]
 
 
@@ -179,18 +175,6 @@ class TestPayloadCodec:
         with pytest.raises(CampaignError, match="corrupt result payload"):
             result_from_payload("REFER", TINY, payload)
 
-    def test_worker_error_payload_rejected_with_detail(self):
-        """A ``worker_error`` reply is booked as an error, not corrupt."""
-        outcome = CampaignSupervisor(
-            _fig4_jobs(),
-            work=lambda system, config: {
-                "worker_error": "EmbeddingError: too few"
-            },
-        ).run()
-        (failed,) = outcome.failed
-        assert failed.reason == "error"
-        assert "EmbeddingError: too few" in failed.detail
-        assert outcome.stats.corrupt == 0
 
 
 class TestRegistryMerge:
@@ -224,9 +208,8 @@ class TestJobs:
             for x in (100, 150)
         ]
         outcome = supervise(points, "fp")
-        assert outcome.stats.jobs == 2
-        assert outcome.stats.executed == 2
         assert len(outcome.payloads) == 2
+        assert len(outcome.results) == 2
 
     def test_key_is_content_addressed(self):
         a = job_for("REFER", TINY)
@@ -234,17 +217,14 @@ class TestJobs:
         assert a.key != job_for("DaTree", TINY).key
         assert a.key != job_for("REFER", TINY.with_(seed=2)).key
 
-    def test_duplicate_jobs_rejected(self):
-        job = job_for("REFER", TINY)
-        with pytest.raises(CampaignError):
-            CampaignSupervisor([job, job])
-
     def test_negative_workers_rejected(self):
-        with pytest.raises(ConfigError):
-            CampaignSupervisor(_fig4_jobs(), workers=-1)
+        with pytest.raises(ConfigError, match="workers must be >= 0"):
+            supervise(_fig4_points(), "fp", workers=-1)
 
 
 class TestSerialDegradedMode:
+    """``workers=0``: the in-process path equals direct runs."""
+
     def test_workers0_campaign_equals_legacy_serial(self):
         oracle = sweep_figure(
             FIGURE_SPECS["fig4"], TINY, (5.0,), ALL_SYSTEMS, 1,
@@ -252,7 +232,6 @@ class TestSerialDegradedMode:
         )
         supervised = run_campaign(TINY, workers=0, **CAMPAIGN_KW)
         assert supervised.figures["fig4"] == oracle
-        assert supervised.failed_jobs == ()
 
     def test_workers0_resilience_equals_legacy_serial(self):
         oracle = aggregate_resilience_cell(
@@ -267,98 +246,7 @@ class TestSerialDegradedMode:
         )
         supervised = resilience_campaign(TINY, workers=0, **RESILIENCE_KW)
         assert supervised.cells == [oracle]
-        assert supervised.failed_jobs == ()
 
-    def test_permanent_error_quarantined_in_manifest(self, tmp_path):
-        # A reported error is not retried: the real work is a pure
-        # function of (system, config), so a rerun could only repeat
-        # it.  (The saboteur's second attempt would have succeeded.)
-        jobs = _fig4_jobs()
-        outcome = CampaignSupervisor(
-            jobs,
-            work=Saboteur.of(tmp_path, error={jobs[0].key: 1}),
-        ).run()
-        assert outcome.payloads == {}
-        assert len(outcome.failed) == 1
-        failed = outcome.failed[0]
-        assert failed.key == jobs[0].key
-        assert failed.reason == "error"
-        assert "RuntimeError" in failed.detail
-        assert failed.attempts == 1
-        assert outcome.stats.errors == 1
-        assert outcome.stats.retries == 0
-        assert outcome.stats.quarantined == 1
-
-    def test_raising_scenario_quarantined_as_error(self):
-        outcome = supervise([("NoSuchSystem", TINY)], "fp")
-        assert outcome.stats.errors == 1
-        assert outcome.stats.retries == 0
-        (failed,) = outcome.failed
-        assert failed.attempts == 1
-        assert failed.reason == "error"
-        assert "ConfigError: unknown system" in failed.detail
-
-    def test_corrupt_payload_rejected_then_retried(self, tmp_path):
-        oracle = CampaignSupervisor(_fig4_jobs()).run()
-        jobs = _fig4_jobs()
-        sabotaged = CampaignSupervisor(
-            jobs,
-            work=Saboteur.of(tmp_path, corrupt={jobs[0].key: 2}),
-        ).run()
-        assert sabotaged.payloads == oracle.payloads
-        assert sabotaged.stats.corrupt == 2
-        assert sabotaged.failed == ()
-
-    def test_campaign_completes_around_poisoned_job(self, tmp_path):
-        """A permanently failing job costs its own samples, nothing else."""
-        kw = dict(
-            seeds=1,
-            figures=["fig4"],
-            sweeps={"fig4": (5.0, 10.0)},
-        )
-        healthy = run_campaign(TINY, **kw).figures["fig4"].series
-        poisoned_key = _fig4_jobs((5.0, 10.0))[0].key
-        result = run_campaign(
-            TINY,
-            workers=0,
-            work=Saboteur.of(tmp_path, error={poisoned_key: ALWAYS}),
-            **kw,
-        )
-        assert [f.key for f in result.failed_jobs] == [poisoned_key]
-        merged = result.figures["fig4"].series
-        assert set(merged) == set(healthy)
-        for system, points in healthy.items():
-            for got, want in zip(merged[system], points):
-                if got.samples == want.samples:
-                    assert got == want
-                else:
-                    # The poisoned point: zero samples, NaN mean.
-                    assert got.samples == 0
-                    assert got.mean != got.mean
-
-    def test_failed_jobs_render_in_report(self, tmp_path):
-        key = _fig4_jobs()[0].key
-        result = run_campaign(
-            TINY,
-            workers=0,
-            work=Saboteur.of(tmp_path, error={key: ALWAYS}),
-            **CAMPAIGN_KW,
-        )
-        report = campaign_report(result)
-        assert "## Failed jobs" in report
-        assert key in report
-
-    def test_run_figure_raises_on_quarantined_job(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(parallel, "MAX_ATTEMPTS", 1)
-        key = _fig4_jobs()[0].key
-        with pytest.raises(CampaignError, match=key):
-            run_figure(
-                "fig4",
-                TINY,
-                (5.0,),
-                seeds=1,
-                work=Saboteur.of(tmp_path, corrupt={key: ALWAYS}),
-            )
 
 
 class TestJournalResume:
@@ -368,7 +256,6 @@ class TestJournalResume:
             seeds=1, figures=["fig4"], sweeps={"fig4": (5.0, 10.0)}
         )
         full = run_campaign(TINY, journal=str(journal), **kw)
-        assert full.failed_jobs == ()
         # Kill the coordinator after some completions: drop the last
         # two job lines plus half of another (a torn tail write).
         lines = journal.read_text(encoding="utf-8").splitlines()
@@ -379,19 +266,18 @@ class TestJournalResume:
             TINY, journal=str(journal), resume=True, **kw
         )
         assert resumed.figures["fig4"] == full.figures["fig4"]
-        assert resumed.failed_jobs == ()
 
-    def test_resume_reuses_journalled_payloads(self, tmp_path):
-        journal = tmp_path / "campaign.jsonl"
-        jobs = _fig4_jobs()
-        first = CampaignJournal(str(journal), "fp")
-        CampaignSupervisor(jobs, journal=first).run()
-        first.close()
-        second = CampaignJournal(str(journal), "fp", resume=True)
-        outcome = CampaignSupervisor(_fig4_jobs(), journal=second).run()
-        second.close()
-        assert outcome.stats.reused == len(jobs)
-        assert outcome.stats.executed == 0
+    def test_resume_reuses_journalled_payloads(self, tmp_path, monkeypatch):
+        journal = str(tmp_path / "campaign.jsonl")
+        points = _fig4_points((5.0, 10.0))
+        first = supervise(points, "fp", journal=journal)
+
+        def must_not_run(system, config):
+            raise AssertionError("a journalled job ran again")
+
+        monkeypatch.setattr(parallel, "run_job", must_not_run)
+        second = supervise(points, "fp", journal=journal, resume=True)
+        assert second.payloads == first.payloads
 
     def test_changed_grid_rejected_on_resume(self, tmp_path):
         journal = tmp_path / "campaign.jsonl"
@@ -446,44 +332,70 @@ class TestJournalResume:
             resilience_campaign(TINY, resume=True, **RESILIENCE_KW)
 
 
+class TestFailLoudly:
+    """A failed job stops the campaign and names itself."""
+
+    @pytest.mark.parametrize("workers", [0, 2])
+    def test_raising_job_fails_the_campaign(self, workers):
+        points = [("NoSuchSystem", TINY)] + _fig4_points()
+        key = job_for("NoSuchSystem", TINY).key
+        with pytest.raises(CampaignError) as info:
+            supervise(points, "fp", workers=workers)
+        message = str(info.value)
+        assert key in message
+        assert "ConfigError: unknown system" in message
+
+    def test_corrupt_live_payload_fails_the_campaign(self, monkeypatch):
+        monkeypatch.setattr(
+            parallel, "run_job", lambda system, config: {"run": {}}
+        )
+        (point,) = _fig4_points()
+        with pytest.raises(CampaignError) as info:
+            supervise([point], "fp")
+        assert job_for(*point).key in str(info.value)
+        assert "corrupt result payload" in str(info.value)
+
+    def test_cli_exits_3_naming_the_failed_job(self, monkeypatch, capsys):
+        from repro.experiments.__main__ import main
+
+        def raising(system, config):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(parallel, "run_job", raising)
+        code = main(["fig4", "--seeds", "1", "--points", "5",
+                     "--sim-time", "6"])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "RuntimeError: boom" in err
+        assert "job `" in err
+
+
 class TestRealWorkerPool:
-    """Spawned-process suite: real crashes, real hangs, real deadlines."""
+    """Spawned-process suite: a reused pool, and a worker really killed."""
 
-    def test_crash_and_hang_detection_with_retries(self, tmp_path, monkeypatch):
-        jobs = _fig4_jobs((5.0, 10.0))
-        assert len(jobs) == 2
-        oracle = CampaignSupervisor(jobs).run()
-        monkeypatch.setattr(parallel, "MAX_ATTEMPTS", 2)
-        # A healthy spawned attempt is ~1.5 s (interpreter + import + a
-        # 0.3 s scenario); 8 s leaves a wide margin while bounding how
-        # long the sabotaged hang is allowed to sit before the deadline
-        # kills it.
-        monkeypatch.setattr(parallel, "DEADLINE_S", 8.0)
-        outcome = CampaignSupervisor(
-            _fig4_jobs((5.0, 10.0)),
-            workers=2,
-            work=Saboteur.of(
-                tmp_path, crash={jobs[0].key: 1}, hang={jobs[1].key: 1}
-            ),
-        ).run()
-        assert outcome.failed == ()
-        assert outcome.payloads == oracle.payloads
-        assert outcome.stats.crashes == 1
-        assert outcome.stats.hangs == 1
-        assert outcome.stats.retries == 2
+    def test_dead_worker_fails_the_campaign(self):
+        points = [("REFER", TINY.with_(seed=seed)) for seed in range(1, 9)]
+        raised = []
 
-    def test_permanent_crash_reports_the_exit_code(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(parallel, "MAX_ATTEMPTS", 1)
-        monkeypatch.setattr(parallel, "DEADLINE_S", 60.0)
-        (job,) = _fig4_jobs()
-        outcome = CampaignSupervisor(
-            [job],
-            workers=1,
-            work=Saboteur.of(tmp_path, crash={job.key: ALWAYS}),
-        ).run()
-        (failed,) = outcome.failed
-        assert failed.reason == "crash"
-        assert "exit code 17" in failed.detail
+        def coordinator():
+            try:
+                supervise(points, "fp", workers=1)
+            except CampaignError as exc:
+                raised.append(exc)
+
+        thread = threading.Thread(target=coordinator)
+        thread.start()
+        killed = False
+        while thread.is_alive() and not killed:
+            for child in multiprocessing.active_children():
+                os.kill(child.pid, signal.SIGKILL)
+                killed = True
+            time.sleep(0.01)
+        thread.join(60.0)
+        assert killed and not thread.is_alive()
+        (exc,) = raised
+        assert "BrokenProcessPool" in str(exc)
+        assert "job `REFER:" in str(exc)
 
     def test_workers2_equals_workers0(self):
         kw = dict(
@@ -493,10 +405,8 @@ class TestRealWorkerPool:
             sweeps={"fig4": (5.0,)},
         )
         pooled = run_campaign(TINY, workers=2, **kw)
-        assert pooled.failed_jobs == ()
         assert pooled.figures == run_campaign(TINY, workers=0, **kw).figures
         pooled_cells = resilience_campaign(TINY, workers=2, **RESILIENCE_KW)
-        assert pooled_cells.failed_jobs == ()
         assert pooled_cells.cells == resilience_campaign(
             TINY, workers=0, **RESILIENCE_KW
         ).cells

@@ -49,7 +49,6 @@ class TestPeriodic:
         proc.start()
         sim.run_until(100.0)
         assert proc.fired == 3
-        assert not proc.running
 
     def test_restart_after_stop(self):
         sim = Simulator()

@@ -151,8 +151,8 @@ def _imported_files(path):
 
 # Unreached and known: ``benchmarks/e2e``'s self-test asserts more than
 # 100 files under ``src/repro`` and a PR that deletes modules may not
-# edit that directory.  These go once that floor is lowered (ROADMAP 5c);
-# the list is compared exactly, so it can only shrink.
+# edit that directory.  These go once that floor is lowered
+# (ROADMAP 4(ii)); the list is compared exactly, so it can only shrink.
 AWAITING_DELETION = [
     "src/repro/kautz/debruijn.py",
     "src/repro/kautz/hamiltonian.py",

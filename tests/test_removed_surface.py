@@ -88,6 +88,17 @@ ROWS = [
         ("src", "tests", "benchmarks/*.py", "examples", "docs"),
         id="one-hop-primitive",
     ),
+    pytest.param(
+        r"CampaignSupervisor|FailedJob|SupervisorStats|failed_jobs"
+        r"|MAX_ATTEMPTS|DEADLINE_S|degraded_serial|Saboteur|worker_error"
+        r"|quarantin\w*",
+        True,
+        (
+            "src", "tests", "benchmarks/*.py", "examples", "docs",
+            "EXPERIMENTS.md", ".claude",
+        ),
+        id="one-pool",
+    ),
 ]
 
 
