@@ -1,8 +1,11 @@
-"""Engine scaling report: how long REFER takes at the two scale points.
+"""Engine scaling report: how long a run takes at three scale points.
 
-Report-only — nothing here gates.  Two fixed points the ROADMAP quotes:
+Report-only — nothing here gates.  Three fixed points the ROADMAP quotes:
 
 * a 1600-sensor REFER run, in wall seconds;
+* a 400-sensor Kautz-overlay run in the paper's 500 m field (Figs
+  8-11's largest size), its construction seconds apart: every overlay
+  member floods once to build, so they are the flood spread's cost;
 * ``REFER_BENCH_FULL=1`` unlocks the 10k-sensor figure-8 point.
 
 Each writes ``benchmarks/results/<name>.txt`` and a ``BENCH_<name>.json``
@@ -19,6 +22,7 @@ import time
 
 import pytest
 
+from repro.baselines.kautz_overlay import KautzOverlaySystem
 from repro.experiments.config import ScenarioConfig
 from repro.experiments.runner import run_scenario
 
@@ -71,6 +75,38 @@ def test_refer_run_at_1600_sensors():
             "  delivered        %10d" % result.delivered_total,
         ],
         {"sensors": 1600, "wall_s": wall},
+    )
+    assert result.generated > 0 and result.delivered_total > 0
+
+
+def test_overlay_build_at_400_sensors(monkeypatch):
+    built = []
+    build = KautzOverlaySystem.build
+
+    def stamped(self):
+        build(self)
+        built.append(time.perf_counter())
+
+    monkeypatch.setattr(KautzOverlaySystem, "build", stamped)
+    gc.collect()
+    start = time.perf_counter()
+    result = run_scenario(
+        "Kautz-overlay",
+        ScenarioConfig(seed=1, sensor_count=400, area_side=500.0, sim_time=10.0),
+    )
+    wall = time.perf_counter() - start
+    setup = built[0] - start
+    _emit(
+        "engine_overlay_build",
+        [
+            "engine scaling: 400-sensor Kautz-overlay run (500 m, 10 s)",
+            "",
+            "  setup (build)    %10.3f s" % setup,
+            "  wall time        %10.3f s" % wall,
+            "  generated        %10d" % result.generated,
+            "  delivered        %10d" % result.delivered_total,
+        ],
+        {"sensors": 400, "setup_s": setup, "wall_s": wall},
     )
     assert result.generated > 0 and result.delivered_total > 0
 

@@ -30,7 +30,10 @@ would add ``joules`` each.  The two are the same float: the joules are
 the constants :data:`TX_JOULES` and :data:`RX_JOULES`, both multiples
 of 2**-2, so every child holds a multiple of 2**-2 and every partial
 sum below 2**51 is exact (``tests/net/test_energy_handles.py`` holds
-the batched flood to a per-reception one, bit for bit).
+the batched flood to a per-reception one, bit for bit).  So is an
+unmetered battery's ``consumed_joules``, which a flood drains ``k *
+RX_JOULES`` at once; a metered one may hold any float (the depletion
+fault sets one) and is drained per reception.
 """
 
 from __future__ import annotations

@@ -50,7 +50,9 @@ when the bucket's snapshot was taken (its first neighbour query), with
 ``usable`` as it was when the node's tuple was first computed in the
 bucket — the geometry carries no liveness, a tuple filters it at that
 first use.  Floods and candidate gathering share it; a flood reads
-the bucket's tuples straight from the mapping ``survey`` returns.  The
+the bucket's tuples straight from the mapping ``survey`` returns, and
+beside them each tuple as an int bitmask (bit ``i`` = node ``i``),
+made at a flood's first use of the tuple and dropped with it.  The
 roll only *writes* the mobile positions; the grid re-hashes cells the
 first time a query in the bucket needs them.  The cost boundary: a
 TTL-limited flood in a fresh bucket pays for the whole field's
@@ -151,6 +153,10 @@ class WirelessMedium:
         #: its first query: filtered by ``usable``, and the whole graph.
         self._usable_tuples: Dict[int, Tuple[int, ...]] = {}
         self._all_tuples: Dict[int, Tuple[int, ...]] = {}
+        #: The ``usable`` tuples as int bitmasks (bit ``i`` set for node
+        #: ``i``), each made by a flood at its first use of the tuple and
+        #: cleared with the tuples, so the bucket's floods share them.
+        self._usable_masks: Dict[int, int] = {}
         self._cache_bucket = -1
         #: The installed fault model (see :meth:`set_link_fault`).
         self.link_fault: Optional[LinkFault] = None
@@ -203,8 +209,16 @@ class WirelessMedium:
     # -- registry ------------------------------------------------------------
 
     def add_node(self, node: Node) -> None:
-        if node.id in self._nodes:
-            raise NetworkError(f"duplicate node id {node.id}")
+        """Register ``node``.  Its id must be a non-negative ``int``, not
+        a ``bool`` or another subclass: it is a bit position in a
+        flood's masks."""
+        node_id = node.id
+        if type(node_id) is not int or node_id < 0:
+            raise NetworkError(
+                f"node id must be a non-negative int, got {node_id!r}"
+            )
+        if node_id in self._nodes:
+            raise NetworkError(f"duplicate node id {node_id}")
         if node._busy_radios is not None and node._busy_radios is not self._busy:
             # Its radio can file itself with one medium only.
             raise NetworkError(
@@ -325,7 +339,9 @@ class WirelessMedium:
             )
         return cached
 
-    def survey(self, now: float) -> Mapping[int, Tuple[int, ...]]:
+    def survey(
+        self, now: float
+    ) -> Tuple[Mapping[int, Tuple[int, ...]], Dict[int, int]]:
         """Compute the geometry of every registered node in ``now``'s
         bucket, in one pass over the grid (once per bucket: a flood
         about to ask for many neighbour tuples calls it first).
@@ -334,8 +350,10 @@ class WirelessMedium:
         ``usable`` at its first :meth:`neighbors` call.  Returned: the
         bucket's ``usable``-filtered tuples by node id, those asked for
         so far — what ``neighbors(node_id, now)`` answers for an id it
-        holds, until time or the registry moves.  A flood reads its
-        forwarders' tuples there and asks :meth:`neighbors` on a miss.
+        holds, until time or the registry moves — and the bucket's
+        masks of those tuples by node id, for the caller to fill.  A
+        flood reads its forwarders' tuples there, asks :meth:`neighbors`
+        on a miss, and files a tuple's mask at its first use.
         """
         bucket = int(now / self._cache_resolution)
         if bucket != self._cache_bucket or self._pending_ids:
@@ -346,11 +364,12 @@ class WirelessMedium:
             geometry.update(self.spatial_grid.mutual_neighbours(
                 missing, self._nodes, self._wide_ids
             ))
-        return self._usable_tuples
+        return self._usable_tuples, self._usable_masks
 
     def _clear_tuples(self) -> None:
         self._usable_tuples.clear()
         self._all_tuples.clear()
+        self._usable_masks.clear()
 
     def _roll(self, bucket: int, now: float) -> None:
         """Refresh the snapshot for ``now`` (in ``bucket``)."""

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import random
 from collections import Counter
+from itertools import chain, islice
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import NetworkError
@@ -33,6 +34,20 @@ FailureCallback = Callable[[Packet, int], None]   # (packet, failed_at_node)
 
 #: Seconds a sender burns learning that a hop is out of range.
 FAILURE_TIMEOUT = 0.02
+
+#: ``_BIT[k]`` is the byte with bit ``k`` set.
+_BIT = tuple(1 << k for k in range(8))
+
+
+def _mask(node_ids: Sequence[int]) -> int:
+    """The int with bit ``i`` set for each ``i`` in ``node_ids``: built
+    in a bytearray, so no int wider than a byte is made per id."""
+    if not node_ids:
+        return 0
+    buf = bytearray((max(node_ids) >> 3) + 1)
+    for node_id in node_ids:
+        buf[node_id >> 3] |= _BIT[node_id & 7]
+    return int.from_bytes(buf, "little")
 
 
 class WirelessNetwork:
@@ -368,19 +383,21 @@ class WirelessNetwork:
         # Every node that holds the message rebroadcasts once, except
         # leaves at the TTL horizon which receive but do not forward.
         forwarders = self._charge_forwarders(tree, ttl)
+        # A forwarder contends for the medium until its whole flood
+        # level has drained — the broadcast-storm cost that lets repair
+        # floods steal airtime from concurrent data traffic.  Only a
+        # raise is written: a radio busy at least as long is filed.
+        last = len(level_latency) - 1
+        busy_until = [
+            now + max(level_latency[min(hops + 1, last)], airtime)
+            for hops in range(len(level_latency))
+        ]
         table = self.medium.node_table
         for node_id in forwarders:
-            hops = tree[node_id][0]
+            until = busy_until[tree[node_id][0]]
             node = table[node_id]
-            # A forwarder contends for the medium until its whole flood
-            # level has drained — the broadcast-storm cost that lets
-            # repair floods steal airtime from concurrent data traffic.
-            level_end = level_latency[
-                min(hops + 1, len(level_latency) - 1)
-            ]
-            node.radio_busy_until = max(
-                node.radio_busy_until, now + max(level_end, airtime)
-            )
+            if until > node.radio_busy_until:
+                node.radio_busy_until = until
         self._trace_events["flood"].inc()
         if on_complete is not None:
             self.sim.schedule(level_latency[-1], lambda: on_complete(tree))
@@ -431,11 +448,20 @@ class WirelessNetwork:
         (a TTL-limited flood in a fresh bucket pays for the whole
         field).  A forwarder's list is read straight from the bucket's
         tuples the survey returns, and computed by ``neighbors`` the
-        first time.  Liveness is each neighbour list's, read when the
-        forwarder's list is first asked for: a reception drains its
-        battery at once, so a node the flood exhausts is gone from the
-        next list computed; the ledger is charged once at the end, by
-        count, in first-heard order (exact: see :mod:`repro.net.energy`).
+        first time; its bitmask (bit ``i`` = node ``i``) is made at the
+        bucket's first flood through it and kept beside the tuple.  Each
+        forwarder, in breadth-first order, adds the bits of ``mask &
+        ~seen`` to the tree, ascending — the order its tuple lists them
+        in: a Python step per node reached, not per edge.
+
+        Liveness is each neighbour list's, read when the forwarder's
+        list is first asked for.  A metered battery (``battery_joules``
+        set) is drained by each reception as it is heard, so a node the
+        flood exhausts is gone from the next list computed.  The
+        receptions are counted once, at the end, in first-heard order:
+        an unmetered node is drained ``count * RX_JOULES`` at once and
+        the ledger is charged by count (both exact, and nothing reads an
+        unmetered node's joules mid-flood: see :mod:`repro.net.energy`).
         """
         if ttl < 0:
             raise NetworkError(f"flood ttl must be >= 0, got {ttl}")
@@ -446,27 +472,51 @@ class WirelessNetwork:
                 tree[src_id] = (0, None)
                 frontier.append(src_id)
         level_sizes = [len(frontier)]
+        if not (frontier and ttl):
+            return tree, level_sizes
         now = self.sim.now
         medium = self.medium
-        tuples = medium.survey(now) if frontier and ttl else {}
-        received: Counter = Counter()
+        tuples, masks = medium.survey(now)
         table = medium.node_table
+        metered = _mask([
+            node_id for node_id, node in table.items()
+            if node.battery_joules is not None
+        ])
+        seen = _mask(frontier)
         depth = 0
         while frontier and depth < ttl:
             depth += 1
-            next_frontier: List[int] = []
+            start = len(tree)
             for node_id in frontier:
-                heard = tuples.get(node_id)
-                if heard is None:
-                    heard = medium.neighbors(node_id, now)
-                received.update(heard)
-                for nb in heard:
-                    table[nb].consumed_joules += RX_JOULES
-                    if nb not in tree:
-                        tree[nb] = (depth, node_id)
-                        next_frontier.append(nb)
-            frontier = next_frontier
+                mask = masks.get(node_id)
+                if mask is None:
+                    heard = tuples.get(node_id)
+                    if heard is None:
+                        heard = medium.neighbors(node_id, now)
+                    mask = masks[node_id] = _mask(heard)
+                drained = mask & metered
+                while drained:
+                    low = drained & -drained
+                    table[low.bit_length() - 1].consumed_joules += RX_JOULES
+                    drained ^= low
+                new = mask & ~seen
+                seen |= new
+                while new:
+                    low = new & -new
+                    tree[low.bit_length() - 1] = (depth, node_id)
+                    new ^= low
+            frontier = list(islice(tree, start, None))
             level_sizes.append(len(frontier))
+        # The forwarders are the tree but its last level, in the order
+        # they forwarded; each one's tuple is in the bucket's mapping.
+        forwarders = islice(tree, len(tree) - level_sizes[-1])
+        received = Counter(
+            chain.from_iterable(map(tuples.__getitem__, forwarders))
+        )
+        for node_id, count in received.items():
+            node = table[node_id]
+            if node.battery_joules is None:
+                node.consumed_joules += count * RX_JOULES
         self.energy.charge_rx_counts(received, "flood")
         return tree, level_sizes
 

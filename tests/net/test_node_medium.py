@@ -84,6 +84,15 @@ class TestMedium:
         with pytest.raises(NetworkError):
             medium.add_node(make_node(0, 5, 5))
 
+    @pytest.mark.parametrize("node_id", [-1, 1.5, True, False, "7", None])
+    def test_id_that_is_no_bit_position_rejected(self, node_id):
+        # A flood files each id as a bit of its masks: only a
+        # non-negative int is one, and the refusal registers nothing.
+        medium = self.build()
+        with pytest.raises(NetworkError, match="non-negative int"):
+            medium.add_node(make_node(node_id, 10, 0))
+        assert len(medium) == 4 and medium.neighbors(0, 0.0) == (1,)
+
     def test_unknown_node(self):
         with pytest.raises(NetworkError):
             self.build().node(99)
