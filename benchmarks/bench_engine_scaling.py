@@ -1,11 +1,13 @@
 """Engine scaling report: how long a run takes at three scale points.
 
-Report-only — nothing here gates.  Three fixed points the ROADMAP quotes:
+Report-only — nothing here gates.  Three fixed points the ROADMAP quotes,
+each in wall seconds with its construction seconds (from the start of
+the run to the return of the system's ``build()``) apart:
 
-* a 1600-sensor REFER run, in wall seconds;
+* a 1600-sensor REFER run, its build the Kautz embedding;
 * a 400-sensor Kautz-overlay run in the paper's 500 m field (Figs
-  8-11's largest size), its construction seconds apart: every overlay
-  member floods once to build, so they are the flood spread's cost;
+  8-11's largest size): every overlay member floods once to build, so
+  its build is the flood spread's cost;
 * ``REFER_BENCH_FULL=1`` unlocks the 10k-sensor figure-8 point.
 
 Each writes ``benchmarks/results/<name>.txt`` and a ``BENCH_<name>.json``
@@ -22,9 +24,8 @@ import time
 
 import pytest
 
-from repro.baselines.kautz_overlay import KautzOverlaySystem
 from repro.experiments.config import ScenarioConfig
-from repro.experiments.runner import run_scenario
+from repro.experiments.runner import SYSTEMS, run_scenario
 
 from _common import RESULTS_DIR
 
@@ -60,42 +61,48 @@ def _emit(name, lines, record):
     print("\n" + table)
 
 
-def test_refer_run_at_1600_sensors():
-    gc.collect()
-    start = time.perf_counter()
-    result = run_scenario("REFER", _scenario(1600))
-    wall = time.perf_counter() - start
-    _emit(
-        "engine_scenario",
-        [
-            "engine scaling: 1600-sensor REFER run",
-            "",
-            "  wall time        %10.3f s" % wall,
-            "  generated        %10d" % result.generated,
-            "  delivered        %10d" % result.delivered_total,
-        ],
-        {"sensors": 1600, "wall_s": wall},
-    )
-    assert result.generated > 0 and result.delivered_total > 0
-
-
-def test_overlay_build_at_400_sensors(monkeypatch):
+def _timed_run(monkeypatch, system, config):
+    """Run ``system`` on ``config``: the result, the seconds until its
+    ``build()`` returned and the run's wall seconds."""
     built = []
-    build = KautzOverlaySystem.build
+    cls = SYSTEMS[system]
+    build = cls.build
 
     def stamped(self):
         build(self)
         built.append(time.perf_counter())
 
-    monkeypatch.setattr(KautzOverlaySystem, "build", stamped)
+    monkeypatch.setattr(cls, "build", stamped)
     gc.collect()
     start = time.perf_counter()
-    result = run_scenario(
+    result = run_scenario(system, config)
+    wall = time.perf_counter() - start
+    return result, built[0] - start, wall
+
+
+def test_refer_run_at_1600_sensors(monkeypatch):
+    result, setup, wall = _timed_run(monkeypatch, "REFER", _scenario(1600))
+    _emit(
+        "engine_scenario",
+        [
+            "engine scaling: 1600-sensor REFER run",
+            "",
+            "  setup (build)    %10.3f s" % setup,
+            "  wall time        %10.3f s" % wall,
+            "  generated        %10d" % result.generated,
+            "  delivered        %10d" % result.delivered_total,
+        ],
+        {"sensors": 1600, "setup_s": setup, "wall_s": wall},
+    )
+    assert result.generated > 0 and result.delivered_total > 0
+
+
+def test_overlay_build_at_400_sensors(monkeypatch):
+    result, setup, wall = _timed_run(
+        monkeypatch,
         "Kautz-overlay",
         ScenarioConfig(seed=1, sensor_count=400, area_side=500.0, sim_time=10.0),
     )
-    wall = time.perf_counter() - start
-    setup = built[0] - start
     _emit(
         "engine_overlay_build",
         [
@@ -115,12 +122,9 @@ def test_overlay_build_at_400_sensors(monkeypatch):
     os.environ.get("REFER_BENCH_FULL") != "1",
     reason="10k-sensor point: set REFER_BENCH_FULL=1",
 )
-def test_figure8_point_at_10k_sensors():
+def test_figure8_point_at_10k_sensors(monkeypatch):
     """The headline claim: a 10k-node figure-8 point on a laptop."""
-    gc.collect()
-    start = time.perf_counter()
-    result = run_scenario("REFER", _scenario(10000))
-    wall = time.perf_counter() - start
+    result, setup, wall = _timed_run(monkeypatch, "REFER", _scenario(10000))
     delivered_fraction = (
         result.delivered_total / result.generated if result.generated else 0.0
     )
@@ -129,6 +133,7 @@ def test_figure8_point_at_10k_sensors():
         [
             "engine scaling: 10k-sensor REFER point",
             "",
+            "  setup (build)    %10.1f s" % setup,
             "  wall time        %10.1f s" % wall,
             "  generated        %10d" % result.generated,
             "  delivered        %10d  (%.2f of generated)"
@@ -138,6 +143,7 @@ def test_figure8_point_at_10k_sensors():
         ],
         {
             "sensors": 10000,
+            "setup_s": setup,
             "wall_s": wall,
             "generated": result.generated,
             "delivered": result.delivered_total,

@@ -146,6 +146,11 @@ class EmbeddingProtocol:
         self.graph = KautzGraph(degree, 3)
         self.stats = EmbeddingStats(registry=network.registry)
         self._claimed: set = set()   # sensors already embedded somewhere
+        #: Each sensor's cell at the instant it was last located
+        #: (``(now, [(node_id, cid), ...])``; see :meth:`_cell_pool`).
+        self._sensor_cells: Optional[
+            Tuple[float, List[Tuple[int, int]]]
+        ] = None
 
     # ------------------------------------------------------------------
     # public entry point
@@ -228,18 +233,30 @@ class EmbeddingProtocol:
     def _cell_pool(self, cell_spec) -> List[int]:
         """Usable, unclaimed sensors currently located in this cell."""
         now = self.network.sim.now
+        if self._sensor_cells is None or self._sensor_cells[0] != now:
+            self._sensor_cells = (now, self._locate_sensors(now))
+        table = self.network.medium.node_table
+        cid = cell_spec.cid
+        return [
+            node_id
+            for node_id, at in self._sensor_cells[1]
+            if at == cid
+            and node_id not in self._claimed
+            and table[node_id].usable
+        ]
+
+    def _locate_sensors(self, now: float) -> List[Tuple[int, int]]:
+        """``(node_id, cid)`` of every sensor's cell at ``now``, by id:
+        what each cell's pool is drawn from at one build instant."""
         base = self.plan.actuator_count
-        pool = []
-        for j in range(self.plan.sensor_count):
-            node_id = base + j
-            if node_id in self._claimed:
-                continue
-            node = self.network.node(node_id)
-            if not node.usable:
-                continue
-            if self.plan.cell_of_point(node.position(now)).cid == cell_spec.cid:
-                pool.append(node_id)
-        return pool
+        sensors = self.network.medium.resolve(
+            range(base, base + self.plan.sensor_count)
+        )
+        cell_of_point = self.plan.cell_of_point
+        return [
+            (node.id, cell_of_point(node.position(now)).cid)
+            for node in sensors
+        ]
 
     def _assign_cell_sensors(self, cell: EmbeddedCell, cell_spec) -> None:
         pool = self._cell_pool(cell_spec)
@@ -308,24 +325,31 @@ class EmbeddingProtocol:
         """
         now = self.network.sim.now
         medium = self.network.medium
+        table = medium.node_table
+        margins_at = medium.link_margins_at
         # What each end contributes — its battery and the margin of its
-        # link to the endpoint — is asked once per sensor.
+        # link to the endpoint — is asked once per sensor.  Every margin
+        # is ``link_quality``'s, from the distance ``reachable`` measured.
+        reached = medium.reachable(start_node, pool, now)
+        s1_nodes = [table[s1] for s1, _ in reached]
         start_side = sorted(
-            (
-                (
-                    medium.node(s1).battery_fraction,
-                    medium.link_quality(start_node, s1, now),
-                    -s1,
-                )
-                for s1, _ in medium.reachable(start_node, pool, now)
+            zip(
+                [node.battery_fraction for node in s1_nodes],
+                margins_at(
+                    table[start_node], s1_nodes, [d for _, d in reached], now
+                ),
+                [-s1 for s1, _ in reached],
             ),
             reverse=True,
         )
         end_side: Dict[int, Tuple[float, float]] = {}
         by_battery: Dict[float, List[Tuple[float, int]]] = {}
-        for s2, _ in medium.reachable(end_node, pool, now):
-            battery2 = medium.node(s2).battery_fraction
-            quality2 = medium.link_quality(s2, end_node, now)
+        reached = medium.reachable(end_node, pool, now)
+        end = (table[end_node],)
+        for s2, distance in reached:
+            node2 = table[s2]
+            battery2 = node2.battery_fraction
+            quality2 = margins_at(node2, end, (distance,), now)[0]
             end_side[s2] = (battery2, quality2)
             by_battery.setdefault(battery2, []).append((-quality2, s2))
         # The end side in runs of equal battery, fullest first; inside
@@ -360,11 +384,18 @@ class EmbeddingProtocol:
                 candidates.remove(s1)
             if not candidates:
                 continue
-            for s2, _ in medium.reachable(s1, candidates, now):
+            walked = medium.reachable(s1, candidates, now)
+            qualities = margins_at(
+                table[s1],
+                [table[s2] for s2, _ in walked],
+                [d for _, d in walked],
+                now,
+            )
+            for (s2, _), quality12 in zip(walked, qualities):
                 battery2, quality2 = end_side[s2]
                 key = (
                     battery1 + battery2,
-                    min(quality1, medium.link_quality(s1, s2, now), quality2),
+                    min(quality1, quality12, quality2),
                     minus_s1,
                     -s2,
                 )
@@ -432,20 +463,22 @@ class EmbeddingProtocol:
         medium = self.network.medium
         n1 = cell.node_of(bridge[1])
         n2 = cell.node_of(bridge[2])
-        near_n1 = [s for s, _ in medium.reachable(n1, pool, now)]
-        candidates = [s for s, _ in medium.reachable(n2, near_n1, now)]
-        if candidates:
-            chosen = max(
-                candidates,
-                key=lambda s: (
-                    medium.node(s).battery_fraction,
-                    min(
-                        medium.link_quality(n1, s, now),
-                        medium.link_quality(n2, s, now),
-                    ),
-                    -s,
-                ),
+        near_n1 = dict(medium.reachable(n1, pool, now))
+        reached = medium.reachable(n2, near_n1, now)
+        if reached:
+            # ``link_quality`` of each end, from ``reachable``'s distances.
+            table = medium.node_table
+            nodes = [table[s] for s, _ in reached]
+            margins1 = medium.link_margins_at(
+                table[n1], nodes, [near_n1[s] for s, _ in reached], now
             )
+            margins2 = medium.link_margins_at(
+                table[n2], nodes, [d for _, d in reached], now
+            )
+            chosen = -max(
+                (node.battery_fraction, min(q1, q2), -node.id)
+                for node, q1, q2 in zip(nodes, margins1, margins2)
+            )[2]
         else:
             self.stats.fallback_selections += 1
             mid = self.network.node(n1).position(now).midpoint(

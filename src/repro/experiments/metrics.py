@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.chaos.probe import ResilienceProbe
+from repro.errors import TelemetryError
 from repro.net.packet import Packet
 from repro.sim.core import Simulator
 from repro.telemetry.flight import FlightRecorder
@@ -239,7 +240,14 @@ class MetricsCollector:
             self.delay.add(latency)
 
     def on_dropped(self, packet: Packet) -> None:
-        reason = packet.meta.get("drop_reason") or "unknown"
+        """Count a packet given up on; its ``meta["drop_reason"]`` must
+        name why (:data:`~repro.telemetry.flight.DROP_REASONS`), or
+        :class:`~repro.errors.TelemetryError` is raised naming its uid."""
+        reason = packet.meta.get("drop_reason")
+        if not reason:
+            raise TelemetryError(
+                f"packet {packet.uid} dropped without a named reason"
+            )
         if self._dropped_family is not None:
             self._dropped_family[reason].inc()
         if self._flight is not None:

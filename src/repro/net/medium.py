@@ -49,10 +49,15 @@ The Kautz overlay's entry scan (one source against 100+ members, about
 when the bucket's snapshot was taken (its first neighbour query), with
 ``usable`` as it was when the node's tuple was first computed in the
 bucket — the geometry carries no liveness, a tuple filters it at that
-first use.  Floods and candidate gathering share it; a flood reads
-the bucket's tuples straight from the mapping ``survey`` returns, and
-beside them each tuple as an int bitmask (bit ``i`` = node ``i``),
-made at a flood's first use of the tuple and dropped with it.  The
+first use.  The filter reads ``usable`` only for the nodes in the
+medium's *watch*: a node files itself there when its ``failed`` or
+``battery_joules`` is assigned (``add_node`` files one registered failed
+or metered), and never leaves.  A node outside it was never failed or
+metered, so it is usable unread.  Floods and candidate gathering share
+the view; a flood reads the bucket's tuples straight from the mapping
+``survey`` returns, and beside them each tuple as an int bitmask (bit
+``i`` = node ``i``), made at a flood's first use of the tuple and
+dropped with it.  The
 roll only *writes* the mobile positions; the grid re-hashes cells the
 first time a query in the bucket needs them.  The cost boundary: a
 TTL-limited flood in a fresh bucket pays for the whole field's
@@ -80,7 +85,7 @@ import statistics
 from math import hypot, inf
 from types import MappingProxyType
 from typing import (
-    Any, Dict, Iterable, List, Mapping, Optional, Protocol, Tuple,
+    Any, Dict, Iterable, List, Mapping, Optional, Protocol, Sequence, Tuple,
 )
 
 from repro.errors import NetworkError
@@ -187,6 +192,13 @@ class WirelessMedium:
         #: (:attr:`Node.radio_busy_until`), :meth:`contention_at` drops
         #: the expired, so it holds at most one entry per node.
         self._busy: Dict[int, Node] = {}
+        #: Every node whose ``failed`` or ``battery_joules`` was ever
+        #: written, by id: each files itself (:attr:`Node.failed`),
+        #: ``add_node`` files one registered failed or metered, and none
+        #: leaves.  A node not here is usable without a read.
+        self._watched: Dict[int, Node] = {}
+        #: Read-only view of the watch, for a flood's metered mask.
+        self.watched: Mapping[int, Node] = MappingProxyType(self._watched)
         #: What motion between two instants is bounded by: the fastest
         #: registered mobility model (``inf`` once one declares no
         #: ``max_speed``) and the shortest registered range.
@@ -220,18 +232,22 @@ class WirelessMedium:
         if node_id in self._nodes:
             raise NetworkError(f"duplicate node id {node_id}")
         if node._busy_radios is not None and node._busy_radios is not self._busy:
-            # Its radio can file itself with one medium only.
+            # Its radio and liveness can file with one medium only.
             raise NetworkError(
                 f"node {node.id} is registered with another medium"
             )
         self._nodes[node.id] = node
         self._clear_tuples()  # visible to the very next query
         self._pending_ids.append(node.id)
-        # From here on an occupied radio files itself; one occupied
-        # before it registered is filed now.
+        # From here on an occupied radio and a liveness write file the
+        # node; one occupied, failed or metered before it registered is
+        # filed now.
         node._busy_radios = self._busy
+        node._watched = self._watched
         if node.radio_busy_until > 0.0:
             self._busy[node.id] = node
+        if node.failed or node.battery_joules is not None:
+            self._watched[node.id] = node
         mobility = node.mobility
         if not getattr(mobility, "is_static", False):
             self._mobile_ids.append(node.id)
@@ -407,9 +423,12 @@ class WirelessMedium:
                 (node_id,), self._nodes, self._wide_ids
             )[node_id]
             self._geometry[node_id] = peers
-        if require_usable:
-            nodes = self._nodes
-            return tuple([peer for peer in peers if nodes[peer].usable])
+        watched = self._watched
+        if require_usable and watched:
+            return tuple([
+                peer for peer in peers
+                if peer not in watched or watched[peer].usable
+            ])
         return tuple(peers)
 
     def reachable(
@@ -524,11 +543,26 @@ class WirelessMedium:
         for peer in peers:
             there = peer.mobility.position(now)
             distances.append(hypot(x - there.x, y - there.y))
-        return self._margins(src, peers, distances, now)
+        return self.link_margins_at(src, peers, distances, now)
 
-    def _margins(self, node, peers, distances, now: float) -> List[float]:
+    def link_margins_at(
+        self,
+        node: Node,
+        peers: Sequence[Node],
+        distances: Iterable[Optional[float]],
+        now: float,
+    ) -> List[float]:
         """The margin of ``node``'s link to each peer, at the distance
-        given for it; ``None`` is measured here."""
+        given for it; ``None`` is measured here.
+
+        The one margin formula every question above asks.  A caller
+        that holds the distances already — :meth:`reachable`'s, for the
+        pairs it returns — gets ``link_quality(node.id, peer.id, now)``
+        for each without a position read: ``hypot`` of the negated
+        differences is ``hypot`` of the differences, so the distance
+        from either end is the same float.  The fault factor is asked
+        with ``node`` first.
+        """
         reach = node.transmission_range
         fault = self.link_fault
         margins = []
@@ -592,7 +626,7 @@ class WirelessMedium:
                     ):
                         covered += 1
             out.append(
-                (covered, self._margins(node, peers, distances, now))
+                (covered, self.link_margins_at(node, peers, distances, now))
                 if covered
                 else (0, [])
             )

@@ -16,7 +16,7 @@ from __future__ import annotations
 import random
 from collections import Counter
 from itertools import chain, islice
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Collection, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import NetworkError
 from repro.net.energy import RX_JOULES, TX_JOULES, EnergyLedger, Phase
@@ -39,7 +39,7 @@ FAILURE_TIMEOUT = 0.02
 _BIT = tuple(1 << k for k in range(8))
 
 
-def _mask(node_ids: Sequence[int]) -> int:
+def _mask(node_ids: Collection[int]) -> int:
     """The int with bit ``i`` set for each ``i`` in ``node_ids``: built
     in a bytearray, so no int wider than a byte is made per id."""
     if not node_ids:
@@ -456,8 +456,9 @@ class WirelessNetwork:
 
         Liveness is each neighbour list's, read when the forwarder's
         list is first asked for.  A metered battery (``battery_joules``
-        set) is drained by each reception as it is heard, so a node the
-        flood exhausts is gone from the next list computed.  The
+        set, so its node is in the medium's watch, where the flood looks
+        for them) is drained by each reception as it is heard, so a node
+        the flood exhausts is gone from the next list computed.  The
         receptions are counted once, at the end, in first-heard order:
         an unmetered node is drained ``count * RX_JOULES`` at once and
         the ledger is charged by count (both exact, and nothing reads an
@@ -478,10 +479,12 @@ class WirelessNetwork:
         medium = self.medium
         tuples, masks = medium.survey(now)
         table = medium.node_table
-        metered = _mask([
-            node_id for node_id, node in table.items()
+        # Only a watched node was ever metered (``WirelessMedium.watched``).
+        metered_ids = {
+            node_id for node_id, node in medium.watched.items()
             if node.battery_joules is not None
-        ])
+        }
+        metered = _mask(metered_ids)
         seen = _mask(frontier)
         depth = 0
         while frontier and depth < ttl:
@@ -514,9 +517,8 @@ class WirelessNetwork:
             chain.from_iterable(map(tuples.__getitem__, forwarders))
         )
         for node_id, count in received.items():
-            node = table[node_id]
-            if node.battery_joules is None:
-                node.consumed_joules += count * RX_JOULES
+            if node_id not in metered_ids:
+                table[node_id].consumed_joules += count * RX_JOULES
         self.energy.charge_rx_counts(received, "flood")
         return tree, level_sizes
 

@@ -36,18 +36,23 @@ class Node:
         transmission_range: float,
         battery_joules: Optional[float] = None,
     ) -> None:
-        if transmission_range <= 0:
-            raise NetworkError("transmission_range must be positive")
+        if not (math.isfinite(transmission_range) and transmission_range > 0):
+            raise NetworkError(
+                "transmission_range must be finite and positive, "
+                f"got {transmission_range!r}"
+            )
         self.id = node_id
         self.role = role
         self.mobility = mobility
         self.transmission_range = transmission_range
+        #: Where an occupied radio files itself, and a node whose
+        #: liveness was ever written: the busy set and the watch of the
+        #: medium this node is registered with (``add_node`` sets them).
+        self._busy_radios: Optional[Dict[int, "Node"]] = None
+        self._watched: Optional[Dict[int, "Node"]] = None
         self.battery_joules = battery_joules
         self.consumed_joules = 0.0
-        self.failed = False
-        #: Where an occupied radio files itself: the busy set of the
-        #: medium this node is registered with (``add_node`` sets it).
-        self._busy_radios: Optional[Dict[int, "Node"]] = None
+        self._failed = False
         self.radio_busy_until = 0.0
 
     # -- position -----------------------------------------------------------
@@ -90,6 +95,38 @@ class Node:
     # -- liveness --------------------------------------------------------------
 
     @property
+    def failed(self) -> bool:
+        """Broken by a fault (``fail_node``), until recovered.
+
+        Assigning it, like assigning :attr:`battery_joules`, files the
+        node in its medium's watch: a node never filed has never been
+        failed or metered, so it is usable without a read.
+        """
+        return self._failed
+
+    @failed.setter
+    def failed(self, failed: bool) -> None:
+        self._failed = failed
+        if self._watched is not None:
+            self._watched[self.id] = self
+
+    @property
+    def battery_joules(self) -> Optional[float]:
+        """Battery capacity in joules; ``None`` is unmetered."""
+        return self._battery_joules
+
+    @battery_joules.setter
+    def battery_joules(self, joules: Optional[float]) -> None:
+        if joules is not None and not (math.isfinite(joules) and joules > 0):
+            raise NetworkError(
+                "battery_joules must be None or finite and positive, "
+                f"got {joules!r}"
+            )
+        self._battery_joules = joules
+        if self._watched is not None:
+            self._watched[self.id] = self
+
+    @property
     def is_sensor(self) -> bool:
         return self.role is NodeRole.SENSOR
 
@@ -99,26 +136,24 @@ class Node:
 
     @property
     def battery_exhausted(self) -> bool:
-        return (
-            self.battery_joules is not None
-            and self.consumed_joules >= self.battery_joules
-        )
+        battery = self._battery_joules
+        return battery is not None and self.consumed_joules >= battery
 
     @property
     def usable(self) -> bool:
         """Can this node transmit/receive right now?"""
-        if self.failed:
+        if self._failed:
             return False
-        battery = self.battery_joules
+        battery = self._battery_joules
         return battery is None or self.consumed_joules < battery
 
     @property
     def battery_fraction(self) -> float:
         """Remaining battery as a fraction (1.0 when unmetered)."""
-        if self.battery_joules is None:
+        battery = self._battery_joules
+        if battery is None:
             return 1.0
-        remaining = self.battery_joules - self.consumed_joules
-        return max(0.0, remaining / self.battery_joules)
+        return max(0.0, (battery - self.consumed_joules) / battery)
 
     def drain(self, joules: float) -> None:
         """Deduct battery energy (no-op accounting when unmetered); just

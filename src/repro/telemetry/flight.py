@@ -20,6 +20,8 @@ from __future__ import annotations
 from collections import OrderedDict
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
+from repro.errors import TelemetryError
+
 __all__ = ["FlightRecorder", "FlightEvent", "Journey", "DROP_REASONS"]
 
 #: Packets the recorder retains (the oldest journey is evicted first).
@@ -27,7 +29,7 @@ FLIGHT_CAPACITY = 4096
 
 #: The drop-reason taxonomy.  Routers stamp one of these into
 #: ``packet.meta["drop_reason"]`` at the moment they give up on a
-#: packet; "unknown" covers legacy paths that predate the taxonomy.
+#: packet; a drop without one raises.
 DROP_REASONS: Tuple[str, ...] = (
     "no-cell-member",      # no reachable/entry member for the cell at all
     "no-entry-relay",      # wake-on-demand relay search found nobody
@@ -44,7 +46,6 @@ DROP_REASONS: Tuple[str, ...] = (
     "deadline_expired",    # QoS: frame outlived its class deadline
     "admission_rejected",  # QoS: source token bucket refused the packet
     "backpressure_shed",   # QoS: full lane / congested next hop
-    "unknown",
 )
 
 #: Hop-level failure causes recorded by the network layer.  The QoS
@@ -245,7 +246,13 @@ class FlightRecorder:
                     info=",".join(str(h) for h in hops))
 
     def dropped(self, uid: int, time: float, reason: str) -> None:
-        """End of journey: the packet was abandoned (see taxonomy)."""
+        """End of journey: the packet was abandoned (see taxonomy).  An
+        empty ``reason`` raises :class:`~repro.errors.TelemetryError`
+        naming ``uid``."""
+        if not reason:
+            raise TelemetryError(
+                f"packet {uid} dropped without a named reason"
+            )
         self.record(uid, time, "drop", info=reason)
 
     # -- querying ----------------------------------------------------------
@@ -285,6 +292,6 @@ class FlightRecorder:
         for events in self._journeys.values():
             for i in range(1, len(events), 5):
                 if events[i] == "drop":
-                    reason = events[i + 3] or "unknown"
+                    reason = events[i + 3]
                     reasons[reason] = reasons.get(reason, 0) + 1
         return dict(sorted(reasons.items()))

@@ -13,6 +13,7 @@ here and not only in the ledger.
 
 import collections
 import random
+import types
 from typing import List, Optional, Tuple
 
 import pytest
@@ -177,6 +178,91 @@ def test_same_pair_as_the_exhaustive_scan(seed):
             == old.protocol.stats.fallback_selections
         ), context
         assert new.rng.getstate() == old.rng.getstate(), context
+
+
+class OneWayFade:
+    """Every link up, its sensed margin scaled by a factor that depends
+    on which end asks: the scan asks ``(start, s1)``, ``(s1, s2)`` and
+    ``(s2, end)``, and a selection that read a margin from the other
+    end would rank differently."""
+
+    def link_up(self, src_id, dst_id, now):
+        return True
+
+    def quality_factor(self, src_id, dst_id, now):
+        return ((7 * src_id + dst_id) % 5 + 1) / 8.0
+
+
+@pytest.mark.parametrize("seed", SEEDS[::5])
+def test_same_pair_as_the_exhaustive_scan_under_a_one_way_fade(seed):
+    drawn = draw_world(seed)
+    old, new = make_world(seed, *drawn), make_world(seed, *drawn)
+    for world in (old, new):
+        world.network.medium.set_link_fault(OneWayFade())
+    for start, end, pool in endpoint_cases(old, random.Random(seed)):
+        expected = exhaustive_select_two_hop(
+            old.protocol, start, end, list(pool)
+        )
+        got = new.protocol._select_two_hop(start, end, list(pool))
+        assert got == expected, (seed, drawn, start, end)
+
+
+def link_quality_common_neighbor(self, cell, bridge, last_kid, pool):
+    """``_assign_common_neighbor`` as it was before its margins came
+    from ``reachable``'s distances: ``link_quality`` per candidate."""
+    now = self.network.sim.now
+    medium = self.network.medium
+    n1 = cell.node_of(bridge[1])
+    n2 = cell.node_of(bridge[2])
+    near_n1 = [s for s, _ in medium.reachable(n1, pool, now)]
+    candidates = [s for s, _ in medium.reachable(n2, near_n1, now)]
+    if candidates:
+        chosen = max(
+            candidates,
+            key=lambda s: (
+                medium.node(s).battery_fraction,
+                min(
+                    medium.link_quality(n1, s, now),
+                    medium.link_quality(n2, s, now),
+                ),
+                -s,
+            ),
+        )
+    else:
+        self.stats.fallback_selections += 1
+        mid = self.network.node(n1).position(now).midpoint(
+            self.network.node(n2).position(now)
+        )
+        remaining = list(pool) or self._global_spares(pool)
+        chosen = min(
+            remaining,
+            key=lambda s: self.network.node(s).position(now).distance_to(mid),
+        )
+    cell.assign(last_kid, chosen)
+    self._claim(chosen, pool)
+    self._charge_chain([n1, chosen])
+
+
+@pytest.mark.parametrize("seed", SEEDS[:3])
+def test_embedding_under_a_one_way_fade_matches_link_quality(seed):
+    """Both pickers, whole embeddings: every KID bound to the sensor the
+    ``link_quality`` formulations bind it to."""
+    drawn = (400, 500.0, 0.0, BATTERIES[seed % 3])
+    old, new = make_world(seed, *drawn), make_world(seed, *drawn)
+    for world in (old, new):
+        world.network.medium.set_link_fault(OneWayFade())
+    old.protocol._select_two_hop = types.MethodType(
+        exhaustive_select_two_hop, old.protocol
+    )
+    old.protocol._assign_common_neighbor = types.MethodType(
+        link_quality_common_neighbor, old.protocol
+    )
+    expected = [cell._kid_to_node for cell in old.protocol.run()]
+    assert [cell._kid_to_node for cell in new.protocol.run()] == expected
+    assert (
+        new.protocol.stats.fallback_selections
+        == old.protocol.stats.fallback_selections
+    )
 
 
 def regimes_of(world, start, end, pool, chosen) -> List[str]:

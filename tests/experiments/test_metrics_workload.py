@@ -13,7 +13,7 @@ from repro.experiments.workload import (
     SOURCES_PER_WINDOW,
     CbrWorkload,
 )
-from repro.errors import ConfigError
+from repro.errors import ConfigError, TelemetryError
 from repro.kautz.graph import kautz_node_count
 from repro.net.packet import Packet, PacketKind
 from repro.sim.core import Simulator
@@ -140,9 +140,18 @@ class TestMetrics:
         metrics = MetricsCollector(sim, warmup_end=10.0)
         metrics.on_generated(packet(5.0))
         metrics.on_delivered(packet(5.0))
-        metrics.on_dropped(packet(5.0))
+        dropped = packet(5.0)
+        dropped.meta["drop_reason"] = "hop-limit"
+        metrics.on_dropped(dropped)
         assert metrics.generated == 0
         assert metrics.delivered_total == 0
+        assert metrics.dropped == 0
+
+    def test_a_drop_without_a_named_reason_raises(self):
+        metrics = MetricsCollector(Simulator(), warmup_end=0.0)
+        unnamed = packet(1.0)
+        with pytest.raises(TelemetryError, match=f"packet {unnamed.uid} "):
+            metrics.on_dropped(unnamed)
         assert metrics.dropped == 0
 
     def test_qos_window(self):

@@ -279,6 +279,43 @@ def test_link_margins_is_link_quality_per_peer(world, src, peers):
     assert answer_or_error(medium.link_margins, src, peers, now) == expected
 
 
+class OneWayFade:
+    """Every link up, its sensed margin scaled by a factor that depends
+    on which end asks: ``(a, b)`` and ``(b, a)`` differ."""
+
+    def link_up(self, src_id, dst_id, now):
+        return True
+
+    def quality_factor(self, src_id, dst_id, now):
+        return ((7 * src_id + dst_id) % 5 + 1) / 8.0
+
+
+@PROFILE
+@given(worlds, asked_ids, st.booleans())
+def test_margins_at_reachable_distances_are_link_quality(world, src, one_way):
+    """What the embedding asks: ``link_margins_at`` from the distance
+    ``reachable`` returned is ``link_quality`` of the pair asked from
+    either end, the fault factor in the orientation given."""
+    specs, seed, now, faulted = world
+    medium, _ = build_world(specs, seed, now, faulted)
+    oracle, _ = build_world(specs, seed, now, faulted)
+    if one_way:
+        medium.set_link_fault(OneWayFade())
+        oracle.set_link_fault(OneWayFade())
+    src %= len(specs)
+    reached = medium.reachable(src, range(len(specs)), now)
+    table = medium.node_table
+    dsts = [table[dst] for dst, _ in reached]
+    distances = [distance for _, distance in reached]
+    assert medium.link_margins_at(table[src], dsts, distances, now) == [
+        oracle.link_quality(src, dst, now) for dst, _ in reached
+    ]
+    for dst, distance in reached:
+        assert medium.link_margins_at(
+            table[dst], (table[src],), (distance,), now
+        ) == [oracle.link_quality(dst, src, now)]
+
+
 def test_batched_forms_reject_unknown_ids():
     medium, _ = build_world(
         [(0.0, 0.0, False, 50.0, None), (10.0, 0.0, False, 50.0, None)],

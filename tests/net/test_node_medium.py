@@ -1,5 +1,7 @@
 """Tests for nodes and the wireless medium."""
 
+import math
+
 import pytest
 
 from repro.errors import NetworkError
@@ -38,6 +40,34 @@ class TestNode:
     def test_invalid_range(self):
         with pytest.raises(NetworkError):
             make_node(1, 0, 0, rng=0)
+
+    @pytest.mark.parametrize(
+        "reach", [-1.0, math.nan, math.inf, -math.inf]
+    )
+    def test_range_that_is_not_finite_and_positive_rejected(self, reach):
+        with pytest.raises(NetworkError, match="transmission_range"):
+            make_node(1, 0, 0, rng=reach)
+
+    @pytest.mark.parametrize(
+        "joules", [0.0, -1.0, math.nan, math.inf, -math.inf]
+    )
+    def test_capacity_that_is_not_finite_and_positive_rejected(self, joules):
+        # A zero capacity used to reach battery_fraction as a bare
+        # ZeroDivisionError; NaN made every node look charged forever.
+        with pytest.raises(NetworkError, match="battery_joules"):
+            make_node(1, 0, 0, battery=joules)
+        node = make_node(2, 0, 0, battery=10.0)
+        with pytest.raises(NetworkError, match="battery_joules"):
+            node.battery_joules = joules
+        assert node.battery_joules == 10.0
+        assert node.battery_fraction == 1.0
+
+    def test_capacity_can_be_unmetered_again(self):
+        node = make_node(1, 0, 0, battery=10.0)
+        node.drain(20.0)
+        assert not node.usable
+        node.battery_joules = None
+        assert node.usable and node.battery_fraction == 1.0
 
     def test_battery(self):
         n = make_node(1, 0, 0, battery=10.0)

@@ -8,6 +8,7 @@ generate→deliver envelope, tx_nodes == the delivered hop list).
 
 import pytest
 
+from repro.errors import TelemetryError
 from repro.experiments.config import ScenarioConfig
 from repro.experiments.runner import run_scenario
 from repro.telemetry import TelemetryConfig
@@ -49,12 +50,14 @@ class TestRecorderUnit:
         outcomes = {j.uid: j.outcome for j in rec.journeys()}
         assert outcomes == {1: "delivered", 2: "dropped", 3: "in-flight"}
 
-    def test_drop_reasons_bucketed_and_unknown_default(self):
+    def test_drop_reasons_bucketed_and_unnamed_refused(self):
         rec = FlightRecorder()
         rec.dropped(1, 1.0, reason="hop-limit")
         rec.dropped(2, 1.0, reason="hop-limit")
-        rec.dropped(3, 1.0, reason="")
-        assert rec.drop_reasons() == {"hop-limit": 2, "unknown": 1}
+        with pytest.raises(TelemetryError, match="packet 3 "):
+            rec.dropped(3, 1.0, reason="")
+        assert rec.drop_reasons() == {"hop-limit": 2}
+        assert "unknown" not in DROP_REASONS
 
     def test_hop_spans_pair_tx_with_rx(self):
         rec = FlightRecorder()

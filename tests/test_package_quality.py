@@ -358,6 +358,9 @@ KEPT_FOR_TESTS = {
     "src/repro/net/energy.py::EnergyLedger.grand_total":
         "tests/net/test_energy_handles.py"
         "::test_held_handles_match_per_call_lookup",
+    "src/repro/net/medium.py::WirelessMedium.link_quality":
+        "tests/core/test_two_hop_selection.py"
+        "::test_same_pair_as_the_exhaustive_scan",
     "src/repro/net/network.py::WirelessNetwork.set_receive_handler":
         "tests/recovery/test_arq.py::TestArqLink",
     "src/repro/telemetry/flight.py::Journey.hop_spans":
