@@ -10,7 +10,10 @@ scheduler dispatch, RNG draw and packet transition, in order).  A third,
 log in place of the fingerprint; it was recorded before the chaos
 library's round loop was shared and has held since.  The three
 baselines run ``COMPOSED`` too (``COMPOSED_FLOODING``): their floods
-spread with batteries metered, which no REFER literal reaches.
+spread with batteries metered, which no REFER literal reaches.  They
+run ``PLAIN`` and ``FAULTED`` as well (``FLOODING``), pinned by the
+metric digest alone: ``FAULTED`` drives their in-place congestion
+retries and source retransmissions, which no other literal reaches.
 
 The literals were recorded on the one commit that meant to move them
 (PR 22's re-pin: leg and fade draws keyed by entity, contention counted
@@ -159,6 +162,24 @@ COMPOSED_FLOODING = {
     ),
 }
 
+#: ``PLAIN`` and ``FAULTED`` run by the three baselines: the metric
+#: digest only, as the trace fingerprint also pins each packet's flight
+#: events and the names of the callbacks the scheduler dispatches.
+FLOODING = {
+    ("plain", "D-DEAR"):
+        "fd48b9e7a9a4586287049174da452ea25715a8cf3dd8d43fd0a6dce5545995dd",
+    ("plain", "DaTree"):
+        "3dab11a0e37a6435caa9b5a0e569a4d3873398d00e63eb23789cf9b7b3fc97ed",
+    ("plain", "Kautz-overlay"):
+        "a56da900816028272c12db4bd9bef579bb00416bdfff33dcf7bd3dd62e73a6a9",
+    ("faulted", "D-DEAR"):
+        "007251e616c7b6cfbb8868080aea4cf911f68059339859014efea319614cf332",
+    ("faulted", "DaTree"):
+        "9a41be605bbe4d28ee6f815b611ace770f1ffc34b3028ce5d0943021243aea9e",
+    ("faulted", "Kautz-overlay"):
+        "8c525f4e84defb641ab1f759f29ccde1876f848d3b3d0c88d07e135d789b76b1",
+}
+
 
 def result_digest(result) -> str:
     fields = [repr(getattr(result, name)) for name in METRIC_FIELDS]
@@ -198,6 +219,15 @@ def test_every_fault_kind_composed_matches_the_recorded_bytes():
 @pytest.mark.parametrize("system", sorted(COMPOSED_FLOODING))
 def test_the_flood_path_composed_matches_the_recorded_bytes(system):
     check_composed(system, COMPOSED_FLOODING[system])
+
+
+@pytest.mark.parametrize("name,system", sorted(FLOODING))
+def test_the_flood_path_matches_the_recorded_bytes(name, system):
+    result = run_scenario(system, PINNED[name][0])
+    assert result.generated > 0 and result.delivered_total > 0
+    assert result_digest(result) == FLOODING[name, system], {
+        field: getattr(result, field) for field in METRIC_FIELDS
+    }
 
 
 @pytest.mark.parametrize("hash_seed", ["1", "5"])
