@@ -8,6 +8,11 @@
   overlay [Zuo et al.]: REFER's routing logic on an overlay that is
   *not* consistent with the physical topology, so every overlay hop is
   a multi-hop physical path maintained by flooding.
+
+All three subclass :class:`repro.baselines.base.FloodingSystem`, the
+one home of the repair decisions they share: the keep-alive process,
+the source retransmission, the in-place congestion retry and the
+route test.
 """
 
 from repro.baselines.datree import DaTreeSystem

@@ -14,27 +14,21 @@ DaTree throughput and energy under mobility and faults (Figs 4-7).
 from __future__ import annotations
 
 import random
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
-from repro.errors import ConfigError
+from repro.baselines.base import MAX_RETRANSMISSIONS, FloodingSystem
+from repro.net.discovery import FloodDiscovery, nearest_reached
 from repro.net.network import WirelessNetwork
 from repro.net.packet import Packet, PacketKind
-from repro.sim.process import PeriodicProcess
 from repro.wsan.deployment import DeploymentPlan
-from repro.wsan.system import DeliveredCallback, DroppedCallback, WsanSystem
+from repro.wsan.system import DeliveredCallback, DroppedCallback
 
 
-#: Source retransmissions allowed per packet.
-MAX_RETRANSMISSIONS = 2
 #: TTL of the construction flood and of every repair flood.
 FLOOD_TTL = 24
-#: Seconds between parent-link hello rounds.
-HELLO_PERIOD = 5.0
-#: Seconds a source waits for a repair before it retransmits.
-RETRANSMIT_TIMEOUT = 0.5
 
 
-class DaTreeSystem(WsanSystem):
+class DaTreeSystem(FloodingSystem):
     """Per-actuator trees with broadcast repair and source retransmit."""
 
     name = "DaTree"
@@ -48,15 +42,6 @@ class DaTreeSystem(WsanSystem):
         super().__init__(network, plan, rng)
         self._parent: Dict[int, int] = {}
         self._repairing: set = set()
-        self.repairs = 0
-        self.retransmissions = 0
-        self._maintenance = PeriodicProcess(
-            network.sim,
-            period=HELLO_PERIOD,
-            action=self._hello_round,
-            jitter=HELLO_PERIOD / 10.0,
-            rng=rng,
-        )
 
     # -- lifecycle ----------------------------------------------------------
 
@@ -68,19 +53,13 @@ class DaTreeSystem(WsanSystem):
             if parent is not None:
                 self._parent[node_id] = parent
 
-    def start(self) -> None:
-        """Every sensor keeps its parent link alive with periodic hellos.
+    def _maintenance_round(self) -> None:
+        """Every sensor keeps its parent link alive with a hello.
 
         The paper's scalability discussion hinges on this: *all* DaTree
         nodes maintain tree links, so mobility makes every sensor — not
         just those on active paths — flood for a new parent.
         """
-        self._maintenance.start()
-
-    def stop(self) -> None:
-        self._maintenance.stop()
-
-    def _hello_round(self) -> None:
         now = self.network.sim.now
         for sensor_id in self.sensor_ids:
             if not self.network.node(sensor_id).usable:
@@ -162,18 +141,14 @@ class DaTreeSystem(WsanSystem):
             # A congestion loss on an intact link is simply re-sent;
             # a broken link triggers the broadcast repair + source
             # retransmission cycle.
-            if self.network.medium.can_transmit(
-                node_id, parent, self.network.sim.now
-            ):
-                meta_key = "datree_congestion_retries"
-                retries = pkt.meta.get(meta_key, 0)
-                if retries < 2:
-                    pkt.meta[meta_key] = retries + 1
-                    self._forward(
-                        node_id, source_id, pkt, retransmissions_left,
-                        on_delivered, on_dropped, hops_left,
-                    )
-                    return
+            now = self.network.sim.now
+            hop = (node_id, parent)
+            if self._path_intact(hop, now) and self._retry_congested(pkt):
+                self._forward(
+                    node_id, source_id, pkt, retransmissions_left,
+                    on_delivered, on_dropped, hops_left,
+                )
+                return
             self._repair_and_retransmit(
                 node_id, source_id, pkt,
                 retransmissions_left, on_delivered, on_dropped,
@@ -217,24 +192,29 @@ class DaTreeSystem(WsanSystem):
                     broken_at, tree
                 ),
             )
-        if retransmissions_left <= 0:
-            self._drop(packet, on_dropped, "retries-exhausted")
-            return
-
-        def resend() -> None:
-            self.retransmissions += 1
-            retry = packet.clone_for_retransmit(self.network.sim.now)
-            self._forward(
-                source_id, source_id, retry,
-                retransmissions_left - 1, on_delivered, on_dropped,
+        self._retransmit(
+            packet, retransmissions_left, on_dropped,
+            lambda copy, left: self._forward(
+                source_id, source_id, copy, left, on_delivered, on_dropped,
                 hops_left=4 * FLOOD_TTL,
-            )
-
-        self.network.sim.schedule(RETRANSMIT_TIMEOUT, resend)
+            ),
+        )
 
     def _adopt_new_parents(self, origin: int, tree: Dict) -> None:
+        """Install the reverse flood path from ``origin`` to an actuator.
+
+        The flood from the broken node reaches some actuator; the path
+        to it from ``origin`` gives every sensor on it a fresh parent:
+        the next node rootward.
+        """
         self._repairing.discard(origin)
-        return self._install_parents(origin, tree)
+        best = nearest_reached(tree, self.actuator_ids)
+        if best is None:
+            return
+        path = FloodDiscovery.extract_path(tree, best)
+        for child, new_parent in zip(path, path[1:]):
+            if not self.network.node(child).is_actuator:
+                self._parent[child] = new_parent
 
     def _confirm_repair(self, origin: int, tree: Dict) -> None:
         """The root answers the repair broadcast before links change.
@@ -243,17 +223,10 @@ class DaTreeSystem(WsanSystem):
         has travelled from the actuator back to the broken node — the
         re-establishment delay the paper charges DaTree for.
         """
-        actuators = [a for a in self.actuator_ids if a in tree]
-        if not actuators:
+        best = nearest_reached(tree, self.actuator_ids)
+        if best is None:
             self._adopt_new_parents(origin, tree)
             return
-        best = min(actuators, key=lambda a: tree[a][0])
-        chain = [best]
-        while True:
-            _, parent = tree[chain[-1]]
-            if parent is None:
-                break
-            chain.append(parent)
         confirm = Packet(
             kind=PacketKind.CONTROL,
             size_bytes=48,
@@ -262,32 +235,8 @@ class DaTreeSystem(WsanSystem):
             created_at=self.network.sim.now,
         )
         self.network.send_along_path(
-            chain,
+            FloodDiscovery.extract_path(tree, best)[::-1],
             confirm,
             on_delivered=lambda pkt: self._adopt_new_parents(origin, tree),
             on_failed=lambda pkt, at: self._adopt_new_parents(origin, tree),
         )
-
-    def _install_parents(self, origin: int, tree: Dict) -> None:
-        """Install the reverse flood path from ``origin`` to an actuator.
-
-        The flood from the broken node reaches some actuator; the path
-        back from that actuator gives every node on it a fresh parent
-        pointing rootward.
-        """
-        actuators = [a for a in self.actuator_ids if a in tree]
-        if not actuators:
-            return
-        best = min(actuators, key=lambda a: tree[a][0])
-        # Walk actuator -> origin through flood parents; each step's
-        # child adopts the previous node as its new parent.
-        chain = [best]
-        while True:
-            _, parent = tree[chain[-1]]
-            if parent is None:
-                break
-            chain.append(parent)
-        # chain is [actuator, ..., origin]; reverse pairs give parents.
-        for child, new_parent in zip(chain[::-1], chain[::-1][1:]):
-            if not self.network.node(child).is_actuator:
-                self._parent[child] = new_parent

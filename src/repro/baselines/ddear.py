@@ -17,28 +17,26 @@ sits between REFER and DaTree on most metrics.
 from __future__ import annotations
 
 import random
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
+from repro.baselines.base import (
+    MAX_RETRANSMISSIONS,
+    RETRANSMIT_TIMEOUT,
+    FloodingSystem,
+)
 from repro.net.discovery import FloodDiscovery
 from repro.net.network import WirelessNetwork
 from repro.net.packet import Packet
-from repro.sim.process import PeriodicProcess
 from repro.util.hashing import consistent_hash
 from repro.wsan.deployment import DeploymentPlan
-from repro.wsan.system import DeliveredCallback, DroppedCallback, WsanSystem
+from repro.wsan.system import DeliveredCallback, DroppedCallback
 
 
-#: Source (or head) retransmissions allowed per packet.
-MAX_RETRANSMISSIONS = 2
 #: TTL of a head's actuator-path discovery flood.
 DISCOVERY_TTL = 16
-#: Seconds between cluster maintenance rounds.
-HELLO_PERIOD = 5.0
-#: Seconds a sender waits for a repair before it retransmits.
-RETRANSMIT_TIMEOUT = 0.5
 
 
-class DDearSystem(WsanSystem):
+class DDearSystem(FloodingSystem):
     """Two-hop clusters with head-maintained actuator paths."""
 
     name = "D-DEAR"
@@ -56,16 +54,7 @@ class DDearSystem(WsanSystem):
         self._head_path: Dict[int, List[int]] = {}    # head -> [head, ..., actuator]
         self.heads: List[int] = []
         self._repairing: set = set()
-        self.repairs = 0
         self.reattachments = 0
-        self.retransmissions = 0
-        self._maintenance = PeriodicProcess(
-            network.sim,
-            period=HELLO_PERIOD,
-            action=self._maintenance_round,
-            jitter=HELLO_PERIOD / 10.0,
-            rng=rng,
-        )
 
     # -- lifecycle ------------------------------------------------------------
 
@@ -86,21 +75,9 @@ class DDearSystem(WsanSystem):
             self.actuator_ids, ttl=DISCOVERY_TTL, size_bytes=32
         )
         for head in self.heads:
-            path = self._tree_path_to_actuator(head, tree)
+            path = FloodDiscovery.extract_path(tree, head)
             if path is not None:
-                self._head_path[head] = path
-
-    @staticmethod
-    def _tree_path_to_actuator(head: int, tree: Dict) -> Optional[List[int]]:
-        if head not in tree:
-            return None
-        path = [head]
-        while True:
-            _, parent = tree[path[-1]]
-            if parent is None:
-                break
-            path.append(parent)
-        return path
+                self._head_path[head] = path[::-1]
 
     def _elect_heads(self, now: float) -> None:
         """Greedy 2-hop dominating set, energy-first (hash tiebreak)."""
@@ -154,7 +131,7 @@ class DDearSystem(WsanSystem):
                 return [sensor_id, relay, second[0]]
         return None
 
-    def start(self) -> None:
+    def _maintenance_round(self) -> None:
         """Heads keep their actuator paths alive; members ping heads.
 
         Member link breaks are repaired *locally* (the member simply
@@ -162,12 +139,6 @@ class DDearSystem(WsanSystem):
         D-DEAR's maintenance energy sits well below DaTree's, where
         every break floods toward the root.
         """
-        self._maintenance.start()
-
-    def stop(self) -> None:
-        self._maintenance.stop()
-
-    def _maintenance_round(self) -> None:
         now = self.network.sim.now
         # Members: one hello to the head's next hop; re-attach locally
         # if the first hop has moved away.
@@ -191,7 +162,7 @@ class DDearSystem(WsanSystem):
                 continue
             path = self._head_path.get(head)
             self.network.charge_tx(head, "probe")
-            if path is not None and self._path_alive(path, now):
+            if path is not None and self._path_intact(path, now):
                 self.network.charge_rx(path[1], "probe")
                 continue
             self._head_path.pop(head, None)
@@ -199,18 +170,12 @@ class DDearSystem(WsanSystem):
                 continue
             self._repairing.add(head)
             self.repairs += 1
-            self._discovery.discover_nearest(
+            self._discovery.discover(
                 head,
                 self.actuator_ids,
                 ttl=DISCOVERY_TTL,
                 on_path=lambda p, h=head: self._install_head_path(h, p),
             )
-
-    def _path_alive(self, path: List[int], now: float) -> bool:
-        return all(
-            self.network.medium.can_transmit(a, b, now)
-            for a, b in zip(path, path[1:])
-        )
 
     def _install_head_path(self, head: int, path: Optional[List[int]]) -> None:
         self._repairing.discard(head)
@@ -268,19 +233,12 @@ class DDearSystem(WsanSystem):
             self._member_path.pop(source_id, None)
             self._head_of.pop(source_id, None)
             self.reattachments += 1
-            if retransmissions_left <= 0:
-                self._drop(pkt, on_dropped, "retries-exhausted")
-                return
-
-            def resend() -> None:
-                self.retransmissions += 1
-                retry = pkt.clone_for_retransmit(self.network.sim.now)
-                self._send_from_source(
-                    source_id, retry, retransmissions_left - 1,
-                    on_delivered, on_dropped,
-                )
-
-            self.network.sim.schedule(RETRANSMIT_TIMEOUT, resend)
+            self._retransmit(
+                pkt, retransmissions_left, on_dropped,
+                lambda copy, left: self._send_from_source(
+                    source_id, copy, left, on_delivered, on_dropped,
+                ),
+            )
 
         self.network.send_along_path(
             member_path,
@@ -323,16 +281,13 @@ class DDearSystem(WsanSystem):
 
         def failed(pkt: Packet, at: int) -> None:
             # Congestion loss on an intact path: retry in place.
-            if self._path_alive(path, self.network.sim.now):
-                key = "ddear_congestion_retries"
-                retries = pkt.meta.get(key, 0)
-                if retries < 2:
-                    pkt.meta[key] = retries + 1
-                    self._send_on_head_path(
-                        head, path, pkt, retransmissions_left,
-                        on_delivered, on_dropped,
-                    )
-                    return
+            now = self.network.sim.now
+            if self._path_intact(path, now) and self._retry_congested(pkt):
+                self._send_on_head_path(
+                    head, path, pkt, retransmissions_left,
+                    on_delivered, on_dropped,
+                )
+                return
             self._head_path.pop(head, None)
             self._repair_head_path(
                 head, pkt, retransmissions_left, on_delivered, on_dropped
@@ -360,27 +315,25 @@ class DDearSystem(WsanSystem):
             if path is None:
                 self._drop(packet, on_dropped, "no-route")
                 return
-            if retransmissions_left <= 0:
-                self._drop(packet, on_dropped, "retries-exhausted")
-                return
-            self._head_path[head] = path
-
-            def resend() -> None:
-                self.retransmissions += 1
-                retry = packet.clone_for_retransmit(self.network.sim.now)
-                self.network.send_along_path(
+            # A packet out of retransmissions is dropped without
+            # caching the rebuilt path.
+            if retransmissions_left > 0:
+                self._head_path[head] = path
+            # The head is the reliability point for its leg: it learns
+            # of the loss faster than an end-to-end source would.
+            self._retransmit(
+                packet, retransmissions_left, on_dropped,
+                lambda copy, left: self.network.send_along_path(
                     path,
-                    retry,
+                    copy,
                     on_delivered=on_delivered,
                     on_failed=lambda pkt, at: self._drop(
                         pkt, on_dropped, "path-hop-failed"
                     ),
-                )
+                ),
+                delay=RETRANSMIT_TIMEOUT / 2,
+            )
 
-            # The head is the reliability point for its leg: it learns
-            # of the loss faster than an end-to-end source would.
-            self.network.sim.schedule(RETRANSMIT_TIMEOUT / 2, resend)
-
-        self._discovery.discover_nearest(
+        self._discovery.discover(
             head, self.actuator_ids, ttl=DISCOVERY_TTL, on_path=rebuilt
         )

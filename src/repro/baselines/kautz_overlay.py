@@ -24,6 +24,7 @@ from __future__ import annotations
 import random
 from typing import Dict, List, Optional, Set, Tuple
 
+from repro.baselines.base import FloodingSystem
 from repro.errors import ConfigError
 from repro.kautz.disjoint import successor_table
 from repro.kautz.graph import KautzGraph, kautz_node_count
@@ -31,10 +32,9 @@ from repro.kautz.strings import KautzString
 from repro.net.discovery import FloodDiscovery
 from repro.net.network import WirelessNetwork
 from repro.net.packet import Packet
-from repro.sim.process import PeriodicProcess
 from repro.util.hashing import consistent_hash
 from repro.wsan.deployment import DeploymentPlan
-from repro.wsan.system import DeliveredCallback, DroppedCallback, WsanSystem
+from repro.wsan.system import DeliveredCallback, DroppedCallback
 
 
 def overlay_dimensions(population: int, degree: int = 2) -> int:
@@ -53,13 +53,11 @@ def overlay_dimensions(population: int, degree: int = 2) -> int:
 DISCOVERY_TTL = 16
 #: Path re-discoveries allowed per overlay segment.
 MAX_SEGMENT_RECOVERIES = 1
-#: Seconds between overlay maintenance rounds.
-HELLO_PERIOD = 5.0
 #: Degree of the overlay's Kautz graph.
 DEGREE = 3
 
 
-class KautzOverlaySystem(WsanSystem):
+class KautzOverlaySystem(FloodingSystem):
     """An application-layer Kautz overlay without topology consistency."""
 
     name = "Kautz-overlay"
@@ -77,15 +75,7 @@ class KautzOverlaySystem(WsanSystem):
         self._paths: Dict[Tuple[int, int], List[int]] = {}
         self._recovering: Set[Tuple[int, int]] = set()
         self.graph: Optional[KautzGraph] = None
-        self.repairs = 0
         self.max_route_hops = 0
-        self._maintenance = PeriodicProcess(
-            network.sim,
-            period=HELLO_PERIOD,
-            action=self._maintenance_round,
-            jitter=HELLO_PERIOD / 10.0,
-            rng=rng,
-        )
 
     # -- lifecycle ------------------------------------------------------------
 
@@ -127,33 +117,24 @@ class KautzOverlaySystem(WsanSystem):
                 if path is not None:
                     self._paths[(node_id, succ_node)] = path
 
-    def start(self) -> None:
-        """Every member keeps the multi-hop paths to its d overlay
-        successors alive — the consecutive multi-hop paths the paper
-        blames for Kautz-overlay's energy blow-up under mobility."""
-        self._maintenance.start()
-
-    def stop(self) -> None:
-        self._maintenance.stop()
-
     def _maintenance_round(self) -> None:
         """Keep-alives along every cached overlay-neighbour path.
 
-        Each member pings the first hop of each of its d paths per
-        round.  Broken paths are *detected* here (dropped from the
-        cache) but re-established lazily, when the next message needs
-        them — the flooding cost then lands on the data plane exactly
-        when the paper's narrative places it.
+        Every member keeps the multi-hop paths to its d overlay
+        successors alive — the consecutive multi-hop paths the paper
+        blames for Kautz-overlay's energy blow-up under mobility.  Each
+        member pings the first hop of each of its d paths per round.
+        Broken paths are *detected* here (dropped from the cache) but
+        re-established lazily, when the next message needs them — the
+        flooding cost then lands on the data plane exactly when the
+        paper's narrative places it.
         """
         now = self.network.sim.now
         for (from_node, to_node), path in list(self._paths.items()):
             if not self.network.node(from_node).usable:
                 continue
             self.network.charge_tx(from_node, "probe")
-            if all(
-                self.network.medium.can_transmit(a, b, now)
-                for a, b in zip(path, path[1:])
-            ):
+            if self._path_intact(path, now):
                 self.network.charge_rx(path[1], "probe")
             else:
                 self._paths.pop((from_node, to_node), None)
@@ -299,12 +280,7 @@ class KautzOverlaySystem(WsanSystem):
         def failed(pkt: Packet, at: int) -> None:
             # Congestion losses are retried on the same path; only a
             # genuinely broken path triggers re-establishment flooding.
-            now = self.network.sim.now
-            intact = all(
-                self.network.medium.can_transmit(a, b, now)
-                for a, b in zip(path, path[1:])
-            )
-            if intact:
+            if self._path_intact(path, self.network.sim.now):
                 if recoveries_left > 0:
                     self.network.send_along_path(
                         path,
@@ -365,6 +341,6 @@ class KautzOverlaySystem(WsanSystem):
                 on_failed=lambda pkt, at: done(False, pkt),
             )
 
-        self._discovery.discover_path(
-            from_node, to_node, ttl=DISCOVERY_TTL, on_path=rediscovered
+        self._discovery.discover(
+            from_node, (to_node,), ttl=DISCOVERY_TTL, on_path=rediscovered
         )

@@ -16,10 +16,20 @@ from repro.net.network import WirelessNetwork
 from repro.net.packet import Packet, PacketKind
 
 PathCallback = Callable[[Optional[List[int]]], None]
+#: A flood tree: node id -> (hops from the root, parent or None).
+FloodTree = Dict[int, Tuple[int, Optional[int]]]
 
 #: Frame size of a flooded query and of each unicast reply hop.
 QUERY_BYTES = 64
 REPLY_BYTES = 64
+
+
+def nearest_reached(tree: FloodTree, targets: Sequence[int]) -> Optional[int]:
+    """The member of ``targets`` the flood reached in the fewest hops —
+    the lowest id among equally near ones — or None if it reached none."""
+    reached = [(tree[node_id][0], node_id) for node_id in targets
+               if node_id in tree]
+    return min(reached)[1] if reached else None
 
 
 class FloodDiscovery:
@@ -30,10 +40,8 @@ class FloodDiscovery:
         self.queries = 0
 
     @staticmethod
-    def extract_path(
-        tree: Dict[int, Tuple[int, Optional[int]]], target: int
-    ) -> Optional[List[int]]:
-        """Source->target path from a flood tree, or None if unreached."""
+    def extract_path(tree: FloodTree, target: int) -> Optional[List[int]]:
+        """Root->target path from a flood tree, or None if unreached."""
         if target not in tree:
             return None
         path = [target]
@@ -45,59 +53,43 @@ class FloodDiscovery:
         path.reverse()
         return path
 
-    def discover_path(
-        self,
-        src_id: int,
-        target_id: int,
-        ttl: int,
-        on_path: PathCallback,
-    ) -> None:
-        """Find a src->target hop path; calls back with None on failure.
-
-        Cost model: one TTL-bounded flood (energy at every reached
-        node) plus a reverse-path unicast reply chain of control
-        packets.  The callback fires after flood latency + reply time.
-        """
-        self.queries += 1
-
-        def flooded(tree: Dict[int, Tuple[int, Optional[int]]]) -> None:
-            path = self.extract_path(tree, target_id)
-            if path is None:
-                on_path(None)
-                return
-            self._send_reply(list(reversed(path)), path, on_path)
-
-        self._network.flood(
-            src_id,
-            ttl=ttl,
-            size_bytes=QUERY_BYTES,
-            kind=PacketKind.QUERY,
-            on_complete=flooded,
-        )
-
-    def discover_nearest(
+    def discover(
         self,
         src_id: int,
         targets: Sequence[int],
         ttl: int,
         on_path: PathCallback,
     ) -> None:
-        """Path to the hop-nearest member of ``targets`` (e.g. any actuator)."""
-        self.queries += 1
-        target_set = set(targets)
+        """Find a hop path from ``src_id`` to the hop-nearest member of
+        ``targets`` (:func:`nearest_reached`); None if the flood reaches
+        none of them or the reply is lost.
 
-        def flooded(tree: Dict[int, Tuple[int, Optional[int]]]) -> None:
-            reached = [
-                (hops, node_id)
-                for node_id, (hops, _) in tree.items()
-                if node_id in target_set
-            ]
-            if not reached:
+        Cost model: one TTL-bounded flood (energy at every reached
+        node) plus a unicast reply chain of control packets back along
+        the flood tree.  The callback fires after flood latency + reply
+        time.
+        """
+        self.queries += 1
+
+        def flooded(tree: FloodTree) -> None:
+            best = nearest_reached(tree, targets)
+            if best is None:
                 on_path(None)
                 return
-            _, best = min(reached)
             path = self.extract_path(tree, best)
-            self._send_reply(list(reversed(path)), path, on_path)
+            reply = Packet(
+                kind=PacketKind.CONTROL,
+                size_bytes=REPLY_BYTES,
+                source=best,
+                destination=src_id,
+                created_at=self._network.sim.now,
+            )
+            self._network.send_along_path(
+                path[::-1],
+                reply,
+                on_delivered=lambda pkt: on_path(path),
+                on_failed=lambda pkt, at: on_path(None),
+            )
 
         self._network.flood(
             src_id,
@@ -105,25 +97,4 @@ class FloodDiscovery:
             size_bytes=QUERY_BYTES,
             kind=PacketKind.QUERY,
             on_complete=flooded,
-        )
-
-    def _send_reply(
-        self,
-        reverse_path: List[int],
-        forward_path: List[int],
-        on_path: PathCallback,
-    ) -> None:
-        """Unicast the reply back along the flood tree's reverse path."""
-        reply = Packet(
-            kind=PacketKind.CONTROL,
-            size_bytes=REPLY_BYTES,
-            source=reverse_path[0],
-            destination=reverse_path[-1],
-            created_at=self._network.sim.now,
-        )
-        self._network.send_along_path(
-            reverse_path,
-            reply,
-            on_delivered=lambda pkt: on_path(forward_path),
-            on_failed=lambda pkt, at: on_path(None),
         )

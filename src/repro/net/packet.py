@@ -123,8 +123,8 @@ class Packet:
 
         Keeps the original ``created_at`` (the application experiences
         the full delay including the failed attempt) but clears the hop
-        trail; gets a new uid so MAC-level accounting treats it as a
-        distinct transmission.
+        trail; gets a new uid, so the copy's hops and flight journey are
+        its own (the retransmitting system links the two journeys).
         """
         return Packet(
             kind=self.kind,

@@ -1,8 +1,9 @@
 """The packet flight recorder: per-packet span tracing.
 
 Every packet's journey — generate, enqueue, per-hop tx/rx, ARQ
-retries, Theorem 3.8 detours, delivery or drop — is recorded as a
-sequence of :class:`FlightEvent`\\ s keyed by the packet ``uid``.  All
+retries, Theorem 3.8 detours, delivery, drop, or a baseline's source
+retransmission, which hands the journey on to the copy's — is recorded
+as a sequence of :class:`FlightEvent`\\ s keyed by the packet ``uid``.  All
 timestamps are **sim time**; nothing here reads a wall clock, so a
 recorded flight is byte-reproducible across runs of the same seed.
 
@@ -61,7 +62,7 @@ class FlightEvent(NamedTuple):
     """One point in a packet's journey (sim time only)."""
 
     time: float
-    kind: str         # generate|enqueue|tx|rx|hop-fail|arq-retry|detour|deliver|drop
+    kind: str         # generate|copy|enqueue|tx|rx|hop-fail|arq-retry|detour|deliver|drop|retransmit
     src: Optional[int]
     dst: Optional[int]
     info: str = ""
@@ -75,12 +76,15 @@ class Journey(NamedTuple):
 
     @property
     def outcome(self) -> str:
-        """``delivered``/``dropped``/``in-flight``."""
+        """``delivered``/``dropped``/``retransmitted``/``in-flight``
+        (``retransmitted``: the journey goes on as the copy's)."""
         for event in reversed(self.events):
             if event.kind == "deliver":
                 return "delivered"
             if event.kind == "drop":
                 return "dropped"
+            if event.kind == "retransmit":
+                return "retransmitted"
         return "in-flight"
 
     @property
@@ -237,6 +241,14 @@ class FlightRecorder:
         """Theorem 3.8 path switch: relay ``at`` took the ``rank``-th
         shortest disjoint path through successor ``via``."""
         self.record(uid, time, "detour", src=at, info=f"{via}#{rank}")
+
+    def retransmitted(self, uid: int, copy_uid: int, time: float) -> None:
+        """End of ``uid``'s journey: its sender resent it as the new
+        packet ``copy_uid``.  The original's last event names the copy
+        (``retransmit``, ``as=<copy>``) and the copy's first names the
+        original (``copy``, ``of=<uid>``)."""
+        self.record(uid, time, "retransmit", info=f"as={copy_uid}")
+        self.record(copy_uid, time, "copy", info=f"of={uid}")
 
     def delivered(
         self, uid: int, time: float, destination: Optional[int], hops: Tuple[int, ...]

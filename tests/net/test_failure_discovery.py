@@ -2,6 +2,10 @@
 
 import random
 
+import pytest
+
+from repro.baselines.datree import DaTreeSystem
+from repro.baselines.ddear import DDearSystem
 from repro.chaos import CrashRotationFault, FaultSpec
 from repro.net.discovery import FloodDiscovery
 from repro.net.mobility import StaticMobility
@@ -9,6 +13,8 @@ from repro.net.network import WirelessNetwork
 from repro.net.node import Node, NodeRole
 from repro.sim.core import Simulator
 from repro.util.geometry import Point
+from repro.wsan.deployment import DeploymentPlan
+from repro.wsan.system import build_nodes
 
 
 def build_grid(side=4, spacing=70.0, seed=1):
@@ -131,15 +137,23 @@ class TestCrashRotation:
 
 
 class TestFloodDiscovery:
-    def test_discover_path(self):
+    @pytest.mark.parametrize(
+        "targets,nearest,hops",
+        [
+            pytest.param([15], 15, 3, id="one-target"),
+            pytest.param([15, 5], 5, 1, id="hop-nearest"),
+            pytest.param([15, 12, 3], 3, 3, id="equal-hops-lowest-id"),
+        ],
+    )
+    def test_discover(self, targets, nearest, hops):
         sim, net = build_grid()
-        discovery = FloodDiscovery(net)
         paths = []
-        discovery.discover_path(0, 15, ttl=10, on_path=paths.append)
+        FloodDiscovery(net).discover(0, targets, ttl=10, on_path=paths.append)
         sim.run_until(5.0)
         assert len(paths) == 1
         path = paths[0]
-        assert path[0] == 0 and path[-1] == 15
+        assert path[0] == 0 and path[-1] == nearest
+        assert len(path) == hops + 1
         for a, b in zip(path, path[1:]):
             assert net.medium.can_transmit(a, b, sim.now)
 
@@ -149,29 +163,20 @@ class TestFloodDiscovery:
             net.fail_node(nb)
         paths = []
         discovery = FloodDiscovery(net)
-        discovery.discover_path(0, 15, ttl=10, on_path=paths.append)
+        discovery.discover(0, [15], ttl=10, on_path=paths.append)
         sim.run_until(5.0)
         assert paths == [None]
 
     def test_ttl_too_small_returns_none(self):
         sim, net = build_grid()
         paths = []
-        FloodDiscovery(net).discover_path(0, 15, ttl=2, on_path=paths.append)
+        FloodDiscovery(net).discover(0, [15], ttl=2, on_path=paths.append)
         sim.run_until(5.0)
         assert paths == [None]
 
-    def test_discover_nearest(self):
-        sim, net = build_grid()
-        paths = []
-        FloodDiscovery(net).discover_nearest(
-            0, targets=[15, 5], ttl=10, on_path=paths.append
-        )
-        sim.run_until(5.0)
-        assert paths[0][-1] == 5   # 5 is closer in hops than 15
-
     def test_discovery_charges_energy(self):
         sim, net = build_grid()
-        FloodDiscovery(net).discover_path(0, 15, ttl=10, on_path=lambda p: None)
+        FloodDiscovery(net).discover(0, [15], ttl=10, on_path=lambda p: None)
         sim.run_until(5.0)
         assert net.energy.grand_total() > 0
 
@@ -183,6 +188,47 @@ class TestFloodDiscovery:
     def test_query_counter(self):
         sim, net = build_grid()
         d = FloodDiscovery(net)
-        d.discover_path(0, 1, ttl=3, on_path=lambda p: None)
-        d.discover_nearest(0, [1], ttl=3, on_path=lambda p: None)
+        d.discover(0, [1], ttl=3, on_path=lambda p: None)
+        d.discover(0, [1, 2], ttl=3, on_path=lambda p: None)
         assert d.queries == 2
+
+
+@pytest.mark.parametrize("mirrored", [False, True], ids=["0-west", "0-east"])
+@pytest.mark.parametrize("system", ["DaTree", "D-DEAR"])
+def test_equally_near_actuators_the_lower_id_wins(system, mirrored):
+    """Sensor 3 sits midway on a line between actuators 0 and 1, two
+    hops from each: DaTree's repair re-parents it toward actuator 0,
+    and D-DEAR's discovery finds the path to actuator 0, whichever side
+    actuator 0 is on."""
+    actuators = [Point(0.0, 0.0), Point(280.0, 0.0)]
+    if mirrored:
+        actuators.reverse()
+    plan = DeploymentPlan(
+        area_side=300.0,
+        actuator_positions=actuators,
+        sensor_positions=[Point(70.0, 0.0), Point(140.0, 0.0),
+                          Point(210.0, 0.0)],
+        cells=[],
+    )
+    rng = random.Random(1)
+    sim = Simulator()
+    net = WirelessNetwork(sim, rng)
+    build_nodes(net, plan, rng, sensor_max_speed=0.0)
+    source = 3
+    tree = net.flood(source, ttl=8, size_bytes=48)
+    assert tree[0][0] == tree[1][0] == 2
+    if system == "DaTree":
+        datree = DaTreeSystem(net, plan, rng)
+        datree._adopt_new_parents(source, tree)
+        chain = [source]
+        while not net.node(chain[-1]).is_actuator:
+            chain.append(datree._parent[chain[-1]])
+        assert chain[-1] == 0
+    else:
+        paths = []
+        ddear = DDearSystem(net, plan, rng)
+        ddear._discovery.discover(
+            source, ddear.actuator_ids, ttl=8, on_path=paths.append
+        )
+        sim.run_until(5.0)
+        assert paths[0][0] == source and paths[0][-1] == 0

@@ -12,9 +12,11 @@ from repro.errors import TelemetryError
 from repro.experiments.config import ScenarioConfig
 from repro.experiments.runner import run_scenario
 from repro.telemetry import TelemetryConfig
+from repro.chaos.spec import FaultSpec
 from repro.telemetry.flight import (
     DROP_REASONS,
     FLIGHT_CAPACITY,
+    FlightEvent,
     FlightRecorder,
 )
 
@@ -45,10 +47,17 @@ class TestRecorderUnit:
         rec.generated(1, 0.0, source=9)
         rec.generated(2, 0.0, source=9)
         rec.generated(3, 0.0, source=9)
+        rec.generated(4, 0.0, source=9)
         rec.delivered(1, 1.0, destination=5, hops=(9, 5))
         rec.dropped(2, 1.0, reason="hop-limit")
+        rec.retransmitted(4, 5, 1.5)
         outcomes = {j.uid: j.outcome for j in rec.journeys()}
-        assert outcomes == {1: "delivered", 2: "dropped", 3: "in-flight"}
+        assert outcomes == {
+            1: "delivered", 2: "dropped", 3: "in-flight",
+            4: "retransmitted", 5: "in-flight",
+        }
+        assert rec.events(4)[-1] == FlightEvent(1.5, "retransmit", None, None, "as=5")
+        assert rec.events(5) == [FlightEvent(1.5, "copy", None, None, "of=4")]
 
     def test_drop_reasons_bucketed_and_unnamed_refused(self):
         rec = FlightRecorder()
@@ -126,3 +135,40 @@ class TestSpanCausality:
 
     def test_ring_respects_capacity(self, flight):
         assert len(flight.packets()) <= FLIGHT_CAPACITY
+
+
+def test_a_source_retransmission_links_the_two_journeys():
+    """D-DEAR's source resends a packet lost to a crashed relay as a
+    copy with a uid of its own: the original's journey ends naming the
+    copy, the copy's starts naming the original, and following those
+    links every generated packet ends delivered or dropped."""
+    result = run_scenario("D-DEAR", ScenarioConfig(
+        seed=9,
+        sensor_count=48,
+        area_side=230.0,
+        sim_time=14.0,
+        warmup=2.0,
+        rate_pps=5.0,
+        fault_spec=(FaultSpec(kind="rotation", count=4, period=4.0, start=3.0),),
+        telemetry=TelemetryConfig(),
+    ))
+    flight = result.telemetry.flight
+    assert flight.journeys_evicted == 0
+    journeys = {journey.uid: journey for journey in flight.journeys()}
+    copies = 0
+    for journey in journeys.values():
+        first = journey.events[0]
+        assert first.kind in ("generate", "copy")
+        if first.kind == "copy":
+            copies += 1
+            original = journeys[int(first.info[len("of="):])]
+            assert original.events[-1] == first._replace(
+                kind="retransmit", info=f"as={journey.uid}"
+            )
+    assert copies > 0
+    for journey in journeys.values():
+        if journey.events[0].kind != "generate":
+            continue
+        while journey.outcome == "retransmitted":
+            journey = journeys[int(journey.events[-1].info[len("as="):])]
+        assert journey.outcome in ("delivered", "dropped"), journey

@@ -99,6 +99,17 @@ ROWS = [
         ),
         id="one-pool",
     ),
+    pytest.param(
+        r"discover_path|discover_nearest|_tree_path_to_actuator|_path_alive"
+        r"|_install_parents|_hello_round|datree_congestion_retries"
+        r"|ddear_congestion_retries",
+        True,
+        (
+            "src", "tests", "benchmarks/*.py", "examples", "docs",
+            "DESIGN.md", ".claude",
+        ),
+        id="one-repair-substrate",
+    ),
 ]
 
 
