@@ -6,8 +6,12 @@ is attributed to the window it was *created* in, so each window's
 delivery ratio is well defined even with in-flight tails).  Against a
 chaos event log it reports, per fault injection, the pre-fault
 baseline ratio, the trough during the fault, and the **time to
-recovery** — how many windows pass before the ratio re-enters a band
-around the baseline.
+recovery** — how many windows pass before the ratio, having left a
+band around the baseline, re-enters it.
+
+Detection and repair latencies are the recovery stack's own record
+(:class:`~repro.recovery.orchestrator.RecoveryReport`); the probe
+measures delivery only.
 """
 
 from __future__ import annotations
@@ -18,9 +22,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.chaos.models import FaultEvent
 from repro.net.packet import Packet
-from repro.sim.core import Simulator
-from repro.telemetry.registry import Registry
-from repro.util.stats import RunningStat
 
 #: Width of one delivery-ratio window, sim seconds.
 PROBE_WINDOW = 1.0
@@ -31,12 +32,6 @@ BASELINE_WINDOWS = 3
 #: How far below its baseline a window's ratio may sit and still count
 #: as recovered.
 RECOVERY_BAND = 0.1
-
-#: Latency buckets for detection/repair histograms: sub-second through
-#: multi-round detector horizons (seconds, ascending).
-_LATENCY_BUCKETS = (
-    0.1, 0.25, 0.5, 1.0, 2.5, 5.0, 10.0, 25.0, 50.0, 100.0, 250.0,
-)
 
 
 @dataclass(frozen=True)
@@ -59,6 +54,7 @@ class FaultRecovery:
     event: FaultEvent
     baseline: float              # delivery ratio before the fault
     trough: float                # worst windowed ratio until recovery
+                                 # (over the whole horizon if no dip)
     recovery_windows: Optional[int]   # windows until back in band (None: never)
     recovery_time_s: Optional[float]  # recovery_windows * window seconds
 
@@ -73,12 +69,6 @@ class ResilienceSummary:
 
     window: float
     records: Tuple[FaultRecovery, ...]
-    #: Mean sim-seconds from fault injection to the failure detector's
-    #: condemnation verdict (0.0 when no recovery stack ran).
-    detection_latency_s: float = 0.0
-    #: Mean sim-seconds from fault injection to structural repair
-    #: (vertex reassigned / CAN zone handed over).
-    repair_latency_s: float = 0.0
 
     @property
     def fault_count(self) -> int:
@@ -114,27 +104,9 @@ class ResilienceProbe:
     because the pre-fault baseline may fall inside warm-up.
     """
 
-    def __init__(
-        self, sim: Simulator, registry: Optional[Registry] = None
-    ) -> None:
-        self._sim = sim
+    def __init__(self) -> None:
         self._generated: Dict[int, int] = defaultdict(int)
         self._delivered: Dict[int, int] = defaultdict(int)
-        self._detection = RunningStat()
-        self._repair = RunningStat()
-        self._detection_hist = None
-        self._repair_hist = None
-        if registry is not None:
-            self._detection_hist = registry.histogram(
-                "recovery_detection_latency_seconds",
-                "fault injection to condemnation verdict",
-                buckets=_LATENCY_BUCKETS,
-            )
-            self._repair_hist = registry.histogram(
-                "recovery_repair_latency_seconds",
-                "fault injection to structural repair",
-                buckets=_LATENCY_BUCKETS,
-            )
 
     # -- packet hooks --------------------------------------------------------
 
@@ -143,24 +115,6 @@ class ResilienceProbe:
 
     def on_delivered(self, packet: Packet) -> None:
         self._delivered[self._index(packet.created_at)] += 1
-
-    # -- recovery-stack hooks ------------------------------------------------
-
-    def on_detected(self, latency: float) -> None:
-        """A failure detector condemned a faulted node ``latency``
-        sim-seconds after the chaos model broke it."""
-        latency = max(0.0, latency)
-        self._detection.add(latency)
-        if self._detection_hist is not None:
-            self._detection_hist.observe(latency)
-
-    def on_repaired(self, latency: float) -> None:
-        """A structural repair (vertex reassignment or CAN takeover)
-        landed ``latency`` sim-seconds after the fault."""
-        latency = max(0.0, latency)
-        self._repair.add(latency)
-        if self._repair_hist is not None:
-            self._repair_hist.observe(latency)
 
     def _index(self, when: float) -> int:
         return int(when / PROBE_WINDOW)
@@ -187,13 +141,22 @@ class ResilienceProbe:
 
         For each ``inject`` event: the baseline is the aggregate ratio
         of the :data:`BASELINE_WINDOWS` windows preceding it (1.0 when
-        no prior traffic exists); recovery is the first window at or
-        after the event whose ratio climbs back above ``baseline -``
-        :data:`RECOVERY_BAND`.  The trough is the worst windowed ratio
-        from the event until recovery (or until traffic ends, if
-        recovery never comes).
+        no prior traffic exists).  Its horizon runs from its own window
+        up to (not including) the next later injection's window, or to
+        the end of traffic, so an earlier fault never claims a later
+        fault's dip.  The damage may land a window after the fault, so
+        recovery is the first window back above ``baseline -``
+        :data:`RECOVERY_BAND` *after* the first window below it; a
+        fault whose horizon never leaves the band recovers in 0
+        windows.  The trough is the worst windowed ratio from the
+        event until recovery (the whole horizon when there is no dip
+        or no recovery).
         """
         indices = sorted(self._generated)
+        injected = sorted(
+            self._index(event.time)
+            for event in events if event.kind == "inject"
+        )
         records: List[FaultRecovery] = []
         for event in events:
             if event.kind != "inject":
@@ -209,21 +172,21 @@ class ResilienceProbe:
             else:
                 baseline = 1.0
             target = max(0.0, baseline - RECOVERY_BAND)
-            after = [i for i in indices if i >= at]
-            recovery_windows: Optional[int] = None
-            trough = 1.0
-            for i in after:
-                sample_ratio = (
-                    self._delivered.get(i, 0) / self._generated[i]
-                )
-                trough = min(trough, sample_ratio)
-                if sample_ratio >= target:
+            until = next((w for w in injected if w > at), None)
+            horizon = [
+                i for i in indices
+                if i >= at and (until is None or i < until)
+            ]
+            recovery_windows: Optional[int] = 0
+            trough = 1.0 if horizon else baseline
+            for i in horizon:
+                ratio = self._delivered.get(i, 0) / self._generated[i]
+                if ratio < target:
+                    recovery_windows = None   # out of band: a dip
+                elif recovery_windows is None:
                     recovery_windows = i - at
                     break
-            if not after:
-                # No traffic after the fault: nothing observable broke.
-                recovery_windows = 0
-                trough = baseline
+                trough = min(trough, ratio)
             records.append(
                 FaultRecovery(
                     event=event,
@@ -237,9 +200,4 @@ class ResilienceProbe:
                     ),
                 )
             )
-        return ResilienceSummary(
-            window=PROBE_WINDOW,
-            records=tuple(records),
-            detection_latency_s=self._detection.mean,
-            repair_latency_s=self._repair.mean,
-        )
+        return ResilienceSummary(window=PROBE_WINDOW, records=tuple(records))

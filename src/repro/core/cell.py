@@ -9,7 +9,7 @@ reads it on every hop.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.errors import EmbeddingError
 from repro.kautz.graph import KautzGraph

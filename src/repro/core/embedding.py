@@ -122,7 +122,6 @@ class EmbeddingStats(StatsView):
     starting_server = gauge_field("elected starting server", default=-1)
     path_queries = counter_field("TTL=2 path queries issued")
     fallback_selections = counter_field("degraded path selections")
-    generic_fill_assignments = counter_field("fill-in loop assignments")
 
     def __init__(self, registry: Optional[Registry] = None) -> None:
         super().__init__(registry)
@@ -506,7 +505,6 @@ class EmbeddingProtocol:
             for nb in cell.kautz_neighbors_of(kid)
             if cell.kid_assigned(nb)
         ]
-        self.stats.generic_fill_assignments += 1
         if not pool:
             pool = self._global_spares(pool)
         if not pool:

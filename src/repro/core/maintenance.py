@@ -32,7 +32,7 @@ from repro.sim.process import PeriodicProcess
 from repro.telemetry.registry import Registry
 from repro.telemetry.views import StatsView, counter_field
 from repro.util.stats import RunningStat
-from repro.wsan.duty_cycle import DutyCycleManager, SensorState
+from repro.wsan.duty_cycle import DutyCycleManager
 
 #: A Kautz edge whose link quality falls below this is replaced.
 LINK_THRESHOLD = 0.15

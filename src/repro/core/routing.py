@@ -29,7 +29,7 @@ from repro.net.network import WirelessNetwork
 from repro.net.packet import Packet
 from repro.telemetry.views import StatsView, counter_field
 from repro.util.geometry import Point
-from repro.wsan.deployment import Cell, DeploymentPlan
+from repro.wsan.deployment import DeploymentPlan
 
 DeliveredCallback = Callable[[Packet], None]
 DroppedCallback = Callable[[Packet], None]
@@ -52,7 +52,6 @@ class RoutingStats(StatsView):
     detours = counter_field("non-best successors taken")
     congestion_detours = counter_field("successors skipped for backlog")
     drops = counter_field("end-to-end packets dropped by the router")
-    entry_relays = counter_field("hops spent reaching a cell member")
     fault_detours = counter_field("detours while chaos faults were active")
     fault_drops = counter_field("drops while chaos faults were active")
 
@@ -397,7 +396,6 @@ class ReferRouter:
             return
         relays.sort()
         ordered = [relay for _, _, relay in relays[:3]]
-        self.stats.entry_relays += 1
         self._try_relays(
             source_id, ordered, cell, dest_kid, packet,
             on_delivered, on_dropped,

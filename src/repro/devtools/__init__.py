@@ -5,7 +5,7 @@ simulations must be bit-reproducible (all randomness through
 ``RngStreams``, all time through the sim clock) and failures must stay
 typed (``repro.errors``) rather than being silently swallowed.  This
 package is the static-analysis pass that keeps every PR honest about
-them, stdlib only: nine rules, each a function matching one expression
+them, stdlib only: ten rules, each a function matching one expression
 of one file (:data:`RULES`, in :mod:`repro.devtools.rulepack`), a
 driver that walks each file once, and one exact allow-list for the
 findings kept on purpose (:data:`ALLOWED`).  What a run *does* is

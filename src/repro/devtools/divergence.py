@@ -63,11 +63,8 @@ def _build_config(args, capture: Optional[Tuple[int, int]]):
     return scenario_from_args(
         args,
         TelemetryConfig(
-            profiler=False,
             tracing=TracingConfig(
-                checkpoint_interval=args.checkpoint,
-                ring_capacity=args.ring,
-                capture=capture,
+                checkpoint_interval=args.checkpoint, capture=capture
             ),
         ),
     )
@@ -360,7 +357,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "--checkpoint", type=float, default=1.0, metavar="SECONDS",
         help="sim seconds between trace checkpoints (default 1.0)",
     )
-    parser.add_argument("--ring", type=int, default=4096, metavar="EVENTS")
     parser.add_argument(
         "--context", type=int, default=5, metavar="K",
         help="events of context either side of the divergence (default 5)",

@@ -35,6 +35,9 @@ ALLOWED = {
     ("repro/devtools/cover.py", "REF007"): 2,
     # The divergence CLI: the verdict goes to stdout.
     ("repro/devtools/divergence.py", "REF007"): 1,
+    # An unused import in a module awaiting deletion
+    # (``AWAITING_DELETION``, tests/test_package_quality.py).
+    ("repro/viz/svg.py", "REF013"): 1,
 }
 
 #: Directories never descended into when expanding path arguments.

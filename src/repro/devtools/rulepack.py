@@ -25,6 +25,7 @@ from typing import DefaultDict, Iterator, List, Optional, Set, Tuple, Type
 from repro.devtools.rules import (
     anywhere,
     library,
+    library_but_package_init,
     library_but_rng_factory,
     not_tests,
     protocol_code,
@@ -396,6 +397,44 @@ def no_identity_or_hash(nodes: Nodes) -> Hits:
                 )
 
 
+def no_unused_import(nodes: Nodes) -> Hits:
+    """REF013 — every module-level import of library code is used.
+
+    The package's keep rules follow import statements
+    (``test_every_module_is_reached_by_a_run_a_cli_or_a_bench``), so
+    an import nothing reads can make an unreached module look reached.
+    A name counts as used when it is read anywhere in the module or
+    named in ``__all__``; one only quoted in a string annotation is
+    not read (unquote it: the modules import ``annotations`` from
+    ``__future__``).  ``__init__.py`` is out of scope: its imports are
+    the package's re-exports.
+    """
+    used = {node.id for node in nodes[ast.Name]}
+    for stmt in nodes[ast.Module][0].body:
+        if (
+            isinstance(stmt, ast.Assign)
+            and any(
+                isinstance(target, ast.Name) and target.id == "__all__"
+                for target in stmt.targets
+            )
+        ):
+            used.update(
+                element.value
+                for element in ast.walk(stmt.value)
+                if isinstance(element, ast.Constant)
+                and isinstance(element.value, str)
+            )
+    for stmt in nodes[ast.Module][0].body:
+        if isinstance(stmt, ast.ImportFrom) and stmt.module == "__future__":
+            continue
+        if not isinstance(stmt, (ast.Import, ast.ImportFrom)):
+            continue
+        for alias in stmt.names:
+            name = alias.asname or alias.name.split(".")[0]
+            if alias.name != "*" and name not in used:
+                yield stmt, f"{name!r} is imported but never used"
+
+
 #: Every rule, in id order: ``(rule id, scope, check)``.
 RULES = (
     ("REF001", not_tests, no_global_random),
@@ -407,4 +446,5 @@ RULES = (
     ("REF007", protocol_code, no_print),
     ("REF009", library_but_rng_factory, random_from_factory_only),
     ("REF010", library, no_identity_or_hash),
+    ("REF013", library_but_package_init, no_unused_import),
 )

@@ -41,6 +41,12 @@ def library(path: str) -> bool:
     return not_tests(path) and "repro" in PurePosixPath(path).parts
 
 
+def library_but_package_init(path: str) -> bool:
+    """REF013: library code except ``__init__.py``, whose imports are
+    the package's re-exports."""
+    return library(path) and PurePosixPath(path).name != "__init__.py"
+
+
 def library_but_rng_factory(path: str) -> bool:
     """REF009: library code except ``util/rng.py``, the stream factory."""
     return library(path) and not path.endswith("util/rng.py")

@@ -11,7 +11,7 @@ zone adjacency, greedy coordinate routing, and zone handover on leave.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.errors import DHTError
 

@@ -39,7 +39,7 @@ from typing import Dict, Optional, Tuple
 
 from repro.errors import CampaignError, ConfigError
 
-JOURNAL_VERSION = 2
+JOURNAL_VERSION = 3
 
 _JOB_KEYS = {"type", "key", "spec_hash", "payload"}
 

@@ -9,9 +9,8 @@ returns a :class:`RunResult`.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional, Tuple, Type
+from typing import Dict, Optional, Tuple, Type
 
 from repro.baselines import DaTreeSystem, DDearSystem, KautzOverlaySystem
 from repro.chaos import (
@@ -104,8 +103,7 @@ def run_scenario(system_name: str, config: ScenarioConfig) -> RunResult:
     telemetry: Optional[Telemetry] = None
     if config.telemetry is not None:
         telemetry = Telemetry.from_config(config.telemetry)
-        if telemetry.profiler is not None:
-            sim.set_profiler(telemetry.profiler)
+        sim.set_profiler(telemetry.profiler)
         if telemetry.trace is not None:
             # Trace hooks must precede the first stream()/node use so
             # coverage is complete from t=0; installing on `streams`
@@ -158,7 +156,7 @@ def run_scenario(system_name: str, config: ScenarioConfig) -> RunResult:
 
     probe: Optional[ResilienceProbe] = None
     if config.fault_spec:
-        probe = ResilienceProbe(sim, registry=network.registry)
+        probe = ResilienceProbe()
     metrics = MetricsCollector(
         sim,
         warmup_end=config.warmup,
@@ -235,7 +233,6 @@ def run_scenario(system_name: str, config: ScenarioConfig) -> RunResult:
             detector_rng=streams.stream("recovery.detector"),
             arq_rng=streams.stream("recovery.arq"),
             audit_clock=chaos.fail_time_of if chaos is not None else None,
-            probe=probe,
         )
         orchestrator.start()
 

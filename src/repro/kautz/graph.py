@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import random
 from collections import deque
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Tuple
 
 from repro.errors import KautzError
 from repro.kautz.strings import KautzString

@@ -13,7 +13,6 @@ from __future__ import annotations
 import random
 from typing import Callable
 
-from repro.errors import NetworkError
 from repro.net.medium import WirelessMedium
 from repro.net.packet import Packet
 from repro.sim.core import Simulator

@@ -74,7 +74,7 @@ class WirelessNetwork:
         #: ``node(node_id) -> Node`` (``NetworkError`` on an unknown id).
         self.node = self.medium.node
         self.mac = ContentionMac(sim, self.medium, rng)
-        if telemetry is not None and telemetry.profiler is not None:
+        if telemetry is not None:
             self.mac.profiler = telemetry.profiler
         self.energy = EnergyLedger(registry=self.registry)
         self._trace_events = self.registry.counter(

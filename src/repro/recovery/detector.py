@@ -92,21 +92,11 @@ class DetectorStats(StatsView):
     absolutions = counter_field("condemned targets absolved")
     #: Condemnations whose target the audit hook saw alive (FP).
     false_positives = counter_field("condemnations of live targets")
-    #: Condemnations attributable to a recorded fault (via the audit
-    #: clock); each contributes one time-to-detect sample.
-    true_detections = counter_field("condemnations matching real faults")
 
     def __init__(self, registry: Optional[Registry] = None) -> None:
         super().__init__(registry)
         #: Sim-seconds from fault injection to condemnation.
         self.detection_latency = RunningStat()
-
-    @property
-    def false_positive_rate(self) -> float:
-        """False positives per condemnation (0 when none condemned)."""
-        if not self.condemnations:
-            return 0.0
-        return self.false_positives / self.condemnations
 
 
 class _TargetState:
@@ -347,7 +337,6 @@ class FailureDetector:
         if self._audit_clock is not None:
             failed_at = self._audit_clock(target)
             if failed_at is not None:
-                self.stats.true_detections += 1
                 self.stats.detection_latency.add(max(0.0, now - failed_at))
         self._emit(VerdictEvent(time=now, node_id=target, kind="condemn"))
 

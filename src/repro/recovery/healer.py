@@ -21,7 +21,7 @@ only inputs are verdict calls from the orchestrator.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, Optional, Set
 
 from repro.dht.can import CanOverlay, PointT
 from repro.errors import DHTError

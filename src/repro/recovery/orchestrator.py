@@ -15,8 +15,7 @@ REFER run and wires them to the stack:
 * the ARQ layer is installed between the router and the MAC;
 * cell-membership observers close the loop on time-to-repair: the span
   from fault (audit clock) or condemnation to the reassignment /
-  takeover that repaired it, fed into the
-  :class:`~repro.chaos.probe.ResilienceProbe` when one is attached.
+  takeover that repaired it.
 
 :meth:`report` condenses a run into a frozen
 :class:`RecoveryReport` — detection fidelity (false positives, missed
@@ -31,7 +30,6 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.chaos.models import FaultEvent
-from repro.chaos.probe import ResilienceProbe
 from repro.net.network import WirelessNetwork
 from repro.recovery.arq import ArqLink
 from repro.recovery.detector import FailureDetector, VerdictEvent
@@ -93,7 +91,6 @@ class RecoveryOrchestrator:
         detector_rng: random.Random,
         arq_rng: random.Random,
         audit_clock: Optional[Callable[[int], Optional[float]]] = None,
-        probe: Optional[ResilienceProbe] = None,
     ) -> None:
         """``system`` is a built :class:`~repro.core.system.ReferSystem`
         (duck-typed: ``cells``, ``plan``, ``router``, ``maintenance``);
@@ -102,7 +99,6 @@ class RecoveryOrchestrator:
         self._network = network
         self._system = system
         self._audit_clock = audit_clock
-        self._probe = probe
         self._round = 0
         self._actuators = tuple(range(system.plan.actuator_count))
         #: node -> reference time for the pending repair (fault time
@@ -195,10 +191,6 @@ class RecoveryOrchestrator:
                 failed_at = self._audit_clock(node_id)
                 if failed_at is not None:
                     reference = failed_at
-                    if self._probe is not None:
-                        self._probe.on_detected(
-                            max(0.0, event.time - failed_at)
-                        )
             if node_id in self._actuators:
                 self.healer.condemn(node_id)
                 # The takeover itself is immediate: zones and keys
@@ -228,10 +220,7 @@ class RecoveryOrchestrator:
         self.detector.forget(old)
 
     def _note_repaired(self, latency: float) -> None:
-        latency = max(0.0, latency)
-        self.repair_latency.add(latency)
-        if self._probe is not None:
-            self._probe.on_repaired(latency)
+        self.repair_latency.add(max(0.0, latency))
 
     # -- reporting ---------------------------------------------------------
 

@@ -9,8 +9,8 @@ no flight recorder and no profiler, and ``RunResult.telemetry`` stays
 ``None`` so results are byte-identical to pre-telemetry goldens.
 
 :class:`Telemetry` is the live bundle the runner hands back on
-``RunResult.telemetry``: the registry and the flight recorder, plus
-whichever optional components the config enabled.
+``RunResult.telemetry``: the registry, the flight recorder and the
+profiler, plus the trace stream when the config asks for one.
 """
 
 from __future__ import annotations
@@ -30,13 +30,11 @@ __all__ = ["TelemetryConfig", "Telemetry"]
 class TelemetryConfig:
     """What to record during a run (hashable; part of the memo key).
 
-    Per-packet journeys (:mod:`repro.telemetry.flight`) are always
+    Per-packet journeys (:mod:`repro.telemetry.flight`) and the
+    simulated-work profile (:mod:`repro.telemetry.profiler`) are always
     recorded.
     """
 
-    #: Attribute simulated work per event kind
-    #: (:mod:`repro.telemetry.profiler`).
-    profiler: bool = True
     #: Deterministic trace capture (:mod:`repro.telemetry.tracing`);
     #: ``None`` records no trace and leaves every hot path at a single
     #: attribute check.
@@ -49,7 +47,7 @@ class Telemetry:
 
     registry: Registry = field(default_factory=Registry)
     flight: FlightRecorder = field(default_factory=FlightRecorder)
-    profiler: Optional[SimProfiler] = None
+    profiler: SimProfiler = field(default_factory=SimProfiler)
     trace: Optional[TraceStream] = None
     #: Detector verdict timeline ``(time, subject, verdict, detail)``,
     #: attached by the runner when the recovery stack ran.
@@ -59,7 +57,6 @@ class Telemetry:
     def from_config(cls, config: TelemetryConfig) -> "Telemetry":
         """Build the bundle an enabled run records into."""
         return cls(
-            profiler=SimProfiler() if config.profiler else None,
             trace=(
                 TraceStream(config.tracing)
                 if config.tracing is not None else None
@@ -70,7 +67,6 @@ class Telemetry:
         """Fold end-of-run aggregates (profiler counters) into the
         registry and seal the trace; idempotence is the caller's
         problem — call once."""
-        if self.profiler is not None:
-            self.profiler.finalize(self.registry)
+        self.profiler.finalize(self.registry)
         if self.trace is not None:
             self.trace.close()

@@ -257,10 +257,7 @@ def _timeline_section(result) -> List[str]:
 
 
 def _profiler_section(result) -> List[str]:
-    telemetry = result.telemetry
-    if telemetry is None or telemetry.profiler is None:
-        return []
-    profiler = telemetry.profiler
+    profiler = result.telemetry.profiler
     lines = ["simulated-work profile", _RULE]
     lines.append(_fmt_row("frames on air", f"{profiler.frames_on_air:,}"))
     lines.append(_fmt_row("bytes on air", f"{profiler.bytes_on_air:,}"))
@@ -298,11 +295,9 @@ def render(result) -> str:
             _drop_section(result),
             _energy_section(result),
             _timeline_section(result),
+            _profiler_section(result),
         ]
     )
-    profile = _profiler_section(result)
-    if profile:
-        sections.append(profile)
     trace_block = _trace_section(result)
     if trace_block:
         sections.append(trace_block)

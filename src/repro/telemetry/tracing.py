@@ -29,11 +29,11 @@ into the hash in batches at each checkpoint boundary (and on
 ``fingerprint()``), as one text blob of ``kind|label|detail`` lines
 followed by the packed binary event times.  The batch boundaries
 follow the checkpoint grid, so fingerprints are comparable exactly
-between runs traced with the same ``checkpoint_interval``.  A bounded ring
-keeps the most recent events for post-mortems; an optional *capture
-window* (``TracingConfig.capture``) retains full events for a chosen
-trace-sequence range — the second pass of the divergence debugger
-(:mod:`repro.devtools.divergence`).
+between runs traced with the same ``checkpoint_interval``.  An optional
+*capture window* (``TracingConfig.capture``) retains full events for a
+chosen trace-sequence range — the second pass of the divergence
+debugger (:mod:`repro.devtools.divergence`), the one tool that says
+where two runs forked.
 
 Tracing is off by default and byte-transparent when disabled: the
 hooks are ``None`` checks on the hot paths, no events are scheduled,
@@ -46,7 +46,6 @@ from __future__ import annotations
 import hashlib
 import math
 import struct
-from collections import deque
 from dataclasses import dataclass
 from typing import Callable, List, NamedTuple, Optional, Tuple
 
@@ -64,7 +63,6 @@ __all__ = [
     "Checkpoint",
     "action_label",
     "first_divergence",
-    "diagnose",
 ]
 
 
@@ -74,8 +72,6 @@ class TracingConfig:
 
     #: Sim seconds between checkpoint digests.
     checkpoint_interval: float = 1.0
-    #: Most recent events retained for post-mortems.
-    ring_capacity: int = 4096
     #: Retain *full* events whose trace sequence number falls in
     #: ``[capture[0], capture[1])`` — the divergence debugger's second
     #: pass over the first mismatched checkpoint window.
@@ -84,8 +80,6 @@ class TracingConfig:
     def __post_init__(self) -> None:
         if not 0 < self.checkpoint_interval < math.inf:
             raise ConfigError("checkpoint_interval must be positive and finite")
-        if self.ring_capacity <= 0:
-            raise ConfigError("ring_capacity must be positive")
         if self.capture is not None:
             lo, hi = self.capture
             if lo < 0 or hi < lo:
@@ -136,13 +130,13 @@ class TraceStream:
     def __init__(self, config: Optional[TracingConfig] = None) -> None:
         self._config = config if config is not None else TracingConfig()
         self._hash = hashlib.sha256()
-        self._ring: "deque[Tuple[int, float, str, str, str]]" = deque(
-            maxlen=self._config.ring_capacity
-        )
         self._captured: List[Tuple[int, float, str, str, str]] = []
         self._pending: List[Tuple[int, float, str, str, str]] = []
         self._checkpoints: List[Checkpoint] = []
         self._seq = 0
+        #: Sim time of the latest recorded event (``close`` without a
+        #: bound clock ends the run there).
+        self._last_time = 0.0
         self._interval = self._config.checkpoint_interval
         self._next_boundary = self._interval
         self._capture = self._config.capture
@@ -190,9 +184,9 @@ class TraceStream:
             self._next_boundary += self._interval
         seq = self._seq
         self._seq = seq + 1
+        self._last_time = time
         event = (seq, time, kind, label, detail)
         self._pending.append(event)
-        self._ring.append(event)
         capture = self._capture
         if capture is not None and capture[0] <= seq < capture[1]:
             self._captured.append(event)
@@ -259,9 +253,7 @@ class TraceStream:
             return
         self._closed = True
         clock = self._clock
-        time = clock() if clock is not None else (
-            self._ring[-1][1] if self._ring else 0.0
-        )
+        time = clock() if clock is not None else self._last_time
         while time >= self._next_boundary:
             self._emit_checkpoint(self._next_boundary)
             self._next_boundary += self._interval
@@ -305,10 +297,6 @@ class TraceStream:
         self._flush()
         return self._hash.hexdigest()
 
-    def events(self) -> Tuple[TraceEvent, ...]:
-        """The retained ring, oldest first."""
-        return tuple(TraceEvent(*event) for event in self._ring)
-
     def captured(self) -> Tuple[TraceEvent, ...]:
         """Full events retained by the configured capture window."""
         return tuple(TraceEvent(*event) for event in self._captured)
@@ -335,52 +323,3 @@ def first_divergence(
         )
     return None
 
-
-def diagnose(left: TraceStream, right: TraceStream, context: int = 3) -> str:
-    """A human summary of where two traces fork (for golden messages).
-
-    Compares fingerprints, names the first mismatched checkpoint, and —
-    when the divergence is recent enough to survive in both rings —
-    quotes the first differing retained event with ``context`` ring
-    events before it.
-    """
-    if left.fingerprint() == right.fingerprint():
-        return "traces identical"
-    lines = [
-        f"trace fingerprints differ: {left.fingerprint()[:16]} vs "
-        f"{right.fingerprint()[:16]} "
-        f"({left.events_seen} vs {right.events_seen} events)"
-    ]
-    mismatch: Optional[Tuple[Checkpoint, Checkpoint]] = None
-    for a, b in zip(left.checkpoints, right.checkpoints):
-        if a.digest != b.digest or a.registry_digest != b.registry_digest:
-            mismatch = (a, b)
-            break
-    if mismatch is not None:
-        a, b = mismatch
-        what = "events" if a.digest != b.digest else "registry snapshot"
-        lines.append(
-            f"first mismatched checkpoint: #{a.index} at t={a.time:g} "
-            f"({what}; {a.events_seen} vs {b.events_seen} events seen)"
-        )
-    else:
-        lines.append(
-            "all common checkpoints agree; runs fork after the last one"
-        )
-    left_ring = {event.seq: event for event in left.events()}
-    right_ring = {event.seq: event for event in right.events()}
-    common = sorted(set(left_ring) & set(right_ring))
-    for seq in common:
-        if left_ring[seq] != right_ring[seq]:
-            for prior in common[max(0, common.index(seq) - context):
-                                common.index(seq)]:
-                lines.append(f"    = {left_ring[prior]}")
-            lines.append(f"  left : {left_ring[seq]}")
-            lines.append(f"  right: {right_ring[seq]}")
-            break
-    else:
-        lines.append(
-            "  (divergent events evicted from both rings; re-run "
-            "python -m repro.devtools.divergence to localise)"
-        )
-    return "\n".join(lines)

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from typing import Dict, Optional
 
-from repro.telemetry.registry import Counter, Gauge, Registry
+from repro.telemetry.registry import Registry
 
 __all__ = ["StatsView", "counter_field", "gauge_field"]
 

@@ -39,7 +39,7 @@ def _args(**overrides):
         specs=[], system="REFER", seed=11, sensors=40,
         area=220.0, sim_time=4.0, warmup=2.0, rate=5.0, chaos=None,
         recovery=False, qos=False, bursty=0, load=1.0, checkpoint=1.0,
-        ring=4096, context=5, fixture=None, as_json=False,
+        context=5, fixture=None, as_json=False,
     )
     base.update(overrides)
     return argparse.Namespace(**base)

@@ -34,7 +34,7 @@ class TestRef001GlobalRandom:
         assert ids(lint("import random\nrandom.seed(7)\n")) == ["REF001"]
 
     def test_flags_from_import_of_draw_function(self):
-        assert ids(lint("from random import randint\n")) == ["REF001"]
+        assert ids(lint("from random import randint\nroll = randint\n")) == ["REF001"]
 
     def test_allows_random_random_instances(self):
         source = (
@@ -80,7 +80,10 @@ class TestRef002WallClock:
         assert findings[0].line == 3
 
     def test_flags_from_time_import_of_a_clock(self):
-        findings = lint("from time import perf_counter, sleep\n", path=UTIL)
+        findings = lint(
+            "from time import perf_counter, sleep\nclocks = perf_counter, sleep\n",
+            path=UTIL,
+        )
         assert ids(findings) == ["REF002"]
         assert "perf_counter" in findings[0].message
 
@@ -93,7 +96,10 @@ class TestRef002WallClock:
     )
     @pytest.mark.parametrize(
         "form",
-        ["import time\nt = time.{}(0)\n", "from time import {}\n"],
+        [
+            "import time\nt = time.{}(0)\n",
+            "from time import {0}\nclock = {0}\n",
+        ],
         ids=["call", "from-import"],
     )
     def test_flags_every_host_clock(self, name, form):
@@ -102,7 +108,7 @@ class TestRef002WallClock:
         assert name in findings[0].message
 
     def test_allows_from_time_import_sleep(self):
-        assert lint("from time import sleep\n") == []
+        assert lint("from time import sleep\nnap = sleep\n") == []
 
     def test_flags_datetime_now(self):
         source = "from datetime import datetime\nt = datetime.now()\n"
@@ -324,7 +330,9 @@ class TestRef009RngFactory:
         [
             pytest.param("import random\nad_hoc = random.Random(7)\n", id="seeded"),
             pytest.param("import random\nunseeded = random.Random()\n", id="unseeded"),
-            pytest.param("from random import Random\n", id="from-import"),
+            pytest.param(
+                "from random import Random\nmake = Random\n", id="from-import"
+            ),
         ],
     )
     def test_flags_generator_built_outside_the_factory(self, source):
@@ -407,6 +415,59 @@ class TestRef010IdentityAndHash:
             pytest.param(
                 "by_addr = {id(n): n for n in nodes}\n", BENCH, id="benchmark"
             ),
+        ],
+    )
+    def test_allows(self, source, path):
+        assert lint(source, path=path) == []
+
+
+class TestRef013UnusedImport:
+    @pytest.mark.parametrize(
+        "source,name",
+        [
+            pytest.param(
+                "from typing import List, Optional\nx: Optional[int]\n",
+                "List", id="from-import",
+            ),
+            pytest.param("import random\n", "random", id="import"),
+            pytest.param(
+                "import repro.net.mac as mac_module\n", "mac_module",
+                id="aliased",
+            ),
+            # Named only in a docstring: prose does not use an import.
+            pytest.param(
+                '"""Counters (``Counter.inc``)."""\n'
+                "from repro.telemetry.registry import Counter\n",
+                "Counter", id="docstring-only",
+            ),
+        ],
+    )
+    def test_flags_unused_module_level_import(self, source, name):
+        findings = lint(source)
+        assert ids(findings) == ["REF013"]
+        assert repr(name) in findings[0].message
+
+    @pytest.mark.parametrize(
+        "source,path",
+        [
+            pytest.param("import os.path\nsep = os.sep\n", LIB, id="dotted"),
+            pytest.param(
+                "from repro.net.mac import ContentionMac\n"
+                "__all__ = ['ContentionMac']\n",
+                UTIL, id="exported",
+            ),
+            pytest.param(
+                "from __future__ import annotations\n", LIB, id="future"
+            ),
+            pytest.param(
+                "def f():\n    import json\n", LIB, id="function-level"
+            ),
+            pytest.param(
+                "from repro.net.mac import ContentionMac\n",
+                "src/repro/net/__init__.py", id="package-re-export",
+            ),
+            pytest.param("import random\n", TEST, id="test-file"),
+            pytest.param("import random\n", BENCH, id="benchmark"),
         ],
     )
     def test_allows(self, source, path):

@@ -66,7 +66,7 @@ METRIC_FIELDS = (
     "flood_comm_energy_j",
 )
 
-_TRACED = TelemetryConfig(profiler=False, tracing=TracingConfig())
+_TRACED = TelemetryConfig(tracing=TracingConfig())
 
 #: Mobile sensors, maintenance rounds and CBR traffic; nothing opt-in
 #: but the trace that yields the fingerprint.

@@ -202,8 +202,7 @@ class TestTraceClosure:
         qos=QosConfig(),
         bursty=BurstyConfig(sources=4, load_multiplier=8.0),
         telemetry=TelemetryConfig(
-            profiler=False,
-            # Full capture so no drop event is evicted from the ring.
+            # Full capture: every drop event is retained.
             tracing=TracingConfig(capture=(0, 2 ** 62)),
         ),
     )

@@ -2,9 +2,9 @@
 
 The unit half pins the stream mechanics the divergence debugger leans
 on: checkpoint digests snapshot *before* the boundary-crossing event
-folds, the ring evicts oldest-first, the capture window retains exact
-sequence ranges, and packet uids are digested as dense run-local ids
-so process-global counters never leak into fingerprints.
+folds, the capture window retains exact sequence ranges, and packet
+uids are digested as dense run-local ids so process-global counters
+never leak into fingerprints.
 
 The integration half pins the two load-bearing run-level claims:
 tracing is byte-transparent (a traced run's metrics equal an untraced
@@ -28,7 +28,6 @@ from repro.telemetry.tracing import (
     TraceStream,
     TracingConfig,
     action_label,
-    diagnose,
     first_divergence,
 )
 from repro.util.rng import RngStreams
@@ -42,12 +41,13 @@ SCENARIO = ScenarioConfig(
     rate_pps=5.0,
 )
 
+#: A capture window no run reaches the end of: retain every event.
+EVERYTHING = (0, 1 << 62)
+
 
 def _traced(config: ScenarioConfig, **tracing_kwargs) -> ScenarioConfig:
     return config.with_(
-        telemetry=TelemetryConfig(
-            profiler=False, tracing=TracingConfig(**tracing_kwargs)
-        )
+        telemetry=TelemetryConfig(tracing=TracingConfig(**tracing_kwargs))
     )
 
 
@@ -55,7 +55,6 @@ class TestTracingConfig:
     def test_defaults(self):
         config = TracingConfig()
         assert config.checkpoint_interval == 1.0
-        assert config.ring_capacity == 4096
         assert config.capture is None
 
     @pytest.mark.parametrize(
@@ -64,10 +63,6 @@ class TestTracingConfig:
     def test_rejects_nonpositive_interval(self, interval):
         with pytest.raises(ConfigError):
             TracingConfig(checkpoint_interval=interval)
-
-    def test_rejects_nonpositive_ring(self):
-        with pytest.raises(ConfigError):
-            TracingConfig(ring_capacity=0)
 
     @pytest.mark.parametrize("window", [(-1, 5), (7, 3)])
     def test_rejects_invalid_capture_window(self, window):
@@ -116,28 +111,20 @@ class TestTraceStream:
         digests = {c.digest for c in stream.checkpoints}
         assert len(digests) == 1
 
-    def test_ring_evicts_oldest_first(self):
-        stream = TraceStream(TracingConfig(ring_capacity=4))
+    def test_capture_window_retains_exact_range(self):
+        stream = TraceStream(TracingConfig(capture=(3, 6)))
         for i in range(10):
             stream.record(0.1 * i, "dispatch", "A._fire", str(i))
         assert stream.events_seen == 10
-        retained = stream.events()
-        assert len(retained) == 4
-        assert [event.seq for event in retained] == [6, 7, 8, 9]
-        assert isinstance(retained[0], TraceEvent)
-
-    def test_capture_window_retains_exact_range(self):
-        stream = TraceStream(TracingConfig(ring_capacity=2, capture=(3, 6)))
-        for i in range(10):
-            stream.record(0.1 * i, "dispatch", "A._fire", str(i))
         captured = stream.captured()
         assert [event.seq for event in captured] == [3, 4, 5]
-        # Capture survives ring eviction (ring only holds seq 8, 9).
-        assert [event.seq for event in stream.events()] == [8, 9]
+        assert isinstance(captured[0], TraceEvent)
+        assert [event.detail for event in captured] == ["3", "4", "5"]
 
     def test_uids_are_digested_as_dense_local_ids(self):
         """Two runs whose raw uids differ still fingerprint the same."""
-        left, right = TraceStream(), TraceStream()
+        left = TraceStream(TracingConfig(capture=EVERYTHING))
+        right = TraceStream()
         left.lifecycle(101, 0.1, "generate", 3, None, "")
         left.lifecycle(205, 0.2, "generate", 4, None, "")
         left.lifecycle(101, 0.3, "deliver", None, 0, "")
@@ -145,9 +132,10 @@ class TestTraceStream:
         right.lifecycle(9002, 0.2, "generate", 4, None, "")
         right.lifecycle(9001, 0.3, "deliver", None, 0, "")
         assert left.fingerprint() == right.fingerprint()
-        assert "uid=0" in left.events()[0].detail
-        assert "uid=1" in left.events()[1].detail
-        assert "uid=0" in left.events()[2].detail
+        first, second, third = left.captured()
+        assert "uid=0" in first.detail
+        assert "uid=1" in second.detail
+        assert "uid=0" in third.detail
 
     def test_close_emits_trailing_checkpoint_and_is_idempotent(self):
         stream = TraceStream(TracingConfig(checkpoint_interval=1.0))
@@ -160,14 +148,22 @@ class TestTraceStream:
         stream.close()
         assert [c.time for c in stream.checkpoints] == times
 
+    def test_close_without_a_clock_ends_at_the_latest_event(self):
+        stream = TraceStream(TracingConfig(checkpoint_interval=1.0))
+        stream.record(0.5, "dispatch", "A._fire", "0")
+        stream.record(1.25, "dispatch", "B._fire", "1")
+        stream.close()
+        assert [c.time for c in stream.checkpoints] == [1.0, 1.25]
+        assert stream.checkpoints[-1].events_seen == 2
+
     def test_rng_draws_timestamp_at_the_latest_dispatch(self):
         """Draws happen inside dispatched actions, so they stamp the
         dispatch time (0.0 before the first dispatch: construction)."""
-        stream = TraceStream()
+        stream = TraceStream(TracingConfig(capture=EVERYTHING))
         stream.rng_draw("topology.place", "random", 0.25)
         stream.dispatch(0.75, 0, lambda: None)
         stream.rng_draw("workload.cbr", "random", 0.5)
-        pre, _, event = stream.events()
+        pre, _, event = stream.captured()
         assert pre.time == 0.0
         assert event.time == 0.75
         assert event.kind == "rng"
@@ -220,38 +216,6 @@ class TestFirstDivergence:
         assert a is not None and b is None
 
 
-class TestDiagnose:
-    def test_identical(self):
-        left, right = TraceStream(), TraceStream()
-        assert diagnose(left, right) == "traces identical"
-
-    def test_names_the_first_mismatched_checkpoint_and_event(self):
-        left, right = TraceStream(), TraceStream()
-        for stream in (left, right):
-            stream.record(0.1, "dispatch", "A._fire", "0")
-        left.record(0.2, "dispatch", "B._fire", "1")
-        right.record(0.2, "dispatch", "C._fire", "1")
-        for stream in (left, right):
-            stream.bind_clock(lambda: 1.5)
-            stream.close()
-        report = diagnose(left, right)
-        assert "fingerprints differ" in report
-        assert "first mismatched checkpoint: #0 at t=1" in report
-        assert "B._fire" in report and "C._fire" in report
-
-    def test_reports_eviction_when_rings_lost_the_fork(self):
-        left = TraceStream(TracingConfig(ring_capacity=2))
-        right = TraceStream(TracingConfig(ring_capacity=2))
-        left.record(0.1, "dispatch", "B._fire", "0")
-        right.record(0.1, "dispatch", "C._fire", "0")
-        for stream in (left, right):
-            for i in range(1, 5):
-                stream.record(0.1 + 0.1 * i, "dispatch", "A._fire", str(i))
-        report = diagnose(left, right)
-        assert "evicted" in report
-        assert "repro.devtools.divergence" in report
-
-
 class TestRngTraceWiring:
     def test_set_trace_after_first_stream_raises(self):
         streams = RngStreams(1)
@@ -263,7 +227,7 @@ class TestRngTraceWiring:
         """Tracing observes draws; it never changes them."""
         plain = RngStreams(42).stream("workload.cbr")
         traced_streams = RngStreams(42)
-        trace = TraceStream()
+        trace = TraceStream(TracingConfig(capture=EVERYTHING))
         traced_streams.set_trace(trace)
         traced = traced_streams.stream("workload.cbr")
         plain_draws = [
@@ -276,7 +240,7 @@ class TestRngTraceWiring:
         ]
         assert traced_draws == plain_draws
         assert trace.events_seen > 0
-        assert all(event.kind == "rng" for event in trace.events())
+        assert all(event.kind == "rng" for event in trace.captured())
 
 
 class TestTracedRuns:
@@ -309,9 +273,9 @@ class TestTracedRuns:
 
     def test_trace_records_all_three_event_kinds(self):
         result = run_scenario(
-            "REFER", _traced(SCENARIO, ring_capacity=1 << 20)
+            "REFER", _traced(SCENARIO, capture=EVERYTHING)
         )
-        kinds = {event.kind for event in result.telemetry.trace.events()}
+        kinds = {event.kind for event in result.telemetry.trace.captured()}
         assert {"dispatch", "rng", "flight"} <= kinds
 
     def test_checkpoints_cover_the_run(self):

@@ -367,8 +367,6 @@ KEPT_FOR_TESTS = {
         "tests/telemetry/test_flight.py::TestSpanCausality",
     "src/repro/telemetry/flight.py::Journey.tx_nodes":
         "tests/telemetry/test_flight.py::TestSpanCausality",
-    "src/repro/telemetry/tracing.py::diagnose":
-        "tests/telemetry/test_tracing.py::TestDiagnose",
 }
 
 

@@ -110,6 +110,18 @@ ROWS = [
         ),
         id="one-repair-substrate",
     ),
+    pytest.param(
+        r"ring_capacity|diagnose|--ring|on_detected|on_repaired"
+        r"|entry_relays|generic_fill_assignments|true_detections"
+        r"|recovery_detection_latency_seconds"
+        r"|recovery_repair_latency_seconds",
+        True,
+        (
+            "src", "tests", "benchmarks/*.py", "examples", "docs",
+            "DESIGN.md", "EXPERIMENTS.md", ".claude",
+        ),
+        id="each-fact-recorded-once",
+    ),
 ]
 
 
