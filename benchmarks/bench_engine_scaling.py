@@ -112,8 +112,16 @@ def test_overlay_build_at_400_sensors(monkeypatch):
             "  wall time        %10.3f s" % wall,
             "  generated        %10d" % result.generated,
             "  delivered        %10d" % result.delivered_total,
+            "  construction_energy_j %.2f" % result.construction_energy_j,
+            "  comm_energy_j         %.2f" % result.comm_energy_j,
         ],
-        {"sensors": 400, "setup_s": setup, "wall_s": wall},
+        {
+            "sensors": 400,
+            "setup_s": setup,
+            "wall_s": wall,
+            "construction_energy_j": result.construction_energy_j,
+            "comm_energy_j": result.comm_energy_j,
+        },
     )
     assert result.generated > 0 and result.delivered_total > 0
 

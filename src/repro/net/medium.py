@@ -56,12 +56,12 @@ or metered), and never leaves.  A node outside it was never failed or
 metered, so it is usable unread.  Floods and candidate gathering share
 the view; a flood reads the bucket's tuples straight from the mapping
 ``survey`` returns, and beside them each tuple as an int bitmask (bit
-``i`` = node ``i``), made at a flood's first use of the tuple and
-dropped with it.  The
-roll only *writes* the mobile positions; the grid re-hashes cells the
-first time a query in the bucket needs them.  The cost boundary: a
-TTL-limited flood in a fresh bucket pays for the whole field's
-geometry.
+``i`` = node ``i``), made at a flood's first use of the tuple, and each
+flood's reception count by the mask of its forwarders, all dropped with
+the tuples.  The roll only *writes* the mobile positions; the grid
+re-hashes cells the first time a query in the bucket needs them.  The
+cost boundary: a TTL-limited flood in a fresh bucket pays for the whole
+field's geometry.
 
 ``contention_at`` is a packet-time question, like the frame's own
 ``reachable``: it runs on every frame and is almost always 0, so the
@@ -162,6 +162,11 @@ class WirelessMedium:
         #: ``i``), each made by a flood at its first use of the tuple and
         #: cleared with the tuples, so the bucket's floods share them.
         self._usable_masks: Dict[int, int] = {}
+        #: A flood's reception count by the mask of its forwarders, with
+        #: the ledger phase it was charged in, cleared with the tuples:
+        #: within a bucket the count depends only on which nodes
+        #: forwarded, so the bucket's floods share it.
+        self._usable_counts: Dict[int, Tuple[Any, Mapping[int, int]]] = {}
         self._cache_bucket = -1
         #: The installed fault model (see :meth:`set_link_fault`).
         self.link_fault: Optional[LinkFault] = None
@@ -357,7 +362,11 @@ class WirelessMedium:
 
     def survey(
         self, now: float
-    ) -> Tuple[Mapping[int, Tuple[int, ...]], Dict[int, int]]:
+    ) -> Tuple[
+        Mapping[int, Tuple[int, ...]],
+        Dict[int, int],
+        Dict[int, Tuple[Any, Mapping[int, int]]],
+    ]:
         """Compute the geometry of every registered node in ``now``'s
         bucket, in one pass over the grid (once per bucket: a flood
         about to ask for many neighbour tuples calls it first).
@@ -367,9 +376,11 @@ class WirelessMedium:
         bucket's ``usable``-filtered tuples by node id, those asked for
         so far — what ``neighbors(node_id, now)`` answers for an id it
         holds, until time or the registry moves — and the bucket's
-        masks of those tuples by node id, for the caller to fill.  A
-        flood reads its forwarders' tuples there, asks :meth:`neighbors`
-        on a miss, and files a tuple's mask at its first use.
+        masks of those tuples by node id and its reception counts, both
+        for the caller to fill.  A flood reads its forwarders' tuples
+        there, asks :meth:`neighbors` on a miss, files a tuple's mask at
+        its first use and a count at the first flood through its set of
+        forwarders.
         """
         bucket = int(now / self._cache_resolution)
         if bucket != self._cache_bucket or self._pending_ids:
@@ -380,12 +391,13 @@ class WirelessMedium:
             geometry.update(self.spatial_grid.mutual_neighbours(
                 missing, self._nodes, self._wide_ids
             ))
-        return self._usable_tuples, self._usable_masks
+        return self._usable_tuples, self._usable_masks, self._usable_counts
 
     def _clear_tuples(self) -> None:
         self._usable_tuples.clear()
         self._all_tuples.clear()
         self._usable_masks.clear()
+        self._usable_counts.clear()
 
     def _roll(self, bucket: int, now: float) -> None:
         """Refresh the snapshot for ``now`` (in ``bucket``)."""

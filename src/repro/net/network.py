@@ -459,10 +459,16 @@ class WirelessNetwork:
         set, so its node is in the medium's watch, where the flood looks
         for them) is drained by each reception as it is heard, so a node
         the flood exhausts is gone from the next list computed.  The
-        receptions are counted once, at the end, in first-heard order:
-        an unmetered node is drained ``count * RX_JOULES`` at once and
-        the ledger is charged by count (both exact, and nothing reads an
-        unmetered node's joules mid-flood: see :mod:`repro.net.energy`).
+        receptions are counted at the end, in first-heard order, and the
+        count is filed in the bucket under the forwarders' mask with the
+        ledger phase: a later flood of the bucket through the same
+        forwarders, in the same phase, reuses it.  Its values are the
+        same (so are the forwarders' tuples); its order is the first
+        flood's, which already created every ledger child the count
+        names.  An unmetered node is drained ``count * RX_JOULES`` at
+        once and the ledger is charged by count (both exact, and nothing
+        reads an unmetered node's joules mid-flood: see
+        :mod:`repro.net.energy`).
         """
         if ttl < 0:
             raise NetworkError(f"flood ttl must be >= 0, got {ttl}")
@@ -477,7 +483,7 @@ class WirelessNetwork:
             return tree, level_sizes
         now = self.sim.now
         medium = self.medium
-        tuples, masks = medium.survey(now)
+        tuples, masks, counts = medium.survey(now)
         table = medium.node_table
         # Only a watched node was ever metered (``WirelessMedium.watched``).
         metered_ids = {
@@ -490,6 +496,7 @@ class WirelessNetwork:
         while frontier and depth < ttl:
             depth += 1
             start = len(tree)
+            forwarded = seen
             for node_id in frontier:
                 mask = masks.get(node_id)
                 if mask is None:
@@ -510,12 +517,20 @@ class WirelessNetwork:
                     new ^= low
             frontier = list(islice(tree, start, None))
             level_sizes.append(len(frontier))
-        # The forwarders are the tree but its last level, in the order
-        # they forwarded; each one's tuple is in the bucket's mapping.
-        forwarders = islice(tree, len(tree) - level_sizes[-1])
-        received = Counter(
-            chain.from_iterable(map(tuples.__getitem__, forwarders))
-        )
+        # The forwarders are the tree but its last level: ``forwarded``,
+        # ``seen`` before that level.  Their tuples are the bucket's, so
+        # the bucket's floods through one set share one count, filed with
+        # the phase whose ledger children its first flood created.
+        phase = self.energy.phase
+        filed = counts.get(forwarded)
+        if filed is not None and filed[0] is phase:
+            received = filed[1]
+        else:
+            forwarders = islice(tree, len(tree) - level_sizes[-1])
+            received = Counter(
+                chain.from_iterable(map(tuples.__getitem__, forwarders))
+            )
+            counts[forwarded] = phase, received
         for node_id, count in received.items():
             if node_id not in metered_ids:
                 table[node_id].consumed_joules += count * RX_JOULES

@@ -29,7 +29,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import NetworkError, TelemetryError
-from repro.net import energy
+from repro.net import energy, network
 from repro.net.energy import RX_JOULES, TX_JOULES, EnergyLedger, Phase
 from repro.net.mobility import StaticMobility
 from repro.net.network import WirelessNetwork
@@ -211,14 +211,23 @@ def build_network(seed, count, ledger_type):
     return sim, net
 
 
+#: Where a flood runs: in a fresh neighbour-cache bucket, whose tuples
+#: see the batteries every earlier flood drained; in the bucket of the
+#: flood before, where a flood through the same forwarders in the same
+#: phase reuses its reception count; or there again, from the flood
+#: before's sources reversed and with its ttl: the same forwarders, each
+#: node first heard in another order.
+MOVES = st.sampled_from(["roll", "stay", "echo"])
+
 FLOODS = st.lists(
     st.tuples(
         st.lists(st.integers(min_value=0, max_value=29), min_size=1, max_size=3),
         st.integers(min_value=0, max_value=5),
         st.sampled_from(list(Phase)),
+        MOVES,
     ),
     min_size=1,
-    max_size=5,
+    max_size=6,
 )
 
 
@@ -227,15 +236,27 @@ FLOODS = st.lists(
     seed=st.integers(min_value=0, max_value=10_000),
     count=st.integers(min_value=30, max_value=60),
     floods=FLOODS,
+    unmetered=st.sets(st.integers(min_value=0, max_value=59)),
 )
-def test_batched_flood_matches_per_reception_flood(seed, count, floods):
+def test_batched_flood_matches_per_reception_flood(
+    seed, count, floods, unmetered
+):
     sim, net = build_network(seed, count, EnergyLedger)
     ref_sim, ref = build_network(seed, count, ReferenceLedger)
-    for step, (sources, ttl, phase) in enumerate(floods):
-        # A fresh neighbour-cache bucket per flood, so each one sees
-        # the batteries the previous one drained.
-        for clock in (sim, ref_sim):
-            clock.run_until(0.25 * (step + 1))
+    for world in (net, ref):
+        for node in world.nodes():
+            if node.id in unmetered:
+                node.battery_joules = None
+    now = 0.0
+    before = None
+    for sources, ttl, phase, move in floods:
+        if move == "roll":
+            now += 0.25
+            for clock in (sim, ref_sim):
+                clock.run_until(now)
+        elif move == "echo" and before is not None:
+            sources, ttl = before[0][::-1], before[1]
+        before = sources, ttl
         net.set_phase(phase)
         ref.set_phase(phase)
         if len(sources) == 1:
@@ -283,9 +304,10 @@ class CountingLedger(EnergyLedger):
         return attr
 
 
-def test_a_flood_charges_the_ledger_by_count():
-    # 200 unmetered nodes, 100 m range in a 500 m square: one flood over
-    # the whole field, with every node forwarding.
+def flood_the_field():
+    """200 unmetered nodes, 100 m range in a 500 m square, and one flood
+    over the whole field, with every node forwarding: the network (its
+    ledger counting charging calls) and the tree."""
     rng = random.Random(11)
     net = WirelessNetwork(Simulator(), random.Random(11))
     net.energy = CountingLedger(registry=net.registry)
@@ -294,10 +316,45 @@ def test_a_flood_charges_the_ledger_by_count():
         net.add_node(
             Node(node_id, NodeRole.SENSOR, StaticMobility(position), 100.0)
         )
-    tree = net.flood(0, ttl=64)
+    return net, net.flood(0, ttl=64)
+
+
+def test_a_flood_charges_the_ledger_by_count():
+    net, tree = flood_the_field()
     assert len(tree) > 150
     assert counted(net.registry, "energy_rx_packets") > 10 * len(tree)
     assert net.energy.calls == {"charge_rx_counts": 1, "charge_tx_each": 1}
+
+
+@pytest.mark.parametrize("between", ["nothing", "add_node", "set_phase"])
+def test_a_bucket_counts_one_forwarder_set_once(monkeypatch, between):
+    # Two full floods from two ends of one component, in one bucket,
+    # have the same forwarders, so the second reuses the first's
+    # count.  A node registered between them (out of everyone's range,
+    # so the forwarders stay the same) drops the bucket's counts with
+    # its tuples, and a phase switch leaves a count filed in another
+    # phase: either way the second flood counts again.
+    builds = []
+
+    class CountingCounter(Counter):
+        def __init__(self, *args, **kwargs):
+            builds.append(args)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(network, "Counter", CountingCounter)
+    net, first = flood_the_field()
+    received = counted(net.registry, "energy_rx_packets")
+    if between == "add_node":
+        net.add_node(Node(
+            200, NodeRole.SENSOR, StaticMobility(Point(5000.0, 5000.0)), 100.0
+        ))
+    elif between == "set_phase":
+        net.set_phase(Phase.COMMUNICATION)
+    second = net.flood(list(first)[-1], ttl=64)
+    assert second.keys() == first.keys()
+    assert counted(net.registry, "energy_rx_packets") == 2 * received
+    assert len(builds) == (1 if between == "nothing" else 2)
+    assert net.energy.calls == {"charge_rx_counts": 2, "charge_tx_each": 2}
 
 
 # -- the shared holder and the stats views, exports included ----------------
