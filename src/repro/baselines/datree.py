@@ -160,7 +160,6 @@ class DaTreeSystem(FloodingSystem):
             packet,
             on_delivered=arrived,
             on_failed=failed,
-            deliver_to_handler=is_final,
         )
 
     def _repair_and_retransmit(

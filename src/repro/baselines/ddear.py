@@ -62,7 +62,7 @@ class DDearSystem(FloodingSystem):
         now = self.network.sim.now
         # 1-hop beacon exchange: every sensor broadcasts once.
         for sensor_id in self.sensor_ids:
-            self.network.charge_control_tx(sensor_id)
+            self.network.charge_tx(sensor_id, "control")
             self.network.charge_rx_each(
                 self.network.neighbors(sensor_id), "control"
             )

@@ -182,7 +182,6 @@ class KautzOverlaySystem(FloodingSystem):
             on_failed=lambda pkt, at: self._drop(
                 pkt, on_dropped, "entry-failed"
             ),
-            deliver_to_handler=False,
         )
 
     # -- overlay routing (REFER's protocol over cached physical paths) -------------

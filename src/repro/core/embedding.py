@@ -182,10 +182,10 @@ class EmbeddingProtocol:
         # one broadcast per actuator, received by every actuator in range.
         now = self.network.sim.now
         for a in actuators:
-            self.network.charge_control_tx(a)
+            self.network.charge_tx(a, "control")
             for b in actuators:
                 if a != b and self.network.medium.can_transmit(a, b, now):
-                    self.network.charge_control_rx(b)
+                    self.network.charge_rx(b, "control")
         server = min(
             actuators,
             key=lambda a: consistent_hash(self._actuator_address(a)),
@@ -539,5 +539,5 @@ class EmbeddingProtocol:
     def _charge_chain(self, node_chain: Sequence[int]) -> None:
         """Charge a unicast control chain hop-by-hop (tx + rx each hop)."""
         for a, b in zip(node_chain, node_chain[1:]):
-            self.network.charge_control_tx(a)
-            self.network.charge_control_rx(b)
+            self.network.charge_tx(a, "control")
+            self.network.charge_rx(b, "control")

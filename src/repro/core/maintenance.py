@@ -243,7 +243,7 @@ class TopologyMaintenance:
         # Notification messages: the departing node (or, if it is
         # believed gone, the candidate) informs each Kautz neighbour.
         announcer = node_id if self._presumed_live(node_id) else candidate
-        self.network.charge_control_tx(announcer)
+        self.network.charge_tx(announcer, "control")
         self.network.charge_rx_each(neighbors, "control")
 
     def _note_replacement_latency(

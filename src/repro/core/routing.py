@@ -70,10 +70,6 @@ class ReferRouter:
         self.cells = {cell.cid: cell for cell in cells}
         self.stats = RoutingStats(registry=network.registry)
         self._congestion_threshold = CONGESTION_THRESHOLD
-        # node -> cell lookups happen per packet (twice per send_to),
-        # so the linear scan over cells is cached; membership changes
-        # invalidate through the cells' observer hook.
-        self._holding_cache: Dict[int, Optional[EmbeddedCell]] = {}
         # Entry ranking asks which of a cell's ~39 members a source can
         # reach, per packet, to find ~5: per cell and source, the
         # members near enough to matter for a while, as
@@ -144,30 +140,15 @@ class ReferRouter:
     def _membership_changed(
         self, cid: int, kid: KautzString, old: Optional[int], new: int
     ) -> None:
-        if old is not None:
-            self._holding_cache.pop(old, None)
-        self._holding_cache.pop(new, None)
         self._near_members[cid].clear()
 
     def cell_holding(self, node_id: int) -> Optional[EmbeddedCell]:
-        """The cell (if any) in which ``node_id`` currently holds a KID.
-
-        Cached per node; maintenance reassignments invalidate exactly
-        the two ids they touch, so repeated per-packet lookups are O(1)
-        while preserving the first-cell-in-cid-order tie-break for
-        actuators that belong to several cells.
-        """
-        try:
-            return self._holding_cache[node_id]
-        except KeyError:
-            pass
-        holding: Optional[EmbeddedCell] = None
+        """The cell (if any) in which ``node_id`` currently holds a KID:
+        the first in cid order, for actuators that belong to several."""
         for cell in self.cells.values():
             if cell.holds(node_id):
-                holding = cell
-                break
-        self._holding_cache[node_id] = holding
-        return holding
+                return cell
+        return None
 
     def cell_at(self, position: Point) -> EmbeddedCell:
         spec = self.plan.cell_of_point(position)
@@ -289,13 +270,11 @@ class ReferRouter:
         arrived: Optional[DeliveredCallback],
         failed: Callable[[Packet], None],
         on_dropped: Optional[DroppedCallback],
-        final: bool = False,
     ) -> None:
         """Send ``packet`` one hop: the one place the router transmits.
 
-        ``arrived`` runs when the frame reaches ``dst_id`` (and, on a
-        ``final`` hop, the destination's receive handler after it); a
-        failed hop goes to ``failed``.  A frame the QoS layer condemned
+        ``arrived`` runs when the frame reaches ``dst_id``; a failed hop
+        goes to ``failed``.  A frame the QoS layer condemned
         (deadline expired, shed under backpressure) fails with
         ``meta["qos_terminal"]`` stamped; every other path would only
         refuse it again, so it is dropped under that verdict instead.
@@ -308,7 +287,7 @@ class ReferRouter:
             else:
                 failed(pkt)
 
-        self._send(src_id, dst_id, packet, arrived, hop_failed, final)
+        self._send(src_id, dst_id, packet, arrived, hop_failed)
 
     def _forward(
         self,
@@ -328,10 +307,7 @@ class ReferRouter:
         there if it is ``dest_kid``, else routed on intra-cell from it
         with ``member_kid`` visited and one hop fewer left."""
         if member_kid == dest_kid:
-            self._hop(
-                at_node, member, packet, on_delivered, failed, on_dropped,
-                final=True,
-            )
+            self._hop(at_node, member, packet, on_delivered, failed, on_dropped)
             return
 
         def arrived(pkt: Packet) -> None:

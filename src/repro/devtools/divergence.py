@@ -13,6 +13,9 @@ Each spec says where that side runs::
     inproc               # in this interpreter
     worker               # in a spawned subprocess (own interpreter)
 
+A ``worker`` side that cannot spawn, or whose run fails, raises
+``ConfigError``: it never falls back to this interpreter.
+
 Examples::
 
     python -m repro.devtools.divergence inproc worker --sim-time 12
@@ -83,84 +86,14 @@ def _apply_fixture(path: str):
     return module
 
 
-def _worker_entry(conn, system, config, fixture_path) -> None:
-    """Spawned-process body: run traced, ship the evidence back."""
+def _trace_run(spec, system, config, fixture_path) -> TraceRun:
+    """Run ``system`` traced in this interpreter, the fixture applied
+    around it; also the body a ``worker`` side runs in its own."""
     from repro.experiments.runner import run_scenario
 
+    module = _apply_fixture(fixture_path) if fixture_path else None
     try:
-        if fixture_path:
-            _apply_fixture(fixture_path)
         run = run_scenario(system, config)
-        trace = run.telemetry.trace
-        conn.send(
-            {
-                "fingerprint": trace.fingerprint(),
-                "checkpoints": [tuple(c) for c in trace.checkpoints],
-                "captured": [tuple(e) for e in trace.captured()],
-            }
-        )
-    except Exception as exc:
-        conn.send({"error": f"{type(exc).__name__}: {exc}"})
-    finally:
-        conn.close()
-
-
-def _run_in_worker(system, config, fixture_path) -> Optional[dict]:
-    """One traced run in a spawned subprocess; None when spawn is
-    unavailable (the caller then compares in process)."""
-    try:
-        import multiprocessing
-
-        ctx = multiprocessing.get_context("spawn")
-        parent, child = ctx.Pipe(duplex=False)
-        proc = ctx.Process(
-            target=_worker_entry, args=(child, system, config, fixture_path)
-        )
-        proc.start()
-    except (ImportError, OSError, ValueError):
-        return None
-    child.close()
-    try:
-        data = parent.recv()
-    except EOFError:
-        proc.join()
-        raise ConfigError(
-            f"divergence worker for {system!r} exited without a result "
-            f"(exit code {proc.exitcode})"
-        )
-    proc.join()
-    if "error" in data:
-        raise ConfigError(f"divergence worker failed: {data['error']}")
-    return data
-
-
-def traced_run(
-    spec: str,
-    args,
-    capture: Optional[Tuple[int, int]] = None,
-    fixture: Optional[str] = None,
-) -> TraceRun:
-    """Run one side (``spec`` is one of :data:`SPECS`) and collect its
-    trace evidence."""
-    from repro.experiments.runner import run_scenario
-
-    if spec not in SPECS:
-        raise ConfigError(f"unknown spec {spec!r}; expected one of {SPECS}")
-    config = _build_config(args, capture)
-    if spec == "worker":
-        data = _run_in_worker(args.system, config, fixture)
-        if data is not None:
-            return TraceRun(
-                spec=spec,
-                fingerprint=data["fingerprint"],
-                checkpoints=tuple(
-                    Checkpoint(*c) for c in data["checkpoints"]
-                ),
-                captured=tuple(TraceEvent(*e) for e in data["captured"]),
-            )
-    module = _apply_fixture(fixture) if fixture else None
-    try:
-        run = run_scenario(args.system, config)
     finally:
         if module is not None and hasattr(module, "revert"):
             module.revert()
@@ -171,6 +104,44 @@ def traced_run(
         checkpoints=trace.checkpoints,
         captured=trace.captured(),
     )
+
+
+def _run_in_worker(system, config, fixture_path) -> TraceRun:
+    """One traced run on a one-worker spawned pool (the kind
+    ``experiments.parallel`` runs); any failure, spawning included,
+    raises ``ConfigError``."""
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    context = multiprocessing.get_context("spawn")
+    try:
+        with ProcessPoolExecutor(1, mp_context=context) as pool:
+            return pool.submit(
+                _trace_run, "worker", system, config, fixture_path
+            ).result()
+    except Exception as exc:
+        # Deliberately broad: whatever stopped the worker, this side
+        # has no trace, and the comparison must not go on without it.
+        raise ConfigError(
+            f"divergence worker for {system!r} failed: "
+            f"{type(exc).__name__}: {exc}"
+        ) from exc
+
+
+def traced_run(
+    spec: str,
+    args,
+    capture: Optional[Tuple[int, int]] = None,
+    fixture: Optional[str] = None,
+) -> TraceRun:
+    """Run one side (``spec`` is one of :data:`SPECS`) and collect its
+    trace evidence."""
+    if spec not in SPECS:
+        raise ConfigError(f"unknown spec {spec!r}; expected one of {SPECS}")
+    config = _build_config(args, capture)
+    if spec == "worker":
+        return _run_in_worker(args.system, config, fixture)
+    return _trace_run(spec, args.system, config, fixture)
 
 
 def _mismatch_window(left: TraceRun, right: TraceRun):

@@ -51,9 +51,6 @@ class ContentionMac:
         self._sim = sim
         self._medium = medium
         self._rng = rng
-        # Frames come in a handful of sizes (payload, ACK, probes), so
-        # the per-size airtime division is memoized.
-        self._airtime_cache: dict = {}
         # Telemetry hook (repro.telemetry.profiler): when set, every
         # transmission reports its frame attempts as bytes on air.
         # Observation only — it must never touch the RNG or timing.
@@ -106,10 +103,7 @@ class ContentionMac:
         now = self._sim.now
         start = max(now, src.radio_busy_until)
         contention = self._medium.contention_at(src_id, now)
-        size = packet.size_bytes
-        frame_airtime = self._airtime_cache.get(size)
-        if frame_airtime is None:
-            frame_airtime = self._airtime_cache[size] = airtime(size)
+        frame_airtime = airtime(packet.size_bytes)
         # Per-attempt loss: the floor plus a capped contention share.
         # It shares the frame's one contention_at with the backoff.
         extra = min(CONTENTION_LOSS * contention, MAX_LOSS)

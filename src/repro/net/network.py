@@ -28,7 +28,6 @@ from repro.sim.core import Simulator
 from repro.telemetry.config import Telemetry
 from repro.telemetry.registry import Registry
 
-ReceiveHandler = Callable[[Packet], None]
 DeliveryCallback = Callable[[Packet], None]
 FailureCallback = Callable[[Packet, int], None]   # (packet, failed_at_node)
 
@@ -81,7 +80,6 @@ class WirelessNetwork:
             "trace_events", "trace records by category", labels=("category",)
         ).held()
         self._rng = rng
-        self._handlers: Dict[int, ReceiveHandler] = {}
         # Path-level outcomes of :meth:`send_along_path` (a relay that
         # reaches the end of its path is delivered, one whose hop fails
         # is dropped; protocols that drive :meth:`send` directly count
@@ -110,18 +108,6 @@ class WirelessNetwork:
     ) -> Tuple[int, ...]:
         return self.medium.neighbors(node_id, self.sim.now, require_usable)
 
-    def set_receive_handler(self, node_id: int, handler: ReceiveHandler) -> None:
-        """Protocol hook invoked when a packet's final hop delivers here."""
-        self._handlers[node_id] = handler
-
-    def handler_of(self, node_id: int) -> Optional[ReceiveHandler]:
-        """The registered receive handler (None if the node has none).
-
-        Link layers that take over final-hop delivery (the recovery
-        ARQ) use this to invoke the handler exactly once per packet,
-        duplicates suppressed."""
-        return self._handlers.get(node_id)
-
     # -- direct energy accounting ---------------------------------------------
 
     def charge_tx(self, node_id: int, kind: str) -> None:
@@ -146,15 +132,6 @@ class WirelessNetwork:
         for node in nodes:
             node.consumed_joules += RX_JOULES
 
-    def charge_control_tx(self, node_id: int) -> None:
-        """Charge one control-message transmission (bookkeeping
-        exchanges whose timing is immaterial)."""
-        self.charge_tx(node_id, "control")
-
-    def charge_control_rx(self, node_id: int) -> None:
-        """Charge one control-message reception."""
-        self.charge_rx(node_id, "control")
-
     # -- fault API -------------------------------------------------------------
 
     def fail_node(self, node_id: int) -> None:
@@ -172,7 +149,6 @@ class WirelessNetwork:
         packet: Packet,
         on_delivered: Optional[DeliveryCallback] = None,
         on_failed: Optional[FailureCallback] = None,
-        deliver_to_handler: bool = True,
     ) -> None:
         """Transmit one hop.  Energy: tx always charged (the radio spends
         it whether or not the frame arrives), rx charged on success.
@@ -244,10 +220,6 @@ class WirelessNetwork:
             dst.drain(RX_JOULES)
             if on_delivered is not None:
                 on_delivered(packet)
-            if deliver_to_handler:
-                handler = self._handlers.get(dst_id)
-                if handler is not None:
-                    handler(packet)
 
         self.mac.transmit(src_id, dst_id, packet, complete)
 
@@ -278,9 +250,10 @@ class WirelessNetwork:
     ) -> None:
         """Relay ``packet`` hop-by-hop along ``path`` (list of node ids).
 
-        The receive handler fires only at the final node.  On any hop
-        failure, ``on_failed`` gets the id of the node that could not
-        forward — protocols use that to trigger their repair logic.
+        ``on_delivered`` fires once, when the final node has the packet
+        (at once for a one-node path).  On any hop failure,
+        ``on_failed`` gets the id of the node that could not forward —
+        protocols use that to trigger their repair logic.
 
         Accounting: a hop failure ends this relay attempt, so it bumps
         both ``net_hop_failures`` (via the hop machinery) and
@@ -293,9 +266,6 @@ class WirelessNetwork:
             self._delivered_ctr.inc()
             if on_delivered is not None:
                 on_delivered(packet)
-            handler = self._handlers.get(path[0])
-            if handler is not None:
-                handler(packet)
             return
 
         def path_failed(pkt: Packet, at_node: int) -> None:
@@ -337,7 +307,6 @@ class WirelessNetwork:
             packet,
             on_delivered=delivered,
             on_failed=path_failed,
-            deliver_to_handler=last,
         )
 
     # -- flooding -------------------------------------------------------------------

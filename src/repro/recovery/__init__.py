@@ -7,8 +7,8 @@ distributed machinery that only acts on simulated message exchanges:
   heartbeats over the real medium/MAC with per-target adaptive
   timeouts and a suspicion counter;
 * :class:`~repro.recovery.arq.ArqLink` — per-hop ACK/retransmit with
-  bounded budget, exponential deterministic-jitter backoff and a
-  duplicate-suppression cache;
+  bounded budget and exponential deterministic-jitter backoff, each
+  hop forwarded once however many of its copies arrive;
 * :class:`~repro.recovery.healer.CanHealer` — actuator-keyed CAN zone
   takeover and CID-key re-homing on condemnation, rejoin on recovery;
 * :class:`~repro.recovery.orchestrator.RecoveryOrchestrator` — wires

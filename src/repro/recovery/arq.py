@@ -6,17 +6,15 @@ than that becomes an end-to-end hop failure and triggers Theorem 3.8
 path switching (or a drop).  :class:`ArqLink` inserts a network-layer
 stop-and-wait ARQ per hop:
 
-* every hop gets a per-``(src, dst)`` sequence number;
 * a failed data frame is retransmitted after an exponential backoff
   with deterministic jitter (drawn from a dedicated ``RngStreams``
   stream), up to a bounded budget;
 * the receiver acknowledges each frame; a lost ACK makes the sender
-  retransmit a frame the receiver already has, which the receiver's
-  bounded duplicate-suppression cache absorbs;
-* the receiver forwards (invokes ``on_delivered`` / the receive
-  handler) on *first* arrival — it does not wait to learn whether its
-  ACK survived — so a lost ACK costs airtime and energy, never a
-  duplicate delivery.
+  retransmit a frame the receiver already has, which the hop's
+  ``delivered`` flag absorbs;
+* the receiver forwards (invokes ``on_delivered``) on *first* arrival
+  — it does not wait to learn whether its ACK survived — so a lost ACK
+  costs airtime and energy, never a duplicate delivery.
 
 ``on_failed`` fires only when no attempt's data frame arrived within
 the budget, so the router's detour logic sees exactly the semantics of
@@ -27,8 +25,7 @@ are charged to the energy ledger under the ``ack`` kind.
 from __future__ import annotations
 
 import random
-from collections import OrderedDict
-from typing import Dict, Optional, Tuple
+from typing import Optional
 
 from repro.net.mac import PROCESSING_DELAY, airtime
 from repro.net.network import (
@@ -55,9 +52,6 @@ BACKOFF = 0.01
 BACKOFF_FACTOR = 2.0
 #: Relative half-width of the uniform jitter on each backoff (0: none).
 JITTER = 0.5
-#: Recently accepted ``(sender, seq)`` tags each receiver remembers to
-#: suppress duplicates.
-CACHE_SIZE = 512
 #: The meta keys in which a refused or condemned frame carries its
 #: verdict (``WirelessNetwork.send``, ``MacQosScheduler``).
 _VERDICT = ("drop_reason", "qos_terminal")
@@ -81,8 +75,8 @@ class _Hop:
     """One logical hop: what was asked of it and how far it has got."""
 
     __slots__ = (
-        "src", "dst", "packet", "tag", "on_delivered", "on_failed",
-        "deliver_to_handler", "delivered", "done",
+        "src", "dst", "packet", "on_delivered", "on_failed", "delivered",
+        "done",
     )
 
     def __init__(
@@ -90,18 +84,14 @@ class _Hop:
         src: int,
         dst: int,
         packet: Packet,
-        tag: Tuple[int, int],
         on_delivered: Optional[DeliveryCallback],
         on_failed: Optional[FailureCallback],
-        deliver_to_handler: bool,
     ) -> None:
         self.src = src
         self.dst = dst
         self.packet = packet
-        self.tag = tag
         self.on_delivered = on_delivered
         self.on_failed = on_failed
-        self.deliver_to_handler = deliver_to_handler
         self.delivered = False
         self.done = False
 
@@ -113,9 +103,6 @@ class ArqLink:
         self._network = network
         self._rng = rng
         self.stats = ArqStats(registry=network.registry)
-        self._seq: Dict[Tuple[int, int], int] = {}
-        # receiver -> (sender, seq) LRU of recently accepted frames
-        self._seen: Dict[int, "OrderedDict[Tuple[int, int], None]"] = {}
 
     # -- the network.send-compatible entry point ---------------------------
 
@@ -126,20 +113,12 @@ class ArqLink:
         packet: Packet,
         on_delivered: Optional[DeliveryCallback] = None,
         on_failed: Optional[FailureCallback] = None,
-        deliver_to_handler: bool = True,
     ) -> None:
         """One reliable hop src -> dst (same contract as
         ``WirelessNetwork.send``, with transient losses absorbed)."""
-        key = (src_id, dst_id)
-        seq = self._seq.get(key, 0) + 1
-        self._seq[key] = seq
         self.stats.sends += 1
         self._attempt(
-            _Hop(
-                src_id, dst_id, packet, (src_id, seq),
-                on_delivered, on_failed, deliver_to_handler,
-            ),
-            0,
+            _Hop(src_id, dst_id, packet, on_delivered, on_failed), 0
         )
 
     # -- attempt machinery -------------------------------------------------
@@ -179,24 +158,12 @@ class ArqLink:
             hop.packet,
             on_delivered=lambda pkt: self._data_arrived(hop, attempt),
             on_failed=data_failed,
-            deliver_to_handler=False,
         )
 
     def _data_arrived(self, hop: _Hop, attempt: int) -> None:
-        dst_id, tag = hop.dst, hop.tag
-        cache = self._seen.get(dst_id)
-        if cache is None:
-            cache = OrderedDict()
-            self._seen[dst_id] = cache
-        duplicate = tag in cache
-        if duplicate:
+        if hop.delivered:
             self.stats.duplicates_suppressed += 1
-            cache.move_to_end(tag)
         else:
-            cache[tag] = None
-            while len(cache) > CACHE_SIZE:
-                cache.popitem(last=False)
-        if not duplicate and not hop.delivered:
             hop.delivered = True
             if attempt > 0:
                 self.stats.recovered_by_retransmit += 1
@@ -204,12 +171,8 @@ class ArqLink:
             # learn whether its ACK survives.
             if hop.on_delivered is not None:
                 hop.on_delivered(hop.packet)
-            if hop.deliver_to_handler:
-                handler = self._network.handler_of(dst_id)
-                if handler is not None:
-                    handler(hop.packet)
         # The ACK frame: receiver pays tx, sender pays rx on arrival.
-        self._network.charge_tx(dst_id, PacketKind.ACK.label)
+        self._network.charge_tx(hop.dst, PacketKind.ACK.label)
         if self._rng.random() < ACK_LOSS:
             self.stats.ack_losses += 1
             # No ACK will come: the sender times out and retransmits.

@@ -253,7 +253,6 @@ class FailureDetector:
                 reply,
                 on_delivered=reply_arrived,
                 on_failed=reply_failed,
-                deliver_to_handler=False,
             )
 
         self._network.send(
@@ -262,7 +261,6 @@ class FailureDetector:
             probe,
             on_delivered=probe_arrived,
             on_failed=probe_failed,
-            deliver_to_handler=False,
         )
         timeout = self._timeout(state)
 

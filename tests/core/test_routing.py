@@ -303,8 +303,7 @@ class FailFirstLink:
         self.verdict = verdict
         self.sends = []
 
-    def send(self, src, dst, packet, on_delivered=None, on_failed=None,
-             deliver_to_handler=True):
+    def send(self, src, dst, packet, on_delivered=None, on_failed=None):
         self.sends.append((src, dst))
         if len(self.sends) == 1:
             if self.verdict is not None:

@@ -14,6 +14,7 @@ path ``python -m repro.devtools.divergence`` executes.
 import argparse
 import json
 import pathlib
+from multiprocessing.context import SpawnProcess
 
 import pytest
 
@@ -87,6 +88,16 @@ class TestWorkerSpec:
         worker = traced_run("worker", args)
         assert worker.fingerprint == in_process.fingerprint
         assert worker.checkpoints == in_process.checkpoints
+
+    def test_a_worker_that_cannot_spawn_fails(self, monkeypatch):
+        # The worker side must run in another interpreter or not at all:
+        # comparing this interpreter with itself would prove nothing.
+        def refuse(process):
+            raise OSError("spawning refused")
+
+        monkeypatch.setattr(SpawnProcess, "start", refuse)
+        with pytest.raises(ConfigError, match="REFER.*spawning refused"):
+            traced_run("worker", _args(sim_time=3.0))
 
     def test_unknown_spec_raises(self):
         with pytest.raises(ConfigError):

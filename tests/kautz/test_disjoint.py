@@ -66,6 +66,13 @@ class TestPaperFigure2a:
         for row, actual in predicted_length_accuracy(self.U, self.V):
             assert actual == row.predicted_length
 
+    def test_paths_are_simple_kautz_walks(self):
+        g = KautzGraph(4, 4)
+        for path in disjoint_paths(self.U, self.V):
+            assert (path[0], path[-1]) == (self.U, self.V)
+            assert len(set(path)) == len(path)
+            assert all(g.has_edge(a, b) for a, b in zip(path, path[1:]))
+
 
 class TestPaperFigure2b:
     """K(4,4), U=0123, V1=2311...: the pair with u_{k-l} == v_{l+1}.

@@ -76,22 +76,6 @@ class TestUnicast:
         assert failures == [0]
         assert counted(net.registry, "energy_tx_packets") == 0
 
-    def test_receive_handler_fires(self):
-        sim, net = build_line()
-        received = []
-        net.set_receive_handler(1, received.append)
-        net.send(0, 1, data_packet(sim))
-        sim.run_until(1.0)
-        assert len(received) == 1
-
-    def test_handler_suppressed_for_relay_hops(self):
-        sim, net = build_line()
-        received = []
-        net.set_receive_handler(1, received.append)
-        net.send(0, 1, data_packet(sim), deliver_to_handler=False)
-        sim.run_until(1.0)
-        assert received == []
-
     def test_hop_recorded(self):
         sim, net = build_line()
         pkt = data_packet(sim)
@@ -129,16 +113,6 @@ class TestSendAlongPath:
         )
         sim.run_until(1.0)
         assert failures == [1]
-
-    def test_handler_only_at_destination(self):
-        sim, net = build_line()
-        seen = {1: [], 2: [], 3: []}
-        for node_id in (1, 2, 3):
-            net.set_receive_handler(node_id, seen[node_id].append)
-        net.send_along_path([0, 1, 2, 3], data_packet(sim))
-        sim.run_until(1.0)
-        assert seen[1] == [] and seen[2] == []
-        assert len(seen[3]) == 1
 
     def test_single_node_path_is_local_delivery(self):
         sim, net = build_line()

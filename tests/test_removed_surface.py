@@ -122,6 +122,17 @@ ROWS = [
         ),
         id="each-fact-recorded-once",
     ),
+    pytest.param(
+        r"deliver_to_handler|set_receive_handler|handler_of|ReceiveHandler"
+        r"|CACHE_SIZE|_airtime_cache|_holding_cache|charge_control_\w*"
+        r"|simple_paths|count_simple_paths|kautz\.paths",
+        True,
+        (
+            "src", "tests", "benchmarks/*.py", "examples", "docs",
+            "DESIGN.md", ".claude",
+        ),
+        id="one-delivery-notification",
+    ),
 ]
 
 
