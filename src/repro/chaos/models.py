@@ -29,7 +29,7 @@ from typing import (
 )
 
 from repro.net.network import WirelessNetwork
-from repro.sim.events import Event
+from repro.sim.events import Handle
 from repro.sim.process import PeriodicProcess
 from repro.util.geometry import Point
 from repro.util.rng import KeyedStream
@@ -79,7 +79,7 @@ class ChaosModel:
         self._rng = rng
         self._population = population
         self._fail_times: Dict[int, float] = {}
-        self._outages: List[Event] = []
+        self._outages: List[Handle] = []
         self._process: Optional[PeriodicProcess] = None
 
     # -- queries -------------------------------------------------------------

@@ -5,49 +5,58 @@ Usage::
     sim = Simulator()
     sim.schedule(1.5, lambda: print("fires at t=1.5"))
     sim.run_until(10.0)
+
+One event costs one Python call, :meth:`Simulator.step`, plus its
+action; one schedule costs one call and a clock read none.  The heap
+this loop works on, and its invariants, are described in
+:mod:`repro.sim.events`.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from heapq import heappop, heappush
+from typing import Dict, List, Optional, Set
 
 from repro.errors import SimulationError
-from repro.sim.events import Event, EventQueue
+from repro.sim.events import Action, Handle
 
 
 class Simulator:
     """A discrete-event simulator with a monotonic clock."""
 
     def __init__(self) -> None:
-        self._queue = EventQueue()
-        self._now = 0.0
+        #: Current simulation time in seconds.  Anyone may read it;
+        #: only the loop (:meth:`step`, :meth:`run_until`) writes it.
+        self.now = 0.0
+        self._heap: List[Handle] = []
+        self._next_seq = 0
+        #: Seqs filed by cancel; the pop drops (and unfiles) their entries.
+        self._cancelled: Set[int] = set()
         self._running = False
         self._stopped = False
         # Optional telemetry hook (repro.telemetry.profiler): when set,
-        # events are executed through profiler.dispatch(action) so work
-        # can be attributed per callback.  None keeps the hot path at a
-        # direct call.
-        self._profiler = None
+        # step counts each dispatch into these two dicts in place, so
+        # work can be attributed per callback.  Until one is installed
+        # the hot path pays one check.
+        self._dispatched: Optional[Dict[object, int]] = None
+        self._first_callbacks: Optional[Dict[object, Action]] = None
         # Optional trace hook (repro.telemetry.tracing): when set,
         # every dispatch is digested as (time, seq, label) *before* the
         # callback runs, so dispatches order ahead of the RNG draws and
         # lifecycle transitions they cause.
         self._trace = None
 
-    # -- clock -------------------------------------------------------------
-
-    @property
-    def now(self) -> float:
-        """Current simulation time in seconds."""
-        return self._now
-
     def set_profiler(self, profiler) -> None:
-        """Install (or with ``None`` remove) an event-dispatch profiler.
+        """Install an event-dispatch profiler.
 
-        ``profiler`` must expose ``dispatch(action)`` and is expected to
-        *execute* the action — it observes, it must not reorder or drop.
+        ``profiler`` exposes two dicts that :meth:`step` fills in
+        place, keyed on the callback's code object (its type, for a
+        callable without one): ``dispatched``, events per key, and
+        ``first_callbacks``, the first callback seen per key, which
+        names it.  It observes only — execution stays here.
         """
-        self._profiler = profiler
+        self._dispatched = profiler.dispatched
+        self._first_callbacks = profiler.first_callbacks
 
     def set_trace(self, trace) -> None:
         """Install (or with ``None`` remove) a dispatch trace stream.
@@ -60,62 +69,104 @@ class Simulator:
 
     # -- scheduling ---------------------------------------------------------
 
-    def schedule(self, delay: float, action: Callable[[], None]) -> Event:
+    def schedule(self, delay: float, action: Action) -> Handle:
         """Run ``action`` after ``delay`` seconds of simulated time."""
         if delay < 0:
             raise SimulationError(f"negative delay: {delay}")
-        return self._queue.push(self._now + delay, action)
+        time = self.now + delay
+        if time - time != 0:  # NaN or +-inf
+            raise SimulationError(f"event time is not finite: {time}")
+        seq = self._next_seq
+        self._next_seq = seq + 1
+        handle = (time, seq, action)
+        heappush(self._heap, handle)
+        return handle
 
-    def schedule_at(self, time: float, action: Callable[[], None]) -> Event:
+    def schedule_at(self, time: float, action: Action) -> Handle:
         """Run ``action`` at absolute simulated ``time`` (>= now)."""
-        if time < self._now:
+        if time < self.now:
             raise SimulationError(
-                f"cannot schedule in the past: {time} < {self._now}"
+                f"cannot schedule in the past: {time} < {self.now}"
             )
-        return self._queue.push(time, action)
+        if time - time != 0:
+            raise SimulationError(f"event time is not finite: {time}")
+        seq = self._next_seq
+        self._next_seq = seq + 1
+        handle = (time, seq, action)
+        heappush(self._heap, handle)
+        return handle
 
-    def cancel(self, event: Event) -> None:
-        """Cancel a pending event (idempotent)."""
-        if not event.cancelled:
-            event.cancel()
-            self._queue.note_cancelled()
+    def cancel(self, handle: Handle) -> None:
+        """Cancel a pending event.  Cancelling twice, or cancelling an
+        event that already fired, changes nothing."""
+        self._cancelled.add(handle[1])
 
     # -- execution -----------------------------------------------------------
 
     def step(self) -> bool:
         """Execute the next event; returns False when none remain."""
-        event = self._queue.pop()
-        if event is None:
+        heap = self._heap
+        if not heap:
             return False
-        if event.time < self._now:
-            raise SimulationError("event queue returned a past event")
-        self._now = event.time
+        time, seq, action = heappop(heap)
+        cancelled = self._cancelled
+        if cancelled:
+            while seq in cancelled:
+                cancelled.discard(seq)
+                if not heap:
+                    return False
+                time, seq, action = heappop(heap)
+        self.now = time
         if self._trace is not None:
-            self._trace.dispatch(event.time, event.seq, event.action)
-        if self._profiler is None:
-            event.action()
-        else:
-            self._profiler.dispatch(event.action)
+            self._trace.dispatch(time, seq, action)
+        dispatched = self._dispatched
+        if dispatched is not None:
+            try:
+                # A function or closure has it; a bound method answers
+                # with its function's.
+                key = action.__code__
+            except AttributeError:
+                # Builtin or callable object: its type is a stable,
+                # bounded stand-in for the missing code object.
+                key = type(getattr(action, "__func__", action))
+            count = dispatched.get(key)
+            if count is None:
+                dispatched[key] = 1
+                self._first_callbacks[key] = action
+            else:
+                dispatched[key] = count + 1
+        action()
         return True
 
     def run_until(self, end_time: float) -> None:
-        """Run events with ``time <= end_time``; clock lands on end_time.
+        """Run events with ``time <= end_time``; the clock lands on
+        ``end_time`` (at the last event run, if :meth:`stop` ended the
+        loop first).
 
         Events scheduled beyond ``end_time`` stay queued, so simulation
         can be resumed with a later horizon.
         """
-        if end_time < self._now:
+        if end_time - end_time != 0:  # NaN or +-inf
+            raise SimulationError(f"end_time is not finite: {end_time}")
+        if end_time < self.now:
             raise SimulationError("end_time is in the past")
         self._guard_reentrancy()
         self._running = True
         self._stopped = False
+        heap = self._heap
+        cancelled = self._cancelled
         try:
-            while not self._stopped:
-                next_time = self._queue.peek_time()
-                if next_time is None or next_time > end_time:
+            while heap and not self._stopped:
+                top = heap[0]
+                if top[0] > end_time:
                     break
+                if cancelled and top[1] in cancelled:
+                    heappop(heap)
+                    cancelled.discard(top[1])
+                    continue
                 self.step()
-            self._now = max(self._now, end_time)
+            if not self._stopped:
+                self.now = end_time
         finally:
             self._running = False
 

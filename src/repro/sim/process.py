@@ -13,7 +13,7 @@ from typing import Callable, Optional
 
 from repro.errors import SimulationError
 from repro.sim.core import Simulator
-from repro.sim.events import Event
+from repro.sim.events import Handle
 
 
 class PeriodicProcess:
@@ -43,7 +43,7 @@ class PeriodicProcess:
         self._action = action
         self._jitter = jitter
         self._rng = rng
-        self._pending: Optional[Event] = None
+        self._pending: Optional[Handle] = None
         self._running = False
         self.fired = 0
 

@@ -8,29 +8,32 @@ safe to export.  Host time is not measured here: ``python -m
 repro.telemetry.report --wall`` profiles the whole run with
 :mod:`cProfile`, construction included.
 
-The profiler plugs into :meth:`repro.sim.core.Simulator.set_profiler`;
-the dispatch wrapper is the hot path, so it does the minimum — one
-dict get/add keyed on the callback's **code object** (shared by every
-closure instance and bound method of the same function, and hashed by
-identity, unlike a ``(module, qualname)`` string tuple) — and defers
-name resolution and the pretty label collapse to snapshot time.
+The profiler plugs into :meth:`repro.sim.core.Simulator.set_profiler`:
+``Simulator.step`` counts each dispatch into :attr:`SimProfiler.dispatched`
+in place — one dict get/add keyed on the callback's **code object**
+(shared by every closure instance and bound method of the same
+function, and hashed by identity, unlike a ``(module, qualname)``
+string tuple) — and keeps the first callback seen per key in
+:attr:`SimProfiler.first_callbacks`.  Name resolution and the pretty
+label collapse wait for snapshot time.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Tuple
+from typing import Callable, Dict
 
 from repro.telemetry.registry import Registry
 
 __all__ = ["SimProfiler"]
 
-_RawName = Tuple[str, str]  # (callback __module__, callback __qualname__)
 
-
-def _label(raw: _RawName) -> str:
-    """Collapse ``(module, qualname)`` to a stable ``module:function``
-    label, e.g. ``repro.net.mac:ContentionMac.transmit``."""
-    module, qualname = raw
+def _label(action: Callable[[], None]) -> str:
+    """Collapse a callback's ``(module, qualname)`` to a stable
+    ``module:function`` label, e.g.
+    ``repro.net.mac:ContentionMac.transmit``."""
+    func = getattr(action, "__func__", action)
+    module = getattr(func, "__module__", "?") or "?"
+    qualname = getattr(func, "__qualname__", type(func).__qualname__)
     if module.startswith("repro."):
         module = module[len("repro."):]
     return f"{module}:{qualname.split('.<locals>')[0]}"
@@ -40,37 +43,15 @@ class SimProfiler:
     """Per-event-kind attribution of simulated work."""
 
     def __init__(self) -> None:
-        #: code object (or callable type) -> events dispatched.
-        self._events: Dict[object, int] = {}
-        #: same keys -> (module, qualname), filled on first sight.
-        self._names: Dict[object, _RawName] = {}
+        #: code object (or callable type) -> events dispatched, counted
+        #: in place by ``Simulator.step``.
+        self.dispatched: Dict[object, int] = {}
+        #: same keys -> the first callback seen, which names the key.
+        self.first_callbacks: Dict[object, Callable[[], None]] = {}
         self._bytes_on_air = 0
         self._frames_on_air = 0
 
     # -- hot path ----------------------------------------------------------
-
-    def dispatch(self, action: Callable[[], None]) -> None:
-        """Execute one simulator event, attributing it to its callback."""
-        try:
-            # A function or closure has it; a bound method answers with
-            # its function's.
-            key = action.__code__
-        except AttributeError:
-            # Builtin or callable object: its type is a stable,
-            # bounded stand-in for the missing code object.
-            key = type(getattr(action, "__func__", action))
-        events = self._events
-        count = events.get(key)
-        if count is None:
-            events[key] = 1
-            func = getattr(action, "__func__", action)
-            self._names[key] = (
-                getattr(func, "__module__", "?") or "?",
-                getattr(func, "__qualname__", type(func).__qualname__),
-            )
-        else:
-            events[key] = count + 1
-        action()
 
     def on_air(self, nbytes: int, frames: int = 1) -> None:
         """``frames`` frames of ``nbytes`` each were put on the air (the
@@ -91,8 +72,8 @@ class SimProfiler:
     def event_counts(self) -> Dict[str, int]:
         """Events dispatched per collapsed callback label (sorted)."""
         merged: Dict[str, int] = {}
-        for key, count in self._events.items():
-            label = _label(self._names[key])
+        for key, count in self.dispatched.items():
+            label = _label(self.first_callbacks[key])
             merged[label] = merged.get(label, 0) + count
         return dict(sorted(merged.items()))
 

@@ -3,7 +3,11 @@
 import pytest
 
 from repro.errors import SimulationError
+from repro.experiments.config import ScenarioConfig
+from repro.experiments.runner import run_scenario
 from repro.sim.core import Simulator
+from repro.telemetry.config import TelemetryConfig
+from repro.telemetry.tracing import TracingConfig
 
 
 class TestClock:
@@ -42,7 +46,7 @@ class TestRunUntil:
         sim.schedule(5.0, lambda: fired.append(5))
         sim.run_until(2.0)
         assert fired == [1]
-        assert len(sim._queue) == 1
+        assert sim.now == 2.0
         sim.run_until(10.0)
         assert fired == [1, 5]
 
@@ -58,6 +62,41 @@ class TestRunUntil:
         sim.run_until(5.0)
         with pytest.raises(SimulationError):
             sim.run_until(4.0)
+
+    def test_nan_horizon_rejected(self):
+        """NaN compares false with every time: the loop would fire
+        every queued event and leave the clock on the last one."""
+        sim = Simulator()
+        fired = []
+        sim.schedule(5.0, lambda: fired.append(5))
+        sim.schedule(100.0, lambda: fired.append(100))
+        with pytest.raises(SimulationError, match="nan"):
+            sim.run_until(float("nan"))
+        assert fired == [] and sim.now == 0.0
+
+    def test_infinite_horizon_rejected(self):
+        """An infinite horizon would land the clock on inf, after which
+        every schedule is refused."""
+        sim = Simulator()
+        for bad in (float("inf"), float("-inf")):
+            with pytest.raises(SimulationError, match="inf"):
+                sim.run_until(bad)
+        assert sim.now == 0.0
+        sim.schedule(1.0, lambda: None)
+        sim.run_until(2.0)
+        assert sim.now == 2.0
+
+    def test_stop_leaves_clock_on_the_stopping_event(self):
+        """A stopped loop does not jump past the events it left queued,
+        so they still fire, in order, on the next run."""
+        sim = Simulator()
+        fired = []
+        sim.schedule(1.0, lambda: (fired.append(1), sim.stop()))
+        sim.schedule(2.0, lambda: fired.append(2))
+        sim.run_until(10.0)
+        assert fired == [1] and sim.now == 1.0
+        sim.run_until(10.0)
+        assert fired == [1, 2] and sim.now == 10.0
 
 
 class TestEventChaining:
@@ -79,8 +118,10 @@ class TestEventChaining:
         sim.schedule(1.0, lambda: (fired.append(1), sim.stop()))
         sim.schedule(2.0, lambda: fired.append(2))
         sim.run()
-        assert fired == [(1, None)] or fired == [1]
-        assert len(sim._queue) == 1
+        assert fired == [1]
+        assert sim.now == 1.0
+        sim.run()
+        assert fired == [1, 2]
 
     def test_cancel_pending_event(self):
         sim = Simulator()
@@ -95,7 +136,7 @@ class TestEventChaining:
         handle = sim.schedule(1.0, lambda: None)
         sim.cancel(handle)
         sim.cancel(handle)
-        assert len(sim._queue) == 0
+        assert sim.step() is False
 
     def test_max_events_limit(self):
         sim = Simulator()
@@ -122,3 +163,38 @@ class TestEventChaining:
         sim.schedule(1.0, reenter)
         sim.run()
         assert errors == [True]
+
+
+class TestOneStepPerEvent:
+    def test_steps_equal_profiled_and_traced_dispatches(self, monkeypatch):
+        """``Simulator.step`` runs once per dispatched event: the
+        end-to-end harness counts ``sim.events`` as its calls, so the
+        count must equal both the profiler's total and the trace's
+        dispatch records."""
+        steps = [0]
+        step = Simulator.step
+
+        def counted(sim):
+            steps[0] += 1
+            return step(sim)
+
+        monkeypatch.setattr(Simulator, "step", counted)
+        config = ScenarioConfig(
+            seed=11,
+            sensor_count=40,
+            area_side=220.0,
+            sim_time=4.0,
+            warmup=1.0,
+            rate_pps=5.0,
+            telemetry=TelemetryConfig(
+                tracing=TracingConfig(capture=(0, 1 << 62))
+            ),
+        )
+        telemetry = run_scenario("REFER", config).telemetry
+        traced = [
+            event for event in telemetry.trace.captured()
+            if event.kind == "dispatch"
+        ]
+        assert steps[0] > 100
+        assert steps[0] == sum(telemetry.profiler.event_counts().values())
+        assert steps[0] == len(traced)

@@ -548,6 +548,37 @@ def test_every_parameter_default_is_overridden_by_some_caller():
     )
 
 
+def test_only_the_simulator_loop_writes_the_clock():
+    """``Simulator.now`` is a plain attribute that only the loop in
+    ``src/repro/sim/core.py`` may write: nothing else under
+    ``src/repro`` assigns, deletes or ``setattr``\\ s an attribute
+    named ``now``."""
+    writers = []
+    for path in _python_files("src"):
+        name = path.relative_to(REPO_ROOT).as_posix()
+        if name == "src/repro/sim/core.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            stored = (
+                isinstance(node, ast.Attribute)
+                and node.attr == "now"
+                and not isinstance(node.ctx, ast.Load)
+            )
+            set_by_name = (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Name)
+                and node.func.id in ("setattr", "delattr")
+                and len(node.args) > 1
+                and isinstance(node.args[1], ast.Constant)
+                and node.args[1].value == "now"
+            )
+            if stored or set_by_name:
+                writers.append(f"{name}:{node.lineno}")
+    assert not writers, "the clock is written outside the loop:\n" + "\n".join(
+        writers
+    )
+
+
 #: Bytes each reference document may hold.  A document that grows past
 #: its budget fails here: trim it, or raise the number in a reviewed
 #: edit.

@@ -133,6 +133,16 @@ ROWS = [
         ),
         id="one-delivery-notification",
     ),
+    pytest.param(
+        r"EventQueue|peek_time|note_cancelled|SimProfiler\.dispatch"
+        r"|profiler\.dispatch",
+        True,
+        (
+            "src", "tests", "benchmarks/*.py", "examples", "docs",
+            "DESIGN.md", "EXPERIMENTS.md", ".claude",
+        ),
+        id="one-frame-per-event",
+    ),
 ]
 
 
