@@ -109,7 +109,7 @@ def main(seed: int = 5) -> None:
                 sensor,
                 pkt,
                 on_delivered=delivered,
-                on_dropped=lambda p: stats.__setitem__(
+                on_dropped=lambda p, reason: stats.__setitem__(
                     "missed", stats["missed"] + 1
                 ),
             )

@@ -89,7 +89,7 @@ def run_fire(system_cls, seed=21):
                 sensor,
                 pkt,
                 on_delivered=delivered,
-                on_dropped=lambda p: stats.__setitem__(
+                on_dropped=lambda p, reason: stats.__setitem__(
                     "lost", stats["lost"] + 1
                 ),
             )

@@ -82,11 +82,13 @@ class FloodingSystem(WsanSystem):
         retransmissions_left: int,
         on_dropped: Optional[DroppedCallback],
         resend: Callable[[Packet, int], None],
+        cause: Optional[str],
         delay: float = RETRANSMIT_TIMEOUT,
     ) -> None:
         """Resend a copy of ``packet`` after ``delay`` as
         ``resend(copy, retransmissions_left - 1)``, or drop it as
-        ``retries-exhausted`` when no retransmission is left.
+        ``retries-exhausted`` when no retransmission is left (``cause``,
+        the hop failure that led here, goes to :meth:`_drop`).
 
         The copy has a uid of its own, so its hop trail and its flight
         journey are its own too; the flight recorder ends the original's
@@ -94,7 +96,7 @@ class FloodingSystem(WsanSystem):
         original.
         """
         if retransmissions_left <= 0:
-            self._drop(packet, on_dropped, "retries-exhausted")
+            self._drop(packet, on_dropped, "retries-exhausted", cause)
             return
 
         def fire() -> None:

@@ -122,7 +122,7 @@ class DaTreeSystem(FloodingSystem):
         if parent is None:
             self._repair_and_retransmit(
                 node_id, source_id, packet,
-                retransmissions_left, on_delivered, on_dropped,
+                retransmissions_left, on_delivered, on_dropped, None,
             )
             return
         is_final = self.network.node(parent).is_actuator
@@ -137,7 +137,7 @@ class DaTreeSystem(FloodingSystem):
                     on_delivered, on_dropped, hops_left - 1,
                 )
 
-        def failed(pkt: Packet, at: int) -> None:
+        def failed(pkt: Packet, cause: str) -> None:
             # A congestion loss on an intact link is simply re-sent;
             # a broken link triggers the broadcast repair + source
             # retransmission cycle.
@@ -151,7 +151,7 @@ class DaTreeSystem(FloodingSystem):
                 return
             self._repair_and_retransmit(
                 node_id, source_id, pkt,
-                retransmissions_left, on_delivered, on_dropped,
+                retransmissions_left, on_delivered, on_dropped, cause,
             )
 
         self.network.send(
@@ -170,8 +170,10 @@ class DaTreeSystem(FloodingSystem):
         retransmissions_left: int,
         on_delivered: Optional[DeliveredCallback],
         on_dropped: Optional[DroppedCallback],
+        cause: Optional[str],
     ) -> None:
-        """Broadcast toward the root to re-parent; source resends later.
+        """Broadcast toward the root to re-parent; source resends later
+        (``cause``: the hop failure that led here, if one did).
 
         The repair flood re-parents the broken relay, but the *source*
         only learns of the loss through an end-to-end timeout — the
@@ -197,6 +199,7 @@ class DaTreeSystem(FloodingSystem):
                 source_id, source_id, copy, left, on_delivered, on_dropped,
                 hops_left=4 * FLOOD_TTL,
             ),
+            cause,
         )
 
     def _adopt_new_parents(self, origin: int, tree: Dict) -> None:
@@ -237,5 +240,5 @@ class DaTreeSystem(FloodingSystem):
             FloodDiscovery.extract_path(tree, best)[::-1],
             confirm,
             on_delivered=lambda pkt: self._adopt_new_parents(origin, tree),
-            on_failed=lambda pkt, at: self._adopt_new_parents(origin, tree),
+            on_failed=lambda pkt, _: self._adopt_new_parents(origin, tree),
         )

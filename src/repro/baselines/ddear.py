@@ -227,7 +227,7 @@ class DDearSystem(FloodingSystem):
                 head, pkt, retransmissions_left, on_delivered, on_dropped
             )
 
-        def member_leg_failed(pkt: Packet, at: int) -> None:
+        def member_leg_failed(pkt: Packet, cause: str) -> None:
             # Local re-attachment; the source retransmits after its
             # end-to-end timeout.
             self._member_path.pop(source_id, None)
@@ -238,6 +238,7 @@ class DDearSystem(FloodingSystem):
                 lambda copy, left: self._send_from_source(
                     source_id, copy, left, on_delivered, on_dropped,
                 ),
+                cause,
             )
 
         self.network.send_along_path(
@@ -259,7 +260,7 @@ class DDearSystem(FloodingSystem):
         if path is None:
             self._repair_head_path(
                 head, packet, retransmissions_left,
-                on_delivered, on_dropped,
+                on_delivered, on_dropped, None,
             )
             return
         self._send_on_head_path(
@@ -279,7 +280,7 @@ class DDearSystem(FloodingSystem):
         is a fresh call, so the failure callback never refers to
         itself (no reference cycle per packet)."""
 
-        def failed(pkt: Packet, at: int) -> None:
+        def failed(pkt: Packet, cause: str) -> None:
             # Congestion loss on an intact path: retry in place.
             now = self.network.sim.now
             if self._path_intact(path, now) and self._retry_congested(pkt):
@@ -290,7 +291,8 @@ class DDearSystem(FloodingSystem):
                 return
             self._head_path.pop(head, None)
             self._repair_head_path(
-                head, pkt, retransmissions_left, on_delivered, on_dropped
+                head, pkt, retransmissions_left, on_delivered, on_dropped,
+                cause,
             )
 
         self.network.send_along_path(
@@ -307,13 +309,15 @@ class DDearSystem(FloodingSystem):
         retransmissions_left: int,
         on_delivered: Optional[DeliveredCallback],
         on_dropped: Optional[DroppedCallback],
+        cause: Optional[str],
     ) -> None:
-        """Head floods to rebuild its actuator path, then retransmits."""
+        """Head floods to rebuild its actuator path, then retransmits
+        (``cause``: the hop failure that led here, if one did)."""
         self.repairs += 1
 
         def rebuilt(path: Optional[List[int]]) -> None:
             if path is None:
-                self._drop(packet, on_dropped, "no-route")
+                self._drop(packet, on_dropped, "no-route", cause)
                 return
             # A packet out of retransmissions is dropped without
             # caching the rebuilt path.
@@ -327,10 +331,11 @@ class DDearSystem(FloodingSystem):
                     path,
                     copy,
                     on_delivered=on_delivered,
-                    on_failed=lambda pkt, at: self._drop(
-                        pkt, on_dropped, "path-hop-failed"
+                    on_failed=lambda pkt, hop_cause: self._drop(
+                        pkt, on_dropped, "path-hop-failed", hop_cause
                     ),
                 ),
+                cause,
                 delay=RETRANSMIT_TIMEOUT / 2,
             )
 

@@ -179,8 +179,8 @@ class KautzOverlaySystem(FloodingSystem):
                 entry, dest_kid, pkt, on_delivered, on_dropped,
                 visited=set(), hops_left=self.max_route_hops,
             ),
-            on_failed=lambda pkt, at: self._drop(
-                pkt, on_dropped, "entry-failed"
+            on_failed=lambda pkt, cause: self._drop(
+                pkt, on_dropped, "entry-failed", cause
             ),
         )
 
@@ -219,7 +219,7 @@ class KautzOverlaySystem(FloodingSystem):
         ]
         self._try_overlay_successors(
             at_node, dest_kid, ranked, 0, packet,
-            on_delivered, on_dropped, visited, hops_left,
+            on_delivered, on_dropped, visited, hops_left, None,
         )
 
     def _try_overlay_successors(
@@ -233,13 +233,18 @@ class KautzOverlaySystem(FloodingSystem):
         on_dropped: Optional[DroppedCallback],
         visited: Set[KautzString],
         hops_left: int,
+        cause: Optional[str],
     ) -> None:
+        """Try the successors from ``ranked[index]`` on; ``cause`` is the
+        hop failure of the last one tried (None: none tried yet)."""
         if index >= len(ranked):
-            self._drop(packet, on_dropped, "no-successor")
+            self._drop(packet, on_dropped, "no-successor", cause)
             return
         succ_node = self._kid_to_node[ranked[index]]
 
-        def segment_done(ok: bool, pkt: Packet) -> None:
+        def segment_done(
+            ok: bool, pkt: Packet, last_cause: Optional[str]
+        ) -> None:
             if ok:
                 self._route_overlay(
                     succ_node, dest_kid, pkt, on_delivered, on_dropped,
@@ -249,11 +254,12 @@ class KautzOverlaySystem(FloodingSystem):
                 self._try_overlay_successors(
                     at_node, dest_kid, ranked, index + 1, pkt,
                     on_delivered, on_dropped, visited, hops_left,
+                    last_cause,
                 )
 
         self._send_segment(
             at_node, succ_node, packet,
-            MAX_SEGMENT_RECOVERIES, segment_done,
+            MAX_SEGMENT_RECOVERIES, segment_done, cause,
         )
 
     def _send_segment(
@@ -263,20 +269,23 @@ class KautzOverlaySystem(FloodingSystem):
         packet: Packet,
         recoveries_left: int,
         done,
+        cause: Optional[str],
     ) -> None:
         """One overlay hop = a cached multi-hop physical path.
 
         On a physical failure, flood to re-establish the path and retry
-        once; report failure to the overlay layer after that.
+        once; report failure to the overlay layer after that, as
+        ``done(False, packet, cause)`` with the last hop failure's cause
+        (the ``cause`` passed in while this segment has tried no hop).
         """
         path = self._paths.get((from_node, to_node))
         if path is None:
             self._recover_segment(
-                from_node, to_node, packet, recoveries_left, done
+                from_node, to_node, packet, recoveries_left, done, cause
             )
             return
 
-        def failed(pkt: Packet, at: int) -> None:
+        def failed(pkt: Packet, cause: str) -> None:
             # Congestion losses are retried on the same path; only a
             # genuinely broken path triggers re-establishment flooding.
             if self._path_intact(path, self.network.sim.now):
@@ -284,21 +293,21 @@ class KautzOverlaySystem(FloodingSystem):
                     self.network.send_along_path(
                         path,
                         pkt,
-                        on_delivered=lambda p: done(True, p),
-                        on_failed=lambda p, a: done(False, p),
+                        on_delivered=lambda p: done(True, p, None),
+                        on_failed=lambda p, c: done(False, p, c),
                     )
                 else:
-                    done(False, pkt)
+                    done(False, pkt, cause)
                 return
             self._paths.pop((from_node, to_node), None)
             self._recover_segment(
-                from_node, to_node, pkt, recoveries_left, done
+                from_node, to_node, pkt, recoveries_left, done, cause
             )
 
         self.network.send_along_path(
             path,
             packet,
-            on_delivered=lambda pkt: done(True, pkt),
+            on_delivered=lambda pkt: done(True, pkt, None),
             on_failed=failed,
         )
 
@@ -309,20 +318,21 @@ class KautzOverlaySystem(FloodingSystem):
         packet: Packet,
         recoveries_left: int,
         done,
+        cause: Optional[str],
     ) -> None:
         if (
             recoveries_left <= 0
             or not self.network.node(from_node).usable
             or not self.network.node(to_node).usable
         ):
-            done(False, packet)
+            done(False, packet, cause)
             return
         key = (from_node, to_node)
         if key in self._recovering or len(self._recovering) >= 3:
             # A re-establishment flood for this overlay edge is already
             # in flight (or the repair machinery is saturated); this
             # packet falls back to another successor.
-            done(False, packet)
+            done(False, packet, cause)
             return
         self._recovering.add(key)
         self.repairs += 1
@@ -330,14 +340,14 @@ class KautzOverlaySystem(FloodingSystem):
         def rediscovered(path: Optional[List[int]]) -> None:
             self._recovering.discard(key)
             if path is None:
-                done(False, packet)
+                done(False, packet, cause)
                 return
             self._paths[(from_node, to_node)] = path
             self.network.send_along_path(
                 path,
                 packet,
-                on_delivered=lambda pkt: done(True, pkt),
-                on_failed=lambda pkt, at: done(False, pkt),
+                on_delivered=lambda pkt: done(True, pkt, None),
+                on_failed=lambda pkt, c: done(False, pkt, c),
             )
 
         self._discovery.discover(

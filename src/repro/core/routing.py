@@ -25,14 +25,16 @@ from repro.errors import DHTError, KautzError, RoutingError
 from repro.kautz.disjoint import successor_table
 from repro.kautz.namespace import kautz_distance
 from repro.kautz.strings import KautzString
-from repro.net.network import WirelessNetwork
+from repro.net.network import QOS_VERDICTS, WirelessNetwork
 from repro.net.packet import Packet
 from repro.telemetry.views import StatsView, counter_field
 from repro.util.geometry import Point
 from repro.wsan.deployment import DeploymentPlan
 
 DeliveredCallback = Callable[[Packet], None]
-DroppedCallback = Callable[[Packet], None]
+#: ``(packet, reason)``: ``reason`` is an entry of
+#: :data:`~repro.telemetry.flight.DROP_REASONS`.
+DroppedCallback = Callable[[Packet, str], None]
 
 #: Hop budget of one intra-cell route.
 MAX_HOPS = 40
@@ -51,7 +53,6 @@ class RoutingStats(StatsView):
     inter_messages = counter_field("messages crossing the actuator tier")
     detours = counter_field("non-best successors taken")
     congestion_detours = counter_field("successors skipped for backlog")
-    drops = counter_field("end-to-end packets dropped by the router")
     fault_detours = counter_field("detours while chaos faults were active")
     fault_drops = counter_field("drops while chaos faults were active")
 
@@ -274,16 +275,15 @@ class ReferRouter:
         """Send ``packet`` one hop: the one place the router transmits.
 
         ``arrived`` runs when the frame reaches ``dst_id``; a failed hop
-        goes to ``failed``.  A frame the QoS layer condemned
-        (deadline expired, shed under backpressure) fails with
-        ``meta["qos_terminal"]`` stamped; every other path would only
-        refuse it again, so it is dropped under that verdict instead.
+        goes to ``failed``.  A hop that fails with a QoS verdict
+        (:data:`~repro.net.network.QOS_VERDICTS`: deadline expired, shed
+        under backpressure) would only be refused again on every other
+        path, so the packet is dropped under that verdict instead.
         """
 
-        def hop_failed(pkt: Packet, at: int) -> None:
-            terminal = pkt.meta.get("qos_terminal")
-            if terminal is not None:
-                self._drop(pkt, on_dropped, terminal)
+        def hop_failed(pkt: Packet, cause: str) -> None:
+            if cause in QOS_VERDICTS:
+                self._drop(pkt, on_dropped, cause)
             else:
                 failed(pkt)
 
@@ -719,12 +719,9 @@ class ReferRouter:
         on_dropped: Optional[DroppedCallback],
         reason: str,
     ) -> None:
-        """Abandon the packet, stamping the drop-reason taxonomy entry
-        (:data:`repro.telemetry.flight.DROP_REASONS`) into the packet
-        for the metrics layer and the flight recorder."""
-        packet.meta["drop_reason"] = reason
-        self.stats.drops += 1
+        """Abandon the packet, handing ``on_dropped`` the drop-reason
+        taxonomy entry (:data:`repro.telemetry.flight.DROP_REASONS`)."""
         if self._fault_active():
             self.stats.fault_drops += 1
         if on_dropped is not None:
-            on_dropped(packet)
+            on_dropped(packet, reason)

@@ -18,7 +18,7 @@ from repro.chaos.probe import ResilienceProbe
 from repro.errors import TelemetryError
 from repro.net.packet import Packet
 from repro.sim.core import Simulator
-from repro.telemetry.flight import FlightRecorder
+from repro.telemetry.flight import DROP_REASONS, FlightRecorder
 from repro.telemetry.registry import Registry
 from repro.util.stats import RunningStat
 
@@ -77,8 +77,8 @@ class MetricsCollector:
     ``registry``/``flight`` hooks likewise observe every packet
     (warm-up included; the exported counters say so): the registry
     gains ``packets_generated``/``packets_delivered`` counters, a
-    ``packets_dropped`` family labelled by the drop reason the router
-    stamped into ``packet.meta``, and a delivery-latency histogram;
+    ``packets_dropped`` family labelled by the drop reason the system
+    named, and a delivery-latency histogram;
     the flight recorder gets the generate/deliver/drop span ends.
     """
 
@@ -239,14 +239,14 @@ class MetricsCollector:
             self.qos_bytes += packet.size_bytes
             self.delay.add(latency)
 
-    def on_dropped(self, packet: Packet) -> None:
-        """Count a packet given up on; its ``meta["drop_reason"]`` must
-        name why (:data:`~repro.telemetry.flight.DROP_REASONS`), or
+    def on_dropped(self, packet: Packet, reason: str) -> None:
+        """Count a packet given up on for ``reason``, which must be an
+        entry of :data:`~repro.telemetry.flight.DROP_REASONS`, or
         :class:`~repro.errors.TelemetryError` is raised naming its uid."""
-        reason = packet.meta.get("drop_reason")
-        if not reason:
+        if reason not in DROP_REASONS:
             raise TelemetryError(
-                f"packet {packet.uid} dropped without a named reason"
+                f"packet {packet.uid} dropped for {reason!r}, which is not "
+                "a named drop reason"
             )
         if self._dropped_family is not None:
             self._dropped_family[reason].inc()

@@ -202,8 +202,8 @@ class BurstyWorkload:
     :func:`emission_schedule`.  When an
     :class:`~repro.qos.admission.AdmissionController` is installed,
     each emission passes through it at the source — refused packets
-    die on the spot with ``drop_reason = "admission_rejected"`` and
-    never touch the network.
+    die on the spot, dropped as ``admission_rejected``, and never touch
+    the network.
     """
 
     def __init__(
@@ -273,8 +273,7 @@ class BurstyWorkload:
         if self._admission is not None:
             refusal = self._admission.admit(source_id, packet, self._sim.now)
             if refusal is not None:
-                packet.meta["drop_reason"] = refusal
-                self._metrics.on_dropped(packet)
+                self._metrics.on_dropped(packet, refusal)
                 return
         self._system.send_event(
             source_id,

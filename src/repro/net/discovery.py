@@ -88,7 +88,7 @@ class FloodDiscovery:
                 path[::-1],
                 reply,
                 on_delivered=lambda pkt: on_path(path),
-                on_failed=lambda pkt, at: on_path(None),
+                on_failed=lambda pkt, cause: on_path(None),
             )
 
         self._network.flood(

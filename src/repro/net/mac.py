@@ -11,7 +11,7 @@ and loss under congestion — without per-bit symbol simulation.
 from __future__ import annotations
 
 import random
-from typing import Callable
+from typing import Callable, Optional
 
 from repro.net.medium import WirelessMedium
 from repro.net.packet import Packet
@@ -32,6 +32,11 @@ BASE_LOSS = 0.01
 CONTENTION_LOSS = 0.01
 #: Link-layer retransmissions after the first attempt.
 RETRY_LIMIT = 3
+
+#: ``on_result(cause, completion_time)``: ``cause`` is None for a frame
+#: that arrived, else why it did not (``"mac-loss"``, or the QoS
+#: scheduler's verdict on a frame it dropped from its queue).
+ResultCallback = Callable[[Optional[str], float], None]
 
 
 def airtime(size_bytes: int) -> float:
@@ -65,9 +70,10 @@ class ContentionMac:
         src_id: int,
         dst_id: int,
         packet: Packet,
-        on_result: Callable[[bool, float], None],
+        on_result: ResultCallback,
     ) -> None:
-        """Send one frame src -> dst; reports (success, completion_time).
+        """Send one frame src -> dst; reports ``(cause, completion_time)``
+        (``cause`` None on success, see :data:`ResultCallback`).
 
         The frame waits for the sender's radio, defers for contention,
         and is retried up to :data:`RETRY_LIMIT` times on loss.  Whether the
@@ -90,7 +96,7 @@ class ContentionMac:
         src_id: int,
         dst_id: int,
         packet: Packet,
-        on_result: Callable[[bool, float], None],
+        on_result: ResultCallback,
     ) -> float:
         """Put one frame on the air now; returns when the radio frees.
 
@@ -110,7 +116,7 @@ class ContentionMac:
         loss_p = min(BASE_LOSS + extra, 1.0)
 
         elapsed = start - now
-        success = False
+        cause: Optional[str] = "mac-loss"
         attempts = 0
         # SLOT_SECONDS * contention is loop-invariant; multiplying the
         # uniform draw afterwards evaluates left-to-right exactly like
@@ -122,14 +128,14 @@ class ContentionMac:
             elapsed += slot_contention * uniform(0.5, 1.5) + frame_airtime
             attempts += 1
             if rand() >= loss_p:
-                success = True
+                cause = None
                 break
         if self.profiler is not None:
             self.profiler.on_air(packet.size_bytes, attempts)
         src.radio_busy_until = now + elapsed
         completion = now + elapsed + PROCESSING_DELAY
         self._sim.schedule(
-            completion - now, lambda: on_result(success, completion)
+            completion - now, lambda: on_result(cause, completion)
         )
         return src.radio_busy_until
 

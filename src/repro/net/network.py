@@ -29,7 +29,14 @@ from repro.telemetry.config import Telemetry
 from repro.telemetry.registry import Registry
 
 DeliveryCallback = Callable[[Packet], None]
-FailureCallback = Callable[[Packet, int], None]   # (packet, failed_at_node)
+#: ``(packet, cause)``: ``cause`` is the entry of
+#: :data:`~repro.telemetry.flight.HOP_FAIL_CAUSES` the hop failed with.
+FailureCallback = Callable[[Packet, str], None]
+
+#: Hop failure causes that condemn the packet, not the hop: a QoS
+#: refusal every other hop would repeat.  Each is also the drop reason
+#: of a packet given up on for it.
+QOS_VERDICTS = frozenset({"deadline_expired", "backpressure_shed"})
 
 #: Seconds a sender burns learning that a hop is out of range.
 FAILURE_TIMEOUT = 0.02
@@ -76,9 +83,6 @@ class WirelessNetwork:
         if telemetry is not None:
             self.mac.profiler = telemetry.profiler
         self.energy = EnergyLedger(registry=self.registry)
-        self._trace_events = self.registry.counter(
-            "trace_events", "trace records by category", labels=("category",)
-        ).held()
         self._rng = rng
         # Path-level outcomes of :meth:`send_along_path` (a relay that
         # reaches the end of its path is delivered, one whose hop fails
@@ -153,19 +157,18 @@ class WirelessNetwork:
         """Transmit one hop.  Energy: tx always charged (the radio spends
         it whether or not the frame arrives), rx charged on success.
 
-        Failure paths: source unusable (immediate), destination out of
-        range or unusable (discovered after ``FAILURE_TIMEOUT`` — the
-        sender burns its retries before concluding the link is gone),
-        MAC loss after retries.
+        Failure paths: source unusable (immediate), QoS refusal
+        (immediate, costs nothing), destination out of range or unusable
+        (discovered after ``FAILURE_TIMEOUT`` — the sender burns its
+        retries before concluding the link is gone), MAC loss after
+        retries or a QoS verdict on the queued frame.  ``on_failed``
+        gets the packet and the cause.
         """
         now = self.sim.now
         flight = self.flight
         src = self.node(src_id)
         if not src.usable:
-            if flight is not None:
-                flight.hop_fail(packet.uid, now, src_id, dst_id, "src-unusable")
-            self._fail(packet, src_id, on_failed, delay=0.0,
-                       cause="src-unusable")
+            self._fail(packet, src_id, dst_id, on_failed, "src-unusable", now)
             return
         qos = self.mac.qos
         if qos is not None:
@@ -173,11 +176,7 @@ class WirelessNetwork:
             # an expired, shed, or queue-refused frame costs nothing.
             refusal = qos.refusal(src_id, dst_id, packet, now)
             if refusal is not None:
-                packet.meta["drop_reason"] = refusal
-                packet.meta["qos_terminal"] = refusal
-                if flight is not None:
-                    flight.hop_fail(packet.uid, now, src_id, dst_id, refusal)
-                self._fail(packet, src_id, on_failed, delay=0.0, cause=refusal)
+                self._fail(packet, src_id, dst_id, on_failed, refusal, now)
                 return
         packet.record_hop(src_id)
         if flight is not None:
@@ -190,29 +189,18 @@ class WirelessNetwork:
         energy.charge_tx(src_id, kind=kind)
         src.drain(TX_JOULES)
         if not self.medium.can_transmit(src_id, dst_id, now):
-            self._trace_events["link_break"].inc()
-            if flight is not None:
-                flight.hop_fail(packet.uid, now, src_id, dst_id, "link-break")
             self._fail(
-                packet, src_id, on_failed,
+                packet, src_id, dst_id, on_failed, "link-break", now,
                 delay=FAILURE_TIMEOUT,
-                cause="link-break",
             )
             return
 
-        def complete(success: bool, at: float) -> None:
+        def complete(cause: Optional[str], at: float) -> None:
             dst = self.medium.node(dst_id)
-            if not success or not dst.usable:
-                cause = "mac-loss" if not success else "dst-unusable"
-                # A frame the QoS scheduler condemned (expired while
-                # queued) surfaces as a MAC failure; keep its reason.
-                terminal = packet.meta.get("qos_terminal")
-                if terminal is not None:
-                    cause = terminal
-                self._trace_events["mac_drop"].inc()
-                if flight is not None:
-                    flight.hop_fail(packet.uid, at, src_id, dst_id, cause)
-                self._fail(packet, src_id, on_failed, delay=0.0, cause=cause)
+            if cause is None and not dst.usable:
+                cause = "dst-unusable"
+            if cause is not None:
+                self._fail(packet, src_id, dst_id, on_failed, cause, at)
                 return
             if flight is not None:
                 flight.hop_rx(packet.uid, at, src_id, dst_id)
@@ -226,18 +214,25 @@ class WirelessNetwork:
     def _fail(
         self,
         packet: Packet,
-        at_node: int,
+        src_id: int,
+        dst_id: int,
         on_failed: Optional[FailureCallback],
-        delay: float,
-        cause: str = "mac-loss",
+        cause: str,
+        at: float,
+        delay: float = 0.0,
     ) -> None:
+        """The one exit of a failed hop: record it at ``at`` (flight
+        recorder, ``net_hop_failures{cause}``) and hand ``cause`` to
+        ``on_failed``, ``delay`` seconds later."""
+        if self.flight is not None:
+            self.flight.hop_fail(packet.uid, at, src_id, dst_id, cause)
         self._hop_fails[cause].inc()
         if on_failed is None:
             return
         if delay > 0:
-            self.sim.schedule(delay, lambda: on_failed(packet, at_node))
+            self.sim.schedule(delay, lambda: on_failed(packet, cause))
         else:
-            on_failed(packet, at_node)
+            on_failed(packet, cause)
 
     # -- multi-hop relay -----------------------------------------------------------
 
@@ -252,8 +247,8 @@ class WirelessNetwork:
 
         ``on_delivered`` fires once, when the final node has the packet
         (at once for a one-node path).  On any hop failure,
-        ``on_failed`` gets the id of the node that could not forward —
-        protocols use that to trigger their repair logic.
+        ``on_failed`` gets the packet and the hop's cause — protocols
+        use that to trigger their repair logic.
 
         Accounting: a hop failure ends this relay attempt, so it bumps
         both ``net_hop_failures`` (via the hop machinery) and
@@ -268,12 +263,10 @@ class WirelessNetwork:
                 on_delivered(packet)
             return
 
-        def path_failed(pkt: Packet, at_node: int) -> None:
+        def path_failed(pkt: Packet, cause: str) -> None:
             self._dropped_ctr.inc()
-            if pkt.meta.get("drop_reason") is None:
-                pkt.meta["drop_reason"] = "path-hop-failed"
             if on_failed is not None:
-                on_failed(pkt, at_node)
+                on_failed(pkt, cause)
 
         self._relay(path, 0, packet, on_delivered, path_failed)
 
@@ -367,7 +360,6 @@ class WirelessNetwork:
             node = table[node_id]
             if until > node.radio_busy_until:
                 node.radio_busy_until = until
-        self._trace_events["flood"].inc()
         if on_complete is not None:
             self.sim.schedule(level_latency[-1], lambda: on_complete(tree))
         return tree

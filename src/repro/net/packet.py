@@ -20,10 +20,6 @@ from typing import Any, Dict, List, Optional
 
 _uid_counter = itertools.count(1)
 
-#: Meta keys that describe one transmission attempt's fate, not the
-#: application payload — a retransmit clone must not inherit them.
-_TRANSIENT_META = frozenset({"drop_reason", "qos_terminal"})
-
 
 class PacketKind(enum.Enum):
     """Traffic classes, used for energy/metric attribution."""
@@ -122,9 +118,10 @@ class Packet:
         """A fresh copy for source retransmission.
 
         Keeps the original ``created_at`` (the application experiences
-        the full delay including the failed attempt) but clears the hop
-        trail; gets a new uid, so the copy's hops and flight journey are
-        its own (the retransmitting system links the two journeys).
+        the full delay including the failed attempt) and a copy of
+        ``meta`` but clears the hop trail; gets a new uid, so the copy's
+        hops and flight journey are its own (the retransmitting system
+        links the two journeys).
         """
         return Packet(
             kind=self.kind,
@@ -133,9 +130,6 @@ class Packet:
             destination=self.destination,
             created_at=self.created_at,
             deadline=self.deadline,
-            meta={
-                k: v for k, v in self.meta.items()
-                if k not in _TRANSIENT_META
-            },
+            meta=dict(self.meta),
             traffic_class=self.traffic_class,
         )

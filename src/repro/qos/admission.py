@@ -9,8 +9,8 @@ anywhere, its buckets refill at :data:`THROTTLE_FACTOR` times that rate —
 the source-level response to the hop-level congestion signal.
 
 Refused emissions are counted but never transmitted: the workload
-stamps ``drop_reason = "admission_rejected"`` and the packet dies at
-its source for free.
+drops them as ``admission_rejected`` and the packet dies at its source
+for free.
 """
 
 from __future__ import annotations

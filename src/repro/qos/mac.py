@@ -21,16 +21,17 @@ scheduler until the MAC reports their completion.  A hop's lane and
 expiry are resolved once, there: ``refusal`` leaves them for the
 ``submit`` of the same packet that follows it.  Refused and
 expired frames fail through the normal ``on_result`` / ``on_failed``
-paths with ``packet.meta["qos_terminal"]`` stamped, which tells the
-router not to burn the remaining disjoint paths on a packet QoS has
-already condemned.
+paths with the drop reason as their cause (one of
+:data:`~repro.net.network.QOS_VERDICTS`), which tells the router not to
+burn the remaining disjoint paths on a packet QoS has already
+condemned.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Set
+from typing import Dict, Optional, Set
 
-from repro.net.mac import ContentionMac
+from repro.net.mac import ContentionMac, ResultCallback
 from repro.net.packet import Packet
 from repro.qos.backpressure import BackpressureState
 from repro.qos.classes import (
@@ -76,11 +77,6 @@ class MacQosScheduler:
         }
         self._queues: Dict[int, PriorityFrameQueue] = {}
         self._serving: Set[int] = set()
-        # QueuedFrame free list: frames never escape the scheduler
-        # (the MAC gets packet + callback, not the frame), so finished
-        # frames are recycled instead of churning an allocation per
-        # queued transmission.
-        self._free_frames: List[QueuedFrame] = []
         # (packet, lane, expiry) of the hop refusal() last accepted.
         self._accepted: tuple = (None, 0, None)
 
@@ -112,15 +108,15 @@ class MacQosScheduler:
         src_id: int,
         dst_id: int,
         packet: Packet,
-        on_result: Callable[[bool, float], None],
+        on_result: ResultCallback,
     ) -> None:
         """Queue one accepted frame and serve the node if it is idle."""
         accepted, lane, expiry = self._accepted
         if accepted is not packet:
             # A direct caller: no refusal() resolved this packet.
             lane, expiry = lane_of(packet), expiry_of(packet)
-        frame = self._acquire_frame(
-            src_id, dst_id, packet, on_result, lane, expiry
+        frame = QueuedFrame(
+            src_id, dst_id, packet, on_result, PRIORITY_ORDER[lane], expiry
         )
         queue = self._queues.get(src_id)
         if queue is None:
@@ -162,7 +158,6 @@ class MacQosScheduler:
         radio_free = self._mac.service_frame(
             frame.src, frame.dst, frame.packet, frame.on_result
         )
-        self._release_frame(frame)
         state.note_depth(node_id, queue.depth)
         self._sim.schedule(
             max(0.0, radio_free - self._sim.now),
@@ -172,47 +167,8 @@ class MacQosScheduler:
     def _expire(self, frame: QueuedFrame) -> None:
         """Drop a frame whose deadline passed while it was queued."""
         self._stats.deadline_drops += 1
-        frame.packet.meta["drop_reason"] = "deadline_expired"
-        frame.packet.meta["qos_terminal"] = "deadline_expired"
-        on_result = frame.on_result
-        self._release_frame(frame)
-        on_result(False, self._sim.now)
+        frame.on_result("deadline_expired", self._sim.now)
 
     def _shed(self, frame: QueuedFrame) -> None:
         self._stats.backpressure_sheds += 1
-        frame.packet.meta["drop_reason"] = "backpressure_shed"
-        frame.packet.meta["qos_terminal"] = "backpressure_shed"
-        on_result = frame.on_result
-        self._release_frame(frame)
-        on_result(False, self._sim.now)
-
-    # -- frame recycling ---------------------------------------------------
-
-    def _acquire_frame(
-        self,
-        src: int,
-        dst: int,
-        packet: Packet,
-        on_result: Callable[[bool, float], None],
-        lane: int,
-        expiry: Optional[float],
-    ) -> QueuedFrame:
-        free = self._free_frames
-        if free:
-            frame = free.pop()
-            frame.src = src
-            frame.dst = dst
-            frame.packet = packet
-            frame.on_result = on_result
-            frame.lane = lane
-            frame.expiry = expiry
-            return frame
-        return QueuedFrame(
-            src, dst, packet, on_result, PRIORITY_ORDER[lane], expiry
-        )
-
-    def _release_frame(self, frame: QueuedFrame) -> None:
-        frame.packet = None  # drop references; the frame is inert
-        frame.on_result = None
-        if len(self._free_frames) < 1024:
-            self._free_frames.append(frame)
+        frame.on_result("backpressure_shed", self._sim.now)

@@ -16,8 +16,9 @@ the two equal.
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
+from repro.net.mac import ResultCallback
 from repro.net.packet import Packet
 from repro.qos.classes import PRIORITY_ORDER, TrafficClass
 
@@ -39,7 +40,7 @@ class QueuedFrame:
         src: int,
         dst: int,
         packet: Packet,
-        on_result: Callable[[bool, float], None],
+        on_result: ResultCallback,
         traffic_class: TrafficClass,
         expiry: Optional[float],
     ) -> None:

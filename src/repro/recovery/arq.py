@@ -29,6 +29,7 @@ from typing import Optional
 
 from repro.net.mac import PROCESSING_DELAY, airtime
 from repro.net.network import (
+    QOS_VERDICTS,
     DeliveryCallback,
     FailureCallback,
     WirelessNetwork,
@@ -52,9 +53,6 @@ BACKOFF = 0.01
 BACKOFF_FACTOR = 2.0
 #: Relative half-width of the uniform jitter on each backoff (0: none).
 JITTER = 0.5
-#: The meta keys in which a refused or condemned frame carries its
-#: verdict (``WirelessNetwork.send``, ``MacQosScheduler``).
-_VERDICT = ("drop_reason", "qos_terminal")
 
 
 class ArqStats(StatsView):
@@ -135,29 +133,14 @@ class ArqLink:
                     hop.packet.uid, self._network.sim.now, hop.src, hop.dst,
                     attempt,
                 )
-        meta = hop.packet.meta
-        # After the data arrived (only its ACK was lost) the packet has
-        # moved on: a verdict on this redundant frame must not stay on it.
-        found = (
-            (meta.get("drop_reason"), meta.get("qos_terminal"))
-            if hop.delivered else None
-        )
-
-        def data_failed(pkt: Packet, at: int) -> None:
-            self._retry_or_fail(hop, attempt)
-            if found is not None:
-                for key, value in zip(_VERDICT, found):
-                    if value is None:
-                        meta.pop(key, None)
-                    else:
-                        meta[key] = value
-
         self._network.send(
             hop.src,
             hop.dst,
             hop.packet,
             on_delivered=lambda pkt: self._data_arrived(hop, attempt),
-            on_failed=data_failed,
+            on_failed=lambda pkt, cause: self._retry_or_fail(
+                hop, attempt, cause
+            ),
         )
 
     def _data_arrived(self, hop: _Hop, attempt: int) -> None:
@@ -177,7 +160,7 @@ class ArqLink:
             self.stats.ack_losses += 1
             # No ACK will come: the sender times out and retransmits.
             self._network.sim.schedule(
-                ACK_DELAY, lambda: self._retry_or_fail(hop, attempt)
+                ACK_DELAY, lambda: self._retry_or_fail(hop, attempt, None)
             )
             return
 
@@ -189,19 +172,23 @@ class ArqLink:
 
         self._network.sim.schedule(ACK_DELAY, ack_arrived)
 
-    def _retry_or_fail(self, hop: _Hop, attempt: int) -> None:
+    def _retry_or_fail(
+        self, hop: _Hop, attempt: int, cause: Optional[str]
+    ) -> None:
+        """After attempt ``attempt`` failed with ``cause`` (None: its ACK
+        timed out), retransmit or give the hop up with that cause."""
         if hop.done:
             return
         # A frame the QoS layer condemned (deadline expired or shed
         # under backpressure) would be refused the same way at every
         # retransmission, so its failure surfaces at once.
-        condemned = hop.packet.meta.get("qos_terminal") is not None
+        condemned = cause in QOS_VERDICTS
         if condemned or attempt >= BUDGET:
             hop.done = True
             if not condemned:
                 self.stats.exhausted += 1
             if not hop.delivered and hop.on_failed is not None:
-                hop.on_failed(hop.packet, hop.src)
+                hop.on_failed(hop.packet, cause)
             return
         self._network.sim.schedule(
             self._backoff_delay(attempt),

@@ -225,7 +225,7 @@ class FailureDetector:
         )
         self.stats.probes_sent += 1
 
-        def probe_failed(pkt: Packet, at: int) -> None:
+        def probe_failed(pkt: Packet, cause: str) -> None:
             self._miss(monitor, target, outcome)
 
         def probe_arrived(pkt: Packet) -> None:
@@ -244,7 +244,7 @@ class FailureDetector:
             def reply_arrived(rpkt: Packet) -> None:
                 self._reply(target, sent_at, battery, outcome)
 
-            def reply_failed(rpkt: Packet, at: int) -> None:
+            def reply_failed(rpkt: Packet, cause: str) -> None:
                 self._miss(monitor, target, outcome)
 
             self._network.send(

@@ -33,7 +33,6 @@ class Simulator:
         #: Seqs filed by cancel; the pop drops (and unfiles) their entries.
         self._cancelled: Set[int] = set()
         self._running = False
-        self._stopped = False
         # Optional telemetry hook (repro.telemetry.profiler): when set,
         # step counts each dispatch into these two dicts in place, so
         # work can be attributed per callback.  Until one is installed
@@ -140,8 +139,7 @@ class Simulator:
 
     def run_until(self, end_time: float) -> None:
         """Run events with ``time <= end_time``; the clock lands on
-        ``end_time`` (at the last event run, if :meth:`stop` ended the
-        loop first).
+        ``end_time``.
 
         Events scheduled beyond ``end_time`` stay queued, so simulation
         can be resumed with a later horizon.
@@ -152,11 +150,10 @@ class Simulator:
             raise SimulationError("end_time is in the past")
         self._guard_reentrancy()
         self._running = True
-        self._stopped = False
         heap = self._heap
         cancelled = self._cancelled
         try:
-            while heap and not self._stopped:
+            while heap:
                 top = heap[0]
                 if top[0] > end_time:
                     break
@@ -165,8 +162,7 @@ class Simulator:
                     cancelled.discard(top[1])
                     continue
                 self.step()
-            if not self._stopped:
-                self.now = end_time
+            self.now = end_time
         finally:
             self._running = False
 
@@ -174,21 +170,14 @@ class Simulator:
         """Run until the queue drains (or ``max_events`` executed)."""
         self._guard_reentrancy()
         self._running = True
-        self._stopped = False
         executed = 0
         try:
-            while not self._stopped:
-                if max_events is not None and executed >= max_events:
-                    break
+            while max_events is None or executed < max_events:
                 if not self.step():
                     break
                 executed += 1
         finally:
             self._running = False
-
-    def stop(self) -> None:
-        """Request the current run loop to exit after this event."""
-        self._stopped = True
 
     def _guard_reentrancy(self) -> None:
         if self._running:

@@ -28,9 +28,9 @@ __all__ = ["FlightRecorder", "FlightEvent", "Journey", "DROP_REASONS"]
 #: Packets the recorder retains (the oldest journey is evicted first).
 FLIGHT_CAPACITY = 4096
 
-#: The drop-reason taxonomy.  Routers stamp one of these into
-#: ``packet.meta["drop_reason"]`` at the moment they give up on a
-#: packet; a drop without one raises.
+#: The drop-reason taxonomy.  A system that gives up on a packet
+#: hands one of these to its ``on_dropped(packet, reason)`` callback;
+#: ``MetricsCollector.on_dropped`` raises on any other.
 DROP_REASONS: Tuple[str, ...] = (
     "no-cell-member",      # no reachable/entry member for the cell at all
     "no-entry-relay",      # wake-on-demand relay search found nobody
@@ -49,9 +49,9 @@ DROP_REASONS: Tuple[str, ...] = (
     "backpressure_shed",   # QoS: full lane / congested next hop
 )
 
-#: Hop-level failure causes recorded by the network layer.  The QoS
-#: scheduler's refusals surface as hop failures too, carrying their
-#: drop reason as the cause.
+#: Hop-level failure causes recorded by the network layer and handed
+#: to ``on_failed(packet, cause)``.  The QoS scheduler's refusals
+#: surface as hop failures too, carrying their drop reason as the cause.
 HOP_FAIL_CAUSES: Tuple[str, ...] = (
     "src-unusable", "link-break", "mac-loss", "dst-unusable",
     "deadline_expired", "backpressure_shed",

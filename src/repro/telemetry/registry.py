@@ -60,8 +60,9 @@ class Counter:
         self._value += amount
 
     def _set(self, value) -> None:
-        """Write-through for stats views (``stats.drops += 1`` reads the
-        value and assigns the new total); not part of the public API."""
+        """Write-through for stats views (``stats.detours += 1`` reads
+        the value and assigns the new total); not part of the public
+        API."""
         self._value = value
 
 

@@ -4,19 +4,19 @@ The pre-telemetry codebase grew eight disconnected stats dataclasses
 (``RoutingStats``, ``ArqStats``, ...), each inventing its own counters.
 They are now *views*: the counters live in a
 :class:`~repro.telemetry.registry.Registry` and the view exposes them
-as plain attributes, so existing call sites (``stats.drops += 1``) and
-existing tests (``assert stats.drops == 0``) keep working while every
-number has exactly one home.
+as plain attributes, so existing call sites (``stats.detours += 1``)
+and existing tests (``assert stats.detours == 0``) keep working while
+every number has exactly one home.
 
 Usage::
 
     class RoutingStats(StatsView):
         _group = "routing"
-        drops = counter_field("end-to-end packets dropped")
+        detours = counter_field("non-best successors taken")
 
     stats = RoutingStats(registry=network.registry)
-    stats.drops += 1
-    network.registry.get("routing_drops").value   # -> 1
+    stats.detours += 1
+    network.registry.get("routing_detours").value   # -> 1
 
 A view constructed without a registry creates a private one, so unit
 tests and standalone components pay nothing for the indirection.

@@ -14,14 +14,16 @@ import random
 from typing import Callable, List, Optional
 
 from repro.net.mobility import RandomWaypoint, StaticMobility
-from repro.net.network import WirelessNetwork
+from repro.net.network import QOS_VERDICTS, WirelessNetwork
 from repro.net.node import Node, NodeRole
 from repro.net.packet import Packet
 from repro.util.rng import KeyedStream
 from repro.wsan.deployment import DeploymentPlan
 
 DeliveredCallback = Callable[[Packet], None]
-DroppedCallback = Callable[[Packet], None]
+#: ``(packet, reason)``: ``reason`` is an entry of
+#: :data:`~repro.telemetry.flight.DROP_REASONS`.
+DroppedCallback = Callable[[Packet, str], None]
 
 #: Transmission range of a sensor and of an actuator, metres (the
 #: paper's 100 m / 250 m).
@@ -107,14 +109,18 @@ class WsanSystem(abc.ABC):
 
     @staticmethod
     def _drop(
-        packet: Packet, on_dropped: Optional[DroppedCallback], reason: str
+        packet: Packet,
+        on_dropped: Optional[DroppedCallback],
+        reason: str,
+        cause: Optional[str] = None,
     ) -> None:
         """Abandon the packet under ``reason``, an entry of
-        :data:`repro.telemetry.flight.DROP_REASONS` naming what gave up
-        (a QoS verdict on the packet stands: it is why the hop failed)."""
-        packet.meta["drop_reason"] = packet.meta.get("qos_terminal") or reason
+        :data:`repro.telemetry.flight.DROP_REASONS` naming what gave up.
+        ``cause`` is the hop failure that led here, if one did: a QoS
+        verdict (:data:`~repro.net.network.QOS_VERDICTS`) names the drop
+        instead, as it is why the hop failed."""
         if on_dropped is not None:
-            on_dropped(packet)
+            on_dropped(packet, cause if cause in QOS_VERDICTS else reason)
 
     # -- lifecycle ----------------------------------------------------------
 

@@ -83,7 +83,10 @@ class TestDataPlane:
         )
         network.fail_node(system._parent[src])
         done, dropped = [], []
-        system.send_event(src, packet(sim, src), done.append, dropped.append)
+        system.send_event(
+            src, packet(sim, src), done.append,
+            lambda p, reason: dropped.append(p),
+        )
         sim.run_until(5.0)
         assert system.repairs >= 1
         assert system.retransmissions >= 1
@@ -100,9 +103,12 @@ class TestDataPlane:
         for nb in network.neighbors(src):
             network.fail_node(nb)
         done, dropped = [], []
-        system.send_event(src, packet(sim, src), done.append, dropped.append)
+        system.send_event(
+            src, packet(sim, src), done.append,
+            lambda p, reason: dropped.append(reason),
+        )
         sim.run_until(10.0)
-        assert dropped and not done
+        assert dropped == ["retries-exhausted"] and not done
 
 
 class TestMaintenance:

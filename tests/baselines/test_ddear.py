@@ -117,7 +117,10 @@ class TestDataPlane:
         relay = system._head_path[head][1]
         network.fail_node(relay)
         done, dropped = [], []
-        system.send_event(head, packet(sim, head), done.append, dropped.append)
+        system.send_event(
+            head, packet(sim, head), done.append,
+            lambda p, reason: dropped.append(p),
+        )
         sim.run_until(5.0)
         assert system.repairs >= 1
         assert done or dropped

@@ -120,7 +120,8 @@ class TestDataPlane:
         )
         done, dropped = [], []
         system.send_event(
-            outsider, packet(sim, outsider), done.append, dropped.append
+            outsider, packet(sim, outsider), done.append,
+            lambda p, reason: dropped.append(p)
         )
         sim.run_until(5.0)
         assert done or dropped   # terminates either way
@@ -173,6 +174,9 @@ class TestDataPlane:
         if not network.node(member).usable or not network.node(member).is_sensor:
             pytest.skip("member unusable")
         done, dropped = [], []
-        system.send_event(member, packet(sim, member), done.append, dropped.append)
+        system.send_event(
+            member, packet(sim, member), done.append,
+            lambda p, reason: dropped.append(p),
+        )
         sim.run_until(10.0)
         assert done or dropped

@@ -69,7 +69,8 @@ class TestCongestionDetour:
                 network.node(member).radio_busy_until = sim.now + 0.2
         done, dropped = [], []
         router.send_to_actuator(
-            source, packet(sim, source), done.append, dropped.append
+            source, packet(sim, source), done.append,
+            lambda p, reason: dropped.append(p)
         )
         sim.run_until(sim.now + 3.0)
         assert done and not dropped

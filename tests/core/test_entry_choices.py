@@ -272,7 +272,7 @@ def fallback_choice(network, cell, source):
     packet = Packet(PacketKind.DATA, 100, source, None, network.sim.now)
     router._enter_and_route(
         source, cell, KIDS[0], packet, None,
-        lambda pkt: dropped.append(pkt.meta["drop_reason"]),
+        lambda pkt, reason: dropped.append(reason),
     )
     return (tried + dropped)[0]
 

@@ -61,7 +61,8 @@ class TestSendToActuator:
         done, dropped = [], []
         for source in rng.sample(range(5, 205), 50):
             router.send_to_actuator(
-                source, packet(sim, source), done.append, dropped.append
+                source, packet(sim, source), done.append,
+                lambda p, reason: dropped.append(p)
             )
         sim.run_until(5.0)
         assert len(done) >= 48
@@ -78,7 +79,8 @@ class TestSendToActuator:
         done, dropped = [], []
         for _ in range(5):
             router.send_to_actuator(
-                source, packet(sim, source), done.append, dropped.append
+                source, packet(sim, source), done.append,
+                lambda p, reason: dropped.append(p)
             )
         sim.run_until(5.0)
         assert len(done) == 5
@@ -94,7 +96,8 @@ class TestSendToActuator:
         done, dropped = [], []
         for source in cell.sensor_member_ids[4:]:
             router.send_to_actuator(
-                source, packet(sim, source), done.append, dropped.append
+                source, packet(sim, source), done.append,
+                lambda p, reason: dropped.append(p)
             )
         sim.run_until(5.0)
         assert done   # routing survives
@@ -264,7 +267,8 @@ class TestReplacedEntryCandidate:
         done, dropped = [], []
         router._enter_via_members(
             source, candidates, cell, cell.actuator_kids[0],
-            packet(sim, source), done.append, dropped.append,
+            packet(sim, source), done.append,
+            lambda pkt, reason: dropped.append(reason),
         )
         sim.run_until(2.0)
         assert len(done) == 1 and not dropped
@@ -276,9 +280,10 @@ class TestReplacedEntryCandidate:
         dropped = []
         router._enter_via_members(
             150, [-1], cell, cell.actuator_kids[0],
-            packet(sim, 150), None, dropped.append,
+            packet(sim, 150), None,
+            lambda pkt, reason: dropped.append(reason),
         )
-        assert [p.meta["drop_reason"] for p in dropped] == ["entry-failed"]
+        assert dropped == ["entry-failed"]
 
     def test_refer_build_scenario_seed_1005_completes(self):
         """The run that found it: before the fix it died with a bare
@@ -296,8 +301,8 @@ class TestReplacedEntryCandidate:
 
 class FailFirstLink:
     """A reliable link that fails the first hop it is given — with a
-    QoS verdict stamped, when it has one — and swallows every later hop,
-    so a site's continuation shows as the second send or as a drop."""
+    QoS verdict as its cause, when it has one — and swallows every later
+    hop, so a site's continuation shows as the second send or as a drop."""
 
     def __init__(self, verdict=None):
         self.verdict = verdict
@@ -306,10 +311,7 @@ class FailFirstLink:
     def send(self, src, dst, packet, on_delivered=None, on_failed=None):
         self.sends.append((src, dst))
         if len(self.sends) == 1:
-            if self.verdict is not None:
-                packet.meta["drop_reason"] = self.verdict
-                packet.meta["qos_terminal"] = self.verdict
-            on_failed(packet, src)
+            on_failed(packet, self.verdict or "link-break")
 
 
 def _entry_relay(router, cells, on_dropped):
@@ -408,9 +410,10 @@ class TestHopContract:
         QosManager(sim, network).install(network)
         link = FailFirstLink(verdict)
         router.set_reliable_link(link)
-        dropped = []
-        expected = self.SITES[site](router, cells, dropped.append)
-        reasons = [p.meta["drop_reason"] for p in dropped]
+        reasons = []
+        expected = self.SITES[site](
+            router, cells, lambda pkt, reason: reasons.append(reason)
+        )
         if verdict is not None:
             assert reasons == [verdict]
             assert len(link.sends) == 1

@@ -84,7 +84,8 @@ class TestEndToEnd:
             sim.schedule(
                 t * 0.3,
                 lambda s=src: system.send_event(
-                    s, packet(sim, s), done.append, dropped.append
+                    s, packet(sim, s), done.append,
+                    lambda p, reason: dropped.append(p)
                 ),
             )
         sim.run_until(40.0)
@@ -130,7 +131,8 @@ class TestEndToEnd:
             sim.schedule(
                 t * 0.4,
                 lambda s=src: system.send_event(
-                    s, packet(sim, s), done.append, dropped.append
+                    s, packet(sim, s), done.append,
+                    lambda p, reason: dropped.append(p)
                 ),
             )
         sim.run_until(40.0)

@@ -140,9 +140,7 @@ class TestMetrics:
         metrics = MetricsCollector(sim, warmup_end=10.0)
         metrics.on_generated(packet(5.0))
         metrics.on_delivered(packet(5.0))
-        dropped = packet(5.0)
-        dropped.meta["drop_reason"] = "hop-limit"
-        metrics.on_dropped(dropped)
+        metrics.on_dropped(packet(5.0), "hop-limit")
         assert metrics.generated == 0
         assert metrics.delivered_total == 0
         assert metrics.dropped == 0
@@ -151,7 +149,17 @@ class TestMetrics:
         metrics = MetricsCollector(Simulator(), warmup_end=0.0)
         unnamed = packet(1.0)
         with pytest.raises(TelemetryError, match=f"packet {unnamed.uid} "):
-            metrics.on_dropped(unnamed)
+            metrics.on_dropped(unnamed, "")
+        assert metrics.dropped == 0
+
+    @pytest.mark.parametrize("reason", ["lost", "deadline-expired", "Hop-Limit"])
+    def test_a_drop_for_a_reason_outside_the_taxonomy_raises(self, reason):
+        """Any non-empty string used to pass; the taxonomy is checked
+        where a reason is recorded, not only by the static scan."""
+        metrics = MetricsCollector(Simulator(), warmup_end=0.0)
+        dropped = packet(1.0)
+        with pytest.raises(TelemetryError, match=f"packet {dropped.uid} "):
+            metrics.on_dropped(dropped, reason)
         assert metrics.dropped == 0
 
     def test_qos_window(self):

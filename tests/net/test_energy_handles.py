@@ -517,12 +517,12 @@ def test_a_rejected_charge_and_an_idle_family_export_no_sample(
         with pytest.raises(TelemetryError):
             charge(1, packets=-1)
     snapshot = net.registry.as_dict()
-    for name in ENERGY_FAMILIES + ("trace_events", "net_hop_failures"):
+    for name in ENERGY_FAMILIES + ("net_hop_failures",):
         assert snapshot[name] == {}, name
     assert not [
         line
         for line in registry_to_prometheus(net.registry).splitlines()
-        if line.startswith(("energy_", "trace_events", "net_hop_failures"))
+        if line.startswith(("energy_", "net_hop_failures"))
     ]
     net.energy.charge_rx_each([], kind="flood")
     assert net.registry.as_dict() == snapshot

@@ -47,28 +47,30 @@ class TestTransmit:
     def test_success_without_loss(self, monkeypatch):
         sim, medium, mac = setup(monkeypatch)
         results = []
-        mac.transmit(0, 1, packet(), lambda ok, t: results.append((ok, t)))
+        mac.transmit(
+            0, 1, packet(), lambda cause, t: results.append((cause, t))
+        )
         sim.run()
-        assert results[0][0] is True
+        assert results[0][0] is None
         # Completion includes airtime + processing delay.
         assert results[0][1] >= 0.004
 
     def test_loss_exhausts_retries(self, monkeypatch):
         sim, medium, mac = setup(monkeypatch, loss=1.0)
         results = []
-        mac.transmit(0, 1, packet(), lambda ok, t: results.append(ok))
+        mac.transmit(0, 1, packet(), lambda cause, t: results.append(cause))
         sim.run()
-        assert results == [False]
+        assert results == ["mac-loss"]
 
     def test_retries_add_delay(self, monkeypatch):
         sim, medium, mac = setup(monkeypatch, loss=0.0)
         clean = []
-        mac.transmit(0, 1, packet(), lambda ok, t: clean.append(t))
+        mac.transmit(0, 1, packet(), lambda cause, t: clean.append(t))
         sim.run()
 
         sim2, medium2, mac2 = setup(monkeypatch, loss=1.0)
         lossy = []
-        mac2.transmit(0, 1, packet(), lambda ok, t: lossy.append(t))
+        mac2.transmit(0, 1, packet(), lambda cause, t: lossy.append(t))
         sim2.run()
         assert lossy[0] > clean[0]
 
@@ -76,8 +78,8 @@ class TestTransmit:
         """Back-to-back frames from one radio are serialised."""
         sim, medium, mac = setup(monkeypatch)
         completions = []
-        mac.transmit(0, 1, packet(), lambda ok, t: completions.append(t))
-        mac.transmit(0, 1, packet(), lambda ok, t: completions.append(t))
+        mac.transmit(0, 1, packet(), lambda cause, t: completions.append(t))
+        mac.transmit(0, 1, packet(), lambda cause, t: completions.append(t))
         sim.run()
         assert completions[1] >= completions[0] + airtime(1000)
 
@@ -85,12 +87,12 @@ class TestTransmit:
         sim, medium, mac = setup(monkeypatch)
         medium.node(1).radio_busy_until = 100.0   # busy neighbour of 0
         slow = []
-        mac.transmit(0, 2, packet(), lambda ok, t: slow.append(t))
+        mac.transmit(0, 2, packet(), lambda cause, t: slow.append(t))
         sim.run()
 
         sim2, medium2, mac2 = setup(monkeypatch)
         fast = []
-        mac2.transmit(0, 2, packet(), lambda ok, t: fast.append(t))
+        mac2.transmit(0, 2, packet(), lambda cause, t: fast.append(t))
         sim2.run()
         assert slow[0] > fast[0]
 
@@ -103,7 +105,9 @@ class TestTransmit:
         successes = 0
         for _ in range(50):
             results = []
-            mac.transmit(0, 1, packet(), lambda ok, t: results.append(ok))
+            mac.transmit(
+                0, 1, packet(), lambda cause, t: results.append(cause)
+            )
             sim.run()
-            successes += bool(results[0])
+            successes += results[0] is None
         assert successes > 25

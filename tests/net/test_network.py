@@ -12,6 +12,8 @@ from repro.net.mobility import StaticMobility
 from repro.net.network import WirelessNetwork
 from repro.net.node import Node, NodeRole
 from repro.net.packet import Packet, PacketKind
+from repro.qos.backpressure import HIGH_WATER
+from repro.qos.manager import QosManager
 from repro.sim.core import Simulator
 from repro.util.geometry import Point
 
@@ -57,12 +59,12 @@ class TestUnicast:
         failures = []
         net.send(
             0, 2, data_packet(sim),
-            on_failed=lambda pkt, at: failures.append((at, sim.now)),
+            on_failed=lambda pkt, cause: failures.append((cause, sim.now)),
         )
         sim.run_until(1.0)
         assert failures
-        at, when = failures[0]
-        assert at == 0
+        cause, when = failures[0]
+        assert cause == "link-break"
         assert when > 0.0                    # sender burned its timeout
         assert counted(net.registry, "energy_tx_packets") == 1    # tx charged even on failure
         assert counted(net.registry, "energy_rx_packets") == 0
@@ -71,9 +73,9 @@ class TestUnicast:
         sim, net = build_line()
         net.node(0).failed = True
         failures = []
-        net.send(0, 1, data_packet(sim), on_failed=lambda p, a: failures.append(a))
+        net.send(0, 1, data_packet(sim), on_failed=lambda p, c: failures.append(c))
         sim.run_until(1.0)
-        assert failures == [0]
+        assert failures == ["src-unusable"]
         assert counted(net.registry, "energy_tx_packets") == 0
 
     def test_hop_recorded(self):
@@ -87,9 +89,32 @@ class TestUnicast:
         monkeypatch.setattr(mac_module, "BASE_LOSS", 1.0)  # every frame lost
         sim, net = build_line()
         failures = []
-        net.send(0, 1, data_packet(sim), on_failed=lambda p, a: failures.append(a))
+        net.send(0, 1, data_packet(sim), on_failed=lambda p, c: failures.append(c))
         sim.run_until(1.0)
-        assert failures == [0]
+        assert failures == ["mac-loss"]
+
+
+    def test_a_hop_reports_its_own_cause_after_a_qos_refusal(self):
+        """A verdict is the refused hop's alone: the packet's next hop,
+        whose receiver dies while the frame is in the air, fails as
+        ``dst-unusable``, not under the earlier ``backpressure_shed``."""
+        sim, net = build_line()
+        qos = QosManager(sim, net)
+        qos.install(net)
+        pkt = data_packet(sim)        # unmarked DATA travels as bulk
+        failures = []
+        qos.state.note_depth(1, HIGH_WATER)
+        net.send(0, 1, pkt, on_failed=lambda p, c: failures.append(c))
+        qos.state.note_depth(1, 0)
+        net.send(0, 1, pkt, on_failed=lambda p, c: failures.append(c))
+        sim.schedule(0.0, lambda: net.fail_node(1))
+        sim.run_until(1.0)
+        assert failures == ["backpressure_shed", "dst-unusable"]
+        assert {
+            cause: child.value
+            for (cause,), child in net.registry.get("net_hop_failures").items()
+        } == {"backpressure_shed": 1, "dst-unusable": 1}
+        assert pkt.meta == {}
 
 
 class TestSendAlongPath:
@@ -107,12 +132,15 @@ class TestSendAlongPath:
         sim, net = build_line()
         net.node(2).failed = True
         failures = []
+        pkt = data_packet(sim)
         net.send_along_path(
-            [0, 1, 2, 3], data_packet(sim),
-            on_failed=lambda p, at: failures.append(at),
+            [0, 1, 2, 3], pkt,
+            on_failed=lambda p, cause: failures.append(cause),
         )
         sim.run_until(1.0)
-        assert failures == [1]
+        # Node 1 forwarded to the failed node 2: its hop is the last tried.
+        assert failures == ["link-break"]
+        assert pkt.hops == [0, 1]
 
     def test_single_node_path_is_local_delivery(self):
         sim, net = build_line()
@@ -143,10 +171,10 @@ class TestSendAlongPath:
             )
             net.send_along_path(
                 [0, 1, 2, 3, 4], data_packet(sim),
-                on_failed=lambda pkt, at: outcomes.append(at),
+                on_failed=lambda pkt, cause: outcomes.append(cause),
             )
             sim.run_until(1.0)
-            assert sorted(outcomes, key=str) == [2, "delivered"]
+            assert sorted(outcomes) == ["delivered", "link-break"]
             assert gc.collect() == 0
         finally:
             gc.enable()
@@ -256,7 +284,7 @@ class TestDropAccounting:
         # another path — the facade must not call that an end-to-end drop.
         sim, net = build_line()
         failures = []
-        net.send(0, 2, data_packet(sim), on_failed=lambda p, a: failures.append(a))
+        net.send(0, 2, data_packet(sim), on_failed=lambda p, c: failures.append(c))
         sim.run_until(1.0)
         assert failures
         assert counted(net.registry, "net_hop_failures") == 1

@@ -23,7 +23,7 @@ class RecordingMac:
     def service_frame(self, src_id, dst_id, packet, on_result):
         self.served.append(packet)
         done = self._sim.now + self._airtime
-        self._sim.schedule(self._airtime, lambda: on_result(True, done))
+        self._sim.schedule(self._airtime, lambda: on_result(None, done))
         return done
 
 
@@ -48,7 +48,7 @@ def _packet(cls, deadline=None, created_at=0.0):
 
 
 def _sink(results):
-    return lambda ok, now: results.append((ok, now))
+    return lambda cause, now: results.append((cause, now))
 
 
 class TestServiceOrder:
@@ -59,7 +59,7 @@ class TestServiceOrder:
         scheduler.submit(1, 2, _packet(TrafficClass.BULK), _sink(results))
         sim.run_until(1.0)
         assert len(mac.served) == 1
-        assert results == [(True, 0.1)]
+        assert results == [(None, 0.1)]
         assert stats.frames_served == 1
 
     def test_backlog_is_drained_in_priority_order(self):
@@ -119,18 +119,19 @@ class TestDeadlineDrop:
         sim.schedule(0.0, emit)
         sim.run_until(2.0)
         assert len(mac.served) == 1          # only the occupying frame
-        assert results and results[0][0] is False
+        assert results and results[0][0] == "deadline_expired"
         assert stats.deadline_drops == 1
 
-    def test_expired_frame_is_stamped_terminal(self):
+    def test_expired_frame_reports_its_verdict_not_a_stamp(self):
         sim = Simulator()
         scheduler, _, _ = _scheduler(sim)
         doomed = _packet(TrafficClass.ALARM, deadline=0.05)
+        results = []
         scheduler.submit(1, 2, _packet(TrafficClass.BULK), lambda *a: None)
-        scheduler.submit(1, 2, doomed, lambda *a: None)
+        scheduler.submit(1, 2, doomed, _sink(results))
         sim.run_until(2.0)
-        assert doomed.meta["drop_reason"] == "deadline_expired"
-        assert doomed.meta["qos_terminal"] == "deadline_expired"
+        assert [cause for cause, _ in results] == ["deadline_expired"]
+        assert doomed.meta == {}
 
 
 class TestRefusal:

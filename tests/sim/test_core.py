@@ -86,18 +86,6 @@ class TestRunUntil:
         sim.run_until(2.0)
         assert sim.now == 2.0
 
-    def test_stop_leaves_clock_on_the_stopping_event(self):
-        """A stopped loop does not jump past the events it left queued,
-        so they still fire, in order, on the next run."""
-        sim = Simulator()
-        fired = []
-        sim.schedule(1.0, lambda: (fired.append(1), sim.stop()))
-        sim.schedule(2.0, lambda: fired.append(2))
-        sim.run_until(10.0)
-        assert fired == [1] and sim.now == 1.0
-        sim.run_until(10.0)
-        assert fired == [1, 2] and sim.now == 10.0
-
 
 class TestEventChaining:
     def test_events_can_schedule_events(self):
@@ -111,17 +99,6 @@ class TestEventChaining:
         sim.schedule(1.0, first)
         sim.run()
         assert fired == [("first", 1.0), ("second", 2.0)]
-
-    def test_stop_inside_event(self):
-        sim = Simulator()
-        fired = []
-        sim.schedule(1.0, lambda: (fired.append(1), sim.stop()))
-        sim.schedule(2.0, lambda: fired.append(2))
-        sim.run()
-        assert fired == [1]
-        assert sim.now == 1.0
-        sim.run()
-        assert fired == [1, 2]
 
     def test_cancel_pending_event(self):
         sim = Simulator()

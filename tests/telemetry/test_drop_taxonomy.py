@@ -1,19 +1,25 @@
 """The drop-reason taxonomy is closed: no reason escapes DROP_REASONS.
 
-Walks the library's AST and collects every string literal that can end
-up in ``packet.meta["drop_reason"]``:
+A reason travels as an argument, never on the packet: a failed hop
+hands ``on_failed(packet, cause)`` its cause and a system that gives
+up hands ``on_dropped(packet, reason)`` its reason.  This walks the
+library's AST and collects every string literal that can become one:
 
-* direct stamps — ``meta["drop_reason"] = "..."`` and the QoS twin
-  ``meta["qos_terminal"] = "..."``;
-* router and baseline drops — the reason argument of
-  ``self._drop(...)`` calls (``baselines/`` has no other way to drop,
-  and every call there must name a literal reason);
+* drop reasons — the reason argument of ``self._drop(...)`` (router
+  and baselines; ``baselines/`` has no other way to drop, and every
+  call there must name a literal reason) and of ``on_dropped(...)``;
+* hop causes — the cause argument of ``WirelessNetwork._fail`` and of
+  ``on_result(...)`` (the MAC's report), and a literal bound to a
+  local named ``cause``;
 * QoS verdicts — string returns of the ``refusal``/``admit``
-  gatekeepers, which the network layer stamps verbatim.
+  gatekeepers, which their callers hand on verbatim as a hop cause or
+  a drop reason.
 
 Any new drop site must either reuse a taxonomy entry or extend
 :data:`repro.telemetry.flight.DROP_REASONS` — this test is what makes
-that a hard invariant instead of a convention.
+that a hard invariant instead of a convention, for sites no run
+reaches too; ``MetricsCollector.on_dropped`` checks the same at run
+time.
 
 The static closure is complemented by a *runtime* closure
 (:class:`TestTraceClosure`): a traced chaos+QoS run must surface every
@@ -30,6 +36,7 @@ import pytest
 from repro.chaos.spec import FaultSpec
 from repro.experiments.config import FaultConfig, ScenarioConfig
 from repro.experiments.runner import run_scenario
+from repro.net.network import QOS_VERDICTS
 from repro.qos.config import BurstyConfig, QosConfig
 from repro.telemetry.config import TelemetryConfig
 from repro.telemetry.flight import DROP_REASONS, HOP_FAIL_CAUSES
@@ -37,11 +44,14 @@ from repro.telemetry.tracing import TracingConfig
 
 SRC_ROOT = pathlib.Path(__file__).resolve().parents[2] / "src" / "repro"
 
-#: Functions whose string return values the callers stamp as a drop
-#: reason (the QoS gatekeeper protocol).
+#: Functions whose string return values the callers hand on as a drop
+#: reason or a hop cause (the QoS gatekeeper protocol).
 REASON_RETURNING = frozenset({"refusal", "admit"})
 
-META_KEYS = frozenset({"drop_reason", "qos_terminal"})
+#: ``name: (position, keyword)`` of the drop reason in a call of
+#: ``name``, and of the hop cause.
+REASON_ARGS = {"_drop": (2, "reason"), "on_dropped": (1, "reason")}
+CAUSE_ARGS = {"_fail": (4, "cause"), "on_result": (0, None)}
 
 
 def _const_str(node):
@@ -50,37 +60,69 @@ def _const_str(node):
     return None
 
 
+def _call_name(node):
+    func = node.func
+    if isinstance(func, ast.Attribute):
+        return func.attr
+    if isinstance(func, ast.Name):
+        return func.id
+    return None
+
+
+def _argument(node, position, keyword):
+    if len(node.args) > position:
+        return node.args[position]
+    for given in node.keywords:
+        if given.arg == keyword:
+            return given.value
+    return None
+
+
 class _ReasonCollector(ast.NodeVisitor):
-    """Collects (reason, path, lineno) for every statically stamped reason."""
+    """Collects (reason, path, lineno) for every literal drop reason and
+    hop cause, and the keys written into a ``meta`` dict."""
 
     def __init__(self, path):
         self.path = path
         self.found = []
+        self.causes = []
         self.drop_calls = []
+        self.meta_keys = []
         self._in_reason_fn = 0
 
-    def _note(self, value, node):
+    def _note(self, into, value, node):
         if value is not None:
-            self.found.append((value, self.path, node.lineno))
+            into.append((value, self.path, node.lineno))
+
+    def _bind(self, target, value, node):
+        if isinstance(target, ast.Name) and target.id == "cause":
+            self._note(self.causes, _const_str(value), node)
+        if (
+            isinstance(target, ast.Subscript)
+            and isinstance(target.value, ast.Attribute)
+            and target.value.attr == "meta"
+        ):
+            self._note(self.meta_keys, _const_str(target.slice), node)
 
     def visit_Assign(self, node):
         for target in node.targets:
-            if (
-                isinstance(target, ast.Subscript)
-                and _const_str(target.slice) in META_KEYS
-            ):
-                self._note(_const_str(node.value), node)
+            self._bind(target, node.value, node)
+        self.generic_visit(node)
+
+    def visit_AnnAssign(self, node):
+        self._bind(node.target, node.value, node)
         self.generic_visit(node)
 
     def visit_Call(self, node):
-        func = node.func
-        if isinstance(func, ast.Attribute) and func.attr == "_drop":
+        name = _call_name(node)
+        if name == "_drop":
             self.drop_calls.append(node.lineno)
-            if len(node.args) >= 3:
-                self._note(_const_str(node.args[2]), node)
-            for keyword in node.keywords:
-                if keyword.arg == "reason":
-                    self._note(_const_str(keyword.value), node)
+        for table, into in (
+            (REASON_ARGS, self.found), (CAUSE_ARGS, self.causes)
+        ):
+            if name in table:
+                arg = _argument(node, *table[name])
+                self._note(into, _const_str(arg), node)
         self.generic_visit(node)
 
     def visit_FunctionDef(self, node):
@@ -91,7 +133,7 @@ class _ReasonCollector(ast.NodeVisitor):
 
     def visit_Return(self, node):
         if self._in_reason_fn and node.value is not None:
-            self._note(_const_str(node.value), node)
+            self._note(self.found, _const_str(node.value), node)
         self.generic_visit(node)
 
 
@@ -124,7 +166,7 @@ class TestDropTaxonomy:
         )
 
     def test_scan_sees_the_qos_reasons(self):
-        """The collector genuinely covers the QoS stamp sites."""
+        """The collector genuinely covers the QoS drop sites."""
         reasons = {reason for reason, _, _ in _collect_stamped_reasons()}
         assert {
             "deadline_expired", "admission_rejected", "backpressure_shed"
@@ -157,9 +199,34 @@ class TestDropTaxonomy:
         assert len(HOP_FAIL_CAUSES) == len(set(HOP_FAIL_CAUSES))
 
     def test_qos_hop_fail_causes_mirror_their_drop_reasons(self):
-        """QoS refusals surface as hop failures with the same name."""
-        assert "deadline_expired" in HOP_FAIL_CAUSES
-        assert "backpressure_shed" in HOP_FAIL_CAUSES
+        """QoS refusals surface as hop failures with the same name, and
+        those are the verdicts a system drops under."""
+        assert QOS_VERDICTS == {"deadline_expired", "backpressure_shed"}
+        assert QOS_VERDICTS <= set(HOP_FAIL_CAUSES) & set(DROP_REASONS)
+
+    def test_every_literal_hop_cause_is_named(self):
+        causes = [
+            found for collector in _collect() for found in collector.causes
+        ]
+        assert {"src-unusable", "link-break", "dst-unusable", "mac-loss"} <= {
+            cause for cause, _, _ in causes
+        }, "the scan lost the network layer's hop causes"
+        strays = [
+            f"{path}:{line}: {cause!r}"
+            for cause, path, line in causes
+            if cause not in HOP_FAIL_CAUSES
+        ]
+        assert not strays, (
+            "hop causes outside HOP_FAIL_CAUSES:\n" + "\n".join(strays)
+        )
+
+    def test_packet_meta_carries_no_verdict(self):
+        """``packet.meta`` is written for the baselines' congestion
+        retry count alone: no hop or drop outcome rides on a packet."""
+        keys = {
+            key for collector in _collect() for key, _, _ in collector.meta_keys
+        }
+        assert keys == {"congestion_retries"}
 
 
 @pytest.mark.parametrize("system", ["DaTree", "D-DEAR", "Kautz-overlay"])

@@ -143,6 +143,17 @@ ROWS = [
         ),
         id="one-frame-per-event",
     ),
+    pytest.param(
+        r"qos_terminal|meta\[\"drop_reason\"\]|_TRANSIENT_META|_VERDICT"
+        r"|_free_frames|_acquire_frame|_release_frame|Simulator\.stop"
+        r"|sim\.stop\(\)|_stopped|_trace_events|routing_drops",
+        True,
+        (
+            "src", "tests", "benchmarks/*.py", "examples", "docs",
+            "DESIGN.md", "CONTRIBUTING.md", ".claude",
+        ),
+        id="outcomes-are-arguments",
+    ),
 ]
 
 
