@@ -25,25 +25,27 @@ paths with the drop reason as their cause (one of
 :data:`~repro.net.network.QOS_VERDICTS`), which tells the router not to
 burn the remaining disjoint paths on a packet QoS has already
 condemned.
+
+Only frames that wait pay for the queue.  A service that empties it
+schedules no wake-up but keeps one: its time, and a seq reserved from
+the simulator then (``Simulator.reserve``).  A frame submitted before
+that wake-up's turn queues and files it under that seq, so wake-ups
+due at one instant keep their heap order; a frame at a node whose
+wake-up has had its turn goes straight to ``service_frame``.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Set
+from typing import Dict, Optional, Set, Tuple
 
 from repro.net.mac import ContentionMac, ResultCallback
 from repro.net.packet import Packet
 from repro.qos.backpressure import BackpressureState
-from repro.qos.classes import (
-    BULK_LANE,
-    PRIORITY_ORDER,
-    TrafficClass,
-    expiry_of,
-    lane_of,
-)
+from repro.qos.classes import BULK_LANE, TrafficClass, expiry_of, lane_of
 from repro.qos.queue import PriorityFrameQueue, QueuedFrame
 from repro.qos.stats import QosStats
 from repro.sim.core import Simulator
+from repro.sim.events import Action
 
 __all__ = ["MacQosScheduler"]
 
@@ -76,7 +78,13 @@ class MacQosScheduler:
             TrafficClass.BULK: BULK_QUEUE_DEPTH,
         }
         self._queues: Dict[int, PriorityFrameQueue] = {}
+        # Nodes with a wake-up in the heap, or inside _serve.
         self._serving: Set[int] = set()
+        # Per node whose queue emptied: the (time, reserved seq) of the
+        # wake-up its last service would have scheduled, unfiled.
+        self._kept: Dict[int, Tuple[float, int]] = {}
+        # Per node with a queue: its one wake-up callback.
+        self._wakers: Dict[int, Action] = {}
         # (packet, lane, expiry) of the hop refusal() last accepted.
         self._accepted: tuple = (None, 0, None)
 
@@ -110,17 +118,43 @@ class MacQosScheduler:
         packet: Packet,
         on_result: ResultCallback,
     ) -> None:
-        """Queue one accepted frame and serve the node if it is idle."""
+        """Serve one accepted frame at once if its node is idle, else
+        queue it behind the node's wake-up."""
         accepted, lane, expiry = self._accepted
         if accepted is not packet:
             # A direct caller: no refusal() resolved this packet.
             lane, expiry = lane_of(packet), expiry_of(packet)
-        frame = QueuedFrame(
-            src_id, dst_id, packet, on_result, PRIORITY_ORDER[lane], expiry
-        )
+        sim = self._sim
+        now = sim.now
+        due = None
+        if src_id not in self._serving:
+            kept = self._kept.pop(src_id, None)
+            if kept is not None and (
+                kept[0] > now or (kept[0] == now and kept[1] > sim.dispatch_seq)
+            ):
+                # The last service's wake-up has not had its turn yet.
+                due = kept
+            elif expiry is None or now <= expiry:
+                # Idle: queued and popped at once, this frame would move
+                # the depth 0 -> 1 -> 0, which marks nothing (the node
+                # reported 0 after its last service), so it goes
+                # straight to the radio.  service_frame reports through
+                # the heap, so nothing re-enters submit() meanwhile.
+                stats = self._stats
+                stats.frames_queued += 1
+                stats.frames_served += 1
+                radio_free = self._mac.service_frame(
+                    src_id, dst_id, packet, on_result
+                )
+                self._kept[src_id] = (
+                    now + max(0.0, radio_free - now), sim.reserve()
+                )
+                return
+        frame = QueuedFrame(src_id, dst_id, packet, on_result, lane, expiry)
         queue = self._queues.get(src_id)
         if queue is None:
             queue = self._queues[src_id] = PriorityFrameQueue(self._depths)
+            self._wakers[src_id] = lambda: self._serve(src_id)
         if not queue.offer(frame):
             # The network layer's refusal() check makes this unreachable
             # in-sim (nothing runs between the check and this call), but
@@ -129,23 +163,29 @@ class MacQosScheduler:
             return
         self._stats.frames_queued += 1
         self._state.note_depth(src_id, queue.depth)
-        if src_id not in self._serving:
+        if src_id in self._serving:
+            return
+        if due is None:
+            # An expired frame at an idle node: _serve drops it.
             self._serve(src_id)
+            return
+        # File the wake-up under the seq reserved when it was computed,
+        # so it keeps its place among wake-ups due at the same time.
+        self._serving.add(src_id)
+        sim.schedule_reserved(due[0], due[1], self._wakers[src_id])
 
     def _serve(self, node_id: int) -> None:
-        """Serve the node's next live frame; reschedules itself."""
-        queue = self._queues.get(node_id)
-        if queue is None or not queue.depth:
-            # A wake-up that finds nothing queued changed no depth: the
-            # 0 this node reported after its last service still stands.
-            self._serving.discard(node_id)
-            return
+        """Serve the node's next live frame.  Its next wake-up goes on
+        the heap while frames remain queued, and is kept unfiled once
+        the queue is empty."""
+        queue = self._queues[node_id]
         # Mark the node busy before running expiry callbacks: those may
         # synchronously re-enter submit() for this same node.
         self._serving.add(node_id)
         state = self._state
+        sim = self._sim
         while True:
-            frame, expired = queue.pop_live(self._sim.now)
+            frame, expired = queue.pop_live(sim.now)
             for stale in expired:
                 self._expire(stale)
             if frame is not None:
@@ -159,10 +199,14 @@ class MacQosScheduler:
             frame.src, frame.dst, frame.packet, frame.on_result
         )
         state.note_depth(node_id, queue.depth)
-        self._sim.schedule(
-            max(0.0, radio_free - self._sim.now),
-            lambda: self._serve(node_id),
-        )
+        now = sim.now
+        if queue.depth:
+            sim.schedule(max(0.0, radio_free - now), self._wakers[node_id])
+        else:
+            self._serving.discard(node_id)
+            self._kept[node_id] = (
+                now + max(0.0, radio_free - now), sim.reserve()
+            )
 
     def _expire(self, frame: QueuedFrame) -> None:
         """Drop a frame whose deadline passed while it was queued."""

@@ -41,19 +41,15 @@ class QueuedFrame:
         dst: int,
         packet: Packet,
         on_result: ResultCallback,
-        traffic_class: TrafficClass,
+        lane: int,
         expiry: Optional[float],
     ) -> None:
         self.src = src
         self.dst = dst
         self.packet = packet
         self.on_result = on_result
-        self.lane = PRIORITY_ORDER.index(traffic_class)
+        self.lane = lane
         self.expiry = expiry
-
-    @property
-    def traffic_class(self) -> TrafficClass:
-        return PRIORITY_ORDER[self.lane]
 
 
 class PriorityFrameQueue:

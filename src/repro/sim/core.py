@@ -8,8 +8,8 @@ Usage::
 
 One event costs one Python call, :meth:`Simulator.step`, plus its
 action; one schedule costs one call and a clock read none.  The heap
-this loop works on, and its invariants, are described in
-:mod:`repro.sim.events`.
+this loop works on, and its invariants (among them the reserve / file
+/ dispatch-point rule), are described in :mod:`repro.sim.events`.
 """
 
 from __future__ import annotations
@@ -28,6 +28,11 @@ class Simulator:
         #: Current simulation time in seconds.  Anyone may read it;
         #: only the loop (:meth:`step`, :meth:`run_until`) writes it.
         self.now = 0.0
+        #: Seq of the event being dispatched; after :meth:`run_until`
+        #: lands the clock, the next seq to be issued.  Every event
+        #: ordered before ``(now, dispatch_seq)`` has fired.  Only the
+        #: loop writes it.
+        self.dispatch_seq = -1
         self._heap: List[Handle] = []
         self._next_seq = 0
         #: Seqs filed by cancel; the pop drops (and unfiles) their entries.
@@ -95,6 +100,32 @@ class Simulator:
         heappush(self._heap, handle)
         return handle
 
+    def reserve(self) -> int:
+        """Take the next seq without scheduling anything.
+
+        An event filed under it by :meth:`schedule_reserved` orders as
+        if it had been scheduled now; unfiled, it changes nothing but
+        the numbering of later events, like a cancelled one.
+        """
+        seq = self._next_seq
+        self._next_seq = seq + 1
+        return seq
+
+    def schedule_reserved(self, time: float, seq: int, action: Action) -> Handle:
+        """Run ``action`` at absolute ``time`` (>= now) under ``seq``,
+        a seq :meth:`reserve` returned and nothing has filed yet."""
+        if time < self.now:
+            raise SimulationError(
+                f"cannot schedule in the past: {time} < {self.now}"
+            )
+        if time - time != 0:
+            raise SimulationError(f"event time is not finite: {time}")
+        if not 0 <= seq < self._next_seq:
+            raise SimulationError(f"seq {seq} was never reserved")
+        handle = (time, seq, action)
+        heappush(self._heap, handle)
+        return handle
+
     def cancel(self, handle: Handle) -> None:
         """Cancel a pending event.  Cancelling twice, or cancelling an
         event that already fired, changes nothing."""
@@ -116,6 +147,7 @@ class Simulator:
                     return False
                 time, seq, action = heappop(heap)
         self.now = time
+        self.dispatch_seq = seq
         if self._trace is not None:
             self._trace.dispatch(time, seq, action)
         dispatched = self._dispatched
@@ -163,6 +195,9 @@ class Simulator:
                     continue
                 self.step()
             self.now = end_time
+            # Every queued or reserved seq at or before the horizon has
+            # now had its turn: the dispatch point moves past them all.
+            self.dispatch_seq = self._next_seq
         finally:
             self._running = False
 

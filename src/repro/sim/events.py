@@ -12,6 +12,10 @@ event is paid on every event of every run.  What the heap guarantees:
   deterministic for a fixed seed — a property the whole experiment
   harness relies on.  ``seq`` is unique, so every sift compares a
   float and an int in C and the action is never compared.
+  ``reserve`` takes a seq without scheduling; ``schedule_reserved``
+  files an event under it later, and the event orders as if it had
+  been scheduled at the ``reserve``.  An event may so be filed only
+  once it is needed and still keep its place among equal times.
 * **Handles.**  The entry itself is the handle ``schedule`` returns.
   ``cancel`` files the handle's ``seq`` in a set and the pop drops a
   filed entry when it reaches the top, so cancelling is O(1) and the
@@ -22,7 +26,13 @@ event is paid on every event of every run.  What the heap guarantees:
   clock: ``schedule`` and ``schedule_at`` refuse anything else, and
   ``run_until`` lands the clock only on a horizon no queued event
   precedes.  So the clock never runs backwards and the pop needs no
-  time check.
+  time check.  ``schedule_reserved`` refuses a time before the clock
+  too.  ``(now, dispatch_seq)`` is the dispatch point: the event being
+  dispatched, or after ``run_until`` the horizon with every seq issued
+  so far.  A reserved ``(time, seq)`` has had its turn when it orders
+  before that point.  A caller filing one whose ``time`` equals the
+  clock therefore compares seqs: it files only when ``seq`` exceeds
+  ``dispatch_seq``.
 """
 
 from __future__ import annotations

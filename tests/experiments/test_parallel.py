@@ -370,10 +370,28 @@ class TestFailLoudly:
         assert "job `" in err
 
 
+#: Where a held job writes its worker's pid (inherited by the workers).
+HELD_JOB_DIR = "REPRO_TEST_HELD_JOB_DIR"
+
+
+def _held_job(system, config):
+    """A pool job that reports its worker's pid, then holds its worker
+    until the test kills it."""
+    marker = os.path.join(os.environ[HELD_JOB_DIR], "pid")
+    with open(marker + ".tmp", "w") as out:
+        out.write(str(os.getpid()))
+    os.replace(marker + ".tmp", marker)
+    time.sleep(120.0)
+
+
 class TestRealWorkerPool:
     """Spawned-process suite: a reused pool, and a worker really killed."""
 
-    def test_dead_worker_fails_the_campaign(self):
+    def test_dead_worker_fails_the_campaign(self, monkeypatch, tmp_path):
+        # The worker is killed inside a job it has started (it wrote its
+        # pid from there), so the pool cannot finish first.
+        monkeypatch.setattr(parallel, "run_job", _held_job)
+        monkeypatch.setenv(HELD_JOB_DIR, str(tmp_path))
         points = [("REFER", TINY.with_(seed=seed)) for seed in range(1, 9)]
         raised = []
 
@@ -385,14 +403,15 @@ class TestRealWorkerPool:
 
         thread = threading.Thread(target=coordinator)
         thread.start()
-        killed = False
-        while thread.is_alive() and not killed:
-            for child in multiprocessing.active_children():
-                os.kill(child.pid, signal.SIGKILL)
-                killed = True
+        marker = tmp_path / "pid"
+        deadline = time.monotonic() + 60.0
+        while not marker.exists() and time.monotonic() < deadline:
             time.sleep(0.01)
+        pid = int(marker.read_text())
+        assert pid in [child.pid for child in multiprocessing.active_children()]
+        os.kill(pid, signal.SIGKILL)
         thread.join(60.0)
-        assert killed and not thread.is_alive()
+        assert not thread.is_alive()
         (exc,) = raised
         assert "BrokenProcessPool" in str(exc)
         assert "job `REFER:" in str(exc)

@@ -43,15 +43,17 @@ SCENARIO = ScenarioConfig(
 #: Python calls per frame served, by file, as recorded from this
 #: scenario (2 494 frames served).  A file of the two packages that is
 #: not listed runs at set-up only and gets :data:`UNLISTED`.  The
-#: ``qos/`` pair was re-recorded when the scheduler stopped recycling
-#: frames: a fresh ``QueuedFrame`` costs ``queue.py`` its ``__init__``
-#: (+0.99) and saves ``mac.py`` its acquire and release (-2.00).
+#: ``qos/`` rows were last re-recorded when a frame at an idle node
+#: stopped going through the queue: no ``QueuedFrame``, ``offer``,
+#: ``pop_live`` or ``note_depth`` for it, and no empty wake-up
+#: (``backpressure.py`` 4.014, ``mac.py`` 5.153, ``queue.py`` 4.446
+#: before).
 RECORDED = {
     "qos/admission.py": 1.446,
-    "qos/backpressure.py": 4.014,
+    "qos/backpressure.py": 2.234,
     "qos/classes.py": 3.043,
-    "qos/mac.py": 5.153,
-    "qos/queue.py": 4.446,
+    "qos/mac.py": 2.484,
+    "qos/queue.py": 1.383,
     "telemetry/flight.py": 7.400,
     "telemetry/profiler.py": 4.859,
     "telemetry/registry.py": 3.688,

@@ -22,7 +22,7 @@ def _frame(cls, expiry=None, uid_hint=0):
     return QueuedFrame(
         src=1, dst=2, packet=packet,
         on_result=lambda ok, now: None,
-        traffic_class=cls, expiry=expiry,
+        lane=PRIORITY_ORDER.index(cls), expiry=expiry,
     )
 
 

@@ -13,17 +13,19 @@ from repro.sim.core import Simulator
 
 
 class RecordingMac:
-    """Stand-in MAC: serves every frame in a fixed airtime."""
+    """Stand-in MAC: serves the n-th frame in ``airtimes[n % len]``,
+    so, like the real MAC's draws, timings follow the service order."""
 
-    def __init__(self, sim, airtime=0.1):
+    def __init__(self, sim, airtimes=(0.1,)):
         self._sim = sim
-        self._airtime = airtime
+        self._airtimes = airtimes
         self.served = []
 
     def service_frame(self, src_id, dst_id, packet, on_result):
+        airtime = self._airtimes[len(self.served) % len(self._airtimes)]
         self.served.append(packet)
-        done = self._sim.now + self._airtime
-        self._sim.schedule(self._airtime, lambda: on_result(None, done))
+        done = self._sim.now + airtime
+        self._sim.schedule(airtime, lambda: on_result(None, done))
         return done
 
 
@@ -90,6 +92,37 @@ class TestServiceOrder:
             TrafficClass.ALARM, TrafficClass.CONTROL, TrafficClass.BULK
         ]
         assert len(mac.served) == 4
+
+    def test_a_frame_at_an_idle_node_costs_one_event(self):
+        # Its completion; the node's next wake-up stays unfiled.
+        sim = Simulator()
+        scheduler, mac, stats = _scheduler(sim)
+        scheduler.submit(1, 2, _packet(TrafficClass.BULK), lambda *a: None)
+        dispatched = 0
+        while sim.step():
+            dispatched += 1
+        assert dispatched == 1
+        assert (stats.frames_queued, stats.frames_served) == (1, 1)
+
+    def test_kept_wake_ups_keep_the_order_of_their_services(self):
+        # Nodes 1 and 2 serve at t=0 and free their radios at the same
+        # W = 0.1.  Frames reaching them at t=0.05, node 2 first, wait
+        # for their wake-ups, which fire in the order of the services.
+        sim = Simulator()
+        scheduler, mac, _ = _scheduler(sim)
+        first = [_packet(TrafficClass.BULK) for _ in range(2)]
+        second = [_packet(TrafficClass.BULK) for _ in range(2)]
+
+        def emit(packets, nodes):
+            for packet, node in zip(packets, nodes):
+                scheduler.submit(node, 9, packet, lambda *a: None)
+
+        sim.schedule(0.0, lambda: emit(first, (1, 2)))
+        sim.schedule(0.05, lambda: emit(second[::-1], (2, 1)))
+        sim.run_until(0.075)
+        assert mac.served == first
+        sim.run_until(1.0)
+        assert mac.served == first + second
 
     def test_nodes_are_served_independently(self):
         sim = Simulator()

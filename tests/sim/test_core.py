@@ -142,6 +142,48 @@ class TestEventChaining:
         assert errors == [True]
 
 
+class TestReservedSeqs:
+    def test_a_reserved_seq_orders_as_if_scheduled_at_the_reserve(self):
+        sim = Simulator()
+        fired = []
+        seq = sim.reserve()
+        sim.schedule(1.0, lambda: fired.append("later seq"))
+        sim.schedule_reserved(1.0, seq, lambda: fired.append("reserved"))
+        sim.run()
+        assert fired == ["reserved", "later seq"]
+
+    def test_an_unfiled_reservation_only_uses_up_its_seq(self):
+        sim = Simulator()
+        sim.reserve()
+        assert sim.schedule(1.0, lambda: None)[1] == 1
+        sim.run()
+        assert sim.step() is False
+
+    def test_past_time_and_unissued_seq_rejected(self):
+        sim = Simulator()
+        seq = sim.reserve()
+        sim.run_until(2.0)
+        with pytest.raises(SimulationError):
+            sim.schedule_reserved(1.0, seq, lambda: None)
+        with pytest.raises(SimulationError):
+            sim.schedule_reserved(3.0, seq + 1, lambda: None)
+        with pytest.raises(SimulationError):
+            sim.schedule_reserved(float("inf"), seq, lambda: None)
+
+    def test_dispatch_seq_is_the_dispatching_event_then_the_horizon(self):
+        sim = Simulator()
+        seen = []
+        sim.schedule(1.0, lambda: seen.append(sim.dispatch_seq))
+        sim.schedule(1.0, lambda: seen.append(sim.dispatch_seq))
+        sim.reserve()
+        assert sim.dispatch_seq == -1
+        sim.run_until(1.0)
+        assert seen == [0, 1]
+        # Every seq issued so far, the unfiled reservation's too, is
+        # behind the dispatch point once the clock lands.
+        assert sim.dispatch_seq == 3
+
+
 class TestOneStepPerEvent:
     def test_steps_equal_profiled_and_traced_dispatches(self, monkeypatch):
         """``Simulator.step`` runs once per dispatched event: the
