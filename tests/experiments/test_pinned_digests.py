@@ -107,7 +107,7 @@ PINNED = {
     "faulted": (
         FAULTED,
         "aee5aaa59b3a2ce53230f917c5b9a0b67f4ffcd033144a98d499d3d65cbf5497",
-        "781012e44d69e3c56e0f91a46b24dc3e96e618b236474cdfe75cd95282ff4647",
+        "ca2b58e25d05ab8c7703f583ea17c03cfa356d0139e679fed02f9a0de6759926",
     ),
 }
 
