@@ -29,6 +29,14 @@ paired rounds run as this file runs them (medians 1.5-1.7 us per
 flight event, 1.7-2.0 us per trace event): 3.0 us each, 1.5x the worst
 median seen.
 
+The rounds are many and the runs long because one round is noisy.  On
+a shared 2-CPU host, 60 rounds gave per-round trace costs from 2.2 to
+3.4 us (deciles) around a 2.5 us median, so a median of ten rounds
+read above 3.0 us in 5 of 20 gate runs of an unchanged tree.  Thirty
+rounds cut the spread of the median by more than half.  Shorter runs
+would not help: at 8 s the median per trace event read 3.5 us, as the
+run's fixed tracing costs are shared by fewer events.
+
 The runs' *numbers* must also match exactly — the overhead gates are
 meaningless if observation or tracing perturbs the simulation.
 """
@@ -45,7 +53,7 @@ from repro.telemetry.tracing import TracingConfig
 
 from _common import RESULTS_DIR
 
-REPEATS = 10
+REPEATS = 30
 SIM_TIME = 20.0
 #: Microseconds of CPU one flight-recorder / trace event may cost.
 FLIGHT_EVENT_BUDGET_US = 3.0

@@ -7,7 +7,8 @@ every sensor that senses it (within 60 m) reports to the nearest
 actuator so it can intercept.  This exercises exactly what Figure 4/5
 measure — mobility resilience — plus the DHT tier: the actuator that
 first confirms the target also notifies the actuator of the cell the
-target is heading toward, addressed by (CID, KID).
+target is heading toward, addressed by (CID, KID) — once per pair of
+cells, routed over the actuators' CAN tier.
 
 Run:  python examples/battlefield_tracking.py
 """
@@ -21,6 +22,7 @@ from repro.net.energy import Phase
 from repro.net.network import WirelessNetwork
 from repro.net.packet import Packet, PacketKind
 from repro.sim.core import Simulator
+from repro.telemetry.flight import DROP_REASONS
 from repro.util.geometry import Point
 from repro.util.stats import RunningStat
 from repro.wsan.deployment import plan_deployment
@@ -57,17 +59,26 @@ def main(seed: int = 5) -> None:
     detection_latency = RunningStat()
     stats = {"detections": 0, "delivered": 0, "missed": 0, "handoffs": 0}
     confirmed_cells = set()
+    warned = set()            # (here, ahead) cell pairs already warned
+    handoff_ends = {"delivered": 0}
+
+    def handoff_dropped(packet: Packet, reason: str) -> None:
+        assert reason in DROP_REASONS, f"handoff dropped for {reason!r}"
+        handoff_ends[reason] = handoff_ends.get(reason, 0) + 1
+
+    def handoff_delivered(packet: Packet) -> None:
+        handoff_ends["delivered"] += 1
 
     def forward_warning(report: Packet) -> None:
-        """First confirmation in a cell: warn the next cell on the path."""
+        """A confirmation in a cell the target will have left 8 s from
+        now warns the cell ahead, once per (here, ahead) pair."""
         now = sim.now
         here = system.router.cell_at(target_position(now))
-        if here.cid in confirmed_cells:
-            return
         confirmed_cells.add(here.cid)
         ahead = system.router.cell_at(target_position(now + 8.0))
-        if ahead.cid == here.cid:
+        if ahead.cid == here.cid or (here.cid, ahead.cid) in warned:
             return
+        warned.add((here.cid, ahead.cid))
         stats["handoffs"] += 1
         dest_kid = ahead.kid_of(
             min(
@@ -80,7 +91,8 @@ def main(seed: int = 5) -> None:
         warning = Packet(PacketKind.DATA, 128, report.destination, None,
                          now, deadline=QOS)
         system.send_to(
-            report.destination, ReferId(ahead.cid, dest_kid), warning
+            report.destination, ReferId(ahead.cid, dest_kid), warning,
+            on_delivered=handoff_delivered, on_dropped=handoff_dropped,
         )
 
     def scan() -> None:
@@ -133,6 +145,7 @@ def main(seed: int = 5) -> None:
         f"  (QoS bound {1000 * QOS:.0f} ms)"
     )
     print(f"  inter-cell handoffs : {stats['handoffs']} (CAN DHT tier)")
+    print(f"  handoff outcomes    : {handoff_ends}")
     print(
         f"  cells traversed     : {sorted(confirmed_cells)}"
     )
@@ -147,6 +160,10 @@ def main(seed: int = 5) -> None:
     )
     assert stats["delivered"] > 0.9 * stats["detections"], (
         "real-time delivery degraded unexpectedly"
+    )
+    assert stats["handoffs"] >= 1, "no warning crossed the actuator tier"
+    assert sum(handoff_ends.values()) == stats["handoffs"], (
+        "a handoff was neither delivered nor dropped with a named reason"
     )
 
 

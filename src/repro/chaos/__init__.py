@@ -26,7 +26,6 @@ from repro.chaos.probe import (
     FaultRecovery,
     ResilienceProbe,
     ResilienceSummary,
-    WindowSample,
 )
 from repro.chaos.spec import FAULT_KINDS, FaultSpec, build_chaos_model
 
@@ -45,6 +44,5 @@ __all__ = [
     "RegionalBlackoutFault",
     "ResilienceProbe",
     "ResilienceSummary",
-    "WindowSample",
     "build_chaos_model",
 ]

@@ -1,7 +1,7 @@
 """Recovery-time instrumentation.
 
-:class:`ResilienceProbe` buckets the workload's generated/delivered
-packets into :data:`PROBE_WINDOW`-second sim-time windows (a packet
+:class:`ResilienceProbe` reads the workload's generated/delivered
+packets in :data:`PROBE_WINDOW`-second sim-time windows (a packet
 is attributed to the window it was *created* in, so each window's
 delivery ratio is well defined even with in-flight tails).  Against a
 chaos event log it reports, per fault injection, the pre-fault
@@ -16,12 +16,10 @@ measures delivery only.
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Mapping, Optional, Sequence, Tuple
 
 from repro.chaos.models import FaultEvent
-from repro.net.packet import Packet
 
 #: Width of one delivery-ratio window, sim seconds.
 PROBE_WINDOW = 1.0
@@ -32,19 +30,6 @@ BASELINE_WINDOWS = 3
 #: How far below its baseline a window's ratio may sit and still count
 #: as recovered.
 RECOVERY_BAND = 0.1
-
-
-@dataclass(frozen=True)
-class WindowSample:
-    """Delivery accounting for one probe window."""
-
-    start: float
-    generated: int
-    delivered: int
-
-    @property
-    def ratio(self) -> float:
-        return self.delivered / self.generated if self.generated else 0.0
 
 
 @dataclass(frozen=True)
@@ -97,40 +82,21 @@ class ResilienceSummary:
 
 
 class ResilienceProbe:
-    """Windowed delivery-ratio sampler around fault events.
+    """Windowed delivery-ratio analysis around fault events.
 
-    Wire it into the metrics path (``MetricsCollector(probe=...)``);
-    unlike the collector it counts *every* packet, warm-up included,
-    because the pre-fault baseline may fall inside warm-up.
+    It reads two maps that a run's packet ledger folds
+    (``PacketLedger.fold(warmup_end, PROBE_WINDOW)``): window index to
+    the packets *created* in that window, and to those of them
+    delivered.  Unlike the measured-window metrics they count every
+    packet, warm-up included, because the pre-fault baseline may fall
+    inside warm-up.
     """
 
-    def __init__(self) -> None:
-        self._generated: Dict[int, int] = defaultdict(int)
-        self._delivered: Dict[int, int] = defaultdict(int)
-
-    # -- packet hooks --------------------------------------------------------
-
-    def on_generated(self, packet: Packet) -> None:
-        self._generated[self._index(packet.created_at)] += 1
-
-    def on_delivered(self, packet: Packet) -> None:
-        self._delivered[self._index(packet.created_at)] += 1
-
-    def _index(self, when: float) -> int:
-        return int(when / PROBE_WINDOW)
-
-    # -- sampling ------------------------------------------------------------
-
-    def samples(self) -> List[WindowSample]:
-        """Every window that saw traffic, in time order."""
-        return [
-            WindowSample(
-                start=index * PROBE_WINDOW,
-                generated=self._generated[index],
-                delivered=self._delivered.get(index, 0),
-            )
-            for index in sorted(self._generated)
-        ]
+    def __init__(
+        self, generated: Mapping[int, int], delivered: Mapping[int, int]
+    ) -> None:
+        self._generated = generated
+        self._delivered = delivered
 
     # -- recovery analysis ---------------------------------------------------
 
@@ -154,14 +120,14 @@ class ResilienceProbe:
         """
         indices = sorted(self._generated)
         injected = sorted(
-            self._index(event.time)
+            int(event.time / PROBE_WINDOW)
             for event in events if event.kind == "inject"
         )
         records: List[FaultRecovery] = []
         for event in events:
             if event.kind != "inject":
                 continue
-            at = self._index(event.time)
+            at = int(event.time / PROBE_WINDOW)
             before = [
                 i for i in indices if at - BASELINE_WINDOWS <= i < at
             ]

@@ -6,15 +6,18 @@
 * **Energy** — read from the network's phase-split ledger by the
   runner, not collected here.
 
-Only packets *created* after the warm-up window count.
+Every packet event of a run — generated, delivered, dropped — is one
+row of a :class:`PacketLedger`, warm-up included.  The numbers fold
+from it at the end of the run (:meth:`PacketLedger.fold`); only
+packets *created* after the warm-up window count towards them.
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
-from repro.chaos.probe import ResilienceProbe
 from repro.errors import TelemetryError
 from repro.net.packet import Packet
 from repro.sim.core import Simulator
@@ -36,6 +39,17 @@ _LATENCY_BUCKETS = (
 
 #: Report/export order of the QoS traffic classes.
 _CLASS_ORDER = ("alarm", "control", "bulk")
+
+#: Ledger event codes: a packet generated, delivered, or dropped for
+#: ``DROP_REASONS[code - DROPPED]``.
+GENERATED, DELIVERED, DROPPED = 0, 1, 2
+_DROP_CODES = {reason: DROPPED + i for i, reason in enumerate(DROP_REASONS)}
+
+#: Ledger class codes: the index into ``_CLASS_ORDER``, -1 unmarked.
+_CLASS_CODES = {cls: i for i, cls in enumerate(_CLASS_ORDER)}
+
+#: A ledger row's deadline when the packet has none: no latency exceeds it.
+_NO_DEADLINE = float("nan")
 
 
 @dataclass(frozen=True)
@@ -68,200 +82,28 @@ class ClassStat:
         return self.deadline_missed / self.delivered
 
 
-class MetricsCollector:
-    """Counts generated/delivered/dropped packets and QoS latencies.
+@dataclass(frozen=True)
+class LedgerFold:
+    """What one run's packet ledger adds up to.
 
-    An optional :class:`ResilienceProbe` sees every packet event
-    *before* the warm-up filter — a fault's pre-event baseline may sit
-    inside warm-up, so the probe needs the full record.  The optional
-    ``registry``/``flight`` hooks likewise observe every packet
-    (warm-up included; the exported counters say so): the registry
-    gains ``packets_generated``/``packets_delivered`` counters, a
-    ``packets_dropped`` family labelled by the drop reason the system
-    named, and a delivery-latency histogram;
-    the flight recorder gets the generate/deliver/drop span ends.
+    The counts, bytes and delay cover the measured window (packets
+    created at or after warm-up); the window counts cover every row.
     """
 
-    def __init__(
-        self,
-        sim: Simulator,
-        warmup_end: float,
-        probe: Optional[ResilienceProbe] = None,
-        registry: Optional[Registry] = None,
-        flight: Optional[FlightRecorder] = None,
-    ) -> None:
-        self._sim = sim
-        self._warmup_end = warmup_end
-        self._probe = probe
-        self._flight = flight
-        self.generated = 0
-        self.delivered_total = 0
-        self.delivered_qos = 0
-        self.dropped = 0
-        self.qos_bytes = 0
-        self.delay = RunningStat()
-        # Held children (``MetricFamily.held``): a child still appears
-        # at its first use, so a run that never drops exports no
-        # ``packets_dropped`` sample.
-        self._generated_ctr = None
-        self._delivered_ctr = None
-        self._dropped_family = None
-        self._latency_hist = None
-        # Per-traffic-class funnel (measured window): class ->
-        # [generated, delivered, deadline_missed, dropped].  Registry
-        # families are created lazily on the first *marked* packet, so
-        # runs without QoS traffic export exactly the metrics they
-        # always did.
-        self._registry = registry
-        self._class_counts: Dict[str, List[int]] = {}
-        self._class_families: Dict[str, dict] = {}
-        self._class_latency_hist = None
-        if registry is not None:
-            self._generated_ctr = registry.counter(
-                "packets_generated", "workload packets created (all, incl. warm-up)"
-            ).held()
-            self._delivered_ctr = registry.counter(
-                "packets_delivered", "packets that reached an actuator (all)"
-            ).held()
-            self._dropped_family = registry.counter(
-                "packets_dropped",
-                "packets dropped, by routing drop reason (all)",
-                labels=("reason",),
-            ).held()
-            self._latency_hist = registry.histogram(
-                "delivery_latency_seconds",
-                "end-to-end latency of delivered packets (all)",
-                buckets=_LATENCY_BUCKETS,
-            ).held()
-
-    def _measured(self, packet: Packet) -> bool:
-        return packet.created_at >= self._warmup_end
-
-    # -- per-class funnel ----------------------------------------------------
-
-    def _class_slot(self, traffic_class: str) -> List[int]:
-        slot = self._class_counts.get(traffic_class)
-        if slot is None:
-            slot = self._class_counts[traffic_class] = [0, 0, 0, 0]
-        return slot
-
-    def _class_family(self, which: str) -> dict:
-        """The held children of ``qos_class_<which>``, keyed by class
-        (``dropped``: by ``(class, reason)``)."""
-        held = self._class_families.get(which)
-        if held is None:
-            labels = ("class", "reason") if which == "dropped" else ("class",)
-            held = self._class_families[which] = self._registry.counter(
-                f"qos_class_{which}",
-                f"QoS-marked packets {which}, by traffic class (all)",
-                labels=labels,
-            ).held()
-        return held
-
-    def _class_latency(self) -> dict:
-        """The held children of ``qos_class_latency_seconds``; the
-        family is created lazily on the first marked delivery (like the
-        ``qos_class_*`` counters, so unmarked runs export exactly the
-        metrics they always did)."""
-        held = self._class_latency_hist
-        if held is None:
-            held = self._class_latency_hist = self._registry.histogram(
-                "qos_class_latency_seconds",
-                "end-to-end latency of delivered QoS-marked packets, "
-                "by traffic class (all)",
-                labels=("class",),
-                buckets=_LATENCY_BUCKETS,
-            ).held()
-        return held
-
-    def class_stats(self) -> Tuple[ClassStat, ...]:
-        """Measured-window per-class funnels, in class priority order.
-
-        Empty when the workload emitted no QoS-marked traffic.
-        """
-        return tuple(
-            ClassStat(cls, *self._class_counts[cls])
-            for cls in _CLASS_ORDER
-            if cls in self._class_counts
-        )
-
-    def on_generated(self, packet: Packet) -> None:
-        if self._probe is not None:
-            self._probe.on_generated(packet)
-        if self._generated_ctr is not None:
-            self._generated_ctr[()].inc()
-        if self._flight is not None:
-            self._flight.generated(
-                packet.uid, packet.created_at, packet.source,
-                packet.destination,
-            )
-        if self._measured(packet):
-            self.generated += 1
-        cls = packet.traffic_class
-        if cls is not None:
-            if self._registry is not None:
-                self._class_family("generated")[cls].inc()
-            if self._measured(packet):
-                self._class_slot(cls)[0] += 1
-
-    def on_delivered(self, packet: Packet) -> None:
-        if self._probe is not None:
-            self._probe.on_delivered(packet)
-        latency = packet.latency(self._sim.now)
-        if self._delivered_ctr is not None:
-            self._delivered_ctr[()].inc()
-            self._latency_hist[()].observe(latency)
-        if self._flight is not None:
-            self._flight.delivered(
-                packet.uid, self._sim.now, packet.destination,
-                tuple(packet.hops),
-            )
-        cls = packet.traffic_class
-        if cls is not None:
-            missed = (
-                packet.deadline is not None and latency > packet.deadline
-            )
-            if self._registry is not None:
-                self._class_family("delivered")[cls].inc()
-                self._class_latency()[cls].observe(latency)
-                if missed:
-                    self._class_family("deadline_missed")[cls].inc()
-            if self._measured(packet):
-                slot = self._class_slot(cls)
-                slot[1] += 1
-                if missed:
-                    slot[2] += 1
-        if not self._measured(packet):
-            return
-        self.delivered_total += 1
-        if latency <= QOS_DEADLINE:
-            self.delivered_qos += 1
-            self.qos_bytes += packet.size_bytes
-            self.delay.add(latency)
-
-    def on_dropped(self, packet: Packet, reason: str) -> None:
-        """Count a packet given up on for ``reason``, which must be an
-        entry of :data:`~repro.telemetry.flight.DROP_REASONS`, or
-        :class:`~repro.errors.TelemetryError` is raised naming its uid."""
-        if reason not in DROP_REASONS:
-            raise TelemetryError(
-                f"packet {packet.uid} dropped for {reason!r}, which is not "
-                "a named drop reason"
-            )
-        if self._dropped_family is not None:
-            self._dropped_family[reason].inc()
-        if self._flight is not None:
-            self._flight.dropped(packet.uid, self._sim.now, reason)
-        if self._measured(packet):
-            self.dropped += 1
-        cls = packet.traffic_class
-        if cls is not None:
-            if self._registry is not None:
-                self._class_family("dropped")[cls, reason].inc()
-            if self._measured(packet):
-                self._class_slot(cls)[3] += 1
-
-    # -- summaries ----------------------------------------------------------
+    generated: int
+    delivered_total: int
+    delivered_qos: int
+    dropped: int
+    qos_bytes: int
+    #: Latencies of the in-deadline deliveries, in delivery order.
+    delay: RunningStat
+    #: Per-class funnels in class priority order; empty when no packet
+    #: carried a traffic class.
+    class_stats: Tuple[ClassStat, ...]
+    #: Generated and delivered rows by creation-time window index
+    #: (empty unless the fold was given a window width).
+    window_generated: Dict[int, int]
+    window_delivered: Dict[int, int]
 
     def throughput_bps(self, measured_seconds: float) -> float:
         """QoS-guaranteed bits per second over the measured window."""
@@ -269,12 +111,202 @@ class MetricsCollector:
             raise ValueError("measured_seconds must be positive")
         return self.qos_bytes * 8.0 / measured_seconds
 
-    @property
-    def mean_delay(self) -> float:
-        return self.delay.mean
 
-    @property
-    def delivery_ratio(self) -> float:
-        if self.generated == 0:
-            return 0.0
-        return self.delivered_qos / self.generated
+class PacketLedger:
+    """One run's packet events as append-only columns, one row each.
+
+    A row is an event, not a packet: a baseline's retransmitted copy
+    has a uid of its own, and its delivery is one more delivered row.
+    """
+
+    def __init__(self) -> None:
+        self.code = array("b")
+        #: Three floats a row: the packet's ``created_at``, the event's
+        #: sim time (``created_at`` for a generation) and the packet's
+        #: relative deadline (NaN when it has none).  One array, not
+        #: three: a run's peak memory grows half as much.
+        self.times = array("d")
+        self.traffic_class = array("b")
+        self.size_bytes = array("i")
+
+    def append(self, code: int, packet: Packet, at: float) -> None:
+        self.code.append(code)
+        deadline = packet.deadline
+        self.times.extend((
+            packet.created_at, at,
+            _NO_DEADLINE if deadline is None else deadline,
+        ))
+        self.traffic_class.append(_CLASS_CODES.get(packet.traffic_class, -1))
+        self.size_bytes.append(packet.size_bytes)
+
+    def fold(
+        self, warmup_end: float, window: Optional[float] = None
+    ) -> LedgerFold:
+        """Add the rows up, in row order, into a :class:`LedgerFold`;
+        with ``window``, also count generated and delivered rows by
+        ``int(created_at / window)``."""
+        delivered_qos = qos_bytes = 0
+        delay = RunningStat()
+        # class code (-1: unmarked) ->
+        # [generated, delivered, dropped, deadline_missed]
+        funnels = [[0, 0, 0, 0] for _ in range(len(_CLASS_ORDER) + 1)]
+        window_generated: Dict[int, int] = {}
+        window_delivered: Dict[int, int] = {}
+        times = iter(self.times)
+        for code, (created, at, deadline), cls, size in zip(
+            self.code, zip(times, times, times), self.traffic_class,
+            self.size_bytes,
+        ):
+            if window is not None and code <= DELIVERED:
+                counts = window_delivered if code else window_generated
+                index = int(created / window)
+                counts[index] = counts.get(index, 0) + 1
+            if created < warmup_end:
+                continue
+            funnel = funnels[cls]
+            funnel[code if code < DROPPED else DROPPED] += 1
+            if code == DELIVERED:
+                latency = at - created
+                if latency > deadline:
+                    funnel[3] += 1
+                if latency <= QOS_DEADLINE:
+                    delivered_qos += 1
+                    qos_bytes += size
+                    delay.add(latency)
+        generated, delivered, dropped, _ = map(sum, zip(*funnels))
+        return LedgerFold(
+            generated, delivered, delivered_qos, dropped, qos_bytes, delay,
+            tuple(
+                ClassStat(cls, gen, dlv, late, drp)
+                for cls, (gen, dlv, drp, late) in zip(_CLASS_ORDER, funnels)
+                if gen or dlv or drp
+            ),
+            window_generated, window_delivered,
+        )
+
+
+class MetricsCollector:
+    """Records every packet event as a :class:`PacketLedger` row.
+
+    :meth:`fold` adds the ledger up.  The ``registry`` (a private one
+    when none is given) and ``flight`` hooks observe every packet too
+    (warm-up included; the exported counters say so): the registry
+    gains ``packets_generated`` / ``packets_delivered`` counters, a
+    ``packets_dropped`` family labelled by the drop reason the system
+    named, a delivery-latency histogram and, for marked packets, the
+    ``qos_class_*`` families; the flight recorder gets the
+    generate/deliver/drop span ends.
+    """
+
+    def __init__(
+        self,
+        sim: Simulator,
+        warmup_end: float,
+        registry: Optional[Registry] = None,
+        flight: Optional[FlightRecorder] = None,
+    ) -> None:
+        self._sim = sim
+        self._warmup_end = warmup_end
+        self._flight = flight
+        self.ledger = PacketLedger()
+        # Held children (``MetricFamily.held``): a child still appears
+        # at its first use, so a run that never drops exports no
+        # ``packets_dropped`` sample.  The per-class families are
+        # created at the first *marked* packet, so runs without QoS
+        # traffic export exactly the metrics they always did.
+        self._registry = registry = Registry() if registry is None else registry
+        self._class_families: Dict[str, dict] = {}
+        self._generated_ctr = registry.counter(
+            "packets_generated", "workload packets created (all, incl. warm-up)"
+        ).held()
+        self._delivered_ctr = registry.counter(
+            "packets_delivered", "packets that reached an actuator (all)"
+        ).held()
+        self._dropped_family = registry.counter(
+            "packets_dropped",
+            "packets dropped, by routing drop reason (all)",
+            labels=("reason",),
+        ).held()
+        self._latency_hist = registry.histogram(
+            "delivery_latency_seconds",
+            "end-to-end latency of delivered packets (all)",
+            buckets=_LATENCY_BUCKETS,
+        ).held()
+
+    def _class_family(self, which: str) -> dict:
+        """The held children of ``qos_class_<which>``, keyed by class
+        (``dropped``: by ``(class, reason)``)."""
+        held = self._class_families.get(which)
+        if held is None:
+            if which == "latency_seconds":
+                family = self._registry.histogram(
+                    "qos_class_latency_seconds",
+                    "end-to-end latency of delivered QoS-marked packets, "
+                    "by traffic class (all)",
+                    labels=("class",),
+                    buckets=_LATENCY_BUCKETS,
+                )
+            else:
+                family = self._registry.counter(
+                    f"qos_class_{which}",
+                    f"QoS-marked packets {which}, by traffic class (all)",
+                    labels=(
+                        ("class", "reason") if which == "dropped"
+                        else ("class",)
+                    ),
+                )
+            held = self._class_families[which] = family.held()
+        return held
+
+    # -- packet hooks --------------------------------------------------------
+
+    def on_generated(self, packet: Packet) -> None:
+        self.ledger.append(GENERATED, packet, packet.created_at)
+        self._generated_ctr[()].inc()
+        if self._flight is not None:
+            self._flight.generated(
+                packet.uid, packet.created_at, packet.source,
+                packet.destination,
+            )
+        cls = packet.traffic_class
+        if cls is not None:
+            self._class_family("generated")[cls].inc()
+
+    def on_delivered(self, packet: Packet) -> None:
+        now = self._sim.now
+        self.ledger.append(DELIVERED, packet, now)
+        latency = packet.latency(now)
+        self._delivered_ctr[()].inc()
+        self._latency_hist[()].observe(latency)
+        if self._flight is not None:
+            self._flight.delivered(
+                packet.uid, now, packet.destination, tuple(packet.hops),
+            )
+        cls = packet.traffic_class
+        if cls is not None:
+            self._class_family("delivered")[cls].inc()
+            self._class_family("latency_seconds")[cls].observe(latency)
+            if packet.deadline is not None and latency > packet.deadline:
+                self._class_family("deadline_missed")[cls].inc()
+
+    def on_dropped(self, packet: Packet, reason: str) -> None:
+        """Record a packet given up on for ``reason``, which must be an
+        entry of :data:`~repro.telemetry.flight.DROP_REASONS`, or
+        :class:`~repro.errors.TelemetryError` is raised naming its uid."""
+        code = _DROP_CODES.get(reason)
+        if code is None:
+            raise TelemetryError(
+                f"packet {packet.uid} dropped for {reason!r}, which is not "
+                "a named drop reason"
+            )
+        self.ledger.append(code, packet, self._sim.now)
+        self._dropped_family[reason].inc()
+        if self._flight is not None:
+            self._flight.dropped(packet.uid, self._sim.now, reason)
+        cls = packet.traffic_class
+        if cls is not None:
+            self._class_family("dropped")[cls, reason].inc()
+
+    def fold(self, window: Optional[float] = None) -> LedgerFold:
+        """The ledger added up over this run's measured window."""
+        return self.ledger.fold(self._warmup_end, window)

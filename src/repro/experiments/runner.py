@@ -22,6 +22,7 @@ from repro.chaos import (
     ResilienceSummary,
     build_chaos_model,
 )
+from repro.chaos.probe import PROBE_WINDOW
 from repro.core.system import ReferSystem
 from repro.errors import ConfigError
 from repro.experiments.config import ScenarioConfig
@@ -154,13 +155,9 @@ def run_scenario(system_name: str, config: ScenarioConfig) -> RunResult:
         if isinstance(system, ReferSystem):
             system.router.set_qos_state(qos_manager.state)
 
-    probe: Optional[ResilienceProbe] = None
-    if config.fault_spec:
-        probe = ResilienceProbe()
     metrics = MetricsCollector(
         sim,
         warmup_end=config.warmup,
-        probe=probe,
         registry=network.registry,
         flight=network.flight,
     )
@@ -242,12 +239,14 @@ def run_scenario(system_name: str, config: ScenarioConfig) -> RunResult:
         injector.stop()
     if orchestrator is not None:
         orchestrator.stop()
+    packets = metrics.fold(PROBE_WINDOW if chaos is not None else None)
     fault_events: Tuple[FaultEvent, ...] = ()
     resilience: Optional[ResilienceSummary] = None
     if chaos is not None:
         fault_events = tuple(chaos.events())
-        if probe is not None:
-            resilience = probe.recovery_report(fault_events)
+        resilience = ResilienceProbe(
+            packets.window_generated, packets.window_delivered
+        ).recovery_report(fault_events)
         chaos.stop()
     recovery_report: Optional[RecoveryReport] = None
     if orchestrator is not None:
@@ -260,14 +259,14 @@ def run_scenario(system_name: str, config: ScenarioConfig) -> RunResult:
     return RunResult(
         system=system.name,
         config=config,
-        throughput_bps=metrics.throughput_bps(config.sim_time),
-        mean_delay_s=metrics.mean_delay,
+        throughput_bps=packets.throughput_bps(config.sim_time),
+        mean_delay_s=packets.delay.mean,
         comm_energy_j=network.energy.total(Phase.COMMUNICATION),
         construction_energy_j=network.energy.total(Phase.CONSTRUCTION),
-        generated=metrics.generated,
-        delivered_qos=metrics.delivered_qos,
-        delivered_total=metrics.delivered_total,
-        dropped=metrics.dropped,
+        generated=packets.generated,
+        delivered_qos=packets.delivered_qos,
+        delivered_total=packets.delivered_total,
+        dropped=packets.dropped,
         flood_comm_energy_j=network.energy.total_by_kind(
             "flood", Phase.COMMUNICATION
         ),
@@ -275,7 +274,7 @@ def run_scenario(system_name: str, config: ScenarioConfig) -> RunResult:
         fault_events=fault_events,
         recovery=recovery_report,
         telemetry=telemetry,
-        class_stats=metrics.class_stats(),
+        class_stats=packets.class_stats,
     )
 
 

@@ -6,7 +6,7 @@ import signal
 import pytest
 
 from repro.experiments.config import FaultConfig, ScenarioConfig
-from repro.experiments.metrics import QOS_DEADLINE, MetricsCollector
+from repro.experiments.metrics import QOS_DEADLINE, ClassStat, MetricsCollector
 from repro.experiments.runner import run_scenario
 from repro.experiments.workload import (
     SOURCE_WINDOW,
@@ -17,6 +17,7 @@ from repro.errors import ConfigError, TelemetryError
 from repro.kautz.graph import kautz_node_count
 from repro.net.packet import Packet, PacketKind
 from repro.sim.core import Simulator
+from repro.util.stats import RunningStat
 from repro.wsan.system import ACTUATOR_RANGE, SENSOR_RANGE
 
 
@@ -141,16 +142,19 @@ class TestMetrics:
         metrics.on_generated(packet(5.0))
         metrics.on_delivered(packet(5.0))
         metrics.on_dropped(packet(5.0), "hop-limit")
-        assert metrics.generated == 0
-        assert metrics.delivered_total == 0
-        assert metrics.dropped == 0
+        packets = metrics.fold()
+        assert packets.generated == 0
+        assert packets.delivered_total == 0
+        assert packets.dropped == 0
+        # The rows are kept: warm-up only leaves them out of the fold.
+        assert len(metrics.ledger.code) == 3
 
     def test_a_drop_without_a_named_reason_raises(self):
         metrics = MetricsCollector(Simulator(), warmup_end=0.0)
         unnamed = packet(1.0)
         with pytest.raises(TelemetryError, match=f"packet {unnamed.uid} "):
             metrics.on_dropped(unnamed, "")
-        assert metrics.dropped == 0
+        assert metrics.fold().dropped == 0
 
     @pytest.mark.parametrize("reason", ["lost", "deadline-expired", "Hop-Limit"])
     def test_a_drop_for_a_reason_outside_the_taxonomy_raises(self, reason):
@@ -160,7 +164,7 @@ class TestMetrics:
         dropped = packet(1.0)
         with pytest.raises(TelemetryError, match=f"packet {dropped.uid} "):
             metrics.on_dropped(dropped, reason)
-        assert metrics.dropped == 0
+        assert metrics.fold().dropped == 0
 
     def test_qos_window(self):
         sim = Simulator()
@@ -168,21 +172,22 @@ class TestMetrics:
         sim.schedule(0.5, lambda: metrics.on_delivered(packet(0.0)))
         sim.schedule(1.0, lambda: metrics.on_delivered(packet(0.1)))
         sim.run()
-        assert metrics.delivered_total == 2
-        assert metrics.delivered_qos == 1
-        assert metrics.qos_bytes == 1000
+        packets = metrics.fold()
+        assert packets.delivered_total == 2
+        assert packets.delivered_qos == 1
+        assert packets.qos_bytes == 1000
 
     def test_throughput(self):
         sim = Simulator()
         metrics = MetricsCollector(sim, warmup_end=0.0)
         sim.schedule(0.1, lambda: metrics.on_delivered(packet(0.0)))
         sim.run()
-        assert metrics.throughput_bps(10.0) == 1000 * 8 / 10.0
+        assert metrics.fold().throughput_bps(10.0) == 1000 * 8 / 10.0
 
     def test_throughput_invalid_window(self):
         metrics = MetricsCollector(Simulator(), 0.0)
         with pytest.raises(ValueError):
-            metrics.throughput_bps(0.0)
+            metrics.fold().throughput_bps(0.0)
 
     def test_delay_only_counts_qos_packets(self):
         sim = Simulator()
@@ -190,18 +195,62 @@ class TestMetrics:
         sim.schedule(0.2, lambda: metrics.on_delivered(packet(0.0)))
         sim.schedule(5.0, lambda: metrics.on_delivered(packet(0.1)))
         sim.run()
-        assert metrics.mean_delay == pytest.approx(0.2)
-        assert metrics.delivered_total == 2
+        packets = metrics.fold()
+        assert packets.delay.mean == pytest.approx(0.2)
+        assert packets.delivered_total == 2
 
     def test_delivery_ratio(self):
         sim = Simulator()
         metrics = MetricsCollector(sim, warmup_end=0.0)
-        assert metrics.delivery_ratio == 0.0
         metrics.on_generated(packet(0.0))
         metrics.on_generated(packet(0.0))
         sim.schedule(0.1, lambda: metrics.on_delivered(packet(0.0)))
         sim.run()
-        assert metrics.delivery_ratio == 0.5
+        packets = metrics.fold()
+        assert (packets.generated, packets.delivered_qos) == (2, 1)
+
+    def test_delay_folds_in_delivery_order(self):
+        """Welford's floats depend on the order of their samples: the
+        fold adds in-deadline latencies in row order, which is
+        delivery order, not creation order."""
+        sim = Simulator()
+        metrics = MetricsCollector(sim, warmup_end=0.0)
+        rows = ((0.3, 0.41), (0.0, 0.57), (0.2, 0.23))   # (created, at)
+        for created, at in rows:
+            sim.schedule(at, lambda c=created: metrics.on_delivered(packet(c)))
+        sim.run()
+        expected = RunningStat()
+        for created, at in sorted(rows, key=lambda row: row[1]):
+            expected.add(at - created)
+        packets = metrics.fold()
+        assert packets.delay.mean == expected.mean
+        assert packets.delay.variance == expected.variance
+
+    def test_class_funnels(self):
+        sim = Simulator()
+        metrics = MetricsCollector(sim, warmup_end=1.0)
+
+        def marked(created_at, cls, deadline):
+            return Packet(
+                PacketKind.DATA, 100, 0, 1, created_at,
+                deadline=deadline, traffic_class=cls,
+            )
+
+        early = marked(0.5, "bulk", None)       # warm-up: not counted
+        on_time = marked(1.0, "alarm", 0.25)
+        late = marked(1.0, "alarm", 0.25)
+        shed = marked(1.0, "control", 0.6)
+        for p in (early, on_time, late, shed):
+            metrics.on_generated(p)
+        sim.schedule(1.1, lambda: metrics.on_delivered(on_time))
+        sim.schedule(1.5, lambda: metrics.on_delivered(late))
+        sim.schedule(1.2, lambda: metrics.on_dropped(shed, "backpressure_shed"))
+        sim.run()
+        assert metrics.fold().class_stats == (
+            ClassStat("alarm", 2, 2, 1, 0),
+            ClassStat("control", 1, 0, 0, 1),
+        )
+        assert MetricsCollector(sim, 0.0).fold().class_stats == ()
 
 
 class _StubSystem:
@@ -262,8 +311,9 @@ class TestWorkload:
         sim, metrics, system, workload = self.build(rate=5.0)
         workload.start(0.0, 10.0)
         sim.run_until(12.0)
-        assert metrics.generated == len(system.sent)
-        assert metrics.delivered_qos == metrics.generated
+        packets = metrics.fold()
+        assert packets.generated == len(system.sent)
+        assert packets.delivered_qos == packets.generated
 
     def test_generation_stops_at_end(self):
         sim, metrics, system, workload = self.build(rate=5.0)

@@ -47,7 +47,9 @@ SCENARIO = ScenarioConfig(
 #: stopped going through the queue: no ``QueuedFrame``, ``offer``,
 #: ``pop_live`` or ``note_depth`` for it, and no empty wake-up
 #: (``backpressure.py`` 4.014, ``mac.py`` 5.153, ``queue.py`` 4.446
-#: before).
+#: before).  ``telemetry/profiler.py`` and ``registry.py`` were
+#: re-recorded when the profiler's per-event count moved into
+#: ``Simulator.step`` (4.859 and 3.688 before).
 RECORDED = {
     "qos/admission.py": 1.446,
     "qos/backpressure.py": 2.234,
@@ -55,8 +57,8 @@ RECORDED = {
     "qos/mac.py": 2.484,
     "qos/queue.py": 1.383,
     "telemetry/flight.py": 7.400,
-    "telemetry/profiler.py": 4.859,
-    "telemetry/registry.py": 3.688,
+    "telemetry/profiler.py": 1.005,
+    "telemetry/registry.py": 3.402,
     "telemetry/views.py": 11.361,
 }
 UNLISTED = 0.01

@@ -154,6 +154,15 @@ ROWS = [
         ),
         id="outcomes-are-arguments",
     ),
+    pytest.param(
+        r"ResilienceProbe\(\)|probe\.on_(generated|delivered)|probe="
+        r"|_class_slot|_class_counts|class_stats\(\)"
+        r"|metrics\.(generated|delivered_qos|delivered_total|dropped"
+        r"|qos_bytes|mean_delay|delivery_ratio|throughput_bps)",
+        False,
+        ("src", "tests", "benchmarks/*.py", "examples", "docs", "DESIGN.md"),
+        id="one-packet-ledger",
+    ),
 ]
 
 
