@@ -15,11 +15,13 @@ successor picks the 2-hop sensor path with the highest accumulated
 energy and assigns the intermediate KIDs by the shift rule.  Then the
 sensor-sensor path S_i -> S_j (S_i the successor of the smallest
 actuator KID, S_j the predecessor of the largest) assigns two more
-KIDs, and the common neighbour of those two nodes with the highest
-battery takes the final KID.  For K(2, 3) this covers all 12 vertices;
-for larger graphs a generic fill-in loop (an extension beyond the
-paper, used by the parameter-sweep benches) assigns the remainder by
-greatest-constraint-first placement.
+KIDs.  Every vertex left — the final KID of K(2, 3), and the rest of a
+larger graph (an extension beyond the paper, used by the
+parameter-sweep benches) — goes to the sensor that carries the most of
+its placed Kautz edges, most-constrained vertex first.
+
+A Kautz edge u -> v is asked about one way only: can u's frame reach
+v (``can_transmit``, the sender's range), at the build instant.
 
 All query/reply/notification traffic is charged to the CONSTRUCTION
 energy ledger through the network's flood and charge primitives.
@@ -37,9 +39,11 @@ from repro.kautz.coloring import sequential_coloring
 from repro.kautz.graph import KautzGraph
 from repro.kautz.namespace import overlap
 from repro.kautz.strings import KautzString
+from repro.net.medium import RANGE_SLACK
 from repro.net.network import WirelessNetwork
 from repro.telemetry.registry import Registry
 from repro.telemetry.views import StatsView, counter_field, gauge_field
+from repro.util.geometry import Point, centroid
 from repro.util.hashing import consistent_hash
 from repro.wsan.deployment import DeploymentPlan
 
@@ -265,15 +269,21 @@ class EmbeddingProtocol:
             kid_path = connection_path(kid, succ_kid)
             self._realise_path(cell, kid_path, pool)
         # (b) the sensor-sensor bridge.
-        s_i, s_j, last_kid = sensor_bridge_endpoints(self.graph.degree)
-        bridge = connection_path(s_i, s_j)
-        self._realise_path(cell, bridge, pool)
-        # (c) the final vertex: common neighbour of the bridge sensors.
-        if not cell.kid_assigned(last_kid):
-            self._assign_common_neighbor(cell, bridge, last_kid, pool)
-        # (d) generic fill-in for K(d, 3) with d > 2 (extension).
-        for kid in cell.unassigned_kids():
-            self._generic_assign(cell, kid, pool)
+        s_i, s_j, _ = sensor_bridge_endpoints(self.graph.degree)
+        self._realise_path(cell, connection_path(s_i, s_j), pool)
+        # (c) every other vertex, the one with the most placed
+        # neighbours first (graph order among equals): K(2, 3)'s last
+        # KID, and the rest of K(d, 3) for d > 2 (extension).
+        unassigned = cell.unassigned_kids()
+        while unassigned:
+            kid = max(
+                unassigned,
+                key=lambda k: sum(
+                    map(cell.kid_assigned, cell.kautz_neighbors_of(k))
+                ),
+            )
+            self._place_vertex(cell, kid, pool)
+            unassigned.remove(kid)
 
     def _realise_path(
         self,
@@ -320,36 +330,42 @@ class EmbeddingProtocol:
         with ``min(quality1, quality2)`` in second place, and the bound
         needs nothing but what each end contributes alone.  The medium
         is asked only about pairs whose bound can still reach the best
-        key found so far.
+        key found so far, and not about a pair the triangle inequality
+        already places out of range: s1 -> s2 spans at least
+        ``|start end| - |start s1| - |s2 end|``.
         """
         now = self.network.sim.now
         medium = self.network.medium
         table = medium.node_table
         margins_at = medium.link_margins_at
+        end = table[end_node]
+        apart = table[start_node].distance_to(end, now)
         # What each end contributes — its battery and the margin of its
         # link to the endpoint — is asked once per sensor.  Every margin
-        # is ``link_quality``'s, from the distance ``reachable`` measured.
+        # is ``link_quality``'s of the edge in its forwarding direction.
         reached = medium.reachable(start_node, pool, now)
         s1_nodes = [table[s1] for s1, _ in reached]
+        distances1 = [d for _, d in reached]
         start_side = sorted(
             zip(
                 [node.battery_fraction for node in s1_nodes],
-                margins_at(
-                    table[start_node], s1_nodes, [d for _, d in reached], now
-                ),
+                margins_at(table[start_node], s1_nodes, distances1, now),
                 [-s1 for s1, _ in reached],
+                distances1,
             ),
             reverse=True,
         )
-        end_side: Dict[int, Tuple[float, float]] = {}
+        # The end side is the sensors that can send to the endpoint.
+        end_side: Dict[int, Tuple[float, float, float]] = {}
         by_battery: Dict[float, List[Tuple[float, int]]] = {}
-        reached = medium.reachable(end_node, pool, now)
-        end = (table[end_node],)
-        for s2, distance in reached:
+        for s2 in pool:
+            if not medium.can_transmit(s2, end_node, now):
+                continue
             node2 = table[s2]
             battery2 = node2.battery_fraction
-            quality2 = margins_at(node2, end, (distance,), now)[0]
-            end_side[s2] = (battery2, quality2)
+            distance2 = node2.distance_to(end, now)
+            quality2 = margins_at(node2, (end,), (distance2,), now)[0]
+            end_side[s2] = (battery2, quality2, distance2)
             by_battery.setdefault(battery2, []).append((-quality2, s2))
         # The end side in runs of equal battery, fullest first; inside
         # a run the bound falls with quality2 and then with rising id,
@@ -359,7 +375,7 @@ class EmbeddingProtocol:
             falling, ids = zip(*sorted(by_battery[battery2]))
             runs.append((battery2, falling, ids))
         best: Optional[Tuple[float, float, int, int]] = None
-        for battery1, quality1, minus_s1 in start_side:
+        for battery1, quality1, minus_s1, distance1 in start_side:
             candidates: List[int] = []
             for battery2, falling, ids in runs:
                 cut = len(ids)
@@ -379,8 +395,13 @@ class EmbeddingProtocol:
                             cut = 0
                 candidates += ids[:cut]
             s1 = -minus_s1
-            if s1 in end_side and s1 in candidates:
-                candidates.remove(s1)
+            nearest = (
+                apart - distance1 - table[s1].transmission_range - RANGE_SLACK
+            )
+            candidates = [
+                s2 for s2 in candidates
+                if s2 != s1 and end_side[s2][2] >= nearest
+            ]
             if not candidates:
                 continue
             walked = medium.reachable(s1, candidates, now)
@@ -391,7 +412,7 @@ class EmbeddingProtocol:
                 now,
             )
             for (s2, _), quality12 in zip(walked, qualities):
-                battery2, quality2 = end_side[s2]
+                battery2, quality2, _ = end_side[s2]
                 key = (
                     battery1 + battery2,
                     min(quality1, quality12, quality2),
@@ -450,82 +471,53 @@ class EmbeddingProtocol:
         )
         return s1, s2
 
-    def _assign_common_neighbor(
-        self,
-        cell: EmbeddedCell,
-        bridge: Sequence[KautzString],
-        last_kid: KautzString,
-        pool: List[int],
-    ) -> None:
-        """The highest-battery common neighbour of the two bridge sensors."""
-        now = self.network.sim.now
-        medium = self.network.medium
-        n1 = cell.node_of(bridge[1])
-        n2 = cell.node_of(bridge[2])
-        near_n1 = dict(medium.reachable(n1, pool, now))
-        reached = medium.reachable(n2, near_n1, now)
-        if reached:
-            # ``link_quality`` of each end, from ``reachable``'s distances.
-            table = medium.node_table
-            nodes = [table[s] for s, _ in reached]
-            margins1 = medium.link_margins_at(
-                table[n1], nodes, [near_n1[s] for s, _ in reached], now
-            )
-            margins2 = medium.link_margins_at(
-                table[n2], nodes, [d for _, d in reached], now
-            )
-            chosen = -max(
-                (node.battery_fraction, min(q1, q2), -node.id)
-                for node, q1, q2 in zip(nodes, margins1, margins2)
-            )[2]
-        else:
-            self.stats.fallback_selections += 1
-            mid = self.network.node(n1).position(now).midpoint(
-                self.network.node(n2).position(now)
-            )
-            remaining = list(pool) or self._global_spares(pool)
-            if not remaining:
-                raise EmbeddingError("no sensor left for the final KID")
-            chosen = min(
-                remaining,
-                key=lambda s: self.network.node(s).position(now).distance_to(mid),
-            )
-        cell.assign(last_kid, chosen)
-        self._claim(chosen, pool)
-        self._charge_chain([n1, chosen])
-
-    def _generic_assign(
+    def _place_vertex(
         self, cell: EmbeddedCell, kid: KautzString, pool: List[int]
     ) -> None:
-        """Extension: place one KID next to its already-assigned neighbours."""
+        """Place ``kid`` on the sensor that carries most of its placed
+        Kautz edges.
+
+        Each in-edge p -> kid and out-edge kid -> q whose other end is
+        placed is asked in its own direction.  The pick has the greatest
+        ``(edges carried, battery, weakest carried margin, -id)``; one
+        that carries none is a fallback, and the sensor nearest the
+        placed neighbours' centroid takes the KID instead.
+        """
         now = self.network.sim.now
         medium = self.network.medium
-        assigned_neighbors = [
-            cell.node_of(nb)
-            for nb in cell.kautz_neighbors_of(kid)
-            if cell.kid_assigned(nb)
-        ]
         if not pool:
             pool = self._global_spares(pool)
         if not pool:
             raise EmbeddingError(f"no sensors left to assign {kid}")
-        if assigned_neighbors:
-            in_range = pool
-            for nb in assigned_neighbors:
-                in_range = [s for s, _ in medium.reachable(nb, in_range, now)]
-            candidates = in_range or pool
-            anchor = self.network.node(assigned_neighbors[0]).position(now)
-        else:
-            candidates = pool
-            anchor = self.plan.cells[0].centroid
-        chosen = min(
-            candidates,
-            key=lambda s: self.network.node(s).position(now).distance_to(anchor),
-        )
+        senders = [
+            cell.node_of(p) for p in kid.predecessors() if cell.kid_assigned(p)
+        ]
+        receivers = [
+            cell.node_of(q) for q in kid.successors() if cell.kid_assigned(q)
+        ]
+
+        def rank(s: int) -> Tuple[int, float, float, int]:
+            edges = [(p, s) for p in senders] + [(s, q) for q in receivers]
+            margins = [
+                medium.link_quality(u, v, now)
+                for u, v in edges
+                if medium.can_transmit(u, v, now)
+            ]
+            battery = medium.node_table[s].battery_fraction
+            return (len(margins), battery, min(margins, default=0.0), -s)
+
+        def at(node_id: int) -> Point:
+            return self.network.node(node_id).position(now)
+
+        chosen = max(pool, key=rank)
+        neighbors = list(dict.fromkeys(receivers + senders))
+        if not rank(chosen)[0]:
+            self.stats.fallback_selections += 1
+            mid = centroid(map(at, neighbors))
+            chosen = min(pool, key=lambda s: at(s).distance_to(mid))
         cell.assign(kid, chosen)
         self._claim(chosen, pool)
-        if assigned_neighbors:
-            self._charge_chain([assigned_neighbors[0], chosen])
+        self._charge_chain([neighbors[0], chosen])
 
     # ------------------------------------------------------------------
     # helpers

@@ -25,10 +25,6 @@ class Point(NamedTuple):
         """Euclidean distance to ``other``."""
         return math.hypot(self.x - other.x, self.y - other.y)
 
-    def midpoint(self, other: "Point") -> "Point":
-        """The point halfway between ``self`` and ``other``."""
-        return Point((self.x + other.x) / 2.0, (self.y + other.y) / 2.0)
-
     def translated(self, dx: float, dy: float) -> "Point":
         """A copy shifted by ``(dx, dy)``."""
         return Point(self.x + dx, self.y + dy)

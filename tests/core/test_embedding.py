@@ -10,11 +10,13 @@ from repro.core.embedding import (
     rotation_kids,
     sensor_bridge_endpoints,
 )
+from repro.core.system import ReferSystem
 from repro.errors import EmbeddingError
 from repro.kautz.strings import KautzString
 from repro.net.energy import Phase
 from repro.net.network import WirelessNetwork
 from repro.sim.core import Simulator
+from repro.util.rng import RngStreams
 from repro.wsan.deployment import plan_deployment
 from repro.wsan.system import build_nodes
 
@@ -59,6 +61,23 @@ class TestKidMath:
         assert [str(x) for x in connection_path(s_i, s_j)] == [
             "121", "210", "102", "020",
         ]
+
+
+def scenario_build(seed, sensors, degree):
+    """REFER built as ``run_scenario`` builds it for a 500 m scenario of
+    ``seed``: ``(network, cells, embedding stats)``."""
+    streams = RngStreams(seed)
+    sim = Simulator()
+    network = WirelessNetwork(sim, streams.stream("mac"))
+    plan = plan_deployment(sensors, 500.0, streams.stream("deployment"))
+    build_nodes(
+        network, plan, streams.stream("mobility"), sensor_max_speed=3.0
+    )
+    system = ReferSystem(
+        network, plan, streams.stream("system"), degree=degree
+    )
+    system.build()
+    return network, system.cells, system.embedding_stats
 
 
 @pytest.fixture
@@ -106,22 +125,52 @@ class TestEmbeddingProtocol:
                 assert node_id not in seen
                 seen.add(node_id)
 
-    def test_embedded_links_are_physical_links(self, world):
-        """Topology consistency: most Kautz edges are radio links."""
-        sim, network, plan, rng = world
-        cells = EmbeddingProtocol(network, plan, rng).run()
-        total, live = 0, 0
-        for cell in cells:
-            for kid in cell.assigned_kids:
-                for nb in cell.kautz_neighbors_of(kid):
-                    if not cell.kid_assigned(nb):
-                        continue
-                    total += 1
-                    if network.medium.can_transmit(
-                        cell.node_of(kid), cell.node_of(nb), sim.now
-                    ):
-                        live += 1
-        assert live / total > 0.9
+    def test_embedded_links_are_physical_links(self):
+        """Topology consistency, edge by edge: after a build that fell
+        back nowhere, every Kautz edge on a construction path — the
+        three rotation paths and the bridge — carries a frame in its
+        forwarding direction (sender's range, at the build instant)."""
+        paths = [
+            connection_path(k, k.left_rotated()) for k in rotation_kids(2)
+        ]
+        paths.append(connection_path(*sensor_bridge_endpoints(2)[:2]))
+        on_path = [(a, b) for path in paths for a, b in zip(path, path[1:])]
+        checked = 0
+        for sensors in (200, 800):
+            for seed in (1, 2, 3):
+                network, cells, stats = scenario_build(seed, sensors, 2)
+                if stats.fallback_selections:
+                    continue
+                checked += 1
+                medium, now = network.medium, network.sim.now
+                for cell in cells:
+                    for u, v in on_path:
+                        assert medium.can_transmit(
+                            cell.node_of(u), cell.node_of(v), now
+                        ), (sensors, seed, cell.cid, str(u), str(v))
+        assert checked == 6
+
+    def test_higher_degree_breaks_no_more_edges_than_before(self):
+        """K(3, 3) cells: the directed Kautz edges that cannot carry a
+        frame at the build instant, summed over seeds 1-3, are no more
+        than the embedding placed before every vertex off the two-hop
+        paths was chosen by the edges it carries (141 + 164 + 181 at
+        200 sensors, 4 + 5 + 7 at 800)."""
+        before = {200: 141 + 164 + 181, 800: 4 + 5 + 7}
+        for sensors, most in before.items():
+            broken = 0
+            for seed in (1, 2, 3):
+                network, cells, _ = scenario_build(seed, sensors, 3)
+                medium, now = network.medium, network.sim.now
+                broken += sum(
+                    not medium.can_transmit(
+                        cell.node_of(kid), cell.node_of(succ), now
+                    )
+                    for cell in cells
+                    for kid in cell.assigned_kids
+                    for succ in kid.successors()
+                )
+            assert broken <= most, (sensors, broken)
 
     def test_charges_construction_energy(self, world):
         sim, network, plan, rng = world

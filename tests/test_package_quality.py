@@ -357,9 +357,6 @@ KEPT_FOR_TESTS = {
     "src/repro/net/energy.py::EnergyLedger.grand_total":
         "tests/net/test_energy_handles.py"
         "::test_held_handles_match_per_call_lookup",
-    "src/repro/net/medium.py::WirelessMedium.link_quality":
-        "tests/core/test_two_hop_selection.py"
-        "::test_same_pair_as_the_exhaustive_scan",
     "src/repro/telemetry/flight.py::Journey.hop_spans":
         "tests/telemetry/test_flight.py::TestSpanCausality",
     "src/repro/telemetry/flight.py::Journey.tx_nodes":

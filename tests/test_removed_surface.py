@@ -163,6 +163,13 @@ ROWS = [
         ("src", "tests", "benchmarks/*.py", "examples", "docs", "DESIGN.md"),
         id="one-packet-ledger",
     ),
+    pytest.param(
+        r"_assign_common_neighbor|_generic_assign|\.midpoint\("
+        r"|plan\.cells\[0\]\.centroid",
+        False,
+        ("src", "tests", "benchmarks/*.py", "examples", "docs", "DESIGN.md"),
+        id="one-placement-rule",
+    ),
 ]
 
 

@@ -20,9 +20,6 @@ class TestPoint:
         a, b = Point(1, 2), Point(-4, 7)
         assert a.distance_to(b) == b.distance_to(a)
 
-    def test_midpoint(self):
-        assert Point(0, 0).midpoint(Point(2, 4)) == Point(1, 2)
-
     def test_translated(self):
         assert Point(1, 1).translated(2, -1) == Point(3, 0)
 
