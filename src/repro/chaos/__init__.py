@@ -1,8 +1,8 @@
 """Chaos engineering: composable fault models + recovery instrumentation.
 
 The package generalises the paper's Section IV-B crash rotation
-(:class:`CrashRotationFault`, which the figures' ``config.faults``
-path runs on) into a library of deterministic, sim-clock-driven
+(:class:`CrashRotationFault`, which Figs 6-7 run as a rotation
+:class:`FaultSpec`) into a library of deterministic, sim-clock-driven
 fault models on one round loop (:class:`ChaosModel`; a kind is only
 whom it picks and how the damage ends), a coordinator to compose
 them, a windowed delivery-ratio probe measuring time-to-recovery, and

@@ -20,8 +20,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Sequence, Tuple
 
-from repro.experiments.config import FaultConfig, ScenarioConfig
-from repro.experiments.runner import RunResult
+from repro.chaos.spec import FaultSpec
+from repro.experiments.config import ScenarioConfig
+from repro.experiments.runner import FAULT_PERIOD, RunResult
 from repro.util.stats import confidence_interval_95
 
 ALL_SYSTEMS = ("REFER", "DaTree", "D-DEAR", "Kautz-overlay")
@@ -70,7 +71,13 @@ def _mobility_config(base: ScenarioConfig, x: float, seed: int) -> ScenarioConfi
 
 
 def _faults_config(base: ScenarioConfig, x: float, seed: int) -> ScenarioConfig:
-    return base.with_(faults=FaultConfig(count=int(x)), seed=seed)
+    rotation = FaultSpec(
+        kind="rotation",
+        count=int(x),
+        period=FAULT_PERIOD,
+        start=FAULT_PERIOD / 2.0,
+    )
+    return base.with_(fault_spec=rotation, seed=seed)
 
 
 def _size_config(base: ScenarioConfig, x: float, seed: int) -> ScenarioConfig:
