@@ -16,7 +16,11 @@ the median over the rounds of the paired difference in CPU-seconds:
 
 * ``(enabled - disabled) / flight events`` <= ``FLIGHT_EVENT_BUDGET_US``;
 * ``(traced - enabled) / trace events`` <= ``TRACE_EVENT_BUDGET_US`` —
-  the cost of tracing itself, everything else equal.
+  the cost of tracing itself, everything else equal;
+* the fixed cost of tracing one run <= ``TRACE_RUN_BUDGET_MS``: the
+  same traced pair also runs for ``SHORT_SIM_TIME``, and the line
+  through the two lengths' (trace events, traced - enabled) points
+  meets zero events at that cost.
 
 A ratio to the base run (the gate until PR 16: 1.05 / 1.10) tightens
 every time the simulation itself gets faster — the same 17 ms of
@@ -35,7 +39,11 @@ a shared 2-CPU host, 60 rounds gave per-round trace costs from 2.2 to
 read above 3.0 us in 5 of 20 gate runs of an unchanged tree.  Thirty
 rounds cut the spread of the median by more than half.  Shorter runs
 would not help: at 8 s the median per trace event read 3.5 us, as the
-run's fixed tracing costs are shared by fewer events.
+run's fixed tracing costs are shared by fewer events.  That fixed cost
+is the third gate's, so a regression in it is not diluted by the events
+of a long run.  Its budget was fixed as the others were: five sets of
+thirty rounds read medians of 0.4, 1.1, 3.0, 4.7 and 8.9 ms per traced
+run, and the budget is 1.5x the worst.
 
 The runs' *numbers* must also match exactly — the overhead gates are
 meaningless if observation or tracing perturbs the simulation.
@@ -55,9 +63,14 @@ from _common import RESULTS_DIR
 
 REPEATS = 30
 SIM_TIME = 20.0
+#: The second length the traced pair runs for: about a third of the
+#: trace events of ``SIM_TIME``.
+SHORT_SIM_TIME = 8.0
 #: Microseconds of CPU one flight-recorder / trace event may cost.
 FLIGHT_EVENT_BUDGET_US = 3.0
 TRACE_EVENT_BUDGET_US = 3.0
+#: Milliseconds of CPU tracing may cost a run apart from its events.
+TRACE_RUN_BUDGET_MS = 13.5
 
 #: Metric fields that must be identical across all three variants.
 METRIC_FIELDS = (
@@ -73,12 +86,12 @@ METRIC_FIELDS = (
 )
 
 
-def bench_config():
+def bench_config(sim_time=SIM_TIME):
     return ScenarioConfig(
         seed=11,
         sensor_count=100,
-        sim_time=SIM_TIME,
-        warmup=max(2.0, SIM_TIME / 10.0),
+        sim_time=sim_time,
+        warmup=max(2.0, sim_time / 10.0),
         rate_pps=12.0,
     )
 
@@ -93,14 +106,23 @@ def timed_run(config):
     return time.process_time() - start, result
 
 
+def intercept(first, second):
+    """Where the line through two ``(events, seconds)`` points meets
+    zero events."""
+    (x1, y1), (x2, y2) = first, second
+    return y1 - x1 * (y2 - y1) / (x2 - x1)
+
+
 def test_telemetry_overhead_gate():
     base = bench_config()
+    short = bench_config(SHORT_SIM_TIME)
+    traced = TelemetryConfig(tracing=TracingConfig())
     variants = {
         "disabled": base,
         "enabled": base.with_(telemetry=TelemetryConfig()),
-        "traced": base.with_(
-            telemetry=TelemetryConfig(tracing=TracingConfig())
-        ),
+        "traced": base.with_(telemetry=traced),
+        "enabled short": short.with_(telemetry=TelemetryConfig()),
+        "traced short": short.with_(telemetry=traced),
     }
     # One untimed pass warms allocator arenas and import-time caches so
     # the first timed variant is not charged for them.
@@ -123,9 +145,13 @@ def test_telemetry_overhead_gate():
         rounds.append(times)
     gc.unfreeze()
 
-    for name in ("enabled", "traced"):
+    for name, reference in (
+        ("enabled", "disabled"),
+        ("traced", "disabled"),
+        ("traced short", "enabled short"),
+    ):
         for field in METRIC_FIELDS:
-            assert repr(getattr(results["disabled"], field)) == repr(
+            assert repr(getattr(results[reference], field)) == repr(
                 getattr(results[name], field)
             ), f"{name} telemetry perturbed {field}"
     assert results["disabled"].telemetry is None
@@ -144,6 +170,15 @@ def test_telemetry_overhead_gate():
     trace_us = statistics.median(
         1e6 * (r["traced"] - r["enabled"]) / trace.events_seen for r in rounds
     )
+    short_events = results["traced short"].telemetry.trace.events_seen
+    assert short_events < trace.events_seen
+    run_ms = statistics.median(
+        1e3 * intercept(
+            (short_events, r["traced short"] - r["enabled short"]),
+            (trace.events_seen, r["traced"] - r["enabled"]),
+        )
+        for r in rounds
+    )
     table = "\n".join(
         [
             "telemetry overhead (REFER, %d sensors, %.0f s measured,"
@@ -157,10 +192,14 @@ def test_telemetry_overhead_gate():
             % (flight_us, FLIGHT_EVENT_BUDGET_US),
             "  per trace event   %6.2f us   (budget %.1f, median paired round)"
             % (trace_us, TRACE_EVENT_BUDGET_US),
+            "  per traced run    %6.2f ms   (budget %.1f, median paired round,"
+            " %.0f s and %.0f s runs)"
+            % (run_ms, TRACE_RUN_BUDGET_MS, SHORT_SIM_TIME, SIM_TIME),
             "  flight journeys   %d"
             % results["enabled"].telemetry.flight.journeys_started,
             "  flight events     %d" % flight_events,
-            "  trace events      %d" % trace.events_seen,
+            "  trace events      %d (%d at %.0f s)"
+            % (trace.events_seen, short_events, SHORT_SIM_TIME),
             "  trace checkpoints %d" % len(trace.checkpoints),
         ]
     )
@@ -180,6 +219,10 @@ def test_telemetry_overhead_gate():
                 "trace_event_us": trace_us,
                 "flight_event_budget_us": FLIGHT_EVENT_BUDGET_US,
                 "trace_event_budget_us": TRACE_EVENT_BUDGET_US,
+                "trace_run_ms": run_ms,
+                "trace_run_budget_ms": TRACE_RUN_BUDGET_MS,
+                "short_sim_time": SHORT_SIM_TIME,
+                "short_trace_events": short_events,
                 "flight_events": flight_events,
                 "trace_events": trace.events_seen,
                 "trace_fingerprint": trace.fingerprint(),
@@ -198,4 +241,8 @@ def test_telemetry_overhead_gate():
     assert trace_us <= TRACE_EVENT_BUDGET_US, (
         f"tracing costs {trace_us:.2f} us per trace event, "
         f"budget {TRACE_EVENT_BUDGET_US:.1f}"
+    )
+    assert run_ms <= TRACE_RUN_BUDGET_MS, (
+        f"tracing costs {run_ms:.2f} ms per run apart from its events, "
+        f"budget {TRACE_RUN_BUDGET_MS:.1f}"
     )
