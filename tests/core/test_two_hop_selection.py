@@ -21,7 +21,7 @@ import pytest
 from repro.core.embedding import EmbeddingProtocol
 from repro.net.network import WirelessNetwork
 from repro.sim.core import Simulator
-from repro.util.geometry import Point
+from repro.util.geometry import centroid
 from repro.wsan.deployment import plan_deployment
 from repro.wsan.system import build_nodes
 
@@ -248,10 +248,7 @@ def exhaustive_place_vertex(self, cell, kid, pool):
     ]
     if key(chosen)[0] == 0:
         self.stats.fallback_selections += 1
-        at = [self.network.node(n).position(now) for n in neighbors]
-        mid = Point(
-            sum(p.x for p in at) / len(at), sum(p.y for p in at) / len(at)
-        )
+        mid = centroid(self.network.node(n).position(now) for n in neighbors)
         chosen = min(
             pool,
             key=lambda s: self.network.node(s).position(now).distance_to(mid),
