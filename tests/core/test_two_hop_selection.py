@@ -1,9 +1,11 @@
 """``EmbeddingProtocol._select_two_hop`` against the exhaustive scan.
 
 The protocol picks the two-hop pair with the greatest key best-first,
-asking the medium only about pairs whose bound can still win.  The
-scan it replaced — every (s1, s2) pair asked, as the code stood before
-the bound — lives on here as the oracle: same pair, same number of
+asking the medium only about pairs whose bound can still win and that
+the triangle inequality does not already rule out.  The scan it
+replaced — every (s1, s2) pair asked, as the code stood before the
+bound, with its end side asked in the forwarding direction — lives on
+here as the oracle: same pair, same number of
 ``fallback_selections``, same state of the world's RNG afterwards, over
 seeded random deployments that cover each regime the bound has to
 handle (counted by ``test_the_draws_cover_every_regime``).  A last
