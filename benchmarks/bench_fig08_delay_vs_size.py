@@ -12,8 +12,7 @@ SIZES = (100, 200, 300, 400)
 # cell) and the seed-noisiest: one run's mean REFER delay spans
 # 8-24 ms there against 7-9 ms at 400, so a mean of two seeds does not
 # resolve "nearly constant" (1.55x on one pair of walks, 2.08x on
-# another; EXPERIMENTS.md).  Six do: 1.78x, and 1.82x / 1.81x at four
-# and eight.
+# another).  Six do: 1.78x, and 1.82x / 1.81x at four and eight.
 MIN_SEEDS = 6
 
 

@@ -60,9 +60,9 @@ class ScenarioConfig:
     packet_bytes: int = 1000
     faults: Optional[FaultConfig] = None
     #: Chaos models for this run (see :mod:`repro.chaos`); a bare
-    #: :class:`FaultSpec` is normalised to a one-element tuple.  Kept
-    #: separate from ``faults`` so the legacy crash-rotation figures
-    #: stay bit-identical to the seed.
+    #: :class:`FaultSpec` is normalised to a one-element tuple.  Figs
+    #: 6-7 declare their rotation here; ``faults`` is left to the CLI's
+    #: ``--faults``, the package export and e2e's ``baselines_flood``.
     fault_spec: Tuple[FaultSpec, ...] = ()
     #: Self-healing stack (:mod:`repro.recovery`): message-grounded
     #: failure detection, per-hop ARQ and CAN zone takeover.  ``None``

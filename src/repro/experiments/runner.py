@@ -184,9 +184,9 @@ def run_scenario(system_name: str, config: ScenarioConfig) -> RunResult:
         )
     workload.start(0.0, config.end_time)
 
-    # The legacy crash-rotation path (``config.faults``) is one rotation
-    # spec on its own "faults" stream, outside the coordinator: the seed
-    # injector's draw-for-draw RNG schedule, keeping figures bit-exact.
+    # The legacy ``config.faults`` (the CLI's --faults, the package
+    # export, e2e's baselines_flood) is one rotation spec on its own
+    # "faults" stream, outside the coordinator; Figs 6-7 use fault_spec.
     injector: Optional[ChaosModel] = None
     if config.faults is not None:
         injector = build_chaos_model(

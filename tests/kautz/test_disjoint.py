@@ -210,7 +210,8 @@ class TestPredictedLengths:
     predicted one except for pairs with very large overlap (2l >= k),
     where a canonical completion would revisit U and the disjoint
     realisation shifts a case-(3) path to k + 2 (and, symmetrically,
-    can shorten a case-(4) path to k - 1).  DESIGN.md documents this.
+    can shorten a case-(4) path to k - 1).  DESIGN.md "Theorem 3.8
+    corner cases" documents this.
     """
 
     @pytest.mark.parametrize("d,k", [(2, 3), (3, 3), (4, 3), (2, 4)])

@@ -9,8 +9,8 @@ asserting the three claims the routing protocol leans on:
 * every consecutive pair along every path is a real Kautz edge,
 * realised lengths follow the theorem's closed forms
   (k - l / k / k + 1 / k + 2 per case), with the documented
-  heavy-overlap deviation (2l >= k, DESIGN.md) of exactly +-2 confined
-  to case-(3)/(4) rows.
+  heavy-overlap deviation (2l >= k, DESIGN.md "Theorem 3.8 corner
+  cases") of exactly +-2 confined to case-(3)/(4) rows.
 
 All properties run derandomized (fixed seed profile) with >= 200
 examples each.
@@ -87,8 +87,9 @@ def test_realised_lengths_follow_closed_forms(pair):
         if 2 * l < k:
             assert actual == row.predicted_length
         else:
-            # Documented deviation (DESIGN.md): heavy-overlap pairs may
-            # shift a case-(3)/(4) realisation by exactly 2.
+            # Documented deviation (DESIGN.md "Theorem 3.8 corner
+            # cases"): heavy-overlap pairs may shift a case-(3)/(4)
+            # realisation by exactly 2.
             if actual != row.predicted_length:
                 assert row.case in (PathCase.VIA_V1, PathCase.OTHER)
                 assert abs(actual - row.predicted_length) == 2

@@ -6,13 +6,15 @@ the package imports cleanly without side effects, the whole tree
 passes the referlint invariant checks (``repro.devtools``), every
 module is reached by a run, a CLI or a bench, every config field and
 every parameter default is set by one of them, every definition is
-used by name, and the reference docs stay within their size budget.
+used by name, and the reference docs stay within their size budget
+and name only paths and sections that exist.
 """
 
 import ast
 import importlib
 import pathlib
 import pkgutil
+import re
 
 import pytest
 
@@ -580,14 +582,89 @@ def test_only_the_simulator_loop_writes_the_clock():
 #: its budget fails here: trim it, or raise the number in a reviewed
 #: edit.
 DOC_BUDGET_BYTES = {
-    "docs/API.md": 60653,
-    "DESIGN.md": 43150,
+    "docs/API.md": 39600,
+    "DESIGN.md": 35050,
+    "EXPERIMENTS.md": 28700,
 }
 
 
-@pytest.mark.parametrize("name,budget", sorted(DOC_BUDGET_BYTES.items()))
-def test_reference_docs_stay_within_budget(name, budget):
+@pytest.mark.parametrize("name", sorted(DOC_BUDGET_BYTES))
+def test_reference_docs_stay_within_budget(name):
+    budget = DOC_BUDGET_BYTES[name]
     size = (REPO_ROOT / name).stat().st_size
     assert size <= budget, (
         f"{name} is {size} bytes, over its budget of {budget}"
     )
+
+
+#: The documents whose paths and section references must resolve.
+REFERENCE_DOCS = (
+    "README.md", "CONTRIBUTING.md", "docs/API.md", "DESIGN.md",
+    "EXPERIMENTS.md",
+)
+_FENCE = re.compile(r"^```.*?^```", re.M | re.S)
+_SPAN = re.compile(r"`([^`\n]+)`")
+_REPO_PATH = re.compile(
+    r"(?<![\w/.-])(?:src|tests|benchmarks|examples)/[\w./*-]*"
+)
+#: A quoted heading, or the start of one, right after the document
+#: that holds it (``NAME.md "Heading"``, ``NAME.md, "Heading"``,
+#: ``rows 9–11 of NAME.md's table "Heading"``).
+_SECTION_REF = re.compile(
+    r"(?:[Rr]ows? (\d+)(?:[–-](\d+))? of )?"
+    r"\b((?:docs/)?API|DESIGN|EXPERIMENTS|README|CONTRIBUTING)\.md"
+    r"(?:'s table)?,? \(?\"([^\"]+)\""
+)
+
+
+def _sections(doc):
+    """``heading -> the text under it`` of one document, fences cut."""
+    text = _FENCE.sub("", (REPO_ROOT / doc).read_text(encoding="utf-8"))
+    parts = re.split(r"^#+[ \t]+(.*)$", text, flags=re.M)
+    return dict(zip(parts[1::2], parts[2::2]))
+
+
+def test_reference_docs_name_what_exists():
+    """Every backticked repo path in the reference docs exists, and
+    every quoted section reference in them, in ``src/`` and in
+    ``tests/`` names an existing heading (its start is enough) — with
+    the table rows it cites, where it cites rows."""
+    missing = []
+    for doc in REFERENCE_DOCS:
+        text = _FENCE.sub("", (REPO_ROOT / doc).read_text(encoding="utf-8"))
+        for span in _SPAN.findall(text):
+            for path in _REPO_PATH.findall(span):
+                found = (
+                    any(REPO_ROOT.glob(path)) if "*" in path
+                    else (REPO_ROOT / path).exists()
+                )
+                if not found:
+                    missing.append(f"{doc}: `{path}` does not exist")
+    sections = {doc: _sections(doc) for doc in REFERENCE_DOCS}
+    readers = [REPO_ROOT / doc for doc in REFERENCE_DOCS]
+    readers += list(_python_files("src", "tests"))
+    references = 0
+    for reader in readers:
+        # Join wrapped lines, and the comment markers that wrap them.
+        text = re.sub(
+            r"\s*\n\s*(?:#\s*)?", " ", reader.read_text(encoding="utf-8")
+        )
+        name = reader.relative_to(REPO_ROOT).as_posix()
+        for first, last, doc, quoted in _SECTION_REF.findall(text):
+            references += 1
+            doc = "docs/API.md" if doc.endswith("API") else f"{doc}.md"
+            under = [
+                body for heading, body in sections[doc].items()
+                if heading.startswith(quoted)
+            ]
+            if not under:
+                missing.append(f"{name}: {doc} has no section {quoted!r}")
+                continue
+            rows = range(int(first), int(last or first) + 1) if first else ()
+            for row in rows:
+                if not re.search(rf"^\| {row} \|", under[0], re.M):
+                    missing.append(
+                        f"{name}: {doc} {quoted!r} has no row {row}"
+                    )
+    assert not missing, "\n".join(missing)
+    assert references >= 8, "the scan lost the section references"
