@@ -1,6 +1,6 @@
 """Experiment harness: scenario config, workload, metrics, runner, figures."""
 
-from repro.experiments.config import FaultConfig, ScenarioConfig
+from repro.experiments.config import ScenarioConfig
 from repro.experiments.metrics import MetricsCollector
 from repro.experiments.runner import SYSTEMS, RunResult, run_scenario
 from repro.experiments.workload import CbrWorkload
@@ -12,7 +12,6 @@ from repro.experiments.campaign import run_campaign, run_figure
 __all__ = [
     "CampaignJournal",
     "spec_fingerprint",
-    "FaultConfig",
     "ScenarioConfig",
     "MetricsCollector",
     "SYSTEMS",

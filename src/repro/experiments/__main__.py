@@ -27,8 +27,7 @@ from repro.experiments import (
     run_scenario,
 )
 from repro.experiments.campaign import campaign_report, run_campaign
-from repro.experiments.config import FaultConfig
-from repro.experiments.runner import SYSTEMS
+from repro.experiments.runner import SYSTEMS, crash_rotation
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -91,7 +90,7 @@ def base_config(args: argparse.Namespace) -> ScenarioConfig:
         sensor_count=args.sensors,
         sensor_max_speed=args.speed,
         seed=args.seed,
-        faults=FaultConfig(count=args.faults) if args.faults else None,
+        fault_spec=crash_rotation(args.faults) if args.faults else (),
     )
 
 

@@ -58,11 +58,14 @@ class ScenarioConfig:
     warmup: float = 12.0             # paper: 100
     rate_pps: float = 12.0           # packets/s per source (paper: ~125)
     packet_bytes: int = 1000
+    #: The Section IV-B rotation, run as the chaos coordinator's first
+    #: model on its own "faults" stream; only e2e's ``baselines_flood``
+    #: still sets it.
     faults: Optional[FaultConfig] = None
     #: Chaos models for this run (see :mod:`repro.chaos`); a bare
     #: :class:`FaultSpec` is normalised to a one-element tuple.  Figs
-    #: 6-7 declare their rotation here; ``faults`` is left to the CLI's
-    #: ``--faults``, the package export and e2e's ``baselines_flood``.
+    #: 6-7 and the CLI's ``--faults`` declare their rotation here
+    #: (``runner.crash_rotation``).
     fault_spec: Tuple[FaultSpec, ...] = ()
     #: Self-healing stack (:mod:`repro.recovery`): message-grounded
     #: failure detection, per-hop ARQ and CAN zone takeover.  ``None``

@@ -20,9 +20,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Sequence, Tuple
 
-from repro.chaos.spec import FaultSpec
 from repro.experiments.config import ScenarioConfig
-from repro.experiments.runner import FAULT_PERIOD, RunResult
+from repro.experiments.runner import RunResult, crash_rotation
 from repro.util.stats import confidence_interval_95
 
 ALL_SYSTEMS = ("REFER", "DaTree", "D-DEAR", "Kautz-overlay")
@@ -71,13 +70,7 @@ def _mobility_config(base: ScenarioConfig, x: float, seed: int) -> ScenarioConfi
 
 
 def _faults_config(base: ScenarioConfig, x: float, seed: int) -> ScenarioConfig:
-    rotation = FaultSpec(
-        kind="rotation",
-        count=int(x),
-        period=FAULT_PERIOD,
-        start=FAULT_PERIOD / 2.0,
-    )
-    return base.with_(fault_spec=rotation, seed=seed)
+    return base.with_(fault_spec=crash_rotation(int(x)), seed=seed)
 
 
 def _size_config(base: ScenarioConfig, x: float, seed: int) -> ScenarioConfig:

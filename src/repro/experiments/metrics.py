@@ -188,106 +188,39 @@ class PacketLedger:
 class MetricsCollector:
     """Records every packet event as a :class:`PacketLedger` row.
 
-    :meth:`fold` adds the ledger up.  The ``registry`` (a private one
-    when none is given) and ``flight`` hooks observe every packet too
-    (warm-up included; the exported counters say so): the registry
-    gains ``packets_generated`` / ``packets_delivered`` counters, a
-    ``packets_dropped`` family labelled by the drop reason the system
-    named, a delivery-latency histogram and, for marked packets, the
-    ``qos_class_*`` families; the flight recorder gets the
-    generate/deliver/drop span ends.
+    :meth:`fold` adds the ledger up; :meth:`publish` folds it into a
+    registry.  The ``flight`` hooks observe every packet too: the
+    flight recorder gets the generate/deliver/drop span ends.
     """
 
     def __init__(
         self,
         sim: Simulator,
         warmup_end: float,
-        registry: Optional[Registry] = None,
         flight: Optional[FlightRecorder] = None,
     ) -> None:
         self._sim = sim
         self._warmup_end = warmup_end
         self._flight = flight
         self.ledger = PacketLedger()
-        # Held children (``MetricFamily.held``): a child still appears
-        # at its first use, so a run that never drops exports no
-        # ``packets_dropped`` sample.  The per-class families are
-        # created at the first *marked* packet, so runs without QoS
-        # traffic export exactly the metrics they always did.
-        self._registry = registry = Registry() if registry is None else registry
-        self._class_families: Dict[str, dict] = {}
-        self._generated_ctr = registry.counter(
-            "packets_generated", "workload packets created (all, incl. warm-up)"
-        ).held()
-        self._delivered_ctr = registry.counter(
-            "packets_delivered", "packets that reached an actuator (all)"
-        ).held()
-        self._dropped_family = registry.counter(
-            "packets_dropped",
-            "packets dropped, by routing drop reason (all)",
-            labels=("reason",),
-        ).held()
-        self._latency_hist = registry.histogram(
-            "delivery_latency_seconds",
-            "end-to-end latency of delivered packets (all)",
-            buckets=_LATENCY_BUCKETS,
-        ).held()
-
-    def _class_family(self, which: str) -> dict:
-        """The held children of ``qos_class_<which>``, keyed by class
-        (``dropped``: by ``(class, reason)``)."""
-        held = self._class_families.get(which)
-        if held is None:
-            if which == "latency_seconds":
-                family = self._registry.histogram(
-                    "qos_class_latency_seconds",
-                    "end-to-end latency of delivered QoS-marked packets, "
-                    "by traffic class (all)",
-                    labels=("class",),
-                    buckets=_LATENCY_BUCKETS,
-                )
-            else:
-                family = self._registry.counter(
-                    f"qos_class_{which}",
-                    f"QoS-marked packets {which}, by traffic class (all)",
-                    labels=(
-                        ("class", "reason") if which == "dropped"
-                        else ("class",)
-                    ),
-                )
-            held = self._class_families[which] = family.held()
-        return held
 
     # -- packet hooks --------------------------------------------------------
 
     def on_generated(self, packet: Packet) -> None:
         self.ledger.append(GENERATED, packet, packet.created_at)
-        self._generated_ctr[()].inc()
         if self._flight is not None:
             self._flight.generated(
                 packet.uid, packet.created_at, packet.source,
                 packet.destination,
             )
-        cls = packet.traffic_class
-        if cls is not None:
-            self._class_family("generated")[cls].inc()
 
     def on_delivered(self, packet: Packet) -> None:
         now = self._sim.now
         self.ledger.append(DELIVERED, packet, now)
-        latency = packet.latency(now)
-        self._delivered_ctr[()].inc()
-        self._latency_hist[()].observe(latency)
         if self._flight is not None:
             self._flight.delivered(
                 packet.uid, now, packet.destination, tuple(packet.hops),
             )
-        cls = packet.traffic_class
-        if cls is not None:
-            self._class_family("delivered")[cls].inc()
-            self._class_family("latency_seconds")[cls].observe(latency)
-            if packet.deadline is not None and latency > packet.deadline:
-                self._class_family("deadline_missed")[cls].inc()
 
     def on_dropped(self, packet: Packet, reason: str) -> None:
         """Record a packet given up on for ``reason``, which must be an
@@ -300,12 +233,91 @@ class MetricsCollector:
                 "a named drop reason"
             )
         self.ledger.append(code, packet, self._sim.now)
-        self._dropped_family[reason].inc()
         if self._flight is not None:
             self._flight.dropped(packet.uid, self._sim.now, reason)
-        cls = packet.traffic_class
-        if cls is not None:
-            self._class_family("dropped")[cls, reason].inc()
+
+    def publish(self, registry: Registry) -> None:
+        """Fold every row, warm-up included (the exported counters say
+        "all"), into ``registry``: ``packets_generated`` /
+        ``packets_delivered`` counters, a ``packets_dropped`` family
+        labelled by drop reason, a delivery-latency histogram and, for
+        marked packets, the ``qos_class_*`` families.
+
+        Held children (``MetricFamily.held``) appear at their first
+        row, so a run that never drops exports no ``packets_dropped``
+        sample; a ``qos_class_*`` family is created at its first marked
+        row, so runs without QoS traffic export none.  Latencies are
+        observed in row order, the order the packets arrived in.
+        """
+        generated = registry.counter(
+            "packets_generated", "workload packets created (all, incl. warm-up)"
+        ).held()
+        delivered = registry.counter(
+            "packets_delivered", "packets that reached an actuator (all)"
+        ).held()
+        dropped = registry.counter(
+            "packets_dropped",
+            "packets dropped, by routing drop reason (all)",
+            labels=("reason",),
+        ).held()
+        latency = registry.histogram(
+            "delivery_latency_seconds",
+            "end-to-end latency of delivered packets (all)",
+            buckets=_LATENCY_BUCKETS,
+        ).held()
+        classes: Dict[str, dict] = {}
+
+        def class_family(which: str) -> dict:
+            """The held children of ``qos_class_<which>``, keyed by
+            class (``dropped``: by ``(class, reason)``)."""
+            held = classes.get(which)
+            if held is None:
+                if which == "latency_seconds":
+                    family = registry.histogram(
+                        "qos_class_latency_seconds",
+                        "end-to-end latency of delivered QoS-marked "
+                        "packets, by traffic class (all)",
+                        labels=("class",),
+                        buckets=_LATENCY_BUCKETS,
+                    )
+                else:
+                    family = registry.counter(
+                        f"qos_class_{which}",
+                        f"QoS-marked packets {which}, by traffic class (all)",
+                        labels=(
+                            ("class", "reason") if which == "dropped"
+                            else ("class",)
+                        ),
+                    )
+                held = classes[which] = family.held()
+            return held
+
+        ledger = self.ledger
+        times = iter(ledger.times)
+        for code, (created, at, deadline), cls in zip(
+            ledger.code, zip(times, times, times), ledger.traffic_class,
+        ):
+            if code == GENERATED:
+                generated[()].inc()
+            elif code == DELIVERED:
+                wait = at - created
+                delivered[()].inc()
+                latency[()].observe(wait)
+            else:
+                reason = DROP_REASONS[code - DROPPED]
+                dropped[reason].inc()
+            if cls < 0:
+                continue
+            name = _CLASS_ORDER[cls]
+            if code == GENERATED:
+                class_family("generated")[name].inc()
+            elif code == DELIVERED:
+                class_family("delivered")[name].inc()
+                class_family("latency_seconds")[name].observe(wait)
+                if wait > deadline:
+                    class_family("deadline_missed")[name].inc()
+            else:
+                class_family("dropped")[name, reason].inc()
 
     def fold(self, window: Optional[float] = None) -> LedgerFold:
         """The ledger added up over this run's measured window."""

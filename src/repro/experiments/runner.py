@@ -15,7 +15,6 @@ from typing import Dict, Optional, Tuple, Type
 from repro.baselines import DaTreeSystem, DDearSystem, KautzOverlaySystem
 from repro.chaos import (
     ChaosCoordinator,
-    ChaosModel,
     FaultEvent,
     FaultSpec,
     ResilienceProbe,
@@ -46,8 +45,17 @@ SYSTEMS: Dict[str, Type[WsanSystem]] = {
 }
 
 DRAIN_MARGIN = 2.0   # seconds past generation end for in-flight packets
-#: Seconds between the crash rounds of ``ScenarioConfig.faults``.
+#: Seconds between the crash rounds of the Section IV-B rotation.
 FAULT_PERIOD = 10.0
+
+
+def crash_rotation(count: int) -> FaultSpec:
+    """Section IV-B's faults (Figs 6-7): ``count`` nodes crash every
+    :data:`FAULT_PERIOD` seconds, the first round half a period in."""
+    return FaultSpec(
+        kind="rotation", count=count, period=FAULT_PERIOD,
+        start=FAULT_PERIOD / 2.0,
+    )
 
 
 @dataclass(frozen=True)
@@ -67,10 +75,10 @@ class RunResult:
     #: Communication-phase energy spent on route-discovery floods.
     #: REFER repairs locally, so this stays 0; flooding baselines pay.
     flood_comm_energy_j: float = 0.0
-    #: Recovery-time analysis; populated only when the config carries a
-    #: ``fault_spec``.
+    #: Recovery-time analysis; populated only when the config carries
+    #: ``faults`` or a ``fault_spec``.
     resilience: Optional[ResilienceSummary] = None
-    #: Merged chaos event log (empty without ``fault_spec``).
+    #: Merged chaos event log (empty without ``faults`` or ``fault_spec``).
     fault_events: Tuple[FaultEvent, ...] = ()
     #: Self-healing stack report; populated only when the config
     #: carries a ``recovery`` block and the system is REFER.
@@ -156,10 +164,7 @@ def run_scenario(system_name: str, config: ScenarioConfig) -> RunResult:
             system.router.set_qos_state(qos_manager.state)
 
     metrics = MetricsCollector(
-        sim,
-        warmup_end=config.warmup,
-        registry=network.registry,
-        flight=network.flight,
+        sim, warmup_end=config.warmup, flight=network.flight
     )
     if config.bursty is not None:
         workload = BurstyWorkload(
@@ -184,35 +189,21 @@ def run_scenario(system_name: str, config: ScenarioConfig) -> RunResult:
         )
     workload.start(0.0, config.end_time)
 
-    # The legacy ``config.faults`` (the CLI's --faults, the package
-    # export, e2e's baselines_flood) is one rotation spec on its own
-    # "faults" stream, outside the coordinator; Figs 6-7 use fault_spec.
-    injector: Optional[ChaosModel] = None
+    models = [
+        (spec, f"chaos.{i}.{spec.kind}")
+        for i, spec in enumerate(config.fault_spec)
+    ]
+    # ``config.faults`` (e2e's baselines_flood) is the coordinator's
+    # first model, on its own "faults" stream.
     if config.faults is not None:
-        injector = build_chaos_model(
-            FaultSpec(
-                kind="rotation",
-                count=config.faults.count,
-                period=FAULT_PERIOD,
-                start=FAULT_PERIOD / 2.0,
-            ),
-            network,
-            system,
-            streams.stream("faults"),
-            area_side=config.area_side,
-        )
-        injector.start()
-
+        models.insert(0, (crash_rotation(config.faults.count), "faults"))
     chaos: Optional[ChaosCoordinator] = None
-    if config.fault_spec:
+    if models:
         chaos = ChaosCoordinator(network)
-        for i, spec in enumerate(config.fault_spec):
+        for spec, stream in models:
             chaos.add(
                 build_chaos_model(
-                    spec,
-                    network,
-                    system,
-                    streams.stream(f"chaos.{i}.{spec.kind}"),
+                    spec, network, system, streams.stream(stream),
                     area_side=config.area_side,
                 )
             )
@@ -235,8 +226,6 @@ def run_scenario(system_name: str, config: ScenarioConfig) -> RunResult:
 
     sim.run_until(config.end_time + DRAIN_MARGIN)
     system.stop()
-    if injector is not None:
-        injector.stop()
     if orchestrator is not None:
         orchestrator.stop()
     packets = metrics.fold(PROBE_WINDOW if chaos is not None else None)
@@ -254,6 +243,7 @@ def run_scenario(system_name: str, config: ScenarioConfig) -> RunResult:
     if telemetry is not None:
         if orchestrator is not None:
             telemetry.verdicts = tuple(orchestrator.detector.verdicts)
+        metrics.publish(telemetry.registry)
         telemetry.finalize()
 
     return RunResult(

@@ -297,13 +297,3 @@ class FlightRecorder:
             Journey(uid=uid, events=self._inflate(events))
             for uid, events in self._journeys.items()
         ]
-
-    def drop_reasons(self) -> Dict[str, int]:
-        """Retained drop events bucketed by reason (sorted by name)."""
-        reasons: Dict[str, int] = {}
-        for events in self._journeys.values():
-            for i in range(1, len(events), 5):
-                if events[i] == "drop":
-                    reason = events[i + 3]
-                    reasons[reason] = reasons.get(reason, 0) + 1
-        return dict(sorted(reasons.items()))

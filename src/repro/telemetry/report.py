@@ -170,8 +170,6 @@ def _drop_section(result) -> List[str]:
                 for labels, metric in family.items()
                 if metric.value
             }
-        if not reasons:
-            reasons = telemetry.flight.drop_reasons()
     if not reasons:
         lines.append("  (no drops recorded)")
         return lines

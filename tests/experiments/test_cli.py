@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.experiments.__main__ import build_parser, main
+from repro.experiments.__main__ import base_config, build_parser, main
 
 
 class TestParser:
@@ -26,6 +26,20 @@ class TestParser:
     def test_unknown_system_rejected(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["run", "NotASystem"])
+
+    @pytest.mark.parametrize("figure", ["fig6", "fig7"])
+    def test_a_fault_figure_sweeps_its_own_count(self, figure):
+        """``--faults N`` is one rotation, which a fault figure's
+        point replaces rather than adds a second rotation to."""
+        from repro.experiments.figures import FIGURE_SPECS
+        from repro.experiments.runner import crash_rotation
+
+        base = base_config(build_parser().parse_args([figure, "--faults", "4"]))
+        assert base.faults is None
+        assert base.fault_spec == (crash_rotation(4),)
+        point = FIGURE_SPECS[figure].config_for(base, 2, 1)
+        assert point.faults is None
+        assert point.fault_spec == (crash_rotation(2),)
 
 
 class TestMain:

@@ -7,6 +7,7 @@ import pytest
 
 from repro.experiments.config import FaultConfig, ScenarioConfig
 from repro.experiments.metrics import QOS_DEADLINE, ClassStat, MetricsCollector
+from repro.experiments import runner
 from repro.experiments.runner import run_scenario
 from repro.experiments.workload import (
     SOURCE_WINDOW,
@@ -16,7 +17,9 @@ from repro.experiments.workload import (
 from repro.errors import ConfigError, TelemetryError
 from repro.kautz.graph import kautz_node_count
 from repro.net.packet import Packet, PacketKind
+from repro.qos import BurstyConfig, QosConfig
 from repro.sim.core import Simulator
+from repro.telemetry.registry import Registry
 from repro.util.stats import RunningStat
 from repro.wsan.system import ACTUATOR_RANGE, SENSOR_RANGE
 
@@ -230,12 +233,6 @@ class TestMetrics:
         sim = Simulator()
         metrics = MetricsCollector(sim, warmup_end=1.0)
 
-        def marked(created_at, cls, deadline):
-            return Packet(
-                PacketKind.DATA, 100, 0, 1, created_at,
-                deadline=deadline, traffic_class=cls,
-            )
-
         early = marked(0.5, "bulk", None)       # warm-up: not counted
         on_time = marked(1.0, "alarm", 0.25)
         late = marked(1.0, "alarm", 0.25)
@@ -251,6 +248,119 @@ class TestMetrics:
             ClassStat("control", 1, 0, 0, 1),
         )
         assert MetricsCollector(sim, 0.0).fold().class_stats == ()
+
+
+def marked(created_at, cls, deadline):
+    return Packet(
+        PacketKind.DATA, 100, 0, 1, created_at,
+        deadline=deadline, traffic_class=cls,
+    )
+
+
+class TestPublish:
+    """``publish`` folds a hand-built ledger into a registry."""
+
+    PACKET_FAMILIES = {
+        "packets_generated", "packets_delivered", "packets_dropped",
+        "delivery_latency_seconds",
+    }
+
+    def test_an_empty_ledger_creates_the_four_families_bare(self):
+        registry = Registry()
+        MetricsCollector(Simulator(), warmup_end=0.0).publish(registry)
+        assert registry.as_dict() == {
+            name: {} for name in self.PACKET_FAMILIES
+        }
+
+    def test_every_row_counts_warm_up_included(self):
+        sim = Simulator()
+        metrics = MetricsCollector(sim, warmup_end=10.0)
+        for created in (5.0, 12.0, 12.0):
+            metrics.on_generated(packet(created))
+        sim.schedule(12.5, lambda: metrics.on_delivered(packet(12.0)))
+        sim.schedule(13.0, lambda: metrics.on_dropped(packet(5.0), "no-route"))
+        sim.schedule(14.0, lambda: metrics.on_dropped(packet(12.0), "hop-limit"))
+        sim.schedule(15.0, lambda: metrics.on_dropped(packet(12.0), "no-route"))
+        sim.run()
+        registry = Registry()
+        metrics.publish(registry)
+        values = registry.as_dict()
+        assert values["packets_generated"] == {(): 3}
+        assert values["packets_delivered"] == {(): 1}
+        # Children in first-use (row) order.
+        assert list(values["packets_dropped"].items()) == [
+            (("no-route",), 2), (("hop-limit",), 1),
+        ]
+        assert not any(name.startswith("qos_class_") for name in values)
+
+    def test_latencies_are_observed_in_row_order(self):
+        sim = Simulator()
+        metrics = MetricsCollector(sim, warmup_end=0.0)
+        rows = ((0.3, 0.41), (0.0, 0.57), (0.2, 0.23), (0.1, 2.9))
+        for created, at in rows:
+            sim.schedule(at, lambda c=created: metrics.on_delivered(packet(c)))
+        sim.run()
+        registry = Registry()
+        metrics.publish(registry)
+        hist = registry.get("delivery_latency_seconds").child()
+        expected = registry.histogram("expected", buckets=hist.bounds).child()
+        for created, at in sorted(rows, key=lambda row: row[1]):
+            expected.observe(at - created)
+        assert hist.sum == expected.sum
+        assert hist.bucket_counts() == expected.bucket_counts()
+
+    def test_class_families_appear_at_the_first_marked_row(self):
+        sim = Simulator()
+        metrics = MetricsCollector(sim, warmup_end=1.0)
+        metrics.on_generated(packet(0.2))                 # unmarked
+        early = marked(0.5, "bulk", None)                 # warm-up: counted
+        on_time = marked(1.0, "alarm", 0.25)
+        late = marked(1.0, "alarm", 0.25)
+        shed = marked(1.0, "control", 0.6)
+        for p in (early, on_time, late, shed):
+            metrics.on_generated(p)
+        sim.schedule(1.1, lambda: metrics.on_delivered(on_time))
+        sim.schedule(1.2, lambda: metrics.on_dropped(shed, "backpressure_shed"))
+        sim.schedule(1.5, lambda: metrics.on_delivered(late))
+        sim.run()
+        registry = Registry()
+        metrics.publish(registry)
+        values = registry.as_dict()
+        assert list(values["qos_class_generated"].items()) == [
+            (("bulk",), 1), (("alarm",), 2), (("control",), 1),
+        ]
+        assert values["qos_class_delivered"] == {("alarm",): 2}
+        assert values["qos_class_deadline_missed"] == {("alarm",): 1}
+        assert values["qos_class_latency_seconds"] == {("alarm",): 2}
+        assert values["qos_class_dropped"] == {
+            ("control", "backpressure_shed"): 1,
+        }
+        assert values["packets_generated"] == {(): 5}
+
+    def test_a_run_without_telemetry_publishes_nothing(self, monkeypatch):
+        built = []
+
+        class _Kept(runner.WirelessNetwork):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                built.append(self)
+
+        monkeypatch.setattr(runner, "WirelessNetwork", _Kept)
+        run_scenario(
+            "REFER",
+            ScenarioConfig(
+                sensor_count=40, area_side=220.0, sim_time=4.0, warmup=1.0,
+                qos=QosConfig(), bursty=BurstyConfig(sources=4),
+            ),
+        )
+        (network,) = built
+        names = {family.name for family in network.registry.families()}
+        assert names, "the run registered no family at all"
+        assert not {
+            name for name in names
+            if name.startswith(("packets_", "qos_class_"))
+            or name == "delivery_latency_seconds"
+        }
 
 
 class _StubSystem:

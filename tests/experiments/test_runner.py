@@ -5,6 +5,7 @@ import pytest
 from repro.errors import ConfigError
 from repro.experiments.config import FaultConfig, ScenarioConfig
 from repro.experiments.runner import SYSTEMS, run_scenario
+from repro.recovery import RecoveryConfig
 
 FAST = ScenarioConfig(sim_time=10.0, warmup=2.0, rate_pps=5.0)
 
@@ -44,6 +45,24 @@ class TestRunner:
             "REFER", FAST.with_(faults=FaultConfig(count=4))
         )
         assert result.generated > 0
+
+    def test_faults_are_recorded_and_audited_like_a_fault_spec(self):
+        """``faults`` runs through the chaos coordinator: its crashes
+        are in the event log, the resilience probe and REFER's recovery
+        audit, not only in the network."""
+        result = run_scenario(
+            "REFER",
+            ScenarioConfig(
+                seed=3, sensor_count=120, sim_time=25.0, warmup=3.0,
+                faults=FaultConfig(count=6), recovery=RecoveryConfig(),
+            ),
+        )
+        injected = [e for e in result.fault_events if e.kind == "inject"]
+        assert injected and all(len(e.nodes) == 6 for e in injected)
+        assert {e.model for e in result.fault_events} == {"crash-rotation"}
+        assert result.resilience.fault_count == len(injected)
+        assert result.recovery.missed_faults > 0
+        assert result.recovery.mean_time_to_detect_s > 0
 
     def test_total_energy_property(self):
         result = run_scenario("DaTree", FAST)

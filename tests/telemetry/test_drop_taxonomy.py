@@ -277,7 +277,10 @@ class TestTraceClosure:
     def test_every_emitted_drop_reason_appears_in_the_trace(self):
         result = run_scenario("REFER", self.SCENARIO)
         telemetry = result.telemetry
-        emitted = telemetry.flight.drop_reasons()
+        emitted = {
+            reason
+            for (reason,), _ in telemetry.registry.get("packets_dropped").items()
+        }
         assert result.dropped > 0 and emitted, (
             "the scenario produced no drops — broken closure scenario?"
         )

@@ -170,6 +170,17 @@ ROWS = [
         ("src", "tests", "benchmarks/*.py", "examples", "docs", "DESIGN.md"),
         id="one-placement-rule",
     ),
+    pytest.param(
+        r"\binjector\b|\.drop_reasons\(|^\s*registry=network\.registry"
+        r"|MetricsCollector\([^)]*registry",
+        False,
+        (
+            "src/repro/experiments", "src/repro/telemetry", "tests/experiments",
+            "tests/telemetry", "benchmarks/*.py", "examples", "docs",
+            "DESIGN.md",
+        ),
+        id="one-fault-path-one-packet-record",
+    ),
 ]
 
 
