@@ -141,9 +141,6 @@ class KautzOverlaySystem(FloodingSystem):
 
     # -- data plane ---------------------------------------------------------------
 
-    def kid_of(self, node_id: int) -> Optional[KautzString]:
-        return self._node_to_kid.get(node_id)
-
     def send_event(
         self,
         source_id: int,

@@ -24,7 +24,7 @@ from repro.chaos.models import (
     PermanentCrashFault,
     RegionalBlackoutFault,
 )
-from repro.errors import ConfigError
+from repro.errors import ConfigError, require_int_fields
 from repro.net.network import WirelessNetwork
 
 #: The fault classes `FaultSpec.kind` accepts.
@@ -76,6 +76,7 @@ class FaultSpec:
     mean_bad: float = 1.5
 
     def __post_init__(self) -> None:
+        require_int_fields(self)
         if self.kind not in FAULT_KINDS:
             raise ConfigError(
                 f"unknown fault kind {self.kind!r}; choose from {FAULT_KINDS}"

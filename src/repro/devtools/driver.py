@@ -29,8 +29,9 @@ DEFAULT_PATHS = ("src", "tests", "benchmarks", "examples")
 
 #: The findings kept on purpose: ``(path suffix, rule id) -> count``.
 ALLOWED = {
-    # The report CLI: the report and its --wall profile go to stdout.
-    ("repro/telemetry/report.py", "REF007"): 2,
+    # The report CLI: the report and its --wall profile go to stdout,
+    # a refused configuration to stderr.
+    ("repro/telemetry/report.py", "REF007"): 3,
     # The coverage CLI: the table and the gate message go to stdout.
     ("repro/devtools/cover.py", "REF007"): 2,
     # The divergence CLI: the verdict goes to stdout.

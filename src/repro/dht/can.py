@@ -39,10 +39,6 @@ class Zone:
     def volume(self) -> float:
         return (self.x1 - self.x0) * (self.y1 - self.y0)
 
-    @property
-    def center(self) -> PointT:
-        return ((self.x0 + self.x1) / 2.0, (self.y0 + self.y1) / 2.0)
-
     def split(self) -> Tuple["Zone", "Zone"]:
         """Halve along the longer side (ties split x), CAN-style."""
         width, height = self.x1 - self.x0, self.y1 - self.y0

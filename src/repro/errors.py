@@ -3,9 +3,13 @@
 Every error raised by the library derives from :class:`ReproError`, so
 applications can catch library failures with a single ``except`` clause
 while still distinguishing the subsystem that failed.
+:func:`require_int_fields` is the type check the configuration
+dataclasses share.
 """
 
 from __future__ import annotations
+
+import dataclasses
 
 
 class ReproError(Exception):
@@ -42,6 +46,20 @@ class DHTError(ReproError):
 
 class ConfigError(ReproError):
     """An experiment or system configuration is inconsistent."""
+
+
+def require_int_fields(config: object) -> None:
+    """Refuse a value that is not an ``int``, or is a ``bool``, in any
+    ``int``-annotated field of the dataclass ``config``: a float count
+    or size would otherwise fail mid-run, far from the field."""
+    for spec in dataclasses.fields(config):
+        if spec.type in ("int", int):
+            value = getattr(config, spec.name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ConfigError(
+                    f"{type(config).__name__}.{spec.name} must be an int, "
+                    f"got {value!r}"
+                )
 
 
 class TelemetryError(ReproError):

@@ -96,25 +96,27 @@ def base_config(args: argparse.Namespace) -> ScenarioConfig:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if args.command == "run":
-        if args.system is None:
-            print("error: 'run' needs a system name", file=sys.stderr)
-            return 2
-        result = run_scenario(args.system, base_config(args))
-        print(f"system              : {result.system}")
-        print(f"throughput          : {result.throughput_bps / 1000:.1f} kbit/s")
-        print(f"mean delay          : {1000 * result.mean_delay_s:.2f} ms")
-        print(f"communication energy: {result.comm_energy_j:.0f} J")
-        print(f"construction energy : {result.construction_energy_j:.0f} J")
-        print(
-            f"delivered (QoS)     : {result.delivered_qos}/{result.generated}"
-            f"  (dropped {result.dropped})"
-        )
-        return 0
+    if args.command == "run" and args.system is None:
+        print("error: 'run' needs a system name", file=sys.stderr)
+        return 2
     supervision = dict(
         workers=args.workers, journal=args.journal, resume=args.resume
     )
     try:
+        if args.command == "run":
+            result = run_scenario(args.system, base_config(args))
+            print(f"system              : {result.system}")
+            print(
+                f"throughput          : {result.throughput_bps / 1000:.1f} kbit/s"
+            )
+            print(f"mean delay          : {1000 * result.mean_delay_s:.2f} ms")
+            print(f"communication energy: {result.comm_energy_j:.0f} J")
+            print(f"construction energy : {result.construction_energy_j:.0f} J")
+            print(
+                f"delivered (QoS)     : {result.delivered_qos}/{result.generated}"
+                f"  (dropped {result.dropped})"
+            )
+            return 0
         if args.command == "campaign":
             result = run_campaign(
                 base_config(args), seeds=args.seeds, **supervision

@@ -20,7 +20,7 @@ number.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence
+from typing import Dict, Mapping, Optional, Sequence
 
 from repro.errors import ConfigError
 from repro.experiments.config import ScenarioConfig
@@ -46,12 +46,6 @@ class CampaignResult:
     #: Deterministic merge of the per-job telemetry registry snapshots
     #: (telemetry-enabled base configs only).
     merged_registry: Optional[dict] = None
-
-    def __getitem__(self, name: str) -> FigureData:
-        return self.figures[name]
-
-    def names(self) -> List[str]:
-        return list(self.figures)
 
 
 def campaign_axes(

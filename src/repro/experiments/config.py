@@ -22,7 +22,7 @@ from dataclasses import dataclass, replace
 from typing import Optional, Tuple
 
 from repro.chaos.spec import FaultSpec
-from repro.errors import ConfigError
+from repro.errors import ConfigError, require_int_fields
 from repro.kautz.graph import kautz_node_count
 from repro.qos.config import BurstyConfig, QosConfig
 from repro.recovery.config import RecoveryConfig
@@ -42,6 +42,7 @@ class FaultConfig:
     count: int
 
     def __post_init__(self) -> None:
+        require_int_fields(self)
         if self.count < 0:
             raise ConfigError("invalid fault configuration")
 
@@ -89,6 +90,7 @@ class ScenarioConfig:
     kautz_degree: int = 2            # REFER cell K(d, 3)
 
     def __post_init__(self) -> None:
+        require_int_fields(self)
         if isinstance(self.fault_spec, FaultSpec):
             object.__setattr__(self, "fault_spec", (self.fault_spec,))
         elif not isinstance(self.fault_spec, tuple):

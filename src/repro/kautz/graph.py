@@ -2,8 +2,8 @@
 
 Nodes are :class:`~repro.kautz.strings.KautzString` labels; edges are the
 shift relation ``u_1...u_k -> u_2...u_k a`` (a != u_k).  The graph is
-never materialised as an adjacency structure unless asked — successors
-and predecessors are computed from the labels — which keeps even large
+never materialised: a label computes its own successors and
+predecessors (:meth:`KautzString.successors`), which keeps even large
 K(d, k) instances cheap to create.
 """
 
@@ -22,11 +22,6 @@ def kautz_node_count(degree: int, diameter: int) -> int:
     if degree < 1 or diameter < 1:
         raise KautzError("degree and diameter must be >= 1")
     return (degree + 1) * degree ** (diameter - 1)
-
-
-def kautz_edge_count(degree: int, diameter: int) -> int:
-    """``|E| = (d + 1) d^k`` (Lemma 3.1)."""
-    return kautz_node_count(degree, diameter) * degree
 
 
 class KautzGraph:
@@ -53,28 +48,11 @@ class KautzGraph:
     def __repr__(self) -> str:
         return f"KautzGraph(d={self._degree}, k={self._diameter})"
 
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, KautzGraph)
-            and other._degree == self._degree
-            and other._diameter == self._diameter
-        )
-
-    def __hash__(self) -> int:
-        return hash(("KautzGraph", self._degree, self._diameter))
-
     # -- size ----------------------------------------------------------------
 
     @property
     def node_count(self) -> int:
         return kautz_node_count(self._degree, self._diameter)
-
-    @property
-    def edge_count(self) -> int:
-        return kautz_edge_count(self._degree, self._diameter)
-
-    def __len__(self) -> int:
-        return self.node_count
 
     # -- membership and enumeration ------------------------------------------
 
@@ -117,21 +95,6 @@ class KautzGraph:
         """A uniformly random node."""
         return KautzString.random(self._degree, self._diameter, rng)
 
-    # -- adjacency ------------------------------------------------------------
-
-    def successors(self, node: KautzString) -> List[KautzString]:
-        self._require(node)
-        return node.successors()
-
-    def predecessors(self, node: KautzString) -> List[KautzString]:
-        self._require(node)
-        return node.predecessors()
-
-    def has_edge(self, u: KautzString, v: KautzString) -> bool:
-        self._require(u)
-        self._require(v)
-        return u.letters[1:] == v.letters[:-1] and u.last != v.letters[-1]
-
     # -- global measures --------------------------------------------------------
 
     def bfs_distance(self, u: KautzString, v: KautzString) -> int:
@@ -169,10 +132,6 @@ class KautzGraph:
                 raise KautzError("graph not strongly connected")
             best = max(best, max(dist.values()))
         return best
-
-    def adjacency(self) -> Dict[KautzString, List[KautzString]]:
-        """A materialised successor map (for interop with generic code)."""
-        return {node: node.successors() for node in self.nodes()}
 
 
 def divmod_rev(

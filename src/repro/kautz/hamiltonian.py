@@ -21,8 +21,8 @@ from repro.kautz.strings import KautzString
 def eulerian_circuit(graph: KautzGraph) -> List[KautzString]:
     """An Eulerian circuit of K(d, k) by Hierholzer's algorithm.
 
-    Returns the vertex sequence; its length is ``edge_count + 1`` and
-    the first vertex equals the last.
+    Returns the vertex sequence; its length is one more than the edge
+    count and the first vertex equals the last.
     """
     remaining: Dict[KautzString, List[KautzString]] = {
         node: node.successors() for node in graph.nodes()
@@ -38,7 +38,7 @@ def eulerian_circuit(graph: KautzGraph) -> List[KautzString]:
         else:
             circuit.append(stack.pop())
     circuit.reverse()
-    if len(circuit) != graph.edge_count + 1:
+    if len(circuit) != graph.node_count * graph.degree + 1:
         raise KautzError("graph is not Eulerian (unexpected for Kautz)")
     return circuit
 
@@ -74,5 +74,5 @@ def is_hamiltonian_cycle(
     if len(set(cycle[:-1])) != graph.node_count:
         return False
     return all(
-        graph.has_edge(a, b) for a, b in zip(cycle, cycle[1:])
+        a in graph and b in a.successors() for a, b in zip(cycle, cycle[1:])
     )

@@ -30,9 +30,6 @@ class RouteResult:
     detours: int            # times a non-best successor had to be taken
     delivered: bool
 
-    @property
-    def hops(self) -> int:
-        return len(self.path) - 1
 
 
 class FaultTolerantRouter:

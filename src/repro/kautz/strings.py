@@ -22,7 +22,7 @@ from __future__ import annotations
 import operator
 import random
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.errors import InvalidKautzString
 
@@ -149,15 +149,6 @@ class KautzString:
     @property
     def last(self) -> int:
         return self.letters[-1]
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.letters)
-
-    def __len__(self) -> int:
-        return len(self.letters)
-
-    def __getitem__(self, index: int) -> int:
-        return self.letters[index]
 
     def __str__(self) -> str:
         return "".join(_DIGITS[x] for x in self.letters)

@@ -277,17 +277,8 @@ class WirelessMedium:
         except KeyError as missing:
             raise NetworkError(f"unknown node id {missing.args[0]}") from None
 
-    def nodes(self) -> List[Node]:
-        return list(self._nodes.values())
-
     def node_ids(self) -> List[int]:
         return list(self._nodes)
-
-    def __len__(self) -> int:
-        return len(self._nodes)
-
-    def __contains__(self, node_id: int) -> bool:
-        return node_id in self._nodes
 
     # -- position snapshot ---------------------------------------------------
 

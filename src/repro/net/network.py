@@ -104,9 +104,6 @@ class WirelessNetwork:
     def add_node(self, node: Node) -> None:
         self.medium.add_node(node)
 
-    def nodes(self) -> List[Node]:
-        return self.medium.nodes()
-
     def neighbors(
         self, node_id: int, require_usable: bool = True
     ) -> Tuple[int, ...]:

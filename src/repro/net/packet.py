@@ -78,25 +78,8 @@ class Packet:
         #: unmarked; the QoS layer then classifies by :attr:`kind`.
         self.traffic_class = traffic_class
 
-    # dataclass(eq=True) semantics: field-by-field equality and, since
-    # the class is mutable, no hashing by uid or identity.
+    # Unhashable, so a packet never enters a hash-ordered set.
     __hash__ = None  # type: ignore[assignment]
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not Packet:
-            return NotImplemented
-        return (
-            self.kind == other.kind
-            and self.size_bytes == other.size_bytes
-            and self.source == other.source
-            and self.destination == other.destination
-            and self.created_at == other.created_at
-            and self.uid == other.uid
-            and self.deadline == other.deadline
-            and self.hops == other.hops
-            and self.meta == other.meta
-            and self.traffic_class == other.traffic_class
-        )
 
     def __repr__(self) -> str:
         return (

@@ -77,7 +77,6 @@ class GridStats:
     #: Ids listed across all passes.
     matches: int = 0
     inserts: int = 0
-    removes: int = 0
     #: Moved items whose re-hash crossed a cell boundary.
     rebuckets: int = 0
     #: Moved items whose re-hash found them still in their cell.
@@ -134,19 +133,6 @@ class SpatialHashGrid:
         self._keys[item_id] = key
         self.stats.inserts += 1
 
-    def remove(self, item_id: int) -> None:
-        """Drop an item; raises :class:`NetworkError` if unknown."""
-        try:
-            key = self._keys.pop(item_id)
-        except KeyError:
-            raise NetworkError(f"unknown grid item {item_id}") from None
-        del self._positions[item_id]
-        bucket = self._cells[key]
-        bucket.discard(item_id)
-        if not bucket:
-            del self._cells[key]
-        self.stats.removes += 1
-
     def move(self, item_id: int, point: Point) -> None:
         """Update one position; re-hashes only on a cell crossing."""
         try:
@@ -173,12 +159,6 @@ class SpatialHashGrid:
             return self._positions[item_id]
         except KeyError:
             raise NetworkError(f"unknown grid item {item_id}") from None
-
-    def __len__(self) -> int:
-        return len(self._positions)
-
-    def __contains__(self, item_id: int) -> bool:
-        return item_id in self._positions
 
     def items(self) -> List[int]:
         return list(self._positions)

@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from repro.errors import ConfigError
+from repro.errors import ConfigError, require_int_fields
 
 __all__ = ["QosConfig", "BurstyConfig"]
 
@@ -53,6 +53,7 @@ class BurstyConfig:
     peak_rate_pps: float = 4.0
 
     def __post_init__(self) -> None:
+        require_int_fields(self)
         if self.sources < 1:
             raise ConfigError("sources must be >= 1")
         # NaN fails every comparison; an infinite rate (either factor,

@@ -269,27 +269,12 @@ class FlightRecorder:
 
     # -- querying ----------------------------------------------------------
 
-    def packets(self) -> List[int]:
-        """Retained packet uids, oldest first."""
-        return list(self._journeys)
-
     @staticmethod
     def _inflate(flat: List[object]) -> Tuple[FlightEvent, ...]:
         """Rebuild :class:`FlightEvent`\\ s from one flat journey list."""
         return tuple(
             FlightEvent(*flat[i:i + 5]) for i in range(0, len(flat), 5)
         )
-
-    def events(self, uid: int) -> List[FlightEvent]:
-        """The recorded events of one packet (empty if evicted/unknown)."""
-        return list(self._inflate(self._journeys.get(uid, [])))
-
-    def journey(self, uid: int) -> Optional[Journey]:
-        """The :class:`Journey` of ``uid`` (None if not retained)."""
-        events = self._journeys.get(uid)
-        if events is None:
-            return None
-        return Journey(uid=uid, events=self._inflate(events))
 
     def journeys(self) -> List[Journey]:
         """Every retained journey, oldest packet first."""

@@ -59,15 +59,10 @@ class Counter:
             raise TelemetryError("counters only increase")
         self._value += amount
 
-    def _set(self, value) -> None:
-        """Write-through for stats views (``stats.detours += 1`` reads
-        the value and assigns the new total); not part of the public
-        API."""
-        self._value = value
-
 
 class Gauge:
-    """A value that can move in both directions."""
+    """A value that can move in both directions, written through a
+    :func:`~repro.telemetry.views.gauge_field`."""
 
     __slots__ = ("_value",)
 
@@ -77,14 +72,6 @@ class Gauge:
     @property
     def value(self):
         return self._value
-
-    def set(self, value) -> None:
-        self._value = value
-
-    def inc(self, amount=1) -> None:
-        self._value += amount
-
-    _set = set
 
 
 class Histogram:
@@ -241,20 +228,10 @@ class MetricFamily:
         """``(label_values, child)`` pairs in insertion order."""
         return list(self._children.items())
 
-    # -- unlabelled conveniences -------------------------------------------
-
-    @property
-    def value(self):
-        return self.child().value
+    # -- unlabelled convenience ---------------------------------------------
 
     def inc(self, amount=1) -> None:
         self.child().inc(amount)
-
-    def set(self, value) -> None:
-        self.child().set(value)
-
-    def observe(self, value: float) -> None:
-        self.child().observe(value)
 
 
 class _Held(dict):

@@ -28,8 +28,10 @@ from __future__ import annotations
 import argparse
 import cProfile
 import pstats
+import sys
 from typing import List, Optional, Sequence
 
+from repro.errors import ConfigError
 from repro.experiments.metrics import QOS_DEADLINE
 
 __all__ = ["render", "wall_profile", "main"]
@@ -386,20 +388,24 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         help="write the trace fingerprint + checkpoints (implies --trace)",
     )
     args = parser.parse_args(argv)
-    config = scenario_from_args(
-        args,
-        TelemetryConfig(
-            tracing=(
-                TracingConfig()
-                if args.trace or args.trace_jsonl else None
+    try:
+        config = scenario_from_args(
+            args,
+            TelemetryConfig(
+                tracing=(
+                    TracingConfig()
+                    if args.trace or args.trace_jsonl else None
+                ),
             ),
-        ),
-    )
-    if args.wall:
-        profile = cProfile.Profile()
-        result = profile.runcall(run_scenario, args.system, config)
-    else:
-        result = run_scenario(args.system, config)
+        )
+        if args.wall:
+            profile = cProfile.Profile()
+            result = profile.runcall(run_scenario, args.system, config)
+        else:
+            result = run_scenario(args.system, config)
+    except ConfigError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     # This *is* the report CLI — rendering to stdout is its contract.
     print(render(result), end="")
     if args.wall:

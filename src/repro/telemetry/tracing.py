@@ -128,7 +128,8 @@ class TraceStream:
     """A rolling-hash digest of one run's ordered occurrences."""
 
     def __init__(self, config: Optional[TracingConfig] = None) -> None:
-        self._config = config if config is not None else TracingConfig()
+        if config is None:
+            config = TracingConfig()
         self._hash = hashlib.sha256()
         self._captured: List[Tuple[int, float, str, str, str]] = []
         self._pending: List[Tuple[int, float, str, str, str]] = []
@@ -137,9 +138,9 @@ class TraceStream:
         #: Sim time of the latest recorded event (``close`` without a
         #: bound clock ends the run there).
         self._last_time = 0.0
-        self._interval = self._config.checkpoint_interval
+        self._interval = config.checkpoint_interval
         self._next_boundary = self._interval
-        self._capture = self._config.capture
+        self._capture = config.capture
         self._clock: Optional[Callable[[], float]] = None
         #: Sim time of the latest dispatch — the timestamp RNG draws
         #: record.  Every sim-time draw happens inside a dispatched
@@ -157,10 +158,6 @@ class TraceStream:
         self._uid_map: dict = {}
 
     # -- wiring ------------------------------------------------------------
-
-    @property
-    def config(self) -> TracingConfig:
-        return self._config
 
     def bind_clock(self, clock: Callable[[], float]) -> None:
         """End-of-run timestamp source (:meth:`close`); the runner

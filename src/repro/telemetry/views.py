@@ -87,7 +87,6 @@ class StatsView:
     def __init__(self, registry: Optional[Registry] = None) -> None:
         if registry is None:
             registry = Registry()
-        self._registry = registry
         handles: Dict[str, object] = {}
         for klass in type(self).__mro__:
             for name, attr in vars(klass).items():
@@ -101,31 +100,13 @@ class StatsView:
                 fresh = family.value_at(default=None) is None
                 child = family.child()
                 if fresh and attr.default:
-                    child._set(attr.default)
+                    child._value = attr.default
                 handles[name] = child
         self._metric_handles: Dict[str, object] = handles
 
-    @property
-    def registry(self) -> Registry:
-        """The registry this view writes through to."""
-        return self._registry
-
-    def as_dict(self) -> Dict[str, object]:
-        """Current field values, keyed by field name (sorted)."""
-        return {
-            name: self._metric_handles[name].value
-            for name in sorted(self._metric_handles)
-        }
-
     def __repr__(self) -> str:  # mirrors the old dataclass repr style
         fields = ", ".join(
-            f"{name}={value!r}" for name, value in self.as_dict().items()
+            f"{name}={self._metric_handles[name]._value!r}"
+            for name in sorted(self._metric_handles)
         )
         return f"{type(self).__name__}({fields})"
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, StatsView):
-            return NotImplemented
-        return type(self) is type(other) and self.as_dict() == other.as_dict()
-
-    __hash__ = None  # type: ignore[assignment]  # mutable, like the dataclasses

@@ -25,10 +25,6 @@ class Point(NamedTuple):
         """Euclidean distance to ``other``."""
         return math.hypot(self.x - other.x, self.y - other.y)
 
-    def translated(self, dx: float, dy: float) -> "Point":
-        """A copy shifted by ``(dx, dy)``."""
-        return Point(self.x + dx, self.y + dy)
-
     def toward(self, target: "Point", distance: float) -> "Point":
         """The point ``distance`` metres from ``self`` along the ray to ``target``.
 

@@ -117,11 +117,6 @@ class RngStreams:
         self._streams: Dict[str, random.Random] = {}
         self._trace = None
 
-    @property
-    def master_seed(self) -> int:
-        """The seed this family was created from."""
-        return self._master_seed
-
     def set_trace(self, trace) -> None:
         """Digest every stream's primitive draws into ``trace``
         (:class:`repro.telemetry.tracing.TraceStream`).

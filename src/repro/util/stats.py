@@ -57,7 +57,7 @@ def confidence_interval_95(values: Sequence[float]) -> Tuple[float, float]:
 
 
 class RunningStat:
-    """Welford's online mean/variance accumulator.
+    """Welford's online mean.
 
     Collecting per-packet latencies in a long simulation should not
     retain every sample; this accumulator keeps O(1) state.
@@ -66,14 +66,11 @@ class RunningStat:
     def __init__(self) -> None:
         self._count = 0
         self._mean = 0.0
-        self._m2 = 0.0
 
     def add(self, value: float) -> None:
         """Fold one sample into the accumulator."""
         self._count += 1
-        delta = value - self._mean
-        self._mean += delta / self._count
-        self._m2 += delta * (value - self._mean)
+        self._mean += (value - self._mean) / self._count
 
     @property
     def count(self) -> int:
@@ -83,15 +80,4 @@ class RunningStat:
     def mean(self) -> float:
         """Mean of the samples seen so far (0.0 when empty)."""
         return self._mean if self._count else 0.0
-
-    @property
-    def variance(self) -> float:
-        """Sample variance (n-1 denominator); 0.0 for n < 2."""
-        if self._count < 2:
-            return 0.0
-        return self._m2 / (self._count - 1)
-
-    @property
-    def stdev(self) -> float:
-        return math.sqrt(self.variance)
 

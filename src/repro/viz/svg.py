@@ -190,7 +190,7 @@ def render_refer_snapshot(
             ),
             "?",
         )
-        canvas.text(pos.translated(8, 8), f"A{actuator}:{kid}", size=12)
+        canvas.text(Point(pos.x + 8, pos.y + 8), f"A{actuator}:{kid}", size=12)
 
     if route:
         positions = [network.node(n).position(now) for n in route]

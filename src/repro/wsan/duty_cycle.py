@@ -12,7 +12,7 @@ the energy cost of probing.
 from __future__ import annotations
 
 import enum
-from typing import Dict, Iterable, List
+from typing import Dict, Iterable
 
 from repro.errors import ConfigError
 
@@ -40,9 +40,6 @@ class DutyCycleManager:
             return self._state[sensor_id]
         except KeyError:
             raise ConfigError(f"unknown sensor {sensor_id}") from None
-
-    def sensors(self, state: SensorState) -> List[int]:
-        return [sid for sid, s in self._state.items() if s is state]
 
     # -- transitions -----------------------------------------------------------
 

@@ -54,7 +54,7 @@ class TestConstruction:
         sim, network, system = build()
         system.build()
         for actuator in system.actuator_ids:
-            assert system.kid_of(actuator) is not None
+            assert actuator in system._node_to_kid
 
     def test_member_count_matches_graph(self):
         sim, network, system = build()

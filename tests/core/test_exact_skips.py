@@ -100,7 +100,7 @@ floors = st.sampled_from([0.0, 0.05, 0.15, 0.15, 0.4, None])
 
 
 def assert_weak_link_scan_is_exact(network, anchor_count, now, floor):
-    size = len(network.medium)
+    size = len(network.medium.node_table)
     anchors = list(range(min(anchor_count, size - 1)))
     maintenance = maintenance_over(network, set(anchors))
     if floor is None:

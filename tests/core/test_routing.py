@@ -7,7 +7,7 @@ import pytest
 from repro.core.embedding import EmbeddingProtocol
 from repro.core.ids import ReferId
 from repro.core.routing import MAX_HOPS, ReferRouter
-from repro.errors import RoutingError
+from repro.errors import DHTError, RoutingError
 from repro.experiments.config import ScenarioConfig
 from repro.experiments.runner import run_scenario
 from repro.kautz.disjoint import successor_table
@@ -132,6 +132,26 @@ class TestSendToReferId:
         sim.run_until(3.0)
         assert len(done) == 1
         assert router.stats.inter_messages == 1
+
+    def test_an_unrealisable_can_step_falls_back_to_cell_distance(
+        self, monkeypatch
+    ):
+        sim, network, plan, cells, router, rng = build_world()
+
+        def stalled(cid, point):
+            raise DHTError("greedy stall")
+
+        monkeypatch.setattr(router.can, "route", stalled)
+        src_cell, dst_cell = cells[0], cells[2]
+        source = src_cell.sensor_member_ids[0]
+        dest_kid = dst_cell.kid_of(dst_cell.sensor_member_ids[0])
+        done = []
+        router.send_to(
+            source, ReferId(dst_cell.cid, dest_kid), packet(sim, source),
+            done.append,
+        )
+        sim.run_until(3.0)
+        assert len(done) == 1
 
     def test_unknown_cell_rejected(self):
         sim, network, plan, cells, router, rng = build_world()

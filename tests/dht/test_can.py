@@ -48,9 +48,6 @@ class TestZone:
         assert z.distance_to((0.25, 0.25)) == 0.0
         assert z.distance_to((0.8, 0.25)) == pytest.approx(0.3)
 
-    def test_center(self):
-        assert Zone(0.0, 1.0, 0.0, 0.5).center == (0.5, 0.25)
-
 
 class TestJoinLeave:
     def test_first_join_owns_everything(self):

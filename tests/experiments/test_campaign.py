@@ -13,8 +13,8 @@ TINY = ScenarioConfig(sim_time=6.0, warmup=1.0, rate_pps=4.0)
 class TestRunCampaign:
     def test_subset_selection(self):
         result = run_campaign(TINY, seeds=1, figures=["fig10"])
-        assert result.names() == ["fig10"]
-        assert result["fig10"].figure == "Fig 10"
+        assert list(result.figures) == ["fig10"]
+        assert result.figures["fig10"].figure == "Fig 10"
 
     def test_unknown_figure_rejected(self):
         with pytest.raises(ConfigError):

@@ -55,6 +55,10 @@ class TestMain:
     def test_run_without_system_errors(self, capsys):
         assert main(["run"]) == 2
 
+    def test_run_refuses_a_bad_config_as_the_figures_do(self, capsys):
+        assert main(["run", "REFER", "--sensors", "10"]) == 2
+        assert capsys.readouterr().err.startswith("error: need at least")
+
     def test_figure_prints_table(self, capsys):
         code = main(
             [

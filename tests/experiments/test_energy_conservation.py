@@ -42,7 +42,7 @@ def test_every_battery_matches_its_ledger_children(system, monkeypatch):
         "energy_node_joules"
     ].items():
         ledger[node_id] = ledger.get(node_id, 0.0) + joules
-    nodes = network.nodes()
+    nodes = network.medium.node_table.values()
     assert len(nodes) == 125 and result.construction_energy_j > 0
     assert all(node.battery_joules is None for node in nodes)
     assert {

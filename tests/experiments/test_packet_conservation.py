@@ -103,8 +103,9 @@ def test_every_generated_packet_is_delivered_dropped_or_in_flight(
         rows[_CLASS_ORDER[cls] if cls >= 0 else None,
              created >= config.warmup, outcome] += 1
     chains = collections.Counter()   # (class, measured, end) -> chains
+    journeys = {journey.uid: journey for journey in flight.journeys()}
     for uid, end in ends.items():
-        created = flight.journey(uid).events[0].time
+        created = journeys[uid].events[0].time
         chains[metrics.classes[uid], created >= config.warmup, end] += 1
 
     for cls in {key[0] for key in rows}:

@@ -15,12 +15,12 @@ class TestEulerianCircuit:
     def test_circuit_uses_every_edge_once(self, d, k):
         g = KautzGraph(d, k)
         circuit = eulerian_circuit(g)
-        assert len(circuit) == g.edge_count + 1
+        assert len(circuit) == g.node_count * g.degree + 1
         assert circuit[0] == circuit[-1]
         edges = list(zip(circuit, circuit[1:]))
-        assert len(set(edges)) == g.edge_count
+        assert len(set(edges)) == g.node_count * g.degree
         for a, b in edges:
-            assert g.has_edge(a, b)
+            assert b in a.successors()
 
 
 class TestHamiltonianCycle:

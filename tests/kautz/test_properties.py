@@ -74,7 +74,7 @@ def test_disjoint_paths_always_d_and_disjoint(pair):
     assert verify_node_disjoint(paths)
     for path in paths:
         for a, b in zip(path, path[1:]):
-            assert graph.has_edge(a, b)
+            assert b in a.successors()
 
 
 @settings(max_examples=60, deadline=None)

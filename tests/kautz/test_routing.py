@@ -44,12 +44,12 @@ class TestFaultTolerantRouterNoFailures:
         result = router.route(K("0123", 4), K("2301", 4))
         assert result.delivered
         assert result.detours == 0
-        assert result.hops == 2
+        assert len(result.path) - 1 == 2
 
     def test_route_to_self(self):
         router = FaultTolerantRouter(is_available=lambda n: True)
         result = router.route(K("012"), K("012"))
-        assert result.hops == 0
+        assert len(result.path) - 1 == 0
         assert result.delivered
 
     @pytest.mark.parametrize("d,k", [(2, 3), (3, 3)])
@@ -60,7 +60,7 @@ class TestFaultTolerantRouterNoFailures:
         for u in nodes:
             for v in nodes:
                 result = router.route(u, v)
-                assert result.hops == kautz_distance(u, v)
+                assert len(result.path) - 1 == kautz_distance(u, v)
 
 
 class TestFaultTolerantRouterWithFailures:
@@ -155,7 +155,7 @@ class TestRouteGenerationBaseline:
         interiors = []
         for path in paths:
             for a, b in zip(path, path[1:]):
-                assert g.has_edge(a, b)
+                assert b in a.successors()
             interiors.extend(path[1:-1])
         assert len(set(interiors)) == len(interiors)
 

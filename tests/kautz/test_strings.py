@@ -77,9 +77,9 @@ class TestAccessors:
 
     def test_iteration_and_indexing(self):
         s = KautzString((1, 2, 0), 2)
-        assert list(s) == [1, 2, 0]
-        assert s[1] == 2
-        assert len(s) == 3
+        assert list(s.letters) == [1, 2, 0]
+        assert s.letters[1] == 2
+        assert s.k == 3
 
     def test_str_uses_base36(self):
         s = KautzString((10, 0), 10)

@@ -9,6 +9,7 @@ so a difference is an index bug, never a difference in positions.
 own cells, for the grid's unit tests.
 """
 
+import copy
 import math
 from types import SimpleNamespace
 
@@ -22,22 +23,21 @@ def grid_within(grid, point, radius):
     """The items of ``grid`` within ``radius`` of ``point``, sorted, as
     the grid's own pass finds them.
 
-    A probe of reach ``radius`` is inserted at ``point`` among items of
-    unbounded reach and removed again.  All are ``wide``, so the pass
-    pairs the probe with its 3x3 block of cells and tests everything
-    further out directly, by cell key: a stale cell or key shows up as
-    a difference from ``brute_force_within_range``.
+    A probe of reach ``radius`` is inserted at ``point`` into a copy of
+    the grid, among items of unbounded reach.  All are ``wide``, so the
+    pass pairs the probe with its 3x3 block of cells and tests
+    everything further out directly, by cell key: a stale cell or key,
+    copied with the rest, shows up as a difference from
+    ``brute_force_within_range``.
     """
-    grid.insert(PROBE, point)
-    try:
-        reach = {
-            item: SimpleNamespace(transmission_range=math.inf)
-            for item in grid.items()
-        }
-        reach[PROBE] = SimpleNamespace(transmission_range=radius)
-        return grid.mutual_neighbours([PROBE], reach, list(reach))[PROBE]
-    finally:
-        grid.remove(PROBE)
+    probed = copy.deepcopy(grid)
+    probed.insert(PROBE, point)
+    reach = {
+        item: SimpleNamespace(transmission_range=math.inf)
+        for item in probed.items()
+    }
+    reach[PROBE] = SimpleNamespace(transmission_range=radius)
+    return probed.mutual_neighbours([PROBE], reach, list(reach))[PROBE]
 
 
 def brute_neighbors(medium, node_id, require_usable=True):

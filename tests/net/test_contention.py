@@ -151,7 +151,7 @@ def brute_contention(medium, node_id, now):
     node = medium.node(node_id)
     here = node.position(now)
     count = 0
-    for other in medium.nodes():
+    for other in medium.node_table.values():
         if other is node or not other.usable:
             continue
         if not other.radio_busy_until > now:
@@ -281,7 +281,7 @@ def test_reachable_over_an_entry_scan_is_the_brute_filter(
             rng.choice([None] * 8 + ["failed", "battery"]),
         )
         register(medium, seed, node_id, spec, exact=60.0)
-    for node in medium.nodes():
+    for node in medium.node_table.values():
         offset = rng.choice([None, -7.5, -0.3, 0.0, 0.3, 40.0])
         if offset is not None:
             node.position(now + offset)

@@ -134,7 +134,7 @@ def observed(net, spread):
         list(tree.items()),
         level_sizes,
         ordered_energy(net.registry),
-        [node.consumed_joules for node in net.nodes()],
+        [node.consumed_joules for node in net.medium.node_table.values()],
     )
 
 
@@ -175,7 +175,7 @@ def drive(seed, count, script, id_of=dense):
     now = 0.0
     for advance, action, indices, ttl in script:
         now += advance
-        size = len(nets[0].nodes())
+        size = len(nets[0].medium.node_table)
         sources = [id_of(index % size) for index in indices]
         for sim in sims:
             sim.run_until(now)
@@ -209,10 +209,10 @@ def test_a_node_exhausted_mid_bucket_and_a_node_added_mid_bucket():
     nodes, a later flood's tuples leave them out, and a node registered
     between floods is heard by the next one."""
     _, net = build(WirelessNetwork, 3, 60)
-    assert all(node.usable for node in net.nodes() if not node.failed)
+    assert all(node.usable for node in net.medium.node_table.values() if not node.failed)
     first, _ = net._spread([0], 5)
     exhausted = [
-        node.id for node in net.nodes()
+        node.id for node in net.medium.node_table.values()
         if not node.failed and not node.usable
     ]
     assert exhausted

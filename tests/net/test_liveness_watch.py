@@ -159,7 +159,7 @@ def drive(seed, states, script):
     now = 0.0
     for advance, action, indices, ttl in script:
         now += advance
-        size = len(nets[0].nodes())
+        size = len(nets[0].medium.node_table)
         ids = [index % size for index in indices]
         for sim in sims:
             sim.run_until(now)

@@ -121,7 +121,7 @@ class TestMedium:
         medium = self.build()
         with pytest.raises(NetworkError, match="non-negative int"):
             medium.add_node(make_node(node_id, 10, 0))
-        assert len(medium) == 4 and medium.neighbors(0, 0.0) == (1,)
+        assert len(medium.node_table) == 4 and medium.neighbors(0, 0.0) == (1,)
 
     def test_unknown_node(self):
         with pytest.raises(NetworkError):
@@ -162,6 +162,6 @@ class TestMedium:
 
     def test_len_and_contains(self):
         medium = self.build()
-        assert len(medium) == 4
-        assert 2 in medium
-        assert 99 not in medium
+        assert len(medium.node_table) == 4
+        assert 2 in medium.node_table
+        assert 99 not in medium.node_table

@@ -67,7 +67,7 @@ def build(starts, seed):
 
 def ask(network, fault, script):
     medium = network.medium
-    size = len(medium)
+    size = len(medium.node_table)
     for what, a, b, now in script:
         a, b = a % size, b % size
         if a == b:

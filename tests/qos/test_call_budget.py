@@ -92,7 +92,7 @@ def calls_by_file(config):
 
 def test_opt_in_layers_stay_within_their_per_frame_call_budget():
     counts, result = calls_by_file(SCENARIO)
-    served = result.telemetry.registry.get("qos_frames_served").value
+    served = result.telemetry.registry.get("qos_frames_served").value_at()
     assert served > 2000, "the scenario lost its load"
     assert set(RECORDED) <= set(counts), "a budgeted file never ran"
     over = [

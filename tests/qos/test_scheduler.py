@@ -198,6 +198,13 @@ class TestRefusal:
             == "backpressure_shed"
         )
         assert scheduler.refusal(1, 2, _packet(TrafficClass.ALARM), 0.0) is None
+        # A caller that skips refusal() still gets the verdict.
+        verdicts = []
+        scheduler.submit(
+            1, 2, _packet(TrafficClass.BULK),
+            lambda verdict, at: verdicts.append(verdict),
+        )
+        assert verdicts == ["backpressure_shed"]
 
     def test_accepted_frame_is_not_refused(self):
         sim = Simulator()

@@ -21,24 +21,29 @@ from repro.telemetry.flight import (
 )
 
 
+def by_uid(rec):
+    """The recorder's retained journeys, keyed by packet uid, oldest
+    first."""
+    return {journey.uid: journey for journey in rec.journeys()}
+
+
 class TestRecorderUnit:
     def test_ring_evicts_oldest_journey(self):
         rec = FlightRecorder()
         uids = range(1, FLIGHT_CAPACITY + 2)
         for uid in uids:
             rec.generated(uid, 0.5, source=uid)
-        assert rec.packets() == list(uids[1:])
+        assert list(by_uid(rec)) == list(uids[1:])
         assert rec.journeys_started == FLIGHT_CAPACITY + 1
         assert rec.journeys_evicted == 1
         # lifetime, survives eviction
         assert rec.events_recorded == FLIGHT_CAPACITY + 1
-        assert rec.journey(1) is None
-        assert rec.events(1) == []
+        assert 1 not in by_uid(rec)
 
     def test_queued_hop_records_enqueue_then_tx(self):
         rec = FlightRecorder()
         rec.hop_tx(7, 1.0, src=3, dst=4, queued=True)
-        kinds = [e.kind for e in rec.events(7)]
+        kinds = [e.kind for e in by_uid(rec)[7].events]
         assert kinds == ["enqueue", "tx"]
         assert rec.events_recorded == 2
 
@@ -56,8 +61,13 @@ class TestRecorderUnit:
             1: "delivered", 2: "dropped", 3: "in-flight",
             4: "retransmitted", 5: "in-flight",
         }
-        assert rec.events(4)[-1] == FlightEvent(1.5, "retransmit", None, None, "as=5")
-        assert rec.events(5) == [FlightEvent(1.5, "copy", None, None, "of=4")]
+        journeys = by_uid(rec)
+        assert journeys[4].events[-1] == FlightEvent(
+            1.5, "retransmit", None, None, "as=5"
+        )
+        assert journeys[5].events == (
+            FlightEvent(1.5, "copy", None, None, "of=4"),
+        )
 
     def test_drop_reasons_bucketed_and_unnamed_refused(self):
         rec = FlightRecorder()
@@ -65,8 +75,9 @@ class TestRecorderUnit:
         rec.dropped(2, 1.0, reason="hop-limit")
         with pytest.raises(TelemetryError, match="packet 3 "):
             rec.dropped(3, 1.0, reason="")
-        assert rec.packets() == [1, 2]
-        assert [rec.events(uid)[-1].info for uid in (1, 2)] == [
+        journeys = by_uid(rec)
+        assert list(journeys) == [1, 2]
+        assert [journeys[uid].events[-1].info for uid in (1, 2)] == [
             "hop-limit", "hop-limit",
         ]
         assert "unknown" not in DROP_REASONS
@@ -78,7 +89,7 @@ class TestRecorderUnit:
         rec.hop_rx(1, 0.2, src=3, dst=4)
         rec.hop_tx(1, 0.3, src=4, dst=5, queued=False)
         # second hop never completes: no rx, so no span
-        spans = rec.journey(1).hop_spans
+        spans = by_uid(rec)[1].hop_spans
         assert spans == ((0.1, 0.2, 3, 4),)
 
 
@@ -142,7 +153,7 @@ class TestSpanCausality:
             assert reason in DROP_REASONS
 
     def test_ring_respects_capacity(self, flight):
-        assert len(flight.packets()) <= FLIGHT_CAPACITY
+        assert len(flight.journeys()) <= FLIGHT_CAPACITY
 
 
 def test_a_source_retransmission_links_the_two_journeys():

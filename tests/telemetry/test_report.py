@@ -113,6 +113,14 @@ class TestTelemetryNotice:
         assert "deterministic trace" not in render(observed)
 
 
+class TestMain:
+    def test_a_refused_config_is_an_error_line_and_exit_2(self, capsys):
+        assert main(["--sensors", "10"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: need at least")
+        assert not captured.out
+
+
 class TestWallProfile:
     def test_wall_splits_construction_from_the_rest_of_the_run(self, capsys):
         assert main([

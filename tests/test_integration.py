@@ -58,7 +58,7 @@ class TestEnergyConservation:
         system.stop()
         ledger_total = network.energy.grand_total()
         drained_total = sum(
-            node.consumed_joules for node in network.nodes()
+            node.consumed_joules for node in network.medium.node_table.values()
         )
         assert ledger_total == pytest.approx(drained_total, rel=1e-9)
 

@@ -341,8 +341,9 @@ def _library_definitions(scan):
 # Unreached and kept: each definition here is used only by the test
 # named beside it (an oracle, a debugging aid, or a checker the
 # invariant checker of ROADMAP item 2a is to call).  The list is
-# compared exactly, so it can only shrink; a definition the tests need
-# no more is deleted, not left here.
+# compared exactly, here by name and in ``tests/keep_at_run_time.py``
+# by execution, so it can only shrink; a definition the tests need no
+# more is deleted, not left here.
 KEPT_FOR_TESTS = {
     "src/repro/core/cell.py::EmbeddedCell.is_complete":
         "tests/core/test_embedding.py::TestEmbeddingProtocol",
@@ -363,6 +364,86 @@ KEPT_FOR_TESTS = {
         "tests/telemetry/test_flight.py::TestSpanCausality",
     "src/repro/telemetry/flight.py::Journey.tx_nodes":
         "tests/telemetry/test_flight.py::TestSpanCausality",
+}
+
+
+# Used by name, but executed by no product entry point: each
+# definition here runs only in the test or CI step named beside it,
+# which is why it stays.  ``tests/keep_at_run_time.py`` (a CI step)
+# traces the entry points and compares the definitions none of them
+# runs with this dict and ``KEPT_FOR_TESTS``, exactly, so the dict can
+# only shrink.
+EXECUTED_ONLY_BY_TESTS = {
+    "src/repro/core/cell.py::EmbeddedCell.sensor_member_ids":
+        "tests/core/test_routing.py::TestSendToActuator: 36 test sites "
+        "pick a sensor member with it, and viz/svg.py (awaiting "
+        "deletion) draws them",
+    "src/repro/core/embedding.py::EmbeddingProtocol._place_vertex.at":
+        "tests/core/test_embedding.py::TestEmbeddingProtocol"
+        "::test_higher_degree_breaks_no_more_edges_than_before: the "
+        "centroid fallback when no candidate carries a frame on any edge",
+    "src/repro/core/routing.py::ReferRouter._next_tier_actuator"
+    ".cid_distance":
+        "tests/core/test_routing.py::TestSendToReferId"
+        "::test_an_unrealisable_can_step_falls_back_to_cell_distance: "
+        "the greedy cell-space fallback of the actuator tier",
+    "src/repro/devtools/divergence.py::_run_in_worker":
+        "CI 'Baseline traces are the same in a spawned interpreter' and "
+        "tests/devtools/test_divergence.py: it runs in the spawned "
+        "process",
+    "src/repro/devtools/findings.py::Finding.format_text":
+        "tests/devtools/test_cli.py::TestFormats: the linter prints a "
+        "finding only when the tree has one",
+    "src/repro/dht/can.py::CanOverlay.nodes":
+        "tests/dht/test_can.py::TestNeighborsRouting::test_route_reaches_owner "
+        "and "
+        "tests/dht/test_can_stateful.py: the overlay's members, which "
+        "the churn tests enumerate",
+    "src/repro/experiments/journal.py::CampaignJournal._corrupt":
+        "tests/experiments/test_journal.py::TestTornTail"
+        "::test_corrupt_middle_line_raises: the refusal of a damaged "
+        "journal",
+    "src/repro/experiments/parallel.py::_die_with_parent":
+        "CI 'Parallel campaign smoke' and tests/experiments/"
+        "test_parallel.py::TestRealWorkerPool: it runs in each spawned "
+        "pool worker",
+    "src/repro/experiments/parallel.py::_die_with_parent.watch":
+        "CI 'Parallel campaign smoke': the pool worker's watch thread",
+    "src/repro/experiments/resilience.py::ResilienceResult.cell":
+        "benchmarks/bench_resilience_recovery.py reads it after its "
+        "shape asserts, which fail at this check's small size",
+    "src/repro/kautz/disjoint.py::_bfs_avoiding":
+        "tests/kautz/test_disjoint.py"
+        "::TestDegenerateLabels::test_known_fallback_pair_routes_through_bfs:"
+        " the fallback "
+        "when two closed-form paths collide",
+    "src/repro/kautz/graph.py::KautzGraph._require":
+        "tests/kautz/test_namespace.py::TestDistanceAgainstBfs: the "
+        "membership check of the bfs_distance oracle",
+    "src/repro/kautz/graph.py::KautzGraph.diameter":
+        "tests/kautz/test_properties.py and kautz/hamiltonian.py "
+        "(awaiting deletion)",
+    "src/repro/kautz/strings.py::KautzString.__reduce__":
+        "CI 'Parallel campaign smoke' and tests/kautz/test_strings.py"
+        "::TestOneObjectPerLabel: a label pickled for a pool worker",
+    "src/repro/qos/mac.py::MacQosScheduler._shed":
+        "tests/qos/test_scheduler.py::TestRefusal::test_full_lane_is_shed:"
+        " the refusal of a frame its lane cannot hold",
+    "src/repro/recovery/healer.py::CanHealer.next_hop":
+        "tests/recovery/test_healer.py::TestCanHealer"
+        "::test_next_hop_routes_toward_key (ROADMAP 18)",
+    "src/repro/sim/core.py::Simulator.run":
+        "tests/sim/test_core.py::TestClock: the scheduler's unit tests "
+        "drain the queue with it at 42 call sites; every run uses "
+        "run_until",
+    "src/repro/telemetry/flight.py::FlightRecorder.retransmitted":
+        "tests/telemetry/test_flight.py"
+        "::test_a_source_retransmission_links_the_two_journeys: a "
+        "baseline's source retransmission with telemetry on",
+    "src/repro/telemetry/tracing.py::action_label":
+        "tests/telemetry/test_tracing.py::TestActionLabel"
+        "::test_partial_unwraps: a traced callback without a "
+        "__qualname__",
 }
 
 

@@ -181,6 +181,15 @@ ROWS = [
         ),
         id="one-fault-path-one-packet-record",
     ),
+    pytest.param(
+        r"kautz_edge_count|\.has_edge\(|\.adjacency\(\)|\.journey\("
+        r"|\.master_seed\b|\.translated\(|grid\.remove\(|\.removes\b"
+        r"|\._set\(|\.sensors\(SensorState"
+        r"|\b(net|network|medium)\.nodes\(\)",
+        False,
+        ("src", "tests", "benchmarks/*.py", "examples", "docs"),
+        id="what-only-tests-ran",
+    ),
 ]
 
 

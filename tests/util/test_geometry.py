@@ -20,9 +20,6 @@ class TestPoint:
         a, b = Point(1, 2), Point(-4, 7)
         assert a.distance_to(b) == b.distance_to(a)
 
-    def test_translated(self):
-        assert Point(1, 1).translated(2, -1) == Point(3, 0)
-
     def test_toward_partial(self):
         p = Point(0, 0).toward(Point(10, 0), 4)
         assert p == Point(4, 0)

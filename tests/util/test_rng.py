@@ -31,9 +31,6 @@ class TestStreams:
             mixed.stream("a").random()   # heavy use of a different stream
         assert [mixed.stream("b").random() for _ in range(3)] == expected
 
-    def test_master_seed_property(self):
-        assert RngStreams(99).master_seed == 99
-
     def test_different_seeds_differ(self):
         a = RngStreams(1).stream("x").random()
         b = RngStreams(2).stream("x").random()

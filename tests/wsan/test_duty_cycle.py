@@ -9,7 +9,7 @@ from repro.wsan.duty_cycle import DutyCycleManager, SensorState
 class TestStates:
     def test_all_start_asleep(self):
         duty = DutyCycleManager([1, 2, 3])
-        assert duty.sensors(SensorState.SLEEP) == [1, 2, 3]
+        assert [duty.state(s) for s in (1, 2, 3)] == [SensorState.SLEEP] * 3
 
     def test_activate(self):
         duty = DutyCycleManager([1, 2])
