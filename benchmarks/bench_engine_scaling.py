@@ -97,12 +97,15 @@ def test_refer_run_at_1600_sensors(monkeypatch):
     assert result.generated > 0 and result.delivered_total > 0
 
 
+#: The 400-sensor overlay run; its counts and energies are the
+#: ``overlay-400`` entry of ``tests/goldens.json``.
+OVERLAY_400 = ScenarioConfig(
+    seed=1, sensor_count=400, area_side=500.0, sim_time=10.0
+)
+
+
 def test_overlay_build_at_400_sensors(monkeypatch):
-    result, setup, wall = _timed_run(
-        monkeypatch,
-        "Kautz-overlay",
-        ScenarioConfig(seed=1, sensor_count=400, area_side=500.0, sim_time=10.0),
-    )
+    result, setup, wall = _timed_run(monkeypatch, "Kautz-overlay", OVERLAY_400)
     _emit(
         "engine_overlay_build",
         [

@@ -105,8 +105,9 @@ class ScenarioConfig:
                 f"need at least {floor} sensors to embed "
                 f"K({self.kautz_degree},3) in {len(_CELLS)} cells"
             )
-        if self.packet_bytes <= 0:
-            raise ConfigError("packet_bytes must be positive")
+        # The ledger's size column is an array("i"): a signed 32-bit int.
+        if not 0 < self.packet_bytes < 2**31:
+            raise ConfigError("packet_bytes must be in [1, 2**31 - 1]")
         # NaN fails every comparison, so each loop refuses it.
         for name in ("area_side", "sim_time", "rate_pps"):
             if not 0 < getattr(self, name) < math.inf:

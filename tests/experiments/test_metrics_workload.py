@@ -85,6 +85,19 @@ class TestScenarioConfig:
         with pytest.raises(ConfigError, match=field):
             ScenarioConfig(**{field: value})
 
+    @pytest.mark.parametrize("system", ["REFER", "DaTree"])
+    def test_packet_bytes_stops_where_the_ledger_column_does(self, system):
+        """``2**31`` was accepted, and the run died with a bare
+        ``OverflowError`` when the ledger's ``array("i")`` size column
+        took its first row; one byte less runs to completion."""
+        largest = ScenarioConfig(
+            sensor_count=60, area_side=260.0, sim_time=2.0,
+            packet_bytes=2**31 - 1,
+        )
+        assert run_scenario(system, largest).generated > 0
+        with pytest.raises(ConfigError, match="packet_bytes"):
+            largest.with_(packet_bytes=2**31)
+
     @pytest.mark.skipif(
         not hasattr(signal, "SIGALRM"), reason="the deadline is a POSIX alarm"
     )

@@ -1,53 +1,65 @@
-"""Pinned-digest goldens: the same bytes as the commit that recorded them.
+"""The golden file's checker: every pinned literal, run and compared.
 
 Every other determinism golden compares two runs of the *same*
 checkout, which cannot tell "still deterministic" from "still the same
-answer".  These scenarios pin literals instead: the SHA-256 of the
-nine ``RunResult`` metric fields (``repr`` of each, so every float is
-compared to its last digit) and the ``TraceStream`` fingerprint (every
-scheduler dispatch, RNG draw and packet transition, in order).  A third,
-``COMPOSED``, pins every fault kind's schedule through its fault-event
-log in place of the fingerprint; it was recorded before the chaos
-library's round loop was shared and has held since.  The three
-baselines run ``COMPOSED`` too (``COMPOSED_FLOODING``): their floods
-spread with batteries metered, which no REFER literal reaches.  They
-run ``PLAIN`` and ``FAULTED`` as well (``FLOODING``), pinned by the
-metric digest alone: ``FAULTED`` drives their in-place congestion
-retries and source retransmissions, which no other literal reaches.
+answer".  ``tests/goldens.json`` pins literals instead, one entry per
+run, and this module is the one place that checks them.  An entry
+holds its ``literals``, what yields them, the CPython versions they
+hold under (``python``) and when they were recorded:
 
-The literals were recorded on the one commit that meant to move them
-(PR 22's re-pin: leg and fade draws keyed by entity, contention counted
-at exact positions; the PR 12-21 refactors ran against the previous
-set); REFER's moved once more when the embedding began to ask every
-Kautz edge in its forwarding direction, and the baselines', which do
-not embed, did not.  They are identical under CPython 3.9, 3.11 and
-3.12.  A refactor
-that claims "no behaviour change" passes without touching them; a
-change that means to move them says so and re-records both from the
-values the failing assertions print.
+* ``system`` and ``config`` name a ``run_scenario`` call: a
+  ``ScenarioConfig`` constant of this module (or ``path::NAME`` of
+  another file), and its literals are observables of the result
+  (``OBSERVABLES``): ``metrics``, the SHA-256 of the nine ``RunResult``
+  metric fields (``repr`` of each, so every float is compared to its
+  last digit); ``trace``, the ``TraceStream`` fingerprint (every
+  scheduler dispatch, RNG draw and packet transition, in order);
+  ``fault_events``, the SHA-256 of ``repr(result.fault_events)``;
+  counts and energies as a report prints them;
+* ``command`` is a command line run from the repository root with
+  ``src`` on the path; each literal key is a regular expression over
+  its output whose first group must equal the value, and ``exit``
+  (default 0) its exit status.
 
-The hash-seed twin reruns both scenarios in a child interpreter under
-two fixed, different ``PYTHONHASHSEED`` values: ``str`` hashes — and
-with them the iteration order of every set or dict keyed by strings —
-differ per process, so a run whose bytes depend on that order cannot
-print the recorded literals under both.  The pair is chosen, not
-arbitrary: under CPython >= 3.11 seeds 1 and 5 iterate
-``set(TrafficClass)`` — enum members hash by name, the one
+Under a version an entry does not list, the run still has to succeed
+(exit status, ``"correct": true``, packets generated and delivered);
+only the comparison is skipped, and the test says so.  An entry marked
+``ci_only`` costs more than tier-1 spends; CI's 3.12 job checks it
+with ``--ci-only``.  A change that means to move literals re-records
+them with ``--record``, which prints before -> after for each moved
+one: the re-pin is one diff of the golden file.
+
+The hash-seed twin reruns ``plain`` and ``faulted`` in a child
+interpreter under two fixed, different ``PYTHONHASHSEED`` values:
+``str`` hashes — and with them the iteration order of every set or
+dict keyed by strings — differ per process, so a run whose bytes
+depend on that order cannot print the recorded literals under both.
+The pair is chosen, not arbitrary: under CPython >= 3.11 seeds 1 and 5
+iterate ``set(TrafficClass)`` — enum members hash by name, the one
 ``str``-hashed key family on the packet path — in exactly opposite
 orders, so whichever of two classes a hash-ordered loop serves first,
 one of the two children serves the other.  (Small-int keys hash to
 themselves under every seed; a set of node ids iterated into an
 ordered effect moves the in-process digests instead.)
+
+Run as a script (``PYTHONPATH=src python
+tests/experiments/test_pinned_digests.py``): ``--record`` rewrites the
+golden file, ``--ci-only`` checks the CI-only entries, and no flag is
+the hash-seed twin's child.
 """
 
+import argparse
 import hashlib
+import importlib.util
+import json
 import os
+import pathlib
+import re
+import shlex
 import subprocess
 import sys
 
 import pytest
-
-import repro
 
 from repro.chaos.spec import FAULT_KINDS, FaultSpec
 from repro.experiments.config import ScenarioConfig
@@ -56,6 +68,12 @@ from repro.qos.config import QosConfig
 from repro.recovery.config import RecoveryConfig
 from repro.telemetry.config import TelemetryConfig
 from repro.telemetry.tracing import TracingConfig
+
+REPO_ROOT = pathlib.Path(__file__).resolve().parents[2]
+GOLDEN_FILE = REPO_ROOT / "tests" / "goldens.json"
+GOLDENS = json.loads(GOLDEN_FILE.read_text(encoding="utf-8"))
+CI = REPO_ROOT / ".github" / "workflows" / "ci.yml"
+PYTHON = "%d.%d" % sys.version_info[:2]
 
 METRIC_FIELDS = (
     "throughput_bps",
@@ -101,26 +119,12 @@ FAULTED = ScenarioConfig(
     telemetry=_TRACED,
 )
 
-PINNED = {
-    "plain": (
-        PLAIN,
-        "24a497d7c48da8dd1c5be08b8ed1973d4ece907001c48bf117941f5d59dcbad8",
-        "b447e6e5d52e6496a251f3cdd0ab53cab73c0b07d48db5f0a611d0da7b7f808d",
-    ),
-    "faulted": (
-        FAULTED,
-        "21b5adcb66f7d1cd469a47300f1c04fa95db260cc03a869b3ebca33c948ef4bd",
-        "66620539d6671e8a4429389712cc0111cdf83d14077b945209c7dbe41474570d",
-    ),
-}
-
 #: Every fault kind at once, in ``FAULT_KINDS`` order, with recovery
-#: on: the attrition, actuator, blackout and battery schedules no
-#: literal above covers.  Pinned by its metric digest and the SHA-256
-#: of ``repr(result.fault_events)``, not by a trace fingerprint: the
-#: fingerprint names the callback each dispatch runs, and a refactor of
-#: the chaos library may rename a recovery callback without moving a
-#: single fault.
+#: on: the attrition, actuator, blackout and battery schedules no other
+#: entry covers.  Pinned by its fault-event log, not by a trace
+#: fingerprint: the fingerprint names the callback each dispatch runs,
+#: and a refactor of the chaos library may rename a recovery callback
+#: without moving a single fault.
 COMPOSED = ScenarioConfig(
     seed=3,
     sensor_count=40,
@@ -139,49 +143,7 @@ COMPOSED = ScenarioConfig(
     recovery=RecoveryConfig(),
 )
 
-COMPOSED_PINNED = (
-    "3a5b74f80d2b55af78d9ab26766814e2633d34d5121817e7d5e46d796ebf25d7",
-    "27ef36a3949805ed98d93048e7a9ef91e089cf0c56ff31248cbc66edfa30fdd4",
-)
-
-#: ``COMPOSED`` run by the three baselines, recorded on the commit
-#: before the flood spread walked neighbour bitmasks.  REFER floods only
-#: while it builds, before any fault starts; these systems flood to
-#: build and to repair, and most of their floods (206 of 207, 11 of 12
-#: and 288 of 324) spread while some battery is metered, which a
-#: reception drains as it is heard.
-COMPOSED_FLOODING = {
-    "D-DEAR": (
-        "23e72015378e8ae4276a12b7e8d4b29f756461c44cc15e8a52d8f03502637e9b",
-        "79d25b8c4345b62a697ffce37a44cc7da92aaf2b66e670f2fa120203c67ffb9b",
-    ),
-    "DaTree": (
-        "423901e18dc783fe447482d55ea529fd1a6163e8f615995d07e2c5c91ace2cf4",
-        "79d25b8c4345b62a697ffce37a44cc7da92aaf2b66e670f2fa120203c67ffb9b",
-    ),
-    "Kautz-overlay": (
-        "525223080e3c0642d12ecbf55988520a26a6f5afcfebc0a76378945ba639aede",
-        "79d25b8c4345b62a697ffce37a44cc7da92aaf2b66e670f2fa120203c67ffb9b",
-    ),
-}
-
-#: ``PLAIN`` and ``FAULTED`` run by the three baselines: the metric
-#: digest only, as the trace fingerprint also pins each packet's flight
-#: events and the names of the callbacks the scheduler dispatches.
-FLOODING = {
-    ("plain", "D-DEAR"):
-        "fd48b9e7a9a4586287049174da452ea25715a8cf3dd8d43fd0a6dce5545995dd",
-    ("plain", "DaTree"):
-        "3dab11a0e37a6435caa9b5a0e569a4d3873398d00e63eb23789cf9b7b3fc97ed",
-    ("plain", "Kautz-overlay"):
-        "a56da900816028272c12db4bd9bef579bb00416bdfff33dcf7bd3dd62e73a6a9",
-    ("faulted", "D-DEAR"):
-        "007251e616c7b6cfbb8868080aea4cf911f68059339859014efea319614cf332",
-    ("faulted", "DaTree"):
-        "9a41be605bbe4d28ee6f815b611ace770f1ffc34b3028ce5d0943021243aea9e",
-    ("faulted", "Kautz-overlay"):
-        "8c525f4e84defb641ab1f759f29ccde1876f848d3b3d0c88d07e135d789b76b1",
-}
+BASELINES = ("D-DEAR", "DaTree", "Kautz-overlay")
 
 
 def result_digest(result) -> str:
@@ -189,54 +151,163 @@ def result_digest(result) -> str:
     return hashlib.sha256("|".join(fields).encode()).hexdigest()
 
 
-@pytest.mark.parametrize("name", sorted(PINNED))
-def test_run_matches_the_recorded_bytes(name):
-    config, metrics_digest, trace_fingerprint = PINNED[name]
-    result = run_scenario("REFER", config)
+#: What an in-process entry's literal keys name.
+OBSERVABLES = {
+    "metrics": result_digest,
+    "trace": lambda result: result.telemetry.trace.fingerprint(),
+    "fault_events":
+        lambda result: hashlib.sha256(
+            repr(result.fault_events).encode()
+        ).hexdigest(),
+    "generated": lambda result: result.generated,
+    "delivered": lambda result: result.delivered_total,
+    "construction_energy_j":
+        lambda result: "%.2f" % result.construction_energy_j,
+    "comm_energy_j": lambda result: "%.2f" % result.comm_energy_j,
+}
+
+
+def _config(reference: str) -> ScenarioConfig:
+    """``NAME`` is a constant of this module; ``path::NAME`` one of a
+    file under the repository, loaded with its directory on the path."""
+    path, _, name = reference.rpartition("::")
+    if not path:
+        return globals()[name]
+    file = REPO_ROOT / path
+    sys.path.insert(0, str(file.parent))
+    try:
+        spec = importlib.util.spec_from_file_location(file.stem, file)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+    finally:
+        sys.path.remove(str(file.parent))
+    return getattr(module, name)
+
+
+def observe(entry):
+    """Run one entry: its observed literals (``None`` for a pattern no
+    line matched) and the ``RunResult``, for a run in process."""
+    if "command" in entry:
+        argv = shlex.split(entry["command"])
+        done = subprocess.run(
+            [sys.executable if argv[0] == "python" else argv[0], *argv[1:]],
+            cwd=REPO_ROOT,
+            env=dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src")),
+            capture_output=True,
+            text=True,
+            timeout=600,
+        )
+        assert done.returncode == entry.get("exit", 0), (
+            done.stdout + done.stderr
+        )
+        assert '"correct": false' not in done.stdout, done.stdout
+        found = {
+            pattern: re.search(pattern, done.stdout, re.M)
+            for pattern in entry["literals"]
+        }
+        return {
+            key: match and match.group(1) for key, match in found.items()
+        }, None
+    result = run_scenario(entry["system"], _config(entry["config"]))
     assert result.generated > 0 and result.delivered_total > 0
-    assert result_digest(result) == metrics_digest, {
-        field: getattr(result, field) for field in METRIC_FIELDS
+    return {key: OBSERVABLES[key](result) for key in entry["literals"]}, result
+
+
+def check(name):
+    """Run the entry ``name`` and compare it with the golden file where
+    its literals hold; the ``RunResult`` of a run in process."""
+    entry = GOLDENS[name]
+    observed, result = observe(entry)
+    if PYTHON not in entry["python"].split():
+        pytest.skip(
+            f"{name} ran; its literals hold under CPython "
+            f"{entry['python']}, not {PYTHON}"
+        )
+    moved = {
+        key: {"recorded": value, "observed": observed[key]}
+        for key, value in entry["literals"].items()
+        if observed[key] != value
     }
-    assert result.telemetry.trace.fingerprint() == trace_fingerprint
+    assert not moved, (moved, result and {
+        field: getattr(result, field) for field in METRIC_FIELDS
+    })
+    return result
 
 
-def check_composed(system, pinned):
+#: The entries checked by a test of their own, named as they were
+#: before the golden file held them.
+RUNS = ("plain", "faulted")
+FLOODING = [(name, system) for name in sorted(RUNS) for system in BASELINES]
+NAMED = {
+    *RUNS,
+    "composed",
+    *(f"composed-{system}" for system in BASELINES),
+    *(f"{name}-{system}" for name, system in FLOODING),
+}
+CI_ONLY = sorted(
+    name for name, entry in GOLDENS.items() if entry.get("ci_only")
+)
+#: Every other entry, checked by the one generic test.
+OTHERS = sorted(set(GOLDENS) - NAMED - set(CI_ONLY))
+
+
+@pytest.mark.parametrize("name", sorted(RUNS))
+def test_run_matches_the_recorded_bytes(name):
+    check(name)
+
+
+def _check_composed(name):
     assert tuple(spec.kind for spec in COMPOSED.fault_spec) == FAULT_KINDS
-    result = run_scenario(system, COMPOSED)
+    result = check(name)
     assert {event.model for event in result.fault_events} == {
         "crash-rotation", "permanent-crash", "actuator-outage",
         "regional-blackout", "battery-depletion", "link-burst",
     }
-    events_digest = hashlib.sha256(
-        repr(result.fault_events).encode()
-    ).hexdigest()
-    assert (result_digest(result), events_digest) == pinned, {
-        field: getattr(result, field) for field in METRIC_FIELDS
-    }
 
 
 def test_every_fault_kind_composed_matches_the_recorded_bytes():
-    check_composed("REFER", COMPOSED_PINNED)
+    _check_composed("composed")
 
 
-@pytest.mark.parametrize("system", sorted(COMPOSED_FLOODING))
+@pytest.mark.parametrize("system", BASELINES)
 def test_the_flood_path_composed_matches_the_recorded_bytes(system):
-    check_composed(system, COMPOSED_FLOODING[system])
+    _check_composed(f"composed-{system}")
 
 
-@pytest.mark.parametrize("name,system", sorted(FLOODING))
+@pytest.mark.parametrize("name,system", FLOODING)
 def test_the_flood_path_matches_the_recorded_bytes(name, system):
-    result = run_scenario(system, PINNED[name][0])
-    assert result.generated > 0 and result.delivered_total > 0
-    assert result_digest(result) == FLOODING[name, system], {
-        field: getattr(result, field) for field in METRIC_FIELDS
-    }
+    check(f"{name}-{system}")
+
+
+@pytest.mark.parametrize("name", OTHERS)
+def test_the_entry_matches_the_recorded_literals(name):
+    check(name)
+
+
+def test_every_entry_is_checked_somewhere():
+    """An entry is checked by a tier-1 test above or marked
+    ``ci_only``, and CI's ``--ci-only`` step runs under a version every
+    CI-only entry holds under: no literal is checked nowhere."""
+    assert NAMED <= set(GOLDENS) - set(CI_ONLY)
+    assert NAMED | set(OTHERS) | set(CI_ONLY) == set(GOLDENS)
+    steps = re.split(
+        r"^      - name: ", CI.read_text(encoding="utf-8"), flags=re.M
+    )
+    runners = [
+        step for step in steps if "test_pinned_digests.py --ci-only" in step
+    ]
+    assert len(runners) == 1, "ci.yml has no step that runs --ci-only"
+    versions = re.findall(r"python-version == '([\d.]+)'", runners[0])
+    assert versions, "the --ci-only step names no python-version"
+    for name in CI_ONLY:
+        assert set(versions) <= set(GOLDENS[name]["python"].split()), name
 
 
 @pytest.mark.parametrize("hash_seed", ["1", "5"])
 def test_recorded_bytes_hold_under_a_fixed_hash_seed(hash_seed):
-    src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
-    env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=src)
+    env = dict(
+        os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=str(REPO_ROOT / "src")
+    )
     child = subprocess.run(
         [sys.executable, os.path.abspath(__file__)],
         env=env,
@@ -246,17 +317,65 @@ def test_recorded_bytes_hold_under_a_fixed_hash_seed(hash_seed):
     )
     assert child.returncode == 0, child.stderr
     assert child.stdout.splitlines() == [
-        f"{name} {PINNED[name][1]} {PINNED[name][2]}"
-        for name in sorted(PINNED)
+        f"{name} {GOLDENS[name]['literals']['metrics']} "
+        f"{GOLDENS[name]['literals']['trace']}"
+        for name in sorted(RUNS)
     ]
 
 
 def _print_observed() -> None:
-    """The child of the hash-seed twin: one line per pinned scenario."""
-    for name in sorted(PINNED):
-        result = run_scenario("REFER", PINNED[name][0])
-        print(name, result_digest(result), result.telemetry.trace.fingerprint())
+    """The child of the hash-seed twin: one line per traced run."""
+    for name in sorted(RUNS):
+        result = run_scenario("REFER", _config(GOLDENS[name]["config"]))
+        print(
+            name, result_digest(result), result.telemetry.trace.fingerprint()
+        )
+
+
+def _check_ci_only() -> None:
+    for name in CI_ONLY:
+        try:
+            check(name)
+        except pytest.skip.Exception as skipped:
+            print(skipped.msg)
+            continue
+        print(f"{name}: the recorded literals hold")
+
+
+def _record() -> None:
+    """Re-run every entry that holds here and rewrite the golden file,
+    printing each literal that moved."""
+    moved = 0
+    for name, entry in GOLDENS.items():
+        if PYTHON not in entry["python"].split():
+            print(f"{name}: not re-run, its literals hold under "
+                  f"CPython {entry['python']}")
+            continue
+        observed, _ = observe(entry)
+        for key, value in entry["literals"].items():
+            if observed[key] is None:
+                sys.exit(f"{name}: no output line matches {key!r}")
+            if observed[key] != value:
+                moved += 1
+                print(f"{name} {key}: {value} -> {observed[key]}")
+        entry["literals"] = observed
+    GOLDEN_FILE.write_text(
+        json.dumps(GOLDENS, indent=2) + "\n", encoding="utf-8"
+    )
+    print(f"{moved} literal(s) moved")
 
 
 if __name__ == "__main__":
-    _print_observed()
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    mode = parser.add_mutually_exclusive_group()
+    mode.add_argument("--record", action="store_true",
+                      help="re-run every entry and rewrite tests/goldens.json")
+    mode.add_argument("--ci-only", action="store_true",
+                      help="check the entries marked ci_only")
+    args = parser.parse_args()
+    if args.record:
+        _record()
+    elif args.ci_only:
+        _check_ci_only()
+    else:
+        _print_observed()
