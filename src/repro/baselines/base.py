@@ -41,20 +41,26 @@ class FloodingSystem(WsanSystem):
         super().__init__(network, plan, rng)
         self.repairs = 0
         self.retransmissions = 0
-        self._maintenance = PeriodicProcess(
-            network.sim,
-            period=HELLO_PERIOD,
-            action=self._maintenance_round,
-            jitter=HELLO_PERIOD / 10.0,
-            rng=rng,
-        )
+        self._maintenance: Optional[PeriodicProcess] = None
 
     def start(self) -> None:
         """Run :meth:`_maintenance_round` every :data:`HELLO_PERIOD`."""
+        if self._maintenance is None:
+            self._maintenance = PeriodicProcess(
+                self.network.sim,
+                period=HELLO_PERIOD,
+                action=self._maintenance_round,
+                jitter=HELLO_PERIOD / 10.0,
+                rng=self.rng,
+            )
         self._maintenance.start()
 
     def stop(self) -> None:
-        self._maintenance.stop()
+        """Stop the rounds and drop their process: it holds
+        :meth:`_maintenance_round`, so keeping it would be a cycle."""
+        if self._maintenance is not None:
+            self._maintenance.stop()
+            self._maintenance = None
 
     @abc.abstractmethod
     def _maintenance_round(self) -> None:

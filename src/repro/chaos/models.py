@@ -79,7 +79,8 @@ class ChaosModel:
         self._rng = rng
         self._population = population
         self._fail_times: Dict[int, float] = {}
-        self._outages: List[Handle] = []
+        #: Pending outage ends by their seq.
+        self._outages: Dict[int, Handle] = {}
         self._process: Optional[PeriodicProcess] = None
 
     # -- queries -------------------------------------------------------------
@@ -103,10 +104,16 @@ class ChaosModel:
             self._process.start(self.spec.start)
 
     def stop(self, recover: bool = True) -> None:
-        """Disarm the model; ``recover=False`` leaves damage in place."""
+        """Disarm the model; ``recover=False`` leaves damage in place.
+
+        The round process (it holds :meth:`_tick`) and the population
+        (it reads the run's system, which may hold this model's
+        coordinator) are dropped, so neither leaves a cycle."""
         if self._process is not None:
             self._process.stop()
-        for outage in self._outages:
+            self._process = None
+        self._population = None
+        for outage in self._outages.values():
             self.network.sim.cancel(outage)
         self._outages.clear()
         if recover:
@@ -137,13 +144,18 @@ class ChaosModel:
         injected = self._fail_nodes(node_ids)
         if not injected:
             return
+        sim = self.network.sim
+        # ``end`` finds its entry by seq, not by its handle: a handle
+        # holds ``end``, and the two would be a cycle.
+        seq = sim.reserve()
 
         def end() -> None:
-            self._outages.remove(outage)
+            del self._outages[seq]
             self._recover_nodes(injected)
 
-        outage = self.network.sim.schedule(self.spec.duration, end)
-        self._outages.append(outage)
+        self._outages[seq] = sim.schedule_reserved(
+            sim.now + self.spec.duration, seq, end
+        )
 
     def _record(self, kind: str, nodes: Sequence[int]) -> None:
         self.events.append(

@@ -40,6 +40,10 @@ class EmbeddedCell:
         """
         self._observers.append(observer)
 
+    def remove_observer(self, observer: MembershipObserver) -> None:
+        """Unregister a callback :meth:`add_observer` registered."""
+        self._observers.remove(observer)
+
     def _notify(
         self, kid: KautzString, old: Optional[int], new: int
     ) -> None:

@@ -94,16 +94,23 @@ class TopologyMaintenance:
         # Optional message-grounded failure detector; when set, all
         # liveness/battery judgements come from its verdicts.
         self._detector = None
-        self._process = PeriodicProcess(
-            network.sim, period=MAINTENANCE_PERIOD, action=self._round,
-            jitter=MAINTENANCE_PERIOD / 10.0, rng=rng,
-        )
+        self._process: Optional[PeriodicProcess] = None
 
     def start(self, initial_delay: float = 0.0) -> None:
+        if self._process is None:
+            self._process = PeriodicProcess(
+                self.network.sim, period=MAINTENANCE_PERIOD,
+                action=self._round, jitter=MAINTENANCE_PERIOD / 10.0,
+                rng=self.rng,
+            )
         self._process.start(initial_delay)
 
     def stop(self) -> None:
-        self._process.stop()
+        """Stop the rounds and drop their process: it holds
+        :meth:`_round`, so keeping it would be a cycle."""
+        if self._process is not None:
+            self._process.stop()
+            self._process = None
 
     def set_fault_clock(
         self, clock: Optional[Callable[[int], Optional[float]]]

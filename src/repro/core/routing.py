@@ -14,7 +14,6 @@ delivers within the destination cell.
 
 from __future__ import annotations
 
-from functools import partial
 from math import hypot, inf
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
@@ -78,11 +77,13 @@ class ReferRouter:
         # membership change drops its cell's lists; simulation time
         # does not run backwards, so a list is never asked about an
         # instant before it was made.
-        self._near_members: Dict[int, Dict[int, Tuple[float, List[int]]]] = {
-            cell.cid: {} for cell in cells
-        }
+        self._near_members: Dict[int, Dict[int, Tuple[float, List[int]]]] = {}
         for cell in cells:
-            cell.add_observer(partial(self._membership_changed, cell.cid))
+            near = self._near_members[cell.cid] = {}
+            # The hook holds the cell's lists, not the router: the
+            # router holds the cell, so holding the router would be a
+            # cycle.
+            cell.add_observer(lambda kid, old, new, near=near: near.clear())
         # When the chaos subsystem is active the runner installs a
         # zero-argument probe here so detours/drops can be attributed
         # to live fault activity (RoutingStats.fault_*).
@@ -137,11 +138,6 @@ class ReferRouter:
 
     def _fault_active(self) -> bool:
         return self._fault_activity is not None and self._fault_activity()
-
-    def _membership_changed(
-        self, cid: int, kid: KautzString, old: Optional[int], new: int
-    ) -> None:
-        self._near_members[cid].clear()
 
     def cell_holding(self, node_id: int) -> Optional[EmbeddedCell]:
         """The cell (if any) in which ``node_id`` currently holds a KID:

@@ -245,6 +245,7 @@ def run_scenario(system_name: str, config: ScenarioConfig) -> RunResult:
             telemetry.verdicts = tuple(orchestrator.detector.verdicts)
         metrics.publish(telemetry.registry)
         telemetry.finalize()
+    sim.close()
 
     return RunResult(
         system=system.name,

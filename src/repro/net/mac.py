@@ -60,10 +60,6 @@ class ContentionMac:
         # transmission reports its frame attempts as bytes on air.
         # Observation only — it must never touch the RNG or timing.
         self.profiler = None
-        # QoS hook (repro.qos.mac.MacQosScheduler): when set, frames
-        # pass through a per-node priority queue with deadline-drop
-        # and bounded per-class depth before reaching the radio.
-        self.qos = None
 
     def transmit(
         self,
@@ -80,15 +76,7 @@ class ContentionMac:
         destination is *reachable* is the caller's concern (checked at
         the network layer at the moment of transmission); this layer
         models only timing and stochastic loss.
-
-        With a QoS scheduler installed the frame is queued by traffic
-        class instead of hitting the radio immediately; the scheduler
-        calls back into :meth:`service_frame` when the frame wins
-        service.
         """
-        if self.qos is not None:
-            self.qos.submit(src_id, dst_id, packet, on_result)
-            return
         self.service_frame(src_id, dst_id, packet, on_result)
 
     def service_frame(

@@ -50,7 +50,7 @@ when the bucket's snapshot was taken (its first neighbour query), with
 ``usable`` as it was when the node's tuple was first computed in the
 bucket — the geometry carries no liveness, a tuple filters it at that
 first use.  The filter reads ``usable`` only for the nodes in the
-medium's *watch*: a node files itself there when its ``failed`` or
+medium's *watch*: a node files its id there when its ``failed`` or
 ``battery_joules`` is assigned (``add_node`` files one registered failed
 or metered), and never leaves.  A node outside it was never failed or
 metered, so it is usable unread.  Floods and candidate gathering share
@@ -58,9 +58,10 @@ the view; a flood reads the bucket's tuples straight from the mapping
 ``survey`` returns, and beside them each tuple as an int bitmask (bit
 ``i`` = node ``i``), made at a flood's first use of the tuple, and each
 flood's reception count by the mask of its forwarders, all dropped with
-the tuples.  The roll only *writes* the mobile positions; the grid
-re-hashes cells the first time a query in the bucket needs them.  The
-cost boundary: a TTL-limited flood in a fresh bucket pays for the whole
+the tuples.  The roll moves every mobile node in the grid
+(:meth:`~repro.net.spatial.SpatialHashGrid.move`), which re-files a
+node in its new cell at once when it has crossed one.  The cost
+boundary: a TTL-limited flood in a fresh bucket pays for the whole
 field's geometry.
 
 ``contention_at`` is a packet-time question, like the frame's own
@@ -85,7 +86,8 @@ import statistics
 from math import hypot, inf
 from types import MappingProxyType
 from typing import (
-    Any, Dict, Iterable, List, Mapping, Optional, Protocol, Sequence, Tuple,
+    Any, Dict, Iterable, KeysView, List, Mapping, Optional, Protocol,
+    Sequence, Tuple,
 )
 
 from repro.errors import NetworkError
@@ -192,18 +194,18 @@ class WirelessMedium:
         #: (``last_now``, ``last_point``; see
         #: :class:`~repro.net.mobility.MobilityModel`).
         self._recall: Dict[int, Any] = {}
-        #: Nodes whose ``radio_busy_until`` may still lie ahead, by id:
-        #: each files itself when its radio is occupied
-        #: (:attr:`Node.radio_busy_until`), :meth:`contention_at` drops
-        #: the expired, so it holds at most one entry per node.
-        self._busy: Dict[int, Node] = {}
-        #: Every node whose ``failed`` or ``battery_joules`` was ever
-        #: written, by id: each files itself (:attr:`Node.failed`),
+        #: Ids of the nodes whose ``radio_busy_until`` may still lie
+        #: ahead, as dict keys (an ordered set): each files itself when
+        #: its radio is occupied (:attr:`Node.radio_busy_until`),
+        #: :meth:`contention_at` drops the expired.
+        self._busy: Dict[int, None] = {}
+        #: Ids of every node whose ``failed`` or ``battery_joules`` was
+        #: ever written: each files itself (:attr:`Node.failed`),
         #: ``add_node`` files one registered failed or metered, and none
         #: leaves.  A node not here is usable without a read.
-        self._watched: Dict[int, Node] = {}
-        #: Read-only view of the watch, for a flood's metered mask.
-        self.watched: Mapping[int, Node] = MappingProxyType(self._watched)
+        self._watched: Dict[int, None] = {}
+        #: Read-only, live view of the watch, for a flood's metered mask.
+        self.watched: KeysView[int] = self._watched.keys()
         #: What motion between two instants is bounded by: the fastest
         #: registered mobility model (``inf`` once one declares no
         #: ``max_speed``) and the shortest registered range.
@@ -250,9 +252,9 @@ class WirelessMedium:
         node._busy_radios = self._busy
         node._watched = self._watched
         if node.radio_busy_until > 0.0:
-            self._busy[node.id] = node
+            self._busy[node.id] = None
         if node.failed or node.battery_joules is not None:
-            self._watched[node.id] = node
+            self._watched[node.id] = None
         mobility = node.mobility
         if not getattr(mobility, "is_static", False):
             self._mobile_ids.append(node.id)
@@ -428,9 +430,10 @@ class WirelessMedium:
             self._geometry[node_id] = peers
         watched = self._watched
         if require_usable and watched:
+            nodes = self._nodes
             return tuple([
                 peer for peer in peers
-                if peer not in watched or watched[peer].usable
+                if peer not in watched or nodes[peer].usable
             ])
         return tuple(peers)
 
@@ -711,11 +714,13 @@ class WirelessMedium:
         reach = node.transmission_range
         limit = reach + RANGE_SLACK
         busy = self._busy
+        nodes = self._nodes
         recall = self._recall
         x = y = None  # the node's own position, read if a radio is busy
         count = 0
         expired = []
-        for other_id, other in busy.items():
+        for other_id in busy:
+            other = nodes[other_id]
             if other._radio_busy_until <= now:
                 expired.append(other_id)
                 continue

@@ -82,6 +82,12 @@ class WirelessNetwork:
         self.mac = ContentionMac(sim, self.medium, rng)
         if telemetry is not None:
             self.mac.profiler = telemetry.profiler
+        #: QoS hook (:class:`repro.qos.mac.MacQosScheduler`): when set,
+        #: :meth:`send` asks it to refuse a frame, then hands the frame
+        #: to its per-node priority queues instead of the MAC; it calls
+        #: back into ``ContentionMac.service_frame`` when the frame wins
+        #: service.  The MAC does not know it, so nothing refers back.
+        self.qos = None
         self.energy = EnergyLedger(registry=self.registry)
         self._rng = rng
         # Path-level outcomes of :meth:`send_along_path` (a relay that
@@ -167,7 +173,7 @@ class WirelessNetwork:
         if not src.usable:
             self._fail(packet, src_id, dst_id, on_failed, "src-unusable", now)
             return
-        qos = self.mac.qos
+        qos = self.qos
         if qos is not None:
             # QoS admission at the hop, before any energy is charged:
             # an expired, shed, or queue-refused frame costs nothing.
@@ -206,7 +212,10 @@ class WirelessNetwork:
             if on_delivered is not None:
                 on_delivered(packet)
 
-        self.mac.transmit(src_id, dst_id, packet, complete)
+        if qos is not None:
+            qos.submit(src_id, dst_id, packet, complete)
+        else:
+            self.mac.transmit(src_id, dst_id, packet, complete)
 
     def _fail(
         self,
@@ -445,8 +454,8 @@ class WirelessNetwork:
         table = medium.node_table
         # Only a watched node was ever metered (``WirelessMedium.watched``).
         metered_ids = {
-            node_id for node_id, node in medium.watched.items()
-            if node.battery_joules is not None
+            node_id for node_id in medium.watched
+            if table[node_id].battery_joules is not None
         }
         metered = _mask(metered_ids)
         seen = _mask(frontier)

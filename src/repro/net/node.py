@@ -45,11 +45,12 @@ class Node:
         self.role = role
         self.mobility = mobility
         self.transmission_range = transmission_range
-        #: Where an occupied radio files itself, and a node whose
+        #: Where an occupied radio files its id, and a node whose
         #: liveness was ever written: the busy set and the watch of the
         #: medium this node is registered with (``add_node`` sets them).
-        self._busy_radios: Optional[Dict[int, "Node"]] = None
-        self._watched: Optional[Dict[int, "Node"]] = None
+        #: They hold ids, not nodes, so no node refers to itself.
+        self._busy_radios: Optional[Dict[int, None]] = None
+        self._watched: Optional[Dict[int, None]] = None
         self.battery_joules = battery_joules
         self.consumed_joules = 0.0
         self._failed = False
@@ -90,7 +91,7 @@ class Node:
     def radio_busy_until(self, until: float) -> None:
         self._radio_busy_until = until
         if self._busy_radios is not None:
-            self._busy_radios[self.id] = self
+            self._busy_radios[self.id] = None
 
     # -- liveness --------------------------------------------------------------
 
@@ -108,7 +109,7 @@ class Node:
     def failed(self, failed: bool) -> None:
         self._failed = failed
         if self._watched is not None:
-            self._watched[self.id] = self
+            self._watched[self.id] = None
 
     @property
     def battery_joules(self) -> Optional[float]:
@@ -124,7 +125,7 @@ class Node:
             )
         self._battery_joules = joules
         if self._watched is not None:
-            self._watched[self.id] = self
+            self._watched[self.id] = None
 
     @property
     def is_sensor(self) -> bool:

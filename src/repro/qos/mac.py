@@ -1,7 +1,7 @@
 """Priority-aware MAC scheduling: the queue between router and radio.
 
-:class:`MacQosScheduler` installs as :attr:`ContentionMac.qos
-<repro.net.mac.ContentionMac>`.  Each transmitting node gets a
+:class:`MacQosScheduler` installs as :attr:`WirelessNetwork.qos
+<repro.net.network.WirelessNetwork>`.  Each transmitting node gets a
 bounded, per-class :class:`~repro.qos.queue.PriorityFrameQueue`;
 frames are served strictly by class priority, one at a time, each
 service occupying the radio via the MAC's analytic contention model
@@ -36,6 +36,7 @@ wake-up has had its turn goes straight to ``service_frame``.
 
 from __future__ import annotations
 
+import weakref
 from typing import Dict, Optional, Set, Tuple
 
 from repro.net.mac import ContentionMac, ResultCallback
@@ -83,7 +84,9 @@ class MacQosScheduler:
         # Per node whose queue emptied: the (time, reserved seq) of the
         # wake-up its last service would have scheduled, unfiled.
         self._kept: Dict[int, Tuple[float, int]] = {}
-        # Per node with a queue: its one wake-up callback.
+        # Per node with a queue: its one wake-up callback.  It refers
+        # to the scheduler weakly: the scheduler holds it, and a strong
+        # reference would make the pair a cycle that outlives the run.
         self._wakers: Dict[int, Action] = {}
         # (packet, lane, expiry) of the hop refusal() last accepted.
         self._accepted: tuple = (None, 0, None)
@@ -154,7 +157,8 @@ class MacQosScheduler:
         queue = self._queues.get(src_id)
         if queue is None:
             queue = self._queues[src_id] = PriorityFrameQueue(self._depths)
-            self._wakers[src_id] = lambda: self._serve(src_id)
+            scheduler = weakref.ref(self)
+            self._wakers[src_id] = lambda: scheduler()._serve(src_id)
         if not queue.offer(frame):
             # The network layer's refusal() check makes this unreachable
             # in-sim (nothing runs between the check and this call), but

@@ -3,7 +3,7 @@
 :func:`~repro.experiments.runner.run_scenario` constructs one
 :class:`QosManager` per run when ``ScenarioConfig.qos`` is present,
 then installs the pieces: the scheduler onto
-:attr:`ContentionMac.qos <repro.net.mac.ContentionMac>`, the
+:attr:`WirelessNetwork.qos <repro.net.network.WirelessNetwork>`, the
 backpressure state onto the REFER router (congestion-aware successor
 choice), and the admission controller into the workload.
 """
@@ -32,5 +32,5 @@ class QosManager:
         self.admission = AdmissionController(self.state, self.stats)
 
     def install(self, network: WirelessNetwork) -> None:
-        """Attach the scheduler to the network's MAC."""
-        network.mac.qos = self.scheduler
+        """Put the scheduler between the network and its MAC."""
+        network.qos = self.scheduler

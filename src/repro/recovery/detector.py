@@ -136,7 +136,7 @@ class FailureDetector:
         self._states: Dict[int, _TargetState] = {}
         self._watched: set = set()
         self._listeners: List[VerdictListener] = []
-        self._process = PeriodicProcess(
+        self._process: Optional[PeriodicProcess] = PeriodicProcess(
             network.sim,
             period=DETECTOR_PERIOD,
             action=self._round,
@@ -150,7 +150,15 @@ class FailureDetector:
         self._process.start(initial_delay)
 
     def stop(self) -> None:
-        self._process.stop()
+        """Stop probing for good: the round process (it holds
+        :meth:`_round`), the pair schedule, the ground-truth hook and
+        the listeners are dropped, since each refers back to this
+        detector or to its owner.  Stats and verdicts stay readable."""
+        if self._process is not None:
+            self._process.stop()
+            self._process = None
+        self._pairs = self._audit_usable = None
+        self._listeners.clear()
 
     def add_listener(self, listener: VerdictListener) -> None:
         """Register a callback fired on every condemn/absolve verdict."""

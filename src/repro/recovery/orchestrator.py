@@ -132,7 +132,12 @@ class RecoveryOrchestrator:
         self.detector.start(initial_delay)
 
     def stop(self) -> None:
+        """Stop the detector and unregister from the cells: nothing
+        the system holds refers to this orchestrator afterwards, and
+        :meth:`report` still reads every layer's stats."""
         self.detector.stop()
+        for cell in self._system.cells:
+            cell.remove_observer(self._membership_changed)
 
     # -- watch-pair schedule ----------------------------------------------
 

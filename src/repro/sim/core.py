@@ -214,6 +214,19 @@ class Simulator:
         finally:
             self._running = False
 
+    def close(self) -> None:
+        """End the run: drop every pending event and cancellation.
+
+        A pending action refers back to the world that scheduled it,
+        which refers to this simulator; dropping the queue lets
+        reference counting free that world.  Call it once nothing more
+        is to be simulated: :meth:`run_until` keeps later events queued
+        so that a run can be resumed, and after ``close`` there is
+        nothing to resume.
+        """
+        self._heap.clear()
+        self._cancelled.clear()
+
     def _guard_reentrancy(self) -> None:
         if self._running:
             raise SimulationError("simulator loop is not re-entrant")

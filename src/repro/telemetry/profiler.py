@@ -15,7 +15,9 @@ in place — one dict get/add keyed on the callback's **code object**
 function, and hashed by identity, unlike a ``(module, qualname)``
 string tuple) — and keeps the first callback seen per key in
 :attr:`SimProfiler.first_callbacks`.  Name resolution and the pretty
-label collapse wait for snapshot time.
+label collapse wait for snapshot time; a named key keeps its label and
+drops its callback, which would otherwise hold the run's world alive
+for as long as the profiler lives.
 """
 
 from __future__ import annotations
@@ -46,8 +48,11 @@ class SimProfiler:
         #: code object (or callable type) -> events dispatched, counted
         #: in place by ``Simulator.step``.
         self.dispatched: Dict[object, int] = {}
-        #: same keys -> the first callback seen, which names the key.
+        #: same keys -> the first callback seen, which names the key;
+        #: emptied (in place: the simulator shares it) as keys are named.
         self.first_callbacks: Dict[object, Callable[[], None]] = {}
+        #: same keys -> their collapsed label, once named.
+        self._labels: Dict[object, str] = {}
         self._bytes_on_air = 0
         self._frames_on_air = 0
 
@@ -70,10 +75,18 @@ class SimProfiler:
         return self._frames_on_air
 
     def event_counts(self) -> Dict[str, int]:
-        """Events dispatched per collapsed callback label (sorted)."""
+        """Events dispatched per collapsed callback label (sorted).
+
+        Names each key first seen since the last call and drops its
+        callback; ``finalize`` calls it, so a finished run keeps labels
+        only."""
+        labels = self._labels
+        for key, action in self.first_callbacks.items():
+            labels[key] = _label(action)
+        self.first_callbacks.clear()
         merged: Dict[str, int] = {}
         for key, count in self.dispatched.items():
-            label = _label(self.first_callbacks[key])
+            label = labels[key]
             merged[label] = merged.get(label, 0) + count
         return dict(sorted(merged.items()))
 

@@ -160,8 +160,8 @@ class TraceStream:
     # -- wiring ------------------------------------------------------------
 
     def bind_clock(self, clock: Callable[[], float]) -> None:
-        """End-of-run timestamp source (:meth:`close`); the runner
-        binds the simulator clock."""
+        """End-of-run timestamp source (:meth:`close`, which reads it
+        once and drops it); the runner binds the simulator clock."""
         self._clock = clock
 
     def bind_registry(self, registry) -> None:
@@ -250,6 +250,7 @@ class TraceStream:
             return
         self._closed = True
         clock = self._clock
+        self._clock = None
         time = clock() if clock is not None else self._last_time
         while time >= self._next_boundary:
             self._emit_checkpoint(self._next_boundary)

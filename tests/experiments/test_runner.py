@@ -1,13 +1,54 @@
 """Integration tests for the scenario runner (all four systems)."""
 
+import gc
+
 import pytest
 
+from repro.chaos.spec import FaultSpec
 from repro.errors import ConfigError
 from repro.experiments.config import FaultConfig, ScenarioConfig
 from repro.experiments.runner import SYSTEMS, run_scenario
+from repro.net.network import WirelessNetwork
+from repro.net.node import Node
+from repro.qos.config import BurstyConfig, QosConfig
 from repro.recovery import RecoveryConfig
+from repro.sim.core import Simulator
+from repro.telemetry.config import TelemetryConfig
+from repro.telemetry.tracing import TracingConfig
 
 FAST = ScenarioConfig(sim_time=10.0, warmup=2.0, rate_pps=5.0)
+
+#: Every opt-in subsystem on, so that each one's wiring is part of the
+#: world: both ways to declare faults (an outage kind among them), the
+#: recovery stack, QoS queues under bursty load, and telemetry with
+#: the trace, whose clock reads the simulator.
+EVERYTHING = ScenarioConfig(
+    seed=9,
+    sensor_count=40,
+    area_side=220.0,
+    sim_time=8.0,
+    warmup=2.0,
+    rate_pps=5.0,
+    faults=FaultConfig(count=2),
+    fault_spec=(
+        FaultSpec(kind="actuator", count=1, period=3.0, start=2.0,
+                  duration=1.5),
+        FaultSpec(kind="links", mean_good=4.0, mean_bad=1.0, start=2.0),
+    ),
+    recovery=RecoveryConfig(),
+    qos=QosConfig(),
+    bursty=BurstyConfig(),
+    telemetry=TelemetryConfig(tracing=TracingConfig()),
+)
+
+
+def _world_objects(known=frozenset()):
+    """The live simulators, networks and nodes not in ``known`` (ids)."""
+    return [
+        obj for obj in gc.get_objects()
+        if isinstance(obj, (Simulator, WirelessNetwork, Node))
+        and id(obj) not in known
+    ]
 
 
 class TestRunner:
@@ -73,6 +114,26 @@ class TestRunner:
     def test_delivery_ratio_property(self):
         result = run_scenario("REFER", FAST)
         assert 0 < result.delivery_ratio <= 1
+
+
+class TestRunFreesItself:
+    @pytest.mark.parametrize("name", sorted(SYSTEMS))
+    def test_a_finished_run_leaves_no_cycle(self, name):
+        """Reference counting alone frees a run: with the collector
+        off, the result holds no simulator, network or node, and once
+        it is dropped ``gc.collect()`` finds nothing the run built."""
+        gc.collect()
+        known = frozenset(id(obj) for obj in _world_objects())
+        gc.disable()
+        try:
+            result = run_scenario(name, EVERYTHING)
+            assert result.generated > 0
+            assert result.fault_events
+            assert _world_objects(known) == []
+            del result
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 class TestHeadlineOrderings:

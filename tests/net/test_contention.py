@@ -198,7 +198,8 @@ def test_contention_is_the_brute_count_at_exact_positions(
                 )
             # The walk dropped every radio it found expired.
             assert all(
-                node.radio_busy_until > now for node in medium._busy.values()
+                medium.node(node_id).radio_busy_until > now
+                for node_id in medium._busy
             )
 
 

@@ -213,7 +213,7 @@ def test_a_node_registered_failed_or_metered_is_watched(state):
     _, net = build(WirelessNetwork, 2, ["fresh"] * 30)
     node = make_node(2, 30, state)
     net.add_node(node)
-    assert net.medium.watched == {30: node}
+    assert net.medium.watched == {30}
     peers = net.neighbors(30, require_usable=False)
     assert peers
     heard = all(30 in net.neighbors(peer) for peer in peers)
